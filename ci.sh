@@ -11,6 +11,11 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# benchmark/ is its own workspace, so nothing above compiles it: a
+# change to the `services` surface it drives would otherwise fail only
+# at benchmark time. Builds, lints, self-tests and smoke-runs it.
+benchmark/check.sh
+
 # Invariant checking must stay near-linear in log size (2k vs 20k
 # entries, one soundness invariant per service); exits non-zero if a
 # 10x log costs more than 20x the time.

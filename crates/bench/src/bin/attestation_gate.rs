@@ -87,8 +87,7 @@ fn attested_fleet(issuer: &Arc<IdentityIssuer>) -> Result<[u8; 32], String> {
             TlsMode::LibSeal(Arc::clone(&origin_plane)),
             Arc::new(Arc::new(GitBackend::new())),
         )
-        .workers(CLIENTS)
-        .event_loop(false),
+        .workers(CLIENTS),
     )
     .map_err(|e| format!("origin: {e}"))?;
 
@@ -107,8 +106,7 @@ fn attested_fleet(issuer: &Arc<IdentityIssuer>) -> Result<[u8; 32], String> {
             "git-backend",
         )
         .attestation(Arc::new(issuer.policy_for(origin_plane.measurements())))
-        .workers(CLIENTS)
-        .event_loop(false),
+        .workers(CLIENTS),
     )
     .map_err(|e| format!("proxy: {e}"))?;
 
@@ -165,8 +163,7 @@ fn wrong_measurement_rejected(
     );
     let server = ApacheServer::start(
         ApacheConfig::new(TlsMode::LibSeal(rogue_plane), Arc::new(StaticContentRouter))
-            .workers(CLIENTS)
-            .event_loop(false),
+            .workers(CLIENTS),
     )
     .map_err(|e| format!("rogue server: {e}"))?;
     let client = HttpsClient::new(server.addr(), vec![issuer.ca_root()], "localhost")
@@ -248,14 +245,12 @@ fn handshake_overhead(issuer: &Arc<IdentityIssuer>) -> Result<(), String> {
             },
             Arc::new(StaticContentRouter),
         )
-        .workers(2)
-        .event_loop(false),
+        .workers(2),
     )
     .map_err(|e| format!("plain server: {e}"))?;
     let attested = ApacheServer::start(
         ApacheConfig::new(TlsMode::Native { cert, key }, Arc::new(StaticContentRouter))
-            .workers(2)
-            .event_loop(false),
+            .workers(2),
     )
     .map_err(|e| format!("attested server: {e}"))?;
 

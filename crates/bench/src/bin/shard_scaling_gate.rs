@@ -29,7 +29,7 @@ use libseal_bench::*;
 use libseal_httpx::http::Request;
 use libseal_services::apache::{ApacheConfig, ApacheServer};
 use libseal_services::git::GitBackend;
-use libseal_services::{HttpsClient, LoadGenerator, Service, TlsMode};
+use libseal_services::{HttpsClient, LoadGenerator, TlsMode};
 use libseal_sgxsim::cost::CostModel;
 
 /// Simulated ROTE counter round per seal: slow enough that the
@@ -82,8 +82,7 @@ fn start_server(plane: Arc<dyn AuditPlane>) -> ApacheServer {
             TlsMode::LibSeal(plane),
             Arc::new(Arc::new(GitBackend::new())),
         )
-        .workers(CLIENTS)
-        .event_loop(false),
+        .workers(CLIENTS),
     )
     .expect("server")
 }
@@ -134,12 +133,12 @@ fn restart_trial(id: &BenchIdentity) -> Result<(), String> {
     });
 
     std::thread::sleep(Duration::from_millis(400));
-    let served_before = server.served();
+    let served_before = server.requests_served();
     plane
         .restart_shard(1)
         .map_err(|e| format!("shard restart failed: {e}"))?;
     let stats = load.join().expect("load thread");
-    let served_after = server.served();
+    let served_after = server.requests_served();
     server.drain();
 
     // Cleanup the temp journals regardless of verdict.

@@ -3,8 +3,9 @@
 //! crash window vs. a rollback alarm), unsigned-tail roll-forward,
 //! and degraded-quorum operation.
 //!
-//! Fault-injected tests open `plat::failpoint::scenario()` first so
-//! they serialize on the global failpoint registry.
+//! Every test opens `plat::failpoint::scenario()` first: the failpoint
+//! registry is global, so a fault one test arms would otherwise land
+//! in whichever test reaches the site next.
 
 use libseal::log::{
     AuditLog, LogBacking, NoGuard, RecoveryReport, RollbackGuard, RoteGuard, SealingCodec,
@@ -76,6 +77,7 @@ plat::prop! {
     /// runnable. Pure truncation is always a torn tail, never a fatal
     /// MAC failure, so every reopen must succeed.
     fn truncation_at_every_offset_recovers_a_synced_prefix(g) {
+        let _s = failpoint::scenario(); // serialize with fault-injected tests
         let path = TempPath::new("libseal-prefix", "log");
         let appends = g.usize_in(2..5);
         let commit = g.lowercase(4..8);
@@ -133,6 +135,7 @@ plat::prop! {
 /// and abort the open, not be silently skipped.
 #[test]
 fn flipped_byte_mid_file_is_fatal() {
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
     let path = TempPath::new("libseal-flip", "log");
     {
         let mut log = open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard)).unwrap();
@@ -154,6 +157,7 @@ fn flipped_byte_mid_file_is_fatal() {
 /// increment so later recoveries see a consistent pair.
 #[test]
 fn counter_ahead_by_one_is_the_legal_crash_window() {
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
     let path = TempPath::new("libseal-window", "log");
     {
         let mut log = open_log(
@@ -184,6 +188,7 @@ fn counter_ahead_by_one_is_the_legal_crash_window() {
 
 #[test]
 fn counter_ahead_by_two_is_a_rollback_alarm() {
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
     let path = TempPath::new("libseal-rollback2", "log");
     {
         let mut log = open_log(
@@ -210,6 +215,7 @@ fn counter_ahead_by_two_is_a_rollback_alarm() {
 /// when the external counter agrees with the (tampered) head.
 #[test]
 fn log_behind_signed_head_is_a_rollback_alarm() {
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
     let path = TempPath::new("libseal-behind", "log");
     {
         let mut log = open_log(
@@ -360,6 +366,7 @@ fn degraded_quorum_keeps_the_log_available_and_rebinds() {
 /// before it.
 #[test]
 fn restart_advances_the_sealed_epoch() {
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
     let path = TempPath::new("libseal-epoch", "log");
     let epoch_of = |log: &AuditLog| -> String {
         match log
@@ -385,6 +392,7 @@ fn restart_advances_the_sealed_epoch() {
 /// salvaged, nothing rolled forward, no crash window.
 #[test]
 fn clean_reopen_reports_quiet_recovery() {
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
     let path = TempPath::new("libseal-quiet", "log");
     {
         let mut log = open_log(

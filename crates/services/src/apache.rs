@@ -1,33 +1,19 @@
-//! An Apache-like web server terminating STLS.
-//!
-//! Two serving models, selected by [`ApacheConfig::event_loop`]:
-//!
-//! - **Event-driven (default)**: one epoll reactor multiplexes every
-//!   connection, ready audited sessions are drained through a single
-//!   batched enclave transition per sweep, and handlers run on an
-//!   lthread job pool (see [`crate::event`]).
-//! - **Threaded** (the paper's model): a fixed pool of worker threads
-//!   serves whole connections from an accept queue; each worker owns
-//!   one async-ecall slot when the TLS mode is a LibSEAL instance with
-//!   the §4.3 runtime.
+//! An Apache-like web server terminating STLS: the [`Router`]
+//! personality of the connection engine (see the crate docs for the
+//! two drivers).
 //!
 //! Routers plug the application in: static content for the TLS
 //! micro-benchmarks (Fig. 7a, Tabs 2-4), the Git/ownCloud backends for
 //! Fig. 5, or a reverse proxy (the paper's large-scale Git deployment,
 //! §6.4).
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use libseal_httpx::http::{parse_request_limited, Limits, Request, Response};
-use libseal_httpx::ParseError;
-use libseal_tlsx::ssl::ReadOutcome;
+use libseal_httpx::http::{Request, Response};
 
-use crate::event::PhaseTimeouts;
-use crate::tlsadapter::{TlsMode, TlsSession};
+use crate::server::{Config, Server};
+use crate::tlsadapter::TlsMode;
 use crate::Result;
 
 /// Application logic behind the server.
@@ -247,140 +233,24 @@ fn bump_route(path: &str) {
     counter.inc();
 }
 
-/// Server configuration (builder).
-///
-/// ```
-/// # use std::sync::Arc;
-/// # use libseal_services::apache::{ApacheConfig, StaticContentRouter};
-/// # fn demo(tls: libseal_services::TlsMode) -> ApacheConfig {
-/// ApacheConfig::new(tls, Arc::new(StaticContentRouter))
-///     .workers(8)
-///     .event_loop(false) // paper-faithful thread-per-connection
-/// # }
-/// ```
-pub struct ApacheConfig {
-    pub(crate) tls: TlsMode,
-    pub(crate) workers: usize,
-    pub(crate) router: Arc<dyn Router>,
-    pub(crate) event_loop: bool,
-    pub(crate) idle_timeout: Duration,
-    pub(crate) timeouts: PhaseTimeouts,
-    pub(crate) max_connections: usize,
-    pub(crate) drain_timeout: Duration,
-    pub(crate) limits: Limits,
-}
+/// Server configuration: the shared serving knobs plus the router.
+pub type ApacheConfig = Config<Arc<dyn Router>>;
 
 impl ApacheConfig {
-    /// A configuration with the default worker count (4), the
-    /// event-driven core enabled, a 60 s idle-session timeout, no
-    /// connection cap, default phase deadlines and a 5 s drain bound.
+    /// A configuration serving `router` with the default knobs.
     pub fn new(tls: TlsMode, router: Arc<dyn Router>) -> ApacheConfig {
-        ApacheConfig {
-            tls,
-            workers: 4,
-            router,
-            event_loop: true,
-            idle_timeout: Duration::from_secs(60),
-            timeouts: PhaseTimeouts::default(),
-            max_connections: usize::MAX,
-            drain_timeout: Duration::from_secs(5),
-            limits: Limits::default(),
-        }
-    }
-
-    /// Worker threads: connection workers in threaded mode, job-pool
-    /// carriers (application threads `A` in §4.3 terms) in event mode.
-    #[must_use]
-    pub fn workers(mut self, n: usize) -> ApacheConfig {
-        self.workers = n;
-        self
-    }
-
-    /// Selects the event-driven core (default) or, with `false`, the
-    /// paper's thread-per-connection serving model. Event mode falls
-    /// back to threaded where readiness polling is unsupported.
-    #[must_use]
-    pub fn event_loop(mut self, on: bool) -> ApacheConfig {
-        self.event_loop = on;
-        self
-    }
-
-    /// Event mode only: idle connections are evicted after this long
-    /// without traffic.
-    #[must_use]
-    pub fn idle_timeout(mut self, d: Duration) -> ApacheConfig {
-        self.idle_timeout = d;
-        self
-    }
-
-    /// Most concurrent connections; accepts beyond the cap are shed
-    /// (refused fast) instead of queued. Default: unlimited.
-    #[must_use]
-    pub fn max_connections(mut self, n: usize) -> ApacheConfig {
-        self.max_connections = n.max(1);
-        self
-    }
-
-    /// Deadline for a client to finish its TLS handshake (default
-    /// 10 s); expiry evicts the connection.
-    #[must_use]
-    pub fn handshake_timeout(mut self, d: Duration) -> ApacheConfig {
-        self.timeouts.handshake = d;
-        self
-    }
-
-    /// Deadline to finish a request's header section once its first
-    /// byte arrived (default 10 s). The deadline is per phase, not
-    /// per byte: trickling headers does not extend it.
-    #[must_use]
-    pub fn header_timeout(mut self, d: Duration) -> ApacheConfig {
-        self.timeouts.header = d;
-        self
-    }
-
-    /// Deadline to finish a request body once the head completed
-    /// (default 30 s).
-    #[must_use]
-    pub fn body_timeout(mut self, d: Duration) -> ApacheConfig {
-        self.timeouts.body = d;
-        self
-    }
-
-    /// Deadline for a peer to drain a queued response (default 30 s);
-    /// a stuck reader is evicted, not held forever.
-    #[must_use]
-    pub fn write_timeout(mut self, d: Duration) -> ApacheConfig {
-        self.timeouts.write = d;
-        self
-    }
-
-    /// Bound on the graceful drain in [`ApacheServer::stop`]: how
-    /// long in-flight requests get to deliver before teardown cuts
-    /// stragglers off (default 5 s).
-    #[must_use]
-    pub fn drain_timeout(mut self, d: Duration) -> ApacheConfig {
-        self.drain_timeout = d;
-        self
-    }
-
-    /// HTTP parser limits (head bytes, header count, body bytes);
-    /// breaching them answers 431/413 and closes the connection.
-    #[must_use]
-    pub fn http_limits(mut self, limits: Limits) -> ApacheConfig {
-        self.limits = limits;
-        self
+        Config::with_defaults(tls, router)
     }
 }
 
-/// The Apache personality of the shared event loop: route via the
-/// configured [`Router`], report into the same metrics as the
-/// threaded path.
-struct ApacheApp {
+/// The Apache personality of the connection engine: route via the
+/// configured [`Router`].
+pub struct ApacheApp {
     router: Arc<dyn Router>,
-    served: Arc<AtomicU64>,
+    served: AtomicU64,
 }
 
-impl crate::event::App for ApacheApp {
+impl crate::conn::App for ApacheApp {
     type Conn = ();
 
     fn open_conn(&self) {}
@@ -393,7 +263,7 @@ impl crate::event::App for ApacheApp {
         "apache_request"
     }
 
-    fn on_request(&self, path: &str, started: std::time::Instant) {
+    fn on_request(&self, _conn: &(), path: &str, started: std::time::Instant) {
         let m = apache_metrics();
         m.requests.inc();
         m.request_ns.record_duration(started.elapsed());
@@ -411,19 +281,7 @@ impl crate::event::App for ApacheApp {
 }
 
 /// A running server instance.
-pub struct ApacheServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    /// Graceful-drain request ([`ApacheServer::stop`]): stop
-    /// accepting, deliver in-flight responses, then exit.
-    draining: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    requests_served: Arc<AtomicU64>,
-    /// Present in event mode: interrupts the parked reactor on stop.
-    waker: Option<plat::reactor::Waker>,
-    /// Kept to seal pending audit batches to durable after drain.
-    tls: TlsMode,
-}
+pub type ApacheServer = Server<ApacheApp>;
 
 impl ApacheServer {
     /// Starts the server on an ephemeral local port.
@@ -432,392 +290,17 @@ impl ApacheServer {
     ///
     /// Socket binding failures.
     pub fn start(config: ApacheConfig) -> Result<ApacheServer> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let draining = Arc::new(AtomicBool::new(false));
-        let requests_served = Arc::new(AtomicU64::new(0));
-
-        if config.event_loop && plat::reactor::supported() {
-            let app = Arc::new(ApacheApp {
-                router: Arc::clone(&config.router),
-                served: Arc::clone(&requests_served),
-            });
-            let handle = crate::event::serve(
-                listener,
-                crate::event::EventConfig {
-                    tls: config.tls.clone(),
-                    workers: config.workers,
-                    idle_timeout: config.idle_timeout,
-                    timeouts: config.timeouts,
-                    max_connections: config.max_connections,
-                    drain_timeout: config.drain_timeout,
-                    limits: config.limits,
-                },
-                app,
-                Arc::clone(&shutdown),
-                Arc::clone(&draining),
-            )?;
-            return Ok(ApacheServer {
-                addr,
-                shutdown,
-                draining,
-                handles: vec![handle.join],
-                requests_served,
-                waker: Some(handle.waker),
-                tls: config.tls,
-            });
-        }
-
-        let (tx, rx) = plat::channel::unbounded::<TcpStream>();
-        let mut handles = Vec::new();
-        // Live connections (queued + being served): the threaded
-        // cap's admission counter.
-        let live = Arc::new(AtomicUsize::new(0));
-
-        // Accept loop.
-        {
-            let shutdown = Arc::clone(&shutdown);
-            let draining = Arc::clone(&draining);
-            let live = Arc::clone(&live);
-            let cap = config.max_connections;
-            handles.push(
-                std::thread::Builder::new()
-                    .name("apache-accept".into())
-                    .spawn(move || {
-                        while !shutdown.load(Ordering::Acquire) && !draining.load(Ordering::Acquire)
-                        {
-                            match plat::failpoint::check("services::accept")
-                                .and_then(|()| listener.accept())
-                            {
-                                Ok((sock, _)) => {
-                                    if live.load(Ordering::Acquire) >= cap {
-                                        // Shed: refuse fast instead of
-                                        // queueing work no worker will
-                                        // reach in time.
-                                        libseal_telemetry::counter(
-                                            "services_threaded_sheds_total",
-                                        )
-                                        .inc();
-                                        drop(sock);
-                                        continue;
-                                    }
-                                    let _ = sock.set_nodelay(true);
-                                    live.fetch_add(1, Ordering::AcqRel);
-                                    if tx.send(sock).is_err() {
-                                        break;
-                                    }
-                                }
-                                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                    std::thread::sleep(std::time::Duration::from_micros(200));
-                                }
-                                Err(_) => {
-                                    // Transient accept failures
-                                    // (ECONNABORTED on a reset
-                                    // connection, EMFILE under fd
-                                    // pressure, EINTR) must not kill
-                                    // the listener for the server's
-                                    // remaining lifetime: count, back
-                                    // off briefly, retry. Shutdown is
-                                    // the only exit.
-                                    apache_metrics().accept_errors.inc();
-                                    std::thread::sleep(std::time::Duration::from_millis(5));
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn accept thread"),
-            );
-        }
-
-        // Shared connection counter: each accepted connection gets a
-        // stable id the audit plane hashes for shard routing.
-        let conn_seq = Arc::new(AtomicU64::new(1));
-        for worker in 0..config.workers.max(1) {
-            let rx = rx.clone();
-            let tls = config.tls.clone();
-            let router = Arc::clone(&config.router);
-            let shutdown = Arc::clone(&shutdown);
-            let draining = Arc::clone(&draining);
-            let served = Arc::clone(&requests_served);
-            let live = Arc::clone(&live);
-            let conn_seq = Arc::clone(&conn_seq);
-            let timeouts = config.timeouts;
-            let limits = config.limits;
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("apache-worker-{worker}"))
-                    .spawn(move || {
-                        let halt =
-                            || shutdown.load(Ordering::Acquire) || draining.load(Ordering::Acquire);
-                        loop {
-                            if halt() {
-                                break;
-                            }
-                            match rx.recv_timeout(std::time::Duration::from_millis(50)) {
-                                Ok(sock) => {
-                                    let conn_id = conn_seq.fetch_add(1, Ordering::Relaxed);
-                                    let _ = serve_connection(
-                                        sock,
-                                        &tls,
-                                        worker,
-                                        conn_id,
-                                        router.as_ref(),
-                                        &served,
-                                        &halt,
-                                        &timeouts,
-                                        &limits,
-                                    );
-                                    live.fetch_sub(1, Ordering::AcqRel);
-                                }
-                                Err(plat::channel::RecvTimeoutError::Timeout) => {}
-                                Err(_) => break,
-                            }
-                        }
-                    })
-                    .expect("spawn worker thread"),
-            );
-        }
-
-        Ok(ApacheServer {
-            addr,
-            shutdown,
-            draining,
-            handles,
-            requests_served,
-            waker: None,
-            tls: config.tls,
-        })
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+        let app = ApacheApp {
+            router: config.service,
+            served: AtomicU64::new(0),
+        };
+        Server::launch(config.serve, app)
     }
 
     /// Requests served so far.
     pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
+        self.app.served.load(Ordering::Relaxed)
     }
-
-    /// The process-wide telemetry registry the server reports into.
-    pub fn telemetry(&self) -> &'static libseal_telemetry::Registry {
-        libseal_telemetry::global()
-    }
-
-    /// Stops the server and joins its threads.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-
-    /// Gracefully drains the server: stop accepting, deliver in-flight
-    /// responses (bounded by the configured drain deadline in event
-    /// mode), then seal pending audit batches to durable storage.
-    pub fn drain(mut self) {
-        self.draining.store(true, Ordering::Release);
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        // Every delivered response already awaited group-commit
-        // durability on its write path; this catches batches still
-        // staged when the last worker exited.
-        if let TlsMode::LibSeal(ls) = &self.tls {
-            let _ = ls.drain(0);
-        }
-    }
-}
-
-impl Drop for ApacheServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Serves one connection until close/EOF.
-#[allow(clippy::too_many_arguments)]
-fn serve_connection(
-    mut sock: TcpStream,
-    tls: &TlsMode,
-    worker: usize,
-    conn_id: u64,
-    router: &dyn Router,
-    served: &AtomicU64,
-    halt: &dyn Fn() -> bool,
-    timeouts: &PhaseTimeouts,
-    limits: &Limits,
-) -> Result<()> {
-    // Short socket-level tick so the blocking read loop can observe
-    // halt/drain requests and phase deadlines between reads.
-    sock.set_read_timeout(Some(crate::event::THREAD_READ_TICK))?;
-    // A slow-reading client must not wedge the worker on a blocked
-    // write either.
-    sock.set_write_timeout(Some(timeouts.write))?;
-    let mut session = tls.open_session(worker, conn_id)?;
-    // Always release the (enclave) session state, whatever path exits
-    // the connection loop.
-    let result = serve_established(&mut session, &mut sock, router, served, halt, timeouts, limits);
-    session.close();
-    let _ = flush(&mut session, &mut sock);
-    result
-}
-
-fn serve_established(
-    session: &mut TlsSession,
-    sock: &mut TcpStream,
-    router: &dyn Router,
-    served: &AtomicU64,
-    halt: &dyn Fn() -> bool,
-    timeouts: &PhaseTimeouts,
-    limits: &Limits,
-) -> Result<()> {
-    let mut buf = [0u8; 16 * 1024];
-
-    // Handshake, bounded: a client that connects and trickles (or
-    // never sends) handshake bytes is evicted at the deadline instead
-    // of pinning the worker.
-    let hs_deadline = Instant::now() + timeouts.handshake;
-    loop {
-        flush(session, sock)?;
-        if session.do_handshake()? {
-            break;
-        }
-        flush(session, sock)?;
-        let n = match crate::event::read_deadline(sock, &mut buf, hs_deadline, halt) {
-            Ok(n) => n,
-            Err(_) => {
-                libseal_telemetry::counter("services_threaded_handshake_timeouts_total").inc();
-                return Ok(());
-            }
-        };
-        if n == 0 {
-            return Ok(());
-        }
-        session.provide_input(&buf[..n])?;
-    }
-    flush(session, sock)?;
-
-    // Request loop (keep-alive).
-    let mut plain = Vec::new();
-    loop {
-        // Accumulate one full request. The whole head must land within
-        // the header deadline and the whole body within the body
-        // deadline: the deadlines are per phase, not per read, so
-        // trickling bytes does not extend them (slowloris).
-        let mut deadline = Instant::now() + timeouts.header;
-        let mut in_body = false;
-        let req = loop {
-            match parse_request_limited(&plain, limits) {
-                Ok((req, used)) => {
-                    plain.drain(..used);
-                    break req;
-                }
-                Err(ParseError::Incomplete) => {
-                    if !in_body && libseal_httpx::http::head_complete(&plain) {
-                        in_body = true;
-                        deadline = Instant::now() + timeouts.body;
-                    }
-                }
-                Err(e) => {
-                    // Provably unservable: a malformed line (400), an
-                    // oversized head (431) or an oversized declared
-                    // body (413). More bytes can never fix it, so
-                    // answer with the typed status and close.
-                    let status = e.close_status();
-                    if status == 400 {
-                        apache_metrics().malformed_requests.inc();
-                    } else {
-                        libseal_telemetry::counter("services_threaded_limit_rejections_total")
-                            .inc();
-                    }
-                    let rsp = Response::new(status, b"request rejected".to_vec());
-                    session.ssl_write(&rsp.to_bytes())?;
-                    flush(session, sock)?;
-                    return Ok(());
-                }
-            }
-            match session.ssl_read()? {
-                ReadOutcome::Data(d) => plain.extend_from_slice(&d),
-                ReadOutcome::WantRead => {
-                    flush(session, sock)?;
-                    // Retry EINTR; deadline expiry, halt and real
-                    // transport errors end the connection.
-                    let n = match crate::event::read_deadline(sock, &mut buf, deadline, halt) {
-                        Ok(n) => n,
-                        Err(_) => {
-                            // Only count evictions of a started
-                            // request; an idle keep-alive expiring at
-                            // the header deadline is routine.
-                            if !plain.is_empty() {
-                                libseal_telemetry::counter(if in_body {
-                                    "services_threaded_body_timeouts_total"
-                                } else {
-                                    "services_threaded_header_timeouts_total"
-                                })
-                                .inc();
-                            }
-                            return Ok(());
-                        }
-                    };
-                    if n == 0 {
-                        return Ok(());
-                    }
-                    session.provide_input(&buf[..n])?;
-                }
-                ReadOutcome::Closed => return Ok(()),
-            }
-        };
-        let close = req
-            .headers
-            .get("Connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-        // Span over the full lifecycle: routing, the (possibly
-        // enclave-terminated) write-back and the flush. Enclave
-        // transitions charged on this worker thread while it is open
-        // land in its boundary-cycle tally.
-        let started = std::time::Instant::now();
-        {
-            let _span = libseal_telemetry::global()
-                .span("apache_request", libseal_telemetry::Side::Untrusted);
-            let response = router.handle(&req);
-            session.ssl_write(&response.to_bytes())?;
-            flush(session, sock)?;
-        }
-        let m = apache_metrics();
-        m.requests.inc();
-        m.request_ns.record_duration(started.elapsed());
-        bump_route(req.path());
-        served.fetch_add(1, Ordering::Relaxed);
-        // A drain request lands between requests: the response above
-        // was delivered (and is durable), so closing here loses
-        // nothing.
-        if close || halt() {
-            return Ok(());
-        }
-    }
-}
-
-fn flush(session: &mut TlsSession, sock: &mut TcpStream) -> Result<()> {
-    let out = session.take_output()?;
-    if !out.is_empty() {
-        sock.write_all(&out)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,0 +1,271 @@
+//! The blocking driver: the paper's thread-per-connection model (§6).
+//! One accept thread feeds a fixed pool of workers; a worker serves a
+//! whole connection with blocking socket calls, and owns one
+//! async-ecall slot when the TLS mode is a LibSEAL instance with the
+//! §4.3 runtime. Tables 2–4 and Figs. 5/7 measure this driver, and the
+//! event-loop gate uses it as its transitions-per-request reference.
+//!
+//! Request semantics come from the [`App`] and connection policy from
+//! [`crate::conn`], exactly as under the reactor; only the I/O —
+//! blocking reads bounded by the phase deadline — lives here.
+
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use libseal_tlsx::ssl::ReadOutcome;
+
+use crate::conn::{count_shed, cut_request, respond, wants_close, App, Cut, Phase};
+use crate::server::ServeConfig;
+use crate::tlsadapter::TlsSession;
+use crate::Result;
+
+/// Socket timeout tick: short enough that a worker blocked on a quiet
+/// peer notices shutdown or drain within about a second.
+const TICK: Duration = Duration::from_secs(1);
+
+/// Spawns the accept thread and the worker pool; `halt` tells them a
+/// stop or drain was requested. Returns their join handles.
+pub(crate) fn serve<A: App>(
+    listener: TcpListener,
+    cfg: ServeConfig,
+    app: Arc<A>,
+    halt: impl Fn() -> bool + Clone + Send + 'static,
+) -> Vec<std::thread::JoinHandle<()>> {
+    let (tx, rx) = plat::channel::unbounded::<TcpStream>();
+    let cfg = Arc::new(cfg);
+    // Live connections (queued + being served): the cap's admission
+    // counter.
+    let live = Arc::new(AtomicUsize::new(0));
+    let mut handles = Vec::new();
+
+    {
+        let (app, live, halt) = (Arc::clone(&app), Arc::clone(&live), halt.clone());
+        let cap = cfg.max_connections;
+        let accept = move || {
+            while !halt() {
+                match plat::failpoint::check("services::accept").and_then(|()| listener.accept()) {
+                    Ok((sock, _)) => {
+                        if live.load(Ordering::Acquire) >= cap {
+                            // Shed: refuse fast instead of queueing
+                            // work no worker will reach in time.
+                            count_shed();
+                            continue;
+                        }
+                        let _ = sock.set_nodelay(true);
+                        live.fetch_add(1, Ordering::AcqRel);
+                        if tx.send(sock).is_err() {
+                            break;
+                        }
+                    }
+                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    Err(_) => {
+                        // Transient accept failures (ECONNABORTED on a
+                        // reset connection, EMFILE under fd pressure,
+                        // EINTR) must not kill the listener for the
+                        // server's remaining lifetime: count, back off
+                        // briefly, retry. Halting is the only exit.
+                        app.on_accept_error();
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                }
+            }
+        };
+        handles.push(spawn("blocking-accept".into(), accept));
+    }
+
+    // Shared connection counter: each accepted connection gets a
+    // stable id the audit plane hashes for shard routing.
+    let conn_seq = Arc::new(AtomicU64::new(1));
+    for worker in 0..cfg.workers.max(1) {
+        let (rx, cfg, app, live, halt) = (
+            rx.clone(),
+            Arc::clone(&cfg),
+            Arc::clone(&app),
+            Arc::clone(&live),
+            halt.clone(),
+        );
+        let conn_seq = Arc::clone(&conn_seq);
+        let work = move || {
+            while !halt() {
+                match rx.recv_timeout(Duration::from_millis(50)) {
+                    Ok(sock) => {
+                        let conn_id = conn_seq.fetch_add(1, Ordering::Relaxed);
+                        let _ = serve_connection(sock, &cfg, worker, conn_id, &*app, &halt);
+                        live.fetch_sub(1, Ordering::AcqRel);
+                    }
+                    Err(plat::channel::RecvTimeoutError::Timeout) => {}
+                    Err(_) => break,
+                }
+            }
+        };
+        handles.push(spawn(format!("blocking-worker-{worker}"), work));
+    }
+    handles
+}
+
+fn spawn(name: String, f: impl FnOnce() + Send + 'static) -> std::thread::JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(f)
+        .expect("spawn server thread")
+}
+
+/// Serves one connection until close, EOF, eviction or halt. `worker`
+/// is this thread's async-call slot, `conn_id` the shard affinity.
+fn serve_connection<A: App>(
+    mut sock: TcpStream,
+    cfg: &ServeConfig,
+    worker: usize,
+    conn_id: u64,
+    app: &A,
+    halt: &dyn Fn() -> bool,
+) -> Result<()> {
+    // Short socket-level ticks so blocked reads and writes observe
+    // halt requests and phase deadlines.
+    sock.set_read_timeout(Some(TICK))?;
+    sock.set_write_timeout(Some(TICK.min(cfg.timeouts.write)))?;
+    let mut session = cfg.tls.open_session(worker, conn_id)?;
+    let mut state = app.open_conn();
+    let write = cfg.timeouts.write;
+
+    let mut buf = [0u8; 16 * 1024];
+    let mut plain = Vec::new();
+    let mut established = false;
+    let mut phase = Phase::Handshake;
+    let mut deadline = Instant::now() + cfg.timeouts.handshake;
+    let mut serve = || -> Result<()> {
+        loop {
+            // Get as far as the bytes already received allow.
+            if !established {
+                flush(&mut session, &mut sock, write)?;
+                established = session.do_handshake()?;
+            }
+            if established {
+                match cut_request(&mut plain, &cfg.limits, app) {
+                    Cut::Request(req) => {
+                        respond(app, &mut state, &req, |bytes| {
+                            session.ssl_write(&bytes)?;
+                            flush(&mut session, &mut sock, write)
+                        })?;
+                        // A halt lands between requests: the response
+                        // above was delivered (and is durable), so
+                        // closing here loses nothing.
+                        if wants_close(&req) || halt() {
+                            return Ok(());
+                        }
+                        // The handler ran: whatever phase comes next
+                        // gets a fresh deadline.
+                        phase = Phase::Busy;
+                        continue;
+                    }
+                    Cut::Reject(rsp) => {
+                        session.ssl_write(&rsp.to_bytes())?;
+                        return flush(&mut session, &mut sock, write);
+                    }
+                    Cut::NeedMore => {}
+                }
+                match session.ssl_read()? {
+                    ReadOutcome::Data(d) => {
+                        plain.extend_from_slice(&d);
+                        continue;
+                    }
+                    ReadOutcome::WantRead => {}
+                    ReadOutcome::Closed => return Ok(()),
+                }
+            }
+            // Out of bytes: wait for more, for as long as the phase
+            // the connection is now in allows.
+            let next = Phase::of(false, established, false, &plain);
+            if let Some(d) = phase.advance(next, &cfg.timeouts) {
+                deadline = d;
+            }
+            flush(&mut session, &mut sock, write)?;
+            match read_deadline(&mut sock, &mut buf, deadline, halt) {
+                Ok(0) => return Ok(()),
+                Ok(n) => session.provide_input(&buf[..n])?,
+                Err(e) => {
+                    if e.kind() == io::ErrorKind::TimedOut && !halt() {
+                        phase.count_timeout();
+                    }
+                    return Err(e.into());
+                }
+            }
+        }
+    };
+    let result = serve();
+    // Always release the application and (enclave) session state,
+    // whatever path left the loop.
+    app.close_conn(&mut state);
+    session.close();
+    // Best-effort close_notify; an evicted peer is not evicted twice.
+    if let Ok(out) = session.take_output() {
+        let _ = sock.write_all(&out);
+    }
+    result
+}
+
+/// Writes the session's pending ciphertext within the write-phase
+/// deadline; a peer that stops reading is evicted and counted.
+fn flush(session: &mut TlsSession, sock: &mut TcpStream, timeout: Duration) -> Result<()> {
+    let out = session.take_output()?;
+    let deadline = Instant::now() + timeout;
+    let mut rest = &out[..];
+    while !rest.is_empty() {
+        match sock.write(rest) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => rest = &rest[n..],
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(ref e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                if Instant::now() >= deadline {
+                    Phase::Write.count_timeout();
+                    return Err(io::Error::from(io::ErrorKind::TimedOut).into());
+                }
+            }
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(())
+}
+
+/// Deadline-bounded read. The socket's read timeout is [`TICK`], so
+/// each timed-out tick re-checks `halt` and the overall `deadline` — a
+/// peer that stops sending can wedge a worker for at most one phase
+/// deadline, and a halt is honoured between ticks.
+///
+/// Returns `TimedOut` when the deadline passes or `halt` fires.
+fn read_deadline(
+    sock: &mut TcpStream,
+    buf: &mut [u8],
+    deadline: Instant,
+    halt: &dyn Fn() -> bool,
+) -> io::Result<usize> {
+    loop {
+        match sock.read(buf) {
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(ref e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                if halt() || Instant::now() >= deadline {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "read deadline elapsed",
+                    ));
+                }
+            }
+            r => return r,
+        }
+    }
+}

@@ -65,13 +65,6 @@ impl HttpsClient {
         self
     }
 
-    /// Drops any attestation requirement (CA + subject checks only).
-    #[must_use]
-    pub fn no_attestation(mut self) -> Self {
-        self.attestation = None;
-        self
-    }
-
     /// One-shot request on a fresh connection (the paper's
     /// non-persistent worst case: every request pays a handshake).
     ///

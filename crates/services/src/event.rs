@@ -1,5 +1,7 @@
-//! The event-driven service core: one reactor thread multiplexing
-//! every connection, with application handlers on an lthread job pool.
+//! The event-driven driver: one reactor thread multiplexing every
+//! connection, with application handlers on an lthread job pool.
+//! Request semantics come from the [`App`] and connection policy from
+//! [`crate::conn`], exactly as under the blocking driver.
 //!
 //! The paper's services (§6) are thread-per-connection; at thousands
 //! of mostly-idle TLS sessions that design spends a kernel thread (and
@@ -27,7 +29,7 @@
 //! Asynchronous-runtime slots admit one caller at a time, so every
 //! LibSEAL call made by the event core — the reactor's batched pump
 //! and each worker's write — borrows a slot index from a [`SlotPool`]
-//! sized to the runtime, restoring the threaded path's
+//! sized to the runtime, restoring the blocking driver's
 //! one-slot-per-thread discipline without pinning slots to parked
 //! connections.
 
@@ -40,16 +42,17 @@ use std::time::{Duration, Instant};
 
 use libseal::plane::AuditPlane;
 use libseal::SessionInput;
-use libseal_httpx::http::{head_complete, parse_request_limited, Limits, Request, Response};
-use libseal_httpx::ParseError;
+use libseal_httpx::http::Request;
 use libseal_lthread::{JobPool, PoolConfig};
-use libseal_tlsx::ssl::{ReadOutcome, Role, Ssl, SslConfig};
+use libseal_tlsx::ssl::{ReadOutcome, Ssl, SslConfig};
 use libseal_tlsx::stream::{FlushOutcome, WireBuf};
 use plat::channel::{self, Receiver, Sender};
 use plat::reactor::{Event, Interest, Reactor, Waker};
 use plat::timer::TimerWheel;
 
-use crate::tlsadapter::TlsMode;
+use crate::conn::{count_shed, cut_request, respond, wants_close, App, Cut, Phase};
+use crate::server::ServeConfig;
+use crate::tlsadapter::{native_session, TlsMode};
 
 /// Token of the listening socket.
 const LISTENER: u64 = 0;
@@ -66,104 +69,6 @@ const MAX_PARK: Duration = Duration::from_millis(50);
 /// is saturated, not after memory fills with unserviceable sessions.
 const AUDIT_BACKLOG_PAUSE: u64 = 256;
 
-/// What a service plugs into the shared event loop.
-///
-/// One implementation exists per service (Apache, Squid); the loop
-/// owns sockets, TLS and scheduling, the `App` owns request semantics
-/// and metrics.
-pub(crate) trait App: Send + Sync + 'static {
-    /// Per-connection application state. It travels into the worker
-    /// job with each request and returns with the completion, so
-    /// handlers may block on it (e.g. Squid's upstream leg) without
-    /// synchronisation.
-    type Conn: Send + 'static;
-
-    /// State for a freshly accepted connection. Must not block: this
-    /// runs on the reactor.
-    fn open_conn(&self) -> Self::Conn;
-
-    /// Serves one request. Runs on a pool coroutine and may block.
-    fn handle(&self, conn: &mut Self::Conn, req: &Request) -> Response;
-
-    /// Tear-down hook (upstream close, etc.). May run on the reactor;
-    /// keep it brief.
-    fn close_conn(&self, _conn: &mut Self::Conn) {}
-
-    /// Telemetry span wrapped around `handle` + the response write.
-    fn span_name(&self) -> &'static str;
-
-    /// A request was served (count it, record latency, label routes).
-    fn on_request(&self, path: &str, started: Instant);
-
-    /// A connection sent provably-not-HTTP bytes (it gets a 400).
-    fn on_malformed(&self);
-
-    /// `accept(2)` failed transiently.
-    fn on_accept_error(&self);
-}
-
-/// Event-loop tuning shared by the services.
-pub(crate) struct EventConfig {
-    pub tls: TlsMode,
-    /// Carrier threads under the worker job pool.
-    pub workers: usize,
-    /// Idle connections are evicted after this long without traffic.
-    pub idle_timeout: Duration,
-    /// Phase deadlines (see [`Phase`]): a connection that stays in a
-    /// phase past its deadline is evicted with a per-phase counter.
-    pub timeouts: PhaseTimeouts,
-    /// Most concurrent connections; excess accepts are refused
-    /// immediately (load shedding) rather than queued.
-    pub max_connections: usize,
-    /// Bound on the graceful-drain wait once `draining` flips.
-    pub drain_timeout: Duration,
-    /// HTTP parser limits for per-session buffer caps (431/413).
-    pub limits: Limits,
-}
-
-/// Per-phase eviction deadlines for the event core.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PhaseTimeouts {
-    /// Accept → TLS establishment.
-    pub handshake: Duration,
-    /// First decrypted request byte → complete header section.
-    pub header: Duration,
-    /// Complete head → complete body.
-    pub body: Duration,
-    /// Response queued → wire buffer drained.
-    pub write: Duration,
-}
-
-impl Default for PhaseTimeouts {
-    fn default() -> PhaseTimeouts {
-        PhaseTimeouts {
-            handshake: Duration::from_secs(10),
-            header: Duration::from_secs(10),
-            body: Duration::from_secs(30),
-            write: Duration::from_secs(30),
-        }
-    }
-}
-
-/// Connection lifecycle phase, each with its own deadline. Deadlines
-/// are *per phase*, not per byte: a slowloris trickling one header
-/// byte per second never pushes its header deadline out.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    /// TLS handshake in progress.
-    Handshake,
-    /// Reading a request head.
-    Head,
-    /// Head complete; reading the body.
-    Body,
-    /// Unflushed response bytes waiting on the socket.
-    Write,
-    /// Established, no partial request, nothing to write.
-    Idle,
-    /// A handler owns the connection; never evicted by deadline.
-    Busy,
-}
-
 /// A running event loop.
 pub(crate) struct EventHandle {
     pub join: std::thread::JoinHandle<()>,
@@ -176,7 +81,7 @@ pub(crate) struct EventHandle {
 ///
 /// `AsyncRuntime` panics if two threads share a slot, and the event
 /// core has more callers (reactor + every pool coroutine) than the
-/// threaded path's fixed worker-index scheme can name. Callers block
+/// blocking driver's fixed worker-index scheme can name. Callers block
 /// until a slot frees; without a runtime the pool is sized so that
 /// acquisition never waits.
 struct SlotPool {
@@ -307,23 +212,12 @@ fn open_conn_gauge() -> libseal_telemetry::Gauge {
     libseal_telemetry::gauge("services_event_open_connections")
 }
 
-/// Eviction counter for a phase-deadline expiry.
-fn phase_timeout_counter(phase: Phase) -> libseal_telemetry::Counter {
-    libseal_telemetry::counter(match phase {
-        Phase::Handshake => "services_event_handshake_timeouts_total",
-        Phase::Head => "services_event_header_timeouts_total",
-        Phase::Body => "services_event_body_timeouts_total",
-        Phase::Write => "services_event_write_timeouts_total",
-        Phase::Idle | Phase::Busy => "services_event_idle_evictions_total",
-    })
-}
-
 /// Starts the reactor for `listener`. Fails fast (before any thread
 /// spawns) where readiness polling is unsupported, so callers can fall
-/// back to the threaded path.
+/// back to the blocking driver.
 pub(crate) fn serve<A: App>(
     listener: TcpListener,
-    cfg: EventConfig,
+    cfg: ServeConfig,
     app: Arc<A>,
     shutdown: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
@@ -346,18 +240,7 @@ pub(crate) fn serve<A: App>(
                 None,
             )
         }
-        TlsMode::Native { cert, key } => (
-            None,
-            Some(Arc::new(SslConfig {
-                role: Role::Server,
-                cert: Some(cert.clone()),
-                key: Some(key.clone()),
-                ca_roots: Vec::new(),
-                verify_peer: false,
-                expected_subject: None,
-                attestation: None,
-            })),
-        ),
+        TlsMode::Native { cert, key } => (None, Some(SslConfig::server(cert.clone(), key.clone()))),
     };
 
     let pool = JobPool::new(PoolConfig {
@@ -381,12 +264,8 @@ pub(crate) fn serve<A: App>(
         app,
         seal,
         native_cfg,
-        idle: cfg.idle_timeout,
-        timeouts: cfg.timeouts,
-        max_connections: cfg.max_connections,
-        drain_timeout: cfg.drain_timeout,
-        limits: cfg.limits,
         pool,
+        cfg,
         done_tx,
         done_rx,
         waker: waker.clone(),
@@ -412,11 +291,7 @@ struct Loop<A: App> {
     app: Arc<A>,
     seal: Option<Seal>,
     native_cfg: Option<Arc<SslConfig>>,
-    idle: Duration,
-    timeouts: PhaseTimeouts,
-    max_connections: usize,
-    drain_timeout: Duration,
-    limits: Limits,
+    cfg: ServeConfig,
     pool: JobPool,
     done_tx: Sender<Completion<A::Conn>>,
     done_rx: Receiver<Completion<A::Conn>>,
@@ -513,11 +388,12 @@ impl<A: App> Loop<A> {
                     // A request is running; not stuck on the peer.
                     // Force a fresh deadline for whatever phase the
                     // completion lands in.
-                    conn.phase = Phase::Busy;
-                    self.wheel.schedule(token, Instant::now() + self.idle);
+                    if let Some(d) = conn.phase.advance(Phase::Busy, &self.cfg.timeouts) {
+                        self.wheel.schedule(token, d);
+                    }
                     continue;
                 }
-                phase_timeout_counter(conn.phase).inc();
+                conn.phase.count_timeout();
                 self.teardown(token);
             }
         }
@@ -532,12 +408,12 @@ impl<A: App> Loop<A> {
 
     /// Enters graceful drain: the listener goes quiet, connections
     /// with no in-flight work are torn down immediately, and the rest
-    /// get until [`EventConfig::drain_timeout`] to deliver their
+    /// get until `drain_timeout` to deliver their
     /// responses. Workers' group-commit barriers already ran by the
     /// time a completion reaches the reactor, so every delivered
     /// response is durable.
     fn begin_drain(&mut self) {
-        self.drain_deadline = Some(Instant::now() + self.drain_timeout);
+        self.drain_deadline = Some(Instant::now() + self.cfg.drain_timeout);
         if !self.accept_paused {
             let _ = self.reactor.deregister(&self.listener);
         }
@@ -567,7 +443,7 @@ impl<A: App> Loop<A> {
             // cue to back off); under audit backpressure the listener
             // pauses and the backlog queues instead.
             if self.seal.as_ref().is_some_and(|s| {
-                self.conns.len() < self.max_connections
+                self.conns.len() < self.cfg.max_connections
                     && s.ls.audit_backlog() > AUDIT_BACKLOG_PAUSE
             }) {
                 libseal_telemetry::counter("services_event_backpressure_pauses_total").inc();
@@ -583,9 +459,8 @@ impl<A: App> Loop<A> {
                         // Draining: refuse by dropping the socket.
                         continue;
                     }
-                    if self.conns.len() >= self.max_connections {
-                        libseal_telemetry::counter("services_event_sheds_total").inc();
-                        drop(sock);
+                    if self.conns.len() >= self.cfg.max_connections {
+                        count_shed();
                         continue;
                     }
                     let _ = sock.set_nodelay(true);
@@ -638,11 +513,7 @@ impl<A: App> Loop<A> {
                 Ok(sid) => ConnTls::Seal(sid),
                 Err(_) => return,
             },
-            (None, Some(cfg)) => {
-                let mut entropy = [0u8; 64];
-                libseal_crypto::SystemRng::new().fill(&mut entropy);
-                ConnTls::Native(Box::new(Ssl::new(Arc::clone(cfg), entropy)))
-            }
+            (None, Some(cfg)) => ConnTls::Native(native_session(Arc::clone(cfg))),
             (None, None) => unreachable!("one TLS mode is always configured"),
         };
         if self
@@ -679,7 +550,7 @@ impl<A: App> Loop<A> {
         );
         open_conn_gauge().add(1);
         self.wheel
-            .schedule(token, Instant::now() + self.timeouts.handshake);
+            .schedule(token, Instant::now() + self.cfg.timeouts.handshake);
     }
 
     /// Reads everything the socket has. Native sessions advance their
@@ -786,43 +657,11 @@ impl<A: App> Loop<A> {
         if conn.plain.is_empty() {
             return;
         }
-        match parse_request_limited(&conn.plain, &self.limits) {
-            Ok((req, used)) => {
-                conn.plain.drain(..used);
-                self.spawn_job(token, req);
-            }
-            Err(ParseError::Incomplete) => {
-                // Belt-and-braces buffer cap for streams the parser
-                // keeps waiting on (e.g. a chunked body whose size
-                // line never terminates): no single message may make
-                // us buffer more than head + body limits.
-                let cap = self
-                    .limits
-                    .max_head_bytes
-                    .saturating_add(self.limits.max_body_bytes);
-                if conn.plain.len() > cap {
-                    libseal_telemetry::counter("services_event_limit_rejections_total").inc();
-                    conn.plain.clear();
-                    conn.plain.shrink_to_fit();
-                    conn.close_after_flush = true;
-                    let rsp = Response::new(413, b"request rejected".to_vec());
-                    self.encrypt_now(token, &rsp.to_bytes());
-                }
-            }
-            Err(e) => {
-                // Provably not HTTP (400), or past a buffer cap
-                // (431/413): no further bytes can fix either, and the
-                // limit cases must stop buffering *now*.
-                let status = e.close_status();
-                if status == 400 {
-                    self.app.on_malformed();
-                } else {
-                    libseal_telemetry::counter("services_event_limit_rejections_total").inc();
-                }
-                conn.plain.clear();
-                conn.plain.shrink_to_fit();
+        match cut_request(&mut conn.plain, &self.cfg.limits, &*self.app) {
+            Cut::Request(req) => self.spawn_job(token, req),
+            Cut::NeedMore => {}
+            Cut::Reject(rsp) => {
                 conn.close_after_flush = true;
-                let rsp = Response::new(status, b"request rejected".to_vec());
                 self.encrypt_now(token, &rsp.to_bytes());
             }
         }
@@ -875,35 +714,17 @@ impl<A: App> Loop<A> {
         let done_tx = self.done_tx.clone();
         let waker = self.waker.clone();
         let spawned = self.pool.spawn(move || {
-            let started = Instant::now();
-            let close = req
-                .headers
-                .get("Connection")
-                .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-            // Span over routing and the (possibly enclave-terminated)
-            // write-back, mirroring the threaded path: transitions
-            // charged while it is open land in its boundary tally.
-            let done = {
-                let _span = libseal_telemetry::global()
-                    .span(app.span_name(), libseal_telemetry::Side::Untrusted);
-                let response = app.handle(&mut state, &req);
-                match (&seal, sid) {
-                    (Some(seal), Some(sid)) => match seal.write_take(sid, &response.to_bytes()) {
-                        Ok(wire) => Done::Wire(wire),
-                        Err(_) => Done::Fail,
-                    },
-                    _ => Done::Plain(response.to_bytes()),
-                }
-            };
-            if !matches!(done, Done::Fail) {
-                app.on_request(req.path(), started);
-            }
+            let done = respond(&*app, &mut state, &req, |bytes| match (&seal, sid) {
+                (Some(seal), Some(sid)) => seal.write_take(sid, &bytes).map(Done::Wire),
+                _ => Ok(Done::Plain(bytes)),
+            })
+            .unwrap_or(Done::Fail);
             let delivered = done_tx
                 .send(Completion {
                     token,
                     state,
                     done,
-                    close,
+                    close: wants_close(&req),
                 })
                 .is_ok();
             if delivered {
@@ -986,42 +807,20 @@ impl<A: App> Loop<A> {
         }
     }
 
-    /// Re-arms the connection's deadline for its current phase. The
-    /// deadline only moves when the phase *changes* (or on idle
-    /// activity): progress within a phase — one more header byte, one
-    /// more flushed chunk — never extends it, which is what defeats
-    /// slowloris-style trickling.
+    /// Re-arms the connection's deadline if its phase calls for it
+    /// (see [`Phase::advance`]).
     fn reschedule(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let phase = if conn.busy {
-            Phase::Busy
-        } else if !conn.established {
-            Phase::Handshake
-        } else if !conn.wire.is_empty() {
-            Phase::Write
-        } else if conn.plain.is_empty() {
-            Phase::Idle
-        } else if head_complete(&conn.plain) {
-            Phase::Body
-        } else {
-            Phase::Head
-        };
-        let timeout = match phase {
-            Phase::Handshake => self.timeouts.handshake,
-            Phase::Head => self.timeouts.header,
-            Phase::Body => self.timeouts.body,
-            Phase::Write => self.timeouts.write,
-            Phase::Idle | Phase::Busy => self.idle,
-        };
-        if phase != conn.phase {
-            conn.phase = phase;
-            self.wheel.schedule(token, Instant::now() + timeout);
-        } else if matches!(phase, Phase::Idle | Phase::Busy) {
-            // Idle deadlines are inactivity timers: activity renews
-            // them. (Busy re-arms so the wheel keeps a live entry.)
-            self.wheel.schedule(token, Instant::now() + timeout);
+        let next = Phase::of(
+            conn.busy,
+            conn.established,
+            !conn.wire.is_empty(),
+            &conn.plain,
+        );
+        if let Some(deadline) = conn.phase.advance(next, &self.cfg.timeouts) {
+            self.wheel.schedule(token, deadline);
         }
     }
 
@@ -1059,7 +858,7 @@ impl<A: App> Loop<A> {
                 }
             }
             ConnTls::Native(mut ssl) => {
-                // Best-effort close_notify, as the threaded path does.
+                // Best-effort close_notify, as the blocking driver does.
                 ssl.send_close();
                 let out = ssl.take_output();
                 if !out.is_empty() {
@@ -1102,43 +901,4 @@ fn pump_native<C>(conn: &mut Conn<C>, input: &[u8]) {
     }
     let out = ssl.take_output();
     conn.wire.push(&out);
-}
-
-/// Socket read-timeout tick for the threaded serve loops: short
-/// enough that a worker blocked on a quiet peer notices shutdown or
-/// drain within about a second.
-pub(crate) const THREAD_READ_TICK: Duration = Duration::from_secs(1);
-
-/// Deadline-bounded read for the *threaded* serve loops. The socket's
-/// read timeout is [`THREAD_READ_TICK`], so each timed-out tick
-/// re-checks the stop predicate (shutdown or drain) and the overall
-/// `deadline` — a peer that stops sending can wedge a worker for at
-/// most one phase deadline, and shutdown is honoured between ticks.
-///
-/// Returns `TimedOut` when the deadline passes or `stop` fires.
-pub(crate) fn read_deadline(
-    sock: &mut TcpStream,
-    buf: &mut [u8],
-    deadline: Instant,
-    stop: &dyn Fn() -> bool,
-) -> io::Result<usize> {
-    loop {
-        match sock.read(buf) {
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(ref e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop() || Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "read deadline elapsed",
-                    ));
-                }
-            }
-            r => return r,
-        }
-    }
 }

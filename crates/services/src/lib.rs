@@ -11,12 +11,28 @@
 //! - [`squid::SquidProxy`] — a TLS-terminating forward proxy with two
 //!   TLS legs (client↔proxy, proxy↔origin);
 //!
-//! Both servers default to an event-driven core (an epoll reactor
-//! multiplexing all connections, handlers on an lthread job pool, and
-//! ready audited sessions drained through one batched enclave
-//! transition per sweep); `event_loop(false)` on their config builders
-//! selects the paper-faithful thread-per-connection mode instead.
-//! The remaining modules:
+//! Both are one connection engine with two personalities. A service
+//! is an `App` (request semantics and metrics: Apache routes, Squid
+//! forwards over its upstream leg); the engine owns sockets, TLS and
+//! scheduling, and runs under one of two drivers over the same
+//! connection policy (phase deadlines, HTTP limits, `Connection:
+//! close`, the audited respond step):
+//!
+//! - the **reactor** (default): one epoll thread multiplexes every
+//!   connection, ready audited sessions are drained through one
+//!   batched enclave transition per sweep, and handlers run on an
+//!   lthread job pool;
+//! - the **blocking** driver (`event_loop(false)`): the paper's
+//!   thread-per-connection model — a fixed pool of workers, each
+//!   serving whole connections and owning one async-ecall slot. The
+//!   paper-figure binaries pin it, and it is the fallback where
+//!   readiness polling is unsupported.
+//!
+//! [`server::Config`] carries the serving knobs, each defined once
+//! for both services ([`apache::ApacheConfig`] adds the router,
+//! [`squid::SquidConfig`] the upstream leg), and [`server::Server`]
+//! is the one start / stop / drain lifecycle. The remaining modules:
+//!
 //! - [`git`] — an in-memory Git backend speaking the smart-HTTP-like
 //!   dialect the Git SSM parses, with teleport/rollback/hide-ref
 //!   attack injection and a synthetic commit-history generator;
@@ -29,11 +45,14 @@
 //!   measuring throughput and latency percentiles.
 
 pub mod apache;
+pub(crate) mod blocking;
 pub mod client;
+pub(crate) mod conn;
 pub mod dropbox;
 pub(crate) mod event;
 pub mod git;
 pub mod owncloud;
+pub mod server;
 pub mod squid;
 pub mod tlsadapter;
 
@@ -41,94 +60,6 @@ pub use apache::{ApacheServer, MetricsRouter, Router, StaticContentRouter};
 pub use client::{HttpsClient, LoadGenerator, LoadStats};
 pub use squid::SquidProxy;
 pub use tlsadapter::TlsMode;
-
-/// The shared lifecycle surface of the simulated servers, so bench
-/// binaries, tests and the chaos/hostile harnesses drive
-/// [`ApacheServer`] and [`SquidProxy`] through one set of driver
-/// helpers instead of near-identical per-service code.
-pub trait Service: Sized + Send {
-    /// Configuration consumed by [`Service::start`].
-    type Config;
-
-    /// Binds an ephemeral local port and starts serving.
-    ///
-    /// # Errors
-    ///
-    /// Bind or enclave provisioning failures.
-    fn start(config: Self::Config) -> Result<Self>;
-
-    /// The bound address.
-    fn local_addr(&self) -> std::net::SocketAddr;
-
-    /// Requests completed so far (served or proxied).
-    fn served(&self) -> u64;
-
-    /// The telemetry registry the service reports into.
-    fn telemetry(&self) -> &'static libseal_telemetry::Registry;
-
-    /// Graceful drain: stop accepting, let in-flight requests finish
-    /// within the configured deadline, quiesce the audit plane, stop.
-    fn drain(self);
-
-    /// Immediate stop.
-    fn shutdown(self);
-}
-
-impl Service for ApacheServer {
-    type Config = apache::ApacheConfig;
-
-    fn start(config: apache::ApacheConfig) -> Result<ApacheServer> {
-        ApacheServer::start(config)
-    }
-
-    fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr()
-    }
-
-    fn served(&self) -> u64 {
-        self.requests_served()
-    }
-
-    fn telemetry(&self) -> &'static libseal_telemetry::Registry {
-        ApacheServer::telemetry(self)
-    }
-
-    fn drain(self) {
-        ApacheServer::drain(self);
-    }
-
-    fn shutdown(self) {
-        self.stop();
-    }
-}
-
-impl Service for SquidProxy {
-    type Config = squid::SquidConfig;
-
-    fn start(config: squid::SquidConfig) -> Result<SquidProxy> {
-        SquidProxy::start(config)
-    }
-
-    fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr()
-    }
-
-    fn served(&self) -> u64 {
-        self.requests_proxied()
-    }
-
-    fn telemetry(&self) -> &'static libseal_telemetry::Registry {
-        SquidProxy::telemetry(self)
-    }
-
-    fn drain(self) {
-        SquidProxy::drain(self);
-    }
-
-    fn shutdown(self) {
-        self.stop();
-    }
-}
 
 /// Errors from the service layer.
 #[derive(Debug)]

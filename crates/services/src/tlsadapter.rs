@@ -8,7 +8,7 @@ use libseal::plane::AuditPlane;
 use libseal_crypto::ed25519::SigningKey;
 use libseal_crypto::SystemRng;
 use libseal_tlsx::cert::Certificate;
-use libseal_tlsx::ssl::{ReadOutcome, Role, Ssl, SslConfig};
+use libseal_tlsx::ssl::{ReadOutcome, Ssl, SslConfig};
 
 use crate::Result;
 
@@ -51,26 +51,22 @@ impl TlsMode {
     /// Enclave entry failures (LibSEAL mode only).
     pub fn open_session(&self, worker: usize, affinity: u64) -> Result<TlsSession> {
         match self {
-            TlsMode::Native { cert, key } => {
-                let cfg = Arc::new(SslConfig {
-                    role: Role::Server,
-                    cert: Some(cert.clone()),
-                    key: Some(key.clone()),
-                    ca_roots: Vec::new(),
-                    verify_peer: false,
-                    expected_subject: None,
-                    attestation: None,
-                });
-                let mut entropy = [0u8; 64];
-                SystemRng::new().fill(&mut entropy);
-                Ok(TlsSession::Native(Box::new(Ssl::new(cfg, entropy))))
-            }
+            TlsMode::Native { cert, key } => Ok(TlsSession::Native(native_session(
+                SslConfig::server(cert.clone(), key.clone()),
+            ))),
             TlsMode::LibSeal(ls) => {
                 let sid = ls.open_session(worker, affinity)?;
                 Ok(TlsSession::LibSeal(Arc::clone(ls), worker, sid))
             }
         }
     }
+}
+
+/// A fresh native server-side session under `cfg`.
+pub(crate) fn native_session(cfg: Arc<SslConfig>) -> Box<Ssl> {
+    let mut entropy = [0u8; 64];
+    SystemRng::new().fill(&mut entropy);
+    Box::new(Ssl::new(cfg, entropy))
 }
 
 impl TlsSession {

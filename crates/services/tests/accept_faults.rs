@@ -2,7 +2,8 @@
 //! accept call returns EMFILE/ECONNABORTED-style errors must count
 //! the error, back off briefly, and keep serving — never silently
 //! shut the listener down (the bug this suite pins: squid's threaded
-//! accept loop used to `break` on any accept error).
+//! accept loop used to `break` on any accept error), under either
+//! driver.
 //!
 //! These live in their own test binary: the fault site is process
 //! global, and any other server accepting concurrently would consume
@@ -57,8 +58,8 @@ fn await_hits(scenario: &plat::failpoint::Scenario, n: u64) {
     );
 }
 
-/// The PR-5 apache fix, mirrored onto squid: three consecutive accept
-/// failures in the threaded loop must not kill the listener.
+/// Three consecutive accept failures in the blocking driver's accept
+/// thread must not kill the listener.
 #[test]
 fn squid_threaded_accept_errors_do_not_kill_listener() {
     let errors = libseal_telemetry::counter("services_squid_accept_errors_total");
@@ -76,13 +77,15 @@ fn squid_threaded_accept_errors_do_not_kill_listener() {
     let scenario = failpoint::scenario();
     scenario.set(SITE, FaultSpec::error().times(3));
 
-    // The threaded accept loop checks the fault site on every
-    // iteration, so it eats all three faults (with 5 ms backoffs)
-    // straight after start — before any client connects.
+    // The accept thread checks the fault site on every iteration, so
+    // it eats all three faults (with 5 ms backoffs) straight after
+    // start — before any client connects.
     let (ls, roots) = libseal_tls(&ca);
     let proxy = SquidProxy::start(
         SquidConfig::new(TlsMode::LibSeal(ls), origin.addr(), origin_roots, "localhost")
             .workers(1)
+            // The blocking accept thread polls, so it meets the faults
+            // with no client connecting; the reactor's case is below.
             .event_loop(false),
     )
     .unwrap();

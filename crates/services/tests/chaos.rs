@@ -1,9 +1,9 @@
 //! Deterministic network-chaos regression suite: clients whose
 //! transports inject short reads, resets, truncation and delays — at
-//! the handshake, mid-request and mid-response — against both the
-//! event-driven and threaded servers. Chaotic clients may fail; the
-//! server must never panic, must keep serving clean clients, and the
-//! audit chain must stay verifiable.
+//! the handshake, mid-request and mid-response — against both
+//! drivers. Chaotic clients may fail; the server must never panic,
+//! must keep serving clean clients, and the audit chain must stay
+//! verifiable.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -20,6 +20,9 @@ use plat::chaos::{ChaosConfig, ChaosStream};
 
 use libseal_services::apache::{ApacheConfig, ApacheServer, StaticContentRouter};
 use libseal_services::{HttpsClient, TlsMode};
+
+mod common;
+use common::for_each_driver;
 
 /// One chaotic client attempt: handshake over the faulty transport,
 /// send one request, try to read one response. All failures are fine;
@@ -78,10 +81,7 @@ fn fault_matrix() -> Vec<ChaosConfig> {
 
 #[test]
 fn chaos_matrix_leaves_server_healthy() {
-    for event in [true, false] {
-        if event && !plat::reactor::supported() {
-            continue;
-        }
+    for_each_driver(|event| {
         let ca = CertificateAuthority::new("ChaosCA", &[0x66; 32]);
         let (key, cert) = ca.issue_identity("localhost", &[0x31; 32]).unwrap();
         let cfg = LibSealConfig::builder(cert, key)
@@ -121,17 +121,14 @@ fn chaos_matrix_leaves_server_healthy() {
         // ...and the audit chain of everything that was logged
         // verifies end to end.
         ls.verify_log(0).unwrap();
-    }
+    });
 }
 
 #[test]
 fn concurrent_chaos_and_clean_traffic() {
     // Chaotic clients hammering while clean clients run: the clean
     // side must keep completing requests throughout.
-    for event in [true, false] {
-        if event && !plat::reactor::supported() {
-            continue;
-        }
+    for_each_driver(|event| {
         let ca = CertificateAuthority::new("ChaosCA2", &[0x67; 32]);
         let (key, cert) = ca.issue_identity("localhost", &[0x32; 32]).unwrap();
         let (tls, roots) = {
@@ -188,5 +185,5 @@ fn concurrent_chaos_and_clean_traffic() {
             });
         });
         server.stop();
-    }
+    });
 }

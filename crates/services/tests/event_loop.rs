@@ -1,9 +1,8 @@
-//! Event-driven service core: reactor-based Apache and Squid serving
-//! real TLS traffic — keep-alive, explicit close, idle eviction, and
-//! thousands of parked sessions sharing one reactor thread.
-//!
-//! Skipped wholesale on platforms without an epoll reactor; the
-//! threaded fallback is covered by the other integration suites.
+//! The connection engine serving real TLS traffic. What is engine
+//! behaviour — keep-alive, explicit close, 400 on garbage, Squid's
+//! upstream leg — runs under both drivers; what only the reactor does
+//! — batched enclave pumps, its idle-eviction counter, hundreds of
+//! parked sessions on one thread — is skipped where there is no epoll.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,6 +17,9 @@ use libseal_services::apache::{ApacheConfig, ApacheServer, StaticContentRouter};
 use libseal_services::git::GitBackend;
 use libseal_services::squid::{SquidConfig, SquidProxy};
 use libseal_services::{HttpsClient, TlsMode};
+
+mod common;
+use common::for_each_driver;
 
 fn ca() -> CertificateAuthority {
     CertificateAuthority::new("TestRootCA", &[0x77; 32])
@@ -44,29 +46,31 @@ fn libseal_tls(
 
 #[test]
 fn native_keep_alive_roundtrips() {
-    if !plat::reactor::supported() {
-        return;
-    }
-    let ca = ca();
-    let (tls, roots) = native_tls(&ca);
-    let server =
-        ApacheServer::start(ApacheConfig::new(tls, Arc::new(StaticContentRouter)).workers(2))
-            .unwrap();
-    let client = HttpsClient::new(server.addr(), roots, "localhost");
-    let mut conn = client.connect().unwrap();
-    for i in 1..=8 {
-        let rsp = conn
-            .request(&Request::new(
-                "GET",
-                &format!("/content/{}", i * 16),
-                Vec::new(),
-            ))
-            .unwrap();
-        assert_eq!(rsp.status, 200);
-        assert_eq!(rsp.body.len(), i * 16);
-    }
-    conn.close();
-    server.stop();
+    for_each_driver(|event| {
+        let ca = ca();
+        let (tls, roots) = native_tls(&ca);
+        let server = ApacheServer::start(
+            ApacheConfig::new(tls, Arc::new(StaticContentRouter))
+                .workers(2)
+                .event_loop(event),
+        )
+        .unwrap();
+        let client = HttpsClient::new(server.addr(), roots, "localhost");
+        let mut conn = client.connect().unwrap();
+        for i in 1..=8 {
+            let rsp = conn
+                .request(&Request::new(
+                    "GET",
+                    &format!("/content/{}", i * 16),
+                    Vec::new(),
+                ))
+                .unwrap();
+            assert_eq!(rsp.status, 200);
+            assert_eq!(rsp.body.len(), i * 16);
+        }
+        conn.close();
+        server.stop();
+    });
 }
 
 #[test]
@@ -108,40 +112,42 @@ fn libseal_sessions_batch_through_one_reactor() {
 
 #[test]
 fn connection_close_is_honored() {
-    if !plat::reactor::supported() {
-        return;
-    }
-    let ca = ca();
-    let (tls, roots) = native_tls(&ca);
-    let server =
-        ApacheServer::start(ApacheConfig::new(tls, Arc::new(StaticContentRouter)).workers(1))
-            .unwrap();
+    for_each_driver(|event| {
+        let ca = ca();
+        let (tls, roots) = native_tls(&ca);
+        let server = ApacheServer::start(
+            ApacheConfig::new(tls, Arc::new(StaticContentRouter))
+                .workers(1)
+                .event_loop(event),
+        )
+        .unwrap();
 
-    // Speak TLS by hand so we can watch the close happen.
-    let sock = std::net::TcpStream::connect(server.addr()).unwrap();
-    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let cfg = libseal_tlsx::ssl::SslConfig::client(roots);
-    let mut tls = libseal_tlsx::stream::SslStream::handshake(cfg, [0x5a; 64], sock).unwrap();
-    let mut req = Request::new("GET", "/content/32", Vec::new());
-    req.headers.insert("Connection", "close");
-    tls.write_all(&req.to_bytes()).unwrap();
-    let mut buf = Vec::new();
-    let rsp = loop {
-        if let Ok((rsp, _)) = libseal_httpx::http::parse_response(&buf) {
-            break rsp;
-        }
-        match tls.read_some() {
-            Ok(d) => buf.extend_from_slice(&d),
-            Err(e) => panic!("expected a response before close, got {e}"),
-        }
-    };
-    assert_eq!(rsp.status, 200);
-    // After the response drains the server closes the session.
-    assert!(matches!(
-        tls.read_some(),
-        Err(libseal_tlsx::TlsError::Closed) | Ok(_)
-    ));
-    server.stop();
+        // Speak TLS by hand so we can watch the close happen.
+        let sock = std::net::TcpStream::connect(server.addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let cfg = libseal_tlsx::ssl::SslConfig::client(roots);
+        let mut tls = libseal_tlsx::stream::SslStream::handshake(cfg, [0x5a; 64], sock).unwrap();
+        let mut req = Request::new("GET", "/content/32", Vec::new());
+        req.headers.insert("Connection", "close");
+        tls.write_all(&req.to_bytes()).unwrap();
+        let mut buf = Vec::new();
+        let rsp = loop {
+            if let Ok((rsp, _)) = libseal_httpx::http::parse_response(&buf) {
+                break rsp;
+            }
+            match tls.read_some() {
+                Ok(d) => buf.extend_from_slice(&d),
+                Err(e) => panic!("expected a response before close, got {e}"),
+            }
+        };
+        assert_eq!(rsp.status, 200);
+        // After the response drains the server closes the session.
+        assert!(matches!(
+            tls.read_some(),
+            Err(libseal_tlsx::TlsError::Closed) | Ok(_)
+        ));
+        server.stop();
+    });
 }
 
 #[test]
@@ -241,75 +247,121 @@ fn many_idle_sessions_survive_active_load() {
 
 #[test]
 fn malformed_bytes_get_400_and_metric() {
-    if !plat::reactor::supported() {
-        return;
-    }
-    let malformed = libseal_telemetry::counter("services_apache_malformed_requests_total");
-    let before = malformed.get();
+    for_each_driver(|event| {
+        let malformed = libseal_telemetry::counter("services_apache_malformed_requests_total");
+        let before = malformed.get();
 
-    let ca = ca();
-    let (tls, roots) = native_tls(&ca);
-    let server =
-        ApacheServer::start(ApacheConfig::new(tls, Arc::new(StaticContentRouter)).workers(1))
-            .unwrap();
-    let sock = std::net::TcpStream::connect(server.addr()).unwrap();
-    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let cfg = libseal_tlsx::ssl::SslConfig::client(roots.clone());
-    let mut tls = libseal_tlsx::stream::SslStream::handshake(cfg, [0x6b; 64], sock).unwrap();
-    tls.write_all(b"DEFINITELY NOT HTTP\r\n\r\n").unwrap();
-    let mut buf = Vec::new();
-    let rsp = loop {
-        if let Ok((rsp, _)) = libseal_httpx::http::parse_response(&buf) {
-            break rsp;
-        }
-        match tls.read_some() {
-            Ok(d) => buf.extend_from_slice(&d),
-            Err(e) => panic!("expected a 400 before close, got {e}"),
-        }
-    };
-    assert_eq!(rsp.status, 400);
-    assert!(malformed.get() > before);
-
-    // The listener is unharmed: a fresh, well-formed request works.
-    let client = HttpsClient::new(server.addr(), roots, "localhost");
-    let rsp = client
-        .request(&Request::new("GET", "/content/64", Vec::new()))
+        let ca = ca();
+        let (tls, roots) = native_tls(&ca);
+        let server = ApacheServer::start(
+            ApacheConfig::new(tls, Arc::new(StaticContentRouter))
+                .workers(1)
+                .event_loop(event),
+        )
         .unwrap();
-    assert_eq!(rsp.status, 200);
-    server.stop();
+        let sock = std::net::TcpStream::connect(server.addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let cfg = libseal_tlsx::ssl::SslConfig::client(roots.clone());
+        let mut tls = libseal_tlsx::stream::SslStream::handshake(cfg, [0x6b; 64], sock).unwrap();
+        tls.write_all(b"DEFINITELY NOT HTTP\r\n\r\n").unwrap();
+        let mut buf = Vec::new();
+        let rsp = loop {
+            if let Ok((rsp, _)) = libseal_httpx::http::parse_response(&buf) {
+                break rsp;
+            }
+            match tls.read_some() {
+                Ok(d) => buf.extend_from_slice(&d),
+                Err(e) => panic!("expected a 400 before close, got {e}"),
+            }
+        };
+        assert_eq!(rsp.status, 400);
+        assert!(malformed.get() > before);
+
+        // The listener is unharmed: a fresh, well-formed request works.
+        let client = HttpsClient::new(server.addr(), roots, "localhost");
+        let rsp = client
+            .request(&Request::new("GET", "/content/64", Vec::new()))
+            .unwrap();
+        assert_eq!(rsp.status, 200);
+        server.stop();
+    });
 }
 
 #[test]
-fn squid_event_mode_proxies_to_origin() {
-    if !plat::reactor::supported() {
-        return;
-    }
-    let ca = ca();
-    let (origin_tls, origin_roots) = native_tls(&ca);
-    let origin =
-        ApacheServer::start(ApacheConfig::new(origin_tls, Arc::new(StaticContentRouter)).workers(2))
-            .unwrap();
+fn squid_proxies_to_origin() {
+    for_each_driver(|event| {
+        let ca = ca();
+        let (origin_tls, origin_roots) = native_tls(&ca);
+        let origin = ApacheServer::start(
+            ApacheConfig::new(origin_tls, Arc::new(StaticContentRouter)).workers(2),
+        )
+        .unwrap();
 
-    let (ls, roots) = libseal_tls(&ca, None);
-    let proxy = SquidProxy::start(
-        SquidConfig::new(TlsMode::LibSeal(ls), origin.addr(), origin_roots, "localhost").workers(2),
-    )
-    .unwrap();
+        let (ls, roots) = libseal_tls(&ca, None);
+        let proxy = SquidProxy::start(
+            SquidConfig::new(TlsMode::LibSeal(ls), origin.addr(), origin_roots, "localhost")
+                .workers(2)
+                .event_loop(event),
+        )
+        .unwrap();
 
-    let client = HttpsClient::new(proxy.addr(), roots, "localhost");
-    let mut conn = client.connect().unwrap();
-    for i in 1..=5 {
-        let rsp = conn
-            .request(&Request::new(
-                "GET",
-                &format!("/content/{}", i * 100),
-                Vec::new(),
-            ))
-            .unwrap();
-        assert_eq!(rsp.status, 200);
-        assert_eq!(rsp.body.len(), i * 100);
-    }
-    conn.close();
-    proxy.stop();
-    origin.stop();
+        let client = HttpsClient::new(proxy.addr(), roots, "localhost");
+        let mut conn = client.connect().unwrap();
+        for i in 1..=5 {
+            let rsp = conn
+                .request(&Request::new(
+                    "GET",
+                    &format!("/content/{}", i * 100),
+                    Vec::new(),
+                ))
+                .unwrap();
+            assert_eq!(rsp.status, 200);
+            assert_eq!(rsp.body.len(), i * 100);
+        }
+        conn.close();
+        proxy.stop();
+        origin.stop();
+    });
+}
+
+/// With the origin down the proxy answers 502 and keeps the client
+/// connection; the next request redials. A 502 of the proxy's own is
+/// not a proxied request. (The blocking driver used to drop the client
+/// connection instead.)
+#[test]
+fn squid_answers_502_while_origin_is_down() {
+    for_each_driver(|event| {
+        let ca = ca();
+        let (origin_tls, origin_roots) = native_tls(&ca);
+        let origin = ApacheServer::start(
+            ApacheConfig::new(origin_tls, Arc::new(StaticContentRouter)).workers(1),
+        )
+        .unwrap();
+        let (tls, roots) = native_tls(&ca);
+        let proxy = SquidProxy::start(
+            SquidConfig::new(tls, origin.addr(), origin_roots, "localhost")
+                .workers(1)
+                .event_loop(event),
+        )
+        .unwrap();
+
+        let client = HttpsClient::new(proxy.addr(), roots, "localhost");
+        let mut conn = client.connect().unwrap();
+        let req = Request::new("GET", "/content/64", Vec::new());
+        assert_eq!(conn.request(&req).unwrap().status, 200);
+
+        origin.stop();
+        // First the dead upstream leg, then refused redials.
+        for _ in 0..3 {
+            let rsp = conn
+                .request(&req)
+                .unwrap_or_else(|e| panic!("client connection dropped (event={event}): {e}"));
+            assert_eq!(rsp.status, 502, "event={event}");
+        }
+        // A request is reported before the connection's next one is
+        // read, so all but the last 502 have been accounted for.
+        assert_eq!(proxy.requests_proxied(), 1, "a 502 was counted as proxied");
+        conn.close();
+        proxy.stop();
+    });
 }

@@ -1,6 +1,6 @@
 //! Hostile-network hardening: slowloris eviction, request-size
 //! limits, load shedding at the connection cap, and graceful drain —
-//! against both the event-driven reactor and the threaded fallback.
+//! each against both drivers.
 
 use std::io::Read;
 use std::net::TcpStream;
@@ -19,6 +19,9 @@ use libseal_tlsx::stream::SslStream;
 use libseal_services::apache::{ApacheConfig, ApacheServer, DelayRouter, StaticContentRouter};
 use libseal_services::git::{GitBackend, HistoryGenerator};
 use libseal_services::{HttpsClient, TlsMode};
+
+mod common;
+use common::for_each_driver;
 
 fn ca() -> CertificateAuthority {
     CertificateAuthority::new("HostileCA", &[0x77; 32])
@@ -40,18 +43,26 @@ fn tls_connect(addr: std::net::SocketAddr, roots: Vec<VerifyingKey>) -> SslStrea
     SslStream::handshake(SslConfig::client(roots), entropy, sock).unwrap()
 }
 
+/// The status of the one response `conn` still delivers, if any.
+fn read_status(conn: &mut SslStream<TcpStream>) -> Option<u16> {
+    let mut buf = Vec::new();
+    loop {
+        buf.extend_from_slice(&conn.read_some().ok()?);
+        if let Ok((rsp, _)) = libseal_httpx::http::parse_response(&buf) {
+            return Some(rsp.status);
+        }
+    }
+}
+
 fn counter(name: &'static str) -> u64 {
     libseal_telemetry::counter(name).get()
 }
 
 /// A socket that connects and then sends nothing must be evicted at
-/// the handshake deadline, in both serving modes.
+/// the handshake deadline, under both drivers.
 #[test]
 fn slowloris_handshake_is_evicted() {
-    for event in [true, false] {
-        if event && !plat::reactor::supported() {
-            continue;
-        }
+    for_each_driver(|event| {
         let ca = ca();
         let (tls, roots) = native_tls(&ca);
         let server = ApacheServer::start(
@@ -61,11 +72,7 @@ fn slowloris_handshake_is_evicted() {
                 .handshake_timeout(Duration::from_millis(200)),
         )
         .unwrap();
-        let evictions = if event {
-            "services_event_handshake_timeouts_total"
-        } else {
-            "services_threaded_handshake_timeouts_total"
-        };
+        let evictions = "services_handshake_timeouts_total";
         let before = counter(evictions);
 
         let mut sock = TcpStream::connect(server.addr()).unwrap();
@@ -95,7 +102,7 @@ fn slowloris_handshake_is_evicted() {
             .unwrap();
         assert_eq!(rsp.status, 200);
         server.stop();
-    }
+    });
 }
 
 /// A client that trickles header bytes without ever finishing the
@@ -103,10 +110,7 @@ fn slowloris_handshake_is_evicted() {
 /// the whole phase, so each byte does not buy more time.
 #[test]
 fn slowloris_headers_are_evicted() {
-    for event in [true, false] {
-        if event && !plat::reactor::supported() {
-            continue;
-        }
+    for_each_driver(|event| {
         let ca = ca();
         let (tls, roots) = native_tls(&ca);
         let server = ApacheServer::start(
@@ -141,17 +145,94 @@ fn slowloris_headers_are_evicted() {
             .unwrap();
         assert_eq!(rsp.status, 200);
         server.stop();
-    }
+    });
+}
+
+/// `header_timeout` starts at a request's first byte; a keep-alive
+/// connection sitting between requests is bounded by `idle_timeout`
+/// only. (The blocking driver used to arm the header deadline before
+/// the first byte and evict idle connections with it.)
+#[test]
+fn idle_keep_alive_outlives_header_timeout() {
+    for_each_driver(|event| {
+        let ca = ca();
+        let (tls, roots) = native_tls(&ca);
+        let server = ApacheServer::start(
+            ApacheConfig::new(tls, Arc::new(StaticContentRouter))
+                .workers(2)
+                .event_loop(event)
+                .header_timeout(Duration::from_millis(300))
+                .idle_timeout(Duration::from_secs(30)),
+        )
+        .unwrap();
+        let client = HttpsClient::new(server.addr(), roots, "localhost");
+        let mut conn = client.connect().unwrap();
+        let req = Request::new("GET", "/content/16", Vec::new());
+        assert_eq!(conn.request(&req).unwrap().status, 200);
+        // Longer than the header deadline plus the blocking driver's
+        // one-second read tick.
+        std::thread::sleep(Duration::from_millis(1500));
+        let rsp = conn
+            .request(&req)
+            .unwrap_or_else(|e| panic!("idle connection was evicted (event={event}): {e}"));
+        assert_eq!(rsp.status, 200);
+        conn.close();
+        server.stop();
+    });
+}
+
+/// A client that requests a large response and never reads it is
+/// evicted at the write deadline instead of pinning its buffers (and,
+/// under the blocking driver, its worker) forever.
+#[test]
+fn slow_reader_is_evicted_at_write_timeout() {
+    // More than loopback socket buffers can absorb on both ends.
+    const BODY: usize = 40 << 20;
+    for_each_driver(|event| {
+        let ca = ca();
+        let (tls, roots) = native_tls(&ca);
+        let server = ApacheServer::start(
+            ApacheConfig::new(tls, Arc::new(StaticContentRouter))
+                .workers(2)
+                .event_loop(event)
+                .write_timeout(Duration::from_millis(300)),
+        )
+        .unwrap();
+        let evictions = "services_write_timeouts_total";
+        let before = counter(evictions);
+
+        let mut conn = tls_connect(server.addr(), roots.clone());
+        let req = Request::new("GET", &format!("/content/{BODY}"), Vec::new());
+        conn.write_all(&req.to_bytes()).unwrap();
+        let started = Instant::now();
+        while counter(evictions) == before {
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "write-timeout counter did not move (event={event})"
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        // Evicted: what the socket buffers held is all that arrives.
+        let mut received = 0;
+        while let Ok(d) = conn.read_some() {
+            received += d.len();
+        }
+        assert!(received < BODY, "whole response delivered (event={event})");
+
+        let client = HttpsClient::new(server.addr(), roots, "localhost");
+        let rsp = client
+            .request(&Request::new("GET", "/content/16", Vec::new()))
+            .unwrap();
+        assert_eq!(rsp.status, 200);
+        server.stop();
+    });
 }
 
 /// Oversized heads get 431, oversized declared bodies 413, and the
-/// connection closes — in both modes.
+/// connection closes — under both drivers.
 #[test]
 fn oversized_requests_get_typed_rejections() {
-    for event in [true, false] {
-        if event && !plat::reactor::supported() {
-            continue;
-        }
+    for_each_driver(|event| {
         let ca = ca();
         let (tls, roots) = native_tls(&ca);
         let server = ApacheServer::start(
@@ -165,6 +246,7 @@ fn oversized_requests_get_typed_rejections() {
                 }),
         )
         .unwrap();
+        let rejections = counter("services_limit_rejections_total");
 
         // 431: a single header larger than the whole head budget.
         let mut conn = tls_connect(server.addr(), roots.clone());
@@ -173,19 +255,7 @@ fn oversized_requests_get_typed_rejections() {
             "a".repeat(4 * 1024)
         );
         conn.write_all(huge.as_bytes()).unwrap();
-        let mut rsp_buf = Vec::new();
-        let mut status = None;
-        while status.is_none() {
-            match conn.read_some() {
-                Ok(d) => {
-                    rsp_buf.extend_from_slice(&d);
-                    if let Ok((rsp, _)) = libseal_httpx::http::parse_response(&rsp_buf) {
-                        status = Some(rsp.status);
-                    }
-                }
-                Err(_) => break,
-            }
-        }
+        let status = read_status(&mut conn);
         assert_eq!(status, Some(431), "oversized head (event={event})");
 
         // 413: a declared body over the budget, rejected before the
@@ -193,20 +263,9 @@ fn oversized_requests_get_typed_rejections() {
         let mut conn = tls_connect(server.addr(), roots.clone());
         conn.write_all(b"POST /up HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n")
             .unwrap();
-        let mut rsp_buf = Vec::new();
-        let mut status = None;
-        while status.is_none() {
-            match conn.read_some() {
-                Ok(d) => {
-                    rsp_buf.extend_from_slice(&d);
-                    if let Ok((rsp, _)) = libseal_httpx::http::parse_response(&rsp_buf) {
-                        status = Some(rsp.status);
-                    }
-                }
-                Err(_) => break,
-            }
-        }
+        let status = read_status(&mut conn);
         assert_eq!(status, Some(413), "oversized body (event={event})");
+        assert!(counter("services_limit_rejections_total") >= rejections + 2);
 
         // In-budget requests still work.
         let client = HttpsClient::new(server.addr(), roots, "localhost");
@@ -215,7 +274,7 @@ fn oversized_requests_get_typed_rejections() {
             .unwrap();
         assert_eq!(rsp.status, 200);
         server.stop();
-    }
+    });
 }
 
 /// At the connection cap the server refuses new sockets fast (the
@@ -223,10 +282,7 @@ fn oversized_requests_get_typed_rejections() {
 /// established connections keep working.
 #[test]
 fn connection_cap_sheds_excess() {
-    for event in [true, false] {
-        if event && !plat::reactor::supported() {
-            continue;
-        }
+    for_each_driver(|event| {
         let ca = ca();
         let (tls, roots) = native_tls(&ca);
         let server = ApacheServer::start(
@@ -236,11 +292,7 @@ fn connection_cap_sheds_excess() {
                 .max_connections(2),
         )
         .unwrap();
-        let sheds = if event {
-            "services_event_sheds_total"
-        } else {
-            "services_threaded_sheds_total"
-        };
+        let sheds = "services_sheds_total";
         let before = counter(sheds);
         let client = HttpsClient::new(server.addr(), roots, "localhost");
 
@@ -272,7 +324,7 @@ fn connection_cap_sheds_excess() {
             conn.close();
         }
         server.stop();
-    }
+    });
 }
 
 /// Drain under load: an in-flight (slow) request is still answered,
@@ -280,112 +332,74 @@ fn connection_cap_sheds_excess() {
 /// the full history.
 #[test]
 fn drain_under_load_keeps_chain_verifiable() {
-    if !plat::reactor::supported() {
-        return;
-    }
-    let ca = ca();
-    let (key, cert) = ca.issue_identity("localhost", &[0x21; 32]).unwrap();
-    let path = plat::tmp::TempPath::new("hostile-drain", "log");
+    for_each_driver(|event| {
+        let ca = ca();
+        let (key, cert) = ca.issue_identity("localhost", &[0x21; 32]).unwrap();
+        let path = plat::tmp::TempPath::new("hostile-drain", "log");
+        let open = || {
+            let cfg = LibSealConfig::builder(cert.clone(), key.clone())
+                .ssm(Arc::new(GitModule))
+                .cost_model(CostModel::free())
+                .backing(LogBacking::Disk(path.to_path_buf()))
+                .check_interval(0)
+                .build();
+            LibSeal::new(cfg).unwrap()
+        };
 
-    {
-        let cfg = LibSealConfig::builder(cert.clone(), key.clone())
-            .ssm(Arc::new(GitModule))
-            .cost_model(CostModel::free())
-            .backing(LogBacking::Disk(path.to_path_buf()))
-            .check_interval(0)
-            .build();
-        let ls = LibSeal::new(cfg).unwrap();
-        let backend = Arc::new(GitBackend::new());
-        let server = ApacheServer::start(
-            ApacheConfig::new(
-                TlsMode::LibSeal(ls.clone()),
-                Arc::new(DelayRouter {
-                    delay: Duration::from_millis(150),
-                    busy: false,
-                    inner: Arc::new(Arc::clone(&backend)),
-                }),
+        {
+            let ls = open();
+            let backend = Arc::new(GitBackend::new());
+            let server = ApacheServer::start(
+                ApacheConfig::new(
+                    TlsMode::LibSeal(ls.clone()),
+                    Arc::new(DelayRouter {
+                        delay: Duration::from_millis(150),
+                        busy: false,
+                        inner: Arc::new(Arc::clone(&backend)),
+                    }),
+                )
+                .workers(2)
+                .event_loop(event)
+                .drain_timeout(Duration::from_secs(5)),
             )
-            .workers(2)
-            .drain_timeout(Duration::from_secs(5)),
-        )
-        .unwrap();
-        let addr = server.addr();
-        let roots = vec![ca.root_key()];
+            .unwrap();
+            let addr = server.addr();
+            let roots = vec![ca.root_key()];
 
-        // Seed some completed, audited traffic.
-        let client = HttpsClient::new(addr, roots.clone(), "localhost");
-        let mut generator = HistoryGenerator::new("repo", 2, 4);
-        for _ in 0..6 {
-            let req = HistoryGenerator::to_request(&generator.next_op());
-            client.request(&req).unwrap();
+            // Seed some completed, audited traffic.
+            let client = HttpsClient::new(addr, roots.clone(), "localhost");
+            let mut generator = HistoryGenerator::new("repo", 2, 4);
+            for _ in 0..6 {
+                let req = HistoryGenerator::to_request(&generator.next_op());
+                client.request(&req).unwrap();
+            }
+            let slow_req = HistoryGenerator::to_request(&generator.next_op());
+
+            // Fire a slow request, then drain while it is in flight.
+            let inflight = std::thread::spawn(move || {
+                let client = HttpsClient::new(addr, roots, "localhost");
+                client.request(&slow_req)
+            });
+            std::thread::sleep(Duration::from_millis(60));
+            let drained_at = Instant::now();
+            server.drain();
+            assert!(
+                drained_at.elapsed() < Duration::from_secs(10),
+                "drain exceeded its deadline by far (event={event})"
+            );
+            let rsp = inflight
+                .join()
+                .unwrap()
+                .expect("in-flight request must be answered during drain");
+            assert_eq!(rsp.status, 200, "event={event}");
+            ls.verify_log(0).unwrap();
         }
-        let slow_req = HistoryGenerator::to_request(&generator.next_op());
 
-        // Fire a slow request, then drain while it is in flight.
-        let inflight = std::thread::spawn(move || {
-            let client = HttpsClient::new(addr, roots, "localhost");
-            client.request(&slow_req)
-        });
-        std::thread::sleep(Duration::from_millis(60));
-        let drained_at = Instant::now();
-        server.drain();
-        assert!(
-            drained_at.elapsed() < Duration::from_secs(10),
-            "drain exceeded its deadline by far"
-        );
-        inflight
-            .join()
-            .unwrap()
-            .expect("in-flight request must be answered during drain");
-        ls.verify_log(0).unwrap();
-    }
-
-    // Reopen the sealed journal: the chain must be gap-free.
-    {
-        let cfg = LibSealConfig::builder(cert, key)
-            .ssm(Arc::new(GitModule))
-            .cost_model(CostModel::free())
-            .backing(LogBacking::Disk(path.to_path_buf()))
-            .check_interval(0)
-            .build();
-        let ls = LibSeal::new(cfg).unwrap();
+        // Reopen the sealed journal: the chain must be gap-free.
+        let ls = open();
         let (entries, _, journal) = ls.log_stats(0).unwrap();
-        assert!(entries > 0, "drained log lost its entries");
+        assert!(entries > 0, "drained log lost its entries (event={event})");
         assert!(journal > 0);
         ls.verify_log(0).unwrap();
-    }
-}
-
-/// Threaded drain also delivers the in-flight response before
-/// exiting.
-#[test]
-fn threaded_drain_delivers_inflight() {
-    let ca = ca();
-    let (tls, roots) = native_tls(&ca);
-    let server = ApacheServer::start(
-        ApacheConfig::new(
-            tls,
-            Arc::new(DelayRouter {
-                delay: Duration::from_millis(150),
-                busy: false,
-                inner: Arc::new(StaticContentRouter),
-            }),
-        )
-        .workers(2)
-        .event_loop(false),
-    )
-    .unwrap();
-    let addr = server.addr();
-    let inflight = std::thread::spawn(move || {
-        let client = HttpsClient::new(addr, roots, "localhost");
-        client.request(&Request::new("GET", "/content/48", Vec::new()))
     });
-    std::thread::sleep(Duration::from_millis(60));
-    server.drain();
-    let rsp = inflight
-        .join()
-        .unwrap()
-        .expect("in-flight request must be answered during threaded drain");
-    assert_eq!(rsp.status, 200);
-    assert_eq!(rsp.body.len(), 48);
 }

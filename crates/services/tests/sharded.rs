@@ -1,9 +1,9 @@
 //! Services against the sharded audit plane: `shards(1)` behaves
-//! exactly like a single enclave in both server modes, `shards(4)`
+//! exactly like a single enclave under both drivers, `shards(4)`
 //! spreads sessions across the fleet and still verifies end to end,
-//! and the `Service` trait drives Apache and Squid through one
-//! generic harness.
+//! and one `Server` lifecycle drives Apache and Squid.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,7 +17,9 @@ use libseal_tlsx::cert::CertificateAuthority;
 use libseal_services::apache::{ApacheConfig, ApacheServer, StaticContentRouter};
 use libseal_services::git::GitBackend;
 use libseal_services::squid::{SquidConfig, SquidProxy};
-use libseal_services::{HttpsClient, LoadGenerator, Service, TlsMode};
+use libseal_services::{HttpsClient, LoadGenerator, TlsMode};
+
+mod common;
 
 fn ca() -> CertificateAuthority {
     CertificateAuthority::new("TestRootCA", &[0x77; 32])
@@ -151,39 +153,29 @@ fn sharded_plane_balances_opened_sessions() {
 // shards(1) equivalence through the servers
 // ---------------------------------------------------------------
 
-fn serve_and_verify(event_loop: bool) {
-    let ca = ca();
-    let plane = plane_builder(&ca, 1).build_plane().unwrap();
-    let roots = vec![ca.root_key()];
-    let server = ApacheServer::start(
-        ApacheConfig::new(
-            TlsMode::LibSeal(plane.clone()),
-            Arc::new(Arc::new(GitBackend::new())),
+#[test]
+fn single_shard_plane_serves_under_both_drivers() {
+    common::for_each_driver(|event| {
+        let ca = ca();
+        let plane = plane_builder(&ca, 1).build_plane().unwrap();
+        let roots = vec![ca.root_key()];
+        let server = ApacheServer::start(
+            ApacheConfig::new(
+                TlsMode::LibSeal(plane.clone()),
+                Arc::new(Arc::new(GitBackend::new())),
+            )
+            .workers(2)
+            .event_loop(event),
         )
-        .workers(2)
-        .event_loop(event_loop),
-    )
-    .unwrap();
-    let client = HttpsClient::new(server.addr(), roots, "localhost");
-    for i in 0..5 {
-        let rsp = client.request(&push("p", i)).unwrap();
-        assert_eq!(rsp.status, 200);
-    }
-    server.drain();
-    plane.verify_log(0).unwrap();
-}
-
-#[test]
-fn single_shard_plane_serves_threaded_mode() {
-    serve_and_verify(false);
-}
-
-#[test]
-fn single_shard_plane_serves_event_mode() {
-    if !plat::reactor::supported() {
-        return;
-    }
-    serve_and_verify(true);
+        .unwrap();
+        let client = HttpsClient::new(server.addr(), roots, "localhost");
+        for i in 0..5 {
+            let rsp = client.request(&push("p", i)).unwrap();
+            assert_eq!(rsp.status, 200);
+        }
+        server.drain();
+        plane.verify_log(0).unwrap();
+    });
 }
 
 // ---------------------------------------------------------------
@@ -201,8 +193,7 @@ fn sharded_fleet_serves_and_verifies_after_drain() {
             TlsMode::LibSeal(plane.clone()),
             Arc::new(Arc::new(GitBackend::new())),
         )
-        .workers(4)
-        .event_loop(false),
+        .workers(4),
     )
     .unwrap();
     let client = HttpsClient::new(server.addr(), roots, "localhost");
@@ -231,40 +222,44 @@ fn sharded_fleet_serves_and_verifies_after_drain() {
 }
 
 // ---------------------------------------------------------------
-// The Service trait drives both servers generically
+// One `Server` lifecycle drives both services
 // ---------------------------------------------------------------
 
-fn drive<S: Service>(config: S::Config, roots: Vec<VerifyingKey>, req: &Request) {
-    let svc = S::start(config).unwrap();
-    let client = HttpsClient::new(svc.local_addr(), roots, "localhost");
+/// One request through the service at `addr`, then waits for it to be
+/// reported by `served`.
+fn drive(addr: SocketAddr, roots: Vec<VerifyingKey>, req: &Request, served: &dyn Fn() -> u64) {
+    let client = HttpsClient::new(addr, roots, "localhost");
     let rsp = client.request(req).unwrap();
     assert_eq!(rsp.status, 200);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while svc.served() < 1 && std::time::Instant::now() < deadline {
+    while served() < 1 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(svc.served(), 1);
-    // The registry is reachable through the trait for generic gates.
-    let _ = svc.telemetry();
-    svc.drain();
+    assert_eq!(served(), 1);
 }
 
 #[test]
-fn service_trait_drives_apache_and_squid() {
+fn one_lifecycle_drives_apache_and_squid() {
     let ca = ca();
 
     // Apache through a single-shard audit plane.
     let plane = plane_builder(&ca, 1).build_plane().unwrap();
-    drive::<ApacheServer>(
+    let apache = ApacheServer::start(
         ApacheConfig::new(
             TlsMode::LibSeal(plane.clone()),
             Arc::new(StaticContentRouter),
         )
-        .workers(2)
-        .event_loop(false),
+        .workers(2),
+    )
+    .unwrap();
+    drive(
+        apache.addr(),
         vec![ca.root_key()],
         &Request::new("GET", "/content/128", Vec::new()),
+        &|| apache.requests_served(),
     );
+    let _ = apache.telemetry();
+    apache.drain();
     plane.verify_log(0).unwrap();
 
     // Squid in front of a native origin, audited client leg.
@@ -277,23 +272,28 @@ fn service_trait_drives_apache_and_squid() {
             },
             Arc::new(StaticContentRouter),
         )
-        .workers(2)
-        .event_loop(false),
+        .workers(2),
     )
     .unwrap();
     let plane = plane_builder(&ca, 1).build_plane().unwrap();
-    drive::<SquidProxy>(
+    let squid = SquidProxy::start(
         SquidConfig::new(
             TlsMode::LibSeal(plane.clone()),
             origin.addr(),
             vec![ca.root_key()],
             "localhost",
         )
-        .workers(2)
-        .event_loop(false),
+        .workers(2),
+    )
+    .unwrap();
+    drive(
+        squid.addr(),
         vec![ca.root_key()],
         &Request::new("GET", "/content/64", Vec::new()),
+        &|| squid.requests_proxied(),
     );
+    let _ = squid.telemetry();
+    squid.drain();
     plane.verify_log(0).unwrap();
     origin.stop();
 }
