@@ -16,6 +16,17 @@
 //!      restart: service continues, the restarted shard recovers its
 //!      journal, and the fleet verifies clean after drain.
 //!
+//! Each point also prints what its sealers did — appends per counter
+//! bind, ROTE rounds and their mean length, increments granted without
+//! quorum — so a low speedup can be read. The batch cap is soft (a
+//! resolved batch releases every writer blocked in `wait_for_space` at
+//! once, and all of them may stage before the count is looked at
+//! again), so the 1-shard point is bimodal: ≈ 4 requests per 4 ms round
+//! (≈ 750 req/s) when the cap holds, several times that when a burst
+//! gets through. A 1-shard point above its cap lowers the speedup
+//! without any shard having got slower; the gate says so when it sees
+//! it.
+//!
 //! ```sh
 //! cargo run --release -p libseal-bench --bin shard_scaling_gate
 //! ```
@@ -87,9 +98,43 @@ fn start_server(plane: Arc<dyn AuditPlane>) -> ApacheServer {
     .expect("server")
 }
 
+/// What one scaling point measured: audited throughput, and the
+/// sealer-pipeline activity behind it.
+struct Point {
+    throughput: f64,
+    requests: u64,
+    appends: u64,
+    binds: u64,
+    rounds: u64,
+    round_ns: u64,
+    unbound: u64,
+}
+
+impl Point {
+    fn row(&self, shards: usize) -> Vec<String> {
+        let per = |n: u64, d: u64| n as f64 / (d as f64).max(1.0);
+        vec![
+            shards.to_string(),
+            rate(self.throughput),
+            self.appends.to_string(),
+            self.binds.to_string(),
+            format!("{:.2}", per(self.appends, self.binds)),
+            self.rounds.to_string(),
+            format!("{:.2}", per(self.round_ns, self.rounds) / 1e6),
+            self.unbound.to_string(),
+        ]
+    }
+}
+
 /// One scaling point: serve the closed loop, drain, verify the fleet
-/// through the retained plane handle, return audited throughput.
-fn run_point(id: &BenchIdentity, shards: usize) -> f64 {
+/// through the retained plane handle.
+fn run_point(id: &BenchIdentity, shards: usize) -> Point {
+    let appends = libseal_telemetry::counter("core_appends_total");
+    let binds = libseal_telemetry::counter("core_counter_binds_total");
+    let rounds = libseal_telemetry::histogram("rote_round_ns");
+    let unbound = libseal_telemetry::counter("rote_unbound_appends_total");
+    let (a0, b0, r0, u0) = (appends.get(), binds.get(), rounds.snapshot(), unbound.get());
+
     let plane =
         libseal::plane::build_plane(plane_config(id, shards, LogBacking::Memory)).expect("plane");
     assert_eq!(plane.shards(), shards);
@@ -107,7 +152,16 @@ fn run_point(id: &BenchIdentity, shards: usize) -> f64 {
     plane
         .verify_log(0)
         .expect("fleet verification after drain");
-    stats.throughput()
+    let r1 = rounds.snapshot();
+    Point {
+        throughput: stats.throughput(),
+        requests: stats.requests,
+        appends: appends.get() - a0,
+        binds: binds.get() - b0,
+        rounds: r1.count() - r0.count(),
+        round_ns: r1.sum() - r0.sum(),
+        unbound: unbound.get() - u0,
+    }
 }
 
 /// Mid-load shard restart on a disk-backed 2-shard fleet: the
@@ -163,19 +217,34 @@ fn restart_trial(id: &BenchIdentity) -> Result<(), String> {
 
 fn main() {
     let id = BenchIdentity::new();
-    let t1 = run_point(&id, 1);
-    let t4 = run_point(&id, 4);
-    let speedup = t4 / t1.max(1e-9);
+    let p1 = run_point(&id, 1);
+    let p4 = run_point(&id, 4);
+    let speedup = p4.throughput / p1.throughput.max(1e-9);
 
     print_table(
         "shard-scaling gate: audited Git push throughput (ROTE round 4 ms, batch cap 4)",
-        &["shards", "req/s"],
         &[
-            vec!["1".into(), rate(t1)],
-            vec!["4".into(), rate(t4)],
+            "shards",
+            "req/s",
+            "appends",
+            "counter binds",
+            "appends/bind",
+            "ROTE rounds",
+            "mean round ms",
+            "unbound",
         ],
+        &[p1.row(1), p4.row(4)],
     );
     println!("speedup {speedup:.1}x (need ≥ {MIN_SPEEDUP}x)");
+    let per_bind = p1.requests as f64 / (p1.binds as f64).max(1.0);
+    if per_bind > MAX_BATCH as f64 {
+        println!(
+            "note: the 1-shard point sealed {per_bind:.1} requests per counter bind, above \
+             the batch cap of {MAX_BATCH}: its baseline ran past the ceiling the speedup is \
+             measured against (soft cap, see the module docs), so a low speedup here is \
+             not by itself a scaling regression"
+        );
+    }
 
     let mut failed = false;
     if speedup < MIN_SPEEDUP {

@@ -200,6 +200,20 @@ pub fn process_cpu_time() -> Duration {
     Duration::from_secs_f64((utime + stime) as f64 / hz)
 }
 
+/// CPU time of the threads alive right now, at scheduler (nanosecond)
+/// resolution: the sum of the on-CPU field of every
+/// `/proc/self/task/*/schedstat`. [`process_cpu_time`] counts 10 ms
+/// ticks, too coarse to tell 0.2 % of a core from 2 % over half a
+/// second; this is for short windows during which no thread exits.
+pub fn live_threads_cpu_time() -> Duration {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("/proc/self/task");
+    let ns: u64 = tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("schedstat")).ok())
+        .filter_map(|s| s.split_whitespace().next()?.parse::<u64>().ok())
+        .sum();
+    Duration::from_nanos(ns)
+}
+
 /// Runs `f`, returning its result plus the mean CPU utilisation in
 /// percent (100% = one core busy).
 pub fn with_cpu_percent<R>(f: impl FnOnce() -> R) -> (R, f64) {

@@ -78,6 +78,10 @@ pub struct Checker {
     pub client_rate_limit: usize,
     /// The most recent outcome (served to clients in-band).
     pub last_outcome: CheckOutcome,
+    /// Chain length right after the last automatic trim. Appends only
+    /// lengthen the chain, so an equal length means nothing was logged
+    /// since, and trimming again would rewrite the same journal.
+    entries_at_trim: Option<u64>,
 }
 
 impl Checker {
@@ -90,6 +94,7 @@ impl Checker {
             client_budget: client_rate_limit,
             client_rate_limit,
             last_outcome: CheckOutcome::default(),
+            entries_at_trim: None,
         }
     }
 
@@ -195,19 +200,25 @@ impl Checker {
     }
 
     /// Runs a due incremental check (plus trimming when the log is
-    /// clean) and caches the outcome.
+    /// clean and has grown since the last trim) and caches the outcome.
     ///
     /// # Errors
     ///
     /// Check or trim failures.
     pub fn run_due(&mut self, ssm: &dyn ServiceModule, log: &mut AuditLog) -> Result<CheckOutcome> {
         let outcome = Self::run_checks_incremental(ssm, log)?;
-        if self.trim && outcome.total_violations() == 0 {
+        if self.trim
+            && outcome.total_violations() == 0
+            && self.entries_at_trim != Some(log.entries())
+        {
             // Trim only clean logs: violations must stay as evidence.
             // Trimming deletes base rows, which marks the views fully
             // dirty — the next check recomputes over the (now small)
-            // trimmed log.
+            // trimmed log. A trim costs a counter round, a signature
+            // and a journal compaction (write, fsync, rename, directory
+            // fsync), so an interval of unlogged responses skips it.
             log.trim(ssm.trim_queries())?;
+            self.entries_at_trim = Some(log.entries());
         }
         self.last_outcome = outcome.clone();
         Ok(outcome)

@@ -19,16 +19,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use plat::channel::{self, Receiver, RecvTimeoutError, Sender};
+use plat::sync::Mutex;
 
 use crate::coro::{Coroutine, Resume};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// How long an idle carrier naps between queue sweeps.
-const IDLE_NAP: Duration = Duration::from_micros(500);
 
 /// Pool sizing.
 #[derive(Clone, Copy, Debug)]
@@ -65,7 +62,7 @@ impl std::error::Error for PoolShutdown {}
 
 /// Shared pool state visible to every coroutine.
 struct PoolShared {
-    /// Jobs accepted but not yet finished (drives idle napping and the
+    /// Jobs accepted but not yet finished (mirrored by the
     /// `lthread_pool_queue_depth` gauge).
     in_flight: AtomicU64,
     /// Jobs completed (monotonic; `lthread_pool_jobs_total`).
@@ -142,7 +139,7 @@ impl JobPool {
 
     fn shutdown_inner(&mut self) {
         // Dropping the only sender turns the queue Disconnected *after*
-        // it empties (mpsc semantics), so queued jobs still run.
+        // it empties, so queued jobs still run.
         self.tx = None;
         for h in self.carriers.drain(..) {
             let _ = h.join();
@@ -156,16 +153,25 @@ impl Drop for JobPool {
     }
 }
 
-/// One carrier thread: resume every coroutine round-robin; nap when a
-/// full sweep found no work; exit once every coroutine finished (which
-/// they do only on queue disconnection, i.e. shutdown).
+/// One carrier thread: resume every coroutine round-robin, then sleep
+/// on the queue until the next job (or shutdown) arrives. A coroutine
+/// yields only on finding the queue empty, so a finished sweep means
+/// there was nothing left to run; the carrier blocks whatever the other
+/// carriers are doing, so a job parked on one never makes another spin.
+/// Exits once every coroutine finished (which they do only on queue
+/// disconnection, i.e. shutdown).
 fn carrier(rx: Receiver<Job>, shared: Arc<PoolShared>, coros: usize, stack: usize) {
+    // The job the carrier's blocking receive returned; the first
+    // coroutine of the next sweep runs it.
+    let handoff: Arc<Mutex<Option<Job>>> = Arc::new(Mutex::new(None));
     let mut lthreads: Vec<Coroutine> = (0..coros)
         .map(|_| {
             let rx = rx.clone();
             let shared = Arc::clone(&shared);
+            let handoff = Arc::clone(&handoff);
             Coroutine::new(stack, move |y| loop {
-                match rx.try_recv() {
+                let handed = handoff.lock().take();
+                match handed.map_or_else(|| rx.try_recv(), Ok) {
                     Ok(job) => {
                         job();
                         shared.completed.fetch_add(1, Ordering::SeqCst);
@@ -182,7 +188,6 @@ fn carrier(rx: Receiver<Job>, shared: Arc<PoolShared>, coros: usize, stack: usiz
         })
         .collect();
     loop {
-        let before = shared.completed.load(Ordering::SeqCst);
         let mut finished = 0usize;
         for c in lthreads.iter_mut() {
             if c.is_finished() || c.resume() == Resume::Finished {
@@ -192,19 +197,16 @@ fn carrier(rx: Receiver<Job>, shared: Arc<PoolShared>, coros: usize, stack: usiz
         if finished == lthreads.len() {
             return;
         }
-        // Nothing ran this sweep and nothing is waiting: nap instead
-        // of spinning the queue lock.
-        if shared.completed.load(Ordering::SeqCst) == before
-            && shared.in_flight.load(Ordering::SeqCst) == 0
-        {
-            std::thread::sleep(IDLE_NAP);
-        }
+        // `None` is shutdown with the queue drained: the next sweep
+        // lets every coroutine see the disconnect and finish.
+        *handoff.lock() = rx.recv();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn jobs_run_and_complete() {

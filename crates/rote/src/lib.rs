@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use libseal_crypto::hmac::HmacSha256;
-use plat::channel::{self, RecvTimeoutError};
+use plat::channel;
 
 /// Process-wide ROTE metrics: round latency, quorum health, and the
 /// unbound/rebind episode counters mirrored from per-cluster stats.
@@ -287,12 +287,7 @@ pub struct Cluster {
 /// sender. Delivery runs through the `rote::node::deliver` failpoint
 /// so tests can drop or delay individual messages.
 fn worker_loop(node: Arc<CounterNode>, counter_id: Vec<u8>, rx: channel::Receiver<Request>) {
-    loop {
-        let req = match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(r) => r,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
+    while let Some(req) = rx.recv() {
         let dropped = plat::failpoint::check("rote::node::deliver").is_err();
         match req {
             Request::IncrementTo { target, reply } => {
