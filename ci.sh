@@ -65,7 +65,8 @@ cargo run --release -p libseal-bench --bin overload_chaos_gate
 # The sharded audit plane must actually scale the audit pipeline:
 # with the ROTE counter round slowed to 4 ms and commit batches
 # capped at 4, four shards (four independent sealer pipelines) must
-# push >= 2.8x the 1-shard audited throughput, the whole fleet
+# push >= 2.8x the 1-shard audited throughput, the 1-shard baseline
+# must seal at most 4 appends per counter bind, the whole fleet
 # (epoch-checkpoint chain included) must verify clean after drain,
 # and a 2-shard disk-backed fleet must survive a mid-load shard
 # restart with the restarted shard recovering its journal.

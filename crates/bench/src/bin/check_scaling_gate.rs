@@ -24,9 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use libseal::log::{AuditLog, LogBacking, NoGuard};
-use libseal::{
-    Checker, CommitMode, GitModule, ServiceModule, Verifier, VerifierConfig, VerifierQueue,
-};
+use libseal::{Checker, CommitMode, GitModule, ServiceModule, TicketQueue, Worker};
 use libseal_crypto::ed25519::SigningKey;
 use libseal_sealdb::Value;
 
@@ -175,26 +173,23 @@ fn cross_check(log: &mut AuditLog) {
 fn drive_verifier(log: AuditLog) {
     let m = GitModule;
     let log = Arc::new(plat::sync::Mutex::new(log));
-    let queue = Arc::new(VerifierQueue::new(VerifierConfig { max_pending: 4 }));
+    let queue = Arc::new(TicketQueue::verifier());
     let worker = {
         let log = Arc::clone(&log);
-        Verifier::spawn(Arc::clone(&queue), move || {
+        Worker::spawn("gate-verifier", Arc::clone(&queue), move || {
             let mut g = log.lock();
-            Checker::run_checks_incremental(&m, &mut g)
+            Checker::run_checks_incremental(&m, &mut g).map(|o| o.count_alarm())
         })
     };
     for i in 0..6 {
-        queue.wait_for_space();
-        {
-            let mut g = log.lock();
-            push(&mut g, &format!("v{i}"), "abc123", false);
-        }
-        queue.enqueue().unwrap();
+        let slot = queue.reserve();
+        let mut g = log.lock();
+        push(&mut g, &format!("v{i}"), "abc123", false);
+        slot.issue().unwrap();
     }
-    queue.barrier().unwrap();
-    assert_eq!(queue.lag(), 0, "barrier must drain the verifier");
-    queue.shutdown();
-    worker.join();
+    queue.quiesce().unwrap();
+    assert_eq!(queue.depth(), 0, "quiesce must drain the verifier");
+    drop(worker);
     let metrics = libseal_telemetry::global().render_text();
     assert!(
         metrics.contains("core_verifier_lag"),

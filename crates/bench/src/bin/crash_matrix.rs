@@ -24,9 +24,9 @@
 
 use std::sync::Arc;
 
-use libseal::log::{AuditLog, LogBacking, RollbackGuard, RoteGuard};
+use libseal::log::{seal_staged, AuditLog, LogBacking, RollbackGuard, RoteGuard};
 use libseal::ssm::git::GIT_SOUNDNESS;
-use libseal::{CommitMode, CommitQueue, GitModule, GroupCommitConfig, Sealer, ServiceModule};
+use libseal::{CommitMode, GitModule, ServiceModule, TicketQueue, Worker};
 use libseal_crypto::ed25519::SigningKey;
 use libseal_rote::{Cluster, ClusterConfig, QuorumPolicy};
 use libseal_sealdb::Value;
@@ -134,10 +134,11 @@ fn workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome {
 }
 
 /// The group-commit workload: writer threads stage appends through a
-/// [`CommitQueue`] and block on the commit barrier while a [`Sealer`]
-/// drains batches (one counter bind, head signature and fsync per
-/// batch). `durable` counts appends whose barrier acknowledged —
-/// exactly the prefix whose seal *and* flush landed before the fault.
+/// [`TicketQueue`] and block on the commit barrier while a [`Worker`]
+/// drains batches with the production seal step (one counter bind,
+/// head signature and fsync per batch). `durable` counts appends whose
+/// barrier acknowledged — exactly the prefix whose seal *and* flush
+/// landed before the fault.
 fn pipeline_workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome {
     const WRITERS: u64 = 3;
     let Ok(mut log) = open_log(path, guard) else {
@@ -145,26 +146,11 @@ fn pipeline_workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome 
     };
     log.set_commit_mode(CommitMode::Staged);
     let log = Arc::new(plat::sync::Mutex::new(log));
-    let queue = Arc::new(CommitQueue::new(GroupCommitConfig {
-        max_batch: 4,
-        max_wait: std::time::Duration::ZERO,
-    }));
+    let queue = Arc::new(TicketQueue::sealer(4));
     let sealer = {
         let log = Arc::clone(&log);
-        Sealer::spawn(Arc::clone(&queue), move || {
-            // Production pattern: the counter round runs outside the
-            // audit lock so writers stage the next batch during it.
-            let guard = {
-                let g = log.lock();
-                if !g.is_dirty() {
-                    return Ok(());
-                }
-                g.guard_handle()
-            };
-            let counter = guard.increment()?;
-            let mut g = log.lock();
-            g.seal_bound(counter)?;
-            g.flush()
+        Worker::spawn("matrix-sealer", Arc::clone(&queue), move || {
+            seal_staged(&log, |l| l).map(drop)
         })
     };
     let handles: Vec<_> = (0..WRITERS)
@@ -176,7 +162,7 @@ fn pipeline_workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome 
                 for i in 0..(APPENDS / WRITERS) {
                     // Backpressure before the audit lock, so a full
                     // queue never stalls the sealer that drains it.
-                    queue.wait_for_space();
+                    let slot = queue.reserve();
                     let ticket = {
                         let mut g = log.lock();
                         let t = g.next_time() as i64;
@@ -190,12 +176,12 @@ fn pipeline_workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome 
                         if g.append("updates", &row).is_err() {
                             continue;
                         }
-                        match queue.stage() {
+                        match slot.issue() {
                             Ok(t) => t,
                             Err(_) => continue,
                         }
                     };
-                    if queue.await_durable(ticket).is_ok() {
+                    if queue.wait(ticket).is_ok() {
                         acked += 1;
                     }
                 }
@@ -204,8 +190,7 @@ fn pipeline_workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome 
         })
         .collect();
     let durable = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    queue.shutdown();
-    sealer.join();
+    drop(sealer);
     Outcome { durable }
 }
 
@@ -231,22 +216,22 @@ fn enumerate_sites(s: &Scenario) -> Vec<String> {
     sites
 }
 
-/// Runs one (site, fault) trial; returns an error description on
-/// contract violation.
-fn trial(s: &Scenario, site: &str, spec: FaultSpec, flavor: &str) -> Result<(), String> {
+type Workload = fn(&TempPath, Box<dyn RollbackGuard>) -> Outcome;
+
+/// Runs one (site, fault) trial under `run`; returns an error
+/// description on contract violation.
+fn trial(
+    s: &Scenario,
+    site: &str,
+    spec: FaultSpec,
+    flavor: &str,
+    run: Workload,
+) -> Result<(), String> {
     s.reset();
     let path = TempPath::new(&format!("crash-matrix-{}", site.replace(':', "_")), "log");
     // The counter cluster outlives the "crash": ROTE nodes are an
     // external service, not enclave state.
     let c = cluster();
-
-    // The pipeline sites only fire under the group-commit workload;
-    // everything else runs the serial per-request-flush workload.
-    let run = if site.starts_with("core::commit::") {
-        pipeline_workload
-    } else {
-        workload
-    };
     s.set(site, spec);
     let out = run(&path, Box::new(RoteGuard(Arc::clone(&c))));
 
@@ -321,17 +306,30 @@ fn main() {
         sites.len()
     );
 
+    // The pipeline sites only fire under the group-commit workload;
+    // everything else runs the serial per-request-flush workload. The
+    // counter bind is crossed by both (inside `AuditLog::seal` and in
+    // the sealer's `seal_staged`), so it gets a row under each.
+    let mut rows: Vec<(&str, Workload)> = sites
+        .iter()
+        .map(|site| match site.starts_with("core::commit::") {
+            true => (site.as_str(), pipeline_workload as Workload),
+            false => (site.as_str(), workload as Workload),
+        })
+        .collect();
+    rows.push(("core::log::append::counter", pipeline_workload));
+
     let mut failures = Vec::new();
     let mut trials = 0;
-    for site in &sites {
+    for &(site, run) in &rows {
         trials += 1;
-        if let Err(e) = trial(&s, site, FaultSpec::crash(), "crash") {
+        if let Err(e) = trial(&s, site, FaultSpec::crash(), "crash", run) {
             failures.push(e);
         }
         // Transient I/O error: the process survives, recovery is a
         // reopen of whatever the failed operation left behind.
         trials += 1;
-        if let Err(e) = trial(&s, site, FaultSpec::error().times(1), "error") {
+        if let Err(e) = trial(&s, site, FaultSpec::error().times(1), "error", run) {
             failures.push(e);
         }
     }
@@ -340,7 +338,7 @@ fn main() {
     for site in ["sealdb::journal::append", "sealdb::compact::write"] {
         if sites.iter().any(|x| x == site) {
             trials += 1;
-            if let Err(e) = trial(&s, site, FaultSpec::partial_write(9), "torn") {
+            if let Err(e) = trial(&s, site, FaultSpec::partial_write(9), "torn", workload) {
                 failures.push(e);
             }
         }

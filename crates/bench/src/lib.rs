@@ -107,7 +107,6 @@ pub fn libseal_instance(
             ..CostModel::default()
         })
         .check_interval(check_interval)
-        .client_check_rate(4)
         // In-cluster counter sync: the latency is on the same rack in the
         // paper's deployment; charge only the protocol work.
         .guard(GuardConfig::Rote {

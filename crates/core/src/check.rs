@@ -47,6 +47,17 @@ impl CheckOutcome {
         self.reports.iter().map(|r| r.violations).sum()
     }
 
+    /// Counts this outcome as one drained background-verifier batch:
+    /// `core_verifier_alarms_total` (registered by the first batch)
+    /// moves when it carries violations — the operator-facing signal
+    /// that the service has been caught misbehaving.
+    pub fn count_alarm(&self) {
+        let alarms = libseal_telemetry::counter("core_verifier_alarms_total");
+        if self.total_violations() > 0 {
+            alarms.inc();
+        }
+    }
+
     /// Renders the `Libseal-Check-Result` header value (§5.2).
     pub fn header_value(&self) -> String {
         if self.total_violations() == 0 {
@@ -224,24 +235,6 @@ impl Checker {
         Ok(outcome)
     }
 
-    /// Notes one completed request/response pair; runs checking and
-    /// trimming when the interval elapses. Returns the fresh outcome
-    /// when a check ran.
-    ///
-    /// # Errors
-    ///
-    /// Check or trim failures.
-    pub fn on_pair(
-        &mut self,
-        ssm: &dyn ServiceModule,
-        log: &mut AuditLog,
-    ) -> Result<Option<CheckOutcome>> {
-        if !self.note_pair() {
-            return Ok(None);
-        }
-        self.run_due(ssm, log).map(Some)
-    }
-
     /// Handles a client-triggered check (`Libseal-Check` header).
     /// Returns the outcome, or `None` when rate-limited (the client
     /// then sees the cached `last_outcome`).
@@ -337,12 +330,11 @@ mod tests {
 
     #[test]
     fn interval_scheduling() {
-        let (m, mut log) = setup();
         let mut checker = Checker::new(3, false, 1);
-        assert!(checker.on_pair(&m, &mut log).unwrap().is_none());
-        assert!(checker.on_pair(&m, &mut log).unwrap().is_none());
-        assert!(checker.on_pair(&m, &mut log).unwrap().is_some());
-        assert!(checker.on_pair(&m, &mut log).unwrap().is_none());
+        assert!(!checker.note_pair());
+        assert!(!checker.note_pair());
+        assert!(checker.note_pair());
+        assert!(!checker.note_pair());
     }
 
     #[test]
@@ -354,9 +346,7 @@ mod tests {
         // Budget exhausted: served from cache.
         assert!(checker.client_check(&m, &mut log).unwrap().is_none());
         // Interval elapse refills.
-        for _ in 0..10 {
-            let _ = checker.on_pair(&m, &mut log).unwrap();
-        }
+        assert_eq!((0..10).filter(|_| checker.note_pair()).count(), 1);
         assert!(checker.client_check(&m, &mut log).unwrap().is_some());
     }
 
@@ -387,7 +377,8 @@ mod tests {
         )
         .unwrap();
         let mut checker = Checker::new(1, true, 1);
-        let outcome = checker.on_pair(&m, &mut log).unwrap().unwrap();
+        assert!(checker.note_pair());
+        let outcome = checker.run_due(&m, &mut log).unwrap();
         assert_eq!(outcome.total_violations(), 1);
         // Evidence survives: the advertisement was not trimmed away.
         let r = log

@@ -9,8 +9,8 @@
 //!
 //! - [`termination::LibSeal`] — the drop-in TLS termination shim that
 //!   observes all service requests and responses from inside an
-//!   enclave (§3, §4), with shadow structures, secure callbacks, an
-//!   untrusted memory pool and optional asynchronous enclave calls;
+//!   enclave (§3, §4), with shadow structures, secure callbacks and
+//!   optional asynchronous enclave calls;
 //! - [`log::AuditLog`] — the non-repudiable relational audit log:
 //!   hash-chained, Ed25519-signed, sealed to disk, rollback-protected
 //!   by a ROTE quorum, trimmable (§5.1);
@@ -18,6 +18,8 @@
 //!   with the paper's schemas, invariants and trimming queries (§6.2);
 //! - [`check`] — SQL invariant checking with interval scheduling,
 //!   client-triggered checks and in-band result delivery (§5.2);
+//! - [`queue`] — the bounded ticket queue and worker thread that run
+//!   both the group-commit sealer and the background verifier;
 //! - [`provision`] — attestation-gated certificate provisioning, the
 //!   §6.3 defence against the provider bypassing the audit layer;
 //! - [`merge`] — multi-instance partial-log merging for scale-out
@@ -34,20 +36,19 @@
 //! client/server round trip with attack detection.
 
 pub mod check;
-pub mod commit;
 pub mod log;
 pub mod merge;
 pub mod plane;
 pub mod provision;
+pub mod queue;
 pub mod ssm;
 pub mod termination;
-pub mod verifier;
 
 pub use check::{CheckOutcome, CheckReport, Checker};
-pub use commit::{CommitQueue, GroupCommitConfig, Sealer};
 pub use log::{AuditLog, CommitMode, LogBacking, TableSpec};
 pub use plane::{AuditPlane, CheckpointRow, FleetVerifyError, ShardedPlane};
 pub use provision::{CertProvisioner, IdentityIssuer};
+pub use queue::{Slot, TicketQueue, Worker};
 pub use ssm::{
     DropboxModule, GitModule, Invariant, MessagingModule, OwnCloudModule, ServiceModule,
 };
@@ -55,7 +56,6 @@ pub use termination::{
     AttestedIdentity, GuardConfig, LibSeal, LibSealConfig, LibSealConfigBuilder, SessionInput,
     SessionOutcome, ShadowSsl,
 };
-pub use verifier::{Verifier, VerifierConfig, VerifierQueue};
 
 pub use libseal_telemetry as telemetry;
 

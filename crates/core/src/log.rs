@@ -1056,6 +1056,40 @@ impl AuditLog {
     }
 }
 
+/// The group-commit seal step over a [`CommitMode::Staged`] log behind
+/// `lock` (`log_of` projects the lock's payload to it): one counter bind,
+/// one head signature and one fsync make everything staged durable.
+/// The counter round is the slow part (a quorum network round trip) and
+/// runs WITHOUT the lock, so writers stage the next batch while it is
+/// in flight; entries appended meanwhile are covered by the signature.
+/// Returns `false` when nothing was staged.
+///
+/// # Errors
+///
+/// Counter, database or I/O failures; the log stays dirty so the next
+/// seal covers the same entries.
+pub fn seal_staged<T>(
+    lock: &plat::sync::Mutex<T>,
+    log_of: impl Fn(&mut T) -> &mut AuditLog,
+) -> Result<bool> {
+    let guard = {
+        let mut held = lock.lock();
+        let log = log_of(&mut held);
+        if !log.is_dirty() {
+            return Ok(false);
+        }
+        log.guard_handle()
+    };
+    plat::failpoint::check("core::log::append::counter")
+        .map_err(|e| LibSealError::Log(e.to_string()))?;
+    let counter = guard.increment()?;
+    let mut held = lock.lock();
+    let log = log_of(&mut held);
+    log.seal_bound(counter)?;
+    log.flush()?;
+    Ok(true)
+}
+
 fn head_payload(head: &[u8; 32], seq: u64, counter: u64, clock: u64) -> Vec<u8> {
     let mut p = b"libseal-head:".to_vec();
     p.extend_from_slice(head);

@@ -667,13 +667,13 @@ impl ShardedPlane {
                 "a sharded plane requires an SSM: there is no audit log to shard otherwise".into(),
             ));
         }
-        // Deterministic plane identity: configured seed, else a
-        // secret derived in-enclave from the MRSIGNER seal key — the
-        // same secret LibSeal's own log signer falls back to. Never
-        // public material (e.g. the certificate): anyone holding it
-        // could recompute the checkpoint and shard signing keys and
-        // forge the whole fleet record.
-        let base = config.log_signer_seed.unwrap_or_else(plane_seal_secret);
+        // Deterministic plane identity: a secret derived in-enclave
+        // from the MRSIGNER seal key — the same secret LibSeal's own
+        // log signer falls back to. Never public material (e.g. the
+        // certificate): anyone holding it could recompute the
+        // checkpoint and shard signing keys and forge the whole fleet
+        // record.
+        let base = plane_seal_secret();
         let mut seed_input = Vec::with_capacity(14 + 32);
         seed_input.extend_from_slice(b"libseal-plane:");
         seed_input.extend_from_slice(&base);
@@ -1267,12 +1267,11 @@ impl AuditPlane for ShardedPlane {
     }
 }
 
-/// The plane's secret seed base when no explicit `log_signer_seed`
-/// is configured: the MRSIGNER seal key, read inside a freshly
-/// measured enclave exactly as `LibSeal` derives its own log-signer
-/// fallback. Bound to the platform secret, so nothing derivable from
-/// public material (certificate, measurements) reveals the
-/// checkpoint or per-shard signing keys.
+/// The plane's secret seed base: the MRSIGNER seal key, read inside a
+/// freshly measured enclave exactly as `LibSeal` derives its own
+/// log-signer fallback. Bound to the platform secret, so nothing
+/// derivable from public material (certificate, measurements) reveals
+/// the checkpoint or per-shard signing keys.
 fn plane_seal_secret() -> [u8; 32] {
     let mut secret = [0u8; 32];
     EnclaveBuilder::new(b"libseal-plane-v1").build(|sv| {

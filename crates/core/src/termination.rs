@@ -7,9 +7,9 @@
 //! ([`LibSeal::take_output`]). The protocol state machine, session
 //! keys and the audit log live inside a simulated SGX enclave; the
 //! handle itself holds only *shadow* session structures with all
-//! sensitive fields removed (§4.1, "Shadowing"), the preallocated
-//! untrusted memory pool (§4.2) and the application's `ex_data`, which
-//! is deliberately kept outside to avoid ecalls (§4.2, optimisation 3).
+//! sensitive fields removed (§4.1, "Shadowing") and the application's
+//! `ex_data`, which is deliberately kept outside to avoid ecalls
+//! (§4.2, optimisation 3).
 //!
 //! When auditing is enabled, every complete request/response pair is
 //! parsed by the configured service-specific module and appended to
@@ -30,7 +30,6 @@ use libseal_lthread::{AsyncRuntime, RuntimeConfig};
 use libseal_sgxsim::attest::{Quote, QuotingEnclave};
 use libseal_sgxsim::cost::CostModel;
 use libseal_sgxsim::enclave::{Enclave, EnclaveBuilder, EnclaveServices};
-use libseal_sgxsim::pool::MemoryPool;
 use libseal_sgxsim::seal::SealingPolicy;
 use libseal_sgxsim::stats::StatsSnapshot;
 use libseal_tlsx::cert::{Certificate, CertificateAuthority};
@@ -38,12 +37,11 @@ use libseal_tlsx::ssl::{HandshakeState, ReadOutcome, Role, Ssl, SslConfig};
 use plat::sync::{Mutex, RwLock};
 
 use crate::check::{CheckOutcome, Checker};
-use crate::commit::{CommitQueue, GroupCommitConfig, Sealer};
 use crate::log::{
-    AuditLog, CommitMode, HwCounterGuard, LogBacking, NoGuard, RollbackGuard, RoteGuard, TableSpec,
+    AuditLog, CommitMode, HwCounterGuard, LogBacking, NoGuard, RollbackGuard, RoteGuard,
 };
+use crate::queue::{TicketQueue, Worker};
 use crate::ssm::ServiceModule;
-use crate::verifier::{Verifier, VerifierConfig, VerifierQueue};
 use crate::{LibSealError, Result};
 
 /// Default for [`LibSealConfig::max_message_buffer`]: generous enough
@@ -104,28 +102,24 @@ pub struct LibSealConfig {
     pub(crate) backing: LogBacking,
     /// Automatic check/trim interval in pairs (0 disables).
     pub(crate) check_interval: usize,
-    /// Trim together with automatic checks.
-    pub(crate) trim_with_check: bool,
-    /// Client-triggered checks allowed per interval (DoS limit, §6.3).
-    pub(crate) client_check_rate: usize,
     /// Rollback protection.
     pub(crate) guard: GuardConfig,
     /// SGX cost model.
     pub(crate) cost_model: CostModel,
     /// TCS slots in the enclave.
     pub(crate) tcs_count: u64,
-    /// Seed for the log-signing key (derived from the sealing identity
-    /// when absent).
+    /// Seed for the log-signing key: set by a sharded plane for each
+    /// of its shards, derived from the sealing identity otherwise.
     pub(crate) log_signer_seed: Option<[u8; 32]>,
     /// Maximum bytes one session may buffer while waiting for a
     /// message boundary (must exceed the largest audited message).
     pub(crate) max_message_buffer: usize,
-    /// Group-commit pipeline tuning; `None` seals and fsyncs every
-    /// audited pair individually.
-    pub(crate) group_commit: Option<GroupCommitConfig>,
-    /// Background verifier tuning; `None` runs due checks inline on
-    /// the request path.
-    pub(crate) verifier: Option<VerifierConfig>,
+    /// Group-commit batch cap; `None` seals and fsyncs every audited
+    /// pair individually.
+    pub(crate) group_commit: Option<usize>,
+    /// Whether due checks drain on the background verifier; `false`
+    /// runs them inline on the request path.
+    pub(crate) async_verify: bool,
     /// Audit-plane shard count; values above 1 make
     /// [`LibSealConfigBuilder::build_plane`] provision a
     /// [`crate::plane::ShardedPlane`] instead of a single enclave.
@@ -170,8 +164,6 @@ impl LibSealConfig {
                 ssm: None,
                 backing: LogBacking::Memory,
                 check_interval: 25,
-                trim_with_check: true,
-                client_check_rate: 4,
                 guard: GuardConfig::Rote {
                     f: 1,
                     latency: Duration::ZERO,
@@ -180,8 +172,8 @@ impl LibSealConfig {
                 tcs_count: 16,
                 log_signer_seed: None,
                 max_message_buffer: MAX_MESSAGE_BUFFER,
-                group_commit: Some(GroupCommitConfig::default()),
-                verifier: Some(VerifierConfig::default()),
+                group_commit: Some(64),
+                async_verify: true,
                 shards: 1,
                 epoch_interval: 1024,
                 attest: None,
@@ -244,18 +236,6 @@ impl LibSealConfigBuilder {
         self
     }
 
-    /// Whether automatic checks also trim the log.
-    pub fn trim_with_check(mut self, trim: bool) -> Self {
-        self.config.trim_with_check = trim;
-        self
-    }
-
-    /// Client-triggered checks allowed per interval (DoS limit, §6.3).
-    pub fn client_check_rate(mut self, rate: usize) -> Self {
-        self.config.client_check_rate = rate;
-        self
-    }
-
     /// SGX transition cost model.
     pub fn cost_model(mut self, model: CostModel) -> Self {
         self.config.cost_model = model;
@@ -268,13 +248,6 @@ impl LibSealConfigBuilder {
         self
     }
 
-    /// Fixed seed for the log-signing key (derived from the sealing
-    /// identity when unset).
-    pub fn log_signer_seed(mut self, seed: [u8; 32]) -> Self {
-        self.config.log_signer_seed = Some(seed);
-        self
-    }
-
     /// Maximum bytes one session may buffer while waiting for a
     /// message boundary.
     pub fn max_message_buffer(mut self, bytes: usize) -> Self {
@@ -284,16 +257,11 @@ impl LibSealConfigBuilder {
 
     /// Tunes the group-commit pipeline: `max_batch` bounds the commit
     /// queue (writers feel backpressure past it) and caps how many
-    /// pairs one seal covers; `max_wait` is the extra time the sealer
-    /// waits for a batch to fill before sealing what it has
-    /// ([`Duration::ZERO`] seals as soon as the sealer is free — the
-    /// previous batch's counter round and fsync naturally accumulate
-    /// the next batch).
-    pub fn group_commit(mut self, max_batch: usize, max_wait: Duration) -> Self {
-        self.config.group_commit = Some(GroupCommitConfig {
-            max_batch,
-            max_wait,
-        });
+    /// pairs one seal covers. The sealer seals as soon as it is free —
+    /// the previous batch's counter round and fsync accumulate the
+    /// next batch.
+    pub fn group_commit(mut self, max_batch: usize) -> Self {
+        self.config.group_commit = Some(max_batch);
         self
     }
 
@@ -304,19 +272,11 @@ impl LibSealConfigBuilder {
         self
     }
 
-    /// Bounds the background verifier's lag: once `max_pending` due
-    /// checks are outstanding, writers block until the verifier
-    /// catches up.
-    pub fn verifier_lag_bound(mut self, max_pending: usize) -> Self {
-        self.config.verifier = Some(VerifierConfig { max_pending });
-        self
-    }
-
     /// Disables the background verifier: due checks run inline on the
     /// request path (deterministic; useful for tests and latency
     /// baselines).
     pub fn no_async_verify(mut self) -> Self {
-        self.config.verifier = None;
+        self.config.async_verify = false;
         self
     }
 
@@ -349,22 +309,6 @@ impl LibSealConfigBuilder {
     /// plane (0 limits checkpoints to drains and explicit requests).
     pub fn epoch_interval(mut self, responses: u64) -> Self {
         self.config.epoch_interval = responses;
-        self
-    }
-
-    /// Replaces the configured TLS identity with one minted at build
-    /// time: the enclave generates its keypair inside and `issuer`
-    /// issues an attested certificate for `subject`
-    /// (see [`LibSealConfig::attested`]).
-    pub fn attested_identity(
-        mut self,
-        issuer: Arc<crate::provision::IdentityIssuer>,
-        subject: &str,
-    ) -> Self {
-        self.config.attest = Some(AttestedIdentity {
-            issuer,
-            subject: subject.to_string(),
-        });
         self
     }
 
@@ -425,10 +369,10 @@ pub struct Trusted {
     audit: Option<Mutex<AuditState>>,
     /// Group-commit ticket queue shared with the sealer thread; `None`
     /// when auditing is off or group commit is disabled.
-    commit: Option<Arc<CommitQueue>>,
-    /// Background-verifier queue shared with the verifier thread;
-    /// `None` when auditing is off or async verification is disabled.
-    verify: Option<Arc<VerifierQueue>>,
+    commit: Option<Arc<TicketQueue>>,
+    /// Due-check queue shared with the verifier thread; `None` when
+    /// auditing is off or async verification is disabled.
+    verify: Option<Arc<TicketQueue>>,
     /// Outside info callback, reached through an ocall trampoline.
     info_cb: RwLock<Option<InfoCallback>>,
 }
@@ -447,21 +391,16 @@ impl Trusted {
 pub struct LibSeal {
     enclave: Arc<Enclave<Trusted>>,
     runtime: Option<AsyncRuntime<Trusted>>,
-    /// Group-commit queue (shared with [`Trusted`] and the sealer).
-    commit: Option<Arc<CommitQueue>>,
-    /// The dedicated sealer thread, joined on drop.
-    sealer: Option<Sealer>,
-    /// Background-verifier queue (shared with [`Trusted`] and the
-    /// verifier thread).
-    verify: Option<Arc<VerifierQueue>>,
-    /// The dedicated verifier thread, joined on drop.
-    verifier: Option<Verifier>,
+    /// The sealer thread and its group-commit queue (shared with
+    /// [`Trusted`]); shut down and joined on drop.
+    sealer: Option<Worker>,
+    /// The verifier thread and its due-check queue (shared with
+    /// [`Trusted`]); shut down and joined on drop.
+    verifier: Option<Worker>,
     /// Sanitised session shadows (no key material by construction).
     shadows: RwLock<HashMap<u64, ShadowSsl>>,
     /// Whether an SSM is configured (cached to avoid probing ecalls).
     audited: bool,
-    /// Preallocated untrusted memory pool for I/O staging buffers.
-    pool: Arc<MemoryPool>,
     cert: Certificate,
 }
 
@@ -636,47 +575,40 @@ fn write_session(
             let audit = t.audit.as_ref().expect("audited instances have state");
             // Backpressure BEFORE taking the audit lock: blocking
             // inside it would stall the very sealer (or verifier) that
-            // makes room in the queue.
-            if let Some(q) = &t.commit {
-                q.wait_for_space();
-            }
-            if let Some(vq) = &t.verify {
-                vq.wait_for_space();
-            }
+            // makes room in the queue. The reserved slots are what the
+            // tickets below consume, so both bounds are hard.
+            let commit_slot = t.commit.as_ref().map(|q| q.reserve());
+            let verify_slot = t.verify.as_ref().map(|q| q.reserve());
             let mut astate = audit.lock();
             let AuditState { log, ssm, checker } = &mut *astate;
             let logged = ssm.log_pair(&raw_req, &raw_rsp, log)?;
-            let mut ticket = None;
-            if logged > 0 {
-                match &t.commit {
-                    // Group commit: take a ticket while still holding
-                    // the audit lock, so ticket order matches log
-                    // order; the sealer makes the whole batch durable
-                    // with one counter bind, one signature and one
-                    // fsync.
-                    Some(q) => ticket = Some(q.stage()?),
-                    // One durable flush per request/response pair
-                    // (§5.1); charged as an ocall below, after the
-                    // locks are released.
-                    None => {
-                        log.flush()?;
-                        log_flushes += 1;
-                    }
+            let ticket = match (commit_slot, logged > 0) {
+                // Group commit: take a ticket while still holding the
+                // audit lock, so ticket order matches log order; the
+                // sealer makes the whole batch durable with one counter
+                // bind, one signature and one fsync.
+                (Some(slot), true) => Some(slot.issue()?),
+                // One durable flush per request/response pair (§5.1);
+                // charged as an ocall below, after the locks are
+                // released.
+                (None, true) => {
+                    log.flush()?;
+                    log_flushes += 1;
+                    None
                 }
-            }
-            if checker.note_pair() {
-                match &t.verify {
-                    // Background verification: hand the due check to
-                    // the verifier thread and answer the client now.
-                    // Lag is bounded by the backpressure above and
-                    // surfaced as the core_verifier_lag gauge.
-                    Some(vq) if vq.enqueue().is_ok() => {}
-                    // Inline fallback (verifier disabled or shut
-                    // down): the pre-pool behaviour.
-                    _ => {
-                        let _ = checker.run_due(ssm.as_ref(), log)?;
-                    }
-                }
+                // Nothing logged: an unused reservation goes back.
+                (_, false) => None,
+            };
+            if !checker.note_pair() {
+                // No check due: the reservation goes back.
+                drop(verify_slot);
+            } else if verify_slot.is_none_or(|slot| slot.issue().is_err()) {
+                // Background verification hands the due check to the
+                // verifier thread and answers the client now (lag is
+                // surfaced as the core_verifier_lag gauge); this is the
+                // inline fallback (verifier disabled or shut down), the
+                // pre-pool behaviour.
+                let _ = checker.run_due(ssm.as_ref(), log)?;
             }
             let out_bytes = if check_requested {
                 let outcome = checker.client_check(ssm.as_ref(), log)?;
@@ -702,7 +634,7 @@ fn write_session(
             // the response is released only once the batch carrying
             // this pair is sealed and fsynced.
             if let (Some(q), Some(tk)) = (&t.commit, ticket) {
-                q.await_durable(tk)?;
+                q.wait(tk)?;
             }
             s.ssl.ssl_write(&out_bytes).map_err(LibSealError::Tls)?;
         }
@@ -842,24 +774,15 @@ impl LibSeal {
             builder = builder.declare_interface(name);
         }
 
-        // The group-commit ticket queue is shared three ways: writers
-        // (inside ssl_write ecalls), the sealer thread, and the
-        // outside handle for shutdown.
-        let commit = match (&config.ssm, &config.group_commit) {
-            (Some(_), Some(gc)) => Some(Arc::new(CommitQueue::new(*gc))),
-            _ => None,
-        };
-        let commit_for_trusted = commit.clone();
-
-        // The verifier queue is shared the same three ways: the
-        // request path (enqueueing due checks inside ssl_write), the
-        // verifier thread, and the outside handle for barriers and
-        // shutdown.
-        let verify = match (&config.ssm, &config.verifier) {
-            (Some(_), Some(vc)) => Some(Arc::new(VerifierQueue::new(*vc))),
-            _ => None,
-        };
-        let verify_for_trusted = verify.clone();
+        // Each queue is shared three ways: the request path (issuing
+        // tickets inside ssl_write ecalls), its worker thread, and the
+        // outside handle for barriers and shutdown.
+        let audited = config.ssm.is_some();
+        let commit = config
+            .group_commit
+            .filter(|_| audited)
+            .map(|max_batch| Arc::new(TicketQueue::sealer(max_batch)));
+        let verify = (audited && config.async_verify).then(|| Arc::new(TicketQueue::verifier()));
 
         // Build failures inside the init closure are carried out, and
         // so is the public key of the keypair generated in-enclave for
@@ -923,7 +846,7 @@ impl LibSeal {
                         ssm.tables(),
                     ) {
                         Ok(mut log) => {
-                            if commit_for_trusted.is_some() {
+                            if commit.is_some() {
                                 // Appends stage into the chain; the
                                 // sealer binds the counter and signs
                                 // once per batch.
@@ -939,11 +862,10 @@ impl LibSeal {
                             Some(Mutex::new(AuditState {
                                 log,
                                 ssm: Arc::clone(ssm),
-                                checker: Checker::new(
-                                    config.check_interval,
-                                    config.trim_with_check,
-                                    config.client_check_rate,
-                                ),
+                                // Automatic checks trim; a client may
+                                // trigger 4 checks per interval (DoS
+                                // limit, §6.3).
+                                checker: Checker::new(config.check_interval, true, 4),
                             }))
                         }
                         Err(e) => {
@@ -959,8 +881,8 @@ impl LibSeal {
                 sessions: RwLock::new(HashMap::new()),
                 next_sid: AtomicU64::new(1),
                 audit,
-                commit: commit_for_trusted,
-                verify: verify_for_trusted,
+                commit: commit.clone(),
+                verify: verify.clone(),
                 info_cb: RwLock::new(None),
             }
         });
@@ -989,35 +911,19 @@ impl LibSeal {
         };
         // The dedicated sealer: one enclave transition per batch makes
         // the whole batch durable — one counter bind, one head
-        // signature (AuditLog::seal) and one fsync (flush).
-        let sealer = commit.as_ref().map(|q| {
+        // signature and one fsync.
+        let sealer = commit.map(|q| {
             let enclave = Arc::clone(&enclave);
-            Sealer::spawn(Arc::clone(q), move || -> Result<()> {
+            Worker::spawn("libseal-sealer", q, move || {
                 enclave
                     .ecall("seal_batch", |t: &Trusted, sv| -> Result<()> {
                         let audit = t.audit.as_ref().ok_or(LibSealError::AuditingDisabled)?;
-                        // The counter round is the slow part of a seal
-                        // (a quorum network round trip); run it WITHOUT
-                        // the audit lock so writers stage the next
-                        // batch while it is in flight. Entries appended
-                        // meanwhile are covered by the signature below.
-                        let guard = {
-                            let astate = audit.lock();
-                            if !astate.log.is_dirty() {
-                                return Ok(());
-                            }
-                            astate.log.guard_handle()
-                        };
-                        plat::failpoint::check("core::log::append::counter")
-                            .map_err(|e| LibSealError::Log(e.to_string()))?;
-                        let counter = guard.increment()?;
-                        let mut astate = audit.lock();
-                        astate.log.seal_bound(counter)?;
-                        astate.log.flush()?;
-                        drop(astate);
-                        // The journal write + fsync cross the enclave
-                        // boundary; charged after the lock is released.
-                        sv.ocall("log_flush", || ());
+                        if crate::log::seal_staged(audit, |a| &mut a.log)? {
+                            // The journal write + fsync cross the
+                            // enclave boundary; charged after the lock
+                            // is released.
+                            sv.ocall("log_flush", || ());
+                        }
                         Ok(())
                     })
                     .map_err(|e| LibSealError::Log(e.to_string()))?
@@ -1026,15 +932,16 @@ impl LibSeal {
         // The dedicated verifier: drains due checks off the request
         // path with one enclave transition per coalesced batch; the
         // incremental views keep each drain short.
-        let verifier = verify.as_ref().map(|q| {
+        let verifier = verify.map(|q| {
             let enclave = Arc::clone(&enclave);
-            Verifier::spawn(Arc::clone(q), move || -> Result<CheckOutcome> {
+            Worker::spawn("libseal-verifier", q, move || {
                 enclave
-                    .ecall("verify_batch", |t: &Trusted, _| -> Result<CheckOutcome> {
+                    .ecall("verify_batch", |t: &Trusted, _| -> Result<()> {
                         let audit = t.audit.as_ref().ok_or(LibSealError::AuditingDisabled)?;
                         let mut astate = audit.lock();
                         let AuditState { log, ssm, checker } = &mut *astate;
-                        checker.run_due(ssm.as_ref(), log)
+                        checker.run_due(ssm.as_ref(), log)?.count_alarm();
+                        Ok(())
                     })
                     .map_err(|e| LibSealError::Log(e.to_string()))?
             })
@@ -1046,16 +953,12 @@ impl LibSeal {
             ),
             None => None,
         };
-        let audited = config.ssm.is_some();
         Ok(Arc::new(LibSeal {
             enclave,
             runtime,
-            commit,
             sealer,
-            verify,
             verifier,
             shadows: RwLock::new(HashMap::new()),
-            pool: MemoryPool::new(16 * 1024, 64),
             cert,
             audited,
         }))
@@ -1147,7 +1050,7 @@ impl LibSeal {
     ///
     /// Unknown session or enclave failures.
     pub fn provide_input(&self, slot: usize, sid: u64, data: &[u8]) -> Result<()> {
-        // Stage through the untrusted pool (the paper's BIO buffers).
+        // Stage a copy outside (the paper's BIO buffers).
         let data = data.to_vec();
         self.call(slot, "provide_input", move |t, sv, ctx| -> Result<()> {
             sv.interface_check(data.len() <= 1 << 24, "oversized input chunk")
@@ -1434,9 +1337,7 @@ impl LibSeal {
         // must cover every check already due (lag == 0). The barrier
         // runs outside any ecall — the verifier itself needs the
         // enclave to drain.
-        if let Some(vq) = &self.verify {
-            vq.barrier()?;
-        }
+        self.verifier_barrier()?;
         self.call(slot, "verify_log", move |t, _, _ctx| -> Result<()> {
             let audit = t.audit.as_ref().ok_or(LibSealError::AuditingDisabled)?;
             let mut astate = audit.lock();
@@ -1462,8 +1363,10 @@ impl LibSeal {
     /// Seal or background-verification failures; the log state itself
     /// is still consistent (staged entries remain in the chain).
     pub fn drain(&self, slot: usize) -> Result<()> {
-        if let Some(q) = &self.commit {
-            q.quiesce();
+        if let Some(sealer) = &self.sealer {
+            // A failed batch was reported to its writers, and the seal
+            // below covers its entries.
+            let _ = sealer.queue().quiesce();
         }
         if self.audited {
             self.call(slot, "verify_log", move |t, _, _ctx| -> Result<()> {
@@ -1481,7 +1384,7 @@ impl LibSeal {
     /// this as the backpressure signal to pause accepting new
     /// connections while the audit plane is saturated.
     pub fn audit_backlog(&self) -> u64 {
-        self.commit.as_ref().map_or(0, |q| q.depth()) + self.verifier_lag()
+        self.sealer.as_ref().map_or(0, |w| w.queue().depth()) + self.verifier_lag()
     }
 
     /// Log statistics: (entries, in-memory bytes, journal bytes).
@@ -1531,7 +1434,7 @@ impl LibSeal {
     /// Due checks the background verifier has not drained yet (0 when
     /// async verification is disabled).
     pub fn verifier_lag(&self) -> u64 {
-        self.verify.as_ref().map_or(0, |q| q.lag())
+        self.verifier.as_ref().map_or(0, |w| w.queue().depth())
     }
 
     /// Blocks until the background verifier has drained every due
@@ -1542,8 +1445,8 @@ impl LibSeal {
     ///
     /// A background evaluation failure since the last barrier.
     pub fn verifier_barrier(&self) -> Result<()> {
-        match &self.verify {
-            Some(q) => q.barrier(),
+        match &self.verifier {
+            Some(w) => w.queue().quiesce(),
             None => Ok(()),
         }
     }
@@ -1592,11 +1495,6 @@ impl LibSeal {
         libseal_telemetry::global()
     }
 
-    /// The untrusted memory pool (exposed for §4.2 experiments).
-    pub fn pool(&self) -> &Arc<MemoryPool> {
-        &self.pool
-    }
-
     /// The instance's TLS certificate.
     pub fn certificate(&self) -> &Certificate {
         &self.cert
@@ -1620,17 +1518,6 @@ impl LibSeal {
     pub fn enclave(&self) -> &Arc<Enclave<Trusted>> {
         &self.enclave
     }
-
-    /// The table specs audited by the configured SSM.
-    pub fn audited_tables(&self) -> Vec<TableSpec> {
-        self.call(0, "log_stats", |t, _, _ctx| {
-            t.audit
-                .as_ref()
-                .map(|a| a.lock().ssm.tables())
-                .unwrap_or_default()
-        })
-        .unwrap_or_default()
-    }
 }
 
 impl Drop for LibSeal {
@@ -1638,20 +1525,10 @@ impl Drop for LibSeal {
         // Drain the commit pipeline first: the sealer needs the
         // enclave (and the async runtime's TCS slots stay claimed
         // until it shuts down, so order matters).
-        if let Some(q) = &self.commit {
-            q.shutdown();
-        }
-        if let Some(sealer) = self.sealer.take() {
-            sealer.join();
-        }
+        drop(self.sealer.take());
         // Then the verifier: it drains every due check (the shutdown
         // barrier — no pair escapes verification), then exits.
-        if let Some(q) = &self.verify {
-            q.shutdown();
-        }
-        if let Some(verifier) = self.verifier.take() {
-            verifier.join();
-        }
+        drop(self.verifier.take());
         if self.audited {
             // Final seal + flush so entries staged outside the
             // pipeline (direct `with_log` appends) reach a signed,

@@ -1,5 +1,5 @@
 //! Group-commit pipeline tests: concurrent appends through the full
-//! `LibSeal` stack, the `CommitQueue`/`Sealer` pipeline over a staged
+//! `LibSeal` stack, the `TicketQueue`/`Worker` pipeline over a staged
 //! audit log, and crash/error trials at the pipeline's failpoint sites
 //! (enqueue, seal, ack) holding the recovery contract: reopen
 //! succeeds, the chain verifies, and the counter stays inside the
@@ -11,12 +11,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use libseal::log::{AuditLog, LogBacking, RollbackGuard, RoteGuard};
+use libseal::log::{seal_staged, AuditLog, LogBacking, RollbackGuard, RoteGuard};
 use libseal::ssm::git::GIT_SOUNDNESS;
-use libseal::{
-    CommitMode, CommitQueue, GitModule, GroupCommitConfig, LibSeal, LibSealConfig, Sealer,
-    ServiceModule,
-};
+use libseal::{CommitMode, GitModule, LibSeal, LibSealConfig, ServiceModule, TicketQueue, Worker};
 use libseal_crypto::ed25519::SigningKey;
 use libseal_rote::{Cluster, ClusterConfig, QuorumPolicy};
 use libseal_sealdb::Value;
@@ -66,7 +63,7 @@ fn concurrent_appends_verify_with_a_gap_free_chain() {
         .ssm(Arc::new(GitModule))
         .backing(LogBacking::Disk(path.to_path_buf()))
         .check_interval(0)
-        .group_commit(16, Duration::ZERO)
+        .group_commit(16)
         .build();
     let ls = LibSeal::new(cfg).unwrap();
 
@@ -116,34 +113,19 @@ fn cluster() -> Arc<Cluster> {
 }
 
 /// Runs the staged pipeline — writers stage appends and block on the
-/// commit barrier, a `Sealer` drains batches — and returns how many
-/// appends were acknowledged durable.
+/// commit barrier, a sealer `Worker` drains batches — and returns how
+/// many appends were acknowledged durable.
 fn pipeline_trial(path: &TempPath, cluster: &Arc<Cluster>, writers: usize, appends: usize) -> u64 {
     let Ok(mut log) = open_log(path, Box::new(RoteGuard(Arc::clone(cluster)))) else {
         return 0;
     };
     log.set_commit_mode(CommitMode::Staged);
     let log = Arc::new(Mutex::new(log));
-    let queue = Arc::new(CommitQueue::new(GroupCommitConfig {
-        max_batch: 4,
-        max_wait: Duration::ZERO,
-    }));
+    let queue = Arc::new(TicketQueue::sealer(4));
     let sealer = {
         let log = Arc::clone(&log);
-        Sealer::spawn(Arc::clone(&queue), move || {
-            // Production pattern: the counter round runs outside the
-            // audit lock so writers stage the next batch during it.
-            let guard = {
-                let g = log.lock();
-                if !g.is_dirty() {
-                    return Ok(());
-                }
-                g.guard_handle()
-            };
-            let counter = guard.increment()?;
-            let mut g = log.lock();
-            g.seal_bound(counter)?;
-            g.flush()
+        Worker::spawn("test-sealer", Arc::clone(&queue), move || {
+            seal_staged(&log, |l| l).map(drop)
         })
     };
     let handles: Vec<_> = (0..writers)
@@ -155,19 +137,19 @@ fn pipeline_trial(path: &TempPath, cluster: &Arc<Cluster>, writers: usize, appen
                 for i in 0..appends {
                     // Backpressure BEFORE the audit lock: blocking
                     // inside it would stall the sealer itself.
-                    queue.wait_for_space();
+                    let slot = queue.reserve();
                     let ticket = {
                         let mut g = log.lock();
                         let t = g.next_time() as i64;
                         if g.append("updates", &update_row(t, w, i)).is_err() {
                             continue;
                         }
-                        match queue.stage() {
+                        match slot.issue() {
                             Ok(t) => t,
                             Err(_) => continue,
                         }
                     };
-                    if queue.await_durable(ticket).is_ok() {
+                    if queue.wait(ticket).is_ok() {
                         acked += 1;
                     }
                 }
@@ -176,8 +158,7 @@ fn pipeline_trial(path: &TempPath, cluster: &Arc<Cluster>, writers: usize, appen
         })
         .collect();
     let acked = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    queue.shutdown();
-    sealer.join();
+    drop(sealer);
     acked
 }
 

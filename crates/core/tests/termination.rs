@@ -27,8 +27,12 @@ fn rig(audited: bool) -> TestRig {
     if audited {
         builder = builder.ssm(Arc::new(GitModule));
     }
-    let ls = LibSeal::new(builder.build()).unwrap();
+    handshake(LibSeal::new(builder.build()).unwrap(), &ca)
+}
 
+/// Opens a session on `ls` and completes the handshake of a fresh
+/// client trusting `ca`.
+fn handshake(ls: Arc<LibSeal>, ca: &CertificateAuthority) -> TestRig {
     let sid = ls.new_session(0).unwrap();
     let mut client = Ssl::new(SslConfig::client(vec![ca.root_key()]), [3u8; 64]);
     client.do_handshake().unwrap();
@@ -493,7 +497,6 @@ fn check_interval_triggers_automatically() {
         .ssm(Arc::new(GitModule))
         .cost_model(CostModel::free())
         .check_interval(3)
-        .trim_with_check(true)
         .build();
     let ls = LibSeal::new(cfg).unwrap();
     let sid = ls.new_session(0).unwrap();
@@ -551,7 +554,6 @@ fn inline_checks_still_work_without_the_verifier() {
         .ssm(Arc::new(GitModule))
         .cost_model(CostModel::free())
         .check_interval(3)
-        .trim_with_check(true)
         .no_async_verify()
         .build();
     let ls = LibSeal::new(cfg).unwrap();
@@ -696,4 +698,71 @@ fn malformed_response_is_forwarded_not_stalled() {
         }
         other => panic!("client stalled: {other:?}"),
     }
+}
+
+/// The verifier's lag bound is hard: every audited pair reserves its
+/// place in the due-check queue before the audit lock and hands it back
+/// when no check falls due, so however many sessions write at once the
+/// lag never exceeds `VERIFIER_LAG_BOUND` — and a violating pair is
+/// detected at most `VERIFIER_LAG_BOUND × check_interval` pairs late.
+#[test]
+fn verifier_lag_stays_within_its_bound_under_concurrent_sessions() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const SESSIONS: usize = 16;
+    const PUSHES: usize = 12;
+    let ca = CertificateAuthority::new("CA", &[1u8; 32]);
+    let (key, cert) = ca.issue_identity("svc.test", &[2u8; 32]).unwrap();
+    let cfg = LibSealConfig::builder(cert, key)
+        .ssm(Arc::new(GitModule))
+        .cost_model(CostModel::free())
+        .check_interval(1)
+        // Every session parks inside an ecall at the commit barrier;
+        // the sealer and the verifier need slots of their own.
+        .tcs_count(64)
+        .build();
+    let ls = LibSeal::new(cfg).unwrap();
+    let rigs: Vec<TestRig> = (0..SESSIONS)
+        .map(|_| handshake(Arc::clone(&ls), &ca))
+        .collect();
+
+    let done = Arc::new(AtomicBool::new(false));
+    let watcher = {
+        let (ls, done) = (Arc::clone(&ls), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut max = 0;
+            while !done.load(Ordering::SeqCst) {
+                max = max.max(ls.verifier_lag());
+                std::thread::yield_now();
+            }
+            max
+        })
+    };
+    let start = Arc::new(std::sync::Barrier::new(SESSIONS));
+    let writers: Vec<_> = rigs
+        .into_iter()
+        .enumerate()
+        .map(|(n, mut rig)| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..PUSHES {
+                    push(
+                        &mut rig,
+                        &format!("repo{n}"),
+                        &format!("x c{i} refs/heads/main\n"),
+                    );
+                }
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
+    }
+    done.store(true, Ordering::SeqCst);
+    let max = watcher.join().unwrap();
+    assert!(
+        max <= libseal::queue::VERIFIER_LAG_BOUND as u64,
+        "verifier lag reached {max}"
+    );
+    ls.verify_log(0).unwrap();
 }
