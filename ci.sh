@@ -11,6 +11,12 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Code size is a tracked number: prints code lines per crate and fails
+# when crates/core outgrows its budget, a file of the session split
+# outgrows 900 lines, or an enclave interface name is spelled outside
+# the Ecall table.
+scripts/loc_budget.sh
+
 # benchmark/ is its own workspace, so nothing above compiles it: a
 # change to the `services` surface it drives would otherwise fail only
 # at benchmark time. Builds, lints, self-tests and smoke-runs it.

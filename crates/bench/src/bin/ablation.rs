@@ -116,12 +116,13 @@ fn main() {
         rows.push(row("+ ROTE quorum counter", &s));
     }
 
-    // Layer 3: + sealed journal on disk, buffered (no fsync).
+    // Layer 3: + sealed journal on disk, buffered (no `flush()` call,
+    // so no fsync).
     {
         let cluster = libseal_rote::Cluster::new(1, Duration::ZERO, b"ablate").unwrap();
         let path = bench_log_path(BenchConfig::Disk);
         let mut log = audit_log(
-            LogBacking::DiskNoSync(path.clone()),
+            LogBacking::Disk(path.clone()),
             Box::new(RoteGuard(std::sync::Arc::new(cluster))),
         );
         let s = measure(|i| append(&mut log, i));

@@ -1,0 +1,826 @@
+//! The trusted side of a LibSEAL instance: everything in this file
+//! runs inside the simulated SGX enclave (§4).
+//!
+//! [`Trusted`] is the enclave's state — the TLS configuration with the
+//! private key, the live `Session`s with their key schedules and
+//! audit buffers, the audit log and checker behind one lock, and the
+//! two ticket queues shared with the sealer and verifier threads.
+//! Outside code reaches it only through an [`Ecall`]: the table below
+//! is the enclave's whole interface (the EDL file of a real SGX build),
+//! it is hashed into MRENCLAVE, and it is the one place an interface
+//! name is spelled. The body of every entry point is a function here
+//! — the session bodies that cut, pair, log and encrypt traffic
+//! (`read_session`, `write_session`, `pump_sessions`, …), the log
+//! bodies (`check_now`, `verify_log`, `seal_and_flush`, …), the worker
+//! bodies (`seal_batch`, `verify_batch`) and the construction of the
+//! state itself (`Trusted::init`) — and the state's fields are private
+//! to this file: the closure `session.rs` or `plane.rs` hands to
+//! `LibSeal::call` only names one of these functions (the fused
+//! write + take names two).
+//!
+//! A body receives the state and a [`CallCtx`]: the enclave's services
+//! and the way to the outside for the current call. One rule
+//! holds for every body here: no outside call while a lock is held —
+//! an asynchronous ocall suspends the calling lthread, and a suspended
+//! lock holder deadlocks every other lthread on its worker thread.
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, MutexGuard};
+
+use libseal_crypto::ed25519::SigningKey;
+use libseal_crypto::sha2::Sha256;
+use libseal_httpx::http;
+use libseal_lthread::OcallPort;
+use libseal_sgxsim::enclave::EnclaveServices;
+use libseal_sgxsim::seal::SealingPolicy;
+use libseal_tlsx::cert::Certificate;
+use libseal_tlsx::ssl::{ReadOutcome, Role, Ssl, SslConfig};
+use plat::sync::{Mutex, RwLock};
+
+use crate::check::{CheckOutcome, Checker};
+use crate::config::{GuardConfig, LibSealConfig};
+use crate::log::{AuditLog, CommitMode, HwCounterGuard, NoGuard, RollbackGuard, RoteGuard};
+use crate::queue::TicketQueue;
+use crate::ssm::ServiceModule;
+use crate::{LibSealError, Result};
+
+/// Declares [`Ecall`], its wire names and [`Ecall::ALL`] from one
+/// table, so a name cannot be declared without an entry point or used
+/// without being declared.
+macro_rules! ecalls {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        /// The enclave interface: every way outside code may enter
+        /// [`Trusted`]. The set of names is part of the enclave
+        /// measurement, so adding, removing or renaming an entry
+        /// changes MRENCLAVE and invalidates every pinned attestation
+        /// policy.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Ecall {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Ecall {
+            /// Every entry point, in declaration order.
+            pub const ALL: &'static [Ecall] = &[$(Ecall::$variant,)*];
+
+            /// The name the entry point is measured and accounted
+            /// under.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Ecall::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+ecalls! {
+    /// Opens a session; also the entry that installs the info callback
+    /// new sessions are born with.
+    NewSession => "new_session",
+    /// Feeds wire ciphertext into a session.
+    ProvideInput => "provide_input",
+    /// Takes the wire ciphertext a session produced.
+    TakeOutput => "take_output",
+    /// Progresses a session's handshake.
+    DoHandshake => "do_handshake",
+    /// Reads decrypted request plaintext.
+    SslRead => "ssl_read",
+    /// Writes (and audits) response plaintext; the fused write + take
+    /// enters here too.
+    SslWrite => "ssl_write",
+    /// Closes a session and frees its state.
+    CloseSession => "close_session",
+    /// Runs every invariant now; tooling access to the log
+    /// ([`crate::LibSeal::with_log`]) enters here too.
+    CheckNow => "check_now",
+    /// Trims the log now.
+    TrimNow => "trim_now",
+    /// Seals what is staged, then verifies the log (or, for a drain,
+    /// flushes it).
+    VerifyLog => "verify_log",
+    /// Reads the log's size counters.
+    LogStats => "log_stats",
+    /// The sealer thread's entry: one counter bind, head signature and
+    /// fsync for everything staged. The final seal on drop enters here
+    /// too.
+    SealBatch => "seal_batch",
+    /// The verifier thread's entry: one incremental check covering
+    /// every due check queued so far.
+    VerifyBatch => "verify_batch",
+    /// Pumps many sessions in one transition.
+    TlsBatch => "tls_batch",
+    /// Delivers the attested certificate minted for the in-enclave
+    /// keypair. Declared for plain builds too: the measurement covers
+    /// the interface list, so attested and plain builds of the same
+    /// SSM must not fork their MRENCLAVE over this entry.
+    InstallCert => "install_cert",
+}
+
+/// Returns true when `buf` can still be the start of an HTTP message
+/// (prefix-compatible with `HTTP/`-style responses). Used to detect
+/// non-HTTP streams early so they pass through instead of stalling in
+/// the audit buffer.
+fn could_be_http_response(buf: &[u8]) -> bool {
+    const P: &[u8] = b"HTTP/";
+    let n = buf.len().min(P.len());
+    buf[..n] == P[..n]
+}
+
+/// One in-enclave TLS session plus its audit buffers.
+struct Session {
+    ssl: Ssl,
+    /// Decrypted request bytes not yet cut into messages.
+    req_buf: Vec<u8>,
+    /// Complete requests awaiting their response: (raw bytes,
+    /// Libseal-Check requested?).
+    pending: VecDeque<(Vec<u8>, bool)>,
+    /// Plaintext response bytes not yet complete.
+    rsp_buf: Vec<u8>,
+}
+
+/// The application's info callback (§4.1, "Secure callbacks"): lives
+/// outside the enclave, reached through an ocall trampoline.
+pub type InfoCallback = Arc<dyn Fn(i32, i32) + Send + Sync>;
+
+/// Audit state bundle.
+struct AuditState {
+    log: AuditLog,
+    ssm: Arc<dyn ServiceModule>,
+    checker: Checker,
+}
+
+/// The trusted (in-enclave) state of a LibSEAL instance.
+pub struct Trusted {
+    /// Session TLS configuration. Write-locked exactly once, by the
+    /// `install_cert` ecall that delivers the attested certificate
+    /// minted for the in-enclave keypair; read on every new session.
+    ssl_config: RwLock<Arc<SslConfig>>,
+    max_message_buffer: usize,
+    sessions: RwLock<HashMap<u64, Arc<Mutex<Session>>>>,
+    next_sid: AtomicU64,
+    audit: Option<Mutex<AuditState>>,
+    /// Group-commit ticket queue shared with the sealer thread; `None`
+    /// when auditing is off or group commit is disabled.
+    commit: Option<Arc<TicketQueue>>,
+    /// Due-check queue shared with the verifier thread; `None` when
+    /// auditing is off or async verification is disabled.
+    verify: Option<Arc<TicketQueue>>,
+    /// Outside info callback, reached through an ocall trampoline.
+    info_cb: RwLock<Option<InfoCallback>>,
+}
+
+impl Trusted {
+    /// Builds the trusted state inside the freshly measured enclave.
+    /// The second value is how it went: the public half of the TLS
+    /// keypair generated here for an attested identity (the private
+    /// half never leaves), or the failure that left auditing unopened.
+    pub(crate) fn init(
+        config: &LibSealConfig,
+        sv: &EnclaveServices,
+        commit: Option<Arc<TicketQueue>>,
+        verify: Option<Arc<TicketQueue>>,
+    ) -> (Trusted, Result<Option<[u8; 32]>>) {
+        let (tls_cert, tls_key, minted) = match &config.attest {
+            Some(_) => {
+                // RA-TLS phase one: generate the TLS keypair inside
+                // the enclave. The certificate arrives later via
+                // the `install_cert` ecall, once the issuer has
+                // quoted this enclave over the public key.
+                let mut seed = [0u8; 32];
+                sv.fill_random(&mut seed);
+                let key = SigningKey::from_seed(&seed);
+                let pubkey = *key.verifying_key().as_bytes();
+                (None, key, Some(pubkey))
+            }
+            None => (Some(config.cert.clone()), config.key.clone(), None),
+        };
+        let open = |ssm| open_audit(config, ssm, sv, commit.is_some());
+        let (audit, outcome) = match config.ssm.as_ref().map(open) {
+            None => (None, Ok(minted)),
+            Some(Ok(state)) => (Some(Mutex::new(state)), Ok(minted)),
+            Some(Err(e)) => (None, Err(e)),
+        };
+        let trusted = Trusted {
+            ssl_config: RwLock::new(Arc::new(SslConfig {
+                role: Role::Server,
+                cert: tls_cert,
+                key: Some(tls_key),
+                ca_roots: config.ca_roots.clone(),
+                verify_peer: config.verify_clients,
+                expected_subject: None,
+                attestation: None,
+            })),
+            max_message_buffer: config.max_message_buffer,
+            sessions: RwLock::new(HashMap::new()),
+            next_sid: AtomicU64::new(1),
+            audit,
+            commit,
+            verify,
+            info_cb: RwLock::new(None),
+        };
+        (trusted, outcome)
+    }
+
+    fn session(&self, sid: u64) -> Result<Arc<Mutex<Session>>> {
+        self.sessions
+            .read()
+            .get(&sid)
+            .cloned()
+            .ok_or(LibSealError::NoSuchSession(sid))
+    }
+
+    /// The audit state's lock — the one place that answers an audit
+    /// operation on an instance without an SSM.
+    fn audit_lock(&self) -> Result<&Mutex<AuditState>> {
+        self.audit.as_ref().ok_or(LibSealError::AuditingDisabled)
+    }
+
+    /// The audit state, locked.
+    fn audit(&self) -> Result<MutexGuard<'_, AuditState>> {
+        Ok(self.audit_lock()?.lock())
+    }
+
+    /// Creates a session and returns its id.
+    pub(crate) fn open_session(&self, sv: &EnclaveServices) -> u64 {
+        let mut entropy = [0u8; 64];
+        sv.fill_random(&mut entropy);
+        let mut ssl = Ssl::new(Arc::clone(&self.ssl_config.read()), entropy);
+        // Install the secure-callback trampoline: the outside
+        // callback is reached only through an accounted ocall
+        // (§4.1, "Secure callbacks").
+        let cb_slot = self.info_cb.read().clone();
+        if let Some(outside_cb) = cb_slot {
+            let stats = sv.stats_arc();
+            let model = sv.model().clone();
+            ssl.set_info_callback(Arc::new(move |code, arg| {
+                let threads = 1;
+                let cycles = model.transition_cycles(threads);
+                model.charge_cycles(cycles);
+                stats.record_ocall("info_callback", cycles);
+                outside_cb(code, arg);
+            }));
+        }
+        let sid = self.next_sid.fetch_add(1, Ordering::Relaxed);
+        sv.epc_alloc(8 * 1024);
+        self.sessions.write().insert(
+            sid,
+            Arc::new(Mutex::new(Session {
+                ssl,
+                req_buf: Vec::new(),
+                pending: VecDeque::new(),
+                rsp_buf: Vec::new(),
+            })),
+        );
+        sid
+    }
+}
+
+/// Opens the audit log `config` describes and installs `ssm`'s views
+/// on it. `staged` is whether a sealer thread will seal batches.
+fn open_audit(
+    config: &LibSealConfig,
+    ssm: &Arc<dyn ServiceModule>,
+    sv: &EnclaveServices,
+    staged: bool,
+) -> Result<AuditState> {
+    let guard: Box<dyn RollbackGuard> = match &config.guard {
+        GuardConfig::None => Box::new(NoGuard),
+        GuardConfig::Hardware => Box::new(HwCounterGuard(
+            libseal_sgxsim::MonotonicCounter::hardware_realistic(),
+        )),
+        GuardConfig::Rote { f, latency } => Box::new(RoteGuard(Arc::new(
+            libseal_rote::Cluster::new(*f, *latency, b"libseal-log")
+                .map_err(|e| LibSealError::Log(e.to_string()))?,
+        ))),
+    };
+    let seal_key = sv.seal_key(SealingPolicy::MrSigner);
+    let signer_seed = config.log_signer_seed.unwrap_or_else(|| {
+        // Derive a deterministic signer from the seal
+        // identity so restarts verify old logs.
+        Sha256::digest(&seal_key)
+    });
+    let mut log = AuditLog::open(
+        config.backing.clone(),
+        seal_key,
+        SigningKey::from_seed(&signer_seed),
+        guard,
+        ssm.schema_sql(),
+        ssm.tables(),
+    )?;
+    if staged {
+        // Appends stage into the chain; the sealer binds the counter
+        // and signs once per batch.
+        log.set_commit_mode(CommitMode::Staged);
+    }
+    // Register the delta-maintained views so checks cost O(rows
+    // touched since the last check) instead of O(log).
+    Checker::install(ssm.as_ref(), &mut log)?;
+    sv.epc_alloc(log.size_bytes() as u64 + 64 * 1024);
+    Ok(AuditState {
+        log,
+        ssm: Arc::clone(ssm),
+        // Automatic checks trim; a client may trigger 4 checks per
+        // interval (DoS limit, §6.3).
+        checker: Checker::new(config.check_interval, true, 4),
+    })
+}
+
+/// What an in-enclave body is handed besides the state: the enclave's
+/// services, and how to reach the outside world for the current call —
+/// full synchronous ocalls, or cheap asynchronous slot handoffs
+/// (§4.3). LibSEAL's internal BIO traffic (the reads/writes and small
+/// allocations LibreSSL performs around every TLS record) is charged
+/// through this, which is exactly where the async mechanism saves its
+/// cost.
+pub enum CallCtx<'p> {
+    /// Synchronous ocalls: a full transition each.
+    Sync(&'p EnclaveServices),
+    /// Asynchronous ocalls through the caller's request slot.
+    Async(&'p EnclaveServices, &'p OcallPort<'p, Trusted>),
+}
+
+impl CallCtx<'_> {
+    /// The enclave's services: randomness, EPC accounting, interface
+    /// checks.
+    pub fn sv(&self) -> &EnclaveServices {
+        match self {
+            CallCtx::Sync(sv) | CallCtx::Async(sv, _) => sv,
+        }
+    }
+
+    /// Performs one outside call under the current regime.
+    pub fn ocall<R: Send + 'static>(&self, name: &'static str, f: impl FnOnce() -> R + Send) -> R {
+        match self {
+            CallCtx::Sync(sv) => sv.ocall(name, f),
+            CallCtx::Async(_, port) => port.ocall(name, f),
+        }
+    }
+
+    /// Charges `n` modelled BIO interactions (no payload; the data
+    /// movement itself is handled by the caller).
+    pub fn bio_traffic(&self, name: &'static str, n: usize) {
+        for _ in 0..n {
+            self.ocall(name, || ());
+        }
+    }
+}
+
+/// One session's pending wire input for [`crate::LibSeal::pump_batch`].
+#[derive(Debug)]
+pub struct SessionInput {
+    /// Session id.
+    pub sid: u64,
+    /// Ciphertext read from the socket since the last pump. May be
+    /// empty to pump only handshake/output state.
+    pub input: Vec<u8>,
+}
+
+/// Per-session result of [`crate::LibSeal::pump_batch`]. Failures are
+/// per-session (`error`), never the whole batch: one misbehaving peer
+/// must not poison the other sessions sharing its transition.
+#[derive(Debug, Default)]
+pub struct SessionOutcome {
+    /// Session id.
+    pub sid: u64,
+    /// Whether the handshake is complete after this pump.
+    pub established: bool,
+    /// Decrypted request plaintext drained this pump.
+    pub data: Vec<u8>,
+    /// Wire ciphertext that must be written to the socket.
+    pub output: Vec<u8>,
+    /// The session should be torn down: the peer sent close_notify, or
+    /// the session could not be pumped at all (`error` says why).
+    pub closed: bool,
+    /// Fatal failure for this session only (TLS alert, audit-buffer
+    /// overflow, unknown sid, its shard unreachable).
+    pub error: Option<LibSealError>,
+}
+
+impl SessionOutcome {
+    /// The outcome of a session that could not be pumped at all (an
+    /// unknown or stale sid, its shard unreachable) and must be torn
+    /// down.
+    pub(crate) fn failed(sid: u64, error: LibSealError) -> SessionOutcome {
+        SessionOutcome {
+            sid,
+            closed: true,
+            error: Some(error),
+            ..SessionOutcome::default()
+        }
+    }
+}
+
+/// With auditing on, cuts complete requests out of freshly decrypted
+/// bytes and queues them for audit pairing (the read half of the
+/// pipeline). The caller holds the session lock.
+fn queue_audit_requests(
+    t: &Trusted,
+    ctx: &CallCtx<'_>,
+    s: &mut Session,
+    data: &[u8],
+) -> Result<()> {
+    if t.audit.is_none() {
+        return Ok(());
+    }
+    ctx.sv().epc_touch(data.len() as u64);
+    s.req_buf.extend_from_slice(data);
+    loop {
+        // Unlimited parser bounds: the serving edge already enforced
+        // its HTTP limits before these bytes were admitted; the audit
+        // pipeline's own memory bound is `max_message_buffer` below.
+        match http::parse_request_limited(&s.req_buf, &http::Limits::unlimited()) {
+            Ok((req, used)) => {
+                let check = req.headers.get("Libseal-Check").is_some();
+                let raw: Vec<u8> = s.req_buf.drain(..used).collect();
+                s.pending.push_back((raw, check));
+            }
+            Err(libseal_httpx::ParseError::Incomplete) => break,
+            Err(_) => {
+                // Provably not HTTP: these bytes can never become a
+                // message. Drop them so unauditable traffic does not
+                // poison the session (the application already received
+                // the plaintext).
+                s.req_buf.clear();
+                break;
+            }
+        }
+    }
+    // Interface hardening (§6.3): a peer streaming bytes that never
+    // form a message must not grow enclave memory without bound.
+    if s.req_buf.len() > t.max_message_buffer {
+        return Err(LibSealError::Log(
+            "request stream exceeds the audit buffer limit".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The `install_cert` body: swaps in the configuration that carries
+/// the attested certificate minted for the in-enclave keypair.
+pub(crate) fn install_cert(t: &Trusted, cert: Certificate) {
+    let mut cfg = t.ssl_config.write();
+    let mut fresh = (**cfg).clone();
+    fresh.cert = Some(cert);
+    *cfg = Arc::new(fresh);
+}
+
+/// Registers the outside info callback new sessions are born with.
+pub(crate) fn set_info_callback(t: &Trusted, cb: InfoCallback) {
+    *t.info_cb.write() = Some(cb);
+}
+
+/// The `provide_input` body: stages wire ciphertext in a session.
+pub(crate) fn provide_input(t: &Trusted, ctx: &CallCtx<'_>, sid: u64, data: &[u8]) -> Result<()> {
+    ctx.sv()
+        .interface_check(data.len() <= 1 << 24, "oversized input chunk")?;
+    // The enclave pulls the ciphertext from the outside BIO and
+    // stages it in a small buffer (LibreSSL: BIO_read + malloc).
+    // Charged BEFORE taking any lock: an async ocall suspends
+    // this lthread, and suspending while holding a lock would
+    // deadlock the worker thread.
+    ctx.bio_traffic("bio_read", 1 + data.len() / (16 * 1024));
+    t.session(sid)?.lock().ssl.provide_input(data);
+    Ok(())
+}
+
+/// The `do_handshake` body; `true` once established.
+pub(crate) fn do_handshake(t: &Trusted, ctx: &CallCtx<'_>, sid: u64) -> Result<bool> {
+    // Handshake processing walks BIOs and allocates buffers for
+    // each flight (LibreSSL: several BIO/malloc round trips).
+    // Charged before locking (no ocalls under locks).
+    ctx.bio_traffic("bio_handshake", 2);
+    let session = t.session(sid)?;
+    let mut s = session.lock();
+    s.ssl.do_handshake().map_err(LibSealError::Tls)
+}
+
+/// The `close_session` body: queues close_notify and frees the
+/// session's state.
+pub(crate) fn close_session(t: &Trusted, ctx: &CallCtx<'_>, sid: u64) {
+    if let Some(session) = t.sessions.write().remove(&sid) {
+        session.lock().ssl.send_close();
+        ctx.sv().epc_free(8 * 1024);
+    }
+}
+
+/// The `ssl_read` body: decrypt what has arrived and, with auditing
+/// on, queue the complete requests in it for pairing.
+pub(crate) fn read_session(t: &Trusted, ctx: &CallCtx<'_>, sid: u64) -> Result<ReadOutcome> {
+    // Record processing: BIO pull plus a scratch allocation per
+    // call (LibreSSL instrumentation, §4.2). Charged before
+    // locking (no ocalls under locks).
+    ctx.bio_traffic("bio_read", 1);
+    ctx.bio_traffic("malloc", 1);
+    let session = t.session(sid)?;
+    let mut s = session.lock();
+    let outcome = s.ssl.ssl_read().map_err(LibSealError::Tls)?;
+    if let ReadOutcome::Data(data) = &outcome {
+        queue_audit_requests(t, ctx, &mut s, data)?;
+    }
+    Ok(outcome)
+}
+
+/// The in-enclave body shared by `ssl_write` and `ssl_write_take`:
+/// buffer the response, pair complete messages with their requests,
+/// log, group-commit and encrypt.
+pub(crate) fn write_session(t: &Trusted, ctx: &CallCtx<'_>, sid: u64, data: &[u8]) -> Result<()> {
+    // Record emission: scratch allocation plus BIO push per 16 KB
+    // record (LibreSSL instrumentation, §4.2). All modelled
+    // transitions are charged while no lock is held: an async ocall
+    // suspends this lthread, and a suspended lock holder deadlocks
+    // every other lthread on the same worker thread.
+    ctx.bio_traffic("malloc", 1);
+    ctx.bio_traffic("bio_write", 1 + data.len() / (16 * 1024));
+    let mut log_flushes = 0usize;
+    {
+        let session = t.session(sid)?;
+        let mut s = session.lock();
+        if t.audit.is_none() {
+            s.ssl.ssl_write(data).map_err(LibSealError::Tls)?;
+            return Ok(());
+        }
+        s.rsp_buf.extend_from_slice(data);
+        ctx.sv().epc_touch(data.len() as u64);
+        if s.rsp_buf.len() > t.max_message_buffer {
+            return Err(LibSealError::Log(
+                "response stream exceeds the audit buffer limit".into(),
+            ));
+        }
+        // A stream that provably is not HTTP (wrong first bytes) can
+        // never be audited or header-injected; forward it verbatim
+        // instead of stalling the client.
+        if !could_be_http_response(&s.rsp_buf) {
+            let raw: Vec<u8> = s.rsp_buf.drain(..).collect();
+            s.ssl.ssl_write(&raw).map_err(LibSealError::Tls)?;
+            return Ok(());
+        }
+        loop {
+            let (mut response, used) =
+                match http::parse_response_limited(&s.rsp_buf, &http::Limits::unlimited()) {
+                Ok(r) => r,
+                Err(libseal_httpx::ParseError::Incomplete) => break,
+                Err(_) => {
+                    // The service wrote something that can never parse
+                    // as HTTP; forward it verbatim (unaudited) rather
+                    // than stalling the client forever.
+                    let raw: Vec<u8> = s.rsp_buf.drain(..).collect();
+                    s.ssl.ssl_write(&raw).map_err(LibSealError::Tls)?;
+                    break;
+                }
+            };
+            let raw_rsp: Vec<u8> = s.rsp_buf.drain(..used).collect();
+            let (raw_req, check_requested) = s.pending.pop_front().unwrap_or((Vec::new(), false));
+            // Backpressure BEFORE taking the audit lock: blocking
+            // inside it would stall the very sealer (or verifier) that
+            // makes room in the queue. The reserved slots are what the
+            // tickets below consume, so both bounds are hard.
+            let commit_slot = t.commit.as_ref().map(|q| q.reserve());
+            let verify_slot = t.verify.as_ref().map(|q| q.reserve());
+            let mut astate = t.audit()?;
+            let AuditState { log, ssm, checker } = &mut *astate;
+            let logged = ssm.log_pair(&raw_req, &raw_rsp, log)?;
+            let ticket = match (commit_slot, logged > 0) {
+                // Group commit: take a ticket while still holding the
+                // audit lock, so ticket order matches log order; the
+                // sealer makes the whole batch durable with one counter
+                // bind, one signature and one fsync.
+                (Some(slot), true) => Some(slot.issue()?),
+                // One durable flush per request/response pair (§5.1);
+                // charged as an ocall below, after the locks are
+                // released.
+                (None, true) => {
+                    log.flush()?;
+                    log_flushes += 1;
+                    None
+                }
+                // Nothing logged: an unused reservation goes back.
+                (_, false) => None,
+            };
+            if !checker.note_pair() {
+                // No check due: the reservation goes back.
+                drop(verify_slot);
+            } else if verify_slot.is_none_or(|slot| slot.issue().is_err()) {
+                // Background verification hands the due check to the
+                // verifier thread and answers the client now (lag is
+                // surfaced as the core_verifier_lag gauge); this is the
+                // inline fallback (verifier disabled or shut down), the
+                // pre-pool behaviour.
+                let _ = checker.run_due(ssm.as_ref(), log)?;
+            }
+            let out_bytes = if check_requested {
+                let outcome = checker.client_check(ssm.as_ref(), log)?;
+                if outcome.is_some() {
+                    // A synchronous check just covered the full
+                    // current history; pending background batches are
+                    // subsumed by it.
+                    if let Some(vq) = &t.verify {
+                        vq.absorb();
+                    }
+                }
+                let value = match &outcome {
+                    Some(o) => o.header_value(),
+                    None => checker.last_outcome.header_value(),
+                };
+                response.headers.set("Libseal-Check-Result", value);
+                response.to_bytes()
+            } else {
+                raw_rsp
+            };
+            drop(astate);
+            // The commit barrier preserves response-before-durable:
+            // the response is released only once the batch carrying
+            // this pair is sealed and fsynced.
+            if let (Some(q), Some(tk)) = (&t.commit, ticket) {
+                q.wait(tk)?;
+            }
+            s.ssl.ssl_write(&out_bytes).map_err(LibSealError::Tls)?;
+        }
+    }
+    // Persisting the log crosses the boundary: the journal write +
+    // fsync happen outside the enclave (charged after all locks are
+    // released).
+    for _ in 0..log_flushes {
+        ctx.ocall("log_flush", || ());
+    }
+    Ok(())
+}
+
+/// Takes the wire ciphertext a session produced and pushes it to the
+/// outside BIO (LibreSSL: BIO_write) — the tail of `take_output` and
+/// of the fused write + take.
+pub(crate) fn take_session_output(t: &Trusted, ctx: &CallCtx<'_>, sid: u64) -> Result<Vec<u8>> {
+    let out = t.session(sid)?.lock().ssl.take_output();
+    // Charged after the lock is released (lock-across-ocall would
+    // deadlock the lthread scheduler).
+    if !out.is_empty() {
+        ctx.bio_traffic("bio_write", 1 + out.len() / (16 * 1024));
+    }
+    Ok(out)
+}
+
+/// Pumps one session inside a `tls_batch` ecall: feed input, progress
+/// the handshake, drain decrypted requests (queueing them for audit
+/// pairing) and collect pending wire output. Never propagates — every
+/// failure lands in the outcome's `error`.
+fn pump_session(t: &Trusted, ctx: &CallCtx<'_>, item: SessionInput) -> SessionOutcome {
+    let session = match t.session(item.sid) {
+        Ok(s) => s,
+        Err(e) => return SessionOutcome::failed(item.sid, e),
+    };
+    let mut s = session.lock();
+    let mut outcome = SessionOutcome {
+        sid: item.sid,
+        ..SessionOutcome::default()
+    };
+    if !item.input.is_empty() {
+        s.ssl.provide_input(&item.input);
+    }
+    if s.ssl.is_established() {
+        outcome.established = true;
+    } else {
+        match s.ssl.do_handshake() {
+            Ok(done) => outcome.established = done,
+            Err(e) => {
+                // Collect the alert the state machine queued so the
+                // peer learns why before the reactor tears down.
+                outcome.error = Some(LibSealError::Tls(e));
+                outcome.output = s.ssl.take_output();
+                return outcome;
+            }
+        }
+    }
+    if outcome.established {
+        loop {
+            match s.ssl.ssl_read() {
+                Ok(ReadOutcome::Data(d)) => {
+                    if let Err(e) = queue_audit_requests(t, ctx, &mut s, &d) {
+                        outcome.error = Some(e);
+                        break;
+                    }
+                    outcome.data.extend_from_slice(&d);
+                }
+                Ok(ReadOutcome::WantRead) => break,
+                Ok(ReadOutcome::Closed) => {
+                    outcome.closed = true;
+                    break;
+                }
+                Err(e) => {
+                    outcome.error = Some(LibSealError::Tls(e));
+                    break;
+                }
+            }
+        }
+    }
+    outcome.output = s.ssl.take_output();
+    outcome
+}
+
+/// The `tls_batch` body: pumps every session of a readiness sweep,
+/// answering item for item, in order.
+pub(crate) fn pump_sessions(
+    t: &Trusted,
+    ctx: &CallCtx<'_>,
+    items: Vec<SessionInput>,
+) -> Vec<SessionOutcome> {
+    // Stage the whole batch's ciphertext through the outside
+    // BIO up front — one pull for the sweep, charged before
+    // any lock (no ocalls under locks).
+    let in_bytes: usize = items.iter().map(|i| i.input.len()).sum();
+    ctx.bio_traffic("bio_read", 1 + in_bytes / (16 * 1024));
+    let outcomes: Vec<SessionOutcome> = items
+        .into_iter()
+        .map(|item| pump_session(t, ctx, item))
+        .collect();
+    // One aggregate push for everything the sweep produced.
+    let out_bytes: usize = outcomes.iter().map(|o| o.output.len()).sum();
+    if out_bytes > 0 {
+        ctx.bio_traffic("bio_write", 1 + out_bytes / (16 * 1024));
+    }
+    outcomes
+}
+
+/// The `check_now` body: a full scan of every invariant (the log
+/// analyser entry point, step 6 of Fig. 1).
+pub(crate) fn check_now(t: &Trusted) -> Result<CheckOutcome> {
+    let mut astate = t.audit()?;
+    let AuditState { log, ssm, checker } = &mut *astate;
+    let outcome = Checker::run_checks(ssm.as_ref(), log)?;
+    checker.last_outcome = outcome.clone();
+    drop(astate);
+    // The full scan just covered everything; pending
+    // background batches are subsumed by its outcome.
+    if let Some(vq) = &t.verify {
+        vq.absorb();
+    }
+    Ok(outcome)
+}
+
+/// The `trim_now` body.
+pub(crate) fn trim_log(t: &Trusted) -> Result<()> {
+    let mut astate = t.audit()?;
+    let trim = astate.ssm.trim_queries();
+    astate.log.trim(trim)
+}
+
+/// The `verify_log` body.
+pub(crate) fn verify_log(t: &Trusted) -> Result<()> {
+    let mut astate = t.audit()?;
+    // Catch the signed head up with anything still staged
+    // (in-flight group-commit entries or direct appends), so
+    // verification always sees a consistent head. No-op when
+    // the log is clean.
+    astate.log.seal()?;
+    astate.log.verify()
+}
+
+/// The drain's body: seals anything still staged and flushes it to
+/// durable.
+pub(crate) fn seal_and_flush(t: &Trusted) -> Result<()> {
+    let mut astate = t.audit()?;
+    astate.log.seal()?;
+    astate.log.flush()
+}
+
+/// The final seal + flush of a dropped instance. Best effort: the
+/// flush is attempted even when the seal failed.
+pub(crate) fn final_seal(t: &Trusted) {
+    if let Ok(mut astate) = t.audit() {
+        let _ = astate.log.seal();
+        let _ = astate.log.flush();
+    }
+}
+
+/// The `log_stats` body: (entries, in-memory bytes, journal bytes).
+pub(crate) fn log_stats(t: &Trusted) -> Result<(u64, usize, u64)> {
+    let log = &t.audit()?.log;
+    Ok((log.entries(), log.size_bytes(), log.journal_size_bytes()))
+}
+
+/// Runs `f` against the audit log (tests and tooling).
+pub(crate) fn with_log<R>(t: &Trusted, f: impl FnOnce(&mut AuditLog) -> R) -> Result<R> {
+    Ok(f(&mut t.audit()?.log))
+}
+
+/// The sealer's body: one enclave transition per batch makes the
+/// whole batch durable — one counter bind, one head signature and one
+/// fsync.
+pub(crate) fn seal_batch(t: &Trusted, sv: &EnclaveServices) -> Result<()> {
+    if crate::log::seal_staged(t.audit_lock()?, |a| &mut a.log)? {
+        // The journal write + fsync cross the enclave boundary;
+        // charged after the lock is released.
+        sv.ocall("log_flush", || ());
+    }
+    Ok(())
+}
+
+/// The verifier's body: drains due checks off the request path with
+/// one enclave transition per coalesced batch; the incremental views
+/// keep each drain short.
+pub(crate) fn verify_batch(t: &Trusted, _sv: &EnclaveServices) -> Result<()> {
+    let mut astate = t.audit()?;
+    let AuditState { log, ssm, checker } = &mut *astate;
+    checker.run_due(ssm.as_ref(), log)?.count_alarm();
+    Ok(())
+}

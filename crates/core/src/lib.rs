@@ -7,10 +7,14 @@
 //! (Aublin et al., EuroSys 2018) as a Rust library over the
 //! workspace's simulated SGX TEE:
 //!
-//! - [`termination::LibSeal`] — the drop-in TLS termination shim that
+//! - [`session::LibSeal`] — the drop-in TLS termination shim that
 //!   observes all service requests and responses from inside an
-//!   enclave (§3, §4), with shadow structures, secure callbacks and
-//!   optional asynchronous enclave calls;
+//!   enclave (§3, §4): the untrusted-side handle with shadow
+//!   structures, secure callbacks and optional asynchronous enclave
+//!   calls, configured through [`config::LibSealConfig`];
+//! - [`enclave`] — the trusted side: the state that lives inside the
+//!   enclave, the bodies that run there, and the [`enclave::Ecall`]
+//!   table that is its whole interface;
 //! - [`log::AuditLog`] — the non-repudiable relational audit log:
 //!   hash-chained, Ed25519-signed, sealed to disk, rollback-protected
 //!   by a ROTE quorum, trimmable (§5.1);
@@ -24,11 +28,15 @@
 //!   §6.3 defence against the provider bypassing the audit layer;
 //! - [`merge`] — multi-instance partial-log merging for scale-out
 //!   deployments (the §3.2 extension);
-//! - [`plane`] — the [`plane::AuditPlane`] service-facing trait and
-//!   the sharded multi-enclave orchestrator behind it, which routes
+//! - [`plane`] — the [`plane::AuditPlane`] trait, the session surface
+//!   services program against, implemented by one enclave
+//!   ([`session::LibSeal`]) and by a fleet ([`fleet::ShardedPlane`]);
+//! - [`fleet`] — the sharded multi-enclave orchestrator, which routes
 //!   sessions to per-shard enclaves and cross-links the shard chains
 //!   with signed epoch checkpoints (a deliberate divergence from the
-//!   paper's single-enclave model; see DESIGN.md).
+//!   paper's single-enclave model; see DESIGN.md);
+//! - [`checkpoint`] — the enclave-free half of fleet verification:
+//!   checkpoint rows, their signing payload and the history verifier.
 //!
 //! # Examples
 //!
@@ -36,26 +44,31 @@
 //! client/server round trip with attack detection.
 
 pub mod check;
+pub mod checkpoint;
+pub mod config;
+pub mod enclave;
+pub mod fleet;
 pub mod log;
 pub mod merge;
 pub mod plane;
 pub mod provision;
 pub mod queue;
+pub mod session;
 pub mod ssm;
-pub mod termination;
 
 pub use check::{CheckOutcome, CheckReport, Checker};
+pub use checkpoint::{CheckpointRow, FleetVerifyError};
+pub use config::{AttestedIdentity, GuardConfig, LibSealConfig, LibSealConfigBuilder};
+pub use enclave::{Ecall, SessionInput, SessionOutcome};
+pub use fleet::ShardedPlane;
 pub use log::{AuditLog, CommitMode, LogBacking, TableSpec};
-pub use plane::{AuditPlane, CheckpointRow, FleetVerifyError, ShardedPlane};
+pub use plane::AuditPlane;
 pub use provision::{CertProvisioner, IdentityIssuer};
 pub use queue::{Slot, TicketQueue, Worker};
 pub use ssm::{
     DropboxModule, GitModule, Invariant, MessagingModule, OwnCloudModule, ServiceModule,
 };
-pub use termination::{
-    AttestedIdentity, GuardConfig, LibSeal, LibSealConfig, LibSealConfigBuilder, SessionInput,
-    SessionOutcome, ShadowSsl,
-};
+pub use session::{LibSeal, ShadowSsl};
 
 pub use libseal_telemetry as telemetry;
 
@@ -102,6 +115,14 @@ impl std::error::Error for LibSealError {
             LibSealError::Tls(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// A failed enclave entry (no TCS slot, a rejected interface
+/// parameter) surfaces as an audit-log error.
+impl From<libseal_sgxsim::SgxError> for LibSealError {
+    fn from(e: libseal_sgxsim::SgxError) -> Self {
+        LibSealError::Log(e.to_string())
     }
 }
 

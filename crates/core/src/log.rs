@@ -68,11 +68,10 @@ fn log_metrics() -> &'static LogMetrics {
 pub enum LogBacking {
     /// In-memory only (the paper's `LibSEAL-mem` configuration).
     Memory,
-    /// Persisted to a sealed journal at the given path, fsynced once
-    /// per logged request/response pair (`LibSEAL-disk`, §5.1).
+    /// Persisted to a sealed journal at the given path, fsynced by
+    /// every [`AuditLog::flush`] — once per logged request/response
+    /// pair, or per group-commit batch (`LibSEAL-disk`, §5.1).
     Disk(std::path::PathBuf),
-    /// Persisted without per-record fsync (used by some benches).
-    DiskNoSync(std::path::PathBuf),
 }
 
 /// Source of rollback-protecting monotonic counter values.
@@ -362,15 +361,6 @@ impl AuditLog {
                     &path,
                     Box::new(SharedCodec(Arc::clone(&codec))),
                     SyncPolicy::Manual,
-                )
-                .map_err(LibSealError::Db)?,
-                true,
-            ),
-            LogBacking::DiskNoSync(path) => (
-                Database::open(
-                    &path,
-                    Box::new(SharedCodec(Arc::clone(&codec))),
-                    SyncPolicy::Never,
                 )
                 .map_err(LibSealError::Db)?,
                 true,
@@ -1138,11 +1128,11 @@ fn split_statements(sql: &str) -> Vec<String> {
         .collect()
 }
 
-fn hex(b: &[u8]) -> String {
+pub(crate) fn hex(b: &[u8]) -> String {
     b.iter().map(|x| format!("{x:02x}")).collect()
 }
 
-fn unhex(s: &str) -> Option<Vec<u8>> {
+pub(crate) fn unhex(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }

@@ -25,7 +25,7 @@ use crate::{LibSealError, Result};
 /// instead of releasing a pre-existing key to an attested enclave, the
 /// enclave generates its keypair *inside* and the issuer binds a fresh
 /// certificate to a quote over SHA-256 of the public key
-/// ([`LibSeal::build`](crate::termination::LibSeal) drives this when
+/// ([`LibSeal::new`](crate::session::LibSeal::new) drives this when
 /// the configuration carries an attested identity).
 pub struct IdentityIssuer {
     ca: CertificateAuthority,
@@ -148,7 +148,7 @@ impl CertProvisioner {
 mod tests {
     use super::*;
     use crate::ssm::GitModule;
-    use crate::termination::{LibSeal, LibSealConfig};
+    use crate::{LibSeal, LibSealConfig};
     use libseal_sgxsim::attest::QuotingEnclave;
     use libseal_sgxsim::cost::CostModel;
     use libseal_tlsx::cert::CertificateAuthority;

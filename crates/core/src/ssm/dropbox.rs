@@ -16,11 +16,10 @@
 //! - `POST /dropbox/list` `{account}` →
 //!   `{files: [{file, blocks: [h...], size}]}`.
 
-use libseal_httpx::http;
 use libseal_httpx::json::Json;
 use libseal_sealdb::Value;
 
-use super::{DeltaSpec, Invariant, ServiceModule, SourceRule};
+use super::{json_post_pair, DeltaSpec, Invariant, ServiceModule, SourceRule};
 use crate::log::{AuditLog, TableSpec};
 use crate::Result;
 
@@ -186,21 +185,9 @@ impl ServiceModule for DropboxModule {
     }
 
     fn log_pair(&self, req: &[u8], rsp: &[u8], log: &mut AuditLog) -> Result<usize> {
-        let Ok((request, _)) = http::parse_request(req) else {
+        let Some((request, req_json, response)) = json_post_pair(req, rsp) else {
             return Ok(0);
         };
-        if request.method != "POST" {
-            return Ok(0);
-        }
-        let Ok(req_json) = Json::parse_bytes(&request.body) else {
-            return Ok(0);
-        };
-        let Ok((response, _)) = http::parse_response(rsp) else {
-            return Ok(0);
-        };
-        if response.status != 200 {
-            return Ok(0);
-        }
         let account = req_json
             .get("account")
             .and_then(Json::as_str)

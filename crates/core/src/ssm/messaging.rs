@@ -13,11 +13,10 @@
 //!   `{messages: [{id, from, body}...]}` — the recipient drains
 //!   messages with id greater than `after`.
 
-use libseal_httpx::http;
 use libseal_httpx::json::Json;
 use libseal_sealdb::Value;
 
-use super::{Invariant, ServiceModule};
+use super::{json_post_pair, Invariant, ServiceModule};
 use crate::log::{AuditLog, TableSpec};
 use crate::Result;
 
@@ -105,21 +104,9 @@ impl ServiceModule for MessagingModule {
     }
 
     fn log_pair(&self, req: &[u8], rsp: &[u8], log: &mut AuditLog) -> Result<usize> {
-        let Ok((request, _)) = http::parse_request(req) else {
+        let Some((request, req_json, response)) = json_post_pair(req, rsp) else {
             return Ok(0);
         };
-        if request.method != "POST" {
-            return Ok(0);
-        }
-        let Ok(req_json) = Json::parse_bytes(&request.body) else {
-            return Ok(0);
-        };
-        let Ok((response, _)) = http::parse_response(rsp) else {
-            return Ok(0);
-        };
-        if response.status != 200 {
-            return Ok(0);
-        }
         let rsp_json = Json::parse_bytes(&response.body).unwrap_or(Json::Null);
         let mut logged = 0usize;
 

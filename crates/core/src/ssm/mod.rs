@@ -13,6 +13,9 @@ pub mod git;
 pub mod messaging;
 pub mod owncloud;
 
+use libseal_httpx::http::{self, Request, Response};
+use libseal_httpx::json::Json;
+
 use crate::log::{AuditLog, TableSpec};
 use crate::Result;
 
@@ -138,4 +141,19 @@ pub trait ServiceModule: Send + Sync {
     /// Log append failures; malformed traffic is *not* an error (the
     /// SSM simply logs nothing for messages it does not understand).
     fn log_pair(&self, req: &[u8], rsp: &[u8], log: &mut AuditLog) -> Result<usize>;
+}
+
+/// The prelude the JSON-over-POST services (ownCloud, Dropbox,
+/// messaging) share: parses one request/response pair into the
+/// request, its JSON body and the response. `None` is traffic an SSM
+/// logs nothing for: not HTTP, not a POST, a body that is not JSON, or
+/// any status but 200.
+fn json_post_pair(req: &[u8], rsp: &[u8]) -> Option<(Request, Json, Response)> {
+    let (request, _) = http::parse_request(req).ok()?;
+    if request.method != "POST" {
+        return None;
+    }
+    let req_json = Json::parse_bytes(&request.body).ok()?;
+    let (response, _) = http::parse_response(rsp).ok()?;
+    (response.status == 200).then_some((request, req_json, response))
 }

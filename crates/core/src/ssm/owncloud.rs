@@ -15,11 +15,10 @@
 //!   `{acks, ops: [{seq, content}...]}` (new ops from other clients);
 //! - `POST /owncloud/leave` `{doc, client, snapshot}` → `{ok}`.
 
-use libseal_httpx::http;
 use libseal_httpx::json::Json;
 use libseal_sealdb::Value;
 
-use super::{DeltaSpec, Invariant, RescanRule, ServiceModule, SourceRule};
+use super::{json_post_pair, DeltaSpec, Invariant, RescanRule, ServiceModule, SourceRule};
 use crate::log::{AuditLog, TableSpec};
 use crate::Result;
 
@@ -185,19 +184,10 @@ impl ServiceModule for OwnCloudModule {
     }
 
     fn log_pair(&self, req: &[u8], rsp: &[u8], log: &mut AuditLog) -> Result<usize> {
-        let Ok((request, _)) = http::parse_request(req) else {
+        let Some((request, req_json, response)) = json_post_pair(req, rsp) else {
             return Ok(0);
         };
-        if request.method != "POST" || !request.path().starts_with("/owncloud/") {
-            return Ok(0);
-        }
-        let Ok(req_json) = Json::parse_bytes(&request.body) else {
-            return Ok(0);
-        };
-        let Ok((response, _)) = http::parse_response(rsp) else {
-            return Ok(0);
-        };
-        if response.status != 200 {
+        if !request.path().starts_with("/owncloud/") {
             return Ok(0);
         }
         let rsp_json = Json::parse_bytes(&response.body).unwrap_or(Json::Null);

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use libseal::{DropboxModule, GitModule, IdentityIssuer, LibSeal, LibSealConfig};
+use libseal::{DropboxModule, Ecall, GitModule, IdentityIssuer, LibSeal, LibSealConfig};
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::attest::{AttestationExtension, AttestationPolicy, EXT_SGX_QUOTE};
 use libseal_tlsx::cert::CertificateAuthority;
@@ -333,4 +333,50 @@ fn sharded_plane_shards_each_present_valid_quotes() {
         }
     }
     assert!(client.is_established());
+}
+
+/// MRENCLAVE is what clients pin, so a refactor must not move it. The
+/// measurement is deterministic — the identity string, the sorted
+/// interface names and the default signer — and these are its values
+/// from before the interface was spelled as the [`Ecall`] table.
+#[test]
+fn measurement_of_an_unchanged_build_does_not_move() {
+    fn hex(b: &[u8]) -> String {
+        b.iter().map(|x| format!("{x:02x}")).collect()
+    }
+    let names: Vec<&str> = Ecall::ALL.iter().map(|e| e.name()).collect();
+    assert_eq!(
+        names,
+        [
+            "new_session",
+            "provide_input",
+            "take_output",
+            "do_handshake",
+            "ssl_read",
+            "ssl_write",
+            "close_session",
+            "check_now",
+            "trim_now",
+            "verify_log",
+            "log_stats",
+            "seal_batch",
+            "verify_batch",
+            "tls_batch",
+            "install_cert",
+        ]
+    );
+    let ca = CertificateAuthority::new("CA", &[1u8; 32]);
+    let (key, cert) = ca.issue_identity("svc.test", &[2u8; 32]).unwrap();
+    let plain = LibSealConfig::builder(cert.clone(), key.clone()).cost_model(CostModel::free());
+    let git = LibSeal::new(plain.ssm(Arc::new(GitModule)).build()).unwrap();
+    assert_eq!(
+        hex(&git.measurement()),
+        "57c38474a2faf1390fe602fbb79a0c16c81d5f31240e29fcf4e6ad03cb372942"
+    );
+    let bare = LibSealConfig::builder(cert, key).cost_model(CostModel::free());
+    let bare = LibSeal::new(bare.build()).unwrap();
+    assert_eq!(
+        hex(&bare.measurement()),
+        "616bb294c2aad60b2e508a45675f0f2346a2913be6d3f59fa10a92de736c8007"
+    );
 }

@@ -105,7 +105,7 @@ plat::prop! {
                 .find(|(size, _)| *size <= cut as u64)
                 .map_or(0, |(_, entries)| *entries);
             let log = open_log(
-                LogBacking::DiskNoSync(cut_path.to_path_buf()),
+                LogBacking::Disk(cut_path.to_path_buf()),
                 Box::new(NoGuard),
             )
             .unwrap_or_else(|e| panic!("reopen failed at cut {cut}: {e}"));

@@ -9,11 +9,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use libseal::plane::{checkpoint_payload, verify_checkpoints, CheckpointRow};
+use libseal::checkpoint::{checkpoint_payload, verify_checkpoints, CheckpointRow};
 use libseal::ssm::Invariant;
 use libseal::{
     AuditLog, AuditPlane, FleetVerifyError, LibSealConfig, LibSealError, LogBacking,
-    ServiceModule, ShardedPlane, TableSpec,
+    ServiceModule, SessionInput, ShardedPlane, TableSpec,
 };
 use libseal_crypto::ed25519::SigningKey;
 use libseal_sealdb::Value;
@@ -486,6 +486,65 @@ fn open_session_on(plane: &ShardedPlane, shard: u32) -> u64 {
     panic!("no affinity routed to shard {shard}");
 }
 
+/// A sid from before its shard's restart must be dead on every
+/// per-session entry of the trait — they all resolve sids through one
+/// wrapper — and come back from a batch as that item's error.
+fn assert_stale(plane: &ShardedPlane, sid: u64, when: &str) {
+    let refused: [(&str, libseal::Result<()>); 7] = [
+        ("provide_input", plane.provide_input(0, sid, b"x")),
+        ("take_output", plane.take_output(0, sid).map(drop)),
+        ("do_handshake", plane.do_handshake(0, sid).map(drop)),
+        ("ssl_read", plane.ssl_read(0, sid).map(drop)),
+        ("ssl_write", plane.ssl_write(0, sid, b"x")),
+        ("ssl_write_take", plane.ssl_write_take(0, sid, b"x").map(drop)),
+        ("close_session", plane.close_session(0, sid)),
+    ];
+    for (entry, result) in refused {
+        assert!(
+            matches!(result, Err(LibSealError::NoSuchSession(s)) if s == sid),
+            "{entry} {when}: {result:?}"
+        );
+    }
+    let item = SessionInput {
+        sid,
+        input: b"x".to_vec(),
+    };
+    let outcomes = plane.pump_batch(0, vec![item]).expect("batch entry");
+    assert_eq!(outcomes.len(), 1);
+    assert!(
+        matches!(outcomes[0].error, Some(LibSealError::NoSuchSession(s)) if s == sid),
+        "pump_batch {when}: {:?}",
+        outcomes[0].error
+    );
+}
+
+/// The manifest is bytes on the untrusted disk: what it cannot mean
+/// must be a typed configuration error, not a panic, a fleet whose
+/// sids collide, or a silently empty fleet.
+#[test]
+fn hostile_manifests_are_refused() {
+    let hostile = [
+        ("a shard id past the sid layout", "libseal-fleet-v1\nshard 0 1 0\nshard 1024 1 0\n"),
+        ("a shard listed twice", "libseal-fleet-v1\nshard 0 1 0\nshard 1 1 0\nshard 1 1 3\n"),
+        ("a zero-length file", ""),
+        ("a truncated shard line", "libseal-fleet-v1\nshard 0 1 0\nshard 1\n"),
+        ("a fleet without shard 0", "libseal-fleet-v1\nshard 1 1 0\n"),
+        ("a routable flag that is neither 0 nor 1", "libseal-fleet-v1\nshard 0 yes 0\n"),
+    ];
+    for (what, body) in hostile {
+        let base = TempPath::new("libseal-fleet-hostile", "log");
+        std::fs::write(format!("{}.manifest", base.display()), body).unwrap();
+        let opened = ShardedPlane::open(fleet_config(LogBacking::Disk(base.to_path_buf()), 2));
+        assert!(
+            matches!(opened.as_ref().err(), Some(LibSealError::Config(_))),
+            "{what}: {:?}",
+            opened.err()
+        );
+        drop(opened);
+        cleanup_fleet(&base);
+    }
+}
+
 #[test]
 fn stale_generations_stay_dead_across_plane_reopen() {
     let base = TempPath::new("libseal-fleet-gen", "log");
@@ -497,13 +556,7 @@ fn stale_generations_stay_dead_across_plane_reopen() {
         let sid = open_session_on(&plane, 1);
         // Restart bumps the generation: the pinned session dies.
         plane.restart_shard(1).expect("restart");
-        assert!(
-            matches!(
-                plane.close_session(0, sid),
-                Err(LibSealError::NoSuchSession(_))
-            ),
-            "sid from before the restart must be stale"
-        );
+        assert_stale(&plane, sid, "after the restart");
         plane.drain(0).expect("drain");
         sid
     };
@@ -511,13 +564,7 @@ fn stale_generations_stay_dead_across_plane_reopen() {
     // persisted, so the pre-restart sid still cannot alias a fresh
     // session on the reprovisioned shard.
     let plane = ShardedPlane::open(cfg()).expect("reopen");
-    assert!(
-        matches!(
-            plane.close_session(0, stale_sid),
-            Err(LibSealError::NoSuchSession(_))
-        ),
-        "plane reopen must not resurrect pre-restart generations"
-    );
+    assert_stale(&plane, stale_sid, "after the plane reopened");
     // Fresh sessions on the restarted shard route and resolve.
     let fresh = open_session_on(&plane, 1);
     plane.close_session(0, fresh).expect("fresh session resolves");

@@ -8,8 +8,9 @@
 
 use std::sync::Arc;
 
-use libseal::GitModule;
-use libseal::{LibSeal, LibSealConfig, LogBacking, SessionInput};
+use libseal::fleet::route_affinity;
+use libseal::{AuditPlane, GitModule, LibSeal, LibSealConfig, LogBacking, SessionInput};
+use libseal::{LibSealError, ShardedPlane};
 use libseal_httpx::http::{parse_response, Request, Response};
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::cert::CertificateAuthority;
@@ -222,4 +223,53 @@ fn close_notify_is_reported_and_shadowed() {
         .unwrap();
     assert!(outcomes[0].closed, "close_notify must be reported");
     assert!(rig.ls.shadow(sid).unwrap().closed, "shadow must record it");
+}
+
+/// `SessionOutcome`'s contract — failures are per-session, never the
+/// whole batch — holds across shards too: when one shard's enclave
+/// cannot be entered, its sessions fail and the other shards' outcomes
+/// (input already consumed, output already taken) still come back.
+#[test]
+fn a_failing_shard_does_not_poison_the_other_shards_batch() {
+    let ca = CertificateAuthority::new("CA", &[1u8; 32]);
+    let (key, cert) = ca.issue_identity("svc.test", &[2u8; 32]).unwrap();
+    let config = LibSealConfig::builder(cert, key)
+        .ssm(Arc::new(GitModule))
+        .cost_model(CostModel::free())
+        .shards(2)
+        .tcs_count(1)
+        .epoch_interval(0)
+        .build();
+    let plane = ShardedPlane::open(config).unwrap();
+    // One session per shard, each with a ClientHello to deliver.
+    let hello = |shard: u32| {
+        let affinity = (0..).find(|&a| route_affinity(a, &[0, 1]) == Some(shard));
+        let sid = plane.open_session(0, affinity.unwrap()).unwrap();
+        let mut client = Ssl::new(SslConfig::client(vec![ca.root_key()]), [3u8; 64]);
+        client.do_handshake().unwrap();
+        SessionInput {
+            sid,
+            input: client.take_output(),
+        }
+    };
+    let (a, b) = (hello(0), hello(1));
+    let (sid_a, sid_b) = (a.sid, b.sid);
+
+    // Shard 1's only TCS is taken: its batch entry fails with OutOfTcs.
+    let shard_b = plane.shard(1).unwrap();
+    let hold = shard_b.enclave().enter_persistent().unwrap();
+    let outcomes = plane
+        .pump_batch(0, vec![a, b])
+        .expect("one shard's failure is not the batch's");
+    drop(hold);
+
+    assert_eq!(outcomes.len(), 2);
+    let of = |sid| outcomes.iter().find(|o| o.sid == sid).unwrap();
+    assert!(of(sid_a).error.is_none(), "{:?}", of(sid_a).error);
+    assert!(!of(sid_a).output.is_empty(), "shard 0's ServerHello is lost");
+    assert!(
+        matches!(of(sid_b).error, Some(LibSealError::Log(_))),
+        "{:?}",
+        of(sid_b).error
+    );
 }

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use libseal::ssm::git::ZERO_CID;
-use libseal::{GitModule, LibSeal, LibSealConfig, LogBacking};
+use libseal::{AuditPlane, GitModule, LibSeal, LibSealConfig, LogBacking};
 use libseal_httpx::http::{parse_response, Request, Response};
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::cert::CertificateAuthority;

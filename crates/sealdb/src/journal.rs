@@ -87,10 +87,9 @@ pub enum SyncPolicy {
     EveryRecord,
     /// fsync only on explicit [`Journal::sync_now`] calls — the
     /// paper's configuration: LibSEAL flushes once per
-    /// request/response pair (§5.1).
+    /// request/response pair (§5.1). A caller that never calls it
+    /// leaves flushing to the OS.
     Manual,
-    /// Leave flushing to the OS (used by the `-mem`-style configs).
-    Never,
 }
 
 /// What [`Journal::replay`] salvaged from a torn tail.
@@ -369,7 +368,11 @@ fn remove_stale_rewrite_temps(path: &Path) {
 
 /// Fsyncs the directory containing `path`, making a rename/truncate in
 /// it durable.
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+///
+/// # Errors
+///
+/// The directory cannot be opened or synced.
+pub fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => PathBuf::from("."),
@@ -514,7 +517,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let path = tmp("rt");
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
         j.append(
             "INSERT INTO t VALUES (?, ?)",
             &[Value::Integer(1), Value::Text("x".into())],
@@ -533,7 +536,7 @@ mod tests {
         // error; the journal file must stay untouched so later appends
         // and replays still work.
         let path = tmp("oversize");
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
         j.append("A", &[]).unwrap();
         let big = Value::Blob(vec![0u8; MAX_RECORD_BYTES + 1]);
         let err = j.append("INSERT INTO t VALUES (?)", &[big]).unwrap_err();
@@ -556,7 +559,7 @@ mod tests {
                 Journal::open(&path, Box::new(PlainCodec), SyncPolicy::EveryRecord).unwrap();
             j.append("CREATE TABLE t(a)", &[]).unwrap();
         }
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
         let entries = j.replay().unwrap();
         assert_eq!(entries.len(), 1);
     }
@@ -564,7 +567,7 @@ mod tests {
     #[test]
     fn truncate_clears() {
         let path = tmp("trunc");
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
         j.append("X", &[]).unwrap();
         j.truncate().unwrap();
         assert!(j.replay().unwrap().is_empty());
@@ -575,7 +578,7 @@ mod tests {
     #[test]
     fn all_value_types_roundtrip() {
         let path = tmp("vals");
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
         let params = vec![
             Value::Null,
             Value::Integer(-7),
@@ -592,7 +595,7 @@ mod tests {
         let path = tmp("cut");
         let full_len;
         {
-            let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+            let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
             j.append("INSERT INTO t VALUES (1)", &[]).unwrap();
             j.append("INSERT INTO t VALUES (2)", &[]).unwrap();
             full_len = j.size_bytes();
@@ -600,7 +603,7 @@ mod tests {
         // Chop 3 bytes off: the second record becomes a torn tail.
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..data.len() - 3]).unwrap();
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
         let entries = j.replay().unwrap();
         assert_eq!(entries.len(), 1, "intact prefix record survives");
         let info = j.last_salvage().expect("salvage reported");
@@ -617,7 +620,7 @@ mod tests {
     fn salvages_torn_length_prefix() {
         let path = tmp("cutlen");
         {
-            let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+            let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
             j.append("A", &[]).unwrap();
         }
         // Leave only 2 bytes of the next frame's length prefix.
@@ -625,7 +628,7 @@ mod tests {
         let mut cut = data.clone();
         cut.extend_from_slice(&[7, 0]);
         std::fs::write(&path, &cut).unwrap();
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
         assert_eq!(j.replay().unwrap().len(), 1);
         assert_eq!(
             j.last_salvage(),
@@ -662,7 +665,7 @@ mod tests {
     fn midfile_corruption_stays_fatal() {
         let path = tmp("corrupt");
         {
-            let mut j = Journal::open(&path, Box::new(SumCodec), SyncPolicy::Never).unwrap();
+            let mut j = Journal::open(&path, Box::new(SumCodec), SyncPolicy::Manual).unwrap();
             j.append("INSERT INTO t VALUES (1)", &[]).unwrap();
             j.append("INSERT INTO t VALUES (2)", &[]).unwrap();
         }
@@ -671,7 +674,7 @@ mod tests {
         let mut data = std::fs::read(&path).unwrap();
         data[8] ^= 0xff;
         std::fs::write(&path, &data).unwrap();
-        let mut j = Journal::open(&path, Box::new(SumCodec), SyncPolicy::Never).unwrap();
+        let mut j = Journal::open(&path, Box::new(SumCodec), SyncPolicy::Manual).unwrap();
         assert!(j.replay().is_err());
         assert!(j.last_salvage().is_none());
     }
@@ -679,7 +682,7 @@ mod tests {
     #[test]
     fn rewrite_replaces_contents_atomically() {
         let path = tmp("rw");
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
         for i in 0..5 {
             j.append(&format!("S{i}"), &[]).unwrap();
         }
@@ -703,7 +706,7 @@ mod tests {
         std::fs::write(&path, b"").unwrap();
         let stale = rewrite_temp_path(path.path(), 3);
         std::fs::write(&stale, b"half a snapshot").unwrap();
-        let _j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+        let _j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
         assert!(!stale.exists(), "stale compaction temp not cleaned up");
     }
 }

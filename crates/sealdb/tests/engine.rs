@@ -426,7 +426,7 @@ fn compaction_preserves_data_and_shrinks_journal() {
     use libseal_sealdb::{PlainCodec, SyncPolicy};
     let path = plat::tmp::TempPath::new("sealdb-compact", "db");
     {
-        let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+        let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
         db.execute("CREATE TABLE t(a INTEGER)").unwrap();
         for i in 0..100 {
             db.execute_with("INSERT INTO t VALUES (?)", &[Value::Integer(i)])
@@ -437,7 +437,7 @@ fn compaction_preserves_data_and_shrinks_journal() {
         db.compact().unwrap();
         assert!(db.journal_size_bytes() < before);
     }
-    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
     let r = db.query("SELECT COUNT(*) FROM t", &[]).unwrap();
     assert_eq!(r.scalar().unwrap(), &Value::Integer(10));
 }
@@ -569,7 +569,7 @@ fn indexes_survive_journal_replay() {
     use libseal_sealdb::{PlainCodec, SyncPolicy};
     let path = plat::tmp::TempPath::new("sealdb-ixreplay", "db");
     {
-        let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+        let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
         db.execute("CREATE TABLE t(a INTEGER, b INTEGER)").unwrap();
         db.execute("CREATE INDEX ix_a ON t(a)").unwrap();
         for i in 0..40 {
@@ -581,7 +581,7 @@ fn indexes_survive_journal_replay() {
         }
         db.execute("DELETE FROM t WHERE a = 1").unwrap();
     }
-    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
     assert_eq!(db.catalog().table("t").unwrap().index_names(), vec!["ix_a"]);
     assert_indexes_consistent(&db);
     let r = db
@@ -595,7 +595,7 @@ fn compaction_preserves_indexes() {
     use libseal_sealdb::{PlainCodec, SyncPolicy};
     let path = plat::tmp::TempPath::new("sealdb-ixcompact", "db");
     {
-        let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+        let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
         db.execute("CREATE TABLE t(a INTEGER)").unwrap();
         db.execute("CREATE INDEX ix_a ON t(a)").unwrap();
         for i in 0..60 {
@@ -606,7 +606,7 @@ fn compaction_preserves_indexes() {
         db.compact().unwrap();
         assert_indexes_consistent(&db);
     }
-    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Never).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
     assert_eq!(db.catalog().table("t").unwrap().index_names(), vec!["ix_a"]);
     assert_indexes_consistent(&db);
     let r = db.query("SELECT COUNT(*) FROM t WHERE a = 2", &[]).unwrap();

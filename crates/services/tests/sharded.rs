@@ -7,7 +7,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use libseal::plane::route_affinity;
+use libseal::fleet::route_affinity;
 use libseal::{AuditPlane, GitModule, LibSealConfig, LibSealError, ShardedPlane};
 use libseal_crypto::ed25519::VerifyingKey;
 use libseal_httpx::http::Request;

@@ -104,7 +104,7 @@ fn main() {
     // 7. Everything above was measured: every wired crate reports into
     //    the process-wide telemetry registry (served as /metrics by the
     //    service layer — see crates/services::MetricsRouter).
-    let reg = libseal.telemetry();
+    let reg = libseal::telemetry::global();
     let append_ns = reg.histogram("core_append_ns").snapshot();
     println!(
         "\ntelemetry: {} appends (p95 {}us), {} sealdb statements, {} enclave ecalls",
