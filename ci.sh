@@ -11,10 +11,13 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Code size is a tracked number: prints code lines per crate and fails
-# when crates/core outgrows its budget, a file of the session split
-# outgrows 900 lines, or an enclave interface name is spelled outside
-# the Ecall table.
+# Code size and panic surface are tracked numbers: prints `table1`'s
+# per-crate table (the one counter) and fails when crates/core or
+# crates/bench outgrows its budget, the `unsafe` or `unwrap`/`expect`
+# totals grow, a file of the session split outgrows 900 lines, an
+# enclave interface name is spelled outside the Ecall table, or a paper
+# printer builds its own fleet. Builds the bench binaries in release
+# mode, which the gates below need anyway.
 scripts/loc_budget.sh
 
 # benchmark/ is its own workspace, so nothing above compiles it: a

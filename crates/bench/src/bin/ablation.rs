@@ -14,22 +14,22 @@
 //! cargo run --release -p libseal-bench --bin ablation
 //! ```
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use libseal::log::{AuditLog, HwCounterGuard, LogBacking, NoGuard, RollbackGuard, RoteGuard};
-use libseal::{GitModule, ServiceModule};
+use libseal::GitModule;
 use libseal_bench::*;
-use libseal_crypto::ed25519::SigningKey;
 use libseal_sealdb::{Database, Value};
 use libseal_telemetry::{Histogram, HistogramSnapshot};
 
 const N: u64 = 300;
 
-/// Runs `f` N times, recording each call into a fresh telemetry
+/// Runs `f` `n` times, recording each call into a fresh telemetry
 /// histogram; quantiles come from its log-linear buckets.
-fn measure(mut f: impl FnMut(u64)) -> HistogramSnapshot {
+fn measure(n: u64, mut f: impl FnMut(u64)) -> HistogramSnapshot {
     let h = Histogram::new();
-    for i in 0..N {
+    for i in 0..n {
         let t0 = Instant::now();
         f(i);
         h.record_duration(t0.elapsed());
@@ -37,136 +37,94 @@ fn measure(mut f: impl FnMut(u64)) -> HistogramSnapshot {
     h.snapshot()
 }
 
-fn us(ns: u64) -> String {
-    format!("{:.1}", ns as f64 / 1000.0)
-}
-
-fn row(label: &str, s: &HistogramSnapshot) -> Vec<String> {
-    vec![
-        label.into(),
-        us(s.mean()),
-        us(s.percentile(0.5)),
-        us(s.percentile(0.95)),
-    ]
-}
-
-fn audit_log(backing: LogBacking, guard: Box<dyn RollbackGuard>) -> AuditLog {
-    let ssm = GitModule;
-    AuditLog::open(
-        backing,
-        [0u8; 32],
-        SigningKey::from_seed(&[1u8; 32]),
-        guard,
-        ssm.schema_sql(),
-        ssm.tables(),
-    )
-    .expect("log")
-}
-
 fn append(log: &mut AuditLog, i: u64) {
-    let t = log.next_time() as i64;
-    log.append(
-        "updates",
-        &[
-            Value::Integer(t),
-            Value::Text("repo".into()),
-            Value::Text("refs/heads/main".into()),
-            Value::Text(format!("{i:040x}")),
-            Value::Text("update".into()),
-        ],
-    )
-    .expect("append");
+    git_update(log, "repo", "refs/heads/main", &format!("{i:040x}")).expect("append");
+}
+
+fn rote() -> Box<dyn RollbackGuard> {
+    let cluster = libseal_rote::Cluster::new(1, Duration::ZERO, b"ablate").unwrap();
+    Box::new(RoteGuard(Arc::new(cluster)))
+}
+
+const LAYERS: [&str; 6] = [
+    "bare INSERT (sealdb)",
+    "+ hash chain + signed head (mem)",
+    "+ ROTE quorum counter",
+    "+ sealed journal (buffered)",
+    "+ fsync per append",
+    "ALT: SGX hardware counter instead of ROTE",
+];
+
+/// Append cost with the first `layer + 1` layers of the integrity
+/// stack in place (the last row swaps ROTE for the hardware counter).
+fn layer(layer: usize) -> HistogramSnapshot {
+    let log = |backing, guard| fresh_log(&GitModule, backing, guard);
+    match layer {
+        // A bare relational insert (no audit machinery).
+        0 => {
+            let mut db = Database::new();
+            db.execute(
+                "CREATE TABLE updates(time INTEGER, repo TEXT, branch TEXT, cid TEXT, type TEXT)",
+            )
+            .unwrap();
+            measure(N, |i| {
+                db.execute_with(
+                    "INSERT INTO updates VALUES (?, 'repo', 'refs/heads/main', ?, 'update')",
+                    &[Value::Integer(i as i64), Value::Text(format!("{i:040x}"))],
+                )
+                .unwrap();
+            })
+        }
+        1 => {
+            let mut log = log(LogBacking::Memory, Box::new(NoGuard));
+            measure(N, |i| append(&mut log, i))
+        }
+        // f = 1 quorum, in-process.
+        2 => {
+            let mut log = log(LogBacking::Memory, rote());
+            measure(N, |i| append(&mut log, i))
+        }
+        // Buffered: no `flush()` call, so no fsync.
+        3 => {
+            let journal = JournalDir::create();
+            let mut log = log(journal.backing(), rote());
+            measure(N, |i| append(&mut log, i))
+        }
+        // The paper's per-pair durability.
+        4 => {
+            let journal = JournalDir::create();
+            let mut log = log(journal.backing(), rote());
+            measure(N, |i| {
+                append(&mut log, i);
+                log.flush().unwrap();
+            })
+        }
+        // The raw SGX hardware counter, to show why the paper rejects
+        // it (§5.1); five appends, each waits ~100 ms.
+        _ => {
+            let counter = libseal_sgxsim::MonotonicCounter::with_properties(
+                Duration::from_millis(100),
+                1 << 30,
+            );
+            let mut log = log(LogBacking::Memory, Box::new(HwCounterGuard(counter)));
+            measure(5, |i| append(&mut log, i))
+        }
+    }
 }
 
 fn main() {
-    let mut rows = Vec::new();
-
-    // Layer 0: a bare relational insert (no audit machinery).
-    {
-        let mut db = Database::new();
-        db.execute(
-            "CREATE TABLE updates(time INTEGER, repo TEXT, branch TEXT, cid TEXT, type TEXT)",
-        )
-        .unwrap();
-        let s = measure(|i| {
-            db.execute_with(
-                "INSERT INTO updates VALUES (?, 'repo', 'refs/heads/main', ?, 'update')",
-                &[Value::Integer(i as i64), Value::Text(format!("{i:040x}"))],
-            )
-            .unwrap();
-        });
-        rows.push(row("bare INSERT (sealdb)", &s));
-    }
-
-    // Layer 1: + hash chain + Ed25519 head signature (in-memory).
-    {
-        let mut log = audit_log(LogBacking::Memory, Box::new(NoGuard));
-        let s = measure(|i| append(&mut log, i));
-        rows.push(row("+ hash chain + signed head (mem)", &s));
-    }
-
-    // Layer 2: + ROTE rollback counter (f = 1 quorum, in-process).
-    {
-        let cluster = libseal_rote::Cluster::new(1, Duration::ZERO, b"ablate").unwrap();
-        let mut log = audit_log(
-            LogBacking::Memory,
-            Box::new(RoteGuard(std::sync::Arc::new(cluster))),
-        );
-        let s = measure(|i| append(&mut log, i));
-        rows.push(row("+ ROTE quorum counter", &s));
-    }
-
-    // Layer 3: + sealed journal on disk, buffered (no `flush()` call,
-    // so no fsync).
-    {
-        let cluster = libseal_rote::Cluster::new(1, Duration::ZERO, b"ablate").unwrap();
-        let path = bench_log_path(BenchConfig::Disk);
-        let mut log = audit_log(
-            LogBacking::Disk(path.clone()),
-            Box::new(RoteGuard(std::sync::Arc::new(cluster))),
-        );
-        let s = measure(|i| append(&mut log, i));
-        rows.push(row("+ sealed journal (buffered)", &s));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    // Layer 4: + fsync per append (the paper's per-pair durability).
-    {
-        let cluster = libseal_rote::Cluster::new(1, Duration::ZERO, b"ablate").unwrap();
-        let path = bench_log_path(BenchConfig::Disk);
-        let mut log = audit_log(
-            LogBacking::Disk(path.clone()),
-            Box::new(RoteGuard(std::sync::Arc::new(cluster))),
-        );
-        let s = measure(|i| {
-            append(&mut log, i);
-            log.flush().unwrap();
-        });
-        rows.push(row("+ fsync per append", &s));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    // Alternative rollback guard: the raw SGX hardware counter, to show
-    // why the paper rejects it (§5.1).
-    {
-        let counter =
-            libseal_sgxsim::MonotonicCounter::with_properties(Duration::from_millis(100), 1 << 30);
-        let mut log = audit_log(LogBacking::Memory, Box::new(HwCounterGuard(counter)));
-        let h = Histogram::new();
-        for i in 0..5 {
-            let t0 = Instant::now();
-            append(&mut log, i);
-            h.record_duration(t0.elapsed());
-        }
-        let s = h.snapshot();
-        rows.push(vec![
-            "ALT: SGX hardware counter instead of ROTE".into(),
-            format!("{:.0}", s.mean() as f64 / 1000.0),
-            format!("{:.0}", s.percentile(0.5) as f64 / 1000.0),
-            format!("{:.0}", s.percentile(0.95) as f64 / 1000.0),
-        ]);
-    }
-
+    let r = repeat(LAYERS.len(), layer);
+    let rows: Vec<Vec<String>> = (0..LAYERS.len())
+        .map(|i| {
+            let us = |f: fn(&HistogramSnapshot) -> u64| r.of(i, |s| f(s) as f64 / 1000.0).cell(1);
+            let cells = [
+                us(|s| s.mean()),
+                us(|s| s.percentile(0.5)),
+                us(|s| s.percentile(0.95)),
+            ];
+            [vec![LAYERS[i].to_string()], cells.to_vec()].concat()
+        })
+        .collect();
     print_table(
         "Ablation: audit-log append cost by design layer",
         &["configuration", "mean us", "p50 us", "p95 us"],
@@ -177,9 +135,10 @@ fn main() {
     // the process-wide registry while the layers ran.
     let reg = libseal_telemetry::global();
     let append_ns = reg.histogram("core_append_ns").snapshot();
+    let us = |ns: u64| ns as f64 / 1000.0;
     println!(
-        "\ntelemetry cross-check: core_append_ns count={} mean={}us p95={}us, \
-         sealdb_journal_fsyncs_total={}, rote_round_ns p50={}us",
+        "\ntelemetry cross-check: core_append_ns count={} mean={:.1}us p95={:.1}us, \
+         sealdb_journal_fsyncs_total={}, rote_round_ns p50={:.1}us",
         append_ns.count(),
         us(append_ns.mean()),
         us(append_ns.percentile(0.95)),
@@ -191,5 +150,4 @@ fn main() {
          quorum is cheap (MACs); durable disk adds the fsync; the SGX hardware \
          counter (~100 ms per increment) is why LibSEAL uses ROTE (§5.1)."
     );
-    let _ = GitModule.name();
 }

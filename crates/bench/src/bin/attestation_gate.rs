@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use libseal::plane::build_plane;
 use libseal::{DropboxModule, GitModule, IdentityIssuer, LibSeal, LibSealConfig};
-use libseal_bench::{bench_secs, ms, print_table, BenchIdentity};
+use libseal_bench::{bench_secs, ms, print_table, BenchIdentity, Stream};
 use libseal_crypto::ed25519::SigningKey;
 use libseal_httpx::http::Request;
 use libseal_services::apache::{ApacheConfig, ApacheServer};
@@ -57,22 +57,6 @@ fn attested_config(issuer: &Arc<IdentityIssuer>, subject: &str) -> libseal::LibS
     LibSealConfig::attested(Arc::clone(issuer), subject)
         .cost_model(CostModel::free())
         .check_interval(0)
-}
-
-/// Per-client Git push stream: every request is a logged pair on the
-/// audited origin.
-fn push_request(client: usize, i: u64) -> Request {
-    let branch = format!("refs/heads/b{}", i % 4);
-    let cid: String = libseal_crypto::sha2::Sha256::digest(format!("{client}:{i}").as_bytes())
-        .iter()
-        .take(20)
-        .map(|b| format!("{b:02x}"))
-        .collect();
-    Request::new(
-        "POST",
-        &format!("/repo/repo-{client}/git-receive-pack"),
-        format!("old {cid} {branch}\n").into_bytes(),
-    )
 }
 
 /// Check 1: attested apache + squid fleet, both legs pinned, clean
@@ -113,14 +97,15 @@ fn attested_fleet(issuer: &Arc<IdentityIssuer>) -> Result<[u8; 32], String> {
     let client = HttpsClient::new(proxy.addr(), vec![issuer.ca_root()], "localhost")
         .attestation(Arc::new(issuer.policy_for(proxy_measurements)));
     // Non-persistent: every request re-runs the attested handshake on
-    // both legs, which is the path under test.
+    // both legs, which is the path under test. Every request is a push,
+    // so a logged pair on the audited origin.
     let stats = LoadGenerator {
         clients: CLIENTS,
         duration: bench_secs(),
         persistent: false,
         ..LoadGenerator::default()
     }
-    .run(&client, push_request);
+    .run(&client, |c, i| Stream::GitPush.request(c, i));
     proxy.drain();
     origin.drain();
 
@@ -221,11 +206,7 @@ fn handshake_overhead(issuer: &Arc<IdentityIssuer>) -> Result<(), String> {
     // keypair, so the attested server can run plain native TLS and
     // the measured delta is the handshake itself, not enclave pumps.
     let donor = LibSeal::new(
-        LibSealConfig::builder(id.cert.clone(), id.key.clone())
-            .ssm(Arc::new(GitModule))
-            .cost_model(CostModel::free())
-            .check_interval(0)
-            .build(),
+        id.unpriced().ssm(Arc::new(GitModule)).build(),
     )
     .map_err(|e| format!("donor enclave: {e}"))?;
     let key = SigningKey::from_seed(&[0x77; 32]);

@@ -24,9 +24,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use libseal::log::{AuditLog, LogBacking, NoGuard};
-use libseal::{Checker, CommitMode, GitModule, ServiceModule, TicketQueue, Worker};
-use libseal_crypto::ed25519::SigningKey;
-use libseal_sealdb::Value;
+use libseal::{Checker, CommitMode, GitModule, TicketQueue, Worker};
+use libseal_bench::{fresh_log, git_advert, git_update};
 
 /// Flatness tolerance: per-append check cost on the 1000× log may be
 /// at most this factor of the small log's.
@@ -42,41 +41,11 @@ const WINDOW: usize = 32;
 /// agree on a non-zero count.
 const INJECTED: usize = 3;
 
-fn text(s: impl Into<String>) -> Value {
-    Value::Text(s.into())
-}
-
 /// One Git push: an update immediately followed by its advertisement.
 /// A `lie` advertises a bogus head, creating one soundness violation.
 fn push(log: &mut AuditLog, repo: &str, cid: &str, lie: bool) {
-    let t = log.next_time() as i64;
-    log.append(
-        "updates",
-        &[
-            Value::Integer(t),
-            text(repo),
-            text("main"),
-            text(cid),
-            text("update"),
-        ],
-    )
-    .unwrap();
-    let t = log.next_time() as i64;
-    let advertised = if lie {
-        "WRONG".to_string()
-    } else {
-        cid.to_string()
-    };
-    log.append(
-        "advertisements",
-        &[
-            Value::Integer(t),
-            text(repo),
-            text("main"),
-            text(advertised),
-        ],
-    )
-    .unwrap();
+    git_update(log, repo, "main", cid).unwrap();
+    git_advert(log, repo, "main", if lie { "WRONG" } else { cid }).unwrap();
 }
 
 /// Honest single-branch Git history of `n` entries (n/2 pushes) with
@@ -85,15 +54,7 @@ fn push(log: &mut AuditLog, repo: &str, cid: &str, lie: bool) {
 /// dirty-tracking costs on every insert.
 fn git_log(n: usize) -> AuditLog {
     let m = GitModule;
-    let mut log = AuditLog::open(
-        LogBacking::Memory,
-        [0u8; 32],
-        SigningKey::from_seed(&[1u8; 32]),
-        Box::new(NoGuard),
-        m.schema_sql(),
-        m.tables(),
-    )
-    .expect("log");
+    let mut log = fresh_log(&m, LogBacking::Memory, Box::new(NoGuard));
     // Staged commits, as under the production group-commit pipeline:
     // building the history should not pay a head signature per append
     // (this gate times checking, not sealing).
@@ -201,27 +162,13 @@ fn drive_verifier(log: AuditLog) {
     );
 }
 
-/// Size override for local bisection (`CHECK_GATE_LARGE=100000`).
-fn env_size(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let small_n = env_size("CHECK_GATE_SMALL", 1_000);
-    let large_n = env_size("CHECK_GATE_LARGE", 1_000_000);
+    let (small_n, large_n) = (1_000, 1_000_000);
 
     let build = Instant::now();
     let mut small = git_log(small_n);
-    println!("small build {:?}", build.elapsed());
-    let ph = Instant::now();
     cross_check(&mut small);
-    println!("small cross_check {:?}", ph.elapsed());
-    let ph = Instant::now();
     let t_small = per_append_cost(&mut small).max(FLOOR);
-    println!("small per_append_cost {:?}", ph.elapsed());
     println!(
         "small log: {small_n} entries built+checked in {:?}",
         build.elapsed()

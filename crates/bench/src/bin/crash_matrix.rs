@@ -27,9 +27,9 @@ use std::sync::Arc;
 use libseal::log::{seal_staged, AuditLog, LogBacking, RollbackGuard, RoteGuard};
 use libseal::ssm::git::GIT_SOUNDNESS;
 use libseal::{CommitMode, GitModule, ServiceModule, TicketQueue, Worker};
+use libseal_bench::{git_advert, git_update};
 use libseal_crypto::ed25519::SigningKey;
 use libseal_rote::{Cluster, ClusterConfig, QuorumPolicy};
-use libseal_sealdb::Value;
 use plat::failpoint::{self, FaultSpec, Scenario};
 use plat::tmp::TempPath;
 
@@ -79,20 +79,7 @@ fn workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome {
     // not affect the durable-prefix accounting of base appends.
     let _ = libseal::Checker::install(&GitModule, &mut log);
     let append_one = |log: &mut AuditLog, i: u64| -> bool {
-        let t = log.next_time() as i64;
-        let appended = log
-            .append(
-                "updates",
-                &[
-                    Value::Integer(t),
-                    Value::Text("r".into()),
-                    Value::Text("main".into()),
-                    Value::Text(format!("{i:040x}")),
-                    Value::Text("update".into()),
-                ],
-            )
-            .is_ok();
-        appended && log.flush().is_ok()
+        git_update(log, "r", "main", &format!("{i:040x}")).is_ok() && log.flush().is_ok()
     };
     // Advertisements dirty the soundness view (updates alone cannot —
     // the monotone-time rule — so refresh would be a no-op without
@@ -100,19 +87,7 @@ fn workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome {
     // advertised heads are deliberately wrong: the view carries real
     // violation rows through crash and recovery.
     let append_ad = |log: &mut AuditLog, i: u64| -> bool {
-        let t = log.next_time() as i64;
-        let appended = log
-            .append(
-                "advertisements",
-                &[
-                    Value::Integer(t),
-                    Value::Text("r".into()),
-                    Value::Text("main".into()),
-                    Value::Text(format!("{i:040x}")),
-                ],
-            )
-            .is_ok();
-        appended && log.flush().is_ok()
+        git_advert(log, "r", "main", &format!("{i:040x}")).is_ok() && log.flush().is_ok()
     };
     for i in 0..4 {
         if append_one(&mut log, i) {
@@ -165,15 +140,8 @@ fn pipeline_workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome 
                     let slot = queue.reserve();
                     let ticket = {
                         let mut g = log.lock();
-                        let t = g.next_time() as i64;
-                        let row = [
-                            Value::Integer(t),
-                            Value::Text("r".into()),
-                            Value::Text("main".into()),
-                            Value::Text(format!("{w:02x}{i:038x}")),
-                            Value::Text("update".into()),
-                        ];
-                        if g.append("updates", &row).is_err() {
+                        let cid = format!("{w:02x}{i:038x}");
+                        if git_update(&mut g, "r", "main", &cid).is_err() {
                             continue;
                         }
                         match slot.issue() {

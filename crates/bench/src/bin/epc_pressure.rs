@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use libseal_bench::print_table;
+use libseal_bench::{print_table, repeat};
 use libseal_sgxsim::cost::CostModel;
 use libseal_sgxsim::enclave::EnclaveBuilder;
 
@@ -29,10 +29,11 @@ fn main() {
         .cost_model(model)
         .build(|_| ());
 
-    let mut rows = Vec::new();
     let touch_bytes: u64 = 256 * 1024;
-    for fraction in [25u64, 50, 75, 100, 110, 125, 150, 200] {
-        let working_set = limit * fraction / 100;
+    let fractions = [25u64, 50, 75, 100, 110, 125, 150, 200];
+    // (touch MB/s, page swaps) at each working-set size.
+    let r = repeat(fractions.len(), |i| {
+        let working_set = limit * fractions[i] / 100;
         enclave
             .ecall("alloc", |_, sv| {
                 let cur = sv.epc_resident();
@@ -43,6 +44,7 @@ fn main() {
                 }
             })
             .unwrap();
+        enclave.services().stats().reset();
         let iters = 200u64;
         let t0 = Instant::now();
         enclave
@@ -54,22 +56,28 @@ fn main() {
             .unwrap();
         let elapsed = t0.elapsed();
         let mbps = (touch_bytes * iters) as f64 / (1024.0 * 1024.0) / elapsed.as_secs_f64();
-        let swaps = enclave.services().stats().snapshot().epc_page_swaps;
-        enclave.services().stats().reset();
-        rows.push(vec![
-            format!("{fraction}%"),
-            format!("{:.1}", working_set as f64 / (1024.0 * 1024.0)),
-            format!("{mbps:.0}"),
-            swaps.to_string(),
-        ]);
-    }
+        (mbps, enclave.services().stats().snapshot().epc_page_swaps)
+    });
+    let rows: Vec<Vec<String>> = (0..fractions.len())
+        .map(|i| {
+            vec![
+                format!("{}%", fractions[i]),
+                format!(
+                    "{:.1}",
+                    (limit * fractions[i] / 100) as f64 / (1024.0 * 1024.0)
+                ),
+                r.of(i, |t| t.0).cell(0),
+                r.of(i, |t| t.1 as f64).cell(0),
+            ]
+        })
+        .collect();
     print_table(
         "EPC pressure: in-enclave touch throughput vs working-set size (16 MB EPC)",
         &[
             "working set / EPC",
             "working set (MB)",
             "touch MB/s",
-            "page swaps",
+            "page swaps while touching",
         ],
         &rows,
     );

@@ -21,12 +21,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use libseal::{LibSeal, LibSealConfig};
+use libseal::LibSeal;
 use libseal_bench::*;
 use libseal_httpx::http::Request;
 use libseal_services::apache::{ApacheConfig, ApacheServer, StaticContentRouter};
-use libseal_services::{HttpsClient, LoadGenerator, TlsMode};
-use libseal_sgxsim::cost::CostModel;
+use libseal_services::{HttpsClient, TlsMode};
 
 /// Concurrent idle sessions one reactor must hold.
 const MIN_IDLE_SESSIONS: usize = 5000;
@@ -40,23 +39,9 @@ const IDLE_WINDOW: Duration = Duration::from_millis(500);
 const MAX_TRANSITION_RATIO: f64 = 0.9;
 
 fn instance(id: &BenchIdentity) -> Arc<LibSeal> {
-    LibSeal::new(
-        LibSealConfig::builder(id.cert.clone(), id.key.clone())
-            // Zero the simulated transition tax: this gate counts
-            // boundary crossings, it does not price them.
-            .cost_model(CostModel::free())
-            .check_interval(0)
-            .build(),
-    )
-    .expect("libseal")
-}
-
-/// Total enclave entries so far: synchronous, asynchronous and
-/// batched ecalls each cross the boundary once.
-fn transitions() -> u64 {
-    libseal_telemetry::counter("sgxsim_ecalls_total").get()
-        + libseal_telemetry::counter("sgxsim_async_ecalls_total").get()
-        + libseal_telemetry::counter("sgxsim_batch_ecalls_total").get()
+    // Zero the simulated transition tax: this gate counts boundary
+    // crossings, it does not price them.
+    LibSeal::new(id.unpriced().build()).expect("libseal")
 }
 
 /// Part 1: park `MIN_IDLE_SESSIONS` established sessions on one
@@ -136,29 +121,19 @@ fn capacity_gate(id: &BenchIdentity) -> Result<(), String> {
     Ok(())
 }
 
-/// Part 2: enclave transitions per request, event vs threaded.
+/// Part 2: enclave transitions per request, event vs threaded, under
+/// 8 persistent clients fetching 256 bytes. Synchronous, asynchronous
+/// and batched ecalls each cross the boundary once.
 fn transitions_per_request(id: &BenchIdentity, event: bool) -> f64 {
-    let t0 = transitions();
-    let ls = instance(id);
-    let server = ApacheServer::start(
-        ApacheConfig::new(TlsMode::LibSeal(ls), Arc::new(StaticContentRouter))
-            .workers(8)
-            .event_loop(event),
-    )
-    .expect("server");
-    let client = HttpsClient::new(server.addr(), id.roots(), "localhost");
-    let stats = LoadGenerator {
+    let p = Scenario {
+        event_loop: event,
+        workers: 8,
         clients: 8,
-        duration: bench_secs(),
-        persistent: true,
-        ..LoadGenerator::default()
+        stream: Stream::Get(256),
+        ..Scenario::new(App::Static, TlsSide::Audited(instance(id), None))
     }
-    .run(&client, |_, _| {
-        Request::new("GET", "/content/256", Vec::new())
-    });
-    server.stop();
-    assert!(stats.requests > 0, "load generator completed no requests");
-    (transitions() - t0) as f64 / stats.requests as f64
+    .run();
+    p.per_request(p.counts.ecalls + p.counts.async_ecalls + p.counts.batch_ecalls)
 }
 
 fn main() {

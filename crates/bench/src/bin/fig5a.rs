@@ -9,146 +9,35 @@
 //! cargo run --release -p libseal-bench --bin fig5a
 //! ```
 
-use std::sync::Arc;
-
-use libseal::GitModule;
 use libseal_bench::*;
-use libseal_httpx::http::Request;
-use libseal_services::apache::{ApacheConfig, ApacheServer};
-use libseal_services::git::GitBackend;
-use libseal_services::{HttpsClient, LoadGenerator, TlsMode};
-
-/// Deterministic per-client Git op stream: each client works on its
-/// own repository (like distinct users), pushing twice then fetching.
-fn git_request(client: usize, i: u64) -> Request {
-    let repo = format!("repo-{client}");
-    if i % 3 == 2 {
-        Request::new(
-            "GET",
-            &format!("/repo/{repo}/info/refs?service=git-upload-pack"),
-            Vec::new(),
-        )
-    } else {
-        let branch = format!("refs/heads/b{}", i % 4);
-        let cid: String = libseal_crypto::sha2::Sha256::digest(format!("{client}:{i}").as_bytes())
-            .iter()
-            .take(20)
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        Request::new(
-            "POST",
-            &format!("/repo/{repo}/git-receive-pack"),
-            format!("old {cid} {branch}\n").into_bytes(),
-        )
-    }
-}
-
-fn run_point(
-    id: &BenchIdentity,
-    config: BenchConfig,
-    clients: usize,
-    workers: usize,
-) -> (f64, f64) {
-    let tls = match config {
-        BenchConfig::Native => TlsMode::Native {
-            cert: id.cert.clone(),
-            key: id.key.clone(),
-        },
-        _ => TlsMode::LibSeal(libseal_instance(
-            id,
-            config,
-            Some(Arc::new(GitModule)),
-            workers,
-            10, // this implementation's optimal check/trim interval (our Fig 6)
-            false,
-        )),
-    };
-    let backend = Arc::new(GitBackend::new());
-    // The real Git backend costs several ms per request (the paper's
-    // native peak of 491 req/s on 4 cores implies ~8 ms of CPU per
-    // request); model that work so relative overheads are meaningful.
-    let router = libseal_services::apache::DelayRouter {
-        delay: std::time::Duration::from_millis(4),
-        busy: true, // CPU-bound, like the real git-http-backend
-        inner: Arc::new(backend),
-    };
-    let server = ApacheServer::start(
-        ApacheConfig::new(tls, Arc::new(router))
-            .workers(workers)
-            .event_loop(false),
-    )
-    .expect("server");
-    let client = HttpsClient::new(server.addr(), id.roots(), "localhost");
-    let stats = LoadGenerator {
-        clients,
-        duration: bench_secs(),
-        persistent: true,
-        ..LoadGenerator::default()
-    }
-    .run(&client, git_request);
-    server.stop();
-    (
-        stats.throughput(),
-        stats.mean_latency.as_secs_f64() * 1000.0,
-    )
-}
 
 fn main() {
-    let id = BenchIdentity::new();
-    let client_counts: Vec<usize> = if full_sweep() {
-        vec![1, 2, 4, 8, 16, 32]
-    } else {
-        vec![1, 4, 8, 16]
-    };
-    // Persistent connections pin a worker each; provision one worker
-    // per client so the load generator is never admission-limited.
-    let workers = *client_counts.iter().max().unwrap();
-
-    let mut rows = Vec::new();
-    let mut peaks = Vec::new();
-    for config in [
+    let configs = [
         BenchConfig::Native,
         BenchConfig::Process,
         BenchConfig::Mem,
         BenchConfig::Disk,
-    ] {
-        let mut peak: f64 = 0.0;
-        for &clients in &client_counts {
-            let (tput, lat) = run_point(&id, config, clients, workers);
-            peak = peak.max(tput);
-            rows.push(vec![
-                config.label().to_string(),
-                clients.to_string(),
-                rate(tput),
-                format!("{lat:.1}"),
-            ]);
+    ];
+    let clients: &[usize] = if full_sweep() {
+        &[1, 2, 4, 8, 16, 32]
+    } else {
+        &[1, 4, 8, 16]
+    };
+    // Persistent connections pin a worker each; provision one worker
+    // per client so the load generator is never admission-limited.
+    let workers = *clients.iter().max().unwrap();
+    let r = repeat(clients.len() * configs.len(), |i| {
+        Scenario {
+            clients: clients[i / configs.len()],
+            ..Scenario::paper(App::Git, configs[i % configs.len()], workers)
         }
-        peaks.push((config.label(), peak));
-    }
-    print_table(
+        .run()
+    });
+    print_load_curve(
         "Fig 5a: Git latency vs throughput (replayed commit workload)",
-        &[
-            "config",
-            "clients",
-            "throughput (req/s)",
-            "mean latency (ms)",
-        ],
-        &rows,
-    );
-
-    let native_peak = peaks[0].1;
-    let mut summary = Vec::new();
-    for (label, peak) in &peaks {
-        summary.push(vec![
-            label.to_string(),
-            rate(*peak),
-            overhead_pct(native_peak, *peak),
-        ]);
-    }
-    print_table(
-        "Fig 5a summary: peak throughput per configuration",
-        &["config", "peak req/s", "vs native"],
-        &summary,
+        &configs.map(|c| c.label()),
+        clients,
+        &r,
     );
     println!("\npaper anchors: process -4%, mem -8%, disk -14% vs native");
 }

@@ -8,134 +8,29 @@
 //! cargo run --release -p libseal-bench --bin fig5b
 //! ```
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use libseal::OwnCloudModule;
 use libseal_bench::*;
-use libseal_httpx::http::Request;
-use libseal_services::apache::{ApacheConfig, ApacheServer};
-use libseal_services::owncloud::OwnCloudServer;
-use libseal_services::{HttpsClient, LoadGenerator, TlsMode};
-
-/// Each client edits its own document: a join, then a stream of edits
-/// (single characters with an occasional paragraph, §6.4).
-fn edit_request(client: usize, i: u64) -> Request {
-    let doc = format!("doc-{client}");
-    let who = format!("client-{client}");
-    if i == 0 {
-        Request::new(
-            "POST",
-            "/owncloud/join",
-            format!(r#"{{"doc":"{doc}","client":"{who}"}}"#).into_bytes(),
-        )
-    } else {
-        let content = if i.is_multiple_of(5) {
-            format!("paragraph {i}: lorem ipsum dolor sit amet consectetur")
-        } else {
-            format!("+{}", (b'a' + (i % 26) as u8) as char)
-        };
-        Request::new(
-            "POST",
-            "/owncloud/sync",
-            format!(r#"{{"doc":"{doc}","client":"{who}","ops":[{{"content":"{content}"}}]}}"#)
-                .into_bytes(),
-        )
-    }
-}
-
-fn run_point(
-    id: &BenchIdentity,
-    config: Option<BenchConfig>,
-    clients: usize,
-    workers: usize,
-) -> (f64, f64) {
-    let tls = match config {
-        None => TlsMode::Native {
-            cert: id.cert.clone(),
-            key: id.key.clone(),
-        },
-        Some(c) => TlsMode::LibSeal(libseal_instance(
-            id,
-            c,
-            Some(Arc::new(OwnCloudModule)),
-            workers,
-            75, // the §6.5 optimal interval for ownCloud
-            false,
-        )),
-    };
-    // The PHP engine bottleneck (§6.4): ~8 ms of application work.
-    let oc = Arc::new(OwnCloudServer::with_php_delay(Duration::from_millis(8)));
-    let server = ApacheServer::start(
-        ApacheConfig::new(tls, Arc::new(oc))
-            .workers(workers)
-            .event_loop(false),
-    )
-    .expect("server");
-    let client = HttpsClient::new(server.addr(), id.roots(), "localhost");
-    let stats = LoadGenerator {
-        clients,
-        duration: bench_secs(),
-        persistent: true,
-        ..LoadGenerator::default()
-    }
-    .run(&client, edit_request);
-    server.stop();
-    (
-        stats.throughput(),
-        stats.mean_latency.as_secs_f64() * 1000.0,
-    )
-}
 
 fn main() {
-    let id = BenchIdentity::new();
-    let client_counts: Vec<usize> = if full_sweep() {
-        vec![1, 2, 4, 8, 16]
+    let configs = [BenchConfig::Native, BenchConfig::Mem, BenchConfig::Disk];
+    let clients: &[usize] = if full_sweep() {
+        &[1, 2, 4, 8, 16]
     } else {
-        vec![1, 4, 8]
+        &[1, 4, 8]
     };
     // One worker per persistent client (see fig5a).
-    let workers = *client_counts.iter().max().unwrap();
-
-    let mut rows = Vec::new();
-    let mut peaks = Vec::new();
-    for (label, config) in [
-        ("native", None),
-        ("LibSEAL-mem", Some(BenchConfig::Mem)),
-        ("LibSEAL-disk", Some(BenchConfig::Disk)),
-    ] {
-        let mut peak: f64 = 0.0;
-        for &clients in &client_counts {
-            let (tput, lat) = run_point(&id, config, clients, workers);
-            peak = peak.max(tput);
-            rows.push(vec![
-                label.to_string(),
-                clients.to_string(),
-                rate(tput),
-                format!("{lat:.1}"),
-            ]);
+    let workers = *clients.iter().max().unwrap();
+    let r = repeat(clients.len() * configs.len(), |i| {
+        Scenario {
+            clients: clients[i / configs.len()],
+            ..Scenario::paper(App::OwnCloud, configs[i % configs.len()], workers)
         }
-        peaks.push((label, peak));
-    }
-    print_table(
+        .run()
+    });
+    print_load_curve(
         "Fig 5b: ownCloud latency vs throughput (document edit workload)",
-        &[
-            "config",
-            "clients",
-            "throughput (req/s)",
-            "mean latency (ms)",
-        ],
-        &rows,
-    );
-    let native_peak = peaks[0].1;
-    let summary: Vec<Vec<String>> = peaks
-        .iter()
-        .map(|(l, p)| vec![l.to_string(), rate(*p), overhead_pct(native_peak, *p)])
-        .collect();
-    print_table(
-        "Fig 5b summary: peak throughput per configuration",
-        &["config", "peak req/s", "vs native"],
-        &summary,
+        &configs.map(|c| c.label()),
+        clients,
+        &r,
     );
     println!("\npaper anchors: -13% for mem; disk ≈ mem (PHP engine is the bottleneck)");
 }

@@ -10,166 +10,19 @@
 //! cargo run --release -p libseal-bench --bin fig6
 //! ```
 
-use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use libseal::log::{AuditLog, LogBacking, NoGuard};
+use libseal::log::{LogBacking, NoGuard};
 use libseal::{Checker, DropboxModule, GitModule, OwnCloudModule, ServiceModule};
 use libseal_bench::*;
-use libseal_crypto::ed25519::SigningKey;
-use libseal_httpx::http::{Request, Response};
 
-fn fresh_log(ssm: &dyn ServiceModule) -> AuditLog {
-    AuditLog::open(
-        LogBacking::Memory,
-        [0u8; 32],
-        SigningKey::from_seed(&[1u8; 32]),
-        Box::new(NoGuard),
-        ssm.schema_sql(),
-        ssm.tables(),
-    )
-    .expect("log")
-}
+const SERVICES: [&str; 3] = ["Git", "ownCloud", "Dropbox"];
 
-/// Generates protocol-consistent request/response pairs (an honest
-/// service): violations would block trimming and distort the curve.
-trait Workload {
-    fn next_pair(&mut self) -> (Vec<u8>, Vec<u8>);
-}
-
-/// Git: pushes over four branches; every third request fetches and the
-/// advertisement faithfully lists every live branch.
-#[derive(Default)]
-struct GitWorkload {
-    i: u64,
-    latest: BTreeMap<String, String>,
-}
-
-impl Workload for GitWorkload {
-    fn next_pair(&mut self) -> (Vec<u8>, Vec<u8>) {
-        self.i += 1;
-        let i = self.i;
-        if i.is_multiple_of(3) {
-            let mut advert = String::new();
-            for (branch, cid) in &self.latest {
-                advert.push_str(&format!("{cid} {branch}\n"));
-            }
-            let req = Request::new(
-                "GET",
-                "/repo/r/info/refs?service=git-upload-pack",
-                Vec::new(),
-            );
-            (
-                req.to_bytes(),
-                Response::new(200, advert.into_bytes()).to_bytes(),
-            )
-        } else {
-            let branch = format!("refs/heads/b{}", i % 4);
-            let cid = format!("{i:040x}");
-            self.latest.insert(branch.clone(), cid.clone());
-            let req = Request::new(
-                "POST",
-                "/repo/r/git-receive-pack",
-                format!("old {cid} {branch}\n").into_bytes(),
-            );
-            (
-                req.to_bytes(),
-                Response::new(200, b"ok\n".to_vec()).to_bytes(),
-            )
-        }
-    }
-}
-
-/// ownCloud: a client streams edits and periodically saves a snapshot
-/// (enabling trimming of everything before it).
-#[derive(Default)]
-struct OwnCloudWorkload {
-    i: u64,
-    seq: u64,
-}
-
-impl Workload for OwnCloudWorkload {
-    fn next_pair(&mut self) -> (Vec<u8>, Vec<u8>) {
-        self.i += 1;
-        if self.i.is_multiple_of(20) {
-            let req = Request::new(
-                "POST",
-                "/owncloud/leave",
-                format!(
-                    r#"{{"doc":"d","client":"c","snapshot":"v{}","seq":{}}}"#,
-                    self.i, self.seq
-                )
-                .into_bytes(),
-            );
-            (
-                req.to_bytes(),
-                Response::new(200, br#"{"ok":true}"#.to_vec()).to_bytes(),
-            )
-        } else {
-            self.seq += 1;
-            let req = Request::new(
-                "POST",
-                "/owncloud/sync",
-                format!(
-                    r#"{{"doc":"d","client":"c","ops":[{{"content":"+x{}"}}]}}"#,
-                    self.i
-                )
-                .into_bytes(),
-            );
-            let rsp = format!(r#"{{"acks":[{}],"ops":[]}}"#, self.seq);
-            (
-                req.to_bytes(),
-                Response::new(200, rsp.into_bytes()).to_bytes(),
-            )
-        }
-    }
-}
-
-/// Dropbox: commits rotate over a bounded working set of files; every
-/// fourth request lists — faithfully.
-#[derive(Default)]
-struct DropboxWorkload {
-    i: u64,
-    files: BTreeMap<String, String>,
-}
-
-impl Workload for DropboxWorkload {
-    fn next_pair(&mut self) -> (Vec<u8>, Vec<u8>) {
-        self.i += 1;
-        let i = self.i;
-        if i.is_multiple_of(4) {
-            let items: Vec<String> = self
-                .files
-                .iter()
-                .map(|(f, b)| format!(r#"{{"file":"{f}","blocks":["{b}"],"size":10}}"#))
-                .collect();
-            let req = Request::new(
-                "POST",
-                "/dropbox/list",
-                br#"{"account":"a","host":"h"}"#.to_vec(),
-            );
-            let rsp = format!(r#"{{"files":[{}]}}"#, items.join(","));
-            (
-                req.to_bytes(),
-                Response::new(200, rsp.into_bytes()).to_bytes(),
-            )
-        } else {
-            let file = format!("f{}", i % 25);
-            let blocks = format!("{i:064x}");
-            self.files.insert(file.clone(), blocks.clone());
-            let req = Request::new(
-                "POST",
-                "/dropbox/commit_batch",
-                format!(
-                    r#"{{"account":"a","host":"h","commits":[{{"file":"{file}","blocks":["{blocks}"],"size":10}}]}}"#
-                )
-                .into_bytes(),
-            );
-            (
-                req.to_bytes(),
-                Response::new(200, br#"{"ok":true}"#.to_vec()).to_bytes(),
-            )
-        }
+fn service(s: usize) -> (Box<dyn ServiceModule>, Box<dyn Pairs>) {
+    match s {
+        0 => (Box::new(GitModule), Box::<GitPairs>::default()),
+        1 => (Box::new(OwnCloudModule), Box::<OwnCloudPairs>::default()),
+        _ => (Box::new(DropboxModule), Box::<DropboxPairs>::default()),
     }
 }
 
@@ -192,146 +45,82 @@ enum Mode {
 /// memory-bound decision (EPC pressure), not a check-cost one.
 const TRIM_EVERY: usize = 300;
 
-fn run_service<W: Workload>(
-    ssm: &dyn ServiceModule,
-    make_workload: impl Fn() -> W,
-    intervals: &[usize],
-    requests: u64,
-    mode: Mode,
-) -> Vec<f64> {
-    let mut out = Vec::new();
-    for &interval in intervals {
-        // Fresh workload AND fresh log per leg: the generated traffic
-        // must be consistent with what this log has seen.
-        let mut workload = make_workload();
-        let mut log = fresh_log(ssm);
-        if mode == Mode::Incremental {
-            Checker::install(ssm, &mut log).expect("install views");
-        }
-        let mut spent = std::time::Duration::ZERO;
-        let mut since = 0usize;
-        let mut since_trim = 0usize;
-        for _ in 0..requests {
-            let (req, rsp) = workload.next_pair();
-            ssm.log_pair(&req, &rsp, &mut log).expect("log");
-            since += 1;
-            since_trim += 1;
-            if since >= interval {
-                since = 0;
-                let t0 = Instant::now();
-                let outcome = match mode {
-                    Mode::FullScan => Checker::run_checks(ssm, &log).expect("check"),
-                    Mode::Incremental => {
-                        Checker::run_checks_incremental(ssm, &mut log).expect("check")
-                    }
-                };
-                assert_eq!(
-                    outcome.total_violations(),
-                    0,
-                    "honest workload must stay clean"
-                );
-                if mode == Mode::FullScan || since_trim >= TRIM_EVERY {
-                    since_trim = 0;
-                    log.trim(ssm.trim_queries()).expect("trim");
-                }
-                spent += t0.elapsed();
-            }
-        }
-        out.push(spent.as_secs_f64() * 1e6 / requests as f64);
+/// Check + trim time per request, in µs, for one service at one check
+/// interval. Fresh pairs AND a fresh log per leg: the generated traffic
+/// must be consistent with what this log has seen.
+fn run_leg(s: usize, interval: usize, requests: u64, mode: Mode) -> f64 {
+    let (ssm, mut pairs) = service(s);
+    let ssm = ssm.as_ref();
+    let mut log = fresh_log(ssm, LogBacking::Memory, Box::new(NoGuard));
+    if mode == Mode::Incremental {
+        Checker::install(ssm, &mut log).expect("install views");
     }
-    out
+    let mut spent = Duration::ZERO;
+    let (mut since, mut since_trim) = (0usize, 0usize);
+    for _ in 0..requests {
+        let (req, rsp) = pairs.next_pair();
+        ssm.log_pair(&req, &rsp, &mut log).expect("log");
+        since += 1;
+        since_trim += 1;
+        if since >= interval {
+            since = 0;
+            let t0 = Instant::now();
+            let outcome = match mode {
+                Mode::FullScan => Checker::run_checks(ssm, &log).expect("check"),
+                Mode::Incremental => Checker::run_checks_incremental(ssm, &mut log).expect("check"),
+            };
+            assert_eq!(
+                outcome.total_violations(),
+                0,
+                "honest workload must stay clean"
+            );
+            if mode == Mode::FullScan || since_trim >= TRIM_EVERY {
+                since_trim = 0;
+                log.trim(ssm.trim_queries()).expect("trim");
+            }
+            spent += t0.elapsed();
+        }
+    }
+    spent.as_secs_f64() * 1e6 / requests as f64
 }
 
 fn main() {
     let intervals = [1usize, 5, 10, 25, 50, 75, 100, 150, 200, 250, 300];
     let requests: u64 = if full_sweep() { 1500 } else { 600 };
-
-    let git = run_service(
-        &GitModule,
-        GitWorkload::default,
-        &intervals,
-        requests,
-        Mode::FullScan,
-    );
-    let oc = run_service(
-        &OwnCloudModule,
-        OwnCloudWorkload::default,
-        &intervals,
-        requests,
-        Mode::FullScan,
-    );
-    let db = run_service(
-        &DropboxModule,
-        DropboxWorkload::default,
-        &intervals,
-        requests,
-        Mode::FullScan,
-    );
-
-    let giti = run_service(
-        &GitModule,
-        GitWorkload::default,
-        &intervals,
-        requests,
-        Mode::Incremental,
-    );
-    let oci = run_service(
-        &OwnCloudModule,
-        OwnCloudWorkload::default,
-        &intervals,
-        requests,
-        Mode::Incremental,
-    );
-    let dbi = run_service(
-        &DropboxModule,
-        DropboxWorkload::default,
-        &intervals,
-        requests,
-        Mode::Incremental,
-    );
-
-    let table = |vals: [&[f64]; 3]| {
-        let mut rows = Vec::new();
-        for (k, &interval) in intervals.iter().enumerate() {
-            rows.push(vec![
-                interval.to_string(),
-                format!("{:.1}", vals[0][k]),
-                format!("{:.1}", vals[1][k]),
-                format!("{:.1}", vals[2][k]),
-            ]);
+    let n = intervals.len();
+    // Index = mode major, then service, then interval.
+    let r = repeat(2 * SERVICES.len() * n, |i| {
+        let mode = [Mode::FullScan, Mode::Incremental][i / (SERVICES.len() * n)];
+        run_leg(i / n % SERVICES.len(), intervals[i % n], requests, mode)
+    });
+    let titles = [
+        "Fig 6: normalized invariant checking + trimming time (us per request)".to_string(),
+        format!("Fig 6 re-run: incremental checker, trim decoupled (every {TRIM_EVERY} requests)"),
+    ];
+    for (m, title) in titles.iter().enumerate() {
+        let leg = |s: usize, k: usize| (m * SERVICES.len() + s) * n + k;
+        let rows: Vec<Vec<String>> = (0..n)
+            .map(|k| {
+                let cells = (0..SERVICES.len()).map(|s| r.of(leg(s, k), |us| *us).cell(1));
+                [vec![intervals[k].to_string()], cells.collect()].concat()
+            })
+            .collect();
+        let headers = [vec!["interval (#requests)"], SERVICES.to_vec()].concat();
+        print_table(title, &headers, &rows);
+        // The interval with the cheapest median, and where each single
+        // repetition put it: a flat arm shows as disagreement.
+        println!();
+        for (s, name) in SERVICES.iter().enumerate() {
+            let cheapest = |cost: &dyn Fn(usize) -> f64| {
+                let k = (0..n).min_by(|a, b| cost(*a).total_cmp(&cost(*b)));
+                intervals[k.unwrap_or(0)]
+            };
+            let per_rep: Vec<usize> = (r.reps.iter())
+                .map(|rep| cheapest(&|k| rep[leg(s, k)]))
+                .collect();
+            let median = cheapest(&|k| r.of(leg(s, k), |us| *us).median);
+            println!("{name}: cheapest at interval {median} (per repetition: {per_rep:?})");
         }
-        rows
-    };
-    print_table(
-        "Fig 6: normalized invariant checking + trimming time (us per request)",
-        &["interval (#requests)", "Git", "ownCloud", "Dropbox"],
-        &table([&git, &oc, &db]),
-    );
-    print_table(
-        &format!("Fig 6 re-run: incremental checker, trim decoupled (every {TRIM_EVERY} requests)"),
-        &["interval (#requests)", "Git", "ownCloud", "Dropbox"],
-        &table([&giti, &oci, &dbi]),
-    );
-
-    let best = |v: &[f64]| {
-        intervals[v
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap_or(0)]
-    };
-    println!(
-        "\nfull-scan minima: Git at {}, ownCloud at {}, Dropbox at {} requests",
-        best(&git),
-        best(&oc),
-        best(&db)
-    );
-    println!(
-        "incremental minima: Git at {}, ownCloud at {}, Dropbox at {} requests",
-        best(&giti),
-        best(&oci),
-        best(&dbi)
-    );
-    println!("paper anchors: optimal intervals 25 (Git), 75 (ownCloud), 100 (Dropbox)");
+    }
+    println!("\npaper anchors: optimal intervals 25 (Git), 75 (ownCloud), 100 (Dropbox)");
 }

@@ -8,58 +8,26 @@
 //! cargo run --release -p libseal-bench --bin fig7a
 //! ```
 
-use std::sync::Arc;
-
 use libseal_bench::*;
-use libseal_httpx::http::Request;
-use libseal_services::apache::{ApacheConfig, ApacheServer};
-use libseal_services::{HttpsClient, LoadGenerator, StaticContentRouter, TlsMode};
-
-fn run_point(id: &BenchIdentity, config: BenchConfig, size: usize, workers: usize) -> f64 {
-    let tls = match config {
-        BenchConfig::Native => TlsMode::Native {
-            cert: id.cert.clone(),
-            key: id.key.clone(),
-        },
-        _ => TlsMode::LibSeal(libseal_instance(id, config, None, workers, 0, false)),
-    };
-    let server = ApacheServer::start(
-        ApacheConfig::new(tls, Arc::new(StaticContentRouter))
-            .workers(workers)
-            .event_loop(false),
-    )
-    .expect("server");
-    let client = HttpsClient::new(server.addr(), id.roots(), "localhost");
-    let path = format!("/content/{size}");
-    let stats = LoadGenerator {
-        clients: workers * 2,
-        duration: bench_secs(),
-        persistent: false, // new TLS connection per request (worst case)
-        ..LoadGenerator::default()
-    }
-    .run(&client, |_, _| Request::new("GET", &path, Vec::new()));
-    server.stop();
-    stats.throughput()
-}
 
 fn main() {
-    let id = BenchIdentity::new();
-    let workers = 4;
+    let configs = [BenchConfig::Native, BenchConfig::Process];
     let mut sizes: Vec<usize> = vec![0, 1 << 10, 10 << 10, 64 << 10, 512 << 10, 1 << 20];
     if full_sweep() {
-        sizes.push(10 << 20);
-        sizes.push(100 << 20);
+        sizes.extend([10 << 20, 100 << 20]);
     }
-
     let mut rows = Vec::new();
-    for &size in &sizes {
-        let native = run_point(&id, BenchConfig::Native, size, workers);
-        let libseal = run_point(&id, BenchConfig::Process, size, workers);
+    for size in sizes {
+        let r = repeat(configs.len(), |i| {
+            Scenario::paper(App::Static, configs[i], 4)
+                .new_connections(size)
+                .run()
+        });
         rows.push(vec![
             human_size(size),
-            rate(native),
-            rate(libseal),
-            overhead_pct(native, libseal),
+            r.of(0, req_s).cell(0),
+            r.of(1, req_s).cell(0),
+            r.vs(1, 0, req_s).pct_cell(),
         ]);
     }
     print_table(
@@ -68,19 +36,9 @@ fn main() {
             "content",
             "Apache-LibreSSL (req/s)",
             "Apache-LibSEAL (req/s)",
-            "overhead",
+            "overhead (paired)",
         ],
         &rows,
     );
     println!("\npaper shape: ~23-25% overhead at small sizes, ~1-2% at very large sizes");
-}
-
-fn human_size(s: usize) -> String {
-    if s >= 1 << 20 {
-        format!("{} MB", s >> 20)
-    } else if s >= 1 << 10 {
-        format!("{} KB", s >> 10)
-    } else {
-        format!("{s} B")
-    }
 }

@@ -8,111 +8,29 @@
 //! cargo run --release -p libseal-bench --bin fig7b
 //! ```
 
-use std::sync::Arc;
-
 use libseal_bench::*;
-use libseal_httpx::http::Request;
-use libseal_services::apache::{ApacheConfig, ApacheServer};
-use libseal_services::squid::{SquidConfig, SquidProxy};
-use libseal_services::{HttpsClient, LoadGenerator, StaticContentRouter, TlsMode};
-
-fn run_point(id: &BenchIdentity, libseal: bool, clients: usize, workers: usize) -> (f64, f64) {
-    // Origin HTTP server on a separate "machine".
-    let origin = ApacheServer::start(
-        ApacheConfig::new(
-            TlsMode::Native {
-                cert: id.cert.clone(),
-                key: id.key.clone(),
-            },
-            Arc::new(StaticContentRouter),
-        )
-        .workers(2)
-        .event_loop(false),
-    )
-    .expect("origin");
-
-    let tls = if libseal {
-        TlsMode::LibSeal(libseal_instance(
-            id,
-            BenchConfig::Process,
-            None,
-            workers,
-            0,
-            false,
-        ))
-    } else {
-        TlsMode::Native {
-            cert: id.cert.clone(),
-            key: id.key.clone(),
-        }
-    };
-    let proxy = SquidProxy::start(
-        SquidConfig::new(tls, origin.addr(), id.roots(), "localhost")
-            .workers(workers)
-            .event_loop(false),
-    )
-    .expect("proxy");
-
-    let client = HttpsClient::new(proxy.addr(), id.roots(), "localhost");
-    let stats = LoadGenerator {
-        clients,
-        duration: bench_secs(),
-        persistent: false, // fresh client connection => two handshakes
-        ..LoadGenerator::default()
-    }
-    .run(&client, |_, _| {
-        Request::new("GET", "/content/1024", Vec::new())
-    });
-    proxy.stop();
-    origin.stop();
-    (
-        stats.throughput(),
-        stats.mean_latency.as_secs_f64() * 1000.0,
-    )
-}
 
 fn main() {
-    let id = BenchIdentity::new();
-    let workers = 4;
-    let client_counts: Vec<usize> = if full_sweep() {
-        vec![1, 2, 4, 8, 16]
+    let configs = [BenchConfig::Native, BenchConfig::Process];
+    let clients: &[usize] = if full_sweep() {
+        &[1, 2, 4, 8, 16]
     } else {
-        vec![1, 4, 8]
+        &[1, 4, 8]
     };
-
-    let mut rows = Vec::new();
-    let mut peaks = Vec::new();
-    for (label, libseal) in [("Squid-LibreSSL", false), ("Squid-LibSEAL", true)] {
-        let mut peak: f64 = 0.0;
-        for &clients in &client_counts {
-            let (tput, lat) = run_point(&id, libseal, clients, workers);
-            peak = peak.max(tput);
-            rows.push(vec![
-                label.to_string(),
-                clients.to_string(),
-                rate(tput),
-                format!("{lat:.1}"),
-            ]);
+    let r = repeat(clients.len() * configs.len(), |i| {
+        Scenario {
+            topology: Topology::Squid,
+            // A fresh client connection means two handshakes.
+            clients: clients[i / configs.len()],
+            ..Scenario::paper(App::Static, configs[i % configs.len()], 4).new_connections(1024)
         }
-        peaks.push((label, peak));
-    }
-    print_table(
+        .run()
+    });
+    print_load_curve(
         "Fig 7b: Squid latency vs throughput (1 KB content, non-persistent)",
-        &[
-            "config",
-            "clients",
-            "throughput (req/s)",
-            "mean latency (ms)",
-        ],
-        &rows,
+        &["Squid-LibreSSL", "Squid-LibSEAL"],
+        clients,
+        &r,
     );
-    println!(
-        "\npeaks: {} {} req/s, {} {} req/s ({})",
-        peaks[0].0,
-        rate(peaks[0].1),
-        peaks[1].0,
-        rate(peaks[1].1),
-        overhead_pct(peaks[0].1, peaks[1].1)
-    );
-    println!("paper anchors: 850 vs 590 req/s (-31%) — larger than Apache's overhead");
+    println!("\npaper anchors: 850 vs 590 req/s (-31%) — larger than Apache's overhead");
 }

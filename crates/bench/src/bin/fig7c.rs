@@ -7,141 +7,47 @@
 //! **Host caveat**: on a machine with fewer cores than workers the
 //! curve flattens — the binary prints the detected parallelism so the
 //! reader can judge (the paper itself stopped at 4 cores for the same
-//! reason).
+//! reason). The load generator's client threads share those cores.
 //!
 //! ```sh
 //! cargo run --release -p libseal-bench --bin fig7c
 //! ```
 
-use std::sync::Arc;
-
 use libseal_bench::*;
-use libseal_httpx::http::Request;
-use libseal_services::apache::{ApacheConfig, ApacheServer};
-use libseal_services::squid::{SquidConfig, SquidProxy};
-use libseal_services::{HttpsClient, LoadGenerator, StaticContentRouter, TlsMode};
-
-fn apache_point(id: &BenchIdentity, libseal: bool, cores: usize) -> f64 {
-    let tls = if libseal {
-        TlsMode::LibSeal(libseal_instance(
-            id,
-            BenchConfig::Process,
-            None,
-            cores,
-            0,
-            false,
-        ))
-    } else {
-        TlsMode::Native {
-            cert: id.cert.clone(),
-            key: id.key.clone(),
-        }
-    };
-    let server = ApacheServer::start(
-        ApacheConfig::new(tls, Arc::new(StaticContentRouter))
-            .workers(cores)
-            .event_loop(false),
-    )
-    .expect("server");
-    let client = HttpsClient::new(server.addr(), id.roots(), "localhost");
-    let stats = LoadGenerator {
-        clients: cores * 2,
-        duration: bench_secs(),
-        persistent: false,
-        ..LoadGenerator::default()
-    }
-    .run(&client, |_, _| {
-        Request::new("GET", "/content/1024", Vec::new())
-    });
-    server.stop();
-    stats.throughput()
-}
-
-fn squid_point(id: &BenchIdentity, libseal: bool, cores: usize) -> f64 {
-    let origin = ApacheServer::start(
-        ApacheConfig::new(
-            TlsMode::Native {
-                cert: id.cert.clone(),
-                key: id.key.clone(),
-            },
-            Arc::new(StaticContentRouter),
-        )
-        .workers(2)
-        .event_loop(false),
-    )
-    .expect("origin");
-    let tls = if libseal {
-        TlsMode::LibSeal(libseal_instance(
-            id,
-            BenchConfig::Process,
-            None,
-            cores,
-            0,
-            false,
-        ))
-    } else {
-        TlsMode::Native {
-            cert: id.cert.clone(),
-            key: id.key.clone(),
-        }
-    };
-    let proxy = SquidProxy::start(
-        SquidConfig::new(tls, origin.addr(), id.roots(), "localhost")
-            .workers(cores)
-            .event_loop(false),
-    )
-    .expect("proxy");
-    let client = HttpsClient::new(proxy.addr(), id.roots(), "localhost");
-    let stats = LoadGenerator {
-        clients: cores * 2,
-        duration: bench_secs(),
-        persistent: false,
-        ..LoadGenerator::default()
-    }
-    .run(&client, |_, _| {
-        Request::new("GET", "/content/1024", Vec::new())
-    });
-    proxy.stop();
-    origin.stop();
-    stats.throughput()
-}
 
 fn main() {
-    let id = BenchIdentity::new();
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("host parallelism: {parallelism} hardware thread(s)");
-    if parallelism < 4 {
-        println!(
-            "NOTE: fewer cores than the paper's 4-core testbed — scaling \
-             flattens once workers exceed cores"
-        );
-    }
-
-    let mut rows = Vec::new();
-    for cores in 1..=4usize {
-        let a_native = apache_point(&id, false, cores);
-        let a_libseal = apache_point(&id, true, cores);
-        let s_native = squid_point(&id, false, cores);
-        let s_libseal = squid_point(&id, true, cores);
-        rows.push(vec![
-            cores.to_string(),
-            rate(a_native),
-            rate(a_libseal),
-            rate(s_native),
-            rate(s_libseal),
-        ]);
-    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("host parallelism: {cores} hardware thread(s)");
+    let lines = [
+        ("Apache-LibreSSL", Topology::Apache, BenchConfig::Native),
+        ("Apache-LibSEAL", Topology::Apache, BenchConfig::Process),
+        ("Squid-LibreSSL", Topology::Squid, BenchConfig::Native),
+        ("Squid-LibSEAL", Topology::Squid, BenchConfig::Process),
+    ];
+    // Index = worker count major, line minor: the four lines of one
+    // worker count run back to back.
+    let r = repeat(4 * lines.len(), |i| {
+        let (_, topology, config) = lines[i % lines.len()];
+        Scenario {
+            topology,
+            ..Scenario::paper(App::Static, config, i / lines.len() + 1).new_connections(1024)
+        }
+        .run()
+    });
+    let rows: Vec<Vec<String>> = (0..4)
+        .map(|w| {
+            let cell = |l: usize| {
+                // Speed-up over the same line's 1-worker point, paired.
+                let speedup = r.spread(|rep| rep[w * 4 + l].req_s / rep[l].req_s);
+                format!("{} ×{:.2}", r.of(w * 4 + l, req_s).cell(0), speedup.median)
+            };
+            [vec![(w + 1).to_string()], (0..4).map(cell).collect()].concat()
+        })
+        .collect();
+    let headers = [vec!["#workers"], lines.map(|l| l.0).to_vec()].concat();
     print_table(
-        "Fig 7c: throughput (req/s) vs #cores (worker threads)",
-        &[
-            "#cores",
-            "Apache-LibreSSL",
-            "Apache-LibSEAL",
-            "Squid-LibreSSL",
-            "Squid-LibSEAL",
-        ],
+        "Fig 7c: throughput (req/s, × the 1-worker point) vs #cores (worker threads)",
+        &headers,
         &rows,
     );
     println!("\npaper shape: near-linear growth for all four lines up to 4 cores");

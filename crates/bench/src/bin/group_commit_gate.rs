@@ -22,13 +22,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use libseal::{GitModule, GuardConfig, LibSeal, LibSealConfig, LogBacking};
+use libseal::{GitModule, GuardConfig, LibSeal};
 use libseal_bench::*;
-use libseal_httpx::http::Request;
-use libseal_services::apache::{ApacheConfig, ApacheServer};
-use libseal_services::git::GitBackend;
-use libseal_services::{HttpsClient, LoadGenerator, TlsMode};
-use libseal_sgxsim::cost::CostModel;
 
 /// Simulated per-node ROTE request latency: the §5.1 in-rack counter
 /// round every seal must wait for. This is the cost group commit
@@ -39,77 +34,41 @@ const MIN_SPEEDUP: f64 = 3.0;
 /// Required appends per counter bind / per fsync under 8 clients.
 const MIN_AMORTISATION: f64 = 2.0;
 
-fn instance(id: &BenchIdentity) -> Arc<LibSeal> {
-    let cfg = LibSealConfig::builder(id.cert.clone(), id.key.clone())
-        // Zero the simulated transition tax: this gate isolates the
-        // seal pipeline (counter rounds + fsyncs), not the SGX model.
-        .cost_model(CostModel::free())
-        .check_interval(0)
+fn instance(id: &BenchIdentity) -> TlsSide {
+    let journal = JournalDir::create();
+    // Zero the simulated transition tax: this gate isolates the seal
+    // pipeline (counter rounds + fsyncs), not the SGX model.
+    let cfg = id
+        .unpriced()
         .guard(GuardConfig::Rote {
             f: 1,
             latency: ROTE_LATENCY,
         })
-        .backing(LogBacking::Disk(bench_log_path(BenchConfig::Disk)))
+        .backing(journal.backing())
         .ssm(Arc::new(GitModule))
         .build(); // group commit is on by default for audited instances
-    LibSeal::new(cfg).expect("libseal")
+    TlsSide::Audited(LibSeal::new(cfg).expect("libseal"), Some(journal))
 }
 
-/// Per-client Git push stream: every request is a logged pair.
-fn push_request(client: usize, i: u64) -> Request {
-    let branch = format!("refs/heads/b{}", i % 4);
-    let cid: String = libseal_crypto::sha2::Sha256::digest(format!("{client}:{i}").as_bytes())
-        .iter()
-        .take(20)
-        .map(|b| format!("{b:02x}"))
-        .collect();
-    Request::new(
-        "POST",
-        &format!("/repo/repo-{client}/git-receive-pack"),
-        format!("old {cid} {branch}\n").into_bytes(),
-    )
-}
-
-struct Point {
-    throughput: f64,
-    appends: u64,
-    binds: u64,
-    fsyncs: u64,
-}
-
+/// Every request is a logged pair (the push-only stream); synchronous
+/// ecalls, the reactor driver, persistent connections.
 fn run_point(id: &BenchIdentity, clients: usize, workers: usize) -> Point {
-    let appends = libseal_telemetry::counter("core_appends_total");
-    let binds = libseal_telemetry::counter("core_counter_binds_total");
-    let fsyncs = libseal_telemetry::counter("sealdb_journal_fsyncs_total");
-    let (a0, b0, f0) = (appends.get(), binds.get(), fsyncs.get());
-
-    let ls = instance(id);
-    let server = ApacheServer::start(
-        ApacheConfig::new(TlsMode::LibSeal(ls), Arc::new(Arc::new(GitBackend::new())))
-            .workers(workers),
-    )
-    .expect("server");
-    let client = HttpsClient::new(server.addr(), id.roots(), "localhost");
-    let stats = LoadGenerator {
+    Scenario {
+        workers,
         clients,
-        duration: bench_secs(),
-        persistent: true,
-        ..LoadGenerator::default()
+        ..Scenario::new(App::GitBare, instance(id))
     }
-    .run(&client, push_request);
-    server.stop();
-    assert!(stats.requests > 0, "load generator completed no requests");
-
-    Point {
-        throughput: stats.throughput(),
-        appends: appends.get() - a0,
-        binds: binds.get() - b0,
-        fsyncs: fsyncs.get() - f0,
-    }
+    .run()
 }
 
-fn per(n: u64, d: u64) -> f64 {
-    n as f64 / (d as f64).max(1.0)
+fn row(clients: usize, p: &Point) -> Vec<String> {
+    vec![
+        clients.to_string(),
+        rate(p.req_s),
+        p.counts.appends.to_string(),
+        p.counts.binds.to_string(),
+        p.counts.fsyncs.to_string(),
+    ]
 }
 
 fn main() {
@@ -119,28 +78,13 @@ fn main() {
     let p1 = run_point(&id, 1, 8);
     let p8 = run_point(&id, 8, 8);
 
-    let speedup = p8.throughput / p1.throughput.max(1e-9);
-    let appends_per_bind = per(p8.appends, p8.binds);
-    let appends_per_fsync = per(p8.appends, p8.fsyncs);
+    let speedup = p8.req_s / p1.req_s.max(1e-9);
+    let appends_per_bind = per(p8.counts.appends, p8.counts.binds);
+    let appends_per_fsync = per(p8.counts.appends, p8.counts.fsyncs);
     print_table(
         "group-commit gate: audited Git push throughput (ROTE round 2 ms, disk log)",
         &["clients", "req/s", "appends", "counter binds", "fsyncs"],
-        &[
-            vec![
-                "1".into(),
-                rate(p1.throughput),
-                p1.appends.to_string(),
-                p1.binds.to_string(),
-                p1.fsyncs.to_string(),
-            ],
-            vec![
-                "8".into(),
-                rate(p8.throughput),
-                p8.appends.to_string(),
-                p8.binds.to_string(),
-                p8.fsyncs.to_string(),
-            ],
-        ],
+        &[row(1, &p1), row(8, &p8)],
     );
     println!(
         "speedup {speedup:.1}x (need ≥ {MIN_SPEEDUP:.0}x); 8-client appends/bind \

@@ -8,102 +8,76 @@
 //! cargo run --release -p libseal-bench --bin log_size
 //! ```
 
-use libseal::log::{AuditLog, LogBacking, NoGuard};
+use libseal::log::{LogBacking, NoGuard};
 use libseal::{DropboxModule, GitModule, OwnCloudModule, ServiceModule};
-use libseal_bench::print_table;
-use libseal_crypto::ed25519::SigningKey;
+use libseal_bench::{fresh_log, print_table};
 use libseal_httpx::http::{Request, Response};
 
-fn fresh_log(ssm: &dyn ServiceModule) -> AuditLog {
-    AuditLog::open(
-        LogBacking::Memory,
-        [0u8; 32],
-        SigningKey::from_seed(&[1u8; 32]),
-        Box::new(NoGuard),
-        ssm.schema_sql(),
-        ssm.tables(),
-    )
-    .expect("log")
+/// Git: one branch pointer update per request.
+fn git_unit(i: u64) -> (Request, Vec<u8>) {
+    let body = format!("old {i:040x} refs/heads/branch-{i}\n");
+    let req = Request::new("POST", "/repo/r/git-receive-pack", body.into_bytes());
+    (req, b"ok\n".to_vec())
 }
+
+/// ownCloud: one single-character update per request.
+fn owncloud_unit(i: u64) -> (Request, Vec<u8>) {
+    let body = format!(r#"{{"doc":"d","client":"c","ops":[{{"content":"x"}}],"i":{i}}}"#);
+    let req = Request::new("POST", "/owncloud/sync", body.into_bytes());
+    (
+        req,
+        format!(r#"{{"acks":[{}],"ops":[]}}"#, i + 1).into_bytes(),
+    )
+}
+
+/// Dropbox: one file (one 32-byte blocklist hash) per request.
+fn dropbox_unit(i: u64) -> (Request, Vec<u8>) {
+    let body = format!(
+        r#"{{"account":"a","host":"h","commits":[{{"file":"f{i}","blocks":["{i:064x}"],"size":4096}}]}}"#
+    );
+    let req = Request::new("POST", "/dropbox/commit_batch", body.into_bytes());
+    (req, br#"{"ok":true}"#.to_vec())
+}
+
+type Unit = fn(u64) -> (Request, Vec<u8>);
 
 fn main() {
     let n: u64 = 200;
+    let services: [(&dyn ServiceModule, &str, &str, Unit, &str); 3] = [
+        (&GitModule, "Git", "branch/tag pointer", git_unit, "530"),
+        (
+            &OwnCloudModule,
+            "ownCloud",
+            "single-char update",
+            owncloud_unit,
+            "124-131",
+        ),
+        (
+            &DropboxModule,
+            "Dropbox",
+            "file (blocklist hash)",
+            dropbox_unit,
+            "~64 (hash) + metadata",
+        ),
+    ];
     let mut rows = Vec::new();
-
-    // Git: one branch pointer update per request.
-    {
-        let ssm = GitModule;
-        let mut log = fresh_log(&ssm);
-        // Trim-state baseline: measure marginal cost per pointer.
+    for (ssm, name, unit, make, paper) in services {
+        let mut log = fresh_log(ssm, LogBacking::Memory, Box::new(NoGuard));
+        // Trim-state baseline: measure marginal cost per unit.
         let before = log.size_bytes();
         for i in 0..n {
-            let body = format!("old {:040x} refs/heads/branch-{i}\n", i);
-            let req = Request::new("POST", "/repo/r/git-receive-pack", body.into_bytes());
-            let rsp = Response::new(200, b"ok\n".to_vec());
+            let (req, rsp) = make(i);
+            let rsp = Response::new(200, rsp);
             ssm.log_pair(&req.to_bytes(), &rsp.to_bytes(), &mut log)
                 .unwrap();
         }
         let per = (log.size_bytes() - before) as f64 / n as f64;
-        rows.push(vec![
-            "Git".to_string(),
-            "branch/tag pointer".to_string(),
-            format!("{per:.0}"),
-            "530".to_string(),
-        ]);
+        rows.push(
+            [name, unit, &format!("{per:.0}"), paper]
+                .map(String::from)
+                .to_vec(),
+        );
     }
-
-    // ownCloud: one single-character update per request.
-    {
-        let ssm = OwnCloudModule;
-        let mut log = fresh_log(&ssm);
-        let before = log.size_bytes();
-        for i in 0..n {
-            let body = format!(r#"{{"doc":"d","client":"c","ops":[{{"content":"x"}}],"i":{i}}}"#);
-            let req = Request::new("POST", "/owncloud/sync", body.into_bytes());
-            let rsp = format!(r#"{{"acks":[{}],"ops":[]}}"#, i + 1);
-            ssm.log_pair(
-                &req.to_bytes(),
-                &Response::new(200, rsp.into_bytes()).to_bytes(),
-                &mut log,
-            )
-            .unwrap();
-        }
-        let per = (log.size_bytes() - before) as f64 / n as f64;
-        rows.push(vec![
-            "ownCloud".to_string(),
-            "single-char update".to_string(),
-            format!("{per:.0}"),
-            "124-131".to_string(),
-        ]);
-    }
-
-    // Dropbox: one file (one 32-byte blocklist hash) per request.
-    {
-        let ssm = DropboxModule;
-        let mut log = fresh_log(&ssm);
-        let before = log.size_bytes();
-        for i in 0..n {
-            let body = format!(
-                r#"{{"account":"a","host":"h","commits":[{{"file":"f{i}","blocks":["{:064x}"],"size":4096}}]}}"#,
-                i
-            );
-            let req = Request::new("POST", "/dropbox/commit_batch", body.into_bytes());
-            ssm.log_pair(
-                &req.to_bytes(),
-                &Response::new(200, br#"{"ok":true}"#.to_vec()).to_bytes(),
-                &mut log,
-            )
-            .unwrap();
-        }
-        let per = (log.size_bytes() - before) as f64 / n as f64;
-        rows.push(vec![
-            "Dropbox".to_string(),
-            "file (blocklist hash)".to_string(),
-            format!("{per:.0}"),
-            "~64 (hash) + metadata".to_string(),
-        ]);
-    }
-
     print_table(
         "§6.5: audit log bytes per workload unit (including hash-chain rows)",
         &["service", "unit", "measured B/unit", "paper B/unit"],

@@ -12,7 +12,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use libseal_bench::*;
 use libseal_lthread::{AsyncRuntime, RuntimeConfig, WaitMode};
@@ -31,48 +31,42 @@ fn main() {
          scheduling on top of the modelled contention)"
     );
 
-    // Synchronous ecall cost under contention.
-    let mut rows = Vec::new();
-    for threads in [1usize, 2, 4, 8, 16, 32, 48] {
-        let enclave = Arc::new(
-            EnclaveBuilder::new(b"ecall-cost")
-                .cost_model(model.clone())
-                .tcs_count(threads as u64 + 2)
-                .build(|_| ()),
-        );
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let enclave = Arc::clone(&enclave);
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                let mut calls = 0u64;
-                let t0 = Instant::now();
-                while !stop.load(Ordering::Acquire) {
-                    let _ = enclave.ecall("noop", |_, _| ());
-                    calls += 1;
-                }
-                (calls, t0.elapsed())
-            }));
-        }
-        std::thread::sleep(bench_secs().min(std::time::Duration::from_secs(1)));
-        stop.store(true, Ordering::Release);
-        let mut total_calls = 0u64;
-        let mut total_time = std::time::Duration::ZERO;
-        for h in handles {
-            let (calls, dt) = h.join().unwrap();
-            total_calls += calls;
-            total_time += dt;
-        }
-        let ns_per_call = total_time.as_nanos() as f64 / total_calls.max(1) as f64;
-        let cycles = ns_per_call * ghz;
-        rows.push(vec![
-            threads.to_string(),
-            format!("{:.0}", ns_per_call),
-            format!("{:.0}", cycles),
-            format!("{:.0}", model.transition_cycles(threads as u64)),
-        ]);
-    }
+    // Synchronous ecall cost under contention: ns per call.
+    let thread_counts = [1usize, 2, 4, 8, 16, 32, 48];
+    let r = repeat(thread_counts.len(), |i| {
+        let threads = thread_counts[i];
+        let enclave = EnclaveBuilder::new(b"ecall-cost")
+            .cost_model(model.clone())
+            .tcs_count(threads as u64 + 2)
+            .build(|_| ());
+        let stop = AtomicBool::new(false);
+        let spin = || {
+            let (mut calls, t0) = (0u64, Instant::now());
+            while !stop.load(Ordering::Acquire) {
+                let _ = enclave.ecall("noop", |_, _| ());
+                calls += 1;
+            }
+            (calls, t0.elapsed())
+        };
+        let (total_calls, total_time) = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(spin)).collect();
+            std::thread::sleep(bench_secs().min(Duration::from_secs(1)));
+            stop.store(true, Ordering::Release);
+            let joined = handles.into_iter().map(|h| h.join().unwrap());
+            joined.fold((0, Duration::ZERO), |a, b| (a.0 + b.0, a.1 + b.1))
+        });
+        total_time.as_nanos() as f64 / total_calls.max(1) as f64
+    });
+    let rows: Vec<Vec<String>> = (0..thread_counts.len())
+        .map(|i| {
+            vec![
+                thread_counts[i].to_string(),
+                r.of(i, |ns| *ns).cell(0),
+                r.of(i, |ns| ns * ghz).cell(0),
+                model.transition_cycles(thread_counts[i] as u64).to_string(),
+            ]
+        })
+        .collect();
     print_table(
         "§6.8 micro: synchronous ecall cost vs in-enclave thread count",
         &[
@@ -102,17 +96,19 @@ fn main() {
         },
     )
     .unwrap();
-    let t0 = Instant::now();
     let iters = 5_000u64;
-    for _ in 0..iters {
-        rt.async_ecall(0, |_, _, _| ());
-    }
-    let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
+    let handoff = repeat(1, |_| {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            rt.async_ecall(0, |_, _, _| ());
+        }
+        t0.elapsed().as_nanos() as f64 / iters as f64
+    });
     println!(
-        "\nasync ecall via slots: {:.0} ns/call ({:.0} cycles) — the §4.3 mechanism \
+        "\nasync ecall via slots: {} ns/call ({} cycles) — the §4.3 mechanism \
          replaces the transition with a slot handoff",
-        ns,
-        ns * ghz
+        handoff.of(0, |ns| *ns).cell(0),
+        handoff.of(0, |ns| ns * ghz).cell(0)
     );
     rt.shutdown();
     println!("\npaper anchors: 8,500 cycles at 1 thread; ~170,000 at 48 (20x)");

@@ -19,13 +19,12 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use libseal::{GitModule, LibSeal, LibSealConfig};
+use libseal::{GitModule, LibSeal};
 use libseal_bench::*;
 use libseal_crypto::SystemRng;
 use libseal_httpx::http::{parse_response, Request};
 use libseal_services::apache::{ApacheConfig, ApacheServer, StaticContentRouter};
 use libseal_services::{HttpsClient, LoadGenerator, TlsMode};
-use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::ssl::SslConfig;
 use libseal_tlsx::stream::SslStream;
 use plat::chaos::{ChaosConfig, ChaosStream};
@@ -41,14 +40,7 @@ const SHED_BUDGET: Duration = Duration::from_millis(500);
 const DRAIN_SLACK: Duration = Duration::from_secs(3);
 
 fn instance(id: &BenchIdentity) -> Arc<LibSeal> {
-    LibSeal::new(
-        LibSealConfig::builder(id.cert.clone(), id.key.clone())
-            .ssm(Arc::new(GitModule))
-            .cost_model(CostModel::free())
-            .check_interval(0)
-            .build(),
-    )
-    .expect("libseal")
+    LibSeal::new(id.unpriced().ssm(Arc::new(GitModule)).build()).expect("libseal")
 }
 
 /// One chaotic client attempt; every outcome except a panic is fine.

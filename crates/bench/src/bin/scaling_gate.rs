@@ -21,7 +21,7 @@ use libseal::ssm::dropbox::DB_PHANTOM_FILE;
 use libseal::ssm::git::GIT_SOUNDNESS;
 use libseal::ssm::owncloud::OC_SNAPSHOT_SOUND;
 use libseal::{DropboxModule, GitModule, OwnCloudModule, ServiceModule};
-use libseal_crypto::ed25519::SigningKey;
+use libseal_bench::{fresh_log, git_advert, git_update};
 use libseal_sealdb::Value;
 
 /// Sub-quadratic tolerance: a 10× log may cost at most this factor.
@@ -30,16 +30,8 @@ const MAX_FACTOR: f64 = 20.0;
 /// sub-100µs measurement cannot trip the gate.
 const FLOOR: Duration = Duration::from_micros(100);
 
-fn fresh_log(ssm: &dyn ServiceModule) -> AuditLog {
-    AuditLog::open(
-        LogBacking::Memory,
-        [0u8; 32],
-        SigningKey::from_seed(&[1u8; 32]),
-        Box::new(NoGuard),
-        ssm.schema_sql(),
-        ssm.tables(),
-    )
-    .expect("log")
+fn mem_log(ssm: &dyn ServiceModule) -> AuditLog {
+    fresh_log(ssm, LogBacking::Memory, Box::new(NoGuard))
 }
 
 fn text(s: impl Into<String>) -> Value {
@@ -49,7 +41,7 @@ fn text(s: impl Into<String>) -> Value {
 /// Honest Git history: each push is immediately advertised, so the
 /// soundness subquery always resolves to the advertised commit.
 fn git_log(n: usize) -> AuditLog {
-    let mut log = fresh_log(&GitModule);
+    let mut log = mem_log(&GitModule);
     let repos = (n / 10).max(1);
     for i in 0..n / 2 {
         let (repo, branch, cid) = (
@@ -57,24 +49,8 @@ fn git_log(n: usize) -> AuditLog {
             format!("b{}", i % 16),
             format!("{i:040x}"),
         );
-        let t = log.next_time() as i64;
-        log.append(
-            "updates",
-            &[
-                Value::Integer(t),
-                text(&repo),
-                text(&branch),
-                text(&cid),
-                text("update"),
-            ],
-        )
-        .unwrap();
-        let t = log.next_time() as i64;
-        log.append(
-            "advertisements",
-            &[Value::Integer(t), text(repo), text(branch), text(cid)],
-        )
-        .unwrap();
+        git_update(&mut log, &repo, &branch, &cid).unwrap();
+        git_advert(&mut log, &repo, &branch, &cid).unwrap();
     }
     log
 }
@@ -82,7 +58,7 @@ fn git_log(n: usize) -> AuditLog {
 /// Honest ownCloud history: every served snapshot repeats the latest
 /// saved snapshot of its document.
 fn owncloud_log(n: usize) -> AuditLog {
-    let mut log = fresh_log(&OwnCloudModule);
+    let mut log = mem_log(&OwnCloudModule);
     let docs = (n / 10).max(1);
     for i in 0..n / 2 {
         let (doc, content) = (format!("d{}", i % docs), format!("v{i}"));
@@ -107,7 +83,7 @@ fn owncloud_log(n: usize) -> AuditLog {
 
 /// Honest Dropbox history: every listed file was committed earlier.
 fn dropbox_log(n: usize) -> AuditLog {
-    let mut log = fresh_log(&DropboxModule);
+    let mut log = mem_log(&DropboxModule);
     let files = (n / 10).max(1);
     for i in 0..n / 2 {
         let file = format!("f{}", i % files);

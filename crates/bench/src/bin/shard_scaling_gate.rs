@@ -32,14 +32,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use libseal::plane::AuditPlane;
 use libseal::{GitModule, GuardConfig, LibSealConfig, LogBacking, ShardedPlane};
 use libseal_bench::*;
-use libseal_httpx::http::Request;
 use libseal_services::apache::{ApacheConfig, ApacheServer};
 use libseal_services::git::GitBackend;
 use libseal_services::{HttpsClient, LoadGenerator, TlsMode};
-use libseal_sgxsim::cost::CostModel;
 
 /// Simulated ROTE counter round per seal: slow enough that the
 /// sealer pipeline is unambiguously the bottleneck shards multiply.
@@ -53,10 +50,8 @@ const MIN_SPEEDUP: f64 = 2.8;
 const CLIENTS: usize = 48;
 
 fn plane_config(id: &BenchIdentity, shards: usize, backing: LogBacking) -> LibSealConfig {
-    LibSealConfig::builder(id.cert.clone(), id.key.clone())
-        // Isolate the seal pipeline: no simulated transition tax.
-        .cost_model(CostModel::free())
-        .check_interval(0)
+    // Isolate the seal pipeline: no simulated transition tax.
+    id.unpriced()
         .guard(GuardConfig::Rote {
             f: 1,
             latency: ROTE_LATENCY,
@@ -70,104 +65,54 @@ fn plane_config(id: &BenchIdentity, shards: usize, backing: LogBacking) -> LibSe
         .build()
 }
 
-/// Per-client Git push stream: every request is a logged pair.
-fn push_request(client: usize, i: u64) -> Request {
-    let branch = format!("refs/heads/b{}", i % 4);
-    let cid: String = libseal_crypto::sha2::Sha256::digest(format!("{client}:{i}").as_bytes())
-        .iter()
-        .take(20)
-        .map(|b| format!("{b:02x}"))
-        .collect();
-    Request::new(
-        "POST",
-        &format!("/repo/repo-{client}/git-receive-pack"),
-        format!("old {cid} {branch}\n").into_bytes(),
-    )
+fn row(shards: usize, p: &Point) -> Vec<String> {
+    let c = &p.counts;
+    vec![
+        shards.to_string(),
+        rate(p.req_s),
+        c.appends.to_string(),
+        c.binds.to_string(),
+        format!("{:.2}", per(c.appends, c.binds)),
+        c.rote_rounds.to_string(),
+        format!("{:.2}", per(c.rote_round_ns, c.rote_rounds) / 1e6),
+        c.unbound.to_string(),
+    ]
 }
 
-fn start_server(plane: Arc<dyn AuditPlane>) -> ApacheServer {
-    ApacheServer::start(
-        ApacheConfig::new(
-            TlsMode::LibSeal(plane),
-            Arc::new(Arc::new(GitBackend::new())),
-        )
-        .workers(CLIENTS),
-    )
-    .expect("server")
-}
-
-/// What one scaling point measured: audited throughput, and the
-/// sealer-pipeline activity behind it.
-struct Point {
-    throughput: f64,
-    appends: u64,
-    binds: u64,
-    rounds: u64,
-    round_ns: u64,
-    unbound: u64,
-}
-
-impl Point {
-    fn row(&self, shards: usize) -> Vec<String> {
-        let per = |n: u64, d: u64| n as f64 / (d as f64).max(1.0);
-        vec![
-            shards.to_string(),
-            rate(self.throughput),
-            self.appends.to_string(),
-            self.binds.to_string(),
-            format!("{:.2}", per(self.appends, self.binds)),
-            self.rounds.to_string(),
-            format!("{:.2}", per(self.round_ns, self.rounds) / 1e6),
-            self.unbound.to_string(),
-        ]
-    }
-}
-
-/// One scaling point: serve the closed loop, drain, verify the fleet
-/// through the retained plane handle.
+/// One scaling point: serve the closed loop of pushes (every request a
+/// logged pair), drain, verify the fleet through the retained plane
+/// handle.
 fn run_point(id: &BenchIdentity, shards: usize) -> Point {
-    let appends = libseal_telemetry::counter("core_appends_total");
-    let binds = libseal_telemetry::counter("core_counter_binds_total");
-    let rounds = libseal_telemetry::histogram("rote_round_ns");
-    let unbound = libseal_telemetry::counter("rote_unbound_appends_total");
-    let (a0, b0, r0, u0) = (appends.get(), binds.get(), rounds.snapshot(), unbound.get());
-
     let plane =
         libseal::plane::build_plane(plane_config(id, shards, LogBacking::Memory)).expect("plane");
     assert_eq!(plane.shards(), shards);
-    let server = start_server(plane.clone());
-    let client = HttpsClient::new(server.addr(), id.roots(), "localhost");
-    let stats = LoadGenerator {
+    let point = Scenario {
+        workers: CLIENTS,
         clients: CLIENTS,
-        duration: bench_secs(),
-        persistent: true,
-        ..LoadGenerator::default()
+        ..Scenario::new(App::GitBare, TlsSide::Audited(plane.clone(), None))
     }
-    .run(&client, push_request);
-    server.drain();
-    assert!(stats.requests > 0, "load generator completed no requests");
+    .run();
     plane
         .verify_log(0)
         .expect("fleet verification after drain");
-    let r1 = rounds.snapshot();
-    Point {
-        throughput: stats.throughput(),
-        appends: appends.get() - a0,
-        binds: binds.get() - b0,
-        rounds: r1.count() - r0.count(),
-        round_ns: r1.sum() - r0.sum(),
-        unbound: unbound.get() - u0,
-    }
+    point
 }
 
 /// Mid-load shard restart on a disk-backed 2-shard fleet: the
 /// restarted shard must recover its journal, service must continue,
 /// and the fleet must verify clean after drain.
 fn restart_trial(id: &BenchIdentity) -> Result<(), String> {
-    let base = bench_log_path(BenchConfig::Disk);
-    let plane = ShardedPlane::open(plane_config(id, 2, LogBacking::Disk(base.clone())))
-        .expect("sharded plane");
-    let server = start_server(plane.clone());
+    let journals = JournalDir::create();
+    let plane =
+        ShardedPlane::open(plane_config(id, 2, journals.backing())).expect("sharded plane");
+    let server = ApacheServer::start(
+        ApacheConfig::new(
+            TlsMode::LibSeal(plane.clone()),
+            Arc::new(Arc::new(GitBackend::new())),
+        )
+        .workers(CLIENTS),
+    )
+    .expect("server");
     let addr = server.addr();
     let roots = id.roots();
 
@@ -179,7 +124,7 @@ fn restart_trial(id: &BenchIdentity) -> Result<(), String> {
             persistent: true,
             ..LoadGenerator::default()
         }
-        .run(&client, push_request)
+        .run(&client, |c, i| Stream::GitPush.request(c, i))
     });
 
     std::thread::sleep(Duration::from_millis(400));
@@ -191,31 +136,24 @@ fn restart_trial(id: &BenchIdentity) -> Result<(), String> {
     let served_after = server.requests_served();
     server.drain();
 
-    // Cleanup the temp journals regardless of verdict.
-    let verdict = (|| {
-        if stats.requests == 0 {
-            return Err("no requests completed during the restart trial".into());
-        }
-        if served_after <= served_before {
-            return Err(format!(
-                "service stalled across the restart ({served_before} -> {served_after})"
-            ));
-        }
-        plane
-            .verify_fleet(0)
-            .map_err(|e| format!("fleet verification after restart: {e}"))
-    })();
-    for suffix in ["shard0", "shard1", "manifest"] {
-        let _ = std::fs::remove_file(format!("{}.{suffix}", base.display()));
+    if stats.requests == 0 {
+        return Err("no requests completed during the restart trial".into());
     }
-    verdict
+    if served_after <= served_before {
+        return Err(format!(
+            "service stalled across the restart ({served_before} -> {served_after})"
+        ));
+    }
+    plane
+        .verify_fleet(0)
+        .map_err(|e| format!("fleet verification after restart: {e}"))
 }
 
 fn main() {
     let id = BenchIdentity::new();
     let p1 = run_point(&id, 1);
     let p4 = run_point(&id, 4);
-    let speedup = p4.throughput / p1.throughput.max(1e-9);
+    let speedup = p4.req_s / p1.req_s.max(1e-9);
 
     print_table(
         "shard-scaling gate: audited Git push throughput (ROTE round 4 ms, batch cap 4)",
@@ -229,16 +167,16 @@ fn main() {
             "mean round ms",
             "unbound",
         ],
-        &[p1.row(1), p4.row(4)],
+        &[row(1, &p1), row(4, &p4)],
     );
     println!("speedup {speedup:.1}x (need ≥ {MIN_SPEEDUP}x)");
 
     let mut failed = false;
-    if p1.appends > MAX_BATCH as u64 * p1.binds {
+    if p1.counts.appends > MAX_BATCH as u64 * p1.counts.binds {
         eprintln!(
             "FAIL: the 1-shard point sealed {} appends in {} counter binds, above the batch \
              cap of {MAX_BATCH}",
-            p1.appends, p1.binds
+            p1.counts.appends, p1.counts.binds
         );
         failed = true;
     }

@@ -8,56 +8,34 @@
 //! cargo run --release -p libseal-bench --bin table2
 //! ```
 
-use std::sync::Arc;
-
 use libseal_bench::*;
-use libseal_httpx::http::Request;
-use libseal_services::apache::{ApacheConfig, ApacheServer};
-use libseal_services::{HttpsClient, LoadGenerator, StaticContentRouter, TlsMode};
-
-fn run_point(id: &BenchIdentity, size: usize, workers: usize, sync_calls: bool) -> f64 {
-    let ls = libseal_instance(id, BenchConfig::Process, None, workers, 0, sync_calls);
-    let server = ApacheServer::start(
-        ApacheConfig::new(TlsMode::LibSeal(ls), Arc::new(StaticContentRouter))
-            .workers(workers)
-            .event_loop(false),
-    )
-    .expect("server");
-    let client = HttpsClient::new(server.addr(), id.roots(), "localhost");
-    let path = format!("/content/{size}");
-    let stats = LoadGenerator {
-        clients: workers * 2,
-        duration: bench_secs(),
-        persistent: false,
-        ..LoadGenerator::default()
-    }
-    .run(&client, |_, _| Request::new("GET", &path, Vec::new()));
-    server.stop();
-    stats.throughput()
-}
 
 fn main() {
-    let id = BenchIdentity::new();
     let workers = 8;
-    let sizes: [usize; 4] = [0, 1 << 10, 10 << 10, 64 << 10];
-
-    let mut sync_row = vec!["No async. calls".to_string()];
-    let mut async_row = vec!["With async. calls".to_string()];
-    let mut improv_row = vec!["Improvement".to_string()];
-    for &size in &sizes {
-        let sync = run_point(&id, size, workers, true);
-        let asynchronous = run_point(&id, size, workers, false);
-        sync_row.push(rate(sync));
-        async_row.push(rate(asynchronous));
-        improv_row.push(format!(
-            "{:+.0}%",
-            (asynchronous - sync) / sync.max(1e-9) * 100.0
-        ));
+    let mut rows = vec![
+        vec!["No async. calls".to_string()],
+        vec!["With async. calls".to_string()],
+        vec!["Improvement (paired)".to_string()],
+        vec!["Synchronous transitions per request".to_string()],
+    ];
+    for size in [0, 1 << 10, 10 << 10, 64 << 10] {
+        let r = repeat(2, |i| {
+            let runtime = [None, Some(paper_runtime(workers))][i].clone();
+            Scenario::paper_calls(App::Static, BenchConfig::Process, workers, runtime)
+                .new_connections(size)
+                .run()
+        });
+        let transitions = |p: &Point| p.per_request(p.counts.ecalls + p.counts.ocalls);
+        rows[0].push(r.of(0, req_s).cell(0));
+        rows[1].push(r.of(1, req_s).cell(0));
+        rows[2].push(r.vs(1, 0, req_s).pct_cell());
+        let (sync, asynchronous) = (r.of(0, transitions), r.of(1, transitions));
+        rows[3].push(format!("{:.1} → {:.1}", sync.median, asynchronous.median));
     }
     print_table(
         "Tab 2: Apache throughput (req/s) with LibSEAL, sync vs async enclave calls",
         &["configuration", "0 Byte", "1 KB", "10 KB", "64 KB"],
-        &[sync_row, async_row, improv_row],
+        &rows,
     );
     println!("\npaper shape: async >= +57% everywhere, growing with content size");
 }

@@ -9,60 +9,18 @@
 //! cargo run --release -p libseal-bench --bin table3
 //! ```
 
-use std::sync::Arc;
-
 use libseal_bench::*;
-use libseal_httpx::http::Request;
-use libseal_lthread::{RuntimeConfig, WaitMode};
-use libseal_services::apache::{ApacheConfig, ApacheServer};
-use libseal_services::{HttpsClient, LoadGenerator, StaticContentRouter, TlsMode};
+use libseal_lthread::RuntimeConfig;
 
 fn main() {
-    let id = BenchIdentity::new();
-    let workers = 4;
-    let mut rows = Vec::new();
-    for sgx_threads in [1usize, 2, 3, 4] {
-        let ls = libseal_instance_with_rt(
-            &id,
-            None,
-            RuntimeConfig {
-                sgx_threads,
-                lthreads_per_thread: 48,
-                slots: workers,
-                stack_size: 256 * 1024,
-                wait_mode: WaitMode::Poller,
-            },
-        );
-        let server = ApacheServer::start(
-            ApacheConfig::new(TlsMode::LibSeal(ls), Arc::new(StaticContentRouter))
-                .workers(workers)
-                .event_loop(false),
-        )
-        .expect("server");
-        let client = HttpsClient::new(server.addr(), id.roots(), "localhost");
-        let (stats, cpu) = with_cpu_percent(|| {
-            LoadGenerator {
-                clients: workers * 2,
-                duration: bench_secs(),
-                persistent: false,
-                ..LoadGenerator::default()
-            }
-            .run(&client, |_, _| {
-                Request::new("GET", "/content/1024", Vec::new())
-            })
-        });
-        server.stop();
-        rows.push(vec![
-            sgx_threads.to_string(),
-            rate(stats.throughput()),
-            ms(stats.mean_latency),
-            format!("{cpu:.0}"),
-        ]);
-    }
-    print_table(
+    print_runtime_sweep(
         "Tab 3: async enclave calls, varying #SGX threads (48 lthreads/thread, 1 KB)",
-        &["#SGX threads", "throughput (req/s)", "latency (ms)", "%CPU"],
-        &rows,
+        "#SGX threads",
+        &[1, 2, 3, 4],
+        |paper, sgx_threads| RuntimeConfig {
+            sgx_threads,
+            ..paper
+        },
     );
     println!("\npaper shape: rises to a peak at ~3 threads (CPU saturation), then dips");
 }

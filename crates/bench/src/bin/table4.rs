@@ -8,65 +8,18 @@
 //! cargo run --release -p libseal-bench --bin table4
 //! ```
 
-use std::sync::Arc;
-
 use libseal_bench::*;
-use libseal_httpx::http::Request;
-use libseal_lthread::{RuntimeConfig, WaitMode};
-use libseal_services::apache::{ApacheConfig, ApacheServer};
-use libseal_services::{HttpsClient, LoadGenerator, StaticContentRouter, TlsMode};
+use libseal_lthread::RuntimeConfig;
 
 fn main() {
-    let id = BenchIdentity::new();
-    let workers = 4;
-    let mut rows = Vec::new();
-    for lthreads in [12usize, 24, 36, 48] {
-        let ls = libseal_instance_with_rt(
-            &id,
-            None,
-            RuntimeConfig {
-                sgx_threads: 3,
-                lthreads_per_thread: lthreads,
-                slots: workers,
-                stack_size: 256 * 1024,
-                wait_mode: WaitMode::Poller,
-            },
-        );
-        let server = ApacheServer::start(
-            ApacheConfig::new(TlsMode::LibSeal(ls), Arc::new(StaticContentRouter))
-                .workers(workers)
-                .event_loop(false),
-        )
-        .expect("server");
-        let client = HttpsClient::new(server.addr(), id.roots(), "localhost");
-        let (stats, cpu) = with_cpu_percent(|| {
-            LoadGenerator {
-                clients: workers * 2,
-                duration: bench_secs(),
-                persistent: false,
-                ..LoadGenerator::default()
-            }
-            .run(&client, |_, _| {
-                Request::new("GET", "/content/1024", Vec::new())
-            })
-        });
-        server.stop();
-        rows.push(vec![
-            lthreads.to_string(),
-            rate(stats.throughput()),
-            ms(stats.mean_latency),
-            format!("{cpu:.0}"),
-        ]);
-    }
-    print_table(
+    print_runtime_sweep(
         "Tab 4: async enclave calls, varying #lthread tasks per thread (3 SGX threads, 1 KB)",
-        &[
-            "#lthread tasks",
-            "throughput (req/s)",
-            "latency (ms)",
-            "%CPU",
-        ],
-        &rows,
+        "#lthread tasks",
+        &[12, 24, 36, 48],
+        |paper, lthreads_per_thread| RuntimeConfig {
+            lthreads_per_thread,
+            ..paper
+        },
     );
     println!("\npaper shape: throughput roughly flat; latency worst with too few lthreads");
 }

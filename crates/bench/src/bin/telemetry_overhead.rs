@@ -12,10 +12,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use libseal::{GitModule, LibSeal, LibSealConfig};
-use libseal_bench::{bench_secs, print_table, rate, BenchIdentity};
-use libseal_sealdb::Value;
-use libseal_sgxsim::cost::CostModel;
+use libseal::{GitModule, LibSeal};
+use libseal_bench::{bench_secs, git_update, print_table, rate, BenchIdentity};
 
 /// Allowed throughput regression with telemetry on.
 const MAX_OVERHEAD_PCT: f64 = 5.0;
@@ -26,21 +24,12 @@ fn audited_appends_for(ls: &Arc<LibSeal>, secs: std::time::Duration) -> f64 {
     let t0 = Instant::now();
     let mut ops = 0u64;
     while t0.elapsed() < secs {
-        ls.with_log(0, |log| {
-            let t = log.next_time() as i64;
-            log.append(
-                "updates",
-                &[
-                    Value::Integer(t),
-                    Value::Text("repo".into()),
-                    Value::Text("refs/heads/main".into()),
-                    Value::Text(format!("c{t}")),
-                    Value::Text("update".into()),
-                ],
-            )
-            .expect("append");
+        let cid = format!("c{ops}");
+        ls.with_log(0, move |log| {
+            git_update(log, "repo", "refs/heads/main", &cid)
         })
-        .expect("enclave call");
+        .expect("enclave call")
+        .expect("append");
         ops += 1;
     }
     ops as f64 / t0.elapsed().as_secs_f64()
@@ -49,10 +38,8 @@ fn audited_appends_for(ls: &Arc<LibSeal>, secs: std::time::Duration) -> f64 {
 fn main() {
     let id = BenchIdentity::new();
     let ls = LibSeal::new(
-        LibSealConfig::builder(id.cert.clone(), id.key.clone())
+        id.unpriced()
             .ssm(Arc::new(GitModule))
-            .cost_model(CostModel::free())
-            .check_interval(0)
             // Measure the per-pair sealing path this gate's 5% budget
             // was calibrated for: under group commit, direct appends
             // stage without signing, which shrinks the denominator and

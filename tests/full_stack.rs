@@ -108,39 +108,61 @@ fn cost_model_imposes_real_overhead() {
     // The same tiny workload with and without the SGX cost model; the
     // modelled configuration must be measurably slower.
     let ca = ca();
-    let run = |model: CostModel| -> Duration {
+    let run = |model: CostModel| -> (Duration, libseal_sgxsim::StatsSnapshot) {
         let (key, cert) = ca.issue_identity("localhost", &[9u8; 32]).unwrap();
         let cfg = LibSealConfig::builder(cert, key).cost_model(model).build();
         let ls = LibSeal::new(cfg).unwrap();
         let server = ApacheServer::start(
             ApacheConfig::new(
-                TlsMode::LibSeal(ls),
+                TlsMode::LibSeal(ls.clone()),
                 Arc::new(libseal_services::StaticContentRouter),
             )
             .workers(1),
         )
         .unwrap();
         let client = HttpsClient::new(server.addr(), vec![ca.root_key()], "localhost");
-        let t0 = std::time::Instant::now();
+        // Time the requests only: the handshake is ~10 ms of debug-build
+        // curve arithmetic either way, and that is where the noise is.
         let mut conn = client.connect().unwrap();
+        let t0 = std::time::Instant::now();
         for _ in 0..20 {
             conn.request(&Request::new("GET", "/content/16", Vec::new()))
                 .unwrap();
         }
-        conn.close();
         let dt = t0.elapsed();
+        conn.close();
         server.stop();
-        dt
+        (dt, ls.stats())
     };
-    let free = run(CostModel::free());
-    let taxed = run(CostModel {
+    let taxed_model = CostModel {
         enabled: true,
         sync_transition_cycles: 200_000, // exaggerated for test stability
+        // ... and priced as the benchmarks price it, as if Apache's 25
+        // threads shared the enclave (x10.7). The spin is calibrated once
+        // per process, in 2 ms that sibling tests contend for: a process
+        // can end up charging a seventh of the nominal time, and a 7 ms
+        // tax then drowns; a 75 ms one does not.
+        assumed_concurrency: 25,
         ..CostModel::default()
-    });
+    };
+    // Sibling tests share the cores. Scheduling noise only ever adds
+    // time, so compare minima over alternating runs.
+    let (mut free, mut taxed) = (Duration::MAX, Duration::MAX);
+    for _ in 0..3 {
+        free = free.min(run(CostModel::free()).0);
+        let (dt, stats) = run(taxed_model.clone());
+        taxed = taxed.min(dt);
+        // What the model determines exactly: every transition was charged
+        // at least the configured price. (Charges are recorded whether or
+        // not the model spins, so this cannot stand in for the clocks.)
+        assert!(
+            stats.cycles_charged >= (stats.ecalls + stats.ocalls) * 200_000,
+            "undercharged: {stats:?}"
+        );
+    }
     assert!(
         taxed > free,
-        "cost model had no effect: taxed {taxed:?} vs free {free:?}"
+        "cost model had no effect: fastest taxed {taxed:?} vs fastest free {free:?}"
     );
 }
 
