@@ -12,12 +12,13 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Code size and panic surface are tracked numbers: prints `table1`'s
-# per-crate table (the one counter) and fails when crates/core or
-# crates/bench outgrows its budget, the `unsafe` or `unwrap`/`expect`
-# totals grow, a file of the session split outgrows 900 lines, an
-# enclave interface name is spelled outside the Ecall table, or a paper
-# printer builds its own fleet. Builds the bench binaries in release
-# mode, which the gates below need anyway.
+# per-crate table (the one counter) and fails when crates/core,
+# crates/bench, crates/sealdb or the in-enclave total outgrows its
+# budget, the `unsafe` or `unwrap`/`expect` totals grow, a file of the
+# session split outgrows 900 lines, an enclave interface name is spelled
+# outside the Ecall table, sealdb's SQL renderer or `SyncPolicy` is
+# back, or a paper printer builds its own fleet. Builds the bench
+# binaries in release mode, which the gates below need anyway.
 scripts/loc_budget.sh
 
 # benchmark/ is its own workspace, so nothing above compiles it: a
@@ -38,7 +39,8 @@ cargo run --release -p libseal-bench --bin crash_matrix
 
 # Telemetry must stay near-free on the hottest audited path: compare
 # audited-append throughput with the registry enabled vs disabled
-# (no-op handles) and fail on a >5% regression.
+# (no-op handles; neighbouring 40 ms slices, median of the paired
+# ratios) and fail on a >5% regression.
 cargo run --release -p libseal-bench --bin telemetry_overhead
 
 # Group commit must amortise counter binds and fsyncs across

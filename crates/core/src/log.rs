@@ -26,7 +26,7 @@ use libseal_crypto::aead::ChaCha20Poly1305;
 use libseal_crypto::ed25519::{SigningKey, VerifyingKey};
 use libseal_crypto::sha2::Sha256;
 use libseal_sealdb::journal::JournalCodec;
-use libseal_sealdb::{Database, SyncPolicy, Value};
+use libseal_sealdb::{quote_ident, Database, Value};
 
 use crate::{LibSealError, Result};
 
@@ -357,12 +357,8 @@ impl AuditLog {
         let (mut db, disk_backed) = match backing {
             LogBacking::Memory => (Database::new(), false),
             LogBacking::Disk(path) => (
-                Database::open(
-                    &path,
-                    Box::new(SharedCodec(Arc::clone(&codec))),
-                    SyncPolicy::Manual,
-                )
-                .map_err(LibSealError::Db)?,
+                Database::open(&path, Box::new(SharedCodec(Arc::clone(&codec))))
+                    .map_err(LibSealError::Db)?,
                 true,
             ),
         };
@@ -642,7 +638,7 @@ impl AuditLog {
         let placeholders = vec!["?"; values.len()].join(", ");
         self.db
             .execute_with(
-                &format!("INSERT INTO {table} VALUES ({placeholders})"),
+                &format!("INSERT INTO {} VALUES ({placeholders})", quote_ident(table)),
                 values,
             )
             .map_err(LibSealError::Db)?;

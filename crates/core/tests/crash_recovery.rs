@@ -14,7 +14,6 @@ use libseal::ssm::git::GIT_SOUNDNESS;
 use libseal::{GitModule, LibSealError, ServiceModule};
 use libseal_crypto::ed25519::SigningKey;
 use libseal_rote::{Cluster, ClusterConfig, QuorumPolicy};
-use libseal_sealdb::journal::SyncPolicy;
 use libseal_sealdb::{Database, Value};
 use plat::failpoint::{self, FaultSpec};
 use plat::tmp::TempPath;
@@ -231,12 +230,7 @@ fn log_behind_signed_head_is_a_rollback_alarm() {
     // The provider edits the sealed journal offline: appends a DELETE
     // of the newest chain row (it cannot re-sign the head).
     {
-        let mut db = Database::open(
-            &path,
-            Box::new(SealingCodec::new(SEAL_KEY)),
-            SyncPolicy::Manual,
-        )
-        .unwrap();
+        let mut db = Database::open(&path, Box::new(SealingCodec::new(SEAL_KEY))).unwrap();
         db.execute("DELETE FROM _libseal_chain WHERE seq = 3")
             .unwrap();
         db.sync_journal().unwrap();
@@ -420,4 +414,71 @@ fn clean_reopen_reports_quiet_recovery() {
             crash_window: false,
         }
     );
+}
+
+/// A trim compacts the journal, and the snapshot carries the schema as
+/// the statements the SSM supplied — the paper's `branchcnt` view among
+/// them, which every trim used to re-render from its AST. After a trim
+/// and a restart the view and both Git invariants must answer, for the
+/// same advertisements, what they answered before the trim.
+#[test]
+fn trimmed_log_reopens_with_view_and_invariants_answering_as_before() {
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
+    let path = TempPath::new("libseal-trim-view", "log");
+    let ssm = GitModule;
+    let text = |s: &str| Value::Text(s.into());
+    let answers = |log: &AuditLog| {
+        let queries = ssm.invariants().iter().map(|i| i.sql);
+        let queries = std::iter::once("SELECT * FROM branchcnt").chain(queries);
+        let rows = queries.map(|q| log.query(q, &[]).unwrap().rows);
+        rows.collect::<Vec<_>>()
+    };
+
+    let mut log = open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard)).unwrap();
+    // Pushes: main moves twice, dev once, old is created and deleted.
+    let pushes = [
+        ("main", "c1", "update"),
+        ("dev", "c2", "update"),
+        ("old", "c3", "update"),
+        ("main", "c4", "update"),
+        ("old", "0", "delete"),
+    ];
+    for (branch, cid, kind) in pushes {
+        let t = Value::Integer(log.next_time() as i64);
+        let row = [t, text("r"), text(branch), text(cid), text(kind)];
+        log.append("updates", &row).unwrap();
+    }
+    // Fetches, all later than every push: one sound and complete, one
+    // advertising a stale main, one hiding dev.
+    let fetches: [&[(&str, &str)]; 3] = [
+        &[("main", "c4"), ("dev", "c2")],
+        &[("main", "c1"), ("dev", "c2")],
+        &[("main", "c4")],
+    ];
+    let mut advertisements = Vec::new();
+    for refs in fetches {
+        let t = Value::Integer(log.next_time() as i64);
+        for (branch, cid) in refs {
+            advertisements.push([t.clone(), text("r"), text(branch), text(cid)]);
+        }
+    }
+    for row in &advertisements {
+        log.append("advertisements", row).unwrap();
+    }
+    let before = answers(&log);
+    assert!(before.iter().all(|rows| !rows.is_empty()), "{before:?}");
+
+    log.trim(ssm.trim_queries()).unwrap();
+    drop(log);
+    let mut log = open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard)).unwrap();
+    log.verify().unwrap();
+    assert!(
+        answers(&log).iter().all(Vec::is_empty),
+        "trim drops fetches"
+    );
+    for row in &advertisements {
+        log.append("advertisements", row).unwrap();
+    }
+    assert_eq!(answers(&log), before);
+    log.verify().unwrap();
 }

@@ -9,6 +9,13 @@ use std::fmt;
 
 use crate::{ParseError, Result};
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level and bodies arrive from the network on both sides of the
+/// enclave boundary — in-enclave on lthread stacks of 256 KiB with no
+/// guard page — so depth is capped far below what any stack holds and
+/// far above the deepest honest body (Dropbox `commit_batch`: 4).
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -32,10 +39,15 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`ParseError::Malformed`] on invalid JSON.
+    /// [`ParseError::Malformed`] on invalid JSON, [`ParseError::TooDeep`]
+    /// past [`MAX_DEPTH`] levels of nesting.
     pub fn parse(text: &str) -> Result<Json> {
         let chars: Vec<char> = text.chars().collect();
-        let mut p = JsonParser { chars, pos: 0 };
+        let mut p = JsonParser {
+            chars,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.parse_value()?;
         p.skip_ws();
@@ -177,6 +189,8 @@ fn write_json_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct JsonParser {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl JsonParser {
@@ -209,8 +223,8 @@ impl JsonParser {
     fn parse_value(&mut self) -> Result<Json> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.parse_object(),
-            Some('[') => self.parse_array(),
+            Some('{') => self.nested(Self::parse_object),
+            Some('[') => self.nested(Self::parse_array),
             Some('"') => Ok(Json::String(self.parse_string()?)),
             Some('t') => self.parse_literal("true", Json::Bool(true)),
             Some('f') => self.parse_literal("false", Json::Bool(false)),
@@ -220,6 +234,17 @@ impl JsonParser {
                 "unexpected JSON character {other:?}"
             ))),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::TooDeep { limit: MAX_DEPTH });
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn parse_literal(&mut self, lit: &str, v: Json) -> Result<Json> {
@@ -434,6 +459,29 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad}");
         }
+    }
+
+    /// Runs `f` on a thread with the stack an in-enclave lthread gets.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let t = std::thread::Builder::new().stack_size(256 * 1024);
+        t.spawn(f).unwrap().join().unwrap()
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let too_deep = ParseError::TooDeep { limit: MAX_DEPTH };
+        assert!(on_small_stack(move || Json::parse(&arrays(MAX_DEPTH))).is_ok());
+        assert_eq!(Json::parse(&arrays(MAX_DEPTH + 1)), Err(too_deep.clone()));
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        // Attacker-sized: the error comes back on a stack a thousand
+        // levels would have overflowed.
+        for unit in ["[", r#"{"a":"#] {
+            let got = on_small_stack(move || Json::parse(&unit.repeat(1_000_000)));
+            assert_eq!(got, Err(too_deep.clone()));
+        }
+        assert_eq!(too_deep.close_status(), 400);
     }
 
     #[test]

@@ -39,6 +39,12 @@ pub enum ParseError {
         /// The limit that was exceeded, in bytes.
         limit: usize,
     },
+    /// JSON arrays and objects nested deeper than the parser follows
+    /// (400).
+    TooDeep {
+        /// The limit that was exceeded ([`json::MAX_DEPTH`]).
+        limit: usize,
+    },
 }
 
 impl ParseError {
@@ -47,7 +53,7 @@ impl ParseError {
     /// callers keep reading instead — but maps to 400 for totality.
     pub fn close_status(&self) -> u16 {
         match self {
-            ParseError::Incomplete | ParseError::Malformed(_) => 400,
+            ParseError::Incomplete | ParseError::Malformed(_) | ParseError::TooDeep { .. } => 400,
             ParseError::HeadTooLarge { .. } | ParseError::TooManyHeaders { .. } => 431,
             ParseError::BodyTooLarge { .. } => 413,
         }
@@ -66,6 +72,7 @@ impl std::fmt::Display for ParseError {
                 write!(f, "more than {limit} header lines")
             }
             ParseError::BodyTooLarge { limit } => write!(f, "body exceeds {limit} bytes"),
+            ParseError::TooDeep { limit } => write!(f, "JSON nested deeper than {limit} levels"),
         }
     }
 }

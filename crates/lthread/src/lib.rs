@@ -14,8 +14,9 @@
 //! - [`slots`]: the per-application-thread request slots of Fig. 4;
 //! - [`runtime`]: the `S × T` worker/task topology of Fig. 3, with
 //!   busy-wait and dedicated-poller wait modes;
-//! - [`pool`]: an M:N job pool (coroutines over carrier threads) the
-//!   event-driven serve loops run application handlers on.
+//! - [`pool`]: the job pool the event-driven serve loops run
+//!   application handlers on — plain OS threads on one queue, outside
+//!   the enclave; coroutines serve the [`runtime`] alone.
 
 pub mod context;
 pub mod coro;

@@ -1,50 +1,39 @@
-//! An M:N job pool built on lthread coroutines (§4.3 applied to the
-//! service layer).
+//! The job pool the event-driven services run request handlers on:
+//! a few named OS threads sleeping on one shared queue.
 //!
 //! The event-driven serve loops keep exactly one reactor thread; the
 //! application handlers (and, with auditing, the group-commit barrier
-//! inside `ssl_write`) run here instead. A [`JobPool`] multiplexes
-//! many lthread coroutines over a few *carrier* OS threads: each
-//! coroutine pulls jobs from a shared queue, runs them, and yields
-//! back to its carrier between jobs, so a handful of OS threads serve
-//! an arbitrary number of in-flight requests.
+//! inside `ssl_write`) run here instead, so a handler that blocks —
+//! on the commit barrier's condvar, an asynchronous ecall's reply, an
+//! upstream dial — blocks a pool thread, never the reactor. Sessions
+//! park *in the reactor* (a few bytes of registered interest) and
+//! borrow a thread only while a request is actually being handled.
 //!
-//! This deliberately diverges from coroutine-per-session: lthread
-//! stacks are committed up front, so parking ten thousand idle
-//! sessions each on its own stack would waste hundreds of megabytes.
-//! Sessions park *in the reactor* (a few bytes of registered interest)
-//! and borrow a coroutine only while a request is actually being
-//! handled.
+//! These are plain threads, not lthreads: a job is a `FnOnce()` that
+//! is never handed a [`crate::Yielder`], so it cannot yield, and what
+//! it blocks on blocks its OS thread — concurrency is the thread
+//! count. The audited write path (SQL, invariant checks, JSON)
+//! therefore runs on a standard stack with a guard page. Coroutines
+//! serve the §4.3 asynchronous-call runtime ([`crate::runtime`]) alone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use plat::channel::{self, Receiver, RecvTimeoutError, Sender};
-use plat::sync::Mutex;
-
-use crate::coro::{Coroutine, Resume};
+use plat::channel::{self, Receiver, Sender};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Pool sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
-    /// Carrier OS threads.
+    /// Carrier OS threads: how many jobs run at once.
     pub carriers: usize,
-    /// Coroutines multiplexed per carrier.
-    pub lthreads_per_carrier: usize,
-    /// Stack bytes per coroutine (rounded up by [`Coroutine::new`]).
-    pub stack_size: usize,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        PoolConfig {
-            carriers: 2,
-            lthreads_per_carrier: 8,
-            stack_size: 64 * 1024,
-        }
+        PoolConfig { carriers: 2 }
     }
 }
 
@@ -60,7 +49,7 @@ impl std::fmt::Display for PoolShutdown {
 
 impl std::error::Error for PoolShutdown {}
 
-/// Shared pool state visible to every coroutine.
+/// Shared pool state visible to every carrier.
 struct PoolShared {
     /// Jobs accepted but not yet finished (mirrored by the
     /// `lthread_pool_queue_depth` gauge).
@@ -69,7 +58,7 @@ struct PoolShared {
     completed: AtomicU64,
 }
 
-/// The M:N worker pool.
+/// The worker pool.
 pub struct JobPool {
     tx: Option<Sender<Job>>,
     carriers: Vec<JoinHandle<()>>,
@@ -77,7 +66,7 @@ pub struct JobPool {
 }
 
 impl JobPool {
-    /// Starts the carriers and their coroutines.
+    /// Starts the carriers.
     pub fn new(cfg: PoolConfig) -> Self {
         let (tx, rx) = channel::unbounded::<Job>();
         let shared = Arc::new(PoolShared {
@@ -85,12 +74,13 @@ impl JobPool {
             completed: AtomicU64::new(0),
         });
         let carriers = (0..cfg.carriers.max(1))
-            .map(|_| {
+            .map(|i| {
                 let rx = rx.clone();
                 let shared = Arc::clone(&shared);
-                let coros = cfg.lthreads_per_carrier.max(1);
-                let stack = cfg.stack_size;
-                std::thread::spawn(move || carrier(rx, shared, coros, stack))
+                std::thread::Builder::new()
+                    .name(format!("pool-carrier-{i}"))
+                    .spawn(move || carrier(rx, shared))
+                    .expect("spawn a pool carrier thread")
             })
             .collect();
         JobPool {
@@ -100,7 +90,7 @@ impl JobPool {
         }
     }
 
-    /// Queues a job for execution on some coroutine.
+    /// Queues a job for execution on some carrier.
     ///
     /// # Errors
     ///
@@ -153,53 +143,17 @@ impl Drop for JobPool {
     }
 }
 
-/// One carrier thread: resume every coroutine round-robin, then sleep
-/// on the queue until the next job (or shutdown) arrives. A coroutine
-/// yields only on finding the queue empty, so a finished sweep means
-/// there was nothing left to run; the carrier blocks whatever the other
-/// carriers are doing, so a job parked on one never makes another spin.
-/// Exits once every coroutine finished (which they do only on queue
-/// disconnection, i.e. shutdown).
-fn carrier(rx: Receiver<Job>, shared: Arc<PoolShared>, coros: usize, stack: usize) {
-    // The job the carrier's blocking receive returned; the first
-    // coroutine of the next sweep runs it.
-    let handoff: Arc<Mutex<Option<Job>>> = Arc::new(Mutex::new(None));
-    let mut lthreads: Vec<Coroutine> = (0..coros)
-        .map(|_| {
-            let rx = rx.clone();
-            let shared = Arc::clone(&shared);
-            let handoff = Arc::clone(&handoff);
-            Coroutine::new(stack, move |y| loop {
-                let handed = handoff.lock().take();
-                match handed.map_or_else(|| rx.try_recv(), Ok) {
-                    Ok(job) => {
-                        job();
-                        shared.completed.fetch_add(1, Ordering::SeqCst);
-                        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                        libseal_telemetry::counter("lthread_pool_jobs_total").inc();
-                        libseal_telemetry::gauge("lthread_pool_queue_depth").sub(1);
-                    }
-                    // Empty: park this coroutine until the carrier's
-                    // next sweep.
-                    Err(RecvTimeoutError::Timeout) => y.yield_now(),
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            })
-        })
-        .collect();
-    loop {
-        let mut finished = 0usize;
-        for c in lthreads.iter_mut() {
-            if c.is_finished() || c.resume() == Resume::Finished {
-                finished += 1;
-            }
-        }
-        if finished == lthreads.len() {
-            return;
-        }
-        // `None` is shutdown with the queue drained: the next sweep
-        // lets every coroutine see the disconnect and finish.
-        *handoff.lock() = rx.recv();
+/// One carrier thread: run jobs as they arrive, asleep on the queue in
+/// between (no CPU while idle or while another carrier's job is
+/// parked). `recv` returns `None` only once the pool dropped its sender
+/// *and* the queue is empty, so shutdown drains what was accepted.
+fn carrier(rx: Receiver<Job>, shared: Arc<PoolShared>) {
+    while let Some(job) = rx.recv() {
+        job();
+        shared.completed.fetch_add(1, Ordering::SeqCst);
+        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        libseal_telemetry::counter("lthread_pool_jobs_total").inc();
+        libseal_telemetry::gauge("lthread_pool_queue_depth").sub(1);
     }
 }
 
@@ -210,11 +164,7 @@ mod tests {
 
     #[test]
     fn jobs_run_and_complete() {
-        let pool = JobPool::new(PoolConfig {
-            carriers: 2,
-            lthreads_per_carrier: 4,
-            stack_size: 64 * 1024,
-        });
+        let pool = JobPool::new(PoolConfig { carriers: 2 });
         let hits = Arc::new(AtomicU64::new(0));
         for _ in 0..100 {
             let h = Arc::clone(&hits);
@@ -234,11 +184,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs() {
-        let pool = JobPool::new(PoolConfig {
-            carriers: 1,
-            lthreads_per_carrier: 2,
-            stack_size: 64 * 1024,
-        });
+        let pool = JobPool::new(PoolConfig { carriers: 1 });
         let hits = Arc::new(AtomicU64::new(0));
         for _ in 0..50 {
             let h = Arc::clone(&hits);
@@ -253,11 +199,7 @@ mod tests {
 
     #[test]
     fn blocked_job_does_not_stop_other_carriers() {
-        let pool = JobPool::new(PoolConfig {
-            carriers: 2,
-            lthreads_per_carrier: 2,
-            stack_size: 64 * 1024,
-        });
+        let pool = JobPool::new(PoolConfig { carriers: 2 });
         let (gate_tx, gate_rx) = channel::unbounded::<()>();
         pool.spawn(move || {
             // Block until released — pins one carrier.

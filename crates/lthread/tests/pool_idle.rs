@@ -35,11 +35,7 @@ fn cpu_over(window: Duration) -> Duration {
 }
 
 fn two_carriers() -> JobPool {
-    JobPool::new(PoolConfig {
-        carriers: 2,
-        lthreads_per_carrier: 4,
-        stack_size: 64 * 1024,
-    })
+    JobPool::new(PoolConfig { carriers: 2 })
 }
 
 const WINDOW: Duration = Duration::from_millis(300);
@@ -88,10 +84,7 @@ fn job_spawned_into_an_idle_pool_starts_promptly() {
     // One carrier, and gaps that drift across any fixed period, so a
     // carrier that naps instead of sleeping on the queue cannot happen
     // to be awake each time.
-    let pool = JobPool::new(PoolConfig {
-        carriers: 1,
-        ..PoolConfig::default()
-    });
+    let pool = JobPool::new(PoolConfig { carriers: 1 });
     let (started_tx, started_rx) = channel::unbounded::<Instant>();
     let mut waits: Vec<Duration> = (0..200u64)
         .map(|i| {

@@ -1,4 +1,9 @@
 //! Tables, views and their metadata.
+//!
+//! Beside each table, index and view the catalog keeps the statement
+//! text that created it, exactly as the parser accepted it. The dialect
+//! has no `ALTER`, so that text stays true for the object's life, and
+//! compaction writes it back instead of regenerating SQL from fields.
 
 use std::collections::HashMap;
 
@@ -11,12 +16,8 @@ use crate::{DbError, Result};
 pub struct Column {
     /// Column name (original case).
     pub name: String,
-    /// Declared type.
-    pub decl_type: String,
     /// Affinity derived from the declared type.
     pub affinity: Affinity,
-    /// Declared PRIMARY KEY?
-    pub primary_key: bool,
 }
 
 /// A hash index over one column of a table: `group_key` of the value
@@ -27,6 +28,8 @@ pub struct Index {
     pub name: String,
     /// Indexed column position.
     pub column: usize,
+    /// The `CREATE INDEX` statement that made it.
+    sql: String,
     /// `group_key` → row positions, ascending.
     map: HashMap<String, Vec<usize>>,
     /// Set when the column holds a NaN real. `group_key` separates
@@ -68,6 +71,8 @@ impl Index {
 pub struct Table {
     /// Table name (original case).
     pub name: String,
+    /// The `CREATE TABLE` statement that made it.
+    pub sql: String,
     /// Column definitions.
     pub columns: Vec<Column>,
     /// Row data.
@@ -102,12 +107,10 @@ impl Table {
         self.indexes.iter().map(|ix| ix.name.as_str()).collect()
     }
 
-    /// Indexes in creation order: `(name, column name)`.
-    pub fn indexes_sorted(&self) -> Vec<(&str, &str)> {
-        self.indexes
-            .iter()
-            .map(|ix| (ix.name.as_str(), self.columns[ix.column].name.as_str()))
-            .collect()
+    /// The `CREATE INDEX` statements of this table's indexes, in
+    /// creation order.
+    pub fn index_sql(&self) -> impl Iterator<Item = &str> {
+        self.indexes.iter().map(|ix| ix.sql.as_str())
     }
 
     /// Registers the most recently pushed row with every index
@@ -135,6 +138,7 @@ impl Table {
             let mut fresh = Index {
                 name: ix.name.clone(),
                 column: ix.column,
+                sql: String::new(),
                 map: HashMap::new(),
                 poisoned: false,
             };
@@ -148,6 +152,7 @@ impl Table {
 #[derive(Default, Clone)]
 pub struct Catalog {
     tables: HashMap<String, Table>,
+    /// Lowercased name → (the `CREATE VIEW` statement, its query).
     views: HashMap<String, (String, Select)>,
 }
 
@@ -157,7 +162,7 @@ impl Catalog {
         Self::default()
     }
 
-    /// Creates a table.
+    /// Creates a table; `sql` is the statement being executed.
     ///
     /// # Errors
     ///
@@ -168,6 +173,7 @@ impl Catalog {
         name: &str,
         columns: &[ColumnDef],
         if_not_exists: bool,
+        sql: &str,
     ) -> Result<()> {
         let key = name.to_ascii_lowercase();
         if self.tables.contains_key(&key) || self.views.contains_key(&key) {
@@ -180,15 +186,14 @@ impl Catalog {
             .iter()
             .map(|c| Column {
                 name: c.name.clone(),
-                decl_type: c.decl_type.clone(),
                 affinity: Affinity::from_decl(&c.decl_type),
-                primary_key: c.primary_key,
             })
             .collect();
         self.tables.insert(
             key,
             Table {
                 name: name.to_string(),
+                sql: sql.to_string(),
                 columns: cols,
                 rows: Vec::new(),
                 indexes: Vec::new(),
@@ -198,7 +203,7 @@ impl Catalog {
     }
 
     /// Creates a hash index over `table(column)` and builds it from
-    /// the current rows.
+    /// the current rows; `sql` is the statement being executed.
     ///
     /// # Errors
     ///
@@ -210,6 +215,7 @@ impl Catalog {
         table: &str,
         column: &str,
         if_not_exists: bool,
+        sql: &str,
     ) -> Result<()> {
         if self.index_exists(name) {
             if if_not_exists {
@@ -226,6 +232,7 @@ impl Catalog {
         let mut ix = Index {
             name: name.to_string(),
             column: col,
+            sql: sql.to_string(),
             map: HashMap::new(),
             poisoned: false,
         };
@@ -266,12 +273,18 @@ impl Catalog {
         })
     }
 
-    /// Creates a view.
+    /// Creates a view; `sql` is the statement being executed.
     ///
     /// # Errors
     ///
     /// Fails when the name is taken and `if_not_exists` is false.
-    pub fn create_view(&mut self, name: &str, query: Select, if_not_exists: bool) -> Result<()> {
+    pub fn create_view(
+        &mut self,
+        name: &str,
+        query: Select,
+        if_not_exists: bool,
+        sql: &str,
+    ) -> Result<()> {
         let key = name.to_ascii_lowercase();
         if self.tables.contains_key(&key) || self.views.contains_key(&key) {
             if if_not_exists {
@@ -279,7 +292,7 @@ impl Catalog {
             }
             return Err(DbError::schema(format!("view {name} already exists")));
         }
-        self.views.insert(key, (name.to_string(), query));
+        self.views.insert(key, (sql.to_string(), query));
         Ok(())
     }
 
@@ -331,12 +344,12 @@ impl Catalog {
         v
     }
 
-    /// Iterates over views in name order: `(name, query)`.
-    pub fn views_sorted(&self) -> Vec<(&str, &Select)> {
-        let mut v: Vec<(&str, &Select)> =
-            self.views.values().map(|(n, q)| (n.as_str(), q)).collect();
-        v.sort_by_key(|(n, _)| *n);
-        v
+    /// The `CREATE VIEW` statement of every view, in name order (for
+    /// dumps).
+    pub fn view_sql_sorted(&self) -> Vec<&str> {
+        let mut v: Vec<_> = self.views.iter().collect();
+        v.sort_by_key(|(name, _)| *name);
+        v.into_iter().map(|(_, (sql, _))| sql.as_str()).collect()
     }
 
     /// Total approximate size of all table data in bytes.

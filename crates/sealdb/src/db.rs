@@ -1,10 +1,11 @@
 //! The `Database` facade: parse, plan-free execute, journal, recover.
 
-use crate::ast::{Expr, SelectItem, Stmt};
+use crate::ast::{Expr, Stmt};
 use crate::catalog::Catalog;
 use crate::exec::{exec_select, Ctx, Rows};
-use crate::journal::{Journal, JournalCodec, SalvageInfo, SyncPolicy};
+use crate::journal::{Journal, JournalCodec, SalvageInfo};
 use crate::parser;
+use crate::token::quote_ident;
 use crate::value::Value;
 use crate::view::{backing_column_name, MatView, MatViewSpec, PartitionKey};
 use crate::{DbError, Result};
@@ -52,8 +53,6 @@ impl QueryResult {
 pub struct Database {
     catalog: Catalog,
     journal: Option<Journal>,
-    /// Set while replaying so recovered statements are not re-journaled.
-    replaying: bool,
     /// Use the optimizing executor (hash joins, index probes, subquery
     /// memoization). On by default; turned off to get the reference
     /// nested-loop executor for equivalence testing and benchmarks.
@@ -77,7 +76,6 @@ impl Database {
         Database {
             catalog: Catalog::new(),
             journal: None,
-            replaying: false,
             planner: true,
             salvage: None,
             matviews: Vec::new(),
@@ -105,17 +103,16 @@ impl Database {
     pub fn open(
         path: impl AsRef<std::path::Path>,
         codec: Box<dyn JournalCodec>,
-        sync: SyncPolicy,
     ) -> Result<Database> {
-        let mut journal = Journal::open(path, codec, sync)?;
+        let mut journal = Journal::open(path, codec)?;
         let entries = journal.replay()?;
         let mut db = Database::new();
         db.salvage = journal.last_salvage();
-        db.replaying = true;
+        // Replayed into a database with no journal yet, so recovered
+        // statements are not journaled again.
         for e in entries {
             db.execute_with(&e.sql, &e.params)?;
         }
-        db.replaying = false;
         db.journal = Some(journal);
         Ok(db)
     }
@@ -139,8 +136,8 @@ impl Database {
             return Err(DbError::parse("empty statement"));
         }
         let mut last = QueryResult::default();
-        for stmt in &stmts {
-            last = self.execute_stmt(stmt, &[], None)?;
+        for (stmt, span) in stmts {
+            last = self.execute_stmt(&stmt, &sql[span], &[])?;
         }
         Ok(last)
     }
@@ -151,8 +148,8 @@ impl Database {
     ///
     /// Parse, schema and execution errors.
     pub fn execute_with(&mut self, sql: &str, params: &[Value]) -> Result<QueryResult> {
-        let stmt = parser::parse_one(sql)?;
-        self.execute_stmt(&stmt, params, Some(sql))
+        let (stmt, span) = parser::parse_one(sql)?;
+        self.execute_stmt(&stmt, &sql[span], params)
     }
 
     /// Runs a read-only query (convenience wrapper).
@@ -163,8 +160,7 @@ impl Database {
     /// SELECT.
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
         let start = std::time::Instant::now();
-        let stmt = parser::parse_one(sql)?;
-        let Stmt::Select(sel) = stmt else {
+        let (Stmt::Select(sel), _) = parser::parse_one(sql)? else {
             return Err(DbError::exec("query() requires a SELECT statement"));
         };
         let ctx = Ctx::with_planner(&self.catalog, params, self.planner);
@@ -175,12 +171,9 @@ impl Database {
         Ok(rows_to_result(rows))
     }
 
-    fn execute_stmt(
-        &mut self,
-        stmt: &Stmt,
-        params: &[Value],
-        journal_sql: Option<&str>,
-    ) -> Result<QueryResult> {
+    /// Executes `stmt`, which `sql` parsed to: the text the journal
+    /// replays and, for DDL, the catalog keeps for compaction.
+    fn execute_stmt(&mut self, stmt: &Stmt, sql: &str, params: &[Value]) -> Result<QueryResult> {
         db_metrics().statements.inc();
         let result = match stmt {
             Stmt::Select(sel) => {
@@ -193,7 +186,8 @@ impl Database {
                 columns,
                 if_not_exists,
             } => {
-                self.catalog.create_table(name, columns, *if_not_exists)?;
+                self.catalog
+                    .create_table(name, columns, *if_not_exists, sql)?;
                 QueryResult::default()
             }
             Stmt::CreateView {
@@ -202,7 +196,7 @@ impl Database {
                 if_not_exists,
             } => {
                 self.catalog
-                    .create_view(name, query.clone(), *if_not_exists)?;
+                    .create_view(name, query.clone(), *if_not_exists, sql)?;
                 QueryResult::default()
             }
             Stmt::DropTable { name, if_exists } => {
@@ -220,7 +214,7 @@ impl Database {
                 if_not_exists,
             } => {
                 self.catalog
-                    .create_index(name, table, column, *if_not_exists)?;
+                    .create_index(name, table, column, *if_not_exists, sql)?;
                 QueryResult::default()
             }
             Stmt::DropIndex { name, if_exists } => {
@@ -239,20 +233,8 @@ impl Database {
                 filter,
             } => self.exec_update(table, sets, filter.as_ref(), params)?,
         };
-        if !self.replaying && self.journal.is_some() {
-            // Journal the original text when we have it; otherwise a
-            // canonical re-rendering of the statement.
-            let rendered;
-            let sql = match journal_sql {
-                Some(s) => s,
-                None => {
-                    rendered = render_stmt(stmt);
-                    &rendered
-                }
-            };
-            if let Some(j) = self.journal.as_mut() {
-                j.append(sql, params)?;
-            }
+        if let Some(j) = self.journal.as_mut() {
+            j.append(sql, params)?;
         }
         Ok(result)
     }
@@ -495,8 +477,7 @@ impl Database {
                     }
                 }
                 if let Some(rescan) = &rule.rescan {
-                    let stmt = parser::parse_one(&rescan.sql)?;
-                    let Stmt::Select(sel) = stmt else {
+                    let (Stmt::Select(sel), _) = parser::parse_one(&rescan.sql)? else {
                         return Err(DbError::exec("matview rescan requires a SELECT"));
                     };
                     let bind_idx: Vec<usize> = rescan
@@ -618,8 +599,7 @@ impl Database {
                 continue;
             }
             let parts = std::mem::take(&mut v.dirty);
-            let stmt = parser::parse_one(&v.spec.delta_sql)?;
-            let Stmt::Select(sel) = stmt else {
+            let (Stmt::Select(sel), _) = parser::parse_one(&v.spec.delta_sql)? else {
                 return Err(DbError::exec("matview delta requires a SELECT"));
             };
             let width = self
@@ -700,58 +680,23 @@ impl Database {
         // registration reseeds them from the recovered base tables.
         let backing: std::collections::HashSet<&str> =
             self.matviews.iter().map(|v| v.spec.name.as_str()).collect();
+        // Every statement below already parsed once: DDL is the text
+        // that ran; the row INSERT is the only SQL composed here.
+        let ddl = |sql: &str| (sql.to_string(), vec![]);
         let mut records: Vec<(String, Vec<Value>)> = Vec::new();
         for t in self.catalog.tables_sorted() {
-            let cols: Vec<String> = t
-                .columns
-                .iter()
-                .map(|c| {
-                    let mut s = c.name.clone();
-                    if !c.decl_type.is_empty() {
-                        s.push(' ');
-                        s.push_str(&c.decl_type);
-                    }
-                    if c.primary_key {
-                        s.push_str(" PRIMARY KEY");
-                    }
-                    s
-                })
-                .collect();
-            records.push((
-                format!("CREATE TABLE {}({})", t.name, cols.join(", ")),
-                vec![],
-            ));
-            if backing.contains(t.name.as_str()) {
-                for (ix_name, col_name) in t.indexes_sorted() {
-                    records.push((
-                        format!("CREATE INDEX {ix_name} ON {}({col_name})", t.name),
-                        vec![],
-                    ));
-                }
-                continue;
+            records.push(ddl(&t.sql));
+            if !backing.contains(t.name.as_str()) {
+                let insert = format!(
+                    "INSERT INTO {} VALUES ({})",
+                    quote_ident(&t.name),
+                    vec!["?"; t.columns.len()].join(", ")
+                );
+                records.extend(t.rows.iter().map(|row| (insert.clone(), row.clone())));
             }
-            for row in &t.rows {
-                let placeholders = vec!["?"; row.len()].join(", ");
-                records.push((
-                    format!("INSERT INTO {} VALUES ({placeholders})", t.name),
-                    row.clone(),
-                ));
-            }
-            for (ix_name, col_name) in t.indexes_sorted() {
-                records.push((
-                    format!("CREATE INDEX {ix_name} ON {}({col_name})", t.name),
-                    vec![],
-                ));
-            }
+            records.extend(t.index_sql().map(ddl));
         }
-        for (name, query) in self.catalog.views_sorted() {
-            // Views are re-created from their stored AST via a dump of
-            // the original text; regenerate a canonical form.
-            records.push((
-                format!("CREATE VIEW {name} AS {}", render_select(query)),
-                vec![],
-            ));
-        }
+        records.extend(self.catalog.view_sql_sorted().into_iter().map(ddl));
         journal.rewrite(&records)?;
         db_metrics().compactions.inc();
         Ok(())
@@ -786,345 +731,4 @@ fn eval_standalone(ctx: &Ctx<'_>, e: &Expr) -> Result<Value> {
     let row: [Value; 0] = [];
     let env = crate::exec::env_for(&cols, &row);
     crate::exec::eval(ctx, e, &env, None)
-}
-
-/// Renders any statement back to canonical SQL (for the journal).
-pub fn render_stmt(stmt: &Stmt) -> String {
-    match stmt {
-        Stmt::Select(s) => render_select(s),
-        Stmt::CreateTable {
-            name,
-            columns,
-            if_not_exists,
-        } => {
-            let cols: Vec<String> = columns
-                .iter()
-                .map(|c| {
-                    let mut s = c.name.clone();
-                    if !c.decl_type.is_empty() {
-                        s.push(' ');
-                        s.push_str(&c.decl_type);
-                    }
-                    if c.primary_key {
-                        s.push_str(" PRIMARY KEY");
-                    }
-                    s
-                })
-                .collect();
-            format!(
-                "CREATE TABLE {}{}({})",
-                if *if_not_exists { "IF NOT EXISTS " } else { "" },
-                name,
-                cols.join(", ")
-            )
-        }
-        Stmt::CreateView {
-            name,
-            query,
-            if_not_exists,
-        } => format!(
-            "CREATE VIEW {}{} AS {}",
-            if *if_not_exists { "IF NOT EXISTS " } else { "" },
-            name,
-            render_select(query)
-        ),
-        Stmt::CreateIndex {
-            name,
-            table,
-            column,
-            if_not_exists,
-        } => format!(
-            "CREATE INDEX {}{} ON {}({})",
-            if *if_not_exists { "IF NOT EXISTS " } else { "" },
-            name,
-            table,
-            column
-        ),
-        Stmt::DropIndex { name, if_exists } => format!(
-            "DROP INDEX {}{}",
-            if *if_exists { "IF EXISTS " } else { "" },
-            name
-        ),
-        Stmt::DropTable { name, if_exists } => format!(
-            "DROP TABLE {}{}",
-            if *if_exists { "IF EXISTS " } else { "" },
-            name
-        ),
-        Stmt::DropView { name, if_exists } => format!(
-            "DROP VIEW {}{}",
-            if *if_exists { "IF EXISTS " } else { "" },
-            name
-        ),
-        Stmt::Insert {
-            table,
-            columns,
-            rows,
-        } => {
-            let cols = match columns {
-                Some(c) => format!("({})", c.join(", ")),
-                None => String::new(),
-            };
-            let rendered: Vec<String> = rows
-                .iter()
-                .map(|r| {
-                    let vals: Vec<String> = r.iter().map(render_expr).collect();
-                    format!("({})", vals.join(", "))
-                })
-                .collect();
-            format!("INSERT INTO {table}{cols} VALUES {}", rendered.join(", "))
-        }
-        Stmt::Delete { table, filter } => match filter {
-            Some(f) => format!("DELETE FROM {table} WHERE {}", render_expr(f)),
-            None => format!("DELETE FROM {table}"),
-        },
-        Stmt::Update {
-            table,
-            sets,
-            filter,
-        } => {
-            let assigns: Vec<String> = sets
-                .iter()
-                .map(|(c, e)| format!("{c} = {}", render_expr(e)))
-                .collect();
-            let mut s = format!("UPDATE {table} SET {}", assigns.join(", "));
-            if let Some(f) = filter {
-                s.push_str(&format!(" WHERE {}", render_expr(f)));
-            }
-            s
-        }
-    }
-}
-
-/// Renders a SELECT AST back to SQL (round-trip for view snapshots).
-pub fn render_select(sel: &crate::ast::Select) -> String {
-    let mut s = String::from("SELECT ");
-    if sel.distinct {
-        s.push_str("DISTINCT ");
-    }
-    let projs: Vec<String> = sel
-        .projections
-        .iter()
-        .map(|p| match p {
-            SelectItem::Star => "*".to_string(),
-            SelectItem::QualifiedStar(t) => format!("{t}.*"),
-            SelectItem::Expr { expr, alias } => {
-                let mut e = render_expr(expr);
-                if let Some(a) = alias {
-                    e.push_str(&format!(" AS {a}"));
-                }
-                e
-            }
-        })
-        .collect();
-    s.push_str(&projs.join(", "));
-    if let Some(from) = &sel.from {
-        s.push_str(" FROM ");
-        s.push_str(&render_table_ref(&from.first));
-        for j in &from.joins {
-            match j.kind {
-                crate::ast::JoinKind::Natural => {
-                    s.push_str(" NATURAL JOIN ");
-                    s.push_str(&render_table_ref(&j.table));
-                }
-                crate::ast::JoinKind::Left => {
-                    s.push_str(" LEFT JOIN ");
-                    s.push_str(&render_table_ref(&j.table));
-                    if let Some(on) = &j.on {
-                        s.push_str(" ON ");
-                        s.push_str(&render_expr(on));
-                    }
-                }
-                crate::ast::JoinKind::Inner => {
-                    s.push_str(" JOIN ");
-                    s.push_str(&render_table_ref(&j.table));
-                    if let Some(on) = &j.on {
-                        s.push_str(" ON ");
-                        s.push_str(&render_expr(on));
-                    }
-                }
-            }
-        }
-    }
-    if let Some(f) = &sel.filter {
-        s.push_str(" WHERE ");
-        s.push_str(&render_expr(f));
-    }
-    if !sel.group_by.is_empty() {
-        s.push_str(" GROUP BY ");
-        let gs: Vec<String> = sel.group_by.iter().map(render_expr).collect();
-        s.push_str(&gs.join(", "));
-    }
-    if let Some(h) = &sel.having {
-        s.push_str(" HAVING ");
-        s.push_str(&render_expr(h));
-    }
-    if !sel.order_by.is_empty() {
-        s.push_str(" ORDER BY ");
-        let os: Vec<String> = sel
-            .order_by
-            .iter()
-            .map(|o| {
-                let mut e = render_expr(&o.expr);
-                if o.desc {
-                    e.push_str(" DESC");
-                }
-                e
-            })
-            .collect();
-        s.push_str(&os.join(", "));
-    }
-    if let Some(l) = &sel.limit {
-        s.push_str(" LIMIT ");
-        s.push_str(&render_expr(l));
-    }
-    if let Some(o) = &sel.offset {
-        s.push_str(" OFFSET ");
-        s.push_str(&render_expr(o));
-    }
-    s
-}
-
-fn render_table_ref(t: &crate::ast::TableRef) -> String {
-    match t {
-        crate::ast::TableRef::Named { name, alias } => match alias {
-            Some(a) => format!("{name} {a}"),
-            None => name.clone(),
-        },
-        crate::ast::TableRef::Subquery { query, alias } => {
-            let base = format!("({})", render_select(query));
-            match alias {
-                Some(a) => format!("{base} {a}"),
-                None => base,
-            }
-        }
-    }
-}
-
-fn render_expr(e: &Expr) -> String {
-    use crate::ast::{BinOp, UnOp};
-    match e {
-        Expr::Literal(Value::Text(s)) => format!("'{}'", s.replace('\'', "''")),
-        Expr::Literal(v) if v.is_null() => "NULL".to_string(),
-        Expr::Literal(v) => v.to_string(),
-        Expr::Param(i) => format!("?{}", i + 1),
-        Expr::Column { table, name } => match table {
-            Some(t) => format!("{t}.{name}"),
-            None => name.clone(),
-        },
-        Expr::Unary { op, expr } => match op {
-            UnOp::Neg => format!("-({})", render_expr(expr)),
-            UnOp::Not => format!("NOT ({})", render_expr(expr)),
-        },
-        Expr::Binary { op, left, right } => {
-            let o = match op {
-                BinOp::Eq => "=",
-                BinOp::Ne => "!=",
-                BinOp::Lt => "<",
-                BinOp::Le => "<=",
-                BinOp::Gt => ">",
-                BinOp::Ge => ">=",
-                BinOp::And => "AND",
-                BinOp::Or => "OR",
-                BinOp::Add => "+",
-                BinOp::Sub => "-",
-                BinOp::Mul => "*",
-                BinOp::Div => "/",
-                BinOp::Rem => "%",
-                BinOp::Concat => "||",
-            };
-            format!("({} {o} {})", render_expr(left), render_expr(right))
-        }
-        Expr::Function {
-            name,
-            args,
-            star,
-            distinct,
-        } => {
-            if *star {
-                format!("{name}(*)")
-            } else {
-                let a: Vec<String> = args.iter().map(render_expr).collect();
-                format!(
-                    "{name}({}{})",
-                    if *distinct { "DISTINCT " } else { "" },
-                    a.join(", ")
-                )
-            }
-        }
-        Expr::IsNull { expr, negated } => format!(
-            "({} IS {}NULL)",
-            render_expr(expr),
-            if *negated { "NOT " } else { "" }
-        ),
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let items: Vec<String> = list.iter().map(render_expr).collect();
-            format!(
-                "({} {}IN ({}))",
-                render_expr(expr),
-                if *negated { "NOT " } else { "" },
-                items.join(", ")
-            )
-        }
-        Expr::InSubquery {
-            expr,
-            query,
-            negated,
-        } => format!(
-            "({} {}IN ({}))",
-            render_expr(expr),
-            if *negated { "NOT " } else { "" },
-            render_select(query)
-        ),
-        Expr::Exists { query, negated } => format!(
-            "({}EXISTS ({}))",
-            if *negated { "NOT " } else { "" },
-            render_select(query)
-        ),
-        Expr::Subquery(q) => format!("({})", render_select(q)),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => format!(
-            "({} {}BETWEEN {} AND {})",
-            render_expr(expr),
-            if *negated { "NOT " } else { "" },
-            render_expr(low),
-            render_expr(high)
-        ),
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => format!(
-            "({} {}LIKE {})",
-            render_expr(expr),
-            if *negated { "NOT " } else { "" },
-            render_expr(pattern)
-        ),
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            let mut s = String::from("CASE");
-            if let Some(o) = operand {
-                s.push(' ');
-                s.push_str(&render_expr(o));
-            }
-            for (w, t) in branches {
-                s.push_str(&format!(" WHEN {} THEN {}", render_expr(w), render_expr(t)));
-            }
-            if let Some(e) = else_expr {
-                s.push_str(&format!(" ELSE {}", render_expr(e)));
-            }
-            s.push_str(" END");
-            s
-        }
-    }
 }

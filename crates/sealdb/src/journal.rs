@@ -80,18 +80,6 @@ impl JournalCodec for PlainCodec {
     }
 }
 
-/// Synchronous flushing policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// fsync after every record.
-    EveryRecord,
-    /// fsync only on explicit [`Journal::sync_now`] calls — the
-    /// paper's configuration: LibSEAL flushes once per
-    /// request/response pair (§5.1). A caller that never calls it
-    /// leaves flushing to the OS.
-    Manual,
-}
-
 /// What [`Journal::replay`] salvaged from a torn tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SalvageInfo {
@@ -106,7 +94,6 @@ pub struct Journal {
     path: PathBuf,
     file: File,
     codec: Box<dyn JournalCodec>,
-    sync: SyncPolicy,
     /// Compaction generation (names the next rewrite temp file).
     generation: u64,
     /// Torn-tail salvage performed by the last [`Journal::replay`].
@@ -128,11 +115,7 @@ impl Journal {
     /// # Errors
     ///
     /// I/O errors are surfaced as [`DbError::Io`].
-    pub fn open(
-        path: impl AsRef<Path>,
-        codec: Box<dyn JournalCodec>,
-        sync: SyncPolicy,
-    ) -> Result<Journal> {
+    pub fn open(path: impl AsRef<Path>, codec: Box<dyn JournalCodec>) -> Result<Journal> {
         let path = path.as_ref().to_path_buf();
         // A crash mid-compaction can leave a stale snapshot temp file
         // next to the journal; it was never renamed into place, so it
@@ -148,13 +131,14 @@ impl Journal {
             path,
             file,
             codec,
-            sync,
             generation: 0,
             salvage: None,
         })
     }
 
-    /// Appends one statement record and (policy permitting) fsyncs.
+    /// Appends one statement record. Nothing is fsynced until
+    /// [`Journal::sync_now`] — the paper's configuration: LibSEAL
+    /// flushes once per request/response pair (§5.1).
     ///
     /// # Errors
     ///
@@ -166,13 +150,7 @@ impl Journal {
         framed.extend_from_slice(&frame_len(stored.len())?.to_le_bytes());
         framed.extend_from_slice(&stored);
         plat::failpoint::write_all("sealdb::journal::append", &mut self.file, &framed)
-            .map_err(DbError::io)?;
-        if self.sync == SyncPolicy::EveryRecord {
-            plat::failpoint::check("sealdb::journal::sync").map_err(DbError::io)?;
-            self.file.sync_data().map_err(DbError::io)?;
-            fsync_counter().inc();
-        }
-        Ok(())
+            .map_err(DbError::io)
     }
 
     /// Reads every record back (for recovery), salvaging a torn tail.
@@ -247,9 +225,9 @@ impl Journal {
     /// Truncates the journal (after a snapshot/compaction).
     ///
     /// The truncation is always made durable — file and parent
-    /// directory fsynced regardless of [`SyncPolicy`] — because losing
-    /// the *ordering* of a truncation against a snapshot rewrite on
-    /// crash corrupts the journal even under `Manual` sync.
+    /// directory fsynced without waiting for [`Journal::sync_now`] —
+    /// because losing the *ordering* of a truncation against a
+    /// snapshot rewrite on crash corrupts the journal.
     ///
     /// # Errors
     ///
@@ -517,7 +495,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let path = tmp("rt");
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
         j.append(
             "INSERT INTO t VALUES (?, ?)",
             &[Value::Integer(1), Value::Text("x".into())],
@@ -536,7 +514,7 @@ mod tests {
         // error; the journal file must stay untouched so later appends
         // and replays still work.
         let path = tmp("oversize");
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
         j.append("A", &[]).unwrap();
         let big = Value::Blob(vec![0u8; MAX_RECORD_BYTES + 1]);
         let err = j.append("INSERT INTO t VALUES (?)", &[big]).unwrap_err();
@@ -555,11 +533,11 @@ mod tests {
     fn survives_reopen() {
         let path = tmp("reopen");
         {
-            let mut j =
-                Journal::open(&path, Box::new(PlainCodec), SyncPolicy::EveryRecord).unwrap();
+            let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
             j.append("CREATE TABLE t(a)", &[]).unwrap();
+            j.sync_now().unwrap();
         }
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
         let entries = j.replay().unwrap();
         assert_eq!(entries.len(), 1);
     }
@@ -567,7 +545,7 @@ mod tests {
     #[test]
     fn truncate_clears() {
         let path = tmp("trunc");
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
         j.append("X", &[]).unwrap();
         j.truncate().unwrap();
         assert!(j.replay().unwrap().is_empty());
@@ -578,7 +556,7 @@ mod tests {
     #[test]
     fn all_value_types_roundtrip() {
         let path = tmp("vals");
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
         let params = vec![
             Value::Null,
             Value::Integer(-7),
@@ -595,7 +573,7 @@ mod tests {
         let path = tmp("cut");
         let full_len;
         {
-            let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+            let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
             j.append("INSERT INTO t VALUES (1)", &[]).unwrap();
             j.append("INSERT INTO t VALUES (2)", &[]).unwrap();
             full_len = j.size_bytes();
@@ -603,7 +581,7 @@ mod tests {
         // Chop 3 bytes off: the second record becomes a torn tail.
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..data.len() - 3]).unwrap();
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
         let entries = j.replay().unwrap();
         assert_eq!(entries.len(), 1, "intact prefix record survives");
         let info = j.last_salvage().expect("salvage reported");
@@ -620,7 +598,7 @@ mod tests {
     fn salvages_torn_length_prefix() {
         let path = tmp("cutlen");
         {
-            let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+            let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
             j.append("A", &[]).unwrap();
         }
         // Leave only 2 bytes of the next frame's length prefix.
@@ -628,7 +606,7 @@ mod tests {
         let mut cut = data.clone();
         cut.extend_from_slice(&[7, 0]);
         std::fs::write(&path, &cut).unwrap();
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
         assert_eq!(j.replay().unwrap().len(), 1);
         assert_eq!(
             j.last_salvage(),
@@ -665,7 +643,7 @@ mod tests {
     fn midfile_corruption_stays_fatal() {
         let path = tmp("corrupt");
         {
-            let mut j = Journal::open(&path, Box::new(SumCodec), SyncPolicy::Manual).unwrap();
+            let mut j = Journal::open(&path, Box::new(SumCodec)).unwrap();
             j.append("INSERT INTO t VALUES (1)", &[]).unwrap();
             j.append("INSERT INTO t VALUES (2)", &[]).unwrap();
         }
@@ -674,7 +652,7 @@ mod tests {
         let mut data = std::fs::read(&path).unwrap();
         data[8] ^= 0xff;
         std::fs::write(&path, &data).unwrap();
-        let mut j = Journal::open(&path, Box::new(SumCodec), SyncPolicy::Manual).unwrap();
+        let mut j = Journal::open(&path, Box::new(SumCodec)).unwrap();
         assert!(j.replay().is_err());
         assert!(j.last_salvage().is_none());
     }
@@ -682,7 +660,7 @@ mod tests {
     #[test]
     fn rewrite_replaces_contents_atomically() {
         let path = tmp("rw");
-        let mut j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
         for i in 0..5 {
             j.append(&format!("S{i}"), &[]).unwrap();
         }
@@ -706,7 +684,7 @@ mod tests {
         std::fs::write(&path, b"").unwrap();
         let stale = rewrite_temp_path(path.path(), 3);
         std::fs::write(&stale, b"half a snapshot").unwrap();
-        let _j = Journal::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let _j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
         assert!(!stale.exists(), "stale compaction temp not cleaned up");
     }
 }

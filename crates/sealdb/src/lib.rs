@@ -43,7 +43,8 @@ pub mod value;
 pub mod view;
 
 pub use db::{Database, QueryResult};
-pub use journal::{JournalCodec, PlainCodec, SyncPolicy};
+pub use journal::{JournalCodec, PlainCodec};
+pub use token::quote_ident;
 pub use value::Value;
 pub use view::{MatViewSpec, RescanRule, SourceRule};
 

@@ -3,14 +3,19 @@
 //! NATURAL JOIN, views, GROUP BY/HAVING, ORDER BY/LIMIT) plus the DML
 //! the service-specific modules use.
 
+use std::ops::Range;
+
 use crate::ast::*;
 use crate::token::{tokenize, Token};
 use crate::value::Value;
 use crate::{DbError, Result};
 
-/// Parses a string of one or more `;`-separated statements.
-pub fn parse(sql: &str) -> Result<Vec<Stmt>> {
-    let tokens = tokenize(sql)?;
+/// Parses a string of one or more `;`-separated statements, each
+/// with the byte range of `sql` it was read from (first token to last:
+/// no separator, surrounding space or comment). That slice is the
+/// statement's one textual form — what the journal and the catalog keep.
+pub fn parse(sql: &str) -> Result<Vec<(Stmt, Range<usize>)>> {
+    let (tokens, spans) = tokenize(sql)?;
     let mut p = Parser { tokens, pos: 0 };
     let mut stmts = Vec::new();
     loop {
@@ -18,13 +23,15 @@ pub fn parse(sql: &str) -> Result<Vec<Stmt>> {
         if p.at_end() {
             break;
         }
-        stmts.push(p.parse_stmt()?);
+        let first = p.pos;
+        let stmt = p.parse_stmt()?;
+        stmts.push((stmt, spans[first].start..spans[p.pos - 1].end));
     }
     Ok(stmts)
 }
 
 /// Parses exactly one statement.
-pub fn parse_one(sql: &str) -> Result<Stmt> {
+pub fn parse_one(sql: &str) -> Result<(Stmt, Range<usize>)> {
     let mut stmts = parse(sql)?;
     match stmts.len() {
         1 => Ok(stmts.remove(0)),
@@ -922,10 +929,13 @@ fn is_reserved(word: &str) -> bool {
 mod tests {
     use super::*;
 
+    fn one(sql: &str) -> Stmt {
+        parse_one(sql).unwrap().0
+    }
+
     #[test]
     fn parses_simple_select() {
-        let s =
-            parse_one("SELECT a, b AS bee FROM t WHERE a > 3 ORDER BY b DESC LIMIT 10").unwrap();
+        let s = one("SELECT a, b AS bee FROM t WHERE a > 3 ORDER BY b DESC LIMIT 10");
         let Stmt::Select(sel) = s else { panic!() };
         assert_eq!(sel.projections.len(), 2);
         assert!(sel.filter.is_some());
@@ -941,7 +951,7 @@ mod tests {
             SELECT u.cid FROM updates u WHERE u.repo = a.repo AND
             u.branch = a.branch AND u.time < a.time ORDER BY
             u.time DESC LIMIT 1)";
-        let s = parse_one(sql).unwrap();
+        let s = one(sql);
         let Stmt::Select(sel) = s else { panic!() };
         assert!(matches!(
             sel.filter,
@@ -960,7 +970,7 @@ mod tests {
             FROM updates WHERE branch = u.branch
             AND repo = u.repo AND time < a.time) GROUP BY
             a.time,a.repo,a.branch";
-        let s = parse_one(sql).unwrap();
+        let s = one(sql);
         let Stmt::CreateView { name, query, .. } = s else {
             panic!()
         };
@@ -978,7 +988,7 @@ mod tests {
         let sql = "SELECT time, repo FROM advertisements
             NATURAL JOIN branchcnt
             GROUP BY time, repo, cnt HAVING COUNT(branch) != cnt";
-        let s = parse_one(sql).unwrap();
+        let s = one(sql);
         let Stmt::Select(sel) = s else { panic!() };
         let from = sel.from.unwrap();
         assert_eq!(from.joins[0].kind, JoinKind::Natural);
@@ -989,30 +999,29 @@ mod tests {
     #[test]
     fn parses_paper_trimming_queries() {
         // Verbatim from §5.1 of the paper.
-        let stmts = parse(
-            "DELETE FROM advertisements;
+        let sql = "DELETE FROM advertisements;
              DELETE FROM updates WHERE time NOT IN
-               (SELECT MAX(time) FROM updates GROUP BY repo, branch);",
-        )
-        .unwrap();
+               (SELECT MAX(time) FROM updates GROUP BY repo, branch);";
+        let stmts = parse(sql).unwrap();
         assert_eq!(stmts.len(), 2);
         let Stmt::Delete {
             filter: Some(f), ..
-        } = &stmts[1]
+        } = &stmts[1].0
         else {
             panic!()
         };
         assert!(matches!(f, Expr::InSubquery { negated: true, .. }));
+        // Each span is the statement alone: no separator or indentation.
+        let text = |i: usize| &sql[stmts[i].1.clone()];
+        assert_eq!(text(0), "DELETE FROM advertisements");
+        assert!(text(1).starts_with("DELETE FROM updates") && text(1).ends_with("branch)"));
     }
 
     #[test]
     fn parses_create_table_with_types() {
-        let s = parse_one(
-            "CREATE TABLE IF NOT EXISTS updates(
+        let s = one("CREATE TABLE IF NOT EXISTS updates(
                 time INTEGER PRIMARY KEY, repo TEXT, branch TEXT,
-                cid TEXT, type TEXT)",
-        )
-        .unwrap();
+                cid TEXT, type TEXT)");
         let Stmt::CreateTable {
             columns,
             if_not_exists,
@@ -1029,7 +1038,7 @@ mod tests {
 
     #[test]
     fn parses_insert_with_params() {
-        let s = parse_one("INSERT INTO t(a, b) VALUES (?, ?), (?, 4)").unwrap();
+        let s = one("INSERT INTO t(a, b) VALUES (?, ?), (?, 4)");
         let Stmt::Insert { rows, columns, .. } = s else {
             panic!()
         };
@@ -1041,7 +1050,7 @@ mod tests {
 
     #[test]
     fn parses_exists_and_not_exists() {
-        let s = parse_one("SELECT 1 WHERE NOT EXISTS (SELECT 1 FROM t)").unwrap();
+        let s = one("SELECT 1 WHERE NOT EXISTS (SELECT 1 FROM t)");
         let Stmt::Select(sel) = s else { panic!() };
         assert!(matches!(
             sel.filter,
@@ -1051,7 +1060,7 @@ mod tests {
 
     #[test]
     fn parses_case_expression() {
-        let s = parse_one("SELECT CASE WHEN a > 1 THEN 'big' ELSE 'small' END FROM t").unwrap();
+        let s = one("SELECT CASE WHEN a > 1 THEN 'big' ELSE 'small' END FROM t");
         let Stmt::Select(sel) = s else { panic!() };
         let SelectItem::Expr { expr, .. } = &sel.projections[0] else {
             panic!()
@@ -1061,14 +1070,14 @@ mod tests {
 
     #[test]
     fn parses_between_and_like() {
-        let s = parse_one("SELECT * FROM t WHERE a BETWEEN 1 AND 5 AND b LIKE 'x%'").unwrap();
+        let s = one("SELECT * FROM t WHERE a BETWEEN 1 AND 5 AND b LIKE 'x%'");
         let Stmt::Select(sel) = s else { panic!() };
         assert!(sel.filter.is_some());
     }
 
     #[test]
     fn table_alias_without_as() {
-        let s = parse_one("SELECT a.x FROM mytable a, other b").unwrap();
+        let s = one("SELECT a.x FROM mytable a, other b");
         let Stmt::Select(sel) = s else { panic!() };
         let from = sel.from.unwrap();
         assert_eq!(from.first.effective_name(), Some("a"));
@@ -1084,7 +1093,7 @@ mod tests {
 
     #[test]
     fn subquery_in_from() {
-        let s = parse_one("SELECT n FROM (SELECT COUNT(*) AS n FROM t) sub").unwrap();
+        let s = one("SELECT n FROM (SELECT COUNT(*) AS n FROM t) sub");
         let Stmt::Select(sel) = s else { panic!() };
         let from = sel.from.unwrap();
         assert!(matches!(from.first, TableRef::Subquery { .. }));
@@ -1093,7 +1102,7 @@ mod tests {
 
     #[test]
     fn update_statement() {
-        let s = parse_one("UPDATE t SET a = a + 1, b = 'x' WHERE id = 3").unwrap();
+        let s = one("UPDATE t SET a = a + 1, b = 'x' WHERE id = 3");
         let Stmt::Update { sets, filter, .. } = s else {
             panic!()
         };

@@ -1,5 +1,7 @@
 //! The SQL tokenizer.
 
+use std::ops::Range;
+
 use crate::{DbError, Result};
 
 /// A lexical token.
@@ -31,17 +33,29 @@ impl Token {
     }
 }
 
-/// Splits `sql` into tokens.
+/// Quotes `name` as an identifier (the inverse of the tokenizer's
+/// `"name"` rule, `"` doubled inside), so any catalog name can be
+/// spliced into statement text: the table in the row `INSERT`s that
+/// [`crate::Database::compact`] and the audit log's append compose.
+pub fn quote_ident(name: &str) -> String {
+    format!("\"{}\"", name.replace('"', "\"\""))
+}
+
+/// Splits `sql` into tokens and, parallel to them, the byte range of
+/// `sql` each was read from.
 ///
 /// # Errors
 ///
 /// Returns a parse error on malformed literals or unknown characters.
-pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
+pub fn tokenize(sql: &str) -> Result<(Vec<Token>, Vec<Range<usize>>)> {
     let bytes = sql.as_bytes();
-    let mut out = Vec::new();
+    // About three bytes a token: one allocation each, not five.
+    let mut out = Vec::with_capacity(sql.len() / 3 + 1);
+    let mut spans = Vec::with_capacity(sql.len() / 3 + 1);
     let mut i = 0;
     let mut param_counter = 0usize;
     while i < bytes.len() {
+        let start = i;
         let c = bytes[i] as char;
         match c {
             ' ' | '\t' | '\r' | '\n' => i += 1,
@@ -198,31 +212,34 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                         }
                     },
                 };
+                if sym == ";" {
+                    // `?` numbers from 1 in each statement, so a
+                    // statement's span parses alone (as journal replay
+                    // does) to what it parsed to in its script.
+                    param_counter = 0;
+                }
                 out.push(Token::Symbol(sym));
                 i += sym.len();
             }
         }
+        if out.len() > spans.len() {
+            spans.push(start..i);
+        }
     }
-    Ok(out)
+    Ok((out, spans))
 }
 
 fn read_quoted(s: &str, quote: char) -> Result<(String, usize)> {
     // s starts at the opening quote. Doubled quotes escape.
     let mut out = String::new();
-    let chars: Vec<char> = s.chars().collect();
-    let mut i = 1;
-    while i < chars.len() {
-        if chars[i] == quote {
-            if chars.get(i + 1) == Some(&quote) {
-                out.push(quote);
-                i += 2;
-            } else {
-                let consumed: usize = chars[..=i].iter().map(|c| c.len_utf8()).sum();
-                return Ok((out, consumed));
-            }
+    let mut chars = s.char_indices().skip(1).peekable();
+    while let Some((i, c)) = chars.next() {
+        if c != quote {
+            out.push(c);
+        } else if chars.next_if(|&(_, next)| next == quote).is_some() {
+            out.push(quote);
         } else {
-            out.push(chars[i]);
-            i += 1;
+            return Ok((out, i + quote.len_utf8()));
         }
     }
     Err(DbError::parse("unterminated string literal"))
@@ -232,9 +249,13 @@ fn read_quoted(s: &str, quote: char) -> Result<(String, usize)> {
 mod tests {
     use super::*;
 
+    fn toks(sql: &str) -> Vec<Token> {
+        tokenize(sql).unwrap().0
+    }
+
     #[test]
     fn basic_select() {
-        let t = tokenize("SELECT a, b FROM t WHERE x != 3;").unwrap();
+        let t = toks("SELECT a, b FROM t WHERE x != 3;");
         assert_eq!(t[0], Token::Word("SELECT".into()));
         assert!(t.contains(&Token::Symbol("!=")));
         assert!(t.contains(&Token::Int(3)));
@@ -243,13 +264,13 @@ mod tests {
 
     #[test]
     fn strings_with_escapes() {
-        let t = tokenize("'it''s'").unwrap();
+        let t = toks("'it''s'");
         assert_eq!(t, vec![Token::Str("it's".into())]);
     }
 
     #[test]
     fn quoted_identifiers() {
-        let t = tokenize(r#""my col" `tick` [brack]"#).unwrap();
+        let t = toks(r#""my col" `tick` [brack]"#);
         assert_eq!(
             t,
             vec![
@@ -262,7 +283,7 @@ mod tests {
 
     #[test]
     fn numbers() {
-        let t = tokenize("1 2.5 1e3 10.0").unwrap();
+        let t = toks("1 2.5 1e3 10.0");
         assert_eq!(
             t,
             vec![
@@ -276,7 +297,7 @@ mod tests {
 
     #[test]
     fn comments_skipped() {
-        let t = tokenize("SELECT -- comment\n 1 /* block */ + 2").unwrap();
+        let t = toks("SELECT -- comment\n 1 /* block */ + 2");
         assert_eq!(
             t,
             vec![
@@ -290,7 +311,7 @@ mod tests {
 
     #[test]
     fn params_number_themselves() {
-        let t = tokenize("? ? ?5 ?").unwrap();
+        let t = toks("? ? ?5 ?");
         assert_eq!(
             t,
             vec![
@@ -304,7 +325,7 @@ mod tests {
 
     #[test]
     fn blob_literal() {
-        let t = tokenize("x'0aFF'").unwrap();
+        let t = toks("x'0aFF'");
         assert_eq!(t, vec![Token::Blob(vec![0x0a, 0xff])]);
         assert!(tokenize("x'0a0'").is_err());
     }
@@ -316,7 +337,26 @@ mod tests {
 
     #[test]
     fn concat_operator() {
-        let t = tokenize("a || b").unwrap();
+        let t = toks("a || b");
         assert_eq!(t[1], Token::Symbol("||"));
+    }
+
+    #[test]
+    fn spans_cover_each_token_and_params_restart_per_statement() {
+        let sql = "SELECT ?, x'0a' ; -- c\n SELECT ? /* d */ ;";
+        let (t, spans) = tokenize(sql).unwrap();
+        let text: Vec<&str> = spans.iter().map(|s| &sql[s.clone()]).collect();
+        assert_eq!(text, ["SELECT", "?", ",", "x'0a'", ";", "SELECT", "?", ";"]);
+        assert_eq!((&t[1], &t[6]), (&Token::Param(0), &Token::Param(0)));
+    }
+
+    #[test]
+    fn quoted_identifier_reads_back() {
+        for name in ["t", "my table", "a\"b", "x]y`z"] {
+            assert_eq!(
+                toks(&quote_ident(name)),
+                vec![Token::QuotedIdent(name.into())]
+            );
+        }
     }
 }

@@ -6,13 +6,13 @@
 //! then runs under `scenario.reset()`, exactly like a restarted
 //! process reading what the dead one left behind.
 
-use libseal_sealdb::journal::{PlainCodec, SyncPolicy};
+use libseal_sealdb::journal::PlainCodec;
 use libseal_sealdb::{Database, Value};
 use plat::failpoint::{self, FaultSpec};
 use plat::tmp::TempPath;
 
 fn seeded_db(path: &TempPath, rows: i64) -> Database {
-    let mut db = Database::open(path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+    let mut db = Database::open(path, Box::new(PlainCodec)).unwrap();
     db.execute("CREATE TABLE t(a INTEGER, b TEXT)").unwrap();
     for i in 0..rows {
         db.execute_with(
@@ -63,7 +63,7 @@ fn crash_at_every_compact_failpoint_preserves_the_log() {
             // would.
         }
         s.reset(); // restart
-        let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
         assert_eq!(
             row_count(&db),
             20,
@@ -85,7 +85,7 @@ fn torn_snapshot_write_leaves_live_journal_intact() {
         assert!(db.compact().is_err());
     }
     s.reset();
-    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(row_count(&db), 10);
     // No *.compact-* litter survives the reopen.
     let parent = path.path().parent().unwrap();
@@ -124,7 +124,7 @@ fn torn_append_is_salvaged_on_reopen() {
             .is_err());
     }
     s.reset();
-    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(row_count(&db), 5, "synced prefix must survive");
     let salvage = db.salvage_report().expect("salvage must be reported");
     assert_eq!(salvage.lost_bytes, 9);
@@ -149,7 +149,7 @@ fn repeated_compaction_generations_survive_crashes() {
         assert!(db.compact().is_err()); // generation 2, crashes
     }
     s.reset();
-    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(row_count(&db), 9);
 }
 
@@ -174,7 +174,7 @@ fn writes_after_failed_dir_sync_survive_restart() {
         db.sync_journal().unwrap();
     }
     s.reset();
-    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(row_count(&db), 5, "post-compaction append lost");
 }
 
@@ -193,6 +193,6 @@ fn failed_compaction_is_retryable() {
     assert_eq!(row_count(&db), 6);
     // And the compacted journal replays.
     drop(db);
-    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(row_count(&db), 6);
 }

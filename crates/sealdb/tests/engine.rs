@@ -398,10 +398,10 @@ fn subquery_in_from_clause() {
 
 #[test]
 fn persistence_roundtrip() {
-    use libseal_sealdb::{PlainCodec, SyncPolicy};
+    use libseal_sealdb::PlainCodec;
     let path = plat::tmp::TempPath::new("sealdb-e2e", "db");
     {
-        let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::EveryRecord).unwrap();
+        let mut db = Database::open(&path, Box::new(PlainCodec)).unwrap();
         db.execute("CREATE TABLE t(a INTEGER, b TEXT)").unwrap();
         db.execute_with(
             "INSERT INTO t VALUES (?, ?)",
@@ -414,8 +414,9 @@ fn persistence_roundtrip() {
         )
         .unwrap();
         db.execute("DELETE FROM t WHERE a = 1").unwrap();
+        db.sync_journal().unwrap();
     }
-    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::EveryRecord).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     let r = db.query("SELECT a, b FROM t", &[]).unwrap();
     assert_eq!(r.rows.len(), 1);
     assert_eq!(r.rows[0][1], Value::Text("two".into()));
@@ -423,10 +424,10 @@ fn persistence_roundtrip() {
 
 #[test]
 fn compaction_preserves_data_and_shrinks_journal() {
-    use libseal_sealdb::{PlainCodec, SyncPolicy};
+    use libseal_sealdb::PlainCodec;
     let path = plat::tmp::TempPath::new("sealdb-compact", "db");
     {
-        let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut db = Database::open(&path, Box::new(PlainCodec)).unwrap();
         db.execute("CREATE TABLE t(a INTEGER)").unwrap();
         for i in 0..100 {
             db.execute_with("INSERT INTO t VALUES (?)", &[Value::Integer(i)])
@@ -437,7 +438,7 @@ fn compaction_preserves_data_and_shrinks_journal() {
         db.compact().unwrap();
         assert!(db.journal_size_bytes() < before);
     }
-    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     let r = db.query("SELECT COUNT(*) FROM t", &[]).unwrap();
     assert_eq!(r.scalar().unwrap(), &Value::Integer(10));
 }
@@ -566,10 +567,10 @@ fn index_ddl_and_dml_maintenance() {
 
 #[test]
 fn indexes_survive_journal_replay() {
-    use libseal_sealdb::{PlainCodec, SyncPolicy};
+    use libseal_sealdb::PlainCodec;
     let path = plat::tmp::TempPath::new("sealdb-ixreplay", "db");
     {
-        let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut db = Database::open(&path, Box::new(PlainCodec)).unwrap();
         db.execute("CREATE TABLE t(a INTEGER, b INTEGER)").unwrap();
         db.execute("CREATE INDEX ix_a ON t(a)").unwrap();
         for i in 0..40 {
@@ -581,7 +582,7 @@ fn indexes_survive_journal_replay() {
         }
         db.execute("DELETE FROM t WHERE a = 1").unwrap();
     }
-    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(db.catalog().table("t").unwrap().index_names(), vec!["ix_a"]);
     assert_indexes_consistent(&db);
     let r = db
@@ -592,10 +593,10 @@ fn indexes_survive_journal_replay() {
 
 #[test]
 fn compaction_preserves_indexes() {
-    use libseal_sealdb::{PlainCodec, SyncPolicy};
+    use libseal_sealdb::PlainCodec;
     let path = plat::tmp::TempPath::new("sealdb-ixcompact", "db");
     {
-        let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut db = Database::open(&path, Box::new(PlainCodec)).unwrap();
         db.execute("CREATE TABLE t(a INTEGER)").unwrap();
         db.execute("CREATE INDEX ix_a ON t(a)").unwrap();
         for i in 0..60 {
@@ -606,7 +607,7 @@ fn compaction_preserves_indexes() {
         db.compact().unwrap();
         assert_indexes_consistent(&db);
     }
-    let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(db.catalog().table("t").unwrap().index_names(), vec!["ix_a"]);
     assert_indexes_consistent(&db);
     let r = db.query("SELECT COUNT(*) FROM t WHERE a = 2", &[]).unwrap();

@@ -1,7 +1,7 @@
 //! Delta-maintained materialized view semantics: incremental refresh
 //! must always agree with a from-scratch evaluation of the view query.
 
-use libseal_sealdb::journal::{PlainCodec, SyncPolicy};
+use libseal_sealdb::journal::PlainCodec;
 use libseal_sealdb::{Database, MatViewSpec, RescanRule, SourceRule, Value};
 use plat::tmp::TempPath;
 
@@ -203,7 +203,7 @@ plat::prop! {
 fn reopen_reseeds_views_from_recovered_base_tables() {
     let path = TempPath::new("matview_reopen", "db");
     {
-        let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut db = Database::open(&path, Box::new(PlainCodec)).unwrap();
         schema(&mut db);
         db.register_matview(spec()).unwrap();
         send(&mut db, 1, "a", "x");
@@ -215,7 +215,7 @@ fn reopen_reseeds_views_from_recovered_base_tables() {
     }
     // Reopen: the backing table definition replays from the journal
     // but its derived rows were never journaled.
-    let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+    let mut db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert!(db.catalog().table("mv_unsound").is_some());
     assert_eq!(
         db.query("SELECT * FROM mv_unsound", &[])
@@ -237,7 +237,7 @@ fn reopen_reseeds_views_from_recovered_base_tables() {
 fn compaction_drops_derived_rows_but_keeps_definitions() {
     let path = TempPath::new("matview_compact", "db");
     {
-        let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let mut db = Database::open(&path, Box::new(PlainCodec)).unwrap();
         schema(&mut db);
         send(&mut db, 1, "a", "x");
         db.register_matview(spec()).unwrap();
@@ -245,7 +245,7 @@ fn compaction_drops_derived_rows_but_keeps_definitions() {
         db.compact().unwrap();
         db.sync_journal().unwrap();
     }
-    let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+    let mut db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert!(db.catalog().table("mv_unsound").is_some());
     assert_eq!(
         db.query("SELECT * FROM mv_unsound", &[])

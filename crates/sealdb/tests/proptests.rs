@@ -2,7 +2,7 @@
 //! (deterministic `plat::check` harness; same properties and case
 //! counts as the original proptest suite).
 
-use libseal_sealdb::{Database, PlainCodec, SyncPolicy, Value};
+use libseal_sealdb::{Database, PlainCodec, Value};
 use plat::check::Gen;
 use plat::tmp::TempPath;
 
@@ -99,7 +99,7 @@ plat::prop! {
             .collect();
         let path = TempPath::new("sealdb-prop", "db");
         let live_rows = {
-            let mut db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+            let mut db = Database::open(&path, Box::new(PlainCodec)).unwrap();
             db.execute("CREATE TABLE t(v INTEGER)").unwrap();
             for (v, del) in &ops {
                 if *del {
@@ -110,7 +110,7 @@ plat::prop! {
             }
             db.query("SELECT v FROM t ORDER BY v", &[]).unwrap().rows
         };
-        let db = Database::open(&path, Box::new(PlainCodec), SyncPolicy::Manual).unwrap();
+        let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
         let replayed = db.query("SELECT v FROM t ORDER BY v", &[]).unwrap().rows;
         assert_eq!(live_rows, replayed);
     }

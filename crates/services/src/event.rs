@@ -1,5 +1,5 @@
 //! The event-driven driver: one reactor thread multiplexing every
-//! connection, with application handlers on an lthread job pool.
+//! connection, with application handlers on a pool of worker threads.
 //! Request semantics come from the [`App`] and connection policy from
 //! [`crate::conn`], exactly as under the blocking driver.
 //!
@@ -15,9 +15,9 @@
 //!   through **one** batched enclave transition
 //!   ([`LibSeal::pump_batch`]), amortising the §4.2 transition cost
 //!   across sessions exactly like the seal/verify batch entries;
-//! - parsed requests run on a [`JobPool`] of lthread coroutines, so
-//!   the group-commit barrier inside `ssl_write` blocks a borrowed
-//!   coroutine — never the reactor — and concurrent responses still
+//! - parsed requests run on a [`JobPool`] of `workers` OS threads, so
+//!   the group-commit barrier inside `ssl_write` blocks a pool thread
+//!   — never the reactor — and as many responses as there are workers
 //!   share counter binds and fsyncs;
 //! - a [`plat::timer::TimerWheel`] evicts idle sessions and paces the
 //!   accept-failure backoff without blocking the loop.
@@ -80,7 +80,7 @@ pub(crate) struct EventHandle {
 /// Lends async-call slot indices to concurrent LibSEAL callers.
 ///
 /// `AsyncRuntime` panics if two threads share a slot, and the event
-/// core has more callers (reactor + every pool coroutine) than the
+/// core has more callers (reactor + every pool thread) than the
 /// blocking driver's fixed worker-index scheme can name. Callers block
 /// until a slot frees; without a runtime the pool is sized so that
 /// acquisition never waits.
@@ -244,13 +244,7 @@ pub(crate) fn serve<A: App>(
     };
 
     let pool = JobPool::new(PoolConfig {
-        carriers: cfg.workers.max(1),
-        lthreads_per_carrier: 8,
-        // Synchronous LibSEAL instances run the whole audited write
-        // path (sealing, SQL, invariant checks) inline on the worker
-        // coroutine, and lthread stacks have no guard pages — size
-        // them like the async runtime's enclave lthreads.
-        stack_size: 256 * 1024,
+        carriers: cfg.workers,
     });
     let (done_tx, done_rx) = channel::unbounded();
     let lp = Loop {

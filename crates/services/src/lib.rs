@@ -20,8 +20,8 @@
 //!
 //! - the **reactor** (default): one epoll thread multiplexes every
 //!   connection, ready audited sessions are drained through one
-//!   batched enclave transition per sweep, and handlers run on an
-//!   lthread job pool;
+//!   batched enclave transition per sweep, and handlers run on the
+//!   job pool's worker threads;
 //! - the **blocking** driver (`event_loop(false)`): the paper's
 //!   thread-per-connection model — a fixed pool of workers, each
 //!   serving whole connections and owning one async-ecall slot. The

@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use libseal::{GitModule, LibSeal, LibSealConfig, LogBacking};
+use libseal::{DropboxModule, GitModule, LibSeal, LibSealConfig, LogBacking, OwnCloudModule};
 use libseal_crypto::ed25519::VerifyingKey;
 use libseal_crypto::SystemRng;
 use libseal_httpx::http::{Limits, Request};
@@ -16,8 +16,12 @@ use libseal_tlsx::cert::CertificateAuthority;
 use libseal_tlsx::ssl::SslConfig;
 use libseal_tlsx::stream::SslStream;
 
-use libseal_services::apache::{ApacheConfig, ApacheServer, DelayRouter, StaticContentRouter};
+use libseal_services::apache::{
+    ApacheConfig, ApacheServer, DelayRouter, Router, StaticContentRouter,
+};
+use libseal_services::dropbox::DropboxServer;
 use libseal_services::git::{GitBackend, HistoryGenerator};
+use libseal_services::owncloud::OwnCloudServer;
 use libseal_services::{HttpsClient, TlsMode};
 
 mod common;
@@ -274,6 +278,59 @@ fn oversized_requests_get_typed_rejections() {
             .unwrap();
         assert_eq!(rsp.status, 200);
         server.stop();
+    });
+}
+
+/// A body nested far past `json::MAX_DEPTH` used to recurse the
+/// handler's JSON parser, and the in-enclave one behind it, off their
+/// stacks. It is a malformed body like any other: 400, the server keeps
+/// serving, and the audit log neither grows nor breaks.
+#[test]
+fn deeply_nested_json_body_gets_400() {
+    type Service = (Arc<dyn libseal::ServiceModule>, Arc<dyn Router>, Request);
+    let honest = |path: &str, body: &str| Request::new("POST", path, body.as_bytes().to_vec());
+    for_each_driver(|event| {
+        let services: [Service; 2] = [
+            (
+                Arc::new(OwnCloudModule),
+                Arc::new(Arc::new(OwnCloudServer::new())),
+                honest("/owncloud/join", r#"{"doc":"d","client":"bob"}"#),
+            ),
+            (
+                Arc::new(DropboxModule),
+                Arc::new(Arc::new(DropboxServer::new())),
+                honest("/dropbox/list", r#"{"account":"acct","host":"h"}"#),
+            ),
+        ];
+        for (ssm, router, honest) in services {
+            let ca = ca();
+            let (key, cert) = ca.issue_identity("localhost", &[0x21; 32]).unwrap();
+            let cfg = LibSealConfig::builder(cert, key)
+                .ssm(ssm)
+                .cost_model(CostModel::free())
+                .check_interval(0);
+            let ls = LibSeal::new(cfg.build()).unwrap();
+            let server = ApacheServer::start(
+                ApacheConfig::new(TlsMode::LibSeal(ls.clone()), router)
+                    .workers(2)
+                    .event_loop(event),
+            )
+            .unwrap();
+            // One connection per request.
+            let client = HttpsClient::new(server.addr(), vec![ca.root_key()], "localhost");
+            let path = honest.path().to_string();
+            assert_eq!(client.request(&honest).unwrap().status, 200, "{path}");
+            let (entries, ..) = ls.log_stats(0).unwrap();
+
+            let deep = Request::new("POST", &path, "[".repeat(100_000).into_bytes());
+            let rsp = client.request(&deep).unwrap();
+            assert_eq!(rsp.status, 400, "{path} (event={event})");
+            assert_eq!(ls.log_stats(0).unwrap().0, entries, "{path}: pair logged");
+
+            assert_eq!(client.request(&honest).unwrap().status, 200, "{path}");
+            ls.verify_log(0).unwrap();
+            server.stop();
+        }
     });
 }
 
