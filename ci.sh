@@ -11,13 +11,21 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The thread-backed `Coroutine` behind this feature is the only
+# implementation on aarch64 (which `plat` supports); nothing above
+# compiles it on x86-64.
+cargo test -q -p libseal-lthread --features portable-lthreads
+cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D warnings
+
 # Code size and panic surface are tracked numbers: prints `table1`'s
 # per-crate table (the one counter) and fails when crates/core,
 # crates/bench, crates/sealdb or the in-enclave total outgrows its
-# budget, the `unsafe` or `unwrap`/`expect` totals grow, a file of the
-# session split outgrows 900 lines, an enclave interface name is spelled
-# outside the Ecall table, sealdb's SQL renderer or `SyncPolicy` is
-# back, or a paper printer builds its own fleet. Builds the bench
+# budget (crates/tlsx and crates/services have one too), the `unsafe`
+# or `unwrap`/`expect` totals grow, a file of the session split outgrows
+# 900 lines, an enclave interface name is spelled outside the Ecall
+# table, sealdb's SQL renderer or `SyncPolicy` is back, a second TLS
+# termination surface is back (or a services driver names the TLS
+# library), or a paper printer builds its own fleet. Builds the bench
 # binaries in release mode, which the gates below need anyway.
 scripts/loc_budget.sh
 

@@ -26,8 +26,6 @@ pub const MAX_MESSAGE_BUFFER: usize = 64 * 1024 * 1024;
 pub enum GuardConfig {
     /// No rollback protection (baselines).
     None,
-    /// The slow SGX hardware counter.
-    Hardware,
     /// A ROTE quorum tolerating `f` faults with the given per-request
     /// latency (§5.1; the paper's Git evaluation uses `f = 1`).
     Rote {

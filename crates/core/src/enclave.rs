@@ -40,7 +40,7 @@ use plat::sync::{Mutex, RwLock};
 
 use crate::check::{CheckOutcome, Checker};
 use crate::config::{GuardConfig, LibSealConfig};
-use crate::log::{AuditLog, CommitMode, HwCounterGuard, NoGuard, RollbackGuard, RoteGuard};
+use crate::log::{AuditLog, CommitMode, NoGuard, RollbackGuard, RoteGuard};
 use crate::queue::TicketQueue;
 use crate::ssm::ServiceModule;
 use crate::{LibSealError, Result};
@@ -136,6 +136,8 @@ struct Session {
     /// Complete requests awaiting their response: (raw bytes,
     /// Libseal-Check requested?).
     pending: VecDeque<(Vec<u8>, bool)>,
+    /// Raw bytes held in `pending`.
+    pending_bytes: usize,
     /// Plaintext response bytes not yet complete.
     rsp_buf: Vec<u8>,
 }
@@ -270,6 +272,7 @@ impl Trusted {
                 ssl,
                 req_buf: Vec::new(),
                 pending: VecDeque::new(),
+                pending_bytes: 0,
                 rsp_buf: Vec::new(),
             })),
         );
@@ -287,9 +290,6 @@ fn open_audit(
 ) -> Result<AuditState> {
     let guard: Box<dyn RollbackGuard> = match &config.guard {
         GuardConfig::None => Box::new(NoGuard),
-        GuardConfig::Hardware => Box::new(HwCounterGuard(
-            libseal_sgxsim::MonotonicCounter::hardware_realistic(),
-        )),
         GuardConfig::Rote { f, latency } => Box::new(RoteGuard(Arc::new(
             libseal_rote::Cluster::new(*f, *latency, b"libseal-log")
                 .map_err(|e| LibSealError::Log(e.to_string()))?,
@@ -399,10 +399,22 @@ pub struct SessionOutcome {
 }
 
 impl SessionOutcome {
+    /// The outcome of one [`Ssl::pump`] of session `sid`.
+    pub fn pumped(sid: u64, p: libseal_tlsx::ssl::Pumped) -> SessionOutcome {
+        SessionOutcome {
+            sid,
+            established: p.established,
+            data: p.data,
+            output: p.output,
+            closed: p.closed,
+            error: p.error.map(LibSealError::Tls),
+        }
+    }
+
     /// The outcome of a session that could not be pumped at all (an
     /// unknown or stale sid, its shard unreachable) and must be torn
     /// down.
-    pub(crate) fn failed(sid: u64, error: LibSealError) -> SessionOutcome {
+    pub fn failed(sid: u64, error: LibSealError) -> SessionOutcome {
         SessionOutcome {
             sid,
             closed: true,
@@ -421,7 +433,7 @@ fn queue_audit_requests(
     s: &mut Session,
     data: &[u8],
 ) -> Result<()> {
-    if t.audit.is_none() {
+    if t.audit.is_none() || data.is_empty() {
         return Ok(());
     }
     ctx.sv().epc_touch(data.len() as u64);
@@ -434,6 +446,7 @@ fn queue_audit_requests(
             Ok((req, used)) => {
                 let check = req.headers.get("Libseal-Check").is_some();
                 let raw: Vec<u8> = s.req_buf.drain(..used).collect();
+                s.pending_bytes += raw.len();
                 s.pending.push_back((raw, check));
             }
             Err(libseal_httpx::ParseError::Incomplete) => break,
@@ -447,9 +460,12 @@ fn queue_audit_requests(
             }
         }
     }
-    // Interface hardening (§6.3): a peer streaming bytes that never
-    // form a message must not grow enclave memory without bound.
-    if s.req_buf.len() > t.max_message_buffer {
+    // Interface hardening (§6.3): a peer must not grow enclave memory
+    // without bound — neither by streaming bytes that never form a
+    // message nor by pipelining complete requests whose responses it
+    // never reads (a queued request is released only when its response
+    // is written).
+    if s.req_buf.len() + s.pending_bytes > t.max_message_buffer {
         return Err(LibSealError::Log(
             "request stream exceeds the audit buffer limit".into(),
         ));
@@ -572,6 +588,7 @@ pub(crate) fn write_session(t: &Trusted, ctx: &CallCtx<'_>, sid: u64, data: &[u8
             };
             let raw_rsp: Vec<u8> = s.rsp_buf.drain(..used).collect();
             let (raw_req, check_requested) = s.pending.pop_front().unwrap_or((Vec::new(), false));
+            s.pending_bytes -= raw_req.len();
             // Backpressure BEFORE taking the audit lock: blocking
             // inside it would stall the very sealer (or verifier) that
             // makes room in the queue. The reserved slots are what the
@@ -660,60 +677,22 @@ pub(crate) fn take_session_output(t: &Trusted, ctx: &CallCtx<'_>, sid: u64) -> R
     Ok(out)
 }
 
-/// Pumps one session inside a `tls_batch` ecall: feed input, progress
-/// the handshake, drain decrypted requests (queueing them for audit
-/// pairing) and collect pending wire output. Never propagates — every
-/// failure lands in the outcome's `error`.
+/// Pumps one session inside a `tls_batch` ecall: [`Ssl::pump`], then
+/// the decrypted requests are queued for audit pairing. Never
+/// propagates — every failure lands in the outcome's `error`.
 fn pump_session(t: &Trusted, ctx: &CallCtx<'_>, item: SessionInput) -> SessionOutcome {
     let session = match t.session(item.sid) {
         Ok(s) => s,
         Err(e) => return SessionOutcome::failed(item.sid, e),
     };
     let mut s = session.lock();
-    let mut outcome = SessionOutcome {
-        sid: item.sid,
-        ..SessionOutcome::default()
-    };
-    if !item.input.is_empty() {
-        s.ssl.provide_input(&item.input);
+    let mut outcome = SessionOutcome::pumped(item.sid, s.ssl.pump(&item.input));
+    if let Err(e) = queue_audit_requests(t, ctx, &mut s, &outcome.data) {
+        // What the audit pipeline refused is not released to the
+        // application either.
+        outcome.data.clear();
+        outcome.error = Some(e);
     }
-    if s.ssl.is_established() {
-        outcome.established = true;
-    } else {
-        match s.ssl.do_handshake() {
-            Ok(done) => outcome.established = done,
-            Err(e) => {
-                // Collect the alert the state machine queued so the
-                // peer learns why before the reactor tears down.
-                outcome.error = Some(LibSealError::Tls(e));
-                outcome.output = s.ssl.take_output();
-                return outcome;
-            }
-        }
-    }
-    if outcome.established {
-        loop {
-            match s.ssl.ssl_read() {
-                Ok(ReadOutcome::Data(d)) => {
-                    if let Err(e) = queue_audit_requests(t, ctx, &mut s, &d) {
-                        outcome.error = Some(e);
-                        break;
-                    }
-                    outcome.data.extend_from_slice(&d);
-                }
-                Ok(ReadOutcome::WantRead) => break,
-                Ok(ReadOutcome::Closed) => {
-                    outcome.closed = true;
-                    break;
-                }
-                Err(e) => {
-                    outcome.error = Some(LibSealError::Tls(e));
-                    break;
-                }
-            }
-        }
-    }
-    outcome.output = s.ssl.take_output();
     outcome
 }
 

@@ -65,9 +65,7 @@ pub use log::{AuditLog, CommitMode, LogBacking, TableSpec};
 pub use plane::AuditPlane;
 pub use provision::{CertProvisioner, IdentityIssuer};
 pub use queue::{Slot, TicketQueue, Worker};
-pub use ssm::{
-    DropboxModule, GitModule, Invariant, MessagingModule, OwnCloudModule, ServiceModule,
-};
+pub use ssm::{DropboxModule, GitModule, Invariant, OwnCloudModule, ServiceModule};
 pub use session::{LibSeal, ShadowSsl};
 
 pub use libseal_telemetry as telemetry;

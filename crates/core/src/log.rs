@@ -123,7 +123,9 @@ impl RollbackGuard for RoteGuard {
     }
 }
 
-/// SGX hardware-counter-backed guard.
+/// SGX hardware-counter-backed guard: the alternative §5.1 rejects as
+/// too slow. No [`crate::GuardConfig`] selects it; the `ablation`
+/// bench builds it directly to measure that row.
 pub struct HwCounterGuard(pub libseal_sgxsim::MonotonicCounter);
 
 impl RollbackGuard for HwCounterGuard {

@@ -5,7 +5,11 @@
 //! how many enclaves stand behind it. [`LibSeal`] implements it below
 //! (the paper's single-enclave model); [`ShardedPlane`] implements it
 //! with a fleet of N enclaves ([`crate::fleet`]); [`build_plane`]
-//! picks between them from the configured shard count.
+//! picks between them from the configured shard count. The services
+//! crate adds a third, `tlsadapter::NativeTls`: the plain TLS library
+//! with no enclave behind the same surface — LibSEAL is a drop-in
+//! replacement for it (§4.1), so a server is written against this
+//! trait and cannot tell which one it was given.
 //!
 //! Each session operation is declared once per layer: here in the
 //! trait, once for the single enclave, once for the fleet. Where the

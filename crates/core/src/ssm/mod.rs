@@ -4,13 +4,11 @@
 //! schema of its audit log, how to extract loggable tuples from a
 //! request/response pair, the integrity invariants as SQL, and the
 //! trimming queries that keep the log bounded. The paper sizes these
-//! at 250-450 lines each; Git, ownCloud and Dropbox match its §6
-//! evaluation targets, and [`messaging`] adds the §2.2 instant-
-//! messaging scenario the paper motivates but does not evaluate.
+//! at 250-450 lines each; Git, ownCloud and Dropbox are its §6
+//! evaluation targets.
 
 pub mod dropbox;
 pub mod git;
-pub mod messaging;
 pub mod owncloud;
 
 use libseal_httpx::http::{self, Request, Response};
@@ -21,7 +19,6 @@ use crate::Result;
 
 pub use dropbox::DropboxModule;
 pub use git::GitModule;
-pub use messaging::MessagingModule;
 pub use owncloud::OwnCloudModule;
 
 /// A named integrity invariant; the SQL selects *violations* (the
@@ -143,11 +140,10 @@ pub trait ServiceModule: Send + Sync {
     fn log_pair(&self, req: &[u8], rsp: &[u8], log: &mut AuditLog) -> Result<usize>;
 }
 
-/// The prelude the JSON-over-POST services (ownCloud, Dropbox,
-/// messaging) share: parses one request/response pair into the
-/// request, its JSON body and the response. `None` is traffic an SSM
-/// logs nothing for: not HTTP, not a POST, a body that is not JSON, or
-/// any status but 200.
+/// The prelude the JSON-over-POST services (ownCloud, Dropbox) share:
+/// parses one request/response pair into the request, its JSON body
+/// and the response. `None` is traffic an SSM logs nothing for: not
+/// HTTP, not a POST, a body that is not JSON, or any status but 200.
 fn json_post_pair(req: &[u8], rsp: &[u8]) -> Option<(Request, Json, Response)> {
     let (request, _) = http::parse_request(req).ok()?;
     if request.method != "POST" {

@@ -11,8 +11,8 @@
 //! violation via the rescan rule (the one place a new row shrinks the
 //! violation set of an old partition).
 
-use libseal::log::{AuditLog, LogBacking, NoGuard};
-use libseal::{Checker, DropboxModule, OwnCloudModule, ServiceModule};
+use libseal::log::{AuditLog, LogBacking, NoGuard, TableSpec};
+use libseal::{Checker, DropboxModule, GitModule, Invariant, OwnCloudModule, ServiceModule};
 use libseal_crypto::ed25519::SigningKey;
 use libseal_sealdb::Value;
 use plat::check::Gen;
@@ -123,8 +123,97 @@ fn dropbox_event(g: &mut Gen, log: &mut AuditLog) {
     }
 }
 
+/// The Git module with its completeness invariant re-declared without
+/// delta metadata, so one check mixes a delta-maintained view with a
+/// full scan — the branch of `run_checks_incremental` no shipped
+/// module takes (all of theirs declare a delta for every invariant).
+struct GitCompletenessByFullScan;
+
+impl ServiceModule for GitCompletenessByFullScan {
+    fn name(&self) -> &'static str {
+        GitModule.name()
+    }
+    fn schema_sql(&self) -> &'static str {
+        GitModule.schema_sql()
+    }
+    fn tables(&self) -> Vec<TableSpec> {
+        GitModule.tables()
+    }
+    fn invariants(&self) -> &'static [Invariant] {
+        static MIXED: std::sync::OnceLock<Vec<Invariant>> = std::sync::OnceLock::new();
+        MIXED.get_or_init(|| {
+            let mut invariants = GitModule.invariants().to_vec();
+            invariants[1].delta = None;
+            invariants
+        })
+    }
+    fn trim_queries(&self) -> &'static [&'static str] {
+        GitModule.trim_queries()
+    }
+    fn log_pair(&self, req: &[u8], rsp: &[u8], log: &mut AuditLog) -> libseal::Result<usize> {
+        GitModule.log_pair(req, rsp, log)
+    }
+}
+
+/// One random Git event: a push (occasionally a branch deletion) or an
+/// advertisement listing a random subset of branches with commit ids
+/// that may or may not be the latest pushed.
+fn git_event(g: &mut Gen, log: &mut AuditLog) {
+    let repo = format!("r{}", g.usize_in(0..2));
+    let t = log.next_time() as i64;
+    if g.bool() {
+        let kind = if g.usize_in(0..4) == 0 {
+            "delete"
+        } else {
+            "update"
+        };
+        log.append(
+            "updates",
+            &[
+                Value::Integer(t),
+                text(repo),
+                text(format!("b{}", g.usize_in(0..3))),
+                text(format!("c{}", g.usize_in(0..3))),
+                text(kind),
+            ],
+        )
+        .expect("append update");
+    } else {
+        // One advertisement: its rows share a single time.
+        for branch in 0..3 {
+            if g.bool() {
+                continue;
+            }
+            log.append(
+                "advertisements",
+                &[
+                    Value::Integer(t),
+                    text(repo.clone()),
+                    text(format!("b{branch}")),
+                    text(format!("c{}", g.usize_in(0..3))),
+                ],
+            )
+            .expect("append advertisement");
+        }
+    }
+}
+
 plat::prop! {
     #![cases(48)]
+
+    fn mixed_incremental_and_full_scan_invariants_match_the_full_scan_on_random_git_histories(g) {
+        let m = GitCompletenessByFullScan;
+        assert!(m.invariants()[0].delta.is_some() && m.invariants()[1].delta.is_none());
+        let mut log = open(&m);
+        Checker::install(&m, &mut log).expect("install views");
+        let batches = g.usize_in(3..8);
+        for batch in 0..batches {
+            for _ in 0..g.usize_in(1..6) {
+                git_event(g, &mut log);
+            }
+            assert_agree(&m, &mut log, &format!("git batch {batch}"));
+        }
+    }
 
     fn incremental_matches_full_scan_on_random_owncloud_histories(g) {
         let m = OwnCloudModule;

@@ -10,8 +10,9 @@ use std::sync::Arc;
 
 use libseal::fleet::route_affinity;
 use libseal::{AuditPlane, GitModule, LibSeal, LibSealConfig, LogBacking, SessionInput};
-use libseal::{LibSealError, ShardedPlane};
+use libseal::{LibSealConfigBuilder, LibSealError, ShardedPlane};
 use libseal_httpx::http::{parse_response, Request, Response};
+use libseal_sealdb::Value;
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::cert::CertificateAuthority;
 use libseal_tlsx::ssl::{ReadOutcome, Ssl, SslConfig};
@@ -22,16 +23,23 @@ struct Rig {
 }
 
 fn rig(n: usize, audited: bool) -> Rig {
+    rig_with(n, |b| {
+        if audited {
+            b.ssm(Arc::new(GitModule))
+        } else {
+            b
+        }
+    })
+}
+
+fn rig_with(n: usize, configure: impl FnOnce(LibSealConfigBuilder) -> LibSealConfigBuilder) -> Rig {
     let ca = CertificateAuthority::new("CA", &[1u8; 32]);
     let (key, cert) = ca.issue_identity("svc.test", &[2u8; 32]).unwrap();
-    let mut builder = LibSealConfig::builder(cert, key)
+    let builder = LibSealConfig::builder(cert, key)
         .cost_model(CostModel::free())
         .backing(LogBacking::Memory)
         .check_interval(0);
-    if audited {
-        builder = builder.ssm(Arc::new(GitModule));
-    }
-    let ls = LibSeal::new(builder.build()).unwrap();
+    let ls = LibSeal::new(configure(builder).build()).unwrap();
     let clients = (0..n)
         .map(|i| {
             let sid = ls.new_session(0).unwrap();
@@ -223,6 +231,89 @@ fn close_notify_is_reported_and_shadowed() {
         .unwrap();
     assert!(outcomes[0].closed, "close_notify must be reported");
     assert!(rig.ls.shadow(sid).unwrap().closed, "shadow must record it");
+}
+
+/// §6.3: the audit buffer bound covers the complete requests queued
+/// for pairing, not only the unparsed tail. The reactor keeps reading a
+/// connection whose handler is busy, so without it a client that
+/// pipelines requests and never reads its responses grows enclave
+/// memory at line rate.
+#[test]
+fn pipelined_requests_are_bounded_by_the_audit_buffer() {
+    const BOUND: usize = 4096;
+    let audited = |b: LibSealConfigBuilder| b.ssm(Arc::new(GitModule)).max_message_buffer(BOUND);
+    let fetch = |repo: usize| {
+        let path = format!("/repo/r{repo}/info/refs?service=git-upload-pack");
+        Request::new("GET", &path, Vec::new()).to_bytes()
+    };
+    let pump = |rig: &mut Rig, plain: &[u8]| {
+        let (sid, client) = &mut rig.clients[0];
+        client.ssl_write(plain).unwrap();
+        let input = client.take_output();
+        let item = SessionInput { sid: *sid, input };
+        rig.ls.pump_batch(0, vec![item]).unwrap().remove(0)
+    };
+
+    // Within the bound, a pipelining session still pairs every response
+    // with its request, in order: the repository comes from request i,
+    // the branch from response i.
+    let mut rig = rig_with(1, audited);
+    establish(&mut rig);
+    let n = BOUND / fetch(0).len() - 1;
+    let burst: Vec<u8> = (0..n).flat_map(fetch).collect();
+    let outcome = pump(&mut rig, &burst);
+    assert!(outcome.error.is_none(), "{:?}", outcome.error);
+    assert_eq!(outcome.data, burst, "the application sees every request");
+    for i in 0..n {
+        let rsp = Response::new(200, format!("c{i} refs/heads/b{i}\n").into_bytes());
+        rig.ls
+            .ssl_write_take(0, outcome.sid, &rsp.to_bytes())
+            .unwrap();
+    }
+    let logged = rig
+        .ls
+        .with_log(0, |log| {
+            log.query("SELECT repo, branch FROM advertisements ORDER BY time", &[])
+        })
+        .unwrap()
+        .unwrap();
+    let expected: Vec<Vec<Value>> = (0..n)
+        .map(|i| {
+            let text = |s: String| Value::Text(s);
+            vec![text(format!("r{i}")), text(format!("refs/heads/b{i}"))]
+        })
+        .collect();
+    assert_eq!(logged.rows, expected);
+    // Every pair written: the queue is empty again, and a second burst
+    // of the same size fits.
+    assert!(pump(&mut rig, &burst).error.is_none());
+
+    // Past the bound the session fails with the typed error, releases
+    // nothing to the application, and the instance keeps serving.
+    let mut rig = rig_with(2, audited);
+    establish(&mut rig);
+    let mut sent = 0;
+    let failure = (0..20_000).step_by(10).find_map(|i| {
+        let burst: Vec<u8> = (i..i + 10).flat_map(fetch).collect();
+        sent += burst.len();
+        let outcome = pump(&mut rig, &burst);
+        assert!(
+            sent <= BOUND || outcome.error.is_some(),
+            "{sent} bytes of complete requests queued against a bound of {BOUND}"
+        );
+        outcome.error.map(|e| (e, outcome.data))
+    });
+    let (error, released) = failure.expect("pipelining past the bound must fail the session");
+    assert!(
+        matches!(&error, LibSealError::Log(m) if m == "request stream exceeds the audit buffer limit"),
+        "{error:?}"
+    );
+    assert!(released.is_empty(), "refused bytes reached the application");
+    rig.clients.remove(0);
+    assert!(
+        pump(&mut rig, &fetch(0)).error.is_none(),
+        "other sessions serve on"
+    );
 }
 
 /// `SessionOutcome`'s contract — failures are per-session, never the

@@ -8,8 +8,9 @@
 //! entropy, no global state.
 //!
 //! The wrapper composes under the TLS layer (both the blocking
-//! `SslStream` and the resumable non-blocking session) exactly where a
-//! hostile network would sit, which is how the chaos gate drives
+//! `SslStream` and the sans-IO session pumped over a non-blocking
+//! transport, as the reactor runs it) exactly where a hostile network
+//! would sit, which is how the chaos gate drives
 //! handshake-, header-, body- and write-phase faults against the
 //! services without any server-side plumbing.
 //!

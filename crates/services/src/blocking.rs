@@ -1,9 +1,13 @@
 //! The blocking driver: the paper's thread-per-connection model (§6).
 //! One accept thread feeds a fixed pool of workers; a worker serves a
 //! whole connection with blocking socket calls, and owns one
-//! async-ecall slot when the TLS mode is a LibSEAL instance with the
-//! §4.3 runtime. Tables 2–4 and Figs. 5/7 measure this driver, and the
-//! event-loop gate uses it as its transitions-per-request reference.
+//! async-ecall slot of the session surface (which matters when that is
+//! a LibSEAL instance with the §4.3 runtime). It drives a session the
+//! way an application drives a TLS library — one call per operation
+//! (feed, handshake, read, write, take), not the reactor's batched
+//! pump: that per-call sequence is the transitions-per-call model
+//! Tables 2–4 and Figs. 5/7 measure, and the event-loop gate's
+//! transitions-per-request reference.
 //!
 //! Request semantics come from the [`App`] and connection policy from
 //! [`crate::conn`], exactly as under the reactor; only the I/O —
@@ -19,7 +23,6 @@ use libseal_tlsx::ssl::ReadOutcome;
 
 use crate::conn::{count_shed, cut_request, respond, wants_close, App, Cut, Phase};
 use crate::server::ServeConfig;
-use crate::tlsadapter::TlsSession;
 use crate::Result;
 
 /// Socket timeout tick: short enough that a worker blocked on a quiet
@@ -129,9 +132,14 @@ fn serve_connection<A: App>(
     // halt requests and phase deadlines.
     sock.set_read_timeout(Some(TICK))?;
     sock.set_write_timeout(Some(TICK.min(cfg.timeouts.write)))?;
-    let mut session = cfg.tls.open_session(worker, conn_id)?;
+    let plane = &*cfg.plane;
+    let sid = plane.open_session(worker, conn_id)?;
     let mut state = app.open_conn();
     let write = cfg.timeouts.write;
+    // Sends the session's pending ciphertext.
+    let flush = |sock: &mut TcpStream| -> Result<()> {
+        write_deadline(sock, &plane.take_output(worker, sid)?, write)
+    };
 
     let mut buf = [0u8; 16 * 1024];
     let mut plain = Vec::new();
@@ -142,15 +150,15 @@ fn serve_connection<A: App>(
         loop {
             // Get as far as the bytes already received allow.
             if !established {
-                flush(&mut session, &mut sock, write)?;
-                established = session.do_handshake()?;
+                flush(&mut sock)?;
+                established = plane.do_handshake(worker, sid)?;
             }
             if established {
                 match cut_request(&mut plain, &cfg.limits, app) {
                     Cut::Request(req) => {
                         respond(app, &mut state, &req, |bytes| {
-                            session.ssl_write(&bytes)?;
-                            flush(&mut session, &mut sock, write)
+                            plane.ssl_write(worker, sid, &bytes)?;
+                            flush(&mut sock)
                         })?;
                         // A halt lands between requests: the response
                         // above was delivered (and is durable), so
@@ -164,12 +172,12 @@ fn serve_connection<A: App>(
                         continue;
                     }
                     Cut::Reject(rsp) => {
-                        session.ssl_write(&rsp.to_bytes())?;
-                        return flush(&mut session, &mut sock, write);
+                        plane.ssl_write(worker, sid, &rsp.to_bytes())?;
+                        return flush(&mut sock);
                     }
                     Cut::NeedMore => {}
                 }
-                match session.ssl_read()? {
+                match plane.ssl_read(worker, sid)? {
                     ReadOutcome::Data(d) => {
                         plain.extend_from_slice(&d);
                         continue;
@@ -184,10 +192,10 @@ fn serve_connection<A: App>(
             if let Some(d) = phase.advance(next, &cfg.timeouts) {
                 deadline = d;
             }
-            flush(&mut session, &mut sock, write)?;
+            flush(&mut sock)?;
             match read_deadline(&mut sock, &mut buf, deadline, halt) {
                 Ok(0) => return Ok(()),
-                Ok(n) => session.provide_input(&buf[..n])?,
+                Ok(n) => plane.provide_input(worker, sid, &buf[..n])?,
                 Err(e) => {
                     if e.kind() == io::ErrorKind::TimedOut && !halt() {
                         phase.count_timeout();
@@ -198,23 +206,18 @@ fn serve_connection<A: App>(
         }
     };
     let result = serve();
-    // Always release the application and (enclave) session state,
-    // whatever path left the loop.
+    // Always release the application and session state, whatever path
+    // left the loop.
     app.close_conn(&mut state);
-    session.close();
-    // Best-effort close_notify; an evicted peer is not evicted twice.
-    if let Ok(out) = session.take_output() {
-        let _ = sock.write_all(&out);
-    }
+    let _ = plane.close_session(worker, sid);
     result
 }
 
-/// Writes the session's pending ciphertext within the write-phase
-/// deadline; a peer that stops reading is evicted and counted.
-fn flush(session: &mut TlsSession, sock: &mut TcpStream, timeout: Duration) -> Result<()> {
-    let out = session.take_output()?;
+/// Writes `out` within the write-phase deadline; a peer that stops
+/// reading is evicted and counted.
+fn write_deadline(sock: &mut TcpStream, out: &[u8], timeout: Duration) -> Result<()> {
     let deadline = Instant::now() + timeout;
-    let mut rest = &out[..];
+    let mut rest = out;
     while !rest.is_empty() {
         match sock.write(rest) {
             Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),

@@ -13,7 +13,7 @@
 //!   stack;
 //! - sockets that became readable in the same sweep are drained
 //!   through **one** batched enclave transition
-//!   ([`LibSeal::pump_batch`]), amortising the §4.2 transition cost
+//!   ([`AuditPlane::pump_batch`]), amortising the §4.2 transition cost
 //!   across sessions exactly like the seal/verify batch entries;
 //! - parsed requests run on a [`JobPool`] of `workers` OS threads, so
 //!   the group-commit barrier inside `ssl_write` blocks a pool thread
@@ -22,19 +22,21 @@
 //! - a [`plat::timer::TimerWheel`] evicts idle sessions and paces the
 //!   accept-failure backoff without blocking the loop.
 //!
-//! Native (non-audited) TLS sessions are pumped inline: the state
-//! machine lives outside any enclave, so there is no transition to
-//! amortise.
+//! The loop is written against the session surface
+//! ([`AuditPlane`]) and does not know which TLS library stands behind
+//! it: a native plane's sessions go through the same batch call (a
+//! plain loop there — nothing to amortise) and its responses are
+//! encrypted on the pool workers like audited ones.
 //!
 //! Asynchronous-runtime slots admit one caller at a time, so every
-//! LibSEAL call made by the event core — the reactor's batched pump
+//! plane call made by the event core — the reactor's batched pump
 //! and each worker's write — borrows a slot index from a [`SlotPool`]
 //! sized to the runtime, restoring the blocking driver's
 //! one-slot-per-thread discipline without pinning slots to parked
 //! connections.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -44,7 +46,6 @@ use libseal::plane::AuditPlane;
 use libseal::SessionInput;
 use libseal_httpx::http::Request;
 use libseal_lthread::{JobPool, PoolConfig};
-use libseal_tlsx::ssl::{ReadOutcome, Ssl, SslConfig};
 use libseal_tlsx::stream::{FlushOutcome, WireBuf};
 use plat::channel::{self, Receiver, Sender};
 use plat::reactor::{Event, Interest, Reactor, Waker};
@@ -52,7 +53,6 @@ use plat::timer::TimerWheel;
 
 use crate::conn::{count_shed, cut_request, respond, wants_close, App, Cut, Phase};
 use crate::server::ServeConfig;
-use crate::tlsadapter::{native_session, TlsMode};
 
 /// Token of the listening socket.
 const LISTENER: u64 = 0;
@@ -77,7 +77,7 @@ pub(crate) struct EventHandle {
     pub waker: Waker,
 }
 
-/// Lends async-call slot indices to concurrent LibSEAL callers.
+/// Lends async-call slot indices to concurrent callers of the plane.
 ///
 /// `AsyncRuntime` panics if two threads share a slot, and the event
 /// core has more callers (reactor + every pool thread) than the
@@ -127,63 +127,51 @@ impl Drop for SlotGuard {
     }
 }
 
-/// The audit plane plus the slot discipline for calling it.
+/// The session surface plus the slot discipline for calling it.
 #[derive(Clone)]
-struct Seal {
-    ls: Arc<dyn AuditPlane>,
+struct Sessions {
+    plane: Arc<dyn AuditPlane>,
     slots: Arc<SlotPool>,
 }
 
-impl Seal {
+impl Sessions {
     fn new_session(&self, affinity: u64) -> libseal::Result<u64> {
         let g = self.slots.acquire();
-        self.ls.open_session(g.idx, affinity)
+        self.plane.open_session(g.idx, affinity)
     }
 
     fn close_session(&self, sid: u64) {
         let g = self.slots.acquire();
-        let _ = self.ls.close_session(g.idx, sid);
+        let _ = self.plane.close_session(g.idx, sid);
     }
 
     fn write_take(&self, sid: u64, data: &[u8]) -> libseal::Result<Vec<u8>> {
         let g = self.slots.acquire();
-        self.ls.ssl_write_take(g.idx, sid, data)
+        self.plane.ssl_write_take(g.idx, sid, data)
     }
 
     fn pump(&self, items: Vec<SessionInput>) -> libseal::Result<Vec<libseal::SessionOutcome>> {
         let g = self.slots.acquire();
-        self.ls.pump_batch(g.idx, items)
+        self.plane.pump_batch(g.idx, items)
     }
 }
 
-/// The session's TLS endpoint. Native sessions live on the reactor;
-/// audited ones live in the enclave and are addressed by id.
-enum ConnTls {
-    Native(Box<Ssl>),
-    Seal(u64),
-}
-
 /// Worker → reactor completion.
-enum Done {
-    /// Ciphertext ready for the wire (audited path: the worker already
-    /// paid the `ssl_write` transition and group-commit barrier).
-    Wire(Vec<u8>),
-    /// Plaintext the reactor must encrypt (native path).
-    Plain(Vec<u8>),
-    /// The response could not be written; drop the connection.
-    Fail,
-}
-
 struct Completion<C> {
     token: u64,
     state: C,
-    done: Done,
+    /// The response's ciphertext, ready for the wire (the worker
+    /// already paid the `ssl_write` transition and group-commit
+    /// barrier); `None` when it could not be written — drop the
+    /// connection.
+    wire: Option<Vec<u8>>,
     close: bool,
 }
 
 struct Conn<C> {
     sock: TcpStream,
-    tls: ConnTls,
+    /// The connection's TLS session on the plane.
+    sid: u64,
     /// Outbound ciphertext not yet accepted by the socket.
     wire: WireBuf,
     /// Inbound decrypted bytes not yet parsed into a request.
@@ -201,8 +189,7 @@ struct Conn<C> {
     dead: bool,
     /// Writable interest is currently registered.
     want_write: bool,
-    /// The TLS handshake has completed (native: the state machine
-    /// says so; audited: the last pump reported it).
+    /// The TLS handshake has completed (a pump reported it).
     established: bool,
     /// Phase whose deadline is currently armed on the wheel.
     phase: Phase,
@@ -227,20 +214,12 @@ pub(crate) fn serve<A: App>(
     reactor.register(&listener, LISTENER, Interest::READABLE)?;
     let waker = reactor.waker();
 
-    let (seal, native_cfg) = match &cfg.tls {
-        TlsMode::LibSeal(ls) => {
-            // With an async runtime the pool must not outnumber the
-            // runtime's slots; without one, size it so nobody waits.
-            let n = ls.async_slots().unwrap_or(cfg.workers + 2);
-            (
-                Some(Seal {
-                    ls: Arc::clone(ls),
-                    slots: SlotPool::new(n),
-                }),
-                None,
-            )
-        }
-        TlsMode::Native { cert, key } => (None, Some(SslConfig::server(cert.clone(), key.clone()))),
+    // With an async runtime the pool must not outnumber the runtime's
+    // slots; without one, size it so nobody waits.
+    let slots = cfg.plane.async_slots().unwrap_or(cfg.workers + 2);
+    let sessions = Sessions {
+        plane: Arc::clone(&cfg.plane),
+        slots: SlotPool::new(slots),
     };
 
     let pool = JobPool::new(PoolConfig {
@@ -256,8 +235,7 @@ pub(crate) fn serve<A: App>(
         accept_paused: false,
         next_token: 1,
         app,
-        seal,
-        native_cfg,
+        sessions,
         pool,
         cfg,
         done_tx,
@@ -277,14 +255,13 @@ struct Loop<A: App> {
     reactor: Reactor,
     wheel: TimerWheel,
     conns: HashMap<u64, Conn<A::Conn>>,
-    /// LibSEAL session id → connection token.
+    /// Session id → connection token.
     sid_token: HashMap<u64, u64>,
     listener: TcpListener,
     accept_paused: bool,
     next_token: u64,
     app: Arc<A>,
-    seal: Option<Seal>,
-    native_cfg: Option<Arc<SslConfig>>,
+    sessions: Sessions,
     cfg: ServeConfig,
     pool: JobPool,
     done_tx: Sender<Completion<A::Conn>>,
@@ -331,8 +308,8 @@ impl<A: App> Loop<A> {
                 break;
             }
 
-            // Phase 1: accept and read. Audited sessions contribute
-            // their bytes to one batch; native ones are pumped inline.
+            // Phase 1: accept and read. Every ready session contributes
+            // its bytes to one batch.
             let mut batch: Vec<SessionInput> = Vec::new();
             let mut touched: Vec<u64> = Vec::new();
             for &ev in &events {
@@ -349,10 +326,11 @@ impl<A: App> Loop<A> {
                 touched.push(ev.token);
             }
 
-            // Phase 2: one enclave transition for every audited
-            // session that became ready this sweep.
+            // Phase 2: one call — behind an audited plane, one enclave
+            // transition — for every session that became ready this
+            // sweep.
             if !batch.is_empty() {
-                self.pump_seal(batch);
+                self.pump(batch);
             }
 
             // Phase 3: dispatch parsed requests, push ciphertext,
@@ -392,8 +370,8 @@ impl<A: App> Loop<A> {
             }
         }
 
-        // Shutdown: close every session (best-effort close_notify),
-        // then the pool drains already-queued jobs as it drops.
+        // Shutdown: close every session, then the pool drains
+        // already-queued jobs as it drops.
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for t in tokens {
             self.teardown(t);
@@ -436,10 +414,9 @@ impl<A: App> Loop<A> {
             // accept is refused fast (the client sees a reset — its
             // cue to back off); under audit backpressure the listener
             // pauses and the backlog queues instead.
-            if self.seal.as_ref().is_some_and(|s| {
-                self.conns.len() < self.cfg.max_connections
-                    && s.ls.audit_backlog() > AUDIT_BACKLOG_PAUSE
-            }) {
+            if self.conns.len() < self.cfg.max_connections
+                && self.sessions.plane.audit_backlog() > AUDIT_BACKLOG_PAUSE
+            {
                 libseal_telemetry::counter("services_event_backpressure_pauses_total").inc();
                 let _ = self.reactor.deregister(&self.listener);
                 self.accept_paused = true;
@@ -502,34 +479,23 @@ impl<A: App> Loop<A> {
         // is assigned before the session opens.
         let token = self.next_token;
         self.next_token += 1;
-        let tls = match (&self.seal, &self.native_cfg) {
-            (Some(seal), _) => match seal.new_session(token) {
-                Ok(sid) => ConnTls::Seal(sid),
-                Err(_) => return,
-            },
-            (None, Some(cfg)) => ConnTls::Native(native_session(Arc::clone(cfg))),
-            (None, None) => unreachable!("one TLS mode is always configured"),
+        let Ok(sid) = self.sessions.new_session(token) else {
+            return;
         };
         if self
             .reactor
             .register(&sock, token, Interest::READABLE)
             .is_err()
         {
-            if let ConnTls::Seal(sid) = tls {
-                if let Some(seal) = &self.seal {
-                    seal.close_session(sid);
-                }
-            }
+            self.sessions.close_session(sid);
             return;
         }
-        if let ConnTls::Seal(sid) = tls {
-            self.sid_token.insert(sid, token);
-        }
+        self.sid_token.insert(sid, token);
         self.conns.insert(
             token,
             Conn {
                 sock,
-                tls,
+                sid,
                 wire: WireBuf::new(),
                 plain: Vec::new(),
                 state: Some(self.app.open_conn()),
@@ -547,8 +513,7 @@ impl<A: App> Loop<A> {
             .schedule(token, Instant::now() + self.cfg.timeouts.handshake);
     }
 
-    /// Reads everything the socket has. Native sessions advance their
-    /// TLS state machine inline; audited sessions defer to the batch.
+    /// Reads everything the socket has into the sweep's batch.
     fn read_ready(&mut self, token: u64, batch: &mut Vec<SessionInput>) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -570,26 +535,22 @@ impl<A: App> Loop<A> {
                 }
             }
         }
-        if input.is_empty() {
-            return;
-        }
-        match conn.tls {
-            ConnTls::Native(_) => pump_native(conn, &input),
-            ConnTls::Seal(sid) => batch.push(SessionInput { sid, input }),
+        if !input.is_empty() {
+            batch.push(SessionInput {
+                sid: conn.sid,
+                input,
+            });
         }
     }
 
-    /// One batched transition moves every ready audited session:
-    /// handshakes progress, requests decrypt, close_notify surfaces.
-    fn pump_seal(&mut self, batch: Vec<SessionInput>) {
-        let Some(seal) = self.seal.clone() else {
-            return;
-        };
+    /// One batched call moves every ready session: handshakes
+    /// progress, requests decrypt, close_notify surfaces.
+    fn pump(&mut self, batch: Vec<SessionInput>) {
         let tokens: Vec<u64> = batch
             .iter()
             .filter_map(|i| self.sid_token.get(&i.sid).copied())
             .collect();
-        match seal.pump(batch) {
+        match self.sessions.pump(batch) {
             Ok(outcomes) => {
                 for o in outcomes {
                     let Some(&token) = self.sid_token.get(&o.sid) else {
@@ -662,32 +623,15 @@ impl<A: App> Loop<A> {
     }
 
     /// Reactor-side encryption for loop-originated responses (the 400
-    /// path). Rare enough that the audited variant's synchronous
+    /// path). Rare enough that an audited plane's synchronous
     /// transition is acceptable.
     fn encrypt_now(&mut self, token: u64, plain: &[u8]) {
-        let seal = self.seal.clone();
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        match &mut conn.tls {
-            ConnTls::Native(ssl) => {
-                if ssl.ssl_write(plain).is_err() {
-                    conn.dead = true;
-                    return;
-                }
-                let out = ssl.take_output();
-                conn.wire.push(&out);
-            }
-            ConnTls::Seal(sid) => {
-                let sid = *sid;
-                match seal
-                    .expect("seal conn implies seal mode")
-                    .write_take(sid, plain)
-                {
-                    Ok(wire) => conn.wire.push(&wire),
-                    Err(_) => conn.dead = true,
-                }
-            }
+        match self.sessions.write_take(conn.sid, plain) {
+            Ok(wire) => conn.wire.push(&wire),
+            Err(_) => conn.dead = true,
         }
     }
 
@@ -699,25 +643,21 @@ impl<A: App> Loop<A> {
             return;
         };
         conn.busy = true;
-        let sid = match conn.tls {
-            ConnTls::Seal(sid) => Some(sid),
-            ConnTls::Native(_) => None,
-        };
-        let seal = self.seal.clone();
+        let sid = conn.sid;
+        let sessions = self.sessions.clone();
         let app = Arc::clone(&self.app);
         let done_tx = self.done_tx.clone();
         let waker = self.waker.clone();
         let spawned = self.pool.spawn(move || {
-            let done = respond(&*app, &mut state, &req, |bytes| match (&seal, sid) {
-                (Some(seal), Some(sid)) => seal.write_take(sid, &bytes).map(Done::Wire),
-                _ => Ok(Done::Plain(bytes)),
+            let wire = respond(&*app, &mut state, &req, |bytes| {
+                sessions.write_take(sid, &bytes)
             })
-            .unwrap_or(Done::Fail);
+            .ok();
             let delivered = done_tx
                 .send(Completion {
                     token,
                     state,
-                    done,
+                    wire,
                     close: wants_close(&req),
                 })
                 .is_ok();
@@ -743,19 +683,9 @@ impl<A: App> Loop<A> {
         };
         conn.busy = false;
         conn.state = Some(c.state);
-        match c.done {
-            Done::Wire(wire) => conn.wire.push(&wire),
-            Done::Plain(plain) => {
-                if let ConnTls::Native(ssl) = &mut conn.tls {
-                    if ssl.ssl_write(&plain).is_ok() {
-                        let out = ssl.take_output();
-                        conn.wire.push(&out);
-                    } else {
-                        conn.dead = true;
-                    }
-                }
-            }
-            Done::Fail => conn.dead = true,
+        match c.wire {
+            Some(wire) => conn.wire.push(&wire),
+            None => conn.dead = true,
         }
         if c.close || self.drain_deadline.is_some() {
             // `Connection: close`, or draining — this response is the
@@ -844,55 +774,7 @@ impl<A: App> Loop<A> {
         if let Some(mut state) = conn.state.take() {
             self.app.close_conn(&mut state);
         }
-        match conn.tls {
-            ConnTls::Seal(sid) => {
-                self.sid_token.remove(&sid);
-                if let Some(seal) = &self.seal {
-                    seal.close_session(sid);
-                }
-            }
-            ConnTls::Native(mut ssl) => {
-                // Best-effort close_notify, as the blocking driver does.
-                ssl.send_close();
-                let out = ssl.take_output();
-                if !out.is_empty() {
-                    let _ = conn.sock.write_all(&out);
-                }
-            }
-        }
+        self.sid_token.remove(&conn.sid);
+        self.sessions.close_session(conn.sid);
     }
-}
-
-/// Advances a native session's TLS state machine over fresh wire
-/// bytes: handshake, then drain plaintext, then collect flight bytes.
-fn pump_native<C>(conn: &mut Conn<C>, input: &[u8]) {
-    let ConnTls::Native(ssl) = &mut conn.tls else {
-        return;
-    };
-    ssl.provide_input(input);
-    if !ssl.is_established() && ssl.do_handshake().is_err() {
-        let out = ssl.take_output();
-        conn.wire.push(&out);
-        conn.dead = true;
-        return;
-    }
-    if ssl.is_established() {
-        conn.established = true;
-        loop {
-            match ssl.ssl_read() {
-                Ok(ReadOutcome::Data(d)) => conn.plain.extend_from_slice(&d),
-                Ok(ReadOutcome::WantRead) => break,
-                Ok(ReadOutcome::Closed) => {
-                    conn.peer_closed = true;
-                    break;
-                }
-                Err(_) => {
-                    conn.dead = true;
-                    break;
-                }
-            }
-        }
-    }
-    let out = ssl.take_output();
-    conn.wire.push(&out);
 }

@@ -3,8 +3,11 @@
 //!
 //! The paper evaluates LibSEAL with Apache (serving Git and ownCloud)
 //! and Squid (proxying Dropbox). This crate provides from-scratch
-//! equivalents that terminate STLS either natively or through a
-//! [`libseal::LibSeal`] instance:
+//! equivalents that terminate STLS either natively or through
+//! LibSEAL — a choice ([`TlsMode`]) made when a server is configured
+//! and invisible afterwards: both are one session surface
+//! ([`libseal::AuditPlane`], see [`tlsadapter`]) and nothing below
+//! the configuration branches on it (§4.1, the drop-in claim):
 //!
 //! - [`apache::ApacheServer`] — a web server with pluggable routers
 //!   (static content, Git, ownCloud, reverse proxy);
@@ -19,14 +22,15 @@
 //! close`, the audited respond step):
 //!
 //! - the **reactor** (default): one epoll thread multiplexes every
-//!   connection, ready audited sessions are drained through one
-//!   batched enclave transition per sweep, and handlers run on the
-//!   job pool's worker threads;
+//!   connection, ready sessions are drained through one batched call
+//!   per sweep (one enclave transition behind LibSEAL), and handlers
+//!   run — and encrypt their responses — on the job pool's worker
+//!   threads;
 //! - the **blocking** driver (`event_loop(false)`): the paper's
 //!   thread-per-connection model — a fixed pool of workers, each
-//!   serving whole connections and owning one async-ecall slot. The
-//!   paper-figure binaries pin it, and it is the fallback where
-//!   readiness polling is unsupported.
+//!   serving whole connections with one call per TLS operation and
+//!   owning one async-ecall slot. The paper-figure binaries pin it,
+//!   and it is the fallback where readiness polling is unsupported.
 //!
 //! [`server::Config`] carries the serving knobs, each defined once
 //! for both services ([`apache::ApacheConfig`] adds the router,

@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use libseal::plane::AuditPlane;
 use libseal_httpx::http::Limits;
 
 use crate::conn::{App, PhaseTimeouts};
@@ -18,7 +19,9 @@ use crate::Result;
 /// What the connection engine needs to know to serve, whatever the
 /// service.
 pub(crate) struct ServeConfig {
-    pub(crate) tls: TlsMode,
+    /// Where TLS terminates: the one session surface both drivers
+    /// program against, whichever library `TlsMode` named.
+    pub(crate) plane: Arc<dyn AuditPlane>,
     pub(crate) workers: usize,
     pub(crate) event_loop: bool,
     pub(crate) timeouts: PhaseTimeouts,
@@ -49,11 +52,13 @@ pub struct Config<S> {
 impl<S> Config<S> {
     /// The defaults: 4 workers, the event-driven driver, a 60 s
     /// idle-session timeout, no connection cap, default phase
-    /// deadlines and HTTP limits, and a 5 s drain bound.
+    /// deadlines and HTTP limits, and a 5 s drain bound. `tls` is
+    /// resolved to its session surface here, once: a `Config` starts
+    /// exactly one server.
     pub(crate) fn with_defaults(tls: TlsMode, service: S) -> Config<S> {
         Config {
             serve: ServeConfig {
-                tls,
+                plane: tls.plane(),
                 workers: 4,
                 event_loop: true,
                 timeouts: PhaseTimeouts::default(),
@@ -163,7 +168,7 @@ pub struct Server<A: App> {
     /// Present under the reactor: interrupts its park on stop.
     waker: Option<plat::reactor::Waker>,
     /// Kept to seal pending audit batches to durable after drain.
-    tls: TlsMode,
+    plane: Arc<dyn AuditPlane>,
 }
 
 impl<A: App> Server<A> {
@@ -175,7 +180,7 @@ impl<A: App> Server<A> {
         let app = Arc::new(app);
         let shutdown = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
-        let tls = cfg.tls.clone();
+        let plane = Arc::clone(&cfg.plane);
         let (handles, waker) = if cfg.event_loop && plat::reactor::supported() {
             let handle = crate::event::serve(
                 listener,
@@ -202,7 +207,7 @@ impl<A: App> Server<A> {
             draining,
             handles,
             waker,
-            tls,
+            plane,
         })
     }
 
@@ -227,9 +232,7 @@ impl<A: App> Server<A> {
         // Every delivered response already awaited group-commit
         // durability on its write path; this catches batches still
         // staged when the last worker exited.
-        if let TlsMode::LibSeal(ls) = &self.tls {
-            let _ = ls.drain(0);
-        }
+        let _ = self.plane.drain(0);
     }
 
     /// Raises the drain flag (or, with `now`, the shutdown flag) and

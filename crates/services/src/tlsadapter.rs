@@ -1,22 +1,33 @@
-//! A uniform server-side TLS session interface over either the plain
-//! STLS library (the "LibreSSL" baseline) or a LibSEAL instance —
-//! demonstrating that LibSEAL is a drop-in replacement (§4.1).
+//! How a server terminates TLS — and why the rest of this crate never
+//! asks. LibSEAL is a drop-in replacement for the TLS library (§4.1):
+//! the application is written against one session API and does not
+//! know which library it linked. Here that API is
+//! [`libseal::AuditPlane`]; [`TlsMode`] is the configuration value
+//! naming the library, and it is resolved to a plane once, when a
+//! server's configuration is built. The drivers hold the plane and
+//! contain no branch on the mode.
+//!
+//! `NativeTls` is the plain STLS library behind that API (the paper's
+//! "LibreSSL" baseline): a table of [`Ssl`] state machines in ordinary
+//! process memory, with no enclave, no transitions and no audit log.
 
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use libseal::plane::AuditPlane;
+use libseal::{LibSealError, SessionInput, SessionOutcome};
 use libseal_crypto::ed25519::SigningKey;
 use libseal_crypto::SystemRng;
 use libseal_tlsx::cert::Certificate;
 use libseal_tlsx::ssl::{ReadOutcome, Ssl, SslConfig};
-
-use crate::Result;
+use plat::sync::{Mutex, RwLock};
 
 /// How a server terminates TLS.
 //
 // The variant size gap (inline certificate vs `Arc`) is irrelevant:
-// one value exists per server and it is cloned per worker thread, so
-// boxing `Native` would only complicate every construction site.
+// one value exists per server, so boxing `Native` would only
+// complicate every construction site.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 pub enum TlsMode {
@@ -32,117 +43,119 @@ pub enum TlsMode {
     LibSeal(Arc<dyn AuditPlane>),
 }
 
-/// One server-side TLS session under either mode.
-pub enum TlsSession {
-    /// Plain STLS session.
-    Native(Box<Ssl>),
-    /// LibSEAL-managed session: (plane, worker slot, session id).
-    LibSeal(Arc<dyn AuditPlane>, usize, u64),
-}
-
 impl TlsMode {
-    /// Opens a session; `worker` is the application-thread slot used
-    /// for asynchronous enclave calls and `affinity` a stable
-    /// connection id a sharded audit plane hashes to pick the
-    /// session's shard (ignored otherwise).
-    ///
-    /// # Errors
-    ///
-    /// Enclave entry failures (LibSEAL mode only).
-    pub fn open_session(&self, worker: usize, affinity: u64) -> Result<TlsSession> {
+    /// The session surface a server programs against under this mode.
+    pub(crate) fn plane(self) -> Arc<dyn AuditPlane> {
         match self {
-            TlsMode::Native { cert, key } => Ok(TlsSession::Native(native_session(
-                SslConfig::server(cert.clone(), key.clone()),
-            ))),
-            TlsMode::LibSeal(ls) => {
-                let sid = ls.open_session(worker, affinity)?;
-                Ok(TlsSession::LibSeal(Arc::clone(ls), worker, sid))
-            }
+            TlsMode::Native { cert, key } => Arc::new(NativeTls {
+                config: SslConfig::server(cert, key),
+                sessions: RwLock::new(HashMap::new()),
+                next_sid: AtomicU64::new(1),
+            }),
+            TlsMode::LibSeal(plane) => plane,
         }
     }
 }
 
-/// A fresh native server-side session under `cfg`.
-pub(crate) fn native_session(cfg: Arc<SslConfig>) -> Box<Ssl> {
-    let mut entropy = [0u8; 64];
-    SystemRng::new().fill(&mut entropy);
-    Box::new(Ssl::new(cfg, entropy))
+/// The STLS library without LibSEAL: sessions live outside any enclave
+/// and nothing is audited. The audit operations answer as a LibSEAL
+/// instance without a service module does.
+struct NativeTls {
+    config: Arc<SslConfig>,
+    sessions: RwLock<HashMap<u64, Arc<Mutex<Ssl>>>>,
+    next_sid: AtomicU64,
 }
 
-impl TlsSession {
-    /// Feeds wire ciphertext.
-    ///
-    /// # Errors
-    ///
-    /// Session/enclave failures.
-    pub fn provide_input(&mut self, data: &[u8]) -> Result<()> {
-        match self {
-            TlsSession::Native(ssl) => {
-                ssl.provide_input(data);
-                Ok(())
-            }
-            TlsSession::LibSeal(ls, w, sid) => Ok(ls.provide_input(*w, *sid, data)?),
-        }
+impl NativeTls {
+    /// Runs `f` on session `sid`. Sessions lock one by one, so workers
+    /// encrypting for different connections do not serialise.
+    fn with<R>(
+        &self,
+        sid: u64,
+        f: impl FnOnce(&mut Ssl) -> libseal_tlsx::Result<R>,
+    ) -> libseal::Result<R> {
+        let session = self.sessions.read().get(&sid).cloned();
+        let session = session.ok_or(LibSealError::NoSuchSession(sid))?;
+        let mut ssl = session.lock();
+        f(&mut ssl).map_err(LibSealError::Tls)
+    }
+}
+
+impl AuditPlane for NativeTls {
+    fn open_session(&self, _slot: usize, _affinity: u64) -> libseal::Result<u64> {
+        let mut entropy = [0u8; 64];
+        SystemRng::new().fill(&mut entropy);
+        let ssl = Ssl::new(Arc::clone(&self.config), entropy);
+        let sid = self.next_sid.fetch_add(1, Ordering::Relaxed);
+        self.sessions.write().insert(sid, Arc::new(Mutex::new(ssl)));
+        Ok(sid)
     }
 
-    /// Takes ciphertext for the wire.
-    ///
-    /// # Errors
-    ///
-    /// Session/enclave failures.
-    pub fn take_output(&mut self) -> Result<Vec<u8>> {
-        match self {
-            TlsSession::Native(ssl) => Ok(ssl.take_output()),
-            TlsSession::LibSeal(ls, w, sid) => Ok(ls.take_output(*w, *sid)?),
-        }
+    fn close_session(&self, _slot: usize, sid: u64) -> libseal::Result<()> {
+        self.sessions.write().remove(&sid);
+        Ok(())
     }
 
-    /// Progresses the handshake; true when established.
-    ///
-    /// # Errors
-    ///
-    /// Fatal handshake failures.
-    pub fn do_handshake(&mut self) -> Result<bool> {
-        match self {
-            TlsSession::Native(ssl) => Ok(ssl.do_handshake()?),
-            TlsSession::LibSeal(ls, w, sid) => Ok(ls.do_handshake(*w, *sid)?),
-        }
+    fn provide_input(&self, _slot: usize, sid: u64, data: &[u8]) -> libseal::Result<()> {
+        self.with(sid, |ssl| {
+            ssl.provide_input(data);
+            Ok(())
+        })
     }
 
-    /// Reads decrypted application data.
-    ///
-    /// # Errors
-    ///
-    /// TLS failures.
-    pub fn ssl_read(&mut self) -> Result<ReadOutcome> {
-        match self {
-            TlsSession::Native(ssl) => Ok(ssl.ssl_read()?),
-            TlsSession::LibSeal(ls, w, sid) => Ok(ls.ssl_read(*w, *sid)?),
-        }
+    fn take_output(&self, _slot: usize, sid: u64) -> libseal::Result<Vec<u8>> {
+        self.with(sid, |ssl| Ok(ssl.take_output()))
     }
 
-    /// Writes response plaintext.
-    ///
-    /// # Errors
-    ///
-    /// TLS failures.
-    pub fn ssl_write(&mut self, data: &[u8]) -> Result<()> {
-        match self {
-            TlsSession::Native(ssl) => {
-                ssl.ssl_write(data)?;
-                Ok(())
-            }
-            TlsSession::LibSeal(ls, w, sid) => Ok(ls.ssl_write(*w, *sid, data)?),
-        }
+    fn do_handshake(&self, _slot: usize, sid: u64) -> libseal::Result<bool> {
+        self.with(sid, Ssl::do_handshake)
     }
 
-    /// Closes the session.
-    pub fn close(&mut self) {
-        match self {
-            TlsSession::Native(ssl) => ssl.send_close(),
-            TlsSession::LibSeal(ls, w, sid) => {
-                let _ = ls.close_session(*w, *sid);
-            }
-        }
+    fn ssl_read(&self, _slot: usize, sid: u64) -> libseal::Result<ReadOutcome> {
+        self.with(sid, Ssl::ssl_read)
+    }
+
+    fn ssl_write(&self, _slot: usize, sid: u64, data: &[u8]) -> libseal::Result<()> {
+        self.with(sid, |ssl| ssl.ssl_write(data).map(drop))
+    }
+
+    fn ssl_write_take(&self, _slot: usize, sid: u64, data: &[u8]) -> libseal::Result<Vec<u8>> {
+        self.with(sid, |ssl| ssl.ssl_write(data).map(|_| ssl.take_output()))
+    }
+
+    fn pump_batch(
+        &self,
+        _slot: usize,
+        items: Vec<SessionInput>,
+    ) -> libseal::Result<Vec<SessionOutcome>> {
+        let pump = |SessionInput { sid, input }| match self.with(sid, |ssl| Ok(ssl.pump(&input))) {
+            Ok(pumped) => SessionOutcome::pumped(sid, pumped),
+            Err(e) => SessionOutcome::failed(sid, e),
+        };
+        Ok(items.into_iter().map(pump).collect())
+    }
+
+    fn audit_backlog(&self) -> u64 {
+        0
+    }
+
+    fn async_slots(&self) -> Option<usize> {
+        None
+    }
+
+    fn drain(&self, _slot: usize) -> libseal::Result<()> {
+        Ok(())
+    }
+
+    fn verify_log(&self, _slot: usize) -> libseal::Result<()> {
+        Err(LibSealError::AuditingDisabled)
+    }
+
+    fn certificates(&self) -> Vec<Certificate> {
+        self.config.cert.iter().cloned().collect()
+    }
+
+    fn measurements(&self) -> Vec<[u8; 32]> {
+        Vec::new()
     }
 }

@@ -1,6 +1,8 @@
 //! Hostile-network hardening: slowloris eviction, request-size
 //! limits, load shedding at the connection cap, and graceful drain —
-//! each against both drivers.
+//! each against both drivers, and the cases that do not need a
+//! particular service against both implementations of the session
+//! surface (native STLS, an audited plane).
 
 use std::io::Read;
 use std::net::TcpStream;
@@ -31,9 +33,30 @@ fn ca() -> CertificateAuthority {
     CertificateAuthority::new("HostileCA", &[0x77; 32])
 }
 
-fn native_tls(ca: &CertificateAuthority) -> (TlsMode, Vec<VerifyingKey>) {
+/// Both implementations of the session surface the drivers program
+/// against: the native library and an audited (Git) plane.
+fn planes(ca: &CertificateAuthority) -> [(&'static str, TlsMode); 2] {
     let (key, cert) = ca.issue_identity("localhost", &[0x33; 32]).unwrap();
-    (TlsMode::Native { cert, key }, vec![ca.root_key()])
+    let audited = LibSealConfig::builder(cert.clone(), key.clone())
+        .ssm(Arc::new(GitModule))
+        .cost_model(CostModel::free())
+        .build();
+    [
+        ("native", TlsMode::Native { cert, key }),
+        ("audited", TlsMode::LibSeal(LibSeal::new(audited).unwrap())),
+    ]
+}
+
+/// Runs `test` under each driver against each plane, with the CA
+/// roots a client needs.
+fn for_each_plane(test: impl Fn(bool, TlsMode, Vec<VerifyingKey>)) {
+    for_each_driver(|event| {
+        let ca = ca();
+        for (plane, tls) in planes(&ca) {
+            eprintln!("case: event={event} plane={plane}");
+            test(event, tls, vec![ca.root_key()]);
+        }
+    });
 }
 
 /// Raw TLS connection for sending hand-crafted (partial, oversized)
@@ -66,9 +89,7 @@ fn counter(name: &'static str) -> u64 {
 /// the handshake deadline, under both drivers.
 #[test]
 fn slowloris_handshake_is_evicted() {
-    for_each_driver(|event| {
-        let ca = ca();
-        let (tls, roots) = native_tls(&ca);
+    for_each_plane(|event, tls, roots| {
         let server = ApacheServer::start(
             ApacheConfig::new(tls, Arc::new(StaticContentRouter))
                 .workers(2)
@@ -114,9 +135,7 @@ fn slowloris_handshake_is_evicted() {
 /// the whole phase, so each byte does not buy more time.
 #[test]
 fn slowloris_headers_are_evicted() {
-    for_each_driver(|event| {
-        let ca = ca();
-        let (tls, roots) = native_tls(&ca);
+    for_each_plane(|event, tls, roots| {
         let server = ApacheServer::start(
             ApacheConfig::new(tls, Arc::new(StaticContentRouter))
                 .workers(2)
@@ -158,9 +177,7 @@ fn slowloris_headers_are_evicted() {
 /// the first byte and evict idle connections with it.)
 #[test]
 fn idle_keep_alive_outlives_header_timeout() {
-    for_each_driver(|event| {
-        let ca = ca();
-        let (tls, roots) = native_tls(&ca);
+    for_each_plane(|event, tls, roots| {
         let server = ApacheServer::start(
             ApacheConfig::new(tls, Arc::new(StaticContentRouter))
                 .workers(2)
@@ -192,9 +209,7 @@ fn idle_keep_alive_outlives_header_timeout() {
 fn slow_reader_is_evicted_at_write_timeout() {
     // More than loopback socket buffers can absorb on both ends.
     const BODY: usize = 40 << 20;
-    for_each_driver(|event| {
-        let ca = ca();
-        let (tls, roots) = native_tls(&ca);
+    for_each_plane(|event, tls, roots| {
         let server = ApacheServer::start(
             ApacheConfig::new(tls, Arc::new(StaticContentRouter))
                 .workers(2)
@@ -236,9 +251,7 @@ fn slow_reader_is_evicted_at_write_timeout() {
 /// connection closes — under both drivers.
 #[test]
 fn oversized_requests_get_typed_rejections() {
-    for_each_driver(|event| {
-        let ca = ca();
-        let (tls, roots) = native_tls(&ca);
+    for_each_plane(|event, tls, roots| {
         let server = ApacheServer::start(
             ApacheConfig::new(tls, Arc::new(StaticContentRouter))
                 .workers(2)
@@ -339,9 +352,7 @@ fn deeply_nested_json_body_gets_400() {
 /// established connections keep working.
 #[test]
 fn connection_cap_sheds_excess() {
-    for_each_driver(|event| {
-        let ca = ca();
-        let (tls, roots) = native_tls(&ca);
+    for_each_plane(|event, tls, roots| {
         let server = ApacheServer::start(
             ApacheConfig::new(tls, Arc::new(StaticContentRouter))
                 .workers(2)

@@ -90,8 +90,9 @@ fn wrong_host_certificate_rejected_despite_valid_ca() {
     assert!(
         matches!(
             &err,
-            libseal_services::ServiceError::Tls(libseal_tlsx::TlsError::Verification(m))
-                if m.contains("subject mismatch")
+            libseal_services::ServiceError::Tls(libseal_tlsx::TlsError::Verification(
+                libseal_tlsx::VerifyFailure::SubjectMismatch { .. }
+            ))
         ),
         "expected subject-mismatch verification failure, got {err:?}"
     );

@@ -9,7 +9,7 @@
 
 use libseal_crypto::ed25519::{SigningKey, VerifyingKey};
 
-use crate::{Result, TlsError};
+use crate::{Result, TlsError, VerifyFailure};
 
 /// Longest subject or issuer name a certificate may carry; `decode`
 /// has always enforced this bound on the wire, and `issue` refuses to
@@ -101,7 +101,7 @@ impl Certificate {
     pub fn verify(&self, ca: &VerifyingKey) -> Result<()> {
         let tbs = Self::tbs(&self.subject, &self.pubkey, &self.issuer, &self.extensions);
         ca.verify(&tbs, &self.signature)
-            .map_err(|_| TlsError::Verification(format!("bad certificate for {}", self.subject)))
+            .map_err(|_| TlsError::Verification(VerifyFailure::UntrustedCa))
     }
 
     /// The first extension of the given type, if present.

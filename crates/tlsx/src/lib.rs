@@ -18,8 +18,11 @@
 //!   callback — the surface LibSEAL's shadowing and secure-callback
 //!   machinery (§4.1) needs to exist.
 //!
-//! [`stream::SslStream`] wraps a `TcpStream` (or any `Read + Write`)
-//! for ordinary blocking servers and clients.
+//! Every driver moves a session through one step, [`Ssl::pump`]: feed
+//! wire bytes, progress the handshake, drain plaintext, collect output.
+//! [`stream::SslStream`] runs it over a blocking `TcpStream` (or any
+//! `Read + Write`) for clients; servers run it per readiness sweep and
+//! queue the output in a [`stream::WireBuf`].
 
 pub mod attest;
 pub mod cert;
@@ -29,8 +32,61 @@ pub mod stream;
 
 pub use attest::{AttestationError, AttestationExtension, AttestationPolicy};
 pub use cert::{Certificate, CertificateAuthority, Extension};
-pub use ssl::{HandshakeState, ReadOutcome, Role, Ssl, SslConfig};
-pub use stream::{NbRead, NbSslStream, NbStatus, SslStream, WireBuf};
+pub use ssl::{HandshakeState, Pumped, ReadOutcome, Role, Ssl, SslConfig};
+pub use stream::{SslStream, WireBuf};
+
+/// Why a peer's certificate or handshake proof was rejected. The set
+/// is closed, and both the message and the
+/// `tlsx_verify_failures_total_<label>` counter derive from the
+/// variant — rewording a message cannot move a failure to another
+/// counter.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum VerifyFailure {
+    /// The certificate's signature checks out under no trusted CA key.
+    UntrustedCa,
+    /// The certificate names a different subject than the one pinned.
+    SubjectMismatch {
+        /// The subject the certificate carries.
+        got: String,
+        /// The subject the configuration pins.
+        expected: String,
+    },
+    /// The CertificateVerify signature over the transcript is wrong.
+    CertVerify,
+    /// The Finished MAC over the transcript is wrong.
+    Finished,
+    /// The server requires a client certificate and none was presented.
+    ClientCertMissing,
+}
+
+impl VerifyFailure {
+    /// The telemetry label of this reason.
+    pub fn label(&self) -> &'static str {
+        match self {
+            VerifyFailure::UntrustedCa => "untrusted_ca",
+            VerifyFailure::SubjectMismatch { .. } => "subject_mismatch",
+            VerifyFailure::CertVerify => "cert_verify",
+            VerifyFailure::Finished => "finished_mismatch",
+            VerifyFailure::ClientCertMissing => "client_cert_missing",
+        }
+    }
+}
+
+impl std::fmt::Display for VerifyFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            VerifyFailure::UntrustedCa => write!(f, "certificate not signed by a trusted CA"),
+            VerifyFailure::SubjectMismatch { got, expected } => {
+                write!(f, "subject mismatch: got {got}, expected {expected}")
+            }
+            VerifyFailure::CertVerify => write!(f, "CertVerify failed"),
+            VerifyFailure::Finished => write!(f, "Finished mismatch"),
+            VerifyFailure::ClientCertMissing => {
+                write!(f, "client certificate required but not presented")
+            }
+        }
+    }
+}
 
 /// Errors from the STLS protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +94,7 @@ pub enum TlsError {
     /// Peer data violated the protocol.
     Protocol(String),
     /// A certificate or signature failed verification.
-    Verification(String),
+    Verification(VerifyFailure),
     /// The peer's certificate failed attestation-policy evaluation
     /// (RA-TLS): the quote is missing, unverifiable, stale, names the
     /// wrong enclave, or does not commit to the certificate key.
@@ -47,8 +103,6 @@ pub enum TlsError {
     Decrypt,
     /// The connection was closed by the peer.
     Closed,
-    /// Operation needs more input bytes (non-blocking would-block).
-    WantRead,
     /// Output is blocked on the transport accepting more bytes; the
     /// unsent ciphertext stays buffered and resumes on the next call.
     WantWrite,
@@ -64,7 +118,6 @@ impl std::fmt::Display for TlsError {
             TlsError::Attestation(e) => write!(f, "attestation failure: {e}"),
             TlsError::Decrypt => write!(f, "record decryption failed"),
             TlsError::Closed => write!(f, "connection closed"),
-            TlsError::WantRead => write!(f, "need more input"),
             TlsError::WantWrite => write!(f, "output blocked on transport"),
             TlsError::Io(m) => write!(f, "io error: {m}"),
         }

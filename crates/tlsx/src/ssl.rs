@@ -24,7 +24,7 @@ use libseal_crypto::{hkdf, x25519};
 use crate::attest::{self, AttestationError, AttestationPolicy, EXT_SGX_QUOTE};
 use crate::cert::Certificate;
 use crate::record::{self, ContentType, RecordKeys, MAX_RECORD};
-use crate::{Result, TlsError};
+use crate::{Result, TlsError, VerifyFailure};
 
 /// Endpoint role.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,6 +116,21 @@ pub enum ReadOutcome {
     Closed,
 }
 
+/// What one [`Ssl::pump`] moved.
+#[derive(Debug, Default)]
+pub struct Pumped {
+    /// Whether the handshake is complete after this pump.
+    pub established: bool,
+    /// Application plaintext decrypted this pump.
+    pub data: Vec<u8>,
+    /// Ciphertext that must be written to the wire.
+    pub output: Vec<u8>,
+    /// The peer sent close_notify.
+    pub closed: bool,
+    /// Fatal failure; the session is unusable.
+    pub error: Option<TlsError>,
+}
+
 // Handshake message type codes.
 const MSG_CLIENT_HELLO: u8 = 1;
 const MSG_SERVER_HELLO: u8 = 2;
@@ -172,9 +187,10 @@ fn tlsx_metrics() -> &'static TlsxMetrics {
 }
 
 /// Stable telemetry label for a fatal handshake failure. The label set
-/// is closed (every arm returns a literal from this function), so the
-/// per-reason counters minted below have bounded cardinality by
-/// construction — no network input ever names a metric.
+/// is closed (every arm returns a literal, here or in
+/// [`VerifyFailure::label`]), so the per-reason counters minted below
+/// have bounded cardinality by construction — no network input ever
+/// names a metric.
 fn handshake_failure_reason(e: &TlsError) -> &'static str {
     match e {
         TlsError::Attestation(a) => match a {
@@ -187,37 +203,18 @@ fn handshake_failure_reason(e: &TlsError) -> &'static str {
             AttestationError::StaleQuote => "attestation_stale_quote",
             AttestationError::ReportDataMismatch => "attestation_report_data_mismatch",
         },
-        TlsError::Verification(m) => {
-            // Verification messages are produced locally (never copied
-            // from the peer), so matching on them is stable.
-            if m.contains("subject mismatch") {
-                "subject_mismatch"
-            } else if m.contains("not signed by a trusted CA") {
-                "untrusted_ca"
-            } else if m.contains("CertVerify") {
-                "cert_verify"
-            } else if m.contains("Finished") {
-                "finished_mismatch"
-            } else if m.contains("client certificate required") {
-                "client_cert_missing"
-            } else {
-                "verification_other"
-            }
-        }
+        TlsError::Verification(v) => v.label(),
         TlsError::Decrypt => "decrypt",
         TlsError::Protocol(_) => "protocol",
-        TlsError::Closed | TlsError::WantRead | TlsError::WantWrite | TlsError::Io(_) => {
-            "transport"
-        }
+        TlsError::Closed | TlsError::WantWrite | TlsError::Io(_) => "transport",
     }
 }
 
 /// Charges the per-reason handshake-rejection counter
 /// (`tlsx_verify_failures_total_<reason>`). Lives on the one choke
 /// point every handshake driver shares ([`Ssl::do_handshake`]), so
-/// blocking [`crate::stream::SslStream`], non-blocking
-/// [`crate::stream::NbSslStream`] and in-enclave sessions all charge
-/// it.
+/// the blocking [`crate::stream::SslStream`], native sessions and
+/// in-enclave sessions all charge it.
 fn note_handshake_failure(e: &TlsError) {
     let reason = handshake_failure_reason(e);
     libseal_telemetry::counter(&format!("tlsx_verify_failures_total_{reason}")).inc();
@@ -420,6 +417,36 @@ impl Ssl {
         }
     }
 
+    /// One step of a session, whoever drives it: feed `input` from the
+    /// wire, progress the handshake, drain the plaintext that became
+    /// readable and collect the ciphertext to send. In-enclave
+    /// sessions, native sessions and [`crate::stream::SslStream`] all
+    /// move through this body. Never fails as a call: a fatal error is
+    /// reported in [`Pumped::error`] beside whatever the step still
+    /// produced.
+    pub fn pump(&mut self, input: &[u8]) -> Pumped {
+        self.provide_input(input);
+        let mut p = Pumped::default();
+        loop {
+            // `ssl_read` drives an unfinished handshake before it reads.
+            match self.ssl_read() {
+                Ok(ReadOutcome::Data(d)) => p.data.extend_from_slice(&d),
+                Ok(ReadOutcome::WantRead) => break,
+                Ok(ReadOutcome::Closed) => {
+                    p.closed = true;
+                    break;
+                }
+                Err(e) => {
+                    p.error = Some(e);
+                    break;
+                }
+            }
+        }
+        p.established = self.is_established();
+        p.output = self.take_output();
+        p
+    }
+
     // --- handshake internals -------------------------------------------
 
     fn transcript_hash(&self) -> [u8; 32] {
@@ -457,12 +484,18 @@ impl Ssl {
         self.read_keys.is_some()
     }
 
-    fn queue_handshake(&mut self, t: u8, body: &[u8]) {
+    /// A handshake message as it enters the transcript: type, 24-bit
+    /// length, body.
+    fn frame_handshake(t: u8, body: &[u8]) -> Vec<u8> {
         let mut msg = Vec::with_capacity(4 + body.len());
         msg.push(t);
-        let len = (body.len() as u32).to_be_bytes();
-        msg.extend_from_slice(&len[1..4]);
+        msg.extend_from_slice(&(body.len() as u32).to_be_bytes()[1..4]);
         msg.extend_from_slice(body);
+        msg
+    }
+
+    fn queue_handshake(&mut self, t: u8, body: &[u8]) {
+        let msg = Self::frame_handshake(t, body);
         self.transcript.extend_from_slice(&msg);
         let encrypted = self.write_keys.is_some() && t != MSG_CLIENT_HELLO && t != MSG_SERVER_HELLO;
         if encrypted {
@@ -586,76 +619,21 @@ impl Ssl {
                 self.derive_keys(&peer_share);
                 Ok(())
             }
-            (Role::Client, HandshakeState::AwaitServerFlight, MSG_CERT) => {
-                self.append_peer_transcript(t, body);
-                let cert = Certificate::decode(body)?;
-                if self.config.verify_peer {
-                    let ok = self
-                        .config
-                        .ca_roots
-                        .iter()
-                        .any(|ca| cert.verify(ca).is_ok());
-                    if !ok {
-                        return Err(TlsError::Verification(
-                            "server certificate not signed by a trusted CA".into(),
-                        ));
-                    }
-                    if let Some(expected) = &self.config.expected_subject {
-                        if &cert.subject != expected {
-                            return Err(TlsError::Verification(format!(
-                                "subject mismatch: got {}, expected {expected}",
-                                cert.subject
-                            )));
-                        }
-                    }
-                    // Criticality semantics hold even without a
-                    // policy: a certificate demanding understanding of
-                    // an extension we lack must not be trusted.
-                    if let Some(t) = cert.unknown_critical(&[EXT_SGX_QUOTE]) {
-                        return Err(TlsError::Attestation(
-                            AttestationError::UnknownCriticalExtension(t),
-                        ));
-                    }
-                    // RA-TLS policy evaluation: after CA and subject
-                    // checks, before our Finished ever leaves — a
-                    // failing quote aborts the handshake with no
-                    // application byte exchanged.
-                    if let Some(policy) = &self.config.attestation {
-                        policy
-                            .verify(&cert, attest::unix_now_ms())
-                            .map_err(TlsError::Attestation)?;
-                    }
-                }
-                self.peer_cert = Some(cert);
-                Ok(())
+            (Role::Client, HandshakeState::AwaitServerFlight, MSG_CERT)
+            | (Role::Server, HandshakeState::AwaitClientFinished, MSG_CERT) => {
+                self.accept_peer_cert(t, body)
             }
             (Role::Client, HandshakeState::AwaitServerFlight, MSG_CERT_REQUEST) => {
                 self.append_peer_transcript(t, body);
                 self.client_cert_requested = true;
                 Ok(())
             }
-            (Role::Client, HandshakeState::AwaitServerFlight, MSG_CERT_VERIFY) => {
-                // Verify over the transcript NOT including this message.
-                let hash = self.transcript_hash();
-                let cert = self
-                    .peer_cert
-                    .as_ref()
-                    .ok_or_else(|| TlsError::Protocol("CertVerify before Certificate".into()))?;
-                let sig: [u8; 64] = body
-                    .try_into()
-                    .map_err(|_| TlsError::Protocol("bad CertVerify length".into()))?;
-                VerifyingKey::from_bytes(&cert.pubkey)
-                    .verify(&Self::cert_verify_payload(&hash), &sig)
-                    .map_err(|_| TlsError::Verification("CertVerify failed".into()))?;
-                self.append_peer_transcript(t, body);
-                Ok(())
+            (Role::Client, HandshakeState::AwaitServerFlight, MSG_CERT_VERIFY)
+            | (Role::Server, HandshakeState::AwaitClientFinished, MSG_CERT_VERIFY) => {
+                self.check_cert_verify(t, body)
             }
             (Role::Client, HandshakeState::AwaitServerFlight, MSG_FINISHED) => {
-                let expected = HmacSha256::mac(&self.fin_key_peer, &self.transcript_hash());
-                if !libseal_crypto::ct::eq(&expected, body) {
-                    return Err(TlsError::Verification("server Finished mismatch".into()));
-                }
-                self.append_peer_transcript(t, body);
+                self.check_finished(t, body)?;
                 // Client flight: optional certificate, then Finished.
                 if self.client_cert_requested {
                     let cert = self.config.cert.clone().ok_or_else(|| {
@@ -674,53 +652,11 @@ impl Ssl {
                 self.info(INFO_HANDSHAKE_DONE, 0);
                 Ok(())
             }
-            (Role::Server, HandshakeState::AwaitClientFinished, MSG_CERT) => {
-                self.append_peer_transcript(t, body);
-                let cert = Certificate::decode(body)?;
-                let ok = self
-                    .config
-                    .ca_roots
-                    .iter()
-                    .any(|ca| cert.verify(ca).is_ok());
-                if !ok {
-                    return Err(TlsError::Verification(
-                        "client certificate not signed by a trusted CA".into(),
-                    ));
-                }
-                if let Some(t) = cert.unknown_critical(&[EXT_SGX_QUOTE]) {
-                    return Err(TlsError::Attestation(
-                        AttestationError::UnknownCriticalExtension(t),
-                    ));
-                }
-                self.peer_cert = Some(cert);
-                Ok(())
-            }
-            (Role::Server, HandshakeState::AwaitClientFinished, MSG_CERT_VERIFY) => {
-                let hash = self.transcript_hash();
-                let cert = self
-                    .peer_cert
-                    .as_ref()
-                    .ok_or_else(|| TlsError::Protocol("CertVerify before Certificate".into()))?;
-                let sig: [u8; 64] = body
-                    .try_into()
-                    .map_err(|_| TlsError::Protocol("bad CertVerify length".into()))?;
-                VerifyingKey::from_bytes(&cert.pubkey)
-                    .verify(&Self::cert_verify_payload(&hash), &sig)
-                    .map_err(|_| TlsError::Verification("client CertVerify failed".into()))?;
-                self.append_peer_transcript(t, body);
-                Ok(())
-            }
             (Role::Server, HandshakeState::AwaitClientFinished, MSG_FINISHED) => {
                 if self.config.verify_peer && self.peer_cert.is_none() {
-                    return Err(TlsError::Verification(
-                        "client certificate required but not presented".into(),
-                    ));
+                    return Err(TlsError::Verification(VerifyFailure::ClientCertMissing));
                 }
-                let expected = HmacSha256::mac(&self.fin_key_peer, &self.transcript_hash());
-                if !libseal_crypto::ct::eq(&expected, body) {
-                    return Err(TlsError::Verification("client Finished mismatch".into()));
-                }
-                self.append_peer_transcript(t, body);
+                self.check_finished(t, body)?;
                 self.state = HandshakeState::Established;
                 self.info(INFO_HANDSHAKE_DONE, 0);
                 Ok(())
@@ -731,13 +667,85 @@ impl Ssl {
         }
     }
 
+    /// Appends the peer's message to the transcript exactly as received.
     fn append_peer_transcript(&mut self, t: u8, body: &[u8]) {
-        let mut msg = Vec::with_capacity(4 + body.len());
-        msg.push(t);
-        let len = (body.len() as u32).to_be_bytes();
-        msg.extend_from_slice(&len[1..4]);
-        msg.extend_from_slice(body);
-        self.transcript.extend_from_slice(&msg);
+        self.transcript
+            .extend_from_slice(&Self::frame_handshake(t, body));
+    }
+
+    /// The peer's Certificate message, either role. A server checks
+    /// whatever certificate a client presents; a client may have
+    /// verification switched off.
+    fn accept_peer_cert(&mut self, t: u8, body: &[u8]) -> Result<()> {
+        self.append_peer_transcript(t, body);
+        let cert = Certificate::decode(body)?;
+        if self.config.role == Role::Server || self.config.verify_peer {
+            if !self
+                .config
+                .ca_roots
+                .iter()
+                .any(|ca| cert.verify(ca).is_ok())
+            {
+                return Err(TlsError::Verification(VerifyFailure::UntrustedCa));
+            }
+            // The subject pin and the attestation policy are client
+            // configuration; a server carries neither.
+            if let Some(expected) = &self.config.expected_subject {
+                if &cert.subject != expected {
+                    return Err(TlsError::Verification(VerifyFailure::SubjectMismatch {
+                        got: cert.subject,
+                        expected: expected.clone(),
+                    }));
+                }
+            }
+            // Criticality semantics hold even without a policy: a
+            // certificate demanding understanding of an extension we
+            // lack must not be trusted.
+            if let Some(t) = cert.unknown_critical(&[EXT_SGX_QUOTE]) {
+                return Err(TlsError::Attestation(
+                    AttestationError::UnknownCriticalExtension(t),
+                ));
+            }
+            // RA-TLS policy evaluation: after CA and subject checks,
+            // before our Finished ever leaves — a failing quote aborts
+            // the handshake with no application byte exchanged.
+            if let Some(policy) = &self.config.attestation {
+                policy
+                    .verify(&cert, attest::unix_now_ms())
+                    .map_err(TlsError::Attestation)?;
+            }
+        }
+        self.peer_cert = Some(cert);
+        Ok(())
+    }
+
+    /// The peer's CertificateVerify, either role: its certificate key
+    /// signed the transcript NOT including this message.
+    fn check_cert_verify(&mut self, t: u8, body: &[u8]) -> Result<()> {
+        let hash = self.transcript_hash();
+        let cert = self
+            .peer_cert
+            .as_ref()
+            .ok_or_else(|| TlsError::Protocol("CertVerify before Certificate".into()))?;
+        let sig: [u8; 64] = body
+            .try_into()
+            .map_err(|_| TlsError::Protocol("bad CertVerify length".into()))?;
+        VerifyingKey::from_bytes(&cert.pubkey)
+            .verify(&Self::cert_verify_payload(&hash), &sig)
+            .map_err(|_| TlsError::Verification(VerifyFailure::CertVerify))?;
+        self.append_peer_transcript(t, body);
+        Ok(())
+    }
+
+    /// The peer's Finished, either role: its MAC over the transcript
+    /// NOT including this message.
+    fn check_finished(&mut self, t: u8, body: &[u8]) -> Result<()> {
+        let expected = HmacSha256::mac(&self.fin_key_peer, &self.transcript_hash());
+        if !libseal_crypto::ct::eq(&expected, body) {
+            return Err(TlsError::Verification(VerifyFailure::Finished));
+        }
+        self.append_peer_transcript(t, body);
+        Ok(())
     }
 }
 
@@ -805,69 +813,186 @@ mod tests {
         }
     }
 
-    #[test]
-    fn untrusted_server_cert_rejected() {
-        let ca = test_ca();
-        let rogue = CertificateAuthority::new("RogueCA", &[0x44; 32]);
-        let (key, cert) = rogue.issue_identity("server.test", &[4u8; 32]).unwrap();
-        let mut client = Ssl::new(SslConfig::client(vec![ca.root_key()]), [1u8; 64]);
-        let mut server = Ssl::new(SslConfig::server(cert, key), [2u8; 64]);
-        client.do_handshake().unwrap();
-        pump(&mut client, &mut server);
-        assert_eq!(client.state(), HandshakeState::Failed);
+    fn config(
+        role: Role,
+        identity: Option<(SigningKey, Certificate)>,
+        ca: &CertificateAuthority,
+        verify_peer: bool,
+        expected_subject: Option<&str>,
+    ) -> Arc<SslConfig> {
+        let (key, cert) = identity.unzip();
+        Arc::new(SslConfig {
+            role,
+            cert,
+            key,
+            ca_roots: vec![ca.root_key()],
+            verify_peer,
+            expected_subject: expected_subject.map(str::to_string),
+            attestation: None,
+        })
     }
 
+    /// Every way a peer's credentials can be rejected, from each role
+    /// that can reject it: the rejecting side reports the typed reason
+    /// and exactly that reason's counter moves. (No other test of this
+    /// binary fails a verification, so the counts are exact.)
     #[test]
-    fn subject_mismatch_rejected_and_counted() {
+    fn each_rejection_moves_exactly_its_own_counter() {
+        use VerifyFailure::*;
         let ca = test_ca();
-        let (key, cert) = ca.issue_identity("other.test", &[4u8; 32]).unwrap();
-        let cfg = Arc::new(SslConfig {
-            role: Role::Client,
-            cert: None,
-            key: None,
-            ca_roots: vec![ca.root_key()],
-            verify_peer: true,
-            expected_subject: Some("server.test".into()),
-            attestation: None,
-        });
-        let mut client = Ssl::new(cfg, [1u8; 64]);
-        let mut server = Ssl::new(SslConfig::server(cert, key), [2u8; 64]);
-        let before = libseal_telemetry::counter("tlsx_verify_failures_total_subject_mismatch").get();
-        client.do_handshake().unwrap();
-        pump(&mut client, &mut server);
-        assert_eq!(client.state(), HandshakeState::Failed);
-        // Every rejection charges its per-reason counter at the shared
-        // do_handshake choke point.
-        assert!(
-            libseal_telemetry::counter("tlsx_verify_failures_total_subject_mismatch").get()
-                > before
+        let rogue = CertificateAuthority::new("RogueCA", &[0x44; 32]);
+        let id = |ca: &CertificateAuthority, name: &str, seed: u8| {
+            Some(ca.issue_identity(name, &[seed; 32]).unwrap())
+        };
+        // An identity whose key does not match its certificate.
+        let mismatched = |name: &str| {
+            let (_, cert) = ca.issue_identity(name, &[6u8; 32]).unwrap();
+            Some((SigningKey::from_seed(&[7u8; 32]), cert))
+        };
+        let client = |identity, subject| config(Role::Client, identity, &ca, true, subject);
+        let server = |identity, verify| config(Role::Server, identity, &ca, verify, None);
+        let honest_server = || server(id(&ca, "server.test", 4), false);
+        let asking_server = || server(id(&ca, "server.test", 4), true);
+        let no_sabotage: fn(&mut Ssl, &mut Ssl) = |_, _| {};
+        let mismatch = SubjectMismatch {
+            got: "server.test".into(),
+            expected: "other.test".into(),
+        };
+        let labels = [
+            UntrustedCa.label(),
+            mismatch.label(),
+            CertVerify.label(),
+            Finished.label(),
+            ClientCertMissing.label(),
+        ];
+        // (reason, who rejects, client, server, what goes wrong just
+        // before the client reads the server's Finished)
+        type Case = (
+            VerifyFailure,
+            Role,
+            Arc<SslConfig>,
+            Arc<SslConfig>,
+            fn(&mut Ssl, &mut Ssl),
         );
+        let cases: Vec<Case> = vec![
+            (
+                UntrustedCa,
+                Role::Client,
+                client(None, None),
+                server(id(&rogue, "server.test", 4), false),
+                no_sabotage,
+            ),
+            (
+                UntrustedCa,
+                Role::Server,
+                client(id(&rogue, "alice", 5), None),
+                asking_server(),
+                no_sabotage,
+            ),
+            (
+                mismatch,
+                Role::Client,
+                client(None, Some("other.test")),
+                honest_server(),
+                no_sabotage,
+            ),
+            (
+                CertVerify,
+                Role::Client,
+                client(None, None),
+                server(mismatched("server.test"), false),
+                no_sabotage,
+            ),
+            (
+                CertVerify,
+                Role::Server,
+                client(mismatched("alice"), None),
+                asking_server(),
+                no_sabotage,
+            ),
+            (
+                Finished,
+                Role::Client,
+                client(None, None),
+                honest_server(),
+                |c, _| c.fin_key_peer[0] ^= 1,
+            ),
+            (
+                Finished,
+                Role::Server,
+                client(None, None),
+                honest_server(),
+                |_, s| s.fin_key_peer[0] ^= 1,
+            ),
+            // A client that ignores the CertificateRequest.
+            (
+                ClientCertMissing,
+                Role::Server,
+                client(None, None),
+                asking_server(),
+                |c, _| c.client_cert_requested = false,
+            ),
+        ];
+        let counts = || {
+            labels.map(|l| {
+                libseal_telemetry::counter(&format!("tlsx_verify_failures_total_{l}")).get()
+            })
+        };
+        for (reason, rejecting, client_cfg, server_cfg, sabotage) in cases {
+            let ctx = format!("{reason:?} rejected by the {rejecting:?}");
+            let before = counts();
+            let mut client = Ssl::new(client_cfg, [1u8; 64]);
+            let mut server = Ssl::new(server_cfg, [2u8; 64]);
+            client.do_handshake().unwrap();
+            server.provide_input(&client.take_output());
+            server.do_handshake().unwrap();
+            // Deliver the server's flight up to its last record (the
+            // Finished), sabotage, then deliver the rest.
+            let flight = server.take_output();
+            let mut last = 0;
+            while let Some((_, used)) = record::parse(&flight[last..]).unwrap() {
+                if last + used == flight.len() {
+                    break;
+                }
+                last += used;
+            }
+            client.provide_input(&flight[..last]);
+            let early = client.do_handshake();
+            sabotage(&mut client, &mut server);
+            client.provide_input(&flight[last..]);
+            let verdict = match rejecting {
+                Role::Client => early.and_then(|_| client.do_handshake()),
+                Role::Server => {
+                    assert_eq!(client.do_handshake(), Ok(true), "{ctx}: client must finish");
+                    server.provide_input(&client.take_output());
+                    server.do_handshake()
+                }
+            };
+            assert_eq!(
+                verdict,
+                Err(TlsError::Verification(reason.clone())),
+                "{ctx}"
+            );
+            let rejected = match rejecting {
+                Role::Client => &client,
+                Role::Server => &server,
+            };
+            assert_eq!(rejected.state(), HandshakeState::Failed, "{ctx}");
+            let moved: Vec<u64> = counts().iter().zip(before).map(|(a, b)| a - b).collect();
+            let expected: Vec<u64> = labels.map(|l| u64::from(l == reason.label())).to_vec();
+            assert_eq!(moved, expected, "{ctx}: counters {labels:?}");
+        }
     }
 
     #[test]
     fn client_auth_roundtrip() {
         let ca = test_ca();
-        let (skey, scert) = ca.issue_identity("server.test", &[4u8; 32]).unwrap();
-        let (ckey, ccert) = ca.issue_identity("alice", &[5u8; 32]).unwrap();
-        let server_cfg = Arc::new(SslConfig {
-            role: Role::Server,
-            cert: Some(scert),
-            key: Some(skey),
-            ca_roots: vec![ca.root_key()],
-            verify_peer: true,
-            expected_subject: None,
-            attestation: None,
-        });
-        let client_cfg = Arc::new(SslConfig {
-            role: Role::Client,
-            cert: Some(ccert),
-            key: Some(ckey),
-            ca_roots: vec![ca.root_key()],
-            verify_peer: true,
-            expected_subject: None,
-            attestation: None,
-        });
-        let (client, server) = handshake_pair(client_cfg, server_cfg);
+        let server = ca.issue_identity("server.test", &[4u8; 32]).unwrap();
+        let alice = ca.issue_identity("alice", &[5u8; 32]).unwrap();
+        let (client, server) = handshake_pair(
+            config(Role::Client, Some(alice), &ca, true, None),
+            config(Role::Server, Some(server), &ca, true, None),
+        );
         assert!(client.is_established());
         assert!(server.is_established());
         assert_eq!(server.peer_certificate().unwrap().subject, "alice");
@@ -876,20 +1001,11 @@ mod tests {
     #[test]
     fn client_auth_missing_cert_fails() {
         let ca = test_ca();
-        let (skey, scert) = ca.issue_identity("server.test", &[4u8; 32]).unwrap();
-        let server_cfg = Arc::new(SslConfig {
-            role: Role::Server,
-            cert: Some(scert),
-            key: Some(skey),
-            ca_roots: vec![ca.root_key()],
-            verify_peer: true,
-            expected_subject: None,
-            attestation: None,
-        });
-        let mut client = Ssl::new(SslConfig::client(vec![ca.root_key()]), [1u8; 64]);
-        let mut server = Ssl::new(server_cfg, [2u8; 64]);
-        client.do_handshake().unwrap();
-        pump(&mut client, &mut server);
+        let server = ca.issue_identity("server.test", &[4u8; 32]).unwrap();
+        let (client, _) = handshake_pair(
+            SslConfig::client(vec![ca.root_key()]),
+            config(Role::Server, Some(server), &ca, true, None),
+        );
         assert_eq!(client.state(), HandshakeState::Failed);
     }
 

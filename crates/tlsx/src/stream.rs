@@ -1,16 +1,15 @@
-//! Stream wrappers: STLS over any `Read + Write` transport.
+//! STLS over a transport: the wire buffer every driver queues
+//! ciphertext in, and the blocking stream clients use.
 //!
-//! Two drivers share the sans-IO [`Ssl`] state machine:
-//!
-//! - [`SslStream`] — the blocking wrapper servers and clients have
-//!   always used. Partial writes are buffered in a [`WireBuf`], so a
-//!   socket that turns non-blocking (or times out mid-record) yields
+//! - [`WireBuf`] owns ciphertext until the transport takes it, so a
+//!   socket that accepts half a record and then reports `WouldBlock`
+//!   resumes where it stopped instead of re-encrypting. The reactor
+//!   keeps one per connection behind [`Ssl::pump`]; [`SslStream`] keeps
+//!   one too.
+//! - [`SslStream`] drives [`Ssl::pump`] over a blocking `Read + Write`
+//!   transport. A transport that would block mid-write yields
 //!   [`TlsError::WantWrite`] with the unsent ciphertext retained — the
-//!   next `write_all`/`flush_pending` resumes instead of re-encrypting.
-//! - [`NbSslStream`] — the non-blocking driver for readiness-based
-//!   serving (`plat::reactor`): `handshake`/`read`/`write` are
-//!   resumable state machines returning [`NbStatus::WantRead`] /
-//!   [`NbStatus::WantWrite`] instead of blocking.
+//!   next `write_all`/`flush_pending` resumes.
 //!
 //! Both retry `ErrorKind::Interrupted` (EINTR) everywhere; a signal
 //! delivery must never tear down a session.
@@ -18,7 +17,7 @@
 use std::io::{self, ErrorKind, Read, Write};
 use std::sync::Arc;
 
-use crate::ssl::{ReadOutcome, Ssl, SslConfig};
+use crate::ssl::{Ssl, SslConfig};
 use crate::{Result, TlsError};
 
 /// Outcome of a [`WireBuf::flush_to`] attempt.
@@ -107,23 +106,6 @@ impl WireBuf {
     }
 }
 
-/// EINTR-safe read: retries `Interrupted`, maps `WouldBlock` to
-/// `Ok(None)`, and returns `Ok(Some(0))` on EOF.
-///
-/// # Errors
-///
-/// Transport errors other than EINTR/WouldBlock.
-pub fn read_wire(r: &mut impl Read, buf: &mut [u8]) -> io::Result<Option<usize>> {
-    loop {
-        match r.read(buf) {
-            Ok(n) => return Ok(Some(n)),
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 fn io_err(e: io::Error) -> TlsError {
     TlsError::Io(e.to_string())
 }
@@ -133,6 +115,11 @@ pub struct SslStream<S: Read + Write> {
     ssl: Ssl,
     stream: S,
     pending: WireBuf,
+    /// Plaintext a pump decrypted that `read_some` has not returned yet
+    /// (application data can share a read with the handshake's tail).
+    plain: Vec<u8>,
+    /// The peer sent close_notify.
+    peer_closed: bool,
 }
 
 impl<S: Read + Write> SslStream<S> {
@@ -140,27 +127,51 @@ impl<S: Read + Write> SslStream<S> {
     ///
     /// # Errors
     ///
-    /// Handshake failures and transport I/O errors.
-    pub fn handshake(config: Arc<SslConfig>, entropy: [u8; 64], mut stream: S) -> Result<Self> {
-        let mut ssl = Ssl::new(config, entropy);
-        let mut pending = WireBuf::new();
-        loop {
-            if ssl.do_handshake()? {
-                break;
-            }
-            flush_output(&mut ssl, &mut pending, &mut stream)?;
-            if ssl.is_established() {
-                break;
-            }
-            read_some(&mut ssl, &mut stream)?;
+    /// Handshake failures and transport I/O errors;
+    /// [`TlsError::Closed`] when the peer hangs up mid-handshake.
+    pub fn handshake(config: Arc<SslConfig>, entropy: [u8; 64], stream: S) -> Result<Self> {
+        let mut tls = SslStream {
+            ssl: Ssl::new(config, entropy),
+            stream,
+            pending: WireBuf::new(),
+            plain: Vec::new(),
+            peer_closed: false,
+        };
+        // A client's first pump queues its hello.
+        tls.pump(&[])?;
+        while !tls.ssl.is_established() {
+            tls.fill()?;
         }
         // Send any trailing flight (e.g. the client Finished).
-        flush_output(&mut ssl, &mut pending, &mut stream)?;
-        Ok(SslStream {
-            ssl,
-            stream,
-            pending,
-        })
+        tls.flush_pending()?;
+        Ok(tls)
+    }
+
+    /// One [`Ssl::pump`]: keeps what it decrypted, queues what it
+    /// produced.
+    fn pump(&mut self, input: &[u8]) -> Result<()> {
+        let p = self.ssl.pump(input);
+        self.plain.extend_from_slice(&p.data);
+        self.peer_closed |= p.closed;
+        self.pending.push(&p.output);
+        p.error.map_or(Ok(()), Err)
+    }
+
+    /// Sends what is queued, blocks for wire bytes and pumps them.
+    fn fill(&mut self) -> Result<()> {
+        self.flush_pending()?;
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            match self.stream.read(&mut buf) {
+                Ok(0) => return Err(TlsError::Closed),
+                Ok(n) => return self.pump(&buf[..n]),
+                // A signal interrupted the read; the session is fine.
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                // On a blocking socket WouldBlock means the read timeout
+                // elapsed — surface it, don't spin.
+                Err(e) => return Err(io_err(e)),
+            }
+        }
     }
 
     /// Encrypts and sends `data`. If an earlier call left unsent
@@ -173,17 +184,24 @@ impl<S: Read + Write> SslStream<S> {
     /// the transport would block (ciphertext retained for resume).
     pub fn write_all(&mut self, data: &[u8]) -> Result<()> {
         self.ssl.ssl_write(data)?;
-        flush_output(&mut self.ssl, &mut self.pending, &mut self.stream)
+        self.flush_pending()
     }
 
-    /// Retries transmission of ciphertext a previous call could not
-    /// fully send.
+    /// Transmits queued ciphertext, including what a previous call
+    /// could not fully send.
     ///
     /// # Errors
     ///
     /// As [`SslStream::write_all`].
     pub fn flush_pending(&mut self) -> Result<()> {
-        flush_output(&mut self.ssl, &mut self.pending, &mut self.stream)
+        self.pending.push(&self.ssl.take_output());
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        match self.pending.flush_to(&mut self.stream).map_err(io_err)? {
+            FlushOutcome::Done => Ok(()),
+            FlushOutcome::WantWrite => Err(TlsError::WantWrite),
+        }
     }
 
     /// Receives and decrypts the next chunk of application data.
@@ -193,14 +211,13 @@ impl<S: Read + Write> SslStream<S> {
     /// [`TlsError::Closed`] on clean close; other variants on failure.
     pub fn read_some(&mut self) -> Result<Vec<u8>> {
         loop {
-            match self.ssl.ssl_read()? {
-                ReadOutcome::Data(d) => return Ok(d),
-                ReadOutcome::Closed => return Err(TlsError::Closed),
-                ReadOutcome::WantRead => {
-                    flush_output(&mut self.ssl, &mut self.pending, &mut self.stream)?;
-                    read_some(&mut self.ssl, &mut self.stream)?;
-                }
+            if !self.plain.is_empty() {
+                return Ok(std::mem::take(&mut self.plain));
             }
+            if self.peer_closed {
+                return Err(TlsError::Closed);
+            }
+            self.fill()?;
         }
     }
 
@@ -224,7 +241,7 @@ impl<S: Read + Write> SslStream<S> {
     /// Sends close_notify and flushes.
     pub fn close(&mut self) {
         self.ssl.send_close();
-        let _ = flush_output(&mut self.ssl, &mut self.pending, &mut self.stream);
+        let _ = self.flush_pending();
     }
 
     /// The inner protocol state.
@@ -240,251 +257,6 @@ impl<S: Read + Write> SslStream<S> {
     /// The underlying transport.
     pub fn get_ref(&self) -> &S {
         &self.stream
-    }
-}
-
-fn flush_output<S: Read + Write>(
-    ssl: &mut Ssl,
-    pending: &mut WireBuf,
-    stream: &mut S,
-) -> Result<()> {
-    pending.push(&ssl.take_output());
-    if pending.is_empty() {
-        return Ok(());
-    }
-    match pending.flush_to(stream).map_err(io_err)? {
-        FlushOutcome::Done => Ok(()),
-        FlushOutcome::WantWrite => Err(TlsError::WantWrite),
-    }
-}
-
-fn read_some<S: Read + Write>(ssl: &mut Ssl, stream: &mut S) -> Result<()> {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => return Err(TlsError::Closed),
-            Ok(n) => {
-                ssl.provide_input(&buf[..n]);
-                return Ok(());
-            }
-            // A signal interrupted the read; the session is fine.
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            // On a blocking socket WouldBlock means the read timeout
-            // elapsed — surface it, don't spin.
-            Err(e) => return Err(io_err(e)),
-        }
-    }
-}
-
-/// Result of a non-blocking state-machine step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NbStatus {
-    /// The operation completed.
-    Ready,
-    /// Blocked until the transport becomes readable.
-    WantRead,
-    /// Blocked until the transport becomes writable.
-    WantWrite,
-}
-
-/// Result of a non-blocking read step.
-#[derive(Debug, PartialEq, Eq)]
-pub enum NbRead {
-    /// Decrypted application bytes.
-    Data(Vec<u8>),
-    /// No complete record yet; wait for readability.
-    WantRead,
-    /// Ciphertext output is blocked; wait for writability.
-    WantWrite,
-    /// The peer closed the connection.
-    Closed,
-}
-
-/// Non-blocking STLS driver over a non-blocking transport.
-///
-/// Every method is a resumable state machine: call it, and when it
-/// reports [`NbStatus::WantRead`] / [`NbStatus::WantWrite`], wait for
-/// the corresponding readiness (e.g. via `plat::reactor`) and call it
-/// again. Unsent ciphertext — including a partially-written record —
-/// is carried in an internal [`WireBuf`] across calls.
-pub struct NbSslStream<S: Read + Write> {
-    ssl: Ssl,
-    stream: S,
-    out: WireBuf,
-    peer_eof: bool,
-}
-
-impl<S: Read + Write> NbSslStream<S> {
-    /// Wraps a transport already in non-blocking mode. No bytes are
-    /// exchanged until [`handshake`] is driven.
-    ///
-    /// [`handshake`]: NbSslStream::handshake
-    pub fn new(config: Arc<SslConfig>, entropy: [u8; 64], stream: S) -> Self {
-        NbSslStream {
-            ssl: Ssl::new(config, entropy),
-            stream,
-            out: WireBuf::new(),
-            peer_eof: false,
-        }
-    }
-
-    /// Advances the handshake as far as current readiness allows.
-    /// Returns [`NbStatus::Ready`] once established (with the final
-    /// flight flushed).
-    ///
-    /// # Errors
-    ///
-    /// Handshake failures, transport errors, [`TlsError::Closed`] on
-    /// EOF mid-handshake.
-    pub fn handshake(&mut self) -> Result<NbStatus> {
-        loop {
-            let done = self.ssl.do_handshake()?;
-            if self.flush_wire()? == FlushOutcome::WantWrite {
-                return Ok(NbStatus::WantWrite);
-            }
-            if done || self.ssl.is_established() {
-                // One more pass: the flight queued by the finishing
-                // do_handshake (client Finished) must go out.
-                if self.flush_wire()? == FlushOutcome::WantWrite {
-                    return Ok(NbStatus::WantWrite);
-                }
-                return Ok(NbStatus::Ready);
-            }
-            if !self.fill_input()? {
-                if self.peer_eof {
-                    return Err(TlsError::Closed);
-                }
-                return Ok(NbStatus::WantRead);
-            }
-        }
-    }
-
-    /// True once the handshake has completed.
-    pub fn is_established(&self) -> bool {
-        self.ssl.is_established()
-    }
-
-    /// Attempts to decrypt the next chunk of application data,
-    /// reading whatever the transport has available.
-    ///
-    /// # Errors
-    ///
-    /// Protocol or transport failures.
-    pub fn read(&mut self) -> Result<NbRead> {
-        if !self.ssl.is_established() {
-            match self.handshake()? {
-                NbStatus::Ready => {}
-                NbStatus::WantRead => return Ok(NbRead::WantRead),
-                NbStatus::WantWrite => return Ok(NbRead::WantWrite),
-            }
-        }
-        loop {
-            match self.ssl.ssl_read()? {
-                ReadOutcome::Data(d) => return Ok(NbRead::Data(d)),
-                ReadOutcome::Closed => return Ok(NbRead::Closed),
-                ReadOutcome::WantRead => {
-                    // Responses the state machine queued (e.g. its
-                    // half of a close) should not rot in the buffer.
-                    if self.flush_wire()? == FlushOutcome::WantWrite {
-                        return Ok(NbRead::WantWrite);
-                    }
-                    if !self.fill_input()? {
-                        if self.peer_eof {
-                            return Ok(NbRead::Closed);
-                        }
-                        return Ok(NbRead::WantRead);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Encrypts `data` (exactly once) and sends as much as the
-    /// transport accepts; [`NbStatus::WantWrite`] means ciphertext
-    /// remains buffered — resume with [`flush`] or the next `write`.
-    ///
-    /// # Errors
-    ///
-    /// Protocol or transport failures.
-    ///
-    /// [`flush`]: NbSslStream::flush
-    pub fn write(&mut self, data: &[u8]) -> Result<NbStatus> {
-        if !self.ssl.is_established() {
-            let st = self.handshake()?;
-            if st != NbStatus::Ready {
-                return Ok(st);
-            }
-        }
-        self.ssl.ssl_write(data)?;
-        self.flush()
-    }
-
-    /// Pushes buffered ciphertext toward the transport.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures.
-    pub fn flush(&mut self) -> Result<NbStatus> {
-        match self.flush_wire()? {
-            FlushOutcome::Done => Ok(NbStatus::Ready),
-            FlushOutcome::WantWrite => Ok(NbStatus::WantWrite),
-        }
-    }
-
-    /// Unsent ciphertext bytes currently buffered.
-    pub fn pending_output(&self) -> usize {
-        self.out.len()
-    }
-
-    /// Queues close_notify and attempts to flush it.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures.
-    pub fn close(&mut self) -> Result<NbStatus> {
-        self.ssl.send_close();
-        self.flush()
-    }
-
-    /// The inner protocol state.
-    pub fn ssl(&self) -> &Ssl {
-        &self.ssl
-    }
-
-    /// The underlying transport.
-    pub fn get_ref(&self) -> &S {
-        &self.stream
-    }
-
-    fn flush_wire(&mut self) -> Result<FlushOutcome> {
-        self.out.push(&self.ssl.take_output());
-        if self.out.is_empty() {
-            return Ok(FlushOutcome::Done);
-        }
-        self.out.flush_to(&mut self.stream).map_err(io_err)
-    }
-
-    /// Reads everything currently available, feeding the state
-    /// machine. Returns true when any bytes arrived.
-    fn fill_input(&mut self) -> Result<bool> {
-        let mut any = false;
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match read_wire(&mut self.stream, &mut buf).map_err(io_err)? {
-                Some(0) => {
-                    self.peer_eof = true;
-                    return Ok(any);
-                }
-                Some(n) => {
-                    self.ssl.provide_input(&buf[..n]);
-                    any = true;
-                    if n < buf.len() {
-                        return Ok(any);
-                    }
-                }
-                None => return Ok(any),
-            }
-        }
     }
 }
 
