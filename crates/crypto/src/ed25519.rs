@@ -1,8 +1,10 @@
 //! Ed25519 signatures (RFC 8032).
 //!
 //! Point arithmetic uses extended twisted-Edwards coordinates
-//! `(X : Y : Z : T)` with `x = X/Z`, `y = Y/Z`, `xy = T/Z`. Secret
-//! scalar multiplications run a uniform ladder with constant-time swaps.
+//! `(X : Y : Z : T)` with `x = X/Z`, `y = Y/Z`, `xy = T/Z`. A secret
+//! scalar only ever multiplies the base point, through a table whose
+//! entries are selected in constant time; verification handles public
+//! values only and runs a variable-time interleaved multiplication.
 
 use crate::fe25519::{constants, Fe};
 use crate::scalar;
@@ -16,6 +18,149 @@ pub struct Point {
     y: Fe,
     z: Fe,
     t: Fe,
+}
+
+/// A point as the right-hand operand of an addition:
+/// `(Y+X, Y-X, Z, 2dT)`, which saves the addition one multiplication.
+#[derive(Clone, Copy)]
+struct Cached {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    z: Fe,
+    t2d: Fe,
+}
+
+/// [`Cached`] with `Z = 1`: `(y+x, y-x, 2dxy)`. Adding it takes seven
+/// multiplications instead of eight.
+#[derive(Clone, Copy)]
+struct AffineCached {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+/// The result of an addition or a doubling before its four closing
+/// multiplications: `X = EF`, `Y = GH`, `Z = FG`, `T = EH`. A doubling
+/// reads no `T`, so a run of doublings never computes one.
+struct Completed {
+    e: Fe,
+    f: Fe,
+    g: Fe,
+    h: Fe,
+}
+
+impl Completed {
+    const IDENTITY: Completed = Completed {
+        e: Fe::ZERO,
+        f: Fe::ONE,
+        g: Fe::ONE,
+        h: Fe::ONE,
+    };
+
+    fn to_point(&self) -> Point {
+        Point {
+            x: self.e.mul(&self.f),
+            y: self.g.mul(&self.h),
+            z: self.f.mul(&self.g),
+            t: self.e.mul(&self.h),
+        }
+    }
+
+    fn double(&self) -> Completed {
+        double_xyz(
+            &self.e.mul(&self.f),
+            &self.g.mul(&self.h),
+            &self.f.mul(&self.g),
+        )
+    }
+}
+
+/// Doubles `(X : Y : Z)` ("dbl-2008-hwcd" with every term negated).
+fn double_xyz(x: &Fe, y: &Fe, z: &Fe) -> Completed {
+    let a = x.square();
+    let b = y.square();
+    let zz = z.square();
+    let h = a.add(&b);
+    let g = a.sub(&b);
+    Completed {
+        e: h.sub(&x.add(y).square()),
+        f: zz.add(&zz).add(&g),
+        g,
+        h,
+    }
+}
+
+/// The shared tail of both additions ("add-2008-hwcd-3"): `a`, `b`, `c`
+/// are the three products with the operand, `d2` is `2·Z1·Z2`.
+fn complete_add(a: Fe, b: Fe, c: Fe, d2: Fe) -> Completed {
+    Completed {
+        e: b.sub(&a),
+        f: d2.sub(&c),
+        g: d2.add(&c),
+        h: b.add(&a),
+    }
+}
+
+impl Cached {
+    const IDENTITY: Cached = Cached {
+        y_plus_x: Fe::ONE,
+        y_minus_x: Fe::ONE,
+        z: Fe::ONE,
+        t2d: Fe::ZERO,
+    };
+
+    fn neg(&self) -> Cached {
+        Cached {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            z: self.z,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
+impl AffineCached {
+    fn neg(&self) -> AffineCached {
+        AffineCached {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            xy2d: self.xy2d.neg(),
+        }
+    }
+}
+
+/// The signed digits of the width-`w` non-adjacent form of a 256-bit
+/// little-endian scalar: `k = Σ naf[i]·2^i`, every non-zero digit odd
+/// and below `2^(w-1)` in magnitude, any `w` consecutive digits holding
+/// at most one non-zero. Variable-time.
+fn wnaf(k: &[u8; 32], w: u32) -> [i8; 257] {
+    debug_assert!((2..=8).contains(&w));
+    // A fifth, zero limb: a window may start at any bit below 257.
+    let mut limbs = [0u64; 5];
+    for (i, &byte) in k.iter().enumerate() {
+        limbs[i / 8] |= (byte as u64) << (8 * (i % 8));
+    }
+    let width = 1u64 << w;
+    let mut naf = [0i8; 257];
+    let mut carry = 0;
+    let mut pos = 0;
+    while pos < 257 {
+        let (limb, bit) = (pos / 64, pos % 64);
+        let mut bits = limbs[limb] >> bit;
+        if bit + w as usize > 64 {
+            bits |= limbs[limb + 1] << (64 - bit);
+        }
+        let window = carry + (bits & (width - 1));
+        if window & 1 == 0 {
+            // Even (a set carry stays set: `window` was `width`).
+            pos += 1;
+            continue;
+        }
+        carry = (window >= width / 2) as u64;
+        naf[pos] = (window as i64 - (carry * width) as i64) as i8;
+        pos += w as usize;
+    }
+    naf
 }
 
 impl Point {
@@ -41,84 +186,70 @@ impl Point {
         })
     }
 
+    fn to_cached(self) -> Cached {
+        Cached {
+            y_plus_x: self.y.add(&self.x),
+            y_minus_x: self.y.sub(&self.x),
+            z: self.z,
+            t2d: self.t.mul(&constants().d2),
+        }
+    }
+
+    fn add_cached(&self, q: &Cached) -> Completed {
+        let d = self.z.mul(&q.z);
+        complete_add(
+            self.y.sub(&self.x).mul(&q.y_minus_x),
+            self.y.add(&self.x).mul(&q.y_plus_x),
+            self.t.mul(&q.t2d),
+            d.add(&d),
+        )
+    }
+
+    fn add_affine(&self, q: &AffineCached) -> Completed {
+        complete_add(
+            self.y.sub(&self.x).mul(&q.y_minus_x),
+            self.y.add(&self.x).mul(&q.y_plus_x),
+            self.t.mul(&q.xy2d),
+            self.z.add(&self.z),
+        )
+    }
+
     /// Unified point addition (complete formula for twisted Edwards).
     #[must_use]
     pub fn add(&self, other: &Point) -> Point {
-        let d2 = constants().d2;
-        let a = self.y.sub(&self.x).mul(&other.y.sub(&other.x));
-        let b = self.y.add(&self.x).mul(&other.y.add(&other.x));
-        let c = self.t.mul(&d2).mul(&other.t);
-        let d = self.z.mul(&other.z);
-        let d = d.add(&d);
-        let e = b.sub(&a);
-        let f = d.sub(&c);
-        let g = d.add(&c);
-        let h = b.add(&a);
-        Point {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
-        }
+        self.add_cached(&other.to_cached()).to_point()
     }
 
     /// Point doubling.
     #[must_use]
     pub fn double(&self) -> Point {
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = self.z.square().mul_small(2);
-        let h = a.add(&b);
-        let xy = self.x.add(&self.y);
-        let e = h.sub(&xy.square());
-        let g = a.sub(&b);
-        let f = c.add(&g);
-        Point {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
-        }
+        double_xyz(&self.x, &self.y, &self.z).to_point()
     }
 
-    fn cswap(choice: u64, a: &mut Point, b: &mut Point) {
-        Fe::cswap(choice, &mut a.x, &mut b.x);
-        Fe::cswap(choice, &mut a.y, &mut b.y);
-        Fe::cswap(choice, &mut a.z, &mut b.z);
-        Fe::cswap(choice, &mut a.t, &mut b.t);
-    }
-
-    /// Scalar multiplication `[k]P` with a uniform double-and-add ladder.
-    ///
-    /// Runs in time independent of `k` (modulo cache effects), suitable
-    /// for secret scalars.
+    /// The inverse `(-x, y)`.
     #[must_use]
-    pub fn scalar_mul(&self, k: &[u8; 32]) -> Point {
-        let mut r0 = Point::identity();
-        let mut r1 = *self;
-        for i in (0..256).rev() {
-            let bit = ((k[i / 8] >> (i % 8)) & 1) as u64;
-            Point::cswap(bit, &mut r0, &mut r1);
-            r1 = r0.add(&r1);
-            r0 = r0.double();
-            Point::cswap(bit, &mut r0, &mut r1);
+    pub fn neg(&self) -> Point {
+        Point {
+            x: self.x.neg(),
+            y: self.y,
+            z: self.z,
+            t: self.t.neg(),
         }
-        r0
     }
 
-    /// Constant-time selection of `points[index]` (index 0 yields the
+    /// Constant-time selection of `row[index - 1]` (index 0 yields the
     /// identity), used by the fixed-base multiplication below.
-    fn select(points: &[Point], index: usize) -> Point {
-        let mut out = Point::identity();
-        for (i, p) in points.iter().enumerate() {
+    fn select(row: &[Cached; 15], index: usize) -> Cached {
+        let mut out = Cached::IDENTITY;
+        for (i, p) in row.iter().enumerate() {
             // mask = all-ones when i + 1 == index.
             let eq = ((i + 1) == index) as u64;
             let mask = eq.wrapping_neg();
             for (dst, src) in [
-                (&mut out.x, &p.x),
-                (&mut out.y, &p.y),
+                (&mut out.y_plus_x, &p.y_plus_x),
+                (&mut out.y_minus_x, &p.y_minus_x),
                 (&mut out.z, &p.z),
-                (&mut out.t, &p.t),
+                (&mut out.t2d, &p.t2d),
             ] {
                 for k in 0..5 {
                     dst.0[k] = (dst.0[k] & !mask) | (src.0[k] & mask);
@@ -129,38 +260,107 @@ impl Point {
     }
 
     /// Fixed-base scalar multiplication `[k]B` using a precomputed
-    /// table of 4-bit windows (64 windows x 15 odd multiples). Roughly
-    /// 4-5x faster than the generic ladder; the per-window point is
-    /// selected in constant time.
+    /// table of 4-bit windows (64 windows x the multiples 1..=15), one
+    /// addition per window and no doubling; the per-window entry is
+    /// selected in constant time, so `k` may be secret.
     #[must_use]
     pub fn scalar_mul_base(k: &[u8; 32]) -> Point {
         use std::sync::OnceLock;
-        static TABLE: OnceLock<Vec<[Point; 15]>> = OnceLock::new();
+        static TABLE: OnceLock<Vec<[Cached; 15]>> = OnceLock::new();
         let table = TABLE.get_or_init(|| {
-            let mut table = Vec::with_capacity(64);
             let mut window_base = Point::basepoint(); // 16^w * B
-            for _ in 0..64 {
-                let mut row: Vec<Point> = Vec::with_capacity(15);
-                let mut acc = window_base;
-                for _ in 0..15 {
-                    row.push(acc);
-                    acc = acc.add(&window_base);
-                }
-                let row: [Point; 15] = row.try_into().expect("15 entries");
-                table.push(row);
-                // Advance to the next window: multiply by 16.
-                window_base = window_base.double().double().double().double();
-            }
-            table
+            (0..64)
+                .map(|_| {
+                    let step = window_base.to_cached();
+                    let mut acc = window_base;
+                    let row = std::array::from_fn(|_| {
+                        let entry = acc.to_cached();
+                        acc = acc.add_cached(&step).to_point();
+                        entry
+                    });
+                    window_base = acc; // 16 * the old base
+                    row
+                })
+                .collect()
         });
         let mut acc = Point::identity();
         for w in 0..64 {
             let byte = k[w / 2];
             let digit = if w % 2 == 0 { byte & 0x0f } else { byte >> 4 } as usize;
-            let term = Point::select(&table[w], digit);
-            acc = acc.add(&term);
+            acc = acc.add_cached(&Point::select(&table[w], digit)).to_point();
         }
         acc
+    }
+
+    /// `self, 3·self, …, 15·self`, the digits of a width-5 NAF.
+    fn odd_multiples(&self) -> [Cached; 8] {
+        let twice = self.double();
+        let mut table = [self.to_cached(); 8];
+        for i in 1..8 {
+            table[i] = twice.add_cached(&table[i - 1]).to_point().to_cached();
+        }
+        table
+    }
+
+    /// `B, 3B, …, 127B` in affine form, the digits of a width-8 NAF
+    /// (7.5 KiB, derived at first use).
+    fn base_odd_multiples() -> &'static [AffineCached; 64] {
+        use std::sync::OnceLock;
+        static TABLE: OnceLock<[AffineCached; 64]> = OnceLock::new();
+        TABLE.get_or_init(|| {
+            let twice = Point::basepoint().double().to_cached();
+            let mut acc = Point::basepoint();
+            std::array::from_fn(|_| {
+                let zinv = acc.z.invert();
+                let (x, y) = (acc.x.mul(&zinv), acc.y.mul(&zinv));
+                acc = acc.add_cached(&twice).to_point();
+                AffineCached {
+                    y_plus_x: y.add(&x),
+                    y_minus_x: y.sub(&x),
+                    xy2d: x.mul(&y).mul(&constants().d2),
+                }
+            })
+        })
+    }
+
+    /// `[a]A + [b]B` for the base point `B`, by Straus interleaving: one
+    /// chain of doublings shared by both scalars, `a` in width-5 NAF over
+    /// a table of `A`'s odd multiples, `b` in width-8 NAF over a static
+    /// table of `B`'s.
+    ///
+    /// **Variable-time** in both scalars and in `A`: for public inputs
+    /// only (signature verification).
+    #[must_use]
+    pub fn vartime_double_scalar_mul_base(a: &[u8; 32], point: &Point, b: &[u8; 32]) -> Point {
+        let (a_naf, b_naf) = (wnaf(a, 5), wnaf(b, 8));
+        let table_a = point.odd_multiples();
+        let table_b = Point::base_odd_multiples();
+        let top = (0..257).rev().find(|&i| a_naf[i] != 0 || b_naf[i] != 0);
+        let mut r = Completed::IDENTITY;
+        for i in (0..=top.unwrap_or(0)).rev() {
+            r = r.double();
+            // A digit is odd: ±1, ±3, … index entries 0, 1, ….
+            let (da, db) = (a_naf[i], b_naf[i]);
+            if da != 0 {
+                let entry = table_a[da.unsigned_abs() as usize / 2];
+                let entry = if da < 0 { entry.neg() } else { entry };
+                r = r.to_point().add_cached(&entry);
+            }
+            if db != 0 {
+                let entry = table_b[db.unsigned_abs() as usize / 2];
+                let entry = if db < 0 { entry.neg() } else { entry };
+                r = r.to_point().add_affine(&entry);
+            }
+        }
+        r.to_point()
+    }
+
+    /// The `u`-coordinate of the birationally equivalent Montgomery
+    /// point, `(1+y)/(1-y) = (Z+Y)/(Z-Y)`, as X25519 encodes it (the
+    /// identity maps to 0).
+    pub(crate) fn montgomery_u(&self) -> [u8; 32] {
+        let den = self.z.sub(&self.y).invert();
+        self.z.add(&self.y).mul(&den).to_bytes()
     }
 
     /// Compresses to the 32-byte RFC 8032 encoding.
@@ -181,10 +381,15 @@ impl Point {
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidPoint`] when the encoding does not
-    /// name a curve point.
+    /// name a curve point, or names one non-canonically (`y >= p`).
     pub fn decompress(enc: &[u8; 32]) -> Result<Point> {
         let sign = enc[31] >> 7;
         let y = Fe::from_bytes(enc);
+        let mut canonical = y.to_bytes();
+        canonical[31] |= sign << 7;
+        if canonical != *enc {
+            return Err(CryptoError::InvalidPoint);
+        }
         let c = constants();
         let y2 = y.square();
         let u = y2.sub(&Fe::ONE);
@@ -337,7 +542,6 @@ impl VerifyingKey {
             return Err(CryptoError::BadSignature);
         }
         let a = Point::decompress(&self.bytes).map_err(|_| CryptoError::BadSignature)?;
-        let r = Point::decompress(&r_bytes).map_err(|_| CryptoError::BadSignature)?;
 
         let mut h = Sha512::new();
         h.update(&r_bytes);
@@ -345,10 +549,12 @@ impl VerifyingKey {
         h.update(message);
         let k = scalar::reduce512(&h.finalize());
 
-        // Check [S]B == R + [k]A.
-        let lhs = Point::scalar_mul_base(&s_bytes);
-        let rhs = r.add(&a.scalar_mul(&k));
-        if lhs.equals(&rhs) && ct::eq(&r.compress(), &r_bytes) {
+        // [S]B == R + [k]A, checked as: [S]B - [k]A encodes to the R
+        // that was sent. Equal bytes mean R decodes to that point, and a
+        // decoded R that satisfies the equation has these bytes as its
+        // one canonical encoding, so R itself is never decompressed.
+        let r = Point::vartime_double_scalar_mul_base(&k, &a.neg(), &s_bytes);
+        if ct::eq(&r.compress(), &r_bytes) {
             Ok(())
         } else {
             Err(CryptoError::BadSignature)
@@ -356,9 +562,32 @@ impl VerifyingKey {
     }
 }
 
+/// The uniform ladder every scalar multiplication once ran: no caller
+/// is left in the library, the tests keep it as their oracle.
+#[cfg(test)]
+impl Point {
+    /// `[k]P`: an addition and a doubling per bit, all 256 of them.
+    pub(crate) fn scalar_mul(&self, k: &[u8; 32]) -> Point {
+        let (mut r0, mut r1) = (Point::identity(), *self);
+        for i in (0..256).rev() {
+            let bit = (k[i / 8] >> (i % 8)) & 1 == 1;
+            if bit {
+                std::mem::swap(&mut r0, &mut r1);
+            }
+            (r0, r1) = (r0.double(), r0.add(&r1));
+            if bit {
+                std::mem::swap(&mut r0, &mut r1);
+            }
+        }
+        r0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fe25519::CARRIES;
+    use crate::x25519;
 
     fn unhex<const N: usize>(s: &str) -> [u8; N] {
         let v: Vec<u8> = (0..s.len())
@@ -513,6 +742,36 @@ mod tests {
             }
         }
         assert!(bad > 0, "expected at least one non-point among small y");
+    }
+
+    /// Field multiplications (`Fe::carry` calls) `op` makes.
+    fn carries<T>(op: impl FnOnce() -> T) -> u64 {
+        let before = CARRIES.with(|n| n.get());
+        let _ = op();
+        CARRIES.with(|n| n.get()) - before
+    }
+
+    // The count of an operation repeats exactly, so this holds the
+    // kernels to their cost where a timing gate would read host noise.
+    // Measured: sign 779, verify 2,854..2,959, public_key 778,
+    // shared_secret 2,816 (uniform ladder, bit-by-bit inversion and no
+    // Edwards key generation: 1,084, 6,733, 3,057, 3,057).
+    #[test]
+    fn field_multiplication_ceilings() {
+        // Tables are built at first use; that is not the steady state.
+        let warm = SigningKey::from_seed(&[1; 32]);
+        assert!(warm.verifying_key().verify(b"", &warm.sign(b"")).is_ok());
+        plat::check::run_cases("field_multiplication_ceilings", 200, |g| {
+            let key = SigningKey::from_seed(&g.byte_array());
+            let msg = g.bytes(0..200);
+            let (secret, peer) = (g.byte_array(), x25519::public_key(&g.byte_array()));
+            let mut sig = [0; 64];
+            assert!(carries(|| sig = key.sign(&msg)) <= 1_000);
+            let vk = key.verifying_key();
+            assert!(carries(|| assert!(vk.verify(&msg, &sig).is_ok())) <= 3_800);
+            assert!(carries(|| x25519::public_key(&secret)) <= 1_000);
+            assert!(carries(|| x25519::shared_secret(&secret, &peer)) <= 2_900);
+        });
     }
 }
 

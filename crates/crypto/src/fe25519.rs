@@ -1,10 +1,27 @@
 //! Field arithmetic modulo `p = 2^255 - 19`.
 //!
 //! Elements are held in five 64-bit limbs of radix `2^51` (the classic
-//! "donna-64" layout). The invariant maintained between operations is
-//! that limbs stay below `2^52` after a reduction (multiplication or
-//! squaring) and below `2^54` at the inputs of a multiplication, which
-//! keeps every `u128` intermediate far from overflow.
+//! "donna-64" layout). A *reduced* element — the output of `mul`,
+//! `square`, `mul_small`, `sub` or `neg` — has every limb below
+//! `2^51 + 2^18`; `add` does not reduce. The inputs of a multiplication
+//! must have every limb below `2^54` (debug-asserted), which keeps each
+//! `u128` column sum (five products of at most `2^54 * 19 * 2^54`)
+//! below `2^115`. The subtrahend of `sub` must be reduced, or the limb
+//! underflows (an overflow panic in debug builds).
+//!
+//! The unreduced values the curve formulas feed a multiplication, as
+//! multiples of the reduced bound `R`:
+//! - `Y + X`, `X² + Y²` and a cached operand's `Y+X` (or, negated, its
+//!   `Y-X` slot): sums of two reduced values, `2R`;
+//! - the additions' `D + C`, with `D = 2·Z1·Z2` (`2·Z1` against an
+//!   affine operand) held as an unreduced sum and `C` reduced: `3R`;
+//!   `D - C` goes through `sub` and comes out reduced, `D` (`2R`, the
+//!   minuend) being what `sub` adds `2p` to;
+//! - the doubling's `2Z² + (X² - Y²)`: `3R`;
+//! - the Montgomery ladder's `X + Z`, `DA + CB` and `AA + 121665·E`:
+//!   `2R`.
+//!
+//! `4R < 2^53 + 2^20`, so all of them clear `2^54` with room to spare.
 
 use crate::ct;
 
@@ -172,9 +189,16 @@ impl Fe {
         Fe(h)
     }
 
+    /// Whether every limb is below `2^54`, the bound a multiplication
+    /// input must meet (see the module header).
+    fn mul_safe(&self) -> bool {
+        self.0.iter().all(|&limb| limb < 1 << 54)
+    }
+
     /// Field multiplication.
     #[must_use]
     pub fn mul(&self, rhs: &Fe) -> Fe {
+        debug_assert!(self.mul_safe() && rhs.mul_safe());
         let [a0, a1, a2, a3, a4] = self.0.map(|x| x as u128);
         let [b0, b1, b2, b3, b4] = rhs.0.map(|x| x as u128);
         let (b1_19, b2_19, b3_19, b4_19) = (b1 * 19, b2 * 19, b3 * 19, b4 * 19);
@@ -191,6 +215,7 @@ impl Fe {
     /// Field squaring (slightly cheaper than a general multiply).
     #[must_use]
     pub fn square(&self) -> Fe {
+        debug_assert!(self.mul_safe());
         let [a0, a1, a2, a3, a4] = self.0.map(|x| x as u128);
         let (d0, d1, d2) = (a0 * 2, a1 * 2, a2 * 2);
         let (a3_19, a4_19) = (a3 * 19, a4 * 19);
@@ -205,6 +230,8 @@ impl Fe {
     }
 
     fn carry(c0: u128, c1: u128, c2: u128, c3: u128, c4: u128) -> Fe {
+        #[cfg(test)]
+        CARRIES.with(|n| n.set(n.get() + 1));
         let mut c0 = c0;
         let mut c1 = c1;
         let mut c2 = c2;
@@ -230,49 +257,51 @@ impl Fe {
     /// Multiplies by a small scalar (`< 2^32`).
     #[must_use]
     pub fn mul_small(&self, k: u32) -> Fe {
+        debug_assert!(self.mul_safe());
         let k = k as u128;
         let [a0, a1, a2, a3, a4] = self.0.map(|x| x as u128);
         Fe::carry(a0 * k, a1 * k, a2 * k, a3 * k, a4 * k)
     }
 
-    /// Variable-time exponentiation by a 256-bit little-endian exponent.
-    ///
-    /// Used only for computing public constants and inversions of public
-    /// values; secret-dependent exponents never flow here.
+    /// `self^(2^n)`: `n` squarings.
     #[must_use]
-    pub fn pow(&self, exp_le: &[u8; 32]) -> Fe {
-        let mut result = Fe::ONE;
-        let mut started = false;
-        for i in (0..256).rev() {
-            if started {
-                result = result.square();
-            }
-            if (exp_le[i / 8] >> (i % 8)) & 1 == 1 {
-                if started {
-                    result = result.mul(self);
-                } else {
-                    result = *self;
-                    started = true;
-                }
-            }
+    fn square_n(mut self, n: u32) -> Fe {
+        for _ in 0..n {
+            self = self.square();
         }
-        if started {
-            result
-        } else {
-            Fe::ONE
-        }
+        self
     }
 
-    /// Multiplicative inverse via Fermat (`self^(p-2)`).
+    /// The shared head of the fixed addition chain: `self^(2^250 - 1)`
+    /// and `self^11`, in 249 squarings and 10 multiplications. The
+    /// sequence of operations does not depend on the value.
+    fn pow_2_250_1(&self) -> (Fe, Fe) {
+        let z2 = self.square();
+        let z9 = z2.square_n(2).mul(self);
+        let z11 = z9.mul(&z2);
+        let x5 = z11.square().mul(&z9); // 2^5 - 1
+        let x10 = x5.square_n(5).mul(&x5); // 2^10 - 1
+        let x20 = x10.square_n(10).mul(&x10);
+        let x40 = x20.square_n(20).mul(&x20);
+        let x50 = x40.square_n(10).mul(&x10);
+        let x100 = x50.square_n(50).mul(&x50);
+        let x200 = x100.square_n(100).mul(&x100);
+        (x200.square_n(50).mul(&x50), z11)
+    }
+
+    /// Multiplicative inverse via Fermat: `self^(p-2)`, with
+    /// `p - 2 = (2^250 - 1)·2^5 + 11`. Zero maps to zero.
     #[must_use]
     pub fn invert(&self) -> Fe {
-        self.pow(&two_pow_minus(255, 21))
+        let (x250, z11) = self.pow_2_250_1();
+        x250.square_n(5).mul(&z11)
     }
 
-    /// Computes `self^((p-5)/8)`, the core of the square-root formula.
+    /// Computes `self^((p-5)/8)`, the core of the square-root formula:
+    /// `(p-5)/8 = (2^250 - 1)·2^2 + 1`.
     #[must_use]
     pub fn pow_p58(&self) -> Fe {
-        self.pow(&two_pow_minus(252, 3))
+        self.pow_2_250_1().0.square_n(2).mul(self)
     }
 
     /// Whether the canonical encoding equals zero.
@@ -299,35 +328,6 @@ impl Fe {
     }
 }
 
-/// Returns `2^k - m` as 32 little-endian bytes.
-///
-/// # Panics
-///
-/// Panics if `k >= 256` or the subtraction underflows.
-pub fn two_pow_minus(k: u32, m: u64) -> [u8; 32] {
-    assert!(k < 256);
-    let mut bytes = [0u8; 32];
-    bytes[(k / 8) as usize] = 1 << (k % 8);
-    // Subtract m with borrow propagation.
-    let mut borrow = m;
-    for b in bytes.iter_mut() {
-        if borrow == 0 {
-            break;
-        }
-        let cur = *b as u64;
-        let sub = borrow & 0xff;
-        if cur >= sub {
-            *b = (cur - sub) as u8;
-            borrow >>= 8;
-        } else {
-            *b = (cur + 256 - sub) as u8;
-            borrow = (borrow >> 8) + 1;
-        }
-    }
-    assert_eq!(borrow, 0, "two_pow_minus underflow");
-    bytes
-}
-
 /// Curve constants derived at first use (never transcribed by hand).
 pub struct Constants {
     /// Twisted Edwards `d = -121665/121666`.
@@ -336,6 +336,14 @@ pub struct Constants {
     pub d2: Fe,
     /// A square root of `-1` (namely `2^((p-1)/4)`).
     pub sqrt_m1: Fe,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Reductions this thread has run: one per `mul`, `square` and
+    /// `mul_small`. The count of an operation repeats exactly, so its
+    /// cost has a ceiling a test can hold without a clock.
+    pub(crate) static CARRIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Returns the lazily-initialised curve constants.
@@ -347,8 +355,9 @@ pub fn constants() -> &'static Constants {
             .neg()
             .mul(&Fe::from_u64(121666).invert());
         let d2 = d.add(&d).weak_reduce();
-        // (p-1)/4 = 2^253 - 5.
-        let sqrt_m1 = Fe::from_u64(2).pow(&two_pow_minus(253, 5));
+        // (p-1)/4 = 2^253 - 5 = (2^250 - 1)·2^3 + 3.
+        let two = Fe::from_u64(2);
+        let sqrt_m1 = two.pow_2_250_1().0.square_n(3).mul(&Fe::from_u64(8));
         Constants { d, d2, sqrt_m1 }
     })
 }
@@ -437,18 +446,6 @@ mod tests {
         b[31] &= 0x7f;
         let a = Fe::from_bytes(&b);
         assert_eq!(a.to_bytes(), b);
-    }
-
-    #[test]
-    fn two_pow_minus_values() {
-        // 2^8 - 1 = 255.
-        let v = two_pow_minus(8, 1);
-        assert_eq!(v[0], 255);
-        assert!(v[1..].iter().all(|&x| x == 0));
-        // 2^16 - 300 = 65236 = 0xFED4.
-        let v = two_pow_minus(16, 300);
-        assert_eq!(v[0], 0xd4);
-        assert_eq!(v[1], 0xfe);
     }
 
     #[test]

@@ -3,8 +3,12 @@
 //!
 //! The byte-wise reduction follows the well-known TweetNaCl `modL`
 //! routine: scalars are little-endian byte arrays, intermediates are
-//! `i64` limbs of radix 2^8. Slow, simple and easy to audit — signing
-//! throughput is nowhere near the bottleneck of this system.
+//! `i64` limbs of radix 2^8. Simple and easy to audit, and it can
+//! afford to be: a signature or a verification spends two or three
+//! reductions here (a few thousand `i64` operations) beside 800 to
+//! 2,900 field multiplications of curve arithmetic in `ed25519.rs`.
+//! New-connection workloads are bound by that curve arithmetic, so
+//! that is where the optimised kernels are, not here.
 
 /// The group order `l` as little-endian bytes (radix-256 limbs).
 const L: [i64; 32] = [

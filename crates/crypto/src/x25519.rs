@@ -1,5 +1,6 @@
 //! X25519 Diffie-Hellman key agreement (RFC 7748).
 
+use crate::ed25519::Point;
 use crate::fe25519::Fe;
 
 /// The X25519 base point (`u = 9`).
@@ -60,10 +61,13 @@ pub fn x25519(k: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     x2.mul(&z2.invert()).to_bytes()
 }
 
-/// Derives the public key for secret scalar `k`.
+/// Derives the public key for secret scalar `k`: `x25519(k, 9)`,
+/// computed on the Edwards form of the curve, where the base point has
+/// a table ([`Point::scalar_mul_base`], constant-time in `k`), and
+/// mapped back to the Montgomery `u`-coordinate.
 #[must_use]
 pub fn public_key(k: &[u8; 32]) -> [u8; 32] {
-    x25519(k, &BASEPOINT)
+    Point::scalar_mul_base(&clamp(*k)).montgomery_u()
 }
 
 /// Computes the shared secret between secret `k` and peer public `pk`.

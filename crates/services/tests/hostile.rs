@@ -4,7 +4,7 @@
 //! particular service against both implementations of the session
 //! surface (native STLS, an audited plane).
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,7 +15,7 @@ use libseal_crypto::SystemRng;
 use libseal_httpx::http::{Limits, Request};
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::cert::CertificateAuthority;
-use libseal_tlsx::ssl::SslConfig;
+use libseal_tlsx::ssl::{Ssl, SslConfig};
 use libseal_tlsx::stream::SslStream;
 
 use libseal_services::apache::{
@@ -121,6 +121,51 @@ fn slowloris_handshake_is_evicted() {
         );
 
         // The server must still serve well-behaved clients.
+        let client = HttpsClient::new(server.addr(), roots, "localhost");
+        let rsp = client
+            .request(&Request::new("GET", "/content/16", Vec::new()))
+            .unwrap();
+        assert_eq!(rsp.status, 200);
+        server.stop();
+    });
+}
+
+/// A ClientHello whose X25519 share has small order makes the shared
+/// secret all-zero whatever the server's ephemeral key, so the client
+/// alone would fix the traffic keys: the server refuses it at the hello
+/// (RFC 8446 §7.4.2), on either plane, and keeps serving.
+#[test]
+fn small_order_key_share_is_refused() {
+    for_each_plane(|event, tls, roots| {
+        let server = ApacheServer::start(
+            ApacheConfig::new(tls, Arc::new(StaticContentRouter))
+                .workers(2)
+                .event_loop(event),
+        )
+        .unwrap();
+        let refusals = "tlsx_verify_failures_total_weak_key_share";
+        let before = counter(refusals);
+
+        // An honest ClientHello with its share (the last 32 bytes)
+        // replaced by u = 0.
+        let mut client = Ssl::new(SslConfig::client(roots.clone()), [9u8; 64]);
+        client.do_handshake().unwrap();
+        let mut hello = client.take_output();
+        let share = hello.len() - 32;
+        hello[share..].fill(0);
+
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        sock.write_all(&hello).unwrap();
+        // The server hangs up instead of waiting for a Finished.
+        let started = Instant::now();
+        let _ = sock.read_to_end(&mut Vec::new());
+        assert!(
+            started.elapsed() < Duration::from_secs(4),
+            "server kept the handshake open (event={event})"
+        );
+        assert_eq!(counter(refusals), before + 1, "event={event}");
+
         let client = HttpsClient::new(server.addr(), roots, "localhost");
         let rsp = client
             .request(&Request::new("GET", "/content/16", Vec::new()))

@@ -57,6 +57,10 @@ pub enum VerifyFailure {
     Finished,
     /// The server requires a client certificate and none was presented.
     ClientCertMissing,
+    /// The peer's X25519 share is a point of small order: the shared
+    /// secret would be all-zero whatever our ephemeral key is, so the
+    /// peer alone would fix the traffic keys (RFC 8446 §7.4.2).
+    WeakKeyShare,
 }
 
 impl VerifyFailure {
@@ -68,6 +72,7 @@ impl VerifyFailure {
             VerifyFailure::CertVerify => "cert_verify",
             VerifyFailure::Finished => "finished_mismatch",
             VerifyFailure::ClientCertMissing => "client_cert_missing",
+            VerifyFailure::WeakKeyShare => "weak_key_share",
         }
     }
 }
@@ -84,6 +89,7 @@ impl std::fmt::Display for VerifyFailure {
             VerifyFailure::ClientCertMissing => {
                 write!(f, "client certificate required but not presented")
             }
+            VerifyFailure::WeakKeyShare => write!(f, "key share of small order"),
         }
     }
 }

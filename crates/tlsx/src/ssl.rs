@@ -19,7 +19,7 @@ use std::sync::Arc;
 use libseal_crypto::ed25519::{SigningKey, VerifyingKey};
 use libseal_crypto::hmac::HmacSha256;
 use libseal_crypto::sha2::Sha256;
-use libseal_crypto::{hkdf, x25519};
+use libseal_crypto::{ct, hkdf, x25519};
 
 use crate::attest::{self, AttestationError, AttestationPolicy, EXT_SGX_QUOTE};
 use crate::cert::Certificate;
@@ -516,47 +516,37 @@ impl Ssl {
         self.queue_handshake(MSG_CLIENT_HELLO, &body);
     }
 
-    fn derive_keys(&mut self, peer_share: &[u8; 32]) {
+    fn derive_keys(&mut self, peer_share: &[u8; 32]) -> Result<()> {
         let shared = x25519::shared_secret(&self.kx_priv, peer_share);
+        if ct::eq(&shared, &[0u8; 32]) {
+            return Err(TlsError::Verification(VerifyFailure::WeakKeyShare));
+        }
         let prk = hkdf::extract(b"stls v1", &shared);
         let hs_hash = self.transcript_hash();
 
-        let derive = |label: &[u8]| -> ([u8; 32], [u8; 12]) {
-            let mut info = label.to_vec();
-            info.extend_from_slice(&hs_hash);
-            let mut out = [0u8; 44];
-            hkdf::expand(&prk, &info, &mut out);
-            let mut key = [0u8; 32];
-            key.copy_from_slice(&out[..32]);
-            let mut iv = [0u8; 12];
-            iv.copy_from_slice(&out[32..]);
-            (key, iv)
+        // Everything derived is HKDF-Expand(prk, label || transcript).
+        let expand = |label: &[u8], out: &mut [u8]| {
+            hkdf::expand(&prk, &[label, &hs_hash[..]].concat(), out);
         };
-        let (c_key, c_iv) = derive(b"c ap");
-        let (s_key, s_iv) = derive(b"s ap");
-        let derive32 = |label: &[u8]| -> [u8; 32] {
-            let mut info = label.to_vec();
-            info.extend_from_slice(&hs_hash);
-            let mut out = [0u8; 32];
-            hkdf::expand(&prk, &info, &mut out);
-            out
+        // One direction: record keys (32-byte key, 12-byte IV) and the
+        // Finished MAC key.
+        let direction = |keys_label: &[u8], fin_label: &[u8]| {
+            let (mut key_iv, mut fin) = ([0u8; 44], [0u8; 32]);
+            expand(keys_label, &mut key_iv);
+            expand(fin_label, &mut fin);
+            let (mut key, mut iv) = ([0u8; 32], [0u8; 12]);
+            key.copy_from_slice(&key_iv[..32]);
+            iv.copy_from_slice(&key_iv[32..]);
+            (RecordKeys::new(&key, &iv), fin)
         };
-        let fin_c = derive32(b"fin c");
-        let fin_s = derive32(b"fin s");
-        match self.config.role {
-            Role::Client => {
-                self.write_keys = Some(RecordKeys::new(&c_key, &c_iv));
-                self.read_keys = Some(RecordKeys::new(&s_key, &s_iv));
-                self.fin_key_local = fin_c;
-                self.fin_key_peer = fin_s;
-            }
-            Role::Server => {
-                self.write_keys = Some(RecordKeys::new(&s_key, &s_iv));
-                self.read_keys = Some(RecordKeys::new(&c_key, &c_iv));
-                self.fin_key_local = fin_s;
-                self.fin_key_peer = fin_c;
-            }
-        }
+        let (client, server) = (direction(b"c ap", b"fin c"), direction(b"s ap", b"fin s"));
+        let (local, peer) = match self.config.role {
+            Role::Client => (client, server),
+            Role::Server => (server, client),
+        };
+        (self.write_keys, self.fin_key_local) = (Some(local.0), local.1);
+        (self.read_keys, self.fin_key_peer) = (Some(peer.0), peer.1);
+        Ok(())
     }
 
     fn cert_verify_payload(hash: &[u8; 32]) -> Vec<u8> {
@@ -586,7 +576,7 @@ impl Ssl {
                 // ServerHello with our share.
                 let my_share = x25519::public_key(&self.kx_priv);
                 self.queue_handshake(MSG_SERVER_HELLO, &my_share);
-                self.derive_keys(&peer_share);
+                self.derive_keys(&peer_share)?;
 
                 // Certificate.
                 let cert = self
@@ -616,8 +606,7 @@ impl Ssl {
                 let peer_share = Self::key_share(body)
                     .map_err(|_| TlsError::Protocol("short ServerHello".into()))?;
                 self.append_peer_transcript(t, body);
-                self.derive_keys(&peer_share);
-                Ok(())
+                self.derive_keys(&peer_share)
             }
             (Role::Client, HandshakeState::AwaitServerFlight, MSG_CERT)
             | (Role::Server, HandshakeState::AwaitClientFinished, MSG_CERT) => {
@@ -864,6 +853,7 @@ mod tests {
             CertVerify.label(),
             Finished.label(),
             ClientCertMissing.label(),
+            WeakKeyShare.label(),
         ];
         // (reason, who rejects, client, server, what goes wrong just
         // before the client reads the server's Finished)

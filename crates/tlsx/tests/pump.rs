@@ -306,6 +306,54 @@ fn a_rejected_certificate_is_the_pump_s_typed_error() {
     assert_eq!(counted(), before + 1);
 }
 
+/// A key share of small order makes the X25519 secret all-zero whatever
+/// the receiver's ephemeral key, so the sender alone would fix the
+/// traffic keys. Each role refuses the hello that carries one, with its
+/// own typed reason and counter, before any key exists.
+#[test]
+fn a_small_order_key_share_is_refused_by_either_role() {
+    let (key, cert) = ca().issue_identity("localhost", &[4u8; 32]).unwrap();
+    let client_cfg = || SslConfig::client(vec![ca().root_key()]);
+    let server_cfg = || SslConfig::server(cert.clone(), key.clone());
+    // An honest ClientHello and the honest flight answering it. Both
+    // hellos travel in the clear: a 3-byte record header, a 4-byte
+    // handshake header, the 32-byte share.
+    let mut honest = (
+        Ssl::new(client_cfg(), [1; 64]),
+        Ssl::new(server_cfg(), [2; 64]),
+    );
+    honest.0.do_handshake().unwrap();
+    let client_hello = honest.0.take_output();
+    honest.1.provide_input(&client_hello);
+    honest.1.do_handshake().unwrap();
+    let server_flight = honest.1.take_output();
+    assert_eq!(client_hello.len(), 7 + 32);
+
+    // u = 0, 1, p - 1, and the non-canonical p and p + 1.
+    let mut p_minus_1 = [0xffu8; 32];
+    (p_minus_1[0], p_minus_1[31]) = (0xec, 0x7f);
+    let mut shares = [[0u8; 32], [0u8; 32], p_minus_1, p_minus_1, p_minus_1];
+    (shares[1][0], shares[3][0], shares[4][0]) = (1, 0xed, 0xee);
+
+    let counted = || libseal_telemetry::counter("tlsx_verify_failures_total_weak_key_share").get();
+    for share in shares {
+        for to_server in [true, false] {
+            let before = counted();
+            let (mut ssl, mut hello) = match to_server {
+                true => (Ssl::new(server_cfg(), [3; 64]), client_hello.clone()),
+                false => (Ssl::new(client_cfg(), [1; 64]), server_flight.clone()),
+            };
+            assert_eq!(ssl.do_handshake(), Ok(false));
+            hello[7..39].copy_from_slice(&share);
+            ssl.provide_input(&hello);
+            let refused = Err(TlsError::Verification(VerifyFailure::WeakKeyShare));
+            assert_eq!(ssl.do_handshake(), refused, "{share:02x?} {to_server}");
+            assert!(!ssl.is_established());
+            assert_eq!(counted(), before + 1, "{share:02x?} {to_server}");
+        }
+    }
+}
+
 #[test]
 fn eof_mid_handshake_is_a_typed_close() {
     // The peer hangs up before replying: once the client's hello is
