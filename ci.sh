@@ -25,7 +25,9 @@ cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D
 # 900 lines, an enclave interface name is spelled outside the Ecall
 # table, sealdb's SQL renderer or `SyncPolicy` is back, a second TLS
 # termination surface is back (or a services driver names the TLS
-# library), or a paper printer builds its own fleet. Builds the bench
+# library), the log's one commit step has company (a second signer or
+# binder in log.rs, the two knobs that forked the request path), or a
+# paper printer builds its own fleet. Builds the bench
 # binaries in release mode, which the gates below need anyway.
 scripts/loc_budget.sh
 
@@ -40,7 +42,8 @@ benchmark/check.sh
 cargo run --release -p libseal-bench --bin scaling_gate
 
 # Crash matrix: simulate a crash / transient error / torn write at
-# every failpoint on the audited write path, restart, and check the
+# every failpoint on the audited write path (a trim's included, armed
+# both at first hit and as the trim begins), restart, and check the
 # recovery contract (durable prefix, verifying chain, reconciled
 # counter). Bounded: one fixed workload per (site, fault) pair.
 cargo run --release -p libseal-bench --bin crash_matrix

@@ -1,8 +1,8 @@
 //! CI gate: the crash matrix. Enumerate every failpoint the audited
-//! write path crosses (append, per-request flush, compaction, journal
-//! sync, ROTE rounds, the group-commit pipeline, recovery itself),
-//! simulate a crash at each one, restart, and assert the recovery
-//! contract:
+//! write path crosses (append, per-request flush, trim and its
+//! snapshot, journal sync, ROTE rounds, the group-commit pipeline,
+//! recovery itself), simulate a crash at each one, restart, and assert
+//! the recovery contract:
 //!
 //!   1. the reopen succeeds (a crash never corrupts, it only truncates),
 //!   2. every entry whose append *and* flush returned success is still
@@ -14,9 +14,13 @@
 //!   6. the ROTE counter — which survives the enclave crash, as the
 //!      external service does in §5.1 — reconciles with the log.
 //!
-//! Torn writes (a crash mid-`write(2)`) are exercised separately on
-//! the two raw-write sites. Runtime is bounded: one fixed six-append
-//! workload per (site, fault) pair, tens of trials total.
+//! A trim legitimately drops entries, so what is owed after one is
+//! what it keeps ([`KEPT`]), whether it landed or was given up. Sites a
+//! trim crosses get a second row with the fault armed as the trim
+//! begins, under both workloads. Torn writes (a crash mid-`write(2)`)
+//! are exercised separately on the two raw-write sites. Runtime is
+//! bounded: one fixed six-append workload per (site, fault) pair, tens
+//! of trials total.
 //!
 //! ```sh
 //! cargo run --release -p libseal-bench --bin crash_matrix
@@ -35,6 +39,11 @@ use plat::tmp::TempPath;
 
 /// Appends attempted by one workload run.
 const APPENDS: u64 = 6;
+/// Entries a trim keeps, in either workload: every update goes to one
+/// branch, so the Git trim queries keep the newest and nothing else.
+const KEPT: u64 = 1;
+/// Writer threads of the group-commit workload.
+const WRITERS: u64 = 3;
 
 fn cluster() -> Arc<Cluster> {
     let mut cfg = ClusterConfig::new(1);
@@ -59,18 +68,19 @@ fn open_log(path: &TempPath, guard: Box<dyn RollbackGuard>) -> libseal::Result<A
 
 /// What the dying process managed to get done.
 struct Outcome {
-    /// Appends whose append *and* per-request flush both succeeded —
-    /// the prefix recovery must preserve.
+    /// Appends whose append *and* per-request flush both succeeded,
+    /// less what a trim dropped — what recovery must preserve.
     durable: u64,
 }
 
-/// The fixed workload: four audited appends (flushed per request, as
-/// the paper's per-request synchronous flush mandates), a compaction,
-/// two more appends. Materialized-view registration and refresh are
+/// The fixed workload: five audited appends (flushed per request, as
+/// the paper's per-request synchronous flush mandates), a trim, one
+/// more append. Materialized-view registration and refresh are
 /// interleaved so the `sealdb::view::*` failpoints sit on the path.
 /// Any step may fail once the armed fault fires; later steps then
 /// fail too (the failpoint crash latch), exactly as in a dead process.
-fn workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome {
+/// `at_trim` runs right before the trim.
+fn workload(path: &TempPath, guard: Box<dyn RollbackGuard>, at_trim: &dyn Fn()) -> Outcome {
     let mut durable = 0;
     let Ok(mut log) = open_log(path, guard) else {
         return Outcome { durable };
@@ -98,7 +108,9 @@ fn workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome {
         durable += 1;
     }
     let _ = log.db_mut().refresh_matviews();
-    let _ = log.db_mut().compact();
+    at_trim();
+    let _ = log.trim(GitModule.trim_queries());
+    durable = durable.min(KEPT);
     for i in 5..APPENDS {
         if append_one(&mut log, i) {
             durable += 1;
@@ -113,9 +125,14 @@ fn workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome {
 /// drains batches with the production seal step (one counter bind,
 /// head signature and fsync per batch). `durable` counts appends whose
 /// barrier acknowledged — exactly the prefix whose seal *and* flush
-/// landed before the fault.
-fn pipeline_workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome {
-    const WRITERS: u64 = 3;
+/// landed before the fault. Between the writers' two appends the log is
+/// trimmed as the verifier trims it: under the audit lock, from a
+/// thread that is neither a writer nor the sealer.
+fn pipeline_workload(
+    path: &TempPath,
+    guard: Box<dyn RollbackGuard>,
+    at_trim: &dyn Fn(),
+) -> Outcome {
     let Ok(mut log) = open_log(path, guard) else {
         return Outcome { durable: 0 };
     };
@@ -128,13 +145,22 @@ fn pipeline_workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome 
             seal_staged(&log, |l| l).map(drop)
         })
     };
+    // Writers park here after their first append, and again until the
+    // trim is over.
+    let gate = Arc::new(std::sync::Barrier::new(WRITERS as usize + 1));
     let handles: Vec<_> = (0..WRITERS)
         .map(|w| {
             let log = Arc::clone(&log);
             let queue = Arc::clone(&queue);
+            let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
-                let mut acked = 0u64;
+                // Acknowledged before and after the trim.
+                let mut acked = [0u64; 2];
                 for i in 0..(APPENDS / WRITERS) {
+                    if i == 1 {
+                        gate.wait();
+                        gate.wait();
+                    }
                     // Backpressure before the audit lock, so a full
                     // queue never stalls the sealer that drains it.
                     let slot = queue.reserve();
@@ -150,14 +176,20 @@ fn pipeline_workload(path: &TempPath, guard: Box<dyn RollbackGuard>) -> Outcome 
                         }
                     };
                     if queue.wait(ticket).is_ok() {
-                        acked += 1;
+                        acked[i as usize] += 1;
                     }
                 }
                 acked
             })
         })
         .collect();
-    let durable = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    gate.wait();
+    at_trim();
+    let _ = log.lock().trim(GitModule.trim_queries());
+    gate.wait();
+    let acked = handles.into_iter().map(|h| h.join().unwrap());
+    let [before, after] = acked.fold([0, 0], |sum, a| [sum[0] + a[0], sum[1] + a[1]]);
+    let durable = before.min(KEPT) + after;
     drop(sealer);
     Outcome { durable }
 }
@@ -168,8 +200,8 @@ fn enumerate_sites(s: &Scenario) -> Vec<String> {
     s.reset();
     let path = TempPath::new("crash-matrix-dry", "log");
     let c = cluster();
-    let out = workload(&path, Box::new(RoteGuard(Arc::clone(&c))));
-    assert_eq!(out.durable, APPENDS, "fault-free workload must not fail");
+    let out = workload(&path, Box::new(RoteGuard(Arc::clone(&c))), &|| ());
+    assert_eq!(out.durable, KEPT + 1, "fault-free workload must not fail");
     // A fault-free reopen also registers the recovery-path sites
     // (salvage, rote::recover) that only fire on restart.
     drop(open_log(&path, Box::new(RoteGuard(c))).expect("fault-free reopen"));
@@ -177,31 +209,43 @@ fn enumerate_sites(s: &Scenario) -> Vec<String> {
     // sites, which the serial workload never crosses.
     let gc_path = TempPath::new("crash-matrix-dry-gc", "log");
     let gc = cluster();
-    let out = pipeline_workload(&gc_path, Box::new(RoteGuard(gc)));
-    assert_eq!(out.durable, APPENDS, "fault-free pipeline must not fail");
+    let out = pipeline_workload(&gc_path, Box::new(RoteGuard(gc)), &|| ());
+    assert_eq!(
+        out.durable,
+        KEPT + WRITERS,
+        "fault-free pipeline must not fail"
+    );
     let mut sites = s.registered();
     sites.sort();
     sites
 }
 
-type Workload = fn(&TempPath, Box<dyn RollbackGuard>) -> Outcome;
+type Workload = fn(&TempPath, Box<dyn RollbackGuard>, &dyn Fn()) -> Outcome;
 
 /// Runs one (site, fault) trial under `run`; returns an error
-/// description on contract violation.
+/// description on contract violation. `in_trim` arms the fault only as
+/// the workload's trim begins, for a site earlier steps cross too;
+/// otherwise it fires at the site's first hit.
 fn trial(
     s: &Scenario,
     site: &str,
     spec: FaultSpec,
     flavor: &str,
-    run: Workload,
+    (run, in_trim): (Workload, bool),
 ) -> Result<(), String> {
     s.reset();
+    let flavor = &format!("{flavor}{}", if in_trim { " in trim" } else { "" });
     let path = TempPath::new(&format!("crash-matrix-{}", site.replace(':', "_")), "log");
     // The counter cluster outlives the "crash": ROTE nodes are an
     // external service, not enclave state.
     let c = cluster();
-    s.set(site, spec);
-    let out = run(&path, Box::new(RoteGuard(Arc::clone(&c))));
+    let guard = Box::new(RoteGuard(Arc::clone(&c)));
+    let out = if in_trim {
+        run(&path, guard, &|| s.set(site, spec.after(s.hits(site))))
+    } else {
+        s.set(site, spec);
+        run(&path, guard, &|| ())
+    };
 
     // Restart: clear the crash latch, reopen against the surviving
     // journal and the surviving counter service.
@@ -259,7 +303,7 @@ fn trial(
         ));
     }
     println!(
-        "  ok {site:<32} [{flavor:>7}] durable {} recovered {entries} \
+        "  ok {site:<32} [{flavor:>13}] durable {} recovered {entries} \
          (salvaged {}B, rolled forward {}, window {})",
         out.durable, report.salvaged_bytes, report.rolled_forward, report.crash_window
     );
@@ -278,14 +322,33 @@ fn main() {
     // everything else runs the serial per-request-flush workload. The
     // counter bind is crossed by both (inside `AuditLog::seal` and in
     // the sealer's `seal_staged`), so it gets a row under each.
-    let mut rows: Vec<(&str, Workload)> = sites
+    let mut rows: Vec<(&str, (Workload, bool))> = sites
         .iter()
         .map(|site| match site.starts_with("core::commit::") {
-            true => (site.as_str(), pipeline_workload as Workload),
-            false => (site.as_str(), workload as Workload),
+            true => (site.as_str(), (pipeline_workload as Workload, false)),
+            false => (site.as_str(), (workload as Workload, false)),
         })
         .collect();
-    rows.push(("core::log::append::counter", pipeline_workload));
+    rows.push(("core::log::append::counter", (pipeline_workload, false)));
+    // A trim is sealed by the same step as an append, so by the time it
+    // starts the seal's sites have long had their first hit: arm them
+    // as the trim begins. The sites only a trim crosses (its queries,
+    // the chain rebuild, the snapshot) have their first-hit rows above,
+    // under the serial workload; the pipeline gets them here.
+    for site in ["core::log::append::counter", "core::log::append::sign"] {
+        rows.push((site, (workload, true)));
+        rows.push((site, (pipeline_workload, true)));
+    }
+    for site in [
+        "core::log::trim::queries",
+        "core::log::trim::rebuild",
+        "sealdb::compact::sync",
+        "sealdb::compact::rename",
+        "sealdb::compact::sync_dir",
+    ] {
+        assert!(sites.iter().any(|x| x == site), "{site} is not on the path");
+        rows.push((site, (pipeline_workload, true)));
+    }
 
     let mut failures = Vec::new();
     let mut trials = 0;
@@ -302,11 +365,18 @@ fn main() {
         }
     }
     // Torn writes on the raw file-write sites: the frame is cut
-    // mid-`write(2)` and must be salvaged, not trusted.
-    for site in ["sealdb::journal::append", "sealdb::compact::write"] {
+    // mid-`write(2)` and must be salvaged, not trusted. Every write
+    // tears, not just the first; the snapshot's all happen inside a
+    // trim, under either workload.
+    for (site, run) in [
+        ("sealdb::journal::append", workload as Workload),
+        ("sealdb::compact::write", workload),
+        ("sealdb::compact::write", pipeline_workload),
+    ] {
         if sites.iter().any(|x| x == site) {
             trials += 1;
-            if let Err(e) = trial(&s, site, FaultSpec::partial_write(9), "torn", workload) {
+            let torn = FaultSpec::partial_write(9);
+            if let Err(e) = trial(&s, site, torn, "torn", (run, false)) {
                 failures.push(e);
             }
         }

@@ -225,9 +225,10 @@ impl Checker {
             // Trim only clean logs: violations must stay as evidence.
             // Trimming deletes base rows, which marks the views fully
             // dirty — the next check recomputes over the (now small)
-            // trimmed log. A trim costs a counter round, a signature
-            // and a journal compaction (write, fsync, rename, directory
-            // fsync), so an interval of unlogged responses skips it.
+            // trimmed log. A trim is sealed like a batch — a counter
+            // round and a signature — and lands as a journal snapshot
+            // (write, fsync, rename, directory fsync), so an interval
+            // of unlogged responses skips it.
             log.trim(ssm.trim_queries())?;
             self.entries_at_trim = Some(log.entries());
         }

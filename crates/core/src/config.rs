@@ -74,12 +74,9 @@ pub struct LibSealConfig {
     /// Maximum bytes one session may buffer while waiting for a
     /// message boundary (must exceed the largest audited message).
     pub(crate) max_message_buffer: usize,
-    /// Group-commit batch cap; `None` seals and fsyncs every audited
-    /// pair individually.
-    pub(crate) group_commit: Option<usize>,
-    /// Whether due checks drain on the background verifier; `false`
-    /// runs them inline on the request path.
-    pub(crate) async_verify: bool,
+    /// Group-commit batch cap: how many audited pairs one seal (counter
+    /// bind, head signature, fsync) may cover.
+    pub(crate) group_commit: usize,
     /// Audit-plane shard count; values above 1 make
     /// [`LibSealConfigBuilder::build_plane`] provision a
     /// [`crate::fleet::ShardedPlane`] instead of a single enclave.
@@ -132,8 +129,7 @@ impl LibSealConfig {
                 tcs_count: 16,
                 log_signer_seed: None,
                 max_message_buffer: MAX_MESSAGE_BUFFER,
-                group_commit: Some(64),
-                async_verify: true,
+                group_commit: 64,
                 shards: 1,
                 epoch_interval: 1024,
                 attest: None,
@@ -219,24 +215,11 @@ impl LibSealConfigBuilder {
     /// queue (writers feel backpressure past it) and caps how many
     /// pairs one seal covers. The sealer seals as soon as it is free —
     /// the previous batch's counter round and fsync accumulate the
-    /// next batch.
+    /// next batch. `group_commit(1)` is §5.1 to the letter: one counter
+    /// bind, one head signature and one fsync per pair, each response
+    /// held until its own entry is durable.
     pub fn group_commit(mut self, max_batch: usize) -> Self {
-        self.config.group_commit = Some(max_batch);
-        self
-    }
-
-    /// Disables the group-commit pipeline: every audited pair binds
-    /// the rollback counter, signs the head and fsyncs on its own.
-    pub fn no_group_commit(mut self) -> Self {
-        self.config.group_commit = None;
-        self
-    }
-
-    /// Disables the background verifier: due checks run inline on the
-    /// request path (deterministic; useful for tests and latency
-    /// baselines).
-    pub fn no_async_verify(mut self) -> Self {
-        self.config.async_verify = false;
+        self.config.group_commit = max_batch;
         self
     }
 
@@ -285,10 +268,9 @@ impl LibSealConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`crate::LibSealError::Config`] on contradictory knobs (`shards(n>1)`
-    /// with group commit disabled: a sharded plane exists to multiply
-    /// sealer pipelines, so building one around per-pair sealing is
-    /// certainly a mistake), or any enclave provisioning failure.
+    /// [`crate::LibSealError::Config`] for `shards(n>1)` without an SSM
+    /// (sharding partitions the audit log), or any enclave provisioning
+    /// failure.
     pub fn build_plane(self) -> Result<Arc<dyn crate::plane::AuditPlane>> {
         crate::plane::build_plane(self.config)
     }

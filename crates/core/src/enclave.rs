@@ -153,6 +153,23 @@ struct AuditState {
     checker: Checker,
 }
 
+/// The two ticket queues of an audited instance. Each is shared three
+/// ways: the request path (issuing tickets inside `ssl_write` ecalls),
+/// its worker thread, and the outside handle for barriers and shutdown.
+#[derive(Clone)]
+pub(crate) struct AuditQueues {
+    /// Group-commit tickets; the sealer thread resolves them.
+    pub(crate) commit: Arc<TicketQueue>,
+    /// Due checks; the verifier thread drains them.
+    pub(crate) verify: Arc<TicketQueue>,
+}
+
+/// What an instance with an SSM has and one without lacks.
+struct Audited {
+    state: Mutex<AuditState>,
+    queues: AuditQueues,
+}
+
 /// The trusted (in-enclave) state of a LibSEAL instance.
 pub struct Trusted {
     /// Session TLS configuration. Write-locked exactly once, by the
@@ -162,13 +179,8 @@ pub struct Trusted {
     max_message_buffer: usize,
     sessions: RwLock<HashMap<u64, Arc<Mutex<Session>>>>,
     next_sid: AtomicU64,
-    audit: Option<Mutex<AuditState>>,
-    /// Group-commit ticket queue shared with the sealer thread; `None`
-    /// when auditing is off or group commit is disabled.
-    commit: Option<Arc<TicketQueue>>,
-    /// Due-check queue shared with the verifier thread; `None` when
-    /// auditing is off or async verification is disabled.
-    verify: Option<Arc<TicketQueue>>,
+    /// `None` when auditing is off.
+    audit: Option<Audited>,
     /// Outside info callback, reached through an ocall trampoline.
     info_cb: RwLock<Option<InfoCallback>>,
 }
@@ -178,11 +190,11 @@ impl Trusted {
     /// The second value is how it went: the public half of the TLS
     /// keypair generated here for an attested identity (the private
     /// half never leaves), or the failure that left auditing unopened.
+    /// `queues` is `Some` exactly when `config` names an SSM.
     pub(crate) fn init(
         config: &LibSealConfig,
         sv: &EnclaveServices,
-        commit: Option<Arc<TicketQueue>>,
-        verify: Option<Arc<TicketQueue>>,
+        queues: Option<AuditQueues>,
     ) -> (Trusted, Result<Option<[u8; 32]>>) {
         let (tls_cert, tls_key, minted) = match &config.attest {
             Some(_) => {
@@ -198,10 +210,13 @@ impl Trusted {
             }
             None => (Some(config.cert.clone()), config.key.clone(), None),
         };
-        let open = |ssm| open_audit(config, ssm, sv, commit.is_some());
-        let (audit, outcome) = match config.ssm.as_ref().map(open) {
+        let open = |(ssm, queues)| {
+            let state = Mutex::new(open_audit(config, ssm, sv)?);
+            Ok(Audited { state, queues })
+        };
+        let (audit, outcome) = match config.ssm.as_ref().zip(queues).map(open) {
             None => (None, Ok(minted)),
-            Some(Ok(state)) => (Some(Mutex::new(state)), Ok(minted)),
+            Some(Ok(audited)) => (Some(audited), Ok(minted)),
             Some(Err(e)) => (None, Err(e)),
         };
         let trusted = Trusted {
@@ -218,8 +233,6 @@ impl Trusted {
             sessions: RwLock::new(HashMap::new()),
             next_sid: AtomicU64::new(1),
             audit,
-            commit,
-            verify,
             info_cb: RwLock::new(None),
         };
         (trusted, outcome)
@@ -233,15 +246,15 @@ impl Trusted {
             .ok_or(LibSealError::NoSuchSession(sid))
     }
 
-    /// The audit state's lock — the one place that answers an audit
-    /// operation on an instance without an SSM.
-    fn audit_lock(&self) -> Result<&Mutex<AuditState>> {
+    /// The audit half — the one place that answers an audit operation
+    /// on an instance without an SSM.
+    fn audited(&self) -> Result<&Audited> {
         self.audit.as_ref().ok_or(LibSealError::AuditingDisabled)
     }
 
     /// The audit state, locked.
     fn audit(&self) -> Result<MutexGuard<'_, AuditState>> {
-        Ok(self.audit_lock()?.lock())
+        Ok(self.audited()?.state.lock())
     }
 
     /// Creates a session and returns its id.
@@ -281,12 +294,11 @@ impl Trusted {
 }
 
 /// Opens the audit log `config` describes and installs `ssm`'s views
-/// on it. `staged` is whether a sealer thread will seal batches.
+/// on it.
 fn open_audit(
     config: &LibSealConfig,
     ssm: &Arc<dyn ServiceModule>,
     sv: &EnclaveServices,
-    staged: bool,
 ) -> Result<AuditState> {
     let guard: Box<dyn RollbackGuard> = match &config.guard {
         GuardConfig::None => Box::new(NoGuard),
@@ -309,11 +321,9 @@ fn open_audit(
         ssm.schema_sql(),
         ssm.tables(),
     )?;
-    if staged {
-        // Appends stage into the chain; the sealer binds the counter
-        // and signs once per batch.
-        log.set_commit_mode(CommitMode::Staged);
-    }
+    // Appends stage into the chain; the sealer binds the counter and
+    // signs once per batch.
+    log.set_commit_mode(CommitMode::Staged);
     // Register the delta-maintained views so checks cost O(rows
     // touched since the last check) instead of O(log).
     Checker::install(ssm.as_ref(), &mut log)?;
@@ -549,32 +559,30 @@ pub(crate) fn write_session(t: &Trusted, ctx: &CallCtx<'_>, sid: u64, data: &[u8
     // every other lthread on the same worker thread.
     ctx.bio_traffic("malloc", 1);
     ctx.bio_traffic("bio_write", 1 + data.len() / (16 * 1024));
-    let mut log_flushes = 0usize;
-    {
-        let session = t.session(sid)?;
-        let mut s = session.lock();
-        if t.audit.is_none() {
-            s.ssl.ssl_write(data).map_err(LibSealError::Tls)?;
-            return Ok(());
-        }
-        s.rsp_buf.extend_from_slice(data);
-        ctx.sv().epc_touch(data.len() as u64);
-        if s.rsp_buf.len() > t.max_message_buffer {
-            return Err(LibSealError::Log(
-                "response stream exceeds the audit buffer limit".into(),
-            ));
-        }
-        // A stream that provably is not HTTP (wrong first bytes) can
-        // never be audited or header-injected; forward it verbatim
-        // instead of stalling the client.
-        if !could_be_http_response(&s.rsp_buf) {
-            let raw: Vec<u8> = s.rsp_buf.drain(..).collect();
-            s.ssl.ssl_write(&raw).map_err(LibSealError::Tls)?;
-            return Ok(());
-        }
-        loop {
-            let (mut response, used) =
-                match http::parse_response_limited(&s.rsp_buf, &http::Limits::unlimited()) {
+    let session = t.session(sid)?;
+    let mut s = session.lock();
+    let Some(Audited { state, queues }) = &t.audit else {
+        s.ssl.ssl_write(data).map_err(LibSealError::Tls)?;
+        return Ok(());
+    };
+    s.rsp_buf.extend_from_slice(data);
+    ctx.sv().epc_touch(data.len() as u64);
+    if s.rsp_buf.len() > t.max_message_buffer {
+        return Err(LibSealError::Log(
+            "response stream exceeds the audit buffer limit".into(),
+        ));
+    }
+    // A stream that provably is not HTTP (wrong first bytes) can
+    // never be audited or header-injected; forward it verbatim
+    // instead of stalling the client.
+    if !could_be_http_response(&s.rsp_buf) {
+        let raw: Vec<u8> = s.rsp_buf.drain(..).collect();
+        s.ssl.ssl_write(&raw).map_err(LibSealError::Tls)?;
+        return Ok(());
+    }
+    loop {
+        let (mut response, used) =
+            match http::parse_response_limited(&s.rsp_buf, &http::Limits::unlimited()) {
                 Ok(r) => r,
                 Err(libseal_httpx::ParseError::Incomplete) => break,
                 Err(_) => {
@@ -586,80 +594,60 @@ pub(crate) fn write_session(t: &Trusted, ctx: &CallCtx<'_>, sid: u64, data: &[u8
                     break;
                 }
             };
-            let raw_rsp: Vec<u8> = s.rsp_buf.drain(..used).collect();
-            let (raw_req, check_requested) = s.pending.pop_front().unwrap_or((Vec::new(), false));
-            s.pending_bytes -= raw_req.len();
-            // Backpressure BEFORE taking the audit lock: blocking
-            // inside it would stall the very sealer (or verifier) that
-            // makes room in the queue. The reserved slots are what the
-            // tickets below consume, so both bounds are hard.
-            let commit_slot = t.commit.as_ref().map(|q| q.reserve());
-            let verify_slot = t.verify.as_ref().map(|q| q.reserve());
-            let mut astate = t.audit()?;
-            let AuditState { log, ssm, checker } = &mut *astate;
-            let logged = ssm.log_pair(&raw_req, &raw_rsp, log)?;
-            let ticket = match (commit_slot, logged > 0) {
-                // Group commit: take a ticket while still holding the
-                // audit lock, so ticket order matches log order; the
-                // sealer makes the whole batch durable with one counter
-                // bind, one signature and one fsync.
-                (Some(slot), true) => Some(slot.issue()?),
-                // One durable flush per request/response pair (§5.1);
-                // charged as an ocall below, after the locks are
-                // released.
-                (None, true) => {
-                    log.flush()?;
-                    log_flushes += 1;
-                    None
-                }
-                // Nothing logged: an unused reservation goes back.
-                (_, false) => None,
-            };
-            if !checker.note_pair() {
-                // No check due: the reservation goes back.
-                drop(verify_slot);
-            } else if verify_slot.is_none_or(|slot| slot.issue().is_err()) {
-                // Background verification hands the due check to the
-                // verifier thread and answers the client now (lag is
-                // surfaced as the core_verifier_lag gauge); this is the
-                // inline fallback (verifier disabled or shut down), the
-                // pre-pool behaviour.
-                let _ = checker.run_due(ssm.as_ref(), log)?;
-            }
-            let out_bytes = if check_requested {
-                let outcome = checker.client_check(ssm.as_ref(), log)?;
-                if outcome.is_some() {
-                    // A synchronous check just covered the full
-                    // current history; pending background batches are
-                    // subsumed by it.
-                    if let Some(vq) = &t.verify {
-                        vq.absorb();
-                    }
-                }
-                let value = match &outcome {
-                    Some(o) => o.header_value(),
-                    None => checker.last_outcome.header_value(),
-                };
-                response.headers.set("Libseal-Check-Result", value);
-                response.to_bytes()
-            } else {
-                raw_rsp
-            };
-            drop(astate);
-            // The commit barrier preserves response-before-durable:
-            // the response is released only once the batch carrying
-            // this pair is sealed and fsynced.
-            if let (Some(q), Some(tk)) = (&t.commit, ticket) {
-                q.wait(tk)?;
-            }
-            s.ssl.ssl_write(&out_bytes).map_err(LibSealError::Tls)?;
+        let raw_rsp: Vec<u8> = s.rsp_buf.drain(..used).collect();
+        let (raw_req, check_requested) = s.pending.pop_front().unwrap_or((Vec::new(), false));
+        s.pending_bytes -= raw_req.len();
+        // Backpressure BEFORE taking the audit lock: blocking inside it
+        // would stall the very sealer (or verifier) that makes room in
+        // the queue. The reserved slots are what the tickets below
+        // consume, so both bounds are hard.
+        let commit_slot = queues.commit.reserve();
+        let verify_slot = queues.verify.reserve();
+        let mut astate = state.lock();
+        let AuditState { log, ssm, checker } = &mut *astate;
+        // Staged, then sealed: the pair's entries are staged here, and
+        // the ticket — taken while still holding the audit lock, so
+        // ticket order matches log order — is the sealer's order to
+        // make them durable, with one counter bind, one signature and
+        // one fsync for the whole batch. Nothing logged: the unused
+        // reservation goes back.
+        let logged = ssm.log_pair(&raw_req, &raw_rsp, log)?;
+        let ticket = (logged > 0).then(|| commit_slot.issue()).transpose()?;
+        if !checker.note_pair() {
+            // No check due: the reservation goes back.
+            drop(verify_slot);
+        } else if verify_slot.issue().is_err() {
+            // The due check goes to the verifier thread and the client
+            // is answered now (lag is surfaced as the core_verifier_lag
+            // gauge). A verifier that takes no ticket (shut down) must
+            // not cost the check: it runs here instead.
+            let _ = checker.run_due(ssm.as_ref(), log)?;
         }
-    }
-    // Persisting the log crosses the boundary: the journal write +
-    // fsync happen outside the enclave (charged after all locks are
-    // released).
-    for _ in 0..log_flushes {
-        ctx.ocall("log_flush", || ());
+        let out_bytes = if check_requested {
+            let outcome = checker.client_check(ssm.as_ref(), log)?;
+            if outcome.is_some() {
+                // A synchronous check just covered the full current
+                // history; pending background batches are subsumed by
+                // it.
+                queues.verify.absorb();
+            }
+            let value = match &outcome {
+                Some(o) => o.header_value(),
+                None => checker.last_outcome.header_value(),
+            };
+            response.headers.set("Libseal-Check-Result", value);
+            response.to_bytes()
+        } else {
+            raw_rsp
+        };
+        drop(astate);
+        // The commit barrier preserves response-before-durable: the
+        // response is released only once the batch carrying this pair
+        // is sealed and fsynced.
+        if let Some(ticket) = ticket {
+            queues.commit.wait(ticket)?;
+        }
+        s.ssl.ssl_write(&out_bytes).map_err(LibSealError::Tls)?;
     }
     Ok(())
 }
@@ -723,16 +711,15 @@ pub(crate) fn pump_sessions(
 /// The `check_now` body: a full scan of every invariant (the log
 /// analyser entry point, step 6 of Fig. 1).
 pub(crate) fn check_now(t: &Trusted) -> Result<CheckOutcome> {
-    let mut astate = t.audit()?;
+    let Audited { state, queues } = t.audited()?;
+    let mut astate = state.lock();
     let AuditState { log, ssm, checker } = &mut *astate;
     let outcome = Checker::run_checks(ssm.as_ref(), log)?;
     checker.last_outcome = outcome.clone();
     drop(astate);
     // The full scan just covered everything; pending
     // background batches are subsumed by its outcome.
-    if let Some(vq) = &t.verify {
-        vq.absorb();
-    }
+    queues.verify.absorb();
     Ok(outcome)
 }
 
@@ -786,7 +773,7 @@ pub(crate) fn with_log<R>(t: &Trusted, f: impl FnOnce(&mut AuditLog) -> R) -> Re
 /// whole batch durable — one counter bind, one head signature and one
 /// fsync.
 pub(crate) fn seal_batch(t: &Trusted, sv: &EnclaveServices) -> Result<()> {
-    if crate::log::seal_staged(t.audit_lock()?, |a| &mut a.log)? {
+    if crate::log::seal_staged(&t.audited()?.state, |a| &mut a.log)? {
         // The journal write + fsync cross the enclave boundary;
         // charged after the lock is released.
         sv.ocall("log_flush", || ());

@@ -197,16 +197,9 @@ impl ShardedPlane {
     ///
     /// # Errors
     ///
-    /// [`LibSealError::Config`] on contradictory knobs, manifest
+    /// [`LibSealError::Config`] without an SSM or on manifest
     /// corruption, or any enclave provisioning failure.
     pub fn open(config: LibSealConfig) -> Result<Arc<ShardedPlane>> {
-        if config.shards > 1 && config.group_commit.is_none() {
-            return Err(LibSealError::Config(
-                "shards(n > 1) with no_group_commit: a sharded plane exists to multiply \
-                 sealer pipelines; per-pair sealing would serialise every shard anyway"
-                    .into(),
-            ));
-        }
         if config.ssm.is_none() {
             return Err(LibSealError::Config(
                 "a sharded plane requires an SSM: sharding partitions the audit log, \

@@ -19,11 +19,25 @@
 //! Persistence uses the database journal with a sealing codec
 //! ([`SealingCodec`]) so records on the untrusted disk are encrypted
 //! and authenticated with the enclave's seal key.
+//!
+//! Every change is **staged, then sealed**. An append stages a data row
+//! and a chain row; a trim stages the SSM's deletions. One step —
+//! [`AuditLog::seal`], or [`seal_staged`] with the counter round taken
+//! outside the audit lock — then binds the rollback counter, signs the
+//! head over everything staged and hands it to the disk: an append's
+//! rows are already in the journal (the caller's [`AuditLog::flush`]
+//! fsyncs them), while a trim's went nowhere near it and become durable
+//! as the snapshot that atomically replaces it. A seal that fails
+//! leaves the log dirty and the durable journal a legal earlier state;
+//! the next seal from anywhere covers the same changes. The one thing
+//! given up rather than retried is a trim whose snapshot cannot be
+//! written: the counter step it bound signs the log as it was, and the
+//! next due trim starts over.
 
 use std::sync::Arc;
 
 use libseal_crypto::aead::ChaCha20Poly1305;
-use libseal_crypto::ed25519::{SigningKey, VerifyingKey};
+use libseal_crypto::ed25519::SigningKey;
 use libseal_crypto::sha2::Sha256;
 use libseal_sealdb::journal::JournalCodec;
 use libseal_sealdb::{quote_ident, Database, Value};
@@ -295,9 +309,9 @@ pub enum CommitMode {
     /// itself (one counter step and one signature per entry).
     #[default]
     Immediate,
-    /// Appends only extend the hash chain; a group-commit sealer calls
-    /// [`AuditLog::seal`] once per batch, so the whole batch shares a
-    /// single counter step and head signature.
+    /// Appends only stage; a group-commit sealer seals once per batch,
+    /// so the whole batch shares a single counter step and head
+    /// signature.
     Staged,
 }
 
@@ -328,8 +342,9 @@ pub struct AuditLog {
     /// proactive nonce-epoch rotation.
     codec: Arc<SealingCodec>,
     mode: CommitMode,
-    /// Entries staged since the last seal: the chain extends past the
-    /// signed head until [`AuditLog::seal`] catches it up.
+    /// Changes staged since the last seal: the log is ahead of its
+    /// signed head until [`AuditLog::seal`] catches it up. A staged
+    /// trim is additionally [`Database::snapshot_pending`].
     dirty: bool,
 }
 
@@ -625,6 +640,12 @@ impl AuditLog {
     /// Unknown table, database failures, or counter failures.
     pub fn append(&mut self, table: &str, values: &[Value]) -> Result<()> {
         let started = std::time::Instant::now();
+        if self.db.snapshot_pending() {
+            // A trim whose seal failed is still staged. Finish it
+            // first: only a trim is ever kept from the journal, so
+            // giving one up loses no entry.
+            self.seal()?;
+        }
         if self.disk_backed && self.codec.needs_rotation() {
             self.rotate_epoch()?;
         }
@@ -677,16 +698,16 @@ impl AuditLog {
         Ok(())
     }
 
-    /// Binds the rollback counter and signs the chain head over every
-    /// entry staged since the last seal. One call covers a whole
-    /// batch — this is the group-commit amortisation point. No-op when
-    /// nothing is staged (safe to call after a concurrent trim already
-    /// re-signed the head).
+    /// Binds the rollback counter, then seals everything staged since
+    /// the last seal (`seal_bound`). One call covers a whole batch —
+    /// this is the group-commit amortisation point. No-op when nothing
+    /// is staged.
     ///
     /// # Errors
     ///
     /// Counter or database failures; the log stays dirty so the seal
-    /// can be retried.
+    /// can be retried. A staged trim's failed snapshot is reported once
+    /// the log is sealed without the trim.
     pub fn seal(&mut self) -> Result<()> {
         if !self.dirty {
             return Ok(());
@@ -694,41 +715,60 @@ impl AuditLog {
         plat::failpoint::check("core::log::append::counter")
             .map_err(|e| LibSealError::Log(e.to_string()))?;
         let counter = self.guard.increment()?;
-        log_metrics().counter_binds.inc();
-        self.sign_head(counter)?;
-        self.dirty = false;
-        Ok(())
+        self.seal_bound(counter)
     }
 
-    /// A shared handle to the rollback guard, letting the group-commit
-    /// sealer run the counter round *outside* the audit-state lock so
-    /// writers keep staging the next batch while it is in flight.
-    pub fn guard_handle(&self) -> Arc<dyn RollbackGuard> {
-        Arc::clone(&self.guard)
-    }
-
-    /// Seals with an already-bound counter value: signs the current
-    /// head over everything staged. The caller obtained `counter` from
-    /// the [`AuditLog::guard_handle`] while NOT holding the audit lock,
-    /// so entries appended during the counter round are simply covered
-    /// by this signature too. No-op when clean — a concurrent trim
-    /// already re-signed the head, and recovery's legal "+1 counter
-    /// step" window absorbs the spare increment.
-    ///
-    /// # Errors
-    ///
-    /// Database failures; the log stays dirty so the seal can be
-    /// retried.
-    pub fn seal_bound(&mut self, counter: u64) -> Result<()> {
+    /// The one commit step, given an already-bound counter value: signs
+    /// the current head over everything staged. With a trim staged, the
+    /// chain is first rebuilt over the rows that survived it, and the
+    /// signed result replaces the journal as one atomic snapshot
+    /// (temp file, fsync, rename, directory fsync) — until the rename
+    /// the journal is the untouched pre-trim log, after it the trimmed
+    /// one. A snapshot that cannot be written costs the trim, not the
+    /// step: the trim is given up ([`AuditLog::abandon_trim`]) and the
+    /// same counter value signs the log as the journal has it, so the
+    /// durable head keeps up with the counter however often that
+    /// happens. [`seal_staged`] obtains `counter` while NOT holding the
+    /// audit lock, so whatever was staged during the counter round is
+    /// covered too. No-op when clean — another seal got there first,
+    /// and recovery's legal "+1 counter step" window absorbs the spare
+    /// increment.
+    fn seal_bound(&mut self, counter: u64) -> Result<()> {
         log_metrics().counter_binds.inc();
         if !self.dirty {
             return Ok(());
         }
-        // A trim interleaved with the counter round may have bound a
+        // A seal interleaved with the counter round may have bound a
         // later value already; the signed head's counter must never
         // step backwards.
-        self.sign_head(counter.max(self.counter))?;
+        let counter = counter.max(self.counter);
+        if self.db.snapshot_pending() {
+            self.rebuild_chain()?;
+        }
+        let mut snapshot = Ok(());
+        loop {
+            self.sign_head(counter)?;
+            if !self.db.snapshot_pending() {
+                break;
+            }
+            snapshot = self.db.compact();
+            if snapshot.is_ok() {
+                break;
+            }
+            self.abandon_trim()?;
+        }
         self.dirty = false;
+        snapshot.map_err(LibSealError::Db)
+    }
+
+    /// Gives up a staged trim whose snapshot could not be written: the
+    /// tables go back to what the journal replays to — the log as it
+    /// was, with every append staged before the trim, since nothing is
+    /// appended behind one ([`AuditLog::append`]) — and journaling
+    /// resumes. The next due trim tries again.
+    fn abandon_trim(&mut self) -> Result<()> {
+        self.db.reload().map_err(LibSealError::Db)?;
+        (self.head, self.seq) = self.verify_chain_rows()?;
         Ok(())
     }
 
@@ -737,12 +777,7 @@ impl AuditLog {
         self.mode = mode;
     }
 
-    /// The active commit mode.
-    pub fn commit_mode(&self) -> CommitMode {
-        self.mode
-    }
-
-    /// Whether entries are staged past the last signed head.
+    /// Whether changes are staged past the last signed head.
     pub fn is_dirty(&self) -> bool {
         self.dirty
     }
@@ -804,19 +839,6 @@ impl AuditLog {
     /// Database failures.
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<libseal_sealdb::QueryResult> {
         self.db.query(sql, params).map_err(LibSealError::Db)
-    }
-
-    /// Executes arbitrary SQL against the log (SSM state bookkeeping).
-    ///
-    /// # Errors
-    ///
-    /// Database failures.
-    pub fn execute_with(
-        &mut self,
-        sql: &str,
-        params: &[Value],
-    ) -> Result<libseal_sealdb::QueryResult> {
-        self.db.execute_with(sql, params).map_err(LibSealError::Db)
     }
 
     /// Verifies the hash chain, the head signature, and that chain rows
@@ -939,18 +961,36 @@ impl AuditLog {
         )))
     }
 
-    /// Runs the SSM's trimming queries, then rebuilds the chain over
-    /// the surviving entries and re-signs (§5.1, "Log trimming").
+    /// Stages the SSM's trimming queries and seals (§5.1, "Log
+    /// trimming"): on `Ok` the chain is rebuilt over the surviving
+    /// entries, the head re-signed and the journal replaced by the
+    /// snapshot. Nothing a trim executes reaches the live journal.
     ///
     /// # Errors
     ///
-    /// Database or counter failures.
+    /// Database, counter or snapshot failures. Up to the signature what
+    /// was deleted stays staged and the journal untouched, and the next
+    /// seal finishes the trim; a trim whose snapshot fails is given up,
+    /// and the log is sealed as it was.
     pub fn trim(&mut self, trim_queries: &[&str]) -> Result<()> {
         let started = std::time::Instant::now();
+        self.db.defer_to_snapshot();
+        self.dirty = true;
         for q in trim_queries {
+            plat::failpoint::check("core::log::trim::queries")
+                .map_err(|e| LibSealError::Log(e.to_string()))?;
             self.db.execute(q).map_err(LibSealError::Db)?;
         }
-        // Drop chain rows whose data row no longer exists.
+        self.seal()?;
+        log_metrics().trim_ns.record_duration(started.elapsed());
+        Ok(())
+    }
+
+    /// Rebuilds `_libseal_chain`, with fresh sequence numbers and
+    /// hashes, over the entries whose data row still exists.
+    fn rebuild_chain(&mut self) -> Result<()> {
+        plat::failpoint::check("core::log::trim::rebuild")
+            .map_err(|e| LibSealError::Log(e.to_string()))?;
         let chain = self
             .db
             .query(
@@ -969,7 +1009,6 @@ impl AuditLog {
                 survivors.push((tbl.clone(), key.clone(), payload.clone()));
             }
         }
-        // Rebuild the chain with fresh sequence numbers and hashes.
         self.db
             .execute("DELETE FROM _libseal_chain")
             .map_err(LibSealError::Db)?;
@@ -995,18 +1034,6 @@ impl AuditLog {
                 .map_err(LibSealError::Db)?;
             self.head = new_hash;
         }
-        let counter = self.guard.increment()?;
-        log_metrics().counter_binds.inc();
-        self.sign_head(counter)?;
-        // The fresh signature covers the whole rebuilt chain, including
-        // anything that was staged before the trim.
-        self.dirty = false;
-        // Compact the journal so trimming actually reclaims disk.
-        if self.disk_backed {
-            self.db.compact().map_err(LibSealError::Db)?;
-            self.db.sync_journal().map_err(LibSealError::Db)?;
-        }
-        log_metrics().trim_ns.record_duration(started.elapsed());
         Ok(())
     }
 
@@ -1033,29 +1060,23 @@ impl AuditLog {
         (self.seq, self.clock, self.head)
     }
 
-    /// The signer's public key (clients verify exported proofs).
-    pub fn verifying_key(&self) -> VerifyingKey {
-        self.signer.verifying_key()
-    }
-
     /// Direct database access for tests and tamper-injection.
     pub fn db_mut(&mut self) -> &mut Database {
         &mut self.db
     }
 }
 
-/// The group-commit seal step over a [`CommitMode::Staged`] log behind
-/// `lock` (`log_of` projects the lock's payload to it): one counter bind,
-/// one head signature and one fsync make everything staged durable.
-/// The counter round is the slow part (a quorum network round trip) and
-/// runs WITHOUT the lock, so writers stage the next batch while it is
-/// in flight; entries appended meanwhile are covered by the signature.
-/// Returns `false` when nothing was staged.
+/// [`AuditLog::seal`] for a log behind `lock` (`log_of` projects the
+/// lock's payload to it), plus the fsync: one counter bind, one head
+/// signature and one fsync make everything staged durable. The counter
+/// round is the slow part (a quorum network round trip) and runs
+/// WITHOUT the lock, so writers stage the next batch while it is in
+/// flight. Returns `false` when nothing was staged.
 ///
 /// # Errors
 ///
 /// Counter, database or I/O failures; the log stays dirty so the next
-/// seal covers the same entries.
+/// seal covers the same changes.
 pub fn seal_staged<T>(
     lock: &plat::sync::Mutex<T>,
     log_of: impl Fn(&mut T) -> &mut AuditLog,
@@ -1063,10 +1084,10 @@ pub fn seal_staged<T>(
     let guard = {
         let mut held = lock.lock();
         let log = log_of(&mut held);
-        if !log.is_dirty() {
+        if !log.dirty {
             return Ok(false);
         }
-        log.guard_handle()
+        Arc::clone(&log.guard)
     };
     plat::failpoint::check("core::log::append::counter")
         .map_err(|e| LibSealError::Log(e.to_string()))?;

@@ -194,7 +194,8 @@ impl AuditPlane for LibSeal {
     }
 
     fn audit_backlog(&self) -> u64 {
-        self.sealer.as_ref().map_or(0, |w| w.queue().depth()) + self.verifier_lag()
+        let commit = self.audit.as_ref().map_or(0, |a| a.sealer.queue().depth());
+        commit + self.verifier_lag()
     }
 
     fn async_slots(&self) -> Option<usize> {
@@ -223,8 +224,7 @@ impl AuditPlane for LibSeal {
 ///
 /// # Errors
 ///
-/// [`crate::LibSealError::Config`] on contradictory knobs (see
-/// [`ShardedPlane::open`]), or any enclave provisioning failure.
+/// As [`ShardedPlane::open`] and [`LibSeal::new`].
 pub fn build_plane(config: LibSealConfig) -> Result<Arc<dyn AuditPlane>> {
     if config.shards > 1 {
         Ok(ShardedPlane::open(config)?)

@@ -31,12 +31,13 @@
 //! trimming renumbers the chain, while tickets stay monotone for the
 //! lifetime of the queue.
 //!
-//! Crash semantics: a whole batch shares one counter step, so the
-//! legal crash window recovered by `AuditLog::open` stays "attested ≤
-//! durable + 1 counter step" — losing an in-flight batch loses at most
-//! the one increment it had bound. A failed batch withholds its
-//! writers' responses; its entries stay staged and the next successful
-//! seal covers them.
+//! Crash semantics: whatever changes the log — a writer's pair here,
+//! the verifier's trim — is staged, then sealed ([`crate::log`]), and a
+//! whole batch shares one counter step, so the legal crash window
+//! recovered by `AuditLog::open` stays "attested ≤ durable + 1 counter
+//! step" — losing an in-flight batch loses at most the one increment it
+//! had bound. A failed batch withholds its writers' responses; what it
+//! staged stays staged and the next successful seal covers it.
 
 use std::sync::Arc;
 use std::time::Instant;

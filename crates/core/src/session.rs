@@ -38,8 +38,8 @@ use plat::sync::RwLock;
 use crate::check::CheckOutcome;
 use crate::config::LibSealConfig;
 use crate::enclave::{
-    self, seal_batch, verify_batch, CallCtx, Ecall, InfoCallback, SessionInput, SessionOutcome,
-    Trusted,
+    self, seal_batch, verify_batch, AuditQueues, CallCtx, Ecall, InfoCallback, SessionInput,
+    SessionOutcome, Trusted,
 };
 use crate::log::AuditLog;
 use crate::queue::{TicketQueue, Worker};
@@ -49,17 +49,20 @@ use crate::Result;
 pub struct LibSeal {
     enclave: Arc<Enclave<Trusted>>,
     pub(crate) runtime: Option<AsyncRuntime<Trusted>>,
-    /// The sealer thread and its group-commit queue (shared with
-    /// [`Trusted`]); shut down and joined on drop.
-    pub(crate) sealer: Option<Worker>,
-    /// The verifier thread and its due-check queue (shared with
-    /// [`Trusted`]); shut down and joined on drop.
-    verifier: Option<Worker>,
+    /// The background half of auditing; `None` without an SSM.
+    pub(crate) audit: Option<AuditWorkers>,
     /// Sanitised session shadows (no key material by construction).
     shadows: RwLock<HashMap<u64, ShadowSsl>>,
-    /// Whether an SSM is configured (cached to avoid probing ecalls).
-    audited: bool,
     cert: Certificate,
+}
+
+/// The two background threads of an audited instance, each with the
+/// queue it shares with [`Trusted`]; shut down and joined on drop.
+pub(crate) struct AuditWorkers {
+    /// Seals group-commit batches.
+    pub(crate) sealer: Worker,
+    /// Drains due checks.
+    pub(crate) verifier: Worker,
 }
 
 /// The outside shadow of an in-enclave session (§4.1): handshake
@@ -106,23 +109,17 @@ impl LibSeal {
             builder = builder.declare_interface(entry.name());
         }
 
-        // Each queue is shared three ways: the request path (issuing
-        // tickets inside ssl_write ecalls), its worker thread, and the
-        // outside handle for barriers and shutdown.
-        let audited = config.ssm.is_some();
-        let commit = config
-            .group_commit
-            .filter(|_| audited)
-            .map(|max_batch| Arc::new(TicketQueue::sealer(max_batch)));
-        let verify = (audited && config.async_verify).then(|| Arc::new(TicketQueue::verifier()));
+        let queues = config.ssm.is_some().then(|| AuditQueues {
+            commit: Arc::new(TicketQueue::sealer(config.group_commit)),
+            verify: Arc::new(TicketQueue::verifier()),
+        });
 
         // What the init closure found is carried out of it: a build
         // failure, or the public key of the keypair generated
         // in-enclave for an attested identity.
         let mut init = Ok(None);
         let enclave = Arc::new(builder.build(|services| {
-            let (trusted, outcome) =
-                Trusted::init(&config, services, commit.clone(), verify.clone());
+            let (trusted, outcome) = Trusted::init(&config, services, queues.clone());
             init = outcome;
             trusted
         }));
@@ -147,20 +144,24 @@ impl LibSeal {
             let enclave = Arc::clone(&enclave);
             Worker::spawn(thread, queue, move || enclave.ecall(entry.name(), body)?)
         };
-        let sealer = commit.map(|q| worker("libseal-sealer", q, Ecall::SealBatch, seal_batch));
-        let verifier =
-            verify.map(|q| worker("libseal-verifier", q, Ecall::VerifyBatch, verify_batch));
+        let audit = queues.map(|q| AuditWorkers {
+            sealer: worker("libseal-sealer", q.commit, Ecall::SealBatch, seal_batch),
+            verifier: worker(
+                "libseal-verifier",
+                q.verify,
+                Ecall::VerifyBatch,
+                verify_batch,
+            ),
+        });
         let runtime = rt
             .map(|cfg| AsyncRuntime::start(Arc::clone(&enclave), cfg))
             .transpose()?;
         Ok(Arc::new(LibSeal {
             enclave,
             runtime,
-            sealer,
-            verifier,
+            audit,
             shadows: RwLock::new(HashMap::new()),
             cert,
-            audited,
         }))
     }
 
@@ -375,12 +376,10 @@ impl LibSeal {
     /// Seal or background-verification failures; the log state itself
     /// is still consistent (staged entries remain in the chain).
     pub fn drain(&self, slot: usize) -> Result<()> {
-        if let Some(sealer) = &self.sealer {
+        if let Some(audit) = &self.audit {
             // A failed batch was reported to its writers, and the seal
             // below covers its entries.
-            let _ = sealer.queue().quiesce();
-        }
-        if self.audited {
+            let _ = audit.sealer.queue().quiesce();
             self.call(slot, Ecall::VerifyLog, |t, _| enclave::seal_and_flush(t))??;
         }
         self.verifier_barrier()
@@ -409,22 +408,23 @@ impl LibSeal {
         self.call(slot, Ecall::CheckNow, move |t, _| enclave::with_log(t, f))?
     }
 
-    /// Due checks the background verifier has not drained yet (0 when
-    /// async verification is disabled).
+    /// Due checks the background verifier has not drained yet (0
+    /// without an SSM).
     pub fn verifier_lag(&self) -> u64 {
-        self.verifier.as_ref().map_or(0, |w| w.queue().depth())
+        self.audit
+            .as_ref()
+            .map_or(0, |a| a.verifier.queue().depth())
     }
 
     /// Blocks until the background verifier has drained every due
-    /// check (lag reaches zero). No-op when async verification is
-    /// disabled.
+    /// check (lag reaches zero). No-op without an SSM.
     ///
     /// # Errors
     ///
     /// A background evaluation failure since the last barrier.
     pub fn verifier_barrier(&self) -> Result<()> {
-        match &self.verifier {
-            Some(w) => w.queue().quiesce(),
+        match &self.audit {
+            Some(a) => a.verifier.queue().quiesce(),
             None => Ok(()),
         }
     }
@@ -487,14 +487,15 @@ impl LibSeal {
 
 impl Drop for LibSeal {
     fn drop(&mut self) {
-        // Drain the commit pipeline first: the sealer needs the
-        // enclave (and the async runtime's TCS slots stay claimed
-        // until it shuts down, so order matters).
-        drop(self.sealer.take());
-        // Then the verifier: it drains every due check (the shutdown
-        // barrier — no pair escapes verification), then exits.
-        drop(self.verifier.take());
-        if self.audited {
+        if let Some(AuditWorkers { sealer, verifier }) = self.audit.take() {
+            // Drain the commit pipeline first: the sealer needs the
+            // enclave (and the async runtime's TCS slots stay claimed
+            // until it shuts down, so order matters).
+            drop(sealer);
+            // Then the verifier: it drains every due check (the
+            // shutdown barrier — no pair escapes verification), then
+            // exits.
+            drop(verifier);
             // Final seal + flush so entries staged outside the
             // pipeline (direct `with_log` appends) reach a signed,
             // durable head before the process lets go of the log.

@@ -1,7 +1,9 @@
 //! Crash-recovery tests for the audit log: torn-tail salvage as a
 //! *synced-prefix* guarantee, counter reconciliation (the legal
 //! crash window vs. a rollback alarm), unsigned-tail roll-forward,
-//! and degraded-quorum operation.
+//! degraded-quorum operation, and a trim interrupted at every point it
+//! can be (a lost quorum, a kill, a failing query, a disk that takes no
+//! snapshot).
 //!
 //! Every test opens `plat::failpoint::scenario()` first: the failpoint
 //! registry is global, so a fault one test arms would otherwise land
@@ -12,6 +14,10 @@ use libseal::log::{
 };
 use libseal::ssm::git::GIT_SOUNDNESS;
 use libseal::{GitModule, LibSealError, ServiceModule};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::Arc;
+
 use libseal_crypto::ed25519::SigningKey;
 use libseal_rote::{Cluster, ClusterConfig, QuorumPolicy};
 use libseal_sealdb::{Database, Value};
@@ -33,6 +39,10 @@ fn open_log(backing: LogBacking, guard: Box<dyn RollbackGuard>) -> libseal::Resu
 }
 
 fn append_one(log: &mut AuditLog, i: u64, commit: &str) {
+    try_append(log, i, commit).unwrap();
+}
+
+fn try_append(log: &mut AuditLog, i: u64, commit: &str) -> libseal::Result<()> {
     let t = log.next_time() as i64;
     log.append(
         "updates",
@@ -44,7 +54,6 @@ fn append_one(log: &mut AuditLog, i: u64, commit: &str) {
             Value::Text("update".into()),
         ],
     )
-    .unwrap();
 }
 
 /// External persistent counter (the §5.1 rollback-protection service)
@@ -63,6 +72,37 @@ impl RollbackGuard for ExternalCounter {
     }
     fn attested(&self) -> libseal::Result<u64> {
         Ok(self.0.load(std::sync::atomic::Ordering::SeqCst))
+    }
+}
+
+/// The same service behind an `Arc`, so the test keeps a handle on it:
+/// the counter outlives the log (as ROTE outlives the enclave), and its
+/// quorum can be lost and restored.
+struct Quorum {
+    counter: ExternalCounter,
+    lost: AtomicBool,
+}
+
+impl Quorum {
+    fn new() -> Arc<Quorum> {
+        Arc::new(Quorum {
+            counter: ExternalCounter(0.into()),
+            lost: AtomicBool::new(false),
+        })
+    }
+}
+
+struct QuorumGuard(Arc<Quorum>);
+
+impl RollbackGuard for QuorumGuard {
+    fn increment(&self) -> libseal::Result<u64> {
+        if self.0.lost.load(SeqCst) {
+            return Err(LibSealError::Log("rote: quorum lost".into()));
+        }
+        self.0.counter.increment()
+    }
+    fn attested(&self) -> libseal::Result<u64> {
+        self.0.counter.attested()
     }
 }
 
@@ -481,4 +521,254 @@ fn trimmed_log_reopens_with_view_and_invariants_answering_as_before() {
     }
     assert_eq!(answers(&log), before);
     log.verify().unwrap();
+}
+
+/// Pushes per log in the trim tests below: all to one branch, so the
+/// Git trim queries keep the newest and delete the rest.
+const PUSHES: u64 = 6;
+
+fn open_under(path: &TempPath, q: &Arc<Quorum>) -> libseal::Result<AuditLog> {
+    let guard = Box::new(QuorumGuard(Arc::clone(q)));
+    open_log(LogBacking::Disk(path.to_path_buf()), guard)
+}
+
+/// A disk log under `q` holding [`PUSHES`] flushed updates.
+fn pushed_log(path: &TempPath, q: &Arc<Quorum>) -> AuditLog {
+    let mut log = open_under(path, q).unwrap();
+    for i in 0..PUSHES {
+        append_one(&mut log, i, "tt");
+        log.flush().unwrap();
+    }
+    log
+}
+
+/// The commit ids the log holds, oldest first.
+fn cids(log: &AuditLog) -> Vec<Value> {
+    let rows = log.query("SELECT cid FROM updates ORDER BY time", &[]);
+    rows.unwrap().rows.into_iter().flatten().collect()
+}
+
+/// A trim that cannot bind the counter (a ROTE `FailStop` quorum loss)
+/// stays staged: the journal on disk is byte for byte the pre-trim log,
+/// and the next seal, from anywhere, finishes the trim.
+#[test]
+fn a_trim_during_quorum_loss_is_finished_by_the_next_seal() {
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
+    let path = TempPath::new("libseal-trim-quorum", "log");
+    let q = Quorum::new();
+    let mut log = pushed_log(&path, &q);
+    let (all, journal) = (cids(&log), std::fs::read(&path).unwrap());
+
+    q.lost.store(true, SeqCst);
+    assert!(log.trim(GitModule.trim_queries()).is_err());
+    q.lost.store(false, SeqCst);
+    let staged = std::fs::read(&path).unwrap();
+    log.seal().unwrap();
+    log.verify().unwrap();
+    assert_eq!(
+        cids(&log),
+        all[all.len() - 1..],
+        "the trim keeps the newest push"
+    );
+    assert_eq!(log.entries(), 1);
+
+    // What a kill before that seal would have left behind.
+    assert!(staged == journal, "a staged trim wrote to the live journal");
+    let copy = TempPath::new("libseal-trim-quorum-copy", "log");
+    std::fs::write(&copy, &staged).unwrap();
+    let old = open_under(&copy, &q).unwrap();
+    old.verify().unwrap();
+    assert_eq!(cids(&old), all);
+    drop(log);
+    let log = open_under(&path, &q).unwrap();
+    log.verify().unwrap();
+    assert_eq!(log.entries(), 1);
+}
+
+/// Nothing is appended behind a staged trim: an append finishes the
+/// trim first (and fails, staging nothing, while it cannot), so a trim's
+/// deletions are all that is ever kept from the journal.
+#[test]
+fn an_append_behind_a_staged_trim_finishes_the_trim_first() {
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
+    let path = TempPath::new("libseal-trim-append", "log");
+    let q = Quorum::new();
+    let mut log = pushed_log(&path, &q);
+    let newest = cids(&log).split_off(PUSHES as usize - 1);
+
+    q.lost.store(true, SeqCst);
+    assert!(log.trim(GitModule.trim_queries()).is_err());
+    let journal = std::fs::read(&path).unwrap();
+    assert!(try_append(&mut log, PUSHES, "tt").is_err());
+    assert_eq!(cids(&log), newest, "a refused append staged a row");
+    assert!(std::fs::read(&path).unwrap() == journal);
+    q.lost.store(false, SeqCst);
+    append_one(&mut log, PUSHES, "tt");
+    log.flush().unwrap();
+    log.verify().unwrap();
+    assert_eq!(log.entries(), 2);
+    assert_eq!(cids(&log)[0], newest[0]);
+    let kept = cids(&log);
+    drop(log);
+    // The append is in the journal, behind the snapshot.
+    let log = open_under(&path, &q).unwrap();
+    log.verify().unwrap();
+    assert_eq!(cids(&log), kept);
+}
+
+/// A disk that takes no snapshot (every write of one tears) costs the
+/// trims, not the log. Each failed trim is given up — memory goes back
+/// to what the journal holds — and the counter step it bound signs the
+/// log as it was, so the durable head keeps up with the counter and
+/// appends keep landing in the journal: however many trims fail in a
+/// row, a kill finds a log that opens.
+#[test]
+fn a_trim_whose_snapshot_cannot_be_written_is_given_up_at_one_counter_step() {
+    let s = failpoint::scenario();
+    let path = TempPath::new("libseal-trim-nospace", "log");
+    let q = Quorum::new();
+    let mut log = pushed_log(&path, &q);
+    // A fetch that was served a stale head: a row the trim drops, and a
+    // violation the delta-maintained view must still show afterwards.
+    libseal::Checker::install(&GitModule, &mut log).unwrap();
+    let t = Value::Integer(log.next_time() as i64);
+    let stale = ["r", "main", "stale"].map(|x| Value::Text(x.into()));
+    log.append("advertisements", &[&[t][..], &stale[..]].concat())
+        .unwrap();
+    let rows = |log: &AuditLog, sql| log.query(sql, &[]).unwrap().rows;
+    s.set("sealdb::compact::write", FaultSpec::partial_write(9));
+    for round in 0..3 {
+        let all = cids(&log);
+        assert!(log.trim(GitModule.trim_queries()).is_err(), "{round}");
+        assert!(!log.is_dirty(), "{round}: sealed as it was");
+        log.verify().unwrap();
+        assert_eq!(cids(&log), all, "{round}");
+        assert_eq!(log.entries(), PUSHES + 1 + round / 2);
+        log.db_mut().refresh_matviews().unwrap();
+        let view = rows(&log, "SELECT * FROM mv_git_soundness");
+        assert_eq!(view, rows(&log, GIT_SOUNDNESS), "{round}");
+        assert_eq!(view.len(), 1, "{round}: the stale fetch is back");
+        if round == 1 {
+            // Two in a row, then the log keeps serving.
+            append_one(&mut log, PUSHES, "tt");
+            log.flush().unwrap();
+        }
+    }
+    let all = cids(&log);
+    drop(log);
+    s.reset(); // restart, on a disk that works again
+    let mut log = open_under(&path, &q).unwrap();
+    log.verify().unwrap();
+    assert_eq!(cids(&log), all);
+    let r = log.recovery_report();
+    assert_eq!(r.attested_counter, r.durable_counter, "{r:?}");
+    log.trim(GitModule.trim_queries()).unwrap();
+    assert_eq!(log.entries(), 1);
+}
+
+/// Kill the process at every failpoint hit a trim crosses, restart, and
+/// the log opens, verifies, and is the pre-trim or the post-trim log —
+/// nothing in between — with the counter inside the legal window.
+#[test]
+fn a_kill_anywhere_inside_a_trim_reopens_as_the_log_before_or_after_it() {
+    let s = failpoint::scenario();
+    // Dry run: which sites a trim hits, and how often.
+    let hits = || -> BTreeMap<String, u64> {
+        let sites = s.registered().into_iter();
+        sites.map(|x| (x.clone(), s.hits(&x))).collect()
+    };
+    let crossings: Vec<(String, u64)> = {
+        let path = TempPath::new("libseal-trim-kill-dry", "log");
+        let mut log = pushed_log(&path, &Quorum::new());
+        let before = hits();
+        log.trim(GitModule.trim_queries()).unwrap();
+        let during = hits().into_iter().map(|(site, h)| {
+            let first = before.get(&site).copied().unwrap_or(0);
+            (0..h - first).map(move |k| (site.clone(), k))
+        });
+        during.flatten().collect()
+    };
+    for site in ["core::log::append::sign", "sealdb::compact::rename"] {
+        assert!(
+            crossings.iter().any(|(x, _)| x == site),
+            "a trim no longer crosses {site}"
+        );
+    }
+    let mut outcomes = [0, 0];
+    for (site, k) in &crossings {
+        s.reset();
+        let path = TempPath::new("libseal-trim-kill", "log");
+        let q = Quorum::new();
+        let mut log = pushed_log(&path, &q);
+        let all = cids(&log);
+        s.set(site, FaultSpec::crash().after(s.hits(site) + k));
+        assert!(log.trim(GitModule.trim_queries()).is_err(), "{site}#{k}");
+        drop(log);
+        s.reset(); // restart
+        let log =
+            open_under(&path, &q).unwrap_or_else(|e| panic!("{site}#{k}: reopen failed: {e}"));
+        log.verify()
+            .unwrap_or_else(|e| panic!("{site}#{k}: verify failed: {e}"));
+        let got = cids(&log);
+        assert_eq!(log.entries() as usize, got.len(), "{site}#{k}");
+        let trimmed = got == all[all.len() - 1..];
+        assert!(trimmed || got == all, "{site}#{k}: neither log: {got:?}");
+        outcomes[usize::from(trimmed)] += 1;
+        let r = log.recovery_report();
+        assert!(
+            r.attested_counter <= r.durable_counter + 1,
+            "{site}#{k}: {r:?}"
+        );
+        assert_eq!(log.counter(), r.attested_counter, "{site}#{k}: {r:?}");
+    }
+    assert!(
+        outcomes[0] > 0 && outcomes[1] > 0,
+        "both sides of the rename: {outcomes:?}"
+    );
+}
+
+/// A trim query that fails half-way (the SSM's second `DELETE` names a
+/// table that is not there) has deleted rows the chain still names; the
+/// next seal rebuilds the chain over what survived.
+#[test]
+fn a_trim_query_failing_half_way_leaves_a_log_that_seals_and_verifies() {
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
+    let path = TempPath::new("libseal-trim-query", "log");
+    let q = Quorum::new();
+    let mut log = pushed_log(&path, &q);
+    let all = cids(&log);
+    let queries = [
+        "DELETE FROM updates WHERE time <= 2",
+        "DELETE FROM no_such_table",
+    ];
+    assert!(log.trim(&queries).is_err());
+    log.seal().unwrap();
+    log.verify().unwrap();
+    assert_eq!(cids(&log), all[2..]);
+    drop(log);
+    let log = open_under(&path, &q).unwrap();
+    log.verify().unwrap();
+    assert_eq!(cids(&log), all[2..]);
+}
+
+/// One commit step: a trim appends nothing to the live journal, binds
+/// the counter once, signs once, and its only fsyncs are the snapshot's
+/// (file, directory).
+#[test]
+fn a_trim_appends_nothing_to_the_journal_and_fsyncs_twice() {
+    let s = failpoint::scenario();
+    let path = TempPath::new("libseal-trim-cost", "log");
+    let mut log = pushed_log(&path, &Quorum::new());
+    let telemetry = libseal_telemetry::global();
+    let names = [
+        "core_counter_binds_total",
+        "core_head_signs_total",
+        "sealdb_journal_fsyncs_total",
+    ];
+    let read = || names.map(|n| telemetry.counter(n).get());
+    let (before, appended) = (read(), s.hits("sealdb::journal::append"));
+    log.trim(GitModule.trim_queries()).unwrap();
+    assert_eq!(s.hits("sealdb::journal::append"), appended);
+    assert_eq!(read(), [before[0] + 1, before[1] + 1, before[2] + 2]);
+    assert!(!log.is_dirty());
 }

@@ -1,9 +1,10 @@
 //! Group-commit pipeline tests: concurrent appends through the full
 //! `LibSeal` stack, the `TicketQueue`/`Worker` pipeline over a staged
-//! audit log, and crash/error trials at the pipeline's failpoint sites
-//! (enqueue, seal, ack) holding the recovery contract: reopen
+//! audit log, crash/error trials at the pipeline's failpoint sites
+//! (enqueue, seal, ack) holding the recovery contract — reopen
 //! succeeds, the chain verifies, and the counter stays inside the
-//! legal "attested ≤ durable + 1" crash window.
+//! legal "attested ≤ durable + 1" crash window — and `group_commit(1)`
+//! as the paper's per-pair flush.
 //!
 //! Fault-injected tests open `plat::failpoint::scenario()` first so
 //! they serialize on the global failpoint registry.
@@ -13,12 +14,15 @@ use std::time::Duration;
 
 use libseal::log::{seal_staged, AuditLog, LogBacking, RollbackGuard, RoteGuard};
 use libseal::ssm::git::GIT_SOUNDNESS;
-use libseal::{CommitMode, GitModule, LibSeal, LibSealConfig, ServiceModule, TicketQueue, Worker};
+use libseal::{CommitMode, GitModule, LibSeal, LibSealConfig, ServiceModule, SessionInput};
+use libseal::{TicketQueue, Worker};
 use libseal_crypto::ed25519::SigningKey;
+use libseal_httpx::http::{Request, Response};
 use libseal_rote::{Cluster, ClusterConfig, QuorumPolicy};
 use libseal_sealdb::Value;
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::cert::CertificateAuthority;
+use libseal_tlsx::ssl::{Ssl, SslConfig};
 use plat::failpoint::{self, FaultSpec};
 use plat::sync::Mutex;
 use plat::tmp::TempPath;
@@ -231,4 +235,96 @@ fn commit_failpoints_recover_without_rollback_alarm() {
             );
         }
     }
+}
+
+/// An in-memory STLS client of `ls` with its handshake done.
+fn connect(ls: &LibSeal, ca: &CertificateAuthority) -> (u64, Ssl) {
+    let sid = ls.new_session(0).unwrap();
+    let mut client = Ssl::new(SslConfig::client(vec![ca.root_key()]), [3u8; 64]);
+    client.do_handshake().unwrap();
+    let mut served = false;
+    while !(served && client.is_established()) {
+        let input = client.take_output();
+        let out = ls.pump_batch(0, vec![SessionInput { sid, input }]);
+        let out = out.unwrap().remove(0);
+        assert!(out.error.is_none(), "{:?}", out.error);
+        served = out.established;
+        client.provide_input(&out.output);
+        let _ = client.do_handshake();
+    }
+    (sid, client)
+}
+
+/// One audited Git push on an established session: the request goes in,
+/// and what comes back is what the service's write of the response
+/// released to the wire.
+fn push(ls: &LibSeal, (sid, client): &mut (u64, Ssl), cid: &str) -> libseal::Result<Vec<u8>> {
+    let body = format!("x {cid} refs/heads/main\n").into_bytes();
+    let req = Request::new("POST", "/repo/r/git-receive-pack", body);
+    client.ssl_write(&req.to_bytes()).unwrap();
+    let input = client.take_output();
+    let out = ls.pump_batch(0, vec![SessionInput { sid: *sid, input }]);
+    assert!(out.unwrap()[0].error.is_none());
+    ls.ssl_write_take(0, *sid, &Response::new(200, b"ok\n".to_vec()).to_bytes())
+}
+
+/// `group_commit(1)` is §5.1 to the letter: under concurrent writers
+/// every logged pair costs exactly one counter bind, one head signature
+/// and one fsync, and a response is held until its own entry is durable
+/// — a flush that fails releases nothing.
+#[test]
+fn group_commit_of_one_is_the_per_pair_flush() {
+    const WRITERS: usize = 4;
+    const PUSHES: usize = 8;
+    let s = failpoint::scenario();
+    let path = TempPath::new("libseal-gc-one", "log");
+    let ca = CertificateAuthority::new("CA", &[1u8; 32]);
+    let (key, cert) = ca.issue_identity("svc.test", &[2u8; 32]).unwrap();
+    let cfg = LibSealConfig::builder(cert, key)
+        .cost_model(CostModel::free())
+        .ssm(Arc::new(GitModule))
+        .backing(LogBacking::Disk(path.to_path_buf()))
+        .check_interval(0)
+        .group_commit(1)
+        .build();
+    let ls = LibSeal::new(cfg).unwrap();
+    let mut sessions: Vec<_> = (0..WRITERS).map(|_| connect(&ls, &ca)).collect();
+
+    let telemetry = libseal_telemetry::global();
+    let read = || {
+        let names = [
+            "core_counter_binds_total",
+            "core_head_signs_total",
+            "sealdb_journal_fsyncs_total",
+        ];
+        names.map(|n| telemetry.counter(n).get())
+    };
+    let before = read();
+    std::thread::scope(|scope| {
+        for (w, session) in sessions.iter_mut().enumerate() {
+            let ls = &ls;
+            scope.spawn(move || {
+                for i in 0..PUSHES {
+                    let wire = push(ls, session, &format!("{w:02x}{i:038x}")).unwrap();
+                    assert!(!wire.is_empty(), "an acknowledged push released nothing");
+                }
+            });
+        }
+    });
+    let pairs = (WRITERS * PUSHES) as u64;
+    assert_eq!(read(), before.map(|n| n + pairs), "binds, signs, fsyncs");
+
+    // The flush is what releases a response.
+    s.set("core::log::flush", FaultSpec::error());
+    let held = &mut sessions[0];
+    assert!(push(&ls, held, &format!("{:040x}", 0xdead)).is_err());
+    assert!(
+        ls.take_output(0, held.0).unwrap().is_empty(),
+        "unflushed, yet released"
+    );
+    // Its entry stayed staged; the next pair's seal covers both.
+    s.unset("core::log::flush");
+    push(&ls, &mut sessions[1], &format!("{:040x}", 0xbeef)).unwrap();
+    ls.verify_log(0).unwrap();
+    assert_eq!(ls.log_stats(0).unwrap().0, pairs + 2);
 }

@@ -491,6 +491,7 @@ fn client_certificates_identify_users() {
 
 #[test]
 fn check_interval_triggers_automatically() {
+    let _s = plat::failpoint::scenario(); // serialize with the enqueue-fault test
     let ca = CertificateAuthority::new("CA", &[1u8; 32]);
     let (key, cert) = ca.issue_identity("svc.test", &[2u8; 32]).unwrap();
     let cfg = LibSealConfig::builder(cert, key)
@@ -544,58 +545,37 @@ fn check_interval_triggers_automatically() {
     rig.ls.verify_log(0).unwrap();
 }
 
+/// A due check the verifier does not take — here an injected
+/// `core::verifier::enqueue` fault, in production a verifier that has
+/// shut down — is not lost: it runs inline on the request path, trim
+/// included, so the log stays bounded.
 #[test]
-fn inline_checks_still_work_without_the_verifier() {
-    // no_async_verify: due checks run on the request path, exactly the
-    // pre-pool behaviour — no barrier needed before inspecting.
+fn an_enqueue_fault_runs_the_due_check_inline_and_the_log_stays_bounded() {
+    let s = plat::failpoint::scenario();
+    s.set(
+        "core::verifier::enqueue",
+        plat::failpoint::FaultSpec::error(),
+    );
     let ca = CertificateAuthority::new("CA", &[1u8; 32]);
     let (key, cert) = ca.issue_identity("svc.test", &[2u8; 32]).unwrap();
     let cfg = LibSealConfig::builder(cert, key)
         .ssm(Arc::new(GitModule))
         .cost_model(CostModel::free())
         .check_interval(3)
-        .no_async_verify()
         .build();
-    let ls = LibSeal::new(cfg).unwrap();
-    let sid = ls.new_session(0).unwrap();
-    let mut client = Ssl::new(
-        libseal_tlsx::ssl::SslConfig::client(vec![ca.root_key()]),
-        [3u8; 64],
-    );
-    client.do_handshake().unwrap();
-    let mut rig = TestRig { ls, client, sid };
-    for _ in 0..10 {
-        let out = rig.client.take_output();
-        if !out.is_empty() {
-            rig.ls.provide_input(0, rig.sid, &out).unwrap();
-        }
-        let _ = rig.ls.do_handshake(0, rig.sid);
-        let back = rig.ls.take_output(0, rig.sid).unwrap();
-        if !back.is_empty() {
-            rig.client.provide_input(&back);
-            let _ = rig.client.do_handshake();
-        }
-        if rig.client.is_established() {
-            break;
-        }
-    }
-    let fin = rig.client.take_output();
-    if !fin.is_empty() {
-        rig.ls.provide_input(0, rig.sid, &fin).unwrap();
-        let _ = rig.ls.do_handshake(0, rig.sid);
-    }
+    let mut rig = handshake(LibSeal::new(cfg).unwrap(), &ca);
     for i in 0..9 {
         push(&mut rig, "proj", &format!("x c{i} refs/heads/main\n"));
     }
+    // 9 pushes => 3 due checks, each refused by the queue and run on
+    // the spot: nothing to wait for before inspecting the log.
+    assert_eq!(s.hits("core::verifier::enqueue"), 3);
     assert_eq!(rig.ls.verifier_lag(), 0);
     let (entries, _, _) = rig.ls.log_stats(0).unwrap();
     assert!(
         entries <= 3,
         "inline auto-trim should bound the log, got {entries}"
     );
-    // The lag gauge exists (at zero) even in inline mode once any
-    // instance with a verifier has run in this process; either way the
-    // barrier is a no-op here.
     rig.ls.verifier_barrier().unwrap();
     rig.ls.verify_log(0).unwrap();
 }
@@ -707,6 +687,7 @@ fn malformed_response_is_forwarded_not_stalled() {
 /// detected at most `VERIFIER_LAG_BOUND × check_interval` pairs late.
 #[test]
 fn verifier_lag_stays_within_its_bound_under_concurrent_sessions() {
+    let _s = plat::failpoint::scenario(); // serialize with the enqueue-fault test
     use std::sync::atomic::{AtomicBool, Ordering};
     const SESSIONS: usize = 16;
     const PUSHES: usize = 12;

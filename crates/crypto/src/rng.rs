@@ -121,13 +121,6 @@ impl SystemRng {
     pub fn next_below(&mut self, bound: u64) -> u64 {
         self.inner.next_below(bound)
     }
-
-    /// Returns a fresh 32-byte key.
-    pub fn gen_key(&mut self) -> [u8; 32] {
-        let mut k = [0u8; 32];
-        self.fill(&mut k);
-        k
-    }
 }
 
 #[cfg(test)]

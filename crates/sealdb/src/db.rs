@@ -62,6 +62,10 @@ pub struct Database {
     salvage: Option<SalvageInfo>,
     /// Registered delta-maintained materialized views.
     matviews: Vec<MatView>,
+    /// A compaction snapshot is about to replace the journal
+    /// ([`Database::defer_to_snapshot`]): statements are applied but
+    /// not appended, as during replay.
+    snapshot_pending: bool,
 }
 
 impl Default for Database {
@@ -79,6 +83,7 @@ impl Database {
             planner: true,
             salvage: None,
             matviews: Vec::new(),
+            snapshot_pending: false,
         }
     }
 
@@ -87,11 +92,6 @@ impl Database {
     /// identical either way.
     pub fn set_planner_enabled(&mut self, enabled: bool) {
         self.planner = enabled;
-    }
-
-    /// Whether the optimizing executor is enabled.
-    pub fn planner_enabled(&self) -> bool {
-        self.planner
     }
 
     /// Opens a database persisted at `path`, replaying any existing
@@ -104,17 +104,40 @@ impl Database {
         path: impl AsRef<std::path::Path>,
         codec: Box<dyn JournalCodec>,
     ) -> Result<Database> {
-        let mut journal = Journal::open(path, codec)?;
-        let entries = journal.replay()?;
         let mut db = Database::new();
-        db.salvage = journal.last_salvage();
-        // Replayed into a database with no journal yet, so recovered
-        // statements are not journaled again.
-        for e in entries {
-            db.execute_with(&e.sql, &e.params)?;
-        }
-        db.journal = Some(journal);
+        db.journal = Some(Journal::open(path, codec)?);
+        db.reload()?;
         Ok(db)
+    }
+
+    /// Replaces the tables with what the journal replays to and resumes
+    /// journaling: how a database opens, and how a caller gives up what
+    /// it applied since [`Database::defer_to_snapshot`] when the
+    /// snapshot cannot be written — none of it reached the journal.
+    /// Registered materialized views reseed on their next refresh.
+    ///
+    /// # Errors
+    ///
+    /// As [`Database::open`]; the tables are untouched on error.
+    pub fn reload(&mut self) -> Result<()> {
+        let Some(journal) = self.journal.as_mut() else {
+            return Ok(());
+        };
+        let entries = journal.replay()?;
+        self.salvage = journal.last_salvage();
+        // Replayed into a database with no journal, so recovered
+        // statements are not journaled again.
+        let mut replayed = Database::new();
+        for e in entries {
+            replayed.execute_with(&e.sql, &e.params)?;
+        }
+        self.catalog = replayed.catalog;
+        for v in &mut self.matviews {
+            v.full_dirty = true;
+            v.dirty.clear();
+        }
+        self.snapshot_pending = false;
+        Ok(())
     }
 
     /// The torn-tail salvage performed while opening this database, if
@@ -233,7 +256,7 @@ impl Database {
                 filter,
             } => self.exec_update(table, sets, filter.as_ref(), params)?,
         };
-        if let Some(j) = self.journal.as_mut() {
+        if let Some(j) = self.journal.as_mut().filter(|_| !self.snapshot_pending) {
             j.append(sql, params)?;
         }
         Ok(result)
@@ -659,6 +682,23 @@ impl Database {
         Ok(())
     }
 
+    /// Stops journaling until the next successful
+    /// [`Database::compact`] (or a [`Database::reload`] that gives the
+    /// changes up): statements still apply, and the snapshot is what
+    /// makes them durable. A caller about to rewrite most rows (a log
+    /// trim) stages them this way, so the live journal stays
+    /// byte-identical — and replayable as the state before — until the
+    /// snapshot atomically replaces it.
+    pub fn defer_to_snapshot(&mut self) {
+        self.snapshot_pending = true;
+    }
+
+    /// Whether statements are waiting for a snapshot to make them
+    /// durable ([`Database::defer_to_snapshot`]).
+    pub fn snapshot_pending(&self) -> bool {
+        self.snapshot_pending
+    }
+
     /// Compacts persistent storage: atomically replaces the journal
     /// with a snapshot (schema + data dump).
     ///
@@ -673,6 +713,7 @@ impl Database {
     /// untouched on error.
     pub fn compact(&mut self) -> Result<()> {
         let Some(journal) = self.journal.as_mut() else {
+            self.snapshot_pending = false;
             return Ok(());
         };
         // Matview backing rows are derived data: dump their schema so
@@ -698,6 +739,7 @@ impl Database {
         }
         records.extend(self.catalog.view_sql_sorted().into_iter().map(ddl));
         journal.rewrite(&records)?;
+        self.snapshot_pending = false;
         db_metrics().compactions.inc();
         Ok(())
     }

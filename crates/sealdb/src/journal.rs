@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use crate::value::Value;
 use crate::{DbError, Result};
 
-/// Counts every fsync the journal issues (appends, truncations,
+/// Counts every fsync the journal issues (appends, salvage,
 /// compaction snapshots and directory syncs alike).
 fn fsync_counter() -> &'static libseal_telemetry::Counter {
     static C: std::sync::OnceLock<libseal_telemetry::Counter> = std::sync::OnceLock::new();
@@ -222,26 +222,6 @@ impl Journal {
         r
     }
 
-    /// Truncates the journal (after a snapshot/compaction).
-    ///
-    /// The truncation is always made durable — file and parent
-    /// directory fsynced without waiting for [`Journal::sync_now`] —
-    /// because losing the *ordering* of a truncation against a
-    /// snapshot rewrite on crash corrupts the journal.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors are surfaced as [`DbError::Io`].
-    pub fn truncate(&mut self) -> Result<()> {
-        plat::failpoint::check("sealdb::journal::truncate").map_err(DbError::io)?;
-        self.file.set_len(0).map_err(DbError::io)?;
-        self.file.seek(SeekFrom::End(0)).map_err(DbError::io)?;
-        self.file.sync_all().map_err(DbError::io)?;
-        fsync_counter().inc();
-        sync_parent_dir(&self.path).map_err(DbError::io)?;
-        Ok(())
-    }
-
     /// Atomically replaces the journal's contents with `records` (the
     /// snapshot produced by compaction).
     ///
@@ -302,11 +282,6 @@ impl Journal {
         Ok(())
     }
 
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Current journal size in bytes.
     pub fn size_bytes(&self) -> u64 {
         self.file.metadata().map(|m| m.len()).unwrap_or(0)
@@ -344,8 +319,8 @@ fn remove_stale_rewrite_temps(path: &Path) {
     }
 }
 
-/// Fsyncs the directory containing `path`, making a rename/truncate in
-/// it durable.
+/// Fsyncs the directory containing `path`, making a rename in it
+/// durable.
 ///
 /// # Errors
 ///
@@ -540,17 +515,6 @@ mod tests {
         let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
         let entries = j.replay().unwrap();
         assert_eq!(entries.len(), 1);
-    }
-
-    #[test]
-    fn truncate_clears() {
-        let path = tmp("trunc");
-        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
-        j.append("X", &[]).unwrap();
-        j.truncate().unwrap();
-        assert!(j.replay().unwrap().is_empty());
-        j.append("Y", &[]).unwrap();
-        assert_eq!(j.replay().unwrap().len(), 1);
     }
 
     #[test]

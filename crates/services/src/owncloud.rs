@@ -168,11 +168,6 @@ impl OwnCloudServer {
         d.cursors.remove(client);
         Json::object([("ok", Json::Bool(true))])
     }
-
-    /// Current document snapshot (tests).
-    pub fn snapshot_of(&self, doc: &str) -> Option<String> {
-        self.docs.lock().get(doc).map(|d| d.snapshot.clone())
-    }
 }
 
 impl Router for Arc<OwnCloudServer> {

@@ -50,16 +50,6 @@ fn push(repo: &str, i: u64) -> Request {
 // ---------------------------------------------------------------
 
 #[test]
-fn builder_rejects_shards_without_group_commit() {
-    let ca = ca();
-    let err = plane_builder(&ca, 4).no_group_commit().build_plane().err();
-    assert!(
-        matches!(err, Some(LibSealError::Config(_))),
-        "shards(4) + no_group_commit must be a typed config error, got {err:?}"
-    );
-}
-
-#[test]
 fn builder_rejects_shards_without_an_ssm() {
     let ca = ca();
     let (key, cert) = ca.issue_identity("localhost", &[0x21; 32]).unwrap();
@@ -78,9 +68,6 @@ fn builder_rejects_shards_without_an_ssm() {
 fn shards_one_builds_a_single_enclave_plane() {
     let ca = ca();
     let plane = plane_builder(&ca, 1).build_plane().unwrap();
-    assert_eq!(plane.shards(), 1);
-    // And no_group_commit stays legal at one shard.
-    let plane = plane_builder(&ca, 1).no_group_commit().build_plane().unwrap();
     assert_eq!(plane.shards(), 1);
 }
 

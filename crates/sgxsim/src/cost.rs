@@ -39,9 +39,6 @@ pub struct CostModel {
     pub epc_limit_bytes: u64,
     /// Cycles charged per 4 KB page swapped between EPC and DRAM.
     pub epc_page_swap_cycles: u64,
-    /// Multiplier on in-enclave memory-heavy work, modelling the MEE
-    /// en/decryption penalty on last-level-cache misses.
-    pub cache_penalty_factor: f64,
     /// Floor on the thread count used for contention pricing. On hosts
     /// with fewer cores than the paper's testbed, genuine in-enclave
     /// parallelism cannot arise, so transitions would always be priced
@@ -62,7 +59,6 @@ impl Default for CostModel {
             async_handoff_cycles: 450,
             epc_limit_bytes: 93 * 1024 * 1024,
             epc_page_swap_cycles: 12_000,
-            cache_penalty_factor: 1.3,
             assumed_concurrency: 0,
         }
     }

@@ -30,19 +30,9 @@ pub struct MonotonicCounter {
 }
 
 impl MonotonicCounter {
-    /// The paper-era increment latency of SGX counters (~80-250 ms;
-    /// we use 100 ms).
-    pub const HW_LATENCY: Duration = Duration::from_millis(100);
-    /// Write-endurance budget before the counter wears out.
-    pub const HW_MAX_WRITES: u64 = 1_000_000;
-
-    /// Creates a counter with hardware-realistic latency and wear.
-    pub fn hardware_realistic() -> Self {
-        Self::with_properties(Self::HW_LATENCY, Self::HW_MAX_WRITES)
-    }
-
-    /// Creates a counter with custom latency and endurance (tests and
-    /// fast benchmarks pass `Duration::ZERO`).
+    /// Creates a counter with the given increment latency and write
+    /// endurance (the paper-era hardware: ~100 ms and ~1 M writes;
+    /// tests and fast benchmarks pass `Duration::ZERO`).
     pub fn with_properties(increment_latency: Duration, max_writes: u64) -> Self {
         MonotonicCounter {
             value: AtomicU64::new(0),

@@ -249,11 +249,6 @@ impl<S: Read + Write> SslStream<S> {
         &self.ssl
     }
 
-    /// The inner protocol state, mutably.
-    pub fn ssl_mut(&mut self) -> &mut Ssl {
-        &mut self.ssl
-    }
-
     /// The underlying transport.
     pub fn get_ref(&self) -> &S {
         &self.stream
