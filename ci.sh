@@ -26,8 +26,9 @@ cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D
 # table, sealdb's SQL renderer or `SyncPolicy` is back, a second TLS
 # termination surface is back (or a services driver names the TLS
 # library), the log's one commit step has company (a second signer or
-# binder in log.rs, the two knobs that forked the request path), or a
-# paper printer builds its own fleet. Builds the bench
+# binder in log.rs, the two knobs that forked the request path),
+# crates/rote names a thread or a channel again (a round is a loop), or
+# a paper printer builds its own fleet. Builds the bench
 # binaries in release mode, which the gates below need anyway.
 scripts/loc_budget.sh
 

@@ -41,9 +41,8 @@ crates/lthread/src/context.rs: the lthread context switch
 crates/lthread/src/coro.rs: lthread tasks run on the enclave's threads
 crates/lthread/src/runtime.rs: the in-enclave scheduler of the asynchronous calls
 crates/lthread/src/slots.rs: the call slots both sides of the boundary poll
-crates/rote/src: the counter client a seal calls (its simulated remote nodes share the file)
+crates/rote/src: the counter client a seal calls (its simulated remote nodes answer inline from the same file)
 crates/plat/src/sync.rs: the locks in-enclave code takes
-crates/plat/src/channel.rs: the queue the in-enclave workers sleep on
 crates/plat/src/entropy.rs: seeds the in-enclave random number generator
 crates/plat/src/failpoint.rs: fault-injection sites compiled into the write path
 crates/telemetry/src: counters and histograms recorded from inside";

@@ -16,13 +16,19 @@
 //!
 //! # Hardening
 //!
-//! Requests fan out to every node **concurrently** (one worker thread
-//! per node, simulating the per-connection threads a networked
-//! deployment would run), so an increment pays the slowest node's
-//! latency once, not the sum. Each round collects acknowledgements
-//! under a deadline; a round that misses quorum is retried a bounded
-//! number of times with exponential, jittered backoff. What happens
-//! when every retry fails is the cluster's [`QuorumPolicy`]:
+//! The nodes are simulated, so a round is a loop, not a fan-out: the
+//! requester asks each node in turn, stamps each answer with the time
+//! it would arrive on the modelled wire (every request leaves at once,
+//! so that is the node's latency), takes the answers in arrival order
+//! and then sleeps **once** for as long as the round lasted. An
+//! increment therefore pays the latency of the slowest node its quorum
+//! needed, not the sum and not a straggler's; the straggler still
+//! stores the value, only its acknowledgement is dropped. One lock is
+//! held across a round, so concurrent callers get distinct values.
+//! Nothing that would arrive after the round's deadline is taken; a
+//! round that misses quorum is retried a bounded number of times with
+//! exponential, jittered backoff. What happens when every retry fails
+//! is the cluster's [`QuorumPolicy`]:
 //!
 //! - [`QuorumPolicy::FailStop`] (the paper's behaviour): the increment
 //!   fails and the local value does not advance — the service stops
@@ -41,7 +47,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use libseal_crypto::hmac::HmacSha256;
-use plat::channel;
+use plat::sync::Mutex;
 
 /// Process-wide ROTE metrics: round latency, quorum health, and the
 /// unbound/rebind episode counters mirrored from per-cluster stats.
@@ -109,8 +115,9 @@ pub struct CounterNode {
     index: usize,
     mac_key: [u8; 32],
     value: AtomicU64,
-    /// Simulated network + processing latency per request.
-    latency: Duration,
+    /// Simulated network + processing latency per request: when this
+    /// node's answer reaches the requester (the round pays it).
+    latency: Mutex<Duration>,
     /// Failure injection: node ignores requests while true.
     down: AtomicBool,
     /// Byzantine injection: node acknowledges without storing.
@@ -131,7 +138,7 @@ impl CounterNode {
             index,
             mac_key: *mac_key,
             value: AtomicU64::new(0),
-            latency,
+            latency: Mutex::new(latency),
             down: AtomicBool::new(false),
             lies: AtomicBool::new(false),
         }
@@ -153,14 +160,16 @@ impl CounterNode {
         self.lies.store(lies, Ordering::SeqCst);
     }
 
+    /// Makes the node answer after `latency` (straggler injection).
+    pub fn set_latency(&self, latency: Duration) {
+        *self.latency.lock() = latency;
+    }
+
     /// Handles an increment-to request; returns a signed ack, or None
     /// when down or the request would roll the counter back.
     pub fn increment_to(&self, counter_id: &[u8], target: u64) -> Option<CounterAck> {
         if self.down.load(Ordering::SeqCst) {
             return None;
-        }
-        if !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
         }
         if !self.lies.load(Ordering::SeqCst) {
             // Monotonicity: never move backwards.
@@ -214,7 +223,7 @@ pub enum QuorumPolicy {
 /// Tuning knobs for a [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Fault tolerance: the cluster spawns `3f + 1` nodes and needs
+    /// Fault tolerance: the cluster has `3f + 1` nodes and needs
     /// `2f + 1` acknowledgements.
     pub f: usize,
     /// Simulated per-request latency of each node.
@@ -257,60 +266,19 @@ pub struct DegradedStats {
     pub rebinds: u64,
 }
 
-/// A request delivered to a node's worker thread.
-enum Request {
-    IncrementTo {
-        target: u64,
-        reply: channel::Sender<Option<CounterAck>>,
-    },
-    Read {
-        reply: channel::Sender<Option<CounterAck>>,
-    },
-}
-
 /// A quorum of counter nodes plus the local view.
 pub struct Cluster {
     nodes: Vec<Arc<CounterNode>>,
     keys: Vec<[u8; 32]>,
     cfg: ClusterConfig,
     local: AtomicU64,
+    /// Held across an increment, a rebind and a recovery: two callers
+    /// never bind the same value, and `local` never steps back.
+    exclusive: Mutex<()>,
     counter_id: Vec<u8>,
-    /// Per-node request channels into the worker threads.
-    senders: Vec<channel::Sender<Request>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
     degraded: AtomicBool,
     unbound: AtomicU64,
     rebinds: AtomicU64,
-}
-
-/// Serves one node's requests; exits when the cluster drops its
-/// sender. Delivery runs through the `rote::node::deliver` failpoint
-/// so tests can drop or delay individual messages.
-fn worker_loop(node: Arc<CounterNode>, counter_id: Vec<u8>, rx: channel::Receiver<Request>) {
-    while let Some(req) = rx.recv() {
-        let dropped = plat::failpoint::check("rote::node::deliver").is_err();
-        match req {
-            Request::IncrementTo { target, reply } => {
-                let ack = if dropped {
-                    None
-                } else {
-                    node.increment_to(&counter_id, target)
-                };
-                // The requester may have moved on (deadline passed and
-                // its reply channel is gone): a late ack is dropped, as
-                // a late network packet would be.
-                let _ = reply.send(ack);
-            }
-            Request::Read { reply } => {
-                let ack = if dropped {
-                    None
-                } else {
-                    node.read(&counter_id)
-                };
-                let _ = reply.send(ack);
-            }
-        }
-    }
 }
 
 /// Exponential backoff with up to 50 % random jitter.
@@ -326,7 +294,7 @@ fn backoff_with_jitter(base: Duration, attempt: u32) -> Duration {
 }
 
 impl Cluster {
-    /// Builds a cluster tolerating `f` faults (spawning `3f + 1` nodes)
+    /// Builds a cluster tolerating `f` faults (`3f + 1` nodes)
     /// with per-request `latency` and default hardening knobs
     /// (see [`ClusterConfig::new`]).
     ///
@@ -363,23 +331,13 @@ impl Cluster {
             })
             .collect();
         let keys = nodes.iter().map(|n| n.channel_key()).collect();
-        let mut senders = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        for node in &nodes {
-            let (tx, rx) = channel::unbounded();
-            let node = Arc::clone(node);
-            let id = counter_id.to_vec();
-            senders.push(tx);
-            workers.push(std::thread::spawn(move || worker_loop(node, id, rx)));
-        }
         Ok(Cluster {
             nodes,
             keys,
             cfg,
             local: AtomicU64::new(0),
+            exclusive: Mutex::new(()),
             counter_id: counter_id.to_vec(),
-            senders,
-            workers,
             degraded: AtomicBool::new(false),
             unbound: AtomicU64::new(0),
             rebinds: AtomicU64::new(0),
@@ -421,84 +379,55 @@ impl Cluster {
         self.degraded.load(Ordering::SeqCst)
     }
 
-    /// One concurrent fan-out round for `target`; returns the valid
-    /// acks gathered before quorum, all-replied, or the deadline.
-    fn increment_round(&self, target: u64) -> Vec<CounterAck> {
+    /// One round on the modelled wire: with `expect = Some(target)` an
+    /// increment-to, which stops at a quorum of valid acks for
+    /// `target`; with `None` a read, which takes every answer, since
+    /// more answers sharpen the `f+1`-th highest estimate. Every node is
+    /// asked (through the `rote::node::deliver` failpoint, so tests can
+    /// drop individual messages) and stores what it is asked to; its
+    /// answer, an ack or a refusal, arrives after the node's latency.
+    /// Answers are taken in arrival order up to the deadline, and the
+    /// requester sleeps once for as long as that took.
+    fn round(&self, expect: Option<u64>) -> Vec<CounterAck> {
         if plat::failpoint::check("rote::round").is_err() {
             return Vec::new();
         }
-        let (tx, rx) = channel::unbounded();
-        for s in &self.senders {
-            let _ = s.send(Request::IncrementTo {
-                target,
-                reply: tx.clone(),
+        let ask = |node: &Arc<CounterNode>| {
+            let delivered = plat::failpoint::check("rote::node::deliver").ok();
+            let ack = delivered.and_then(|()| match expect {
+                Some(target) => node.increment_to(&self.counter_id, target),
+                None => node.read(&self.counter_id),
             });
-        }
-        drop(tx);
-        self.collect(&rx, Some(target))
-    }
-
-    /// One concurrent read round; collects every answer that arrives
-    /// before the deadline.
-    fn read_round(&self) -> Vec<CounterAck> {
-        if plat::failpoint::check("rote::round").is_err() {
-            return Vec::new();
-        }
-        let (tx, rx) = channel::unbounded();
-        for s in &self.senders {
-            let _ = s.send(Request::Read { reply: tx.clone() });
-        }
-        drop(tx);
-        self.collect(&rx, None)
-    }
-
-    /// Drains one round's replies. With `expect = Some(target)` the
-    /// collection stops as soon as a quorum of valid acks for `target`
-    /// is in hand; with `None` (recovery reads) it waits for every
-    /// node or the deadline, since more answers sharpen the `f+1`-th
-    /// highest estimate.
-    fn collect(
-        &self,
-        rx: &channel::Receiver<Option<CounterAck>>,
-        expect: Option<u64>,
-    ) -> Vec<CounterAck> {
-        let deadline = Instant::now() + self.cfg.deadline;
+            (*node.latency.lock(), ack)
+        };
+        let mut answers: Vec<_> = self.nodes.iter().map(ask).collect();
+        answers.sort_by_key(|(arrives, _)| *arrives);
         let mut acks = Vec::new();
-        let mut replies = 0usize;
-        while replies < self.size() {
+        let mut took = Duration::ZERO;
+        for (arrives, ack) in answers {
             if expect.is_some() && acks.len() >= self.quorum() {
                 break;
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if arrives >= self.cfg.deadline {
+                took = self.cfg.deadline;
                 break;
             }
-            match rx.recv_timeout(deadline - now) {
-                Ok(Some(ack)) => {
-                    replies += 1;
-                    let expected = expect.unwrap_or(ack.value);
-                    if self.verify_ack(&ack, expected) {
-                        acks.push(ack);
-                    }
-                }
-                Ok(None) => replies += 1,
-                Err(_) => break,
-            }
+            took = arrives;
+            acks.extend(ack.filter(|a| self.verify_ack(a, expect.unwrap_or(a.value))));
         }
+        std::thread::sleep(took);
         acks
     }
 
-    /// Runs `round` up to `1 + retries` times with jittered backoff.
-    fn with_retries(
-        &self,
-        round: impl Fn(&Cluster) -> Vec<CounterAck>,
-    ) -> Result<Vec<CounterAck>, RoteError> {
+    /// Runs [`Cluster::round`] up to `1 + retries` times with jittered
+    /// backoff.
+    fn with_retries(&self, expect: Option<u64>) -> Result<Vec<CounterAck>, RoteError> {
         let mut best = 0usize;
         for attempt in 0..=self.cfg.retries {
             if attempt > 0 {
                 std::thread::sleep(backoff_with_jitter(self.cfg.backoff, attempt));
             }
-            let acks = round(self);
+            let acks = self.round(expect);
             if acks.len() >= self.quorum() {
                 return Ok(acks);
             }
@@ -512,8 +441,8 @@ impl Cluster {
 
     /// Increments the counter, collecting a quorum of signed acks.
     ///
-    /// Fan-out is concurrent, so the call pays roughly one node
-    /// latency, bounded by the round deadline times retries.
+    /// The call pays roughly one node latency, bounded by the round
+    /// deadline times retries.
     ///
     /// # Errors
     ///
@@ -523,9 +452,10 @@ impl Cluster {
     /// error: the increment succeeds with an **empty ack vector**
     /// (unbound — see [`Cluster::stats`]).
     pub fn increment(&self) -> Result<(u64, Vec<CounterAck>), RoteError> {
+        let _exclusive = self.exclusive.lock();
         let target = self.local.load(Ordering::SeqCst) + 1;
         let started = Instant::now();
-        let outcome = self.with_retries(|c| c.increment_round(target));
+        let outcome = self.with_retries(Some(target));
         rote_metrics().round_ns.record_duration(started.elapsed());
         match outcome {
             Ok(acks) => {
@@ -565,12 +495,13 @@ impl Cluster {
     /// [`RoteError::NoQuorum`] when the quorum is still unavailable;
     /// the cluster stays degraded.
     pub fn rebind(&self) -> Result<Option<Vec<CounterAck>>, RoteError> {
+        let _exclusive = self.exclusive.lock();
         if !self.degraded.load(Ordering::SeqCst) {
             return Ok(None);
         }
         let target = self.local.load(Ordering::SeqCst);
         let started = Instant::now();
-        let outcome = self.with_retries(|c| c.increment_round(target));
+        let outcome = self.with_retries(Some(target));
         rote_metrics().round_ns.record_duration(started.elapsed());
         let acks = outcome?;
         self.degraded.store(false, Ordering::SeqCst);
@@ -592,7 +523,8 @@ impl Cluster {
     /// path itself fails (fault injection).
     pub fn recover(&self) -> Result<u64, RoteError> {
         plat::failpoint::check("rote::recover").map_err(|e| RoteError::Transport(e.to_string()))?;
-        let acks = self.with_retries(|c| c.read_round())?;
+        let _exclusive = self.exclusive.lock();
+        let acks = self.with_retries(None)?;
         let mut values: Vec<u64> = acks.iter().map(|a| a.value).collect();
         values.sort_unstable_by(|a, b| b.cmp(a));
         // The (f+1)-th highest value is vouched for by >= 1 honest node.
@@ -607,17 +539,6 @@ impl Cluster {
         }
         let payload = CounterNode::mac_payload(&self.counter_id, ack.value);
         HmacSha256::verify(&self.keys[ack.node], &payload, &ack.mac)
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        // Dropping the senders disconnects every worker's channel;
-        // the workers observe it and exit.
-        self.senders.clear();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
     }
 }
 

@@ -25,11 +25,16 @@ fn dropped_node_messages_within_f_are_tolerated() {
     s.set("rote::node::deliver", FaultSpec::error().times(1));
     let (v, acks) = c.increment().unwrap();
     assert_eq!(v, 1);
-    assert!(acks.len() >= c.quorum());
-    assert!(
-        s.hits("rote::node::deliver") >= 4,
-        "fan-out reached every node"
-    );
+    assert_eq!(s.hits("rote::node::deliver"), 4, "every node was asked");
+    // The drop cost exactly one ack: node 0 never saw the request, the
+    // other three stored it and acknowledged.
+    let from: Vec<usize> = acks.iter().map(|a| a.node).collect();
+    assert_eq!(from, [1, 2, 3]);
+    let stored = |i: usize| c.node(i).read(b"q").unwrap().value;
+    assert_eq!([stored(0), stored(1), stored(2), stored(3)], [0, 1, 1, 1]);
+    // Each further round asks every node again.
+    c.increment().unwrap();
+    assert_eq!(s.hits("rote::node::deliver"), 8);
 }
 
 #[test]
@@ -86,23 +91,24 @@ fn degrade_and_alarm_survives_total_message_loss() {
 
 #[test]
 fn slow_nodes_miss_the_deadline_but_quorum_proceeds() {
-    let s = failpoint::scenario();
+    let _s = failpoint::scenario();
     let mut cfg = fast_config(1);
     cfg.deadline = Duration::from_millis(100);
     let c = Cluster::with_config(cfg, b"q").unwrap();
     // One node is pathologically slow; the other three answer in time.
-    s.set(
-        "rote::node::deliver",
-        FaultSpec::delay(Duration::from_millis(300)).times(1),
-    );
+    c.node(0).set_latency(Duration::from_millis(300));
     let start = std::time::Instant::now();
     let (v, acks) = c.increment().unwrap();
     assert_eq!(v, 1);
     assert!(acks.len() >= c.quorum());
+    assert!(acks.iter().all(|a| a.node != 0), "the late ack is dropped");
     assert!(
         start.elapsed() < Duration::from_millis(250),
         "quorum did not wait for the straggler"
     );
+    // The request still reached the straggler: it stores the value
+    // although nobody waited for its answer.
+    assert_eq!(c.node(0).read(b"q").unwrap().value, 1);
 }
 
 #[test]

@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use libseal::plane::AuditPlane;
@@ -49,6 +49,7 @@ use libseal_lthread::{JobPool, PoolConfig};
 use libseal_tlsx::stream::{FlushOutcome, WireBuf};
 use plat::channel::{self, Receiver, Sender};
 use plat::reactor::{Event, Interest, Reactor, Waker};
+use plat::sync::{Condvar, Mutex};
 use plat::timer::TimerWheel;
 
 use crate::conn::{count_shed, cut_request, respond, wants_close, App, Cut, Phase};
@@ -98,7 +99,7 @@ impl SlotPool {
     }
 
     fn acquire(self: &Arc<Self>) -> SlotGuard {
-        let mut free = self.free.lock().expect("slot pool poisoned");
+        let mut free = self.free.lock();
         loop {
             if let Some(idx) = free.pop() {
                 return SlotGuard {
@@ -106,7 +107,7 @@ impl SlotPool {
                     idx,
                 };
             }
-            free = self.freed.wait(free).expect("slot pool poisoned");
+            free = self.freed.wait(free);
         }
     }
 }
@@ -118,11 +119,7 @@ struct SlotGuard {
 
 impl Drop for SlotGuard {
     fn drop(&mut self) {
-        self.pool
-            .free
-            .lock()
-            .expect("slot pool poisoned")
-            .push(self.idx);
+        self.pool.free.lock().push(self.idx);
         self.pool.freed.notify_one();
     }
 }
