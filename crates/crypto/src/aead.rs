@@ -20,76 +20,77 @@ impl ChaCha20Poly1305 {
         ChaCha20Poly1305 { key: *key }
     }
 
-    fn poly_key(&self, nonce: &[u8; 12]) -> [u8; 32] {
+    /// One message's cipher and its authenticator, keyed from keystream
+    /// block 0 (RFC 8439 §2.6).
+    fn start(&self, nonce: &[u8; 12]) -> (ChaCha20, Poly1305) {
         let cipher = ChaCha20::new(&self.key, nonce);
         let block = cipher.block(0);
         let mut otk = [0u8; 32];
         otk.copy_from_slice(&block[..32]);
-        otk
+        (cipher, Poly1305::new(&otk))
     }
 
-    fn compute_tag(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-        let otk = self.poly_key(nonce);
-        let mut mac = Poly1305::new(&otk);
+    /// The tag over `aad` and `ciphertext`, each zero-padded to 16
+    /// bytes, then both lengths.
+    fn tag(mut mac: Poly1305, aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
+        let zero_pad = |len: usize| &[0u8; 15][..(16 - len % 16) % 16];
         mac.update(aad);
-        mac.update(&zero_pad(aad.len()));
+        mac.update(zero_pad(aad.len()));
         mac.update(ciphertext);
-        mac.update(&zero_pad(ciphertext.len()));
-        mac.update(&(aad.len() as u64).to_le_bytes());
-        mac.update(&(ciphertext.len() as u64).to_le_bytes());
+        mac.update(zero_pad(ciphertext.len()));
+        let mut lengths = [0u8; 16];
+        lengths[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+        lengths[8..].copy_from_slice(&(ciphertext.len() as u64).to_le_bytes());
+        mac.update(&lengths);
         mac.finalize()
     }
 
     /// Encrypts `plaintext` in place and returns the 16-byte tag.
     pub fn seal_in_place(&self, nonce: &[u8; 12], aad: &[u8], data: &mut [u8]) -> [u8; 16] {
-        let cipher = ChaCha20::new(&self.key, nonce);
+        let (cipher, mac) = self.start(nonce);
         cipher.apply_keystream(1, data);
-        self.compute_tag(nonce, aad, data)
+        Self::tag(mac, aad, data)
     }
 
     /// Encrypts `plaintext`, returning `ciphertext || tag`.
     pub fn seal(&self, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = plaintext.to_vec();
+        let mut out = Vec::with_capacity(plaintext.len() + 16);
+        out.extend_from_slice(plaintext);
         let tag = self.seal_in_place(nonce, aad, &mut out);
         out.extend_from_slice(&tag);
         out
     }
 
-    /// Verifies `tag` and decrypts `data` in place.
+    /// Verifies and decrypts `ciphertext || tag` in place and returns
+    /// the plaintext, the leading bytes of `sealed`.
     ///
-    /// On tag mismatch the data is left encrypted and an error returned.
-    pub fn open_in_place(
+    /// On tag mismatch `sealed` is left as it was: nothing is decrypted
+    /// before it is authenticated.
+    pub fn open_in_place<'a>(
         &self,
         nonce: &[u8; 12],
         aad: &[u8],
-        data: &mut [u8],
-        tag: &[u8; 16],
-    ) -> Result<()> {
-        let expected = self.compute_tag(nonce, aad, data);
-        if !ct::eq(&expected, tag) {
+        sealed: &'a mut [u8],
+    ) -> Result<&'a mut [u8]> {
+        let Some(len) = sealed.len().checked_sub(16) else {
+            return Err(CryptoError::BadLength);
+        };
+        let (data, tag) = sealed.split_at_mut(len);
+        let (cipher, mac) = self.start(nonce);
+        if !ct::eq(&Self::tag(mac, aad, data), tag) {
             return Err(CryptoError::BadTag);
         }
-        let cipher = ChaCha20::new(&self.key, nonce);
         cipher.apply_keystream(1, data);
-        Ok(())
+        Ok(data)
     }
 
     /// Decrypts `ciphertext || tag` produced by [`Self::seal`].
     pub fn open(&self, nonce: &[u8; 12], aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>> {
-        if sealed.len() < 16 {
-            return Err(CryptoError::BadLength);
-        }
-        let (ct_part, tag_part) = sealed.split_at(sealed.len() - 16);
-        let mut tag = [0u8; 16];
-        tag.copy_from_slice(tag_part);
-        let mut data = ct_part.to_vec();
-        self.open_in_place(nonce, aad, &mut data, &tag)?;
+        let mut data = sealed.to_vec();
+        let len = self.open_in_place(nonce, aad, &mut data)?.len();
+        data.truncate(len);
         Ok(data)
     }
-}
-
-fn zero_pad(len: usize) -> Vec<u8> {
-    vec![0u8; (16 - len % 16) % 16]
 }
 
 #[cfg(test)]

@@ -1,4 +1,9 @@
 //! The ChaCha20 stream cipher (RFC 8439 §2.3).
+//!
+//! [`ChaCha20::block`] is the RFC's block function, one block at a
+//! time. [`ChaCha20::apply_keystream`] runs whole stripes of blocks
+//! through lane-parallel kernels chosen from the CPU's feature set and
+//! the rest through `block` (DESIGN.md "Record crypto kernels").
 
 /// ChaCha20 cipher instance bound to a key and nonce.
 #[derive(Clone)]
@@ -6,6 +11,10 @@ pub struct ChaCha20 {
     key: [u32; 8],
     nonce: [u32; 3],
 }
+
+const SIGMA: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];
+/// Bytes per pass of the wide kernels: eight blocks.
+const STRIPE: usize = 8 * 64;
 
 #[inline(always)]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -19,32 +28,215 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
+/// Which code runs the whole stripes of [`ChaCha20::apply_keystream`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kernel {
+    /// [`ChaCha20::block`] for every block: any CPU.
+    Block,
+    /// Eight blocks per pass in 256-bit lanes, AVX2.
+    Avx2,
+    /// Eight blocks per pass in 256-bit lanes with the 32 registers and
+    /// the vector rotate of AVX-512VL.
+    Avx512vl,
+}
+
+impl Kernel {
+    /// Every kernel, slowest first.
+    pub const ALL: [Kernel; 3] = [Kernel::Block, Kernel::Avx2, Kernel::Avx512vl];
+
+    /// Whether this CPU can execute the kernel.
+    pub fn supported(self) -> bool {
+        match self {
+            Kernel::Block => true,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512vl => {
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The fastest kernel this CPU supports.
+    pub fn detect() -> Kernel {
+        let fastest = Kernel::ALL.into_iter().rfind(|k| k.supported());
+        fastest.unwrap_or(Kernel::Block)
+    }
+}
+
+/// The x86-64 kernels: eight blocks per pass, lanes as blocks. Vector
+/// `x[w]` holds word `w` of all eight blocks, so a quarter round is
+/// twelve 8-lane operations and no shuffle; the keystream is transposed
+/// back to block order once, where it meets the data.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{ChaCha20, SIGMA, STRIPE};
+    use core::arch::x86_64::*;
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load(b: &[u8; 32]) -> __m256i {
+        let (q, _) = b.as_chunks::<8>();
+        let [q0, q1, q2, q3] = [q[0], q[1], q[2], q[3]].map(i64::from_le_bytes);
+        _mm256_setr_epi64x(q0, q1, q2, q3)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store(v: __m256i, b: &mut [u8; 32]) {
+        let q = [
+            _mm256_extract_epi64::<0>(v),
+            _mm256_extract_epi64::<1>(v),
+            _mm256_extract_epi64::<2>(v),
+            _mm256_extract_epi64::<3>(v),
+        ];
+        for (bytes, q) in b.as_chunks_mut::<8>().0.iter_mut().zip(q) {
+            *bytes = q.to_le_bytes();
+        }
+    }
+
+    /// In: `r[w]` is word `w` of blocks 0..8. Out: `[l]` is the eight
+    /// words of block `l`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn transpose(r: [__m256i; 8]) -> [__m256i; 8] {
+        // t[2p], t[2p + 1]: words 2p and 2p + 1 interleaved, blocks
+        // {0, 1, 4, 5} and {2, 3, 6, 7}.
+        let t: [__m256i; 8] = core::array::from_fn(|i| {
+            let (a, b) = (r[i & !1], r[i | 1]);
+            if i & 1 == 0 {
+                _mm256_unpacklo_epi32(a, b)
+            } else {
+                _mm256_unpackhi_epi32(a, b)
+            }
+        });
+        // u[4h + l]: words 4h..4h + 4 of blocks l and l + 4.
+        let u: [__m256i; 8] = core::array::from_fn(|i| {
+            let pair = (i & 4) | (i >> 1 & 1);
+            if i & 1 == 0 {
+                _mm256_unpacklo_epi64(t[pair], t[pair | 2])
+            } else {
+                _mm256_unpackhi_epi64(t[pair], t[pair | 2])
+            }
+        });
+        core::array::from_fn(|l| {
+            if l < 4 {
+                _mm256_permute2x128_si256::<0x20>(u[l], u[l + 4])
+            } else {
+                _mm256_permute2x128_si256::<0x31>(u[l - 4], u[l])
+            }
+        })
+    }
+
+    macro_rules! rotl_avx2 {
+        ($v:expr, $n:literal) => {{
+            let v = $v;
+            _mm256_or_si256(
+                _mm256_slli_epi32::<$n>(v),
+                _mm256_srli_epi32::<{ 32 - $n }>(v),
+            )
+        }};
+    }
+
+    macro_rules! rotl_avx512vl {
+        ($v:expr, $n:literal) => {
+            _mm256_rol_epi32::<$n>($v)
+        };
+    }
+
+    /// Stamps out the stripe loop for one feature set; `$rotl` is that
+    /// set's 32-bit lane rotate.
+    macro_rules! stripes {
+        ($name:ident, $features:literal, $rotl:ident) => {
+            /// XORs keystream into every whole 512-byte stripe of
+            /// `data`; returns the block counter after them and the
+            /// bytes left over.
+            #[target_feature(enable = $features)]
+            pub(super) fn $name<'a>(
+                &self,
+                counter: u32,
+                data: &'a mut [u8],
+            ) -> (u32, &'a mut [u8]) {
+                macro_rules! quarter_round {
+                    ($x:ident, $a:literal, $b:literal, $c:literal, $d:literal) => {
+                        $x[$a] = _mm256_add_epi32($x[$a], $x[$b]);
+                        $x[$d] = $rotl!(_mm256_xor_si256($x[$d], $x[$a]), 16);
+                        $x[$c] = _mm256_add_epi32($x[$c], $x[$d]);
+                        $x[$b] = $rotl!(_mm256_xor_si256($x[$b], $x[$c]), 12);
+                        $x[$a] = _mm256_add_epi32($x[$a], $x[$b]);
+                        $x[$d] = $rotl!(_mm256_xor_si256($x[$d], $x[$a]), 8);
+                        $x[$c] = _mm256_add_epi32($x[$c], $x[$d]);
+                        $x[$b] = $rotl!(_mm256_xor_si256($x[$b], $x[$c]), 7);
+                    };
+                }
+                let mut base: [__m256i; 16] = core::array::from_fn(|w| {
+                    let word = match w {
+                        0..4 => SIGMA[w],
+                        4..12 => self.key[w - 4],
+                        12 => 0,
+                        _ => self.nonce[w - 13],
+                    };
+                    _mm256_set1_epi32(word as i32)
+                });
+                let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+                let mut ctr = counter;
+                let (stripes, rest) = data.as_chunks_mut::<STRIPE>();
+                for stripe in stripes {
+                    base[12] = _mm256_add_epi32(_mm256_set1_epi32(ctr as i32), lane);
+                    let mut x = base;
+                    for _ in 0..10 {
+                        quarter_round!(x, 0, 4, 8, 12);
+                        quarter_round!(x, 1, 5, 9, 13);
+                        quarter_round!(x, 2, 6, 10, 14);
+                        quarter_round!(x, 3, 7, 11, 15);
+                        quarter_round!(x, 0, 5, 10, 15);
+                        quarter_round!(x, 1, 6, 11, 12);
+                        quarter_round!(x, 2, 7, 8, 13);
+                        quarter_round!(x, 3, 4, 9, 14);
+                    }
+                    for w in 0..16 {
+                        x[w] = _mm256_add_epi32(x[w], base[w]);
+                    }
+                    let halves = [
+                        transpose(core::array::from_fn(|w| x[w])),
+                        transpose(core::array::from_fn(|w| x[8 + w])),
+                    ];
+                    // Block `l` is 32-byte chunks `2l` (words 0..8)
+                    // and `2l + 1` (words 8..16) of the stripe.
+                    let (chunks, _) = stripe.as_chunks_mut::<32>();
+                    for (i, chunk) in chunks.iter_mut().enumerate() {
+                        let keystream = halves[i & 1][i >> 1];
+                        store(_mm256_xor_si256(load(chunk), keystream), chunk);
+                    }
+                    ctr = ctr.wrapping_add(8);
+                }
+                (ctr, rest)
+            }
+        };
+    }
+
+    impl ChaCha20 {
+        stripes!(stripes_avx2, "avx2", rotl_avx2);
+        stripes!(stripes_avx512vl, "avx512f,avx512vl", rotl_avx512vl);
+    }
+}
+
 impl ChaCha20 {
     /// Creates a cipher from a 256-bit key and 96-bit nonce.
     pub fn new(key: &[u8; 32], nonce: &[u8; 12]) -> Self {
-        let mut k = [0u32; 8];
-        for i in 0..8 {
-            k[i] = u32::from_le_bytes([key[i * 4], key[i * 4 + 1], key[i * 4 + 2], key[i * 4 + 3]]);
+        let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        ChaCha20 {
+            key: core::array::from_fn(|i| word(&key[i * 4..])),
+            nonce: core::array::from_fn(|i| word(&nonce[i * 4..])),
         }
-        let mut n = [0u32; 3];
-        for i in 0..3 {
-            n[i] = u32::from_le_bytes([
-                nonce[i * 4],
-                nonce[i * 4 + 1],
-                nonce[i * 4 + 2],
-                nonce[i * 4 + 3],
-            ]);
-        }
-        ChaCha20 { key: k, nonce: n }
     }
 
     /// Produces the 64-byte keystream block for block counter `counter`.
     pub fn block(&self, counter: u32) -> [u8; 64] {
         let mut state = [0u32; 16];
-        state[0] = 0x61707865;
-        state[1] = 0x3320646e;
-        state[2] = 0x79622d32;
-        state[3] = 0x6b206574;
+        state[..4].copy_from_slice(&SIGMA);
         state[4..12].copy_from_slice(&self.key);
         state[12] = counter;
         state[13..16].copy_from_slice(&self.nonce);
@@ -70,8 +262,44 @@ impl ChaCha20 {
     /// XORs the keystream (starting at block `counter`) into `data` in
     /// place. Encryption and decryption are the same operation.
     pub fn apply_keystream(&self, counter: u32, data: &mut [u8]) {
-        let mut ctr = counter;
-        for chunk in data.chunks_mut(64) {
+        self.apply_keystream_with(Kernel::detect(), counter, data);
+    }
+
+    /// Runs every whole stripe of `data` through `kernel`; returns the
+    /// block counter after them and the bytes left over.
+    fn stripes<'a>(&self, kernel: Kernel, counter: u32, data: &'a mut [u8]) -> (u32, &'a mut [u8]) {
+        assert!(kernel.supported(), "{kernel:?} not supported by this CPU");
+        match kernel {
+            Kernel::Block => (counter, data),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `supported` detected avx2 on this CPU.
+            Kernel::Avx2 => unsafe { self.stripes_avx2(counter, data) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `supported` detected avx512f and avx512vl on this CPU.
+            Kernel::Avx512vl => unsafe { self.stripes_avx512vl(counter, data) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("only Block is supported off x86-64"),
+        }
+    }
+
+    /// [`Self::apply_keystream`] through `kernel` instead of the one
+    /// [`Kernel::detect`] picks (the equivalence tests call each).
+    ///
+    /// # Panics
+    ///
+    /// If this CPU does not support `kernel`.
+    pub fn apply_keystream_with(&self, kernel: Kernel, counter: u32, data: &mut [u8]) {
+        let (mut ctr, rest) = self.stripes(kernel, counter, data);
+        if kernel != Kernel::Block && rest.len() > 64 {
+            // More than one block left: one more pass, over a padded
+            // copy, is cheaper than `block` twice.
+            let mut stripe = [0u8; STRIPE];
+            stripe[..rest.len()].copy_from_slice(rest);
+            self.stripes(kernel, ctr, &mut stripe);
+            rest.copy_from_slice(&stripe[..rest.len()]);
+            return;
+        }
+        for chunk in rest.chunks_mut(64) {
             let ks = self.block(ctr);
             for (b, k) in chunk.iter_mut().zip(ks.iter()) {
                 *b ^= k;

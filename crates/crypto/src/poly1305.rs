@@ -1,100 +1,144 @@
 //! The Poly1305 one-time authenticator (RFC 8439 §2.5).
 //!
-//! Implemented with 26-bit limbs in `u32`s (five limbs), using `u64`
-//! intermediates — the classic "floodyberry"-style reference layout.
+//! The accumulator and `r` are three limbs of 44, 44 and 42 bits in
+//! `u64`s with `u128` products. Long inputs go four blocks per step,
+//! `(h + m₀)·r⁴ + m₁·r³ + m₂·r² + m₃·r`: the four products do not wait
+//! for each other and share one carry chain (limb bounds in DESIGN.md
+//! "Record crypto kernels").
 
 /// Incremental Poly1305 MAC.
 #[derive(Clone)]
 pub struct Poly1305 {
-    r: [u32; 5],
-    h: [u32; 5],
-    pad: [u32; 4],
+    r: Multiplier,
+    h: [u64; 3],
+    pad: u128,
     buf: [u8; 16],
     buf_len: usize,
+}
+
+const MASK44: u64 = (1 << 44) - 1;
+const MASK42: u64 = (1 << 42) - 1;
+/// The 2¹²⁸ bit every full block carries, as it sits in limb 2.
+const HIBIT: u64 = 1 << 40;
+/// Inputs shorter than this take one block per step: below it the
+/// three multiplications for `r²`, `r³`, `r⁴` cost more than the wide
+/// step saves.
+const WIDE_MIN: usize = 256;
+
+/// 128 bits as limbs.
+#[inline(always)]
+fn limbs(m: u128) -> [u64; 3] {
+    [
+        m as u64 & MASK44,
+        (m >> 44) as u64 & MASK44,
+        (m >> 88) as u64,
+    ]
+}
+
+/// `h + m` for a block `m`; `hibit` is [`HIBIT`], or 0 for the padded
+/// final block.
+#[inline(always)]
+fn add_block(h: [u64; 3], block: &[u8; 16], hibit: u64) -> [u64; 3] {
+    let m = limbs(u128::from_le_bytes(*block));
+    [h[0] + m[0], h[1] + m[1], h[2] + (m[2] | hibit)]
+}
+
+/// A multiplier, with the two multiples the product needs: 2¹³² ≡ 20
+/// modulo 2¹³⁰ − 5, so the limbs that wrap come down multiplied by 20.
+#[derive(Clone, Copy)]
+struct Multiplier {
+    r: [u64; 3],
+    s1: u64,
+    s2: u64,
+}
+
+impl Multiplier {
+    fn new(r: [u64; 3]) -> Self {
+        Multiplier {
+            r,
+            s1: r[1] * 20,
+            s2: r[2] * 20,
+        }
+    }
+
+    /// Adds the unreduced product `a · r` to `d`.
+    #[inline(always)]
+    fn mul_add(&self, a: [u64; 3], d: &mut [u128; 3]) {
+        let [a0, a1, a2] = a.map(u128::from);
+        let [r0, r1, r2] = self.r.map(u128::from);
+        let (s1, s2) = (u128::from(self.s1), u128::from(self.s2));
+        d[0] += a0 * r0 + a1 * s2 + a2 * s1;
+        d[1] += a0 * r1 + a1 * r0 + a2 * s2;
+        d[2] += a0 * r2 + a1 * r1 + a2 * r0;
+    }
+
+    /// `a · r`, carried.
+    #[inline(always)]
+    fn mul(&self, a: [u64; 3]) -> [u64; 3] {
+        let mut d = [0; 3];
+        self.mul_add(a, &mut d);
+        carry(d)
+    }
+}
+
+/// One carry chain: limbs back under 2⁴⁴, 2⁴⁴ + 2¹⁶, 2⁴².
+#[inline(always)]
+fn carry(d: [u128; 3]) -> [u64; 3] {
+    let d1 = d[1] + (d[0] >> 44);
+    let d2 = d[2] + (d1 >> 44);
+    let h0 = (d[0] as u64 & MASK44) + (d2 >> 42) as u64 * 5;
+    [
+        h0 & MASK44,
+        (d1 as u64 & MASK44) + (h0 >> 44),
+        d2 as u64 & MASK42,
+    ]
 }
 
 impl Poly1305 {
     /// Creates an authenticator keyed with the 32-byte one-time key.
     pub fn new(key: &[u8; 32]) -> Self {
+        let half = |at: usize| {
+            let mut b = [0u8; 16];
+            b.copy_from_slice(&key[at..at + 16]);
+            u128::from_le_bytes(b)
+        };
         // Clamp r per the spec.
-        let r0 = u32::from_le_bytes([key[0], key[1], key[2], key[3]]);
-        let r1 = u32::from_le_bytes([key[4], key[5], key[6], key[7]]);
-        let r2 = u32::from_le_bytes([key[8], key[9], key[10], key[11]]);
-        let r3 = u32::from_le_bytes([key[12], key[13], key[14], key[15]]);
-        let r = [
-            r0 & 0x3ffffff,
-            ((r0 >> 26) | (r1 << 6)) & 0x3ffff03,
-            ((r1 >> 20) | (r2 << 12)) & 0x3ffc0ff,
-            ((r2 >> 14) | (r3 << 18)) & 0x3f03fff,
-            (r3 >> 8) & 0x00fffff,
-        ];
-        let pad = [
-            u32::from_le_bytes([key[16], key[17], key[18], key[19]]),
-            u32::from_le_bytes([key[20], key[21], key[22], key[23]]),
-            u32::from_le_bytes([key[24], key[25], key[26], key[27]]),
-            u32::from_le_bytes([key[28], key[29], key[30], key[31]]),
-        ];
+        let r = half(0) & 0x0ffffffc_0ffffffc_0ffffffc_0fffffff;
         Poly1305 {
-            r,
-            h: [0; 5],
-            pad,
+            r: Multiplier::new(limbs(r)),
+            h: [0; 3],
+            pad: half(16),
             buf: [0u8; 16],
             buf_len: 0,
         }
     }
 
-    fn process_block(&mut self, block: &[u8; 16], partial: bool) {
-        let hibit: u32 = if partial { 0 } else { 1 << 24 };
-        let t0 = u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
-        let t1 = u32::from_le_bytes([block[4], block[5], block[6], block[7]]);
-        let t2 = u32::from_le_bytes([block[8], block[9], block[10], block[11]]);
-        let t3 = u32::from_le_bytes([block[12], block[13], block[14], block[15]]);
+    /// `h = (h + m) · r` for one block.
+    #[inline(always)]
+    fn process_block(&mut self, block: &[u8; 16], hibit: u64) {
+        self.h = self.r.mul(add_block(self.h, block, hibit));
+    }
 
-        self.h[0] = self.h[0].wrapping_add(t0 & 0x3ffffff);
-        self.h[1] = self.h[1].wrapping_add(((t0 >> 26) | (t1 << 6)) & 0x3ffffff);
-        self.h[2] = self.h[2].wrapping_add(((t1 >> 20) | (t2 << 12)) & 0x3ffffff);
-        self.h[3] = self.h[3].wrapping_add(((t2 >> 14) | (t3 << 18)) & 0x3ffffff);
-        self.h[4] = self.h[4].wrapping_add((t3 >> 8) | hibit);
-
-        let [r0, r1, r2, r3, r4] = self.r.map(u64::from);
-        let s1 = r1 * 5;
-        let s2 = r2 * 5;
-        let s3 = r3 * 5;
-        let s4 = r4 * 5;
-        let [h0, h1, h2, h3, h4] = self.h.map(u64::from);
-
-        let d0 = h0 * r0 + h1 * s4 + h2 * s3 + h3 * s2 + h4 * s1;
-        let d1 = h0 * r1 + h1 * r0 + h2 * s4 + h3 * s3 + h4 * s2;
-        let d2 = h0 * r2 + h1 * r1 + h2 * r0 + h3 * s4 + h4 * s3;
-        let d3 = h0 * r3 + h1 * r2 + h2 * r1 + h3 * r0 + h4 * s4;
-        let d4 = h0 * r4 + h1 * r3 + h2 * r2 + h3 * r1 + h4 * r0;
-
-        let mut c: u64;
-        let mut d0 = d0;
-        let mut d1 = d1;
-        let mut d2 = d2;
-        let mut d3 = d3;
-        let mut d4 = d4;
-        c = d0 >> 26;
-        let h0 = (d0 & 0x3ffffff) as u32;
-        d1 += c;
-        c = d1 >> 26;
-        let h1 = (d1 & 0x3ffffff) as u32;
-        d2 += c;
-        c = d2 >> 26;
-        let h2 = (d2 & 0x3ffffff) as u32;
-        d3 += c;
-        c = d3 >> 26;
-        let h3 = (d3 & 0x3ffffff) as u32;
-        d4 += c;
-        c = d4 >> 26;
-        let h4 = (d4 & 0x3ffffff) as u32;
-        d0 = u64::from(h0) + c * 5;
-        c = d0 >> 26;
-        let h0 = (d0 & 0x3ffffff) as u32;
-        let h1 = h1.wrapping_add(c as u32);
-
-        self.h = [h0, h1, h2, h3, h4];
+    /// Four blocks per step over `blocks` (64 bytes each).
+    fn process_wide(&mut self, blocks: &[[u8; 64]]) {
+        let r = self.r;
+        let r2 = Multiplier::new(r.mul(r.r));
+        let powers = [
+            Multiplier::new(r2.mul(r2.r)),
+            Multiplier::new(r2.mul(r.r)),
+            r2,
+            r,
+        ];
+        for four in blocks {
+            let mut d = [0; 3];
+            // The accumulator goes in with the first block of a step.
+            let mut h = self.h;
+            for (block, power) in four.as_chunks::<16>().0.iter().zip(&powers) {
+                power.mul_add(add_block(h, block, HIBIT), &mut d);
+                h = [0; 3];
+            }
+            self.h = carry(d);
+        }
     }
 
     /// Absorbs message data.
@@ -104,22 +148,24 @@ impl Poly1305 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 16 {
-                let block = self.buf;
-                self.process_block(&block, false);
-                self.buf_len = 0;
+            if self.buf_len < 16 {
+                return;
             }
+            let block = self.buf;
+            self.process_block(&block, HIBIT);
+            self.buf_len = 0;
         }
-        while data.len() >= 16 {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(&data[..16]);
-            self.process_block(&block, false);
-            data = &data[16..];
+        if data.len() >= WIDE_MIN {
+            let (wide, rest) = data.as_chunks::<64>();
+            self.process_wide(wide);
+            data = rest;
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        let (blocks, rest) = data.as_chunks::<16>();
+        for block in blocks {
+            self.process_block(block, HIBIT);
         }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
     /// Completes the MAC and returns the 16-byte tag.
@@ -128,73 +174,27 @@ impl Poly1305 {
             let mut block = [0u8; 16];
             block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
             block[self.buf_len] = 1;
-            self.process_block(&block, true);
+            self.process_block(&block, 0);
         }
 
-        let [mut h0, mut h1, mut h2, mut h3, mut h4] = self.h;
-        // Full carry propagation.
-        let mut c: u32;
-        c = h1 >> 26;
-        h1 &= 0x3ffffff;
-        h2 += c;
-        c = h2 >> 26;
-        h2 &= 0x3ffffff;
-        h3 += c;
-        c = h3 >> 26;
-        h3 &= 0x3ffffff;
-        h4 += c;
-        c = h4 >> 26;
-        h4 &= 0x3ffffff;
-        h0 += c * 5;
-        c = h0 >> 26;
-        h0 &= 0x3ffffff;
-        h1 += c;
+        // Full carry propagation: two more passes settle every limb.
+        let [h0, h1, h2] = self.h.map(u128::from);
+        let [h0, h1, h2] = carry(carry([h0, h1, h2]).map(u128::from));
+        let (c, h1) = (h1 >> 44, h1 & MASK44);
+        let h2 = h2 + c;
 
         // Compute h + -p and select it if h >= p, in constant time.
-        let mut g0 = h0.wrapping_add(5);
-        c = g0 >> 26;
-        g0 &= 0x3ffffff;
-        let mut g1 = h1.wrapping_add(c);
-        c = g1 >> 26;
-        g1 &= 0x3ffffff;
-        let mut g2 = h2.wrapping_add(c);
-        c = g2 >> 26;
-        g2 &= 0x3ffffff;
-        let mut g3 = h3.wrapping_add(c);
-        c = g3 >> 26;
-        g3 &= 0x3ffffff;
-        let g4 = h4.wrapping_add(c).wrapping_sub(1 << 26);
+        let g0 = h0 + 5;
+        let g1 = h1 + (g0 >> 44);
+        let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
+        let mask = (g2 >> 63).wrapping_sub(1);
+        let h0 = (h0 & !mask) | (g0 & MASK44 & mask);
+        let h1 = (h1 & !mask) | (g1 & MASK44 & mask);
+        let h2 = (h2 & !mask) | (g2 & mask);
 
-        let mask = (g4 >> 31).wrapping_sub(1);
-        h0 = (h0 & !mask) | (g0 & mask);
-        h1 = (h1 & !mask) | (g1 & mask);
-        h2 = (h2 & !mask) | (g2 & mask);
-        h3 = (h3 & !mask) | (g3 & mask);
-        h4 = (h4 & !mask) | (g4 & mask);
-
-        // Serialize h back to 128 bits.
-        let w0 = h0 | (h1 << 26);
-        let w1 = (h1 >> 6) | (h2 << 20);
-        let w2 = (h2 >> 12) | (h3 << 14);
-        let w3 = (h3 >> 18) | (h4 << 8);
-
-        // Add the pad (s) modulo 2^128.
-        let mut acc: u64;
-        acc = u64::from(w0) + u64::from(self.pad[0]);
-        let o0 = acc as u32;
-        acc = u64::from(w1) + u64::from(self.pad[1]) + (acc >> 32);
-        let o1 = acc as u32;
-        acc = u64::from(w2) + u64::from(self.pad[2]) + (acc >> 32);
-        let o2 = acc as u32;
-        acc = u64::from(w3) + u64::from(self.pad[3]) + (acc >> 32);
-        let o3 = acc as u32;
-
-        let mut out = [0u8; 16];
-        out[0..4].copy_from_slice(&o0.to_le_bytes());
-        out[4..8].copy_from_slice(&o1.to_le_bytes());
-        out[8..12].copy_from_slice(&o2.to_le_bytes());
-        out[12..16].copy_from_slice(&o3.to_le_bytes());
-        out
+        // h mod 2^128, plus the pad (s) modulo 2^128.
+        let h = u128::from(h0) | u128::from(h1) << 44 | u128::from(h2) << 88;
+        h.wrapping_add(self.pad).to_le_bytes()
     }
 
     /// One-shot MAC of `data` under `key`.

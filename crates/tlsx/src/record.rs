@@ -42,24 +42,40 @@ impl ContentType {
 
 /// Maximum record payload size.
 pub const MAX_RECORD: usize = 16 * 1024;
+/// Bytes of a record header: type, then the payload length.
+pub const HEADER: usize = 3;
+/// Bytes protection adds to a payload (the AEAD tag).
+pub const TAG: usize = 16;
 
-/// A parsed record.
+/// A record found by [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
+pub struct Record<'a> {
     /// Content type.
     pub ctype: ContentType,
     /// Payload (plaintext or ciphertext depending on layer state).
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
+}
+
+/// The header of a record carrying `len` payload bytes.
+fn header(ctype: ContentType, len: usize) -> Result<[u8; HEADER]> {
+    if len > MAX_RECORD + TAG {
+        return Err(TlsError::Protocol(format!("oversized record: {len}")));
+    }
+    let [hi, lo] = (len as u16).to_be_bytes();
+    Ok([ctype.to_byte(), hi, lo])
 }
 
 /// Frames a record for the wire.
-pub fn frame(ctype: ContentType, payload: &[u8]) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_RECORD + 16);
-    let mut out = Vec::with_capacity(3 + payload.len());
-    out.push(ctype.to_byte());
-    out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+///
+/// # Errors
+///
+/// [`TlsError::Protocol`] when `payload` is longer than a record the
+/// peer's [`parse`] accepts.
+pub fn frame(ctype: ContentType, payload: &[u8]) -> Result<Vec<u8>> {
+    let mut out = Vec::with_capacity(HEADER + payload.len());
+    out.extend_from_slice(&header(ctype, payload.len())?);
     out.extend_from_slice(payload);
-    out
+    Ok(out)
 }
 
 /// Attempts to parse one record from the front of `buf`; returns the
@@ -68,25 +84,19 @@ pub fn frame(ctype: ContentType, payload: &[u8]) -> Vec<u8> {
 /// # Errors
 ///
 /// [`TlsError::Protocol`] on an invalid header.
-pub fn parse(buf: &[u8]) -> Result<Option<(Record, usize)>> {
-    if buf.len() < 3 {
+pub fn parse(buf: &[u8]) -> Result<Option<(Record<'_>, usize)>> {
+    if buf.len() < HEADER {
         return Ok(None);
     }
     let ctype = ContentType::from_byte(buf[0])?;
     let len = u16::from_be_bytes([buf[1], buf[2]]) as usize;
-    if len > MAX_RECORD + 16 {
+    if len > MAX_RECORD + TAG {
         return Err(TlsError::Protocol(format!("oversized record: {len}")));
     }
-    if buf.len() < 3 + len {
+    let Some(payload) = buf.get(HEADER..HEADER + len) else {
         return Ok(None);
-    }
-    Ok(Some((
-        Record {
-            ctype,
-            payload: buf[3..3 + len].to_vec(),
-        },
-        3 + len,
-    )))
+    };
+    Ok(Some((Record { ctype, payload }, HEADER + len)))
 }
 
 /// One direction's record protection state.
@@ -118,11 +128,34 @@ impl RecordKeys {
     /// Seals `plaintext` into a protected record payload, advancing the
     /// sequence number.
     pub fn seal(&mut self, ctype: ContentType, plaintext: &[u8]) -> Vec<u8> {
-        let nonce = self.nonce();
-        let aad = [ctype.to_byte()];
-        let sealed = self.aead.seal(&nonce, &aad, plaintext);
+        let sealed = self.aead.seal(&self.nonce(), &[ctype.to_byte()], plaintext);
         self.seq += 1;
         sealed
+    }
+
+    /// Appends the whole protected record of `plaintext` to `out` —
+    /// header, ciphertext, tag — encrypting where the bytes land, and
+    /// advances the sequence number.
+    ///
+    /// # Errors
+    ///
+    /// [`TlsError::Protocol`] when `plaintext` is longer than
+    /// [`MAX_RECORD`]; nothing is appended.
+    pub fn seal_into(
+        &mut self,
+        ctype: ContentType,
+        plaintext: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        out.extend_from_slice(&header(ctype, plaintext.len() + TAG)?);
+        let start = out.len();
+        out.extend_from_slice(plaintext);
+        let tag = self
+            .aead
+            .seal_in_place(&self.nonce(), &[ctype.to_byte()], &mut out[start..]);
+        out.extend_from_slice(&tag);
+        self.seq += 1;
+        Ok(())
     }
 
     /// Opens a protected record payload, advancing the sequence number.
@@ -131,19 +164,31 @@ impl RecordKeys {
     ///
     /// [`TlsError::Decrypt`] on authentication failure.
     pub fn open(&mut self, ctype: ContentType, sealed: &[u8]) -> Result<Vec<u8>> {
-        let nonce = self.nonce();
-        let aad = [ctype.to_byte()];
-        let out = self
-            .aead
-            .open(&nonce, &aad, sealed)
-            .map_err(|_| TlsError::Decrypt)?;
-        self.seq += 1;
-        Ok(out)
+        let mut data = sealed.to_vec();
+        let len = self.open_in_place(ctype, &mut data)?.len();
+        data.truncate(len);
+        Ok(data)
     }
 
-    /// Records protected so far in this direction.
-    pub fn seq(&self) -> u64 {
-        self.seq
+    /// [`Self::open`] where the payload lies: returns the plaintext,
+    /// the leading bytes of `sealed`.
+    ///
+    /// # Errors
+    ///
+    /// [`TlsError::Decrypt`] on authentication failure; `sealed` is
+    /// then untouched (no byte is decrypted before the tag verifies)
+    /// and the sequence number has not moved.
+    pub fn open_in_place<'a>(
+        &mut self,
+        ctype: ContentType,
+        sealed: &'a mut [u8],
+    ) -> Result<&'a mut [u8]> {
+        let plain = self
+            .aead
+            .open_in_place(&self.nonce(), &[ctype.to_byte()], sealed)
+            .map_err(|_| TlsError::Decrypt)?;
+        self.seq += 1;
+        Ok(plain)
     }
 }
 
@@ -153,7 +198,7 @@ mod tests {
 
     #[test]
     fn frame_parse_roundtrip() {
-        let framed = frame(ContentType::AppData, b"payload");
+        let framed = frame(ContentType::AppData, b"payload").unwrap();
         let (rec, used) = parse(&framed).unwrap().unwrap();
         assert_eq!(used, framed.len());
         assert_eq!(rec.ctype, ContentType::AppData);
@@ -162,7 +207,7 @@ mod tests {
 
     #[test]
     fn partial_returns_none() {
-        let framed = frame(ContentType::Handshake, b"abcdef");
+        let framed = frame(ContentType::Handshake, b"abcdef").unwrap();
         assert!(parse(&framed[..2]).unwrap().is_none());
         assert!(parse(&framed[..5]).unwrap().is_none());
     }

@@ -14,6 +14,7 @@
 //! over it, binding the handshake to the certificate keys end-to-end.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use libseal_crypto::ed25519::{SigningKey, VerifyingKey};
@@ -148,12 +149,12 @@ pub const INFO_HANDSHAKE_DONE: i32 = 0x20;
 pub struct Ssl {
     config: Arc<SslConfig>,
     state: HandshakeState,
-    /// Ciphertext from the peer, not yet parsed.
+    /// Bytes from the peer. Records are opened where they lie; those
+    /// before `in_pos` have been read.
     in_buf: Vec<u8>,
+    in_pos: usize,
     /// Ciphertext for the peer, not yet taken.
     out_buf: Vec<u8>,
-    /// Decrypted application bytes ready for `ssl_read`.
-    plain_in: Vec<u8>,
     kx_priv: [u8; 32],
     transcript: Vec<u8>,
     write_keys: Option<RecordKeys>,
@@ -234,8 +235,8 @@ impl Ssl {
             config,
             state,
             in_buf: Vec::new(),
+            in_pos: 0,
             out_buf: Vec::new(),
-            plain_in: Vec::new(),
             kx_priv,
             transcript: Vec::new(),
             write_keys: None,
@@ -280,6 +281,8 @@ impl Ssl {
 
     /// Feeds ciphertext received from the wire.
     pub fn provide_input(&mut self, data: &[u8]) {
+        // Drop what has been read: once per feed, not once per record.
+        self.in_buf.drain(..std::mem::take(&mut self.in_pos));
         self.in_buf.extend_from_slice(data);
     }
 
@@ -323,14 +326,23 @@ impl Ssl {
     fn do_handshake_inner(&mut self) -> Result<bool> {
         if self.state == HandshakeState::Start && self.config.role == Role::Client {
             self.info(INFO_HANDSHAKE_START, 0);
-            self.send_client_hello();
+            let share = x25519::public_key(&self.kx_priv);
+            self.queue_handshake(MSG_CLIENT_HELLO, &share)?;
             self.state = HandshakeState::AwaitServerFlight;
         }
         while self.state != HandshakeState::Established {
-            match self.next_handshake_message()? {
-                Some((t, body)) => self.process_handshake_message(t, &body)?,
-                None => return Ok(false),
+            let Some((_, msg)) = self.next_record(true)? else {
+                return Ok(false);
+            };
+            // Copied out: processing it appends to `self`'s buffers.
+            let msg = self.in_buf[msg].to_vec();
+            let [t, l0, l1, l2, body @ ..] = &msg[..] else {
+                return Err(TlsError::Protocol("short handshake message".into()));
+            };
+            if body.len() != u32::from_be_bytes([0, *l0, *l1, *l2]) as usize {
+                return Err(TlsError::Protocol("handshake length mismatch".into()));
             }
+            self.process_handshake_message(*t, body)?;
         }
         Ok(true)
     }
@@ -344,74 +356,91 @@ impl Ssl {
         if self.state != HandshakeState::Established {
             return Err(TlsError::Protocol("ssl_write before handshake".into()));
         }
+        let keys = self.write_keys.as_mut().expect("established has keys");
+        let framing = data.len().div_ceil(MAX_RECORD) * (record::HEADER + record::TAG);
+        self.out_buf.reserve(data.len() + framing);
         for chunk in data.chunks(MAX_RECORD) {
-            let keys = self.write_keys.as_mut().expect("established has keys");
-            let sealed = keys.seal(ContentType::AppData, chunk);
+            keys.seal_into(ContentType::AppData, chunk, &mut self.out_buf)?;
             tlsx_metrics().records_sealed.inc();
-            self.out_buf
-                .extend_from_slice(&record::frame(ContentType::AppData, &sealed));
         }
         Ok(data.len())
     }
 
-    /// Returns decrypted application data, draining buffered records.
+    /// Takes the next whole record out of `in_buf` — a handshake record
+    /// when `handshaking`, any other kind when not — and, once read
+    /// keys exist, authenticates and decrypts it where it lies. Returns
+    /// its type and where its plaintext is, or `None` when more input
+    /// is needed. A record that fails stays unread and undecrypted.
+    fn next_record(&mut self, handshaking: bool) -> Result<Option<(ContentType, Range<usize>)>> {
+        let Some((rec, used)) = record::parse(&self.in_buf[self.in_pos..])? else {
+            return Ok(None);
+        };
+        let ctype = rec.ctype;
+        match (ctype == ContentType::Handshake, handshaking) {
+            (false, true) => return Err(TlsError::Protocol("expected handshake record".into())),
+            (true, false) => return Err(TlsError::Protocol("unexpected handshake record".into())),
+            _ => {}
+        }
+        let (start, mut end) = (self.in_pos + record::HEADER, self.in_pos + used);
+        // Everything after ServerHello is encrypted; keys exist exactly
+        // then.
+        if let Some(keys) = self.read_keys.as_mut() {
+            let plain = keys.open_in_place(ctype, &mut self.in_buf[start..end])?;
+            end = start + plain.len();
+        }
+        self.in_pos += used;
+        Ok(Some((ctype, start..end)))
+    }
+
+    /// Makes the next application record readable: where its plaintext
+    /// is in `in_buf`, or `None` when no whole record is buffered or
+    /// the session is closed ([`Self::state`] tells which).
+    fn read_record(&mut self) -> Result<Option<Range<usize>>> {
+        if self.state != HandshakeState::Closed && !self.is_established() {
+            // Still handshaking: make progress first.
+            self.do_handshake()?;
+        }
+        if !self.is_established() {
+            return Ok(None);
+        }
+        loop {
+            let Some((ctype, plain)) = self.next_record(false)? else {
+                return Ok(None);
+            };
+            tlsx_metrics().records_opened.inc();
+            if ctype == ContentType::Alert {
+                if self.in_buf[plain].first() != Some(&0) {
+                    return Err(TlsError::Protocol("fatal alert".into()));
+                }
+                self.state = HandshakeState::Closed;
+                return Ok(None);
+            }
+            if !plain.is_empty() {
+                return Ok(Some(plain));
+            }
+        }
+    }
+
+    /// Returns decrypted application data, one buffered record's worth.
     ///
     /// # Errors
     ///
     /// Decryption and protocol failures are fatal.
     pub fn ssl_read(&mut self) -> Result<ReadOutcome> {
-        if self.state == HandshakeState::Closed {
-            return Ok(ReadOutcome::Closed);
-        }
-        if self.state != HandshakeState::Established {
-            // Still handshaking: make progress first.
-            self.do_handshake()?;
-            if self.state != HandshakeState::Established {
-                return Ok(ReadOutcome::WantRead);
-            }
-        }
-        loop {
-            if !self.plain_in.is_empty() {
-                return Ok(ReadOutcome::Data(std::mem::take(&mut self.plain_in)));
-            }
-            match record::parse(&self.in_buf)? {
-                None => return Ok(ReadOutcome::WantRead),
-                Some((rec, used)) => {
-                    self.in_buf.drain(..used);
-                    match rec.ctype {
-                        ContentType::AppData => {
-                            let keys = self.read_keys.as_mut().expect("established has keys");
-                            let plain = keys.open(ContentType::AppData, &rec.payload)?;
-                            tlsx_metrics().records_opened.inc();
-                            self.plain_in.extend_from_slice(&plain);
-                        }
-                        ContentType::Alert => {
-                            let keys = self.read_keys.as_mut().expect("established has keys");
-                            let plain = keys.open(ContentType::Alert, &rec.payload)?;
-                            tlsx_metrics().records_opened.inc();
-                            if plain.first() == Some(&0) {
-                                self.state = HandshakeState::Closed;
-                                return Ok(ReadOutcome::Closed);
-                            }
-                            return Err(TlsError::Protocol("fatal alert".into()));
-                        }
-                        ContentType::Handshake => {
-                            return Err(TlsError::Protocol("unexpected handshake record".into()))
-                        }
-                    }
-                }
-            }
-        }
+        Ok(match self.read_record()? {
+            Some(plain) => ReadOutcome::Data(self.in_buf[plain].to_vec()),
+            None if self.state == HandshakeState::Closed => ReadOutcome::Closed,
+            None => ReadOutcome::WantRead,
+        })
     }
 
     /// Queues a close_notify alert.
     pub fn send_close(&mut self) {
         if self.state == HandshakeState::Established {
             if let Some(keys) = self.write_keys.as_mut() {
-                let sealed = keys.seal(ContentType::Alert, &[0]);
+                keys.seal_into(ContentType::Alert, &[0], &mut self.out_buf)
+                    .expect("one byte fits a record");
                 tlsx_metrics().records_sealed.inc();
-                self.out_buf
-                    .extend_from_slice(&record::frame(ContentType::Alert, &sealed));
             }
             self.state = HandshakeState::Closed;
         }
@@ -428,20 +457,18 @@ impl Ssl {
         self.provide_input(input);
         let mut p = Pumped::default();
         loop {
-            // `ssl_read` drives an unfinished handshake before it reads.
-            match self.ssl_read() {
-                Ok(ReadOutcome::Data(d)) => p.data.extend_from_slice(&d),
-                Ok(ReadOutcome::WantRead) => break,
-                Ok(ReadOutcome::Closed) => {
-                    p.closed = true;
-                    break;
-                }
+            // `read_record` drives an unfinished handshake before it
+            // reads.
+            match self.read_record() {
+                Ok(Some(plain)) => p.data.extend_from_slice(&self.in_buf[plain]),
+                Ok(None) => break,
                 Err(e) => {
                     p.error = Some(e);
                     break;
                 }
             }
         }
+        p.closed = self.state == HandshakeState::Closed;
         p.established = self.is_established();
         p.output = self.take_output();
         p
@@ -451,37 +478,6 @@ impl Ssl {
 
     fn transcript_hash(&self) -> [u8; 32] {
         Sha256::digest(&self.transcript)
-    }
-
-    fn next_handshake_message(&mut self) -> Result<Option<(u8, Vec<u8>)>> {
-        let Some((rec, used)) = record::parse(&self.in_buf)? else {
-            return Ok(None);
-        };
-        if rec.ctype != ContentType::Handshake {
-            return Err(TlsError::Protocol("expected handshake record".into()));
-        }
-        self.in_buf.drain(..used);
-        // Encrypted after keys are installed.
-        let encrypted = self.handshake_encrypted();
-        let payload = match self.read_keys.as_mut() {
-            Some(keys) if encrypted => keys.open(ContentType::Handshake, &rec.payload)?,
-            _ => rec.payload,
-        };
-        if payload.len() < 4 {
-            return Err(TlsError::Protocol("short handshake message".into()));
-        }
-        let t = payload[0];
-        let len = u32::from_be_bytes([0, payload[1], payload[2], payload[3]]) as usize;
-        if payload.len() != 4 + len {
-            return Err(TlsError::Protocol("handshake length mismatch".into()));
-        }
-        Ok(Some((t, payload[4..].to_vec())))
-    }
-
-    fn handshake_encrypted(&self) -> bool {
-        // Everything after ServerHello is encrypted; keys exist exactly
-        // then.
-        self.read_keys.is_some()
     }
 
     /// A handshake message as it enters the transcript: type, 24-bit
@@ -494,26 +490,25 @@ impl Ssl {
         msg
     }
 
-    fn queue_handshake(&mut self, t: u8, body: &[u8]) {
+    /// Appends the message to the transcript and queues its record.
+    ///
+    /// # Errors
+    ///
+    /// [`TlsError::Protocol`] when the message does not fit one record
+    /// (handshake messages are not fragmented).
+    fn queue_handshake(&mut self, t: u8, body: &[u8]) -> Result<()> {
         let msg = Self::frame_handshake(t, body);
         self.transcript.extend_from_slice(&msg);
-        let encrypted = self.write_keys.is_some() && t != MSG_CLIENT_HELLO && t != MSG_SERVER_HELLO;
-        if encrypted {
-            let keys = self.write_keys.as_mut().expect("checked");
-            let sealed = keys.seal(ContentType::Handshake, &msg);
-            self.out_buf
-                .extend_from_slice(&record::frame(ContentType::Handshake, &sealed));
-        } else {
-            self.out_buf
-                .extend_from_slice(&record::frame(ContentType::Handshake, &msg));
+        match self.write_keys.as_mut() {
+            Some(keys) if t != MSG_CLIENT_HELLO && t != MSG_SERVER_HELLO => {
+                keys.seal_into(ContentType::Handshake, &msg, &mut self.out_buf)
+            }
+            _ => {
+                self.out_buf
+                    .extend_from_slice(&record::frame(ContentType::Handshake, &msg)?);
+                Ok(())
+            }
         }
-    }
-
-    fn send_client_hello(&mut self) {
-        let mut body = Vec::with_capacity(64);
-        let pubkey = x25519::public_key(&self.kx_priv);
-        body.extend_from_slice(&pubkey);
-        self.queue_handshake(MSG_CLIENT_HELLO, &body);
     }
 
     fn derive_keys(&mut self, peer_share: &[u8; 32]) -> Result<()> {
@@ -575,7 +570,7 @@ impl Ssl {
 
                 // ServerHello with our share.
                 let my_share = x25519::public_key(&self.kx_priv);
-                self.queue_handshake(MSG_SERVER_HELLO, &my_share);
+                self.queue_handshake(MSG_SERVER_HELLO, &my_share)?;
                 self.derive_keys(&peer_share)?;
 
                 // Certificate.
@@ -584,9 +579,9 @@ impl Ssl {
                     .cert
                     .clone()
                     .ok_or_else(|| TlsError::Protocol("server has no certificate".into()))?;
-                self.queue_handshake(MSG_CERT, &cert.encode());
+                self.queue_handshake(MSG_CERT, &cert.encode())?;
                 if self.config.verify_peer {
-                    self.queue_handshake(MSG_CERT_REQUEST, &[]);
+                    self.queue_handshake(MSG_CERT_REQUEST, &[])?;
                 }
                 // CertVerify over the transcript so far.
                 let key = self
@@ -595,10 +590,10 @@ impl Ssl {
                     .clone()
                     .ok_or_else(|| TlsError::Protocol("server has no key".into()))?;
                 let sig = key.sign(&Self::cert_verify_payload(&self.transcript_hash()));
-                self.queue_handshake(MSG_CERT_VERIFY, &sig);
+                self.queue_handshake(MSG_CERT_VERIFY, &sig)?;
                 // Finished.
                 let fin = HmacSha256::mac(&self.fin_key_local, &self.transcript_hash());
-                self.queue_handshake(MSG_FINISHED, &fin);
+                self.queue_handshake(MSG_FINISHED, &fin)?;
                 self.state = HandshakeState::AwaitClientFinished;
                 Ok(())
             }
@@ -631,12 +626,12 @@ impl Ssl {
                     let key = self.config.key.clone().ok_or_else(|| {
                         TlsError::Protocol("client key required but not configured".into())
                     })?;
-                    self.queue_handshake(MSG_CERT, &cert.encode());
+                    self.queue_handshake(MSG_CERT, &cert.encode())?;
                     let sig = key.sign(&Self::cert_verify_payload(&self.transcript_hash()));
-                    self.queue_handshake(MSG_CERT_VERIFY, &sig);
+                    self.queue_handshake(MSG_CERT_VERIFY, &sig)?;
                 }
                 let fin = HmacSha256::mac(&self.fin_key_local, &self.transcript_hash());
-                self.queue_handshake(MSG_FINISHED, &fin);
+                self.queue_handshake(MSG_FINISHED, &fin)?;
                 self.state = HandshakeState::Established;
                 self.info(INFO_HANDSHAKE_DONE, 0);
                 Ok(())

@@ -56,7 +56,7 @@ plat::prop! {
 
     fn record_frame_parse_roundtrip(g) {
         let payload = g.bytes(0..4000);
-        let framed = frame(ContentType::AppData, &payload);
+        let framed = frame(ContentType::AppData, &payload).unwrap();
         let (rec, used) = parse(&framed).unwrap().unwrap();
         assert_eq!(used, framed.len());
         assert_eq!(rec.payload, payload);
@@ -206,9 +206,9 @@ plat::prop! {
                     let body = g.bytes(0..40);
                     msg.extend_from_slice(&(body.len() as u32).to_be_bytes()[1..4]);
                     msg.extend_from_slice(&body);
-                    frame(ContentType::Handshake, &msg)
+                    frame(ContentType::Handshake, &msg).unwrap()
                 }
-                _ => frame(ContentType::Handshake, &g.bytes(0..60)),
+                _ => frame(ContentType::Handshake, &g.bytes(0..60)).unwrap(),
             };
             peer.provide_input(&noise);
             let _ = peer.do_handshake();

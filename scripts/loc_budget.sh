@@ -27,6 +27,10 @@
 #   - crates/rote/src names a channel or anything of std::thread but
 #     `sleep` (PR 22: a ROTE round is a loop, the simulated nodes answer
 #     inline and the requester sleeps once for the modelled wire),
+#   - crates/crypto holds an `unsafe` that is not the call into a
+#     kernel whose CPU feature was just detected, or a raw pointer
+#     (PR 23: the ChaCha20 kernels are safe `core::arch` code behind two
+#     `#[target_feature]` entries; loads and stores go through slices),
 #   - a paper printer builds a server, client or load generator itself
 #     instead of stating a Scenario, or bench_results/ is back.
 # Every budget is a ratchet, not a target for denser code: a PR that
@@ -40,8 +44,8 @@ BENCH_BUDGET=3141
 SEALDB_BUDGET=4933
 TLSX_BUDGET=2100
 SERVICES_BUDGET=2790
-ENCLAVE_BUDGET=16316
-UNSAFE_BUDGET=21
+ENCLAVE_BUDGET=16465
+UNSAFE_BUDGET=23
 PANIC_BUDGET=586
 table=$(cargo run --release --offline --quiet -p libseal-bench --bin table1)
 printf '%s\n' "$table" | sed -n '/^### Per crate/,/^| total/p'
@@ -99,6 +103,12 @@ if grep -rnE 'no_group_commit|no_async_verify' crates examples README.md DESIGN.
 fi
 if grep -rnE 'thread::|channel::' crates/rote/src | grep -v 'std::thread::sleep('; then
     echo "a ROTE round is a loop: simulated nodes answer inline" >&2
+    fail=1
+fi
+if grep -rnE '\*(const|mut) ' crates/crypto/src ||
+    [ "$(grep -rh -B1 'unsafe {' crates/crypto/src | grep -c '// SAFETY: .* detected')" != \
+        "$(grep -rh 'unsafe {' crates/crypto/src | wc -l)" ]; then
+    echo "crates/crypto: unsafe only to enter a kernel whose feature was detected, no raw pointers" >&2
     fail=1
 fi
 if [ -e bench_results ]; then
