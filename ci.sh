@@ -27,8 +27,10 @@ cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D
 # termination surface is back (or a services driver names the TLS
 # library), the log's one commit step has company (a second signer or
 # binder in log.rs, the two knobs that forked the request path),
-# crates/rote names a thread or a channel again (a round is a loop), or
-# a paper printer builds its own fleet. Builds the bench
+# crates/rote names a thread or a channel again (a round is a loop),
+# the audited data path copies a message out of its buffer again (an
+# owning HTTP parser in crates/core beyond the check-result rebuild, a
+# drain-collect in enclave.rs), or a paper printer builds its own fleet. Builds the bench
 # binaries in release mode, which the gates below need anyway.
 scripts/loc_budget.sh
 

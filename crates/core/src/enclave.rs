@@ -448,28 +448,36 @@ fn queue_audit_requests(
     }
     ctx.sv().epc_touch(data.len() as u64);
     s.req_buf.extend_from_slice(data);
+    let mut used = 0;
     loop {
         // Unlimited parser bounds: the serving edge already enforced
         // its HTTP limits before these bytes were admitted; the audit
         // pipeline's own memory bound is `max_message_buffer` below.
-        match http::parse_request_limited(&s.req_buf, &http::Limits::unlimited()) {
-            Ok((req, used)) => {
-                let check = req.headers.get("Libseal-Check").is_some();
-                let raw: Vec<u8> = s.req_buf.drain(..used).collect();
-                s.pending_bytes += raw.len();
-                s.pending.push_back((raw, check));
-            }
+        let rest = &s.req_buf[used..];
+        let (len, check) = match http::frame_request(rest, &http::Limits::unlimited()) {
+            Ok(frame) => (frame.len, frame.header("Libseal-Check").is_some()),
             Err(libseal_httpx::ParseError::Incomplete) => break,
             Err(_) => {
                 // Provably not HTTP: these bytes can never become a
                 // message. Drop them so unauditable traffic does not
                 // poison the session (the application already received
                 // the plaintext).
-                s.req_buf.clear();
+                used = s.req_buf.len();
                 break;
             }
-        }
+        };
+        // The buffer is the message's one retained copy: a message
+        // that is all of it is taken whole.
+        let raw = if len == s.req_buf.len() {
+            std::mem::take(&mut s.req_buf)
+        } else {
+            used += len;
+            rest[..len].to_vec()
+        };
+        s.pending_bytes += raw.len();
+        s.pending.push_back((raw, check));
     }
+    s.req_buf.drain(..used);
     // Interface hardening (§6.3): a peer must not grow enclave memory
     // without bound — neither by streaming bytes that never form a
     // message nor by pipelining complete requests whose responses it
@@ -561,40 +569,64 @@ pub(crate) fn write_session(t: &Trusted, ctx: &CallCtx<'_>, sid: u64, data: &[u8
     ctx.bio_traffic("bio_write", 1 + data.len() / (16 * 1024));
     let session = t.session(sid)?;
     let mut s = session.lock();
-    let Some(Audited { state, queues }) = &t.audit else {
+    let Some(audited) = &t.audit else {
         s.ssl.ssl_write(data).map_err(LibSealError::Tls)?;
         return Ok(());
     };
-    s.rsp_buf.extend_from_slice(data);
     ctx.sv().epc_touch(data.len() as u64);
-    if s.rsp_buf.len() > t.max_message_buffer {
+    if s.rsp_buf.len() + data.len() > t.max_message_buffer {
+        // Kept, so the stream stays refused rather than resuming with
+        // a hole in it.
+        s.rsp_buf.extend_from_slice(data);
         return Err(LibSealError::Log(
             "response stream exceeds the audit buffer limit".into(),
         ));
     }
+    // Frame responses where they lie: in the ecall's staged copy, or
+    // in `rsp_buf` when an earlier write left a message incomplete.
+    // Only an incomplete tail is ever copied into `rsp_buf`; a failed
+    // write keeps nothing (the session is torn down).
+    let mut held = std::mem::take(&mut s.rsp_buf);
+    if held.is_empty() {
+        let used = write_responses(audited, &mut s, data)?;
+        held.extend_from_slice(&data[used..]);
+    } else {
+        held.extend_from_slice(data);
+        let used = write_responses(audited, &mut s, &held)?;
+        held.drain(..used);
+    }
+    s.rsp_buf = held;
+    Ok(())
+}
+
+/// Pairs each complete response at the front of `buf` with its request,
+/// logs the pair, group-commits and encrypts it straight from `buf`;
+/// returns how many bytes were written. The caller holds the session
+/// lock.
+fn write_responses(audited: &Audited, s: &mut Session, buf: &[u8]) -> Result<usize> {
+    let Audited { state, queues } = audited;
     // A stream that provably is not HTTP (wrong first bytes) can
     // never be audited or header-injected; forward it verbatim
     // instead of stalling the client.
-    if !could_be_http_response(&s.rsp_buf) {
-        let raw: Vec<u8> = s.rsp_buf.drain(..).collect();
-        s.ssl.ssl_write(&raw).map_err(LibSealError::Tls)?;
-        return Ok(());
+    if !could_be_http_response(buf) {
+        s.ssl.ssl_write(buf).map_err(LibSealError::Tls)?;
+        return Ok(buf.len());
     }
+    let mut used = 0;
     loop {
-        let (mut response, used) =
-            match http::parse_response_limited(&s.rsp_buf, &http::Limits::unlimited()) {
-                Ok(r) => r,
-                Err(libseal_httpx::ParseError::Incomplete) => break,
-                Err(_) => {
-                    // The service wrote something that can never parse
-                    // as HTTP; forward it verbatim (unaudited) rather
-                    // than stalling the client forever.
-                    let raw: Vec<u8> = s.rsp_buf.drain(..).collect();
-                    s.ssl.ssl_write(&raw).map_err(LibSealError::Tls)?;
-                    break;
-                }
-            };
-        let raw_rsp: Vec<u8> = s.rsp_buf.drain(..used).collect();
+        let rest = &buf[used..];
+        let raw_rsp = match http::frame_response(rest, &http::Limits::unlimited()) {
+            Ok(frame) => &rest[..frame.len],
+            Err(libseal_httpx::ParseError::Incomplete) => return Ok(used),
+            Err(_) => {
+                // The service wrote something that can never parse
+                // as HTTP; forward it verbatim (unaudited) rather
+                // than stalling the client forever.
+                s.ssl.ssl_write(rest).map_err(LibSealError::Tls)?;
+                return Ok(buf.len());
+            }
+        };
+        used += raw_rsp.len();
         let (raw_req, check_requested) = s.pending.pop_front().unwrap_or((Vec::new(), false));
         s.pending_bytes -= raw_req.len();
         // Backpressure BEFORE taking the audit lock: blocking inside it
@@ -611,7 +643,7 @@ pub(crate) fn write_session(t: &Trusted, ctx: &CallCtx<'_>, sid: u64, data: &[u8
         // make them durable, with one counter bind, one signature and
         // one fsync for the whole batch. Nothing logged: the unused
         // reservation goes back.
-        let logged = ssm.log_pair(&raw_req, &raw_rsp, log)?;
+        let logged = ssm.log_pair(&raw_req, raw_rsp, log)?;
         let ticket = (logged > 0).then(|| commit_slot.issue()).transpose()?;
         if !checker.note_pair() {
             // No check due: the reservation goes back.
@@ -623,7 +655,7 @@ pub(crate) fn write_session(t: &Trusted, ctx: &CallCtx<'_>, sid: u64, data: &[u8
             // not cost the check: it runs here instead.
             let _ = checker.run_due(ssm.as_ref(), log)?;
         }
-        let out_bytes = if check_requested {
+        let checked = if check_requested {
             let outcome = checker.client_check(ssm.as_ref(), log)?;
             if outcome.is_some() {
                 // A synchronous check just covered the full current
@@ -635,10 +667,15 @@ pub(crate) fn write_session(t: &Trusted, ctx: &CallCtx<'_>, sid: u64, data: &[u8
                 Some(o) => o.header_value(),
                 None => checker.last_outcome.header_value(),
             };
+            // The one response rebuilt rather than sealed where it
+            // lies: the verdict goes into its head.
+            let (mut response, _) =
+                http::parse_response_limited(raw_rsp, &http::Limits::unlimited())
+                    .map_err(|e| LibSealError::Log(e.to_string()))?;
             response.headers.set("Libseal-Check-Result", value);
-            response.to_bytes()
+            Some(response.to_bytes())
         } else {
-            raw_rsp
+            None
         };
         drop(astate);
         // The commit barrier preserves response-before-durable: the
@@ -647,9 +684,9 @@ pub(crate) fn write_session(t: &Trusted, ctx: &CallCtx<'_>, sid: u64, data: &[u8
         if let Some(ticket) = ticket {
             queues.commit.wait(ticket)?;
         }
-        s.ssl.ssl_write(&out_bytes).map_err(LibSealError::Tls)?;
+        let out = checked.as_deref().unwrap_or(raw_rsp);
+        s.ssl.ssl_write(out).map_err(LibSealError::Tls)?;
     }
-    Ok(())
 }
 
 /// Takes the wire ciphertext a session produced and pushes it to the

@@ -185,7 +185,8 @@ impl ServiceModule for DropboxModule {
     }
 
     fn log_pair(&self, req: &[u8], rsp: &[u8], log: &mut AuditLog) -> Result<usize> {
-        let Some((request, req_json, response)) = json_post_pair(req, rsp) else {
+        let audited = |path: &str| matches!(path, "/dropbox/commit_batch" | "/dropbox/list");
+        let Some((request, req_json, response)) = json_post_pair(req, rsp, audited) else {
             return Ok(0);
         };
         let account = req_json
@@ -230,7 +231,7 @@ impl ServiceModule for DropboxModule {
                 }
             }
             "/dropbox/list" => {
-                let rsp_json = match Json::parse_bytes(&response.body) {
+                let rsp_json = match Json::parse_bytes(&response.body()) {
                     Ok(j) => j,
                     Err(_) => return Ok(0),
                 };

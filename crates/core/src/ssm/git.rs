@@ -12,7 +12,7 @@
 //! The audit schema, both invariants and both trimming queries are
 //! taken **verbatim** from the paper.
 
-use libseal_httpx::http;
+use libseal_httpx::http::{self, Limits};
 use libseal_sealdb::Value;
 
 use super::{DeltaSpec, Invariant, ServiceModule, SourceRule};
@@ -171,17 +171,20 @@ impl ServiceModule for GitModule {
     }
 
     fn log_pair(&self, req: &[u8], rsp: &[u8], log: &mut AuditLog) -> Result<usize> {
-        let Ok((request, _)) = http::parse_request(req) else {
+        // Routed on the head: a route that is neither a push nor a ref
+        // advertisement costs no body read.
+        let Ok(request) = http::frame_request(req, &Limits::default()) else {
             return Ok(0);
         };
         let mut logged = 0usize;
 
-        if request.method == "POST" && request.path().ends_with("/git-receive-pack") {
+        if request.method() == "POST" && request.path().ends_with("/git-receive-pack") {
             let Some(repo) = Self::repo_from_path(request.path()) else {
                 return Ok(0);
             };
             let repo = repo.to_string();
-            let body = String::from_utf8_lossy(&request.body).to_string();
+            let body = request.body();
+            let body = String::from_utf8_lossy(&body);
             let time = log.next_time() as i64;
             for line in body.lines() {
                 let mut parts = line.split_whitespace();
@@ -203,7 +206,7 @@ impl ServiceModule for GitModule {
                 )?;
                 logged += 1;
             }
-        } else if request.method == "GET"
+        } else if request.method() == "GET"
             && request.path().ends_with("/info/refs")
             && request.query_param("service") == Some("git-upload-pack")
         {
@@ -211,13 +214,14 @@ impl ServiceModule for GitModule {
                 return Ok(0);
             };
             let repo = repo.to_string();
-            let Ok((response, _)) = http::parse_response(rsp) else {
+            let Ok(response) = http::frame_response(rsp, &Limits::default()) else {
                 return Ok(0);
             };
-            if response.status != 200 {
+            if response.status() != 200 {
                 return Ok(0);
             }
-            let body = String::from_utf8_lossy(&response.body).to_string();
+            let body = response.body();
+            let body = String::from_utf8_lossy(&body);
             let time = log.next_time() as i64;
             for line in body.lines() {
                 let mut parts = line.split_whitespace();

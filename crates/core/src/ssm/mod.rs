@@ -11,7 +11,7 @@ pub mod dropbox;
 pub mod git;
 pub mod owncloud;
 
-use libseal_httpx::http::{self, Request, Response};
+use libseal_httpx::http::{self, Frame, Limits};
 use libseal_httpx::json::Json;
 
 use crate::log::{AuditLog, TableSpec};
@@ -141,15 +141,21 @@ pub trait ServiceModule: Send + Sync {
 }
 
 /// The prelude the JSON-over-POST services (ownCloud, Dropbox) share:
-/// parses one request/response pair into the request, its JSON body
+/// frames one request/response pair into the request, its JSON body
 /// and the response. `None` is traffic an SSM logs nothing for: not
-/// HTTP, not a POST, a body that is not JSON, or any status but 200.
-fn json_post_pair(req: &[u8], rsp: &[u8]) -> Option<(Request, Json, Response)> {
-    let (request, _) = http::parse_request(req).ok()?;
-    if request.method != "POST" {
+/// HTTP, not a POST to a path `audited` accepts, a body that is not
+/// JSON, or any status but 200. The route is decided on the head, so a
+/// route the SSM does not audit costs no body read.
+fn json_post_pair<'a>(
+    req: &'a [u8],
+    rsp: &'a [u8],
+    audited: impl Fn(&str) -> bool,
+) -> Option<(Frame<'a>, Json, Frame<'a>)> {
+    let request = http::frame_request(req, &Limits::default()).ok()?;
+    if request.method() != "POST" || !audited(request.path()) {
         return None;
     }
-    let req_json = Json::parse_bytes(&request.body).ok()?;
-    let (response, _) = http::parse_response(rsp).ok()?;
-    (response.status == 200).then_some((request, req_json, response))
+    let req_json = Json::parse_bytes(&request.body()).ok()?;
+    let response = http::frame_response(rsp, &Limits::default()).ok()?;
+    (response.status() == 200).then_some((request, req_json, response))
 }

@@ -184,13 +184,11 @@ impl ServiceModule for OwnCloudModule {
     }
 
     fn log_pair(&self, req: &[u8], rsp: &[u8], log: &mut AuditLog) -> Result<usize> {
-        let Some((request, req_json, response)) = json_post_pair(req, rsp) else {
+        let audited = |path: &str| path.starts_with("/owncloud/");
+        let Some((request, req_json, response)) = json_post_pair(req, rsp, audited) else {
             return Ok(0);
         };
-        if !request.path().starts_with("/owncloud/") {
-            return Ok(0);
-        }
-        let rsp_json = Json::parse_bytes(&response.body).unwrap_or(Json::Null);
+        let rsp_json = Json::parse_bytes(&response.body()).unwrap_or(Json::Null);
 
         let doc = req_json.get("doc").and_then(Json::as_str).unwrap_or("");
         let client = req_json.get("client").and_then(Json::as_str).unwrap_or("");

@@ -5,6 +5,12 @@
 //! (returning [`ParseError::Incomplete`] until a full message is
 //! available) — what a TLS-terminating audit shim needs to cut message
 //! boundaries out of a stream.
+//!
+//! There is one parser: [`frame_request`] / [`frame_response`] frame a
+//! message where it lies ([`Frame`]) without allocating, and the owning
+//! [`parse_request`] / [`parse_response`] copy a frame out.
+
+use std::borrow::Cow;
 
 use crate::{ParseError, Result};
 
@@ -93,16 +99,12 @@ impl Request {
 
     /// Path portion of the target (before `?`).
     pub fn path(&self) -> &str {
-        self.target.split('?').next().unwrap_or(&self.target)
+        path_of(&self.target)
     }
 
     /// Value of a query parameter, if present.
     pub fn query_param(&self, key: &str) -> Option<&str> {
-        let q = self.target.split_once('?')?.1;
-        q.split('&').find_map(|kv| {
-            let (k, v) = kv.split_once('=')?;
-            (k == key).then_some(v)
-        })
+        query_param_of(&self.target, key)
     }
 
     /// Serializes to wire format.
@@ -254,30 +256,18 @@ pub fn parse_request(buf: &[u8]) -> Result<(Request, usize)> {
 ///
 /// As [`parse_request`], plus the typed limit rejections.
 pub fn parse_request_limited(buf: &[u8], limits: &Limits) -> Result<(Request, usize)> {
-    let (head_end, line, headers) = parse_head(buf, limits)?;
-    let mut parts = line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| ParseError::Malformed("missing method".into()))?;
-    let target = parts
-        .next()
-        .ok_or_else(|| ParseError::Malformed("missing target".into()))?;
-    let version = parts
-        .next()
-        .ok_or_else(|| ParseError::Malformed("missing version".into()))?;
-    if !version.starts_with("HTTP/") {
-        return Err(ParseError::Malformed(format!("bad version: {version}")));
-    }
-    let (body, consumed) = parse_body(&headers, buf, head_end, limits)?;
+    let frame = frame_request(buf, limits)?;
+    let [method, target, version] = frame.start.map(str::to_string);
+    let (headers, body) = frame.owned_parts();
     Ok((
         Request {
-            method: method.to_string(),
-            target: target.to_string(),
-            version: version.to_string(),
+            method,
+            target,
+            version,
             headers,
             body,
         },
-        consumed,
+        frame.len,
     ))
 }
 
@@ -296,31 +286,137 @@ pub fn parse_response(buf: &[u8]) -> Result<(Response, usize)> {
 ///
 /// As [`parse_response`], plus the typed limit rejections.
 pub fn parse_response_limited(buf: &[u8], limits: &Limits) -> Result<(Response, usize)> {
-    let (head_end, line, headers) = parse_head(buf, limits)?;
-    let mut parts = line.splitn(3, ' ');
-    let version = parts
-        .next()
-        .ok_or_else(|| ParseError::Malformed("missing version".into()))?;
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ParseError::Malformed("missing status".into()))?;
-    let reason = parts.next().unwrap_or("").to_string();
-    let (body, consumed) = parse_body(&headers, buf, head_end, limits)?;
+    let frame = frame_response(buf, limits)?;
+    let (headers, body) = frame.owned_parts();
     Ok((
         Response {
-            version: version.to_string(),
-            status,
-            reason,
+            version: frame.start[0].to_string(),
+            status: frame.status(),
+            reason: frame.start[2].to_string(),
             headers,
             body,
         },
-        consumed,
+        frame.len,
     ))
 }
 
-/// Parses the head: returns (offset past CRLFCRLF, start line, headers).
-fn parse_head(buf: &[u8], limits: &Limits) -> Result<(usize, String, HeaderMap)> {
+/// One message framed where it lies in a buffer: the head parsed into
+/// borrowed fields, the body located but not copied. Framing allocates
+/// nothing, so probing a buffer that does not hold a whole message yet
+/// costs a scan; a chunked body is de-chunked only when [`Frame::body`]
+/// asks for its bytes.
+#[derive(Clone, Copy, Debug)]
+pub struct Frame<'a> {
+    /// The start line's three fields: method, target and version of a
+    /// request; version, status code and reason of a response.
+    pub start: [&'a str; 3],
+    /// The header lines between the start line and the blank line.
+    fields: &'a str,
+    /// The body as it lies in the buffer, chunk framing included.
+    wire_body: &'a [u8],
+    /// The decoded size of a chunked body; `None` when `wire_body` is
+    /// the body itself.
+    chunked: Option<usize>,
+    /// Bytes the whole message occupies at the front of the buffer.
+    pub len: usize,
+}
+
+impl<'a> Frame<'a> {
+    /// First value of `name`, case-insensitive.
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        header_of(self.fields, name)
+    }
+
+    /// The body: borrowed from the buffer, or de-chunked into a buffer
+    /// of its own when it was sent chunked.
+    pub fn body(&self) -> Cow<'a, [u8]> {
+        let Some(size) = self.chunked else {
+            return Cow::Borrowed(self.wire_body);
+        };
+        let mut out = Vec::with_capacity(size);
+        // Framing walked these chunks already; the walk cannot fail.
+        let _ = walk_chunks(self.wire_body, size, |data| out.extend_from_slice(data));
+        Cow::Owned(out)
+    }
+
+    /// A request's method.
+    pub fn method(&self) -> &'a str {
+        self.start[0]
+    }
+
+    /// A request's path (the target before `?`).
+    pub fn path(&self) -> &'a str {
+        path_of(self.start[1])
+    }
+
+    /// A request's query parameter `key`, if present.
+    pub fn query_param(&self, key: &str) -> Option<&'a str> {
+        query_param_of(self.start[1], key)
+    }
+
+    /// A response's status code.
+    pub fn status(&self) -> u16 {
+        // `frame_response` admitted only a start line whose status parses.
+        self.start[1].parse().unwrap_or(0)
+    }
+
+    /// The headers and body as owned values: the one copy the owning
+    /// parsers make.
+    fn owned_parts(self) -> (HeaderMap, Vec<u8>) {
+        let entries = headers_of(self.fields).map(|(n, v)| (n.to_string(), v.to_string()));
+        let entries = entries.collect();
+        (HeaderMap { entries }, self.body().into_owned())
+    }
+}
+
+/// Frames one request at the front of `buf` without copying it.
+///
+/// # Errors
+///
+/// As [`parse_request_limited`]: [`ParseError::Incomplete`] until the
+/// whole message is buffered, the typed limit rejections, and
+/// [`ParseError::Malformed`] when the bytes can never become one.
+pub fn frame_request<'a>(buf: &'a [u8], limits: &Limits) -> Result<Frame<'a>> {
+    frame(buf, limits, |line| {
+        let mut parts = line.split_whitespace();
+        let mut field = |what| {
+            parts
+                .next()
+                .ok_or_else(|| ParseError::Malformed(format!("missing {what}")))
+        };
+        let start = [field("method")?, field("target")?, field("version")?];
+        if !start[2].starts_with("HTTP/") {
+            return Err(ParseError::Malformed(format!("bad version: {}", start[2])));
+        }
+        Ok(start)
+    })
+}
+
+/// Frames one response at the front of `buf` without copying it.
+///
+/// # Errors
+///
+/// As [`frame_request`].
+pub fn frame_response<'a>(buf: &'a [u8], limits: &Limits) -> Result<Frame<'a>> {
+    frame(buf, limits, |line| {
+        let mut parts = line.splitn(3, ' ');
+        let version = parts.next().unwrap_or("");
+        let status = parts
+            .next()
+            .filter(|s| s.parse::<u16>().is_ok())
+            .ok_or_else(|| ParseError::Malformed("missing status".into()))?;
+        Ok([version, status, parts.next().unwrap_or("")])
+    })
+}
+
+/// Frames the message at the front of `buf` whose start line `fields_of`
+/// splits into its fields: checks the head without copying it, then
+/// locates the body its header lines declare.
+fn frame<'a>(
+    buf: &'a [u8],
+    limits: &Limits,
+    fields_of: impl FnOnce(&'a str) -> Result<[&'a str; 3]>,
+) -> Result<Frame<'a>> {
     let Some(head_end) = find_double_crlf(buf) else {
         if buf.len() > limits.max_head_bytes {
             return Err(ParseError::HeadTooLarge {
@@ -336,53 +432,45 @@ fn parse_head(buf: &[u8], limits: &Limits) -> Result<(usize, String, HeaderMap)>
     }
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| ParseError::Malformed("head is not UTF-8".into()))?;
-    let mut lines = head.split("\r\n");
-    let start = lines
-        .next()
-        .ok_or_else(|| ParseError::Malformed("empty head".into()))?
-        .to_string();
-    if start.is_empty() {
+    let (line, fields) = head.split_once("\r\n").unwrap_or((head, ""));
+    if line.is_empty() {
         return Err(ParseError::Malformed("empty start line".into()));
     }
-    let mut headers = HeaderMap::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if headers.len() >= limits.max_headers {
+    // The two headers that frame the body, first of each.
+    let (mut te, mut cl) = (None, None);
+    for (n, line) in fields.split("\r\n").filter(|l| !l.is_empty()).enumerate() {
+        if n >= limits.max_headers {
             return Err(ParseError::TooManyHeaders {
                 limit: limits.max_headers,
             });
         }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| ParseError::Malformed(format!("bad header line: {line}")))?;
-        headers.insert(name.trim().to_string(), value.trim().to_string());
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(ParseError::Malformed(format!("bad header line: {line}")));
+        };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("Transfer-Encoding") {
+            te.get_or_insert(value);
+        } else if name.eq_ignore_ascii_case("Content-Length") {
+            cl.get_or_insert(value);
+        }
     }
-    Ok((head_end + 4, start, headers))
-}
-
-fn find_double_crlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-/// Extracts the body given the headers; returns (body, total consumed).
-fn parse_body(
-    headers: &HeaderMap,
-    buf: &[u8],
-    body_start: usize,
-    limits: &Limits,
-) -> Result<(Vec<u8>, usize)> {
-    if headers
-        .get("Transfer-Encoding")
-        .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
-    {
-        let (body, used) = decode_chunked_limited(&buf[body_start..], limits.max_body_bytes)?;
-        return Ok((body, body_start + used));
+    let start = fields_of(line)?;
+    let body_start = head_end + 4;
+    let frame = |wire_body, chunked, len| Frame {
+        start,
+        fields,
+        wire_body,
+        chunked,
+        len,
+    };
+    let te = te.unwrap_or("").as_bytes();
+    if te.windows(7).any(|w| w.eq_ignore_ascii_case(b"chunked")) {
+        let rest = &buf[body_start..];
+        let (size, used) = walk_chunks(rest, limits.max_body_bytes, |_| {})?;
+        return Ok(frame(&rest[..used], Some(size), body_start + used));
     }
-    let len: usize = match headers.get("Content-Length") {
+    let len: usize = match cl {
         Some(v) => v
-            .trim()
             .parse()
             .map_err(|_| ParseError::Malformed("bad Content-Length".into()))?,
         None => 0,
@@ -404,19 +492,43 @@ fn parse_body(
     if buf.len() < body_end {
         return Err(ParseError::Incomplete);
     }
-    Ok((buf[body_start..body_end].to_vec(), body_end))
+    Ok(frame(&buf[body_start..body_end], None, body_end))
 }
 
-/// Decodes a chunked body; returns (bytes, consumed).
-#[cfg(test)]
-fn decode_chunked(buf: &[u8]) -> Result<(Vec<u8>, usize)> {
-    decode_chunked_limited(buf, Limits::default().max_body_bytes)
+fn find_double_crlf(buf: &[u8]) -> Option<usize> {
+    buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Decodes a chunked body, rejecting once the accumulated output
-/// would exceed `max_body`; returns (bytes, consumed).
-fn decode_chunked_limited(buf: &[u8], max_body: usize) -> Result<(Vec<u8>, usize)> {
-    let mut out = Vec::new();
+/// The `(name, value)` pairs of header lines `frame` checked.
+fn headers_of(fields: &str) -> impl Iterator<Item = (&str, &str)> {
+    let pairs = fields.split("\r\n").filter_map(|l| l.split_once(':'));
+    pairs.map(|(n, v)| (n.trim(), v.trim()))
+}
+
+fn header_of<'a>(fields: &'a str, name: &str) -> Option<&'a str> {
+    let mut named = headers_of(fields).filter(|(n, _)| n.eq_ignore_ascii_case(name));
+    named.next().map(|(_, v)| v)
+}
+
+fn path_of(target: &str) -> &str {
+    target.split('?').next().unwrap_or(target)
+}
+
+fn query_param_of<'t>(target: &'t str, key: &str) -> Option<&'t str> {
+    let q = target.split_once('?')?.1;
+    q.split('&').find_map(|kv| {
+        let (k, v) = kv.split_once('=')?;
+        (k == key).then_some(v)
+    })
+}
+
+/// Walks a chunked body at the front of `buf`, handing each chunk's
+/// data to `each`, and rejects once the declared sizes pass `max_body`;
+/// returns (decoded size, bytes the encoding occupies). Framing walks
+/// with an `each` that does nothing, so an incomplete chunked body
+/// costs a scan and no copy.
+fn walk_chunks(buf: &[u8], max_body: usize, mut each: impl FnMut(&[u8])) -> Result<(usize, usize)> {
+    let mut size_total = 0usize;
     let mut i = 0usize;
     loop {
         let line_end = buf[i..]
@@ -436,13 +548,13 @@ fn decode_chunked_limited(buf: &[u8], max_body: usize) -> Result<(Vec<u8>, usize
             }
             // Allow optional trailers ending with CRLF.
             if &buf[i..i + 2] == b"\r\n" {
-                return Ok((out, i + 2));
+                return Ok((size_total, i + 2));
             }
             let trailer_end = buf[i..]
                 .windows(4)
                 .position(|w| w == b"\r\n\r\n")
                 .ok_or(ParseError::Incomplete)?;
-            return Ok((out, i + trailer_end + 4));
+            return Ok((size_total, i + trailer_end + 4));
         }
         // `i + size + 2` wraps for hex chunk sizes near usize::MAX —
         // a wrapped bound passes the length check and then panics on
@@ -455,16 +567,17 @@ fn decode_chunked_limited(buf: &[u8], max_body: usize) -> Result<(Vec<u8>, usize
         // The declared chunk sizes bound the output even before the
         // data arrives — an endless chunk stream must not keep the
         // caller buffering forever.
-        if out.len().saturating_add(size) > max_body {
+        if size_total.saturating_add(size) > max_body {
             return Err(ParseError::BodyTooLarge { limit: max_body });
         }
         if buf.len() < data_end {
             return Err(ParseError::Incomplete);
         }
-        out.extend_from_slice(&buf[i..data_end - 2]);
         if &buf[data_end - 2..data_end] != b"\r\n" {
             return Err(ParseError::Malformed("chunk not CRLF-terminated".into()));
         }
+        each(&buf[i..data_end - 2]);
+        size_total += size;
         i = data_end;
     }
 }
@@ -601,9 +714,10 @@ fffffffffffffffe\r\nxx";
     fn chunked_encode_decode_roundtrip() {
         let body = b"some body content";
         let encoded = encode_chunked(body);
-        let (decoded, used) = decode_chunked(&encoded).unwrap();
+        let mut decoded = Vec::new();
+        let walked = walk_chunks(&encoded, usize::MAX, |d| decoded.extend_from_slice(d));
+        assert_eq!(walked, Ok((body.len(), encoded.len())));
         assert_eq!(decoded, body);
-        assert_eq!(used, encoded.len());
     }
 
     #[test]

@@ -12,8 +12,8 @@ pub mod http;
 pub mod json;
 
 pub use http::{
-    parse_request, parse_request_limited, parse_response, parse_response_limited, HeaderMap,
-    Limits, Request, Response,
+    frame_request, frame_response, parse_request, parse_request_limited, parse_response,
+    parse_response_limited, Frame, HeaderMap, Limits, Request, Response,
 };
 pub use json::Json;
 

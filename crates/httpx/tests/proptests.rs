@@ -2,7 +2,11 @@
 //! `plat::check` harness; same properties and case counts as the
 //! original proptest suite).
 
-use libseal_httpx::http::{parse_request, parse_response, Request, Response};
+use std::borrow::Cow;
+
+use libseal_httpx::http::{
+    frame_request, parse_request, parse_response, Limits, Request, Response,
+};
 use libseal_httpx::json::Json;
 use libseal_httpx::ParseError;
 use plat::check::Gen;
@@ -79,6 +83,32 @@ plat::prop! {
             }
             Err(e) => panic!("prefix misparsed: {e}"),
         }
+    }
+
+    fn frames_borrow_plain_bodies_and_dechunk_on_demand(g) {
+        let body = g.bytes(0..300);
+        let plain = Request::new("POST", "/x?k=v", body.clone()).to_bytes();
+        let frame = frame_request(&plain, &Limits::default()).unwrap();
+        assert_eq!((frame.method(), frame.path(), frame.query_param("k")), ("POST", "/x", Some("v")));
+        assert!(matches!(frame.body(), Cow::Borrowed(b) if b == &body[..]));
+        // The same body in chunks of random sizes: framed without being
+        // decoded, de-chunked when asked, and the owning parser agrees.
+        let mut chunked = b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+        let mut rest = &body[..];
+        while !rest.is_empty() {
+            let n = g.usize_in(1..rest.len() + 1);
+            chunked.extend_from_slice(format!("{n:x}\r\n").as_bytes());
+            chunked.extend_from_slice(&rest[..n]);
+            chunked.extend_from_slice(b"\r\n");
+            rest = &rest[n..];
+        }
+        chunked.extend_from_slice(b"0\r\n\r\nNEXT");
+        let frame = frame_request(&chunked, &Limits::default()).unwrap();
+        assert_eq!(frame.len, chunked.len() - 4);
+        assert_eq!(&*frame.body(), &body[..]);
+        assert_eq!(parse_request(&chunked).unwrap().0.body, body);
+        let cut = g.usize_in(0..frame.len);
+        assert_eq!(frame_request(&chunked[..cut], &Limits::default()).unwrap_err(), ParseError::Incomplete);
     }
 
     fn arbitrary_bytes_never_panic(g) {

@@ -179,7 +179,11 @@ fn serve_connection<A: App>(
                 }
                 match plane.ssl_read(worker, sid)? {
                     ReadOutcome::Data(d) => {
-                        plain.extend_from_slice(&d);
+                        if plain.is_empty() {
+                            plain = d;
+                        } else {
+                            plain.extend_from_slice(&d);
+                        }
                         continue;
                     }
                     ReadOutcome::WantRead => {}

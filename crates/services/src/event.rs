@@ -186,10 +186,24 @@ struct Conn<C> {
     dead: bool,
     /// Writable interest is currently registered.
     want_write: bool,
+    /// Readable interest is dropped: the handler is running and `plain`
+    /// already holds more than one message's limits.
+    read_paused: bool,
     /// The TLS handshake has completed (a pump reported it).
     established: bool,
     /// Phase whose deadline is currently armed on the wheel.
     phase: Phase,
+}
+
+impl<C> Conn<C> {
+    /// The readiness the connection waits for.
+    fn interest(&self) -> Interest {
+        Interest {
+            readable: !self.read_paused,
+            writable: self.want_write,
+            edge: false,
+        }
+    }
 }
 
 fn open_conn_gauge() -> libseal_telemetry::Gauge {
@@ -501,6 +515,7 @@ impl<A: App> Loop<A> {
                 peer_closed: false,
                 dead: false,
                 want_write: false,
+                read_paused: false,
                 established: false,
                 phase: Phase::Handshake,
             },
@@ -510,27 +525,19 @@ impl<A: App> Loop<A> {
             .schedule(token, Instant::now() + self.cfg.timeouts.handshake);
     }
 
-    /// Reads everything the socket has into the sweep's batch.
+    /// Reads everything the socket has straight into the sweep's batch.
     fn read_ready(&mut self, token: u64, batch: &mut Vec<SessionInput>) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let mut buf = [0u8; 16 * 1024];
-        let mut input = Vec::new();
-        loop {
-            match conn.sock.read(&mut buf) {
-                Ok(0) => {
-                    conn.peer_closed = true;
-                    break;
-                }
-                Ok(n) => input.extend_from_slice(&buf[..n]),
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    break;
-                }
-            }
+        // A record's worth up front: from an empty buffer, `read_to_end`
+        // starts with 32-byte reads and doubles from there. EINTR is
+        // retried inside; bytes read before an error are kept.
+        let mut input = Vec::with_capacity(16 * 1024);
+        match conn.sock.read_to_end(&mut input) {
+            Ok(_) => conn.peer_closed = true,
+            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(_) => conn.dead = true,
         }
         if !input.is_empty() {
             batch.push(SessionInput {
@@ -558,8 +565,25 @@ impl<A: App> Loop<A> {
                     };
                     // Flight bytes (or the failure's alert) first, so
                     // they reach the wire even on teardown.
-                    conn.wire.push(&o.output);
-                    conn.plain.extend_from_slice(&o.data);
+                    conn.wire.push(o.output);
+                    if conn.plain.is_empty() {
+                        conn.plain = o.data;
+                    } else {
+                        conn.plain.extend_from_slice(&o.data);
+                    }
+                    // A busy connection reads no further than one
+                    // message's limits ahead: past them, its read
+                    // interest is dropped until the handler completes.
+                    let limits = &self.cfg.limits;
+                    if conn.busy
+                        && !conn.read_paused
+                        && conn.plain.len()
+                            > limits.max_head_bytes.saturating_add(limits.max_body_bytes)
+                    {
+                        conn.read_paused = true;
+                        libseal_telemetry::counter("services_event_read_pauses_total").inc();
+                        let _ = self.reactor.modify(&conn.sock, token, conn.interest());
+                    }
                     if o.established {
                         conn.established = true;
                     }
@@ -627,7 +651,7 @@ impl<A: App> Loop<A> {
             return;
         };
         match self.sessions.write_take(conn.sid, plain) {
-            Ok(wire) => conn.wire.push(&wire),
+            Ok(wire) => conn.wire.push(wire),
             Err(_) => conn.dead = true,
         }
     }
@@ -681,8 +705,11 @@ impl<A: App> Loop<A> {
         conn.busy = false;
         conn.state = Some(c.state);
         match c.wire {
-            Some(wire) => conn.wire.push(&wire),
+            Some(wire) => conn.wire.push(wire),
             None => conn.dead = true,
+        }
+        if std::mem::take(&mut conn.read_paused) {
+            let _ = self.reactor.modify(&conn.sock, c.token, conn.interest());
         }
         if c.close || self.drain_deadline.is_some() {
             // `Connection: close`, or draining — this response is the
@@ -710,9 +737,7 @@ impl<A: App> Loop<A> {
                 Ok(FlushOutcome::WantWrite) => {
                     if !conn.want_write {
                         conn.want_write = true;
-                        let _ =
-                            self.reactor
-                                .modify(&conn.sock, token, Interest::readable_writable());
+                        let _ = self.reactor.modify(&conn.sock, token, conn.interest());
                     }
                     return;
                 }
@@ -724,7 +749,7 @@ impl<A: App> Loop<A> {
         }
         if conn.want_write {
             conn.want_write = false;
-            let _ = self.reactor.modify(&conn.sock, token, Interest::READABLE);
+            let _ = self.reactor.modify(&conn.sock, token, conn.interest());
         }
     }
 

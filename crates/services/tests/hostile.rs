@@ -5,21 +5,22 @@
 //! surface (native STLS, an audited plane).
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 use libseal::{DropboxModule, GitModule, LibSeal, LibSealConfig, LogBacking, OwnCloudModule};
 use libseal_crypto::ed25519::VerifyingKey;
 use libseal_crypto::SystemRng;
-use libseal_httpx::http::{Limits, Request};
+use libseal_httpx::http::{Limits, Request, Response};
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::cert::CertificateAuthority;
-use libseal_tlsx::ssl::{Ssl, SslConfig};
+use libseal_tlsx::ssl::{ReadOutcome, Ssl, SslConfig};
 use libseal_tlsx::stream::SslStream;
 
 use libseal_services::apache::{
-    ApacheConfig, ApacheServer, DelayRouter, Router, StaticContentRouter,
+    ApacheConfig, ApacheServer, DelayRouter, FnRouter, Router, StaticContentRouter,
 };
 use libseal_services::dropbox::DropboxServer;
 use libseal_services::git::{GitBackend, HistoryGenerator};
@@ -64,7 +65,8 @@ fn for_each_plane(test: impl Fn(bool, TlsMode, Vec<VerifyingKey>)) {
 fn tls_connect(addr: std::net::SocketAddr, roots: Vec<VerifyingKey>) -> SslStream<TcpStream> {
     let sock = TcpStream::connect(addr).unwrap();
     sock.set_nodelay(true).unwrap();
-    sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let mut entropy = [0u8; 64];
     SystemRng::new().fill(&mut entropy);
     SslStream::handshake(SslConfig::client(roots), entropy, sock).unwrap()
@@ -189,7 +191,9 @@ fn slowloris_headers_are_evicted() {
         )
         .unwrap();
         let mut tls_conn = tls_connect(server.addr(), roots.clone());
-        tls_conn.write_all(b"GET / HTTP/1.1\r\nHost: x\r\n").unwrap();
+        tls_conn
+            .write_all(b"GET / HTTP/1.1\r\nHost: x\r\n")
+            .unwrap();
         let started = Instant::now();
         let mut evicted = false;
         // Trickle one header byte every 100 ms; the 300 ms phase
@@ -312,10 +316,7 @@ fn oversized_requests_get_typed_rejections() {
 
         // 431: a single header larger than the whole head budget.
         let mut conn = tls_connect(server.addr(), roots.clone());
-        let huge = format!(
-            "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
-            "a".repeat(4 * 1024)
-        );
+        let huge = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(4 * 1024));
         conn.write_all(huge.as_bytes()).unwrap();
         let status = read_status(&mut conn);
         assert_eq!(status, Some(431), "oversized head (event={event})");
@@ -335,6 +336,162 @@ fn oversized_requests_get_typed_rejections() {
             .request(&Request::new("GET", "/content/16", Vec::new()))
             .unwrap();
         assert_eq!(rsp.status, 200);
+        server.stop();
+    });
+}
+
+/// Holds every `/gate` request until opened.
+#[derive(Default)]
+struct Gate {
+    /// (a request is held, the gate is open)
+    state: StdMutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn hold(&self) {
+        let mut s = self.state.lock().unwrap();
+        s.0 = true;
+        self.changed.notify_all();
+        while !s.1 {
+            s = self.changed.wait(s).unwrap();
+        }
+    }
+
+    fn await_held(&self) {
+        let mut s = self.state.lock().unwrap();
+        while !s.0 {
+            s = self.changed.wait(s).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Opens the gate when dropped, so a failing test does not leave a
+/// handler — and the server's shutdown, which joins it — held forever.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// A client that keeps pipelining while its connection's handler runs
+/// is read no further than one message's limits ahead: the reactor
+/// drops the busy connection's read interest (and counts it) until the
+/// handler completes, and the blocking driver never reads while busy —
+/// so the client's writes stall in the socket buffers instead of piling
+/// up as decrypted plaintext in the server, even on a native plane with
+/// no audit buffer behind it. Afterwards the connection serves on.
+#[test]
+fn pipelining_behind_a_busy_handler_stalls_the_client() {
+    const PIPELINED: usize = 16 << 20;
+    for_each_driver(|event| {
+        let ca = ca();
+        let (key, cert) = ca.issue_identity("localhost", &[0x33; 32]).unwrap();
+        let gate = Arc::new(Gate::default());
+        let held = Arc::clone(&gate);
+        let router = FnRouter(move |req: &Request| {
+            if req.path() == "/gate" {
+                held.hold();
+            }
+            Response::new(200, b"ok".to_vec())
+        });
+        let server = ApacheServer::start(
+            ApacheConfig::new(TlsMode::Native { cert, key }, Arc::new(router))
+                .workers(2)
+                .event_loop(event)
+                .http_limits(Limits {
+                    max_head_bytes: 1024,
+                    max_headers: 16,
+                    max_body_bytes: 4096,
+                }),
+        )
+        .unwrap();
+        let _release = OpenOnDrop(Arc::clone(&gate));
+        let pauses = counter("services_event_read_pauses_total");
+
+        // A raw session, so one thread can write while another reads.
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut client = Ssl::new(SslConfig::client(vec![ca.root_key()]), [5u8; 64]);
+        let mut buf = vec![0u8; 64 * 1024];
+        while !client.do_handshake().unwrap() {
+            sock.write_all(&client.take_output()).unwrap();
+            let n = sock.read(&mut buf).unwrap();
+            client.provide_input(&buf[..n]);
+        }
+        client.ssl_write(b"GET /gate HTTP/1.1\r\n\r\n").unwrap();
+        sock.write_all(&client.take_output()).unwrap();
+        gate.await_held();
+
+        // Small complete requests, far more than the socket buffers
+        // hold, from a thread of their own.
+        let one = b"GET /content/1 HTTP/1.1\r\n\r\n";
+        client
+            .ssl_write(&one.repeat(PIPELINED / one.len()))
+            .unwrap();
+        let wire = client.take_output();
+        let total = wire.len();
+        let written = Arc::new(AtomicUsize::new(0));
+        let writer = {
+            let (mut sock, written) = (sock.try_clone().unwrap(), Arc::clone(&written));
+            std::thread::spawn(move || {
+                for chunk in wire.chunks(64 * 1024) {
+                    if sock.write_all(chunk).is_err() {
+                        return;
+                    }
+                    written.fetch_add(chunk.len(), Ordering::Relaxed);
+                }
+            })
+        };
+        let started = Instant::now();
+        let (mut last, mut since) = (0, Instant::now());
+        while since.elapsed() < Duration::from_millis(500) {
+            std::thread::sleep(Duration::from_millis(50));
+            let now = written.load(Ordering::Relaxed);
+            assert!(
+                now < total,
+                "the server read all {total} bytes while its handler ran (event={event})"
+            );
+            assert!(started.elapsed() < Duration::from_secs(30), "event={event}");
+            if now != last {
+                (last, since) = (now, Instant::now());
+            }
+        }
+        eprintln!("event={event}: the client stalled after {last} of {total} bytes");
+        if event {
+            assert!(
+                counter("services_event_read_pauses_total") > pauses,
+                "read pause not counted"
+            );
+        }
+
+        // Released, the handler answers and the pipelined requests are
+        // served.
+        gate.open();
+        let (mut plain, mut statuses) = (Vec::new(), Vec::new());
+        while statuses.len() < 2 {
+            let n = sock.read(&mut buf).unwrap();
+            assert!(n > 0, "closed before answering (event={event})");
+            client.provide_input(&buf[..n]);
+            while let Ok(ReadOutcome::Data(d)) = client.ssl_read() {
+                plain.extend_from_slice(&d);
+            }
+            while let Ok((rsp, used)) = libseal_httpx::http::parse_response(&plain) {
+                statuses.push(rsp.status);
+                plain.drain(..used);
+            }
+        }
+        assert_eq!(statuses[..2], [200, 200], "event={event}");
+        let _ = sock.shutdown(Shutdown::Both);
+        writer.join().unwrap();
         server.stop();
     });
 }
@@ -424,7 +581,10 @@ fn connection_cap_sheds_excess() {
             std::thread::sleep(Duration::from_millis(20));
         }
         assert!(shed_seen, "no shed at the cap (event={event})");
-        assert!(counter(sheds) > before, "shed counter unmoved (event={event})");
+        assert!(
+            counter(sheds) > before,
+            "shed counter unmoved (event={event})"
+        );
 
         // The held connections still serve.
         for conn in &mut held {

@@ -460,7 +460,14 @@ impl Ssl {
             // `read_record` drives an unfinished handshake before it
             // reads.
             match self.read_record() {
-                Ok(Some(plain)) => p.data.extend_from_slice(&self.in_buf[plain]),
+                Ok(Some(plain)) => {
+                    if p.data.is_empty() {
+                        // Sized once: what is still buffered bounds the
+                        // plaintext this step can drain.
+                        p.data.reserve_exact(self.in_buf.len() - plain.start);
+                    }
+                    p.data.extend_from_slice(&self.in_buf[plain]);
+                }
                 Ok(None) => break,
                 Err(e) => {
                     p.error = Some(e);

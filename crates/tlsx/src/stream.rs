@@ -47,9 +47,11 @@ impl WireBuf {
         WireBuf::default()
     }
 
-    /// Queues `bytes` behind whatever is still unsent.
-    pub fn push(&mut self, bytes: &[u8]) {
-        if bytes.is_empty() {
+    /// Queues `bytes` behind whatever is still unsent; with nothing
+    /// unsent, `bytes` becomes the buffer and nothing is copied.
+    pub fn push(&mut self, bytes: Vec<u8>) {
+        if self.is_empty() {
+            (self.buf, self.pos) = (bytes, 0);
             return;
         }
         // Compact before growing so pos never drifts unboundedly.
@@ -57,7 +59,7 @@ impl WireBuf {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        self.buf.extend_from_slice(&bytes);
     }
 
     /// Unsent byte count.
@@ -148,12 +150,17 @@ impl<S: Read + Write> SslStream<S> {
     }
 
     /// One [`Ssl::pump`]: keeps what it decrypted, queues what it
-    /// produced.
+    /// produced — both by taking the pump's buffers when nothing is
+    /// held already.
     fn pump(&mut self, input: &[u8]) -> Result<()> {
         let p = self.ssl.pump(input);
-        self.plain.extend_from_slice(&p.data);
+        if self.plain.is_empty() {
+            self.plain = p.data;
+        } else {
+            self.plain.extend_from_slice(&p.data);
+        }
         self.peer_closed |= p.closed;
-        self.pending.push(&p.output);
+        self.pending.push(p.output);
         p.error.map_or(Ok(()), Err)
     }
 
@@ -194,7 +201,7 @@ impl<S: Read + Write> SslStream<S> {
     ///
     /// As [`SslStream::write_all`].
     pub fn flush_pending(&mut self) -> Result<()> {
-        self.pending.push(&self.ssl.take_output());
+        self.pending.push(self.ssl.take_output());
         if self.pending.is_empty() {
             return Ok(());
         }
@@ -422,7 +429,7 @@ mod tests {
         }
 
         let mut w = WireBuf::new();
-        w.push(b"hello world");
+        w.push(b"hello world".to_vec());
         let mut sink = OneByte {
             taken: Vec::new(),
             budget: 4,
@@ -430,7 +437,7 @@ mod tests {
         assert_eq!(w.flush_to(&mut sink).unwrap(), FlushOutcome::WantWrite);
         assert_eq!(w.len(), 7);
         // More data queued behind the unsent remainder keeps order.
-        w.push(b"!");
+        w.push(b"!".to_vec());
         sink.budget = 100;
         assert_eq!(w.flush_to(&mut sink).unwrap(), FlushOutcome::Done);
         assert_eq!(sink.taken, b"hello world!");

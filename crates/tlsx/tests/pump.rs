@@ -146,7 +146,7 @@ impl<S: Read + Write> End<S> {
             }
         }
         let p = self.ssl.pump(&input);
-        self.wire.push(&p.output);
+        self.wire.push(p.output);
         self.plain.extend_from_slice(&p.data);
         self.closed |= p.closed;
         if let Some(e) = p.error {
@@ -162,7 +162,7 @@ impl<S: Read + Write> End<S> {
     /// Encrypts `data` once; later steps carry the ciphertext out.
     fn write(&mut self, data: &[u8]) {
         self.ssl.ssl_write(data).expect("established");
-        self.wire.push(&self.ssl.take_output());
+        self.wire.push(self.ssl.take_output());
     }
 }
 
@@ -259,7 +259,7 @@ fn app_data_and_close_resume_across_partial_writes() {
 
     // Close flows through the same resumable machinery.
     client.ssl.send_close();
-    client.wire.push(&client.ssl.take_output());
+    client.wire.push(client.ssl.take_output());
     for _ in 0..100_000 {
         client.step().unwrap();
         server.step().unwrap();
