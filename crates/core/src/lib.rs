@@ -26,8 +26,6 @@
 //!   both the group-commit sealer and the background verifier;
 //! - [`provision`] — attestation-gated certificate provisioning, the
 //!   §6.3 defence against the provider bypassing the audit layer;
-//! - [`merge`] — multi-instance partial-log merging for scale-out
-//!   deployments (the §3.2 extension);
 //! - [`plane`] — the [`plane::AuditPlane`] trait, the session surface
 //!   services program against, implemented by one enclave
 //!   ([`session::LibSeal`]) and by a fleet ([`fleet::ShardedPlane`]);
@@ -49,7 +47,6 @@ pub mod config;
 pub mod enclave;
 pub mod fleet;
 pub mod log;
-pub mod merge;
 pub mod plane;
 pub mod provision;
 pub mod queue;

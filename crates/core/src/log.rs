@@ -34,6 +34,7 @@
 //! written: the counter step it bound signs the log as it was, and the
 //! next due trim starts over.
 
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use libseal_crypto::aead::ChaCha20Poly1305;
@@ -160,22 +161,32 @@ impl RollbackGuard for HwCounterGuard {
 /// `_libseal_meta` and bumped on every open, so nonce uniqueness across
 /// restarts rests on the monotone epoch rather than on 4 random bytes
 /// not colliding; the random tail only covers the window before the
-/// fresh epoch's meta row is durable.
+/// fresh epoch's meta row is durable. Within one codec `epoch | counter`
+/// is already unique, so the tail only has to tell two codecs apart:
+/// each draws one tail at construction and puts it in every nonce.
+/// Sealing a record therefore makes no system call (an ocall in a real
+/// enclave), and two codecs sharing an epoch reuse a nonce only if
+/// their tails collide (2⁻³² however many records they seal).
 pub struct SealingCodec {
     aead: ChaCha20Poly1305,
     /// Nonce counter; unique per record within one codec lifetime.
-    counter: std::sync::atomic::AtomicU64,
+    counter: AtomicU64,
     /// Restart epoch mixed into every nonce.
-    epoch: std::sync::atomic::AtomicU32,
+    epoch: AtomicU32,
+    /// This codec's nonce tail, drawn once from OS entropy.
+    tail: [u8; 4],
 }
 
 impl SealingCodec {
     /// Creates a codec from a (sealing) key.
     pub fn new(key: [u8; 32]) -> Self {
+        let mut tail = [0u8; 4];
+        plat::entropy::fill(&mut tail);
         SealingCodec {
             aead: ChaCha20Poly1305::new(&key),
-            counter: std::sync::atomic::AtomicU64::new(0),
-            epoch: std::sync::atomic::AtomicU32::new(0),
+            counter: AtomicU64::new(0),
+            epoch: AtomicU32::new(0),
+            tail,
         }
     }
 
@@ -186,18 +197,18 @@ impl SealingCodec {
     /// Sets the restart epoch (done once per open, after recovering the
     /// stored epoch from `_libseal_meta`).
     pub fn set_epoch(&self, epoch: u32) {
-        self.epoch.store(epoch, std::sync::atomic::Ordering::SeqCst);
+        self.epoch.store(epoch, SeqCst);
     }
 
     /// The current restart epoch.
     pub fn epoch(&self) -> u32 {
-        self.epoch.load(std::sync::atomic::Ordering::SeqCst)
+        self.epoch.load(SeqCst)
     }
 
     /// Whether the per-epoch nonce space is close enough to exhaustion
     /// that the owner should rotate to a fresh epoch now.
     pub fn needs_rotation(&self) -> bool {
-        self.counter.load(std::sync::atomic::Ordering::SeqCst) >= Self::ROTATE_AT
+        self.counter.load(SeqCst) >= Self::ROTATE_AT
     }
 
     /// Advances to a fresh epoch and resets the nonce counter,
@@ -207,21 +218,16 @@ impl SealingCodec {
     /// epoch row itself is durable, exactly the invariant the open-time
     /// bump relies on.
     pub fn rotate_epoch(&self) -> u32 {
-        let e = self
-            .epoch
-            .load(std::sync::atomic::Ordering::SeqCst)
-            .wrapping_add(1);
-        self.epoch.store(e, std::sync::atomic::Ordering::SeqCst);
-        self.counter.store(0, std::sync::atomic::Ordering::SeqCst);
+        let e = self.epoch.load(SeqCst).wrapping_add(1);
+        self.epoch.store(e, SeqCst);
+        self.counter.store(0, SeqCst);
         e
     }
 }
 
 impl JournalCodec for SealingCodec {
     fn encode(&self, plain: &[u8]) -> libseal_sealdb::Result<Vec<u8>> {
-        let n = self
-            .counter
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let n = self.counter.fetch_add(1, SeqCst);
         // Reached only if the owner failed to rotate in time: surface a
         // typed error the caller can handle instead of aborting the
         // enclave mid-request.
@@ -230,15 +236,13 @@ impl JournalCodec for SealingCodec {
                 "sealing nonce space exhausted; epoch rotation required".into(),
             ));
         }
-        let e = self.epoch.load(std::sync::atomic::Ordering::SeqCst);
+        let e = self.epoch.load(SeqCst);
         let mut nonce = [0u8; 12];
         nonce[..4].copy_from_slice(&e.to_le_bytes());
         nonce[4..8].copy_from_slice(&(n as u32).to_le_bytes());
         // Random tail: covers nonce reuse in the crash window before
         // this epoch's meta row reaches the disk.
-        let mut tail = [0u8; 4];
-        plat::entropy::fill(&mut tail);
-        nonce[8..].copy_from_slice(&tail);
+        nonce[8..].copy_from_slice(&self.tail);
         let mut out = nonce.to_vec();
         out.extend_from_slice(&self.aead.seal(&nonce, b"libseal-journal", plain));
         Ok(out)
@@ -1169,9 +1173,7 @@ mod tests {
     fn nonce_exhaustion_is_a_typed_error_and_rotation_recovers() {
         let codec = SealingCodec::new([9u8; 32]);
         codec.set_epoch(3);
-        codec
-            .counter
-            .store(u64::from(u32::MAX), std::sync::atomic::Ordering::SeqCst);
+        codec.counter.store(u64::from(u32::MAX), SeqCst);
         assert!(codec.needs_rotation());
         let err = JournalCodec::encode(&codec, b"payload").unwrap_err();
         assert!(err.to_string().contains("epoch rotation"), "{err}");
@@ -1185,9 +1187,7 @@ mod tests {
     #[test]
     fn rotation_threshold_leaves_headroom_before_the_hard_limit() {
         let codec = SealingCodec::new([9u8; 32]);
-        codec
-            .counter
-            .store(SealingCodec::ROTATE_AT, std::sync::atomic::Ordering::SeqCst);
+        codec.counter.store(SealingCodec::ROTATE_AT, SeqCst);
         // Rotation is due, but encode still succeeds inside the headroom
         // window so in-flight appends can finish before the owner rotates.
         assert!(codec.needs_rotation());

@@ -39,6 +39,13 @@ pub use ed25519::{SigningKey, VerifyingKey};
 pub use rng::SystemRng;
 pub use sha2::{Sha256, Sha512};
 
+/// Inputs of at least this many bytes run the 512-bit record crypto
+/// kernels ([`chacha20::Kernel::Avx512`], [`poly1305::Kernel::Ifma`]) on a
+/// CPU that has them; shorter ones keep the 256-bit and scalar code,
+/// which measured better on the small-record workloads (DESIGN.md
+/// "Record crypto kernels").
+pub const VECTOR_MIN: usize = 4096;
+
 /// Errors produced by cryptographic operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CryptoError {

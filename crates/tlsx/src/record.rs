@@ -2,9 +2,12 @@
 //!
 //! Records are `type (1) || len (2, big-endian) || payload`. Before
 //! keys are established payloads are plaintext handshake messages;
-//! afterwards they are ChaCha20-Poly1305 ciphertexts with the record
-//! header as AAD and a nonce derived from a per-direction sequence
-//! number.
+//! afterwards they are ChaCha20-Poly1305 ciphertexts under a nonce
+//! derived from a per-direction sequence number. The AAD is the
+//! content-type byte alone: the length field is not authenticated as
+//! header bytes, but Poly1305's final length block covers the
+//! ciphertext's length, so a record whose length was changed fails its
+//! tag.
 
 use libseal_crypto::aead::ChaCha20Poly1305;
 

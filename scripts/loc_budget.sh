@@ -33,9 +33,10 @@
 #     `sleep` (PR 22: a ROTE round is a loop, the simulated nodes answer
 #     inline and the requester sleeps once for the modelled wire),
 #   - crates/crypto holds an `unsafe` that is not the call into a
-#     kernel whose CPU feature was just detected, or a raw pointer
-#     (PR 23: the ChaCha20 kernels are safe `core::arch` code behind two
-#     `#[target_feature]` entries; loads and stores go through slices),
+#     kernel whose CPU feature was just detected, or a raw pointer (the
+#     three ChaCha20 kernels and the Poly1305 one are safe `core::arch`
+#     code behind four `#[target_feature]` entries; loads and stores go
+#     through slices),
 #   - a paper printer builds a server, client or load generator itself
 #     instead of stating a Scenario, or bench_results/ is back.
 # Every budget is a ratchet, not a target for denser code: a PR that
@@ -44,14 +45,14 @@
 # mode on first use; the gates after it in ci.sh need that build anyway.
 set -eu
 cd "$(dirname "$0")/.."
-CORE_BUDGET=4920
+CORE_BUDGET=4678
 BENCH_BUDGET=3141
 SEALDB_BUDGET=4933
 TLSX_BUDGET=2106
 SERVICES_BUDGET=2797
-ENCLAVE_BUDGET=16559
-UNSAFE_BUDGET=23
-PANIC_BUDGET=585
+ENCLAVE_BUDGET=16814
+UNSAFE_BUDGET=25
+PANIC_BUDGET=566
 table=$(cargo run --release --offline --quiet -p libseal-bench --bin table1)
 printf '%s\n' "$table" | sed -n '/^### Per crate/,/^| total/p'
 # cell ROW COLUMN: a cell of the per-crate table (column 1 is the name).
