@@ -23,7 +23,8 @@ cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D
 # budget (crates/tlsx and crates/services have one too), the `unsafe`
 # or `unwrap`/`expect` totals grow, a file of the session split outgrows
 # 900 lines, an enclave interface name is spelled outside the Ecall
-# table, sealdb's SQL renderer or `SyncPolicy` is back, a second TLS
+# table, sealdb's SQL renderer or `SyncPolicy` is back, sealdb grows a
+# SQL construct LibSEAL never issues (LIKE, CASE, LEFT JOIN, DROP…), a second TLS
 # termination surface is back (or a services driver names the TLS
 # library), the log's one commit step has company (a second signer or
 # binder in log.rs, the two knobs that forked the request path),

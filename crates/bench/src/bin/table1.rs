@@ -27,9 +27,16 @@ use libseal_bench::*;
 /// What runs inside the enclave, one `path: why` per line (DESIGN.md,
 /// "what runs where"). `sgxsim` is not listed: it stands in for the CPU
 /// and the SDK runtime, which the paper's table does not count either.
+/// Nor is `crates/tlsx/src/stream.rs`: `SslStream` and `WireBuf` are the
+/// host's socket driver (the reactor and the clients); the enclave runs
+/// `Ssl::pump` on bytes handed to it.
 const IN_ENCLAVE: &str = "\
 crates/crypto/src: every primitive TLS, the log signature and the sealing codec call
-crates/tlsx/src: STLS terminates inside, keys and plaintext never leave
+crates/tlsx/src/lib.rs: STLS's error and handshake-failure types
+crates/tlsx/src/ssl.rs: STLS terminates inside (Ssl::pump), keys and plaintext never leave
+crates/tlsx/src/record.rs: the record layer seals and opens inside
+crates/tlsx/src/cert.rs: the enclave's certificate and the client certificates it verifies
+crates/tlsx/src/attest.rs: the quote extension the enclave's certificate carries
 crates/httpx/src: the service modules parse requests and responses inside
 crates/sealdb/src: the audit log is an in-enclave relational database
 crates/core/src/enclave.rs: the trusted state, every entry point's body, the Ecall table

@@ -109,14 +109,28 @@ impl Checker {
         }
     }
 
-    /// Registers the materialized views backing every delta-capable
-    /// invariant of `ssm`. Call once after opening the log; safe to
-    /// call again (re-registration reseeds from the base tables).
+    /// Parses every statement `ssm` will have run — invariants, deltas,
+    /// rescans and trims — and registers the materialized views backing
+    /// every delta-capable invariant. Call once after opening the log;
+    /// safe to call again (re-registration reseeds from the base
+    /// tables).
     ///
     /// # Errors
     ///
-    /// View registration failures (bad delta SQL, journal I/O).
+    /// A [`libseal_sealdb::DbError::Parse`] for SQL outside sealdb's
+    /// subset, so it fails here, before the service serves, not at the
+    /// first check or trim; view registration failures (journal I/O).
     pub fn install(ssm: &dyn ServiceModule, log: &mut AuditLog) -> Result<()> {
+        let invariants = ssm.invariants().iter();
+        let deltas = invariants.clone().filter_map(|i| i.delta);
+        let rescans = (deltas.clone()).flat_map(|d| d.sources.iter().filter_map(|s| s.rescan));
+        let statements = (invariants.map(|i| i.sql))
+            .chain(deltas.map(|d| d.delta_sql))
+            .chain(rescans.map(|r| r.sql))
+            .chain(ssm.trim_queries().iter().copied());
+        for sql in statements {
+            libseal_sealdb::parser::parse(sql).map_err(crate::LibSealError::Db)?;
+        }
         for inv in ssm.invariants() {
             if let Some(spec) = inv.matview_spec() {
                 log.db_mut()

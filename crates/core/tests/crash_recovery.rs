@@ -738,7 +738,7 @@ fn a_trim_query_failing_half_way_leaves_a_log_that_seals_and_verifies() {
     let mut log = pushed_log(&path, &q);
     let all = cids(&log);
     let queries = [
-        "DELETE FROM updates WHERE time <= 2",
+        "DELETE FROM updates WHERE time < 3",
         "DELETE FROM no_such_table",
     ];
     assert!(log.trim(&queries).is_err());

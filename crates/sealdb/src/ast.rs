@@ -1,11 +1,12 @@
-//! The SQL abstract syntax tree.
+//! The SQL abstract syntax tree: exactly the forms LibSEAL's own
+//! statements take (DESIGN.md, "The SQL LibSEAL speaks").
 
 use crate::value::Value;
 
 /// A full SQL statement.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Stmt {
-    /// `CREATE TABLE [IF NOT EXISTS] name (col type, ...)`
+    /// `CREATE TABLE [IF NOT EXISTS] name (col [type], ...)`
     CreateTable {
         /// Table name.
         name: String,
@@ -20,8 +21,6 @@ pub enum Stmt {
         name: String,
         /// Defining query.
         query: Select,
-        /// Suppress the error when the view exists.
-        if_not_exists: bool,
     },
     /// `CREATE INDEX [IF NOT EXISTS] name ON table (column)`
     CreateIndex {
@@ -34,35 +33,12 @@ pub enum Stmt {
         /// Suppress the error when the index exists.
         if_not_exists: bool,
     },
-    /// `DROP INDEX [IF EXISTS] name`
-    DropIndex {
-        /// Index name.
-        name: String,
-        /// Suppress the error when missing.
-        if_exists: bool,
-    },
-    /// `DROP TABLE [IF EXISTS] name`
-    DropTable {
-        /// Table name.
-        name: String,
-        /// Suppress the error when missing.
-        if_exists: bool,
-    },
-    /// `DROP VIEW [IF EXISTS] name`
-    DropView {
-        /// View name.
-        name: String,
-        /// Suppress the error when missing.
-        if_exists: bool,
-    },
-    /// `INSERT INTO t [(cols)] VALUES (...), (...)`
+    /// `INSERT INTO t VALUES (...)`: one row.
     Insert {
         /// Target table.
         table: String,
-        /// Optional explicit column list.
-        columns: Option<Vec<String>>,
-        /// Row value expressions.
-        rows: Vec<Vec<Expr>>,
+        /// One value expression per column of the table.
+        values: Vec<Expr>,
     },
     /// `DELETE FROM t [WHERE ...]`
     Delete {
@@ -89,21 +65,19 @@ pub enum Stmt {
 pub struct ColumnDef {
     /// Column name.
     pub name: String,
-    /// Declared type text (drives affinity), may be empty.
+    /// Declared type (one word, drives affinity), may be empty.
     pub decl_type: String,
-    /// Whether declared `PRIMARY KEY`.
-    pub primary_key: bool,
 }
 
-/// A SELECT query (possibly with set-returning FROM and grouping).
+/// A SELECT query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Select {
     /// `SELECT DISTINCT`?
     pub distinct: bool,
     /// Output expressions.
     pub projections: Vec<SelectItem>,
-    /// FROM clause (None = scalar select like `SELECT 1`).
-    pub from: Option<FromClause>,
+    /// FROM clause.
+    pub from: FromClause,
     /// WHERE predicate.
     pub filter: Option<Expr>,
     /// GROUP BY expressions.
@@ -112,10 +86,8 @@ pub struct Select {
     pub having: Option<Expr>,
     /// ORDER BY terms.
     pub order_by: Vec<OrderTerm>,
-    /// LIMIT count.
-    pub limit: Option<Expr>,
-    /// OFFSET count.
-    pub offset: Option<Expr>,
+    /// `LIMIT n`.
+    pub limit: Option<usize>,
 }
 
 /// One item of the projection list.
@@ -123,8 +95,6 @@ pub struct Select {
 pub enum SelectItem {
     /// `*`
     Star,
-    /// `t.*`
-    QualifiedStar(String),
     /// An expression with an optional alias.
     Expr {
         /// The expression.
@@ -150,17 +120,15 @@ pub struct Join {
     pub kind: JoinKind,
     /// Right-hand source.
     pub table: TableRef,
-    /// `ON` predicate (None for NATURAL and CROSS joins).
+    /// `ON` predicate (None for NATURAL joins).
     pub on: Option<Expr>,
 }
 
 /// Join flavours supported by the engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JoinKind {
-    /// `[INNER] JOIN ... ON`, or a comma (cross join when `on` absent).
+    /// `JOIN ... ON`.
     Inner,
-    /// `LEFT [OUTER] JOIN ... ON`.
-    Left,
     /// `NATURAL JOIN`: equality over shared column names, shared
     /// columns merged.
     Natural,
@@ -185,20 +153,10 @@ pub enum TableRef {
     },
 }
 
-impl TableRef {
-    /// The name this source is referenced by in column qualifiers.
-    pub fn effective_name(&self) -> Option<&str> {
-        match self {
-            TableRef::Named { name, alias } => Some(alias.as_deref().unwrap_or(name)),
-            TableRef::Subquery { alias, .. } => alias.as_deref(),
-        }
-    }
-}
-
 /// An ORDER BY term.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OrderTerm {
-    /// Sort expression (or output-column reference / position).
+    /// Sort expression.
     pub expr: Expr,
     /// Descending?
     pub desc: bool,
@@ -207,49 +165,28 @@ pub struct OrderTerm {
 /// Binary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BinOp {
-    /// `=` / `==`
+    /// `=`
     Eq,
-    /// `!=` / `<>`
+    /// `!=`
     Ne,
     /// `<`
     Lt,
-    /// `<=`
-    Le,
     /// `>`
     Gt,
-    /// `>=`
-    Ge,
     /// `AND`
     And,
     /// `OR`
     Or,
     /// `+`
     Add,
-    /// `-`
-    Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-    /// `%`
-    Rem,
     /// `||` string concatenation
     Concat,
-}
-
-/// Unary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UnOp {
-    /// `-`
-    Neg,
-    /// `NOT`
-    Not,
 }
 
 /// A scalar expression.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Expr {
-    /// Literal value.
+    /// Literal value: an integer (`-1` included) or a string.
     Literal(Value),
     /// `?` parameter (0-based).
     Param(usize),
@@ -260,13 +197,6 @@ pub enum Expr {
         /// Column name.
         name: String,
     },
-    /// Unary operation.
-    Unary {
-        /// Operator.
-        op: UnOp,
-        /// Operand.
-        expr: Box<Expr>,
-    },
     /// Binary operation.
     Binary {
         /// Operator.
@@ -276,32 +206,12 @@ pub enum Expr {
         /// Right operand.
         right: Box<Expr>,
     },
-    /// Function call (including aggregates).
+    /// An aggregate: `COUNT(*)`, `COUNT(e)` or `MAX(e)`.
     Function {
-        /// Uppercased function name.
+        /// Uppercased function name, `COUNT` or `MAX`.
         name: String,
-        /// Arguments; empty with `star=true` for `COUNT(*)`.
-        args: Vec<Expr>,
-        /// `COUNT(*)`-style star argument.
-        star: bool,
-        /// `COUNT(DISTINCT x)`.
-        distinct: bool,
-    },
-    /// `expr IS [NOT] NULL`.
-    IsNull {
-        /// Tested expression.
-        expr: Box<Expr>,
-        /// `IS NOT NULL`?
-        negated: bool,
-    },
-    /// `expr [NOT] IN (e1, e2, ...)`.
-    InList {
-        /// Tested expression.
-        expr: Box<Expr>,
-        /// List items.
-        list: Vec<Expr>,
-        /// `NOT IN`?
-        negated: bool,
+        /// The argument; `None` for `COUNT(*)`.
+        arg: Option<Box<Expr>>,
     },
     /// `expr [NOT] IN (SELECT ...)`.
     InSubquery {
@@ -321,82 +231,18 @@ pub enum Expr {
     },
     /// A scalar subquery `(SELECT ...)`.
     Subquery(Box<Select>),
-    /// `expr [NOT] BETWEEN lo AND hi`.
-    Between {
-        /// Tested expression.
-        expr: Box<Expr>,
-        /// Lower bound.
-        low: Box<Expr>,
-        /// Upper bound.
-        high: Box<Expr>,
-        /// `NOT BETWEEN`?
-        negated: bool,
-    },
-    /// `expr [NOT] LIKE pattern`.
-    Like {
-        /// Tested expression.
-        expr: Box<Expr>,
-        /// Pattern with `%` and `_` wildcards.
-        pattern: Box<Expr>,
-        /// `NOT LIKE`?
-        negated: bool,
-    },
-    /// `CASE [operand] WHEN .. THEN .. [ELSE ..] END`.
-    Case {
-        /// Optional operand (simple CASE).
-        operand: Option<Box<Expr>>,
-        /// WHEN/THEN pairs.
-        branches: Vec<(Expr, Expr)>,
-        /// ELSE expression.
-        else_expr: Option<Box<Expr>>,
-    },
 }
 
 impl Expr {
-    /// Convenience constructor for a column reference.
-    pub fn col(name: &str) -> Expr {
-        Expr::Column {
-            table: None,
-            name: name.to_string(),
-        }
-    }
-
-    /// Whether this expression (recursively) contains an aggregate
-    /// function call.
+    /// Whether this expression (outside subqueries) contains an
+    /// aggregate.
     pub fn contains_aggregate(&self) -> bool {
         match self {
-            Expr::Function { name, args, .. } => {
-                matches!(
-                    name.as_str(),
-                    "COUNT" | "SUM" | "AVG" | "MIN" | "MAX" | "TOTAL" | "GROUP_CONCAT"
-                ) || args.iter().any(Expr::contains_aggregate)
-            }
-            Expr::Unary { expr, .. } => expr.contains_aggregate(),
+            Expr::Function { .. } => true,
             Expr::Binary { left, right, .. } => {
                 left.contains_aggregate() || right.contains_aggregate()
             }
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
             Expr::InSubquery { expr, .. } => expr.contains_aggregate(),
-            Expr::Between {
-                expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_aggregate() || pattern.contains_aggregate()
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                operand.as_deref().is_some_and(Expr::contains_aggregate)
-                    || branches
-                        .iter()
-                        .any(|(w, t)| w.contains_aggregate() || t.contains_aggregate())
-                    || else_expr.as_deref().is_some_and(Expr::contains_aggregate)
-            }
             _ => false,
         }
     }
@@ -405,17 +251,10 @@ impl Expr {
     pub fn display_name(&self) -> String {
         match self {
             Expr::Column { name, .. } => name.clone(),
-            Expr::Function {
-                name, args, star, ..
-            } => {
-                if *star {
-                    format!("{}(*)", name)
-                } else if let Some(first) = args.first() {
-                    format!("{}({})", name, first.display_name())
-                } else {
-                    format!("{}()", name)
-                }
-            }
+            Expr::Function { name, arg } => match arg {
+                None => format!("{name}(*)"),
+                Some(a) => format!("{name}({})", a.display_name()),
+            },
             Expr::Literal(v) => v.to_string(),
             _ => "expr".to_string(),
         }

@@ -2,7 +2,8 @@
 //!
 //! Beside each table, index and view the catalog keeps the statement
 //! text that created it, exactly as the parser accepted it. The dialect
-//! has no `ALTER`, so that text stays true for the object's life, and
+//! has no `ALTER` or `DROP`, so that text stays true for the life of the
+//! database (an object is never removed), and
 //! compaction writes it back instead of regenerating SQL from fields.
 
 use std::collections::HashMap;
@@ -241,29 +242,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Drops an index by name.
-    ///
-    /// # Errors
-    ///
-    /// Fails when missing and `if_exists` is false.
-    pub fn drop_index(&mut self, name: &str, if_exists: bool) -> Result<()> {
-        for t in self.tables.values_mut() {
-            if let Some(pos) = t
-                .indexes
-                .iter()
-                .position(|ix| ix.name.eq_ignore_ascii_case(name))
-            {
-                t.indexes.remove(pos);
-                return Ok(());
-            }
-        }
-        if if_exists {
-            Ok(())
-        } else {
-            Err(DbError::schema(format!("no such index: {name}")))
-        }
-    }
-
     /// Whether an index with this name exists on any table.
     pub fn index_exists(&self, name: &str) -> bool {
         self.tables.values().any(|t| {
@@ -277,48 +255,13 @@ impl Catalog {
     ///
     /// # Errors
     ///
-    /// Fails when the name is taken and `if_not_exists` is false.
-    pub fn create_view(
-        &mut self,
-        name: &str,
-        query: Select,
-        if_not_exists: bool,
-        sql: &str,
-    ) -> Result<()> {
+    /// Fails when the name is taken.
+    pub fn create_view(&mut self, name: &str, query: Select, sql: &str) -> Result<()> {
         let key = name.to_ascii_lowercase();
         if self.tables.contains_key(&key) || self.views.contains_key(&key) {
-            if if_not_exists {
-                return Ok(());
-            }
             return Err(DbError::schema(format!("view {name} already exists")));
         }
         self.views.insert(key, (sql.to_string(), query));
-        Ok(())
-    }
-
-    /// Drops a table.
-    ///
-    /// # Errors
-    ///
-    /// Fails when missing and `if_exists` is false.
-    pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<()> {
-        let key = name.to_ascii_lowercase();
-        if self.tables.remove(&key).is_none() && !if_exists {
-            return Err(DbError::schema(format!("no such table: {name}")));
-        }
-        Ok(())
-    }
-
-    /// Drops a view.
-    ///
-    /// # Errors
-    ///
-    /// Fails when missing and `if_exists` is false.
-    pub fn drop_view(&mut self, name: &str, if_exists: bool) -> Result<()> {
-        let key = name.to_ascii_lowercase();
-        if self.views.remove(&key).is_none() && !if_exists {
-            return Err(DbError::schema(format!("no such view: {name}")));
-        }
         Ok(())
     }
 

@@ -213,21 +213,8 @@ impl Database {
                     .create_table(name, columns, *if_not_exists, sql)?;
                 QueryResult::default()
             }
-            Stmt::CreateView {
-                name,
-                query,
-                if_not_exists,
-            } => {
-                self.catalog
-                    .create_view(name, query.clone(), *if_not_exists, sql)?;
-                QueryResult::default()
-            }
-            Stmt::DropTable { name, if_exists } => {
-                self.catalog.drop_table(name, *if_exists)?;
-                QueryResult::default()
-            }
-            Stmt::DropView { name, if_exists } => {
-                self.catalog.drop_view(name, *if_exists)?;
+            Stmt::CreateView { name, query } => {
+                self.catalog.create_view(name, query.clone(), sql)?;
                 QueryResult::default()
             }
             Stmt::CreateIndex {
@@ -240,15 +227,7 @@ impl Database {
                     .create_index(name, table, column, *if_not_exists, sql)?;
                 QueryResult::default()
             }
-            Stmt::DropIndex { name, if_exists } => {
-                self.catalog.drop_index(name, *if_exists)?;
-                QueryResult::default()
-            }
-            Stmt::Insert {
-                table,
-                columns,
-                rows,
-            } => self.exec_insert(table, columns.as_deref(), rows, params)?,
+            Stmt::Insert { table, values } => self.exec_insert(table, values, params)?,
             Stmt::Delete { table, filter } => self.exec_delete(table, filter.as_ref(), params)?,
             Stmt::Update {
                 table,
@@ -265,71 +244,40 @@ impl Database {
     fn exec_insert(
         &mut self,
         table: &str,
-        columns: Option<&[String]>,
-        rows: &[Vec<Expr>],
+        values: &[Expr],
         params: &[Value],
     ) -> Result<QueryResult> {
-        // Evaluate all rows against the current catalog first.
-        let evaluated: Vec<Vec<Value>> = {
-            let ctx = Ctx::with_planner(&self.catalog, params, self.planner);
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let mut vals = Vec::with_capacity(row.len());
-                for e in row {
-                    vals.push(eval_standalone(&ctx, e)?);
-                }
-                out.push(vals);
-            }
-            out
-        };
+        // Evaluate the row against the current catalog first.
+        let ctx = Ctx::with_planner(&self.catalog, params, self.planner);
+        let env = crate::exec::env_for(&[], &[]);
+        let eval = |e| crate::exec::eval(&ctx, e, &env, None);
+        let values = values.iter().map(eval).collect::<Result<Vec<_>>>()?;
+        let sources = self.matviews.iter().flat_map(|v| &v.spec.sources);
+        let tracked = sources.into_iter().any(|s| s.table == table);
         let t = self
             .catalog
             .table_mut(table)
             .ok_or_else(|| DbError::schema(format!("no such table: {table}")))?;
-        let col_indices: Vec<usize> = match columns {
-            None => (0..t.columns.len()).collect(),
-            Some(names) => {
-                let mut idx = Vec::with_capacity(names.len());
-                for n in names {
-                    idx.push(t.column_index(n).ok_or_else(|| {
-                        DbError::schema(format!("table {table} has no column {n}"))
-                    })?);
-                }
-                idx
-            }
-        };
-        // Clone applied rows only when a materialized view tracks
-        // inserts into this table.
-        let tracked = self
-            .matviews
-            .iter()
-            .any(|v| v.spec.sources.iter().any(|s| s.table == *table));
-        let mut inserted: Vec<Vec<Value>> = Vec::new();
-        let mut affected = 0;
-        for vals in evaluated {
-            if vals.len() != col_indices.len() {
-                return Err(DbError::exec(format!(
-                    "{} values for {} columns",
-                    vals.len(),
-                    col_indices.len()
-                )));
-            }
-            let mut row = vec![Value::Null; t.columns.len()];
-            for (v, &ci) in vals.into_iter().zip(col_indices.iter()) {
-                row[ci] = t.columns[ci].affinity.apply(v);
-            }
-            if tracked {
-                inserted.push(row.clone());
-            }
-            t.rows.push(row);
-            t.index_appended_row();
-            affected += 1;
+        if values.len() != t.columns.len() {
+            return Err(DbError::exec(format!(
+                "{} values for {} columns",
+                values.len(),
+                t.columns.len()
+            )));
         }
-        if tracked {
-            self.note_inserts(table, &inserted)?;
+        let row: Vec<Value> = (t.columns.iter().zip(values))
+            .map(|(c, v)| c.affinity.apply(v))
+            .collect();
+        // Clone the row only when a materialized view tracks inserts
+        // into this table.
+        let copy = tracked.then(|| row.clone());
+        t.rows.push(row);
+        t.index_appended_row();
+        if let Some(row) = copy {
+            self.note_insert(table, &row)?;
         }
         Ok(QueryResult {
-            rows_affected: affected,
+            rows_affected: 1,
             ..Default::default()
         })
     }
@@ -464,60 +412,43 @@ impl Database {
         }
     }
 
-    /// Applies per-source dirty-tracking rules for rows just inserted
+    /// Applies per-source dirty-tracking rules for a row just inserted
     /// into `table`.
-    fn note_inserts(&mut self, table: &str, rows: &[Vec<Value>]) -> Result<()> {
+    fn note_insert(&mut self, table: &str, row: &[Value]) -> Result<()> {
         // Detach the view list so rescan lookups can borrow the
         // catalog; restored before returning.
         let mut views = std::mem::take(&mut self.matviews);
-        let res = self.note_inserts_inner(table, rows, &mut views);
+        let res = self.note_insert_inner(table, row, &mut views);
         self.matviews = views;
         res
     }
 
-    fn note_inserts_inner(
-        &self,
-        table: &str,
-        rows: &[Vec<Value>],
-        views: &mut [MatView],
-    ) -> Result<()> {
-        let col_index = |name: &str| -> Result<usize> {
-            self.catalog
-                .table(table)
-                .and_then(|t| t.column_index(name))
-                .ok_or_else(|| {
-                    DbError::schema(format!("matview source {table} has no column {name}"))
-                })
+    fn note_insert_inner(&self, table: &str, row: &[Value], views: &mut [MatView]) -> Result<()> {
+        let column = |name: &str| -> Result<Value> {
+            let t = self.catalog.table(table);
+            let i = t.and_then(|t| t.column_index(name)).ok_or_else(|| {
+                DbError::schema(format!("matview source {table} has no column {name}"))
+            })?;
+            Ok(row[i].clone())
         };
         for v in views.iter_mut() {
             for rule in v.spec.sources.iter().filter(|s| s.table == table) {
                 if let Some(pcol) = &rule.partition_col {
                     if !v.full_dirty {
-                        let ci = col_index(pcol)?;
-                        for row in rows {
-                            v.dirty.insert(PartitionKey(row[ci].clone()));
-                        }
+                        v.dirty.insert(PartitionKey(column(pcol)?));
                     }
                 }
                 if let Some(rescan) = &rule.rescan {
                     let (Stmt::Select(sel), _) = parser::parse_one(&rescan.sql)? else {
                         return Err(DbError::exec("matview rescan requires a SELECT"));
                     };
-                    let bind_idx: Vec<usize> = rescan
-                        .bind_cols
-                        .iter()
-                        .map(|c| col_index(c))
-                        .collect::<Result<_>>()?;
-                    for row in rows {
-                        if v.full_dirty {
-                            break;
-                        }
-                        let binds: Vec<Value> = bind_idx.iter().map(|&i| row[i].clone()).collect();
+                    let binds = rescan.bind_cols.iter().map(|c| column(c));
+                    let binds = binds.collect::<Result<Vec<_>>>()?;
+                    if !v.full_dirty {
                         let ctx = Ctx::with_planner(&self.catalog, &binds, self.planner);
-                        let hits = exec_select(&ctx, &sel, None)?;
-                        for hit in hits.data {
-                            if let Some(p) = hit.first() {
-                                v.dirty.insert(PartitionKey(p.clone()));
+                        for hit in exec_select(&ctx, &sel, None)?.data {
+                            if let Some(p) = hit.into_iter().next() {
+                                v.dirty.insert(PartitionKey(p));
                             }
                         }
                     }
@@ -766,11 +697,4 @@ fn rows_to_result(rows: Rows) -> QueryResult {
         rows: rows.data,
         rows_affected: 0,
     }
-}
-
-fn eval_standalone(ctx: &Ctx<'_>, e: &Expr) -> Result<Value> {
-    let cols: [crate::exec::ColMeta; 0] = [];
-    let row: [Value; 0] = [];
-    let env = crate::exec::env_for(&cols, &row);
-    crate::exec::eval(ctx, e, &env, None)
 }

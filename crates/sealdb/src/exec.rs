@@ -1,6 +1,7 @@
 //! The query executor: a straightforward tuple-at-a-time interpreter
 //! with nested-loop joins, grouping, correlated subqueries and views —
-//! everything the paper's invariant and trimming queries need.
+//! what the paper's invariant and trimming queries need, and no more
+//! (the parser admits nothing else).
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -102,11 +103,6 @@ pub struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    /// A context with the planner enabled (the default).
-    pub fn new(catalog: &'a Catalog, params: &'a [Value]) -> Ctx<'a> {
-        Self::with_planner(catalog, params, true)
-    }
-
     /// A context with an explicit planner setting; `false` forces the
     /// naive nested-loop execution throughout.
     pub fn with_planner(catalog: &'a Catalog, params: &'a [Value], planner: bool) -> Ctx<'a> {
@@ -161,21 +157,15 @@ pub fn exec_select(ctx: &Ctx<'_>, sel: &Select, outer: Option<&Env<'_>>) -> Resu
     // an indexed equality filter, clone only the matching bucket
     // instead of the whole table (the full WHERE still runs over the
     // candidates below, so this is purely a pre-filter).
-    let source = match &sel.from {
-        Some(from) => match try_index_scan(ctx, from, sel.filter.as_ref(), outer)? {
-            Some(rows) => {
-                index_counters().0.inc();
-                rows
-            }
-            None => {
-                index_counters().1.inc();
-                build_from(ctx, from, outer)?
-            }
-        },
-        None => Rows {
-            cols: Vec::new(),
-            data: vec![Vec::new()],
-        },
+    let source = match try_index_scan(ctx, &sel.from, sel.filter.as_ref(), outer)? {
+        Some(rows) => {
+            index_counters().0.inc();
+            rows
+        }
+        None => {
+            index_counters().1.inc();
+            build_from(ctx, &sel.from, outer)?
+        }
     };
 
     // 2. WHERE.
@@ -208,7 +198,7 @@ pub fn exec_select(ctx: &Ctx<'_>, sel: &Select, outer: Option<&Env<'_>>) -> Resu
     let grouped = !sel.group_by.is_empty() || has_aggregates;
 
     // Output column names.
-    let out_cols = projection_columns(&sel.projections, &source.cols)?;
+    let out_cols = projection_columns(&sel.projections, &source.cols);
 
     // Build (values, sort_keys) pairs.
     let mut results: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
@@ -266,8 +256,8 @@ pub fn exec_select(ctx: &Ctx<'_>, sel: &Select, outer: Option<&Env<'_>>) -> Resu
                     continue;
                 }
             }
-            let values = project(ctx, &sel.projections, &env, Some(&agg), &source.cols)?;
-            let keys = order_keys(ctx, sel, &env, Some(&agg), &values, &out_cols)?;
+            let values = project(ctx, &sel.projections, &env, Some(&agg))?;
+            let keys = order_keys(ctx, sel, &env, Some(&agg))?;
             results.push((values, keys));
         }
     } else {
@@ -278,8 +268,8 @@ pub fn exec_select(ctx: &Ctx<'_>, sel: &Select, outer: Option<&Env<'_>>) -> Resu
                 tail: None,
                 parent: outer,
             };
-            let values = project(ctx, &sel.projections, &env, None, &source.cols)?;
-            let keys = order_keys(ctx, sel, &env, None, &values, &out_cols)?;
+            let values = project(ctx, &sel.projections, &env, None)?;
+            let keys = order_keys(ctx, sel, &env, None)?;
             results.push((values, keys));
         }
         if filtered.is_empty() {
@@ -293,7 +283,7 @@ pub fn exec_select(ctx: &Ctx<'_>, sel: &Select, outer: Option<&Env<'_>>) -> Resu
                 tail: None,
                 parent: outer,
             };
-            let _ = project(ctx, &sel.projections, &env, None, &source.cols)?;
+            let _ = project(ctx, &sel.projections, &env, None)?;
         }
     }
 
@@ -323,26 +313,9 @@ pub fn exec_select(ctx: &Ctx<'_>, sel: &Select, outer: Option<&Env<'_>>) -> Resu
         });
     }
 
-    // 6. OFFSET / LIMIT.
-    let offset = match &sel.offset {
-        Some(e) => eval_const(ctx, e, outer)?.as_f64().unwrap_or(0.0).max(0.0) as usize,
-        None => 0,
-    };
-    let limit = match &sel.limit {
-        Some(e) => {
-            let v = eval_const(ctx, e, outer)?;
-            match v.as_f64() {
-                Some(f) if f >= 0.0 => Some(f as usize),
-                _ => None,
-            }
-        }
-        None => None,
-    };
+    // 6. LIMIT.
     let mut data: Vec<Vec<Value>> = results.into_iter().map(|(v, _)| v).collect();
-    if offset > 0 {
-        data = data.split_off(offset.min(data.len()));
-    }
-    if let Some(l) = limit {
+    if let Some(l) = sel.limit {
         data.truncate(l);
     }
 
@@ -370,67 +343,24 @@ fn order_keys(
     sel: &Select,
     env: &Env<'_>,
     agg: Option<&AggCtx<'_>>,
-    out_values: &[Value],
-    out_cols: &[ColMeta],
 ) -> Result<Vec<Value>> {
-    let mut keys = Vec::with_capacity(sel.order_by.len());
-    for term in &sel.order_by {
-        // Positional reference (`ORDER BY 2`).
-        if let Expr::Literal(Value::Integer(n)) = &term.expr {
-            let idx = *n as usize;
-            if idx >= 1 && idx <= out_values.len() {
-                keys.push(out_values[idx - 1].clone());
-                continue;
-            }
-        }
-        // Output alias reference.
-        if let Expr::Column { table: None, name } = &term.expr {
-            if let Some(i) = out_cols
-                .iter()
-                .position(|c| c.name.eq_ignore_ascii_case(name))
-            {
-                // Prefer the source column when one exists with the
-                // same name; otherwise use the output value.
-                if env.lookup(None, name).is_none() {
-                    keys.push(out_values[i].clone());
-                    continue;
-                }
-            }
-        }
-        keys.push(eval(ctx, &term.expr, env, agg)?);
-    }
-    Ok(keys)
+    let terms = sel.order_by.iter();
+    terms.map(|term| eval(ctx, &term.expr, env, agg)).collect()
 }
 
 /// Derives the output column metadata of a projection list.
-fn projection_columns(items: &[SelectItem], source: &[ColMeta]) -> Result<Vec<ColMeta>> {
+fn projection_columns(items: &[SelectItem], source: &[ColMeta]) -> Vec<ColMeta> {
     let mut out = Vec::new();
     for item in items {
         match item {
             SelectItem::Star => out.extend(source.iter().cloned()),
-            SelectItem::QualifiedStar(t) => {
-                let before = out.len();
-                out.extend(
-                    source
-                        .iter()
-                        .filter(|c| {
-                            c.table
-                                .as_deref()
-                                .is_some_and(|ct| ct.eq_ignore_ascii_case(t))
-                        })
-                        .cloned(),
-                );
-                if out.len() == before {
-                    return Err(DbError::schema(format!("no such table: {t}")));
-                }
-            }
             SelectItem::Expr { expr, alias } => {
                 let name = alias.clone().unwrap_or_else(|| expr.display_name());
                 out.push(ColMeta { table: None, name });
             }
         }
     }
-    Ok(out)
+    out
 }
 
 /// Evaluates the projection list for one row/group.
@@ -439,22 +369,11 @@ fn project(
     items: &[SelectItem],
     env: &Env<'_>,
     agg: Option<&AggCtx<'_>>,
-    source: &[ColMeta],
 ) -> Result<Vec<Value>> {
     let mut out = Vec::new();
     for item in items {
         match item {
             SelectItem::Star => out.extend(env.row.iter().cloned()),
-            SelectItem::QualifiedStar(t) => {
-                for (i, c) in source.iter().enumerate() {
-                    if c.table
-                        .as_deref()
-                        .is_some_and(|ct| ct.eq_ignore_ascii_case(t))
-                    {
-                        out.push(env.row[i].clone());
-                    }
-                }
-            }
             SelectItem::Expr { expr, .. } => out.push(eval(ctx, expr, env, agg)?),
         }
     }
@@ -547,10 +466,10 @@ fn build_from(ctx: &Ctx<'_>, from: &FromClause, outer: Option<&Env<'_>>) -> Resu
     let mut acc = resolve_table_ref(ctx, &from.first, outer)?;
     for join in &from.joins {
         let right = resolve_table_ref(ctx, &join.table, outer)?;
-        acc = match join.kind {
-            JoinKind::Natural => natural_join(ctx, &acc, &right)?,
-            JoinKind::Inner => inner_join(ctx, &acc, &right, join.on.as_ref(), outer, false)?,
-            JoinKind::Left => inner_join(ctx, &acc, &right, join.on.as_ref(), outer, true)?,
+        acc = match (join.kind, &join.on) {
+            (JoinKind::Natural, _) => natural_join(ctx, &acc, &right)?,
+            (JoinKind::Inner, Some(on)) => inner_join(ctx, &acc, &right, on, outer)?,
+            (JoinKind::Inner, None) => return Err(DbError::exec("JOIN without ON")),
         };
     }
     Ok(acc)
@@ -611,12 +530,22 @@ fn inner_join(
     ctx: &Ctx<'_>,
     left: &Rows,
     right: &Rows,
-    on: Option<&Expr>,
+    on: &Expr,
     outer: Option<&Env<'_>>,
-    left_outer: bool,
 ) -> Result<Rows> {
     let mut cols = left.cols.clone();
     cols.extend(right.cols.iter().cloned());
+    // Evaluates `cond` against the borrowed sides: the combined row is
+    // materialised only on a match.
+    let holds = |cond: &Expr, l: &[Value], r: &[Value]| -> Result<bool> {
+        let env = Env {
+            cols: &left.cols,
+            row: l,
+            tail: Some((&right.cols, r)),
+            parent: outer,
+        };
+        Ok(eval(ctx, cond, &env, None)?.to_bool() == Some(true))
+    };
 
     // Hash path: pull equality conjuncts out of the ON predicate and
     // build/probe on them; remaining conjuncts are evaluated per
@@ -624,111 +553,65 @@ fn inner_join(
     // SQL equality disagree on NaN) — emission order matches the
     // nested loop exactly: left-major, right rows in scan order.
     if ctx.planner {
-        if let Some(cond) = on {
-            let mut keys: Vec<(usize, usize)> = Vec::new();
-            let mut residual: Vec<&Expr> = Vec::new();
-            for conj in plan::split_and(cond) {
-                match plan::equi_key(conj, &left.cols, &right.cols) {
-                    Some(k) => keys.push(k),
-                    None => residual.push(conj),
+        let mut keys: Vec<(usize, usize)> = Vec::new();
+        let mut residual: Vec<&Expr> = Vec::new();
+        for conj in plan::split_and(on) {
+            match plan::equi_key(conj, &left.cols, &right.cols) {
+                Some(k) => keys.push(k),
+                None => residual.push(conj),
+            }
+        }
+        if !keys.is_empty()
+            && !plan::has_nan(&left.data, keys.iter().map(|k| k.0))
+            && !plan::has_nan(&right.data, keys.iter().map(|k| k.1))
+        {
+            let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
+            'build: for (ri, r) in right.data.iter().enumerate() {
+                let mut key = String::new();
+                for &(_, rc) in &keys {
+                    if r[rc].is_null() {
+                        // NULL never compares equal: unreachable by
+                        // any probe.
+                        continue 'build;
+                    }
+                    plan::push_key_part(&mut key, &r[rc]);
+                }
+                buckets.entry(key).or_default().push(ri);
+            }
+            let mut data = Vec::new();
+            'probe: for l in &left.data {
+                let mut key = String::new();
+                for &(lc, _) in &keys {
+                    if l[lc].is_null() {
+                        continue 'probe;
+                    }
+                    plan::push_key_part(&mut key, &l[lc]);
+                }
+                'candidate: for &ri in buckets.get(&key).into_iter().flatten() {
+                    let r = &right.data[ri];
+                    for conj in &residual {
+                        if !holds(conj, l, r)? {
+                            continue 'candidate;
+                        }
+                    }
+                    let mut combined = l.clone();
+                    combined.extend(r.iter().cloned());
+                    data.push(combined);
                 }
             }
-            if !keys.is_empty()
-                && !plan::has_nan(&left.data, keys.iter().map(|k| k.0))
-                && !plan::has_nan(&right.data, keys.iter().map(|k| k.1))
-            {
-                let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
-                'build: for (ri, r) in right.data.iter().enumerate() {
-                    let mut key = String::new();
-                    for &(_, rc) in &keys {
-                        if r[rc].is_null() {
-                            // NULL never compares equal: unreachable
-                            // by any probe.
-                            continue 'build;
-                        }
-                        plan::push_key_part(&mut key, &r[rc]);
-                    }
-                    buckets.entry(key).or_default().push(ri);
-                }
-                let mut data = Vec::new();
-                for l in &left.data {
-                    let mut matched = false;
-                    let mut key = String::new();
-                    let mut null_key = false;
-                    for &(lc, _) in &keys {
-                        if l[lc].is_null() {
-                            null_key = true;
-                            break;
-                        }
-                        plan::push_key_part(&mut key, &l[lc]);
-                    }
-                    if !null_key {
-                        if let Some(cands) = buckets.get(&key) {
-                            for &ri in cands {
-                                let r = &right.data[ri];
-                                let mut keep = true;
-                                for conj in &residual {
-                                    let env = Env {
-                                        cols: &left.cols,
-                                        row: l,
-                                        tail: Some((&right.cols, r)),
-                                        parent: outer,
-                                    };
-                                    if eval(ctx, conj, &env, None)?.to_bool() != Some(true) {
-                                        keep = false;
-                                        break;
-                                    }
-                                }
-                                if keep {
-                                    matched = true;
-                                    let mut combined = l.clone();
-                                    combined.extend(r.iter().cloned());
-                                    data.push(combined);
-                                }
-                            }
-                        }
-                    }
-                    if left_outer && !matched {
-                        let mut combined = l.clone();
-                        combined
-                            .extend(std::iter::repeat_with(|| Value::Null).take(right.cols.len()));
-                        data.push(combined);
-                    }
-                }
-                return Ok(Rows { cols, data });
-            }
+            return Ok(Rows { cols, data });
         }
     }
 
-    // Nested-loop fallback: evaluate ON against the borrowed sides
-    // and only materialise the combined row on a match.
+    // Nested-loop fallback.
     let mut data = Vec::new();
     for l in &left.data {
-        let mut matched = false;
         for r in &right.data {
-            let keep = match on {
-                None => true,
-                Some(cond) => {
-                    let env = Env {
-                        cols: &left.cols,
-                        row: l,
-                        tail: Some((&right.cols, r)),
-                        parent: outer,
-                    };
-                    eval(ctx, cond, &env, None)?.to_bool() == Some(true)
-                }
-            };
-            if keep {
-                matched = true;
+            if holds(on, l, r)? {
                 let mut combined = l.clone();
                 combined.extend(r.iter().cloned());
                 data.push(combined);
             }
-        }
-        if left_outer && !matched {
-            let mut combined = l.clone();
-            combined.extend(std::iter::repeat_with(|| Value::Null).take(right.cols.len()));
-            data.push(combined);
         }
     }
     Ok(Rows { cols, data })
@@ -849,58 +732,14 @@ pub fn eval(ctx: &Ctx<'_>, expr: &Expr, env: &Env<'_>, agg: Option<&AggCtx<'_>>)
                 })
             })
         }
-        Expr::Unary { op, expr } => {
-            let v = eval(ctx, expr, env, agg)?;
-            match op {
-                UnOp::Neg => match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Integer(i) => Ok(Value::Integer(-i)),
-                    Value::Real(f) => Ok(Value::Real(-f)),
-                    other => Ok(Value::Real(-other.as_f64().unwrap_or(0.0))),
-                },
-                UnOp::Not => match v.to_bool() {
-                    None => Ok(Value::Null),
-                    Some(b) => Ok(Value::Integer(if b { 0 } else { 1 })),
-                },
-            }
-        }
         Expr::Binary { op, left, right } => eval_binary(ctx, *op, left, right, env, agg),
-        Expr::Function {
-            name,
-            args,
-            star,
-            distinct,
-        } => eval_function(ctx, name, args, *star, *distinct, env, agg),
-        Expr::IsNull { expr, negated } => {
-            let v = eval(ctx, expr, env, agg)?;
-            let is_null = v.is_null();
-            Ok(Value::Integer((is_null != *negated) as i64))
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let needle = eval(ctx, expr, env, agg)?;
-            if needle.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let v = eval(ctx, item, env, agg)?;
-                match needle.sql_eq(&v) {
-                    Some(true) => {
-                        return Ok(Value::Integer(if *negated { 0 } else { 1 }));
-                    }
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Integer(if *negated { 1 } else { 0 }))
-            }
+        Expr::Function { name, arg } => {
+            let Some(agg) = agg else {
+                return Err(DbError::exec(format!(
+                    "misuse of aggregate function {name}()"
+                )));
+            };
+            eval_aggregate(ctx, name, arg.as_deref(), agg)
         }
         Expr::InSubquery {
             expr,
@@ -942,64 +781,6 @@ pub fn eval(ctx: &Ctx<'_>, expr: &Expr, env: &Env<'_>, agg: Option<&AggCtx<'_>>)
                 .and_then(|r| r.first().cloned())
                 .unwrap_or(Value::Null))
         }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval(ctx, expr, env, agg)?;
-            let lo = eval(ctx, low, env, agg)?;
-            let hi = eval(ctx, high, env, agg)?;
-            match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
-                (Some(a), Some(b)) => {
-                    let inside = a != Ordering::Less && b != Ordering::Greater;
-                    Ok(Value::Integer((inside != *negated) as i64))
-                }
-                _ => Ok(Value::Null),
-            }
-        }
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval(ctx, expr, env, agg)?;
-            let p = eval(ctx, pattern, env, agg)?;
-            if v.is_null() || p.is_null() {
-                return Ok(Value::Null);
-            }
-            let matched = like_match(&p.to_string(), &v.to_string());
-            Ok(Value::Integer((matched != *negated) as i64))
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            match operand {
-                Some(op) => {
-                    let base = eval(ctx, op, env, agg)?;
-                    for (when, then) in branches {
-                        let w = eval(ctx, when, env, agg)?;
-                        if base.sql_eq(&w) == Some(true) {
-                            return eval(ctx, then, env, agg);
-                        }
-                    }
-                }
-                None => {
-                    for (when, then) in branches {
-                        if eval(ctx, when, env, agg)?.to_bool() == Some(true) {
-                            return eval(ctx, then, env, agg);
-                        }
-                    }
-                }
-            }
-            match else_expr {
-                Some(e) => eval(ctx, e, env, agg),
-                None => Ok(Value::Null),
-            }
-        }
     }
 }
 
@@ -1011,269 +792,60 @@ fn eval_binary(
     env: &Env<'_>,
     agg: Option<&AggCtx<'_>>,
 ) -> Result<Value> {
-    // AND/OR need lazy-ish three-valued logic.
-    if matches!(op, BinOp::And | BinOp::Or) {
-        let l = eval(ctx, left, env, agg)?.to_bool();
-        // Short-circuit where the result is already decided.
-        match (op, l) {
-            (BinOp::And, Some(false)) => return Ok(Value::Integer(0)),
-            (BinOp::Or, Some(true)) => return Ok(Value::Integer(1)),
-            _ => {}
+    let l = eval(ctx, left, env, agg)?;
+    if let BinOp::And | BinOp::Or = op {
+        // Three-valued logic. `decisive` is the operand value that
+        // decides the result alone (false for AND, true for OR): the
+        // right side is not evaluated once the left one is decisive.
+        let decisive = op == BinOp::Or;
+        let l = l.to_bool();
+        if l == Some(decisive) {
+            return Ok(Value::Integer(decisive as i64));
         }
-        let r = eval(ctx, right, env, agg)?.to_bool();
-        let out = match op {
-            BinOp::And => match (l, r) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-            BinOp::Or => match (l, r) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
-            _ => return Err(DbError::exec("non-logical operator on AND/OR path")),
-        };
-        return Ok(match out {
-            Some(b) => Value::Integer(b as i64),
-            None => Value::Null,
+        return Ok(match (l, eval(ctx, right, env, agg)?.to_bool()) {
+            (_, Some(r)) if r == decisive => Value::Integer(decisive as i64),
+            (Some(_), Some(_)) => Value::Integer(!decisive as i64),
+            _ => Value::Null,
         });
     }
-
-    let l = eval(ctx, left, env, agg)?;
     let r = eval(ctx, right, env, agg)?;
-    match op {
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let cmp = l.sql_cmp(&r);
-            Ok(match cmp {
-                None => Value::Null,
-                Some(ord) => {
-                    let b = match op {
-                        BinOp::Eq => ord == Ordering::Equal,
-                        BinOp::Ne => ord != Ordering::Equal,
-                        BinOp::Lt => ord == Ordering::Less,
-                        BinOp::Le => ord != Ordering::Greater,
-                        BinOp::Gt => ord == Ordering::Greater,
-                        BinOp::Ge => ord != Ordering::Less,
-                        _ => {
-                            return Err(DbError::exec("non-comparison operator on comparison path"))
-                        }
-                    };
-                    Value::Integer(b as i64)
-                }
-            })
-        }
-        BinOp::Concat => {
-            if l.is_null() || r.is_null() {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Text(format!("{l}{r}")))
-            }
-        }
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            // Integer arithmetic when both sides are integers.
-            if let (Value::Integer(a), Value::Integer(b)) = (&l, &r) {
-                let (a, b) = (*a, *b);
-                return Ok(match op {
-                    BinOp::Add => a
-                        .checked_add(b)
-                        .map(Value::Integer)
-                        .unwrap_or(Value::Real(a as f64 + b as f64)),
-                    BinOp::Sub => a
-                        .checked_sub(b)
-                        .map(Value::Integer)
-                        .unwrap_or(Value::Real(a as f64 - b as f64)),
-                    BinOp::Mul => a
-                        .checked_mul(b)
-                        .map(Value::Integer)
-                        .unwrap_or(Value::Real(a as f64 * b as f64)),
-                    BinOp::Div => {
-                        if b == 0 {
-                            Value::Null
-                        } else {
-                            Value::Integer(a.wrapping_div(b))
-                        }
-                    }
-                    BinOp::Rem => {
-                        if b == 0 {
-                            Value::Null
-                        } else {
-                            Value::Integer(a.wrapping_rem(b))
-                        }
-                    }
-                    _ => return Err(DbError::exec("non-arithmetic operator on arithmetic path")),
-                });
-            }
-            let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
-                return Ok(Value::Null);
-            };
-            Ok(match op {
-                BinOp::Add => Value::Real(a + b),
-                BinOp::Sub => Value::Real(a - b),
-                BinOp::Mul => Value::Real(a * b),
-                BinOp::Div => {
-                    if b == 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Real(a / b)
-                    }
-                }
-                BinOp::Rem => {
-                    if b == 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Real(a % b)
-                    }
-                }
-                _ => return Err(DbError::exec("non-arithmetic operator on arithmetic path")),
-            })
-        }
-        // Handled (with an early return) at the top of the function.
-        BinOp::And | BinOp::Or => Err(DbError::exec("AND/OR fell through logical path")),
+    if l.is_null() || r.is_null() {
+        return Ok(Value::Null);
     }
+    let compare = |holds: fn(Ordering) -> bool| Value::Integer(holds(l.total_cmp(&r)) as i64);
+    Ok(match op {
+        BinOp::Eq => compare(Ordering::is_eq),
+        BinOp::Ne => compare(Ordering::is_ne),
+        BinOp::Lt => compare(Ordering::is_lt),
+        BinOp::Gt => compare(Ordering::is_gt),
+        BinOp::Concat => Value::Text(format!("{l}{r}")),
+        // Integer arithmetic when both sides are integers and the sum
+        // fits, else real.
+        BinOp::Add => match (&l, &r) {
+            (Value::Integer(a), Value::Integer(b)) => a
+                .checked_add(*b)
+                .map_or(Value::Real(*a as f64 + *b as f64), Value::Integer),
+            _ => match (l.as_f64(), r.as_f64()) {
+                (Some(a), Some(b)) => Value::Real(a + b),
+                _ => Value::Null,
+            },
+        },
+        BinOp::And | BinOp::Or => return Err(DbError::exec("AND/OR fell through logical path")),
+    })
 }
 
-const AGGREGATES: &[&str] = &["COUNT", "SUM", "TOTAL", "AVG", "MIN", "MAX", "GROUP_CONCAT"];
-
-fn eval_function(
-    ctx: &Ctx<'_>,
-    name: &str,
-    args: &[Expr],
-    star: bool,
-    distinct: bool,
-    env: &Env<'_>,
-    agg: Option<&AggCtx<'_>>,
-) -> Result<Value> {
-    if AGGREGATES.contains(&name) {
-        let Some(agg) = agg else {
-            return Err(DbError::exec(format!(
-                "misuse of aggregate function {name}()"
-            )));
-        };
-        return eval_aggregate(ctx, name, args, star, distinct, agg);
-    }
-    // Scalar functions.
-    let mut vals = Vec::with_capacity(args.len());
-    for a in args {
-        vals.push(eval(ctx, a, env, agg)?);
-    }
-    match name {
-        "ABS" => {
-            let v = vals.first().cloned().unwrap_or(Value::Null);
-            Ok(match v {
-                Value::Null => Value::Null,
-                Value::Integer(i) => Value::Integer(i.abs()),
-                Value::Real(f) => Value::Real(f.abs()),
-                other => other
-                    .as_f64()
-                    .map(|f| Value::Real(f.abs()))
-                    .unwrap_or(Value::Null),
-            })
-        }
-        "LENGTH" => Ok(match vals.first() {
-            Some(Value::Text(s)) => Value::Integer(s.chars().count() as i64),
-            Some(Value::Blob(b)) => Value::Integer(b.len() as i64),
-            Some(Value::Null) | None => Value::Null,
-            Some(v) => Value::Integer(v.to_string().len() as i64),
-        }),
-        "LOWER" => Ok(match vals.first() {
-            Some(Value::Null) | None => Value::Null,
-            Some(v) => Value::Text(v.to_string().to_lowercase()),
-        }),
-        "UPPER" => Ok(match vals.first() {
-            Some(Value::Null) | None => Value::Null,
-            Some(v) => Value::Text(v.to_string().to_uppercase()),
-        }),
-        "SUBSTR" | "SUBSTRING" => {
-            let s = match vals.first() {
-                Some(Value::Null) | None => return Ok(Value::Null),
-                Some(v) => v.to_string(),
-            };
-            let chars: Vec<char> = s.chars().collect();
-            let start = vals
-                .get(1)
-                .and_then(Value::as_f64)
-                .map(|f| f as i64)
-                .unwrap_or(1);
-            let len = vals.get(2).and_then(Value::as_f64).map(|f| f as i64);
-            // SQLite: 1-based; negative counts from the end.
-            let begin = if start > 0 {
-                (start - 1) as usize
-            } else if start < 0 {
-                chars.len().saturating_sub((-start) as usize)
-            } else {
-                0
-            };
-            let out: String = match len {
-                Some(l) if l >= 0 => chars.iter().skip(begin).take(l as usize).collect(),
-                Some(_) => String::new(),
-                None => chars.iter().skip(begin).collect(),
-            };
-            Ok(Value::Text(out))
-        }
-        "COALESCE" => {
-            for v in vals {
-                if !v.is_null() {
-                    return Ok(v);
-                }
-            }
-            Ok(Value::Null)
-        }
-        "IFNULL" => {
-            let first = vals.first().cloned().unwrap_or(Value::Null);
-            if first.is_null() {
-                Ok(vals.get(1).cloned().unwrap_or(Value::Null))
-            } else {
-                Ok(first)
-            }
-        }
-        "NULLIF" => {
-            let a = vals.first().cloned().unwrap_or(Value::Null);
-            let b = vals.get(1).cloned().unwrap_or(Value::Null);
-            if a.sql_eq(&b) == Some(true) {
-                Ok(Value::Null)
-            } else {
-                Ok(a)
-            }
-        }
-        "TYPEOF" => Ok(Value::Text(
-            match vals.first() {
-                Some(Value::Null) | None => "null",
-                Some(Value::Integer(_)) => "integer",
-                Some(Value::Real(_)) => "real",
-                Some(Value::Text(_)) => "text",
-                Some(Value::Blob(_)) => "blob",
-            }
-            .to_string(),
-        )),
-        "HEX" => Ok(match vals.first() {
-            Some(Value::Blob(b)) => Value::Text(b.iter().map(|x| format!("{x:02X}")).collect()),
-            Some(Value::Null) | None => Value::Text(String::new()),
-            Some(v) => Value::Text(v.to_string().bytes().map(|x| format!("{x:02X}")).collect()),
-        }),
-        _ => Err(DbError::exec(format!("no such function: {name}"))),
-    }
-}
-
+/// `COUNT(*)`, `COUNT(arg)` or `MAX(arg)` over the rows of `agg`.
 fn eval_aggregate(
     ctx: &Ctx<'_>,
     name: &str,
-    args: &[Expr],
-    star: bool,
-    distinct: bool,
+    arg: Option<&Expr>,
     agg: &AggCtx<'_>,
 ) -> Result<Value> {
-    if name == "COUNT" && star {
+    let Some(arg) = arg else {
         return Ok(Value::Integer(agg.rows.len() as i64));
-    }
-    let arg = args
-        .first()
-        .ok_or_else(|| DbError::exec(format!("{name}() requires an argument")))?;
-    // Evaluate the argument for every row of the group.
-    let mut vals = Vec::with_capacity(agg.rows.len());
+    };
+    let mut count = 0;
+    let mut max: Option<Value> = None;
     for row in agg.rows {
         let env = Env {
             cols: agg.cols,
@@ -1281,132 +853,19 @@ fn eval_aggregate(
             tail: None,
             parent: agg.outer,
         };
-        vals.push(eval(ctx, arg, &env, None)?);
-    }
-    let mut non_null: Vec<Value> = vals.into_iter().filter(|v| !v.is_null()).collect();
-    if distinct {
-        let mut seen = std::collections::HashSet::new();
-        non_null.retain(|v| seen.insert(v.group_key()));
+        let v = eval(ctx, arg, &env, None)?;
+        if v.is_null() {
+            continue;
+        }
+        count += 1;
+        // Of equal values the last one wins, as `Iterator::max_by`.
+        if max.as_ref().is_none_or(|m| m.total_cmp(&v).is_le()) {
+            max = Some(v);
+        }
     }
     match name {
-        "COUNT" => Ok(Value::Integer(non_null.len() as i64)),
-        "SUM" | "TOTAL" => {
-            if non_null.is_empty() {
-                return Ok(if name == "SUM" {
-                    Value::Null
-                } else {
-                    Value::Real(0.0)
-                });
-            }
-            let all_int = non_null.iter().all(|v| matches!(v, Value::Integer(_)));
-            if all_int && name == "SUM" {
-                let mut acc = 0i64;
-                for v in &non_null {
-                    if let Value::Integer(i) = v {
-                        acc = acc.wrapping_add(*i);
-                    }
-                }
-                Ok(Value::Integer(acc))
-            } else {
-                let s: f64 = non_null.iter().filter_map(Value::as_f64).sum();
-                Ok(Value::Real(s))
-            }
-        }
-        "AVG" => {
-            if non_null.is_empty() {
-                Ok(Value::Null)
-            } else {
-                let s: f64 = non_null.iter().filter_map(Value::as_f64).sum();
-                Ok(Value::Real(s / non_null.len() as f64))
-            }
-        }
-        "MIN" => Ok(non_null
-            .into_iter()
-            .min_by(|a, b| a.total_cmp(b))
-            .unwrap_or(Value::Null)),
-        "MAX" => Ok(non_null
-            .into_iter()
-            .max_by(|a, b| a.total_cmp(b))
-            .unwrap_or(Value::Null)),
-        "GROUP_CONCAT" => {
-            if non_null.is_empty() {
-                return Ok(Value::Null);
-            }
-            let sep = ",".to_string();
-            Ok(Value::Text(
-                non_null
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(&sep),
-            ))
-        }
-        _ => Err(DbError::exec(format!("no such aggregate: {name}"))),
-    }
-}
-
-/// SQLite-style LIKE: case-insensitive ASCII, `%` any run, `_` one char.
-///
-/// Iterative greedy two-pointer algorithm: on a mismatch after a `%`,
-/// re-anchor the `%` one text position further. O(|pattern|·|text|)
-/// worst case — the naive recursive formulation is exponential on
-/// patterns like `%a%a%a%b`.
-fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    // Pattern position after the last `%`, and the text position that
-    // run of `%`-matched characters currently resumes from.
-    let mut star: Option<usize> = None;
-    let mut mark = 0usize;
-    while ti < t.len() {
-        if pi < p.len() && p[pi] == '%' {
-            star = Some(pi + 1);
-            mark = ti;
-            pi += 1;
-        } else if pi < p.len() && (p[pi] == '_' || p[pi].eq_ignore_ascii_case(&t[ti])) {
-            pi += 1;
-            ti += 1;
-        } else if let Some(s) = star {
-            mark += 1;
-            ti = mark;
-            pi = s;
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn like_matching() {
-        assert!(like_match("a%", "abc"));
-        assert!(like_match("%c", "abc"));
-        assert!(like_match("a_c", "abc"));
-        assert!(like_match("ABC", "abc"));
-        assert!(!like_match("a_c", "abcd"));
-        assert!(like_match("%", ""));
-        assert!(!like_match("_", ""));
-        assert!(like_match("%b%", "abc"));
-        assert!(like_match("a%%c", "abc"));
-        assert!(like_match("_%_", "ab"));
-        assert!(!like_match("_%_", "a"));
-    }
-
-    #[test]
-    fn like_adversarial_completes_fast() {
-        // The old recursive matcher was exponential on this shape;
-        // the greedy matcher is O(|p|·|t|) and finishes instantly.
-        let text = "a".repeat(20_000);
-        assert!(!like_match("%a%a%a%a%a%b", &text));
-        assert!(like_match("%a%a%a%a%a%", &text));
-        assert!(!like_match("%a%a%a%a%a%b", &format!("{text}c")));
+        "COUNT" => Ok(Value::Integer(count)),
+        "MAX" => Ok(max.unwrap_or(Value::Null)),
+        _ => Err(DbError::exec(format!("no such function: {name}"))),
     }
 }

@@ -2,14 +2,21 @@
 //! An embedded relational SQL database — the workspace's stand-in for
 //! the SQLite engine that LibSEAL runs inside its enclave (§3.1, §5).
 //!
-//! The engine supports the SQL dialect the paper's audit schemas,
-//! invariants and trimming queries require, verbatim: `CREATE
-//! TABLE`/`VIEW`, `INSERT`, `DELETE`, `UPDATE`, and `SELECT` with
-//! joins (including `NATURAL JOIN`), `GROUP BY`/`HAVING`, correlated
-//! scalar and `IN` subqueries, `DISTINCT`, `ORDER BY`/`LIMIT`,
-//! aggregates, and `?` bind parameters. Durability comes from a
-//! statement-granularity write-ahead journal with pluggable sealing
-//! ([`journal::JournalCodec`]) and snapshot compaction.
+//! It speaks exactly the SQL LibSEAL issues — the paper's audit
+//! schemas, invariants and trimming queries verbatim, plus the
+//! statements the audit log, its materialized views and compaction
+//! compose — and nothing else, because every line inside the enclave
+//! is attack surface: `CREATE TABLE`/`VIEW`/`INDEX`, one-row `INSERT`,
+//! `DELETE`, `UPDATE`, and `SELECT [DISTINCT]` over `JOIN … ON` and
+//! `NATURAL JOIN` with `GROUP BY`/`HAVING`, `ORDER BY … [DESC]`,
+//! `LIMIT n`, scalar, `[NOT] IN` and `[NOT] EXISTS` subqueries,
+//! `COUNT`/`MAX`, `=`/`!=`/`<`/`>`, `AND`/`OR`, `+`, `||`, integer
+//! and string literals and `?` parameters. Anything else fails to
+//! parse with a [`DbError::Parse`] ([`parser`] has the rule for
+//! widening it). Bound parameters carry every [`Value`] type.
+//! Durability comes from a statement-granularity write-ahead journal
+//! with pluggable sealing ([`journal::JournalCodec`]) and snapshot
+//! compaction.
 //!
 //! Execution is an optimizing interpreter: `CREATE INDEX` declares
 //! per-table hash indexes (maintained incrementally on DML) that
@@ -23,12 +30,15 @@
 //! # Examples
 //!
 //! ```
-//! use libseal_sealdb::Database;
+//! use libseal_sealdb::{Database, Value};
 //! let mut db = Database::new();
 //! db.execute("CREATE TABLE t(a INTEGER, b TEXT)").unwrap();
-//! db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')").unwrap();
+//! db.execute("INSERT INTO t VALUES (1, 'x')").unwrap();
+//! db.execute_with("INSERT INTO t VALUES (?, ?)", &[Value::Integer(2), Value::Null])
+//!     .unwrap();
 //! let r = db.query("SELECT COUNT(*) FROM t WHERE a > 1", &[]).unwrap();
 //! assert_eq!(r.scalar().unwrap().to_string(), "1");
+//! assert!(db.execute("SELECT a FROM t WHERE b LIKE 'x%'").is_err());
 //! ```
 
 pub mod ast;

@@ -85,25 +85,8 @@ pub fn equi_key(e: &Expr, left: &[ColMeta], right: &[ColMeta]) -> Option<(usize,
 pub fn has_subquery(e: &Expr) -> bool {
     match e {
         Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::Subquery(_) => true,
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => has_subquery(expr),
         Expr::Binary { left, right, .. } => has_subquery(left) || has_subquery(right),
-        Expr::Function { args, .. } => args.iter().any(has_subquery),
-        Expr::InList { expr, list, .. } => has_subquery(expr) || list.iter().any(has_subquery),
-        Expr::Between {
-            expr, low, high, ..
-        } => has_subquery(expr) || has_subquery(low) || has_subquery(high),
-        Expr::Like { expr, pattern, .. } => has_subquery(expr) || has_subquery(pattern),
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            operand.as_deref().is_some_and(has_subquery)
-                || branches
-                    .iter()
-                    .any(|(w, t)| has_subquery(w) || has_subquery(t))
-                || else_expr.as_deref().is_some_and(has_subquery)
-        }
+        Expr::Function { arg, .. } => arg.as_deref().is_some_and(has_subquery),
         Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } => false,
     }
 }
@@ -115,27 +98,8 @@ pub fn has_subquery(e: &Expr) -> bool {
 pub fn refs_scope(e: &Expr, cols: &[ColMeta]) -> bool {
     match e {
         Expr::Column { table, name } => resolve_in(cols, table.as_deref(), name).is_some(),
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => refs_scope(expr, cols),
         Expr::Binary { left, right, .. } => refs_scope(left, cols) || refs_scope(right, cols),
-        Expr::Function { args, .. } => args.iter().any(|a| refs_scope(a, cols)),
-        Expr::InList { expr, list, .. } => {
-            refs_scope(expr, cols) || list.iter().any(|i| refs_scope(i, cols))
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => refs_scope(expr, cols) || refs_scope(low, cols) || refs_scope(high, cols),
-        Expr::Like { expr, pattern, .. } => refs_scope(expr, cols) || refs_scope(pattern, cols),
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            operand.as_deref().is_some_and(|o| refs_scope(o, cols))
-                || branches
-                    .iter()
-                    .any(|(w, t)| refs_scope(w, cols) || refs_scope(t, cols))
-                || else_expr.as_deref().is_some_and(|e| refs_scope(e, cols))
-        }
+        Expr::Function { arg, .. } => arg.as_deref().is_some_and(|a| refs_scope(a, cols)),
         Expr::Literal(_) | Expr::Param(_) => false,
         Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::Subquery(_) => false,
     }
@@ -167,7 +131,7 @@ pub fn push_key_part(key: &mut String, v: &Value) {
 
 /// Renders a value for a memo-cache key. Unlike `group_key`, this is
 /// an exact representation: `2` and `2.0` map to different keys
-/// because e.g. `TYPEOF` can distinguish them inside the subquery.
+/// because a subquery can return the bound value itself.
 pub fn memo_key_part(key: &mut String, v: &Value) {
     match v {
         Value::Null => key.push('N'),
@@ -209,7 +173,7 @@ fn select_out_names(sel: &Select) -> Option<Vec<String>> {
     let mut out = Vec::new();
     for item in &sel.projections {
         match item {
-            SelectItem::Star | SelectItem::QualifiedStar(_) => return None,
+            SelectItem::Star => return None,
             SelectItem::Expr { expr, alias } => {
                 out.push(alias.clone().unwrap_or_else(|| expr.display_name()));
             }
@@ -256,36 +220,30 @@ fn collect_free(sel: &Select, catalog: &Catalog, out: &mut Vec<(Option<String>, 
     // Refs evaluated in this select's row scope.
     let mut mine: Vec<(Option<String>, String)> = Vec::new();
 
+    let from = &sel.from;
     let mut sources: Vec<Source> = Vec::new();
-    let mut has_natural = false;
-    if let Some(from) = &sel.from {
-        for tref in std::iter::once(&from.first).chain(from.joins.iter().map(|j| &j.table)) {
-            sources.push(source_of(tref, catalog));
-            // FROM sources execute against this select's *outer*
-            // environment (not its row scope), so their free refs
-            // escape directly.
-            match tref {
-                TableRef::Named { name, .. } => {
-                    if catalog.table(name).is_none() {
-                        if let Some(q) = catalog.view(name) {
-                            collect_free(q, catalog, out);
-                        }
+    for tref in std::iter::once(&from.first).chain(from.joins.iter().map(|j| &j.table)) {
+        sources.push(source_of(tref, catalog));
+        // FROM sources execute against this select's *outer*
+        // environment (not its row scope), so their free refs escape
+        // directly.
+        match tref {
+            TableRef::Named { name, .. } => {
+                if catalog.table(name).is_none() {
+                    if let Some(q) = catalog.view(name) {
+                        collect_free(q, catalog, out);
                     }
                 }
-                TableRef::Subquery { query, .. } => collect_free(query, catalog, out),
             }
+            TableRef::Subquery { query, .. } => collect_free(query, catalog, out),
         }
-        for join in &from.joins {
-            if join.kind == crate::ast::JoinKind::Natural {
-                // NATURAL JOIN strips qualifiers from merged columns,
-                // so qualified refs may fall through to the outer
-                // scope; treat every qualified ref as free.
-                has_natural = true;
-            }
-            if let Some(on) = &join.on {
-                collect_refs(on, catalog, &mut mine);
-            }
-        }
+    }
+    // NATURAL JOIN strips qualifiers from merged columns, so qualified
+    // refs may fall through to the outer scope; treat every qualified
+    // ref as free.
+    let has_natural = (from.joins.iter()).any(|j| j.kind == crate::ast::JoinKind::Natural);
+    for on in from.joins.iter().filter_map(|j| j.on.as_ref()) {
+        collect_refs(on, catalog, &mut mine);
     }
 
     for item in &sel.projections {
@@ -304,14 +262,6 @@ fn collect_free(sel: &Select, catalog: &Catalog, out: &mut Vec<(Option<String>, 
     }
     for o in &sel.order_by {
         collect_refs(&o.expr, catalog, &mut mine);
-    }
-    // LIMIT/OFFSET are evaluated directly against the outer
-    // environment, never the row scope: escape unfiltered.
-    if let Some(l) = &sel.limit {
-        collect_refs(l, catalog, out);
-    }
-    if let Some(o) = &sel.offset {
-        collect_refs(o, catalog, out);
     }
 
     for (q, n) in mine {
@@ -346,20 +296,13 @@ fn collect_refs(e: &Expr, catalog: &Catalog, out: &mut Vec<(Option<String>, Stri
     match e {
         Expr::Column { table, name } => out.push((table.clone(), name.clone())),
         Expr::Literal(_) | Expr::Param(_) => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => collect_refs(expr, catalog, out),
         Expr::Binary { left, right, .. } => {
             collect_refs(left, catalog, out);
             collect_refs(right, catalog, out);
         }
-        Expr::Function { args, .. } => {
-            for a in args {
+        Expr::Function { arg, .. } => {
+            if let Some(a) = arg {
                 collect_refs(a, catalog, out);
-            }
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_refs(expr, catalog, out);
-            for i in list {
-                collect_refs(i, catalog, out);
             }
         }
         Expr::InSubquery { expr, query, .. } => {
@@ -368,33 +311,6 @@ fn collect_refs(e: &Expr, catalog: &Catalog, out: &mut Vec<(Option<String>, Stri
         }
         Expr::Exists { query, .. } => collect_free(query, catalog, out),
         Expr::Subquery(query) => collect_free(query, catalog, out),
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_refs(expr, catalog, out);
-            collect_refs(low, catalog, out);
-            collect_refs(high, catalog, out);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_refs(expr, catalog, out);
-            collect_refs(pattern, catalog, out);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            if let Some(op) = operand {
-                collect_refs(op, catalog, out);
-            }
-            for (w, t) in branches {
-                collect_refs(w, catalog, out);
-                collect_refs(t, catalog, out);
-            }
-            if let Some(el) = else_expr {
-                collect_refs(el, catalog, out);
-            }
-        }
     }
 }
 

@@ -10,16 +10,12 @@ pub enum Token {
     /// Keyword or identifier (uppercased keywords matched by the
     /// parser; original case preserved).
     Word(String),
-    /// Quoted identifier: `"name"` or `` `name` `` or `[name]`.
+    /// Quoted identifier: `"name"`.
     QuotedIdent(String),
     /// String literal: `'text'`.
     Str(String),
     /// Integer literal.
     Int(i64),
-    /// Float literal.
-    Float(f64),
-    /// Blob literal `x'ABCD'`.
-    Blob(Vec<u8>),
     /// A `?` or `?N` parameter placeholder (0-based index).
     Param(usize),
     /// Punctuation / operators.
@@ -59,19 +55,6 @@ pub fn tokenize(sql: &str) -> Result<(Vec<Token>, Vec<Range<usize>>)> {
         let c = bytes[i] as char;
         match c {
             ' ' | '\t' | '\r' | '\n' => i += 1,
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
-                // Line comment.
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            '/' if bytes.get(i + 1) == Some(&b'*') => {
-                i += 2;
-                while i + 1 < bytes.len() && !(bytes[i] == b'*' && bytes[i + 1] == b'/') {
-                    i += 1;
-                }
-                i = (i + 2).min(bytes.len());
-            }
             '\'' => {
                 let (s, len) = read_quoted(&sql[i..], '\'')?;
                 out.push(Token::Str(s));
@@ -81,18 +64,6 @@ pub fn tokenize(sql: &str) -> Result<(Vec<Token>, Vec<Range<usize>>)> {
                 let (s, len) = read_quoted(&sql[i..], '"')?;
                 out.push(Token::QuotedIdent(s));
                 i += len;
-            }
-            '`' => {
-                let (s, len) = read_quoted(&sql[i..], '`')?;
-                out.push(Token::QuotedIdent(s));
-                i += len;
-            }
-            '[' => {
-                let end = sql[i..]
-                    .find(']')
-                    .ok_or_else(|| DbError::parse("unterminated [identifier]"))?;
-                out.push(Token::QuotedIdent(sql[i + 1..i + end].to_string()));
-                i += end + 1;
             }
             '?' => {
                 let mut j = i + 1;
@@ -112,54 +83,21 @@ pub fn tokenize(sql: &str) -> Result<(Vec<Token>, Vec<Range<usize>>)> {
                     out.push(Token::Param(param_counter));
                     param_counter += 1;
                 }
-                i = j.max(i + 1);
+                i = j;
             }
             '0'..='9' => {
+                // A number runs to the next non-alphanumeric, non-`.`
+                // byte, so `2.5`, `1e3` and `12ab` are one malformed
+                // token, never an integer followed by something else.
                 let mut j = i;
-                let mut is_float = false;
-                while j < bytes.len()
-                    && (bytes[j].is_ascii_digit()
-                        || bytes[j] == b'.'
-                        || bytes[j] == b'e'
-                        || bytes[j] == b'E'
-                        || ((bytes[j] == b'+' || bytes[j] == b'-')
-                            && j > i
-                            && (bytes[j - 1] == b'e' || bytes[j - 1] == b'E')))
-                {
-                    if bytes[j] == b'.' || bytes[j] == b'e' || bytes[j] == b'E' {
-                        is_float = true;
-                    }
+                while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'.') {
                     j += 1;
                 }
                 let text = &sql[i..j];
-                if is_float {
-                    out.push(Token::Float(text.parse().map_err(|_| {
-                        DbError::parse(format!("bad float literal {text}"))
-                    })?));
-                } else {
-                    out.push(Token::Int(text.parse().map_err(|_| {
-                        DbError::parse(format!("bad integer literal {text}"))
-                    })?));
-                }
+                out.push(Token::Int(text.parse().map_err(|_| {
+                    DbError::parse(format!("bad integer literal {text}"))
+                })?));
                 i = j;
-            }
-            'x' | 'X' if bytes.get(i + 1) == Some(&b'\'') => {
-                let end = sql[i + 2..]
-                    .find('\'')
-                    .ok_or_else(|| DbError::parse("unterminated blob literal"))?;
-                let hex = &sql[i + 2..i + 2 + end];
-                if !hex.len().is_multiple_of(2) || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    return Err(DbError::parse("malformed blob literal"));
-                }
-                let blob = (0..hex.len())
-                    .step_by(2)
-                    .map(|k| {
-                        u8::from_str_radix(&hex[k..k + 2], 16)
-                            .map_err(|_| DbError::parse("malformed blob literal"))
-                    })
-                    .collect::<Result<Vec<u8>>>()?;
-                out.push(Token::Blob(blob));
-                i += 2 + end + 1;
             }
             c if c.is_alphabetic() || c == '_' => {
                 // Advance whole chars: byte-wise stepping through a
@@ -182,14 +120,16 @@ pub fn tokenize(sql: &str) -> Result<(Vec<Token>, Vec<Range<usize>>)> {
                 i = j;
             }
             _ => {
-                // Multi-char operators first.
+                // Multi-char operators first. `<=`, `>=`, `<>` and `==`
+                // are read whole only so that the parser's refusal
+                // names them.
                 let two = sql.get(i..i + 2).unwrap_or("");
                 let sym: &'static str = match two {
                     "!=" => "!=",
-                    "<>" => "<>",
+                    "||" => "||",
                     "<=" => "<=",
                     ">=" => ">=",
-                    "||" => "||",
+                    "<>" => "<>",
                     "==" => "==",
                     _ => match c {
                         '(' => "(",
@@ -200,8 +140,6 @@ pub fn tokenize(sql: &str) -> Result<(Vec<Token>, Vec<Range<usize>>)> {
                         '*' => "*",
                         '+' => "+",
                         '-' => "-",
-                        '/' => "/",
-                        '%' => "%",
                         '=' => "=",
                         '<' => "<",
                         '>' => ">",
@@ -270,43 +208,22 @@ mod tests {
 
     #[test]
     fn quoted_identifiers() {
-        let t = toks(r#""my col" `tick` [brack]"#);
+        let t = toks(r#""my col" "a""b""#);
         assert_eq!(
             t,
             vec![
                 Token::QuotedIdent("my col".into()),
-                Token::QuotedIdent("tick".into()),
-                Token::QuotedIdent("brack".into())
+                Token::QuotedIdent("a\"b".into()),
             ]
         );
     }
 
     #[test]
-    fn numbers() {
-        let t = toks("1 2.5 1e3 10.0");
-        assert_eq!(
-            t,
-            vec![
-                Token::Int(1),
-                Token::Float(2.5),
-                Token::Float(1000.0),
-                Token::Float(10.0)
-            ]
-        );
-    }
-
-    #[test]
-    fn comments_skipped() {
-        let t = toks("SELECT -- comment\n 1 /* block */ + 2");
-        assert_eq!(
-            t,
-            vec![
-                Token::Word("SELECT".into()),
-                Token::Int(1),
-                Token::Symbol("+"),
-                Token::Int(2)
-            ]
-        );
+    fn integers_only() {
+        assert_eq!(toks("1 42"), vec![Token::Int(1), Token::Int(42)]);
+        for bad in ["2.5", "1e3", "10.0", "12ab", "99999999999999999999"] {
+            assert!(tokenize(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -324,13 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn blob_literal() {
-        let t = toks("x'0aFF'");
-        assert_eq!(t, vec![Token::Blob(vec![0x0a, 0xff])]);
-        assert!(tokenize("x'0a0'").is_err());
-    }
-
-    #[test]
     fn unterminated_string_is_error() {
         assert!(tokenize("'oops").is_err());
     }
@@ -343,10 +253,10 @@ mod tests {
 
     #[test]
     fn spans_cover_each_token_and_params_restart_per_statement() {
-        let sql = "SELECT ?, x'0a' ; -- c\n SELECT ? /* d */ ;";
+        let sql = "SELECT ?, 'x' ;\n SELECT ? ;";
         let (t, spans) = tokenize(sql).unwrap();
         let text: Vec<&str> = spans.iter().map(|s| &sql[s.clone()]).collect();
-        assert_eq!(text, ["SELECT", "?", ",", "x'0a'", ";", "SELECT", "?", ";"]);
+        assert_eq!(text, ["SELECT", "?", ",", "'x'", ";", "SELECT", "?", ";"]);
         assert_eq!((&t[1], &t[6]), (&Token::Param(0), &Token::Param(0)));
     }
 

@@ -7,12 +7,16 @@
 use libseal_sealdb::{Database, Value};
 use plat::check::Gen;
 
-/// Valid statements used as mutation seeds: corrupting real SQL
-/// reaches much deeper into the parser/executor than pure noise.
+/// Mutation seeds: corrupting real SQL reaches much deeper into the
+/// parser/executor than pure noise. The first five are in the subset
+/// LibSEAL issues; the rest use constructs the parser refuses, so their
+/// mutations probe the refusal paths.
 const TEMPLATES: &[&str] = &[
     "SELECT a, b FROM t WHERE a > 1 ORDER BY b LIMIT 3",
     "SELECT COUNT(*), MAX(a) FROM t GROUP BY b HAVING COUNT(*) > 1",
     "SELECT * FROM t x JOIN t y ON x.a = y.a WHERE NOT EXISTS (SELECT 1 FROM t z WHERE z.a = x.a + 1)",
+    "SELECT DISTINCT a FROM t NATURAL JOIN (SELECT a, b FROM t) s WHERE a NOT IN (SELECT a FROM t WHERE b = ?1)",
+    "UPDATE t SET b = b || ?2 WHERE a = -1 OR a < (SELECT MAX(a) FROM t z WHERE z.b = t.b)",
     "INSERT INTO t(a, b) VALUES (1, 'x''y'), (2, x'0aff')",
     "UPDATE t SET b = b || 'suffix' WHERE a BETWEEN 1 AND 5",
     "DELETE FROM t WHERE b LIKE 'x%' OR a IN (1, 2, 3)",
@@ -25,7 +29,7 @@ const TEMPLATES: &[&str] = &[
 fn fixture() -> Database {
     let mut db = Database::new();
     db.execute("CREATE TABLE t(a INTEGER, b TEXT)").unwrap();
-    db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'é')")
+    db.execute("INSERT INTO t VALUES (1, 'x'); INSERT INTO t VALUES (2, 'y'); INSERT INTO t VALUES (3, 'é')")
         .unwrap();
     db
 }

@@ -80,9 +80,13 @@ fn random_query(g: &mut Gen, p: &Pair) {
             ),
             &[small_value(g)],
         ),
-        // LEFT JOIN: unmatched left rows must pad identically.
+        // Hash join filtered by a correlated MAX, the shape of the
+        // paper's invariants (memoization inside a join's output).
         4 => p.check(
-            &format!("SELECT * FROM {ta} a LEFT JOIN {tb} b ON a.c{ci} = b.c{cj}"),
+            &format!(
+                "SELECT a.c0, b.c{ck} FROM {ta} a JOIN {tb} b ON a.c{ci} = b.c{cj} \
+                 WHERE b.c{ck} = (SELECT MAX(c{ck}) FROM {tb} WHERE c{cj} = a.c{ci})"
+            ),
             &[],
         ),
         // NATURAL JOIN over all shared columns.
@@ -95,17 +99,18 @@ fn random_query(g: &mut Gen, p: &Pair) {
             ),
             &[],
         ),
-        // IN / EXISTS subqueries.
+        // [NOT] IN / [NOT] EXISTS subqueries.
         7 => {
+            let not = *g.pick(&["", "NOT "]);
             if g.bool() {
                 p.check(
-                    &format!("SELECT * FROM {ta} WHERE c{ci} IN (SELECT c{cj} FROM {tb})"),
+                    &format!("SELECT * FROM {ta} WHERE c{ci} {not}IN (SELECT c{cj} FROM {tb})"),
                     &[],
                 );
             } else {
                 p.check(
                     &format!(
-                        "SELECT * FROM {ta} WHERE EXISTS \
+                        "SELECT * FROM {ta} WHERE {not}EXISTS \
                          (SELECT 1 FROM {tb} b WHERE b.c{cj} = {ta}.c{ci})"
                     ),
                     &[],
