@@ -20,7 +20,7 @@ cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D
 # Code size and panic surface are tracked numbers: prints `table1`'s
 # per-crate table (the one counter) and fails when crates/core,
 # crates/bench, crates/sealdb or the in-enclave total outgrows its
-# budget (crates/tlsx and crates/services have one too), the `unsafe`
+# budget (crates/tlsx, crates/services and crates/plat have one too), the `unsafe`
 # or `unwrap`/`expect` totals grow, a file of the session split outgrows
 # 900 lines, an enclave interface name is spelled outside the Ecall
 # table, sealdb's SQL renderer or `SyncPolicy` is back, sealdb grows a
@@ -29,6 +29,9 @@ cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D
 # library), the log's one commit step has company (a second signer or
 # binder in log.rs, the two knobs that forked the request path),
 # crates/rote names a thread or a channel again (a round is a loop),
+# a second worker mechanism grows back (a channel shim in plat, a
+# blocking-driver thread besides the accept thread, sgxsim's untrusted
+# memory pool: one job pool, std's channel),
 # the audited data path copies a message out of its buffer again (an
 # owning HTTP parser in crates/core beyond the check-result rebuild, a
 # drain-collect in enclave.rs), or a paper printer builds its own fleet. Builds the bench

@@ -20,7 +20,6 @@ use std::time::Instant;
 use libseal_bench::*;
 use libseal_sgxsim::cost::CostModel;
 use libseal_sgxsim::enclave::{Enclave, EnclaveBuilder};
-use libseal_sgxsim::pool::MemoryPool;
 
 #[derive(Clone, Copy)]
 struct Opts {
@@ -44,18 +43,18 @@ const FIXED_OCALLS: usize = 7; // socket read/write/poll that must remain
 fn run(enclave: &Arc<Enclave<()>>, opts: Opts, requests: u64) -> (f64, u64, u64) {
     let services = enclave.services();
     services.stats().reset();
-    let pool = if opts.pool {
-        MemoryPool::new(256, 16)
-    } else {
-        MemoryPool::disabled(256)
-    };
     let t0 = Instant::now();
     for _ in 0..requests {
         // The request's main processing ecall (ssl_read path).
         enclave
             .ecall("ssl_read", |_, sv| {
                 for _ in 0..ALLOCS_PER_REQ {
-                    let _block = pool.alloc(sv); // ocalls when disabled
+                    if !opts.pool {
+                        // Without the preallocated untrusted pool a BIO
+                        // buffer is an untrusted malloc, freed later.
+                        sv.ocall("malloc", || vec![0u8; 256]);
+                        sv.ocall("free_later", || ());
+                    }
                 }
                 for _ in 0..RNG_PER_REQ {
                     if opts.in_enclave_rng {

@@ -1,5 +1,5 @@
-//! The job pool the event-driven services run request handlers on:
-//! a few named OS threads sleeping on one shared queue.
+//! The job pool both serving drivers run application work on: a few
+//! named OS threads sleeping on one shared queue.
 //!
 //! The event-driven serve loops keep exactly one reactor thread; the
 //! application handlers (and, with auditing, the group-commit barrier
@@ -8,6 +8,8 @@
 //! upstream dial — blocks a pool thread, never the reactor. Sessions
 //! park *in the reactor* (a few bytes of registered interest) and
 //! borrow a thread only while a request is actually being handled.
+//! The thread-per-connection driver hands the pool whole connections
+//! instead, one job each.
 //!
 //! These are plain threads, not lthreads: a job is a `FnOnce()` that
 //! is never handed a [`crate::Yielder`], so it cannot yield, and what
@@ -17,10 +19,11 @@
 //! serve the §4.3 asynchronous-call runtime ([`crate::runtime`]) alone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use plat::channel::{self, Receiver, Sender};
+use plat::sync::{Condvar, Mutex};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -51,6 +54,12 @@ impl std::error::Error for PoolShutdown {}
 
 /// Shared pool state visible to every carrier.
 struct PoolShared {
+    /// The queue's receiving end, taken from under this lock.
+    rx: Mutex<Receiver<Job>>,
+    /// Where idle carriers sleep: signalled once per queued job and
+    /// broadcast at shutdown. (Sleeping in `recv` under the lock instead
+    /// would make every dispatch also wake a carrier waiting for it.)
+    ready: Condvar,
     /// Jobs accepted but not yet finished (mirrored by the
     /// `lthread_pool_queue_depth` gauge).
     in_flight: AtomicU64,
@@ -68,18 +77,19 @@ pub struct JobPool {
 impl JobPool {
     /// Starts the carriers.
     pub fn new(cfg: PoolConfig) -> Self {
-        let (tx, rx) = channel::unbounded::<Job>();
+        let (tx, rx) = mpsc::channel::<Job>();
         let shared = Arc::new(PoolShared {
+            rx: Mutex::new(rx),
+            ready: Condvar::new(),
             in_flight: AtomicU64::new(0),
             completed: AtomicU64::new(0),
         });
         let carriers = (0..cfg.carriers.max(1))
             .map(|i| {
-                let rx = rx.clone();
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pool-carrier-{i}"))
-                    .spawn(move || carrier(rx, shared))
+                    .spawn(move || carrier(shared))
                     .expect("spawn a pool carrier thread")
             })
             .collect();
@@ -101,14 +111,15 @@ impl JobPool {
         };
         self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
         libseal_telemetry::gauge("lthread_pool_queue_depth").add(1);
-        match tx.send(Box::new(job)) {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                libseal_telemetry::gauge("lthread_pool_queue_depth").sub(1);
-                Err(PoolShutdown)
-            }
+        {
+            // Sent under the lock, so a carrier that just found the
+            // queue empty is already asleep on `ready` when the signal
+            // comes. The receiver lives in `shared`: the send cannot fail.
+            let _rx = self.shared.rx.lock();
+            let _ = tx.send(Box::new(job));
         }
+        self.shared.ready.notify_one();
+        Ok(())
     }
 
     /// Jobs accepted but not yet finished.
@@ -130,7 +141,11 @@ impl JobPool {
     fn shutdown_inner(&mut self) {
         // Dropping the only sender turns the queue Disconnected *after*
         // it empties, so queued jobs still run.
-        self.tx = None;
+        {
+            let _rx = self.shared.rx.lock();
+            self.tx = None;
+        }
+        self.shared.ready.notify_all();
         for h in self.carriers.drain(..) {
             let _ = h.join();
         }
@@ -143,12 +158,23 @@ impl Drop for JobPool {
     }
 }
 
-/// One carrier thread: run jobs as they arrive, asleep on the queue in
+/// One carrier thread: run jobs as they arrive, asleep on `ready` in
 /// between (no CPU while idle or while another carrier's job is
-/// parked). `recv` returns `None` only once the pool dropped its sender
-/// *and* the queue is empty, so shutdown drains what was accepted.
-fn carrier(rx: Receiver<Job>, shared: Arc<PoolShared>) {
-    while let Some(job) = rx.recv() {
+/// parked). The queue reads Disconnected only once the pool dropped its
+/// sender *and* the queue is empty, so shutdown drains what was
+/// accepted. The lock is released before the job runs.
+fn carrier(shared: Arc<PoolShared>) {
+    loop {
+        let job = {
+            let mut rx = shared.rx.lock();
+            loop {
+                match rx.try_recv() {
+                    Ok(job) => break job,
+                    Err(TryRecvError::Empty) => rx = shared.ready.wait(rx),
+                    Err(TryRecvError::Disconnected) => return,
+                }
+            }
+        };
         job();
         shared.completed.fetch_add(1, Ordering::SeqCst);
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -200,7 +226,7 @@ mod tests {
     #[test]
     fn blocked_job_does_not_stop_other_carriers() {
         let pool = JobPool::new(PoolConfig { carriers: 2 });
-        let (gate_tx, gate_rx) = channel::unbounded::<()>();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
         pool.spawn(move || {
             // Block until released — pins one carrier.
             let _ = gate_rx.recv_timeout(Duration::from_secs(30));

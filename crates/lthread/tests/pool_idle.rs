@@ -5,11 +5,10 @@
 //! These measure *process* CPU time, so they live in their own test
 //! binary and take turns on one lock: nothing else may run meanwhile.
 
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use libseal_lthread::{JobPool, PoolConfig};
-use plat::channel;
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -56,8 +55,8 @@ fn idle_pool_uses_no_cpu() {
 fn parked_job_does_not_make_the_other_carrier_spin() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let pool = two_carriers();
-    let (gate_tx, gate_rx) = channel::unbounded::<()>();
-    let (parked_tx, parked_rx) = channel::unbounded::<()>();
+    let (gate_tx, gate_rx) = mpsc::channel::<()>();
+    let (parked_tx, parked_rx) = mpsc::channel::<()>();
     pool.spawn(move || {
         parked_tx.send(()).unwrap();
         // Sleeps in the kernel, as a job in the group-commit barrier
@@ -85,7 +84,7 @@ fn job_spawned_into_an_idle_pool_starts_promptly() {
     // carrier that naps instead of sleeping on the queue cannot happen
     // to be awake each time.
     let pool = JobPool::new(PoolConfig { carriers: 1 });
-    let (started_tx, started_rx) = channel::unbounded::<Instant>();
+    let (started_tx, started_rx) = mpsc::channel::<Instant>();
     let mut waits: Vec<Duration> = (0..200u64)
         .map(|i| {
             // Idle means asleep: give the carrier time to get there.

@@ -9,9 +9,8 @@
 //! registry cache.
 //!
 //! - [`sync`] — poison-transparent `Mutex`/`RwLock` (the `parking_lot`
-//!   surface the workspace used).
-//! - [`channel`] — cloneable MPMC channel with `recv_timeout` (the
-//!   `crossbeam::channel` surface).
+//!   surface the workspace used). Hand-offs between threads use
+//!   `std::sync::mpsc` directly: no shim repeats what `std` has.
 //! - [`entropy`] — OS randomness: `/dev/urandom`, falling back to the
 //!   `getrandom` syscall (the `rand::rngs::OsRng` surface).
 //! - [`tmp`] — RAII temp-path guard for disk-backed tests.
@@ -27,7 +26,6 @@
 //!   reads/writes, stalls, resets, truncation, delays) for
 //!   hostile-network testing.
 
-pub mod channel;
 pub mod chaos;
 pub mod check;
 pub mod entropy;

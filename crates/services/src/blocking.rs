@@ -1,13 +1,14 @@
 //! The blocking driver: the paper's thread-per-connection model (§6).
-//! One accept thread feeds a fixed pool of workers; a worker serves a
-//! whole connection with blocking socket calls, and owns one
-//! async-ecall slot of the session surface (which matters when that is
-//! a LibSEAL instance with the §4.3 runtime). It drives a session the
-//! way an application drives a TLS library — one call per operation
-//! (feed, handshake, read, write, take), not the reactor's batched
-//! pump: that per-call sequence is the transitions-per-call model
-//! Tables 2–4 and Figs. 5/7 measure, and the event-loop gate's
-//! transitions-per-request reference.
+//! One accept thread hands each connection to a [`JobPool`] of
+//! `workers` carriers as one job; the carrier serves the whole
+//! connection with blocking socket calls on an async-ecall slot it
+//! borrows from the [`SlotPool`] for the connection's lifetime (which
+//! matters when the plane is a LibSEAL instance with the §4.3
+//! runtime). It drives a session the way an application drives a TLS
+//! library — one call per operation (feed, handshake, read, write,
+//! take), not the reactor's batched pump: that per-call sequence is
+//! the transitions-per-call model Tables 2–4 and Figs. 5/7 measure,
+//! and the event-loop gate's transitions-per-request reference.
 //!
 //! Request semantics come from the [`App`] and connection policy from
 //! [`crate::conn`], exactly as under the reactor; only the I/O —
@@ -15,115 +16,102 @@
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use libseal_lthread::{JobPool, PoolConfig};
 use libseal_tlsx::ssl::ReadOutcome;
 
-use crate::conn::{count_shed, cut_request, respond, wants_close, App, Cut, Phase};
+use crate::conn::{count_shed, cut_request, respond, wants_close, App, Cut, Phase, SlotPool};
 use crate::server::ServeConfig;
 use crate::Result;
 
-/// Socket timeout tick: short enough that a worker blocked on a quiet
+/// Socket timeout tick: short enough that a carrier blocked on a quiet
 /// peer notices shutdown or drain within about a second.
 const TICK: Duration = Duration::from_secs(1);
 
-/// Spawns the accept thread and the worker pool; `halt` tells them a
-/// stop or drain was requested. Returns their join handles.
+/// Spawns the accept thread, which owns the carriers; `halt` tells it
+/// a stop or drain was requested. Once halted it stops accepting, and
+/// joins the carriers as they close still-queued connections unserved
+/// and finish in-flight ones within a [`TICK`].
 pub(crate) fn serve<A: App>(
     listener: TcpListener,
     cfg: ServeConfig,
     app: Arc<A>,
     halt: impl Fn() -> bool + Clone + Send + 'static,
-) -> Vec<std::thread::JoinHandle<()>> {
-    let (tx, rx) = plat::channel::unbounded::<TcpStream>();
+) -> io::Result<std::thread::JoinHandle<()>> {
+    let pool = JobPool::new(PoolConfig {
+        carriers: cfg.workers,
+    });
+    let slots = SlotPool::for_plane(&*cfg.plane, cfg.workers);
     let cfg = Arc::new(cfg);
     // Live connections (queued + being served): the cap's admission
     // counter.
     let live = Arc::new(AtomicUsize::new(0));
-    let mut handles = Vec::new();
-
-    {
-        let (app, live, halt) = (Arc::clone(&app), Arc::clone(&live), halt.clone());
-        let cap = cfg.max_connections;
-        let accept = move || {
-            while !halt() {
-                match plat::failpoint::check("services::accept").and_then(|()| listener.accept()) {
-                    Ok((sock, _)) => {
-                        if live.load(Ordering::Acquire) >= cap {
-                            // Shed: refuse fast instead of queueing
-                            // work no worker will reach in time.
-                            count_shed();
-                            continue;
+    // Each accepted connection gets a stable id the audit plane hashes
+    // for shard routing.
+    let mut conn_id = 0;
+    let accept = move || {
+        while !halt() {
+            match plat::failpoint::check("services::accept").and_then(|()| listener.accept()) {
+                Ok((sock, _)) => {
+                    if live.load(Ordering::Acquire) >= cfg.max_connections {
+                        // Shed: refuse fast instead of queueing work no
+                        // carrier will reach in time.
+                        count_shed();
+                        continue;
+                    }
+                    let _ = sock.set_nodelay(true);
+                    live.fetch_add(1, Ordering::AcqRel);
+                    conn_id += 1;
+                    let (cfg, app, slots, live, halt) = (
+                        Arc::clone(&cfg),
+                        Arc::clone(&app),
+                        Arc::clone(&slots),
+                        Arc::clone(&live),
+                        halt.clone(),
+                    );
+                    let job = move || {
+                        let slot = slots.acquire();
+                        // Still queued when the server halted: close
+                        // unserved.
+                        if !halt() {
+                            let _ = serve_connection(sock, &cfg, slot.idx, conn_id, &*app, &halt);
                         }
-                        let _ = sock.set_nodelay(true);
-                        live.fetch_add(1, Ordering::AcqRel);
-                        if tx.send(sock).is_err() {
-                            break;
-                        }
-                    }
-                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                    Err(_) => {
-                        // Transient accept failures (ECONNABORTED on a
-                        // reset connection, EMFILE under fd pressure,
-                        // EINTR) must not kill the listener for the
-                        // server's remaining lifetime: count, back off
-                        // briefly, retry. Halting is the only exit.
-                        app.on_accept_error();
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                }
-            }
-        };
-        handles.push(spawn("blocking-accept".into(), accept));
-    }
-
-    // Shared connection counter: each accepted connection gets a
-    // stable id the audit plane hashes for shard routing.
-    let conn_seq = Arc::new(AtomicU64::new(1));
-    for worker in 0..cfg.workers.max(1) {
-        let (rx, cfg, app, live, halt) = (
-            rx.clone(),
-            Arc::clone(&cfg),
-            Arc::clone(&app),
-            Arc::clone(&live),
-            halt.clone(),
-        );
-        let conn_seq = Arc::clone(&conn_seq);
-        let work = move || {
-            while !halt() {
-                match rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok(sock) => {
-                        let conn_id = conn_seq.fetch_add(1, Ordering::Relaxed);
-                        let _ = serve_connection(sock, &cfg, worker, conn_id, &*app, &halt);
                         live.fetch_sub(1, Ordering::AcqRel);
+                    };
+                    if pool.spawn(job).is_err() {
+                        break;
                     }
-                    Err(plat::channel::RecvTimeoutError::Timeout) => {}
-                    Err(_) => break,
+                }
+                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                Err(_) => {
+                    // Transient accept failures (ECONNABORTED on a
+                    // reset connection, EMFILE under fd pressure,
+                    // EINTR) must not kill the listener for the
+                    // server's remaining lifetime: count, back off
+                    // briefly, retry. Halting is the only exit.
+                    app.on_accept_error();
+                    std::thread::sleep(Duration::from_millis(5));
                 }
             }
-        };
-        handles.push(spawn(format!("blocking-worker-{worker}"), work));
-    }
-    handles
-}
-
-fn spawn(name: String, f: impl FnOnce() + Send + 'static) -> std::thread::JoinHandle<()> {
+        }
+        pool.shutdown();
+    };
     std::thread::Builder::new()
-        .name(name)
-        .spawn(f)
-        .expect("spawn server thread")
+        .name("blocking-accept".into())
+        .spawn(accept)
 }
 
-/// Serves one connection until close, EOF, eviction or halt. `worker`
-/// is this thread's async-call slot, `conn_id` the shard affinity.
+/// Serves one connection until close, EOF, eviction or halt. `slot`
+/// is the connection's async-call slot, `conn_id` the shard affinity.
 fn serve_connection<A: App>(
     mut sock: TcpStream,
     cfg: &ServeConfig,
-    worker: usize,
+    slot: usize,
     conn_id: u64,
     app: &A,
     halt: &dyn Fn() -> bool,
@@ -133,12 +121,12 @@ fn serve_connection<A: App>(
     sock.set_read_timeout(Some(TICK))?;
     sock.set_write_timeout(Some(TICK.min(cfg.timeouts.write)))?;
     let plane = &*cfg.plane;
-    let sid = plane.open_session(worker, conn_id)?;
+    let sid = plane.open_session(slot, conn_id)?;
     let mut state = app.open_conn();
     let write = cfg.timeouts.write;
     // Sends the session's pending ciphertext.
     let flush = |sock: &mut TcpStream| -> Result<()> {
-        write_deadline(sock, &plane.take_output(worker, sid)?, write)
+        write_deadline(sock, &plane.take_output(slot, sid)?, write)
     };
 
     let mut buf = [0u8; 16 * 1024];
@@ -151,13 +139,13 @@ fn serve_connection<A: App>(
             // Get as far as the bytes already received allow.
             if !established {
                 flush(&mut sock)?;
-                established = plane.do_handshake(worker, sid)?;
+                established = plane.do_handshake(slot, sid)?;
             }
             if established {
                 match cut_request(&mut plain, &cfg.limits, app) {
                     Cut::Request(req) => {
                         respond(app, &mut state, &req, |bytes| {
-                            plane.ssl_write(worker, sid, &bytes)?;
+                            plane.ssl_write(slot, sid, &bytes)?;
                             flush(&mut sock)
                         })?;
                         // A halt lands between requests: the response
@@ -172,12 +160,12 @@ fn serve_connection<A: App>(
                         continue;
                     }
                     Cut::Reject(rsp) => {
-                        plane.ssl_write(worker, sid, &rsp.to_bytes())?;
+                        plane.ssl_write(slot, sid, &rsp.to_bytes())?;
                         return flush(&mut sock);
                     }
                     Cut::NeedMore => {}
                 }
-                match plane.ssl_read(worker, sid)? {
+                match plane.ssl_read(slot, sid)? {
                     ReadOutcome::Data(d) => {
                         if plain.is_empty() {
                             plain = d;
@@ -199,7 +187,7 @@ fn serve_connection<A: App>(
             flush(&mut sock)?;
             match read_deadline(&mut sock, &mut buf, deadline, halt) {
                 Ok(0) => return Ok(()),
-                Ok(n) => plane.provide_input(worker, sid, &buf[..n])?,
+                Ok(n) => plane.provide_input(slot, sid, &buf[..n])?,
                 Err(e) => {
                     if e.kind() == io::ErrorKind::TimedOut && !halt() {
                         phase.count_timeout();
@@ -213,7 +201,7 @@ fn serve_connection<A: App>(
     // Always release the application and session state, whatever path
     // left the loop.
     app.close_conn(&mut state);
-    let _ = plane.close_session(worker, sid);
+    let _ = plane.close_session(slot, sid);
     result
 }
 
@@ -246,7 +234,7 @@ fn write_deadline(sock: &mut TcpStream, out: &[u8], timeout: Duration) -> Result
 
 /// Deadline-bounded read. The socket's read timeout is [`TICK`], so
 /// each timed-out tick re-checks `halt` and the overall `deadline` — a
-/// peer that stops sending can wedge a worker for at most one phase
+/// peer that stops sending can wedge a carrier for at most one phase
 /// deadline, and a halt is honoured between ticks.
 ///
 /// Returns `TimedOut` when the deadline passes or `halt` fires.

@@ -1,15 +1,19 @@
 //! Connection policy shared by both drivers: what a service plugs in
 //! ([`App`]), which phase a connection is in and how long it may stay
 //! there, how one request is cut out of the decrypted stream (or the
-//! stream rejected), and the respond step. Nothing here touches a
-//! socket — the reactor ([`crate::event`]) and the blocking loop
+//! stream rejected), the respond step, and which async-call slot a
+//! plane call runs on ([`SlotPool`]). Nothing here touches a socket —
+//! the reactor ([`crate::event`]) and the blocking loop
 //! ([`crate::blocking`]) own the I/O and call in, so a deadline or
 //! limit rule changes in one place.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use libseal::plane::AuditPlane;
 use libseal_httpx::http::{head_complete, parse_request_limited, Limits, Request, Response};
 use libseal_httpx::ParseError;
+use plat::sync::{Condvar, Mutex};
 
 /// What a service plugs into the connection engine.
 ///
@@ -157,6 +161,56 @@ pub(crate) fn count_shed() {
     libseal_telemetry::counter("services_sheds_total").inc();
 }
 
+/// Lends async-call slot indices to concurrent callers of the plane.
+///
+/// `AsyncRuntime` panics if two threads share a slot. Under the reactor
+/// each plane call (the reactor's batched pump, a carrier's write)
+/// borrows a slot for the call; under the blocking driver a connection
+/// borrows one for its lifetime. Callers wait while none is free;
+/// without a runtime the pool is sized so that nobody waits.
+pub(crate) struct SlotPool {
+    free: Mutex<Vec<usize>>,
+    freed: Condvar,
+}
+
+impl SlotPool {
+    /// The slots for `plane` called from `workers` pool carriers (and
+    /// a reactor): the runtime's, or `workers + 2` without one.
+    pub(crate) fn for_plane(plane: &dyn AuditPlane, workers: usize) -> Arc<SlotPool> {
+        let n = plane.async_slots().unwrap_or(workers + 2);
+        Arc::new(SlotPool {
+            free: Mutex::new((0..n.max(1)).rev().collect()),
+            freed: Condvar::new(),
+        })
+    }
+
+    pub(crate) fn acquire(self: &Arc<Self>) -> SlotGuard {
+        let mut free = self.free.lock();
+        loop {
+            if let Some(idx) = free.pop() {
+                return SlotGuard {
+                    pool: Arc::clone(self),
+                    idx,
+                };
+            }
+            free = self.freed.wait(free);
+        }
+    }
+}
+
+/// A borrowed slot, returned on drop.
+pub(crate) struct SlotGuard {
+    pool: Arc<SlotPool>,
+    pub(crate) idx: usize,
+}
+
+impl Drop for SlotGuard {
+    fn drop(&mut self) {
+        self.pool.free.lock().push(self.idx);
+        self.pool.freed.notify_one();
+    }
+}
+
 /// What the front of a connection's plaintext buffer holds.
 pub(crate) enum Cut {
     /// One complete request, removed from the buffer.
@@ -181,7 +235,7 @@ pub(crate) fn cut_request<A: App>(plain: &mut Vec<u8>, limits: &Limits, app: &A)
         // terminates): no single message may make us buffer more than
         // head + body limits.
         Err(ParseError::Incomplete) => {
-            if plain.len() <= limits.max_head_bytes.saturating_add(limits.max_body_bytes) {
+            if plain.len() <= message_cap(limits) {
                 return Cut::NeedMore;
             }
             413
@@ -196,6 +250,12 @@ pub(crate) fn cut_request<A: App>(plain: &mut Vec<u8>, limits: &Limits, app: &A)
     // The limit cases must stop buffering *now*.
     *plain = Vec::new();
     Cut::Reject(Response::new(status, b"request rejected".to_vec()))
+}
+
+/// The most plaintext one message may make a connection buffer: head
+/// plus body limits.
+pub(crate) fn message_cap(limits: &Limits) -> usize {
+    limits.max_head_bytes.saturating_add(limits.max_body_bytes)
 }
 
 /// Whether the client asked for this response to be the last.

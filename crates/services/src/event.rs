@@ -30,15 +30,15 @@
 //!
 //! Asynchronous-runtime slots admit one caller at a time, so every
 //! plane call made by the event core — the reactor's batched pump
-//! and each worker's write — borrows a slot index from a [`SlotPool`]
-//! sized to the runtime, restoring the blocking driver's
-//! one-slot-per-thread discipline without pinning slots to parked
-//! connections.
+//! and each worker's write — borrows a slot index from the
+//! [`SlotPool`] both drivers size the same way, without pinning slots
+//! to parked connections.
 
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,13 +46,14 @@ use libseal::plane::AuditPlane;
 use libseal::SessionInput;
 use libseal_httpx::http::Request;
 use libseal_lthread::{JobPool, PoolConfig};
+use libseal_tlsx::record;
 use libseal_tlsx::stream::{FlushOutcome, WireBuf};
-use plat::channel::{self, Receiver, Sender};
 use plat::reactor::{Event, Interest, Reactor, Waker};
-use plat::sync::{Condvar, Mutex};
 use plat::timer::TimerWheel;
 
-use crate::conn::{count_shed, cut_request, respond, wants_close, App, Cut, Phase};
+use crate::conn::{
+    count_shed, cut_request, message_cap, respond, wants_close, App, Cut, Phase, SlotPool,
+};
 use crate::server::ServeConfig;
 
 /// Token of the listening socket.
@@ -64,6 +65,8 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 /// Upper bound on one reactor park, so shutdown and timer churn stay
 /// responsive even without wake-ups.
 const MAX_PARK: Duration = Duration::from_millis(50);
+/// Wire bytes of one full record.
+const RECORD: usize = record::HEADER + record::MAX_RECORD + record::TAG;
 /// Pending audit work (unresolved group-commit tickets + verifier
 /// lag) above which the listener pauses instead of admitting more
 /// connections: admission control must kick in while the audit plane
@@ -76,52 +79,6 @@ pub(crate) struct EventHandle {
     /// Interrupts a parked reactor (use after flipping the shutdown
     /// flag).
     pub waker: Waker,
-}
-
-/// Lends async-call slot indices to concurrent callers of the plane.
-///
-/// `AsyncRuntime` panics if two threads share a slot, and the event
-/// core has more callers (reactor + every pool thread) than the
-/// blocking driver's fixed worker-index scheme can name. Callers block
-/// until a slot frees; without a runtime the pool is sized so that
-/// acquisition never waits.
-struct SlotPool {
-    free: Mutex<Vec<usize>>,
-    freed: Condvar,
-}
-
-impl SlotPool {
-    fn new(n: usize) -> Arc<SlotPool> {
-        Arc::new(SlotPool {
-            free: Mutex::new((0..n.max(1)).rev().collect()),
-            freed: Condvar::new(),
-        })
-    }
-
-    fn acquire(self: &Arc<Self>) -> SlotGuard {
-        let mut free = self.free.lock();
-        loop {
-            if let Some(idx) = free.pop() {
-                return SlotGuard {
-                    pool: Arc::clone(self),
-                    idx,
-                };
-            }
-            free = self.freed.wait(free);
-        }
-    }
-}
-
-struct SlotGuard {
-    pool: Arc<SlotPool>,
-    idx: usize,
-}
-
-impl Drop for SlotGuard {
-    fn drop(&mut self) {
-        self.pool.free.lock().push(self.idx);
-        self.pool.freed.notify_one();
-    }
 }
 
 /// The session surface plus the slot discipline for calling it.
@@ -225,18 +182,15 @@ pub(crate) fn serve<A: App>(
     reactor.register(&listener, LISTENER, Interest::READABLE)?;
     let waker = reactor.waker();
 
-    // With an async runtime the pool must not outnumber the runtime's
-    // slots; without one, size it so nobody waits.
-    let slots = cfg.plane.async_slots().unwrap_or(cfg.workers + 2);
     let sessions = Sessions {
         plane: Arc::clone(&cfg.plane),
-        slots: SlotPool::new(slots),
+        slots: SlotPool::for_plane(&*cfg.plane, cfg.workers),
     };
 
     let pool = JobPool::new(PoolConfig {
         carriers: cfg.workers,
     });
-    let (done_tx, done_rx) = channel::unbounded();
+    let (done_tx, done_rx) = mpsc::channel();
     let lp = Loop {
         reactor,
         wheel: TimerWheel::new(Duration::from_millis(5), 1024),
@@ -525,7 +479,11 @@ impl<A: App> Loop<A> {
             .schedule(token, Instant::now() + self.cfg.timeouts.handshake);
     }
 
-    /// Reads everything the socket has straight into the sweep's batch.
+    /// Reads what the socket has straight into the sweep's batch: all
+    /// of it while the connection is idle, but while its handler runs
+    /// no more than one record past the read-pause threshold. A fast
+    /// writer keeps the socket readable, so an unbounded read could
+    /// take everything it sends before [`Loop::pump`] pauses reads.
     fn read_ready(&mut self, token: u64, batch: &mut Vec<SessionInput>) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -534,8 +492,15 @@ impl<A: App> Loop<A> {
         // starts with 32-byte reads and doubles from there. EINTR is
         // retried inside; bytes read before an error are kept.
         let mut input = Vec::with_capacity(16 * 1024);
-        match conn.sock.read_to_end(&mut input) {
-            Ok(_) => conn.peer_closed = true,
+        let limit = if conn.busy {
+            message_cap(&self.cfg.limits).saturating_sub(conn.plain.len()) + RECORD
+        } else {
+            usize::MAX
+        };
+        match (&mut conn.sock).take(limit as u64).read_to_end(&mut input) {
+            // Short of the limit means the peer's EOF.
+            Ok(n) if n < limit => conn.peer_closed = true,
+            Ok(_) => {}
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {}
             Err(_) => conn.dead = true,
         }
@@ -574,11 +539,9 @@ impl<A: App> Loop<A> {
                     // A busy connection reads no further than one
                     // message's limits ahead: past them, its read
                     // interest is dropped until the handler completes.
-                    let limits = &self.cfg.limits;
                     if conn.busy
                         && !conn.read_paused
-                        && conn.plain.len()
-                            > limits.max_head_bytes.saturating_add(limits.max_body_bytes)
+                        && conn.plain.len() > message_cap(&self.cfg.limits)
                     {
                         conn.read_paused = true;
                         libseal_telemetry::counter("services_event_read_pauses_total").inc();

@@ -2,7 +2,7 @@
 //! services: `ServeConfig` carries every serving knob, [`Config`]
 //! adds the one thing a service brings (Apache's router, Squid's
 //! upstream leg), and [`Server`] owns the listener, the driver's
-//! threads and start / stop / drain.
+//! thread and start / stop / drain.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,9 +70,9 @@ impl<S> Config<S> {
         }
     }
 
-    /// Worker threads: connection workers under the blocking driver,
-    /// job-pool carriers (application threads `A` in §4.3 terms) under
-    /// the reactor.
+    /// Job-pool carriers (application threads `A` in §4.3 terms), the
+    /// same under both drivers: the blocking driver runs a connection
+    /// per carrier at a time, the reactor a request per carrier.
     #[must_use]
     pub fn workers(mut self, n: usize) -> Self {
         self.serve.workers = n;
@@ -164,7 +164,9 @@ pub struct Server<A: App> {
     /// Graceful-drain request ([`Server::drain`]): stop accepting,
     /// deliver in-flight responses, then exit.
     draining: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    /// The driver's thread: the reactor, or the blocking driver's
+    /// accept thread (which joins its pool carriers).
+    driver: Option<std::thread::JoinHandle<()>>,
     /// Present under the reactor: interrupts its park on stop.
     waker: Option<plat::reactor::Waker>,
     /// Kept to seal pending audit batches to durable after drain.
@@ -181,7 +183,7 @@ impl<A: App> Server<A> {
         let shutdown = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
         let plane = Arc::clone(&cfg.plane);
-        let (handles, waker) = if cfg.event_loop && plat::reactor::supported() {
+        let (driver, waker) = if cfg.event_loop && plat::reactor::supported() {
             let handle = crate::event::serve(
                 listener,
                 cfg,
@@ -189,23 +191,21 @@ impl<A: App> Server<A> {
                 Arc::clone(&shutdown),
                 Arc::clone(&draining),
             )?;
-            (vec![handle.join], Some(handle.waker))
+            (handle.join, Some(handle.waker))
         } else {
             let halt = {
                 let (shutdown, draining) = (Arc::clone(&shutdown), Arc::clone(&draining));
                 move || shutdown.load(Ordering::Acquire) || draining.load(Ordering::Acquire)
             };
-            (
-                crate::blocking::serve(listener, cfg, Arc::clone(&app), halt),
-                None,
-            )
+            let accept = crate::blocking::serve(listener, cfg, Arc::clone(&app), halt)?;
+            (accept, None)
         };
         Ok(Server {
             addr,
             app,
             shutdown,
             draining,
-            handles,
+            driver: Some(driver),
             waker,
             plane,
         })
@@ -236,15 +236,15 @@ impl<A: App> Server<A> {
     }
 
     /// Raises the drain flag (or, with `now`, the shutdown flag) and
-    /// joins the driver's threads.
+    /// joins the driver's thread.
     fn halt(&mut self, now: bool) {
         let flag = if now { &self.shutdown } else { &self.draining };
         flag.store(true, Ordering::Release);
         if let Some(w) = &self.waker {
             w.wake();
         }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        if let Some(driver) = self.driver.take() {
+            let _ = driver.join();
         }
     }
 }

@@ -28,7 +28,6 @@ pub mod cost;
 pub mod counter;
 pub mod enclave;
 pub mod epc;
-pub mod pool;
 pub mod seal;
 pub mod stats;
 
@@ -37,7 +36,6 @@ pub use cost::CostModel;
 pub use counter::MonotonicCounter;
 pub use enclave::{CallId, Enclave, EnclaveBuilder, EnclaveServices};
 pub use epc::EpcState;
-pub use pool::MemoryPool;
 pub use seal::SealingPolicy;
 pub use stats::{StatsSnapshot, TransitionStats};
 
