@@ -33,7 +33,7 @@ use libseal::ssm::git::GIT_SOUNDNESS;
 use libseal::{CommitMode, GitModule, ServiceModule, TicketQueue, Worker};
 use libseal_bench::{git_advert, git_update};
 use libseal_crypto::ed25519::SigningKey;
-use libseal_rote::{Cluster, ClusterConfig, QuorumPolicy};
+use libseal_rote::{Cluster, ClusterConfig};
 use plat::failpoint::{self, FaultSpec, Scenario};
 use plat::tmp::TempPath;
 
@@ -50,7 +50,6 @@ fn cluster() -> Arc<Cluster> {
     cfg.deadline = std::time::Duration::from_millis(200);
     cfg.retries = 0;
     cfg.backoff = std::time::Duration::from_millis(1);
-    cfg.policy = QuorumPolicy::FailStop;
     Arc::new(Cluster::with_config(cfg, b"crash-matrix").expect("cluster"))
 }
 

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use libseal_bench::*;
-use libseal_lthread::{AsyncRuntime, RuntimeConfig, WaitMode};
+use libseal_lthread::{AsyncRuntime, RuntimeConfig};
 use libseal_sgxsim::cost::CostModel;
 use libseal_sgxsim::enclave::EnclaveBuilder;
 
@@ -92,7 +92,6 @@ fn main() {
             lthreads_per_thread: 8,
             slots: 1,
             stack_size: 128 * 1024,
-            wait_mode: WaitMode::BusyWait,
         },
     )
     .unwrap();

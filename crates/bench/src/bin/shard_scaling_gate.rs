@@ -20,8 +20,8 @@
 //!      journal, and the fleet verifies clean after drain.
 //!
 //! Each point also prints what its sealers did — appends per counter
-//! bind, ROTE rounds and their mean length, increments granted without
-//! quorum — so a low speedup can be read. The 4-shard figure reads a
+//! bind, ROTE rounds and their mean length — so a low speedup can be
+//! read. The 4-shard figure reads a
 //! few hundredths above the cap: epoch-checkpoint rows are appended and
 //! sealed outside the ticket queue.
 //!
@@ -75,7 +75,6 @@ fn row(shards: usize, p: &Point) -> Vec<String> {
         format!("{:.2}", per(c.appends, c.binds)),
         c.rote_rounds.to_string(),
         format!("{:.2}", per(c.rote_round_ns, c.rote_rounds) / 1e6),
-        c.unbound.to_string(),
     ]
 }
 
@@ -165,7 +164,6 @@ fn main() {
             "appends/bind",
             "ROTE rounds",
             "mean round ms",
-            "unbound",
         ],
         &[row(1, &p1), row(4, &p4)],
     );

@@ -28,7 +28,7 @@ use libseal::{
     LibSealConfigBuilder, LogBacking, OwnCloudModule, ServiceModule,
 };
 use libseal_crypto::ed25519::{SigningKey, VerifyingKey};
-use libseal_lthread::{RuntimeConfig, WaitMode};
+use libseal_lthread::RuntimeConfig;
 use libseal_services::apache::{ApacheConfig, ApacheServer, DelayRouter};
 use libseal_services::dropbox::DropboxServer;
 use libseal_services::git::GitBackend;
@@ -261,21 +261,11 @@ impl BenchConfig {
 /// parameters (§6.7: 3 SGX threads, 48 lthread tasks each), one slot
 /// per server worker.
 pub fn paper_runtime(workers: usize) -> RuntimeConfig {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     RuntimeConfig {
         sgx_threads: 3,
         lthreads_per_thread: 48,
         slots: workers.max(1),
         stack_size: 256 * 1024,
-        // The paper found a dedicated poller thread fastest on its
-        // 4-core machine (§4.3); on hosts without spare cores the
-        // poller steals a CPU the workers need, so busy-wait (with
-        // scheduler yields) wins. Pick automatically.
-        wait_mode: if cores >= 4 {
-            WaitMode::Poller
-        } else {
-            WaitMode::BusyWait
-        },
     }
 }
 
@@ -471,8 +461,6 @@ counts! {
     binds => "core_counter_binds_total",
     /// Journal fsyncs.
     fsyncs => "sealdb_journal_fsyncs_total",
-    /// Appends granted without a counter quorum.
-    unbound => "rote_unbound_appends_total",
 }
 
 /// What one run of a [`Scenario`] measured.
@@ -719,8 +707,7 @@ pub fn print_load_curve(title: &str, labels: &[&str], clients: &[usize], r: &Rep
 /// Runs and prints a sweep of one parameter of the asynchronous call
 /// runtime (Tab. 3, Tab. 4) under the §6.6 load at 1 KB on four
 /// workers: `vary(base, v)` is the runtime at value `v`, where `base`
-/// is [`paper_runtime`] with the paper's dedicated poller thread,
-/// whatever this host would pick.
+/// is [`paper_runtime`].
 pub fn print_runtime_sweep(
     title: &str,
     parameter: &str,
@@ -728,10 +715,7 @@ pub fn print_runtime_sweep(
     vary: impl Fn(RuntimeConfig, usize) -> RuntimeConfig,
 ) {
     let workers = 4;
-    let base = RuntimeConfig {
-        wait_mode: WaitMode::Poller,
-        ..paper_runtime(workers)
-    };
+    let base = paper_runtime(workers);
     let r = repeat(values.len(), |i| {
         let runtime = Some(vary(base.clone(), values[i]));
         Scenario::paper_calls(App::Static, BenchConfig::Process, workers, runtime)

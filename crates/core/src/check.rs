@@ -74,19 +74,22 @@ impl CheckOutcome {
     }
 }
 
+/// Client-triggered checks (`Libseal-Check`) one check interval allows:
+/// a client can make the enclave run at most this many checks per
+/// `interval` logged pairs, so a flood of check headers cannot turn
+/// into a flood of checks (the §6.3 DoS bound).
+pub const CLIENT_CHECKS_PER_INTERVAL: usize = 4;
+
 /// Interval-based checking/trimming state with client-trigger rate
-/// limiting (§5.2, §6.3 DoS defence).
+/// limiting (§5.2, §6.3 DoS defence). A due check on a clean log trims
+/// it.
 pub struct Checker {
     /// Pairs logged since the last automatic check.
     pairs_since_check: usize,
     /// Automatic check interval in request/response pairs (0 = off).
     pub interval: usize,
-    /// Whether trimming runs together with checks.
-    pub trim: bool,
     /// Remaining client-triggered check budget in the current window.
     client_budget: usize,
-    /// Budget refills to this value every `interval` pairs.
-    pub client_rate_limit: usize,
     /// The most recent outcome (served to clients in-band).
     pub last_outcome: CheckOutcome,
     /// Chain length right after the last automatic trim. Appends only
@@ -97,13 +100,11 @@ pub struct Checker {
 
 impl Checker {
     /// Creates a checker running every `interval` pairs.
-    pub fn new(interval: usize, trim: bool, client_rate_limit: usize) -> Checker {
+    pub fn new(interval: usize) -> Checker {
         Checker {
             pairs_since_check: 0,
             interval,
-            trim,
-            client_budget: client_rate_limit,
-            client_rate_limit,
+            client_budget: CLIENT_CHECKS_PER_INTERVAL,
             last_outcome: CheckOutcome::default(),
             entries_at_trim: None,
         }
@@ -220,7 +221,7 @@ impl Checker {
             return false;
         }
         self.pairs_since_check = 0;
-        self.client_budget = self.client_rate_limit;
+        self.client_budget = CLIENT_CHECKS_PER_INTERVAL;
         true
     }
 
@@ -232,10 +233,7 @@ impl Checker {
     /// Check or trim failures.
     pub fn run_due(&mut self, ssm: &dyn ServiceModule, log: &mut AuditLog) -> Result<CheckOutcome> {
         let outcome = Self::run_checks_incremental(ssm, log)?;
-        if self.trim
-            && outcome.total_violations() == 0
-            && self.entries_at_trim != Some(log.entries())
-        {
+        if outcome.total_violations() == 0 && self.entries_at_trim != Some(log.entries()) {
             // Trim only clean logs: violations must stay as evidence.
             // Trimming deletes base rows, which marks the views fully
             // dirty — the next check recomputes over the (now small)
@@ -345,7 +343,7 @@ mod tests {
 
     #[test]
     fn interval_scheduling() {
-        let mut checker = Checker::new(3, false, 1);
+        let mut checker = Checker::new(3);
         assert!(!checker.note_pair());
         assert!(!checker.note_pair());
         assert!(checker.note_pair());
@@ -355,9 +353,10 @@ mod tests {
     #[test]
     fn client_rate_limit() {
         let (m, mut log) = setup();
-        let mut checker = Checker::new(10, false, 2);
-        assert!(checker.client_check(&m, &mut log).unwrap().is_some());
-        assert!(checker.client_check(&m, &mut log).unwrap().is_some());
+        let mut checker = Checker::new(10);
+        for _ in 0..CLIENT_CHECKS_PER_INTERVAL {
+            assert!(checker.client_check(&m, &mut log).unwrap().is_some());
+        }
         // Budget exhausted: served from cache.
         assert!(checker.client_check(&m, &mut log).unwrap().is_none());
         // Interval elapse refills.
@@ -391,7 +390,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut checker = Checker::new(1, true, 1);
+        let mut checker = Checker::new(1);
         assert!(checker.note_pair());
         let outcome = checker.run_due(&m, &mut log).unwrap();
         assert_eq!(outcome.total_violations(), 1);

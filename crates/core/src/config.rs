@@ -21,11 +21,11 @@ use crate::Result;
 /// malicious never-ending stream (interface hardening, §6.3).
 pub const MAX_MESSAGE_BUFFER: usize = 64 * 1024 * 1024;
 
-/// Rollback-protection choice.
+/// Rollback protection: the audit log of an instance is always bound
+/// to a ROTE counter (§5.1). An unprotected log is built directly on
+/// [`crate::log::AuditLog`] with [`crate::log::NoGuard`].
 #[derive(Clone)]
 pub enum GuardConfig {
-    /// No rollback protection (baselines).
-    None,
     /// A ROTE quorum tolerating `f` faults with the given per-request
     /// latency (§5.1; the paper's Git evaluation uses `f = 1`).
     Rote {

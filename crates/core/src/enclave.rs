@@ -40,7 +40,7 @@ use plat::sync::{Mutex, RwLock};
 
 use crate::check::{CheckOutcome, Checker};
 use crate::config::{GuardConfig, LibSealConfig};
-use crate::log::{AuditLog, CommitMode, NoGuard, RollbackGuard, RoteGuard};
+use crate::log::{AuditLog, CommitMode, RollbackGuard, RoteGuard};
 use crate::queue::TicketQueue;
 use crate::ssm::ServiceModule;
 use crate::{LibSealError, Result};
@@ -300,13 +300,11 @@ fn open_audit(
     ssm: &Arc<dyn ServiceModule>,
     sv: &EnclaveServices,
 ) -> Result<AuditState> {
-    let guard: Box<dyn RollbackGuard> = match &config.guard {
-        GuardConfig::None => Box::new(NoGuard),
-        GuardConfig::Rote { f, latency } => Box::new(RoteGuard(Arc::new(
-            libseal_rote::Cluster::new(*f, *latency, b"libseal-log")
-                .map_err(|e| LibSealError::Log(e.to_string()))?,
-        ))),
-    };
+    let GuardConfig::Rote { f, latency } = &config.guard;
+    let guard: Box<dyn RollbackGuard> = Box::new(RoteGuard(Arc::new(
+        libseal_rote::Cluster::new(*f, *latency, b"libseal-log")
+            .map_err(|e| LibSealError::Log(e.to_string()))?,
+    )));
     let seal_key = sv.seal_key(SealingPolicy::MrSigner);
     let signer_seed = config.log_signer_seed.unwrap_or_else(|| {
         // Derive a deterministic signer from the seal
@@ -331,9 +329,7 @@ fn open_audit(
     Ok(AuditState {
         log,
         ssm: Arc::clone(ssm),
-        // Automatic checks trim; a client may trigger 4 checks per
-        // interval (DoS limit, §6.3).
-        checker: Checker::new(config.check_interval, true, 4),
+        checker: Checker::new(config.check_interval),
     })
 }
 

@@ -119,8 +119,8 @@ impl RollbackGuard for NoGuard {
 }
 
 /// ROTE-cluster-backed guard. Holds the cluster behind an [`Arc`] so
-/// callers can keep a handle for degraded-mode inspection and
-/// [`libseal_rote::Cluster::rebind`] while the log owns the guard.
+/// callers can keep a handle on it (failure injection, the counter
+/// outliving a simulated enclave crash) while the log owns the guard.
 pub struct RoteGuard(pub Arc<libseal_rote::Cluster>);
 
 impl RollbackGuard for RoteGuard {

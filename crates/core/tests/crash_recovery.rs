@@ -1,7 +1,7 @@
 //! Crash-recovery tests for the audit log: torn-tail salvage as a
 //! *synced-prefix* guarantee, counter reconciliation (the legal
 //! crash window vs. a rollback alarm), unsigned-tail roll-forward,
-//! degraded-quorum operation, and a trim interrupted at every point it
+//! fail-stop on quorum loss, and a trim interrupted at every point it
 //! can be (a lost quorum, a kill, a failing query, a disk that takes no
 //! snapshot).
 //!
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 
 use libseal_crypto::ed25519::SigningKey;
-use libseal_rote::{Cluster, ClusterConfig, QuorumPolicy};
+use libseal_rote::{Cluster, ClusterConfig};
 use libseal_sealdb::{Database, Value};
 use plat::failpoint::{self, FaultSpec};
 use plat::tmp::TempPath;
@@ -352,18 +352,17 @@ fn crash_before_chain_insert_loses_only_the_inflight_entry() {
     assert!(log.query(GIT_SOUNDNESS, &[]).is_ok());
 }
 
-/// End-to-end degraded mode: with the ROTE quorum unreachable under
-/// `DegradeAndAlarm`, the audit log keeps accepting entries (alarm
-/// raised); when the network heals, the next append re-binds the
-/// whole unbound prefix.
+/// End-to-end fail-stop: with the ROTE quorum unreachable every append
+/// is refused — it stays staged, unsigned and unacknowledged, and takes
+/// no counter value; when the network heals, the next append's bind
+/// seals it together with the ones refused before it.
 #[test]
-fn degraded_quorum_keeps_the_log_available_and_rebinds() {
+fn quorum_loss_stops_the_log_until_quorum_returns() {
     let s = failpoint::scenario();
     let mut cfg = ClusterConfig::new(1);
     cfg.deadline = std::time::Duration::from_millis(200);
     cfg.retries = 0;
     cfg.backoff = std::time::Duration::from_millis(1);
-    cfg.policy = QuorumPolicy::DegradeAndAlarm;
     let cluster = std::sync::Arc::new(Cluster::with_config(cfg, b"crash-recovery").unwrap());
     let mut log = open_log(
         LogBacking::Memory,
@@ -372,26 +371,19 @@ fn degraded_quorum_keeps_the_log_available_and_rebinds() {
     .unwrap();
 
     append_one(&mut log, 0, "gg");
-    assert!(!cluster.is_degraded());
+    let (entries, bound) = (log.entries(), cluster.current());
 
     // Partition: every node delivery is dropped.
     s.set("rote::node::deliver", FaultSpec::error());
-    append_one(&mut log, 1, "gg");
-    append_one(&mut log, 2, "gg");
-    let st = cluster.stats();
-    assert!(
-        st.degraded,
-        "quorum loss must raise the alarm, not stop the log"
-    );
-    assert_eq!(st.unbound, 2);
+    assert!(try_append(&mut log, 1, "gg").is_err());
+    assert!(try_append(&mut log, 2, "gg").is_err());
+    assert_eq!(cluster.current(), bound, "a refused append took a value");
 
-    // The partition heals; the next append re-binds entries 2..=4.
+    // The partition heals; one bind covers all three.
     s.unset("rote::node::deliver");
     append_one(&mut log, 3, "gg");
-    let st = cluster.stats();
-    assert!(!st.degraded);
-    assert_eq!(st.rebinds, 1);
-    assert_eq!(st.unbound, 0);
+    assert_eq!(log.entries(), entries + 3);
+    assert_eq!(cluster.current(), bound + 1);
     log.verify().unwrap();
 }
 

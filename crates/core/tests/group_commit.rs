@@ -18,7 +18,7 @@ use libseal::{CommitMode, GitModule, LibSeal, LibSealConfig, ServiceModule, Sess
 use libseal::{TicketQueue, Worker};
 use libseal_crypto::ed25519::SigningKey;
 use libseal_httpx::http::{Request, Response};
-use libseal_rote::{Cluster, ClusterConfig, QuorumPolicy};
+use libseal_rote::{Cluster, ClusterConfig};
 use libseal_sealdb::Value;
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::cert::CertificateAuthority;
@@ -112,7 +112,6 @@ fn cluster() -> Arc<Cluster> {
     cfg.deadline = Duration::from_millis(200);
     cfg.retries = 0;
     cfg.backoff = Duration::from_millis(1);
-    cfg.policy = QuorumPolicy::FailStop;
     Arc::new(Cluster::with_config(cfg, b"group-commit-tests").unwrap())
 }
 

@@ -369,7 +369,7 @@ fn secure_callback_fires_via_ocall() {
 
 #[test]
 fn async_runtime_serves_sessions() {
-    use libseal_lthread::{RuntimeConfig, WaitMode};
+    use libseal_lthread::RuntimeConfig;
     let ca = CertificateAuthority::new("CA", &[1u8; 32]);
     let (key, cert) = ca.issue_identity("svc.test", &[2u8; 32]).unwrap();
     let cfg = LibSealConfig::builder(cert, key)
@@ -383,7 +383,6 @@ fn async_runtime_serves_sessions() {
             lthreads_per_thread: 4,
             slots: 2,
             stack_size: 256 * 1024,
-            wait_mode: WaitMode::BusyWait,
         },
     )
     .unwrap();

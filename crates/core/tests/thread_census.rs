@@ -1,5 +1,6 @@
 //! The threads an audit plane costs its host: a sealer and a verifier
-//! per enclave and nothing else — the ROTE counter nodes are simulated
+//! per enclave, plus the resident SGX threads of an asynchronous-call
+//! runtime, and nothing else — the ROTE counter nodes are simulated
 //! inline, not stood up as threads. Alone in its binary because
 //! `/proc/self/task` counts the whole process.
 #![cfg(target_os = "linux")]
@@ -7,6 +8,7 @@
 use std::sync::Arc;
 
 use libseal::{GitModule, LibSeal, LibSealConfig, LibSealConfigBuilder};
+use libseal_lthread::RuntimeConfig;
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::cert::CertificateAuthority;
 
@@ -46,5 +48,18 @@ fn an_enclave_costs_two_threads_and_returns_them() {
     let fleet = audited().shards(4).build_plane().unwrap();
     assert_eq!(threads() - before, 8, "sealer + verifier per shard");
     drop(fleet);
+    assert_settles_to(before);
+
+    // The §4.3 runtime adds its resident SGX threads and nothing else:
+    // callers wait on their own slots, no thread polls them.
+    let config = RuntimeConfig::default();
+    let sgx_threads = config.sgx_threads;
+    let with_async = LibSeal::with_async(audited().build(), config).unwrap();
+    assert_eq!(
+        threads() - before,
+        2 + sgx_threads,
+        "sealer + verifier + resident SGX threads"
+    );
+    drop(with_async);
     assert_settles_to(before);
 }

@@ -12,8 +12,9 @@
 //!   switch (a thread-backed portable fallback is selected by the
 //!   `portable-lthreads` feature or on other architectures);
 //! - [`slots`]: the per-application-thread request slots of Fig. 4;
-//! - [`runtime`]: the `S × T` worker/task topology of Fig. 3, with
-//!   busy-wait and dedicated-poller wait modes;
+//! - [`runtime`]: the `S × T` worker/task topology of Fig. 3; an
+//!   application thread yields briefly on its slot, then parks until
+//!   the slot is filled;
 //! - [`pool`]: the job pool the event-driven serve loops run
 //!   application handlers on — plain OS threads on one queue, outside
 //!   the enclave; coroutines serve the [`runtime`] alone.
@@ -26,5 +27,5 @@ pub mod slots;
 
 pub use coro::{Coroutine, Resume, Yielder};
 pub use pool::{JobPool, PoolConfig};
-pub use runtime::{AsyncRuntime, RuntimeConfig, WaitMode};
+pub use runtime::{AsyncRuntime, RuntimeConfig};
 pub use slots::OcallPort;

@@ -2,13 +2,15 @@
 //!
 //! `S` SGX worker threads permanently reside inside the enclave, each
 //! running `T` lthread tasks; `A` application threads communicate with
-//! them through per-thread request slots. Application threads either
-//! busy-wait on their slot or park and get woken by one dedicated
-//! polling thread (the paper found the dedicated poller faster; both
-//! are implemented so §6.8 can compare).
+//! them through per-thread request slots. An application thread yields
+//! on its slot for a short spin budget, then parks; whoever fills the
+//! slot — the lthread that finished the ecall or posted an ocall —
+//! unparks it. The paper's dedicated polling thread only repeated those
+//! wake-ups, so there is none.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use libseal_sgxsim::enclave::{Enclave, EnclaveServices};
 use libseal_sgxsim::Result;
@@ -16,14 +18,16 @@ use libseal_sgxsim::Result;
 use crate::coro::Coroutine;
 use crate::slots::{EcallFn, OcallPort, Slot};
 
-/// How application threads wait for async-call completion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaitMode {
-    /// Every application thread spins on its own slot.
-    BusyWait,
-    /// Application threads park; a dedicated polling thread wakes them.
-    Poller,
-}
+/// How long an application thread yields on its slot before it parks,
+/// counted from the call's start and again from each ocall it serves.
+/// Measured with `micro_ecall_cost`'s async no-op round trip on a
+/// 2-core host, five alternated invocations each: parking at once costs
+/// 5.7–7.1 µs a call, yielding throughout 1.4–5.1 µs, so a call that
+/// returns soon must not park. 50 µs read 2.4–5.7 µs, within
+/// yielding's own spread; 200 µs (1.5–3.8 µs) was not resolved from it
+/// and burns four times as long per waiting caller before a long call
+/// (a handshake, a commit wait: milliseconds) parks.
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
 
 /// Configuration of the async runtime.
 #[derive(Clone, Debug)]
@@ -36,8 +40,6 @@ pub struct RuntimeConfig {
     pub slots: usize,
     /// Stack size for each lthread task.
     pub stack_size: usize,
-    /// Wait strategy for application threads.
-    pub wait_mode: WaitMode,
 }
 
 impl Default for RuntimeConfig {
@@ -47,7 +49,6 @@ impl Default for RuntimeConfig {
             lthreads_per_thread: 48,
             slots: 16,
             stack_size: 256 * 1024,
-            wait_mode: WaitMode::Poller,
         }
     }
 }
@@ -56,19 +57,16 @@ struct RuntimeInner<T: Send + Sync + 'static> {
     enclave: Arc<Enclave<T>>,
     slots: Vec<Slot<T>>,
     shutdown: AtomicBool,
-    wait_mode: WaitMode,
 }
 
 /// The asynchronous enclave call runtime.
 pub struct AsyncRuntime<T: Send + Sync + 'static> {
     inner: Arc<RuntimeInner<T>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    poller: Option<std::thread::JoinHandle<()>>,
 }
 
 impl<T: Send + Sync + 'static> AsyncRuntime<T> {
-    /// Starts worker threads (and the poller, if configured) for
-    /// `enclave`.
+    /// Starts the resident worker threads for `enclave`.
     ///
     /// # Errors
     ///
@@ -79,7 +77,6 @@ impl<T: Send + Sync + 'static> AsyncRuntime<T> {
             enclave,
             slots: (0..config.slots).map(|_| Slot::default()).collect(),
             shutdown: AtomicBool::new(false),
-            wait_mode: config.wait_mode,
         });
 
         let mut workers = Vec::with_capacity(config.sgx_threads);
@@ -95,23 +92,7 @@ impl<T: Send + Sync + 'static> AsyncRuntime<T> {
             );
         }
 
-        let poller = if config.wait_mode == WaitMode::Poller {
-            let inner = Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name("slot-poller".to_string())
-                    .spawn(move || poller_loop(inner))
-                    .expect("spawn poller"),
-            )
-        } else {
-            None
-        };
-
-        Ok(AsyncRuntime {
-            inner,
-            workers,
-            poller,
-        })
+        Ok(AsyncRuntime { inner, workers })
     }
 
     /// Executes `f` inside the enclave as an asynchronous ecall from
@@ -155,6 +136,7 @@ impl<T: Send + Sync + 'static> AsyncRuntime<T> {
         slot.ecall_pending.store(true, Ordering::Release);
 
         // Wait, serving our own ocalls as they appear.
+        let mut waiting_since = Instant::now();
         loop {
             if slot
                 .ocall_pending
@@ -166,45 +148,32 @@ impl<T: Send + Sync + 'static> AsyncRuntime<T> {
                     req();
                 }
                 slot.ocall_done.store(true, Ordering::Release);
+                waiting_since = Instant::now();
                 continue;
             }
             if slot.ecall_done.load(Ordering::Acquire) {
                 slot.ecall_done.store(false, Ordering::Release);
                 break;
             }
-            match self.inner.wait_mode {
-                // Yield so enclave workers can run even on a single
-                // core; pure spinning would starve them for a whole
-                // scheduler timeslice.
-                WaitMode::BusyWait => std::thread::yield_now(),
-                WaitMode::Poller => {
-                    *slot.waiter.lock() = Some(std::thread::current());
-                    // Re-check to close the race with the poller.
-                    if !slot.needs_app_thread() {
-                        std::thread::park_timeout(std::time::Duration::from_micros(200));
-                    }
-                    slot.waiter.lock().take();
-                }
+            if waiting_since.elapsed() < SPIN_BUDGET {
+                // Yield, not spin: on a single core a pure spin would
+                // starve the enclave workers for a whole timeslice.
+                std::thread::yield_now();
+                continue;
             }
+            // Registered under the lock before the re-check: a filler
+            // that sets its flag after the re-check takes the lock after
+            // us, finds us registered and unparks us.
+            *slot.waiter.lock() = Some(std::thread::current());
+            if !slot.needs_app_thread() {
+                std::thread::park();
+            }
+            slot.waiter.lock().take();
         }
 
         slot.occupied.store(false, Ordering::Release);
         let out = result.lock().take();
         out.expect("ecall result present after ecall_done")
-    }
-
-    /// Executes `f` as a classic synchronous ecall (full transition
-    /// cost); the "without async calls" baseline of Tab. 2.
-    ///
-    /// # Errors
-    ///
-    /// Propagates TCS exhaustion from the enclave.
-    pub fn sync_ecall<R>(
-        &self,
-        name: &'static str,
-        f: impl FnOnce(&T, &EnclaveServices) -> R,
-    ) -> Result<R> {
-        self.inner.enclave.ecall(name, f)
     }
 
     /// The underlying enclave.
@@ -217,15 +186,10 @@ impl<T: Send + Sync + 'static> AsyncRuntime<T> {
         self.inner.slots.len()
     }
 
-    /// Stops workers and the poller, waiting for them to exit.
-    pub fn shutdown(mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(p) = self.poller.take() {
-            let _ = p.join();
-        }
+    /// Stops the workers and waits for them to exit, as dropping the
+    /// runtime does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -234,9 +198,6 @@ impl<T: Send + Sync + 'static> Drop for AsyncRuntime<T> {
         self.inner.shutdown.store(true, Ordering::Release);
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        if let Some(p) = self.poller.take() {
-            let _ = p.join();
         }
     }
 }
@@ -275,9 +236,7 @@ fn worker_loop<T: Send + Sync + 'static>(
                                 req(state, sv, &port);
                             });
                             slot.ecall_done.store(true, Ordering::Release);
-                            if let Some(w) = slot.waiter.lock().take() {
-                                w.unpark();
-                            }
+                            slot.wake_waiter();
                             did_work = true;
                         }
                     }
@@ -316,19 +275,6 @@ fn worker_loop<T: Send + Sync + 'static>(
     drop(entry);
 }
 
-fn poller_loop<T: Send + Sync + 'static>(inner: Arc<RuntimeInner<T>>) {
-    while !inner.shutdown.load(Ordering::Acquire) {
-        for slot in inner.slots.iter() {
-            if slot.needs_app_thread() {
-                if let Some(w) = slot.waiter.lock().take() {
-                    w.unpark();
-                }
-            }
-        }
-        std::thread::yield_now();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,7 +282,7 @@ mod tests {
     use libseal_sgxsim::enclave::EnclaveBuilder;
     use plat::sync::Mutex;
 
-    fn runtime(mode: WaitMode) -> AsyncRuntime<Mutex<Vec<u64>>> {
+    fn runtime() -> AsyncRuntime<Mutex<Vec<u64>>> {
         let enclave = Arc::new(
             EnclaveBuilder::new(b"rt-test")
                 .cost_model(CostModel::free())
@@ -350,7 +296,6 @@ mod tests {
                 lthreads_per_thread: 4,
                 slots: 4,
                 stack_size: 128 * 1024,
-                wait_mode: mode,
             },
         )
         .unwrap()
@@ -358,22 +303,20 @@ mod tests {
 
     #[test]
     fn async_ecall_returns_result() {
-        for mode in [WaitMode::BusyWait, WaitMode::Poller] {
-            let rt = runtime(mode);
-            let out = rt.async_ecall(0, |state, _, _| {
-                state.lock().push(42);
-                "done".to_string()
-            });
-            assert_eq!(out, "done");
-            let len = rt.async_ecall(0, |state, _, _| state.lock().len());
-            assert_eq!(len, 1);
-            rt.shutdown();
-        }
+        let rt = runtime();
+        let out = rt.async_ecall(0, |state, _, _| {
+            state.lock().push(42);
+            "done".to_string()
+        });
+        assert_eq!(out, "done");
+        let len = rt.async_ecall(0, |state, _, _| state.lock().len());
+        assert_eq!(len, 1);
+        rt.shutdown();
     }
 
     #[test]
     fn ocall_executes_on_app_thread() {
-        let rt = runtime(WaitMode::BusyWait);
+        let rt = runtime();
         let app_thread = std::thread::current().id();
         let observed = rt.async_ecall(0, move |_, _, port| {
             port.ocall("probe", move || std::thread::current().id())
@@ -384,7 +327,7 @@ mod tests {
 
     #[test]
     fn nested_ocalls_roundtrip() {
-        let rt = runtime(WaitMode::BusyWait);
+        let rt = runtime();
         let sum = rt.async_ecall(1, |_, _, port| {
             let a: u64 = port.ocall("read", || 10);
             let b: u64 = port.ocall("read", || 32);
@@ -396,7 +339,7 @@ mod tests {
 
     #[test]
     fn concurrent_app_threads() {
-        let rt = Arc::new(runtime(WaitMode::BusyWait));
+        let rt = Arc::new(runtime());
         let mut handles = Vec::new();
         for slot in 0..4 {
             let rt = Arc::clone(&rt);
@@ -423,7 +366,7 @@ mod tests {
 
     #[test]
     fn stats_record_async_calls() {
-        let rt = runtime(WaitMode::BusyWait);
+        let rt = runtime();
         rt.async_ecall(0, |_, _, port| {
             port.ocall("x", || ());
         });
@@ -435,20 +378,9 @@ mod tests {
     }
 
     #[test]
-    fn sync_path_still_available() {
-        let rt = runtime(WaitMode::BusyWait);
-        let n = rt
-            .sync_ecall("probe", |state, _| state.lock().len())
-            .unwrap();
-        assert_eq!(n, 0);
-        assert_eq!(rt.enclave().services().stats().snapshot().ecalls, 1);
-        rt.shutdown();
-    }
-
-    #[test]
     fn borrowed_captures_work() {
         // The ecall closure may borrow stack data of the app thread.
-        let rt = runtime(WaitMode::BusyWait);
+        let rt = runtime();
         let local = vec![1u64, 2, 3];
         let local_ref = &local;
         let sum = rt.async_ecall(0, move |_, _, _| local_ref.iter().sum::<u64>());

@@ -33,7 +33,8 @@ pub struct Slot<T> {
     pub(crate) ocall_done: AtomicBool,
     pub(crate) ecall_req: Mutex<Option<EcallFn<T>>>,
     pub(crate) ocall_req: Mutex<Option<OcallFn>>,
-    /// Parked application thread to wake (poller mode).
+    /// The application thread, while it is parked waiting on this slot;
+    /// whoever fills the slot takes and unparks it.
     pub(crate) waiter: Mutex<Option<Thread>>,
     /// Whether an application thread currently owns this slot.
     pub(crate) occupied: AtomicBool,
@@ -73,6 +74,14 @@ impl<T> Slot<T> {
     pub(crate) fn needs_app_thread(&self) -> bool {
         self.ocall_pending.load(Ordering::Acquire) || self.ecall_done.load(Ordering::Acquire)
     }
+
+    /// Unparks the application thread if it is parked on this slot;
+    /// call after setting the flag it waits for.
+    pub(crate) fn wake_waiter(&self) {
+        if let Some(w) = self.waiter.lock().take() {
+            w.unpark();
+        }
+    }
 }
 
 /// Enclave-side handle for issuing asynchronous ocalls from within an
@@ -108,11 +117,7 @@ impl<T> OcallPort<'_, T> {
         *self.slot.ocall_req.lock() = Some(boxed);
         self.slot.ocall_done.store(false, Ordering::Release);
         self.slot.ocall_pending.store(true, Ordering::Release);
-        // Wake a parked application thread (poller mode is handled by
-        // the poller, but direct wake is cheap and correct here too).
-        if let Some(w) = self.slot.waiter.lock().take() {
-            w.unpark();
-        }
+        self.slot.wake_waiter();
 
         while !self.slot.ocall_done.load(Ordering::Acquire) {
             self.yielder.yield_now();

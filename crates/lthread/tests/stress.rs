@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use libseal_lthread::{AsyncRuntime, Coroutine, Resume, RuntimeConfig, WaitMode};
+use libseal_lthread::{AsyncRuntime, Coroutine, Resume, RuntimeConfig};
 use libseal_sgxsim::cost::CostModel;
 use libseal_sgxsim::enclave::EnclaveBuilder;
 
@@ -72,7 +72,7 @@ fn coroutine_stack_isolation() {
 
 #[test]
 fn runtime_survives_rapid_start_shutdown() {
-    for round in 0..5 {
+    for _ in 0..5 {
         let enclave = Arc::new(
             EnclaveBuilder::new(b"stress")
                 .cost_model(CostModel::free())
@@ -86,11 +86,6 @@ fn runtime_survives_rapid_start_shutdown() {
                 lthreads_per_thread: 4,
                 slots: 2,
                 stack_size: 64 * 1024,
-                wait_mode: if round % 2 == 0 {
-                    WaitMode::BusyWait
-                } else {
-                    WaitMode::Poller
-                },
             },
         )
         .unwrap();
@@ -117,7 +112,6 @@ fn heavy_ocall_chatter() {
             lthreads_per_thread: 8,
             slots: 4,
             stack_size: 64 * 1024,
-            wait_mode: WaitMode::BusyWait,
         },
     )
     .unwrap();

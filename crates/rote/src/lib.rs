@@ -27,20 +27,12 @@
 //! held across a round, so concurrent callers get distinct values.
 //! Nothing that would arrive after the round's deadline is taken; a
 //! round that misses quorum is retried a bounded number of times with
-//! exponential, jittered backoff. What happens when every retry fails
-//! is the cluster's [`QuorumPolicy`]:
-//!
-//! - [`QuorumPolicy::FailStop`] (the paper's behaviour): the increment
-//!   fails and the local value does not advance — the service stops
-//!   accepting requests rather than produce unbound log entries.
-//! - [`QuorumPolicy::DegradeAndAlarm`]: the increment succeeds
-//!   *unbound* (empty ack vector), the cluster enters degraded mode and
-//!   counts unbound increments. Because acknowledgements are for an
-//!   absolute counter value, the first subsequent quorum-acknowledged
-//!   increment (or an explicit [`Cluster::rebind`]) re-binds the entire
-//!   unbound prefix at once. [`Cluster::stats`] exposes the alarm
-//!   state so operators and auditors can see the rollback-protection
-//!   gap.
+//! exponential, jittered backoff. When every retry fails the increment
+//! fails and the local value does not advance (fail-stop, the paper's
+//! behaviour): the service stops accepting requests rather than write
+//! log entries no quorum vouches for. The `rote_quorum_state` gauge
+//! reads 1 after a round that reached quorum and 0 after one that did
+//! not.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,13 +41,10 @@ use std::time::{Duration, Instant};
 use libseal_crypto::hmac::HmacSha256;
 use plat::sync::Mutex;
 
-/// Process-wide ROTE metrics: round latency, quorum health, and the
-/// unbound/rebind episode counters mirrored from per-cluster stats.
+/// Process-wide ROTE metrics: round latency and quorum health.
 struct RoteMetrics {
     round_ns: libseal_telemetry::Histogram,
     quorum_state: libseal_telemetry::Gauge,
-    unbound_appends: libseal_telemetry::Counter,
-    rebinds: libseal_telemetry::Counter,
 }
 
 fn rote_metrics() -> &'static RoteMetrics {
@@ -63,8 +52,6 @@ fn rote_metrics() -> &'static RoteMetrics {
     M.get_or_init(|| RoteMetrics {
         round_ns: libseal_telemetry::histogram("rote_round_ns"),
         quorum_state: libseal_telemetry::gauge("rote_quorum_state"),
-        unbound_appends: libseal_telemetry::counter("rote_unbound_appends_total"),
-        rebinds: libseal_telemetry::counter("rote_rebinds_total"),
     })
 }
 
@@ -208,18 +195,6 @@ impl CounterNode {
     }
 }
 
-/// What the cluster does when an increment exhausts its retries
-/// without reaching quorum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuorumPolicy {
-    /// Refuse the increment ([`RoteError::NoQuorum`]); the service
-    /// stops rather than write rollback-unprotected entries.
-    FailStop,
-    /// Grant the increment *unbound* (no acks), raise the degraded
-    /// alarm, and re-bind the whole unbound prefix when quorum returns.
-    DegradeAndAlarm,
-}
-
 /// Tuning knobs for a [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -236,13 +211,11 @@ pub struct ClusterConfig {
     /// Base backoff between rounds; doubled per retry, plus up to 50 %
     /// random jitter so restarted peers do not retry in lockstep.
     pub backoff: Duration,
-    /// What to do when every round misses quorum.
-    pub policy: QuorumPolicy,
 }
 
 impl ClusterConfig {
     /// Defaults for tolerance `f`: zero simulated latency, 1 s round
-    /// deadline, 2 retries at 5 ms base backoff, fail-stop.
+    /// deadline, 2 retries at 5 ms base backoff.
     pub fn new(f: usize) -> ClusterConfig {
         ClusterConfig {
             f,
@@ -250,20 +223,8 @@ impl ClusterConfig {
             deadline: Duration::from_secs(1),
             retries: 2,
             backoff: Duration::from_millis(5),
-            policy: QuorumPolicy::FailStop,
         }
     }
-}
-
-/// Degraded-mode status (see [`QuorumPolicy::DegradeAndAlarm`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradedStats {
-    /// Whether the cluster is currently appending unbound entries.
-    pub degraded: bool,
-    /// Increments granted without quorum since the last re-bind.
-    pub unbound: u64,
-    /// Completed re-binds (degraded episodes that ended with quorum).
-    pub rebinds: u64,
 }
 
 /// A quorum of counter nodes plus the local view.
@@ -272,13 +233,10 @@ pub struct Cluster {
     keys: Vec<[u8; 32]>,
     cfg: ClusterConfig,
     local: AtomicU64,
-    /// Held across an increment, a rebind and a recovery: two callers
-    /// never bind the same value, and `local` never steps back.
+    /// Held across an increment and a recovery: two callers never bind
+    /// the same value, and `local` never steps back.
     exclusive: Mutex<()>,
     counter_id: Vec<u8>,
-    degraded: AtomicBool,
-    unbound: AtomicU64,
-    rebinds: AtomicU64,
 }
 
 /// Exponential backoff with up to 50 % random jitter.
@@ -338,9 +296,6 @@ impl Cluster {
             local: AtomicU64::new(0),
             exclusive: Mutex::new(()),
             counter_id: counter_id.to_vec(),
-            degraded: AtomicBool::new(false),
-            unbound: AtomicU64::new(0),
-            rebinds: AtomicU64::new(0),
         })
     }
 
@@ -362,21 +317,6 @@ impl Cluster {
     /// Current locally-known counter value.
     pub fn current(&self) -> u64 {
         self.local.load(Ordering::SeqCst)
-    }
-
-    /// Degraded-mode status.
-    pub fn stats(&self) -> DegradedStats {
-        DegradedStats {
-            degraded: self.degraded.load(Ordering::SeqCst),
-            unbound: self.unbound.load(Ordering::SeqCst),
-            rebinds: self.rebinds.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Whether the cluster is appending unbound entries (quorum lost
-    /// under [`QuorumPolicy::DegradeAndAlarm`]).
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst)
     }
 
     /// One round on the modelled wire: with `expect = Some(target)` an
@@ -420,7 +360,7 @@ impl Cluster {
     }
 
     /// Runs [`Cluster::round`] up to `1 + retries` times with jittered
-    /// backoff.
+    /// backoff, and sets the quorum gauge to whether one reached quorum.
     fn with_retries(&self, expect: Option<u64>) -> Result<Vec<CounterAck>, RoteError> {
         let mut best = 0usize;
         for attempt in 0..=self.cfg.retries {
@@ -429,10 +369,12 @@ impl Cluster {
             }
             let acks = self.round(expect);
             if acks.len() >= self.quorum() {
+                rote_metrics().quorum_state.set(1);
                 return Ok(acks);
             }
             best = best.max(acks.len());
         }
+        rote_metrics().quorum_state.set(0);
         Err(RoteError::NoQuorum {
             acks: best,
             needed: self.quorum(),
@@ -446,70 +388,17 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Under [`QuorumPolicy::FailStop`], [`RoteError::NoQuorum`] when
-    /// every round misses quorum; the local value is not advanced.
-    /// Under [`QuorumPolicy::DegradeAndAlarm`] quorum loss is not an
-    /// error: the increment succeeds with an **empty ack vector**
-    /// (unbound — see [`Cluster::stats`]).
+    /// [`RoteError::NoQuorum`] when every round misses quorum; the
+    /// local value is not advanced.
     pub fn increment(&self) -> Result<(u64, Vec<CounterAck>), RoteError> {
         let _exclusive = self.exclusive.lock();
         let target = self.local.load(Ordering::SeqCst) + 1;
         let started = Instant::now();
         let outcome = self.with_retries(Some(target));
         rote_metrics().round_ns.record_duration(started.elapsed());
-        match outcome {
-            Ok(acks) => {
-                self.local.store(target, Ordering::SeqCst);
-                if self.degraded.swap(false, Ordering::SeqCst) {
-                    // Acks are for the absolute value `target`, so a
-                    // quorum at `target` vouches for the whole unbound
-                    // prefix below it: the episode ends here.
-                    self.unbound.store(0, Ordering::SeqCst);
-                    self.rebinds.fetch_add(1, Ordering::SeqCst);
-                    rote_metrics().rebinds.inc();
-                }
-                rote_metrics().quorum_state.set(1);
-                Ok((target, acks))
-            }
-            Err(RoteError::NoQuorum { acks, needed }) => match self.cfg.policy {
-                QuorumPolicy::FailStop => Err(RoteError::NoQuorum { acks, needed }),
-                QuorumPolicy::DegradeAndAlarm => {
-                    self.local.store(target, Ordering::SeqCst);
-                    self.degraded.store(true, Ordering::SeqCst);
-                    self.unbound.fetch_add(1, Ordering::SeqCst);
-                    rote_metrics().unbound_appends.inc();
-                    rote_metrics().quorum_state.set(0);
-                    Ok((target, Vec::new()))
-                }
-            },
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Attempts to bind the current local value to a quorum without
-    /// incrementing — the explicit way out of degraded mode when no
-    /// new appends are arriving. Returns `Ok(None)` when not degraded.
-    ///
-    /// # Errors
-    ///
-    /// [`RoteError::NoQuorum`] when the quorum is still unavailable;
-    /// the cluster stays degraded.
-    pub fn rebind(&self) -> Result<Option<Vec<CounterAck>>, RoteError> {
-        let _exclusive = self.exclusive.lock();
-        if !self.degraded.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        let target = self.local.load(Ordering::SeqCst);
-        let started = Instant::now();
-        let outcome = self.with_retries(Some(target));
-        rote_metrics().round_ns.record_duration(started.elapsed());
         let acks = outcome?;
-        self.degraded.store(false, Ordering::SeqCst);
-        self.unbound.store(0, Ordering::SeqCst);
-        self.rebinds.fetch_add(1, Ordering::SeqCst);
-        rote_metrics().rebinds.inc();
-        rote_metrics().quorum_state.set(1);
-        Ok(Some(acks))
+        self.local.store(target, Ordering::SeqCst);
+        Ok((target, acks))
     }
 
     /// Reads the highest value a quorum can attest to (recovery after
@@ -655,61 +544,6 @@ mod tests {
         a.increment().unwrap();
         assert_eq!(a.current(), 1);
         assert_eq!(b.current(), 0);
-    }
-
-    #[test]
-    fn degrade_and_alarm_keeps_appending_and_rebinds() {
-        let mut cfg = ClusterConfig::new(1);
-        cfg.policy = QuorumPolicy::DegradeAndAlarm;
-        cfg.retries = 0;
-        cfg.backoff = Duration::ZERO;
-        let c = Cluster::with_config(cfg, b"audit-log").unwrap();
-        c.increment().unwrap();
-        assert!(!c.is_degraded());
-        // Quorum lost: appends continue, unbound.
-        c.node(0).set_down(true);
-        c.node(1).set_down(true);
-        let (v, acks) = c.increment().unwrap();
-        assert_eq!(v, 2);
-        assert!(acks.is_empty(), "unbound entries carry no acks");
-        c.increment().unwrap();
-        let s = c.stats();
-        assert!(s.degraded);
-        assert_eq!(s.unbound, 2);
-        // Quorum returns: the next increment re-binds the whole prefix.
-        c.node(0).set_down(false);
-        c.node(1).set_down(false);
-        let (v, acks) = c.increment().unwrap();
-        assert_eq!(v, 4);
-        assert!(acks.len() >= c.quorum());
-        let s = c.stats();
-        assert!(!s.degraded);
-        assert_eq!(s.unbound, 0);
-        assert_eq!(s.rebinds, 1);
-    }
-
-    #[test]
-    fn explicit_rebind_clears_degraded_mode() {
-        let mut cfg = ClusterConfig::new(1);
-        cfg.policy = QuorumPolicy::DegradeAndAlarm;
-        cfg.retries = 0;
-        cfg.backoff = Duration::ZERO;
-        let c = Cluster::with_config(cfg, b"audit-log").unwrap();
-        c.node(0).set_down(true);
-        c.node(1).set_down(true);
-        c.increment().unwrap();
-        assert!(c.is_degraded());
-        // Still no quorum: rebind fails, mode persists.
-        assert!(c.rebind().is_err());
-        assert!(c.is_degraded());
-        c.node(0).set_down(false);
-        c.node(1).set_down(false);
-        let acks = c.rebind().unwrap().expect("was degraded");
-        assert!(acks.len() >= c.quorum());
-        assert!(!c.is_degraded());
-        assert_eq!(c.stats().rebinds, 1);
-        // Not degraded: rebind is a no-op.
-        assert!(c.rebind().unwrap().is_none());
     }
 
     #[test]

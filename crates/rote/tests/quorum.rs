@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use libseal_rote::{Cluster, ClusterConfig, QuorumPolicy, RoteError};
+use libseal_rote::{Cluster, ClusterConfig, RoteError};
 use plat::failpoint::{self, FaultSpec};
 
 fn fast_config(f: usize) -> ClusterConfig {
@@ -69,24 +69,23 @@ fn failstop_reports_no_quorum_when_every_round_is_lost() {
 }
 
 #[test]
-fn degrade_and_alarm_survives_total_message_loss() {
+fn total_message_loss_stops_increments_until_messages_flow() {
     let s = failpoint::scenario();
     let mut cfg = fast_config(1);
     cfg.retries = 0;
-    cfg.policy = QuorumPolicy::DegradeAndAlarm;
     let c = Cluster::with_config(cfg, b"q").unwrap();
     s.set("rote::node::deliver", FaultSpec::error());
-    let (v, acks) = c.increment().unwrap();
-    assert_eq!(v, 1);
-    assert!(acks.is_empty());
-    assert!(c.is_degraded());
-    // Messages flow again: the next increment re-binds.
+    assert!(matches!(
+        c.increment(),
+        Err(RoteError::NoQuorum { acks: 0, .. })
+    ));
+    assert_eq!(c.current(), 0, "no value is granted without a quorum");
+    // Messages flow again: the next increment binds the value the
+    // failed one did not take.
     s.unset("rote::node::deliver");
     let (v, acks) = c.increment().unwrap();
-    assert_eq!(v, 2);
+    assert_eq!(v, 1);
     assert!(acks.len() >= c.quorum());
-    assert!(!c.is_degraded());
-    assert_eq!(c.stats().rebinds, 1);
 }
 
 #[test]

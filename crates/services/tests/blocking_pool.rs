@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use libseal::{LibSeal, LibSealConfig};
 use libseal_httpx::http::Request;
-use libseal_lthread::{RuntimeConfig, WaitMode};
+use libseal_lthread::RuntimeConfig;
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::cert::CertificateAuthority;
 
@@ -49,7 +49,6 @@ fn persistent_clients_beyond_slots_are_all_served() {
                 lthreads_per_thread: 4,
                 slots: 2,
                 stack_size: 256 * 1024,
-                wait_mode: WaitMode::BusyWait,
             },
         )
         .unwrap();
