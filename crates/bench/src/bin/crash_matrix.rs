@@ -17,7 +17,9 @@
 //! A trim legitimately drops entries, so what is owed after one is
 //! what it keeps ([`KEPT`]), whether it landed or was given up. Sites a
 //! trim crosses get a second row with the fault armed as the trim
-//! begins, under both workloads. Torn writes (a crash mid-`write(2)`)
+//! begins, under both workloads, and under a third in which the trim
+//! runs while the sealer's counter round is in flight. Torn writes (a
+//! crash mid-`write(2)`)
 //! are exercised separately on the two raw-write sites. Runtime is
 //! bounded: one fixed six-append workload per (site, fault) pair, tens
 //! of trials total.
@@ -26,6 +28,7 @@
 //! cargo run --release -p libseal-bench --bin crash_matrix
 //! ```
 
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 
 use libseal::log::{seal_staged, AuditLog, LogBacking, RollbackGuard, RoteGuard};
@@ -193,6 +196,81 @@ fn pipeline_workload(
     Outcome { durable }
 }
 
+/// A counter whose rounds, once `slow` is set, answer [`ROUND`] after
+/// the step is stored, and raise `in_round` meanwhile: the window in
+/// which the sealer has bound a value outside the audit lock.
+struct SlowRounds {
+    inner: Box<dyn RollbackGuard>,
+    slow: Arc<AtomicBool>,
+    in_round: Arc<AtomicBool>,
+}
+
+/// How long a [`SlowRounds`] round takes to answer.
+const ROUND: std::time::Duration = std::time::Duration::from_millis(30);
+
+impl RollbackGuard for SlowRounds {
+    fn increment(&self) -> libseal::Result<u64> {
+        let v = self.inner.increment()?;
+        if self.slow.load(SeqCst) {
+            self.in_round.store(true, SeqCst);
+            std::thread::sleep(ROUND);
+        }
+        Ok(v)
+    }
+    fn attested(&self) -> libseal::Result<u64> {
+        self.inner.attested()
+    }
+}
+
+/// The sealer's counter round and the verifier's trim, interleaved:
+/// five flushed appends, one staged, then a sealer binds its value
+/// outside the audit lock and, while the round is still answering, the
+/// log is trimmed under the lock. At most one bound value may be ahead
+/// of the journal whatever dies where, so the trim binds none of its
+/// own: the sealer's seal covers it.
+fn sealer_trim_workload(
+    path: &TempPath,
+    guard: Box<dyn RollbackGuard>,
+    at_trim: &dyn Fn(),
+) -> Outcome {
+    let (slow, in_round) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let guard = SlowRounds {
+        inner: guard,
+        slow: Arc::clone(&slow),
+        in_round: Arc::clone(&in_round),
+    };
+    let Ok(mut log) = open_log(path, Box::new(guard)) else {
+        return Outcome { durable: 0 };
+    };
+    let mut durable = 0;
+    for i in 0..APPENDS - 1 {
+        if git_update(&mut log, "r", "main", &format!("{i:040x}")).is_ok() && log.flush().is_ok() {
+            durable += 1;
+        }
+    }
+    log.set_commit_mode(CommitMode::Staged);
+    let _ = git_update(&mut log, "r", "main", &format!("{:040x}", APPENDS - 1));
+    slow.store(true, SeqCst);
+    let log = Arc::new(plat::sync::Mutex::new(log));
+    let sealer = {
+        let log = Arc::clone(&log);
+        std::thread::spawn(move || seal_staged(&log, |l| l).map(drop))
+    };
+    let started = std::time::Instant::now();
+    while !in_round.load(SeqCst) && started.elapsed() < ROUND {
+        std::thread::yield_now();
+    }
+    at_trim();
+    let _ = log.lock().trim(GitModule.trim_queries());
+    let _ = sealer.join().expect("sealer thread");
+    Outcome {
+        durable: durable.min(KEPT),
+    }
+}
+
 /// Dry-runs the workload with no faults armed so every failpoint on
 /// the path registers itself, then returns the matrix rows.
 fn enumerate_sites(s: &Scenario) -> Vec<String> {
@@ -347,6 +425,18 @@ fn main() {
     ] {
         assert!(sites.iter().any(|x| x == site), "{site} is not on the path");
         rows.push((site, (pipeline_workload, true)));
+    }
+    // The trim that meets the sealer mid-round: every step the seal
+    // covering both takes, armed as the trim begins.
+    for site in [
+        "core::log::append::sign",
+        "core::log::trim::queries",
+        "core::log::trim::rebuild",
+        "sealdb::compact::write",
+        "sealdb::compact::rename",
+        "core::log::flush",
+    ] {
+        rows.push((site, (sealer_trim_workload, true)));
     }
 
     let mut failures = Vec::new();

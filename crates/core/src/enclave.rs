@@ -756,39 +756,48 @@ pub(crate) fn check_now(t: &Trusted) -> Result<CheckOutcome> {
     Ok(outcome)
 }
 
+/// Runs `f` on the audit state holding the log's bind gate
+/// ([`crate::log::with_bind_gate`]): what everything that may bind the
+/// counter under the audit lock goes through, so it waits for a seal in
+/// flight instead of binding a second value beside it.
+fn with_audit_bound<R>(t: &Trusted, f: impl FnOnce(&mut AuditState) -> R) -> Result<R> {
+    let state = &t.audited()?.state;
+    Ok(crate::log::with_bind_gate(state, |a| &mut a.log, f))
+}
+
 /// The `trim_now` body.
 pub(crate) fn trim_log(t: &Trusted) -> Result<()> {
-    let mut astate = t.audit()?;
-    let trim = astate.ssm.trim_queries();
-    astate.log.trim(trim)
+    with_audit_bound(t, |a| a.log.trim(a.ssm.trim_queries()))?
 }
 
 /// The `verify_log` body.
 pub(crate) fn verify_log(t: &Trusted) -> Result<()> {
-    let mut astate = t.audit()?;
-    // Catch the signed head up with anything still staged
-    // (in-flight group-commit entries or direct appends), so
-    // verification always sees a consistent head. No-op when
-    // the log is clean.
-    astate.log.seal()?;
-    astate.log.verify()
+    with_audit_bound(t, |a| {
+        // Catch the signed head up with anything still staged
+        // (in-flight group-commit entries or direct appends), so
+        // verification always sees a consistent head. No-op when
+        // the log is clean.
+        a.log.seal()?;
+        a.log.verify()
+    })?
 }
 
 /// The drain's body: seals anything still staged and flushes it to
 /// durable.
 pub(crate) fn seal_and_flush(t: &Trusted) -> Result<()> {
-    let mut astate = t.audit()?;
-    astate.log.seal()?;
-    astate.log.flush()
+    with_audit_bound(t, |a| {
+        a.log.seal()?;
+        a.log.flush()
+    })?
 }
 
 /// The final seal + flush of a dropped instance. Best effort: the
 /// flush is attempted even when the seal failed.
 pub(crate) fn final_seal(t: &Trusted) {
-    if let Ok(mut astate) = t.audit() {
-        let _ = astate.log.seal();
-        let _ = astate.log.flush();
-    }
+    let _ = with_audit_bound(t, |a| {
+        let _ = a.log.seal();
+        let _ = a.log.flush();
+    });
 }
 
 /// The `log_stats` body: (entries, in-memory bytes, journal bytes).
@@ -818,8 +827,10 @@ pub(crate) fn seal_batch(t: &Trusted, sv: &EnclaveServices) -> Result<()> {
 /// one enclave transition per coalesced batch; the incremental views
 /// keep each drain short.
 pub(crate) fn verify_batch(t: &Trusted, _sv: &EnclaveServices) -> Result<()> {
-    let mut astate = t.audit()?;
-    let AuditState { log, ssm, checker } = &mut *astate;
-    checker.run_due(ssm.as_ref(), log)?.count_alarm();
-    Ok(())
+    // A due check usually trims, and a trim binds the counter.
+    with_audit_bound(t, |a| {
+        let AuditState { log, ssm, checker } = a;
+        checker.run_due(ssm.as_ref(), log)?.count_alarm();
+        Ok(())
+    })?
 }

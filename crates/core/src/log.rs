@@ -350,6 +350,14 @@ pub struct AuditLog {
     /// signed head until [`AuditLog::seal`] catches it up. A staged
     /// trim is additionally [`Database::snapshot_pending`].
     dirty: bool,
+    /// The bind gate: held from a counter bind until the head carrying
+    /// the value is on disk, so at most one bound value is ever ahead of
+    /// the journal (recovery's legal window). [`seal_staged`] holds it
+    /// across its counter round; [`with_bind_gate`] for a caller that
+    /// seals under the audit lock.
+    binds: Arc<std::sync::Mutex<()>>,
+    /// Whether the caller holds `binds` ([`with_bind_gate`]).
+    holds_gate: bool,
 }
 
 const CHAIN_SCHEMA: &str = "CREATE TABLE IF NOT EXISTS _libseal_chain(
@@ -433,6 +441,8 @@ impl AuditLog {
             codec,
             mode: CommitMode::Immediate,
             dirty: false,
+            binds: Arc::default(),
+            holds_gate: false,
         };
         if log.disk_backed {
             // Persist the bumped epoch before anything else this run
@@ -645,10 +655,15 @@ impl AuditLog {
     pub fn append(&mut self, table: &str, values: &[Value]) -> Result<()> {
         let started = std::time::Instant::now();
         if self.db.snapshot_pending() {
-            // A trim whose seal failed is still staged. Finish it
-            // first: only a trim is ever kept from the journal, so
+            // A trim whose seal failed (or that waits for the seal in
+            // flight) is still staged. Nothing is appended behind one:
+            // finish it first, or, while another bind is in flight, give
+            // it up. Only a trim is ever kept from the journal, so
             // giving one up loses no entry.
             self.seal()?;
+            if self.db.snapshot_pending() {
+                self.abandon_trim()?;
+            }
         }
         if self.disk_backed && self.codec.needs_rotation() {
             self.rotate_epoch()?;
@@ -705,7 +720,10 @@ impl AuditLog {
     /// Binds the rollback counter, then seals everything staged since
     /// the last seal (`seal_bound`). One call covers a whole batch —
     /// this is the group-commit amortisation point. No-op when nothing
-    /// is staged.
+    /// is staged, and when another binder holds the bind gate (a
+    /// [`seal_staged`] in its counter round): that seal covers what is
+    /// staged here, and binding a second value beside it could leave
+    /// two ahead of the journal.
     ///
     /// # Errors
     ///
@@ -716,6 +734,15 @@ impl AuditLog {
         if !self.dirty {
             return Ok(());
         }
+        let gate = Arc::clone(&self.binds);
+        let _bind = match self.holds_gate {
+            true => None,
+            false => match gate.try_lock() {
+                Ok(held) => Some(held),
+                Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+                Err(std::sync::TryLockError::WouldBlock) => return Ok(()),
+            },
+        };
         plat::failpoint::check("core::log::append::counter")
             .map_err(|e| LibSealError::Log(e.to_string()))?;
         let counter = self.guard.increment()?;
@@ -1085,6 +1112,10 @@ pub fn seal_staged<T>(
     lock: &plat::sync::Mutex<T>,
     log_of: impl Fn(&mut T) -> &mut AuditLog,
 ) -> Result<bool> {
+    let gate = Arc::clone(&log_of(&mut lock.lock()).binds);
+    let _bind = gate
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let guard = {
         let mut held = lock.lock();
         let log = log_of(&mut held);
@@ -1101,6 +1132,29 @@ pub fn seal_staged<T>(
     log.seal_bound(counter)?;
     log.flush()?;
     Ok(true)
+}
+
+/// Runs `f` on the payload of `lock` (whose log `log_of` projects)
+/// holding the log's bind gate, taken before the lock: the way for a
+/// caller to seal under the audit lock without yielding to a
+/// [`seal_staged`] in flight — a due trim, the catch-up seal before a
+/// verification, a drain. The gate is released when `f` returns, so
+/// `f` leaves the head it bound on disk (a seal writes it to the
+/// journal, a trim's snapshot replaces it).
+pub fn with_bind_gate<T, R>(
+    lock: &plat::sync::Mutex<T>,
+    log_of: impl Fn(&mut T) -> &mut AuditLog,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    let gate = Arc::clone(&log_of(&mut lock.lock()).binds);
+    let _bind = gate
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut held = lock.lock();
+    log_of(&mut held).holds_gate = true;
+    let r = f(&mut held);
+    log_of(&mut held).holds_gate = false;
+    r
 }
 
 fn head_payload(head: &[u8; 32], seq: u64, counter: u64, clock: u64) -> Vec<u8> {

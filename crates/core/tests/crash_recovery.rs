@@ -658,6 +658,82 @@ fn a_trim_whose_snapshot_cannot_be_written_is_given_up_at_one_counter_step() {
     assert_eq!(log.entries(), 1);
 }
 
+/// A guard whose counter round takes `delay` once `slow` is set: the
+/// value is attested at once, the answer comes back `delay` later (a
+/// quorum that stored the step but whose acknowledgements are slow).
+struct SlowGuard {
+    q: Arc<Quorum>,
+    slow: Arc<AtomicBool>,
+    delay: std::time::Duration,
+}
+
+impl RollbackGuard for SlowGuard {
+    fn increment(&self) -> libseal::Result<u64> {
+        let v = QuorumGuard(Arc::clone(&self.q)).increment()?;
+        if self.slow.load(SeqCst) {
+            std::thread::sleep(self.delay);
+        }
+        Ok(v)
+    }
+    fn attested(&self) -> libseal::Result<u64> {
+        self.q.counter.attested()
+    }
+}
+
+/// The sealer binds its counter value outside the audit lock; a trim run
+/// under the lock meanwhile must not bind a second one. If it did, a
+/// crash before either head is durable would leave the counter two
+/// steps ahead of the journal, and the honest restart would read as a
+/// rollback. The trim stays staged instead and the in-flight seal covers
+/// it, so a crash anywhere leaves at most one value unaccounted for.
+#[test]
+fn a_trim_during_the_sealers_counter_round_binds_no_second_value() {
+    let s = failpoint::scenario();
+    let path = TempPath::new("libseal-trim-sealer", "log");
+    let q = Quorum::new();
+    let delay = std::time::Duration::from_millis(300);
+    let slow = Arc::new(AtomicBool::new(false));
+    let guard = SlowGuard {
+        q: Arc::clone(&q),
+        slow: Arc::clone(&slow),
+        delay,
+    };
+    let mut log = open_log(LogBacking::Disk(path.to_path_buf()), Box::new(guard)).unwrap();
+    for i in 0..PUSHES {
+        append_one(&mut log, i, "tt");
+        log.flush().unwrap();
+    }
+    log.set_commit_mode(libseal::CommitMode::Staged);
+    append_one(&mut log, PUSHES, "tt");
+    slow.store(true, SeqCst);
+    let log = Arc::new(plat::sync::Mutex::new(log));
+    let sealer = {
+        let log = Arc::clone(&log);
+        std::thread::spawn(move || libseal::log::seal_staged(&log, |l| l))
+    };
+    // The sealer's value is attested; its answer is still on the way.
+    let started = std::time::Instant::now();
+    while q.counter.attested().unwrap() == PUSHES {
+        assert!(started.elapsed() < delay, "the sealer never bound");
+        std::thread::yield_now();
+    }
+    {
+        let mut held = log.lock();
+        s.set("core::log::trim::rebuild", FaultSpec::crash());
+        let _ = held.trim(GitModule.trim_queries());
+    }
+    let _ = sealer.join().unwrap();
+    assert!(s.crashed().is_some(), "the trim never reached its rebuild");
+    drop(log);
+    s.reset(); // restart
+    let log = open_under(&path, &q).unwrap_or_else(|e| panic!("reopen failed: {e}"));
+    log.verify().unwrap();
+    let r = log.recovery_report();
+    assert_eq!(r.attested_counter, PUSHES + 1, "{r:?}");
+    assert!(r.crash_window, "{r:?}");
+    assert_eq!(log.entries(), PUSHES + 1, "the staged append rolls forward");
+}
+
 /// Kill the process at every failpoint hit a trim crosses, restart, and
 /// the log opens, verifies, and is the pre-trim or the post-trim log —
 /// nothing in between — with the counter inside the legal window.

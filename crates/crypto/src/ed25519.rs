@@ -6,7 +6,7 @@
 //! entries are selected in constant time; verification handles public
 //! values only and runs a variable-time interleaved multiplication.
 
-use crate::fe25519::{constants, Fe};
+use crate::fe25519::{constants, Fe, Kernel};
 use crate::scalar;
 use crate::sha2::Sha512;
 use crate::{ct, CryptoError, Result};
@@ -129,6 +129,70 @@ impl AffineCached {
     }
 }
 
+/// An encoding decoded up to its square root: `x² = u/v`, found as
+/// `x = u·v³·(u·v⁷)^((p-5)/8)`, `root` being `u·v⁷`. Splitting there lets
+/// the vector kernel raise two encodings' roots in one chain.
+struct Decoding {
+    sign: u8,
+    y: Fe,
+    u: Fe,
+    v: Fe,
+    uv3: Fe,
+    root: Fe,
+}
+
+impl Decoding {
+    fn new(enc: &[u8; 32]) -> Result<Decoding> {
+        let sign = enc[31] >> 7;
+        let y = Fe::from_bytes(enc);
+        let mut canonical = y.to_bytes();
+        canonical[31] |= sign << 7;
+        if canonical != *enc {
+            return Err(CryptoError::InvalidPoint);
+        }
+        let y2 = y.square();
+        let u = y2.sub(&Fe::ONE);
+        let v = constants().d.mul(&y2).add(&Fe::ONE);
+        let v3 = v.square().mul(&v);
+        let v7 = v3.square().mul(&v);
+        Ok(Decoding {
+            sign,
+            y,
+            u,
+            v,
+            uv3: u.mul(&v3),
+            root: u.mul(&v7),
+        })
+    }
+
+    /// The point, given `root^((p-5)/8)`; then fix up by sqrt(-1) if
+    /// needed.
+    fn finish(&self, pow: &Fe) -> Result<Point> {
+        let (u, v, y, sign) = (&self.u, &self.v, self.y, self.sign);
+        let mut x = self.uv3.mul(pow);
+        let vxx = v.mul(&x.square());
+        if !vxx.ct_eq(u) {
+            if vxx.ct_eq(&u.neg()) {
+                x = x.mul(&constants().sqrt_m1);
+            } else {
+                return Err(CryptoError::InvalidPoint);
+            }
+        }
+        if x.is_zero() && sign == 1 {
+            return Err(CryptoError::InvalidPoint);
+        }
+        if x.is_negative() != (sign == 1) {
+            x = x.neg();
+        }
+        Ok(Point {
+            x,
+            y,
+            z: Fe::ONE,
+            t: x.mul(&y),
+        })
+    }
+}
+
 /// The signed digits of the width-`w` non-adjacent form of a 256-bit
 /// little-endian scalar: `k = Σ naf[i]·2^i`, every non-zero digit odd
 /// and below `2^(w-1)` in magnitude, any `w` consecutive digits holding
@@ -161,6 +225,11 @@ fn wnaf(k: &[u8; 32], w: u32) -> [i8; 257] {
         pos += w as usize;
     }
     naf
+}
+
+/// The 4-bit window `w` of `k`, low nibble first.
+fn window(k: &[u8; 32], w: usize) -> usize {
+    usize::from((k[w / 2] >> (4 * (w % 2))) & 0x0f)
 }
 
 impl Point {
@@ -265,9 +334,42 @@ impl Point {
     /// selected in constant time, so `k` may be secret.
     #[must_use]
     pub fn scalar_mul_base(k: &[u8; 32]) -> Point {
+        Point::scalar_mul_base_with(Kernel::detect(), k)
+    }
+
+    /// [`Self::scalar_mul_base`] through `kernel` instead of the one
+    /// [`Kernel::detect`] picks (the equivalence tests call each).
+    ///
+    /// # Panics
+    ///
+    /// If this CPU does not support `kernel`.
+    #[must_use]
+    pub fn scalar_mul_base_with(kernel: Kernel, k: &[u8; 32]) -> Point {
+        assert!(kernel.supported(), "{kernel:?} not supported by this CPU");
+        let table = Point::base_table();
+        match kernel {
+            Kernel::Scalar => {
+                let mut acc = Point::identity();
+                for (w, row) in table.iter().enumerate() {
+                    let entry = Point::select(row, window(k, w));
+                    acc = acc.add_cached(&entry).to_point();
+                }
+                acc
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `supported` detected avx512f, avx512vl and avx512ifma on this CPU.
+            Kernel::Ifma => unsafe { ifma::scalar_mul_base(table, k) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Kernel::Ifma => unreachable!("only Scalar is supported off x86-64"),
+        }
+    }
+
+    /// `16^w·B, 2·16^w·B, …, 15·16^w·B` for the 64 windows `w` (150 KiB,
+    /// derived at first use; both kernels read it).
+    fn base_table() -> &'static [[Cached; 15]] {
         use std::sync::OnceLock;
         static TABLE: OnceLock<Vec<[Cached; 15]>> = OnceLock::new();
-        let table = TABLE.get_or_init(|| {
+        TABLE.get_or_init(|| {
             let mut window_base = Point::basepoint(); // 16^w * B
             (0..64)
                 .map(|_| {
@@ -282,14 +384,7 @@ impl Point {
                     row
                 })
                 .collect()
-        });
-        let mut acc = Point::identity();
-        for w in 0..64 {
-            let byte = k[w / 2];
-            let digit = if w % 2 == 0 { byte & 0x0f } else { byte >> 4 } as usize;
-            acc = acc.add_cached(&Point::select(&table[w], digit)).to_point();
-        }
-        acc
+        })
     }
 
     /// `self, 3·self, …, 15·self`, the digits of a width-5 NAF.
@@ -332,41 +427,74 @@ impl Point {
     /// only (signature verification).
     #[must_use]
     pub fn vartime_double_scalar_mul_base(a: &[u8; 32], point: &Point, b: &[u8; 32]) -> Point {
+        Point::vartime_double_scalar_mul_base_with(Kernel::detect(), a, point, b)
+    }
+
+    /// [`Self::vartime_double_scalar_mul_base`] through `kernel` instead
+    /// of the one [`Kernel::detect`] picks (the equivalence tests call
+    /// each).
+    ///
+    /// # Panics
+    ///
+    /// If this CPU does not support `kernel`.
+    #[must_use]
+    pub fn vartime_double_scalar_mul_base_with(
+        kernel: Kernel,
+        a: &[u8; 32],
+        point: &Point,
+        b: &[u8; 32],
+    ) -> Point {
+        assert!(kernel.supported(), "{kernel:?} not supported by this CPU");
         let (a_naf, b_naf) = (wnaf(a, 5), wnaf(b, 8));
-        let table_a = point.odd_multiples();
-        let table_b = Point::base_odd_multiples();
         let top = (0..257).rev().find(|&i| a_naf[i] != 0 || b_naf[i] != 0);
-        let mut r = Completed::IDENTITY;
-        for i in (0..=top.unwrap_or(0)).rev() {
-            r = r.double();
-            // A digit is odd: ±1, ±3, … index entries 0, 1, ….
-            let (da, db) = (a_naf[i], b_naf[i]);
-            if da != 0 {
-                let entry = table_a[da.unsigned_abs() as usize / 2];
-                let entry = if da < 0 { entry.neg() } else { entry };
-                r = r.to_point().add_cached(&entry);
+        let top = top.unwrap_or(0);
+        let table_b = Point::base_odd_multiples();
+        match kernel {
+            Kernel::Scalar => {
+                let table_a = point.odd_multiples();
+                let mut r = Completed::IDENTITY;
+                for i in (0..=top).rev() {
+                    r = r.double();
+                    // A digit is odd: ±1, ±3, … index entries 0, 1, ….
+                    let (da, db) = (a_naf[i], b_naf[i]);
+                    if da != 0 {
+                        let entry = table_a[da.unsigned_abs() as usize / 2];
+                        let entry = if da < 0 { entry.neg() } else { entry };
+                        r = r.to_point().add_cached(&entry);
+                    }
+                    if db != 0 {
+                        let entry = table_b[db.unsigned_abs() as usize / 2];
+                        let entry = if db < 0 { entry.neg() } else { entry };
+                        r = r.to_point().add_affine(&entry);
+                    }
+                }
+                r.to_point()
             }
-            if db != 0 {
-                let entry = table_b[db.unsigned_abs() as usize / 2];
-                let entry = if db < 0 { entry.neg() } else { entry };
-                r = r.to_point().add_affine(&entry);
-            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `supported` detected avx512f, avx512vl and avx512ifma on this CPU.
+            Kernel::Ifma => unsafe { ifma::straus(&a_naf, point, &b_naf, table_b, top) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Kernel::Ifma => unreachable!("only Scalar is supported off x86-64"),
         }
-        r.to_point()
     }
 
     /// The `u`-coordinate of the birationally equivalent Montgomery
     /// point, `(1+y)/(1-y) = (Z+Y)/(Z-Y)`, as X25519 encodes it (the
-    /// identity maps to 0).
-    pub(crate) fn montgomery_u(&self) -> [u8; 32] {
-        let den = self.z.sub(&self.y).invert();
+    /// identity maps to 0), inverting through `kernel`.
+    pub(crate) fn montgomery_u(&self, kernel: Kernel) -> [u8; 32] {
+        let den = self.z.sub(&self.y).invert_with(kernel);
         self.z.add(&self.y).mul(&den).to_bytes()
     }
 
     /// Compresses to the 32-byte RFC 8032 encoding.
     #[must_use]
     pub fn compress(&self) -> [u8; 32] {
-        let zinv = self.z.invert();
+        self.compress_with(Kernel::detect())
+    }
+
+    /// [`Self::compress`], inverting `Z` through `kernel`.
+    fn compress_with(&self, kernel: Kernel) -> [u8; 32] {
+        let zinv = self.z.invert_with(kernel);
         let x = self.x.mul(&zinv);
         let y = self.y.mul(&zinv);
         let mut out = y.to_bytes();
@@ -383,43 +511,8 @@ impl Point {
     /// Returns [`CryptoError::InvalidPoint`] when the encoding does not
     /// name a curve point, or names one non-canonically (`y >= p`).
     pub fn decompress(enc: &[u8; 32]) -> Result<Point> {
-        let sign = enc[31] >> 7;
-        let y = Fe::from_bytes(enc);
-        let mut canonical = y.to_bytes();
-        canonical[31] |= sign << 7;
-        if canonical != *enc {
-            return Err(CryptoError::InvalidPoint);
-        }
-        let c = constants();
-        let y2 = y.square();
-        let u = y2.sub(&Fe::ONE);
-        let v = c.d.mul(&y2).add(&Fe::ONE);
-
-        // x = u v^3 (u v^7)^((p-5)/8); then fix up by sqrt(-1) if needed.
-        let v3 = v.square().mul(&v);
-        let v7 = v3.square().mul(&v);
-        let mut x = u.mul(&v3).mul(&u.mul(&v7).pow_p58());
-
-        let vxx = v.mul(&x.square());
-        if !vxx.ct_eq(&u) {
-            if vxx.ct_eq(&u.neg()) {
-                x = x.mul(&c.sqrt_m1);
-            } else {
-                return Err(CryptoError::InvalidPoint);
-            }
-        }
-        if x.is_zero() && sign == 1 {
-            return Err(CryptoError::InvalidPoint);
-        }
-        if x.is_negative() != (sign == 1) {
-            x = x.neg();
-        }
-        Ok(Point {
-            x,
-            y,
-            z: Fe::ONE,
-            t: x.mul(&y),
-        })
+        let d = Decoding::new(enc)?;
+        d.finish(&d.root.pow_p58())
     }
 
     /// Whether two points are equal (projective comparison).
@@ -431,6 +524,146 @@ impl Point {
         let c = self.y.mul(&other.z);
         let d = other.y.mul(&self.z);
         a.ct_eq(&b) && c.ct_eq(&d)
+    }
+}
+
+/// The Edwards operations on [`F4`](crate::fe25519x4::F4): a point is
+/// `(X, Y, Z, T)` in the four lanes, an addition's right-hand operand
+/// `(Y-X, Y+X, 2Z, 2dT)`, and both formulas are Hisil–Wong–Carter–Dawson's
+/// in the parallel arrangement curve25519-dalek's vector backends use:
+/// an addition is two vector multiplications, a doubling a vector
+/// squaring and a multiplication. The tables are the scalar kernel's,
+/// an entry packed into lanes as it is used.
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use super::{AffineCached, Cached, Point};
+    use crate::fe25519::{constants, Fe};
+    use crate::fe25519x4::{lanes, A, B, C, D, F4};
+
+    /// `(Y-X, Y+X, Z, T)` of a point `(X, Y, Z, T)`, carried.
+    #[inline]
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    fn diff_sum(p: &F4) -> F4 {
+        let yx = p.shuffle::<{ lanes(1, 0, 3, 2) }>();
+        p.blend(&yx.add(&p.neg_lanes(A)), A | B).carry()
+    }
+
+    /// The point `$p + $q` for an addend `$q`, by "add-2008-hwcd-3":
+    /// `(A, B, D, C)` = `(Y1-X1)(Y2-X2)`, `(Y1+X1)(Y2+X2)`, `2·Z1·Z2`,
+    /// `2d·T1·T2`; then `(E, H, F, G)` = `(B-A, B+A, D-C, D+C)` and
+    /// `(X3, Y3, Z3, T3)` = `(EF, GH, GF, EH)`.
+    ///
+    /// The two group operations are macros so that each use is inlined
+    /// into its loop: `#[inline(always)]` is not allowed beside
+    /// `#[target_feature]`, and through a call (the operands go through
+    /// memory) a doubling took 100 ns where inlined it takes 60.
+    macro_rules! add {
+        ($p:expr, $q:expr) => {{
+            let abdc = diff_sum(&$p).mul(&$q);
+            let badc = abdc.shuffle::<{ lanes(1, 0, 3, 2) }>();
+            let minuend = badc.blend(&abdc, C);
+            let ehfg = minuend.add(&abdc.blend(&badc, C).neg_lanes(A | C)).carry();
+            let egge = ehfg.shuffle::<{ lanes(0, 3, 3, 0) }>();
+            egge.mul(&ehfg.shuffle::<{ lanes(2, 1, 2, 1) }>())
+        }};
+    }
+
+    /// `2·$p` by "dbl-2008-hwcd" with every term negated: from
+    /// `(S1, S2, S3, S4)` = `(X², Y², Z², (X+Y)²)`, `S5 = S1+S2`,
+    /// `S6 = S1-S2`, `S8 = S6+2·S3`, `S9 = S5-S4`, and
+    /// `(X3, Y3, Z3, T3)` = `(S8·S9, S5·S6, S8·S6, S5·S9)`.
+    macro_rules! double {
+        ($p:expr) => {{
+            let p: F4 = $p;
+            let yx = p.shuffle::<{ lanes(1, 0, 3, 2) }>();
+            let sum = p.add(&yx).shuffle::<{ lanes(0, 0, 0, 0) }>();
+            let s = p.blend(&sum, D).carry().square();
+            let s1 = s.shuffle::<{ lanes(0, 0, 0, 0) }>();
+            let s2 = s.shuffle::<{ lanes(1, 1, 1, 1) }>();
+            // (0, 0, 2·S3, -S4) + S1 + (S2, -S2, -S2, S2).
+            let zero = F4::splat(&Fe::ZERO);
+            let t = zero.blend(&s.add(&s), C).blend(&s.neg_lanes(D), D);
+            let t = t.add(&s1).add(&s2.neg_lanes(B | C)).carry();
+            let s8s5 = t.shuffle::<{ lanes(2, 0, 2, 0) }>();
+            s8s5.mul(&t.shuffle::<{ lanes(3, 1, 1, 3) }>())
+        }};
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    fn pack(p: &Point) -> F4 {
+        F4::new([&p.x, &p.y, &p.z, &p.t]).carry()
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    fn unpack(p: &F4) -> Point {
+        let [x, y, z, t] = p.split();
+        Point { x, y, z, t }
+    }
+
+    /// The addend of a point.
+    #[inline]
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    fn addend(p: &F4) -> F4 {
+        let c = constants();
+        diff_sum(p).mul(&F4::new([&Fe::ONE, &Fe::ONE, &Fe::from_u64(2), &c.d2]))
+    }
+
+    /// The addend of the negated point: `Y-X` and `Y+X` trade places,
+    /// `2dT` flips.
+    #[inline]
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    fn neg_addend(q: &F4) -> F4 {
+        q.shuffle::<{ lanes(1, 0, 2, 3) }>().neg_lanes(D)
+    }
+
+    /// [`Point::scalar_mul_base_with`]: the same windows and masked
+    /// selection, the additions in lanes.
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    pub(super) fn scalar_mul_base(table: &[[Cached; 15]], k: &[u8; 32]) -> Point {
+        let mut acc = pack(&Point::identity());
+        for (w, row) in table.iter().enumerate() {
+            let c = Point::select(row, super::window(k, w));
+            let z2 = c.z.add(&c.z);
+            let q = F4::new([&c.y_minus_x, &c.y_plus_x, &z2, &c.t2d]).carry();
+            acc = add!(acc, q);
+        }
+        unpack(&acc)
+    }
+
+    /// [`Point::vartime_double_scalar_mul_base_with`] from `top` down,
+    /// the same digits and tables, the group operations in lanes.
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    pub(super) fn straus(
+        a_naf: &[i8; 257],
+        point: &Point,
+        b_naf: &[i8; 257],
+        table_b: &[AffineCached; 64],
+        top: usize,
+    ) -> Point {
+        let p = pack(point);
+        let twice = double!(p);
+        let mut table_a = [addend(&p); 8];
+        for i in 1..8 {
+            table_a[i] = addend(&add!(twice, table_a[i - 1]));
+        }
+        let two = Fe::from_u64(2);
+        let mut r = pack(&Point::identity());
+        for i in (0..=top).rev() {
+            r = double!(r);
+            let (da, db) = (a_naf[i], b_naf[i]);
+            if da != 0 {
+                let q = table_a[da.unsigned_abs() as usize / 2];
+                r = add!(r, if da < 0 { neg_addend(&q) } else { q });
+            }
+            if db != 0 {
+                let c = &table_b[db.unsigned_abs() as usize / 2];
+                let q = F4::new([&c.y_minus_x, &c.y_plus_x, &two, &c.xy2d]).carry();
+                r = add!(r, if db < 0 { neg_addend(&q) } else { q });
+            }
+        }
+        unpack(&r)
     }
 }
 
@@ -446,6 +679,16 @@ pub struct SigningKey {
 impl SigningKey {
     /// Derives a signing key from a 32-byte seed.
     pub fn from_seed(seed: &[u8; 32]) -> SigningKey {
+        SigningKey::from_seed_with(Kernel::detect(), seed)
+    }
+
+    /// [`Self::from_seed`] through `kernel` (the equivalence tests call
+    /// each).
+    ///
+    /// # Panics
+    ///
+    /// If this CPU does not support `kernel`.
+    pub fn from_seed_with(kernel: Kernel, seed: &[u8; 32]) -> SigningKey {
         let h = Sha512::digest(seed);
         let mut scalar = [0u8; 32];
         scalar.copy_from_slice(&h[..32]);
@@ -454,7 +697,7 @@ impl SigningKey {
         scalar[31] |= 64;
         let mut prefix = [0u8; 32];
         prefix.copy_from_slice(&h[32..]);
-        let public = Point::scalar_mul_base(&scalar).compress();
+        let public = Point::scalar_mul_base_with(kernel, &scalar).compress_with(kernel);
         SigningKey {
             seed: *seed,
             scalar,
@@ -482,11 +725,20 @@ impl SigningKey {
 
     /// Signs `message`, returning the 64-byte signature `R || S`.
     pub fn sign(&self, message: &[u8]) -> [u8; 64] {
+        self.sign_with(Kernel::detect(), message)
+    }
+
+    /// [`Self::sign`] through `kernel` (the equivalence tests call each).
+    ///
+    /// # Panics
+    ///
+    /// If this CPU does not support `kernel`.
+    pub fn sign_with(&self, kernel: Kernel, message: &[u8]) -> [u8; 64] {
         let mut h = Sha512::new();
         h.update(&self.prefix);
         h.update(message);
         let r = scalar::reduce512(&h.finalize());
-        let r_point = Point::scalar_mul_base(&r).compress();
+        let r_point = Point::scalar_mul_base_with(kernel, &r).compress_with(kernel);
 
         let mut h = Sha512::new();
         h.update(&r_point);
@@ -533,6 +785,20 @@ impl VerifyingKey {
     /// [`CryptoError::BadSignature`] on any verification failure,
     /// including malformed points and non-canonical `S`.
     pub fn verify(&self, message: &[u8], signature: &[u8; 64]) -> Result<()> {
+        self.verify_with(Kernel::detect(), message, signature)
+    }
+
+    /// [`Self::verify`] through `kernel` (the equivalence tests call
+    /// each).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::verify`].
+    ///
+    /// # Panics
+    ///
+    /// If this CPU does not support `kernel`.
+    pub fn verify_with(&self, kernel: Kernel, message: &[u8], signature: &[u8; 64]) -> Result<()> {
         let mut r_bytes = [0u8; 32];
         r_bytes.copy_from_slice(&signature[..32]);
         let mut s_bytes = [0u8; 32];
@@ -541,8 +807,8 @@ impl VerifyingKey {
         if !scalar::is_canonical(&s_bytes) {
             return Err(CryptoError::BadSignature);
         }
-        let a = Point::decompress(&self.bytes).map_err(|_| CryptoError::BadSignature)?;
-
+        let bad = |_| CryptoError::BadSignature;
+        let a = Decoding::new(&self.bytes).map_err(bad)?;
         let mut h = Sha512::new();
         h.update(&r_bytes);
         h.update(&self.bytes);
@@ -552,9 +818,34 @@ impl VerifyingKey {
         // [S]B == R + [k]A, checked as: [S]B - [k]A encodes to the R
         // that was sent. Equal bytes mean R decodes to that point, and a
         // decoded R that satisfies the equation has these bytes as its
-        // one canonical encoding, so R itself is never decompressed.
-        let r = Point::vartime_double_scalar_mul_base(&k, &a.neg(), &s_bytes);
-        if ct::eq(&r.compress(), &r_bytes) {
+        // one canonical encoding. So the scalar kernel never decompresses
+        // R and compresses the result instead; the vector kernel raises
+        // the roots of A and R in two lanes of one chain and compares
+        // points, which saves the compression's inversion and accepts
+        // the same set: `decompress` takes canonical encodings only.
+        let ok = match kernel {
+            Kernel::Scalar => {
+                let a = a.finish(&a.root.pow_p58()).map_err(bad)?;
+                let r = Point::vartime_double_scalar_mul_base_with(kernel, &k, &a.neg(), &s_bytes);
+                ct::eq(&r.compress_with(kernel), &r_bytes)
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma => {
+                let r = Decoding::new(&r_bytes).map_err(bad)?;
+                assert!(kernel.supported(), "{kernel:?} not supported by this CPU");
+                // SAFETY: `supported` detected avx512f, avx512vl and avx512ifma on this CPU.
+                let (pow_a, pow_r) = unsafe { crate::fe25519x4::pow_p58_pair(&a.root, &r.root) };
+                let (a, r) = (
+                    a.finish(&pow_a).map_err(bad)?,
+                    r.finish(&pow_r).map_err(bad)?,
+                );
+                Point::vartime_double_scalar_mul_base_with(kernel, &k, &a.neg(), &s_bytes)
+                    .equals(&r)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            Kernel::Ifma => unreachable!("only Scalar is supported off x86-64"),
+        };
+        if ok {
             Ok(())
         } else {
             Err(CryptoError::BadSignature)
@@ -744,34 +1035,59 @@ mod tests {
         assert!(bad > 0, "expected at least one non-point among small y");
     }
 
-    /// Field multiplications (`Fe::carry` calls) `op` makes.
-    fn carries<T>(op: impl FnOnce() -> T) -> u64 {
-        let before = CARRIES.with(|n| n.get());
+    /// Field multiplications `op` makes: `Fe::carry` calls, and the
+    /// lane kernel's vector products (four lanes each).
+    fn products<T>(op: impl FnOnce() -> T) -> (u64, u64) {
+        let count = || {
+            #[cfg(target_arch = "x86_64")]
+            let vector = crate::fe25519x4::PRODUCTS.with(|n| n.get());
+            #[cfg(not(target_arch = "x86_64"))]
+            let vector = 0;
+            (CARRIES.with(|n| n.get()), vector)
+        };
+        let before = count();
         let _ = op();
-        CARRIES.with(|n| n.get()) - before
+        let after = count();
+        (after.0 - before.0, after.1 - before.1)
     }
 
     // The count of an operation repeats exactly, so this holds the
     // kernels to their cost where a timing gate would read host noise.
-    // Measured: sign 779, verify 2,854..2,959, public_key 778,
+    // Measured, scalar: sign 779, verify 2,854..2,959, public_key 778,
     // shared_secret 2,816 (uniform ladder, bit-by-bit inversion and no
-    // Edwards key generation: 1,084, 6,733, 3,057, 3,057).
+    // Edwards key generation: 1,084, 6,733, 3,057, 3,057). IFMA, scalar
+    // and vector (four lanes each), at most: sign 2 + 393, verify 30 +
+    // 942, public_key 1 + 393, shared_secret 1 + 1,030.
     #[test]
     fn field_multiplication_ceilings() {
         // Tables are built at first use; that is not the steady state.
         let warm = SigningKey::from_seed(&[1; 32]);
         assert!(warm.verifying_key().verify(b"", &warm.sign(b"")).is_ok());
-        plat::check::run_cases("field_multiplication_ceilings", 200, |g| {
-            let key = SigningKey::from_seed(&g.byte_array());
-            let msg = g.bytes(0..200);
-            let (secret, peer) = (g.byte_array(), x25519::public_key(&g.byte_array()));
-            let mut sig = [0; 64];
-            assert!(carries(|| sig = key.sign(&msg)) <= 1_000);
-            let vk = key.verifying_key();
-            assert!(carries(|| assert!(vk.verify(&msg, &sig).is_ok())) <= 3_800);
-            assert!(carries(|| x25519::public_key(&secret)) <= 1_000);
-            assert!(carries(|| x25519::shared_secret(&secret, &peer)) <= 2_900);
-        });
+        let ceilings = |kernel| match kernel {
+            // sign, verify, public_key, shared_secret
+            Kernel::Scalar => [(1_000, 0), (3_800, 0), (1_000, 0), (2_900, 0)],
+            Kernel::Ifma => [(10, 420), (50, 1_000), (10, 420), (10, 1_050)],
+        };
+        for kernel in Kernel::ALL.into_iter().filter(|k| k.supported()) {
+            let [sign, verify, public, shared] = ceilings(kernel);
+            let within = |got: (u64, u64), max: (u64, u64)| got.0 <= max.0 && got.1 <= max.1;
+            plat::check::run_cases("field_multiplication_ceilings", 200, |g| {
+                let key = SigningKey::from_seed_with(kernel, &g.byte_array());
+                let msg = g.bytes(0..200);
+                let (secret, peer) = (g.byte_array(), x25519::public_key(&g.byte_array()));
+                let mut sig = [0; 64];
+                assert!(within(products(|| sig = key.sign_with(kernel, &msg)), sign));
+                let vk = key.verifying_key();
+                let ok = || assert!(vk.verify_with(kernel, &msg, &sig).is_ok());
+                assert!(within(products(ok), verify));
+                assert!(within(
+                    products(|| x25519::public_key_with(kernel, &secret)),
+                    public
+                ));
+                let got = products(|| x25519::x25519_with(kernel, &secret, &peer));
+                assert!(within(got, shared), "{kernel:?} {got:?}");
+            });
+        }
     }
 }
 

@@ -25,6 +25,47 @@
 
 use crate::ct;
 
+/// Which code runs the curve operations: the X25519 ladder, fixed-base
+/// multiplication and the verifier's double multiplication.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kernel {
+    /// [`Fe`], one element at a time in `u128` arithmetic: any CPU.
+    Scalar,
+    /// Four elements at a time, one per 64-bit lane of a 256-bit vector,
+    /// multiplied with AVX-512 IFMA (DESIGN.md "Curve kernels").
+    Ifma,
+}
+
+impl Kernel {
+    /// Every kernel, slowest first.
+    pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::Ifma];
+
+    /// Whether this CPU can execute the kernel.
+    pub fn supported(self) -> bool {
+        match self {
+            Kernel::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma => {
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512vl")
+                    && is_x86_feature_detected!("avx512ifma")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            Kernel::Ifma => false,
+        }
+    }
+
+    /// The kernel the curve operations run on this CPU: the fastest it
+    /// supports.
+    pub fn detect() -> Kernel {
+        if Kernel::Ifma.supported() {
+            Kernel::Ifma
+        } else {
+            Kernel::Scalar
+        }
+    }
+}
+
 /// The modulus bit pattern `2^51 - 1` used for limb masking.
 const MASK: u64 = (1u64 << 51) - 1;
 
@@ -295,6 +336,19 @@ impl Fe {
     pub fn invert(&self) -> Fe {
         let (x250, z11) = self.pow_2_250_1();
         x250.square_n(5).mul(&z11)
+    }
+
+    /// [`Self::invert`] through `kernel`.
+    pub(crate) fn invert_with(&self, kernel: Kernel) -> Fe {
+        assert!(kernel.supported(), "{kernel:?} not supported by this CPU");
+        match kernel {
+            Kernel::Scalar => self.invert(),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `supported` detected avx512f, avx512vl and avx512ifma on this CPU.
+            Kernel::Ifma => unsafe { crate::fe25519x4::invert(self) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Kernel::Ifma => unreachable!("only Scalar is supported off x86-64"),
+        }
     }
 
     /// Computes `self^((p-5)/8)`, the core of the square-root formula:

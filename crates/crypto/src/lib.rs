@@ -26,6 +26,8 @@ pub mod chacha20;
 pub mod ct;
 pub mod ed25519;
 pub mod fe25519;
+#[cfg(target_arch = "x86_64")]
+mod fe25519x4;
 pub mod hkdf;
 pub mod hmac;
 pub mod poly1305;

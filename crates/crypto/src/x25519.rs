@@ -1,7 +1,7 @@
 //! X25519 Diffie-Hellman key agreement (RFC 7748).
 
 use crate::ed25519::Point;
-use crate::fe25519::Fe;
+use crate::fe25519::{Fe, Kernel};
 
 /// The X25519 base point (`u = 9`).
 pub const BASEPOINT: [u8; 32] = {
@@ -23,11 +23,37 @@ pub fn clamp(mut k: [u8; 32]) -> [u8; 32] {
 /// `u`-coordinate `u` by the clamped scalar `k`.
 #[must_use]
 pub fn x25519(k: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
+    x25519_with(Kernel::detect(), k, u)
+}
+
+/// [`x25519`] through `kernel` instead of the one [`Kernel::detect`]
+/// picks (the equivalence tests call each).
+///
+/// # Panics
+///
+/// If this CPU does not support `kernel`.
+#[must_use]
+pub fn x25519_with(kernel: Kernel, k: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
+    assert!(kernel.supported(), "{kernel:?} not supported by this CPU");
     let k = clamp(*k);
     let x1 = Fe::from_bytes(u);
+    let (x2, z2) = match kernel {
+        Kernel::Scalar => ladder(&k, &x1),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `supported` detected avx512f, avx512vl and avx512ifma on this CPU.
+        Kernel::Ifma => unsafe { ifma::ladder(&k, &x1) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Kernel::Ifma => unreachable!("only Scalar is supported off x86-64"),
+    };
+    x2.mul(&z2.invert_with(kernel)).to_bytes()
+}
+
+/// The Montgomery ladder over the bits of the clamped `k`: `(X : Z)` of
+/// `[k]u`.
+fn ladder(k: &[u8; 32], x1: &Fe) -> (Fe, Fe) {
     let mut x2 = Fe::ONE;
     let mut z2 = Fe::ZERO;
-    let mut x3 = x1;
+    let mut x3 = *x1;
     let mut z3 = Fe::ONE;
     let mut swap = 0u64;
 
@@ -57,8 +83,50 @@ pub fn x25519(k: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     }
     Fe::cswap(swap, &mut x2, &mut x3);
     Fe::cswap(swap, &mut z2, &mut z3);
+    (x2, z2)
+}
 
-    x2.mul(&z2.invert()).to_bytes()
+/// The same ladder with the state `(x2, z2, x3, z3)` in the lanes of one
+/// [`F4`]: each step's four multiplications, then its four squarings
+/// and products, go as one vector multiplication each, and `x1`'s
+/// product as a third. The swaps are masks, so `k` may be secret.
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use crate::fe25519::Fe;
+    use crate::fe25519x4::{lanes, B, C, D, F4};
+
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    pub(super) fn ladder(k: &[u8; 32], x1: &Fe) -> (Fe, Fe) {
+        let mut s = F4::new([&Fe::ONE, &Fe::ZERO, x1, &Fe::ONE]);
+        let by_x1 = F4::new([&Fe::ONE, x1, &Fe::ONE, &Fe::ONE]);
+        let mut swap = 0u64;
+        for t in (0..255).rev() {
+            let k_t = ((k[t / 8] >> (t % 8)) & 1) as u64;
+            swap ^= k_t;
+            s = s.swap_halves(swap);
+            swap = k_t;
+            // (x2 + z2, x2 - z2, x3 - z3, x3 + z3) = (A, B, D, C).
+            let x = s.shuffle::<{ lanes(0, 0, 2, 2) }>();
+            let z = s.shuffle::<{ lanes(1, 1, 3, 3) }>();
+            let abdc = x.add(&z.neg_lanes(B | C)).carry();
+            // (AA, BB, DA, CB).
+            let m = abdc.mul(&abdc.shuffle::<{ lanes(0, 1, 0, 1) }>());
+            // (DA + CB, DA - CB, AA, E = AA - BB) and
+            // (DA + CB, DA - CB, BB, AA + 121665·E).
+            let p = m.shuffle::<{ lanes(2, 2, 0, 0) }>();
+            let q = m.shuffle::<{ lanes(3, 3, 1, 1) }>();
+            let zero = F4::splat(&Fe::ZERO);
+            let u = p.add(&q.neg_lanes(B | D).blend(&zero, C)).carry();
+            let v = u
+                .mul_small([1, 1, 0, 121665])
+                .add(&zero.blend(&q, C).blend(&p, D));
+            // (x3, (DA - CB)², x2, z2), then z3 = x1·(DA - CB)².
+            let n = u.mul(&v.carry()).mul(&by_x1);
+            s = n.shuffle::<{ lanes(2, 3, 0, 1) }>();
+        }
+        let [x2, z2, ..] = s.swap_halves(swap).split();
+        (x2, z2)
+    }
 }
 
 /// Derives the public key for secret scalar `k`: `x25519(k, 9)`,
@@ -67,7 +135,17 @@ pub fn x25519(k: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
 /// mapped back to the Montgomery `u`-coordinate.
 #[must_use]
 pub fn public_key(k: &[u8; 32]) -> [u8; 32] {
-    Point::scalar_mul_base(&clamp(*k)).montgomery_u()
+    public_key_with(Kernel::detect(), k)
+}
+
+/// [`public_key`] through `kernel` (the equivalence tests call each).
+///
+/// # Panics
+///
+/// If this CPU does not support `kernel`.
+#[must_use]
+pub fn public_key_with(kernel: Kernel, k: &[u8; 32]) -> [u8; 32] {
+    Point::scalar_mul_base_with(kernel, &clamp(*k)).montgomery_u(kernel)
 }
 
 /// Computes the shared secret between secret `k` and peer public `pk`.

@@ -329,11 +329,23 @@ fn a_small_order_key_share_is_refused_by_either_role() {
     let server_flight = honest.1.take_output();
     assert_eq!(client_hello.len(), 7 + 32);
 
-    // u = 0, 1, p - 1, and the non-canonical p and p + 1.
+    // u = 0, 1, p - 1, the non-canonical p and p + 1, and the two
+    // points of order 8.
     let mut p_minus_1 = [0xffu8; 32];
     (p_minus_1[0], p_minus_1[31]) = (0xec, 0x7f);
-    let mut shares = [[0u8; 32], [0u8; 32], p_minus_1, p_minus_1, p_minus_1];
+    let mut shares = [
+        [0u8; 32], [0u8; 32], p_minus_1, p_minus_1, p_minus_1, [0; 32], [0; 32],
+    ];
     (shares[1][0], shares[3][0], shares[4][0]) = (1, 0xed, 0xee);
+    let order_8 = [
+        "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+        "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+    ];
+    for (share, hex) in shares[5..].iter_mut().zip(order_8) {
+        for (i, byte) in share.iter_mut().enumerate() {
+            *byte = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap();
+        }
+    }
 
     let counted = || libseal_telemetry::counter("tlsx_verify_failures_total_weak_key_share").get();
     for share in shares {
