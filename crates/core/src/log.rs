@@ -41,6 +41,7 @@ use libseal_crypto::aead::ChaCha20Poly1305;
 use libseal_crypto::ed25519::SigningKey;
 use libseal_crypto::sha2::Sha256;
 use libseal_sealdb::journal::JournalCodec;
+use libseal_sealdb::value::{Affinity, GroupClass};
 use libseal_sealdb::{quote_ident, Database, Value};
 
 use crate::{LibSealError, Result};
@@ -904,16 +905,10 @@ impl AuditLog {
     /// increase, and every chain row's data row must still exist and
     /// match. Returns the recomputed head and final sequence number.
     fn verify_chain_rows(&self) -> Result<([u8; 32], u64)> {
-        let rows = self
-            .db
-            .query(
-                "SELECT seq, tbl, pk, payload, hash FROM _libseal_chain ORDER BY seq",
-                &[],
-            )
-            .map_err(LibSealError::Db)?;
+        let data = DataRows::new(&self.tables, self.db.catalog());
         let mut head = [0u8; 32];
         let mut last_seq = 0i64;
-        for row in &rows.rows {
+        for row in self.chain_rows()? {
             let (Value::Integer(seq), Value::Text(payload), Value::Blob(hash)) =
                 (&row[0], &row[3], &row[4])
             else {
@@ -939,57 +934,19 @@ impl AuditLog {
             let (Value::Text(tbl), Value::Text(key)) = (&row[1], &row[2]) else {
                 return Err(LibSealError::Tampered("chain row malformed".into()));
             };
-            self.check_data_row(tbl, key, payload)?;
+            data.find(tbl, key, payload)?;
         }
         Ok((head, last_seq as u64))
     }
 
-    fn check_data_row(&self, tbl: &str, key: &str, payload: &str) -> Result<()> {
-        let spec = self
-            .tables
-            .iter()
-            .find(|t| t.name.eq_ignore_ascii_case(tbl))
-            .ok_or_else(|| LibSealError::Tampered(format!("chain names unknown table {tbl}")))?;
-        // Reconstruct the key predicate.
-        let key_vals: Vec<&str> = key.split('\u{1f}').collect();
-        if key_vals.len() != spec.key_cols.len() {
-            return Err(LibSealError::Tampered("chain key malformed".into()));
-        }
-        // Typed equality (`col = ?` with the key text coerced through
-        // the column's affinity) so the predicate is index-probeable.
-        // Keys render via `Value::to_string`, which round-trips through
-        // affinity coercion for everything except BLOB columns — those
-        // keep the textual `'' || col` comparison.
-        let t =
-            self.db.catalog().table(tbl).ok_or_else(|| {
-                LibSealError::Tampered(format!("chain names unknown table {tbl}"))
-            })?;
-        let mut preds = Vec::with_capacity(spec.key_cols.len());
-        let mut params = Vec::with_capacity(spec.key_cols.len());
-        for (c, raw) in spec.key_cols.iter().zip(&key_vals) {
-            let affinity = t
-                .column_index(c)
-                .map(|i| t.columns[i].affinity)
-                .ok_or_else(|| LibSealError::Tampered(format!("{tbl} lost key column {c}")))?;
-            let text = Value::Text((*raw).to_string());
-            if matches!(affinity, libseal_sealdb::value::Affinity::Blob) {
-                preds.push(format!("('' || {c}) = ?"));
-                params.push(text);
-            } else {
-                preds.push(format!("{c} = ?"));
-                params.push(affinity.apply(text));
-            }
-        }
-        let sql = format!("SELECT * FROM {tbl} WHERE {}", preds.join(" AND "));
-        let rows = self.db.query(&sql, &params).map_err(LibSealError::Db)?;
-        for row in &rows.rows {
-            if render_payload(tbl, row) == payload {
-                return Ok(());
-            }
-        }
-        Err(LibSealError::Tampered(format!(
-            "data row missing or modified for {tbl} key {key:?}"
-        )))
+    /// The rows of `_libseal_chain` (seq, tbl, pk, payload, hash), in
+    /// `seq` order, borrowed.
+    fn chain_rows(&self) -> Result<Vec<&[Value]>> {
+        let chain = (self.db.catalog().table("_libseal_chain"))
+            .ok_or_else(|| LibSealError::Tampered("chain table missing".into()))?;
+        let mut rows: Vec<&[Value]> = chain.rows.iter().map(Vec::as_slice).collect();
+        rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        Ok(rows)
     }
 
     /// Stages the SSM's trimming queries and seals (§5.1, "Log
@@ -1022,21 +979,15 @@ impl AuditLog {
     fn rebuild_chain(&mut self) -> Result<()> {
         plat::failpoint::check("core::log::trim::rebuild")
             .map_err(|e| LibSealError::Log(e.to_string()))?;
-        let chain = self
-            .db
-            .query(
-                "SELECT seq, tbl, pk, payload FROM _libseal_chain ORDER BY seq",
-                &[],
-            )
-            .map_err(LibSealError::Db)?;
+        let data = DataRows::new(&self.tables, self.db.catalog());
         let mut survivors: Vec<(String, String, String)> = Vec::new();
-        for row in &chain.rows {
+        for row in self.chain_rows()? {
             let (Value::Text(tbl), Value::Text(key), Value::Text(payload)) =
                 (&row[1], &row[2], &row[3])
             else {
                 continue;
             };
-            if self.check_data_row(tbl, key, payload).is_ok() {
+            if data.find(tbl, key, payload).is_ok() {
                 survivors.push((tbl.clone(), key.clone(), payload.clone()));
             }
         }
@@ -1169,11 +1120,123 @@ fn head_payload(head: &[u8; 32], seq: u64, counter: u64, clock: u64) -> Vec<u8> 
 fn render_payload(table: &str, values: &[Value]) -> String {
     let mut out = String::with_capacity(32);
     out.push_str(table);
+    render_values(&mut out, values);
+    out
+}
+
+/// A payload past its table name: each value's group key after a unit
+/// separator.
+fn render_values(out: &mut String, values: &[Value]) {
     for v in values {
         out.push('\u{1f}');
-        out.push_str(&v.group_key());
+        v.write_group_key(out);
     }
-    out
+}
+
+/// The audited tables' rows, found by what a chain entry says of its
+/// data row. One pass over each table hashes every row's rendered
+/// payload; an entry is then one lookup, taken if a row with that
+/// payload also holds the entry's key ([`key_matches`]).
+struct DataRows<'a> {
+    specs: &'a [TableSpec],
+    /// Per spec: its key columns' positions and affinities, or why no
+    /// chain entry can name its rows.
+    keys: Vec<std::result::Result<Vec<(usize, Affinity)>, String>>,
+    /// (hash of spec index and payload, spec index, row), by hash.
+    rows: Vec<(u64, usize, &'a [Value])>,
+    /// A row's payload, rendered to compare with an entry's.
+    scratch: std::cell::RefCell<String>,
+}
+
+impl<'a> DataRows<'a> {
+    fn new(specs: &'a [TableSpec], catalog: &'a libseal_sealdb::catalog::Catalog) -> Self {
+        let mut keys = Vec::with_capacity(specs.len());
+        let mut rows = Vec::new();
+        let mut payload = String::new();
+        for (si, spec) in specs.iter().enumerate() {
+            let Some(t) = catalog.table(spec.name) else {
+                keys.push(Err(format!("chain names unknown table {}", spec.name)));
+                continue;
+            };
+            let key = |c: &&str| {
+                let i = t.column_index(c);
+                i.map(|i| (i, t.columns[i].affinity))
+                    .ok_or_else(|| format!("{} lost key column {c}", spec.name))
+            };
+            keys.push(spec.key_cols.iter().map(key).collect());
+            for row in &t.rows {
+                payload.clear();
+                render_values(&mut payload, row);
+                rows.push((payload_hash(si, &payload), si, row.as_slice()));
+            }
+        }
+        rows.sort_unstable_by_key(|r| r.0);
+        DataRows {
+            specs,
+            keys,
+            rows,
+            scratch: Default::default(),
+        }
+    }
+
+    /// Checks that the data row the chain entry (`tbl`, `key`,
+    /// `payload`) names exists and matches.
+    fn find(&self, tbl: &str, key: &str, payload: &str) -> Result<()> {
+        let si = (self.specs.iter())
+            .position(|t| t.name.eq_ignore_ascii_case(tbl))
+            .ok_or_else(|| LibSealError::Tampered(format!("chain names unknown table {tbl}")))?;
+        if key.split('\u{1f}').count() != self.specs[si].key_cols.len() {
+            return Err(LibSealError::Tampered("chain key malformed".into()));
+        }
+        let cols = self.keys[si]
+            .as_ref()
+            .map_err(|m| LibSealError::Tampered(m.clone()))?;
+        let missing = || {
+            LibSealError::Tampered(format!(
+                "data row missing or modified for {tbl} key {key:?}"
+            ))
+        };
+        let rest = payload.strip_prefix(tbl).ok_or_else(missing)?;
+        let h = payload_hash(si, rest);
+        let from = self.rows.partition_point(|r| r.0 < h);
+        let rendered = &mut *self.scratch.borrow_mut();
+        for &(_, rsi, row) in self.rows[from..].iter().take_while(|r| r.0 == h) {
+            rendered.clear();
+            render_values(rendered, row);
+            if rsi == si && rendered == rest && key_matches(row, cols, key) {
+                return Ok(());
+            }
+        }
+        Err(missing())
+    }
+}
+
+fn payload_hash(spec: usize, payload: &str) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    (spec, payload).hash(&mut h);
+    h.finish()
+}
+
+/// Whether `row`'s key columns (`cols`: position and affinity) hold the
+/// `\u{1f}`-separated `key`: the text coerced by the column's affinity
+/// and compared by group class, or for a BLOB-affinity column compared
+/// as text. NULL matches nothing.
+fn key_matches(row: &[Value], cols: &[(usize, Affinity)], key: &str) -> bool {
+    cols.iter()
+        .zip(key.split('\u{1f}'))
+        .all(|(&(i, affinity), raw)| {
+            let Some(v) = row.get(i).filter(|v| !v.is_null()) else {
+                return false;
+            };
+            match affinity {
+                Affinity::Blob => v.to_string() == raw,
+                _ => match affinity.coerce_text(raw) {
+                    Some(n) => v.group_class() == n.group_class(),
+                    None => v.group_class() == GroupClass::Text(raw),
+                },
+            }
+        })
 }
 
 fn render_key(spec: &TableSpec, table: &str, values: &[Value], db: &Database) -> Result<String> {

@@ -179,8 +179,6 @@ pub enum BinOp {
     Or,
     /// `+`
     Add,
-    /// `||` string concatenation
-    Concat,
 }
 
 /// A scalar expression.

@@ -6,7 +6,9 @@
 //! database (an object is never removed), and
 //! compaction writes it back instead of regenerating SQL from fields.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use crate::ast::{ColumnDef, Select};
 use crate::value::{Affinity, Value};
@@ -21,8 +23,11 @@ pub struct Column {
     pub affinity: Affinity,
 }
 
-/// A hash index over one column of a table: `group_key` of the value
-/// maps to the row positions holding it, in scan order.
+/// A hash index over one column of a table: the hash of a value's group
+/// class ([`Value::group_class`]) maps to the row positions holding a
+/// value of that hash, in scan order. A probe may so return rows of
+/// another class whose hash collides; every caller re-checks its
+/// predicate over the rows it gets.
 #[derive(Clone, Debug)]
 pub struct Index {
     /// Index name (original case).
@@ -31,9 +36,9 @@ pub struct Index {
     pub column: usize,
     /// The `CREATE INDEX` statement that made it.
     sql: String,
-    /// `group_key` → row positions, ascending.
-    map: HashMap<String, Vec<usize>>,
-    /// Set when the column holds a NaN real. `group_key` separates
+    /// Group-class hash → row positions, ascending.
+    map: HashMap<u64, Vec<usize>>,
+    /// Set when the column holds a NaN real. A group class separates
     /// NaN bit patterns while SQL comparison treats NaN loosely, so a
     /// poisoned index must not be probed.
     poisoned: bool,
@@ -45,7 +50,7 @@ impl Index {
         if matches!(v, Value::Real(f) if f.is_nan()) {
             self.poisoned = true;
         }
-        self.map.entry(v.group_key()).or_default().push(pos);
+        self.map.entry(class_hash(v)).or_default().push(pos);
     }
 
     fn rebuild(&mut self, rows: &[Vec<Value>]) {
@@ -56,15 +61,22 @@ impl Index {
         }
     }
 
-    /// Row positions whose indexed value shares `key`'s equality
-    /// class. `None` when the index cannot be trusted (poisoned or a
-    /// NaN probe key); an empty slice is a definitive miss.
+    /// Row positions of every indexed value that shares `key`'s
+    /// equality class (and of any whose class hash collides with it).
+    /// `None` when the index cannot be trusted (poisoned or a NaN probe
+    /// key); an empty slice is a definitive miss.
     pub fn probe(&self, key: &Value) -> Option<&[usize]> {
         if self.poisoned || matches!(key, Value::Real(f) if f.is_nan()) {
             return None;
         }
-        Some(self.map.get(&key.group_key()).map_or(&[], |v| v.as_slice()))
+        Some(self.map.get(&class_hash(key)).map_or(&[], |v| v.as_slice()))
     }
+}
+
+fn class_hash(v: &Value) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.group_class().hash(&mut h);
+    h.finish()
 }
 
 /// A stored table: schema plus row data.

@@ -1,5 +1,7 @@
 //! The `Database` facade: parse, plan-free execute, journal, recover.
 
+use std::borrow::Cow;
+
 use crate::ast::{Expr, Stmt};
 use crate::catalog::Catalog;
 use crate::exec::{exec_select, Ctx, Rows};
@@ -249,8 +251,9 @@ impl Database {
     ) -> Result<QueryResult> {
         // Evaluate the row against the current catalog first.
         let ctx = Ctx::with_planner(&self.catalog, params, self.planner);
-        let env = crate::exec::env_for(&[], &[]);
-        let eval = |e| crate::exec::eval(&ctx, e, &env, None);
+        let scope = ctx.table_scope(None);
+        let env = crate::exec::env_for(&scope, &[]);
+        let eval = |e| crate::exec::eval(&ctx, e, &env, None).map(Cow::into_owned);
         let values = values.iter().map(eval).collect::<Result<Vec<_>>>()?;
         let sources = self.matviews.iter().flat_map(|v| &v.spec.sources);
         let tracked = sources.into_iter().any(|s| s.table == table);
@@ -293,21 +296,14 @@ impl Database {
                 .catalog
                 .table(table)
                 .ok_or_else(|| DbError::schema(format!("no such table: {table}")))?;
-            let cols: Vec<crate::exec::ColMeta> = t
-                .columns
-                .iter()
-                .map(|c| crate::exec::ColMeta {
-                    table: Some(t.name.clone()),
-                    name: c.name.clone(),
-                })
-                .collect();
             let ctx = Ctx::with_planner(&self.catalog, params, self.planner);
+            let scope = ctx.table_scope(Some(t));
             let mut keep = Vec::with_capacity(t.rows.len());
             for row in &t.rows {
                 let matched = match filter {
                     None => true,
                     Some(f) => {
-                        let env = crate::exec::env_for(&cols, row);
+                        let env = crate::exec::env_for(&scope, row);
                         crate::exec::eval(&ctx, f, &env, None)?.to_bool() == Some(true)
                     }
                 };
@@ -344,14 +340,6 @@ impl Database {
                 .catalog
                 .table(table)
                 .ok_or_else(|| DbError::schema(format!("no such table: {table}")))?;
-            let cols: Vec<crate::exec::ColMeta> = t
-                .columns
-                .iter()
-                .map(|c| crate::exec::ColMeta {
-                    table: Some(t.name.clone()),
-                    name: c.name.clone(),
-                })
-                .collect();
             let set_indices: Vec<usize> = sets
                 .iter()
                 .map(|(n, _)| {
@@ -360,9 +348,10 @@ impl Database {
                 })
                 .collect::<Result<_>>()?;
             let ctx = Ctx::with_planner(&self.catalog, params, self.planner);
+            let scope = ctx.table_scope(Some(t));
             let mut out = Vec::with_capacity(t.rows.len());
             for row in &t.rows {
-                let env = crate::exec::env_for(&cols, row);
+                let env = crate::exec::env_for(&scope, row);
                 let matched = match filter {
                     None => true,
                     Some(f) => crate::exec::eval(&ctx, f, &env, None)?.to_bool() == Some(true),
@@ -371,7 +360,7 @@ impl Database {
                     let mut assignments = Vec::with_capacity(sets.len());
                     for ((_, e), &ci) in sets.iter().zip(set_indices.iter()) {
                         let v = crate::exec::eval(&ctx, e, &env, None)?;
-                        assignments.push((ci, v));
+                        assignments.push((ci, v.into_owned()));
                     }
                     out.push(Some(assignments));
                 } else {

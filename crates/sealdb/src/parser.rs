@@ -382,17 +382,9 @@ impl Parser {
     }
 
     fn parse_additive(&mut self) -> Result<Expr> {
-        let mut left = self.parse_concat()?;
-        while self.eat_symbol("+") {
-            left = binary(BinOp::Add, left, self.parse_concat()?);
-        }
-        Ok(left)
-    }
-
-    fn parse_concat(&mut self) -> Result<Expr> {
         let mut left = self.parse_primary()?;
-        while self.eat_symbol("||") {
-            left = binary(BinOp::Concat, left, self.parse_primary()?);
+        while self.eat_symbol("+") {
+            left = binary(BinOp::Add, left, self.parse_primary()?);
         }
         Ok(left)
     }

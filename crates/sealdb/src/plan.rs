@@ -107,55 +107,14 @@ pub fn refs_scope(e: &Expr, cols: &[ColMeta]) -> bool {
 
 /// Whether any of the given columns holds a `NaN` real in `data`.
 ///
-/// `total_cmp` treats NaN as equal to every numeric while `group_key`
-/// separates it by bit pattern, so hash-based strategies are only
-/// sound when the key columns are NaN-free.
+/// `total_cmp` treats NaN as equal to every numeric while a group
+/// class separates it by bit pattern, so hash-based strategies are
+/// only sound when the key columns are NaN-free.
 pub fn has_nan(data: &[Vec<Value>], cols: impl Iterator<Item = usize> + Clone) -> bool {
     data.iter().any(|row| {
         cols.clone()
             .any(|c| matches!(row.get(c), Some(Value::Real(f)) if f.is_nan()))
     })
-}
-
-/// Appends one self-delimiting join-key part for `v` to `key`.
-///
-/// The part is the value's `group_key` (so SQL equality classes —
-/// e.g. `2` and `2.0` — share a key) length-prefixed to keep composite
-/// keys unambiguous even when text values contain the separator.
-pub fn push_key_part(key: &mut String, v: &Value) {
-    let gk = v.group_key();
-    key.push_str(&gk.len().to_string());
-    key.push(':');
-    key.push_str(&gk);
-}
-
-/// Renders a value for a memo-cache key. Unlike `group_key`, this is
-/// an exact representation: `2` and `2.0` map to different keys
-/// because a subquery can return the bound value itself.
-pub fn memo_key_part(key: &mut String, v: &Value) {
-    match v {
-        Value::Null => key.push('N'),
-        Value::Integer(i) => {
-            key.push('I');
-            key.push_str(&i.to_string());
-        }
-        Value::Real(f) => {
-            key.push('R');
-            key.push_str(&f.to_bits().to_string());
-        }
-        Value::Text(s) => {
-            key.push('T');
-            key.push_str(&s.len().to_string());
-            key.push(':');
-            key.push_str(s);
-        }
-        Value::Blob(b) => {
-            key.push('B');
-            for x in b {
-                key.push_str(&format!("{x:02x}"));
-            }
-        }
-    }
 }
 
 /// A FROM source as seen by the free-variable analysis: the label it

@@ -24,6 +24,24 @@ pub enum Value {
     Blob(Vec<u8>),
 }
 
+/// A value's equality class for grouping, DISTINCT and hash joins
+/// ([`Value::group_class`]): 2 and 2.0 share one, other reals are told
+/// apart by bit pattern (so NaNs only match their own bits, unlike
+/// `total_cmp`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum GroupClass<'v> {
+    /// NULL.
+    Null,
+    /// An integer, or a real with an integral value below 9e15.
+    Integer(i64),
+    /// Any other real, by bit pattern.
+    Real(u64),
+    /// Text.
+    Text(&'v str),
+    /// Bytes.
+    Blob(&'v [u8]),
+}
+
 /// Column type affinity, per SQLite's type system.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Affinity {
@@ -60,29 +78,26 @@ impl Affinity {
     /// Applies the affinity to a value being stored.
     pub fn apply(&self, v: Value) -> Value {
         match (self, v) {
-            (Affinity::Integer | Affinity::Numeric, Value::Text(s)) => {
-                if let Ok(i) = s.trim().parse::<i64>() {
-                    Value::Integer(i)
-                } else if let Ok(f) = s.trim().parse::<f64>() {
-                    Value::Real(f)
-                } else {
-                    Value::Text(s)
-                }
-            }
+            (_, Value::Text(s)) => self.coerce_text(&s).unwrap_or(Value::Text(s)),
             (Affinity::Integer, Value::Real(f)) if f.fract() == 0.0 && f.abs() < 9e15 => {
                 Value::Integer(f as i64)
             }
             (Affinity::Real, Value::Integer(i)) => Value::Real(i as f64),
-            (Affinity::Real, Value::Text(s)) => {
-                if let Ok(f) = s.trim().parse::<f64>() {
-                    Value::Real(f)
-                } else {
-                    Value::Text(s)
-                }
-            }
             (Affinity::Text, Value::Integer(i)) => Value::Text(i.to_string()),
             (Affinity::Text, Value::Real(f)) => Value::Text(fmt_real(f)),
             (_, v) => v,
+        }
+    }
+
+    /// The number this affinity turns the text `s` into when stored;
+    /// `None` keeps it text.
+    pub fn coerce_text(&self, s: &str) -> Option<Value> {
+        let s = s.trim();
+        match self {
+            Affinity::Integer | Affinity::Numeric => (s.parse::<i64>().ok().map(Value::Integer))
+                .or_else(|| s.parse::<f64>().ok().map(Value::Real)),
+            Affinity::Real => s.parse::<f64>().ok().map(Value::Real),
+            Affinity::Text | Affinity::Blob => None,
         }
     }
 }
@@ -166,26 +181,39 @@ impl Value {
 
     /// A stable key usable for hashing groups and DISTINCT sets.
     pub fn group_key(&self) -> String {
+        let mut k = String::new();
+        self.write_group_key(&mut k);
+        k
+    }
+
+    /// Appends [`Value::group_key`] to `out`.
+    pub fn write_group_key(&self, out: &mut String) {
+        use fmt::Write;
+        // Writing to a String cannot fail.
+        let _ = match self.group_class() {
+            GroupClass::Null => write!(out, "n"),
+            GroupClass::Integer(i) => write!(out, "i{i}"),
+            GroupClass::Real(bits) => write!(out, "r{bits}"),
+            GroupClass::Text(s) => write!(out, "t{s}"),
+            GroupClass::Blob(b) => {
+                out.push('b');
+                b.iter().try_for_each(|byte| write!(out, "{byte:02x}"))
+            }
+        };
+    }
+
+    /// The value's class under [`Value::group_key`] equality, borrowed:
+    /// two values share a class exactly when their group keys are
+    /// equal, so hash tables key on it without building the string.
+    pub fn group_class(&self) -> GroupClass<'_> {
         match self {
-            Value::Null => "n".to_string(),
-            Value::Integer(i) => format!("i{i}"),
-            Value::Real(f) => {
-                // Integral reals group with integers, as in SQLite.
-                if f.fract() == 0.0 && f.abs() < 9e15 {
-                    format!("i{}", *f as i64)
-                } else {
-                    format!("r{}", f.to_bits())
-                }
-            }
-            Value::Text(s) => format!("t{s}"),
-            Value::Blob(b) => {
-                let mut k = String::with_capacity(1 + b.len() * 2);
-                k.push('b');
-                for byte in b {
-                    k.push_str(&format!("{byte:02x}"));
-                }
-                k
-            }
+            Value::Null => GroupClass::Null,
+            Value::Integer(i) => GroupClass::Integer(*i),
+            // Integral reals group with integers, as in SQLite.
+            Value::Real(f) if f.fract() == 0.0 && f.abs() < 9e15 => GroupClass::Integer(*f as i64),
+            Value::Real(f) => GroupClass::Real(f.to_bits()),
+            Value::Text(s) => GroupClass::Text(s),
+            Value::Blob(b) => GroupClass::Blob(b),
         }
     }
 

@@ -16,7 +16,7 @@ const TEMPLATES: &[&str] = &[
     "SELECT COUNT(*), MAX(a) FROM t GROUP BY b HAVING COUNT(*) > 1",
     "SELECT * FROM t x JOIN t y ON x.a = y.a WHERE NOT EXISTS (SELECT 1 FROM t z WHERE z.a = x.a + 1)",
     "SELECT DISTINCT a FROM t NATURAL JOIN (SELECT a, b FROM t) s WHERE a NOT IN (SELECT a FROM t WHERE b = ?1)",
-    "UPDATE t SET b = b || ?2 WHERE a = -1 OR a < (SELECT MAX(a) FROM t z WHERE z.b = t.b)",
+    "UPDATE t SET b = ?2 WHERE a = -1 OR a < (SELECT MAX(a) FROM t z WHERE z.b = t.b)",
     "INSERT INTO t(a, b) VALUES (1, 'x''y'), (2, x'0aff')",
     "UPDATE t SET b = b || 'suffix' WHERE a BETWEEN 1 AND 5",
     "DELETE FROM t WHERE b LIKE 'x%' OR a IN (1, 2, 3)",

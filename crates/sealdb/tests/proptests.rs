@@ -40,6 +40,9 @@ plat::prop! {
         } else {
             assert_ne!(a.group_key(), b.group_key());
         }
+        // Hash tables key on the class, so it must split values exactly
+        // as the key string does.
+        assert_eq!(a.group_class() == b.group_class(), a.group_key() == b.group_key());
     }
 
     fn count_matches_inserted(g) {
@@ -123,4 +126,37 @@ plat::prop! {
         let r = db.query("SELECT s FROM t", &[]).unwrap();
         assert_eq!(r.scalar().unwrap(), &Value::Text(s));
     }
+}
+
+/// The classes hash tables key on split these corners exactly as the
+/// group key string does: 2 ≡ 2.0 and 0 ≡ -0.0, reals past 9e15 and NaN by
+/// bits, and no text or blob collides with a number.
+#[test]
+fn group_classes_match_group_keys_on_corners() {
+    let values = [
+        Value::Null,
+        Value::Integer(2),
+        Value::Real(2.0),
+        Value::Real(-0.0),
+        Value::Integer(0),
+        Value::Real(2.5),
+        Value::Real(f64::NAN),
+        Value::Real(1e16),
+        Value::Integer(10_000_000_000_000_000),
+        Value::Text("i2".into()),
+        Value::Text("2".into()),
+        Value::Blob(vec![0x69, 0x32]),
+        Value::Blob(vec![0xab]),
+    ];
+    for a in &values {
+        for b in &values {
+            let same = a.group_key() == b.group_key();
+            assert_eq!(a.group_class() == b.group_class(), same, "{a:?} vs {b:?}");
+        }
+    }
+    assert_eq!(Value::Blob(vec![0xab, 1]).group_key(), "bab01");
+    assert_eq!(
+        Value::Real(2.5).group_key(),
+        format!("r{}", 2.5f64.to_bits())
+    );
 }
