@@ -10,10 +10,11 @@ export CARGO_NET_OFFLINE=true
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
-# The crates the curve and record kernels and the SQL executor live in
-# are fmt-clean; the rest of the tree is not yet.
+# The crates the curve and record kernels, the SQL executor and the
+# audit log live in are fmt-clean; the rest of the tree is not yet.
 cargo fmt -p libseal-crypto -- --check
 cargo fmt -p libseal-sealdb -- --check
+cargo fmt -p libseal -- --check
 
 # The thread-backed `Coroutine` behind this feature is the only
 # implementation on aarch64 (which `plat` supports); nothing above

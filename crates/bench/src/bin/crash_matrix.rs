@@ -1,8 +1,8 @@
 //! CI gate: the crash matrix. Enumerate every failpoint the audited
 //! write path crosses (append, per-request flush, trim and its
-//! snapshot, journal sync, ROTE rounds, the group-commit pipeline,
-//! recovery itself), simulate a crash at each one, restart, and assert
-//! the recovery contract:
+//! snapshot frame, the journal's write and sync, reclamation, ROTE
+//! rounds, the group-commit pipeline, recovery itself), simulate a
+//! crash at each one, restart, and assert the recovery contract:
 //!
 //!   1. the reopen succeeds (a crash never corrupts, it only truncates),
 //!   2. every entry whose append *and* flush returned success is still
@@ -18,11 +18,12 @@
 //! what it keeps ([`KEPT`]), whether it landed or was given up. Sites a
 //! trim crosses get a second row with the fault armed as the trim
 //! begins, under both workloads, and under a third in which the trim
-//! runs while the sealer's counter round is in flight. Torn writes (a
-//! crash mid-`write(2)`)
-//! are exercised separately on the two raw-write sites. Runtime is
-//! bounded: one fixed six-append workload per (site, fault) pair, tens
-//! of trials total.
+//! runs while the sealer's counter round is in flight. Reclamation's
+//! sites run under a fourth workload that appends and trims until the
+//! journal's dead bytes pass their bound. Torn writes (a `write(2)`
+//! cut short) are exercised separately on the raw-write sites. Runtime
+//! is bounded: one fixed workload per (site, fault) pair, tens of
+//! trials total.
 //!
 //! ```sh
 //! cargo run --release -p libseal-bench --bin crash_matrix
@@ -271,6 +272,40 @@ fn sealer_trim_workload(
     }
 }
 
+/// Trim cycles [`reclaim_workload`] runs at most: enough for its
+/// journal's dead bytes to pass `sealdb::journal::RECLAIM_BYTES`.
+const RECLAIM_CYCLES: usize = 4_000;
+
+/// Reclamation's workload: one flushed append and one trim per cycle,
+/// in per-request-flush mode, until a flush has reclaimed the journal
+/// (it shrank), then one more append.
+fn reclaim_workload(
+    path: &TempPath,
+    guard: Box<dyn RollbackGuard>,
+    _at_trim: &dyn Fn(),
+) -> Outcome {
+    let Ok(mut log) = open_log(path, guard) else {
+        return Outcome { durable: 0 };
+    };
+    let append = |log: &mut AuditLog, i: usize| {
+        git_update(log, "r", "main", &format!("{i:040x}")).is_ok() && log.flush().is_ok()
+    };
+    let mut durable = 0;
+    for i in 0..RECLAIM_CYCLES {
+        let before = log.journal_size_bytes();
+        if !append(&mut log, i) {
+            break;
+        }
+        let _ = log.trim(GitModule.trim_queries());
+        durable = KEPT;
+        if log.journal_size_bytes() < before {
+            break;
+        }
+    }
+    durable += u64::from(append(&mut log, RECLAIM_CYCLES));
+    Outcome { durable }
+}
+
 /// Dry-runs the workload with no faults armed so every failpoint on
 /// the path registers itself, then returns the matrix rows.
 fn enumerate_sites(s: &Scenario) -> Vec<String> {
@@ -292,6 +327,11 @@ fn enumerate_sites(s: &Scenario) -> Vec<String> {
         KEPT + WRITERS,
         "fault-free pipeline must not fail"
     );
+    // And reclamation registers its copy, fsync, rename and directory
+    // sync.
+    let rc_path = TempPath::new("crash-matrix-dry-rc", "log");
+    let out = reclaim_workload(&rc_path, Box::new(RoteGuard(cluster())), &|| ());
+    assert_eq!(out.durable, KEPT + 1, "fault-free reclamation must not fail");
     let mut sites = s.registered();
     sites.sort();
     sites
@@ -401,27 +441,35 @@ fn main() {
     // the sealer's `seal_staged`), so it gets a row under each.
     let mut rows: Vec<(&str, (Workload, bool))> = sites
         .iter()
-        .map(|site| match site.starts_with("core::commit::") {
-            true => (site.as_str(), (pipeline_workload as Workload, false)),
-            false => (site.as_str(), (workload as Workload, false)),
+        .map(|site| {
+            let run: Workload = match site {
+                s if s.starts_with("core::commit::") => pipeline_workload,
+                s if s.starts_with("sealdb::reclaim::") => reclaim_workload,
+                _ => workload,
+            };
+            (site.as_str(), (run, false))
         })
         .collect();
     rows.push(("core::log::append::counter", (pipeline_workload, false)));
     // A trim is sealed by the same step as an append, so by the time it
     // starts the seal's sites have long had their first hit: arm them
     // as the trim begins. The sites only a trim crosses (its queries,
-    // the chain rebuild, the snapshot) have their first-hit rows above,
-    // under the serial workload; the pipeline gets them here.
-    for site in ["core::log::append::counter", "core::log::append::sign"] {
+    // the chain rebuild, the snapshot frame) have their first-hit rows
+    // above, under the serial workload; the pipeline gets them here,
+    // with the write and fsync of the commit that carries the frame.
+    for site in [
+        "core::log::append::counter",
+        "core::log::append::sign",
+        "sealdb::journal::write",
+        "sealdb::journal::sync",
+    ] {
         rows.push((site, (workload, true)));
         rows.push((site, (pipeline_workload, true)));
     }
     for site in [
         "core::log::trim::queries",
         "core::log::trim::rebuild",
-        "sealdb::compact::sync",
-        "sealdb::compact::rename",
-        "sealdb::compact::sync_dir",
+        "sealdb::journal::snapshot",
     ] {
         assert!(sites.iter().any(|x| x == site), "{site} is not on the path");
         rows.push((site, (pipeline_workload, true)));
@@ -432,8 +480,9 @@ fn main() {
         "core::log::append::sign",
         "core::log::trim::queries",
         "core::log::trim::rebuild",
-        "sealdb::compact::write",
-        "sealdb::compact::rename",
+        "sealdb::journal::snapshot",
+        "sealdb::journal::write",
+        "sealdb::journal::sync",
         "core::log::flush",
     ] {
         rows.push((site, (sealer_trim_workload, true)));
@@ -453,14 +502,15 @@ fn main() {
             failures.push(e);
         }
     }
-    // Torn writes on the raw file-write sites: the frame is cut
-    // mid-`write(2)` and must be salvaged, not trusted. Every write
-    // tears, not just the first; the snapshot's all happen inside a
-    // trim, under either workload.
+    // Torn writes on the raw file-write sites: the write is cut short
+    // and must be cut back off the file or salvaged, never trusted.
+    // Every write tears, not just the first: the journal's, under the
+    // serial and pipeline workloads (whose trims put a snapshot frame in
+    // one), and reclamation's copy.
     for (site, run) in [
-        ("sealdb::journal::append", workload as Workload),
-        ("sealdb::compact::write", workload),
-        ("sealdb::compact::write", pipeline_workload),
+        ("sealdb::journal::write", workload as Workload),
+        ("sealdb::journal::write", pipeline_workload),
+        ("sealdb::reclaim::copy", reclaim_workload),
     ] {
         if sites.iter().any(|x| x == site) {
             trials += 1;

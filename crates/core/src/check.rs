@@ -92,9 +92,10 @@ pub struct Checker {
     client_budget: usize,
     /// The most recent outcome (served to clients in-band).
     pub last_outcome: CheckOutcome,
-    /// Chain length right after the last automatic trim. Appends only
-    /// lengthen the chain, so an equal length means nothing was logged
-    /// since, and trimming again would rewrite the same journal.
+    /// Chain length the last automatic trim left (once its seal has
+    /// rebuilt the chain). Appends only lengthen the chain, so an equal
+    /// length means nothing was logged since, and trimming again would
+    /// frame the same snapshot.
     entries_at_trim: Option<u64>,
 }
 
@@ -184,27 +185,25 @@ impl Checker {
         log.db_mut()
             .refresh_matviews()
             .map_err(crate::LibSealError::Db)?;
-        let registered: Vec<String> = log
-            .db_mut()
-            .matview_names()
-            .into_iter()
-            .map(str::to_string)
-            .collect();
         let mut outcome = CheckOutcome {
             at_time: log.now(),
             reports: Vec::new(),
         };
         for inv in ssm.invariants() {
-            let view = inv.view_name();
-            let r = if inv.delta.is_some() && registered.contains(&view) {
-                log.query(&format!("SELECT * FROM {view}"), &[])?
-            } else {
-                log.query(inv.sql, &[])?
-            };
-            outcome.reports.push(CheckReport {
+            // A registered view's violations are its backing table's
+            // rows, read as they lie.
+            let view = inv.delta.map(|_| inv.view_name());
+            let db = log.db_mut();
+            let registered = view.filter(|v| db.matview_names().contains(&v.as_str()));
+            let backing = registered.and_then(|v| db.catalog().table(&v));
+            let report = |rows: &[Vec<Value>]| CheckReport {
                 invariant: inv.name.to_string(),
-                violations: r.rows.len(),
-                rows: r.rows.into_iter().take(MAX_REPORT_ROWS).collect(),
+                violations: rows.len(),
+                rows: rows.iter().take(MAX_REPORT_ROWS).cloned().collect(),
+            };
+            outcome.reports.push(match backing {
+                Some(t) => report(&t.rows),
+                None => report(&log.query(inv.sql, &[])?.rows),
             });
         }
         incremental_latency_hist().record_duration(started.elapsed());
@@ -237,12 +236,13 @@ impl Checker {
             // Trim only clean logs: violations must stay as evidence.
             // Trimming deletes base rows, which marks the views fully
             // dirty — the next check recomputes over the (now small)
-            // trimmed log. A trim is sealed like a batch — a counter
-            // round and a signature — and lands as a journal snapshot
-            // (write, fsync, rename, directory fsync), so an interval
-            // of unlogged responses skips it.
-            log.trim(ssm.trim_queries())?;
-            self.entries_at_trim = Some(log.entries());
+            // trimmed log. The trim only stages its deletions: the next
+            // commit rebuilds the chain, signs it under that batch's
+            // counter bind and appends it as one snapshot frame, written
+            // and fsynced with the batch. An interval of unlogged
+            // responses skips it, so the journal does not grow a frame
+            // per interval.
+            self.entries_at_trim = Some(log.trim(ssm.trim_queries())?);
         }
         self.last_outcome = outcome.clone();
         Ok(outcome)

@@ -97,7 +97,13 @@ pub struct CheckpointRow {
 }
 
 /// Canonical signing payload of one checkpoint row.
-pub fn checkpoint_payload(epoch: u64, shard: u32, seq: u64, clock: u64, head: &[u8; 32]) -> Vec<u8> {
+pub fn checkpoint_payload(
+    epoch: u64,
+    shard: u32,
+    seq: u64,
+    clock: u64,
+    head: &[u8; 32],
+) -> Vec<u8> {
     let mut p = Vec::with_capacity(14 + 8 + 4 + 8 + 8 + 32);
     p.extend_from_slice(b"libseal-epoch:");
     p.extend_from_slice(&epoch.to_le_bytes());
@@ -170,13 +176,19 @@ impl std::fmt::Display for FleetVerifyError {
                 write!(f, "shard {shard} failed verification: {source}")
             }
             FleetVerifyError::CheckpointGap { expected, found } => {
-                write!(f, "checkpoint gap: expected epoch {expected}, found {found}")
+                write!(
+                    f,
+                    "checkpoint gap: expected epoch {expected}, found {found}"
+                )
             }
             FleetVerifyError::MissingShard { epoch, shard } => {
                 write!(f, "epoch {epoch} does not cover shard {shard}")
             }
             FleetVerifyError::BadSignature { epoch, shard } => {
-                write!(f, "bad checkpoint signature at epoch {epoch}, shard {shard}")
+                write!(
+                    f,
+                    "bad checkpoint signature at epoch {epoch}, shard {shard}"
+                )
             }
             FleetVerifyError::NonMonotone { shard, epoch } => {
                 write!(f, "shard {shard} clock regressed at epoch {epoch}")

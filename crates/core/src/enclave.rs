@@ -757,7 +757,7 @@ pub(crate) fn check_now(t: &Trusted) -> Result<CheckOutcome> {
 }
 
 /// Runs `f` on the audit state holding the log's bind gate
-/// ([`crate::log::with_bind_gate`]): what everything that may bind the
+/// ([`crate::log::with_bind_gate`]): what everything that binds the
 /// counter under the audit lock goes through, so it waits for a seal in
 /// flight instead of binding a second value beside it.
 fn with_audit_bound<R>(t: &Trusted, f: impl FnOnce(&mut AuditState) -> R) -> Result<R> {
@@ -765,19 +765,24 @@ fn with_audit_bound<R>(t: &Trusted, f: impl FnOnce(&mut AuditState) -> R) -> Res
     Ok(crate::log::with_bind_gate(state, |a| &mut a.log, f))
 }
 
-/// The `trim_now` body.
+/// The `trim_now` body: the trim and the seal that makes it durable.
 pub(crate) fn trim_log(t: &Trusted) -> Result<()> {
-    with_audit_bound(t, |a| a.log.trim(a.ssm.trim_queries()))?
+    with_audit_bound(t, |a| {
+        a.log.trim(a.ssm.trim_queries())?;
+        a.log.seal()?;
+        a.log.flush()
+    })?
 }
 
 /// The `verify_log` body.
 pub(crate) fn verify_log(t: &Trusted) -> Result<()> {
     with_audit_bound(t, |a| {
         // Catch the signed head up with anything still staged
-        // (in-flight group-commit entries or direct appends), so
-        // verification always sees a consistent head. No-op when
-        // the log is clean.
+        // (in-flight group-commit entries, direct appends, a trim), so
+        // verification always sees a consistent head. No-op when the
+        // log is clean.
         a.log.seal()?;
+        a.log.flush()?;
         a.log.verify()
     })?
 }
@@ -825,12 +830,12 @@ pub(crate) fn seal_batch(t: &Trusted, sv: &EnclaveServices) -> Result<()> {
 
 /// The verifier's body: drains due checks off the request path with
 /// one enclave transition per coalesced batch; the incremental views
-/// keep each drain short.
+/// keep each drain short. A due check usually trims, and a trim only
+/// stages (the sealer's next commit makes it durable), so this binds
+/// nothing and needs the audit lock alone.
 pub(crate) fn verify_batch(t: &Trusted, _sv: &EnclaveServices) -> Result<()> {
-    // A due check usually trims, and a trim binds the counter.
-    with_audit_bound(t, |a| {
-        let AuditState { log, ssm, checker } = a;
-        checker.run_due(ssm.as_ref(), log)?.count_alarm();
-        Ok(())
-    })?
+    let mut astate = t.audit()?;
+    let AuditState { log, ssm, checker } = &mut *astate;
+    checker.run_due(ssm.as_ref(), log)?.count_alarm();
+    Ok(())
 }

@@ -62,8 +62,8 @@ pub use log::{AuditLog, CommitMode, LogBacking, TableSpec};
 pub use plane::AuditPlane;
 pub use provision::{CertProvisioner, IdentityIssuer};
 pub use queue::{Slot, TicketQueue, Worker};
-pub use ssm::{DropboxModule, GitModule, Invariant, OwnCloudModule, ServiceModule};
 pub use session::{LibSeal, ShadowSsl};
+pub use ssm::{DropboxModule, GitModule, Invariant, OwnCloudModule, ServiceModule};
 
 pub use libseal_telemetry as telemetry;
 

@@ -24,15 +24,15 @@
 //! and a chain row; a trim stages the SSM's deletions. One step —
 //! [`AuditLog::seal`], or [`seal_staged`] with the counter round taken
 //! outside the audit lock — then binds the rollback counter, signs the
-//! head over everything staged and hands it to the disk: an append's
-//! rows are already in the journal (the caller's [`AuditLog::flush`]
-//! fsyncs them), while a trim's went nowhere near it and become durable
-//! as the snapshot that atomically replaces it. A seal that fails
-//! leaves the log dirty and the durable journal a legal earlier state;
-//! the next seal from anywhere covers the same changes. The one thing
-//! given up rather than retried is a trim whose snapshot cannot be
-//! written: the counter step it bound signs the log as it was, and the
-//! next due trim starts over.
+//! head over everything staged and hands it to the journal: an append's
+//! rows are already framed there, while a trim's were never journaled
+//! and land as one snapshot frame of the post-trim log behind them. The
+//! caller's [`AuditLog::flush`] writes and fsyncs it all at once. A seal
+//! that fails leaves the log dirty and the durable journal a legal
+//! earlier state; the next seal from anywhere covers the same changes.
+//! The one thing given up rather than retried is a trim whose seal
+//! failed after the counter bind: the counter step signs the log as it
+//! was, and the next due trim starts over.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -40,6 +40,7 @@ use std::sync::Arc;
 use libseal_crypto::aead::ChaCha20Poly1305;
 use libseal_crypto::ed25519::SigningKey;
 use libseal_crypto::sha2::Sha256;
+use libseal_sealdb::db::Prepared;
 use libseal_sealdb::journal::JournalCodec;
 use libseal_sealdb::value::{Affinity, GroupClass};
 use libseal_sealdb::{quote_ident, Database, Value};
@@ -320,6 +321,42 @@ pub enum CommitMode {
     Staged,
 }
 
+/// The statements every append and seal runs, parsed once at
+/// [`AuditLog::open`].
+struct Stmts {
+    /// Per audited table (in `tables` order): its row `INSERT`, its
+    /// column count and its key columns' positions.
+    rows: Vec<(Prepared, usize, Vec<usize>)>,
+    chain_insert: Prepared,
+    meta_insert: Prepared,
+    meta_update: Prepared,
+}
+
+impl Stmts {
+    fn prepare(db: &Database, tables: &[TableSpec]) -> Result<Stmts> {
+        let prepare = |sql: &str| Database::prepare(sql).map_err(LibSealError::Db);
+        let mut rows = Vec::with_capacity(tables.len());
+        for spec in tables {
+            let t = (db.catalog().table(spec.name))
+                .ok_or_else(|| LibSealError::Log(format!("no such table: {}", spec.name)))?;
+            let key = |c: &&str| {
+                let missing = || LibSealError::Log(format!("{} has no key column {c}", spec.name));
+                t.column_index(c).ok_or_else(missing)
+            };
+            let keys = spec.key_cols.iter().map(key).collect::<Result<_>>()?;
+            let marks = vec!["?"; t.columns.len()].join(", ");
+            let insert = format!("INSERT INTO {} VALUES ({marks})", quote_ident(spec.name));
+            rows.push((prepare(&insert)?, t.columns.len(), keys));
+        }
+        Ok(Stmts {
+            rows,
+            chain_insert: prepare("INSERT INTO _libseal_chain VALUES (?, ?, ?, ?, ?)")?,
+            meta_insert: prepare("INSERT INTO _libseal_meta VALUES (?, ?)")?,
+            meta_update: prepare("UPDATE _libseal_meta SET v = ? WHERE k = ?")?,
+        })
+    }
+}
+
 /// Parsed, signature-verified contents of the `head` meta row.
 struct SignedHead {
     head: [u8; 32],
@@ -331,6 +368,7 @@ struct SignedHead {
 /// The enclave-resident audit log.
 pub struct AuditLog {
     db: Database,
+    stmts: Stmts,
     signer: SigningKey,
     guard: Arc<dyn RollbackGuard>,
     tables: Vec<TableSpec>,
@@ -395,15 +433,8 @@ impl AuditLog {
         // Bump the sealed restart epoch before this process seals
         // anything: every nonce of this run is distinct from every
         // nonce of every previous run.
-        let stored_epoch = db
-            .query("SELECT v FROM _libseal_meta WHERE k = 'epoch'", &[])
-            .ok()
-            .and_then(|r| match r.scalar() {
-                Some(Value::Text(t)) => t.parse::<u32>().ok(),
-                _ => None,
-            })
-            .unwrap_or(0);
-        codec.set_epoch(stored_epoch + 1);
+        let stored_epoch = meta(&db, "epoch").and_then(|t| t.parse::<u32>().ok());
+        codec.set_epoch(stored_epoch.unwrap_or(0) + 1);
         db.execute(CHAIN_SCHEMA).map_err(LibSealError::Db)?;
         db.execute(META_SCHEMA).map_err(LibSealError::Db)?;
         for stmt in split_statements(schema_sql) {
@@ -428,8 +459,10 @@ impl AuditLog {
                 .map_err(LibSealError::Db)?;
             }
         }
+        let stmts = Stmts::prepare(&db, &tables)?;
         let mut log = AuditLog {
             db,
+            stmts,
             signer,
             guard: Arc::from(guard),
             tables,
@@ -451,7 +484,7 @@ impl AuditLog {
             // the journal is append-ordered, so the epoch row is
             // durable before any record relying on it.
             let epoch = log.codec.epoch();
-            log.put_meta("epoch", &epoch.to_string())?;
+            log.put_meta("epoch", epoch.to_string())?;
         }
         log.recover_state()?;
         if log.disk_backed {
@@ -463,30 +496,13 @@ impl AuditLog {
     /// Writes a `_libseal_meta` row with a single journaled statement
     /// (UPDATE when present, INSERT when absent), so a crash can never
     /// leave the key deleted-but-not-rewritten.
-    fn put_meta(&mut self, k: &str, v: &str) -> Result<()> {
-        let present = self
-            .db
-            .query(
-                "SELECT v FROM _libseal_meta WHERE k = ?",
-                &[Value::Text(k.into())],
-            )
-            .map_err(LibSealError::Db)?;
-        if present.rows.is_empty() {
-            self.db
-                .execute_with(
-                    "INSERT INTO _libseal_meta VALUES (?, ?)",
-                    &[Value::Text(k.into()), Value::Text(v.into())],
-                )
-                .map_err(LibSealError::Db)?;
-        } else {
-            self.db
-                .execute_with(
-                    "UPDATE _libseal_meta SET v = ? WHERE k = ?",
-                    &[Value::Text(v.into()), Value::Text(k.into())],
-                )
-                .map_err(LibSealError::Db)?;
-        }
-        Ok(())
+    fn put_meta(&mut self, k: &str, v: String) -> Result<()> {
+        let (key, v) = (Value::Text(k.into()), Value::Text(v));
+        let r = match meta(&self.db, k) {
+            None => (self.db).execute_prepared(&self.stmts.meta_insert, &[key, v]),
+            Some(_) => (self.db).execute_prepared(&self.stmts.meta_update, &[v, key]),
+        };
+        r.map(drop).map_err(LibSealError::Db)
     }
 
     fn recover_state(&mut self) -> Result<()> {
@@ -581,11 +597,7 @@ impl AuditLog {
     ///
     /// Returns `Ok(None)` for an empty (never-signed) log.
     fn signed_head_row(&self) -> Result<Option<SignedHead>> {
-        let meta = self
-            .db
-            .query("SELECT v FROM _libseal_meta WHERE k = 'head'", &[])
-            .map_err(LibSealError::Db)?;
-        let Some(Value::Text(m)) = meta.scalar() else {
+        let Some(m) = meta(&self.db, "head") else {
             return Ok(None);
         };
         let parts: Vec<&str> = m.split(':').collect();
@@ -655,39 +667,26 @@ impl AuditLog {
     /// Unknown table, database failures, or counter failures.
     pub fn append(&mut self, table: &str, values: &[Value]) -> Result<()> {
         let started = std::time::Instant::now();
-        if self.db.snapshot_pending() {
-            // A trim whose seal failed (or that waits for the seal in
-            // flight) is still staged. Nothing is appended behind one:
-            // finish it first, or, while another bind is in flight, give
-            // it up. Only a trim is ever kept from the journal, so
-            // giving one up loses no entry.
-            self.seal()?;
-            if self.db.snapshot_pending() {
-                self.abandon_trim()?;
-            }
-        }
         if self.disk_backed && self.codec.needs_rotation() {
             self.rotate_epoch()?;
         }
-        let spec = self
-            .tables
-            .iter()
-            .find(|t| t.name.eq_ignore_ascii_case(table))
-            .ok_or_else(|| LibSealError::Log(format!("not an audited table: {table}")))?
-            .clone();
+        let spec = (self.tables.iter())
+            .position(|t| t.name.eq_ignore_ascii_case(table))
+            .ok_or_else(|| LibSealError::Log(format!("not an audited table: {table}")))?;
+        let (insert, columns, keys) = &self.stmts.rows[spec];
+        if values.len() != *columns {
+            return Err(LibSealError::Log(format!(
+                "{} values for the {columns} columns of {table}",
+                values.len()
+            )));
+        }
 
         plat::failpoint::check("core::log::append")
             .map_err(|e| LibSealError::Log(e.to_string()))?;
-        let placeholders = vec!["?"; values.len()].join(", ");
-        self.db
-            .execute_with(
-                &format!("INSERT INTO {} VALUES ({placeholders})", quote_ident(table)),
-                values,
-            )
-            .map_err(LibSealError::Db)?;
+        (self.db.execute_prepared(insert, values)).map_err(LibSealError::Db)?;
 
         let payload = render_payload(table, values);
-        let key = render_key(&spec, table, values, &self.db)?;
+        let key = render_key(keys, values);
         let mut h = Sha256::new();
         h.update(&self.head);
         h.update(payload.as_bytes());
@@ -695,18 +694,14 @@ impl AuditLog {
         plat::failpoint::check("core::log::append::chain")
             .map_err(|e| LibSealError::Log(e.to_string()))?;
         self.seq += 1;
-        self.db
-            .execute_with(
-                "INSERT INTO _libseal_chain VALUES (?, ?, ?, ?, ?)",
-                &[
-                    Value::Integer(self.seq as i64),
-                    Value::Text(table.to_string()),
-                    Value::Text(key),
-                    Value::Text(payload),
-                    Value::Blob(new_hash.to_vec()),
-                ],
-            )
-            .map_err(LibSealError::Db)?;
+        let row = [
+            Value::Integer(self.seq as i64),
+            Value::Text(table.to_string()),
+            Value::Text(key),
+            Value::Text(payload),
+            Value::Blob(new_hash.to_vec()),
+        ];
+        (self.db.execute_prepared(&self.stmts.chain_insert, &row)).map_err(LibSealError::Db)?;
         self.head = new_hash;
         self.dirty = true;
 
@@ -753,18 +748,20 @@ impl AuditLog {
     /// The one commit step, given an already-bound counter value: signs
     /// the current head over everything staged. With a trim staged, the
     /// chain is first rebuilt over the rows that survived it, and the
-    /// signed result replaces the journal as one atomic snapshot
-    /// (temp file, fsync, rename, directory fsync) — until the rename
-    /// the journal is the untouched pre-trim log, after it the trimmed
-    /// one. A snapshot that cannot be written costs the trim, not the
-    /// step: the trim is given up ([`AuditLog::abandon_trim`]) and the
-    /// same counter value signs the log as the journal has it, so the
-    /// durable head keeps up with the counter however often that
-    /// happens. [`seal_staged`] obtains `counter` while NOT holding the
-    /// audit lock, so whatever was staged during the counter round is
-    /// covered too. No-op when clean — another seal got there first,
-    /// and recovery's legal "+1 counter step" window absorbs the spare
-    /// increment.
+    /// signed result is framed as one snapshot behind what the journal
+    /// holds ([`Database::write_snapshot`]): it is written and fsynced
+    /// with the batch by the caller's [`AuditLog::flush`] (or
+    /// [`seal_staged`]'s write and fdatasync), and until it is on disk
+    /// the journal replays to the log before the trim, with every
+    /// append staged since. A trim whose half of the step fails —
+    /// the rebuild, the signature or the frame — is given up
+    /// ([`AuditLog::abandon_trim`]) and the same counter value signs the
+    /// log as it was, so the durable head keeps up with the counter
+    /// however often that happens. [`seal_staged`] obtains `counter`
+    /// while NOT holding the audit lock, so whatever was staged during
+    /// the counter round is covered too. No-op when clean — another seal
+    /// got there first, and recovery's legal "+1 counter step" window
+    /// absorbs the spare increment.
     fn seal_bound(&mut self, counter: u64) -> Result<()> {
         log_metrics().counter_binds.inc();
         if !self.dirty {
@@ -774,29 +771,37 @@ impl AuditLog {
         // later value already; the signed head's counter must never
         // step backwards.
         let counter = counter.max(self.counter);
-        if self.db.snapshot_pending() {
-            self.rebuild_chain()?;
-        }
-        let mut snapshot = Ok(());
+        let mut given_up = Ok(());
         loop {
-            self.sign_head(counter)?;
-            if !self.db.snapshot_pending() {
+            // A staged trim's half of the step — the chain rebuilt over
+            // the surviving rows and the head signed — is journaled only
+            // as the snapshot frame that ends it.
+            let trim = self.db.snapshot_pending();
+            if trim {
+                self.db.defer_to_snapshot();
+            }
+            let rebuilt = if trim { self.rebuild_chain() } else { Ok(()) };
+            let signed = rebuilt.and_then(|()| self.sign_head(counter));
+            self.db.resume_journal();
+            if !trim {
+                signed?;
                 break;
             }
-            snapshot = self.db.compact();
-            if snapshot.is_ok() {
-                break;
+            match signed.and_then(|()| self.db.write_snapshot().map_err(LibSealError::Db)) {
+                Ok(()) => break,
+                Err(e) => {
+                    self.abandon_trim()?;
+                    given_up = Err(e);
+                }
             }
-            self.abandon_trim()?;
         }
         self.dirty = false;
-        snapshot.map_err(LibSealError::Db)
+        given_up
     }
 
-    /// Gives up a staged trim whose snapshot could not be written: the
-    /// tables go back to what the journal replays to — the log as it
-    /// was, with every append staged before the trim, since nothing is
-    /// appended behind one ([`AuditLog::append`]) — and journaling
+    /// Gives up a staged trim: the tables go back to what the journal
+    /// replays to — the log as it was, with every append staged before
+    /// and behind the trim, all of them journaled — and journaling
     /// resumes. The next due trim tries again.
     fn abandon_trim(&mut self) -> Result<()> {
         self.db.reload().map_err(LibSealError::Db)?;
@@ -818,7 +823,7 @@ impl AuditLog {
     /// before anything else is sealed under the new epoch.
     fn rotate_epoch(&mut self) -> Result<()> {
         let e = self.codec.rotate_epoch();
-        self.put_meta("epoch", &e.to_string())?;
+        self.put_meta("epoch", e.to_string())?;
         log_metrics().epoch_rotations.inc();
         Ok(())
     }
@@ -832,36 +837,48 @@ impl AuditLog {
         // Head, metadata and signature travel in ONE row written by one
         // journaled statement: there is no crash point at which the
         // head exists unsigned or the signature refers to a stale head.
-        self.put_meta(
-            "head",
-            &format!(
-                "{}:{}:{}:{}:{}",
-                hex(&self.head),
-                self.seq,
-                counter,
-                self.clock,
-                hex(&sig)
-            ),
-        )?;
+        let (head, seq, clock) = (hex(&self.head), self.seq, self.clock);
+        let row = format!("{head}:{seq}:{counter}:{clock}:{}", hex(&sig));
+        self.put_meta("head", row)?;
         self.counter = counter;
         log_metrics().head_signs.inc();
         Ok(())
     }
 
-    /// Forces journalled records to stable storage; LibSEAL calls this
-    /// once per request/response pair (§5.1).
+    /// Writes what the journal has framed and forces it to stable
+    /// storage, in one `write(2)` and one fsync; LibSEAL calls this once
+    /// per request/response pair or group-commit batch (§5.1). Then, if
+    /// the journal's dead bytes before its last snapshot frame have
+    /// passed their bound, reclaims them.
     ///
     /// # Errors
     ///
-    /// I/O failures.
+    /// I/O failures; what was framed stays framed for the next flush.
     pub fn flush(&mut self) -> Result<()> {
-        plat::failpoint::check("core::log::flush").map_err(|e| LibSealError::Log(e.to_string()))?;
         let started = std::time::Instant::now();
-        let r = self.db.sync_journal().map_err(LibSealError::Db);
-        if r.is_ok() {
-            log_metrics().flush_ns.record_duration(started.elapsed());
+        if let Some(sync) = self.write_journal()? {
+            sync.sync().map_err(LibSealError::Db)?;
         }
-        r
+        log_metrics().flush_ns.record_duration(started.elapsed());
+        self.reclaim_if_due();
+        Ok(())
+    }
+
+    /// The first half of a flush: writes what the journal has framed and
+    /// returns the fsync that makes it durable (`None` in memory).
+    fn write_journal(&mut self) -> Result<Option<libseal_sealdb::journal::JournalSync>> {
+        plat::failpoint::check("core::log::flush").map_err(|e| LibSealError::Log(e.to_string()))?;
+        self.db.write_journal().map_err(LibSealError::Db)
+    }
+
+    /// Reclaims the journal's dead bytes once they pass their bound. A
+    /// flush has made the batch durable already: a reclamation that
+    /// fails leaves a journal that replays to the same state, and the
+    /// next flush tries again.
+    fn reclaim_if_due(&mut self) {
+        if self.db.reclaim_due() {
+            let _ = self.db.reclaim();
+        }
     }
 
     /// Runs a read-only query against the log (invariant checking).
@@ -949,29 +966,50 @@ impl AuditLog {
         Ok(rows)
     }
 
-    /// Stages the SSM's trimming queries and seals (§5.1, "Log
-    /// trimming"): on `Ok` the chain is rebuilt over the surviving
-    /// entries, the head re-signed and the journal replaced by the
-    /// snapshot. Nothing a trim executes reaches the live journal.
+    /// Stages the SSM's trimming queries (§5.1, "Log trimming") and
+    /// returns how many chain entries survive them. The deletions are
+    /// applied but not journaled; the next seal rebuilds the chain over
+    /// the survivors and makes the result durable as one snapshot frame
+    /// ([`AuditLog::seal_bound`]). Appends meanwhile are journaled as
+    /// usual. In [`CommitMode::Immediate`] that seal and its flush run
+    /// here.
     ///
     /// # Errors
     ///
-    /// Database, counter or snapshot failures. Up to the signature what
-    /// was deleted stays staged and the journal untouched, and the next
-    /// seal finishes the trim; a trim whose snapshot fails is given up,
-    /// and the log is sealed as it was.
-    pub fn trim(&mut self, trim_queries: &[&str]) -> Result<()> {
+    /// Database, counter or I/O failures. What was deleted stays staged
+    /// until a seal finishes or gives up the trim.
+    pub fn trim(&mut self, trim_queries: &[&str]) -> Result<u64> {
         let started = std::time::Instant::now();
         self.db.defer_to_snapshot();
         self.dirty = true;
-        for q in trim_queries {
+        let deleted = trim_queries.iter().try_for_each(|q| {
             plat::failpoint::check("core::log::trim::queries")
                 .map_err(|e| LibSealError::Log(e.to_string()))?;
-            self.db.execute(q).map_err(LibSealError::Db)?;
+            self.db.execute(q).map(drop).map_err(LibSealError::Db)
+        });
+        self.db.resume_journal();
+        deleted?;
+        let kept = self.surviving_entries()?.len() as u64;
+        if self.mode == CommitMode::Immediate {
+            let sealed = self.seal();
+            let flushed = self.flush();
+            sealed.and(flushed)?;
         }
-        self.seal()?;
         log_metrics().trim_ns.record_duration(started.elapsed());
-        Ok(())
+        Ok(kept)
+    }
+
+    /// The chain rows, in `seq` order, whose data row still exists.
+    fn surviving_entries(&self) -> Result<Vec<&[Value]>> {
+        let data = DataRows::new(&self.tables, self.db.catalog());
+        let mut survivors = self.chain_rows()?;
+        survivors.retain(|row| match (&row[1], &row[2], &row[3]) {
+            (Value::Text(tbl), Value::Text(key), Value::Text(payload)) => {
+                data.find(tbl, key, payload).is_ok()
+            }
+            _ => false,
+        });
+        Ok(survivors)
     }
 
     /// Rebuilds `_libseal_chain`, with fresh sequence numbers and
@@ -979,41 +1017,32 @@ impl AuditLog {
     fn rebuild_chain(&mut self) -> Result<()> {
         plat::failpoint::check("core::log::trim::rebuild")
             .map_err(|e| LibSealError::Log(e.to_string()))?;
-        let data = DataRows::new(&self.tables, self.db.catalog());
-        let mut survivors: Vec<(String, String, String)> = Vec::new();
-        for row in self.chain_rows()? {
-            let (Value::Text(tbl), Value::Text(key), Value::Text(payload)) =
-                (&row[1], &row[2], &row[3])
-            else {
-                continue;
-            };
-            if data.find(tbl, key, payload).is_ok() {
-                survivors.push((tbl.clone(), key.clone(), payload.clone()));
-            }
-        }
+        let text = |v: &Value| match v {
+            Value::Text(t) => t.clone(),
+            _ => String::new(), // `surviving_entries` keeps text only
+        };
+        let survivors: Vec<[String; 3]> = (self.surviving_entries()?.into_iter())
+            .map(|row| [text(&row[1]), text(&row[2]), text(&row[3])])
+            .collect();
         self.db
             .execute("DELETE FROM _libseal_chain")
             .map_err(LibSealError::Db)?;
         self.head = [0u8; 32];
         self.seq = 0;
-        for (tbl, key, payload) in survivors {
+        for [tbl, key, payload] in survivors {
             let mut h = Sha256::new();
             h.update(&self.head);
             h.update(payload.as_bytes());
             let new_hash = h.finalize();
             self.seq += 1;
-            self.db
-                .execute_with(
-                    "INSERT INTO _libseal_chain VALUES (?, ?, ?, ?, ?)",
-                    &[
-                        Value::Integer(self.seq as i64),
-                        Value::Text(tbl),
-                        Value::Text(key),
-                        Value::Text(payload),
-                        Value::Blob(new_hash.to_vec()),
-                    ],
-                )
-                .map_err(LibSealError::Db)?;
+            let row = [
+                Value::Integer(self.seq as i64),
+                Value::Text(tbl),
+                Value::Text(key),
+                Value::Text(payload),
+                Value::Blob(new_hash.to_vec()),
+            ];
+            (self.db.execute_prepared(&self.stmts.chain_insert, &row)).map_err(LibSealError::Db)?;
             self.head = new_hash;
         }
         Ok(())
@@ -1049,11 +1078,14 @@ impl AuditLog {
 }
 
 /// [`AuditLog::seal`] for a log behind `lock` (`log_of` projects the
-/// lock's payload to it), plus the fsync: one counter bind, one head
-/// signature and one fsync make everything staged durable. The counter
-/// round is the slow part (a quorum network round trip) and runs
-/// WITHOUT the lock, so writers stage the next batch while it is in
-/// flight. Returns `false` when nothing was staged.
+/// lock's payload to it), plus the flush: one counter bind, one head
+/// signature, one `write(2)` and one fdatasync make everything staged
+/// durable. The counter round (a quorum network round trip) and the
+/// fdatasync are the slow parts and run WITHOUT the lock, so writers
+/// stage the next batch meanwhile; the write runs under it, so the
+/// journal file holds frames in the order the lock staged them. The
+/// bind gate is held throughout: no other commit binds or writes before
+/// this one is durable. Returns `false` when nothing was staged.
 ///
 /// # Errors
 ///
@@ -1078,20 +1110,34 @@ pub fn seal_staged<T>(
     plat::failpoint::check("core::log::append::counter")
         .map_err(|e| LibSealError::Log(e.to_string()))?;
     let counter = guard.increment()?;
-    let mut held = lock.lock();
-    let log = log_of(&mut held);
-    log.seal_bound(counter)?;
-    log.flush()?;
+    let (sync, reclaim) = {
+        let mut held = lock.lock();
+        let log = log_of(&mut held);
+        log.seal_bound(counter)?;
+        // A batch that does not reach the disk stays dirty: the next
+        // seal signs it again and writes what is still framed.
+        let written = log.write_journal();
+        log.dirty |= written.is_err();
+        (written?, log.db.reclaim_due())
+    };
+    let started = std::time::Instant::now();
+    if let Some(Err(e)) = sync.map(|s| s.sync()) {
+        log_of(&mut lock.lock()).dirty = true;
+        return Err(LibSealError::Db(e));
+    }
+    log_metrics().flush_ns.record_duration(started.elapsed());
+    if reclaim {
+        log_of(&mut lock.lock()).reclaim_if_due();
+    }
     Ok(true)
 }
 
 /// Runs `f` on the payload of `lock` (whose log `log_of` projects)
 /// holding the log's bind gate, taken before the lock: the way for a
 /// caller to seal under the audit lock without yielding to a
-/// [`seal_staged`] in flight — a due trim, the catch-up seal before a
+/// [`seal_staged`] in flight — `trim_now`, the catch-up seal before a
 /// verification, a drain. The gate is released when `f` returns, so
-/// `f` leaves the head it bound on disk (a seal writes it to the
-/// journal, a trim's snapshot replaces it).
+/// `f` flushes the head it bound.
 pub fn with_bind_gate<T, R>(
     lock: &plat::sync::Mutex<T>,
     log_of: impl Fn(&mut T) -> &mut AuditLog,
@@ -1239,23 +1285,30 @@ fn key_matches(row: &[Value], cols: &[(usize, Affinity)], key: &str) -> bool {
         })
 }
 
-fn render_key(spec: &TableSpec, table: &str, values: &[Value], db: &Database) -> Result<String> {
-    // Map key column names to positions via the catalog.
-    let t = db
-        .catalog()
-        .table(table)
-        .ok_or_else(|| LibSealError::Log(format!("no such table: {table}")))?;
-    let mut parts = Vec::with_capacity(spec.key_cols.len());
-    for c in spec.key_cols {
-        let i = t
-            .column_index(c)
-            .ok_or_else(|| LibSealError::Log(format!("{table} has no key column {c}")))?;
-        let v = values
-            .get(i)
-            .ok_or_else(|| LibSealError::Log("tuple arity mismatch".into()))?;
-        parts.push(v.to_string());
+/// The chain key of a row: its key columns (at `keys`) rendered and
+/// joined by unit separators.
+fn render_key(keys: &[usize], values: &[Value]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for (n, &i) in keys.iter().enumerate() {
+        if n > 0 {
+            out.push('\u{1f}');
+        }
+        let _ = write!(out, "{}", values[i]);
     }
-    Ok(parts.join("\u{1f}"))
+    out
+}
+
+/// The value of the `_libseal_meta` row `k`, read from the table.
+fn meta<'a>(db: &'a Database, k: &str) -> Option<&'a str> {
+    let rows = &db.catalog().table("_libseal_meta")?.rows;
+    let row = rows
+        .iter()
+        .find(|r| matches!(&r[0], Value::Text(x) if x == k))?;
+    match &row[1] {
+        Value::Text(v) => Some(v),
+        _ => None,
+    }
 }
 
 fn split_statements(sql: &str) -> Vec<String> {
@@ -1269,7 +1322,12 @@ fn split_statements(sql: &str) -> Vec<String> {
 }
 
 pub(crate) fn hex(b: &[u8]) -> String {
-    b.iter().map(|x| format!("{x:02x}")).collect()
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(2 * b.len());
+    for x in b {
+        let _ = write!(out, "{x:02x}");
+    }
+    out
 }
 
 pub(crate) fn unhex(s: &str) -> Option<Vec<u8>> {

@@ -75,7 +75,11 @@ impl IdentityIssuer {
         report[..32].copy_from_slice(&Sha256::digest(pubkey));
         let quote = self.qe.quote(services, &report);
         self.ca
-            .issue_with_extensions(subject, pubkey, vec![AttestationExtension::to_extension(&quote)])
+            .issue_with_extensions(
+                subject,
+                pubkey,
+                vec![AttestationExtension::to_extension(&quote)],
+            )
             .map_err(LibSealError::Tls)
     }
 
@@ -86,11 +90,7 @@ impl IdentityIssuer {
     }
 
     /// Like [`IdentityIssuer::policy_for`] with a custom quote TTL.
-    pub fn policy_with_ttl(
-        &self,
-        measurements: Vec<[u8; 32]>,
-        ttl: Duration,
-    ) -> AttestationPolicy {
+    pub fn policy_with_ttl(&self, measurements: Vec<[u8; 32]>, ttl: Duration) -> AttestationPolicy {
         self.policy_for(measurements).max_quote_age(ttl)
     }
 }

@@ -17,7 +17,11 @@ use libseal_tlsx::ssl::{Role, Ssl, SslConfig};
 use libseal_tlsx::{AttestationError, TlsError};
 
 fn issuer() -> Arc<IdentityIssuer> {
-    Arc::new(IdentityIssuer::from_seeds("RA-CA", &[0x51; 32], &[0x52; 32]))
+    Arc::new(IdentityIssuer::from_seeds(
+        "RA-CA",
+        &[0x51; 32],
+        &[0x52; 32],
+    ))
 }
 
 fn attested_libseal(issuer: &Arc<IdentityIssuer>, audited: bool) -> Arc<LibSeal> {
@@ -148,9 +152,7 @@ fn stale_quote_rejected_in_handshake() {
     let ls = attested_libseal(&issuer, true);
     let before = counter("attestation_stale_quote");
     // A zero TTL makes the boot-time quote stale by handshake time.
-    let policy = Arc::new(
-        issuer.policy_with_ttl(vec![ls.measurement()], Duration::ZERO),
-    );
+    let policy = Arc::new(issuer.policy_with_ttl(vec![ls.measurement()], Duration::ZERO));
     std::thread::sleep(Duration::from_millis(20));
     let sid = ls.new_session(0).unwrap();
     let mut client = Ssl::new(client_cfg(vec![issuer.ca_root()], Some(policy)), [3u8; 64]);
@@ -187,7 +189,11 @@ fn missing_quote_rejected_in_handshake() {
 #[test]
 fn untrusted_quoting_root_rejected_in_handshake() {
     let issuer = issuer();
-    let rogue = Arc::new(IdentityIssuer::from_seeds("RA-CA", &[0x51; 32], &[0x99; 32]));
+    let rogue = Arc::new(IdentityIssuer::from_seeds(
+        "RA-CA",
+        &[0x51; 32],
+        &[0x99; 32],
+    ));
     let ls = attested_libseal(&rogue, true);
 
     let before = counter("attestation_untrusted_root");
@@ -314,7 +320,10 @@ fn sharded_plane_shards_each_present_valid_quotes() {
 
     // A pinned client completes a handshake routed through the plane.
     let sid = plane.open_session(0, 42).unwrap();
-    let cfg = client_cfg(vec![issuer.ca_root()], Some(Arc::new(issuer.policy_for(plane.measurements()))));
+    let cfg = client_cfg(
+        vec![issuer.ca_root()],
+        Some(Arc::new(issuer.policy_for(plane.measurements()))),
+    );
     let mut client = Ssl::new(cfg, [3u8; 64]);
     client.do_handshake().unwrap();
     for _ in 0..10 {

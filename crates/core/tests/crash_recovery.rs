@@ -285,7 +285,8 @@ fn log_behind_signed_head_is_a_rollback_alarm() {
 }
 
 /// A crash after the chain row is written but before the head is
-/// signed leaves an authenticated-but-unsigned tail. Recovery rolls
+/// signed leaves an authenticated-but-unsigned tail: a flush writes a
+/// staged append's frames before any seal covers them. Recovery rolls
 /// it forward (re-signs) instead of discarding it.
 #[test]
 fn crash_before_sign_rolls_the_tail_forward() {
@@ -296,20 +297,11 @@ fn crash_before_sign_rolls_the_tail_forward() {
         append_one(&mut log, 0, "ee");
         append_one(&mut log, 1, "ee");
         log.flush().unwrap();
+        log.set_commit_mode(libseal::CommitMode::Staged);
+        append_one(&mut log, 2, "ee");
+        log.flush().unwrap();
         s.set("core::log::append::sign", FaultSpec::crash());
-        let t = log.next_time() as i64;
-        assert!(log
-            .append(
-                "updates",
-                &[
-                    Value::Integer(t),
-                    Value::Text("r".into()),
-                    Value::Text("main".into()),
-                    Value::Text(format!("{:040x}", 2)),
-                    Value::Text("update".into()),
-                ],
-            )
-            .is_err());
+        assert!(log.seal().is_err());
     }
     s.reset(); // restart
     let log = open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard)).unwrap();
@@ -577,38 +569,55 @@ fn a_trim_during_quorum_loss_is_finished_by_the_next_seal() {
     assert_eq!(log.entries(), 1);
 }
 
-/// Nothing is appended behind a staged trim: an append finishes the
-/// trim first (and fails, staging nothing, while it cannot), so a trim's
-/// deletions are all that is ever kept from the journal.
+/// An append behind a staged trim is journaled as usual — only the
+/// trim's own deletions wait for its snapshot frame — so a kill before
+/// that frame leaves the pre-trim log with the append behind it, and
+/// the seal that lands the trim keeps the append.
 #[test]
-fn an_append_behind_a_staged_trim_finishes_the_trim_first() {
+fn an_append_behind_a_staged_trim_is_journaled_and_lands_with_it() {
     let _s = failpoint::scenario(); // serialize with fault-injected tests
     let path = TempPath::new("libseal-trim-append", "log");
     let q = Quorum::new();
     let mut log = pushed_log(&path, &q);
-    let newest = cids(&log).split_off(PUSHES as usize - 1);
+    let all = cids(&log);
 
     q.lost.store(true, SeqCst);
     assert!(log.trim(GitModule.trim_queries()).is_err());
-    let journal = std::fs::read(&path).unwrap();
-    assert!(try_append(&mut log, PUSHES, "tt").is_err());
-    assert_eq!(cids(&log), newest, "a refused append staged a row");
-    assert!(std::fs::read(&path).unwrap() == journal);
+    assert!(
+        try_append(&mut log, PUSHES, "tt").is_err(),
+        "no value to bind"
+    );
+    let appended = cids(&log).pop().unwrap();
+    assert_eq!(cids(&log), [all[all.len() - 1].clone(), appended.clone()]);
+    log.flush().unwrap();
+
+    // What a kill before the trim's seal would have left behind.
+    let copy = TempPath::new("libseal-trim-append-copy", "log");
+    std::fs::write(&copy, std::fs::read(&path).unwrap()).unwrap();
+    let old = open_under(&copy, &q).unwrap();
+    old.verify().unwrap();
+    assert_eq!(
+        cids(&old),
+        [&all[..], std::slice::from_ref(&appended)].concat()
+    );
+    assert_eq!(old.recovery_report().rolled_forward, 1);
+    drop(old);
+
     q.lost.store(false, SeqCst);
-    append_one(&mut log, PUSHES, "tt");
+    append_one(&mut log, PUSHES + 1, "tt");
     log.flush().unwrap();
     log.verify().unwrap();
-    assert_eq!(log.entries(), 2);
-    assert_eq!(cids(&log)[0], newest[0]);
+    assert_eq!(log.entries(), 3);
+    assert_eq!(cids(&log)[..2], [all[all.len() - 1].clone(), appended]);
     let kept = cids(&log);
     drop(log);
-    // The append is in the journal, behind the snapshot.
+    // The appends are in the journal, before and behind the frame.
     let log = open_under(&path, &q).unwrap();
     log.verify().unwrap();
     assert_eq!(cids(&log), kept);
 }
 
-/// A disk that takes no snapshot (every write of one tears) costs the
+/// A snapshot frame that cannot be staged (its sealing fails) costs the
 /// trims, not the log. Each failed trim is given up — memory goes back
 /// to what the journal holds — and the counter step it bound signs the
 /// log as it was, so the durable head keeps up with the counter and
@@ -628,7 +637,7 @@ fn a_trim_whose_snapshot_cannot_be_written_is_given_up_at_one_counter_step() {
     log.append("advertisements", &[&[t][..], &stale[..]].concat())
         .unwrap();
     let rows = |log: &AuditLog, sql| log.query(sql, &[]).unwrap().rows;
-    s.set("sealdb::compact::write", FaultSpec::partial_write(9));
+    s.set("sealdb::journal::snapshot", FaultSpec::error());
     for round in 0..3 {
         let all = cids(&log);
         assert!(log.trim(GitModule.trim_queries()).is_err(), "{round}");
@@ -684,8 +693,10 @@ impl RollbackGuard for SlowGuard {
 /// under the lock meanwhile must not bind a second one. If it did, a
 /// crash before either head is durable would leave the counter two
 /// steps ahead of the journal, and the honest restart would read as a
-/// rollback. The trim stays staged instead and the in-flight seal covers
-/// it, so a crash anywhere leaves at most one value unaccounted for.
+/// rollback. The trim only stages, and the in-flight seal covers it, so
+/// a crash anywhere leaves at most one value unaccounted for: here the
+/// seal dies rebuilding the chain, before its batch was written, and
+/// the restart reads the log as it was with the crash window open.
 #[test]
 fn a_trim_during_the_sealers_counter_round_binds_no_second_value() {
     let s = failpoint::scenario();
@@ -731,7 +742,7 @@ fn a_trim_during_the_sealers_counter_round_binds_no_second_value() {
     let r = log.recovery_report();
     assert_eq!(r.attested_counter, PUSHES + 1, "{r:?}");
     assert!(r.crash_window, "{r:?}");
-    assert_eq!(log.entries(), PUSHES + 1, "the staged append rolls forward");
+    assert_eq!(log.entries(), PUSHES, "the staged append was never written");
 }
 
 /// Kill the process at every failpoint hit a trim crosses, restart, and
@@ -756,7 +767,11 @@ fn a_kill_anywhere_inside_a_trim_reopens_as_the_log_before_or_after_it() {
         });
         during.flatten().collect()
     };
-    for site in ["core::log::append::sign", "sealdb::compact::rename"] {
+    for site in [
+        "core::log::append::sign",
+        "sealdb::journal::snapshot",
+        "sealdb::journal::write",
+    ] {
         assert!(
             crossings.iter().any(|(x, _)| x == site),
             "a trim no longer crosses {site}"
@@ -791,7 +806,7 @@ fn a_kill_anywhere_inside_a_trim_reopens_as_the_log_before_or_after_it() {
     }
     assert!(
         outcomes[0] > 0 && outcomes[1] > 0,
-        "both sides of the rename: {outcomes:?}"
+        "both sides of the frame's write: {outcomes:?}"
     );
 }
 
@@ -819,11 +834,11 @@ fn a_trim_query_failing_half_way_leaves_a_log_that_seals_and_verifies() {
     assert_eq!(cids(&log), all[2..]);
 }
 
-/// One commit step: a trim appends nothing to the live journal, binds
-/// the counter once, signs once, and its only fsyncs are the snapshot's
-/// (file, directory).
+/// One commit step: a trim's seal binds the counter once, signs once,
+/// stages one snapshot frame, and its flush writes it in one `write(2)`
+/// and fsyncs once.
 #[test]
-fn a_trim_appends_nothing_to_the_journal_and_fsyncs_twice() {
+fn a_trim_appends_one_frame_and_fsyncs_once() {
     let s = failpoint::scenario();
     let path = TempPath::new("libseal-trim-cost", "log");
     let mut log = pushed_log(&path, &Quorum::new());
@@ -834,9 +849,53 @@ fn a_trim_appends_nothing_to_the_journal_and_fsyncs_twice() {
         "sealdb_journal_fsyncs_total",
     ];
     let read = || names.map(|n| telemetry.counter(n).get());
-    let (before, appended) = (read(), s.hits("sealdb::journal::append"));
+    let sites = ["sealdb::journal::snapshot", "sealdb::journal::write"];
+    let hits = || sites.map(|site| s.hits(site));
+    let (before, written) = (read(), hits());
     log.trim(GitModule.trim_queries()).unwrap();
-    assert_eq!(s.hits("sealdb::journal::append"), appended);
-    assert_eq!(read(), [before[0] + 1, before[1] + 1, before[2] + 2]);
+    assert_eq!(hits(), written.map(|h| h + 1));
+    assert_eq!(read(), [before[0] + 1, before[1] + 1, before[2] + 1]);
     assert!(!log.is_dirty());
+}
+
+/// Driven like the serving path — staged appends, one `seal_staged`
+/// commit per pair, a due check every third pair through
+/// `Checker::run_due` as the verifier runs it — a log binds the counter
+/// and signs its head only in its commits: the due checks and their
+/// trims bind and sign nothing, and each trim lands with the next
+/// commit.
+#[test]
+fn a_staged_log_binds_and_signs_only_in_its_commits() {
+    let _s = failpoint::scenario(); // serialize: reads global counters
+    let path = TempPath::new("libseal-staged-commits", "log");
+    let mut log = pushed_log(&path, &Quorum::new());
+    libseal::Checker::install(&GitModule, &mut log).unwrap();
+    log.set_commit_mode(libseal::CommitMode::Staged);
+    let log = plat::sync::Mutex::new(log);
+    let commit = || assert!(libseal::log::seal_staged(&log, |l| l).unwrap());
+    let telemetry = libseal_telemetry::global();
+    let names = ["core_counter_binds_total", "core_head_signs_total"];
+    let read = || names.map(|n| telemetry.counter(n).get());
+    let mut checker = libseal::Checker::new(3);
+    let (before, mut commits, mut trims) = (read(), 0, 0);
+    for i in 0..12 {
+        append_one(&mut log.lock(), PUSHES + i, "tt");
+        commit();
+        commits += 1;
+        if checker.note_pair() {
+            let (at, mut held) = (read(), log.lock());
+            let outcome = checker.run_due(&GitModule, &mut held).unwrap();
+            assert_eq!(outcome.total_violations(), 0);
+            trims += u64::from(held.is_dirty());
+            drop(held);
+            assert_eq!(read(), at, "a due check bound or signed");
+        }
+    }
+    assert_eq!(trims, 4, "every due check found the log grown");
+    commit();
+    commits += 1;
+    assert_eq!(read(), before.map(|n| n + commits));
+    let log = log.into_inner();
+    log.verify().unwrap();
+    assert_eq!(log.entries(), 1, "the last trim kept the newest push");
 }

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use libseal::checkpoint::{checkpoint_payload, verify_checkpoints, CheckpointRow};
 use libseal::ssm::Invariant;
 use libseal::{
-    AuditLog, AuditPlane, FleetVerifyError, LibSealConfig, LibSealError, LogBacking,
-    ServiceModule, SessionInput, ShardedPlane, TableSpec,
+    AuditLog, AuditPlane, FleetVerifyError, LibSealConfig, LibSealError, LogBacking, ServiceModule,
+    SessionInput, ShardedPlane, TableSpec,
 };
 use libseal_crypto::ed25519::SigningKey;
 use libseal_sealdb::Value;
@@ -42,13 +42,7 @@ impl Rng {
     }
 }
 
-fn signed_row(
-    signer: &SigningKey,
-    epoch: u64,
-    shard: u32,
-    seq: u64,
-    clock: u64,
-) -> CheckpointRow {
+fn signed_row(signer: &SigningKey, epoch: u64, shard: u32, seq: u64, clock: u64) -> CheckpointRow {
     let head = libseal_crypto::sha2::Sha256::digest(&[epoch as u8, shard as u8, clock as u8]);
     let sig = signer.sign(&checkpoint_payload(epoch, shard, seq, clock, &head));
     CheckpointRow {
@@ -125,10 +119,7 @@ fn dropped_checkpoint_is_a_gap() {
         // Drop a middle epoch entirely (never the first or the last,
         // which contiguity alone cannot see).
         let victim = 2 + rng.below(last - 2);
-        let rows: Vec<CheckpointRow> = rows
-            .into_iter()
-            .filter(|r| r.epoch != victim)
-            .collect();
+        let rows: Vec<CheckpointRow> = rows.into_iter().filter(|r| r.epoch != victim).collect();
         match verify_checkpoints(&rows, &tips, &signer.verifying_key()) {
             Err(FleetVerifyError::CheckpointGap { expected, found }) => {
                 assert_eq!(expected, victim);
@@ -159,9 +150,7 @@ fn rolled_back_shard_is_detected() {
         tried += 1;
         tips.insert(victim, checkpointed - 1);
         match verify_checkpoints(&rows, &tips, &signer.verifying_key()) {
-            Err(FleetVerifyError::ShardRolledBack {
-                shard, current, ..
-            }) => {
+            Err(FleetVerifyError::ShardRolledBack { shard, current, .. }) => {
                 assert_eq!(shard, victim);
                 assert_eq!(current, checkpointed - 1);
             }
@@ -392,8 +381,8 @@ fn memory_shard_restart_is_a_rollback() {
 #[test]
 fn disk_shard_restart_recovers_and_verifies() {
     let base = TempPath::new("libseal-fleet-restart", "log");
-    let plane =
-        ShardedPlane::open(fleet_config(LogBacking::Disk(base.to_path_buf()), 2)).expect("provision");
+    let plane = ShardedPlane::open(fleet_config(LogBacking::Disk(base.to_path_buf()), 2))
+        .expect("provision");
     append_events(&plane, 0, 3);
     append_events(&plane, 1, 4);
     plane.checkpoint_now(0).expect("checkpoint");
@@ -496,7 +485,10 @@ fn assert_stale(plane: &ShardedPlane, sid: u64, when: &str) {
         ("do_handshake", plane.do_handshake(0, sid).map(drop)),
         ("ssl_read", plane.ssl_read(0, sid).map(drop)),
         ("ssl_write", plane.ssl_write(0, sid, b"x")),
-        ("ssl_write_take", plane.ssl_write_take(0, sid, b"x").map(drop)),
+        (
+            "ssl_write_take",
+            plane.ssl_write_take(0, sid, b"x").map(drop),
+        ),
         ("close_session", plane.close_session(0, sid)),
     ];
     for (entry, result) in refused {
@@ -524,12 +516,24 @@ fn assert_stale(plane: &ShardedPlane, sid: u64, when: &str) {
 #[test]
 fn hostile_manifests_are_refused() {
     let hostile = [
-        ("a shard id past the sid layout", "libseal-fleet-v1\nshard 0 1 0\nshard 1024 1 0\n"),
-        ("a shard listed twice", "libseal-fleet-v1\nshard 0 1 0\nshard 1 1 0\nshard 1 1 3\n"),
+        (
+            "a shard id past the sid layout",
+            "libseal-fleet-v1\nshard 0 1 0\nshard 1024 1 0\n",
+        ),
+        (
+            "a shard listed twice",
+            "libseal-fleet-v1\nshard 0 1 0\nshard 1 1 0\nshard 1 1 3\n",
+        ),
         ("a zero-length file", ""),
-        ("a truncated shard line", "libseal-fleet-v1\nshard 0 1 0\nshard 1\n"),
+        (
+            "a truncated shard line",
+            "libseal-fleet-v1\nshard 0 1 0\nshard 1\n",
+        ),
         ("a fleet without shard 0", "libseal-fleet-v1\nshard 1 1 0\n"),
-        ("a routable flag that is neither 0 nor 1", "libseal-fleet-v1\nshard 0 yes 0\n"),
+        (
+            "a routable flag that is neither 0 nor 1",
+            "libseal-fleet-v1\nshard 0 yes 0\n",
+        ),
     ];
     for (what, body) in hostile {
         let base = TempPath::new("libseal-fleet-hostile", "log");
@@ -567,7 +571,9 @@ fn stale_generations_stay_dead_across_plane_reopen() {
     assert_stale(&plane, stale_sid, "after the plane reopened");
     // Fresh sessions on the restarted shard route and resolve.
     let fresh = open_session_on(&plane, 1);
-    plane.close_session(0, fresh).expect("fresh session resolves");
+    plane
+        .close_session(0, fresh)
+        .expect("fresh session resolves");
     drop(plane);
     cleanup_fleet(&base);
 }
@@ -596,7 +602,9 @@ fn checkpoints_racing_a_restart_never_shrink_coverage() {
         })
     };
     for _ in 0..5 {
-        plane.restart_shard(1).expect("restart under checkpoint load");
+        plane
+            .restart_shard(1)
+            .expect("restart under checkpoint load");
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     checkpointer.join().expect("checkpointer");

@@ -319,3 +319,43 @@ fn late_recv_update_clears_an_earlier_violation_incrementally() {
     );
     assert_agree(&m, &mut log, "after clearing recv_update");
 }
+
+/// A trim's chain is rebuilt by the next seal, so the length a due
+/// check records must be the one the trim leaves, not the one it
+/// found: an idle log is then trimmed once, and a grown one again.
+#[test]
+fn an_idle_log_is_trimmed_once_and_a_grown_one_again() {
+    let m = GitModule;
+    let mut log = AuditLog::open(
+        LogBacking::Memory,
+        [0u8; 32],
+        SigningKey::from_seed(&[1u8; 32]),
+        Box::new(NoGuard),
+        m.schema_sql(),
+        m.tables(),
+    )
+    .unwrap();
+    log.set_commit_mode(libseal::CommitMode::Staged);
+    let push = |log: &mut AuditLog, cid: &str| {
+        let t = Value::Integer(log.next_time() as i64);
+        let text = |s: &str| Value::Text(s.into());
+        let row = [t, text("r"), text("main"), text(cid), text("update")];
+        log.append("updates", &row).unwrap();
+    };
+    push(&mut log, "c1");
+    push(&mut log, "c2");
+    log.seal().unwrap();
+    let mut checker = Checker::new(1);
+    checker.run_due(&m, &mut log).unwrap();
+    assert!(log.is_dirty(), "the first due check trims");
+    log.seal().unwrap();
+    assert_eq!(log.entries(), 1);
+    checker.run_due(&m, &mut log).unwrap();
+    assert!(!log.is_dirty(), "nothing was appended: no second trim");
+    push(&mut log, "c3");
+    log.seal().unwrap();
+    checker.run_due(&m, &mut log).unwrap();
+    assert!(log.is_dirty(), "the log grew: trimmed again");
+    log.seal().unwrap();
+    assert_eq!(log.entries(), 1);
+}

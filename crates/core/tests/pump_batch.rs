@@ -357,7 +357,10 @@ fn a_failing_shard_does_not_poison_the_other_shards_batch() {
     assert_eq!(outcomes.len(), 2);
     let of = |sid| outcomes.iter().find(|o| o.sid == sid).unwrap();
     assert!(of(sid_a).error.is_none(), "{:?}", of(sid_a).error);
-    assert!(!of(sid_a).output.is_empty(), "shard 0's ServerHello is lost");
+    assert!(
+        !of(sid_a).output.is_empty(),
+        "shard 0's ServerHello is lost"
+    );
     assert!(
         matches!(of(sid_b).error, Some(LibSealError::Log(_))),
         "{:?}",

@@ -9,7 +9,7 @@
 //! matches over `Stmt`, `Expr`, `BinOp`, `JoinKind`, `SelectItem` and
 //! `TableRef`: every variant must be reached. A variant added later
 //! without a product use fails here. A disk-backed log per SSM is then
-//! driven through append, seal, check, trim, compaction and reopen, and
+//! driven through append, seal, check, trim, snapshot frame and reopen, and
 //! what its journal holds is walked too, so a composed statement the
 //! list misses still fails. Last, an SSM whose SQL leaves the subset is
 //! refused when its instance is built, before anything is served.
@@ -39,12 +39,9 @@ const FIXED: &[&str] = &[
     "CREATE TABLE IF NOT EXISTS _libseal_chain(
     seq INTEGER, tbl TEXT, pk TEXT, payload TEXT, hash BLOB)",
     "CREATE TABLE IF NOT EXISTS _libseal_meta(k TEXT, v TEXT)",
-    "SELECT v FROM _libseal_meta WHERE k = 'epoch'",
-    "SELECT v FROM _libseal_meta WHERE k = ?",
     "INSERT INTO _libseal_meta VALUES (?, ?)",
     "UPDATE _libseal_meta SET v = ? WHERE k = ?",
     "SELECT MAX(seq), COUNT(*) FROM _libseal_chain",
-    "SELECT v FROM _libseal_meta WHERE k = 'head'",
     "INSERT INTO _libseal_chain VALUES (?, ?, ?, ?, ?)",
     "DELETE FROM _libseal_chain",
     "CREATE TABLE IF NOT EXISTS _libseal_epochs(
@@ -53,15 +50,14 @@ const FIXED: &[&str] = &[
 ];
 
 /// One rendering of each composed statement: the key-column index the
-/// log declares, the row `INSERT` of an append and of compaction, a
-/// materialized view's backing table, index and read, and the
-/// statements the gated benchmark's sealdb stage runs.
+/// log declares, the row `INSERT` of an append and of a snapshot frame,
+/// a materialized view's backing table and index, and the statements
+/// the gated benchmark's sealdb stage runs.
 const COMPOSED: &[&str] = &[
     "CREATE INDEX IF NOT EXISTS libseal_idx_updates_time ON updates(time)",
     "INSERT INTO \"updates\" VALUES (?, ?, ?, ?, ?)",
     "CREATE TABLE IF NOT EXISTS mv_git_completeness(time, repo)",
     "CREATE INDEX IF NOT EXISTS mvix_mv_git_completeness_part ON mv_git_completeness(time)",
-    "SELECT * FROM mv_git_completeness",
     "CREATE TABLE t(k INTEGER, v TEXT)",
     "CREATE INDEX t_k ON t(k)",
     "INSERT INTO t VALUES (?, ?)",
@@ -250,7 +246,7 @@ fn append_rows(ssm: &dyn ServiceModule, log: &mut AuditLog, n: i64) {
 }
 
 /// Drives a disk-backed log of `ssm` through append, check, trim (a
-/// compaction), reopen (a replay), more appends and a verify, and
+/// snapshot frame), reopen (a replay), more appends and a verify, and
 /// returns the SQL of every record its journal holds.
 fn drive(ssm: &dyn ServiceModule) -> Vec<String> {
     let path = TempPath::new(&format!("sql-subset-{}", ssm.name()), "log");

@@ -4,7 +4,7 @@
 //! text that created it, exactly as the parser accepted it. The dialect
 //! has no `ALTER` or `DROP`, so that text stays true for the life of the
 //! database (an object is never removed), and
-//! compaction writes it back instead of regenerating SQL from fields.
+//! a snapshot frame writes it back instead of regenerating SQL from fields.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

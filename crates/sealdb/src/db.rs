@@ -5,7 +5,7 @@ use std::borrow::Cow;
 use crate::ast::{Expr, Stmt};
 use crate::catalog::Catalog;
 use crate::exec::{exec_select, Ctx, Rows};
-use crate::journal::{Journal, JournalCodec, SalvageInfo};
+use crate::journal::{Journal, JournalCodec, JournalSync, SalvageInfo};
 use crate::parser;
 use crate::token::quote_ident;
 use crate::value::Value;
@@ -64,10 +64,19 @@ pub struct Database {
     salvage: Option<SalvageInfo>,
     /// Registered delta-maintained materialized views.
     matviews: Vec<MatView>,
-    /// A compaction snapshot is about to replace the journal
-    /// ([`Database::defer_to_snapshot`]): statements are applied but
-    /// not appended, as during replay.
+    /// Statements applied but not journaled wait for the next snapshot
+    /// frame ([`Database::defer_to_snapshot`]).
     snapshot_pending: bool,
+    /// Statements are applied but not journaled, as during replay.
+    deferring: bool,
+}
+
+/// A statement parsed once and executed from its parsed form
+/// ([`Database::prepare`]).
+pub struct Prepared {
+    stmt: Stmt,
+    /// The source text it parsed from: what the journal records.
+    sql: String,
 }
 
 impl Default for Database {
@@ -86,6 +95,7 @@ impl Database {
             salvage: None,
             matviews: Vec::new(),
             snapshot_pending: false,
+            deferring: false,
         }
     }
 
@@ -112,11 +122,12 @@ impl Database {
         Ok(db)
     }
 
-    /// Replaces the tables with what the journal replays to and resumes
-    /// journaling: how a database opens, and how a caller gives up what
-    /// it applied since [`Database::defer_to_snapshot`] when the
-    /// snapshot cannot be written — none of it reached the journal.
-    /// Registered materialized views reseed on their next refresh.
+    /// Replaces the tables with what the journal replays to — its file,
+    /// then the frames not yet written — and resumes journaling: how a
+    /// database opens, and how a caller gives up what it applied since
+    /// [`Database::defer_to_snapshot`] when the snapshot frame cannot
+    /// be staged: none of it was journaled. Registered materialized
+    /// views reseed on their next refresh.
     ///
     /// # Errors
     ///
@@ -139,6 +150,7 @@ impl Database {
             v.dirty.clear();
         }
         self.snapshot_pending = false;
+        self.deferring = false;
         Ok(())
     }
 
@@ -175,6 +187,28 @@ impl Database {
     pub fn execute_with(&mut self, sql: &str, params: &[Value]) -> Result<QueryResult> {
         let (stmt, span) = parser::parse_one(sql)?;
         self.execute_stmt(&stmt, &sql[span], params)
+    }
+
+    /// Parses a single statement once, for [`Database::execute_prepared`].
+    ///
+    /// # Errors
+    ///
+    /// Parse errors.
+    pub fn prepare(sql: &str) -> Result<Prepared> {
+        let (stmt, span) = parser::parse_one(sql)?;
+        let sql = sql[span].to_string();
+        Ok(Prepared { stmt, sql })
+    }
+
+    /// Executes a prepared statement with bound `?` parameters; the
+    /// journal records its source text, as [`Database::execute_with`]
+    /// would.
+    ///
+    /// # Errors
+    ///
+    /// Schema and execution errors.
+    pub fn execute_prepared(&mut self, p: &Prepared, params: &[Value]) -> Result<QueryResult> {
+        self.execute_stmt(&p.stmt, &p.sql, params)
     }
 
     /// Runs a read-only query (convenience wrapper).
@@ -237,7 +271,7 @@ impl Database {
                 filter,
             } => self.exec_update(table, sets, filter.as_ref(), params)?,
         };
-        if let Some(j) = self.journal.as_mut().filter(|_| !self.snapshot_pending) {
+        if let Some(j) = self.journal.as_mut().filter(|_| !self.deferring) {
             j.append(sql, params)?;
         }
         Ok(result)
@@ -590,48 +624,60 @@ impl Database {
         self.matviews.iter().map(|v| v.spec.name.as_str()).collect()
     }
 
-    /// Forces journalled records to stable storage (no-op in memory).
+    /// Writes the journal's pending frames and forces them to stable
+    /// storage (no-op in memory).
     ///
     /// # Errors
     ///
-    /// I/O errors from the underlying fsync.
+    /// I/O errors from the write or the fsync; the frames stay pending.
     pub fn sync_journal(&mut self) -> Result<()> {
-        if let Some(j) = self.journal.as_mut() {
-            j.sync_now()?;
+        match self.write_journal()? {
+            Some(sync) => sync.sync(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Stops journaling until the next successful
-    /// [`Database::compact`] (or a [`Database::reload`] that gives the
-    /// changes up): statements still apply, and the snapshot is what
-    /// makes them durable. A caller about to rewrite most rows (a log
-    /// trim) stages them this way, so the live journal stays
-    /// byte-identical — and replayable as the state before — until the
-    /// snapshot atomically replaces it.
+    /// Writes the journal's pending frames and returns the fsync that
+    /// makes them durable ([`Journal::write`]; `None` in memory).
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the write; the frames stay pending.
+    pub fn write_journal(&mut self) -> Result<Option<JournalSync>> {
+        self.journal.as_mut().map(Journal::write).transpose()
+    }
+
+    /// Stops journaling until [`Database::resume_journal`]: statements
+    /// still apply, and the next snapshot frame
+    /// ([`Database::write_snapshot`]) is what makes them durable. A
+    /// caller about to delete most rows (a log trim) stages them this
+    /// way, so the journal stays replayable as the state before until
+    /// the frame lands behind it.
     pub fn defer_to_snapshot(&mut self) {
         self.snapshot_pending = true;
+        self.deferring = true;
     }
 
-    /// Whether statements are waiting for a snapshot to make them
-    /// durable ([`Database::defer_to_snapshot`]).
+    /// Journals statements again after [`Database::defer_to_snapshot`];
+    /// what was deferred still waits for the snapshot frame.
+    pub fn resume_journal(&mut self) {
+        self.deferring = false;
+    }
+
+    /// Whether deferred statements are waiting for a snapshot frame.
     pub fn snapshot_pending(&self) -> bool {
         self.snapshot_pending
     }
 
-    /// Compacts persistent storage: atomically replaces the journal
-    /// with a snapshot (schema + data dump).
-    ///
-    /// The snapshot is written to a temp file and renamed over the
-    /// journal ([`Journal::rewrite`]), so a crash at any point during
-    /// compaction leaves either the complete old journal or the
-    /// complete snapshot — never an empty or partial log.
+    /// Frames a snapshot of the whole database (schema + data dump)
+    /// behind everything journaled so far; it reaches the disk at the
+    /// next [`Database::sync_journal`], and replay starts over at it.
     ///
     /// # Errors
     ///
-    /// I/O errors while rewriting the journal; the live journal is
-    /// untouched on error.
-    pub fn compact(&mut self) -> Result<()> {
+    /// Encoding failures; nothing is framed and the snapshot stays
+    /// pending.
+    pub fn write_snapshot(&mut self) -> Result<()> {
         let Some(journal) = self.journal.as_mut() else {
             self.snapshot_pending = false;
             return Ok(());
@@ -643,25 +689,60 @@ impl Database {
             self.matviews.iter().map(|v| v.spec.name.as_str()).collect();
         // Every statement below already parsed once: DDL is the text
         // that ran; the row INSERT is the only SQL composed here.
-        let ddl = |sql: &str| (sql.to_string(), vec![]);
-        let mut records: Vec<(String, Vec<Value>)> = Vec::new();
-        for t in self.catalog.tables_sorted() {
-            records.push(ddl(&t.sql));
+        let tables = self.catalog.tables_sorted();
+        let inserts: Vec<String> = (tables.iter())
+            .map(|t| {
+                let marks = vec!["?"; t.columns.len()].join(", ");
+                format!("INSERT INTO {} VALUES ({marks})", quote_ident(&t.name))
+            })
+            .collect();
+        let none: &[Value] = &[];
+        let mut records: Vec<(&str, &[Value])> = Vec::new();
+        for (t, insert) in tables.iter().zip(&inserts) {
+            records.push((&t.sql, none));
             if !backing.contains(t.name.as_str()) {
-                let insert = format!(
-                    "INSERT INTO {} VALUES ({})",
-                    quote_ident(&t.name),
-                    vec!["?"; t.columns.len()].join(", ")
-                );
-                records.extend(t.rows.iter().map(|row| (insert.clone(), row.clone())));
+                records.extend(t.rows.iter().map(|row| (insert.as_str(), row.as_slice())));
             }
-            records.extend(t.index_sql().map(ddl));
+            records.extend(t.index_sql().map(|sql| (sql, none)));
         }
-        records.extend(self.catalog.view_sql_sorted().into_iter().map(ddl));
-        journal.rewrite(&records)?;
+        let views = self.catalog.view_sql_sorted();
+        records.extend(views.into_iter().map(|sql| (sql, none)));
+        journal.append_snapshot(records)?;
         self.snapshot_pending = false;
         db_metrics().compactions.inc();
         Ok(())
+    }
+
+    /// Whether the journal's dead bytes call for [`Database::reclaim`].
+    pub fn reclaim_due(&self) -> bool {
+        self.journal.as_ref().is_some_and(Journal::reclaim_due)
+    }
+
+    /// Drops the journal's bytes before its last snapshot frame
+    /// ([`Journal::reclaim`]).
+    ///
+    /// # Errors
+    ///
+    /// I/O errors; the journal replays to the same state either way.
+    pub fn reclaim(&mut self) -> Result<()> {
+        match self.journal.as_mut() {
+            Some(j) => j.reclaim(),
+            None => Ok(()),
+        }
+    }
+
+    /// Compacts persistent storage: a snapshot frame, synced, then
+    /// reclamation of everything before it — the journal becomes the
+    /// snapshot. A crash at any point leaves a journal that replays to
+    /// the same state.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors while writing the frame or reclaiming.
+    pub fn compact(&mut self) -> Result<()> {
+        self.write_snapshot()?;
+        self.sync_journal()?;
+        self.reclaim()
     }
 
     /// Approximate size of all table data in bytes.

@@ -1,46 +1,67 @@
 //! Durability: a statement-granularity write-ahead journal.
 //!
 //! LibSEAL "synchronously flushes the log to persistent storage after
-//! each request/response pair" (§5.1). The journal appends every
+//! each request/response pair" (§5.1). The journal frames every
 //! mutating statement (with its bound parameters) as a length-prefixed
-//! record and fsyncs; recovery replays the records. A codec hook lets
-//! the enclave layer seal each record (encrypt + authenticate) before
-//! it touches the untrusted disk.
+//! record; recovery replays the records. A codec hook lets the enclave
+//! layer seal each record (encrypt + authenticate) before it touches the
+//! untrusted disk.
+//!
+//! Frames are encoded into memory as statements run and reach the file
+//! at the next [`Journal::sync_now`]: one `write(2)` and one fdatasync
+//! per commit, however many statements it carries.
 //!
 //! Record format (before the codec): `tag u8, sql_len u32le, sql bytes,
 //! param_count u32le, params…` with each param as `type u8 + payload`.
+//! A **snapshot frame** (tag 2: `count u32le`, then `count` records,
+//! each `len u32le` + record) holds a whole database: replay starts
+//! over at each complete one, so everything before the last snapshot
+//! frame is dead weight until reclamation drops it.
 //!
 //! # Crash consistency
 //!
 //! Two failure modes are distinguished on recovery:
 //!
 //! - A **torn tail** — the file ends inside the final frame, as a
-//!   crash mid-append leaves it. [`Journal::replay`] salvages: the
+//!   crash mid-write leaves it. [`Journal::replay`] salvages: the
 //!   torn frame is truncated away and every preceding record is
 //!   replayed, provided it decodes (for a sealing codec, provided it
 //!   authenticates). The salvage is reported via
 //!   [`Journal::last_salvage`] so callers can reconcile the lost tail
-//!   against their rollback counter.
+//!   against their rollback counter. A torn snapshot frame is one such
+//!   tail: the state before it survives.
 //! - **Mid-file corruption or a codec/MAC failure** — evidence of
 //!   tampering, fatal as before. (A corrupted length prefix is
 //!   indistinguishable from a torn tail by framing alone; the
 //!   rollback-counter reconciliation above the journal is what bounds
 //!   how much history a forged "torn tail" can make disappear.)
 //!
-//! Compaction is atomic: [`Journal::rewrite`] writes the snapshot to a
+//! Reclamation is atomic: [`Journal::reclaim`] copies the live suffix
+//! (the last snapshot frame and what follows it, byte for byte) to a
 //! generation-numbered temp file, fsyncs it, renames it over the live
 //! journal and fsyncs the parent directory, so a crash at any point
-//! leaves either the full old journal or the full new snapshot.
+//! leaves either the old journal or the suffix, which replay to the
+//! same state.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::value::Value;
 use crate::{DbError, Result};
 
-/// Counts every fsync the journal issues (appends, salvage,
-/// compaction snapshots and directory syncs alike).
+/// Dead bytes (before the last snapshot frame) a journal may carry
+/// before [`Journal::reclaim_due`]: 1 MiB. Replay decodes dead frames
+/// too, so this bounds what a reopen reads for nothing (~1 ms of
+/// decryption); reclamation costs a copy of the live suffix, two
+/// fsyncs and a rename (~0.6–0.8 ms on ext4), so at this bound it runs
+/// once per 1 MiB appended and adds under 1 µs per KiB journaled.
+pub const RECLAIM_BYTES: u64 = 1 << 20;
+
+/// Counts every fsync the journal issues (commits, salvage,
+/// reclamation's temp file and directory alike).
 fn fsync_counter() -> &'static libseal_telemetry::Counter {
     static C: std::sync::OnceLock<libseal_telemetry::Counter> = std::sync::OnceLock::new();
     C.get_or_init(|| libseal_telemetry::counter("sealdb_journal_fsyncs_total"))
@@ -92,12 +113,23 @@ pub struct SalvageInfo {
 /// An append-only statement journal.
 pub struct Journal {
     path: PathBuf,
-    file: File,
+    /// Shared with the [`JournalSync`]s handed out, so an fsync can run
+    /// without the journal.
+    file: Arc<File>,
     codec: Box<dyn JournalCodec>,
-    /// Compaction generation (names the next rewrite temp file).
+    /// Reclamation generation (names the next temp file).
     generation: u64,
     /// Torn-tail salvage performed by the last [`Journal::replay`].
     salvage: Option<SalvageInfo>,
+    /// Frames encoded since the last write, in order.
+    pending: Vec<u8>,
+    /// Where in `pending` the last snapshot frame staged there starts.
+    pending_snapshot: Option<usize>,
+    /// Bytes the file holds.
+    len: u64,
+    /// File offset of the last snapshot frame: the bytes before it are
+    /// dead.
+    live_from: u64,
 }
 
 /// One recovered journal entry.
@@ -109,6 +141,10 @@ pub struct JournalEntry {
     pub params: Vec<Value>,
 }
 
+/// Record tags (the first plaintext byte of a frame).
+const RECORD: u8 = 1;
+const SNAPSHOT: u8 = 2;
+
 impl Journal {
     /// Opens (creating if needed) a journal at `path`.
     ///
@@ -117,9 +153,9 @@ impl Journal {
     /// I/O errors are surfaced as [`DbError::Io`].
     pub fn open(path: impl AsRef<Path>, codec: Box<dyn JournalCodec>) -> Result<Journal> {
         let path = path.as_ref().to_path_buf();
-        // A crash mid-compaction can leave a stale snapshot temp file
-        // next to the journal; it was never renamed into place, so it
-        // is dead weight — remove it.
+        // A crash mid-reclamation can leave a stale temp file next to
+        // the journal; it was never renamed into place, so it is dead
+        // weight — remove it.
         remove_stale_rewrite_temps(&path);
         let file = OpenOptions::new()
             .create(true)
@@ -127,79 +163,136 @@ impl Journal {
             .read(true)
             .open(&path)
             .map_err(DbError::io)?;
+        let len = file.metadata().map_err(DbError::io)?.len();
         Ok(Journal {
             path,
-            file,
+            file: Arc::new(file),
             codec,
             generation: 0,
             salvage: None,
+            pending: Vec::new(),
+            pending_snapshot: None,
+            len,
+            live_from: 0,
         })
     }
 
-    /// Appends one statement record. Nothing is fsynced until
-    /// [`Journal::sync_now`] — the paper's configuration: LibSEAL
-    /// flushes once per request/response pair (§5.1).
+    /// Frames one statement record. It reaches the file at the next
+    /// [`Journal::sync_now`].
     ///
     /// # Errors
     ///
-    /// I/O errors are surfaced as [`DbError::Io`].
+    /// A record over [`MAX_RECORD_BYTES`], or the codec's refusal.
     pub fn append(&mut self, sql: &str, params: &[Value]) -> Result<()> {
-        let plain = encode_record(sql, params)?;
-        let stored = self.codec.encode(&plain)?;
-        let mut framed = Vec::with_capacity(4 + stored.len());
-        framed.extend_from_slice(&frame_len(stored.len())?.to_le_bytes());
-        framed.extend_from_slice(&stored);
-        plat::failpoint::write_all("sealdb::journal::append", &mut self.file, &framed)
-            .map_err(DbError::io)
+        let mut plain = Vec::with_capacity(16 + sql.len());
+        encode_record(&mut plain, sql, params)?;
+        self.push_frame(&plain)
     }
 
-    /// Reads every record back (for recovery), salvaging a torn tail.
+    /// Frames a snapshot of a whole database — `records` replay to it
+    /// from nothing — behind everything framed so far. It reaches the
+    /// file with them, at the next [`Journal::sync_now`]; from then on
+    /// replay starts over at it.
     ///
-    /// A file ending inside its final frame is what a crash mid-append
+    /// # Errors
+    ///
+    /// As [`Journal::append`]; nothing is framed on error.
+    pub fn append_snapshot<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = (&'a str, &'a [Value])>,
+    ) -> Result<()> {
+        plat::failpoint::check("sealdb::journal::snapshot").map_err(DbError::io)?;
+        let mut plain = vec![SNAPSHOT, 0, 0, 0, 0];
+        let mut count = 0u32;
+        for (sql, params) in records {
+            let at = plain.len();
+            plain.extend_from_slice(&[0; 4]);
+            encode_record(&mut plain, sql, params)?;
+            let n = frame_len(plain.len() - at - 4)?;
+            plain[at..at + 4].copy_from_slice(&n.to_le_bytes());
+            count += 1;
+        }
+        plain[1..5].copy_from_slice(&count.to_le_bytes());
+        let at = self.pending.len();
+        self.push_frame(&plain)?;
+        self.pending_snapshot = Some(at);
+        Ok(())
+    }
+
+    fn push_frame(&mut self, plain: &[u8]) -> Result<()> {
+        let stored = self.codec.encode(plain)?;
+        let len = frame_len(stored.len())?;
+        self.pending.extend_from_slice(&len.to_le_bytes());
+        self.pending.extend_from_slice(&stored);
+        Ok(())
+    }
+
+    /// Reads every record back (for recovery), salvaging a torn tail,
+    /// then those framed but not yet written.
+    ///
+    /// A file ending inside its final frame is what a crash mid-write
     /// leaves behind: the torn frame is truncated away (the salvage is
     /// reported by [`Journal::last_salvage`]) and every record before
     /// it is returned — provided each decodes, so under a sealing
     /// codec nothing unauthenticated is ever salvaged. A record that
-    /// fails to decode is tampering and stays fatal.
+    /// fails to decode is tampering and stays fatal. Each complete
+    /// snapshot frame replaces what came before it.
     ///
     /// # Errors
     ///
     /// Fails on I/O errors or codec rejection.
     pub fn replay(&mut self) -> Result<Vec<JournalEntry>> {
         self.salvage = None;
-        self.file.seek(SeekFrom::Start(0)).map_err(DbError::io)?;
+        let mut file = &*self.file;
+        file.seek(SeekFrom::Start(0)).map_err(DbError::io)?;
         let mut buf = Vec::new();
-        self.file.read_to_end(&mut buf).map_err(DbError::io)?;
+        file.read_to_end(&mut buf).map_err(DbError::io)?;
         let mut entries = Vec::new();
-        let mut i = 0usize;
-        let mut torn: Option<usize> = None;
-        while i + 4 <= buf.len() {
-            let len = u32::from_le_bytes(buf[i..i + 4].try_into().unwrap()) as usize;
-            if i + 4 + len > buf.len() {
-                // Frame extends past EOF: torn tail.
-                torn = Some(i);
-                break;
-            }
-            let plain = self.codec.decode(&buf[i + 4..i + 4 + len])?;
-            entries.push(decode_record(&plain)?);
-            i += 4 + len;
-        }
-        if torn.is_none() && i < buf.len() {
-            // Fewer than 4 trailing bytes: a torn length prefix.
-            torn = Some(i);
-        }
-        if let Some(offset) = torn {
+        let (whole, snapshot) = self.decode_frames(&buf, &mut entries)?;
+        if whole < buf.len() {
             plat::failpoint::check("sealdb::journal::salvage").map_err(DbError::io)?;
-            self.file.set_len(offset as u64).map_err(DbError::io)?;
+            self.file.set_len(whole as u64).map_err(DbError::io)?;
             self.file.sync_all().map_err(DbError::io)?;
             fsync_counter().inc();
             self.salvage = Some(SalvageInfo {
-                offset: offset as u64,
-                lost_bytes: (buf.len() - offset) as u64,
+                offset: whole as u64,
+                lost_bytes: (buf.len() - whole) as u64,
             });
         }
-        self.file.seek(SeekFrom::End(0)).map_err(DbError::io)?;
+        self.len = whole as u64;
+        self.live_from = snapshot.unwrap_or(0) as u64;
+        let pending = std::mem::take(&mut self.pending);
+        let decoded = self.decode_frames(&pending, &mut entries);
+        self.pending = pending;
+        decoded?;
         Ok(entries)
+    }
+
+    /// Decodes the whole frames at the front of `buf` into `entries`;
+    /// returns where they end and where the last snapshot frame starts.
+    fn decode_frames(
+        &self,
+        buf: &[u8],
+        entries: &mut Vec<JournalEntry>,
+    ) -> Result<(usize, Option<usize>)> {
+        let (mut i, mut snapshot) = (0usize, None);
+        while i + 4 <= buf.len() {
+            let len = u32::from_le_bytes(buf[i..i + 4].try_into().unwrap()) as usize;
+            if i + 4 + len > buf.len() {
+                break; // Frame extends past EOF: torn tail.
+            }
+            let plain = self.codec.decode(&buf[i + 4..i + 4 + len])?;
+            match plain.first() {
+                Some(&SNAPSHOT) => {
+                    entries.clear();
+                    decode_snapshot(&plain, entries)?;
+                    snapshot = Some(i);
+                }
+                _ => entries.push(decode_record(&plain)?),
+            }
+            i += 4 + len;
+        }
+        Ok((i, snapshot))
     }
 
     /// The torn-tail salvage performed by the last [`Journal::replay`],
@@ -208,38 +301,90 @@ impl Journal {
         self.salvage
     }
 
-    /// Forces buffered records to stable storage.
+    /// Writes what is framed and forces it to stable storage
+    /// ([`Journal::write`], then [`JournalSync::sync`]).
     ///
     /// # Errors
     ///
     /// I/O errors are surfaced as [`DbError::Io`].
     pub fn sync_now(&mut self) -> Result<()> {
-        plat::failpoint::check("sealdb::journal::sync").map_err(DbError::io)?;
-        let r = self.file.sync_data().map_err(DbError::io);
-        if r.is_ok() {
-            fsync_counter().inc();
-        }
-        r
+        self.write()?.sync()
     }
 
-    /// Atomically replaces the journal's contents with `records` (the
-    /// snapshot produced by compaction).
+    /// Writes what is framed, in one `write(2)`, and returns the fsync
+    /// that makes it durable, which needs nothing of the journal: its
+    /// owner may run it after letting go of the journal, while more
+    /// frames are encoded and written. A write that fails is cut back
+    /// off the file (unless the process is dead) and its frames stay
+    /// pending, so the next call writes them again.
     ///
-    /// Protocol: write every record to a generation-numbered temp file
-    /// next to the journal, fsync it, rename it over the live journal,
-    /// then fsync the parent directory. A crash before the rename
-    /// leaves the old journal fully intact (plus a stale temp file that
-    /// [`Journal::open`] removes); a crash after it leaves the complete
-    /// new snapshot. There is no window in which the log is lost.
+    /// # Errors
+    ///
+    /// I/O errors are surfaced as [`DbError::Io`].
+    pub fn write(&mut self) -> Result<JournalSync> {
+        if !self.pending.is_empty() {
+            self.write_pending()?;
+        }
+        Ok(JournalSync(Arc::clone(&self.file)))
+    }
+
+    fn write_pending(&mut self) -> Result<()> {
+        let written =
+            plat::failpoint::write_all("sealdb::journal::write", &mut &*self.file, &self.pending);
+        if let Err(e) = written {
+            if !plat::failpoint::crash_active() {
+                let _ = self.file.set_len(self.len);
+            }
+            return Err(DbError::io(e));
+        }
+        if let Some(at) = self.pending_snapshot.take() {
+            self.live_from = self.len + at as u64;
+        }
+        self.len += self.pending.len() as u64;
+        self.pending.clear();
+        Ok(())
+    }
+
+    /// Whether the dead bytes before the last snapshot frame have
+    /// passed [`RECLAIM_BYTES`].
+    pub fn reclaim_due(&self) -> bool {
+        self.live_from > RECLAIM_BYTES
+    }
+
+    /// Drops the dead bytes: the pending frames are written, then the
+    /// live suffix — the last snapshot frame and everything after it,
+    /// as stored — replaces the journal ([`Journal::rewrite`]). Nothing
+    /// is decoded or re-sealed.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors; the live journal is untouched unless the rename
+    /// happened.
+    pub fn reclaim(&mut self) -> Result<()> {
+        self.write()?;
+        let mut suffix = vec![0u8; (self.len - self.live_from) as usize];
+        (self.file.read_exact_at(&mut suffix, self.live_from)).map_err(DbError::io)?;
+        self.rewrite(&suffix)?;
+        (self.len, self.live_from) = (suffix.len() as u64, 0);
+        Ok(())
+    }
+
+    /// Atomically replaces the journal's contents with `bytes`.
+    ///
+    /// Protocol: write them to a generation-numbered temp file next to
+    /// the journal, fsync it, rename it over the live journal, then
+    /// fsync the parent directory. A crash before the rename leaves the
+    /// old journal fully intact (plus a stale temp file that
+    /// [`Journal::open`] removes); a crash after it leaves the new one.
     ///
     /// # Errors
     ///
     /// I/O errors are surfaced as [`DbError::Io`]; on error the live
-    /// journal is untouched.
-    pub fn rewrite(&mut self, records: &[(String, Vec<Value>)]) -> Result<()> {
+    /// journal is untouched unless the rename happened.
+    fn rewrite(&mut self, bytes: &[u8]) -> Result<()> {
         self.generation += 1;
         let tmp_path = rewrite_temp_path(&self.path, self.generation);
-        let result = self.rewrite_into(&tmp_path, records);
+        let result = self.rewrite_into(&tmp_path, bytes);
         if result.is_err() && !plat::failpoint::crash_active() {
             // A real (non-crash) failure: clean up the partial temp
             // file. A simulated crash leaves it, as a real crash
@@ -249,42 +394,58 @@ impl Journal {
         result
     }
 
-    fn rewrite_into(&mut self, tmp_path: &Path, records: &[(String, Vec<Value>)]) -> Result<()> {
+    fn rewrite_into(&mut self, tmp_path: &Path, bytes: &[u8]) -> Result<()> {
         let mut tmp = File::create(tmp_path).map_err(DbError::io)?;
-        for (sql, params) in records {
-            let plain = encode_record(sql, params)?;
-            let stored = self.codec.encode(&plain)?;
-            let mut framed = Vec::with_capacity(4 + stored.len());
-            framed.extend_from_slice(&frame_len(stored.len())?.to_le_bytes());
-            framed.extend_from_slice(&stored);
-            plat::failpoint::write_all("sealdb::compact::write", &mut tmp, &framed)
-                .map_err(DbError::io)?;
-        }
-        plat::failpoint::check("sealdb::compact::sync").map_err(DbError::io)?;
+        plat::failpoint::write_all("sealdb::reclaim::copy", &mut tmp, bytes)
+            .map_err(DbError::io)?;
+        plat::failpoint::check("sealdb::reclaim::sync").map_err(DbError::io)?;
         tmp.sync_all().map_err(DbError::io)?;
         fsync_counter().inc();
         drop(tmp);
-        plat::failpoint::check("sealdb::compact::rename").map_err(DbError::io)?;
+        plat::failpoint::check("sealdb::reclaim::rename").map_err(DbError::io)?;
         std::fs::rename(tmp_path, &self.path).map_err(DbError::io)?;
         // Once the rename has happened the old handle points at the
-        // unlinked pre-compaction file; the snapshot MUST become the
-        // live journal now, even if the directory sync below fails —
-        // otherwise later appends land on the orphaned inode and
-        // vanish on restart while the rollback counter keeps counting
-        // them.
-        self.file = OpenOptions::new()
-            .append(true)
-            .read(true)
-            .open(&self.path)
-            .map_err(DbError::io)?;
-        plat::failpoint::check("sealdb::compact::sync_dir").map_err(DbError::io)?;
+        // unlinked old file; the new one MUST become the live journal
+        // now, even if the directory sync below fails — otherwise later
+        // writes land on the orphaned inode and vanish on restart while
+        // the rollback counter keeps counting them.
+        let file = OpenOptions::new().append(true).read(true).open(&self.path);
+        self.file = Arc::new(file.map_err(DbError::io)?);
+        plat::failpoint::check("sealdb::reclaim::sync_dir").map_err(DbError::io)?;
         sync_parent_dir(&self.path).map_err(DbError::io)?;
         Ok(())
     }
 
-    /// Current journal size in bytes.
+    /// Current journal size in bytes, written or still pending.
     pub fn size_bytes(&self) -> u64 {
-        self.file.metadata().map(|m| m.len()).unwrap_or(0)
+        self.len + self.pending.len() as u64
+    }
+}
+
+impl Drop for Journal {
+    /// Frames still pending reach the file (not its disk) when the
+    /// journal closes, as they would have with a write per statement.
+    /// A simulated crash fails the write, as a dead process would.
+    fn drop(&mut self) {
+        let _ = self.write();
+    }
+}
+
+/// The fsync of what a [`Journal::write`] wrote: it covers every byte
+/// written to the journal file before it runs.
+pub struct JournalSync(Arc<File>);
+
+impl JournalSync {
+    /// Forces the journal file's written bytes to stable storage.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors are surfaced as [`DbError::Io`].
+    pub fn sync(&self) -> Result<()> {
+        plat::failpoint::check("sealdb::journal::sync").map_err(DbError::io)?;
+        self.0.sync_data().map_err(DbError::io)?;
+        fsync_counter().inc();
+        Ok(())
     }
 }
 
@@ -413,21 +574,40 @@ fn decode_value(buf: &[u8], i: &mut usize) -> Result<Value> {
     }
 }
 
-fn encode_record(sql: &str, params: &[Value]) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(16 + sql.len());
-    out.push(1u8); // record version tag
+fn encode_record(out: &mut Vec<u8>, sql: &str, params: &[Value]) -> Result<()> {
+    out.push(RECORD);
     out.extend_from_slice(&frame_len(sql.len())?.to_le_bytes());
     out.extend_from_slice(sql.as_bytes());
     out.extend_from_slice(&frame_len(params.len())?.to_le_bytes());
     for p in params {
-        encode_value(&mut out, p)?;
+        encode_value(out, p)?;
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Appends a snapshot frame's records (after its tag) to `entries`.
+fn decode_snapshot(plain: &[u8], entries: &mut Vec<JournalEntry>) -> Result<()> {
+    let truncated = || DbError::exec("journal snapshot truncated");
+    let word = |i: usize| -> Result<usize> {
+        let b = plain.get(i..i + 4).ok_or_else(truncated)?;
+        Ok(u32::from_le_bytes(b.try_into().unwrap()) as usize)
+    };
+    let mut i = 5;
+    for _ in 0..word(1)? {
+        let len = word(i)?;
+        let record = plain.get(i + 4..i + 4 + len).ok_or_else(truncated)?;
+        entries.push(decode_record(record)?);
+        i += 4 + len;
+    }
+    if i != plain.len() {
+        return Err(DbError::exec("journal snapshot has trailing bytes"));
+    }
+    Ok(())
 }
 
 fn decode_record(buf: &[u8]) -> Result<JournalEntry> {
     let mut i = 0usize;
-    if buf.first() != Some(&1u8) {
+    if buf.first() != Some(&RECORD) {
         return Err(DbError::exec("unknown journal record version"));
     }
     i += 1;
@@ -540,6 +720,7 @@ mod tests {
             let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
             j.append("INSERT INTO t VALUES (1)", &[]).unwrap();
             j.append("INSERT INTO t VALUES (2)", &[]).unwrap();
+            j.sync_now().unwrap();
             full_len = j.size_bytes();
         }
         // Chop 3 bytes off: the second record becomes a torn tail.
@@ -619,27 +800,6 @@ mod tests {
         let mut j = Journal::open(&path, Box::new(SumCodec)).unwrap();
         assert!(j.replay().is_err());
         assert!(j.last_salvage().is_none());
-    }
-
-    #[test]
-    fn rewrite_replaces_contents_atomically() {
-        let path = tmp("rw");
-        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
-        for i in 0..5 {
-            j.append(&format!("S{i}"), &[]).unwrap();
-        }
-        j.rewrite(&[
-            ("SNAP1".to_string(), vec![]),
-            ("SNAP2".to_string(), vec![Value::Integer(9)]),
-        ])
-        .unwrap();
-        let entries = j.replay().unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].sql, "SNAP1");
-        assert_eq!(entries[1].params, vec![Value::Integer(9)]);
-        // The handle is live after the swap.
-        j.append("AFTER", &[]).unwrap();
-        assert_eq!(j.replay().unwrap().len(), 3);
     }
 
     #[test]

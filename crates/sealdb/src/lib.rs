@@ -4,8 +4,8 @@
 //!
 //! It speaks exactly the SQL LibSEAL issues — the paper's audit
 //! schemas, invariants and trimming queries verbatim, plus the
-//! statements the audit log, its materialized views and compaction
-//! compose — and nothing else, because every line inside the enclave
+//! statements the audit log, its materialized views and snapshot
+//! frames compose — and nothing else, because every line inside the enclave
 //! is attack surface: `CREATE TABLE`/`VIEW`/`INDEX`, one-row `INSERT`,
 //! `DELETE`, `UPDATE`, and `SELECT [DISTINCT]` over `JOIN … ON` and
 //! `NATURAL JOIN` with `GROUP BY`/`HAVING`, `ORDER BY … [DESC]`,
@@ -15,8 +15,8 @@
 //! parse with a [`DbError::Parse`] ([`parser`] has the rule for
 //! widening it). Bound parameters carry every [`Value`] type.
 //! Durability comes from a statement-granularity write-ahead journal
-//! with pluggable sealing ([`journal::JournalCodec`]) and snapshot
-//! compaction.
+//! with pluggable sealing ([`journal::JournalCodec`]), snapshot frames
+//! and reclamation of the bytes before the last one.
 //!
 //! Execution is an optimizing interpreter: `CREATE INDEX` declares
 //! per-table hash indexes (maintained incrementally on DML) that

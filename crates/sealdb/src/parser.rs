@@ -2,7 +2,7 @@
 //!
 //! The grammar is closed: it is the union of the statements the
 //! service-specific modules, the audit log, the materialized views and
-//! compaction run (DESIGN.md, "The SQL LibSEAL speaks", has it as
+//! snapshot frames run (DESIGN.md, "The SQL LibSEAL speaks", has it as
 //! EBNF), and `crates/core/tests/sql_subset.rs` checks that every AST
 //! variant is reached by one of them. Any other text — `LIKE`,
 //! `BETWEEN`, `CASE`, `LEFT JOIN`, `DROP`, an `IN` list, `OFFSET`,

@@ -32,7 +32,8 @@ impl Token {
 /// Quotes `name` as an identifier (the inverse of the tokenizer's
 /// `"name"` rule, `"` doubled inside), so any catalog name can be
 /// spliced into statement text: the table in the row `INSERT`s that
-/// [`crate::Database::compact`] and the audit log's append compose.
+/// [`crate::Database::write_snapshot`] and the audit log's prepared
+/// append compose.
 pub fn quote_ident(name: &str) -> String {
     format!("\"{}\"", name.replace('"', "\"\""))
 }

@@ -28,7 +28,7 @@
 //! Durability: only the backing table *definition* is journaled (as
 //! ordinary `CREATE TABLE IF NOT EXISTS` / `CREATE INDEX IF NOT
 //! EXISTS` statements). Derived rows are never journaled and are not
-//! dumped by [`crate::Database::compact`]; re-registering a view after
+//! dumped by [`crate::Database::write_snapshot`]; re-registering a view after
 //! reopen marks it fully dirty, so the first refresh rebuilds it from
 //! the recovered base tables.
 

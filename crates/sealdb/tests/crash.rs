@@ -1,4 +1,5 @@
-//! Fault-injected crash tests for the journal and compaction paths.
+//! Fault-injected crash tests for the journal, its snapshot frames and
+//! reclamation.
 //!
 //! Every test opens a `plat::failpoint::scenario()` first (a global
 //! lock) so fault-injected tests serialize across the process. A
@@ -6,7 +7,7 @@
 //! then runs under `scenario.reset()`, exactly like a restarted
 //! process reading what the dead one left behind.
 
-use libseal_sealdb::journal::PlainCodec;
+use libseal_sealdb::journal::{Journal, PlainCodec};
 use libseal_sealdb::{Database, Value};
 use plat::failpoint::{self, FaultSpec};
 use plat::tmp::TempPath;
@@ -32,18 +33,22 @@ fn row_count(db: &Database) -> i64 {
     }
 }
 
-/// The ISSUE's headline regression: `compact()` used to truncate the
-/// journal before rewriting the snapshot, so a crash mid-compaction
-/// destroyed the entire log. Now a crash at ANY point of the
-/// compaction protocol leaves a journal that recovers every row.
+/// `compact()` once truncated the journal before rewriting the
+/// snapshot, so a crash mid-compaction destroyed the entire log. Now a
+/// crash at ANY point of it — the snapshot frame, its write and fsync,
+/// and reclamation's copy, fsync, rename and directory sync — leaves a
+/// journal that recovers every row.
 #[test]
 fn crash_at_every_compact_failpoint_preserves_the_log() {
     let s = failpoint::scenario();
     for site in [
-        "sealdb::compact::write",
-        "sealdb::compact::sync",
-        "sealdb::compact::rename",
-        "sealdb::compact::sync_dir",
+        "sealdb::journal::snapshot",
+        "sealdb::journal::write",
+        "sealdb::journal::sync",
+        "sealdb::reclaim::copy",
+        "sealdb::reclaim::sync",
+        "sealdb::reclaim::rename",
+        "sealdb::reclaim::sync_dir",
     ] {
         s.reset();
         let path = TempPath::new(&format!("sealdb-crash-{}", site.replace(':', "_")), "log");
@@ -51,7 +56,7 @@ fn crash_at_every_compact_failpoint_preserves_the_log() {
             let mut db = seeded_db(&path, 20);
             s.set(site, FaultSpec::crash());
             let r = db.compact();
-            if site == "sealdb::compact::sync_dir" {
+            if site == "sealdb::reclaim::sync_dir" {
                 // The rename already happened: the snapshot is fully in
                 // place, only its directory-entry durability is in
                 // doubt, and the API still reports the failure.
@@ -72,7 +77,7 @@ fn crash_at_every_compact_failpoint_preserves_the_log() {
     }
 }
 
-/// A partial write of the snapshot temp file (torn page mid-compact)
+/// A partial write of reclamation's temp file (torn page mid-copy)
 /// must leave the live journal untouched, and the half-written temp
 /// must be cleaned up on reopen.
 #[test]
@@ -81,7 +86,7 @@ fn torn_snapshot_write_leaves_live_journal_intact() {
     let path = TempPath::new("sealdb-crash-tornsnap", "log");
     {
         let mut db = seeded_db(&path, 10);
-        s.set("sealdb::compact::write", FaultSpec::partial_write(7));
+        s.set("sealdb::reclaim::copy", FaultSpec::partial_write(7));
         assert!(db.compact().is_err());
     }
     s.reset();
@@ -105,29 +110,67 @@ fn torn_snapshot_write_leaves_live_journal_intact() {
     }
 }
 
-/// A torn append (crash mid-`write(2)`) is salvaged on reopen: every
-/// record before the torn frame replays, the torn bytes are dropped
-/// and reported.
+/// A torn write (crash mid-`write(2)`) is salvaged on reopen: every
+/// frame before the torn one replays, the torn bytes are dropped and
+/// reported.
 #[test]
 fn torn_append_is_salvaged_on_reopen() {
-    let s = failpoint::scenario();
+    let _s = failpoint::scenario();
     let path = TempPath::new("sealdb-crash-tornapp", "log");
-    {
+    let synced = {
         let mut db = seeded_db(&path, 5);
-        // The next journal append persists only 9 bytes of its frame.
-        s.set("sealdb::journal::append", FaultSpec::partial_write(9));
-        assert!(db
-            .execute_with(
-                "INSERT INTO t VALUES (?, ?)",
-                &[Value::Integer(99), Value::Null]
-            )
-            .is_err());
-    }
-    s.reset();
+        let synced = std::fs::metadata(&path).unwrap().len();
+        db.execute_with(
+            "INSERT INTO t VALUES (?, ?)",
+            &[Value::Integer(99), Value::Null],
+        )
+        .unwrap();
+        db.sync_journal().unwrap();
+        synced
+    };
+    // The process died 9 bytes into writing the new frame.
+    let data = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &data[..synced as usize + 9]).unwrap();
     let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(row_count(&db), 5, "synced prefix must survive");
     let salvage = db.salvage_report().expect("salvage must be reported");
     assert_eq!(salvage.lost_bytes, 9);
+}
+
+/// A torn write the process survives (an I/O error part-way) is cut
+/// back off the file, and its frames stay pending: the next sync
+/// writes them again, behind nothing torn.
+#[test]
+fn a_torn_write_the_process_survives_is_cut_back_and_written_again() {
+    let s = failpoint::scenario();
+    let path = TempPath::new("sealdb-crash-retry-write", "log");
+    {
+        let mut db = seeded_db(&path, 5);
+        let synced = std::fs::metadata(&path).unwrap().len();
+        db.execute_with(
+            "INSERT INTO t VALUES (?, ?)",
+            &[Value::Integer(5), Value::Null],
+        )
+        .unwrap();
+        let next = s.hits("sealdb::journal::write");
+        let torn = FaultSpec::partial_write(9).after(next).times(1);
+        s.set("sealdb::journal::write", torn);
+        assert!(db.sync_journal().is_err());
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            synced,
+            "torn bytes cut"
+        );
+        db.execute_with(
+            "INSERT INTO t VALUES (?, ?)",
+            &[Value::Integer(6), Value::Null],
+        )
+        .unwrap();
+        db.sync_journal().unwrap();
+    }
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
+    assert_eq!(row_count(&db), 7);
+    assert!(db.salvage_report().is_none());
 }
 
 /// Compaction happening *after* a successful compaction (generation
@@ -145,7 +188,7 @@ fn repeated_compaction_generations_survive_crashes() {
         )
         .unwrap();
         db.sync_journal().unwrap();
-        s.set("sealdb::compact::rename", FaultSpec::crash());
+        s.set("sealdb::reclaim::rename", FaultSpec::crash());
         assert!(db.compact().is_err()); // generation 2, crashes
     }
     s.reset();
@@ -154,17 +197,17 @@ fn repeated_compaction_generations_survive_crashes() {
 }
 
 /// Regression found by the crash matrix: when the directory sync
-/// *after* the rename fails transiently, the snapshot is already the
-/// live journal — the writer must switch to it. Before the fix it
-/// kept appending to the unlinked pre-compaction inode, so every
-/// later row vanished on restart.
+/// *after* the rename fails transiently, the reclaimed copy is already
+/// the live journal — the writer must switch to it. Before the fix it
+/// kept appending to the unlinked old inode, so every later row
+/// vanished on restart.
 #[test]
 fn writes_after_failed_dir_sync_survive_restart() {
     let s = failpoint::scenario();
     let path = TempPath::new("sealdb-crash-dirsync", "log");
     {
         let mut db = seeded_db(&path, 4);
-        s.set("sealdb::compact::sync_dir", FaultSpec::error().times(1));
+        s.set("sealdb::reclaim::sync_dir", FaultSpec::error().times(1));
         assert!(db.compact().is_err());
         db.execute_with(
             "INSERT INTO t VALUES (?, ?)",
@@ -186,7 +229,7 @@ fn failed_compaction_is_retryable() {
     let s = failpoint::scenario();
     let path = TempPath::new("sealdb-crash-retry", "log");
     let mut db = seeded_db(&path, 6);
-    s.set("sealdb::compact::sync", FaultSpec::error().times(1));
+    s.set("sealdb::reclaim::sync", FaultSpec::error().times(1));
     assert!(db.compact().is_err());
     assert_eq!(row_count(&db), 6);
     db.compact().unwrap();
@@ -195,4 +238,133 @@ fn failed_compaction_is_retryable() {
     drop(db);
     let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(row_count(&db), 6);
+}
+
+/// A trim as the audit log stages one, with an insert behind it: the
+/// deletion waits for the snapshot frame, the insert is journaled as
+/// usual.
+fn stage_trim(db: &mut Database) {
+    db.defer_to_snapshot();
+    db.execute("DELETE FROM t WHERE a < 3").unwrap();
+    db.resume_journal();
+    db.execute_with(
+        "INSERT INTO t VALUES (?, ?)",
+        &[Value::Integer(50), Value::Null],
+    )
+    .unwrap();
+}
+
+/// A snapshot frame torn by a crash mid-write is salvaged like any torn
+/// tail: the journal replays to the state before the trim, plus the
+/// insert staged behind it.
+#[test]
+fn a_torn_snapshot_frame_leaves_the_pre_trim_rows_and_the_insert_behind() {
+    let _s = failpoint::scenario();
+    let path = TempPath::new("sealdb-crash-tornframe", "log");
+    {
+        let mut db = seeded_db(&path, 6);
+        stage_trim(&mut db);
+        assert_eq!(row_count(&db), 4);
+        db.write_snapshot().unwrap();
+        db.sync_journal().unwrap();
+    }
+    let full = Database::open(&path, Box::new(PlainCodec)).unwrap();
+    assert_eq!(row_count(&full), 4, "the frame landed");
+    drop(full);
+    let data = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &data[..data.len() - 5]).unwrap();
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
+    assert_eq!(row_count(&db), 7, "the pre-trim rows and the insert");
+    assert!(db.salvage_report().is_some());
+}
+
+/// A snapshot frame that cannot be staged leaves the trim to be given
+/// up: reloading replays the journal — file and pending frames — to
+/// the pre-trim rows plus the insert staged behind the trim.
+#[test]
+fn a_failed_snapshot_frame_reloads_to_the_pre_trim_rows_and_the_insert_behind() {
+    let s = failpoint::scenario();
+    let path = TempPath::new("sealdb-crash-failedframe", "log");
+    {
+        let mut db = seeded_db(&path, 6);
+        stage_trim(&mut db);
+        s.set("sealdb::journal::snapshot", FaultSpec::error().times(1));
+        assert!(db.write_snapshot().is_err());
+        assert!(db.snapshot_pending());
+        db.reload().unwrap();
+        assert_eq!(row_count(&db), 7);
+        db.sync_journal().unwrap();
+    }
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
+    assert_eq!(row_count(&db), 7);
+}
+
+fn sqls(j: &mut Journal) -> Vec<String> {
+    j.replay().unwrap().into_iter().map(|e| e.sql).collect()
+}
+
+#[test]
+fn replay_starts_over_at_each_snapshot_frame() {
+    let _s = failpoint::scenario();
+    let path = TempPath::new("sealdb-journal-snap", "log");
+    let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+    j.append("A", &[]).unwrap();
+    j.append_snapshot([("S1", &[][..]), ("S2", &[Value::Integer(9)][..])])
+        .unwrap();
+    j.append("B", &[]).unwrap();
+    assert_eq!(sqls(&mut j), ["S1", "S2", "B"], "pending frames replay too");
+    j.sync_now().unwrap();
+    j.append_snapshot([("T", &[][..])]).unwrap();
+    j.sync_now().unwrap();
+    drop(j);
+    let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+    assert_eq!(sqls(&mut j), ["T"]);
+    assert!(j.last_salvage().is_none());
+}
+
+#[test]
+fn a_torn_snapshot_frame_leaves_the_state_before_it() {
+    let _s = failpoint::scenario();
+    let path = TempPath::new("sealdb-journal-snaptorn", "log");
+    let before;
+    {
+        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+        j.append("A", &[]).unwrap();
+        j.sync_now().unwrap();
+        before = j.size_bytes();
+        j.append("B", &[]).unwrap();
+        j.append_snapshot([("S", &[][..])]).unwrap();
+        j.sync_now().unwrap();
+    }
+    let data = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &data[..data.len() - 2]).unwrap();
+    let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+    assert_eq!(sqls(&mut j), ["A", "B"]);
+    assert!(j.last_salvage().unwrap().offset > before);
+}
+
+#[test]
+fn reclaim_keeps_the_live_suffix_byte_for_byte() {
+    let _s = failpoint::scenario();
+    let path = TempPath::new("sealdb-journal-reclaim", "log");
+    let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+    for i in 0..5 {
+        j.append(&format!("S{i}"), &[]).unwrap();
+    }
+    j.append_snapshot([("SNAP1", &[][..]), ("SNAP2", &[Value::Integer(9)][..])])
+        .unwrap();
+    j.append("AFTER", &[]).unwrap();
+    j.sync_now().unwrap();
+    let data = std::fs::read(&path).unwrap();
+    j.reclaim().unwrap();
+    let suffix = std::fs::read(&path).unwrap();
+    assert!(data.ends_with(&suffix) && suffix.len() < data.len());
+    assert_eq!(j.size_bytes(), suffix.len() as u64);
+    let entries = j.replay().unwrap();
+    assert_eq!(entries.len(), 3);
+    assert_eq!(entries[1].params, vec![Value::Integer(9)]);
+    // The handle is live after the swap.
+    j.append("LATER", &[]).unwrap();
+    j.sync_now().unwrap();
+    assert_eq!(sqls(&mut j), ["SNAP1", "SNAP2", "AFTER", "LATER"]);
 }

@@ -2,17 +2,19 @@
 //! harness).
 //!
 //! sealdb keeps one textual form of a statement — the source text the
-//! parser accepted — in the journal and, for DDL, in the catalog that
-//! compaction dumps. So three databases must be indistinguishable: the
-//! *live* one, one *reopened from its journal*, and one *reopened after
-//! `compact()`*. Each case runs a random script against a disk-backed
+//! parser accepted — in the journal and, for DDL, in the catalog that a
+//! snapshot frame dumps. So four databases must be indistinguishable:
+//! the *live* one, one *reopened from its journal*, one *reopened after
+//! a snapshot frame* and one *reopened after reclamation* dropped
+//! everything before that frame. Each case runs a random script against a disk-backed
 //! database through both entry points (`execute_with` with bound
 //! parameters; `execute` with literals, several statements a string
 //! and stray `;`) and compares table rows in order, index
 //! names and consistency, and every view's rows. It also reads the
 //! journal back and checks that every record's SQL is byte-for-byte a
-//! slice of a string the script passed in, or one of compaction's row
-//! `INSERT`s: nothing on disk was regenerated from an AST.
+//! slice of a string the script passed in, or one of a snapshot's row
+//! `INSERT`s: nothing on disk was regenerated from an AST. Last, a
+//! thousand trims keep the journal under its reclamation bound.
 
 use std::fmt::Write;
 
@@ -76,7 +78,7 @@ impl Script {
     }
 
     /// Every journaled statement is a slice of what was passed in, or
-    /// the row `INSERT` compaction composes for a table.
+    /// the row `INSERT` a snapshot frame composes for a table.
     fn journal_holds_source_text(&self, path: &TempPath) {
         let tables = self.db.catalog().tables_sorted();
         let inserts: Vec<String> = (tables.iter())
@@ -95,15 +97,24 @@ impl Script {
         }
     }
 
-    /// live ≡ reopened from journal ≡ reopened after `compact()`.
+    /// live ≡ reopened from journal ≡ reopened after a snapshot frame
+    /// ≡ reopened after reclamation.
     fn reopens_to_the_same(&mut self, path: &TempPath) {
         let live = observe(&self.db);
         self.db.sync_journal().unwrap();
         assert_eq!(observe(&open(path)), live, "reopened from journal");
         self.journal_holds_source_text(path);
-        self.db.compact().unwrap();
-        assert_eq!(observe(&self.db), live, "compaction changed the live db");
-        assert_eq!(observe(&open(path)), live, "reopened after compact()");
+        self.db.write_snapshot().unwrap();
+        self.db.sync_journal().unwrap();
+        assert_eq!(observe(&self.db), live, "the snapshot changed the live db");
+        assert_eq!(
+            observe(&open(path)),
+            live,
+            "reopened after a snapshot frame"
+        );
+        self.journal_holds_source_text(path);
+        self.db.reclaim().unwrap();
+        assert_eq!(observe(&open(path)), live, "reopened after reclamation");
         self.journal_holds_source_text(path);
     }
 }
@@ -223,4 +234,44 @@ fn quoted_identifiers_survive_compaction() {
             s.exec(sql, &[]);
         }
     });
+}
+
+/// A trim as the audit log stages one: deletions applied but not
+/// journaled, an insert journaled behind them, then one snapshot frame.
+/// A thousand of them, each synced and reclaimed when due, keep the
+/// journal's dead bytes under `RECLAIM_BYTES` — the file never passes
+/// the bound by more than one live suffix — and the journal reopens to
+/// the live database every time it was reclaimed.
+#[test]
+fn a_thousand_trims_stay_under_the_reclamation_bound() {
+    use libseal_sealdb::journal::RECLAIM_BYTES;
+    let path = TempPath::new("sealdb-replay-trims", "db");
+    let mut db = open(&path);
+    db.execute("CREATE TABLE t(k INTEGER, v TEXT)").unwrap();
+    db.execute("CREATE INDEX t_k ON t(k)").unwrap();
+    let row = |k: i64| [Value::Integer(k), Value::Text(format!("{k:0>96}"))];
+    for k in 0..40 {
+        db.execute_with("INSERT INTO t VALUES (?, ?)", &row(k))
+            .unwrap();
+    }
+    let (mut largest, mut reclaimed) = (0, 0);
+    for k in 40..1040 {
+        db.defer_to_snapshot();
+        db.execute_with("DELETE FROM t WHERE k = ?", &[Value::Integer(k - 40)])
+            .unwrap();
+        db.resume_journal();
+        db.execute_with("INSERT INTO t VALUES (?, ?)", &row(k))
+            .unwrap();
+        db.write_snapshot().unwrap();
+        db.sync_journal().unwrap();
+        largest = largest.max(db.journal_size_bytes());
+        if db.reclaim_due() {
+            db.reclaim().unwrap();
+            reclaimed += 1;
+            assert_eq!(observe(&open(&path)), observe(&db), "trim {k}");
+        }
+    }
+    assert!(reclaimed >= 3, "{reclaimed} reclamations");
+    assert!(largest < RECLAIM_BYTES + 64 * 1024, "{largest} bytes");
+    assert_eq!(observe(&open(&path)), observe(&db));
 }
