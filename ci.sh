@@ -10,11 +10,19 @@ export CARGO_NET_OFFLINE=true
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
-# The crates the curve and record kernels, the SQL executor and the
-# audit log live in are fmt-clean; the rest of the tree is not yet.
+# The crates the curve and record kernels, the SQL executor, the audit
+# log, the platform shims, ROTE, HTTP, the lthread runtime, the enclave
+# simulator and telemetry live in are fmt-clean; tlsx, services and
+# bench are not yet.
 cargo fmt -p libseal-crypto -- --check
 cargo fmt -p libseal-sealdb -- --check
 cargo fmt -p libseal -- --check
+cargo fmt -p libseal-plat -- --check
+cargo fmt -p libseal-rote -- --check
+cargo fmt -p libseal-httpx -- --check
+cargo fmt -p libseal-lthread -- --check
+cargo fmt -p libseal-sgxsim -- --check
+cargo fmt -p libseal-telemetry -- --check
 
 # The thread-backed `Coroutine` behind this feature is the only
 # implementation on aarch64 (which `plat` supports); nothing above
@@ -32,7 +40,9 @@ cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D
 # SQL construct LibSEAL never issues (LIKE, CASE, LEFT JOIN, DROP…), a second TLS
 # termination surface is back (or a services driver names the TLS
 # library), the log's one commit step has company (a second signer or
-# binder in log.rs, the two knobs that forked the request path),
+# binder in log.rs, the two knobs that forked the request path, a
+# commit mode, a `.seal()` outside log.rs, a `with_log` that skips the
+# bind gate),
 # crates/rote names a thread or a channel again (a round is a loop),
 # a second worker mechanism grows back (a channel shim in plat, a
 # blocking-driver thread besides the accept thread, sgxsim's untrusted

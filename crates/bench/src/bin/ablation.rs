@@ -37,8 +37,11 @@ fn measure(n: u64, mut f: impl FnMut(u64)) -> HistogramSnapshot {
     h.snapshot()
 }
 
+/// One audited append, sealed on its own: a counter step and a head
+/// signature per entry.
 fn append(log: &mut AuditLog, i: u64) {
-    git_update(log, "repo", "refs/heads/main", &format!("{i:040x}")).expect("append");
+    let appended = git_update(log, "repo", "refs/heads/main", &format!("{i:040x}"));
+    appended.and_then(|()| log.seal()).expect("append");
 }
 
 fn rote() -> Box<dyn RollbackGuard> {

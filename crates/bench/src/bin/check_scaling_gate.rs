@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use libseal::log::{AuditLog, LogBacking, NoGuard};
-use libseal::{Checker, CommitMode, GitModule, TicketQueue, Worker};
+use libseal::{Checker, GitModule, TicketQueue, Worker};
 use libseal_bench::{fresh_log, git_advert, git_update};
 
 /// Flatness tolerance: per-append check cost on the 1000× log may be
@@ -54,11 +54,10 @@ fn push(log: &mut AuditLog, repo: &str, cid: &str, lie: bool) {
 /// dirty-tracking costs on every insert.
 fn git_log(n: usize) -> AuditLog {
     let m = GitModule;
-    let mut log = fresh_log(&m, LogBacking::Memory, Box::new(NoGuard));
-    // Staged commits, as under the production group-commit pipeline:
-    // building the history should not pay a head signature per append
+    // Appends only stage, as under the production group-commit
+    // pipeline: building the history pays no head signature per append
     // (this gate times checking, not sealing).
-    log.set_commit_mode(CommitMode::Staged);
+    let mut log = fresh_log(&m, LogBacking::Memory, Box::new(NoGuard));
     Checker::install(&m, &mut log).expect("install views");
     let pushes = n / 2;
     let repos = (n / 10).max(1);

@@ -5,7 +5,7 @@
 //! crash at each one, restart, and assert the recovery contract:
 //!
 //!   1. the reopen succeeds (a crash never corrupts, it only truncates),
-//!   2. every entry whose append *and* flush returned success is still
+//!   2. every entry whose append *and* commit returned success is still
 //!      there (the durable prefix),
 //!   3. no more than the attempted appends are there (salvage never
 //!      invents records),
@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use libseal::log::{seal_staged, AuditLog, LogBacking, RollbackGuard, RoteGuard};
 use libseal::ssm::git::GIT_SOUNDNESS;
-use libseal::{CommitMode, GitModule, ServiceModule, TicketQueue, Worker};
+use libseal::{GitModule, ServiceModule, TicketQueue, Worker};
 use libseal_bench::{git_advert, git_update};
 use libseal_crypto::ed25519::SigningKey;
 use libseal_rote::{Cluster, ClusterConfig};
@@ -71,15 +71,16 @@ fn open_log(path: &TempPath, guard: Box<dyn RollbackGuard>) -> libseal::Result<A
 
 /// What the dying process managed to get done.
 struct Outcome {
-    /// Appends whose append *and* per-request flush both succeeded,
+    /// Appends whose append *and* per-request commit both succeeded,
     /// less what a trim dropped — what recovery must preserve.
     durable: u64,
 }
 
-/// The fixed workload: five audited appends (flushed per request, as
-/// the paper's per-request synchronous flush mandates), a trim, one
-/// more append. Materialized-view registration and refresh are
-/// interleaved so the `sealdb::view::*` failpoints sit on the path.
+/// The fixed workload: five audited appends (each committed per
+/// request, as the paper's per-request synchronous flush mandates), a
+/// trim and its commit, one more append. Materialized-view registration
+/// and refresh are interleaved so the `sealdb::view::*` failpoints sit
+/// on the path.
 /// Any step may fail once the armed fault fires; later steps then
 /// fail too (the failpoint crash latch), exactly as in a dead process.
 /// `at_trim` runs right before the trim.
@@ -92,7 +93,7 @@ fn workload(path: &TempPath, guard: Box<dyn RollbackGuard>, at_trim: &dyn Fn()) 
     // not affect the durable-prefix accounting of base appends.
     let _ = libseal::Checker::install(&GitModule, &mut log);
     let append_one = |log: &mut AuditLog, i: u64| -> bool {
-        git_update(log, "r", "main", &format!("{i:040x}")).is_ok() && log.flush().is_ok()
+        git_update(log, "r", "main", &format!("{i:040x}")).is_ok() && log.commit().is_ok()
     };
     // Advertisements dirty the soundness view (updates alone cannot —
     // the monotone-time rule — so refresh would be a no-op without
@@ -100,7 +101,7 @@ fn workload(path: &TempPath, guard: Box<dyn RollbackGuard>, at_trim: &dyn Fn()) 
     // advertised heads are deliberately wrong: the view carries real
     // violation rows through crash and recovery.
     let append_ad = |log: &mut AuditLog, i: u64| -> bool {
-        git_advert(log, "r", "main", &format!("{i:040x}")).is_ok() && log.flush().is_ok()
+        git_advert(log, "r", "main", &format!("{i:040x}")).is_ok() && log.commit().is_ok()
     };
     for i in 0..4 {
         if append_one(&mut log, i) {
@@ -112,7 +113,7 @@ fn workload(path: &TempPath, guard: Box<dyn RollbackGuard>, at_trim: &dyn Fn()) 
     }
     let _ = log.db_mut().refresh_matviews();
     at_trim();
-    let _ = log.trim(GitModule.trim_queries());
+    let _ = (log.trim(GitModule.trim_queries())).and_then(|_| log.commit());
     durable = durable.min(KEPT);
     for i in 5..APPENDS {
         if append_one(&mut log, i) {
@@ -136,10 +137,9 @@ fn pipeline_workload(
     guard: Box<dyn RollbackGuard>,
     at_trim: &dyn Fn(),
 ) -> Outcome {
-    let Ok(mut log) = open_log(path, guard) else {
+    let Ok(log) = open_log(path, guard) else {
         return Outcome { durable: 0 };
     };
-    log.set_commit_mode(CommitMode::Staged);
     let log = Arc::new(plat::sync::Mutex::new(log));
     let queue = Arc::new(TicketQueue::sealer(4));
     let sealer = {
@@ -224,7 +224,7 @@ impl RollbackGuard for SlowRounds {
 }
 
 /// The sealer's counter round and the verifier's trim, interleaved:
-/// five flushed appends, one staged, then a sealer binds its value
+/// five committed appends, one staged, then a sealer binds its value
 /// outside the audit lock and, while the round is still answering, the
 /// log is trimmed under the lock. At most one bound value may be ahead
 /// of the journal whatever dies where, so the trim binds none of its
@@ -248,11 +248,10 @@ fn sealer_trim_workload(
     };
     let mut durable = 0;
     for i in 0..APPENDS - 1 {
-        if git_update(&mut log, "r", "main", &format!("{i:040x}")).is_ok() && log.flush().is_ok() {
+        if git_update(&mut log, "r", "main", &format!("{i:040x}")).is_ok() && log.commit().is_ok() {
             durable += 1;
         }
     }
-    log.set_commit_mode(CommitMode::Staged);
     let _ = git_update(&mut log, "r", "main", &format!("{:040x}", APPENDS - 1));
     slow.store(true, SeqCst);
     let log = Arc::new(plat::sync::Mutex::new(log));
@@ -276,9 +275,9 @@ fn sealer_trim_workload(
 /// journal's dead bytes to pass `sealdb::journal::RECLAIM_BYTES`.
 const RECLAIM_CYCLES: usize = 4_000;
 
-/// Reclamation's workload: one flushed append and one trim per cycle,
-/// in per-request-flush mode, until a flush has reclaimed the journal
-/// (it shrank), then one more append.
+/// Reclamation's workload: one committed append and one committed trim
+/// per cycle, until a commit has reclaimed the journal (it shrank), then
+/// one more append.
 fn reclaim_workload(
     path: &TempPath,
     guard: Box<dyn RollbackGuard>,
@@ -288,7 +287,7 @@ fn reclaim_workload(
         return Outcome { durable: 0 };
     };
     let append = |log: &mut AuditLog, i: usize| {
-        git_update(log, "r", "main", &format!("{i:040x}")).is_ok() && log.flush().is_ok()
+        git_update(log, "r", "main", &format!("{i:040x}")).is_ok() && log.commit().is_ok()
     };
     let mut durable = 0;
     for i in 0..RECLAIM_CYCLES {
@@ -296,7 +295,7 @@ fn reclaim_workload(
         if !append(&mut log, i) {
             break;
         }
-        let _ = log.trim(GitModule.trim_queries());
+        let _ = (log.trim(GitModule.trim_queries())).and_then(|_| log.commit());
         durable = KEPT;
         if log.journal_size_bytes() < before {
             break;
@@ -436,7 +435,7 @@ fn main() {
     );
 
     // The pipeline sites only fire under the group-commit workload;
-    // everything else runs the serial per-request-flush workload. The
+    // everything else runs the serial per-request-commit workload. The
     // counter bind is crossed by both (inside `AuditLog::seal` and in
     // the sealer's `seal_staged`), so it gets a row under each.
     let mut rows: Vec<(&str, (Workload, bool))> = sites

@@ -11,7 +11,7 @@
 //! name is spelled. The body of every entry point is a function here
 //! — the session bodies that cut, pair, log and encrypt traffic
 //! (`read_session`, `write_session`, `pump_sessions`, …), the log
-//! bodies (`check_now`, `verify_log`, `seal_and_flush`, …), the worker
+//! bodies (`check_now`, `verify_log`, `commit_log`, …), the worker
 //! bodies (`seal_batch`, `verify_batch`) and the construction of the
 //! state itself (`Trusted::init`) — and the state's fields are private
 //! to this file: the closure `session.rs` or `plane.rs` hands to
@@ -40,7 +40,7 @@ use plat::sync::{Mutex, RwLock};
 
 use crate::check::{CheckOutcome, Checker};
 use crate::config::{GuardConfig, LibSealConfig};
-use crate::log::{AuditLog, CommitMode, RollbackGuard, RoteGuard};
+use crate::log::{AuditLog, RollbackGuard, RoteGuard};
 use crate::queue::TicketQueue;
 use crate::ssm::ServiceModule;
 use crate::{LibSealError, Result};
@@ -97,14 +97,14 @@ ecalls! {
     CheckNow => "check_now",
     /// Trims the log now.
     TrimNow => "trim_now",
-    /// Seals what is staged, then verifies the log (or, for a drain,
-    /// flushes it).
+    /// Commits what is staged, then verifies the log (for a drain, only
+    /// commits it).
     VerifyLog => "verify_log",
     /// Reads the log's size counters.
     LogStats => "log_stats",
     /// The sealer thread's entry: one counter bind, head signature and
-    /// fsync for everything staged. The final seal on drop enters here
-    /// too.
+    /// fsync for everything staged. The final commit on drop enters
+    /// here too.
     SealBatch => "seal_batch",
     /// The verifier thread's entry: one incremental check covering
     /// every due check queued so far.
@@ -319,9 +319,6 @@ fn open_audit(
         ssm.schema_sql(),
         ssm.tables(),
     )?;
-    // Appends stage into the chain; the sealer binds the counter and
-    // signs once per batch.
-    log.set_commit_mode(CommitMode::Staged);
     // Register the delta-maintained views so checks cost O(rows
     // touched since the last check) instead of O(log).
     Checker::install(ssm.as_ref(), &mut log)?;
@@ -757,20 +754,19 @@ pub(crate) fn check_now(t: &Trusted) -> Result<CheckOutcome> {
 }
 
 /// Runs `f` on the audit state holding the log's bind gate
-/// ([`crate::log::with_bind_gate`]): what everything that binds the
-/// counter under the audit lock goes through, so it waits for a seal in
-/// flight instead of binding a second value beside it.
+/// ([`crate::log::with_bind_gate`]): what everything that can bind the
+/// counter under the audit lock goes through, so it waits for a commit
+/// in flight instead of binding a second value beside it.
 fn with_audit_bound<R>(t: &Trusted, f: impl FnOnce(&mut AuditState) -> R) -> Result<R> {
     let state = &t.audited()?.state;
     Ok(crate::log::with_bind_gate(state, |a| &mut a.log, f))
 }
 
-/// The `trim_now` body: the trim and the seal that makes it durable.
+/// The `trim_now` body: the trim and the commit that makes it durable.
 pub(crate) fn trim_log(t: &Trusted) -> Result<()> {
     with_audit_bound(t, |a| {
         a.log.trim(a.ssm.trim_queries())?;
-        a.log.seal()?;
-        a.log.flush()
+        a.log.commit()
     })?
 }
 
@@ -781,28 +777,15 @@ pub(crate) fn verify_log(t: &Trusted) -> Result<()> {
         // (in-flight group-commit entries, direct appends, a trim), so
         // verification always sees a consistent head. No-op when the
         // log is clean.
-        a.log.seal()?;
-        a.log.flush()?;
+        a.log.commit()?;
         a.log.verify()
     })?
 }
 
-/// The drain's body: seals anything still staged and flushes it to
-/// durable.
-pub(crate) fn seal_and_flush(t: &Trusted) -> Result<()> {
-    with_audit_bound(t, |a| {
-        a.log.seal()?;
-        a.log.flush()
-    })?
-}
-
-/// The final seal + flush of a dropped instance. Best effort: the
-/// flush is attempted even when the seal failed.
-pub(crate) fn final_seal(t: &Trusted) {
-    let _ = with_audit_bound(t, |a| {
-        let _ = a.log.seal();
-        let _ = a.log.flush();
-    });
+/// The body of a drain, and of a dropped instance's final commit:
+/// makes anything still staged durable.
+pub(crate) fn commit_log(t: &Trusted) -> Result<()> {
+    with_audit_bound(t, |a| a.log.commit())?
 }
 
 /// The `log_stats` body: (entries, in-memory bytes, journal bytes).
@@ -811,9 +794,11 @@ pub(crate) fn log_stats(t: &Trusted) -> Result<(u64, usize, u64)> {
     Ok((log.entries(), log.size_bytes(), log.journal_size_bytes()))
 }
 
-/// Runs `f` against the audit log (tests and tooling).
+/// Runs `f` against the audit log (tests and tooling), holding the
+/// bind gate: a commit in `f` waits for the sealer's instead of
+/// yielding to it.
 pub(crate) fn with_log<R>(t: &Trusted, f: impl FnOnce(&mut AuditLog) -> R) -> Result<R> {
-    Ok(f(&mut t.audit()?.log))
+    with_audit_bound(t, |a| f(&mut a.log))
 }
 
 /// The sealer's body: one enclave transition per batch makes the

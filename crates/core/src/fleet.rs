@@ -393,8 +393,8 @@ impl ShardedPlane {
 
     /// Cuts an epoch checkpoint now: snapshots every shard's chain
     /// tip, appends one plane-signed row per shard into shard 0's
-    /// chain, and seals + flushes shard 0 so the checkpoint is
-    /// durable. Returns the epoch number.
+    /// chain, and commits shard 0 so the checkpoint is durable under a
+    /// signed head when this returns. Returns the epoch number.
     ///
     /// # Errors
     ///
@@ -421,8 +421,7 @@ impl ShardedPlane {
             for row in rows {
                 log.append(checkpoint::EPOCH_TABLE, &row.to_values())?;
             }
-            log.seal()?;
-            log.flush()
+            log.commit()
         })??;
         *next = epoch + 1;
         Ok(epoch)

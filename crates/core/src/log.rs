@@ -20,19 +20,21 @@
 //! ([`SealingCodec`]) so records on the untrusted disk are encrypted
 //! and authenticated with the enclave's seal key.
 //!
-//! Every change is **staged, then sealed**. An append stages a data row
-//! and a chain row; a trim stages the SSM's deletions. One step —
-//! [`AuditLog::seal`], or [`seal_staged`] with the counter round taken
-//! outside the audit lock — then binds the rollback counter, signs the
-//! head over everything staged and hands it to the journal: an append's
-//! rows are already framed there, while a trim's were never journaled
-//! and land as one snapshot frame of the post-trim log behind them. The
-//! caller's [`AuditLog::flush`] writes and fsyncs it all at once. A seal
-//! that fails leaves the log dirty and the durable journal a legal
-//! earlier state; the next seal from anywhere covers the same changes.
-//! The one thing given up rather than retried is a trim whose seal
-//! failed after the counter bind: the counter step signs the log as it
-//! was, and the next due trim starts over.
+//! Every change is **staged, then committed**. An append stages a data
+//! row and a chain row; a trim stages the SSM's deletions. Neither binds,
+//! signs or syncs. One commit — [`AuditLog::commit`] under the audit
+//! lock, or [`seal_staged`] with the counter round and the fdatasync
+//! taken outside it — then binds the rollback counter, signs the head
+//! over everything staged and writes and fsyncs the journal at once: an
+//! append's rows are already framed there, while a trim's were never
+//! journaled and land as one snapshot frame of the post-trim log behind
+//! them. A commit writes whatever its seal framed even when the seal
+//! fails, so the head it signed is on disk before the counter can move
+//! again. A seal that fails leaves the log dirty and the durable journal
+//! a legal earlier state; the next commit from anywhere covers the same
+//! changes. The one thing given up rather than retried is a trim whose
+//! seal failed after the counter bind: the counter step signs the log as
+//! it was, and the next due trim starts over.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -86,8 +88,9 @@ pub enum LogBacking {
     /// In-memory only (the paper's `LibSEAL-mem` configuration).
     Memory,
     /// Persisted to a sealed journal at the given path, fsynced by
-    /// every [`AuditLog::flush`] — once per logged request/response
-    /// pair, or per group-commit batch (`LibSEAL-disk`, §5.1).
+    /// every commit — once per group-commit batch, which
+    /// `group_commit(1)` makes one request/response pair
+    /// (`LibSEAL-disk`, §5.1).
     Disk(std::path::PathBuf),
 }
 
@@ -308,16 +311,14 @@ pub struct RecoveryReport {
     pub crash_window: bool,
 }
 
-/// How appends reach a signed, counter-bound head.
+/// How appends reach a signed, counter-bound head. There is one way:
+/// they stage, and a commit seals the whole batch under a single counter
+/// step and head signature. Kept, with [`AuditLog::set_commit_mode`],
+/// only as a pinned entry point of the benchmark crate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CommitMode {
-    /// Every append binds the rollback counter and signs the head
-    /// itself (one counter step and one signature per entry).
+    /// Appends and trims only stage; a commit makes them durable.
     #[default]
-    Immediate,
-    /// Appends only stage; a group-commit sealer seals once per batch,
-    /// so the whole batch shares a single counter step and head
-    /// signature.
     Staged,
 }
 
@@ -384,7 +385,6 @@ pub struct AuditLog {
     /// Shared handle to the journal's sealing codec, kept to manage
     /// proactive nonce-epoch rotation.
     codec: Arc<SealingCodec>,
-    mode: CommitMode,
     /// Changes staged since the last seal: the log is ahead of its
     /// signed head until [`AuditLog::seal`] catches it up. A staged
     /// trim is additionally [`Database::snapshot_pending`].
@@ -393,7 +393,7 @@ pub struct AuditLog {
     /// the value is on disk, so at most one bound value is ever ahead of
     /// the journal (recovery's legal window). [`seal_staged`] holds it
     /// across its counter round; [`with_bind_gate`] for a caller that
-    /// seals under the audit lock.
+    /// commits under the audit lock.
     binds: Arc<std::sync::Mutex<()>>,
     /// Whether the caller holds `binds` ([`with_bind_gate`]).
     holds_gate: bool,
@@ -473,7 +473,6 @@ impl AuditLog {
             disk_backed,
             recovery: RecoveryReport::default(),
             codec,
-            mode: CommitMode::Immediate,
             dirty: false,
             binds: Arc::default(),
             holds_gate: false,
@@ -656,15 +655,12 @@ impl AuditLog {
         self.clock
     }
 
-    /// Appends one tuple to `table`, extending the hash chain. In
-    /// [`CommitMode::Immediate`] the new head is signed and the
-    /// rollback counter advanced before returning; in
-    /// [`CommitMode::Staged`] the entry stays staged until a sealer
-    /// calls [`AuditLog::seal`] for the whole batch.
+    /// Appends one tuple to `table`, extending the hash chain. The entry
+    /// stays staged until a commit seals it with the rest of its batch.
     ///
     /// # Errors
     ///
-    /// Unknown table, database failures, or counter failures.
+    /// Unknown table or database failures.
     pub fn append(&mut self, table: &str, values: &[Value]) -> Result<()> {
         let started = std::time::Instant::now();
         if self.disk_backed && self.codec.needs_rotation() {
@@ -704,22 +700,21 @@ impl AuditLog {
         (self.db.execute_prepared(&self.stmts.chain_insert, &row)).map_err(LibSealError::Db)?;
         self.head = new_hash;
         self.dirty = true;
-
-        if self.mode == CommitMode::Immediate {
-            self.seal()?;
-        }
         log_metrics().append_ns.record_duration(started.elapsed());
         log_metrics().appends.inc();
         Ok(())
     }
 
     /// Binds the rollback counter, then seals everything staged since
-    /// the last seal (`seal_bound`). One call covers a whole batch —
-    /// this is the group-commit amortisation point. No-op when nothing
-    /// is staged, and when another binder holds the bind gate (a
-    /// [`seal_staged`] in its counter round): that seal covers what is
-    /// staged here, and binding a second value beside it could leave
-    /// two ahead of the journal.
+    /// the last seal (`seal_bound`), leaving the signed head framed for
+    /// the journal; [`AuditLog::commit`] is the seal with its write. One
+    /// call covers a whole batch — this is the group-commit
+    /// amortisation point. No-op when nothing is staged, and when
+    /// another binder holds the bind gate (a [`seal_staged`] in its
+    /// counter round, on a log the caller did not enter through
+    /// [`with_bind_gate`]): that seal covers what is staged here, and
+    /// binding a second value beside it could leave two ahead of the
+    /// journal.
     ///
     /// # Errors
     ///
@@ -750,18 +745,18 @@ impl AuditLog {
     /// chain is first rebuilt over the rows that survived it, and the
     /// signed result is framed as one snapshot behind what the journal
     /// holds ([`Database::write_snapshot`]): it is written and fsynced
-    /// with the batch by the caller's [`AuditLog::flush`] (or
-    /// [`seal_staged`]'s write and fdatasync), and until it is on disk
-    /// the journal replays to the log before the trim, with every
-    /// append staged since. A trim whose half of the step fails —
-    /// the rebuild, the signature or the frame — is given up
-    /// ([`AuditLog::abandon_trim`]) and the same counter value signs the
-    /// log as it was, so the durable head keeps up with the counter
-    /// however often that happens. [`seal_staged`] obtains `counter`
-    /// while NOT holding the audit lock, so whatever was staged during
-    /// the counter round is covered too. No-op when clean — another seal
-    /// got there first, and recovery's legal "+1 counter step" window
-    /// absorbs the spare increment.
+    /// with the batch by the commit ([`AuditLog::commit`] or
+    /// [`seal_staged`]), and until it is on disk the journal replays to
+    /// the log before the trim, with every append staged since. A trim
+    /// whose half of the step fails — the rebuild, the signature or the
+    /// frame — is given up ([`AuditLog::abandon_trim`]) and the same
+    /// counter value signs the log as it was, which the commit writes
+    /// before it returns the error, so the durable head keeps up with
+    /// the counter however often that happens. [`seal_staged`] obtains
+    /// `counter` while NOT holding the audit lock, so whatever was staged
+    /// during the counter round is covered too. No-op when clean —
+    /// another seal got there first, and recovery's legal "+1 counter
+    /// step" window absorbs the spare increment.
     fn seal_bound(&mut self, counter: u64) -> Result<()> {
         log_metrics().counter_binds.inc();
         if !self.dirty {
@@ -809,9 +804,24 @@ impl AuditLog {
         Ok(())
     }
 
-    /// Switches how appends reach a signed head (see [`CommitMode`]).
-    pub fn set_commit_mode(&mut self, mode: CommitMode) {
-        self.mode = mode;
+    /// Does nothing: every log stages, and only a commit makes changes
+    /// durable (see [`CommitMode`]).
+    pub fn set_commit_mode(&mut self, _mode: CommitMode) {}
+
+    /// The under-lock commit: [`AuditLog::seal`], then
+    /// [`AuditLog::flush`] of whatever was framed — also when the seal
+    /// failed, for a seal that gave a trim up has bound a counter value
+    /// and signed the log as it was with it, and that head must be on
+    /// disk before the next bind. Returns the flush's error, else the
+    /// seal's result.
+    ///
+    /// # Errors
+    ///
+    /// As [`AuditLog::seal`] and [`AuditLog::flush`].
+    pub fn commit(&mut self) -> Result<()> {
+        let sealed = self.seal();
+        self.flush()?;
+        sealed
     }
 
     /// Whether changes are staged past the last signed head.
@@ -846,8 +856,8 @@ impl AuditLog {
     }
 
     /// Writes what the journal has framed and forces it to stable
-    /// storage, in one `write(2)` and one fsync; LibSEAL calls this once
-    /// per request/response pair or group-commit batch (§5.1). Then, if
+    /// storage, in one `write(2)` and one fsync: the second half of
+    /// [`AuditLog::commit`], once per group-commit batch (§5.1). Then, if
     /// the journal's dead bytes before its last snapshot frame have
     /// passed their bound, reclaims them.
     ///
@@ -971,13 +981,12 @@ impl AuditLog {
     /// applied but not journaled; the next seal rebuilds the chain over
     /// the survivors and makes the result durable as one snapshot frame
     /// ([`AuditLog::seal_bound`]). Appends meanwhile are journaled as
-    /// usual. In [`CommitMode::Immediate`] that seal and its flush run
-    /// here.
+    /// usual. Binds, signs and syncs nothing.
     ///
     /// # Errors
     ///
-    /// Database, counter or I/O failures. What was deleted stays staged
-    /// until a seal finishes or gives up the trim.
+    /// Database failures. What was deleted stays staged until a seal
+    /// finishes or gives up the trim.
     pub fn trim(&mut self, trim_queries: &[&str]) -> Result<u64> {
         let started = std::time::Instant::now();
         self.db.defer_to_snapshot();
@@ -990,11 +999,6 @@ impl AuditLog {
         self.db.resume_journal();
         deleted?;
         let kept = self.surviving_entries()?.len() as u64;
-        if self.mode == CommitMode::Immediate {
-            let sealed = self.seal();
-            let flushed = self.flush();
-            sealed.and(flushed)?;
-        }
         log_metrics().trim_ns.record_duration(started.elapsed());
         Ok(kept)
     }
@@ -1077,9 +1081,10 @@ impl AuditLog {
     }
 }
 
-/// [`AuditLog::seal`] for a log behind `lock` (`log_of` projects the
-/// lock's payload to it), plus the flush: one counter bind, one head
-/// signature, one `write(2)` and one fdatasync make everything staged
+/// [`AuditLog::commit`] for a log behind `lock` (`log_of` projects the
+/// lock's payload to it), in the same order: one counter bind, one head
+/// signature, then one `write(2)` and one fdatasync of whatever the seal
+/// framed — also when it gave a trim up — make everything staged
 /// durable. The counter round (a quorum network round trip) and the
 /// fdatasync are the slow parts and run WITHOUT the lock, so writers
 /// stage the next batch meanwhile; the write runs under it, so the
@@ -1089,8 +1094,8 @@ impl AuditLog {
 ///
 /// # Errors
 ///
-/// Counter, database or I/O failures; the log stays dirty so the next
-/// seal covers the same changes.
+/// Counter, database or I/O failures, the write's first; the log stays
+/// dirty so the next commit covers the same changes.
 pub fn seal_staged<T>(
     lock: &plat::sync::Mutex<T>,
     log_of: impl Fn(&mut T) -> &mut AuditLog,
@@ -1110,15 +1115,15 @@ pub fn seal_staged<T>(
     plat::failpoint::check("core::log::append::counter")
         .map_err(|e| LibSealError::Log(e.to_string()))?;
     let counter = guard.increment()?;
-    let (sync, reclaim) = {
+    let (sealed, sync, reclaim) = {
         let mut held = lock.lock();
         let log = log_of(&mut held);
-        log.seal_bound(counter)?;
+        let sealed = log.seal_bound(counter);
         // A batch that does not reach the disk stays dirty: the next
         // seal signs it again and writes what is still framed.
         let written = log.write_journal();
         log.dirty |= written.is_err();
-        (written?, log.db.reclaim_due())
+        (sealed, written?, log.db.reclaim_due())
     };
     let started = std::time::Instant::now();
     if let Some(Err(e)) = sync.map(|s| s.sync()) {
@@ -1129,15 +1134,16 @@ pub fn seal_staged<T>(
     if reclaim {
         log_of(&mut lock.lock()).reclaim_if_due();
     }
-    Ok(true)
+    sealed.map(|()| true)
 }
 
 /// Runs `f` on the payload of `lock` (whose log `log_of` projects)
 /// holding the log's bind gate, taken before the lock: the way for a
-/// caller to seal under the audit lock without yielding to a
-/// [`seal_staged`] in flight — `trim_now`, the catch-up seal before a
-/// verification, a drain. The gate is released when `f` returns, so
-/// `f` flushes the head it bound.
+/// caller to commit under the audit lock without yielding to a
+/// [`seal_staged`] in flight — `trim_now`, the catch-up commit before a
+/// verification, a drain, `with_log` tooling. A seal in `f` waits for
+/// that commit instead. The gate is released when `f` returns, so `f`
+/// commits ([`AuditLog::commit`]) rather than seals.
 pub fn with_bind_gate<T, R>(
     lock: &plat::sync::Mutex<T>,
     log_of: impl Fn(&mut T) -> &mut AuditLog,

@@ -364,7 +364,7 @@ impl LibSeal {
     }
 
     /// Graceful drain: parks until every in-flight group-commit
-    /// ticket has resolved, seals anything still staged to durable,
+    /// ticket has resolved, commits anything still staged,
     /// and drains the background verifier. Unlike `Drop`, the
     /// instance stays fully usable afterwards — services call this
     /// after they stop accepting traffic, before tearing the enclave
@@ -373,14 +373,14 @@ impl LibSeal {
     ///
     /// # Errors
     ///
-    /// Seal or background-verification failures; the log state itself
+    /// Commit or background-verification failures; the log state itself
     /// is still consistent (staged entries remain in the chain).
     pub fn drain(&self, slot: usize) -> Result<()> {
         if let Some(audit) = &self.audit {
-            // A failed batch was reported to its writers, and the seal
+            // A failed batch was reported to its writers, and the commit
             // below covers its entries.
             let _ = audit.sealer.queue().quiesce();
-            self.call(slot, Ecall::VerifyLog, |t, _| enclave::seal_and_flush(t))??;
+            self.call(slot, Ecall::VerifyLog, |t, _| enclave::commit_log(t))??;
         }
         self.verifier_barrier()
     }
@@ -395,7 +395,9 @@ impl LibSeal {
     }
 
     /// Runs `f` against the audit log (tests and tooling; queries the
-    /// same enclave-held database the checker uses).
+    /// same enclave-held database the checker uses). `f` runs holding
+    /// the log's bind gate, so what it stages it makes durable with
+    /// [`AuditLog::commit`], after any commit the sealer has in flight.
     ///
     /// # Errors
     ///
@@ -496,12 +498,12 @@ impl Drop for LibSeal {
             // shutdown barrier — no pair escapes verification), then
             // exits.
             drop(verifier);
-            // Final seal + flush so entries staged outside the
-            // pipeline (direct `with_log` appends) reach a signed,
-            // durable head before the process lets go of the log.
+            // A final commit so entries staged outside the pipeline
+            // (direct `with_log` appends) reach a signed, durable head
+            // before the process lets go of the log.
             let _ = self
                 .enclave
-                .ecall(Ecall::SealBatch.name(), |t, _| enclave::final_seal(t));
+                .ecall(Ecall::SealBatch.name(), |t, _| enclave::commit_log(t));
         }
         if let Some(rt) = self.runtime.take() {
             rt.shutdown();

@@ -386,7 +386,7 @@ mod tests {
         commit(&mut log, &m, "b.txt", "h3", 50);
         list(&mut log, &m, &[("a.txt", "h2", 120), ("b.txt", "h3", 50)]);
         log.trim(m.trim_queries()).unwrap();
-        log.verify().unwrap();
+        log.commit().and_then(|()| log.verify()).unwrap();
         let r = log.query("SELECT COUNT(*) FROM commit_batch", &[]).unwrap();
         assert_eq!(r.scalar().unwrap(), &Value::Integer(2));
         let r = log.query("SELECT COUNT(*) FROM list", &[]).unwrap();

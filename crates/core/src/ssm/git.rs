@@ -369,7 +369,7 @@ mod tests {
         m.log_pair(&req, &rsp, &mut log).unwrap();
         assert!(log.query(GIT_SOUNDNESS, &[]).unwrap().is_empty());
         log.trim(m.trim_queries()).unwrap();
-        log.verify().unwrap();
+        log.commit().and_then(|()| log.verify()).unwrap();
         // Only the newest update survives.
         let r = log.query("SELECT COUNT(*) FROM updates", &[]).unwrap();
         assert_eq!(r.scalar().unwrap(), &Value::Integer(1));

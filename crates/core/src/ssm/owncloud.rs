@@ -445,7 +445,7 @@ mod tests {
             m.log_pair(&req, &rsp, &mut log).unwrap();
         }
         log.trim(m.trim_queries()).unwrap();
-        log.verify().unwrap();
+        log.commit().and_then(|()| log.verify()).unwrap();
         // Only the final snapshot_save (and nothing older) remains.
         let r = log.query("SELECT COUNT(*) FROM docupdates", &[]).unwrap();
         assert_eq!(r.scalar().unwrap(), &Value::Integer(1));

@@ -42,7 +42,15 @@ fn append_one(log: &mut AuditLog, i: u64, commit: &str) {
     try_append(log, i, commit).unwrap();
 }
 
+/// Stages one update and seals it: one counter step per entry, as a log
+/// sealed per request binds them.
 fn try_append(log: &mut AuditLog, i: u64, commit: &str) -> libseal::Result<()> {
+    stage(log, i, commit)?;
+    log.seal()
+}
+
+/// Stages one update, for a commit to seal with the rest of its batch.
+fn stage(log: &mut AuditLog, i: u64, commit: &str) -> libseal::Result<()> {
     let t = log.next_time() as i64;
     log.append(
         "updates",
@@ -297,8 +305,7 @@ fn crash_before_sign_rolls_the_tail_forward() {
         append_one(&mut log, 0, "ee");
         append_one(&mut log, 1, "ee");
         log.flush().unwrap();
-        log.set_commit_mode(libseal::CommitMode::Staged);
-        append_one(&mut log, 2, "ee");
+        stage(&mut log, 2, "ee").unwrap();
         log.flush().unwrap();
         s.set("core::log::append::sign", FaultSpec::crash());
         assert!(log.seal().is_err());
@@ -440,6 +447,14 @@ fn clean_reopen_reports_quiet_recovery() {
     );
 }
 
+/// A trim and the commit that makes it durable, as `trim_now` runs
+/// them.
+fn trim_now(log: &mut AuditLog) -> libseal::Result<u64> {
+    let kept = log.trim(GitModule.trim_queries())?;
+    log.commit()?;
+    Ok(kept)
+}
+
 /// A trim compacts the journal, and the snapshot carries the schema as
 /// the statements the SSM supplied — the paper's `branchcnt` view among
 /// them, which every trim used to re-render from its AST. After a trim
@@ -492,7 +507,7 @@ fn trimmed_log_reopens_with_view_and_invariants_answering_as_before() {
     let before = answers(&log);
     assert!(before.iter().all(|rows| !rows.is_empty()), "{before:?}");
 
-    log.trim(ssm.trim_queries()).unwrap();
+    trim_now(&mut log).unwrap();
     drop(log);
     let mut log = open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard)).unwrap();
     log.verify().unwrap();
@@ -503,6 +518,7 @@ fn trimmed_log_reopens_with_view_and_invariants_answering_as_before() {
     for row in &advertisements {
         log.append("advertisements", row).unwrap();
     }
+    log.commit().unwrap();
     assert_eq!(answers(&log), before);
     log.verify().unwrap();
 }
@@ -544,7 +560,7 @@ fn a_trim_during_quorum_loss_is_finished_by_the_next_seal() {
     let (all, journal) = (cids(&log), std::fs::read(&path).unwrap());
 
     q.lost.store(true, SeqCst);
-    assert!(log.trim(GitModule.trim_queries()).is_err());
+    assert!(trim_now(&mut log).is_err());
     q.lost.store(false, SeqCst);
     let staged = std::fs::read(&path).unwrap();
     log.seal().unwrap();
@@ -582,7 +598,7 @@ fn an_append_behind_a_staged_trim_is_journaled_and_lands_with_it() {
     let all = cids(&log);
 
     q.lost.store(true, SeqCst);
-    assert!(log.trim(GitModule.trim_queries()).is_err());
+    assert!(trim_now(&mut log).is_err());
     assert!(
         try_append(&mut log, PUSHES, "tt").is_err(),
         "no value to bind"
@@ -617,54 +633,93 @@ fn an_append_behind_a_staged_trim_is_journaled_and_lands_with_it() {
     assert_eq!(cids(&log), kept);
 }
 
+/// The two commits that make a log durable: the sealer's `seal_staged`,
+/// and `AuditLog::commit` under the audit lock.
+type Commit = fn(&plat::sync::Mutex<AuditLog>) -> libseal::Result<()>;
+
+fn commits() -> [(&'static str, Commit); 2] {
+    [
+        ("seal_staged", |log| {
+            libseal::log::seal_staged(log, |l| l).map(drop)
+        }),
+        ("commit", |log| log.lock().commit()),
+    ]
+}
+
+/// What a kill leaves of the log at `path` now — the journal file,
+/// without the frames a clean drop would still write — reopened under
+/// `q` from a copy.
+fn killed(path: &TempPath, q: &Arc<Quorum>) -> (TempPath, libseal::Result<AuditLog>) {
+    let copy = TempPath::new("libseal-killed", "log");
+    std::fs::write(&copy, std::fs::read(path).unwrap()).unwrap();
+    let log = open_under(&copy, q);
+    (copy, log)
+}
+
 /// A snapshot frame that cannot be staged (its sealing fails) costs the
 /// trims, not the log. Each failed trim is given up — memory goes back
-/// to what the journal holds — and the counter step it bound signs the
-/// log as it was, so the durable head keeps up with the counter and
-/// appends keep landing in the journal: however many trims fail in a
-/// row, a kill finds a log that opens.
+/// to what the journal holds — and the counter step its commit bound
+/// signs the log as it was. Both commits write that head before they
+/// return, so the durable head keeps up with the counter and appends
+/// keep landing in the journal: however many trims fail in a row, a
+/// kill after any commit finds a log that opens.
 #[test]
 fn a_trim_whose_snapshot_cannot_be_written_is_given_up_at_one_counter_step() {
     let s = failpoint::scenario();
-    let path = TempPath::new("libseal-trim-nospace", "log");
-    let q = Quorum::new();
-    let mut log = pushed_log(&path, &q);
-    // A fetch that was served a stale head: a row the trim drops, and a
-    // violation the delta-maintained view must still show afterwards.
-    libseal::Checker::install(&GitModule, &mut log).unwrap();
-    let t = Value::Integer(log.next_time() as i64);
-    let stale = ["r", "main", "stale"].map(|x| Value::Text(x.into()));
-    log.append("advertisements", &[&[t][..], &stale[..]].concat())
-        .unwrap();
-    let rows = |log: &AuditLog, sql| log.query(sql, &[]).unwrap().rows;
-    s.set("sealdb::journal::snapshot", FaultSpec::error());
-    for round in 0..3 {
-        let all = cids(&log);
-        assert!(log.trim(GitModule.trim_queries()).is_err(), "{round}");
-        assert!(!log.is_dirty(), "{round}: sealed as it was");
-        log.verify().unwrap();
-        assert_eq!(cids(&log), all, "{round}");
-        assert_eq!(log.entries(), PUSHES + 1 + round / 2);
-        log.db_mut().refresh_matviews().unwrap();
-        let view = rows(&log, "SELECT * FROM mv_git_soundness");
-        assert_eq!(view, rows(&log, GIT_SOUNDNESS), "{round}");
-        assert_eq!(view.len(), 1, "{round}: the stale fetch is back");
-        if round == 1 {
-            // Two in a row, then the log keeps serving.
-            append_one(&mut log, PUSHES, "tt");
-            log.flush().unwrap();
+    for (via, commit) in commits() {
+        s.reset();
+        let path = TempPath::new("libseal-trim-nospace", "log");
+        let q = Quorum::new();
+        let mut log = pushed_log(&path, &q);
+        // A fetch that was served a stale head: a row the trim drops,
+        // and a violation the delta-maintained view must still show
+        // afterwards.
+        libseal::Checker::install(&GitModule, &mut log).unwrap();
+        let t = Value::Integer(log.next_time() as i64);
+        let stale = ["r", "main", "stale"].map(|x| Value::Text(x.into()));
+        log.append("advertisements", &[&[t][..], &stale[..]].concat())
+            .unwrap();
+        let log = plat::sync::Mutex::new(log);
+        commit(&log).unwrap();
+        let rows = |log: &AuditLog, sql| log.query(sql, &[]).unwrap().rows;
+        s.set("sealdb::journal::snapshot", FaultSpec::error());
+        for round in 0..3 {
+            let all = cids(&log.lock());
+            log.lock().trim(GitModule.trim_queries()).unwrap();
+            assert!(commit(&log).is_err(), "{via} {round}");
+            let mut held = log.lock();
+            assert!(!held.is_dirty(), "{via} {round}: sealed as it was");
+            held.verify().unwrap();
+            assert_eq!(cids(&held), all, "{via} {round}");
+            assert_eq!(held.entries(), PUSHES + 1 + round / 2);
+            held.db_mut().refresh_matviews().unwrap();
+            let view = rows(&held, "SELECT * FROM mv_git_soundness");
+            assert_eq!(view, rows(&held, GIT_SOUNDNESS), "{via} {round}");
+            assert_eq!(view.len(), 1, "{via} {round}: the stale fetch is back");
+            drop(held);
+            let (_copy, old) = killed(&path, &q);
+            let old = old.unwrap_or_else(|e| panic!("{via} {round}: reopen failed: {e}"));
+            old.verify().unwrap();
+            assert_eq!(cids(&old), all, "{via} {round}");
+            if round == 1 {
+                // Two in a row, then the log keeps serving.
+                stage(&mut log.lock(), PUSHES, "tt").unwrap();
+                commit(&log).unwrap();
+            }
         }
+        let all = cids(&log.lock());
+        s.reset(); // a kill, and a restart on a disk that works again
+        let (_copy, old) = killed(&path, &q);
+        let mut old = old.unwrap_or_else(|e| panic!("{via}: reopen failed: {e}"));
+        old.verify().unwrap();
+        assert_eq!(cids(&old), all, "{via}");
+        let r = old.recovery_report();
+        assert_eq!(r.attested_counter, r.durable_counter, "{via}: {r:?}");
+        old.trim(GitModule.trim_queries()).unwrap();
+        let old = plat::sync::Mutex::new(old);
+        commit(&old).unwrap();
+        assert_eq!(old.lock().entries(), 1, "{via}");
     }
-    let all = cids(&log);
-    drop(log);
-    s.reset(); // restart, on a disk that works again
-    let mut log = open_under(&path, &q).unwrap();
-    log.verify().unwrap();
-    assert_eq!(cids(&log), all);
-    let r = log.recovery_report();
-    assert_eq!(r.attested_counter, r.durable_counter, "{r:?}");
-    log.trim(GitModule.trim_queries()).unwrap();
-    assert_eq!(log.entries(), 1);
 }
 
 /// A guard whose counter round takes `delay` once `slow` is set: the
@@ -714,8 +769,7 @@ fn a_trim_during_the_sealers_counter_round_binds_no_second_value() {
         append_one(&mut log, i, "tt");
         log.flush().unwrap();
     }
-    log.set_commit_mode(libseal::CommitMode::Staged);
-    append_one(&mut log, PUSHES, "tt");
+    stage(&mut log, PUSHES, "tt").unwrap();
     slow.store(true, SeqCst);
     let log = Arc::new(plat::sync::Mutex::new(log));
     let sealer = {
@@ -760,7 +814,7 @@ fn a_kill_anywhere_inside_a_trim_reopens_as_the_log_before_or_after_it() {
         let path = TempPath::new("libseal-trim-kill-dry", "log");
         let mut log = pushed_log(&path, &Quorum::new());
         let before = hits();
-        log.trim(GitModule.trim_queries()).unwrap();
+        trim_now(&mut log).unwrap();
         let during = hits().into_iter().map(|(site, h)| {
             let first = before.get(&site).copied().unwrap_or(0);
             (0..h - first).map(move |k| (site.clone(), k))
@@ -785,7 +839,7 @@ fn a_kill_anywhere_inside_a_trim_reopens_as_the_log_before_or_after_it() {
         let mut log = pushed_log(&path, &q);
         let all = cids(&log);
         s.set(site, FaultSpec::crash().after(s.hits(site) + k));
-        assert!(log.trim(GitModule.trim_queries()).is_err(), "{site}#{k}");
+        assert!(trim_now(&mut log).is_err(), "{site}#{k}");
         drop(log);
         s.reset(); // restart
         let log =
@@ -834,9 +888,9 @@ fn a_trim_query_failing_half_way_leaves_a_log_that_seals_and_verifies() {
     assert_eq!(cids(&log), all[2..]);
 }
 
-/// One commit step: a trim's seal binds the counter once, signs once,
-/// stages one snapshot frame, and its flush writes it in one `write(2)`
-/// and fsyncs once.
+/// One commit step: a trim's commit binds the counter once, signs once,
+/// stages one snapshot frame, and writes it in one `write(2)` and
+/// fsyncs once.
 #[test]
 fn a_trim_appends_one_frame_and_fsyncs_once() {
     let s = failpoint::scenario();
@@ -852,7 +906,7 @@ fn a_trim_appends_one_frame_and_fsyncs_once() {
     let sites = ["sealdb::journal::snapshot", "sealdb::journal::write"];
     let hits = || sites.map(|site| s.hits(site));
     let (before, written) = (read(), hits());
-    log.trim(GitModule.trim_queries()).unwrap();
+    trim_now(&mut log).unwrap();
     assert_eq!(hits(), written.map(|h| h + 1));
     assert_eq!(read(), [before[0] + 1, before[1] + 1, before[2] + 1]);
     assert!(!log.is_dirty());
@@ -870,7 +924,6 @@ fn a_staged_log_binds_and_signs_only_in_its_commits() {
     let path = TempPath::new("libseal-staged-commits", "log");
     let mut log = pushed_log(&path, &Quorum::new());
     libseal::Checker::install(&GitModule, &mut log).unwrap();
-    log.set_commit_mode(libseal::CommitMode::Staged);
     let log = plat::sync::Mutex::new(log);
     let commit = || assert!(libseal::log::seal_staged(&log, |l| l).unwrap());
     let telemetry = libseal_telemetry::global();
@@ -879,7 +932,7 @@ fn a_staged_log_binds_and_signs_only_in_its_commits() {
     let mut checker = libseal::Checker::new(3);
     let (before, mut commits, mut trims) = (read(), 0, 0);
     for i in 0..12 {
-        append_one(&mut log.lock(), PUSHES + i, "tt");
+        stage(&mut log.lock(), PUSHES + i, "tt").unwrap();
         commit();
         commits += 1;
         if checker.note_pair() {

@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use libseal::log::{seal_staged, AuditLog, LogBacking, RollbackGuard, RoteGuard};
 use libseal::ssm::git::GIT_SOUNDNESS;
-use libseal::{CommitMode, GitModule, LibSeal, LibSealConfig, ServiceModule, SessionInput};
-use libseal::{TicketQueue, Worker};
+use libseal::{GitModule, GuardConfig, LibSeal, LibSealConfig, ServiceModule, SessionInput};
+use libseal::{ShardedPlane, TicketQueue, Worker};
 use libseal_crypto::ed25519::SigningKey;
 use libseal_httpx::http::{Request, Response};
 use libseal_rote::{Cluster, ClusterConfig};
@@ -119,10 +119,9 @@ fn cluster() -> Arc<Cluster> {
 /// commit barrier, a sealer `Worker` drains batches — and returns how
 /// many appends were acknowledged durable.
 fn pipeline_trial(path: &TempPath, cluster: &Arc<Cluster>, writers: usize, appends: usize) -> u64 {
-    let Ok(mut log) = open_log(path, Box::new(RoteGuard(Arc::clone(cluster)))) else {
+    let Ok(log) = open_log(path, Box::new(RoteGuard(Arc::clone(cluster)))) else {
         return 0;
     };
-    log.set_commit_mode(CommitMode::Staged);
     let log = Arc::new(Mutex::new(log));
     let queue = Arc::new(TicketQueue::sealer(4));
     let sealer = {
@@ -326,4 +325,70 @@ fn group_commit_of_one_is_the_per_pair_flush() {
     push(&ls, &mut sessions[1], &format!("{:040x}", 0xbeef)).unwrap();
     ls.verify_log(0).unwrap();
     assert_eq!(ls.log_stats(0).unwrap().0, pairs + 2);
+}
+
+/// A fleet checkpoint is a commit like any other. Cut while shard 0's
+/// sealer is in its counter round, it waits for that commit, then binds
+/// and signs its own: when `checkpoint_now` returns, its rows are under
+/// a signed head on disk, and a copy of shard 0's journal taken right
+/// then reopens with nothing to roll forward.
+#[test]
+fn a_checkpoint_cut_during_the_sealers_counter_round_lands_signed() {
+    let s = failpoint::scenario(); // counts the sealer's counter binds
+    let ca = CertificateAuthority::new("CA", &[1u8; 32]);
+    let (key, cert) = ca.issue_identity("svc.test", &[2u8; 32]).unwrap();
+    let fleet = |base: &TempPath, latency| {
+        let cfg = LibSealConfig::builder(cert.clone(), key.clone())
+            .cost_model(CostModel::free())
+            .ssm(Arc::new(GitModule))
+            .backing(LogBacking::Disk(base.to_path_buf()))
+            .guard(GuardConfig::Rote { f: 1, latency })
+            .check_interval(0)
+            .shards(1)
+            .epoch_interval(0)
+            .build();
+        ShardedPlane::open(cfg).unwrap()
+    };
+    let files = |base: &TempPath| ["shard0", "manifest"].map(|f| format!("{}.{f}", base.display()));
+    let base = TempPath::new("libseal-gc-checkpoint", "log");
+    let plane = fleet(&base, Duration::from_millis(40));
+    let shard0 = plane.shard(0).unwrap();
+    let mut session = connect(&shard0, &ca);
+    let binds = || s.hits("core::log::append::counter");
+    let copy = TempPath::new("libseal-gc-checkpoint-copy", "log");
+    std::thread::scope(|scope| {
+        let before = binds();
+        let pushed = scope.spawn(|| push(&shard0, &mut session, &format!("{:040x}", 1)));
+        // The sealer holds the bind gate from this failpoint on, through
+        // its 40 ms round and its fdatasync.
+        let started = std::time::Instant::now();
+        while binds() == before {
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "no commit began"
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(plane.checkpoint_now(0).unwrap(), 1);
+        for (from, to) in files(&base).iter().zip(files(&copy)) {
+            std::fs::copy(from, to).unwrap();
+        }
+        assert!(!pushed.join().unwrap().unwrap().is_empty());
+    });
+    drop((shard0, plane));
+    let reopened = fleet(&copy, Duration::ZERO);
+    let report = reopened
+        .shard(0)
+        .unwrap()
+        .with_log(0, |log| log.recovery_report());
+    assert_eq!(
+        report.unwrap().rolled_forward,
+        0,
+        "checkpoint rows left unsigned"
+    );
+    assert_eq!(reopened.checkpoint_rows(0).unwrap().len(), 1);
+    drop(reopened);
+    for f in [files(&base), files(&copy)].concat() {
+        let _ = std::fs::remove_file(f);
+    }
 }

@@ -335,7 +335,6 @@ fn an_idle_log_is_trimmed_once_and_a_grown_one_again() {
         m.tables(),
     )
     .unwrap();
-    log.set_commit_mode(libseal::CommitMode::Staged);
     let push = |log: &mut AuditLog, cid: &str| {
         let t = Value::Integer(log.next_time() as i64);
         let text = |s: &str| Value::Text(s.into());

@@ -18,6 +18,7 @@ fn open_log(backing: LogBacking, guard: Box<dyn RollbackGuard>) -> libseal::Resu
     )
 }
 
+/// Appends `n` updates, sealing each: one counter step per entry.
 fn append_n(log: &mut AuditLog, n: u64) {
     for i in 0..n {
         let t = log.next_time() as i64;
@@ -32,6 +33,7 @@ fn append_n(log: &mut AuditLog, n: u64) {
             ],
         )
         .unwrap();
+        log.seal().unwrap();
     }
 }
 
@@ -155,7 +157,8 @@ fn clock_survives_trim_and_restart() {
     {
         let mut log = open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard)).unwrap();
         append_n(&mut log, 50);
-        log.trim(ssm.trim_queries()).unwrap(); // chain renumbered to 1 entry
+        log.trim(ssm.trim_queries()).unwrap();
+        log.commit().unwrap(); // chain renumbered to 1 entry
         max_time_before = 0i64;
         let r = log.query("SELECT MAX(time) FROM updates", &[]).unwrap();
         if let Some(Value::Integer(t)) = r.scalar() {
@@ -205,6 +208,7 @@ fn indexes_stay_consistent_across_append_trim_and_replay() {
         consistent(&mut log);
         assert!(log.query(GIT_SOUNDNESS, &[]).unwrap().is_empty());
         log.trim(ssm.trim_queries()).unwrap();
+        log.commit().unwrap();
         consistent(&mut log);
         assert!(log.query(GIT_SOUNDNESS, &[]).unwrap().is_empty());
         log.flush().unwrap();
@@ -390,6 +394,7 @@ fn seeded_log(ssm: &dyn ServiceModule, seed: u64) -> AuditLog {
         };
         log.append(table, &row).unwrap();
     }
+    log.commit().unwrap();
     log
 }
 
@@ -477,6 +482,7 @@ fn chain_checks_agree_with_the_per_entry_sql_probe() {
                 );
 
                 log.trim(ssm.trim_queries()).unwrap();
+                log.commit().unwrap();
                 for q in ssm.trim_queries() {
                     twin.db_mut().execute(q).unwrap();
                 }

@@ -270,9 +270,11 @@ fn drive(ssm: &dyn ServiceModule) -> Vec<String> {
     Checker::run_checks_incremental(ssm, &mut log).expect("incremental check");
     Checker::run_checks(ssm, &log).expect("full check");
     log.trim(ssm.trim_queries()).expect("trim");
+    log.commit().expect("commit");
     drop(log);
     let mut log = open();
     append_rows(ssm, &mut log, 2);
+    log.commit().expect("commit");
     Checker::run_checks_incremental(ssm, &mut log).expect("check after reopen");
     log.verify().expect("verify");
     log.flush().expect("flush");

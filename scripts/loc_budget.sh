@@ -28,6 +28,11 @@
 #     only and the counter bound by `seal` and `seal_staged` only, and
 #     the knobs that forked the request path around the sealer and the
 #     verifier are not back,
+#   - the log grows a second commit mode or a seal without its write
+#     back: `Immediate` or a commit-mode check in core/src/log.rs, a
+#     `.seal()` anywhere in crates/core/src but log.rs (the enclave and
+#     the fleet commit with `AuditLog::commit` or `seal_staged`), or an
+#     `enclave::with_log` that does not enter through the bind gate,
 #   - the verifier binds again or the rename rewrite becomes a commit
 #     path (PR 33: a trim rides the next commit as a snapshot frame):
 #     `verify_batch` in enclave.rs takes the bind gate, or
@@ -68,13 +73,13 @@
 # mode on first use; the gates after it in ci.sh need that build anyway.
 set -eu
 cd "$(dirname "$0")/.."
-CORE_BUDGET=4808
-BENCH_BUDGET=3237
+CORE_BUDGET=4787
+BENCH_BUDGET=3236
 SEALDB_BUDGET=3931
 TLSX_BUDGET=2106
 SERVICES_BUDGET=2794
-PLAT_BUDGET=1690
-ENCLAVE_BUDGET=15997
+PLAT_BUDGET=1691
+ENCLAVE_BUDGET=15977
 UNSAFE_BUDGET=31
 PANIC_BUDGET=528
 table=$(cargo run --release --offline --quiet -p libseal-bench --bin table1)
@@ -137,6 +142,18 @@ fi
 gated=$(callers 'with_audit_bound(' crates/core/src/enclave.rs)$(callers 'bind_gate(' crates/core/src/enclave.rs)
 if printf '%s\n' $gated | grep -qx verify_batch; then
     echo "the verifier binds nothing: verify_batch takes the audit lock alone, not the bind gate" >&2
+    fail=1
+fi
+if ! printf '%s\n' $gated | grep -qx with_log; then
+    echo "with_log enters through the bind gate: a commit in it waits for the sealer's" >&2
+    fail=1
+fi
+if grep -nE 'Immediate|\bmode *[!=]=|[!=]= *CommitMode|self\.mode\b' crates/core/src/log.rs; then
+    echo "one commit mode: every log stages, and only a commit makes changes durable" >&2
+    fail=1
+fi
+if grep -rn '\.seal()' crates/core/src | grep -v '^crates/core/src/log.rs:'; then
+    echo "a seal is written back by its commit: outside log.rs, AuditLog::commit or seal_staged" >&2
     fail=1
 fi
 if [ "$(callers 'self.rewrite(' crates/sealdb/src/journal.rs)" != "reclaim " ] ||
