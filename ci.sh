@@ -10,19 +10,8 @@ export CARGO_NET_OFFLINE=true
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
-# The crates the curve and record kernels, the SQL executor, the audit
-# log, the platform shims, ROTE, HTTP, the lthread runtime, the enclave
-# simulator and telemetry live in are fmt-clean; tlsx, services and
-# bench are not yet.
-cargo fmt -p libseal-crypto -- --check
-cargo fmt -p libseal-sealdb -- --check
-cargo fmt -p libseal -- --check
-cargo fmt -p libseal-plat -- --check
-cargo fmt -p libseal-rote -- --check
-cargo fmt -p libseal-httpx -- --check
-cargo fmt -p libseal-lthread -- --check
-cargo fmt -p libseal-sgxsim -- --check
-cargo fmt -p libseal-telemetry -- --check
+# Every crate of the workspace, its examples and tests are fmt-clean.
+cargo fmt --all -- --check
 
 # The thread-backed `Coroutine` behind this feature is the only
 # implementation on aarch64 (which `plat` supports); nothing above

@@ -34,9 +34,7 @@ use libseal_httpx::http::Request;
 use libseal_services::apache::{ApacheConfig, ApacheServer};
 use libseal_services::git::GitBackend;
 use libseal_services::squid::{SquidConfig, SquidProxy};
-use libseal_services::{
-    HttpsClient, LoadGenerator, ServiceError, StaticContentRouter, TlsMode,
-};
+use libseal_services::{HttpsClient, LoadGenerator, ServiceError, StaticContentRouter, TlsMode};
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::attest::AttestationError;
 use libseal_tlsx::TlsError;
@@ -63,8 +61,12 @@ fn attested_config(issuer: &Arc<IdentityIssuer>, subject: &str) -> libseal::LibS
 /// load run, origin audit log verifies after drain. Returns the Git
 /// enclave's measurement for the rejection check.
 fn attested_fleet(issuer: &Arc<IdentityIssuer>) -> Result<[u8; 32], String> {
-    let origin_plane = build_plane(attested_config(issuer, "git-backend").ssm(Arc::new(GitModule)).build())
-        .map_err(|e| format!("origin plane: {e}"))?;
+    let origin_plane = build_plane(
+        attested_config(issuer, "git-backend")
+            .ssm(Arc::new(GitModule))
+            .build(),
+    )
+    .map_err(|e| format!("origin plane: {e}"))?;
     let git_measurement = origin_plane.measurements()[0];
     let origin = ApacheServer::start(
         ApacheConfig::new(
@@ -157,11 +159,7 @@ fn wrong_measurement_rejected(
     // Every connect must fail with the typed in-handshake error.
     for i in 0..2 * CLIENTS {
         match client.connect() {
-            Ok(_) => {
-                return Err(format!(
-                    "connect {i} to wrong-measurement server succeeded"
-                ))
-            }
+            Ok(_) => return Err(format!("connect {i} to wrong-measurement server succeeded")),
             Err(ServiceError::Tls(TlsError::Attestation(AttestationError::WrongMeasurement))) => {}
             Err(e) => return Err(format!("connect {i}: wrong error: {e}")),
         }
@@ -205,10 +203,8 @@ fn handshake_overhead(issuer: &Arc<IdentityIssuer>) -> Result<(), String> {
     // Donor enclave: supplies the quoting identity for a bench-local
     // keypair, so the attested server can run plain native TLS and
     // the measured delta is the handshake itself, not enclave pumps.
-    let donor = LibSeal::new(
-        id.unpriced().ssm(Arc::new(GitModule)).build(),
-    )
-    .map_err(|e| format!("donor enclave: {e}"))?;
+    let donor = LibSeal::new(id.unpriced().ssm(Arc::new(GitModule)).build())
+        .map_err(|e| format!("donor enclave: {e}"))?;
     let key = SigningKey::from_seed(&[0x77; 32]);
     let cert = issuer
         .mint(
@@ -230,8 +226,7 @@ fn handshake_overhead(issuer: &Arc<IdentityIssuer>) -> Result<(), String> {
     )
     .map_err(|e| format!("plain server: {e}"))?;
     let attested = ApacheServer::start(
-        ApacheConfig::new(TlsMode::Native { cert, key }, Arc::new(StaticContentRouter))
-            .workers(2),
+        ApacheConfig::new(TlsMode::Native { cert, key }, Arc::new(StaticContentRouter)).workers(2),
     )
     .map_err(|e| format!("attested server: {e}"))?;
 

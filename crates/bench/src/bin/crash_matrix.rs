@@ -330,7 +330,11 @@ fn enumerate_sites(s: &Scenario) -> Vec<String> {
     // sync.
     let rc_path = TempPath::new("crash-matrix-dry-rc", "log");
     let out = reclaim_workload(&rc_path, Box::new(RoteGuard(cluster())), &|| ());
-    assert_eq!(out.durable, KEPT + 1, "fault-free reclamation must not fail");
+    assert_eq!(
+        out.durable,
+        KEPT + 1,
+        "fault-free reclamation must not fail"
+    );
     let mut sites = s.registered();
     sites.sort();
     sites

@@ -81,7 +81,11 @@ fn fault_matrix() -> Vec<ChaosConfig> {
         cases.push(ChaosConfig::new(200 + op).truncate_at(op));
     }
     cases.push(ChaosConfig::new(301).shorts(400));
-    cases.push(ChaosConfig::new(302).shorts(250).delays(100, Duration::from_millis(1)));
+    cases.push(
+        ChaosConfig::new(302)
+            .shorts(250)
+            .delays(100, Duration::from_millis(1)),
+    );
     cases.push(
         ChaosConfig::new(303)
             .shorts(300)
@@ -98,15 +102,12 @@ fn chaos_gate(id: &BenchIdentity) -> Result<(), String> {
         }
         let ls = instance(id);
         let server = ApacheServer::start(
-            ApacheConfig::new(
-                TlsMode::LibSeal(ls.clone()),
-                Arc::new(StaticContentRouter),
-            )
-            .workers(2)
-            .event_loop(event)
-            .handshake_timeout(Duration::from_millis(400))
-            .header_timeout(Duration::from_millis(400))
-            .body_timeout(Duration::from_millis(600)),
+            ApacheConfig::new(TlsMode::LibSeal(ls.clone()), Arc::new(StaticContentRouter))
+                .workers(2)
+                .event_loop(event)
+                .handshake_timeout(Duration::from_millis(400))
+                .header_timeout(Duration::from_millis(400))
+                .body_timeout(Duration::from_millis(600)),
         )
         .map_err(|e| format!("server start (event={event}): {e}"))?;
 
@@ -143,12 +144,9 @@ fn overload_gate(id: &BenchIdentity) -> Result<(), String> {
     }
     let ls = instance(id);
     let server = ApacheServer::start(
-        ApacheConfig::new(
-            TlsMode::LibSeal(ls.clone()),
-            Arc::new(StaticContentRouter),
-        )
-        .workers(4)
-        .max_connections(CAP),
+        ApacheConfig::new(TlsMode::LibSeal(ls.clone()), Arc::new(StaticContentRouter))
+            .workers(4)
+            .max_connections(CAP),
     )
     .map_err(|e| format!("server start: {e}"))?;
     let client = HttpsClient::new(server.addr(), id.roots(), "localhost");
@@ -244,12 +242,9 @@ fn drain_gate(id: &BenchIdentity) -> Result<(), String> {
     let ls = instance(id);
     let drain_timeout = Duration::from_secs(5);
     let server = ApacheServer::start(
-        ApacheConfig::new(
-            TlsMode::LibSeal(ls.clone()),
-            Arc::new(StaticContentRouter),
-        )
-        .workers(2)
-        .drain_timeout(drain_timeout),
+        ApacheConfig::new(TlsMode::LibSeal(ls.clone()), Arc::new(StaticContentRouter))
+            .workers(2)
+            .drain_timeout(drain_timeout),
     )
     .map_err(|e| format!("server start: {e}"))?;
     let addr = server.addr();

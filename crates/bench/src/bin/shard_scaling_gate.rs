@@ -91,9 +91,7 @@ fn run_point(id: &BenchIdentity, shards: usize) -> Point {
         ..Scenario::new(App::GitBare, TlsSide::Audited(plane.clone(), None))
     }
     .run();
-    plane
-        .verify_log(0)
-        .expect("fleet verification after drain");
+    plane.verify_log(0).expect("fleet verification after drain");
     point
 }
 
@@ -102,8 +100,7 @@ fn run_point(id: &BenchIdentity, shards: usize) -> Point {
 /// and the fleet must verify clean after drain.
 fn restart_trial(id: &BenchIdentity) -> Result<(), String> {
     let journals = JournalDir::create();
-    let plane =
-        ShardedPlane::open(plane_config(id, 2, journals.backing())).expect("sharded plane");
+    let plane = ShardedPlane::open(plane_config(id, 2, journals.backing())).expect("sharded plane");
     let server = ApacheServer::start(
         ApacheConfig::new(
             TlsMode::LibSeal(plane.clone()),

@@ -16,20 +16,18 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
 /// Panics if more than `255 * 32` bytes are requested, per RFC 5869.
 pub fn expand(prk: &[u8; 32], info: &[u8], out: &mut [u8]) {
     assert!(out.len() <= 255 * 32, "HKDF output too long");
-    let mut t: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    let mut written = 0;
-    while written < out.len() {
-        let mut h = HmacSha256::new(prk);
-        h.update(&t);
+    // Keyed once: each output block clones the padded-key state.
+    let keyed = HmacSha256::new(prk);
+    let mut t = [0u8; 32];
+    for (i, chunk) in out.chunks_mut(32).enumerate() {
+        let mut h = keyed.clone();
+        if i > 0 {
+            h.update(&t);
+        }
         h.update(info);
-        h.update(&[counter]);
-        let block = h.finalize();
-        let take = (out.len() - written).min(32);
-        out[written..written + take].copy_from_slice(&block[..take]);
-        written += take;
-        t = block.to_vec();
-        counter = counter.wrapping_add(1);
+        h.update(&[i as u8 + 1]);
+        t = h.finalize();
+        chunk.copy_from_slice(&t[..chunk.len()]);
     }
 }
 

@@ -3,7 +3,10 @@
 //! Both hashes follow the same Merkle-Damgård structure; they differ in
 //! word size, round count and constants, so they are implemented as two
 //! concrete types rather than one generic to keep the inner loops simple
-//! and monomorphic.
+//! and monomorphic. `update` hands every whole block of its input to the
+//! compression function in one call, and `finalize` pads in one
+//! `update`. SHA-256 compresses on the CPU's SHA extensions where it has
+//! them ([`Kernel::ShaNi`]; DESIGN.md "Hash kernels").
 
 /// SHA-256 round constants (first 32 bits of the fractional parts of the
 /// cube roots of the first 64 primes).
@@ -102,6 +105,42 @@ const K512: [u64; 80] = [
     0x6c44198c4a475817,
 ];
 
+/// Which code runs SHA-256's compression function.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kernel {
+    /// The FIPS 180-4 rounds in `u32` arithmetic: any CPU.
+    Scalar,
+    /// Two rounds per instruction with the x86 SHA extensions
+    /// (`sha256rnds2`, message schedule by `sha256msg1`/`sha256msg2`).
+    ShaNi,
+}
+
+impl Kernel {
+    /// Every kernel, slowest first.
+    pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::ShaNi];
+
+    /// Whether this CPU can execute the kernel.
+    pub fn supported(self) -> bool {
+        match self {
+            Kernel::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi => is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Kernel::ShaNi => false,
+        }
+    }
+
+    /// The kernel [`Sha256::new`] hashes with on this CPU: the fastest
+    /// it supports.
+    pub fn detect() -> Kernel {
+        if Kernel::ShaNi.supported() {
+            Kernel::ShaNi
+        } else {
+            Kernel::Scalar
+        }
+    }
+}
+
 /// Incremental SHA-256 hasher.
 ///
 /// # Examples
@@ -117,6 +156,7 @@ pub struct Sha256 {
     buf: [u8; 64],
     buf_len: usize,
     total_len: u64,
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
@@ -126,8 +166,20 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a fresh hasher in the FIPS 180-4 initial state.
+    /// Creates a fresh hasher in the FIPS 180-4 initial state, hashing
+    /// with [`Kernel::detect`]'s kernel.
     pub fn new() -> Self {
+        Self::with_kernel(Kernel::detect())
+    }
+
+    /// [`Self::new`] hashing with `kernel` (the equivalence tests run
+    /// each).
+    ///
+    /// # Panics
+    ///
+    /// If this CPU does not support `kernel`.
+    pub fn with_kernel(kernel: Kernel) -> Self {
+        assert!(kernel.supported(), "{kernel:?} not supported by this CPU");
         Sha256 {
             state: [
                 0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
@@ -136,12 +188,22 @@ impl Sha256 {
             buf: [0u8; 64],
             buf_len: 0,
             total_len: 0,
+            kernel,
         }
     }
 
     /// One-shot digest of `data`.
     pub fn digest(data: &[u8]) -> [u8; 32] {
-        let mut h = Sha256::new();
+        Self::digest_with(Kernel::detect(), data)
+    }
+
+    /// [`Self::digest`] through `kernel`.
+    ///
+    /// # Panics
+    ///
+    /// If this CPU does not support `kernel`.
+    pub fn digest_with(kernel: Kernel, data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::with_kernel(kernel);
         h.update(data);
         h.finalize()
     }
@@ -154,54 +216,61 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress_blocks(
+                self.kernel,
+                &mut self.state,
+                core::slice::from_ref(&self.buf),
+            );
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        let (blocks, rest) = data.as_chunks::<64>();
+        compress_blocks(self.kernel, &mut self.state, blocks);
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
     /// Completes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // `update` adjusted total_len for the padding byte; that must not
-        // count towards the message length, so track it via bit_len only.
-        while self.buf_len != 56 {
-            self.update(&[0u8]);
-        }
-        self.total_len = 0; // Padding must not recurse into length tracking.
-        let mut last = [0u8; 8];
-        last.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&last);
+        // 0x80, zeros up to 56 mod 64, the 64-bit bit length: one update.
+        let mut pad = [0u8; 72];
+        let len = 1 + (119 - self.buf_len) % 64 + 8;
+        pad[0] = 0x80;
+        pad[len - 8..len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        self.update(&pad[..len]);
         debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        for (o, w) in out.as_chunks_mut::<4>().0.iter_mut().zip(self.state) {
+            *o = w.to_be_bytes();
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Runs `blocks` through `kernel`'s compression function.
+fn compress_blocks(kernel: Kernel, state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    if blocks.is_empty() {
+        return;
+    }
+    match kernel {
+        Kernel::Scalar => compress_scalar(state, blocks),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::ShaNi => {
+            // SAFETY: `Sha256::with_kernel` detected sha and sse4.1 on this CPU.
+            unsafe { x86::compress_blocks(state, blocks) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        Kernel::ShaNi => unreachable!("only Scalar is supported off x86-64"),
+    }
+}
+
+/// The reference kernel: FIPS 180-4 §6.2.2, one round at a time.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        for (w, word) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *w = u32::from_be_bytes(*word);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -211,7 +280,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -232,14 +301,69 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// [`Kernel::ShaNi`]: safe `core::arch` code behind `#[target_feature]`;
+/// words go in by `_mm_setr_epi32` and out by `_mm_extract_epi32`.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::K256;
+    use core::arch::x86_64::*;
+
+    /// Four big-endian message words, the first in lane 0.
+    #[inline]
+    #[target_feature(enable = "sha,sse4.1")]
+    fn load(bytes: &[u8; 16]) -> __m128i {
+        let (w, _) = bytes.as_chunks::<4>();
+        let [w0, w1, w2, w3] = [w[0], w[1], w[2], w[3]].map(|b| u32::from_be_bytes(b) as i32);
+        _mm_setr_epi32(w0, w1, w2, w3)
+    }
+
+    #[target_feature(enable = "sha,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        let k: [__m128i; 16] = core::array::from_fn(|i| {
+            let [k0, k1, k2, k3] = [0, 1, 2, 3].map(|j| K256[4 * i + j] as i32);
+            _mm_setr_epi32(k0, k1, k2, k3)
+        });
+        // `sha256rnds2` holds the working variables as ABEF and CDGH,
+        // the first named in the high lane; they stay in registers
+        // from the first block to the last.
+        let [a, b, c, d, e, f, g, h] = state.map(|v| v as i32);
+        let mut abef = _mm_setr_epi32(f, e, b, a);
+        let mut cdgh = _mm_setr_epi32(h, g, d, c);
+        for block in blocks {
+            let (abef0, cdgh0) = (abef, cdgh);
+            let (q, _) = block.as_chunks::<16>();
+            let mut w = [load(&q[0]), load(&q[1]), load(&q[2]), load(&q[3])];
+            for (i, k) in k.iter().enumerate() {
+                if i >= 4 {
+                    // W[t] from W[t-16..t-12], W[t-7..t-3] and W[t-2..t].
+                    let x = _mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]);
+                    let x = _mm_add_epi32(x, _mm_alignr_epi8::<4>(w[(i + 3) % 4], w[(i + 2) % 4]));
+                    w[i % 4] = _mm_sha256msg2_epu32(x, w[(i + 3) % 4]);
+                }
+                let wk = _mm_add_epi32(w[i % 4], *k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+            }
+            abef = _mm_add_epi32(abef, abef0);
+            cdgh = _mm_add_epi32(cdgh, cdgh0);
+        }
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|v| v as u32);
     }
 }
 
@@ -293,48 +417,40 @@ impl Sha512 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 128 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 128 {
+                return;
             }
+            Self::compress(&mut self.state, &self.buf);
         }
-        while data.len() >= 128 {
-            let mut block = [0u8; 128];
-            block.copy_from_slice(&data[..128]);
-            self.compress(&block);
-            data = &data[128..];
+        let (blocks, rest) = data.as_chunks::<128>();
+        for block in blocks {
+            Self::compress(&mut self.state, block);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
     /// Completes the hash and returns the 64-byte digest.
     pub fn finalize(mut self) -> [u8; 64] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0u8]);
-        }
-        let mut last = [0u8; 16];
-        last.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&last);
+        // 0x80, zeros up to 112 mod 128, the 128-bit bit length: one
+        // update.
+        let mut pad = [0u8; 144];
+        let len = 1 + (239 - self.buf_len) % 128 + 16;
+        pad[0] = 0x80;
+        pad[len - 16..len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        self.update(&pad[..len]);
         debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; 64];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 8..i * 8 + 8].copy_from_slice(&w.to_be_bytes());
+        for (o, w) in out.as_chunks_mut::<8>().0.iter_mut().zip(self.state) {
+            *o = w.to_be_bytes();
         }
         out
     }
 
-    fn compress(&mut self, block: &[u8; 128]) {
+    fn compress(state: &mut [u64; 8], block: &[u8; 128]) {
         let mut w = [0u64; 80];
-        for i in 0..16 {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&block[i * 8..i * 8 + 8]);
-            w[i] = u64::from_be_bytes(b);
+        for (w, word) in w.iter_mut().zip(block.as_chunks::<8>().0) {
+            *w = u64::from_be_bytes(*word);
         }
         for i in 16..80 {
             let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
@@ -344,7 +460,7 @@ impl Sha512 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..80 {
             let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
             let ch = (e & f) ^ ((!e) & g);
@@ -365,14 +481,9 @@ impl Sha512 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 

@@ -6,7 +6,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use libseal_crypto::ed25519::VerifyingKey;
-use libseal_crypto::SystemRng;
 use libseal_httpx::http::{parse_response, Request, Response};
 use libseal_telemetry::{Counter, Histogram};
 use libseal_tlsx::attest::AttestationPolicy;
@@ -37,9 +36,8 @@ fn client_metrics() -> &'static ClientMetrics {
 #[derive(Clone)]
 pub struct HttpsClient {
     addr: SocketAddr,
-    ca_roots: Vec<VerifyingKey>,
-    expected_subject: String,
-    attestation: Option<Arc<AttestationPolicy>>,
+    /// Built once; each connection shares it.
+    config: Arc<SslConfig>,
 }
 
 impl HttpsClient {
@@ -50,9 +48,15 @@ impl HttpsClient {
     pub fn new(addr: SocketAddr, ca_roots: Vec<VerifyingKey>, expected_subject: &str) -> Self {
         HttpsClient {
             addr,
-            ca_roots,
-            expected_subject: expected_subject.to_string(),
-            attestation: None,
+            config: Arc::new(SslConfig {
+                role: Role::Client,
+                cert: None,
+                key: None,
+                ca_roots,
+                verify_peer: true,
+                expected_subject: Some(expected_subject.to_string()),
+                attestation: None,
+            }),
         }
     }
 
@@ -61,7 +65,7 @@ impl HttpsClient {
     /// the certificate key before the handshake completes.
     #[must_use]
     pub fn attestation(mut self, policy: Arc<AttestationPolicy>) -> Self {
-        self.attestation = Some(policy);
+        Arc::make_mut(&mut self.config).attestation = Some(policy);
         self
     }
 
@@ -87,18 +91,9 @@ impl HttpsClient {
         let sock = TcpStream::connect(self.addr)?;
         sock.set_nodelay(true)?;
         sock.set_read_timeout(Some(Duration::from_secs(30)))?;
-        let cfg = Arc::new(SslConfig {
-            role: Role::Client,
-            cert: None,
-            key: None,
-            ca_roots: self.ca_roots.clone(),
-            verify_peer: true,
-            expected_subject: Some(self.expected_subject.clone()),
-            attestation: self.attestation.clone(),
-        });
         let mut entropy = [0u8; 64];
-        SystemRng::new().fill(&mut entropy);
-        let tls = SslStream::handshake(cfg, entropy, sock)?;
+        plat::entropy::fill(&mut entropy);
+        let tls = SslStream::handshake(Arc::clone(&self.config), entropy, sock)?;
         Ok(PersistentConnection { tls })
     }
 }
@@ -340,8 +335,7 @@ impl LoadGenerator {
                                         .wrapping_add(i)
                                         .wrapping_mul(0xBF58_476D_1CE4_E5B9)
                                         >> 32;
-                                    let jitter =
-                                        base.mul_f64((spread % 1000) as f64 / 1000.0);
+                                    let jitter = base.mul_f64((spread % 1000) as f64 / 1000.0);
                                     std::thread::sleep(base + jitter);
                                 }
                             }

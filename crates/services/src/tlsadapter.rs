@@ -18,7 +18,6 @@ use std::sync::Arc;
 use libseal::plane::AuditPlane;
 use libseal::{LibSealError, SessionInput, SessionOutcome};
 use libseal_crypto::ed25519::SigningKey;
-use libseal_crypto::SystemRng;
 use libseal_tlsx::cert::Certificate;
 use libseal_tlsx::ssl::{ReadOutcome, Ssl, SslConfig};
 use plat::sync::{Mutex, RwLock};
@@ -84,7 +83,7 @@ impl NativeTls {
 impl AuditPlane for NativeTls {
     fn open_session(&self, _slot: usize, _affinity: u64) -> libseal::Result<u64> {
         let mut entropy = [0u8; 64];
-        SystemRng::new().fill(&mut entropy);
+        plat::entropy::fill(&mut entropy);
         let ssl = Ssl::new(Arc::clone(&self.config), entropy);
         let sid = self.next_sid.fetch_add(1, Ordering::Relaxed);
         self.sessions.write().insert(sid, Arc::new(Mutex::new(ssl)));

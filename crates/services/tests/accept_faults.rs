@@ -82,11 +82,16 @@ fn squid_threaded_accept_errors_do_not_kill_listener() {
     // start — before any client connects.
     let (ls, roots) = libseal_tls(&ca);
     let proxy = SquidProxy::start(
-        SquidConfig::new(TlsMode::LibSeal(ls), origin.addr(), origin_roots, "localhost")
-            .workers(1)
-            // The blocking accept thread polls, so it meets the faults
-            // with no client connecting; the reactor's case is below.
-            .event_loop(false),
+        SquidConfig::new(
+            TlsMode::LibSeal(ls),
+            origin.addr(),
+            origin_roots,
+            "localhost",
+        )
+        .workers(1)
+        // The blocking accept thread polls, so it meets the faults
+        // with no client connecting; the reactor's case is below.
+        .event_loop(false),
     )
     .unwrap();
     await_hits(&scenario, 3);

@@ -27,7 +27,11 @@ use common::for_each_driver;
 /// One chaotic client attempt: handshake over the faulty transport,
 /// send one request, try to read one response. All failures are fine;
 /// only panics and server damage are not.
-fn chaotic_attempt(addr: std::net::SocketAddr, roots: &[libseal_crypto::ed25519::VerifyingKey], cfg: ChaosConfig) {
+fn chaotic_attempt(
+    addr: std::net::SocketAddr,
+    roots: &[libseal_crypto::ed25519::VerifyingKey],
+    cfg: ChaosConfig,
+) {
     let Ok(sock) = TcpStream::connect(addr) else {
         return;
     };
@@ -69,7 +73,11 @@ fn fault_matrix() -> Vec<ChaosConfig> {
     }
     // Non-fatal degradation: shorts and delays at various densities.
     cases.push(ChaosConfig::new(301).shorts(400));
-    cases.push(ChaosConfig::new(302).shorts(200).delays(100, Duration::from_millis(1)));
+    cases.push(
+        ChaosConfig::new(302)
+            .shorts(200)
+            .delays(100, Duration::from_millis(1)),
+    );
     cases.push(
         ChaosConfig::new(303)
             .shorts(300)
@@ -161,7 +169,9 @@ fn concurrent_chaos_and_clean_traffic() {
                         let cfg = if i % 2 == 0 {
                             ChaosConfig::new(seed).reset_at(2 + (seed % 20))
                         } else {
-                            ChaosConfig::new(seed).shorts(300).truncate_at(10 + (seed % 30))
+                            ChaosConfig::new(seed)
+                                .shorts(300)
+                                .truncate_at(10 + (seed % 30))
                         };
                         chaotic_attempt(addr, &roots, cfg);
                     }

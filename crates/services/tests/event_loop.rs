@@ -299,9 +299,14 @@ fn squid_proxies_to_origin() {
 
         let (ls, roots) = libseal_tls(&ca, None);
         let proxy = SquidProxy::start(
-            SquidConfig::new(TlsMode::LibSeal(ls), origin.addr(), origin_roots, "localhost")
-                .workers(2)
-                .event_loop(event),
+            SquidConfig::new(
+                TlsMode::LibSeal(ls),
+                origin.addr(),
+                origin_roots,
+                "localhost",
+            )
+            .workers(2)
+            .event_loop(event),
         )
         .unwrap();
 

@@ -2,6 +2,8 @@
 //! LibSEAL, real clients, injected attacks, and in-band detection —
 //! the complete Fig. 1 pipeline for all three services.
 
+use std::io::Read;
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,13 +74,11 @@ fn wrong_host_certificate_rejected_despite_valid_ca() {
     // accepting ANY certificate under the trusted CA. A valid cert for
     // a different host must fail the handshake.
     let ca = ca();
-    let (key, cert) = ca.issue_identity("other-host.example", &[0x23; 32]).unwrap();
+    let (key, cert) = ca
+        .issue_identity("other-host.example", &[0x23; 32])
+        .unwrap();
     let server = ApacheServer::start(
-        ApacheConfig::new(
-            TlsMode::Native { cert, key },
-            Arc::new(StaticContentRouter),
-        )
-        .workers(1),
+        ApacheConfig::new(TlsMode::Native { cert, key }, Arc::new(StaticContentRouter)).workers(1),
     )
     .unwrap();
 
@@ -133,16 +133,36 @@ fn keep_alive_connections_work() {
 }
 
 #[test]
+fn connections_of_one_client_send_different_key_shares() {
+    // The client's configuration is built once and shared; each
+    // connection must still draw its own key share.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let client = HttpsClient::new(
+        listener.local_addr().unwrap(),
+        vec![ca().root_key()],
+        "localhost",
+    );
+    let key_share = || {
+        let c = client.clone();
+        let connecting = std::thread::spawn(move || c.connect().is_err());
+        let (mut sock, _) = listener.accept().unwrap();
+        // Record header (3), handshake header (4), X25519 share (32).
+        let mut hello = [0u8; 39];
+        sock.read_exact(&mut hello).unwrap();
+        drop(sock);
+        assert!(connecting.join().unwrap(), "no server answered");
+        hello[7..].to_vec()
+    };
+    assert_ne!(key_share(), key_share());
+}
+
+#[test]
 fn git_attacks_detected_end_to_end() {
     let ca = ca();
     let (ls, roots) = libseal_for(&ca, Some(Arc::new(GitModule)));
     let backend = Arc::new(GitBackend::new());
     let server = ApacheServer::start(
-        ApacheConfig::new(
-            TlsMode::LibSeal(ls.clone()),
-            Arc::new(Arc::clone(&backend)),
-        )
-        .workers(2),
+        ApacheConfig::new(TlsMode::LibSeal(ls.clone()), Arc::new(Arc::clone(&backend))).workers(2),
     )
     .unwrap();
     let client = HttpsClient::new(server.addr(), roots, "localhost");
@@ -193,11 +213,7 @@ fn git_history_replay_stays_clean() {
     let (ls, roots) = libseal_for(&ca, Some(Arc::new(GitModule)));
     let backend = Arc::new(GitBackend::new());
     let server = ApacheServer::start(
-        ApacheConfig::new(
-            TlsMode::LibSeal(ls.clone()),
-            Arc::new(Arc::clone(&backend)),
-        )
-        .workers(2),
+        ApacheConfig::new(TlsMode::LibSeal(ls.clone()), Arc::new(Arc::clone(&backend))).workers(2),
     )
     .unwrap();
     let client = HttpsClient::new(server.addr(), roots, "localhost");
@@ -369,11 +385,7 @@ fn malformed_request_gets_400_and_close() {
     let ca = ca();
     let (ls, roots) = libseal_for(&ca, Some(Arc::new(GitModule)));
     let server = ApacheServer::start(
-        ApacheConfig::new(
-            TlsMode::LibSeal(ls.clone()),
-            Arc::new(StaticContentRouter),
-        )
-        .workers(1),
+        ApacheConfig::new(TlsMode::LibSeal(ls.clone()), Arc::new(StaticContentRouter)).workers(1),
     )
     .unwrap();
 

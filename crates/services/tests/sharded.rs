@@ -25,10 +25,7 @@ fn ca() -> CertificateAuthority {
     CertificateAuthority::new("TestRootCA", &[0x77; 32])
 }
 
-fn plane_builder(
-    ca: &CertificateAuthority,
-    shards: usize,
-) -> libseal::LibSealConfigBuilder {
+fn plane_builder(ca: &CertificateAuthority, shards: usize) -> libseal::LibSealConfigBuilder {
     let (key, cert) = ca.issue_identity("localhost", &[0x21; 32]).unwrap();
     LibSealConfig::builder(cert, key)
         .cost_model(CostModel::free())
@@ -172,7 +169,10 @@ fn single_shard_plane_serves_under_both_drivers() {
 #[test]
 fn sharded_fleet_serves_and_verifies_after_drain() {
     let ca = ca();
-    let plane = plane_builder(&ca, 4).epoch_interval(8).build_plane().unwrap();
+    let plane = plane_builder(&ca, 4)
+        .epoch_interval(8)
+        .build_plane()
+        .unwrap();
     assert_eq!(plane.shards(), 4);
     let roots = vec![ca.root_key()];
     let server = ApacheServer::start(

@@ -273,11 +273,10 @@ impl AttestationPolicy {
         let digest = Sha256::digest(&ext.data);
         let cached = self.verified.lock().expect("quote cache").contains(&digest);
         if !cached {
-            let trusted = self.quoting_roots.iter().any(|root| {
-                AttestationService::new(*root)
-                    .verify(&quote, None)
-                    .is_ok()
-            });
+            let trusted = self
+                .quoting_roots
+                .iter()
+                .any(|root| AttestationService::new(*root).verify(&quote, None).is_ok());
             if !trusted {
                 return Err(AttestationError::UntrustedRoot);
             }
@@ -391,7 +390,10 @@ mod tests {
         // Missing quote.
         let (_, bare) = ca.issue_identity("svc.test", &[5u8; 32]).unwrap();
         let policy = AttestationPolicy::pinned(qe.root_key(), vec![m]);
-        assert_eq!(policy.verify(&bare, now), Err(AttestationError::MissingQuote));
+        assert_eq!(
+            policy.verify(&bare, now),
+            Err(AttestationError::MissingQuote)
+        );
 
         // Untrusted root.
         let rogue_policy = AttestationPolicy::pinned(rogue_qe.root_key(), vec![m]);
@@ -409,7 +411,10 @@ mod tests {
 
         // Wrong signer.
         let strict = policy.clone().signers(vec![[0xEE; 32]]);
-        assert_eq!(strict.verify(&cert, now), Err(AttestationError::WrongSigner));
+        assert_eq!(
+            strict.verify(&cert, now),
+            Err(AttestationError::WrongSigner)
+        );
 
         // Stale quote.
         let ttl_ms = DEFAULT_QUOTE_TTL.as_millis() as u64;
@@ -419,7 +424,10 @@ mod tests {
         );
         // Far-future quotes are just as suspect.
         let future = attested_cert(&ca, &qe, b"svc", now + 10 * 60 * 1000);
-        assert_eq!(policy.verify(&future, now), Err(AttestationError::StaleQuote));
+        assert_eq!(
+            policy.verify(&future, now),
+            Err(AttestationError::StaleQuote)
+        );
 
         // Report data minted for a different key.
         let enclave2 = EnclaveBuilder::new(b"svc")

@@ -285,7 +285,11 @@ impl CertificateAuthority {
     /// # Errors
     ///
     /// Same bounds as [`CertificateAuthority::issue`].
-    pub fn issue_identity(&self, subject: &str, seed: &[u8; 32]) -> Result<(SigningKey, Certificate)> {
+    pub fn issue_identity(
+        &self,
+        subject: &str,
+        seed: &[u8; 32],
+    ) -> Result<(SigningKey, Certificate)> {
         let key = SigningKey::from_seed(seed);
         let cert = self.issue(subject, key.verifying_key().as_bytes())?;
         Ok((key, cert))

@@ -156,7 +156,8 @@ pub struct Ssl {
     /// Ciphertext for the peer, not yet taken.
     out_buf: Vec<u8>,
     kx_priv: [u8; 32],
-    transcript: Vec<u8>,
+    /// Running hash of the handshake messages so far.
+    transcript: Sha256,
     write_keys: Option<RecordKeys>,
     read_keys: Option<RecordKeys>,
     fin_key_local: [u8; 32],
@@ -238,7 +239,7 @@ impl Ssl {
             in_pos: 0,
             out_buf: Vec::new(),
             kx_priv,
-            transcript: Vec::new(),
+            transcript: Sha256::new(),
             write_keys: None,
             read_keys: None,
             fin_key_local: [0u8; 32],
@@ -484,7 +485,7 @@ impl Ssl {
     // --- handshake internals -------------------------------------------
 
     fn transcript_hash(&self) -> [u8; 32] {
-        Sha256::digest(&self.transcript)
+        self.transcript.clone().finalize()
     }
 
     /// A handshake message as it enters the transcript: type, 24-bit
@@ -505,7 +506,7 @@ impl Ssl {
     /// (handshake messages are not fragmented).
     fn queue_handshake(&mut self, t: u8, body: &[u8]) -> Result<()> {
         let msg = Self::frame_handshake(t, body);
-        self.transcript.extend_from_slice(&msg);
+        self.transcript.update(&msg);
         match self.write_keys.as_mut() {
             Some(keys) if t != MSG_CLIENT_HELLO && t != MSG_SERVER_HELLO => {
                 keys.seal_into(ContentType::Handshake, &msg, &mut self.out_buf)
@@ -660,8 +661,10 @@ impl Ssl {
 
     /// Appends the peer's message to the transcript exactly as received.
     fn append_peer_transcript(&mut self, t: u8, body: &[u8]) {
-        self.transcript
-            .extend_from_slice(&Self::frame_handshake(t, body));
+        let mut header = (body.len() as u32).to_be_bytes();
+        header[0] = t;
+        self.transcript.update(&header);
+        self.transcript.update(body);
     }
 
     /// The peer's Certificate message, either role. A server checks

@@ -29,11 +29,7 @@ fn main() {
 
     let oc = Arc::new(OwnCloudServer::new());
     let server = ApacheServer::start(
-        ApacheConfig::new(
-            TlsMode::LibSeal(libseal.clone()),
-            Arc::new(Arc::clone(&oc)),
-        )
-        .workers(2),
+        ApacheConfig::new(TlsMode::LibSeal(libseal.clone()), Arc::new(Arc::clone(&oc))).workers(2),
     )
     .expect("server");
     println!("ownCloud documents (audited) on https://{}", server.addr());

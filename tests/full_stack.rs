@@ -34,11 +34,8 @@ fn sealed_persistent_log_full_cycle() {
         let ls = LibSeal::new(cfg).unwrap();
         let backend = Arc::new(GitBackend::new());
         let server = ApacheServer::start(
-            ApacheConfig::new(
-                TlsMode::LibSeal(ls.clone()),
-                Arc::new(Arc::clone(&backend)),
-            )
-            .workers(2),
+            ApacheConfig::new(TlsMode::LibSeal(ls.clone()), Arc::new(Arc::clone(&backend)))
+                .workers(2),
         )
         .unwrap();
         let client = HttpsClient::new(server.addr(), vec![ca.root_key()], "localhost");
