@@ -38,8 +38,11 @@ cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D
 # memory pool: one job pool, std's channel),
 # the audited data path copies a message out of its buffer again (an
 # owning HTTP parser in crates/core beyond the check-result rebuild, a
-# drain-collect in enclave.rs), or a paper printer builds its own fleet. Builds the bench
-# binaries in release mode, which the gates below need anyway.
+# drain-collect in enclave.rs), a paper printer builds its own fleet,
+# the sharded plane changes its membership at runtime again (shard
+# join/retire, a hash ring, a routability flag), or `SystemRng` is
+# back. Builds the bench binaries in release mode, which the gates
+# below need anyway.
 scripts/loc_budget.sh
 
 # benchmark/ is its own workspace, so nothing above compiles it: a

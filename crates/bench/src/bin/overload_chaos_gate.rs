@@ -21,7 +21,6 @@ use std::time::{Duration, Instant};
 
 use libseal::{GitModule, LibSeal};
 use libseal_bench::*;
-use libseal_crypto::SystemRng;
 use libseal_httpx::http::{parse_response, Request};
 use libseal_services::apache::{ApacheConfig, ApacheServer, StaticContentRouter};
 use libseal_services::{HttpsClient, LoadGenerator, TlsMode};
@@ -52,7 +51,7 @@ fn chaotic_attempt(id: &BenchIdentity, addr: std::net::SocketAddr, cfg: ChaosCon
     let _ = sock.set_read_timeout(Some(Duration::from_millis(500)));
     let chaotic = ChaosStream::new(sock, cfg);
     let mut entropy = [0u8; 64];
-    SystemRng::new().fill(&mut entropy);
+    plat::entropy::fill(&mut entropy);
     let Ok(mut tls) = SslStream::handshake(SslConfig::client(id.roots()), entropy, chaotic) else {
         return;
     };

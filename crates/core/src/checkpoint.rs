@@ -244,8 +244,8 @@ pub fn verify_checkpoints(
         }
         prev_epoch = Some(epoch);
         // Coverage may only grow: a shard checkpointed once must
-        // appear in every later epoch (retired shards are still
-        // checkpointed; only a dropped shard vanishes).
+        // appear in every later epoch (every shard of the fixed fleet
+        // is checkpointed each epoch; only a dropped shard vanishes).
         for &shard in covered.keys() {
             if !shards.contains_key(&shard) {
                 return Err(FleetVerifyError::MissingShard { epoch, shard });

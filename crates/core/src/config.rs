@@ -238,10 +238,13 @@ impl LibSealConfigBuilder {
     /// Audit-plane shard count. `1` (the default) keeps the paper's
     /// single-enclave model; larger values shard the audit plane
     /// across that many enclaves behind one
-    /// [`crate::plane::AuditPlane`], with sessions routed by
-    /// consistent hashing and per-shard chains cross-linked into
-    /// signed epoch checkpoints. Only
-    /// [`LibSealConfigBuilder::build_plane`] acts on this knob;
+    /// [`crate::plane::AuditPlane`], with a new session routed to
+    /// shard `mix64(affinity) % n` and per-shard chains cross-linked
+    /// into signed epoch checkpoints. The fleet keeps this size for
+    /// life (a reopened disk-backed fleet takes its size from the
+    /// manifest), and a plane session id encodes at most 1,024 shards:
+    /// more is a [`crate::LibSealError::Config`] from `build_plane`.
+    /// Only [`LibSealConfigBuilder::build_plane`] acts on this knob;
     /// [`crate::LibSeal::new`] always builds one enclave.
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards.max(1);
@@ -269,8 +272,8 @@ impl LibSealConfigBuilder {
     /// # Errors
     ///
     /// [`crate::LibSealError::Config`] for `shards(n>1)` without an SSM
-    /// (sharding partitions the audit log), or any enclave provisioning
-    /// failure.
+    /// (sharding partitions the audit log) or for `n` past 1,024, or
+    /// any enclave provisioning failure.
     pub fn build_plane(self) -> Result<Arc<dyn crate::plane::AuditPlane>> {
         crate::plane::build_plane(self.config)
     }

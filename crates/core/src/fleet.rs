@@ -9,9 +9,11 @@
 //!
 //! The fleet stays auditable as one logical log:
 //!
-//! - sessions are routed to shards by consistent hashing on a
-//!   caller-supplied affinity (connection id), and stay pinned to
-//!   their shard for life so every per-shard chain remains strictly
+//! - its membership is fixed when it is provisioned: shards `0..n`,
+//!   `n` from the configuration or, on reopen, from the manifest;
+//! - a new session routes to shard `mix64(affinity) % n` on a
+//!   caller-supplied affinity (connection id), and its sid pins it to
+//!   that shard for life, so every per-shard chain remains strictly
 //!   append-only;
 //! - every `epoch_interval` audited responses the plane snapshots all
 //!   shard chain tips and appends one signed *epoch checkpoint* row
@@ -26,19 +28,17 @@
 //!   a rolled-back shard, or a truncated checkpoint history each
 //!   produce a distinct [`FleetVerifyError`].
 //!
-//! Shard membership changes rebalance only *new* sessions: a retired
-//! shard leaves the hash ring but keeps serving its pinned sessions
-//! and keeps being checkpointed. A crashed shard is rebuilt through
-//! the existing per-log recovery ([`ShardedPlane::restart_shard`]);
-//! the fleet manifest file records membership so a plane restart
-//! reprovisions every journal.
+//! A crashed shard is rebuilt through the existing per-log recovery
+//! ([`ShardedPlane::restart_shard`]); the fleet manifest file records
+//! each shard's restart generation, so a plane restart reprovisions
+//! every journal and keeps pre-restart sids dead.
 //!
 //! This is a deliberate divergence from the paper, which pins one
 //! audit log to one enclave; ReplicaTEE's fleet-provisioning shape
 //! applied to horizontal scale-out of the audit plane.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -73,17 +73,13 @@ const GEN_BITS: u32 = 14;
 const MAX_SHARDS: u32 = 1 << SHARD_BITS;
 /// Maximum restart generation (exclusive).
 const MAX_GENS: u64 = 1 << GEN_BITS;
-/// Virtual nodes per shard on the hash ring; enough that four shards
-/// split sequential connection ids within the ≤2 max/min ratio the
-/// routing tests assert.
-const VNODES_PER_SHARD: usize = 128;
 
 // ---------------------------------------------------------------
-// Consistent-hash routing
+// Routing
 // ---------------------------------------------------------------
 
-/// splitmix64: cheap, well-mixed; sequential connection ids land
-/// uniformly on the ring.
+/// splitmix64: cheap and well-mixed, so sequential connection ids
+/// spread evenly over the shards.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -91,48 +87,15 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A consistent-hash ring of virtual nodes, sorted by position.
-struct ShardRing {
-    points: Vec<(u64, u32)>,
-}
-
-impl ShardRing {
-    fn new(shards: &[u32]) -> ShardRing {
-        let mut points = Vec::with_capacity(shards.len() * VNODES_PER_SHARD);
-        for &s in shards {
-            for v in 0..VNODES_PER_SHARD {
-                points.push((mix64(((s as u64) << 32) | 0x5EA1 | ((v as u64) << 16)), s));
-            }
-        }
-        points.sort_unstable();
-        ShardRing { points }
-    }
-
-    /// The ring of the shards in `shards` new sessions may route to.
-    fn of(shards: &BTreeMap<u32, Shard>) -> ShardRing {
-        let routable: Vec<u32> = shards
-            .iter()
-            .filter(|(_, s)| s.routable)
-            .map(|(&id, _)| id)
-            .collect();
-        ShardRing::new(&routable)
-    }
-
-    fn route(&self, affinity: u64) -> Option<u32> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let h = mix64(affinity);
-        let i = self.points.partition_point(|&(p, _)| p < h);
-        Some(self.points[i % self.points.len()].1)
-    }
-}
-
-/// Pure routing function: the shard a given affinity maps to among
-/// `shards`. Exposed so distribution tests can assert the spread
-/// deterministically, without provisioning enclaves.
-pub fn route_affinity(affinity: u64, shards: &[u32]) -> Option<u32> {
-    ShardRing::new(shards).route(affinity)
+/// The shard a new session with `affinity` routes to in a fleet of
+/// `n` shards: `mix64(affinity) % n`. Exposed so distribution tests
+/// can assert the spread without provisioning enclaves.
+///
+/// # Panics
+///
+/// If `n` is 0.
+pub fn route_affinity(affinity: u64, n: u32) -> u32 {
+    (mix64(affinity) % u64::from(n)) as u32
 }
 
 // ---------------------------------------------------------------
@@ -142,9 +105,6 @@ pub fn route_affinity(affinity: u64, shards: &[u32]) -> Option<u32> {
 /// One provisioned shard.
 struct Shard {
     seal: Arc<LibSeal>,
-    /// Whether new sessions may route here (retired shards keep
-    /// serving pinned sessions but leave the ring).
-    routable: bool,
     /// Restart generation, encoded into session ids so sids from
     /// before a restart cannot alias fresh sessions.
     gen: u64,
@@ -153,18 +113,13 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(seal: Arc<LibSeal>, routable: bool, gen: u64) -> Shard {
+    fn new(seal: Arc<LibSeal>, gen: u64) -> Shard {
         Shard {
             seal,
-            routable,
             gen,
             opened: AtomicU64::new(0),
         }
     }
-}
-
-fn no_such_shard(id: u32) -> LibSealError {
-    LibSealError::Config(format!("no such shard: {id}"))
 }
 
 /// A fleet of audit enclaves behind one [`AuditPlane`].
@@ -176,7 +131,8 @@ pub struct ShardedPlane {
     template: LibSealConfig,
     plane_seed: [u8; 32],
     shards: RwLock<BTreeMap<u32, Shard>>,
-    ring: RwLock<ShardRing>,
+    /// The fleet's shards are `0..size`, fixed when it is provisioned.
+    size: u32,
     signer: SigningKey,
     epoch_interval: u64,
     /// Audited responses written since provisioning (checkpoint pacing).
@@ -197,8 +153,9 @@ impl ShardedPlane {
     ///
     /// # Errors
     ///
-    /// [`LibSealError::Config`] without an SSM or on manifest
-    /// corruption, or any enclave provisioning failure.
+    /// [`LibSealError::Config`] without an SSM, for more shards than a
+    /// plane session id can encode, or on manifest corruption; any
+    /// enclave provisioning failure.
     pub fn open(config: LibSealConfig) -> Result<Arc<ShardedPlane>> {
         if config.ssm.is_none() {
             return Err(LibSealError::Config(
@@ -207,6 +164,23 @@ impl ShardedPlane {
                     .into(),
             ));
         }
+        let manifest = match &config.backing {
+            LogBacking::Memory => None,
+            LogBacking::Disk(p) => Some(PathBuf::from(format!("{}.manifest", p.display()))),
+        };
+        // One restart generation per shard, in id order.
+        let gens = match manifest.as_deref().filter(|p| p.exists()) {
+            Some(path) => parse_manifest(path)?,
+            // A shard id past the sid's shard bits would spill into its
+            // generation bits: refuse before any enclave is built.
+            None if config.shards > MAX_SHARDS as usize => {
+                return Err(LibSealError::Config(format!(
+                    "{} shards: a plane session id encodes at most {MAX_SHARDS}",
+                    config.shards
+                )));
+            }
+            None => vec![0; config.shards.max(1)],
+        };
         // Deterministic plane identity: a secret derived in-enclave
         // from the MRSIGNER seal key — the same secret LibSeal's own
         // log signer falls back to. Never public material (e.g. the
@@ -217,27 +191,16 @@ impl ShardedPlane {
         let plane_seed = Sha256::digest(&[b"libseal-plane:".as_slice(), &base].concat());
         let signer = SigningKey::from_seed(&plane_seed);
 
-        let manifest = match &config.backing {
-            LogBacking::Memory => None,
-            LogBacking::Disk(p) => Some(PathBuf::from(format!("{}.manifest", p.display()))),
-        };
-        let members = match manifest.as_deref().filter(|p| p.exists()) {
-            Some(path) => parse_manifest(path)?,
-            None => (0..config.shards.max(1) as u32)
-                .map(|i| (i, true, 0))
-                .collect(),
-        };
-
         let mut shards = BTreeMap::new();
-        for &(id, routable, gen) in &members {
+        for (id, gen) in (0..).zip(gens) {
             let seal = build_shard(&config, &plane_seed, id)?;
-            shards.insert(id, Shard::new(seal, routable, gen));
+            shards.insert(id, Shard::new(seal, gen));
         }
         let plane = Arc::new(ShardedPlane {
             epoch_interval: config.epoch_interval,
             template: config,
             plane_seed,
-            ring: RwLock::new(ShardRing::of(&shards)),
+            size: shards.len() as u32,
             shards: RwLock::new(shards),
             signer,
             responses: AtomicU64::new(0),
@@ -253,7 +216,7 @@ impl ShardedPlane {
         Ok(plane)
     }
 
-    /// Shard ids currently provisioned (routable or retired).
+    /// Shard ids currently provisioned.
     pub fn shard_ids(&self) -> Vec<u32> {
         self.shards.read().keys().copied().collect()
     }
@@ -288,55 +251,6 @@ impl ShardedPlane {
             .ok_or_else(|| LibSealError::Log("shard 0 missing".into()))
     }
 
-    /// Provisions one more shard and adds it to the hash ring.
-    /// Existing sessions are untouched; only new sessions route to
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// Shard-id exhaustion or enclave provisioning failure.
-    pub fn add_shard(&self) -> Result<u32> {
-        // Ids are never reused: a retired id's chain history
-        // stays attributed to it in the checkpoint record.
-        let id = self.shards.read().keys().max().map_or(0, |m| m + 1);
-        if id >= MAX_SHARDS {
-            return Err(LibSealError::Config(format!(
-                "shard ids exhausted (max {MAX_SHARDS})"
-            )));
-        }
-        let seal = build_shard(&self.template, &self.plane_seed, id)?;
-        {
-            let mut shards = self.shards.write();
-            shards.insert(id, Shard::new(seal, true, 0));
-            *self.ring.write() = ShardRing::of(&shards);
-        }
-        self.write_manifest()?;
-        Ok(id)
-    }
-
-    /// Takes a shard out of the hash ring. Its pinned sessions keep
-    /// running, its chain keeps being checkpointed — only new
-    /// sessions stop routing to it (chains stay append-only).
-    ///
-    /// # Errors
-    ///
-    /// Unknown shard, or retiring the last routable shard.
-    pub fn retire_shard(&self, id: u32) -> Result<()> {
-        {
-            let mut shards = self.shards.write();
-            let routable_others = shards.iter().any(|(&sid, s)| sid != id && s.routable);
-            let shard = shards.get_mut(&id).ok_or_else(|| no_such_shard(id))?;
-            if !routable_others {
-                return Err(LibSealError::Config(
-                    "cannot retire the last routable shard".into(),
-                ));
-            }
-            shard.routable = false;
-            *self.ring.write() = ShardRing::of(&shards);
-        }
-        self.write_manifest()
-    }
-
     /// Tears one shard's enclave down and reprovisions it from its
     /// journal through the ordinary per-log recovery (fresh enclave,
     /// same sealed log, ROTE counter reconciled). Sessions pinned to
@@ -354,7 +268,7 @@ impl ShardedPlane {
         // verification into a false MissingShard verdict.
         let _epoch = self.next_epoch.lock();
         let old = match self.shards.write().entry(id) {
-            Entry::Vacant(_) => return Err(no_such_shard(id)),
+            Entry::Vacant(_) => return Err(LibSealError::Config(format!("no such shard: {id}"))),
             // Generations are encoded in session ids and persisted in
             // the manifest; wrapping one would let a stale sid alias a
             // fresh session, so refuse instead.
@@ -380,10 +294,10 @@ impl ShardedPlane {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        let (routable, gen) = (old.routable, old.gen);
+        let gen = old.gen;
         drop(old);
         let fresh = build_shard(&self.template, &self.plane_seed, id)?;
-        let fresh = Shard::new(fresh, routable, gen + 1);
+        let fresh = Shard::new(fresh, gen + 1);
         self.shards.write().insert(id, fresh);
         // Persist the bumped generation: a plane reopen must not
         // reset it, or sids minted before the restart would pass the
@@ -463,19 +377,19 @@ impl ShardedPlane {
         self.shard0()?.with_log(slot, checkpoint::read_rows)?
     }
 
-    /// Persists fleet membership next to the journals so a plane
-    /// restart reprovisions every shard and keeps pre-restart sids
-    /// dead: written to a temp file, fsynced, renamed over the
-    /// manifest, and the directory fsynced — a crash leaves the old
-    /// manifest or the new one, never a torn or unlinked one.
+    /// Persists each shard's restart generation next to the journals
+    /// so a plane restart reprovisions every shard and keeps
+    /// pre-restart sids dead: written to a temp file, fsynced, renamed
+    /// over the manifest, and the directory fsynced — a crash leaves
+    /// the old manifest or the new one, never a torn or unlinked one.
     /// Memory-backed planes have nothing to persist.
     fn write_manifest(&self) -> Result<()> {
         let Some(path) = &self.manifest else {
             return Ok(());
         };
-        let mut body = String::from("libseal-fleet-v1\n");
+        let mut body = String::from("libseal-fleet-v2\n");
         for (&id, s) in self.shards.read().iter() {
-            body.push_str(&format!("shard {id} {} {}\n", u8::from(s.routable), s.gen));
+            body.push_str(&format!("shard {id} {}\n", s.gen));
         }
         let tmp = path.with_extension("manifest.tmp");
         let write = || -> std::io::Result<()> {
@@ -546,11 +460,7 @@ impl ShardedPlane {
 
 impl AuditPlane for ShardedPlane {
     fn open_session(&self, slot: usize, affinity: u64) -> Result<u64> {
-        let shard_id = self
-            .ring
-            .read()
-            .route(affinity)
-            .ok_or_else(|| LibSealError::Log("no routable shards".into()))?;
+        let shard_id = route_affinity(affinity, self.size);
         let (seal, gen) = {
             let shards = self.shards.read();
             let s = shards
@@ -668,7 +578,7 @@ impl AuditPlane for ShardedPlane {
     }
 
     fn shards(&self) -> usize {
-        self.shards.read().len()
+        self.size as usize
     }
 
     fn drain(&self, slot: usize) -> Result<()> {
@@ -718,30 +628,30 @@ fn build_shard(template: &LibSealConfig, plane_seed: &[u8; 32], id: u32) -> Resu
     LibSeal::new(config)
 }
 
-/// Parses the fleet manifest: `shard <id> <routable> [gen]` lines
-/// under a `libseal-fleet-v1` header (the generation column was
-/// added later; absent means 0). The file sits on the untrusted disk,
-/// so every field is range-checked and a `shard` line that does not
-/// parse is an error, never skipped: an id past [`MAX_SHARDS`] would
-/// spill into the generation bits of every sid the shard mints, a
-/// repeated id would provision two enclaves over one journal, and a
-/// dropped line would silently shrink the fleet. Shard 0 holds the
-/// checkpoint history, so a manifest without it names no fleet.
-fn parse_manifest(path: &Path) -> Result<Vec<(u32, bool, u64)>> {
+/// Parses the fleet manifest: one `shard <id> <gen>` line per shard
+/// under a `libseal-fleet-v2` header, returned as the generations in
+/// id order. The file sits on the untrusted disk, so every field is
+/// range-checked and a `shard` line that does not parse is an error,
+/// never skipped: an id past [`MAX_SHARDS`] would spill into the
+/// generation bits of every sid the shard mints, a repeated id would
+/// provision two enclaves over one journal, and a dropped line would
+/// silently shrink the fleet. The ids must be exactly `0..n`: routing
+/// takes the affinity modulo `n`, and shard 0 holds the checkpoint
+/// history. A v1 manifest (it had a routability column) is refused by
+/// its header.
+fn parse_manifest(path: &Path) -> Result<Vec<u64>> {
     let body = std::fs::read_to_string(path)
         .map_err(|e| LibSealError::Log(format!("fleet manifest: {e}")))?;
     let bad = |what: String| LibSealError::Config(format!("fleet manifest: {what}"));
     let mut lines = body.lines();
-    if lines.next() != Some("libseal-fleet-v1") {
+    if lines.next() != Some("libseal-fleet-v2") {
         return Err(bad("unrecognised header".into()));
     }
-    let mut members = Vec::new();
-    let mut seen = HashSet::new();
+    let mut gens = BTreeMap::new();
     for line in lines {
         let fields: Vec<&str> = line.split_whitespace().collect();
-        let (id, routable, gen) = match fields[..] {
-            ["shard", id, routable] => (id, routable, "0"),
-            ["shard", id, routable, gen] => (id, routable, gen),
+        let (id, gen) = match fields[..] {
+            ["shard", id, gen] => (id, gen),
             ["shard", ..] => return Err(bad(format!("malformed line {line:?}"))),
             _ => continue,
         };
@@ -749,22 +659,16 @@ fn parse_manifest(path: &Path) -> Result<Vec<(u32, bool, u64)>> {
             Ok(id) if id < MAX_SHARDS => id,
             _ => return Err(bad(format!("shard id {id} out of range"))),
         };
-        if !seen.insert(id) {
-            return Err(bad(format!("shard {id} listed twice")));
-        }
-        let routable = match routable {
-            "0" => false,
-            "1" => true,
-            _ => return Err(bad(format!("shard {id}: routable flag {routable:?}"))),
-        };
         let gen = match gen.parse::<u64>() {
             Ok(gen) if gen < MAX_GENS => gen,
             _ => return Err(bad(format!("shard {id} generation out of range"))),
         };
-        members.push((id, routable, gen));
+        if gens.insert(id, gen).is_some() {
+            return Err(bad(format!("shard {id} listed twice")));
+        }
     }
-    if !seen.contains(&0) {
-        return Err(bad("names no shard 0".into()));
+    if gens.is_empty() || !gens.keys().copied().eq(0..gens.len() as u32) {
+        return Err(bad("the shard ids are not 0..n".into()));
     }
-    Ok(members)
+    Ok(gens.into_values().collect())
 }

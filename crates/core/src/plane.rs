@@ -36,8 +36,8 @@ use crate::Result;
 /// picks the implementation.
 pub trait AuditPlane: Send + Sync {
     /// Opens a session. `affinity` is a stable caller-chosen
-    /// connection id; sharded planes consistent-hash it to pick the
-    /// session's shard (a single enclave ignores it).
+    /// connection id; sharded planes route it to shard
+    /// `mix64(affinity) % n` (a single enclave ignores it).
     ///
     /// # Errors
     ///

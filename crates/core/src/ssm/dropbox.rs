@@ -17,9 +17,9 @@
 //!   `{files: [{file, blocks: [h...], size}]}`.
 
 use libseal_httpx::json::Json;
-use libseal_sealdb::Value;
+use libseal_sealdb::{DeltaSpec, SourceRule, Value};
 
-use super::{json_post_pair, DeltaSpec, Invariant, ServiceModule, SourceRule};
+use super::{json_post_pair, Invariant, ServiceModule};
 use crate::log::{AuditLog, TableSpec};
 use crate::Result;
 

@@ -13,9 +13,9 @@
 //! taken **verbatim** from the paper.
 
 use libseal_httpx::http::{self, Limits};
-use libseal_sealdb::Value;
+use libseal_sealdb::{DeltaSpec, SourceRule, Value};
 
-use super::{DeltaSpec, Invariant, ServiceModule, SourceRule};
+use super::{Invariant, ServiceModule};
 use crate::log::{AuditLog, TableSpec};
 use crate::Result;
 

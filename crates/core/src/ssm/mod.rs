@@ -13,6 +13,7 @@ pub mod owncloud;
 
 use libseal_httpx::http::{self, Frame, Limits};
 use libseal_httpx::json::Json;
+use libseal_sealdb::{DeltaSpec, MatViewSpec};
 
 use crate::log::{AuditLog, TableSpec};
 use crate::Result;
@@ -31,55 +32,15 @@ pub struct Invariant {
     pub sql: &'static str,
     /// Incremental evaluation metadata; `None` keeps this invariant on
     /// the full-scan path.
+    ///
+    /// The audit log's logical time is monotone, so an invariant whose
+    /// subqueries only reference rows with `time <` the violating
+    /// row's time has *stable* partitions: once all rows at or before
+    /// time T exist, the verdict for partition T never changes on
+    /// later appends. The one exception in the shipped services (an
+    /// untimed NOT EXISTS) is handled with a
+    /// [`libseal_sealdb::RescanRule`].
     pub delta: Option<DeltaSpec>,
-}
-
-/// Incremental evaluation metadata: how an invariant's violation set
-/// decomposes into partitions that can be re-evaluated independently
-/// when base rows are appended.
-///
-/// The audit log's logical time is monotone, so an invariant whose
-/// subqueries only reference rows with `time <` the violating row's
-/// time has *stable* partitions: once all rows at or before time T
-/// exist, the verdict for partition T never changes on later appends.
-/// The one exception in the shipped services (an untimed NOT EXISTS)
-/// is handled with a [`RescanRule`].
-#[derive(Clone, Copy, Debug)]
-pub struct DeltaSpec {
-    /// The invariant SQL restricted to one partition; `?1` is bound to
-    /// the partition value. Must project the same columns as the full
-    /// query.
-    pub delta_sql: &'static str,
-    /// Output column (0-based) holding the partition value.
-    pub partition_col: usize,
-    /// Dirty-tracking rules, one per base table feeding the query.
-    pub sources: &'static [SourceRule],
-}
-
-/// How inserts into one base table dirty the invariant's view.
-#[derive(Clone, Copy, Debug)]
-pub struct SourceRule {
-    /// Base table name.
-    pub table: &'static str,
-    /// Source column whose value names the partition an inserted row
-    /// dirties; `None` when inserts into this table cannot add
-    /// violations (they only reference `time <` rows of other
-    /// partitions — the monotone-time argument above).
-    pub partition_col: Option<&'static str>,
-    /// Lookup re-dirtying partitions whose existing violations the
-    /// inserted row may *clear*.
-    pub rescan: Option<RescanRule>,
-}
-
-/// Rescan lookup: run `sql` with the inserted row's `bind_cols`
-/// values bound to `?1..?n`; the first column of each returned row is
-/// a partition to re-dirty.
-#[derive(Clone, Copy, Debug)]
-pub struct RescanRule {
-    /// Partition lookup query.
-    pub sql: &'static str,
-    /// Inserted-row columns bound, in order, to the parameters.
-    pub bind_cols: &'static [&'static str],
 }
 
 impl Invariant {
@@ -88,27 +49,13 @@ impl Invariant {
         format!("mv_{}", self.name.replace('-', "_"))
     }
 
-    /// Converts the static delta metadata into a sealdb view
-    /// registration, or `None` for full-scan-only invariants.
-    pub fn matview_spec(&self) -> Option<libseal_sealdb::MatViewSpec> {
-        let delta = self.delta?;
-        Some(libseal_sealdb::MatViewSpec {
+    /// The sealdb view registration of this invariant, or `None` for
+    /// full-scan-only invariants.
+    pub fn matview_spec(&self) -> Option<MatViewSpec> {
+        Some(MatViewSpec {
             name: self.view_name(),
-            full_sql: self.sql.to_string(),
-            delta_sql: delta.delta_sql.to_string(),
-            partition_col: delta.partition_col,
-            sources: delta
-                .sources
-                .iter()
-                .map(|s| libseal_sealdb::SourceRule {
-                    table: s.table.to_string(),
-                    partition_col: s.partition_col.map(str::to_string),
-                    rescan: s.rescan.map(|r| libseal_sealdb::RescanRule {
-                        sql: r.sql.to_string(),
-                        bind_cols: r.bind_cols.iter().map(|c| c.to_string()).collect(),
-                    }),
-                })
-                .collect(),
+            full_sql: self.sql,
+            delta: self.delta?,
         })
     }
 }

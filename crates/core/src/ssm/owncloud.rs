@@ -16,9 +16,9 @@
 //! - `POST /owncloud/leave` `{doc, client, snapshot}` → `{ok}`.
 
 use libseal_httpx::json::Json;
-use libseal_sealdb::Value;
+use libseal_sealdb::{DeltaSpec, RescanRule, SourceRule, Value};
 
-use super::{json_post_pair, DeltaSpec, Invariant, RescanRule, ServiceModule, SourceRule};
+use super::{json_post_pair, Invariant, ServiceModule};
 use crate::log::{AuditLog, TableSpec};
 use crate::Result;
 

@@ -38,7 +38,6 @@ pub mod x25519;
 
 pub use aead::ChaCha20Poly1305;
 pub use ed25519::{SigningKey, VerifyingKey};
-pub use rng::SystemRng;
 pub use sha2::{Sha256, Sha512};
 
 /// Inputs of at least this many bytes run the 512-bit record crypto

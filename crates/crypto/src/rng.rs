@@ -3,8 +3,7 @@
 //! Inside the simulated enclave there is no OS entropy source (system
 //! calls would be ocalls), mirroring the real LibSEAL design point of
 //! using the SGX SDK's in-enclave generator instead of `/dev/urandom`
-//! (§4.2 optimisation 2). [`SystemRng`] seeds itself once at
-//! construction from [`plat::entropy`] (the OS entropy shim) and then
+//! (§4.2 optimisation 2). A [`ChaChaRng`] is seeded once and then
 //! runs forward on its own.
 
 use crate::chacha20::ChaCha20;
@@ -76,61 +75,21 @@ impl ChaChaRng {
     }
 }
 
-/// The workspace-wide randomness source: a [`ChaChaRng`] seeded from the
-/// operating system once at construction.
-pub struct SystemRng {
-    inner: ChaChaRng,
-}
-
-impl Default for SystemRng {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SystemRng {
-    /// Creates a generator seeded from OS entropy.
-    pub fn new() -> Self {
-        let seed = plat::entropy::seed32();
-        SystemRng {
-            inner: ChaChaRng::from_seed(seed),
-        }
-    }
-
-    /// Creates a deterministic generator for reproducible tests and
-    /// benchmarks.
-    pub fn deterministic(seed: u64) -> Self {
-        let mut s = [0u8; 32];
-        s[..8].copy_from_slice(&seed.to_le_bytes());
-        SystemRng {
-            inner: ChaChaRng::from_seed(s),
-        }
-    }
-
-    /// Fills `out` with random bytes.
-    pub fn fill(&mut self, out: &mut [u8]) {
-        self.inner.fill(out);
-    }
-
-    /// Returns a random `u64`.
-    pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
-    /// Returns a uniform value in `[0, bound)`.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        self.inner.next_below(bound)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A 32-byte seed whose first eight bytes are `n`.
+    fn seed(n: u64) -> [u8; 32] {
+        let mut s = [0u8; 32];
+        s[..8].copy_from_slice(&n.to_le_bytes());
+        s
+    }
+
     #[test]
     fn deterministic_is_reproducible() {
-        let mut a = SystemRng::deterministic(42);
-        let mut b = SystemRng::deterministic(42);
+        let mut a = ChaChaRng::from_seed(seed(42));
+        let mut b = ChaChaRng::from_seed(seed(42));
         assert_eq!(a.next_u64(), b.next_u64());
         let mut ba = [0u8; 100];
         let mut bb = [0u8; 100];
@@ -141,14 +100,14 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = SystemRng::deterministic(1);
-        let mut b = SystemRng::deterministic(2);
+        let mut a = ChaChaRng::from_seed(seed(1));
+        let mut b = ChaChaRng::from_seed(seed(2));
         assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]
     fn next_below_in_range() {
-        let mut rng = SystemRng::deterministic(7);
+        let mut rng = ChaChaRng::from_seed(seed(7));
         for bound in [1u64, 2, 3, 10, 1000] {
             for _ in 0..100 {
                 assert!(rng.next_below(bound) < bound);
@@ -168,7 +127,7 @@ mod tests {
 
     #[test]
     fn fill_counts_bytes_exactly() {
-        let mut rng = SystemRng::deterministic(3);
+        let mut rng = ChaChaRng::from_seed(seed(3));
         let mut a = [0u8; 7];
         let mut b = [0u8; 7];
         rng.fill(&mut a);

@@ -289,7 +289,7 @@ impl Database {
         let env = crate::exec::env_for(&scope, &[]);
         let eval = |e| crate::exec::eval(&ctx, e, &env, None).map(Cow::into_owned);
         let values = values.iter().map(eval).collect::<Result<Vec<_>>>()?;
-        let sources = self.matviews.iter().flat_map(|v| &v.spec.sources);
+        let sources = self.matviews.iter().flat_map(|v| v.spec.delta.sources);
         let tracked = sources.into_iter().any(|s| s.table == table);
         let t = self
             .catalog
@@ -428,7 +428,7 @@ impl Database {
     /// recomputes from scratch).
     fn note_table_mutation(&mut self, table: &str) {
         for v in &mut self.matviews {
-            if v.spec.sources.iter().any(|s| s.table == table) {
+            if v.spec.delta.sources.iter().any(|s| s.table == table) {
                 v.full_dirty = true;
                 v.dirty.clear();
             }
@@ -455,14 +455,14 @@ impl Database {
             Ok(row[i].clone())
         };
         for v in views.iter_mut() {
-            for rule in v.spec.sources.iter().filter(|s| s.table == table) {
-                if let Some(pcol) = &rule.partition_col {
+            for rule in v.spec.delta.sources.iter().filter(|s| s.table == table) {
+                if let Some(pcol) = rule.partition_col {
                     if !v.full_dirty {
                         v.dirty.insert(PartitionKey(column(pcol)?));
                     }
                 }
-                if let Some(rescan) = &rule.rescan {
-                    let (Stmt::Select(sel), _) = parser::parse_one(&rescan.sql)? else {
+                if let Some(rescan) = rule.rescan {
+                    let (Stmt::Select(sel), _) = parser::parse_one(rescan.sql)? else {
                         return Err(DbError::exec("matview rescan requires a SELECT"));
                     };
                     let binds = rescan.bind_cols.iter().map(|c| column(c));
@@ -499,12 +499,12 @@ impl Database {
         plat::failpoint::check("sealdb::view::journal").map_err(DbError::io)?;
         // Full evaluation: yields the output column shape and the
         // initial contents in one pass.
-        let seed = self.query(&spec.full_sql, &[])?;
-        if spec.partition_col >= seed.columns.len() {
+        let seed = self.query(spec.full_sql, &[])?;
+        if spec.delta.partition_col >= seed.columns.len() {
             return Err(DbError::schema(format!(
                 "matview {}: partition column {} out of range ({} output columns)",
                 spec.name,
-                spec.partition_col,
+                spec.delta.partition_col,
                 seed.columns.len()
             )));
         }
@@ -521,7 +521,7 @@ impl Database {
         self.execute_with(&create, &[])?;
         let index = format!(
             "CREATE INDEX IF NOT EXISTS mvix_{}_part ON {}({})",
-            spec.name, spec.name, cols[spec.partition_col]
+            spec.name, spec.name, cols[spec.delta.partition_col]
         );
         self.execute_with(&index, &[])?;
         // Seed directly: derived rows bypass the journal.
@@ -564,7 +564,7 @@ impl Database {
                 continue;
             }
             if v.full_dirty {
-                let fresh = self.query(&v.spec.full_sql, &[])?;
+                let fresh = self.query(v.spec.full_sql, &[])?;
                 let t = self.catalog.table_mut(&v.spec.name).ok_or_else(|| {
                     DbError::schema(format!("matview {} backing table lost", v.spec.name))
                 })?;
@@ -576,7 +576,7 @@ impl Database {
                 continue;
             }
             let parts = std::mem::take(&mut v.dirty);
-            let (Stmt::Select(sel), _) = parser::parse_one(&v.spec.delta_sql)? else {
+            let (Stmt::Select(sel), _) = parser::parse_one(v.spec.delta.delta_sql)? else {
                 return Err(DbError::exec("matview delta requires a SELECT"));
             };
             let width = self
@@ -600,7 +600,7 @@ impl Database {
                     fresh.push(row);
                 }
             }
-            let pcol = v.spec.partition_col;
+            let pcol = v.spec.delta.partition_col;
             let t = self.catalog.table_mut(&v.spec.name).ok_or_else(|| {
                 DbError::schema(format!("matview {} backing table lost", v.spec.name))
             })?;

@@ -56,7 +56,7 @@ pub use db::{Database, QueryResult};
 pub use journal::{JournalCodec, PlainCodec};
 pub use token::quote_ident;
 pub use value::Value;
-pub use view::{MatViewSpec, RescanRule, SourceRule};
+pub use view::{DeltaSpec, MatViewSpec, RescanRule, SourceRule};
 
 /// Errors produced by the database engine.
 #[derive(Debug)]

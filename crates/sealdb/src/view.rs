@@ -36,32 +36,42 @@ use std::collections::BTreeSet;
 
 use crate::value::Value;
 
-/// A registered materialized view definition.
+/// A registered materialized view definition. Its SQL and rules are
+/// static tables (the SSMs' invariants), borrowed, never copied.
 #[derive(Clone, Debug)]
 pub struct MatViewSpec {
     /// Backing table name (conventionally `mv_<invariant>`).
     pub name: String,
     /// Full SELECT producing every view row (used for full rebuilds
     /// and to derive the backing table's columns).
-    pub full_sql: String,
+    pub full_sql: &'static str,
+    /// How the view is maintained partition by partition.
+    pub delta: DeltaSpec,
+}
+
+/// Incremental maintenance of a view: how its rows decompose into
+/// partitions that can be re-evaluated independently.
+#[derive(Clone, Copy, Debug)]
+pub struct DeltaSpec {
     /// SELECT producing the view rows of one partition; `?1` is bound
-    /// to the partition value.
-    pub delta_sql: String,
+    /// to the partition value. Projects the same columns as the full
+    /// SELECT.
+    pub delta_sql: &'static str,
     /// Index of the output column holding the partition value.
     pub partition_col: usize,
     /// Dirty-tracking rules, one per source table feeding the view.
-    pub sources: Vec<SourceRule>,
+    pub sources: &'static [SourceRule],
 }
 
 /// How writes to one source table dirty the view.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct SourceRule {
     /// Source (base) table name.
-    pub table: String,
+    pub table: &'static str,
     /// Column of the *source* row whose value names the partition to
     /// dirty on INSERT. `None` means inserts into this table cannot
     /// add view rows (but a [`RescanRule`] may still clear some).
-    pub partition_col: Option<String>,
+    pub partition_col: Option<&'static str>,
     /// Optional lookup re-dirtying partitions whose existing view
     /// rows may be invalidated by the inserted row.
     pub rescan: Option<RescanRule>,
@@ -71,12 +81,12 @@ pub struct SourceRule {
 /// executed with the inserted row's `bind_cols` values bound to
 /// `?1..?n`, and the first column of every returned row names a
 /// partition to re-dirty.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct RescanRule {
     /// Partition lookup query.
-    pub sql: String,
+    pub sql: &'static str,
     /// Source-row columns bound, in order, to the query parameters.
-    pub bind_cols: Vec<String>,
+    pub bind_cols: &'static [&'static str],
 }
 
 /// Total-order wrapper over [`Value`] so partitions can live in a

@@ -2,7 +2,7 @@
 //! must always agree with a from-scratch evaluation of the view query.
 
 use libseal_sealdb::journal::PlainCodec;
-use libseal_sealdb::{Database, MatViewSpec, RescanRule, SourceRule, Value};
+use libseal_sealdb::{Database, DeltaSpec, MatViewSpec, RescanRule, SourceRule, Value};
 use plat::tmp::TempPath;
 
 /// A miniature soundness invariant: a `sent` row with no matching
@@ -14,27 +14,31 @@ const DELTA: &str = "SELECT s.time, s.doc FROM sent s \
   WHERE s.time = ?1 \
   AND NOT EXISTS (SELECT 1 FROM recv r WHERE r.doc = s.doc AND r.content = s.content)";
 
+const SOURCES: &[SourceRule] = &[
+    SourceRule {
+        table: "sent",
+        partition_col: Some("time"),
+        rescan: None,
+    },
+    SourceRule {
+        table: "recv",
+        partition_col: None,
+        rescan: Some(RescanRule {
+            sql: "SELECT s.time FROM sent s WHERE s.doc = ?1 AND s.content = ?2",
+            bind_cols: &["doc", "content"],
+        }),
+    },
+];
+
 fn spec() -> MatViewSpec {
     MatViewSpec {
         name: "mv_unsound".into(),
-        full_sql: FULL.into(),
-        delta_sql: DELTA.into(),
-        partition_col: 0,
-        sources: vec![
-            SourceRule {
-                table: "sent".into(),
-                partition_col: Some("time".into()),
-                rescan: None,
-            },
-            SourceRule {
-                table: "recv".into(),
-                partition_col: None,
-                rescan: Some(RescanRule {
-                    sql: "SELECT s.time FROM sent s WHERE s.doc = ?1 AND s.content = ?2".into(),
-                    bind_cols: vec!["doc".into(), "content".into()],
-                }),
-            },
-        ],
+        full_sql: FULL,
+        delta: DeltaSpec {
+            delta_sql: DELTA,
+            partition_col: 0,
+            sources: SOURCES,
+        },
     }
 }
 

@@ -162,7 +162,7 @@ pub struct LoadStats {
     /// Connection ids established during the run, one per TLS
     /// connection: `client_index << 32 | per-client connection
     /// sequence`. Shard-routing tests hash these the way a server
-    /// derives session affinity to assert the consistent-hash
+    /// derives session affinity to assert the routing
     /// distribution.
     pub conn_ids: Vec<u64>,
 }

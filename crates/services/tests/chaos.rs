@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use libseal::{GitModule, LibSeal, LibSealConfig};
-use libseal_crypto::SystemRng;
 use libseal_httpx::http::{parse_response, Request};
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::cert::CertificateAuthority;
@@ -41,7 +40,7 @@ fn chaotic_attempt(
     let _ = sock.set_read_timeout(Some(Duration::from_millis(500)));
     let chaotic = ChaosStream::new(sock, cfg);
     let mut entropy = [0u8; 64];
-    SystemRng::new().fill(&mut entropy);
+    plat::entropy::fill(&mut entropy);
     let Ok(mut tls) = SslStream::handshake(SslConfig::client(roots.to_vec()), entropy, chaotic)
     else {
         return;

@@ -12,7 +12,6 @@ use std::time::{Duration, Instant};
 
 use libseal::{DropboxModule, GitModule, LibSeal, LibSealConfig, LogBacking, OwnCloudModule};
 use libseal_crypto::ed25519::VerifyingKey;
-use libseal_crypto::SystemRng;
 use libseal_httpx::http::{Limits, Request, Response};
 use libseal_sgxsim::cost::CostModel;
 use libseal_tlsx::cert::CertificateAuthority;
@@ -68,7 +67,7 @@ fn tls_connect(addr: std::net::SocketAddr, roots: Vec<VerifyingKey>) -> SslStrea
     sock.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     let mut entropy = [0u8; 64];
-    SystemRng::new().fill(&mut entropy);
+    plat::entropy::fill(&mut entropy);
     SslStream::handshake(SslConfig::client(roots), entropy, sock).unwrap()
 }
 

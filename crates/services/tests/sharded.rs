@@ -62,6 +62,18 @@ fn builder_rejects_shards_without_an_ssm() {
 }
 
 #[test]
+fn builder_rejects_more_shards_than_a_sid_encodes() {
+    // A plane session id has 10 shard bits: shard 1,024 would mint
+    // sids that resolve to shard 0. Refused before any enclave is
+    // built, so this provisions nothing.
+    let err = plane_builder(&ca(), 1025).build_plane().err();
+    assert!(
+        matches!(err, Some(LibSealError::Config(_))),
+        "shards(1025) must be a typed config error, got {err:?}"
+    );
+}
+
+#[test]
 fn shards_one_builds_a_single_enclave_plane() {
     let ca = ca();
     let plane = plane_builder(&ca, 1).build_plane().unwrap();
@@ -74,10 +86,9 @@ fn shards_one_builds_a_single_enclave_plane() {
 
 #[test]
 fn route_affinity_spreads_sequential_ids() {
-    let shards: Vec<u32> = (0..4).collect();
     let mut counts = [0u64; 4];
     for affinity in 0..4000u64 {
-        let s = route_affinity(affinity, &shards).expect("routable");
+        let s = route_affinity(affinity, 4);
         counts[s as usize] += 1;
     }
     let max = *counts.iter().max().unwrap();
@@ -93,14 +104,13 @@ fn route_affinity_spreads_sequential_ids() {
 fn load_generator_conn_ids_spread_across_four_shards() {
     // The generator's documented id scheme: client << 32 | sequence.
     // Route the ids a 4-client run would produce the way a server
-    // derives shard affinity, and require the consistent hash to keep
-    // the fleet within a 2x load ratio.
-    let shards: Vec<u32> = (0..4).collect();
+    // derives shard affinity, and require the routing to keep the
+    // fleet within a 2x load ratio.
     let mut counts = [0u64; 4];
     for client in 0..4u64 {
         for seq in 0..100u64 {
             let id = (client << 32) | seq;
-            let s = route_affinity(id, &shards).expect("routable");
+            let s = route_affinity(id, 4);
             counts[s as usize] += 1;
         }
     }
