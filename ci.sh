@@ -13,6 +13,26 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Every crate of the workspace, its examples and tests are fmt-clean.
 cargo fmt --all -- --check
 
+# Every paired-run record (`BENCH_*.json`, written by scripts/pairs.sh)
+# has one shape: each set names its workload, pair count, run length,
+# seeds, both revisions, runs, summary, tracing and label, and the git
+# trees of crates/ and benchmark/ each side ran; each run its side,
+# seed, order, metrics, attempted and failed operations and verdict.
+# The one exception: BENCH_PR26.json's eight "earlier code" sets, whose
+# labels say no tree hashes were recorded, carry no `trees`.
+for f in BENCH_*.json; do
+    jq -e --arg file "$f" '
+        def fields($ks): . as $o | all($ks[]; . as $k | $o | has($k));
+        .sets | length > 0 and all(.[];
+            fields(["workload", "n", "seconds", "first_seed", "parent", "change", "runs",
+                    "summary", "trace", "label"])
+            and (has("trees") or ($file == "BENCH_PR26.json"
+                and (.label | test("earlier code.*no tree hashes recorded"))))
+            and (.runs | length > 0 and all(.[];
+                fields(["side", "seed", "order", "metrics", "attempted", "failed", "correct"]))))
+    ' "$f" >/dev/null || { echo "$f: a set or run lacks a field scripts/pairs.sh writes" >&2; exit 1; }
+done
+
 # The thread-backed `Coroutine` behind this feature is the only
 # implementation on aarch64 (which `plat` supports); nothing above
 # compiles it on x86-64.
@@ -40,8 +60,8 @@ cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D
 # owning HTTP parser in crates/core beyond the check-result rebuild, a
 # drain-collect in enclave.rs), a paper printer builds its own fleet,
 # the sharded plane changes its membership at runtime again (shard
-# join/retire, a hash ring, a routability flag), or `SystemRng` is
-# back. Builds the bench binaries in release mode, which the gates
+# join/retire, a hash ring, a routability flag), `SystemRng` is
+# back, or a chain entry carries a key copy beside its payload again. Builds the bench binaries in release mode, which the gates
 # below need anyway.
 scripts/loc_budget.sh
 

@@ -85,6 +85,7 @@ fn main() {
     );
     println!(
         "\nnotes: measured sizes include this implementation's per-entry chain row \
-         (payload copy + 32-byte hash), roughly doubling the paper's data-only figures"
+         (sequence number, payload copy of the row, 32-byte hash), roughly doubling the \
+         paper's data-only figures"
     );
 }

@@ -6,9 +6,10 @@
 //!
 //! 1. **Hash chain**: every appended tuple extends a SHA-256 chain
 //!    (like PeerReview). The chain rows live in a side table
-//!    `_libseal_chain(seq, tbl, key, payload, hash)` so that trimming
-//!    can recompute hashes without touching every data row (§5.1,
-//!    "Log trimming").
+//!    `_libseal_chain(seq, payload, hash)` so that trimming can
+//!    recompute hashes without touching every data row (§5.1, "Log
+//!    trimming"). An entry names its data row by content: the payload
+//!    is the table name and the row's values, rendered injectively.
 //! 2. **Signature**: the chain head, entry count and rollback-counter
 //!    value are Ed25519-signed by the enclave; only LibSEAL can
 //!    produce valid heads.
@@ -44,7 +45,7 @@ use libseal_crypto::ed25519::SigningKey;
 use libseal_crypto::sha2::Sha256;
 use libseal_sealdb::db::Prepared;
 use libseal_sealdb::journal::JournalCodec;
-use libseal_sealdb::value::{Affinity, GroupClass};
+use libseal_sealdb::value::GroupClass;
 use libseal_sealdb::{quote_ident, Database, Value};
 
 use crate::{LibSealError, Result};
@@ -282,8 +283,8 @@ impl JournalCodec for SharedCodec {
     }
 }
 
-/// Schema of one audited table: its name and the column(s) forming the
-/// primary key used to associate chain rows with data rows.
+/// Schema of one audited table: its name and the column(s) forming its
+/// key, which [`AuditLog::open`] indexes for the invariant queries.
 #[derive(Clone, Debug)]
 pub struct TableSpec {
     /// Table name.
@@ -325,9 +326,9 @@ pub enum CommitMode {
 /// The statements every append and seal runs, parsed once at
 /// [`AuditLog::open`].
 struct Stmts {
-    /// Per audited table (in `tables` order): its row `INSERT`, its
-    /// column count and its key columns' positions.
-    rows: Vec<(Prepared, usize, Vec<usize>)>,
+    /// Per audited table (in `tables` order): its row `INSERT` and its
+    /// column count.
+    rows: Vec<(Prepared, usize)>,
     chain_insert: Prepared,
     meta_insert: Prepared,
     meta_update: Prepared,
@@ -340,18 +341,13 @@ impl Stmts {
         for spec in tables {
             let t = (db.catalog().table(spec.name))
                 .ok_or_else(|| LibSealError::Log(format!("no such table: {}", spec.name)))?;
-            let key = |c: &&str| {
-                let missing = || LibSealError::Log(format!("{} has no key column {c}", spec.name));
-                t.column_index(c).ok_or_else(missing)
-            };
-            let keys = spec.key_cols.iter().map(key).collect::<Result<_>>()?;
             let marks = vec!["?"; t.columns.len()].join(", ");
             let insert = format!("INSERT INTO {} VALUES ({marks})", quote_ident(spec.name));
-            rows.push((prepare(&insert)?, t.columns.len(), keys));
+            rows.push((prepare(&insert)?, t.columns.len()));
         }
         Ok(Stmts {
             rows,
-            chain_insert: prepare("INSERT INTO _libseal_chain VALUES (?, ?, ?, ?, ?)")?,
+            chain_insert: prepare("INSERT INTO _libseal_chain VALUES (?, ?, ?)")?,
             meta_insert: prepare("INSERT INTO _libseal_meta VALUES (?, ?)")?,
             meta_update: prepare("UPDATE _libseal_meta SET v = ? WHERE k = ?")?,
         })
@@ -399,8 +395,8 @@ pub struct AuditLog {
     holds_gate: bool,
 }
 
-const CHAIN_SCHEMA: &str = "CREATE TABLE IF NOT EXISTS _libseal_chain(
-    seq INTEGER, tbl TEXT, pk TEXT, payload TEXT, hash BLOB)";
+const CHAIN_SCHEMA: &str =
+    "CREATE TABLE IF NOT EXISTS _libseal_chain(seq INTEGER, payload TEXT, hash BLOB)";
 const META_SCHEMA: &str = "CREATE TABLE IF NOT EXISTS _libseal_meta(k TEXT, v TEXT)";
 
 impl AuditLog {
@@ -447,9 +443,8 @@ impl AuditLog {
         }
         // Index every audited table on its key columns: invariant
         // queries correlate on them (`u.repo = a.repo`, `s.doc =
-        // d.doc`, ...) and chain verification looks rows up by them,
-        // so these indexes are what keeps per-pair checking and
-        // verify()/trim() near-linear in the log size.
+        // d.doc`, ...), so these indexes are what keeps per-pair
+        // checking near-linear in the log size.
         for spec in &tables {
             for col in spec.key_cols {
                 db.execute(&format!(
@@ -669,7 +664,7 @@ impl AuditLog {
         let spec = (self.tables.iter())
             .position(|t| t.name.eq_ignore_ascii_case(table))
             .ok_or_else(|| LibSealError::Log(format!("not an audited table: {table}")))?;
-        let (insert, columns, keys) = &self.stmts.rows[spec];
+        let (insert, columns) = &self.stmts.rows[spec];
         if values.len() != *columns {
             return Err(LibSealError::Log(format!(
                 "{} values for the {columns} columns of {table}",
@@ -682,7 +677,6 @@ impl AuditLog {
         (self.db.execute_prepared(insert, values)).map_err(LibSealError::Db)?;
 
         let payload = render_payload(table, values);
-        let key = render_key(keys, values);
         let mut h = Sha256::new();
         h.update(&self.head);
         h.update(payload.as_bytes());
@@ -692,8 +686,6 @@ impl AuditLog {
         self.seq += 1;
         let row = [
             Value::Integer(self.seq as i64),
-            Value::Text(table.to_string()),
-            Value::Text(key),
             Value::Text(payload),
             Value::Blob(new_hash.to_vec()),
         ];
@@ -936,9 +928,7 @@ impl AuditLog {
         let mut head = [0u8; 32];
         let mut last_seq = 0i64;
         for row in self.chain_rows()? {
-            let (Value::Integer(seq), Value::Text(payload), Value::Blob(hash)) =
-                (&row[0], &row[3], &row[4])
-            else {
+            let [Value::Integer(seq), Value::Text(payload), Value::Blob(hash)] = row else {
                 return Err(LibSealError::Tampered("chain row malformed".into()));
             };
             if *seq <= last_seq {
@@ -957,16 +947,16 @@ impl AuditLog {
                 )));
             }
             head.copy_from_slice(&expect);
-            // Data row must still exist and match the payload.
-            let (Value::Text(tbl), Value::Text(key)) = (&row[1], &row[2]) else {
-                return Err(LibSealError::Tampered("chain row malformed".into()));
-            };
-            data.find(tbl, key, payload)?;
+            if !data.contains(payload) {
+                return Err(LibSealError::Tampered(format!(
+                    "data row missing or modified at seq {seq}"
+                )));
+            }
         }
         Ok((head, last_seq as u64))
     }
 
-    /// The rows of `_libseal_chain` (seq, tbl, pk, payload, hash), in
+    /// The rows of `_libseal_chain` (seq, payload, hash), in
     /// `seq` order, borrowed.
     fn chain_rows(&self) -> Result<Vec<&[Value]>> {
         let chain = (self.db.catalog().table("_libseal_chain"))
@@ -1003,17 +993,18 @@ impl AuditLog {
         Ok(kept)
     }
 
-    /// The chain rows, in `seq` order, whose data row still exists.
-    fn surviving_entries(&self) -> Result<Vec<&[Value]>> {
+    /// The payloads, in `seq` order, of the chain entries whose data
+    /// row still exists.
+    fn surviving_entries(&self) -> Result<Vec<&str>> {
         let data = DataRows::new(&self.tables, self.db.catalog());
-        let mut survivors = self.chain_rows()?;
-        survivors.retain(|row| match (&row[1], &row[2], &row[3]) {
-            (Value::Text(tbl), Value::Text(key), Value::Text(payload)) => {
-                data.find(tbl, key, payload).is_ok()
-            }
-            _ => false,
-        });
-        Ok(survivors)
+        let survivors = self
+            .chain_rows()?
+            .into_iter()
+            .filter_map(|row| match &row[1] {
+                Value::Text(payload) if data.contains(payload) => Some(payload.as_str()),
+                _ => None,
+            });
+        Ok(survivors.collect())
     }
 
     /// Rebuilds `_libseal_chain`, with fresh sequence numbers and
@@ -1021,19 +1012,15 @@ impl AuditLog {
     fn rebuild_chain(&mut self) -> Result<()> {
         plat::failpoint::check("core::log::trim::rebuild")
             .map_err(|e| LibSealError::Log(e.to_string()))?;
-        let text = |v: &Value| match v {
-            Value::Text(t) => t.clone(),
-            _ => String::new(), // `surviving_entries` keeps text only
-        };
-        let survivors: Vec<[String; 3]> = (self.surviving_entries()?.into_iter())
-            .map(|row| [text(&row[1]), text(&row[2]), text(&row[3])])
+        let survivors: Vec<String> = (self.surviving_entries()?.into_iter())
+            .map(String::from)
             .collect();
         self.db
             .execute("DELETE FROM _libseal_chain")
             .map_err(LibSealError::Db)?;
         self.head = [0u8; 32];
         self.seq = 0;
-        for [tbl, key, payload] in survivors {
+        for payload in survivors {
             let mut h = Sha256::new();
             h.update(&self.head);
             h.update(payload.as_bytes());
@@ -1041,8 +1028,6 @@ impl AuditLog {
             self.seq += 1;
             let row = [
                 Value::Integer(self.seq as i64),
-                Value::Text(tbl),
-                Value::Text(key),
                 Value::Text(payload),
                 Value::Blob(new_hash.to_vec()),
             ];
@@ -1177,23 +1162,26 @@ fn render_payload(table: &str, values: &[Value]) -> String {
 }
 
 /// A payload past its table name: each value's group key after a unit
-/// separator.
+/// separator, a text's with its length in bytes (`t3:abc`), for a text
+/// is the one group key that can hold a separator. Two rows render
+/// alike only if every value groups alike, so the payload alone names
+/// a row.
 fn render_values(out: &mut String, values: &[Value]) {
+    use std::fmt::Write as _;
     for v in values {
         out.push('\u{1f}');
-        v.write_group_key(out);
+        match v.group_class() {
+            GroupClass::Text(t) => _ = write!(out, "t{}:{t}", t.len()),
+            _ => v.write_group_key(out),
+        }
     }
 }
 
-/// The audited tables' rows, found by what a chain entry says of its
-/// data row. One pass over each table hashes every row's rendered
-/// payload; an entry is then one lookup, taken if a row with that
-/// payload also holds the entry's key ([`key_matches`]).
+/// The audited tables' rows, found by a chain entry's payload. One pass
+/// over each table hashes every row's rendered payload; an entry is then
+/// one lookup in its table.
 struct DataRows<'a> {
     specs: &'a [TableSpec],
-    /// Per spec: its key columns' positions and affinities, or why no
-    /// chain entry can name its rows.
-    keys: Vec<std::result::Result<Vec<(usize, Affinity)>, String>>,
     /// (hash of spec index and payload, spec index, row), by hash.
     rows: Vec<(u64, usize, &'a [Value])>,
     /// A row's payload, rendered to compare with an entry's.
@@ -1202,21 +1190,10 @@ struct DataRows<'a> {
 
 impl<'a> DataRows<'a> {
     fn new(specs: &'a [TableSpec], catalog: &'a libseal_sealdb::catalog::Catalog) -> Self {
-        let mut keys = Vec::with_capacity(specs.len());
         let mut rows = Vec::new();
         let mut payload = String::new();
         for (si, spec) in specs.iter().enumerate() {
-            let Some(t) = catalog.table(spec.name) else {
-                keys.push(Err(format!("chain names unknown table {}", spec.name)));
-                continue;
-            };
-            let key = |c: &&str| {
-                let i = t.column_index(c);
-                i.map(|i| (i, t.columns[i].affinity))
-                    .ok_or_else(|| format!("{} lost key column {c}", spec.name))
-            };
-            keys.push(spec.key_cols.iter().map(key).collect());
-            for row in &t.rows {
+            for row in catalog.table(spec.name).iter().flat_map(|t| &t.rows) {
                 payload.clear();
                 render_values(&mut payload, row);
                 rows.push((payload_hash(si, &payload), si, row.as_slice()));
@@ -1225,41 +1202,27 @@ impl<'a> DataRows<'a> {
         rows.sort_unstable_by_key(|r| r.0);
         DataRows {
             specs,
-            keys,
             rows,
             scratch: Default::default(),
         }
     }
 
-    /// Checks that the data row the chain entry (`tbl`, `key`,
-    /// `payload`) names exists and matches.
-    fn find(&self, tbl: &str, key: &str, payload: &str) -> Result<()> {
-        let si = (self.specs.iter())
-            .position(|t| t.name.eq_ignore_ascii_case(tbl))
-            .ok_or_else(|| LibSealError::Tampered(format!("chain names unknown table {tbl}")))?;
-        if key.split('\u{1f}').count() != self.specs[si].key_cols.len() {
-            return Err(LibSealError::Tampered("chain key malformed".into()));
-        }
-        let cols = self.keys[si]
-            .as_ref()
-            .map_err(|m| LibSealError::Tampered(m.clone()))?;
-        let missing = || {
-            LibSealError::Tampered(format!(
-                "data row missing or modified for {tbl} key {key:?}"
-            ))
+    /// Whether the data row a chain entry's `payload` names exists in the
+    /// table the payload starts with.
+    fn contains(&self, payload: &str) -> bool {
+        let (tbl, rest) = payload.split_at(payload.find('\u{1f}').unwrap_or(payload.len()));
+        let Some(si) = (self.specs.iter()).position(|t| t.name.eq_ignore_ascii_case(tbl)) else {
+            return false;
         };
-        let rest = payload.strip_prefix(tbl).ok_or_else(missing)?;
         let h = payload_hash(si, rest);
         let from = self.rows.partition_point(|r| r.0 < h);
         let rendered = &mut *self.scratch.borrow_mut();
-        for &(_, rsi, row) in self.rows[from..].iter().take_while(|r| r.0 == h) {
+        let mut candidates = self.rows[from..].iter().take_while(|r| r.0 == h);
+        candidates.any(|&(_, rsi, row)| {
             rendered.clear();
             render_values(rendered, row);
-            if rsi == si && rendered == rest && key_matches(row, cols, key) {
-                return Ok(());
-            }
-        }
-        Err(missing())
+            rsi == si && rendered == rest
+        })
     }
 }
 
@@ -1268,41 +1231,6 @@ fn payload_hash(spec: usize, payload: &str) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     (spec, payload).hash(&mut h);
     h.finish()
-}
-
-/// Whether `row`'s key columns (`cols`: position and affinity) hold the
-/// `\u{1f}`-separated `key`: the text coerced by the column's affinity
-/// and compared by group class, or for a BLOB-affinity column compared
-/// as text. NULL matches nothing.
-fn key_matches(row: &[Value], cols: &[(usize, Affinity)], key: &str) -> bool {
-    cols.iter()
-        .zip(key.split('\u{1f}'))
-        .all(|(&(i, affinity), raw)| {
-            let Some(v) = row.get(i).filter(|v| !v.is_null()) else {
-                return false;
-            };
-            match affinity {
-                Affinity::Blob => v.to_string() == raw,
-                _ => match affinity.coerce_text(raw) {
-                    Some(n) => v.group_class() == n.group_class(),
-                    None => v.group_class() == GroupClass::Text(raw),
-                },
-            }
-        })
-}
-
-/// The chain key of a row: its key columns (at `keys`) rendered and
-/// joined by unit separators.
-fn render_key(keys: &[usize], values: &[Value]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for (n, &i) in keys.iter().enumerate() {
-        if n > 0 {
-            out.push('\u{1f}');
-        }
-        let _ = write!(out, "{}", values[i]);
-    }
-    out
 }
 
 /// The value of the `_libseal_meta` row `k`, read from the table.

@@ -219,72 +219,59 @@ fn indexes_stay_consistent_across_append_trim_and_replay() {
     log.verify().unwrap();
 }
 
-// The chain check against a reference: the per-entry SQL probe the log
-// ran before it hashed its data rows in one pass, kept here on nothing
-// but `AuditLog::query` (plus the catalog's column affinities).
+// The chain check against a reference: each entry's data row found by
+// scanning its table through nothing but `AuditLog::query` and comparing
+// rows rendered here, sharing no code with the log's own lookup.
 
-use libseal::log::TableSpec;
 use libseal::{DropboxModule, OwnCloudModule};
 use libseal_crypto::sha2::Sha256;
-use libseal_sealdb::value::Affinity;
 
-/// A chain entry as stored: (seq, table, key, payload, hash).
-type ChainRow = (i64, String, String, String, Vec<u8>);
+/// A chain entry as stored: (seq, payload, hash).
+type ChainRow = (i64, String, Vec<u8>);
 
 fn chain(log: &AuditLog) -> Vec<ChainRow> {
-    let sql = "SELECT seq, tbl, pk, payload, hash FROM _libseal_chain ORDER BY seq";
+    let sql = "SELECT seq, payload, hash FROM _libseal_chain ORDER BY seq";
     let rows = log.query(sql, &[]).unwrap().rows;
     rows.into_iter()
         .map(|row| match &row[..] {
-            [Value::Integer(seq), Value::Text(tbl), Value::Text(key), Value::Text(payload), Value::Blob(hash)] => {
-                (*seq, tbl.clone(), key.clone(), payload.clone(), hash.clone())
+            [Value::Integer(seq), Value::Text(payload), Value::Blob(hash)] => {
+                (*seq, payload.clone(), hash.clone())
             }
             other => panic!("chain row {other:?}"),
         })
         .collect()
 }
 
+/// A row as a chain payload: the table, then each value's group key
+/// after a unit separator, a text's as `t<byte length>:<text>`.
 fn render_payload(table: &str, values: &[Value]) -> String {
     let mut out = table.to_string();
     for v in values {
         out.push('\u{1f}');
-        out.push_str(&v.group_key());
+        match v {
+            Value::Text(t) => out.push_str(&format!("t{}:{t}", t.len())),
+            v => out.push_str(&v.group_key()),
+        }
     }
     out
 }
 
-/// Whether the data row a chain entry names exists and matches, by one
-/// SQL probe: typed equality on the key columns (the key text coerced
-/// by the column's affinity), then the payload compared row by row.
-fn probe_finds_row(
-    log: &mut AuditLog,
-    specs: &[TableSpec],
-    tbl: &str,
-    key: &str,
-    payload: &str,
-) -> bool {
-    let Some(spec) = specs.iter().find(|t| t.name.eq_ignore_ascii_case(tbl)) else {
-        return false;
-    };
-    let raw: Vec<&str> = key.split('\u{1f}').collect();
-    if raw.len() != spec.key_cols.len() {
+/// Whether the data row a chain entry names exists and matches: the
+/// table the payload starts with, scanned whole, holds a row that
+/// renders to the payload.
+fn probe_finds_row(log: &AuditLog, ssm: &dyn ServiceModule, payload: &str) -> bool {
+    let tbl = payload.split('\u{1f}').next().unwrap_or_default();
+    if !ssm
+        .tables()
+        .iter()
+        .any(|t| t.name.eq_ignore_ascii_case(tbl))
+    {
         return false;
     }
-    let Some(t) = log.db_mut().catalog().table(tbl) else {
-        return false;
-    };
-    let affinities: Vec<Affinity> = (spec.key_cols.iter())
-        .map(|c| t.columns[t.column_index(c).unwrap()].affinity)
-        .collect();
-    let mut preds = Vec::new();
-    let mut params = Vec::new();
-    for ((c, raw), affinity) in spec.key_cols.iter().zip(&raw).zip(affinities) {
-        assert_ne!(affinity, Affinity::Blob, "no audited key column is untyped");
-        preds.push(format!("{c} = ?"));
-        params.push(affinity.apply(Value::Text(raw.to_string())));
-    }
-    let sql = format!("SELECT * FROM {tbl} WHERE {}", preds.join(" AND "));
-    let rows = log.query(&sql, &params).unwrap().rows;
+    let rows = log
+        .query(&format!("SELECT * FROM {tbl}"), &[])
+        .unwrap()
+        .rows;
     rows.iter().any(|row| render_payload(tbl, row) == payload)
 }
 
@@ -292,15 +279,15 @@ fn probe_finds_row(
 /// every entry's data row is found by its probe, and the signed head
 /// names the recomputed head and last sequence number (its signature is
 /// not checked: no case here touches it).
-fn reference_verify(log: &mut AuditLog, specs: &[TableSpec]) -> bool {
+fn reference_verify(log: &AuditLog, ssm: &dyn ServiceModule) -> bool {
     let mut head = [0u8; 32];
     let mut last = 0;
-    for (seq, tbl, key, payload, hash) in chain(log) {
+    for (seq, payload, hash) in chain(log) {
         let mut h = Sha256::new();
         h.update(&head);
         h.update(payload.as_bytes());
         head = h.finalize();
-        if seq <= last || hash != head || !probe_finds_row(log, specs, &tbl, &key, &payload) {
+        if seq <= last || hash != head || !probe_finds_row(log, ssm, &payload) {
             return false;
         }
         last = seq;
@@ -334,7 +321,11 @@ fn text(s: impl Into<String>) -> Value {
     Value::Text(s.into())
 }
 
-/// A log of `ssm` with 40 seeded appends.
+/// A log of `ssm` with 40 seeded appends. Every row has a text column
+/// after a text column that holds a unit separator followed by `t`, the
+/// shape a rendering without lengths lets a tamper shift, in a Git
+/// update and a Dropbox row between two columns that are not key
+/// columns.
 fn seeded_log(ssm: &dyn ServiceModule, seed: u64) -> AuditLog {
     let mut log = AuditLog::open(
         LogBacking::Memory,
@@ -355,11 +346,11 @@ fn seeded_log(ssm: &dyn ServiceModule, seed: u64) -> AuditLog {
                 match g.below(2) {
                     0 => (
                         "updates",
-                        vec![t, text(repo), text(branch), text(cid), text("update")],
+                        vec![t, text(repo), text(branch), text(cid), text("u\u{1f}tv")],
                     ),
                     _ => (
                         "advertisements",
-                        vec![t, text(repo), text(branch), text(cid)],
+                        vec![t, text(repo), text(branch), text(cid + "\u{1f}t")],
                     ),
                 }
             }
@@ -373,7 +364,7 @@ fn seeded_log(ssm: &dyn ServiceModule, seed: u64) -> AuditLog {
                 let row = vec![
                     t,
                     text(format!("d{}", g.below(2))),
-                    text(format!("c{}", g.below(2))),
+                    text(format!("c{}\u{1f}tc", g.below(2))),
                     text(kind[g.below(4) as usize]),
                     Value::Integer(g.below(3) as i64),
                     text(format!("v{}", g.below(3))),
@@ -385,7 +376,7 @@ fn seeded_log(ssm: &dyn ServiceModule, seed: u64) -> AuditLog {
                     t,
                     text(format!("f{}", g.below(3))),
                     text(format!("k{}", g.below(4))),
-                    text(format!("a{}", g.below(2))),
+                    text(format!("a{}\u{1f}ta", g.below(2))),
                     text("h"),
                     Value::Integer(g.below(100) as i64),
                 ];
@@ -399,26 +390,27 @@ fn seeded_log(ssm: &dyn ServiceModule, seed: u64) -> AuditLog {
 }
 
 /// The tampers, each applied to the chain entry `seq`.
-const TAMPERS: [&str; 7] = [
+const TAMPERS: [&str; 6] = [
     "honest",
     "data value changed",
     "data row deleted",
-    "chain key edited",
     "chain payload edited",
     "entry duplicated",
-    "integer key spelled 05",
+    "separator shifted between values",
 ];
 
 fn tamper(log: &mut AuditLog, which: &str, seq: usize) {
     let rows = chain(log);
-    let (_, tbl, key, payload, _) = rows[seq - 1].clone();
-    let time = key.split('\u{1f}').next().unwrap().to_string();
+    let (_, payload, _) = rows[seq - 1].clone();
+    let mut fields = payload.split('\u{1f}');
+    let tbl = fields.next().unwrap().to_string();
+    let time = fields
+        .next()
+        .unwrap()
+        .strip_prefix('i')
+        .unwrap()
+        .to_string();
     let db = log.db_mut();
-    let chain_set = |db: &mut libseal_sealdb::Database, col: &str, v: String| {
-        let sql = format!("UPDATE _libseal_chain SET {col} = ? WHERE seq = ?");
-        db.execute_with(&sql, &[text(v), Value::Integer(seq as i64)])
-            .unwrap();
-    };
     match which {
         "honest" => {}
         "data value changed" => {
@@ -430,25 +422,43 @@ fn tamper(log: &mut AuditLog, which: &str, seq: usize) {
             db.execute(&format!("DELETE FROM {tbl} WHERE time = {time}"))
                 .unwrap();
         }
-        "chain key edited" => chain_set(db, "pk", key.replacen(&time, "999", 1)),
-        "chain payload edited" => chain_set(db, "payload", format!("{payload}x")),
+        "chain payload edited" => {
+            let sql = "UPDATE _libseal_chain SET payload = ? WHERE seq = ?";
+            db.execute_with(
+                sql,
+                &[text(format!("{payload}x")), Value::Integer(seq as i64)],
+            )
+            .unwrap();
+        }
         "entry duplicated" => {
             let (last, .., head) = rows.last().unwrap().clone();
             let mut h = Sha256::new();
             h.update(&head);
             h.update(payload.as_bytes());
             let hash = Value::Blob(h.finalize().to_vec());
-            let values = [
-                Value::Integer(last + 1),
-                text(tbl),
-                text(key),
-                text(payload),
-                hash,
-            ];
-            db.execute_with("INSERT INTO _libseal_chain VALUES (?, ?, ?, ?, ?)", &values)
+            let values = [Value::Integer(last + 1), text(payload), hash];
+            db.execute_with("INSERT INTO _libseal_chain VALUES (?, ?, ?)", &values)
                 .unwrap();
         }
-        "integer key spelled 05" => chain_set(db, "pk", format!("0{key}")),
+        "separator shifted between values" => {
+            // (a, "p\u{1f}tq") becomes ("a\u{1f}tp", "q"): joined by unit
+            // separators without lengths, both read "ta\u{1f}tp\u{1f}tq".
+            let t = db.catalog().table(&tbl).unwrap();
+            let row = (t.rows.iter())
+                .find(|r| r[0] == Value::Integer(time.parse().unwrap()))
+                .unwrap();
+            let i = (1..row.len() - 1)
+                .find(|&i| matches!(&row[i + 1], Value::Text(b) if b.contains("\u{1f}t")))
+                .unwrap();
+            let (Value::Text(a), Value::Text(b)) = (&row[i], &row[i + 1]) else {
+                panic!("{tbl} columns {i} and {} are not both text", i + 1);
+            };
+            let (p, q) = b.split_once("\u{1f}t").unwrap();
+            let (shifted, rest) = (format!("{a}\u{1f}t{p}"), q.to_string());
+            let (ca, cb) = (t.columns[i].name.clone(), t.columns[i + 1].name.clone());
+            let sql = format!("UPDATE {tbl} SET {ca} = ?, {cb} = ? WHERE time = {time}");
+            db.execute_with(&sql, &[text(shifted), text(rest)]).unwrap();
+        }
         other => unreachable!("{other}"),
     }
 }
@@ -457,7 +467,6 @@ fn tamper(log: &mut AuditLog, which: &str, seq: usize) {
 fn chain_checks_agree_with_the_per_entry_sql_probe() {
     let modules: [&dyn ServiceModule; 3] = [&GitModule, &OwnCloudModule, &DropboxModule];
     for ssm in modules {
-        let specs = ssm.tables();
         for seed in 1..=4u64 {
             for (k, which) in TAMPERS.iter().enumerate() {
                 let case = format!("{} seed {seed}, {which}", ssm.name());
@@ -472,32 +481,83 @@ fn chain_checks_agree_with_the_per_entry_sql_probe() {
                 let verdict = log.verify();
                 assert_eq!(
                     verdict.is_ok(),
-                    reference_verify(&mut log, &specs),
+                    reference_verify(&log, ssm),
                     "{case}: verify() says {verdict:?}"
                 );
-                assert_eq!(
-                    verdict.is_ok(),
-                    *which == "honest" || which.ends_with("05"),
-                    "{case}"
-                );
+                assert_eq!(verdict.is_ok(), *which == "honest", "{case}");
 
                 log.trim(ssm.trim_queries()).unwrap();
                 log.commit().unwrap();
                 for q in ssm.trim_queries() {
                     twin.db_mut().execute(q).unwrap();
                 }
-                let expected: Vec<(String, String, String)> = (chain(&twin).into_iter())
-                    .filter(|(_, tbl, key, payload, _)| {
-                        probe_finds_row(&mut twin, &specs, tbl, key, payload)
-                    })
-                    .map(|(_, tbl, key, payload, _)| (tbl, key, payload))
+                let expected: Vec<String> = (chain(&twin).into_iter())
+                    .filter(|(_, payload, _)| probe_finds_row(&twin, ssm, payload))
+                    .map(|(_, payload, _)| payload)
                     .collect();
-                let survivors: Vec<(String, String, String)> = (chain(&log).into_iter())
-                    .map(|(_, tbl, key, payload, _)| (tbl, key, payload))
+                let survivors: Vec<String> = (chain(&log).into_iter())
+                    .map(|(_, payload, _)| payload)
                     .collect();
                 assert_eq!(survivors, expected, "{case}: trim survivors");
                 log.verify().unwrap();
             }
         }
     }
+}
+
+// A client's text may hold a unit separator, the character that joins a
+// payload's values: an honest entry carrying one must verify, reopen and
+// survive a trim that keeps its row.
+
+use libseal_httpx::http::{Request, Response};
+
+/// Logs one pair through `ssm` on a disk log, commits, and checks that
+/// the `n` entries it made verify, reopen and survive a trim.
+fn separator_is_not_tampering(ssm: &dyn ServiceModule, req: Request, rsp: Response, n: u64) {
+    let path = plat::tmp::TempPath::new("libseal-sep", "log");
+    let open = || {
+        AuditLog::open(
+            LogBacking::Disk(path.to_path_buf()),
+            [7u8; 32],
+            SigningKey::from_seed(&[1u8; 32]),
+            Box::new(NoGuard),
+            ssm.schema_sql(),
+            ssm.tables(),
+        )
+    };
+    let mut log = open().unwrap();
+    let logged = ssm.log_pair(&req.to_bytes(), &rsp.to_bytes(), &mut log);
+    assert_eq!(logged.unwrap() as u64, n);
+    log.commit().unwrap();
+    log.verify().unwrap();
+    drop(log);
+    let mut log = open().unwrap();
+    log.verify().unwrap();
+    log.trim(ssm.trim_queries()).unwrap();
+    log.commit().unwrap();
+    assert_eq!(log.entries(), n);
+    log.verify().unwrap();
+}
+
+#[test]
+fn a_pushed_ref_holding_a_unit_separator_is_not_tampering() {
+    let push = "aaa bbb refs/heads/a\u{1f}b\n".as_bytes().to_vec();
+    let req = Request::new("POST", "/repo/proj/git-receive-pack", push);
+    separator_is_not_tampering(&GitModule, req, Response::new(200, b"ok\n".to_vec()), 1);
+}
+
+#[test]
+fn an_owncloud_doc_holding_a_unit_separator_is_not_tampering() {
+    let join = br#"{"doc":"d\u001f1","client":"alice"}"#.to_vec();
+    let req = Request::new("POST", "/owncloud/join", join);
+    let rsp = Response::new(200, br#"{"snapshot":"Hello","seq":0}"#.to_vec());
+    separator_is_not_tampering(&OwnCloudModule, req, rsp, 2);
+}
+
+#[test]
+fn a_dropbox_file_holding_a_unit_separator_is_not_tampering() {
+    let commit = br#"{"account":"acct","host":"h1","commits":[{"file":"a\u001fb","blocks":["k"],"size":1}]}"#;
+    let req = Request::new("POST", "/dropbox/commit_batch", commit.to_vec());
+    let rsp = Response::new(200, br#"{"ok":true}"#.to_vec());
+    separator_is_not_tampering(&DropboxModule, req, rsp, 1);
 }

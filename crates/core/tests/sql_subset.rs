@@ -36,13 +36,12 @@ const SEAL_KEY: [u8; 32] = [7u8; 32];
 /// The audit log's (`log.rs`) and the checkpoint table's
 /// (`checkpoint.rs`) fixed statements, verbatim.
 const FIXED: &[&str] = &[
-    "CREATE TABLE IF NOT EXISTS _libseal_chain(
-    seq INTEGER, tbl TEXT, pk TEXT, payload TEXT, hash BLOB)",
+    "CREATE TABLE IF NOT EXISTS _libseal_chain(seq INTEGER, payload TEXT, hash BLOB)",
     "CREATE TABLE IF NOT EXISTS _libseal_meta(k TEXT, v TEXT)",
     "INSERT INTO _libseal_meta VALUES (?, ?)",
     "UPDATE _libseal_meta SET v = ? WHERE k = ?",
     "SELECT MAX(seq), COUNT(*) FROM _libseal_chain",
-    "INSERT INTO _libseal_chain VALUES (?, ?, ?, ?, ?)",
+    "INSERT INTO _libseal_chain VALUES (?, ?, ?)",
     "DELETE FROM _libseal_chain",
     "CREATE TABLE IF NOT EXISTS _libseal_epochs(
     epoch INTEGER, shard INTEGER, seq INTEGER, clock INTEGER, head TEXT, sig TEXT)",

@@ -418,21 +418,13 @@ impl Point {
         })
     }
 
-    /// `[a]A + [b]B` for the base point `B`, by Straus interleaving: one
-    /// chain of doublings shared by both scalars, `a` in width-5 NAF over
-    /// a table of `A`'s odd multiples, `b` in width-8 NAF over a static
-    /// table of `B`'s.
+    /// `[a]A + [b]B` for the base point `B` through `kernel`, by Straus
+    /// interleaving: one chain of doublings shared by both scalars, `a` in
+    /// width-5 NAF over a table of `A`'s odd multiples, `b` in width-8 NAF
+    /// over a static table of `B`'s.
     ///
     /// **Variable-time** in both scalars and in `A`: for public inputs
     /// only (signature verification).
-    #[must_use]
-    pub fn vartime_double_scalar_mul_base(a: &[u8; 32], point: &Point, b: &[u8; 32]) -> Point {
-        Point::vartime_double_scalar_mul_base_with(Kernel::detect(), a, point, b)
-    }
-
-    /// [`Self::vartime_double_scalar_mul_base`] through `kernel` instead
-    /// of the one [`Kernel::detect`] picks (the equivalence tests call
-    /// each).
     ///
     /// # Panics
     ///
@@ -704,13 +696,6 @@ impl SigningKey {
             prefix,
             public,
         }
-    }
-
-    /// Generates a key from the provided randomness source.
-    pub fn generate(rng: &mut dyn FnMut(&mut [u8])) -> SigningKey {
-        let mut seed = [0u8; 32];
-        rng(&mut seed);
-        SigningKey::from_seed(&seed)
     }
 
     /// The 32-byte seed this key was derived from.

@@ -146,14 +146,6 @@ impl Value {
         Some(self.total_cmp(other) == Ordering::Equal)
     }
 
-    /// SQL ordering comparison: `None` when either side is NULL.
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        if self.is_null() || other.is_null() {
-            return None;
-        }
-        Some(self.total_cmp(other))
-    }
-
     /// Total cross-type ordering used for ORDER BY, GROUP BY and
     /// DISTINCT: NULL < numeric < TEXT < BLOB; numerics compare by
     /// value.
