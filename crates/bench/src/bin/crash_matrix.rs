@@ -21,7 +21,8 @@
 //! runs while the sealer's counter round is in flight. Reclamation's
 //! sites run under a fourth workload that appends and trims until the
 //! journal's dead bytes pass their bound. Torn writes (a `write(2)`
-//! cut short) are exercised separately on the raw-write sites. Runtime
+//! cut short) are exercised separately on the raw-write sites, the
+//! zeros a commit grows the journal by among them. Runtime
 //! is bounded: one fixed workload per (site, fault) pair, tens of
 //! trials total.
 //!
@@ -506,19 +507,26 @@ fn main() {
         }
     }
     // Torn writes on the raw file-write sites: the write is cut short
-    // and must be cut back off the file or salvaged, never trusted.
-    // Every write tears, not just the first: the journal's, under the
-    // serial and pipeline workloads (whose trims put a snapshot frame in
-    // one), and reclamation's copy.
-    for (site, run) in [
-        ("sealdb::journal::write", workload as Workload),
-        ("sealdb::journal::write", pipeline_workload),
-        ("sealdb::reclaim::copy", reclaim_workload),
+    // and must be zeroed back or salvaged, never trusted. Every write
+    // tears, not just the first: the journal's, under the serial and
+    // pipeline workloads (whose trims put a snapshot frame in one),
+    // reclamation's copy, and the zeros a commit grows the journal by.
+    // A journal's first commit grows it, so a tear from the first write
+    // on lands during a segment extension; from the fourth on it lands
+    // in the zero tail the first commit left.
+    for (site, run, skip) in [
+        ("sealdb::journal::write", workload as Workload, 0),
+        ("sealdb::journal::write", workload, 3),
+        ("sealdb::journal::write", pipeline_workload, 0),
+        ("sealdb::journal::write", pipeline_workload, 3),
+        ("sealdb::journal::extend", workload, 0),
+        ("sealdb::reclaim::copy", reclaim_workload, 0),
     ] {
         if sites.iter().any(|x| x == site) {
             trials += 1;
-            let torn = FaultSpec::partial_write(9);
-            if let Err(e) = trial(&s, site, torn, "torn", (run, false)) {
+            let torn = FaultSpec::partial_write(9).after(skip);
+            let flavor = if skip == 0 { "torn" } else { "torn late" };
+            if let Err(e) = trial(&s, site, torn, flavor, (run, false)) {
                 failures.push(e);
             }
         }

@@ -393,10 +393,18 @@ pub struct AuditLog {
     binds: Arc<std::sync::Mutex<()>>,
     /// Whether the caller holds `binds` ([`with_bind_gate`]).
     holds_gate: bool,
+    /// The last write or fsync of the journal failed, so a head signed
+    /// with the last bound value may not be on disk: no value is bound
+    /// until a flush succeeds, however often commits fail.
+    unflushed: bool,
 }
 
 const CHAIN_SCHEMA: &str =
     "CREATE TABLE IF NOT EXISTS _libseal_chain(seq INTEGER, payload TEXT, hash BLOB)";
+/// The tag in a log journal's header: the shape of [`CHAIN_SCHEMA`]'s
+/// entries. A journal with another tag (or none: a log an earlier build
+/// wrote) fails to open with a `DbError::Format`, not as tampering.
+pub const JOURNAL_TAG: &str = "libseal chain (seq, payload, hash)";
 const META_SCHEMA: &str = "CREATE TABLE IF NOT EXISTS _libseal_meta(k TEXT, v TEXT)";
 
 impl AuditLog {
@@ -421,8 +429,12 @@ impl AuditLog {
         let (mut db, disk_backed) = match backing {
             LogBacking::Memory => (Database::new(), false),
             LogBacking::Disk(path) => (
-                Database::open(&path, Box::new(SharedCodec(Arc::clone(&codec))))
-                    .map_err(LibSealError::Db)?,
+                Database::open_tagged(
+                    &path,
+                    Box::new(SharedCodec(Arc::clone(&codec))),
+                    JOURNAL_TAG,
+                )
+                .map_err(LibSealError::Db)?,
                 true,
             ),
         };
@@ -471,6 +483,7 @@ impl AuditLog {
             dirty: false,
             binds: Arc::default(),
             holds_gate: false,
+            unflushed: false,
         };
         if log.disk_backed {
             // Persist the bumped epoch before anything else this run
@@ -726,6 +739,9 @@ impl AuditLog {
                 Err(std::sync::TryLockError::WouldBlock) => return Ok(()),
             },
         };
+        if self.unflushed {
+            self.flush()?;
+        }
         plat::failpoint::check("core::log::append::counter")
             .map_err(|e| LibSealError::Log(e.to_string()))?;
         let counter = self.guard.increment()?;
@@ -858,9 +874,10 @@ impl AuditLog {
     /// I/O failures; what was framed stays framed for the next flush.
     pub fn flush(&mut self) -> Result<()> {
         let started = std::time::Instant::now();
-        if let Some(sync) = self.write_journal()? {
-            sync.sync().map_err(LibSealError::Db)?;
-        }
+        let synced = (self.write_journal())
+            .and_then(|sync| sync.map_or(Ok(()), |s| s.sync().map_err(LibSealError::Db)));
+        self.unflushed = synced.is_err();
+        synced?;
         log_metrics().flush_ns.record_duration(started.elapsed());
         self.reclaim_if_due();
         Ok(())
@@ -1095,6 +1112,9 @@ pub fn seal_staged<T>(
         if !log.dirty {
             return Ok(false);
         }
+        if log.unflushed {
+            log.flush()?;
+        }
         Arc::clone(&log.guard)
     };
     plat::failpoint::check("core::log::append::counter")
@@ -1108,11 +1128,14 @@ pub fn seal_staged<T>(
         // seal signs it again and writes what is still framed.
         let written = log.write_journal();
         log.dirty |= written.is_err();
+        log.unflushed = written.is_err();
         (sealed, written?, log.db.reclaim_due())
     };
     let started = std::time::Instant::now();
     if let Some(Err(e)) = sync.map(|s| s.sync()) {
-        log_of(&mut lock.lock()).dirty = true;
+        let mut held = lock.lock();
+        let log = log_of(&mut held);
+        (log.dirty, log.unflushed) = (true, true);
         return Err(LibSealError::Db(e));
     }
     log_metrics().flush_ns.record_duration(started.elapsed());

@@ -11,6 +11,7 @@
 
 use libseal::log::{
     AuditLog, LogBacking, NoGuard, RecoveryReport, RollbackGuard, RoteGuard, SealingCodec,
+    JOURNAL_TAG,
 };
 use libseal::ssm::git::GIT_SOUNDNESS;
 use libseal::{GitModule, LibSealError, ServiceModule};
@@ -20,7 +21,7 @@ use std::sync::Arc;
 
 use libseal_crypto::ed25519::SigningKey;
 use libseal_rote::{Cluster, ClusterConfig};
-use libseal_sealdb::{Database, Value};
+use libseal_sealdb::{journal, Database, DbError, Value};
 use plat::failpoint::{self, FaultSpec};
 use plat::tmp::TempPath;
 
@@ -114,65 +115,92 @@ impl RollbackGuard for QuorumGuard {
     }
 }
 
+/// A synced log of 2–4 pushes: the journal's bytes, and per push count
+/// the logical size at which exactly that many were durable (the first
+/// at 0 pushes; the last is where the frames end).
+fn synced_journal(g: &mut plat::check::Gen) -> (Vec<u8>, Vec<(u64, u64)>) {
+    let path = TempPath::new("libseal-prefix", "log");
+    let appends = g.usize_in(2..5);
+    let commit = g.lowercase(4..8);
+    let mut boundaries = Vec::new();
+    {
+        let mut log = open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard)).unwrap();
+        boundaries.push((log.journal_size_bytes(), 0u64));
+        for i in 0..appends {
+            append_one(&mut log, i as u64, &commit);
+            log.flush().unwrap();
+            boundaries.push((log.journal_size_bytes(), (i + 1) as u64));
+        }
+    }
+    let full = std::fs::read(&path).unwrap();
+    let end = boundaries.last().unwrap().0 as usize;
+    assert!(
+        full.len() > end && full[end..].iter().all(|&b| b == 0),
+        "a zero tail"
+    );
+    (full, boundaries)
+}
+
+/// Reopens the journal `bytes` cut at `cut` of the frames, and checks
+/// the synced-prefix guarantee against `boundaries`.
+fn reopen_cut(path: &TempPath, bytes: &[u8], cut: usize, boundaries: &[(u64, u64)]) {
+    std::fs::write(path, bytes).unwrap();
+    let expected = boundaries
+        .iter()
+        .rev()
+        .find(|(size, _)| *size <= cut as u64)
+        .map_or(0, |(_, entries)| *entries);
+    let log = open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard))
+        .unwrap_or_else(|e| panic!("reopen failed at cut {cut}: {e}"));
+    let got = log.entries();
+    assert!(
+        got >= expected,
+        "cut {cut}: flushed entry lost ({got} < {expected})"
+    );
+    assert!(
+        got <= expected + 1,
+        "cut {cut}: recovered more than the in-flight append ({got} > {} )",
+        expected + 1
+    );
+    log.verify()
+        .unwrap_or_else(|e| panic!("verify failed at cut {cut}: {e}"));
+    assert!(
+        log.query(GIT_SOUNDNESS, &[]).is_ok(),
+        "invariant query failed at cut {cut}"
+    );
+}
+
 plat::prop! {
     #![cases(2)]
     /// The synced-prefix guarantee: truncate the journal at EVERY byte
-    /// offset and reopen. Recovery must (a) never drop an entry whose
-    /// flush completed before the cut, (b) never surface more than the
-    /// one entry that was mid-append at the cut, (c) leave a log whose
-    /// chain and signed head verify, and (d) keep invariant queries
-    /// runnable. Pure truncation is always a torn tail, never a fatal
-    /// MAC failure, so every reopen must succeed.
+    /// offset up to where its frames end and reopen. Recovery must (a)
+    /// never drop an entry whose flush completed before the cut, (b)
+    /// never surface more than the one entry that was mid-append at the
+    /// cut, (c) leave a log whose chain and signed head verify, and (d)
+    /// keep invariant queries runnable. Pure truncation is always a
+    /// torn tail (or, inside the header, a journal never committed to),
+    /// never a fatal MAC failure, so every reopen must succeed.
     fn truncation_at_every_offset_recovers_a_synced_prefix(g) {
         let _s = failpoint::scenario(); // serialize with fault-injected tests
-        let path = TempPath::new("libseal-prefix", "log");
-        let appends = g.usize_in(2..5);
-        let commit = g.lowercase(4..8);
-        // boundaries[i] = journal size with exactly i entries durable.
-        let mut boundaries = Vec::new();
-        {
-            let mut log =
-                open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard)).unwrap();
-            boundaries.push((log.journal_size_bytes(), 0u64));
-            for i in 0..appends {
-                append_one(&mut log, i as u64, &commit);
-                log.flush().unwrap();
-                boundaries.push((log.journal_size_bytes(), (i + 1) as u64));
-            }
-        }
-        let full = std::fs::read(&path).unwrap();
-        assert_eq!(full.len() as u64, boundaries.last().unwrap().0);
-
+        let (full, boundaries) = synced_journal(g);
         let cut_path = TempPath::new("libseal-prefix-cut", "log");
-        for cut in 0..=full.len() {
-            std::fs::write(&cut_path, &full[..cut]).unwrap();
-            let expected = boundaries
-                .iter()
-                .rev()
-                .find(|(size, _)| *size <= cut as u64)
-                .map_or(0, |(_, entries)| *entries);
-            let log = open_log(
-                LogBacking::Disk(cut_path.to_path_buf()),
-                Box::new(NoGuard),
-            )
-            .unwrap_or_else(|e| panic!("reopen failed at cut {cut}: {e}"));
-            let got = log.entries();
-            assert!(
-                got >= expected,
-                "cut {cut}: flushed entry lost ({got} < {expected})"
-            );
-            assert!(
-                got <= expected + 1,
-                "cut {cut}: recovered more than the in-flight append \
-                 ({got} > {} )",
-                expected + 1
-            );
-            log.verify()
-                .unwrap_or_else(|e| panic!("verify failed at cut {cut}: {e}"));
-            assert!(
-                log.query(GIT_SOUNDNESS, &[]).is_ok(),
-                "invariant query failed at cut {cut}"
-            );
+        for cut in 0..=boundaries.last().unwrap().0 as usize {
+            reopen_cut(&cut_path, &full[..cut], cut, &boundaries);
+        }
+    }
+
+    /// The same guarantee for what a crash mid-write over the zero
+    /// tail leaves: every byte from the cut to the end of the file
+    /// zeroed, the file's length kept. It recovers exactly as the
+    /// truncation does.
+    fn zero_fill_at_every_offset_recovers_a_synced_prefix(g) {
+        let _s = failpoint::scenario(); // serialize with fault-injected tests
+        let (full, boundaries) = synced_journal(g);
+        let cut_path = TempPath::new("libseal-prefix-zero", "log");
+        let mut bytes = full;
+        for cut in (0..=boundaries.last().unwrap().0 as usize).rev() {
+            bytes[cut] = 0; // Everything behind it already is.
+            reopen_cut(&cut_path, &bytes, cut, &boundaries);
         }
     }
 }
@@ -190,12 +218,66 @@ fn flipped_byte_mid_file_is_fatal() {
         log.flush().unwrap();
     }
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes[10] ^= 0x40; // inside the first frame's nonce
+    // Inside the first frame's nonce (behind the header and the frame's
+    // length and check).
+    bytes[journal::HEADER_BYTES as usize + 10] ^= 0x40;
     std::fs::write(&path, &bytes).unwrap();
     assert!(
         open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard)).is_err(),
         "corrupted mid-file record must not replay"
     );
+}
+
+fn format_error(path: &TempPath) -> String {
+    match open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard)) {
+        Err(LibSealError::Db(DbError::Format(m))) => m,
+        other => panic!("want a format error, got {:?}", other.err()),
+    }
+}
+
+/// A log an earlier build wrote has no header: its first bytes are a
+/// frame's `len, stored`. It is another format, not tampering.
+#[test]
+fn a_log_without_a_header_is_a_format_error() {
+    use libseal_sealdb::JournalCodec;
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
+    let path = TempPath::new("libseal-format-old", "log");
+    let sql = "CREATE TABLE _libseal_chain(seq INTEGER, payload TEXT, hash BLOB)";
+    let mut record = vec![1];
+    record.extend_from_slice(&(sql.len() as u32).to_le_bytes());
+    record.extend_from_slice(sql.as_bytes());
+    record.extend_from_slice(&0u32.to_le_bytes());
+    let stored = SealingCodec::new(SEAL_KEY).encode(&record).unwrap();
+    let mut old = (stored.len() as u32).to_le_bytes().to_vec();
+    old.extend_from_slice(&stored);
+    std::fs::write(&path, &old).unwrap();
+    assert!(format_error(&path).contains("no journal header"));
+    assert_eq!(std::fs::read(&path).unwrap(), old, "left as it was");
+}
+
+/// A journal of another application (sealdb's own tag) or of another
+/// frame format is refused by type, before anything replays.
+#[test]
+fn a_journal_of_another_tag_or_version_is_a_format_error() {
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
+    let path = TempPath::new("libseal-format-tag", "log");
+    {
+        let mut db = Database::open(&path, Box::new(SealingCodec::new(SEAL_KEY))).unwrap();
+        db.execute("CREATE TABLE t(a INTEGER)").unwrap();
+        db.sync_journal().unwrap();
+    }
+    assert!(format_error(&path).contains("\"sealdb\""));
+    {
+        let mut log = open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard));
+        assert!(log.is_err());
+        std::fs::remove_file(&path).unwrap();
+        log = open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard));
+        append_one(&mut log.unwrap(), 0, "ff");
+    }
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8] = journal::FORMAT_VERSION as u8 + 1;
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(format_error(&path).contains("of format 3"));
 }
 
 /// A counter one ahead of the durable log is the legal crash window
@@ -278,7 +360,8 @@ fn log_behind_signed_head_is_a_rollback_alarm() {
     // The provider edits the sealed journal offline: appends a DELETE
     // of the newest chain row (it cannot re-sign the head).
     {
-        let mut db = Database::open(&path, Box::new(SealingCodec::new(SEAL_KEY))).unwrap();
+        let codec = Box::new(SealingCodec::new(SEAL_KEY));
+        let mut db = Database::open_tagged(&path, codec, JOURNAL_TAG).unwrap();
         db.execute("DELETE FROM _libseal_chain WHERE seq = 3")
             .unwrap();
         db.sync_journal().unwrap();
@@ -654,6 +737,36 @@ fn killed(path: &TempPath, q: &Arc<Quorum>) -> (TempPath, libseal::Result<AuditL
     std::fs::write(&copy, std::fs::read(path).unwrap()).unwrap();
     let log = open_under(&copy, q);
     (copy, log)
+}
+
+/// A disk that fails every write keeps each commit's signed head off
+/// it. No commit binds past such a head, whichever way it commits: a
+/// kill after any number of them finds a log that opens with the
+/// counter at most one step ahead, and once the disk works again the
+/// next commit lands everything staged.
+#[test]
+fn commits_on_a_failing_disk_bind_no_second_value() {
+    let s = failpoint::scenario();
+    for (via, commit) in commits() {
+        s.reset();
+        let path = TempPath::new("libseal-failing-disk", "log");
+        let q = Quorum::new();
+        let log = plat::sync::Mutex::new(pushed_log(&path, &q));
+        s.set("sealdb::journal::write", FaultSpec::error());
+        for round in 0..3 {
+            stage(&mut log.lock(), round, "ff").unwrap();
+            assert!(commit(&log).is_err(), "{via} {round}");
+        }
+        s.reset(); // a kill, and a restart on a disk that works again
+        let (_copy, old) = killed(&path, &q);
+        let old = old.unwrap_or_else(|e| panic!("{via}: reopen failed: {e}"));
+        let r = old.recovery_report();
+        assert!(r.attested_counter <= r.durable_counter + 1, "{via}: {r:?}");
+        drop(old);
+        commit(&log).unwrap();
+        log.lock().verify().unwrap();
+        assert_eq!(log.lock().entries(), PUSHES + 3, "{via}");
+    }
 }
 
 /// A snapshot frame that cannot be staged (its sealing fails) costs the

@@ -17,7 +17,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use libseal::log::{AuditLog, LogBacking, NoGuard, SealingCodec, TableSpec};
+use libseal::log::{AuditLog, LogBacking, NoGuard, SealingCodec, TableSpec, JOURNAL_TAG};
 use libseal::{
     Checker, DropboxModule, GitModule, Invariant, LibSeal, LibSealConfig, LibSealError,
     OwnCloudModule, ServiceModule,
@@ -278,7 +278,8 @@ fn drive(ssm: &dyn ServiceModule) -> Vec<String> {
     log.verify().expect("verify");
     log.flush().expect("flush");
     drop(log);
-    let mut journal = Journal::open(&path, Box::new(SealingCodec::new(SEAL_KEY))).expect("journal");
+    let mut journal =
+        Journal::open(&path, Box::new(SealingCodec::new(SEAL_KEY)), JOURNAL_TAG).expect("journal");
     journal
         .replay()
         .expect("replay")

@@ -107,17 +107,34 @@ impl Database {
     }
 
     /// Opens a database persisted at `path`, replaying any existing
-    /// journal.
+    /// journal: [`Database::open_tagged`] with the
+    /// [`journal::DEFAULT_TAG`](crate::journal::DEFAULT_TAG).
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors or if the journal is corrupt.
+    /// As [`Database::open_tagged`].
     pub fn open(
         path: impl AsRef<std::path::Path>,
         codec: Box<dyn JournalCodec>,
     ) -> Result<Database> {
+        Database::open_tagged(path, codec, crate::journal::DEFAULT_TAG)
+    }
+
+    /// Opens a database persisted at `path` in a journal whose header
+    /// carries `tag` (what its owner keeps in it), replaying any
+    /// existing journal.
+    ///
+    /// # Errors
+    ///
+    /// Fails on I/O errors, if the journal is corrupt, or with
+    /// [`DbError::Format`] if it has another format or tag.
+    pub fn open_tagged(
+        path: impl AsRef<std::path::Path>,
+        codec: Box<dyn JournalCodec>,
+        tag: &str,
+    ) -> Result<Database> {
         let mut db = Database::new();
-        db.journal = Some(Journal::open(path, codec)?);
+        db.journal = Some(Journal::open(path, codec, tag)?);
         db.reload()?;
         Ok(db)
     }

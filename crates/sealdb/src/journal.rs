@@ -2,14 +2,33 @@
 //!
 //! LibSEAL "synchronously flushes the log to persistent storage after
 //! each request/response pair" (§5.1). The journal frames every
-//! mutating statement (with its bound parameters) as a length-prefixed
+//! mutating statement (with its bound parameters) as a checksummed
 //! record; recovery replays the records. A codec hook lets the enclave
 //! layer seal each record (encrypt + authenticate) before it touches the
 //! untrusted disk.
 //!
 //! Frames are encoded into memory as statements run and reach the file
-//! at the next [`Journal::sync_now`]: one `write(2)` and one fdatasync
-//! per commit, however many statements it carries.
+//! at the next [`Journal::sync_now`]: one positional write and one
+//! fdatasync per commit, however many statements it carries.
+//!
+//! # On-disk shape
+//!
+//! The file is a header, the frames, then a zero tail:
+//!
+//! - **Header** ([`HEADER_BYTES`]): `magic "sealdbj\0", version u32le,
+//!   tag`, zero-padded. The version is
+//!   [`FORMAT_VERSION`]; the tag names what the application keeps in
+//!   the records (the audit log names its chain-entry shape). A file
+//!   with no header, another version or another tag fails to open with
+//!   [`DbError::Format`].
+//! - **Frame**: `len u32le, check u32le, stored`, where `stored` is
+//!   what the codec made of the record and `check` is the CRC-32C of
+//!   `stored`, so a complete frame is told from a torn one whatever the
+//!   codec.
+//! - **Zero tail**: a commit overwrites space that is already zero, so
+//!   its fdatasync carries no change of the file's size. A write that
+//!   would pass the zeroed space first extends the file by whole
+//!   [`SEGMENT_BYTES`] of zeros, covered by that commit's one fdatasync.
 //!
 //! Record format (before the codec): `tag u8, sql_len u32le, sql bytes,
 //! param_count u32le, params…` with each param as `type u8 + payload`.
@@ -20,31 +39,33 @@
 //!
 //! # Crash consistency
 //!
-//! Two failure modes are distinguished on recovery:
+//! Replay reads frames from the header on:
 //!
-//! - A **torn tail** — the file ends inside the final frame, as a
-//!   crash mid-write leaves it. [`Journal::replay`] salvages: the
-//!   torn frame is truncated away and every preceding record is
-//!   replayed, provided it decodes (for a sealing codec, provided it
-//!   authenticates). The salvage is reported via
-//!   [`Journal::last_salvage`] so callers can reconcile the lost tail
-//!   against their rollback counter. A torn snapshot frame is one such
-//!   tail: the state before it survives.
-//! - **Mid-file corruption or a codec/MAC failure** — evidence of
-//!   tampering, fatal as before. (A corrupted length prefix is
-//!   indistinguishable from a torn tail by framing alone; the
-//!   rollback-counter reconciliation above the journal is what bounds
-//!   how much history a forged "torn tail" can make disappear.)
+//! - A **zero length ends the frames**, and everything after it must
+//!   be zero.
+//! - A **torn tail** — exactly one frame whose check fails, followed
+//!   only by zeros, or one running past the end of the file, as a crash
+//!   mid-write leaves it. [`Journal::replay`] salvages: the torn frame
+//!   is zeroed away and every preceding record is replayed, provided it
+//!   decodes (for a sealing codec, provided it authenticates). The
+//!   salvage is reported via [`Journal::last_salvage`] so callers can
+//!   reconcile the lost tail against their rollback counter. A torn
+//!   snapshot frame is one such tail: the state before it survives.
+//! - **Anything else is mid-file corruption**, fatal: non-zero bytes
+//!   after the end, a good frame after a bad one, or a record the codec
+//!   rejects. (A forged "torn tail" drops no more than truncating the
+//!   file would; the rollback-counter reconciliation above the journal
+//!   bounds how much history either can make disappear.)
 //!
-//! Reclamation is atomic: [`Journal::reclaim`] copies the live suffix
-//! (the last snapshot frame and what follows it, byte for byte) to a
-//! generation-numbered temp file, fsyncs it, renames it over the live
-//! journal and fsyncs the parent directory, so a crash at any point
-//! leaves either the old journal or the suffix, which replay to the
-//! same state.
+//! Reclamation is atomic: [`Journal::reclaim`] copies the header and
+//! the live suffix (the last snapshot frame and what follows it, byte
+//! for byte) to a generation-numbered temp file, fsyncs it, renames it
+//! over the live journal and fsyncs the parent directory, so a crash at
+//! any point leaves either the old journal or the suffix, which replay
+//! to the same state.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -59,6 +80,29 @@ use crate::{DbError, Result};
 /// fsyncs and a rename (~0.6–0.8 ms on ext4), so at this bound it runs
 /// once per 1 MiB appended and adds under 1 µs per KiB journaled.
 pub const RECLAIM_BYTES: u64 = 1 << 20;
+
+/// The frame format a journal's header names: `len, check, stored`
+/// behind a header. (Format 1, `len, stored` from the first byte, had
+/// no header to say so.)
+pub const FORMAT_VERSION: u32 = 2;
+
+/// Bytes of the header in front of the frames.
+pub const HEADER_BYTES: u64 = 64;
+
+/// The tag [`crate::Database::open`] writes: records of plain sealdb
+/// statements.
+pub const DEFAULT_TAG: &str = "sealdb";
+
+/// Zeros a journal grows by when a write would pass its zeroed space:
+/// one size change per 256 KiB journaled (~350 Git pairs), not per
+/// commit.
+pub const SEGMENT_BYTES: u64 = 256 << 10;
+
+const MAGIC: &[u8; 8] = b"sealdbj\0";
+/// `len u32le, check u32le` in front of every stored record.
+const FRAME_HEAD: usize = 8;
+/// Written, a slice at a time, to grow the zero tail.
+static ZEROS: [u8; 64 << 10] = [0; 64 << 10];
 
 /// Counts every fsync the journal issues (commits, salvage,
 /// reclamation's temp file and directory alike).
@@ -104,7 +148,7 @@ impl JournalCodec for PlainCodec {
 /// What [`Journal::replay`] salvaged from a torn tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SalvageInfo {
-    /// File offset the journal was truncated back to.
+    /// File offset the frames now end at.
     pub offset: u64,
     /// Bytes of torn frame dropped.
     pub lost_bytes: u64,
@@ -117,6 +161,8 @@ pub struct Journal {
     /// without the journal.
     file: Arc<File>,
     codec: Box<dyn JournalCodec>,
+    /// The header this journal was opened with, for reclamation's copy.
+    header: [u8; HEADER_BYTES as usize],
     /// Reclamation generation (names the next temp file).
     generation: u64,
     /// Torn-tail salvage performed by the last [`Journal::replay`].
@@ -125,9 +171,12 @@ pub struct Journal {
     pending: Vec<u8>,
     /// Where in `pending` the last snapshot frame staged there starts.
     pending_snapshot: Option<usize>,
-    /// Bytes the file holds.
-    len: u64,
-    /// File offset of the last snapshot frame: the bytes before it are
+    /// File offset the written frames end at: known at once for a new
+    /// journal, else from the first [`Journal::replay`].
+    end: Option<u64>,
+    /// Bytes the file holds: everything from `end` up to here is zero.
+    cap: u64,
+    /// File offset of the last snapshot frame: the frames before it are
     /// dead.
     live_from: u64,
 }
@@ -146,34 +195,60 @@ const RECORD: u8 = 1;
 const SNAPSHOT: u8 = 2;
 
 impl Journal {
-    /// Opens (creating if needed) a journal at `path`.
+    /// Opens (creating if needed) a journal at `path` whose header
+    /// carries `tag`.
     ///
     /// # Errors
     ///
-    /// I/O errors are surfaced as [`DbError::Io`].
-    pub fn open(path: impl AsRef<Path>, codec: Box<dyn JournalCodec>) -> Result<Journal> {
+    /// [`DbError::Format`] when the file holds something other than a
+    /// journal of this [`FORMAT_VERSION`] and `tag`; I/O errors are
+    /// surfaced as [`DbError::Io`].
+    pub fn open(
+        path: impl AsRef<Path>,
+        codec: Box<dyn JournalCodec>,
+        tag: &str,
+    ) -> Result<Journal> {
         let path = path.as_ref().to_path_buf();
+        let header = header(tag)?;
         // A crash mid-reclamation can leave a stale temp file next to
         // the journal; it was never renamed into place, so it is dead
         // weight — remove it.
         remove_stale_rewrite_temps(&path);
         let file = OpenOptions::new()
             .create(true)
-            .append(true)
+            .truncate(false)
             .read(true)
+            .write(true)
             .open(&path)
             .map_err(DbError::io)?;
-        let len = file.metadata().map_err(DbError::io)?.len();
+        let cap = file.metadata().map_err(DbError::io)?.len();
+        let mut bytes = Vec::new();
+        let mut head = (&file).take(HEADER_BYTES);
+        head.read_to_end(&mut bytes).map_err(DbError::io)?;
+        let end = if bytes == header {
+            None
+        } else {
+            (&file).read_to_end(&mut bytes).map_err(DbError::io)?;
+            if !holds_nothing(&bytes, &header) {
+                return Err(format_error(&bytes, tag));
+            }
+            // New, or a crash before its first commit was durable: the
+            // header goes down now and that commit's fsync covers it.
+            file.write_all_at(&header, 0).map_err(DbError::io)?;
+            Some(HEADER_BYTES)
+        };
         Ok(Journal {
             path,
             file: Arc::new(file),
             codec,
+            header,
             generation: 0,
             salvage: None,
             pending: Vec::new(),
             pending_snapshot: None,
-            len,
-            live_from: 0,
+            end,
+            cap: cap.max(HEADER_BYTES),
+            live_from: HEADER_BYTES,
         })
     }
 
@@ -223,6 +298,8 @@ impl Journal {
         let stored = self.codec.encode(plain)?;
         let len = frame_len(stored.len())?;
         self.pending.extend_from_slice(&len.to_le_bytes());
+        self.pending
+            .extend_from_slice(&crc32c(&stored).to_le_bytes());
         self.pending.extend_from_slice(&stored);
         Ok(())
     }
@@ -230,17 +307,18 @@ impl Journal {
     /// Reads every record back (for recovery), salvaging a torn tail,
     /// then those framed but not yet written.
     ///
-    /// A file ending inside its final frame is what a crash mid-write
-    /// leaves behind: the torn frame is truncated away (the salvage is
-    /// reported by [`Journal::last_salvage`]) and every record before
-    /// it is returned — provided each decodes, so under a sealing
-    /// codec nothing unauthenticated is ever salvaged. A record that
-    /// fails to decode is tampering and stays fatal. Each complete
-    /// snapshot frame replaces what came before it.
+    /// A torn final frame is what a crash mid-write leaves behind: it
+    /// is zeroed away (the salvage is reported by
+    /// [`Journal::last_salvage`]) and every record before it is
+    /// returned — provided each decodes, so under a sealing codec
+    /// nothing unauthenticated is ever salvaged. A record that fails
+    /// to decode, or bytes the rules of the module doc do not allow, is
+    /// tampering and stays fatal. Each complete snapshot frame replaces
+    /// what came before it.
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors or codec rejection.
+    /// Fails on I/O errors, corruption or codec rejection.
     pub fn replay(&mut self) -> Result<Vec<JournalEntry>> {
         self.salvage = None;
         let mut file = &*self.file;
@@ -248,51 +326,78 @@ impl Journal {
         let mut buf = Vec::new();
         file.read_to_end(&mut buf).map_err(DbError::io)?;
         let mut entries = Vec::new();
-        let (whole, snapshot) = self.decode_frames(&buf, &mut entries)?;
-        if whole < buf.len() {
+        let (end, snapshot, torn) =
+            self.decode_frames(&buf, HEADER_BYTES as usize, &mut entries)?;
+        if let Some(torn) = torn {
+            // Zeroed and synced before anything is written over it, so
+            // a shorter frame there never leaves torn bytes behind it.
             plat::failpoint::check("sealdb::journal::salvage").map_err(DbError::io)?;
-            self.file.set_len(whole as u64).map_err(DbError::io)?;
-            self.file.sync_all().map_err(DbError::io)?;
+            let zeros = vec![0; torn - end];
+            (self.file.write_all_at(&zeros, end as u64)).map_err(DbError::io)?;
+            self.file.sync_data().map_err(DbError::io)?;
             fsync_counter().inc();
             self.salvage = Some(SalvageInfo {
-                offset: whole as u64,
-                lost_bytes: (buf.len() - whole) as u64,
+                offset: end as u64,
+                lost_bytes: zeros.len() as u64,
             });
         }
-        self.len = whole as u64;
-        self.live_from = snapshot.unwrap_or(0) as u64;
+        self.end = Some(end as u64);
+        self.cap = buf.len() as u64;
+        self.live_from = snapshot.unwrap_or(HEADER_BYTES as usize) as u64;
         let pending = std::mem::take(&mut self.pending);
-        let decoded = self.decode_frames(&pending, &mut entries);
+        let decoded = self.decode_frames(&pending, 0, &mut entries);
         self.pending = pending;
         decoded?;
         Ok(entries)
     }
 
-    /// Decodes the whole frames at the front of `buf` into `entries`;
-    /// returns where they end and where the last snapshot frame starts.
+    /// Decodes the frames of `buf` from `at` into `entries`, by the
+    /// rules of the module doc; returns where the good frames end, where
+    /// the last snapshot frame starts and where a torn frame ends.
     fn decode_frames(
         &self,
         buf: &[u8],
+        mut at: usize,
         entries: &mut Vec<JournalEntry>,
-    ) -> Result<(usize, Option<usize>)> {
-        let (mut i, mut snapshot) = (0usize, None);
-        while i + 4 <= buf.len() {
-            let len = u32::from_le_bytes(buf[i..i + 4].try_into().unwrap()) as usize;
-            if i + 4 + len > buf.len() {
-                break; // Frame extends past EOF: torn tail.
+    ) -> Result<(usize, Option<usize>, Option<usize>)> {
+        let mut snapshot = None;
+        let torn = loop {
+            let rest = &buf[at..];
+            let Some(&[l0, l1, l2, l3, c0, c1, c2, c3]) = rest.get(..FRAME_HEAD) else {
+                // Too short for a frame head: zeros end the frames, a
+                // head cut off by the end of the file is torn.
+                break (!is_zero(rest)).then_some(buf.len());
+            };
+            let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+            let check = u32::from_le_bytes([c0, c1, c2, c3]);
+            if len == 0 {
+                if !is_zero(rest) {
+                    return Err(corrupt(at, "non-zero bytes after the end of the frames"));
+                }
+                break None;
             }
-            let plain = self.codec.decode(&buf[i + 4..i + 4 + len])?;
+            let next = at + FRAME_HEAD + len;
+            let Some(stored) = buf.get(at + FRAME_HEAD..next) else {
+                break Some(buf.len()); // Runs past the end of the file.
+            };
+            if crc32c(stored) != check {
+                if !is_zero(&buf[next..]) {
+                    return Err(corrupt(at, "a frame fails its check with data after it"));
+                }
+                break Some(next);
+            }
+            let plain = self.codec.decode(stored)?;
             match plain.first() {
                 Some(&SNAPSHOT) => {
                     entries.clear();
                     decode_snapshot(&plain, entries)?;
-                    snapshot = Some(i);
+                    snapshot = Some(at);
                 }
                 _ => entries.push(decode_record(&plain)?),
             }
-            i += 4 + len;
-        }
-        Ok((i, snapshot))
+            at = next;
+        };
+        Ok((at, snapshot, torn))
     }
 
     /// The torn-tail salvage performed by the last [`Journal::replay`],
@@ -311,16 +416,18 @@ impl Journal {
         self.write()?.sync()
     }
 
-    /// Writes what is framed, in one `write(2)`, and returns the fsync
-    /// that makes it durable, which needs nothing of the journal: its
-    /// owner may run it after letting go of the journal, while more
-    /// frames are encoded and written. A write that fails is cut back
-    /// off the file (unless the process is dead) and its frames stay
-    /// pending, so the next call writes them again.
+    /// Writes what is framed, in one positional write over the zero
+    /// tail (first growing the tail by whole [`SEGMENT_BYTES`] if it is
+    /// too short), and returns the fsync that makes it durable, which
+    /// needs nothing of the journal: its owner may run it after letting
+    /// go of the journal, while more frames are encoded and written. A
+    /// write that fails is zeroed back (unless the process is dead) and
+    /// its frames stay pending, so the next call writes them again.
     ///
     /// # Errors
     ///
-    /// I/O errors are surfaced as [`DbError::Io`].
+    /// I/O errors are surfaced as [`DbError::Io`]; a journal that holds
+    /// frames is not written before its first [`Journal::replay`].
     pub fn write(&mut self) -> Result<JournalSync> {
         if !self.pending.is_empty() {
             self.write_pending()?;
@@ -329,32 +436,45 @@ impl Journal {
     }
 
     fn write_pending(&mut self) -> Result<()> {
-        let written =
-            plat::failpoint::write_all("sealdb::journal::write", &mut &*self.file, &self.pending);
+        let end = self.end()?;
+        let stop = end + self.pending.len() as u64;
+        if stop > self.cap {
+            let grown = self.cap + (stop - self.cap).div_ceil(SEGMENT_BYTES) * SEGMENT_BYTES;
+            write_zeros(&self.file, self.cap, grown).map_err(DbError::io)?;
+            self.cap = grown;
+        }
+        let mut at = WriteAt(&self.file, end);
+        let written = plat::failpoint::write_all("sealdb::journal::write", &mut at, &self.pending);
         if let Err(e) = written {
             if !plat::failpoint::crash_active() {
-                let _ = self.file.set_len(self.len);
+                let _ = self.file.write_all_at(&vec![0; self.pending.len()], end);
             }
             return Err(DbError::io(e));
         }
         if let Some(at) = self.pending_snapshot.take() {
-            self.live_from = self.len + at as u64;
+            self.live_from = end + at as u64;
         }
-        self.len += self.pending.len() as u64;
+        self.end = Some(stop);
         self.pending.clear();
         Ok(())
+    }
+
+    /// Where the written frames end; unknown for a journal that holds
+    /// frames until its first [`Journal::replay`].
+    fn end(&self) -> Result<u64> {
+        (self.end).ok_or_else(|| DbError::exec("journal written before it was replayed"))
     }
 
     /// Whether the dead bytes before the last snapshot frame have
     /// passed [`RECLAIM_BYTES`].
     pub fn reclaim_due(&self) -> bool {
-        self.live_from > RECLAIM_BYTES
+        self.live_from - HEADER_BYTES > RECLAIM_BYTES
     }
 
     /// Drops the dead bytes: the pending frames are written, then the
-    /// live suffix — the last snapshot frame and everything after it,
-    /// as stored — replaces the journal ([`Journal::rewrite`]). Nothing
-    /// is decoded or re-sealed.
+    /// header and the live suffix — the last snapshot frame and
+    /// everything after it, as stored — replace the journal
+    /// ([`Journal::rewrite`]). Nothing is decoded or re-sealed.
     ///
     /// # Errors
     ///
@@ -362,11 +482,14 @@ impl Journal {
     /// happened.
     pub fn reclaim(&mut self) -> Result<()> {
         self.write()?;
-        let mut suffix = vec![0u8; (self.len - self.live_from) as usize];
-        (self.file.read_exact_at(&mut suffix, self.live_from)).map_err(DbError::io)?;
-        self.rewrite(&suffix)?;
-        (self.len, self.live_from) = (suffix.len() as u64, 0);
-        Ok(())
+        let end = self.end()?;
+        let mut bytes = self.header.to_vec();
+        bytes.resize((HEADER_BYTES + end - self.live_from) as usize, 0);
+        (self
+            .file
+            .read_exact_at(&mut bytes[HEADER_BYTES as usize..], self.live_from))
+        .map_err(DbError::io)?;
+        self.rewrite(&bytes)
     }
 
     /// Atomically replaces the journal's contents with `bytes`.
@@ -407,18 +530,22 @@ impl Journal {
         // Once the rename has happened the old handle points at the
         // unlinked old file; the new one MUST become the live journal
         // now, even if the directory sync below fails — otherwise later
-        // writes land on the orphaned inode and vanish on restart while
-        // the rollback counter keeps counting them.
-        let file = OpenOptions::new().append(true).read(true).open(&self.path);
+        // writes land on the orphaned inode (or past the end of the new
+        // one) and vanish on restart while the rollback counter keeps
+        // counting them.
+        let file = OpenOptions::new().read(true).write(true).open(&self.path);
         self.file = Arc::new(file.map_err(DbError::io)?);
+        let len = bytes.len() as u64;
+        (self.end, self.cap, self.live_from) = (Some(len), len, HEADER_BYTES);
         plat::failpoint::check("sealdb::reclaim::sync_dir").map_err(DbError::io)?;
         sync_parent_dir(&self.path).map_err(DbError::io)?;
         Ok(())
     }
 
-    /// Current journal size in bytes, written or still pending.
+    /// Where the journal's frames end, written or still pending: its
+    /// logical size in bytes, header included and zero tail not.
     pub fn size_bytes(&self) -> u64 {
-        self.len + self.pending.len() as u64
+        self.end.unwrap_or(self.cap) + self.pending.len() as u64
     }
 }
 
@@ -447,6 +574,100 @@ impl JournalSync {
         fsync_counter().inc();
         Ok(())
     }
+}
+
+/// Positional writes through [`std::io::Write`], for a failpoint's
+/// write site: each write lands at the offset after the last.
+struct WriteAt<'a>(&'a File, u64);
+
+impl Write for WriteAt<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.0.write_at(buf, self.1)?;
+        self.1 += n as u64;
+        Ok(n)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Grows the zero tail: zeros over `from..to`, a [`ZEROS`] at a time.
+fn write_zeros(file: &File, from: u64, to: u64) -> std::io::Result<()> {
+    let mut at = WriteAt(file, from);
+    while at.1 < to {
+        let n = (to - at.1).min(ZEROS.len() as u64) as usize;
+        plat::failpoint::write_all("sealdb::journal::extend", &mut at, &ZEROS[..n])?;
+    }
+    Ok(())
+}
+
+fn is_zero(bytes: &[u8]) -> bool {
+    bytes.iter().all(|&b| b == 0)
+}
+
+/// The header a journal tagged `tag` starts with.
+fn header(tag: &str) -> Result<[u8; HEADER_BYTES as usize]> {
+    let mut h = [0u8; HEADER_BYTES as usize];
+    let Some(room) = h.get_mut(12..12 + tag.len()) else {
+        return Err(DbError::Format(format!("journal tag {tag:?} is too long")));
+    };
+    room.copy_from_slice(tag.as_bytes());
+    h[..8].copy_from_slice(MAGIC);
+    h[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    Ok(h)
+}
+
+/// Whether `bytes` hold no journal: the start of `header`, then zeros
+/// — a file created and never committed to.
+fn holds_nothing(bytes: &[u8], header: &[u8]) -> bool {
+    let same = bytes.iter().zip(header).take_while(|(a, b)| a == b).count();
+    same < header.len() && is_zero(&bytes[same..])
+}
+
+/// What is wrong with a file that does not start with the header of a
+/// journal of this format tagged `tag`.
+fn format_error(bytes: &[u8], tag: &str) -> DbError {
+    let want = format!("format {FORMAT_VERSION} tagged {tag:?}");
+    DbError::Format(match bytes.get(..HEADER_BYTES as usize) {
+        Some(h) if h[..8] == MAGIC[..] => {
+            let version = u32::from_le_bytes([h[8], h[9], h[10], h[11]]);
+            let found = String::from_utf8_lossy(&h[12..]);
+            let found = found.trim_end_matches('\0');
+            format!("journal of format {version} tagged {found:?}, not {want}")
+        }
+        _ => format!("no journal header (an earlier format or another file), not {want}"),
+    })
+}
+
+fn corrupt(at: usize, what: &str) -> DbError {
+    DbError::exec(format!("journal corrupt at offset {at}: {what}"))
+}
+
+/// CRC-32C (Castagnoli, reflected), a byte at a time from a table
+/// built at compile time.
+fn crc32c(bytes: &[u8]) -> u32 {
+    const TABLE: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut k = 0;
+            while k < 8 {
+                c = if c & 1 == 1 {
+                    (c >> 1) ^ 0x82F6_3B78
+                } else {
+                    c >> 1
+                };
+                k += 1;
+            }
+            table[i] = c;
+            i += 1;
+        }
+        table
+    };
+    !bytes.iter().fold(!0u32, |c, &b| {
+        TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8)
+    })
 }
 
 /// The temp-file name for rewrite generation `generation` of `path`.
@@ -647,10 +868,21 @@ mod tests {
         plat::tmp::TempPath::new(&format!("sealdb-journal-{name}"), "log")
     }
 
+    fn open(path: &plat::tmp::TempPath) -> Result<Journal> {
+        Journal::open(path, Box::new(PlainCodec), DEFAULT_TAG)
+    }
+
+    #[test]
+    fn crc32c_matches_the_check_value() {
+        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+        assert_eq!(crc32c(b""), 0);
+        assert_ne!(crc32c(&[0; 32]), 0, "zeros never pass for a frame");
+    }
+
     #[test]
     fn roundtrip() {
         let path = tmp("rt");
-        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+        let mut j = open(&path).unwrap();
         j.append(
             "INSERT INTO t VALUES (?, ?)",
             &[Value::Integer(1), Value::Text("x".into())],
@@ -669,7 +901,7 @@ mod tests {
         // error; the journal file must stay untouched so later appends
         // and replays still work.
         let path = tmp("oversize");
-        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+        let mut j = open(&path).unwrap();
         j.append("A", &[]).unwrap();
         let big = Value::Blob(vec![0u8; MAX_RECORD_BYTES + 1]);
         let err = j.append("INSERT INTO t VALUES (?)", &[big]).unwrap_err();
@@ -688,11 +920,11 @@ mod tests {
     fn survives_reopen() {
         let path = tmp("reopen");
         {
-            let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+            let mut j = open(&path).unwrap();
             j.append("CREATE TABLE t(a)", &[]).unwrap();
             j.sync_now().unwrap();
         }
-        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+        let mut j = open(&path).unwrap();
         let entries = j.replay().unwrap();
         assert_eq!(entries.len(), 1);
     }
@@ -700,7 +932,7 @@ mod tests {
     #[test]
     fn all_value_types_roundtrip() {
         let path = tmp("vals");
-        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+        let mut j = open(&path).unwrap();
         let params = vec![
             Value::Null,
             Value::Integer(-7),
@@ -717,21 +949,22 @@ mod tests {
         let path = tmp("cut");
         let full_len;
         {
-            let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+            let mut j = open(&path).unwrap();
             j.append("INSERT INTO t VALUES (1)", &[]).unwrap();
             j.append("INSERT INTO t VALUES (2)", &[]).unwrap();
             j.sync_now().unwrap();
             full_len = j.size_bytes();
         }
-        // Chop 3 bytes off: the second record becomes a torn tail.
+        // Cut the file 3 bytes short of the frames' end: the second
+        // record becomes a torn tail.
         let data = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &data[..data.len() - 3]).unwrap();
-        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+        std::fs::write(&path, &data[..full_len as usize - 3]).unwrap();
+        let mut j = open(&path).unwrap();
         let entries = j.replay().unwrap();
         assert_eq!(entries.len(), 1, "intact prefix record survives");
         let info = j.last_salvage().expect("salvage reported");
         assert_eq!(info.offset + info.lost_bytes + 3, full_len);
-        // The torn frame was truncated away; appends work again.
+        // The torn frame was zeroed away; appends work again.
         assert_eq!(j.size_bytes(), info.offset);
         j.append("INSERT INTO t VALUES (3)", &[]).unwrap();
         let entries = j.replay().unwrap();
@@ -742,21 +975,25 @@ mod tests {
     #[test]
     fn salvages_torn_length_prefix() {
         let path = tmp("cutlen");
+        let end;
         {
-            let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+            let mut j = open(&path).unwrap();
             j.append("A", &[]).unwrap();
+            j.sync_now().unwrap();
+            end = j.size_bytes() as usize;
         }
-        // Leave only 2 bytes of the next frame's length prefix.
+        // Leave only 2 bytes of the next frame's length prefix, then
+        // the end of the file.
         let data = std::fs::read(&path).unwrap();
-        let mut cut = data.clone();
+        let mut cut = data[..end].to_vec();
         cut.extend_from_slice(&[7, 0]);
         std::fs::write(&path, &cut).unwrap();
-        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+        let mut j = open(&path).unwrap();
         assert_eq!(j.replay().unwrap().len(), 1);
         assert_eq!(
             j.last_salvage(),
             Some(SalvageInfo {
-                offset: data.len() as u64,
+                offset: end as u64,
                 lost_bytes: 2
             })
         );
@@ -788,17 +1025,27 @@ mod tests {
     fn midfile_corruption_stays_fatal() {
         let path = tmp("corrupt");
         {
-            let mut j = Journal::open(&path, Box::new(SumCodec)).unwrap();
+            let mut j = Journal::open(&path, Box::new(SumCodec), DEFAULT_TAG).unwrap();
             j.append("INSERT INTO t VALUES (1)", &[]).unwrap();
             j.append("INSERT INTO t VALUES (2)", &[]).unwrap();
         }
-        // Flip a byte inside the first record's payload: tampering,
-        // not a torn tail — salvage must NOT kick in.
+        // Flip a byte inside the first record's payload and mend its
+        // check, as a forger would: tampering, not a torn tail —
+        // salvage must NOT kick in, and the codec refuses the record.
         let mut data = std::fs::read(&path).unwrap();
-        data[8] ^= 0xff;
+        let at = HEADER_BYTES as usize;
+        let len = usize::from(data[at]); // A record under 256 bytes.
+        let stored = at + FRAME_HEAD..at + FRAME_HEAD + len;
+        data[stored.start + 2] ^= 0xff;
+        let check = crc32c(&data[stored]).to_le_bytes();
+        data[at + 4..at + 8].copy_from_slice(&check);
         std::fs::write(&path, &data).unwrap();
-        let mut j = Journal::open(&path, Box::new(SumCodec)).unwrap();
-        assert!(j.replay().is_err());
+        let mut j = Journal::open(&path, Box::new(SumCodec), DEFAULT_TAG).unwrap();
+        let err = j.replay().unwrap_err();
+        assert!(
+            matches!(err, DbError::Exec(ref m) if m.contains("authenticate")),
+            "{err:?}"
+        );
         assert!(j.last_salvage().is_none());
     }
 
@@ -808,7 +1055,7 @@ mod tests {
         std::fs::write(&path, b"").unwrap();
         let stale = rewrite_temp_path(path.path(), 3);
         std::fs::write(&stale, b"half a snapshot").unwrap();
-        let _j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+        let _j = open(&path).unwrap();
         assert!(!stale.exists(), "stale compaction temp not cleaned up");
     }
 }

@@ -69,6 +69,9 @@ pub enum DbError {
     Exec(String),
     /// Underlying I/O failure.
     Io(std::io::Error),
+    /// A journal file of another format or tag, or no journal at all
+    /// ([`journal::Journal::open`]).
+    Format(String),
 }
 
 impl DbError {
@@ -93,6 +96,7 @@ impl std::fmt::Display for DbError {
             DbError::Schema(m) => write!(f, "schema error: {m}"),
             DbError::Exec(m) => write!(f, "execution error: {m}"),
             DbError::Io(e) => write!(f, "I/O error: {e}"),
+            DbError::Format(m) => write!(f, "journal format error: {m}"),
         }
     }
 }

@@ -7,7 +7,7 @@
 //! then runs under `scenario.reset()`, exactly like a restarted
 //! process reading what the dead one left behind.
 
-use libseal_sealdb::journal::{Journal, PlainCodec};
+use libseal_sealdb::journal::{Journal, PlainCodec, DEFAULT_TAG, HEADER_BYTES, SEGMENT_BYTES};
 use libseal_sealdb::{Database, Value};
 use plat::failpoint::{self, FaultSpec};
 use plat::tmp::TempPath;
@@ -111,42 +111,46 @@ fn torn_snapshot_write_leaves_live_journal_intact() {
 }
 
 /// A torn write (crash mid-`write(2)`) is salvaged on reopen: every
-/// frame before the torn one replays, the torn bytes are dropped and
+/// frame before the torn one replays, the torn frame is dropped and
 /// reported.
 #[test]
 fn torn_append_is_salvaged_on_reopen() {
     let _s = failpoint::scenario();
     let path = TempPath::new("sealdb-crash-tornapp", "log");
-    let synced = {
+    let (synced, end) = {
         let mut db = seeded_db(&path, 5);
-        let synced = std::fs::metadata(&path).unwrap().len();
+        let synced = db.journal_size_bytes() as usize;
         db.execute_with(
             "INSERT INTO t VALUES (?, ?)",
             &[Value::Integer(99), Value::Null],
         )
         .unwrap();
         db.sync_journal().unwrap();
-        synced
+        (synced, db.journal_size_bytes() as usize)
     };
-    // The process died 9 bytes into writing the new frame.
-    let data = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &data[..synced as usize + 9]).unwrap();
+    // The process died 9 bytes into writing the new frame over the
+    // zero tail.
+    let mut data = std::fs::read(&path).unwrap();
+    data[synced + 9..].fill(0);
+    std::fs::write(&path, &data).unwrap();
     let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(row_count(&db), 5, "synced prefix must survive");
     let salvage = db.salvage_report().expect("salvage must be reported");
-    assert_eq!(salvage.lost_bytes, 9);
+    assert_eq!(salvage.offset, synced as u64);
+    assert_eq!(salvage.lost_bytes, (end - synced) as u64, "the torn frame");
 }
 
-/// A torn write the process survives (an I/O error part-way) is cut
-/// back off the file, and its frames stay pending: the next sync
-/// writes them again, behind nothing torn.
+/// A torn write the process survives (an I/O error part-way) is
+/// zeroed back, and its frames stay pending: the next sync writes them
+/// again, behind nothing torn.
 #[test]
 fn a_torn_write_the_process_survives_is_cut_back_and_written_again() {
     let s = failpoint::scenario();
     let path = TempPath::new("sealdb-crash-retry-write", "log");
     {
         let mut db = seeded_db(&path, 5);
-        let synced = std::fs::metadata(&path).unwrap().len();
+        let synced = db.journal_size_bytes() as usize;
+        let len = std::fs::metadata(&path).unwrap().len();
         db.execute_with(
             "INSERT INTO t VALUES (?, ?)",
             &[Value::Integer(5), Value::Null],
@@ -156,11 +160,9 @@ fn a_torn_write_the_process_survives_is_cut_back_and_written_again() {
         let torn = FaultSpec::partial_write(9).after(next).times(1);
         s.set("sealdb::journal::write", torn);
         assert!(db.sync_journal().is_err());
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            synced,
-            "torn bytes cut"
-        );
+        let data = std::fs::read(&path).unwrap();
+        assert_eq!(data.len() as u64, len);
+        assert!(data[synced..].iter().all(|&b| b == 0), "torn bytes zeroed");
         db.execute_with(
             "INSERT INTO t VALUES (?, ?)",
             &[Value::Integer(6), Value::Null],
@@ -170,6 +172,66 @@ fn a_torn_write_the_process_survives_is_cut_back_and_written_again() {
     }
     let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(row_count(&db), 7);
+    assert!(db.salvage_report().is_none());
+}
+
+/// A commit whose frames pass the zero tail grows the file by whole
+/// segments in the same write, and still costs one fsync.
+#[test]
+fn a_commit_across_a_segment_boundary_costs_one_fsync() {
+    let s = failpoint::scenario();
+    let fsyncs = libseal_telemetry::counter("sealdb_journal_fsyncs_total");
+    let path = TempPath::new("sealdb-crash-segment", "log");
+    let mut db = seeded_db(&path, 1);
+    let len = std::fs::metadata(&path).unwrap().len();
+    let row = [Value::Integer(1), Value::Text("x".repeat(4096))];
+    let mut commits = 0;
+    while std::fs::metadata(&path).unwrap().len() == len {
+        db.execute_with("INSERT INTO t VALUES (?, ?)", &row)
+            .unwrap();
+        let (extends, syncs) = (s.hits("sealdb::journal::extend"), fsyncs.get());
+        db.sync_journal().unwrap();
+        assert_eq!(fsyncs.get() - syncs, 1, "commit {commits}");
+        commits += 1;
+        if std::fs::metadata(&path).unwrap().len() > len {
+            assert!(
+                s.hits("sealdb::journal::extend") > extends,
+                "grown by this commit"
+            );
+        }
+    }
+    assert!(commits > 1, "the first segment held several commits");
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), len + SEGMENT_BYTES);
+    drop(db);
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
+    assert_eq!(row_count(&db), 1 + commits);
+}
+
+/// A crash while the zero tail grows leaves the frames before it.
+#[test]
+fn a_crash_while_the_tail_grows_leaves_the_synced_rows() {
+    let s = failpoint::scenario();
+    let path = TempPath::new("sealdb-crash-extend", "log");
+    {
+        let mut db = seeded_db(&path, 3);
+        let row = [
+            Value::Integer(9),
+            Value::Blob(vec![1; SEGMENT_BYTES as usize]),
+        ];
+        db.execute_with("INSERT INTO t VALUES (?, ?)", &row)
+            .unwrap();
+        let next = s.hits("sealdb::journal::extend");
+        s.set(
+            "sealdb::journal::extend",
+            FaultSpec::partial_write(9).after(next),
+        );
+        assert!(db.sync_journal().is_err());
+        s.set("sealdb::journal::extend", FaultSpec::crash());
+        assert!(db.sync_journal().is_err());
+    }
+    s.reset();
+    let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
+    assert_eq!(row_count(&db), 3);
     assert!(db.salvage_report().is_none());
 }
 
@@ -261,18 +323,19 @@ fn stage_trim(db: &mut Database) {
 fn a_torn_snapshot_frame_leaves_the_pre_trim_rows_and_the_insert_behind() {
     let _s = failpoint::scenario();
     let path = TempPath::new("sealdb-crash-tornframe", "log");
-    {
+    let end = {
         let mut db = seeded_db(&path, 6);
         stage_trim(&mut db);
         assert_eq!(row_count(&db), 4);
         db.write_snapshot().unwrap();
         db.sync_journal().unwrap();
-    }
+        db.journal_size_bytes() as usize
+    };
     let full = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(row_count(&full), 4, "the frame landed");
     drop(full);
     let data = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &data[..data.len() - 5]).unwrap();
+    std::fs::write(&path, &data[..end - 5]).unwrap();
     let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(row_count(&db), 7, "the pre-trim rows and the insert");
     assert!(db.salvage_report().is_some());
@@ -307,7 +370,7 @@ fn sqls(j: &mut Journal) -> Vec<String> {
 fn replay_starts_over_at_each_snapshot_frame() {
     let _s = failpoint::scenario();
     let path = TempPath::new("sealdb-journal-snap", "log");
-    let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+    let mut j = Journal::open(&path, Box::new(PlainCodec), DEFAULT_TAG).unwrap();
     j.append("A", &[]).unwrap();
     j.append_snapshot([("S1", &[][..]), ("S2", &[Value::Integer(9)][..])])
         .unwrap();
@@ -317,7 +380,7 @@ fn replay_starts_over_at_each_snapshot_frame() {
     j.append_snapshot([("T", &[][..])]).unwrap();
     j.sync_now().unwrap();
     drop(j);
-    let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+    let mut j = Journal::open(&path, Box::new(PlainCodec), DEFAULT_TAG).unwrap();
     assert_eq!(sqls(&mut j), ["T"]);
     assert!(j.last_salvage().is_none());
 }
@@ -326,19 +389,20 @@ fn replay_starts_over_at_each_snapshot_frame() {
 fn a_torn_snapshot_frame_leaves_the_state_before_it() {
     let _s = failpoint::scenario();
     let path = TempPath::new("sealdb-journal-snaptorn", "log");
-    let before;
+    let (before, end);
     {
-        let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+        let mut j = Journal::open(&path, Box::new(PlainCodec), DEFAULT_TAG).unwrap();
         j.append("A", &[]).unwrap();
         j.sync_now().unwrap();
         before = j.size_bytes();
         j.append("B", &[]).unwrap();
         j.append_snapshot([("S", &[][..])]).unwrap();
         j.sync_now().unwrap();
+        end = j.size_bytes() as usize;
     }
     let data = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &data[..data.len() - 2]).unwrap();
-    let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+    std::fs::write(&path, &data[..end - 2]).unwrap();
+    let mut j = Journal::open(&path, Box::new(PlainCodec), DEFAULT_TAG).unwrap();
     assert_eq!(sqls(&mut j), ["A", "B"]);
     assert!(j.last_salvage().unwrap().offset > before);
 }
@@ -347,7 +411,7 @@ fn a_torn_snapshot_frame_leaves_the_state_before_it() {
 fn reclaim_keeps_the_live_suffix_byte_for_byte() {
     let _s = failpoint::scenario();
     let path = TempPath::new("sealdb-journal-reclaim", "log");
-    let mut j = Journal::open(&path, Box::new(PlainCodec)).unwrap();
+    let mut j = Journal::open(&path, Box::new(PlainCodec), DEFAULT_TAG).unwrap();
     for i in 0..5 {
         j.append(&format!("S{i}"), &[]).unwrap();
     }
@@ -355,11 +419,13 @@ fn reclaim_keeps_the_live_suffix_byte_for_byte() {
         .unwrap();
     j.append("AFTER", &[]).unwrap();
     j.sync_now().unwrap();
-    let data = std::fs::read(&path).unwrap();
+    let (data, end) = (std::fs::read(&path).unwrap(), j.size_bytes() as usize);
     j.reclaim().unwrap();
-    let suffix = std::fs::read(&path).unwrap();
-    assert!(data.ends_with(&suffix) && suffix.len() < data.len());
-    assert_eq!(j.size_bytes(), suffix.len() as u64);
+    let reclaimed = std::fs::read(&path).unwrap();
+    let (header, suffix) = reclaimed.split_at(HEADER_BYTES as usize);
+    assert_eq!(header, &data[..HEADER_BYTES as usize]);
+    assert!(data[..end].ends_with(suffix) && reclaimed.len() < end);
+    assert_eq!(j.size_bytes(), reclaimed.len() as u64);
     let entries = j.replay().unwrap();
     assert_eq!(entries.len(), 3);
     assert_eq!(entries[1].params, vec![Value::Integer(9)]);

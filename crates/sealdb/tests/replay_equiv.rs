@@ -18,7 +18,7 @@
 
 use std::fmt::Write;
 
-use libseal_sealdb::journal::Journal;
+use libseal_sealdb::journal::{self, Journal};
 use libseal_sealdb::{quote_ident, Database, PlainCodec, Value};
 use plat::check::Gen;
 use plat::tmp::TempPath;
@@ -87,7 +87,7 @@ impl Script {
                 format!("INSERT INTO {} VALUES ({marks})", quote_ident(&t.name))
             })
             .collect();
-        let mut journal = Journal::open(path, Box::new(PlainCodec)).unwrap();
+        let mut journal = Journal::open(path, Box::new(PlainCodec), journal::DEFAULT_TAG).unwrap();
         for e in journal.replay().unwrap() {
             assert!(
                 self.passed.iter().any(|p| p.contains(&e.sql)) || inserts.contains(&e.sql),

@@ -4,6 +4,7 @@
 #
 #   scripts/pairs.sh <parent-rev> <workload> <n> [first-seed]
 #   scripts/pairs.sh --render <file> [metric...]
+#   scripts/pairs.sh --trajectory <workload> <metric>
 #
 # The first form exports <parent-rev> with `git archive` into
 # target/pairs/<rev>/ (no worktree), builds the benchmark there and in
@@ -26,6 +27,13 @@
 # named metrics (by default BENCHMARK.json's end-to-end ones and
 # fail_share), its label and a markdown table `| metric | parent runs |
 # change runs | medians P → C | parent quartiles | paired |`.
+#
+# The third form prints, per committed BENCH_PR<n>.json in PR order, the
+# last untraced set of <workload> with a paired ratio of <metric>: its
+# label, pairs, paired-ratio median and the product of the medians so
+# far, the chain from the first PR's parent to that PR. The first set of
+# a PR is not always its parent-vs-change set (sizing sets have other
+# sides): read the labels.
 #
 # Needs git, cargo and jq. The benchmark burns CPU on purpose: run
 # nothing beside it.
@@ -66,6 +74,28 @@ render() {
                    else "; ratio \($s.paired_ratio_median | sig)" end)
             ] | "| " + join(" | ") + " |")' "$file"
 }
+
+trajectory() {
+    [ $# -eq 2 ] || { sed -n '7s/^# *//p' "$0" >&2; exit 2; }
+    printf '| PR | last untraced set | pairs | paired ratio | chained |\n|---|---|---|---|---|\n'
+    # shellcheck disable=SC2046 # one file name per word
+    jq -rn --arg w "$1" --arg m "$2" '
+        def sig: (. * 1000 | round) / 1000 | tostring;
+        foreach (inputs | {pr: (input_filename | ltrimstr("BENCH_PR") | rtrimstr(".json")),
+                           set: ([.sets[] | select(.workload == $w and (.trace | not)
+                                  and .summary[$m].paired_ratio_median != null)] | last)}
+                 | select(.set != null)) as $row
+            (1; . * $row.set.summary[$m].paired_ratio_median;
+             "| \($row.pr) | \($row.set.label | .[:70]) | \($row.set.n) "
+             + "| \($row.set.summary[$m].paired_ratio_median | sig) | \(. | sig) |")
+    ' $(ls BENCH_PR*.json | sort -V)
+}
+
+if [ "${1:-}" = "--trajectory" ]; then
+    shift
+    trajectory "$@"
+    exit 0
+fi
 
 if [ "${1:-}" = "--render" ]; then
     shift
