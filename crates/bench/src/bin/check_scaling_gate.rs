@@ -71,7 +71,7 @@ fn git_log(n: usize) -> AuditLog {
         // production: keeps the dirty backlog bounded instead of
         // draining the whole history in one go at the end.
         if i % 10_000 == 9_999 {
-            log.db_mut().refresh_matviews().unwrap();
+            log.refresh_matviews().unwrap();
         }
     }
     log

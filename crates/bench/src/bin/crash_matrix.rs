@@ -112,7 +112,7 @@ fn workload(path: &TempPath, guard: Box<dyn RollbackGuard>, at_trim: &dyn Fn()) 
     if append_ad(&mut log, 99) {
         durable += 1;
     }
-    let _ = log.db_mut().refresh_matviews();
+    let _ = log.refresh_matviews();
     at_trim();
     let _ = (log.trim(GitModule.trim_queries())).and_then(|_| log.commit());
     durable = durable.min(KEPT);
@@ -121,7 +121,7 @@ fn workload(path: &TempPath, guard: Box<dyn RollbackGuard>, at_trim: &dyn Fn()) 
             durable += 1;
         }
     }
-    let _ = log.db_mut().refresh_matviews();
+    let _ = log.refresh_matviews();
     Outcome { durable }
 }
 
@@ -391,20 +391,19 @@ fn trial(
         .map_err(|e| format!("{site} [{flavor}]: invariant query failed: {e}"))?;
     // Derived view state must be reconstructible from the recovered
     // base tables, no matter where the crash hit: re-register (which
-    // reseeds the backing tables), refresh, and compare against the
-    // full-scan reference.
+    // reseeds the views), refresh, and compare against the full-scan
+    // reference.
     libseal::Checker::install(&GitModule, &mut log)
         .map_err(|e| format!("{site} [{flavor}]: view install failed: {e}"))?;
-    log.db_mut()
-        .refresh_matviews()
+    log.refresh_matviews()
         .map_err(|e| format!("{site} [{flavor}]: view refresh failed: {e}"))?;
     let view = log
-        .query("SELECT * FROM mv_git_soundness", &[])
-        .map_err(|e| format!("{site} [{flavor}]: view query failed: {e}"))?;
+        .matview_rows("git-soundness")
+        .ok_or_else(|| format!("{site} [{flavor}]: no git-soundness view after install"))?;
     let full = log
         .query(GIT_SOUNDNESS, &[])
         .map_err(|e| format!("{site} [{flavor}]: reference query failed: {e}"))?;
-    let mut got: Vec<String> = view.rows.iter().map(|r| format!("{r:?}")).collect();
+    let mut got: Vec<String> = view.iter().map(|r| format!("{r:?}")).collect();
     let mut want: Vec<String> = full.rows.iter().map(|r| format!("{r:?}")).collect();
     got.sort();
     want.sort();

@@ -111,34 +111,25 @@ impl Checker {
         }
     }
 
-    /// Parses every statement `ssm` will have run — invariants, deltas,
-    /// rescans and trims — and registers the materialized views backing
-    /// every delta-capable invariant. Call once after opening the log;
-    /// safe to call again (re-registration reseeds from the base
-    /// tables).
+    /// Parses every statement `ssm` will have run — invariants and
+    /// trims here, deltas and rescans by the registration of the views
+    /// backing every delta-capable invariant. Call once after opening
+    /// the log; safe to call again (re-registration reseeds from the
+    /// base tables).
     ///
     /// # Errors
     ///
     /// A [`libseal_sealdb::DbError::Parse`] for SQL outside sealdb's
     /// subset, so it fails here, before the service serves, not at the
-    /// first check or trim; view registration failures (journal I/O).
+    /// first check or trim; a [`libseal_sealdb::DbError::Schema`] for a
+    /// view whose source columns or output width do not fit.
     pub fn install(ssm: &dyn ServiceModule, log: &mut AuditLog) -> Result<()> {
-        let invariants = ssm.invariants().iter();
-        let deltas = invariants.clone().filter_map(|i| i.delta);
-        let rescans = (deltas.clone()).flat_map(|d| d.sources.iter().filter_map(|s| s.rescan));
-        let statements = (invariants.map(|i| i.sql))
-            .chain(deltas.map(|d| d.delta_sql))
-            .chain(rescans.map(|r| r.sql))
-            .chain(ssm.trim_queries().iter().copied());
-        for sql in statements {
+        let invariants = ssm.invariants().iter().map(|i| i.sql);
+        for sql in invariants.chain(ssm.trim_queries().iter().copied()) {
             libseal_sealdb::parser::parse(sql).map_err(crate::LibSealError::Db)?;
         }
-        for inv in ssm.invariants() {
-            if let Some(spec) = inv.matview_spec() {
-                log.db_mut()
-                    .register_matview(spec)
-                    .map_err(crate::LibSealError::Db)?;
-            }
+        for spec in ssm.invariants().iter().filter_map(|i| i.matview_spec()) {
+            log.register_matview(spec)?;
         }
         Ok(())
     }
@@ -182,27 +173,21 @@ impl Checker {
         log: &mut AuditLog,
     ) -> Result<CheckOutcome> {
         let started = std::time::Instant::now();
-        log.db_mut()
-            .refresh_matviews()
-            .map_err(crate::LibSealError::Db)?;
+        log.refresh_matviews()?;
         let mut outcome = CheckOutcome {
             at_time: log.now(),
             reports: Vec::new(),
         };
         for inv in ssm.invariants() {
-            // A registered view's violations are its backing table's
-            // rows, read as they lie.
-            let view = inv.delta.map(|_| inv.view_name());
-            let db = log.db_mut();
-            let registered = view.filter(|v| db.matview_names().contains(&v.as_str()));
-            let backing = registered.and_then(|v| db.catalog().table(&v));
+            // A registered view's violations are its rows, read as they
+            // lie.
             let report = |rows: &[Vec<Value>]| CheckReport {
                 invariant: inv.name.to_string(),
                 violations: rows.len(),
                 rows: rows.iter().take(MAX_REPORT_ROWS).cloned().collect(),
             };
-            outcome.reports.push(match backing {
-                Some(t) => report(&t.rows),
+            outcome.reports.push(match log.matview_rows(inv.name) {
+                Some(rows) => report(rows),
                 None => report(&log.query(inv.sql, &[])?.rows),
             });
         }

@@ -46,7 +46,7 @@ use libseal_crypto::sha2::Sha256;
 use libseal_sealdb::db::Prepared;
 use libseal_sealdb::journal::JournalCodec;
 use libseal_sealdb::value::GroupClass;
-use libseal_sealdb::{quote_ident, Database, Value};
+use libseal_sealdb::{quote_ident, Database, MatViewSpec, Value};
 
 use crate::{LibSealError, Result};
 
@@ -1075,6 +1075,32 @@ impl AuditLog {
     /// key their monotonicity argument on it.
     pub fn chain_tip(&self) -> (u64, u64, [u8; 32]) {
         (self.seq, self.clock, self.head)
+    }
+
+    /// Registers a delta-maintained view of the log's tables
+    /// ([`Database::register_matview`]).
+    ///
+    /// # Errors
+    ///
+    /// The view's SQL, source columns or output width do not fit.
+    pub fn register_matview(&mut self, spec: MatViewSpec) -> Result<()> {
+        self.db.register_matview(spec).map_err(LibSealError::Db)
+    }
+
+    /// Brings every registered view up to date
+    /// ([`Database::refresh_matviews`]).
+    ///
+    /// # Errors
+    ///
+    /// Query failures; a view's dirty state stays until it succeeds.
+    pub fn refresh_matviews(&mut self) -> Result<usize> {
+        self.db.refresh_matviews().map_err(LibSealError::Db)
+    }
+
+    /// The rows of the registered view `name` as of its last refresh,
+    /// or `None` if no view of that name is registered.
+    pub fn matview_rows(&self, name: &str) -> Option<&[Vec<Value>]> {
+        self.db.matview_rows(name)
     }
 
     /// Direct database access for tests and tamper-injection.

@@ -44,16 +44,11 @@ pub struct Invariant {
 }
 
 impl Invariant {
-    /// Backing-table name of this invariant's materialized view.
-    pub fn view_name(&self) -> String {
-        format!("mv_{}", self.name.replace('-', "_"))
-    }
-
-    /// The sealdb view registration of this invariant, or `None` for
-    /// full-scan-only invariants.
+    /// The sealdb view registration of this invariant, named after
+    /// it, or `None` for full-scan-only invariants.
     pub fn matview_spec(&self) -> Option<MatViewSpec> {
         Some(MatViewSpec {
-            name: self.view_name(),
+            name: self.name,
             full_sql: self.sql,
             delta: self.delta?,
         })

@@ -805,8 +805,8 @@ fn a_trim_whose_snapshot_cannot_be_written_is_given_up_at_one_counter_step() {
             held.verify().unwrap();
             assert_eq!(cids(&held), all, "{via} {round}");
             assert_eq!(held.entries(), PUSHES + 1 + round / 2);
-            held.db_mut().refresh_matviews().unwrap();
-            let view = rows(&held, "SELECT * FROM mv_git_soundness");
+            held.refresh_matviews().unwrap();
+            let view = held.matview_rows("git-soundness").unwrap();
             assert_eq!(view, rows(&held, GIT_SOUNDNESS), "{via} {round}");
             assert_eq!(view.len(), 1, "{via} {round}: the stale fetch is back");
             drop(held);

@@ -11,11 +11,16 @@
 //! violation via the rescan rule (the one place a new row shrinks the
 //! violation set of an old partition).
 
-use libseal::log::{AuditLog, LogBacking, NoGuard, TableSpec};
+use std::collections::BTreeSet;
+use std::path::Path;
+
+use libseal::log::{AuditLog, LogBacking, NoGuard, SealingCodec, TableSpec, JOURNAL_TAG};
 use libseal::{Checker, DropboxModule, GitModule, Invariant, OwnCloudModule, ServiceModule};
 use libseal_crypto::ed25519::SigningKey;
+use libseal_sealdb::journal::Journal;
 use libseal_sealdb::Value;
 use plat::check::Gen;
+use plat::tmp::TempPath;
 
 fn text(s: impl Into<String>) -> Value {
     Value::Text(s.into())
@@ -357,4 +362,181 @@ fn an_idle_log_is_trimmed_once_and_a_grown_one_again() {
     assert!(log.is_dirty(), "the log grew: trimmed again");
     log.seal().unwrap();
     assert_eq!(log.entries(), 1);
+}
+
+const SEAL_KEY: [u8; 32] = [7u8; 32];
+
+fn open_git_disk(path: &Path) -> AuditLog {
+    let m = GitModule;
+    let backing = LogBacking::Disk(path.to_path_buf());
+    let signer = SigningKey::from_seed(&[1u8; 32]);
+    AuditLog::open(
+        backing,
+        SEAL_KEY,
+        signer,
+        Box::new(NoGuard),
+        m.schema_sql(),
+        m.tables(),
+    )
+    .expect("open disk-backed log")
+}
+
+/// A push of `cid` to r/main and a fetch served `advertised` as its
+/// head, committed.
+fn git_pair(log: &mut AuditLog, cid: &str, advertised: &str) {
+    let t = Value::Integer(log.next_time() as i64);
+    let row = [t, text("r"), text("main"), text(cid), text("update")];
+    log.append("updates", &row).expect("append update");
+    let t = Value::Integer(log.next_time() as i64);
+    let row = [t, text("r"), text("main"), text(advertised)];
+    log.append("advertisements", &row)
+        .expect("append advertisement");
+    log.commit().expect("commit");
+}
+
+/// Clean pairs, with every third fetch served a stale head.
+fn git_pairs(log: &mut AuditLog, from: usize, n: usize) {
+    for i in from..from + n {
+        let cid = format!("{i:040x}");
+        git_pair(log, &cid, if i % 3 == 2 { "stale" } else { &cid });
+    }
+}
+
+/// The statements of every record the journal at `path` replays to,
+/// the last snapshot frame's included, read from a copy of the file.
+fn journaled(path: &Path) -> Vec<String> {
+    let copy = TempPath::new("views-journal-copy", "log");
+    std::fs::copy(path, &copy).expect("copy journal");
+    let codec = Box::new(SealingCodec::new(SEAL_KEY));
+    let mut journal = Journal::open(&copy, codec, JOURNAL_TAG).expect("journal");
+    let entries = journal.replay().expect("replay");
+    entries.into_iter().map(|e| e.sql).collect()
+}
+
+fn tables(log: &mut AuditLog) -> Vec<String> {
+    let catalog = log.db_mut().catalog();
+    (catalog.tables_sorted().iter())
+        .map(|t| t.name.clone())
+        .collect()
+}
+
+/// Sorted rows, for comparing a view with the full scan's result.
+fn sorted(rows: &[Vec<Value>]) -> Vec<String> {
+    let mut out: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+    out.sort();
+    out
+}
+
+/// The reopened views equal a full scan, and the incremental check's
+/// verdicts and evidence equal the full check's.
+fn assert_views_match_full_scan(log: &mut AuditLog, ctx: &str) {
+    let m = GitModule;
+    let inc = Checker::run_checks_incremental(&m, log).expect("incremental check");
+    let full = Checker::run_checks(&m, log).expect("full check");
+    for (inv, (a, b)) in m
+        .invariants()
+        .iter()
+        .zip(inc.reports.iter().zip(&full.reports))
+    {
+        let view = log.matview_rows(inv.name).expect("a registered view");
+        let scan = log.query(inv.sql, &[]).expect("full scan").rows;
+        assert_eq!(sorted(view), sorted(&scan), "{ctx}: {}", inv.name);
+        assert_eq!(a.violations, b.violations, "{ctx}: {}", inv.name);
+        assert_eq!(sorted(&a.rows), sorted(&b.rows), "{ctx}: {}", inv.name);
+    }
+}
+
+/// A view is its rows, not a catalog table: installing the Git views
+/// journals nothing, so neither the records of a disk-backed log nor
+/// its trim's snapshot frame hold view DDL, and the reopened catalog
+/// holds what a log without views holds. The reopened views, seeded
+/// again from the recovered base tables, equal a full scan.
+#[test]
+fn a_view_is_not_a_table() {
+    // What a log holds with no views installed.
+    let bare = TempPath::new("views-bare", "log");
+    let mut log = open_git_disk(&bare);
+    git_pairs(&mut log, 0, 1);
+    let want_tables = tables(&mut log);
+    drop(log);
+    let create = |sqls: Vec<String>| -> BTreeSet<String> {
+        sqls.into_iter()
+            .filter(|s| s.starts_with("CREATE"))
+            .collect()
+    };
+    let want_ddl = create(journaled(&bare));
+
+    let path = TempPath::new("views-not-tables", "log");
+    let mut log = open_git_disk(&path);
+    Checker::install(&GitModule, &mut log).expect("install views");
+    git_pairs(&mut log, 0, 6);
+    let mut ddl = create(journaled(&path));
+    let inc = Checker::run_checks_incremental(&GitModule, &mut log).expect("check");
+    assert_eq!(inc.total_violations(), 2, "two stale fetches");
+    log.trim(GitModule.trim_queries()).expect("trim");
+    log.commit().expect("commit the trim's snapshot frame");
+    git_pairs(&mut log, 6, 6);
+    assert_views_match_full_scan(&mut log, "before reopen");
+    drop(log);
+    let records = journaled(&path);
+    assert!(
+        records.iter().any(|s| s.starts_with("INSERT")),
+        "a snapshot"
+    );
+    ddl.extend(create(records));
+    assert_eq!(ddl, want_ddl, "only the log's own DDL is journaled");
+
+    let mut log = open_git_disk(&path);
+    log.verify().expect("verify");
+    assert_eq!(tables(&mut log), want_tables, "no view table");
+    Checker::install(&GitModule, &mut log).expect("install views");
+    assert_views_match_full_scan(&mut log, "after reopen");
+    let inc = Checker::run_checks_incremental(&GitModule, &mut log).expect("check");
+    assert_eq!(
+        inc.total_violations(),
+        2,
+        "the stale fetches since the trim"
+    );
+}
+
+/// A log whose journal holds the view DDL an earlier registration
+/// journaled — `mv_<invariant>` backing tables and their partition
+/// indexes — still opens and verifies. Those tables replay, inert:
+/// nothing reads them, and the views hold their own rows.
+#[test]
+fn a_log_with_journaled_view_tables_still_opens() {
+    let path = TempPath::new("views-old-ddl", "log");
+    let mut log = open_git_disk(&path);
+    for ddl in [
+        "CREATE TABLE IF NOT EXISTS mv_git_soundness(time, repo, branch, cid)",
+        "CREATE INDEX IF NOT EXISTS mvix_mv_git_soundness_part ON mv_git_soundness(time)",
+        "CREATE TABLE IF NOT EXISTS mv_git_completeness(time, repo)",
+        "CREATE INDEX IF NOT EXISTS mvix_mv_git_completeness_part ON mv_git_completeness(time)",
+    ] {
+        log.db_mut().execute_with(ddl, &[]).expect(ddl);
+    }
+    git_pairs(&mut log, 0, 6);
+    log.trim(GitModule.trim_queries()).expect("trim");
+    log.commit().expect("commit");
+    git_pairs(&mut log, 6, 6);
+    drop(log);
+    assert!(journaled(&path)
+        .iter()
+        .any(|s| s.contains("mvix_mv_git_soundness_part")));
+
+    let mut log = open_git_disk(&path);
+    log.verify().expect("verify");
+    assert!(tables(&mut log).contains(&"mv_git_soundness".to_string()));
+    Checker::install(&GitModule, &mut log).expect("install views");
+    assert_views_match_full_scan(&mut log, "reopened");
+    let inc = Checker::run_checks_incremental(&GitModule, &mut log).expect("check");
+    assert_eq!(
+        inc.total_violations(),
+        2,
+        "the stale fetches since the trim"
+    );
+    let old = log
+        .query("SELECT COUNT(*) FROM mv_git_soundness", &[])
+        .unwrap();
+    assert_eq!(old.scalar(), Some(&Value::Integer(0)), "inert");
 }

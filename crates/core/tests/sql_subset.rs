@@ -4,8 +4,8 @@
 //! LibSEAL speaks"). This suite lists them — every SSM's schema,
 //! invariants, deltas, rescans and trims through `ServiceModule`, the
 //! audit log's and the checkpoint table's fixed statements, and one
-//! rendering of each statement the log, the materialized views and
-//! compaction compose — parses each, and walks the ASTs with exhaustive
+//! rendering of each statement the log and compaction compose — parses
+//! each, and walks the ASTs with exhaustive
 //! matches over `Stmt`, `Expr`, `BinOp`, `JoinKind`, `SelectItem` and
 //! `TableRef`: every variant must be reached. A variant added later
 //! without a product use fails here. A disk-backed log per SSM is then
@@ -50,13 +50,10 @@ const FIXED: &[&str] = &[
 
 /// One rendering of each composed statement: the key-column index the
 /// log declares, the row `INSERT` of an append and of a snapshot frame,
-/// a materialized view's backing table and index, and the statements
-/// the gated benchmark's sealdb stage runs.
+/// and the statements the gated benchmark's sealdb stage runs.
 const COMPOSED: &[&str] = &[
     "CREATE INDEX IF NOT EXISTS libseal_idx_updates_time ON updates(time)",
     "INSERT INTO \"updates\" VALUES (?, ?, ?, ?, ?)",
-    "CREATE TABLE IF NOT EXISTS mv_git_completeness(time, repo)",
-    "CREATE INDEX IF NOT EXISTS mvix_mv_git_completeness_part ON mv_git_completeness(time)",
     "CREATE TABLE t(k INTEGER, v TEXT)",
     "CREATE INDEX t_k ON t(k)",
     "INSERT INTO t VALUES (?, ?)",

@@ -9,7 +9,7 @@ use crate::journal::{Journal, JournalCodec, JournalSync, SalvageInfo};
 use crate::parser;
 use crate::token::quote_ident;
 use crate::value::Value;
-use crate::view::{backing_column_name, MatView, MatViewSpec, PartitionKey};
+use crate::view::{MatView, MatViewSpec};
 use crate::{DbError, Result};
 
 /// Process-wide database metrics.
@@ -163,7 +163,7 @@ impl Database {
         }
         self.catalog = replayed.catalog;
         for v in &mut self.matviews {
-            v.full_dirty = true;
+            (v.full_dirty, v.rows) = (true, Vec::new());
             v.dirty.clear();
         }
         self.snapshot_pending = false;
@@ -306,8 +306,6 @@ impl Database {
         let env = crate::exec::env_for(&scope, &[]);
         let eval = |e| crate::exec::eval(&ctx, e, &env, None).map(Cow::into_owned);
         let values = values.iter().map(eval).collect::<Result<Vec<_>>>()?;
-        let sources = self.matviews.iter().flat_map(|v| v.spec.delta.sources);
-        let tracked = sources.into_iter().any(|s| s.table == table);
         let t = self
             .catalog
             .table_mut(table)
@@ -322,14 +320,9 @@ impl Database {
         let row: Vec<Value> = (t.columns.iter().zip(values))
             .map(|(c, v)| c.affinity.apply(v))
             .collect();
-        // Clone the row only when a materialized view tracks inserts
-        // into this table.
-        let copy = tracked.then(|| row.clone());
         t.rows.push(row);
         t.index_appended_row();
-        if let Some(row) = copy {
-            self.note_insert(table, &row)?;
-        }
+        self.note_insert(table)?;
         Ok(QueryResult {
             rows_affected: 1,
             ..Default::default()
@@ -444,113 +437,41 @@ impl Database {
     /// can invalidate arbitrary partitions, so the next refresh
     /// recomputes from scratch).
     fn note_table_mutation(&mut self, table: &str) {
-        for v in &mut self.matviews {
-            if v.spec.delta.sources.iter().any(|s| s.table == table) {
-                v.full_dirty = true;
-                v.dirty.clear();
-            }
+        for v in self.matviews.iter_mut().filter(|v| v.sources(table)) {
+            v.full_dirty = true;
+            v.dirty.clear();
         }
     }
 
-    /// Applies per-source dirty-tracking rules for a row just inserted
-    /// into `table`.
-    fn note_insert(&mut self, table: &str, row: &[Value]) -> Result<()> {
-        // Detach the view list so rescan lookups can borrow the
-        // catalog; restored before returning.
-        let mut views = std::mem::take(&mut self.matviews);
-        let res = self.note_insert_inner(table, row, &mut views);
-        self.matviews = views;
-        res
-    }
-
-    fn note_insert_inner(&self, table: &str, row: &[Value], views: &mut [MatView]) -> Result<()> {
-        let column = |name: &str| -> Result<Value> {
-            let t = self.catalog.table(table);
-            let i = t.and_then(|t| t.column_index(name)).ok_or_else(|| {
-                DbError::schema(format!("matview source {table} has no column {name}"))
-            })?;
-            Ok(row[i].clone())
+    /// Applies the views' dirty-tracking rules for the row just
+    /// inserted into `table`.
+    fn note_insert(&mut self, table: &str) -> Result<()> {
+        let Some(row) = self.catalog.table(table).and_then(|t| t.rows.last()) else {
+            return Ok(());
         };
-        for v in views.iter_mut() {
-            for rule in v.spec.delta.sources.iter().filter(|s| s.table == table) {
-                if let Some(pcol) = rule.partition_col {
-                    if !v.full_dirty {
-                        v.dirty.insert(PartitionKey(column(pcol)?));
-                    }
-                }
-                if let Some(rescan) = rule.rescan {
-                    let (Stmt::Select(sel), _) = parser::parse_one(rescan.sql)? else {
-                        return Err(DbError::exec("matview rescan requires a SELECT"));
-                    };
-                    let binds = rescan.bind_cols.iter().map(|c| column(c));
-                    let binds = binds.collect::<Result<Vec<_>>>()?;
-                    if !v.full_dirty {
-                        let ctx = Ctx::with_planner(&self.catalog, &binds, self.planner);
-                        for hit in exec_select(&ctx, &sel, None)?.data {
-                            if let Some(p) = hit.into_iter().next() {
-                                v.dirty.insert(PartitionKey(p));
-                            }
-                        }
-                    }
-                }
-            }
+        for v in &mut self.matviews {
+            v.note_insert(table, row, &self.catalog, self.planner)?;
         }
         Ok(())
     }
 
     /// Registers a delta-maintained materialized view and seeds its
-    /// backing table from a full evaluation of the view query.
-    ///
-    /// The backing table definition (and an index on the partition
-    /// column) is journaled as ordinary DDL so recovery re-creates it;
-    /// the derived rows are never journaled — re-registering after a
-    /// reopen reseeds them from the recovered base tables. Registering
-    /// a name that is already registered replaces the definition and
-    /// reseeds.
+    /// rows from a full evaluation of the view query. This is where a
+    /// view is validated: its queries are parsed and its source columns
+    /// resolved here, once. Nothing is journaled: a reopened database
+    /// registers its views again, which reseeds them from the recovered
+    /// base tables. Registering a name that is already registered
+    /// replaces the definition and reseeds.
     ///
     /// # Errors
     ///
-    /// Parse/schema errors in the view queries, or I/O errors while
-    /// journaling the definition.
+    /// A [`DbError::Parse`] for a view query outside the subset; a
+    /// [`DbError::Schema`] for a source column the source table lacks,
+    /// or a partition column or delta width that does not fit the full
+    /// query's output; errors of the seeding query.
     pub fn register_matview(&mut self, spec: MatViewSpec) -> Result<()> {
-        plat::failpoint::check("sealdb::view::journal").map_err(DbError::io)?;
-        // Full evaluation: yields the output column shape and the
-        // initial contents in one pass.
-        let seed = self.query(spec.full_sql, &[])?;
-        if spec.delta.partition_col >= seed.columns.len() {
-            return Err(DbError::schema(format!(
-                "matview {}: partition column {} out of range ({} output columns)",
-                spec.name,
-                spec.delta.partition_col,
-                seed.columns.len()
-            )));
-        }
-        let mut cols: Vec<String> = Vec::with_capacity(seed.columns.len());
-        for raw in &seed.columns {
-            let name = backing_column_name(raw, &cols);
-            cols.push(name);
-        }
-        let create = format!(
-            "CREATE TABLE IF NOT EXISTS {}({})",
-            spec.name,
-            cols.join(", ")
-        );
-        self.execute_with(&create, &[])?;
-        let index = format!(
-            "CREATE INDEX IF NOT EXISTS mvix_{}_part ON {}({})",
-            spec.name, spec.name, cols[spec.delta.partition_col]
-        );
-        self.execute_with(&index, &[])?;
-        // Seed directly: derived rows bypass the journal.
-        let t = self
-            .catalog
-            .table_mut(&spec.name)
-            .ok_or_else(|| DbError::schema(format!("matview {} backing table lost", spec.name)))?;
-        t.rows = seed.rows;
-        t.rebuild_indexes();
-        self.matviews.retain(|v| v.spec.name != spec.name);
-        let mut view = MatView::new(spec);
-        view.full_dirty = false;
+        let view = MatView::new(&spec, &self.catalog, self.planner)?;
+        self.matviews.retain(|v| v.name != spec.name);
         self.matviews.push(view);
         Ok(())
     }
@@ -564,81 +485,29 @@ impl Database {
     /// Query errors from the view's delta/full SQL; the dirty state of
     /// a view is consumed only once its refresh succeeds.
     pub fn refresh_matviews(&mut self) -> Result<usize> {
-        if self.matviews.iter().all(|v| v.lag() == 0) {
+        if self.matview_lag() == 0 {
             return Ok(0);
         }
         plat::failpoint::check("sealdb::view::apply_delta").map_err(DbError::io)?;
-        let mut views = std::mem::take(&mut self.matviews);
-        let res = self.refresh_matviews_inner(&mut views);
-        self.matviews = views;
-        res
-    }
-
-    fn refresh_matviews_inner(&mut self, views: &mut [MatView]) -> Result<usize> {
         let mut refreshed = 0;
-        for v in views.iter_mut() {
-            if v.lag() == 0 {
-                continue;
-            }
-            if v.full_dirty {
-                let fresh = self.query(v.spec.full_sql, &[])?;
-                let t = self.catalog.table_mut(&v.spec.name).ok_or_else(|| {
-                    DbError::schema(format!("matview {} backing table lost", v.spec.name))
-                })?;
-                t.rows = fresh.rows;
-                t.rebuild_indexes();
-                v.full_dirty = false;
-                v.dirty.clear();
-                refreshed += 1;
-                continue;
-            }
-            let parts = std::mem::take(&mut v.dirty);
-            let (Stmt::Select(sel), _) = parser::parse_one(v.spec.delta.delta_sql)? else {
-                return Err(DbError::exec("matview delta requires a SELECT"));
-            };
-            let width = self
-                .catalog
-                .table(&v.spec.name)
-                .map(|t| t.columns.len())
-                .unwrap_or(0);
-            let mut fresh: Vec<Vec<Value>> = Vec::new();
-            for p in &parts {
-                let bind = [p.0.clone()];
-                let ctx = Ctx::with_planner(&self.catalog, &bind, self.planner);
-                let rows = exec_select(&ctx, &sel, None)?;
-                for row in rows.data {
-                    if row.len() != width {
-                        return Err(DbError::exec(format!(
-                            "matview {}: delta row width {} != backing width {width}",
-                            v.spec.name,
-                            row.len()
-                        )));
-                    }
-                    fresh.push(row);
-                }
-            }
-            let pcol = v.spec.delta.partition_col;
-            let t = self.catalog.table_mut(&v.spec.name).ok_or_else(|| {
-                DbError::schema(format!("matview {} backing table lost", v.spec.name))
-            })?;
-            t.rows
-                .retain(|r| !parts.contains(&PartitionKey(r[pcol].clone())));
-            t.rows.extend(fresh);
-            t.rebuild_indexes();
-            refreshed += parts.len();
+        for v in self.matviews.iter_mut().filter(|v| v.lag() > 0) {
+            refreshed += v.refresh(&self.catalog, self.planner)?;
         }
         Ok(refreshed)
+    }
+
+    /// The rows of the registered view `name` as of its last refresh
+    /// ([`Database::refresh_matviews`]); `None` if no view of that name
+    /// is registered.
+    pub fn matview_rows(&self, name: &str) -> Option<&[Vec<Value>]> {
+        let view = self.matviews.iter().find(|v| v.name == name);
+        view.map(|v| v.rows.as_slice())
     }
 
     /// Pending refresh work across all registered views: dirty
     /// partitions plus one unit per pending full rebuild.
     pub fn matview_lag(&self) -> usize {
         self.matviews.iter().map(|v| v.lag()).sum()
-    }
-
-    /// Names of registered materialized views (backing tables).
-    pub fn matview_names(&self) -> Vec<&str> {
-        self.matviews.iter().map(|v| v.spec.name.as_str()).collect()
     }
 
     /// Writes the journal's pending frames and forces them to stable
@@ -699,11 +568,6 @@ impl Database {
             self.snapshot_pending = false;
             return Ok(());
         };
-        // Matview backing rows are derived data: dump their schema so
-        // recovery keeps the definition, but skip the rows — the next
-        // registration reseeds them from the recovered base tables.
-        let backing: std::collections::HashSet<&str> =
-            self.matviews.iter().map(|v| v.spec.name.as_str()).collect();
         // Every statement below already parsed once: DDL is the text
         // that ran; the row INSERT is the only SQL composed here.
         let tables = self.catalog.tables_sorted();
@@ -717,9 +581,7 @@ impl Database {
         let mut records: Vec<(&str, &[Value])> = Vec::new();
         for (t, insert) in tables.iter().zip(&inserts) {
             records.push((&t.sql, none));
-            if !backing.contains(t.name.as_str()) {
-                records.extend(t.rows.iter().map(|row| (insert.as_str(), row.as_slice())));
-            }
+            records.extend(t.rows.iter().map(|row| (insert.as_str(), row.as_slice())));
             records.extend(t.index_sql().map(|sql| (sql, none)));
         }
         let views = self.catalog.view_sql_sorted();

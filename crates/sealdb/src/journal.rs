@@ -27,8 +27,10 @@
 //!   codec.
 //! - **Zero tail**: a commit overwrites space that is already zero, so
 //!   its fdatasync carries no change of the file's size. A write that
-//!   would pass the zeroed space first extends the file by whole
-//!   [`SEGMENT_BYTES`] of zeros, covered by that commit's one fdatasync.
+//!   would pass the zeroed space first extends the file with zeros,
+//!   covered by that commit's one fdatasync: by what the write needs or
+//!   the file's length, whichever is more, up to [`SEGMENT_BYTES`]. The
+//!   tail of a new or reclaimed journal so doubles up to a segment.
 //!
 //! Record format (before the codec): `tag u8, sql_len u32le, sql bytes,
 //! param_count u32le, params…` with each param as `type u8 + payload`.
@@ -93,9 +95,9 @@ pub const HEADER_BYTES: u64 = 64;
 /// statements.
 pub const DEFAULT_TAG: &str = "sealdb";
 
-/// Zeros a journal grows by when a write would pass its zeroed space:
-/// one size change per 256 KiB journaled (~350 Git pairs), not per
-/// commit.
+/// The most zeros a journal grows by when a write that needs less
+/// would pass its zeroed space: once the file is this long, one size
+/// change per 256 KiB journaled (~350 Git pairs), not per commit.
 pub const SEGMENT_BYTES: u64 = 256 << 10;
 
 const MAGIC: &[u8; 8] = b"sealdbj\0";
@@ -417,8 +419,9 @@ impl Journal {
     }
 
     /// Writes what is framed, in one positional write over the zero
-    /// tail (first growing the tail by whole [`SEGMENT_BYTES`] if it is
-    /// too short), and returns the fsync that makes it durable, which
+    /// tail (first growing the tail if it is too short: by what the
+    /// write needs or the file's length, whichever is more, up to
+    /// [`SEGMENT_BYTES`]), and returns the fsync that makes it durable, which
     /// needs nothing of the journal: its owner may run it after letting
     /// go of the journal, while more frames are encoded and written. A
     /// write that fails is zeroed back (unless the process is dead) and
@@ -439,7 +442,10 @@ impl Journal {
         let end = self.end()?;
         let stop = end + self.pending.len() as u64;
         if stop > self.cap {
-            let grown = self.cap + (stop - self.cap).div_ceil(SEGMENT_BYTES) * SEGMENT_BYTES;
+            // By what the write needs or the file's length, whichever is
+            // more, up to a segment: a new or reclaimed journal doubles
+            // to a segment instead of zeroing one at its first commit.
+            let grown = self.cap + (stop - self.cap).max(self.cap.min(SEGMENT_BYTES));
             write_zeros(&self.file, self.cap, grown).map_err(DbError::io)?;
             self.cap = grown;
         }

@@ -3,17 +3,20 @@
 //! the SQLite engine that LibSEAL runs inside its enclave (§3.1, §5).
 //!
 //! It speaks exactly the SQL LibSEAL issues — the paper's audit
-//! schemas, invariants and trimming queries verbatim, plus the
-//! statements the audit log, its materialized views and snapshot
-//! frames compose — and nothing else, because every line inside the enclave
-//! is attack surface: `CREATE TABLE`/`VIEW`/`INDEX`, one-row `INSERT`,
-//! `DELETE`, `UPDATE`, and `SELECT [DISTINCT]` over `JOIN … ON` and
-//! `NATURAL JOIN` with `GROUP BY`/`HAVING`, `ORDER BY … [DESC]`,
-//! `LIMIT n`, scalar, `[NOT] IN` and `[NOT] EXISTS` subqueries,
-//! `COUNT`/`MAX`, `=`/`!=`/`<`/`>`, `AND`/`OR`, `+`, `||`, integer
-//! and string literals and `?` parameters. Anything else fails to
-//! parse with a [`DbError::Parse`] ([`parser`] has the rule for
-//! widening it). Bound parameters carry every [`Value`] type.
+//! schemas, invariants and trimming queries verbatim, the SSMs' delta
+//! and rescan queries, plus the statements the audit log and snapshot
+//! frames compose — and nothing else, because every line inside the
+//! enclave is attack surface: `CREATE TABLE`/`VIEW`/`INDEX`, one-row
+//! `INSERT`, `DELETE`, `UPDATE`, and `SELECT [DISTINCT]` over
+//! `JOIN … ON` and `NATURAL JOIN` with `GROUP BY`/`HAVING`,
+//! `ORDER BY … [DESC]`, `LIMIT n`, scalar, `[NOT] IN` and
+//! `[NOT] EXISTS` subqueries, `COUNT`/`MAX`, `=`/`!=`/`<`/`>`,
+//! `AND`/`OR`, `+`, integer and string literals and `?` parameters.
+//! Anything else fails to parse with a [`DbError::Parse`] ([`parser`]
+//! has the rule for widening it). Bound parameters carry every
+//! [`Value`] type. Delta-maintained materialized views ([`view`]) are
+//! not SQL objects: a view holds its own rows, and nothing of it is
+//! journaled.
 //! Durability comes from a statement-granularity write-ahead journal
 //! with pluggable sealing ([`journal::JournalCodec`]), snapshot frames
 //! and reclamation of the bytes before the last one.

@@ -1,11 +1,10 @@
 //! Delta-maintained materialized views.
 //!
-//! A materialized view is a real catalog table (the *backing table*)
-//! holding the result rows of a registered SELECT. Instead of
-//! re-running the full query on every read, the database tracks which
-//! *partitions* of the view may have changed — a partition is the set
-//! of result rows sharing one value in a designated output column —
-//! and re-evaluates only those partitions on
+//! A materialized view holds the result rows of a registered SELECT.
+//! Instead of re-running the full query on every read, the database
+//! tracks which *partitions* of the view may have changed — a partition
+//! is the set of result rows sharing one value in a designated output
+//! column — and re-evaluates only those partitions on
 //! [`crate::Database::refresh_matviews`].
 //!
 //! Dirty tracking is driven by per-source-table rules declared in the
@@ -21,29 +20,42 @@
 //!   view dirty (full recompute on next refresh).
 //!
 //! Over-approximation is always safe: refreshing a partition is
-//! idempotent (delete the partition's backing rows, re-run the delta
-//! query, insert the fresh rows), so a spuriously dirtied partition
-//! just costs one indexed re-evaluation.
+//! idempotent (drop the partition's rows, re-run the delta query, add
+//! the fresh rows), so a spuriously dirtied partition just costs one
+//! indexed re-evaluation.
 //!
-//! Durability: only the backing table *definition* is journaled (as
-//! ordinary `CREATE TABLE IF NOT EXISTS` / `CREATE INDEX IF NOT
-//! EXISTS` statements). Derived rows are never journaled and are not
-//! dumped by [`crate::Database::write_snapshot`]; re-registering a view after
-//! reopen marks it fully dirty, so the first refresh rebuilds it from
-//! the recovered base tables.
+//! A view is validated once, when it is registered: its queries are
+//! parsed there and run from their parsed form, its source columns are
+//! resolved to positions there, and a query outside the subset, a
+//! column the source table lacks or a partition column past the view's
+//! output width fails the registration, never a later INSERT or
+//! refresh.
+//!
+//! Durability: none. A view is not a catalog table: nothing about it
+//! is journaled, dumped by [`crate::Database::write_snapshot`] or
+//! hash-chained by the audit log above. Its rows are derived from the
+//! base tables, so a reload ([`crate::Database::reload`]) marks every
+//! view fully dirty and the next refresh rebuilds it from the recovered
+//! tables, and a reopened database registers its views again.
 
 use std::collections::BTreeSet;
 
+use crate::ast::{Select, Stmt};
+use crate::catalog::Catalog;
+use crate::exec::{exec_select, Ctx};
+use crate::parser;
 use crate::value::Value;
+use crate::{DbError, Result};
 
 /// A registered materialized view definition. Its SQL and rules are
 /// static tables (the SSMs' invariants), borrowed, never copied.
 #[derive(Clone, Debug)]
 pub struct MatViewSpec {
-    /// Backing table name (conventionally `mv_<invariant>`).
-    pub name: String,
-    /// Full SELECT producing every view row (used for full rebuilds
-    /// and to derive the backing table's columns).
+    /// The view's name (the audit log names a view after its
+    /// invariant).
+    pub name: &'static str,
+    /// Full SELECT producing every view row (used to seed the view,
+    /// for full rebuilds and to fix its output width).
     pub full_sql: &'static str,
     /// How the view is maintained partition by partition.
     pub delta: DeltaSpec,
@@ -136,24 +148,100 @@ impl Ord for PartitionKey {
     }
 }
 
-/// Runtime state of one registered view.
+/// A registered view: its queries parsed and its source columns
+/// resolved once, at [`crate::Database::register_matview`], and its
+/// rows.
 #[derive(Debug)]
 pub(crate) struct MatView {
-    pub spec: MatViewSpec,
-    /// Recompute the whole view on next refresh (set at registration
-    /// and after any DELETE/UPDATE on a source table).
+    /// The view's name: what [`crate::Database::matview_rows`] reads
+    /// it by.
+    pub name: &'static str,
+    full: Select,
+    delta: Select,
+    partition_col: usize,
+    sources: Vec<Source>,
+    /// The view's rows as of its last refresh.
+    pub rows: Vec<Vec<Value>>,
+    /// Recompute the whole view on next refresh (set after any
+    /// DELETE/UPDATE on a source table and on reload).
     pub full_dirty: bool,
     /// Partitions to re-evaluate on next refresh.
     pub dirty: BTreeSet<PartitionKey>,
 }
 
+/// A [`SourceRule`] with its columns resolved to positions in the
+/// source table's rows and its rescan parsed.
+#[derive(Debug)]
+struct Source {
+    table: &'static str,
+    partition_col: Option<usize>,
+    rescan: Option<(Select, Vec<usize>)>,
+}
+
+fn select(sql: &str, what: &str) -> Result<Select> {
+    match parser::parse_one(sql)? {
+        (Stmt::Select(sel), _) => Ok(sel),
+        _ => Err(DbError::schema(format!("matview {what} must be a SELECT"))),
+    }
+}
+
 impl MatView {
-    pub(crate) fn new(spec: MatViewSpec) -> MatView {
-        MatView {
-            spec,
-            full_dirty: true,
-            dirty: BTreeSet::new(),
+    /// Parses `spec`'s queries and resolves its source columns in
+    /// `catalog`, then seeds the rows from the full query. The delta,
+    /// dry-run on a NULL partition, must project as many columns as
+    /// the full query, and the partition column must be one of them.
+    pub(crate) fn new(spec: &MatViewSpec, catalog: &Catalog, planner: bool) -> Result<MatView> {
+        let resolve = |table: &str, col: &str| {
+            let t = catalog.table(table);
+            t.and_then(|t| t.column_index(col)).ok_or_else(|| {
+                DbError::schema(format!(
+                    "matview {}: {table} has no column {col}",
+                    spec.name
+                ))
+            })
+        };
+        let mut sources = Vec::with_capacity(spec.delta.sources.len());
+        for s in spec.delta.sources {
+            let partition_col = s.partition_col.map(|c| resolve(s.table, c)).transpose()?;
+            let rescan = s.rescan.map(|r| -> Result<_> {
+                let cols = r.bind_cols.iter().map(|c| resolve(s.table, c));
+                Ok((select(r.sql, "rescan")?, cols.collect::<Result<_>>()?))
+            });
+            sources.push(Source {
+                table: s.table,
+                partition_col,
+                rescan: rescan.transpose()?,
+            });
         }
+        let full = select(spec.full_sql, "query")?;
+        let delta = select(spec.delta.delta_sql, "delta")?;
+        let seed = exec_select(&Ctx::with_planner(catalog, &[], planner), &full, None)?;
+        let null = [Value::Null];
+        let dry = exec_select(&Ctx::with_planner(catalog, &null, planner), &delta, None)?;
+        let width = seed.cols.len();
+        if spec.delta.partition_col >= width || dry.cols.len() != width {
+            return Err(DbError::schema(format!(
+                "matview {}: partition column {} and a {}-column delta for {width} output columns",
+                spec.name,
+                spec.delta.partition_col,
+                dry.cols.len()
+            )));
+        }
+        Ok(MatView {
+            name: spec.name,
+            full,
+            delta,
+            partition_col: spec.delta.partition_col,
+            sources,
+            rows: seed.data,
+            full_dirty: false,
+            dirty: BTreeSet::new(),
+        })
+    }
+
+    /// Whether writes to `table` can change this view.
+    pub(crate) fn sources(&self, table: &str) -> bool {
+        self.sources.iter().any(|s| s.table == table)
     }
 
     /// Pending refresh work: partitions plus one unit for a pending
@@ -161,31 +249,66 @@ impl MatView {
     pub(crate) fn lag(&self) -> usize {
         self.dirty.len() + usize::from(self.full_dirty)
     }
-}
 
-/// Sanitizes a result-column name into a SQL identifier for the
-/// backing table; deduplicates against `used`.
-pub(crate) fn backing_column_name(raw: &str, used: &[String]) -> String {
-    let mut s: String = raw
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
+    /// Applies the dirty-tracking rules of `table` for `row`, just
+    /// inserted into it.
+    pub(crate) fn note_insert(
+        &mut self,
+        table: &str,
+        row: &[Value],
+        catalog: &Catalog,
+        planner: bool,
+    ) -> Result<()> {
+        if self.full_dirty {
+            return Ok(());
+        }
+        // A table's columns never change (no ALTER), so the positions
+        // resolved at registration hold for every row of it.
+        let col = |i: usize| {
+            let v = row.get(i).cloned();
+            v.ok_or_else(|| DbError::exec(format!("matview {}: short {table} row", self.name)))
+        };
+        for s in self.sources.iter().filter(|s| s.table == table) {
+            if let Some(c) = s.partition_col {
+                self.dirty.insert(PartitionKey(col(c)?));
             }
-        })
-        .collect();
-    if s.is_empty() || s.as_bytes()[0].is_ascii_digit() {
-        s.insert(0, 'c');
+            if let Some((sel, cols)) = &s.rescan {
+                let binds = cols.iter().map(|&c| col(c)).collect::<Result<Vec<_>>>()?;
+                let ctx = Ctx::with_planner(catalog, &binds, planner);
+                for hit in exec_select(&ctx, sel, None)?.data {
+                    if let Some(p) = hit.into_iter().next() {
+                        self.dirty.insert(PartitionKey(p));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
-    let mut out = s.clone();
-    let mut n = 2;
-    while used.iter().any(|u| u.eq_ignore_ascii_case(&out)) {
-        out = format!("{s}_{n}");
-        n += 1;
+
+    /// Re-evaluates the dirty partitions, or the whole view when it is
+    /// fully dirty; returns the partitions refreshed, a full rebuild
+    /// counting one. The dirty state is taken only once every query
+    /// succeeded.
+    pub(crate) fn refresh(&mut self, catalog: &Catalog, planner: bool) -> Result<usize> {
+        if self.full_dirty {
+            let ctx = Ctx::with_planner(catalog, &[], planner);
+            self.rows = exec_select(&ctx, &self.full, None)?.data;
+            self.full_dirty = false;
+            self.dirty.clear();
+            return Ok(1);
+        }
+        let mut fresh = Vec::new();
+        for p in &self.dirty {
+            let bind = [p.0.clone()];
+            let ctx = Ctx::with_planner(catalog, &bind, planner);
+            fresh.extend(exec_select(&ctx, &self.delta, None)?.data);
+        }
+        let parts = std::mem::take(&mut self.dirty);
+        let pcol = self.partition_col;
+        (self.rows).retain(|r| !parts.contains(&PartitionKey(r[pcol].clone())));
+        self.rows.extend(fresh);
+        Ok(parts.len())
     }
-    out
 }
 
 #[cfg(test)]
@@ -203,21 +326,5 @@ mod tests {
         set.insert(PartitionKey(Value::Real(f64::NAN)));
         set.insert(PartitionKey(Value::Real(f64::NAN)));
         assert_eq!(set.len(), 5);
-    }
-
-    #[test]
-    fn backing_names_sanitize_and_dedupe() {
-        let mut used: Vec<String> = Vec::new();
-        for (raw, want) in [
-            ("time", "time"),
-            ("TIME", "TIME_2"),
-            ("COUNT(*)", "COUNT___"),
-            ("1st", "c1st"),
-            ("", "c"),
-        ] {
-            let got = backing_column_name(raw, &used);
-            assert_eq!(got, want);
-            used.push(got);
-        }
     }
 }

@@ -156,12 +156,16 @@ fn a_torn_write_the_process_survives_is_cut_back_and_written_again() {
             &[Value::Integer(5), Value::Null],
         )
         .unwrap();
+        // The write first grows the zero tail it needs (the seeding
+        // commit left none); the torn bytes are zeroed, not cut off.
+        let need = db.journal_size_bytes() - len;
+        let grown = len + need.max(len.min(SEGMENT_BYTES));
         let next = s.hits("sealdb::journal::write");
         let torn = FaultSpec::partial_write(9).after(next).times(1);
         s.set("sealdb::journal::write", torn);
         assert!(db.sync_journal().is_err());
         let data = std::fs::read(&path).unwrap();
-        assert_eq!(data.len() as u64, len);
+        assert_eq!(data.len() as u64, grown);
         assert!(data[synced..].iter().all(|&b| b == 0), "torn bytes zeroed");
         db.execute_with(
             "INSERT INTO t VALUES (?, ?)",
@@ -175,33 +179,43 @@ fn a_torn_write_the_process_survives_is_cut_back_and_written_again() {
     assert!(db.salvage_report().is_none());
 }
 
-/// A commit whose frames pass the zero tail grows the file by whole
-/// segments in the same write, and still costs one fsync.
+/// A commit whose frames pass the zero tail grows the file in the same
+/// write — by what it needs or the file's length, whichever is more, up
+/// to a segment — and still costs one fsync.
 #[test]
 fn a_commit_across_a_segment_boundary_costs_one_fsync() {
     let s = failpoint::scenario();
     let fsyncs = libseal_telemetry::counter("sealdb_journal_fsyncs_total");
     let path = TempPath::new("sealdb-crash-segment", "log");
     let mut db = seeded_db(&path, 1);
-    let len = std::fs::metadata(&path).unwrap().len();
+    let len = || std::fs::metadata(&path).unwrap().len();
     let row = [Value::Integer(1), Value::Text("x".repeat(4096))];
-    let mut commits = 0;
-    while std::fs::metadata(&path).unwrap().len() == len {
+    let (mut commits, mut within) = (0, 0);
+    loop {
+        let before = len();
         db.execute_with("INSERT INTO t VALUES (?, ?)", &row)
             .unwrap();
         let (extends, syncs) = (s.hits("sealdb::journal::extend"), fsyncs.get());
         db.sync_journal().unwrap();
         assert_eq!(fsyncs.get() - syncs, 1, "commit {commits}");
         commits += 1;
-        if std::fs::metadata(&path).unwrap().len() > len {
-            assert!(
-                s.hits("sealdb::journal::extend") > extends,
-                "grown by this commit"
-            );
+        if len() == before {
+            within += 1;
+            continue;
         }
+        assert!(
+            s.hits("sealdb::journal::extend") > extends,
+            "grown by this commit"
+        );
+        let need = db.journal_size_bytes() - before;
+        assert_eq!(len() - before, need.max(before.min(SEGMENT_BYTES)));
+        if before >= SEGMENT_BYTES {
+            assert_eq!(len(), before + SEGMENT_BYTES);
+            break;
+        }
+        within = 0;
     }
-    assert!(commits > 1, "the first segment held several commits");
-    assert_eq!(std::fs::metadata(&path).unwrap().len(), len + SEGMENT_BYTES);
+    assert!(within > 1, "the last segment held several commits");
     drop(db);
     let db = Database::open(&path, Box::new(PlainCodec)).unwrap();
     assert_eq!(row_count(&db), 1 + commits);

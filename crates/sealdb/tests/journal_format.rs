@@ -107,24 +107,44 @@ fn a_reopened_journal_keeps_appending_into_its_zero_tail() {
     assert!(j.last_salvage().is_none());
 }
 
+/// A commit past the zero tail grows it by what the write needs or the
+/// file's length, whichever is more, up to [`SEGMENT_BYTES`]: the tail
+/// of a new journal doubles to a segment, then grows by segments.
 #[test]
-fn a_commit_past_the_zero_tail_grows_it_by_whole_segments() {
+fn a_commit_past_the_zero_tail_grows_it_by_doubling_up_to_a_segment() {
     let path = tmp("segments");
+    let len = || std::fs::metadata(&path).unwrap().len();
     let mut j = open(&path).unwrap();
     j.append("A", &[]).unwrap();
     j.sync_now().unwrap();
-    assert_eq!(
-        std::fs::metadata(&path).unwrap().len(),
-        HEADER_BYTES + SEGMENT_BYTES
-    );
-    let big = Value::Blob(vec![7; SEGMENT_BYTES as usize + 1]);
-    j.append("B", std::slice::from_ref(&big)).unwrap();
+    assert_eq!(len(), 2 * HEADER_BYTES, "a new journal's first commit");
+    let row = Value::Blob(vec![7; 8000]);
+    let (mut growths, mut commits) = (Vec::new(), 0);
+    while len() < 3 * SEGMENT_BYTES {
+        let before = len();
+        commits += 1;
+        j.append("B", std::slice::from_ref(&row)).unwrap();
+        j.sync_now().unwrap();
+        if len() > before {
+            let need = j.size_bytes() - before;
+            assert_eq!(len() - before, need.max(before.min(SEGMENT_BYTES)));
+            growths.push(len() - before);
+        }
+    }
+    let segments = growths.iter().filter(|&&g| g == SEGMENT_BYTES).count();
+    assert!(segments >= 2, "{growths:?}");
+    assert!(growths.len() <= segments + 8, "doubling: {growths:?}");
+    // A write that needs more than a segment grows the file by exactly
+    // its need (the tail left is under a segment).
+    let big = Value::Blob(vec![7; 2 * SEGMENT_BYTES as usize]);
+    j.append("C", std::slice::from_ref(&big)).unwrap();
     j.sync_now().unwrap();
-    let len = std::fs::metadata(&path).unwrap().len();
-    assert_eq!(len, HEADER_BYTES + 2 * SEGMENT_BYTES);
+    assert_eq!(len(), j.size_bytes());
     drop(j);
     let mut j = open(&path).unwrap();
-    assert_eq!(j.replay().unwrap()[1].params, [big]);
+    let entries = j.replay().unwrap();
+    assert_eq!(entries.len(), 2 + commits);
+    assert_eq!(entries[1 + commits].params, [big]);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! must always agree with a from-scratch evaluation of the view query.
 
 use libseal_sealdb::journal::PlainCodec;
-use libseal_sealdb::{Database, DeltaSpec, MatViewSpec, RescanRule, SourceRule, Value};
+use libseal_sealdb::{Database, DbError, DeltaSpec, MatViewSpec, RescanRule, SourceRule, Value};
 use plat::tmp::TempPath;
 
 /// A miniature soundness invariant: a `sent` row with no matching
@@ -32,7 +32,7 @@ const SOURCES: &[SourceRule] = &[
 
 fn spec() -> MatViewSpec {
     MatViewSpec {
-        name: "mv_unsound".into(),
+        name: "unsound",
         full_sql: FULL,
         delta: DeltaSpec {
             delta_sql: DELTA,
@@ -77,13 +77,9 @@ fn recv(db: &mut Database, time: i64, doc: &str, content: &str) {
     .unwrap();
 }
 
-/// Sorted (time, doc) pairs from any two-column result set.
-fn pairs(db: &Database, sql: &str) -> Vec<(i64, String)> {
-    let mut out: Vec<(i64, String)> = db
-        .query(sql, &[])
-        .unwrap()
-        .rows
-        .into_iter()
+/// Sorted (time, doc) pairs from two-column rows.
+fn pairs(rows: &[Vec<Value>]) -> Vec<(i64, String)> {
+    let mut out: Vec<(i64, String)> = (rows.iter())
         .map(|r| match (&r[0], &r[1]) {
             (Value::Integer(t), Value::Text(d)) => (*t, d.clone()),
             other => panic!("unexpected row {other:?}"),
@@ -93,12 +89,24 @@ fn pairs(db: &Database, sql: &str) -> Vec<(i64, String)> {
     out
 }
 
+/// The view's rows as (time, doc) pairs.
+fn view(db: &Database) -> Vec<(i64, String)> {
+    pairs(db.matview_rows("unsound").expect("registered"))
+}
+
 fn assert_view_matches_full(db: &Database) {
     assert_eq!(
-        pairs(db, "SELECT time, doc FROM mv_unsound"),
-        pairs(db, FULL),
+        view(db),
+        pairs(&db.query(FULL, &[]).unwrap().rows),
         "materialized view diverged from full evaluation"
     );
+}
+
+/// A view is not a table: no catalog table or index of it exists.
+fn assert_no_view_table(db: &Database) {
+    let names = db.catalog().tables_sorted();
+    let names: Vec<&str> = names.iter().map(|t| t.name.as_str()).collect();
+    assert_eq!(names, ["recv", "sent"]);
 }
 
 #[test]
@@ -110,10 +118,7 @@ fn registration_seeds_from_existing_rows() {
     recv(&mut db, 3, "a", "x");
     db.register_matview(spec()).unwrap();
     assert_eq!(db.matview_lag(), 0);
-    assert_eq!(
-        pairs(&db, "SELECT time, doc FROM mv_unsound"),
-        vec![(2, "b".to_string())]
-    );
+    assert_eq!(view(&db), vec![(2, "b".to_string())]);
 }
 
 #[test]
@@ -133,10 +138,7 @@ fn inserts_dirty_only_their_partition_and_refresh_converges() {
     recv(&mut db, 3, "a", "x");
     assert_eq!(db.matview_lag(), 1, "rescan should re-dirty partition 1");
     db.refresh_matviews().unwrap();
-    assert_eq!(
-        pairs(&db, "SELECT time, doc FROM mv_unsound"),
-        vec![(2, "b".to_string())]
-    );
+    assert_eq!(view(&db), vec![(2, "b".to_string())]);
     assert_view_matches_full(&db);
     // A recv matching nothing dirties nothing.
     recv(&mut db, 4, "zz", "zz");
@@ -156,10 +158,7 @@ fn delete_and_update_force_full_rebuild() {
     db.execute("DELETE FROM recv WHERE doc = 'b'").unwrap();
     assert!(db.matview_lag() > 0);
     db.refresh_matviews().unwrap();
-    assert_eq!(
-        pairs(&db, "SELECT time, doc FROM mv_unsound"),
-        vec![(1, "a".to_string()), (2, "b".to_string())]
-    );
+    assert_eq!(view(&db), vec![(1, "a".to_string()), (2, "b".to_string())]);
     assert_view_matches_full(&db);
     // An UPDATE on a source table also forces a rebuild.
     db.execute("UPDATE sent SET content = 'z' WHERE doc = 'a'")
@@ -217,24 +216,15 @@ fn reopen_reseeds_views_from_recovered_base_tables() {
         assert_view_matches_full(&db);
         db.sync_journal().unwrap();
     }
-    // Reopen: the backing table definition replays from the journal
-    // but its derived rows were never journaled.
+    // Reopen: nothing of the view was journaled, so the catalog holds
+    // the base tables alone and no view is registered.
     let mut db = Database::open(&path, Box::new(PlainCodec)).unwrap();
-    assert!(db.catalog().table("mv_unsound").is_some());
-    assert_eq!(
-        db.query("SELECT * FROM mv_unsound", &[])
-            .unwrap()
-            .rows
-            .len(),
-        0
-    );
+    assert_no_view_table(&db);
+    assert!(db.matview_rows("unsound").is_none());
     // Re-registration (what the audit layer does on open) reseeds.
     db.register_matview(spec()).unwrap();
     assert_view_matches_full(&db);
-    assert_eq!(
-        pairs(&db, "SELECT time, doc FROM mv_unsound"),
-        vec![(2, "b".to_string())]
-    );
+    assert_eq!(view(&db), vec![(2, "b".to_string())]);
 }
 
 #[test]
@@ -250,17 +240,83 @@ fn compaction_drops_derived_rows_but_keeps_definitions() {
         db.sync_journal().unwrap();
     }
     let mut db = Database::open(&path, Box::new(PlainCodec)).unwrap();
-    assert!(db.catalog().table("mv_unsound").is_some());
-    assert_eq!(
-        db.query("SELECT * FROM mv_unsound", &[])
-            .unwrap()
-            .rows
-            .len(),
-        0
-    );
+    assert_no_view_table(&db);
+    assert!(db.matview_rows("unsound").is_none());
     db.register_matview(spec()).unwrap();
-    assert_eq!(
-        pairs(&db, "SELECT time, doc FROM mv_unsound"),
-        vec![(1, "a".to_string())]
-    );
+    assert_eq!(view(&db), vec![(1, "a".to_string())]);
+}
+
+/// A bad view fails its registration with a typed error, leaves no
+/// view behind, and never fails a later INSERT or refresh.
+#[test]
+fn registration_is_where_a_bad_view_fails() {
+    const BAD_COLUMN: &[SourceRule] = &[SourceRule {
+        table: "sent",
+        partition_col: Some("when"),
+        rescan: None,
+    }];
+    const BAD_BIND: &[SourceRule] = &[SourceRule {
+        table: "recv",
+        partition_col: None,
+        rescan: Some(RescanRule {
+            sql: "SELECT s.time FROM sent s WHERE s.doc = ?1",
+            bind_cols: &["document"],
+        }),
+    }];
+    const BAD_RESCAN: &[SourceRule] = &[SourceRule {
+        table: "recv",
+        partition_col: None,
+        rescan: Some(RescanRule {
+            sql: "SELECT s.time FROM sent s WHERE s.doc LIKE ?1",
+            bind_cols: &["doc"],
+        }),
+    }];
+    let with = |f: fn(&mut DeltaSpec)| {
+        let mut s = spec();
+        f(&mut s.delta);
+        s
+    };
+    // (case, the spec, what the error quotes)
+    let cases = [
+        (
+            "delta parse",
+            with(|d| d.delta_sql = "SELECT s.time FROM sent s WHERE s.doc LIKE ?1"),
+            "LIKE",
+        ),
+        ("rescan parse", with(|d| d.sources = BAD_RESCAN), "LIKE"),
+        (
+            "partition column",
+            with(|d| d.sources = BAD_COLUMN),
+            "sent has no column when",
+        ),
+        (
+            "bind column",
+            with(|d| d.sources = BAD_BIND),
+            "recv has no column document",
+        ),
+        (
+            "partition width",
+            with(|d| d.partition_col = 2),
+            "partition column 2",
+        ),
+        (
+            "delta width",
+            with(|d| d.delta_sql = "SELECT s.time FROM sent s WHERE s.time = ?1"),
+            "a 1-column delta",
+        ),
+    ];
+    for (case, bad, quoted) in cases {
+        let mut db = Database::new();
+        schema(&mut db);
+        let err = db.register_matview(bad).unwrap_err();
+        match &err {
+            DbError::Parse(m) if case.ends_with("parse") => assert!(m.contains(quoted), "{m}"),
+            DbError::Schema(m) if !case.ends_with("parse") => assert!(m.contains(quoted), "{m}"),
+            _ => panic!("{case}: the wrong error: {err}"),
+        }
+        assert!(db.matview_rows("unsound").is_none(), "{case}");
+        send(&mut db, 1, "a", "x");
+        recv(&mut db, 2, "a", "x");
+        assert_eq!(db.refresh_matviews().unwrap(), 0, "{case}");
+    }
 }

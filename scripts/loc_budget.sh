@@ -76,20 +76,25 @@
 #     a `routable` flag under crates/core/src: the fleet is fixed when
 #     it is provisioned and a new session routes by `mix64(affinity) %
 #     n`), or `SystemRng` is back under crates/ (a one-use generator
-#     for 64 bytes is one `plat::entropy::fill`).
+#     for 64 bytes is one `plat::entropy::fill`),
+#   - a materialized view becomes a catalog table again
+#     (`backing_column_name` or an `mvix_` partition index under
+#     crates/sealdb/src: a view holds its own rows, and nothing of it is
+#     journaled), or the checker reaches the views through `db_mut` in
+#     crates/core/src/check.rs instead of AuditLog's view calls.
 # Every budget is a ratchet, not a target for denser code: a PR that
 # needs room raises the number in its own diff and says in CHANGES.md
 # what the lines (or the panic sites) bought. Builds `table1` in release
 # mode on first use; the gates after it in ci.sh need that build anyway.
 set -eu
 cd "$(dirname "$0")/.."
-CORE_BUDGET=4634
-BENCH_BUDGET=3236
-SEALDB_BUDGET=4103
+CORE_BUDGET=4624
+BENCH_BUDGET=3230
+SEALDB_BUDGET=4054
 TLSX_BUDGET=2120
 SERVICES_BUDGET=2794
 PLAT_BUDGET=1695
-ENCLAVE_BUDGET=16117
+ENCLAVE_BUDGET=16058
 UNSAFE_BUDGET=32
 PANIC_BUDGET=528
 table=$(cargo run --release --offline --quiet -p libseal-bench --bin table1)
@@ -232,6 +237,10 @@ fi
 if grep -rnE 'add_shard|retire_shard|ShardRing|VNODES_PER_SHARD|routable' crates/core/src ||
     grep -rn 'SystemRng' crates; then
     echo "a fleet is fixed at provisioning and routes by mix64(affinity) % n; a one-use seed is plat::entropy::fill" >&2
+    fail=1
+fi
+if grep -rnE 'backing_column_name|mvix_' crates/sealdb/src || grep -n 'db_mut' crates/core/src/check.rs; then
+    echo "a view is its rows, not a catalog table; the checker registers, refreshes and reads views through AuditLog" >&2
     fail=1
 fi
 if [ -e bench_results ]; then
