@@ -61,10 +61,12 @@ cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D
 # drain-collect in enclave.rs), a paper printer builds its own fleet,
 # the sharded plane changes its membership at runtime again (shard
 # join/retire, a hash ring, a routability flag), `SystemRng` is
-# back, a chain entry carries a key copy beside its payload again, or
+# back, a chain entry carries a key copy beside its payload again,
 # a materialized view becomes a catalog table again (a backing table or
-# partition index in sealdb, `db_mut` in the checker). Builds the bench
-# binaries in release mode, which the gates below need anyway.
+# partition index in sealdb, `db_mut` in the checker), or the reactor's
+# deadlines leave their one ordered set (a timer wheel or a park cap is
+# back). Builds the bench binaries in release mode, which the gates
+# below need anyway.
 scripts/loc_budget.sh
 
 # benchmark/ is its own workspace, so nothing above compiles it: a

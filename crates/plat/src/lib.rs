@@ -21,7 +21,7 @@
 //!   writes and simulated crashes for crash-consistency testing.
 //! - [`reactor`] — epoll-backed readiness multiplexer with an
 //!   `eventfd` waker (the `mio` surface), via direct syscalls.
-//! - [`timer`] — hashed deadline wheel for per-session timeouts.
+//! - [`timer`] — ordered deadline set for per-session timeouts.
 //! - [`chaos`] — deterministic fault-injecting stream wrapper (short
 //!   reads/writes, stalls, resets, truncation, delays) for
 //!   hostile-network testing.

@@ -125,14 +125,17 @@ impl Waker {
 /// An epoll-backed readiness multiplexer.
 ///
 /// Register sockets with a `u64` token, then park in [`wait`] until
-/// any of them becomes ready or a [`Waker`] fires. All methods take
-/// `&self`; the kernel serialises epoll_ctl against epoll_pwait, so a
-/// reactor may be driven from one thread while another registers.
+/// any of them becomes ready or a [`Waker`] fires. Registration takes
+/// `&self`; [`wait`] takes `&mut self`, because it fills the reactor's
+/// one event buffer.
 ///
 /// [`wait`]: Reactor::wait
 pub struct Reactor {
     ep: File,
     wake: Notifier,
+    /// What the kernel reports from one `epoll_pwait`, kept across
+    /// calls.
+    raw: Vec<sys::EpollEvent>,
 }
 
 impl Reactor {
@@ -143,7 +146,11 @@ impl Reactor {
         // SAFETY: epoll_create() returned a freshly created fd we own.
         let ep = unsafe { File::from_raw_fd(raw) };
         let wake = Notifier::new()?;
-        let r = Reactor { ep, wake };
+        let r = Reactor {
+            ep,
+            wake,
+            raw: Vec::new(),
+        };
         r.register(&r.wake, WAKE_TOKEN, Interest::READABLE)?;
         Ok(r)
     }
@@ -183,22 +190,27 @@ impl Reactor {
     }
 
     /// Blocks until readiness, wake-up, or timeout. Events are
-    /// appended to `events` (cleared first); returns the count.
-    /// `None` blocks indefinitely. A [`Waker`] firing just unblocks
-    /// the call — it never surfaces as an event.
-    pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
+    /// appended to `events` (cleared first), at most as many as its
+    /// capacity (clamped to 64..=4096); returns the count. `None`
+    /// blocks indefinitely. A [`Waker`] firing just unblocks the call
+    /// — it never surfaces as an event.
+    pub fn wait(
+        &mut self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         events.clear();
         let max = events.capacity().clamp(64, 4096);
-        let mut raw = vec![sys::EpollEvent::default(); max];
+        self.raw.resize(max, sys::EpollEvent::default());
         let n = loop {
-            match sys::epoll_wait(self.ep.as_raw_fd(), &mut raw, timeout) {
+            match sys::epoll_wait(self.ep.as_raw_fd(), &mut self.raw, timeout) {
                 Ok(n) => break n,
                 // EINTR: a signal interrupted the park; just retry.
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         };
-        for ev in &raw[..n] {
+        for ev in &self.raw[..n] {
             let (bits, token) = (ev.events, ev.data);
             if token == WAKE_TOKEN {
                 self.wake.drain();
@@ -382,9 +394,8 @@ mod sys {
     ) -> io::Result<usize> {
         let ms: isize = match timeout {
             None => -1,
-            Some(d) if d.is_zero() => 0,
-            // Round up so a 100µs deadline doesn't become a busy-spin.
-            Some(d) => d.as_millis().clamp(1, i32::MAX as u128) as isize,
+            // Round up, so a park never ends before its deadline.
+            Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as isize,
         };
         // epoll_pwait(ep, events, max, timeout, sigmask=NULL); aarch64
         // has no plain epoll_wait, so use pwait on both arches.
@@ -483,7 +494,7 @@ mod tests {
 
     #[test]
     fn readable_event_fires_on_data() {
-        let r = Reactor::new().unwrap();
+        let mut r = Reactor::new().unwrap();
         let (mut a, b) = pair();
         b.set_nonblocking(true).unwrap();
         r.register(&b, 7, Interest::READABLE).unwrap();
@@ -503,7 +514,7 @@ mod tests {
 
     #[test]
     fn writable_interest_and_modify() {
-        let r = Reactor::new().unwrap();
+        let mut r = Reactor::new().unwrap();
         let (_a, b) = pair();
         b.set_nonblocking(true).unwrap();
         r.register(&b, 1, Interest::READABLE).unwrap();
@@ -533,7 +544,7 @@ mod tests {
 
     #[test]
     fn hangup_reported_as_closed() {
-        let r = Reactor::new().unwrap();
+        let mut r = Reactor::new().unwrap();
         let (a, b) = pair();
         b.set_nonblocking(true).unwrap();
         r.register(&b, 9, Interest::READABLE).unwrap();
@@ -548,7 +559,7 @@ mod tests {
 
     #[test]
     fn waker_unblocks_wait_without_surfacing_events() {
-        let r = Reactor::new().unwrap();
+        let mut r = Reactor::new().unwrap();
         let waker = r.waker();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
@@ -577,7 +588,7 @@ mod tests {
 
     #[test]
     fn edge_triggered_fires_once_per_arrival() {
-        let r = Reactor::new().unwrap();
+        let mut r = Reactor::new().unwrap();
         let (mut a, b) = pair();
         b.set_nonblocking(true).unwrap();
         r.register(&b, 3, Interest::READABLE.edge()).unwrap();

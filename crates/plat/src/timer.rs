@@ -1,251 +1,196 @@
-//! Deadline wheel for per-session timeouts.
+//! Deadline set for per-session timeouts.
 //!
-//! A reactor multiplexing thousands of TLS sessions needs one timer
-//! per session (idle eviction, handshake deadlines) where the common
-//! operations are *reschedule* — every byte of activity pushes the
-//! deadline out — and *never fire*. A hashed timer wheel makes both
-//! O(1): schedule hashes the deadline into a slot, rescheduling just
-//! bumps a generation counter so the stale entry is skipped when its
-//! slot comes around (lazy cancellation), and expiry scans only the
-//! slots the clock actually crossed.
+//! A reactor arms one deadline per session (its phase deadline or
+//! idle timer), re-arms it whenever the session changes phase, and
+//! parks until the earliest one. An ordered set answers each of those
+//! exactly: a deadline fires as soon as it has passed, the earliest
+//! live deadline is the set's first entry, and a re-arm replaces the
+//! token's one entry, so nothing is left behind for a sweep.
 
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::collections::{BTreeSet, HashMap};
+use std::time::Instant;
 
-struct Entry {
-    token: u64,
-    gen: u64,
-    /// Absolute tick index; distinguishes this lap from later ones
-    /// hashed into the same slot.
-    abs_tick: u64,
+/// Live deadlines keyed by `u64` tokens, at most one per token:
+/// [`schedule`] replaces any earlier deadline for the same token.
+///
+/// [`schedule`]: Deadlines::schedule
+#[derive(Default)]
+pub struct Deadlines {
+    /// Every live deadline, earliest first.
+    order: BTreeSet<(Instant, u64)>,
+    /// token -> its one entry in `order`.
+    armed: HashMap<u64, Instant>,
 }
 
-/// A single-level hashed timer wheel keyed by `u64` tokens.
-///
-/// One live deadline per token: [`schedule`] replaces any earlier
-/// deadline for the same token. Cancellation and replacement are
-/// lazy — superseded entries stay in their slot until the cursor
-/// passes them, which keeps every mutation O(1).
-///
-/// [`schedule`]: TimerWheel::schedule
-pub struct TimerWheel {
-    tick: Duration,
-    slots: Vec<Vec<Entry>>,
-    start: Instant,
-    /// Next absolute tick to process.
-    cursor: u64,
-    /// token -> (generation, deadline) for live timers.
-    live: HashMap<u64, (u64, Instant)>,
-    next_gen: u64,
-    /// Cached earliest deadline; may be stale (early), never late.
-    min_deadline: Option<Instant>,
-}
-
-impl TimerWheel {
-    /// `tick` is the firing granularity (deadlines round up to it);
-    /// `slots` trades memory for fewer multi-lap collisions.
-    pub fn new(tick: Duration, slots: usize) -> TimerWheel {
-        assert!(!tick.is_zero(), "tick must be non-zero");
-        let slots = slots.max(2);
-        TimerWheel {
-            tick,
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            start: Instant::now(),
-            cursor: 0,
-            live: HashMap::new(),
-            next_gen: 0,
-            min_deadline: None,
-        }
-    }
-
-    fn tick_of(&self, t: Instant) -> u64 {
-        let since = t.saturating_duration_since(self.start);
-        // Round up: a deadline never fires early.
-        (since.as_nanos() / self.tick.as_nanos()) as u64 + 1
-    }
-
+impl Deadlines {
     /// Arms (or re-arms) the timer for `token` at `deadline`.
     pub fn schedule(&mut self, token: u64, deadline: Instant) {
-        self.next_gen += 1;
-        let gen = self.next_gen;
-        self.live.insert(token, (gen, deadline));
-        let abs_tick = self.tick_of(deadline).max(self.cursor);
-        let idx = (abs_tick % self.slots.len() as u64) as usize;
-        self.slots[idx].push(Entry {
-            token,
-            gen,
-            abs_tick,
-        });
-        self.min_deadline = Some(match self.min_deadline {
-            Some(m) if m <= deadline => m,
-            _ => deadline,
-        });
+        if let Some(old) = self.armed.insert(token, deadline) {
+            self.order.remove(&(old, token));
+        }
+        self.order.insert((deadline, token));
     }
 
-    /// Disarms `token`'s timer (lazily; O(1)).
+    /// Disarms `token`'s timer, if armed.
     pub fn cancel(&mut self, token: u64) {
-        self.live.remove(&token);
-    }
-
-    /// Number of live (armed) timers.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
-    /// Earliest live deadline, for sizing a poll timeout. May be
-    /// conservative (a cancelled timer's deadline until the next
-    /// [`expired`] sweep) — waking early is harmless, late is not.
-    ///
-    /// [`expired`]: TimerWheel::expired
-    pub fn next_deadline(&self) -> Option<Instant> {
-        if self.live.is_empty() {
-            None
-        } else {
-            self.min_deadline
+        if let Some(old) = self.armed.remove(&token) {
+            self.order.remove(&(old, token));
         }
     }
 
-    /// Collects every token whose deadline has passed, advancing the
-    /// wheel to `now`. Fired and stale entries are removed.
+    /// The earliest live deadline, for sizing a poll timeout.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.order.first().map(|&(deadline, _)| deadline)
+    }
+
+    /// Disarms and returns, earliest first, every token whose deadline
+    /// is at or before `now`.
     pub fn expired(&mut self, now: Instant) -> Vec<u64> {
         let mut fired = Vec::new();
-        let target = self.tick_of(now).saturating_sub(1);
-        if target >= self.cursor {
-            let n = self.slots.len() as u64;
-            let span = target - self.cursor + 1;
-            if span >= n {
-                // The clock crossed every slot at least once.
-                for idx in 0..self.slots.len() {
-                    self.sweep_slot(idx, target, now, &mut fired);
-                }
-            } else {
-                for abs in self.cursor..=target {
-                    self.sweep_slot((abs % n) as usize, target, now, &mut fired);
-                }
+        while let Some(&(deadline, token)) = self.order.first() {
+            if deadline > now {
+                break;
             }
-            self.cursor = target + 1;
-        }
-        // Refresh the cached minimum once the stale one has passed,
-        // otherwise a cancelled earliest timer pins polls at zero.
-        if let Some(m) = self.min_deadline {
-            if m <= now {
-                self.min_deadline = self.live.values().map(|&(_, d)| d).min();
-            }
+            self.order.pop_first();
+            self.armed.remove(&token);
+            fired.push(token);
         }
         fired
-    }
-
-    fn sweep_slot(&mut self, idx: usize, target: u64, now: Instant, fired: &mut Vec<u64>) {
-        let mut slot = std::mem::take(&mut self.slots[idx]);
-        slot.retain(|e| {
-            if e.abs_tick > target {
-                return true; // a later lap; keep
-            }
-            if let Some(&(gen, deadline)) = self.live.get(&e.token) {
-                if gen == e.gen {
-                    if deadline > now {
-                        return true; // not due yet; keep armed
-                    }
-                    self.live.remove(&e.token);
-                    fired.push(e.token);
-                }
-                // gen mismatch: superseded by a reschedule — drop;
-                // the newer entry sits elsewhere in the wheel.
-            }
-            false
-        });
-        debug_assert!(self.slots[idx].is_empty());
-        self.slots[idx] = slot;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
-    const TICK: Duration = Duration::from_millis(1);
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
 
     #[test]
     fn fires_after_deadline_not_before() {
-        let mut w = TimerWheel::new(TICK, 64);
+        let mut d = Deadlines::default();
         let now = Instant::now();
-        w.schedule(1, now + Duration::from_millis(20));
-        assert!(w.expired(now + Duration::from_millis(5)).is_empty());
-        assert_eq!(w.expired(now + Duration::from_millis(30)), vec![1]);
-        assert!(w.is_empty());
+        d.schedule(1, now + ms(20));
+        assert!(d.expired(now + ms(5)).is_empty());
+        assert_eq!(d.expired(now + ms(20)), vec![1]);
+        assert!(d.next_deadline().is_none());
     }
 
     #[test]
     fn cancel_prevents_firing() {
-        let mut w = TimerWheel::new(TICK, 64);
+        let mut d = Deadlines::default();
         let now = Instant::now();
-        w.schedule(1, now + Duration::from_millis(5));
-        w.cancel(1);
-        assert!(w.expired(now + Duration::from_millis(50)).is_empty());
-        assert_eq!(w.len(), 0);
+        d.schedule(1, now + ms(5));
+        d.cancel(1);
+        assert!(d.expired(now + ms(50)).is_empty());
+        assert!(d.armed.is_empty() && d.order.is_empty());
     }
 
     #[test]
     fn reschedule_supersedes_earlier_deadline() {
-        let mut w = TimerWheel::new(TICK, 64);
+        let mut d = Deadlines::default();
         let now = Instant::now();
-        w.schedule(1, now + Duration::from_millis(5));
-        w.schedule(1, now + Duration::from_millis(200));
-        // The old entry's slot passes without firing.
-        assert!(w.expired(now + Duration::from_millis(50)).is_empty());
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.expired(now + Duration::from_millis(300)), vec![1]);
+        d.schedule(1, now + ms(5));
+        d.schedule(1, now + ms(200));
+        assert!(d.expired(now + ms(50)).is_empty());
+        assert_eq!(d.next_deadline(), Some(now + ms(200)));
+        assert_eq!(d.expired(now + ms(300)), vec![1]);
     }
 
     #[test]
-    fn multi_lap_deadlines_wait_their_lap() {
-        // 4 slots x 1ms: a 100ms deadline wraps the wheel many times.
-        let mut w = TimerWheel::new(TICK, 4);
+    fn far_deadlines_wait_their_time() {
+        let mut d = Deadlines::default();
         let now = Instant::now();
-        w.schedule(1, now + Duration::from_millis(100));
-        assert!(w.expired(now + Duration::from_millis(50)).is_empty());
-        assert_eq!(w.expired(now + Duration::from_millis(150)), vec![1]);
+        d.schedule(1, now + Duration::from_secs(3600));
+        d.schedule(2, now + ms(100));
+        assert_eq!(d.expired(now + ms(150)), vec![2]);
+        assert!(d.expired(now + Duration::from_secs(3599)).is_empty());
+        assert_eq!(d.expired(now + Duration::from_secs(3600)), vec![1]);
     }
 
     #[test]
     fn next_deadline_tracks_earliest_and_recovers_after_cancel() {
-        let mut w = TimerWheel::new(TICK, 64);
+        let mut d = Deadlines::default();
         let now = Instant::now();
-        assert!(w.next_deadline().is_none());
-        let d1 = now + Duration::from_millis(10);
-        let d2 = now + Duration::from_millis(500);
-        w.schedule(1, d1);
-        w.schedule(2, d2);
-        assert_eq!(w.next_deadline(), Some(d1));
-        w.cancel(1);
-        // Stale (early) is allowed ...
-        let hint = w.next_deadline().unwrap();
-        assert!(hint <= d2);
-        // ... and a sweep past the stale minimum repairs it.
-        assert!(w.expired(now + Duration::from_millis(20)).is_empty());
-        assert_eq!(w.next_deadline(), Some(d2));
+        assert!(d.next_deadline().is_none());
+        let (d1, d2) = (now + ms(10), now + ms(500));
+        d.schedule(1, d1);
+        d.schedule(2, d2);
+        assert_eq!(d.next_deadline(), Some(d1));
+        d.cancel(1);
+        assert_eq!(d.next_deadline(), Some(d2));
+        d.cancel(2);
+        assert!(d.next_deadline().is_none());
     }
 
     #[test]
     fn thousands_of_timers_fire_exactly_once() {
-        let mut w = TimerWheel::new(TICK, 256);
+        let mut d = Deadlines::default();
         let now = Instant::now();
         for t in 0..5000u64 {
-            w.schedule(t, now + Duration::from_millis(1 + t % 97));
+            d.schedule(t, now + ms(1 + t % 97));
         }
         // Constant rescheduling, as an idle-timeout workload does.
         for t in 0..5000u64 {
-            w.schedule(t, now + Duration::from_millis(10 + t % 53));
+            d.schedule(t, now + ms(10 + t % 53));
         }
-        let mut fired = w.expired(now + Duration::from_millis(200));
+        let mut fired = d.expired(now + ms(200));
         fired.sort_unstable();
-        assert_eq!(fired.len(), 5000);
         assert_eq!(fired, (0..5000).collect::<Vec<_>>());
-        assert!(w.is_empty());
-        assert!(w.expired(now + Duration::from_millis(400)).is_empty());
+        assert!(d.expired(now + ms(400)).is_empty());
+    }
+
+    #[test]
+    fn re_arming_keeps_one_entry_per_token() {
+        let mut d = Deadlines::default();
+        let now = Instant::now();
+        for i in 0..100_000u64 {
+            d.schedule(7, now + Duration::from_micros(i % 5000));
+        }
+        assert_eq!((d.order.len(), d.armed.len()), (1, 1));
+    }
+
+    crate::prop! {
+        #![cases(64)]
+
+        /// Against a model of what is armed, at steps that land
+        /// anywhere between 5 ms boundaries: every deadline at or
+        /// before `t` fires at `t`, no other, and `next_deadline` is
+        /// the earliest deadline still armed.
+        fn a_passed_deadline_fires_at_once(g) {
+            let mut d = Deadlines::default();
+            let base = Instant::now();
+            let mut model: HashMap<u64, Instant> = HashMap::new();
+            let mut t = base;
+            for _ in 0..200 {
+                let token = g.below(16);
+                match g.below(4) {
+                    0 => {
+                        d.cancel(token);
+                        model.remove(&token);
+                    }
+                    _ => {
+                        let at = 5_000 * g.below(20) + 1 + g.below(4_999);
+                        let deadline = t + Duration::from_micros(at);
+                        d.schedule(token, deadline);
+                        model.insert(token, deadline);
+                    }
+                }
+                t += Duration::from_micros(g.below(3_000));
+                let mut due: Vec<u64> = model
+                    .iter()
+                    .filter(|&(_, &deadline)| deadline <= t)
+                    .map(|(&token, _)| token)
+                    .collect();
+                model.retain(|_, deadline| *deadline > t);
+                let mut fired = d.expired(t);
+                fired.sort_unstable();
+                due.sort_unstable();
+                assert_eq!(fired, due, "at {:?}", t - base);
+                assert_eq!(d.next_deadline(), model.values().min().copied());
+            }
+        }
     }
 }

@@ -18,7 +18,7 @@ const IDLE: usize = 10_000;
 
 #[test]
 fn ten_thousand_idle_registrations_with_interleaved_activity() {
-    let reactor = Reactor::new().expect("reactor on linux");
+    let mut reactor = Reactor::new().expect("reactor on linux");
     let mut fds = Vec::with_capacity(IDLE);
     for token in 0..IDLE {
         let n = Notifier::new().expect("eventfd");
@@ -60,7 +60,7 @@ fn ten_thousand_idle_registrations_with_interleaved_activity() {
             }
         }
         assert_eq!(seen, active, "round {round}: every active fd must fire");
-        // Drained: the wheel of idle sessions goes quiet again.
+        // Drained: the mass of idle sessions goes quiet again.
         assert_eq!(
             reactor
                 .wait(&mut events, Some(Duration::from_millis(10)))

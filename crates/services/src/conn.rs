@@ -124,8 +124,9 @@ impl Phase {
     /// — progress within a phase (one more header byte, one more
     /// flushed chunk) never extends it, which is what defeats
     /// slowloris-style trickling — except that idle is an inactivity
-    /// timer, renewed by every bit of traffic (and busy re-arms so a
-    /// timer wheel keeps a live entry).
+    /// timer, renewed by every bit of traffic, and that busy re-arms
+    /// too: a busy connection is never evicted, and the reactor renews
+    /// its deadline when it passes.
     pub fn advance(&mut self, next: Phase, timeouts: &PhaseTimeouts) -> Option<Instant> {
         if next == *self && !matches!(next, Phase::Idle | Phase::Busy) {
             return None;

@@ -19,8 +19,10 @@
 //!   the group-commit barrier inside `ssl_write` blocks a pool thread
 //!   — never the reactor — and as many responses as there are workers
 //!   share counter binds and fsyncs;
-//! - a [`plat::timer::TimerWheel`] evicts idle sessions and paces the
-//!   accept-failure backoff without blocking the loop.
+//! - one [`plat::timer::Deadlines`] set holds every deadline the loop
+//!   keeps (each connection's phase deadline, the accept-failure
+//!   backoff, the drain cut-off), and the reactor parks until the
+//!   earliest of them, or with no timeout when none is armed.
 //!
 //! The loop is written against the session surface
 //! ([`AuditPlane`]) and does not know which TLS library stands behind
@@ -49,7 +51,7 @@ use libseal_lthread::{JobPool, PoolConfig};
 use libseal_tlsx::record;
 use libseal_tlsx::stream::{FlushOutcome, WireBuf};
 use plat::reactor::{Event, Interest, Reactor, Waker};
-use plat::timer::TimerWheel;
+use plat::timer::Deadlines;
 
 use crate::conn::{
     count_shed, cut_request, message_cap, respond, wants_close, App, Cut, Phase, SlotPool,
@@ -60,11 +62,11 @@ use crate::server::ServeConfig;
 const LISTENER: u64 = 0;
 /// Timer token that re-arms a paused listener.
 const ACCEPT_RESUME: u64 = u64::MAX - 1;
+/// Timer token of the drain deadline: the loop exits when it fires,
+/// even if stragglers remain.
+const DRAIN: u64 = u64::MAX - 2;
 /// How long the listener stays silenced after a failed accept.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
-/// Upper bound on one reactor park, so shutdown and timer churn stay
-/// responsive even without wake-ups.
-const MAX_PARK: Duration = Duration::from_millis(50);
 /// Wire bytes of one full record.
 const RECORD: usize = record::HEADER + record::MAX_RECORD + record::TAG;
 /// Pending audit work (unresolved group-commit tickets + verifier
@@ -148,7 +150,7 @@ struct Conn<C> {
     read_paused: bool,
     /// The TLS handshake has completed (a pump reported it).
     established: bool,
-    /// Phase whose deadline is currently armed on the wheel.
+    /// Phase whose deadline is currently armed.
     phase: Phase,
 }
 
@@ -193,7 +195,7 @@ pub(crate) fn serve<A: App>(
     let (done_tx, done_rx) = mpsc::channel();
     let lp = Loop {
         reactor,
-        wheel: TimerWheel::new(Duration::from_millis(5), 1024),
+        deadlines: Deadlines::default(),
         conns: HashMap::new(),
         sid_token: HashMap::new(),
         listener,
@@ -208,7 +210,7 @@ pub(crate) fn serve<A: App>(
         waker: waker.clone(),
         shutdown,
         draining,
-        drain_deadline: None,
+        drain_armed: false,
     };
     let join = std::thread::Builder::new()
         .name("event-reactor".into())
@@ -218,7 +220,7 @@ pub(crate) fn serve<A: App>(
 
 struct Loop<A: App> {
     reactor: Reactor,
-    wheel: TimerWheel,
+    deadlines: Deadlines,
     conns: HashMap<u64, Conn<A::Conn>>,
     /// Session id → connection token.
     sid_token: HashMap<u64, u64>,
@@ -236,21 +238,20 @@ struct Loop<A: App> {
     /// Graceful-drain request: stop accepting, deliver in-flight
     /// responses, then exit.
     draining: Arc<AtomicBool>,
-    /// Set when the drain began; the loop exits at this instant even
-    /// if stragglers remain.
-    drain_deadline: Option<Instant>,
+    /// The drain began: [`DRAIN`] is (or was) armed.
+    drain_armed: bool,
 }
 
 impl<A: App> Loop<A> {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::with_capacity(1024);
-        while !self.shutdown.load(Ordering::Acquire) {
-            if self.draining.load(Ordering::Acquire) && self.drain_deadline.is_none() {
+        'serve: while !self.shutdown.load(Ordering::Acquire) {
+            if self.draining.load(Ordering::Acquire) && !self.drain_armed {
                 self.begin_drain();
             }
-            if let Some(deadline) = self.drain_deadline {
+            if self.drain_armed {
                 // Reap connections that finished their in-flight work;
-                // exit once none remain (or the deadline cuts off
+                // exit once none remain (or `DRAIN` fires and cuts off
                 // stragglers — a stuck peer must not hold shutdown).
                 let done: Vec<u64> = self
                     .conns
@@ -261,15 +262,17 @@ impl<A: App> Loop<A> {
                 for t in done {
                     self.teardown(t);
                 }
-                if self.conns.is_empty() || Instant::now() >= deadline {
+                if self.conns.is_empty() {
                     break;
                 }
             }
-            let timeout = match self.wheel.next_deadline() {
-                Some(d) => d.saturating_duration_since(Instant::now()).min(MAX_PARK),
-                None => MAX_PARK,
-            };
-            if self.reactor.wait(&mut events, Some(timeout)).is_err() {
+            // Sockets, the waker (completions, stop, drain) and the
+            // earliest deadline are everything that can wake the loop.
+            let timeout = self
+                .deadlines
+                .next_deadline()
+                .map(|d| d.saturating_duration_since(Instant::now()));
+            if self.reactor.wait(&mut events, timeout).is_err() {
                 break;
             }
 
@@ -311,27 +314,14 @@ impl<A: App> Loop<A> {
                 self.complete(c);
             }
 
-            // Phase 5: deadlines — phase-deadline eviction and accept
-            // resume.
-            for token in self.wheel.expired(Instant::now()) {
-                if token == ACCEPT_RESUME {
-                    self.resume_accept();
-                    continue;
+            // Phase 5: deadlines — phase-deadline eviction, accept
+            // resume and the drain cut-off.
+            for token in self.deadlines.expired(Instant::now()) {
+                match token {
+                    ACCEPT_RESUME => self.resume_accept(),
+                    DRAIN => break 'serve,
+                    _ => self.evict(token),
                 }
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    continue;
-                };
-                if conn.busy {
-                    // A request is running; not stuck on the peer.
-                    // Force a fresh deadline for whatever phase the
-                    // completion lands in.
-                    if let Some(d) = conn.phase.advance(Phase::Busy, &self.cfg.timeouts) {
-                        self.wheel.schedule(token, d);
-                    }
-                    continue;
-                }
-                conn.phase.count_timeout();
-                self.teardown(token);
             }
         }
 
@@ -343,6 +333,21 @@ impl<A: App> Loop<A> {
         }
     }
 
+    /// A connection's phase deadline passed: evict it, unless its
+    /// handler is running — then it is not stuck on the peer, and gets
+    /// a fresh deadline for whatever phase the completion lands in.
+    fn evict(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if !conn.busy {
+            conn.phase.count_timeout();
+            self.teardown(token);
+        } else if let Some(d) = conn.phase.advance(Phase::Busy, &self.cfg.timeouts) {
+            self.deadlines.schedule(token, d);
+        }
+    }
+
     /// Enters graceful drain: the listener goes quiet, connections
     /// with no in-flight work are torn down immediately, and the rest
     /// get until `drain_timeout` to deliver their
@@ -350,12 +355,14 @@ impl<A: App> Loop<A> {
     /// time a completion reaches the reactor, so every delivered
     /// response is durable.
     fn begin_drain(&mut self) {
-        self.drain_deadline = Some(Instant::now() + self.cfg.drain_timeout);
+        self.drain_armed = true;
+        self.deadlines
+            .schedule(DRAIN, Instant::now() + self.cfg.drain_timeout);
         if !self.accept_paused {
             let _ = self.reactor.deregister(&self.listener);
         }
         self.accept_paused = true;
-        self.wheel.cancel(ACCEPT_RESUME);
+        self.deadlines.cancel(ACCEPT_RESUME);
         let idle: Vec<u64> = self
             .conns
             .iter()
@@ -385,13 +392,13 @@ impl<A: App> Loop<A> {
                 libseal_telemetry::counter("services_event_backpressure_pauses_total").inc();
                 let _ = self.reactor.deregister(&self.listener);
                 self.accept_paused = true;
-                self.wheel
+                self.deadlines
                     .schedule(ACCEPT_RESUME, Instant::now() + ACCEPT_BACKOFF);
                 break;
             }
             match plat::failpoint::check("services::accept").and_then(|()| self.listener.accept()) {
                 Ok((sock, _)) => {
-                    if self.drain_deadline.is_some() {
+                    if self.drain_armed {
                         // Draining: refuse by dropping the socket.
                         continue;
                     }
@@ -411,7 +418,7 @@ impl<A: App> Loop<A> {
                     self.app.on_accept_error();
                     let _ = self.reactor.deregister(&self.listener);
                     self.accept_paused = true;
-                    self.wheel
+                    self.deadlines
                         .schedule(ACCEPT_RESUME, Instant::now() + ACCEPT_BACKOFF);
                     break;
                 }
@@ -420,7 +427,7 @@ impl<A: App> Loop<A> {
     }
 
     fn resume_accept(&mut self) {
-        if !self.accept_paused || self.drain_deadline.is_some() {
+        if !self.accept_paused || self.drain_armed {
             return;
         }
         self.accept_paused = false;
@@ -431,7 +438,7 @@ impl<A: App> Loop<A> {
         {
             // Try again next backoff period rather than going deaf.
             self.accept_paused = true;
-            self.wheel
+            self.deadlines
                 .schedule(ACCEPT_RESUME, Instant::now() + ACCEPT_BACKOFF);
             return;
         }
@@ -475,7 +482,7 @@ impl<A: App> Loop<A> {
             },
         );
         open_conn_gauge().add(1);
-        self.wheel
+        self.deadlines
             .schedule(token, Instant::now() + self.cfg.timeouts.handshake);
     }
 
@@ -586,7 +593,7 @@ impl<A: App> Loop<A> {
     /// hands it to the pool. At most one request per connection is in
     /// flight; pipelined bytes wait in `plain` until the completion.
     fn try_dispatch(&mut self, token: u64) {
-        if self.drain_deadline.is_some() {
+        if self.drain_armed {
             // Draining: no new requests, only in-flight deliveries.
             return;
         }
@@ -674,7 +681,7 @@ impl<A: App> Loop<A> {
         if std::mem::take(&mut conn.read_paused) {
             let _ = self.reactor.modify(&conn.sock, c.token, conn.interest());
         }
-        if c.close || self.drain_deadline.is_some() {
+        if c.close || self.drain_armed {
             // `Connection: close`, or draining — this response is the
             // connection's last either way.
             conn.close_after_flush = true;
@@ -729,7 +736,7 @@ impl<A: App> Loop<A> {
             &conn.plain,
         );
         if let Some(deadline) = conn.phase.advance(next, &self.cfg.timeouts) {
-            self.wheel.schedule(token, deadline);
+            self.deadlines.schedule(token, deadline);
         }
     }
 
@@ -754,7 +761,7 @@ impl<A: App> Loop<A> {
             return;
         };
         open_conn_gauge().sub(1);
-        self.wheel.cancel(token);
+        self.deadlines.cancel(token);
         let _ = self.reactor.deregister(&conn.sock);
         if let Some(mut state) = conn.state.take() {
             self.app.close_conn(&mut state);

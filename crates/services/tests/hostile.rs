@@ -675,3 +675,45 @@ fn drain_under_load_keeps_chain_verifiable() {
         ls.verify_log(0).unwrap();
     });
 }
+
+/// Under the reactor, a handler that outlives `drain_timeout` does not
+/// hold its connection open: the loop parks on the drain deadline like
+/// on any other and closes the connection when it passes, while the
+/// handler is still running.
+#[test]
+fn drain_deadline_closes_a_connection_whose_handler_outlives_it() {
+    const DRAIN: Duration = Duration::from_millis(300);
+    if !plat::reactor::supported() {
+        return;
+    }
+    let ca = ca();
+    let (key, cert) = ca.issue_identity("localhost", &[0x33; 32]).unwrap();
+    let gate = Arc::new(Gate::default());
+    let held = Arc::clone(&gate);
+    let router = FnRouter(move |_: &Request| {
+        held.hold();
+        Response::new(200, b"late".to_vec())
+    });
+    let server = ApacheServer::start(
+        ApacheConfig::new(TlsMode::Native { cert, key }, Arc::new(router))
+            .workers(2)
+            .event_loop(true)
+            .drain_timeout(DRAIN),
+    )
+    .unwrap();
+    let release = OpenOnDrop(Arc::clone(&gate));
+    let mut conn = tls_connect(server.addr(), vec![ca.root_key()]);
+    conn.write_all(b"GET /gate HTTP/1.1\r\n\r\n").unwrap();
+    gate.await_held();
+
+    let drained_at = Instant::now();
+    let drain = std::thread::spawn(move || server.drain());
+    assert_eq!(read_status(&mut conn), None, "a response got out");
+    let closed = drained_at.elapsed();
+    assert!(
+        (DRAIN..DRAIN + Duration::from_secs(2)).contains(&closed),
+        "closed {closed:?} after the drain began, deadline {DRAIN:?}"
+    );
+    drop(release);
+    drain.join().unwrap();
+}
