@@ -63,10 +63,11 @@ cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D
 # join/retire, a hash ring, a routability flag), `SystemRng` is
 # back, a chain entry carries a key copy beside its payload again,
 # a materialized view becomes a catalog table again (a backing table or
-# partition index in sealdb, `db_mut` in the checker), or the reactor's
+# partition index in sealdb, `db_mut` in the checker), the reactor's
 # deadlines leave their one ordered set (a timer wheel or a park cap is
-# back). Builds the bench binaries in release mode, which the gates
-# below need anyway.
+# back), a running handler's connection gets a phase (and a deadline)
+# again, or a second proxy (`ReverseProxyRouter`) is back. Builds the
+# bench binaries in release mode, which the gates below need anyway.
 scripts/loc_budget.sh
 
 # benchmark/ is its own workspace, so nothing above compiles it: a

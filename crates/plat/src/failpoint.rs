@@ -11,7 +11,6 @@
 //! - **partial-write** — a write point persists only a prefix of its
 //!   buffer and then fails (a torn write, as a crash mid-`write(2)`
 //!   leaves it);
-//! - **delay** — the site sleeps, then proceeds (slow disk / network);
 //! - **simulated-crash** — the site fails *and latches the process
 //!   dead*: every later site also fails until the scenario is torn
 //!   down, so no code "after the crash" can touch the disk. Recovery
@@ -23,7 +22,6 @@
 //! the crash-matrix gate in `ci.sh` crashes each of them in turn.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use std::sync::MutexGuard;
 
@@ -36,8 +34,6 @@ pub enum Action {
     ReturnError,
     /// Write only the first `n` bytes of the buffer, then fail.
     PartialWrite(usize),
-    /// Sleep for the duration, then continue normally.
-    Delay(Duration),
     /// Fail and latch the whole process as crashed.
     Crash,
 }
@@ -73,11 +69,6 @@ impl FaultSpec {
     /// Shorthand for [`Action::PartialWrite`].
     pub fn partial_write(bytes: usize) -> FaultSpec {
         Self::new(Action::PartialWrite(bytes))
-    }
-
-    /// Shorthand for [`Action::Delay`].
-    pub fn delay(d: Duration) -> FaultSpec {
-        Self::new(Action::Delay(d))
     }
 
     /// Skips the first `skip` hits before firing.
@@ -197,12 +188,11 @@ pub fn is_injected(e: &std::io::Error) -> bool {
 }
 
 /// Records a hit on `site` and returns the action to apply, if any.
-/// Delays are served here so callers never see them.
 fn eval(site: &str) -> Option<Action> {
     if !ENABLED.load(std::sync::atomic::Ordering::Relaxed) {
         return None;
     }
-    let action = with_registry(|r| {
+    with_registry(|r| {
         if r.crashed.is_some() {
             // The process is dead: every subsequent site fails.
             return Some(Action::Crash);
@@ -218,12 +208,7 @@ fn eval(site: &str) -> Option<Action> {
             r.crashed = Some(site.to_string());
         }
         Some(spec.action)
-    });
-    if let Some(Action::Delay(d)) = action {
-        std::thread::sleep(d);
-        return None;
-    }
-    action
+    })
 }
 
 /// A control-point site: fails if armed, else a no-op.
@@ -234,7 +219,7 @@ fn eval(site: &str) -> Option<Action> {
 /// `PartialWrite` (which degenerates to an error here) or `Crash`.
 pub fn check(site: &str) -> std::io::Result<()> {
     match eval(site) {
-        None | Some(Action::Delay(_)) => Ok(()),
+        None => Ok(()),
         Some(Action::Crash) => Err(injected_error(site, "simulated crash")),
         Some(Action::ReturnError) | Some(Action::PartialWrite(_)) => {
             Err(injected_error(site, "injected error"))
@@ -250,7 +235,7 @@ pub fn check(site: &str) -> std::io::Result<()> {
 /// The injected error, or the underlying writer's.
 pub fn write_all(site: &str, w: &mut impl std::io::Write, buf: &[u8]) -> std::io::Result<()> {
     match eval(site) {
-        None | Some(Action::Delay(_)) => w.write_all(buf),
+        None => w.write_all(buf),
         Some(Action::Crash) => Err(injected_error(site, "simulated crash")),
         Some(Action::ReturnError) => Err(injected_error(site, "injected error")),
         Some(Action::PartialWrite(n)) => {

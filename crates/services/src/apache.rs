@@ -3,9 +3,10 @@
 //! two drivers).
 //!
 //! Routers plug the application in: static content for the TLS
-//! micro-benchmarks (Fig. 7a, Tabs 2-4), the Git/ownCloud backends for
-//! Fig. 5, or a reverse proxy (the paper's large-scale Git deployment,
-//! §6.4).
+//! micro-benchmarks (Fig. 7a, Tabs 2-4) or the Git/ownCloud backends
+//! for Fig. 5. The paper's large-scale Git deployment (§6.4), Apache
+//! as an audited reverse proxy in front of backend servers, is a
+//! [`crate::squid::SquidProxy`] with a fixed origin.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,49 +62,6 @@ impl Router for DelayRouter {
             }
         }
         self.inner.handle(req)
-    }
-}
-
-/// Forwards every request to an upstream server over its own STLS
-/// connection — the paper's large-scale Git deployment (§6.4): Apache
-/// in reverse-proxy mode, linked against LibSEAL, logging all traffic
-/// and forwarding to backend servers.
-pub struct ReverseProxyRouter {
-    origin: crate::client::HttpsClient,
-}
-
-impl ReverseProxyRouter {
-    /// Creates a reverse proxy towards `upstream`, trusting `roots`
-    /// for a certificate naming `upstream_subject`.
-    pub fn new(
-        upstream: std::net::SocketAddr,
-        roots: Vec<libseal_crypto::ed25519::VerifyingKey>,
-        upstream_subject: &str,
-    ) -> Self {
-        ReverseProxyRouter {
-            origin: crate::client::HttpsClient::new(upstream, roots, upstream_subject),
-        }
-    }
-
-    /// Requires the origin certificate to pass `policy` (RA-TLS).
-    #[must_use]
-    pub fn attestation(
-        mut self,
-        policy: std::sync::Arc<libseal_tlsx::attest::AttestationPolicy>,
-    ) -> Self {
-        self.origin = self.origin.attestation(policy);
-        self
-    }
-}
-
-impl Router for ReverseProxyRouter {
-    fn handle(&self, req: &Request) -> Response {
-        // One upstream connection per request keeps the router
-        // stateless; a production proxy would pool connections.
-        match self.origin.request(req) {
-            Ok(rsp) => rsp,
-            Err(e) => Response::new(502, format!("upstream error: {e}").into_bytes()),
-        }
     }
 }
 

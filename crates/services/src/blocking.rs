@@ -132,7 +132,9 @@ fn serve_connection<A: App>(
     let mut buf = [0u8; 16 * 1024];
     let mut plain = Vec::new();
     let mut established = false;
-    let mut phase = Phase::Handshake;
+    // The phase whose deadline is armed; `None` after a handler ran, so
+    // whatever phase comes next gets a fresh deadline.
+    let mut phase = Some(Phase::Handshake);
     let mut deadline = Instant::now() + cfg.timeouts.handshake;
     let mut serve = || -> Result<()> {
         loop {
@@ -154,9 +156,7 @@ fn serve_connection<A: App>(
                         if wants_close(&req) || halt() {
                             return Ok(());
                         }
-                        // The handler ran: whatever phase comes next
-                        // gets a fresh deadline.
-                        phase = Phase::Busy;
+                        phase = None;
                         continue;
                     }
                     Cut::Reject(rsp) => {
@@ -180,8 +180,8 @@ fn serve_connection<A: App>(
             }
             // Out of bytes: wait for more, for as long as the phase
             // the connection is now in allows.
-            let next = Phase::of(false, established, false, &plain);
-            if let Some(d) = phase.advance(next, &cfg.timeouts) {
+            let next = Phase::of(established, false, &plain);
+            if let Some(d) = Phase::advance(&mut phase, next, &cfg.timeouts) {
                 deadline = d;
             }
             flush(&mut sock)?;
@@ -190,7 +190,7 @@ fn serve_connection<A: App>(
                 Ok(n) => plane.provide_input(slot, sid, &buf[..n])?,
                 Err(e) => {
                     if e.kind() == io::ErrorKind::TimedOut && !halt() {
-                        phase.count_timeout();
+                        next.count_timeout();
                     }
                     return Err(e.into());
                 }

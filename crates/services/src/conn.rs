@@ -1,6 +1,7 @@
 //! Connection policy shared by both drivers: what a service plugs in
 //! ([`App`]), which phase a connection is in and how long it may stay
-//! there, how one request is cut out of the decrypted stream (or the
+//! there (a connection whose handler runs is in none, and has no
+//! deadline), how one request is cut out of the decrypted stream (or the
 //! stream rejected), the respond step, and which async-call slot a
 //! plane call runs on ([`SlotPool`]). Nothing here touches a socket —
 //! the reactor ([`crate::event`]) and the blocking loop
@@ -82,7 +83,9 @@ impl Default for PhaseTimeouts {
 
 /// Connection lifecycle phase, each with its own deadline. Deadlines
 /// are *per phase*, not per byte: a slowloris trickling one header
-/// byte per second never pushes its header deadline out.
+/// byte per second never pushes its header deadline out. A connection
+/// whose handler runs owes the server nothing and is in no phase: its
+/// driver holds `None` for the armed phase until the handler returns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Phase {
     /// TLS handshake in progress.
@@ -95,18 +98,14 @@ pub(crate) enum Phase {
     Write,
     /// Established, no partial request, nothing to write.
     Idle,
-    /// A handler owns the connection; never evicted by deadline.
-    Busy,
 }
 
 impl Phase {
-    /// The phase of a connection whose handler is (not) running, whose
+    /// The phase of a connection with no handler running, whose
     /// handshake has (not) completed, with (no) response bytes still
     /// queued and `plain` decrypted-but-unparsed request bytes.
-    pub fn of(busy: bool, established: bool, write_pending: bool, plain: &[u8]) -> Phase {
-        if busy {
-            Phase::Busy
-        } else if !established {
+    pub fn of(established: bool, write_pending: bool, plain: &[u8]) -> Phase {
+        if !established {
             Phase::Handshake
         } else if write_pending {
             Phase::Write
@@ -119,25 +118,28 @@ impl Phase {
         }
     }
 
-    /// Moves `self` to `next` and returns the deadline to arm, if one
-    /// must be armed. The deadline only moves when the phase *changes*
-    /// — progress within a phase (one more header byte, one more
-    /// flushed chunk) never extends it, which is what defeats
-    /// slowloris-style trickling — except that idle is an inactivity
-    /// timer, renewed by every bit of traffic, and that busy re-arms
-    /// too: a busy connection is never evicted, and the reactor renews
-    /// its deadline when it passes.
-    pub fn advance(&mut self, next: Phase, timeouts: &PhaseTimeouts) -> Option<Instant> {
-        if next == *self && !matches!(next, Phase::Idle | Phase::Busy) {
+    /// Moves the `armed` phase (`None`: nothing armed, as after a
+    /// handler) to `next` and returns the deadline to arm, if one must
+    /// be armed. The deadline only moves when the phase *changes* —
+    /// progress within a phase (one more header byte, one more flushed
+    /// chunk) never extends it, which is what defeats slowloris-style
+    /// trickling — except that idle is an inactivity timer, renewed by
+    /// every bit of traffic.
+    pub fn advance(
+        armed: &mut Option<Phase>,
+        next: Phase,
+        timeouts: &PhaseTimeouts,
+    ) -> Option<Instant> {
+        if *armed == Some(next) && next != Phase::Idle {
             return None;
         }
-        *self = next;
+        *armed = Some(next);
         let timeout = match next {
             Phase::Handshake => timeouts.handshake,
             Phase::Head => timeouts.header,
             Phase::Body => timeouts.body,
             Phase::Write => timeouts.write,
-            Phase::Idle | Phase::Busy => timeouts.idle,
+            Phase::Idle => timeouts.idle,
         };
         Some(Instant::now() + timeout)
     }
@@ -151,7 +153,7 @@ impl Phase {
             Phase::Body => "services_body_timeouts_total",
             Phase::Write => "services_write_timeouts_total",
             // Named before the blocking driver had an idle bound.
-            Phase::Idle | Phase::Busy => "services_event_idle_evictions_total",
+            Phase::Idle => "services_event_idle_evictions_total",
         })
         .inc();
     }
@@ -286,4 +288,38 @@ pub(crate) fn respond<A: App, T, E>(
     };
     app.on_request(conn, req.path(), started);
     Ok(written)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// From nothing armed (a handler just returned) any phase arms; an
+    /// unchanged phase keeps its deadline, except idle, which traffic
+    /// renews; a changed phase arms afresh.
+    #[test]
+    fn a_deadline_moves_only_when_the_phase_changes() {
+        let t = PhaseTimeouts::default();
+        let all = [
+            Phase::Handshake,
+            Phase::Head,
+            Phase::Body,
+            Phase::Write,
+            Phase::Idle,
+        ];
+        for next in all {
+            let mut armed = None;
+            let first = Phase::advance(&mut armed, next, &t);
+            assert!(first.is_some(), "{next:?} from nothing armed");
+            assert_eq!(armed, Some(next));
+            let again = Phase::advance(&mut armed, next, &t);
+            assert_eq!(again.is_some(), next == Phase::Idle, "{next:?} unchanged");
+            assert!(again.is_none_or(|d| d >= first.unwrap()));
+            for from in all.into_iter().filter(|&p| p != next) {
+                let mut armed = Some(from);
+                assert!(Phase::advance(&mut armed, next, &t).is_some());
+                assert_eq!(armed, Some(next), "{from:?} -> {next:?}");
+            }
+        }
+    }
 }

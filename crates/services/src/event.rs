@@ -20,9 +20,10 @@
 //!   — never the reactor — and as many responses as there are workers
 //!   share counter binds and fsyncs;
 //! - one [`plat::timer::Deadlines`] set holds every deadline the loop
-//!   keeps (each connection's phase deadline, the accept-failure
-//!   backoff, the drain cut-off), and the reactor parks until the
-//!   earliest of them, or with no timeout when none is armed.
+//!   keeps: the phase deadline of each connection whose peer owes it
+//!   bytes (none while its handler runs), the accept-failure backoff
+//!   and the drain cut-off. The reactor parks until the earliest of
+//!   them, or with no timeout when none is armed.
 //!
 //! The loop is written against the session surface
 //! ([`AuditPlane`]) and does not know which TLS library stands behind
@@ -132,10 +133,9 @@ struct Conn<C> {
     wire: WireBuf,
     /// Inbound decrypted bytes not yet parsed into a request.
     plain: Vec<u8>,
-    /// Application state; `None` exactly while a job holds it.
+    /// Application state; `None` exactly while a job holds it (the
+    /// connection is busy: a request is in flight on the pool).
     state: Option<C>,
-    /// A request is in flight on the pool.
-    busy: bool,
     /// Close once `wire` drains (Connection: close, malformed, or the
     /// peer's close_notify).
     close_after_flush: bool,
@@ -150,8 +150,10 @@ struct Conn<C> {
     read_paused: bool,
     /// The TLS handshake has completed (a pump reported it).
     established: bool,
-    /// Phase whose deadline is currently armed.
-    phase: Phase,
+    /// Phase whose deadline is currently armed; `None` while the
+    /// handler runs: the peer owes nothing then, and no deadline is
+    /// armed.
+    phase: Option<Phase>,
 }
 
 impl<C> Conn<C> {
@@ -249,22 +251,11 @@ impl<A: App> Loop<A> {
             if self.draining.load(Ordering::Acquire) && !self.drain_armed {
                 self.begin_drain();
             }
-            if self.drain_armed {
-                // Reap connections that finished their in-flight work;
-                // exit once none remain (or `DRAIN` fires and cuts off
-                // stragglers — a stuck peer must not hold shutdown).
-                let done: Vec<u64> = self
-                    .conns
-                    .iter()
-                    .filter(|(_, c)| !c.busy && c.wire.is_empty())
-                    .map(|(&t, _)| t)
-                    .collect();
-                for t in done {
-                    self.teardown(t);
-                }
-                if self.conns.is_empty() {
-                    break;
-                }
+            // Draining connections close as their last bytes flush;
+            // `DRAIN` cuts off stragglers (a stuck peer must not hold
+            // shutdown).
+            if self.drain_armed && self.conns.is_empty() {
+                break;
             }
             // Sockets, the waker (completions, stop, drain) and the
             // earliest deadline are everything that can wake the loop.
@@ -302,7 +293,7 @@ impl<A: App> Loop<A> {
             }
 
             // Phase 3: dispatch parsed requests, push ciphertext,
-            // refresh idle deadlines, reap the fallen.
+            // re-arm phase deadlines, reap the fallen.
             touched.sort_unstable();
             touched.dedup();
             for token in touched {
@@ -333,27 +324,22 @@ impl<A: App> Loop<A> {
         }
     }
 
-    /// A connection's phase deadline passed: evict it, unless its
-    /// handler is running — then it is not stuck on the peer, and gets
-    /// a fresh deadline for whatever phase the completion lands in.
+    /// A connection's phase deadline passed (only a connection whose
+    /// peer owes it bytes has one): count and evict it.
     fn evict(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(phase) = self.conns.get(&token).and_then(|c| c.phase) else {
             return;
         };
-        if !conn.busy {
-            conn.phase.count_timeout();
-            self.teardown(token);
-        } else if let Some(d) = conn.phase.advance(Phase::Busy, &self.cfg.timeouts) {
-            self.deadlines.schedule(token, d);
-        }
+        phase.count_timeout();
+        self.teardown(token);
     }
 
-    /// Enters graceful drain: the listener goes quiet, connections
-    /// with no in-flight work are torn down immediately, and the rest
-    /// get until `drain_timeout` to deliver their
-    /// responses. Workers' group-commit barriers already ran by the
-    /// time a completion reaches the reactor, so every delivered
-    /// response is durable.
+    /// Enters graceful drain: the listener goes quiet and every
+    /// connection's current response becomes its last, so connections
+    /// with no in-flight work close now and the rest as soon as their
+    /// response has flushed, within `drain_timeout`. Workers'
+    /// group-commit barriers already ran by the time a completion
+    /// reaches the reactor, so every delivered response is durable.
     fn begin_drain(&mut self) {
         self.drain_armed = true;
         self.deadlines
@@ -363,14 +349,12 @@ impl<A: App> Loop<A> {
         }
         self.accept_paused = true;
         self.deadlines.cancel(ACCEPT_RESUME);
-        let idle: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| !c.busy && c.wire.is_empty())
-            .map(|(&t, _)| t)
-            .collect();
-        for t in idle {
-            self.teardown(t);
+        let tokens: Vec<u64> = self.conns.keys().copied().collect();
+        for t in tokens {
+            if let Some(conn) = self.conns.get_mut(&t) {
+                conn.close_after_flush = true;
+            }
+            self.finish(t);
         }
     }
 
@@ -471,14 +455,13 @@ impl<A: App> Loop<A> {
                 wire: WireBuf::new(),
                 plain: Vec::new(),
                 state: Some(self.app.open_conn()),
-                busy: false,
                 close_after_flush: false,
                 peer_closed: false,
                 dead: false,
                 want_write: false,
                 read_paused: false,
                 established: false,
-                phase: Phase::Handshake,
+                phase: Some(Phase::Handshake),
             },
         );
         open_conn_gauge().add(1);
@@ -499,7 +482,7 @@ impl<A: App> Loop<A> {
         // starts with 32-byte reads and doubles from there. EINTR is
         // retried inside; bytes read before an error are kept.
         let mut input = Vec::with_capacity(16 * 1024);
-        let limit = if conn.busy {
+        let limit = if conn.state.is_none() {
             message_cap(&self.cfg.limits).saturating_sub(conn.plain.len()) + RECORD
         } else {
             usize::MAX
@@ -546,7 +529,7 @@ impl<A: App> Loop<A> {
                     // A busy connection reads no further than one
                     // message's limits ahead: past them, its read
                     // interest is dropped until the handler completes.
-                    if conn.busy
+                    if conn.state.is_none()
                         && !conn.read_paused
                         && conn.plain.len() > message_cap(&self.cfg.limits)
                     {
@@ -577,11 +560,14 @@ impl<A: App> Loop<A> {
         }
     }
 
+    /// Moves a connection on after its socket or its handler did
+    /// something: dispatches a buffered request if it may take one,
+    /// flushes, re-arms its deadline and tears it down once finished.
     fn post_activity(&mut self, token: u64) {
         let Some(conn) = self.conns.get(&token) else {
             return;
         };
-        if !conn.dead && !conn.busy && !conn.close_after_flush && !conn.peer_closed {
+        if !conn.dead && conn.state.is_some() && !conn.close_after_flush && !conn.peer_closed {
             self.try_dispatch(token);
         }
         self.flush(token);
@@ -593,10 +579,6 @@ impl<A: App> Loop<A> {
     /// hands it to the pool. At most one request per connection is in
     /// flight; pipelined bytes wait in `plain` until the completion.
     fn try_dispatch(&mut self, token: u64) {
-        if self.drain_armed {
-            // Draining: no new requests, only in-flight deliveries.
-            return;
-        }
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -633,7 +615,9 @@ impl<A: App> Loop<A> {
         let Some(mut state) = conn.state.take() else {
             return;
         };
-        conn.busy = true;
+        // The peer owes nothing while the handler runs.
+        conn.phase = None;
+        self.deadlines.cancel(token);
         let sid = conn.sid;
         let sessions = self.sessions.clone();
         let app = Arc::clone(&self.app);
@@ -667,12 +651,12 @@ impl<A: App> Loop<A> {
 
     fn complete(&mut self, c: Completion<A::Conn>) {
         let Some(conn) = self.conns.get_mut(&c.token) else {
-            // Connection evicted or torn down while the job ran.
+            // The connection failed while the job ran and was torn
+            // down.
             let mut state = c.state;
             self.app.close_conn(&mut state);
             return;
         };
-        conn.busy = false;
         conn.state = Some(c.state);
         match c.wire {
             Some(wire) => conn.wire.push(wire),
@@ -681,18 +665,12 @@ impl<A: App> Loop<A> {
         if std::mem::take(&mut conn.read_paused) {
             let _ = self.reactor.modify(&conn.sock, c.token, conn.interest());
         }
-        if c.close || self.drain_armed {
-            // `Connection: close`, or draining — this response is the
-            // connection's last either way.
+        if c.close {
             conn.close_after_flush = true;
         }
-        if !conn.dead && !conn.close_after_flush && !conn.peer_closed {
-            // Pipelined follow-up request, if one is already buffered.
-            self.try_dispatch(c.token);
-        }
-        self.flush(c.token);
-        self.reschedule(c.token);
-        self.finish(c.token);
+        // Dispatches a pipelined follow-up request, if one is already
+        // buffered, and flushes the response.
+        self.post_activity(c.token);
     }
 
     /// Pushes queued ciphertext; tracks writable interest so the loop
@@ -723,19 +701,14 @@ impl<A: App> Loop<A> {
         }
     }
 
-    /// Re-arms the connection's deadline if its phase calls for it
-    /// (see [`Phase::advance`]).
+    /// Re-arms the deadline of a connection whose handler is not
+    /// running if its phase calls for it (see [`Phase::advance`]).
     fn reschedule(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(conn) = self.conns.get_mut(&token).filter(|c| c.state.is_some()) else {
             return;
         };
-        let next = Phase::of(
-            conn.busy,
-            conn.established,
-            !conn.wire.is_empty(),
-            &conn.plain,
-        );
-        if let Some(deadline) = conn.phase.advance(next, &self.cfg.timeouts) {
+        let next = Phase::of(conn.established, !conn.wire.is_empty(), &conn.plain);
+        if let Some(deadline) = Phase::advance(&mut conn.phase, next, &self.cfg.timeouts) {
             self.deadlines.schedule(token, deadline);
         }
     }
@@ -749,7 +722,7 @@ impl<A: App> Loop<A> {
             return;
         };
         if conn.dead
-            || (!conn.busy
+            || (conn.state.is_some()
                 && (conn.peer_closed || (conn.close_after_flush && conn.wire.is_empty())))
         {
             self.teardown(token);

@@ -10,9 +10,10 @@
 //! the configuration branches on it (§4.1, the drop-in claim):
 //!
 //! - [`apache::ApacheServer`] — a web server with pluggable routers
-//!   (static content, Git, ownCloud, reverse proxy);
-//! - [`squid::SquidProxy`] — a TLS-terminating forward proxy with two
-//!   TLS legs (client↔proxy, proxy↔origin);
+//!   (static content, Git, ownCloud);
+//! - [`squid::SquidProxy`] — a TLS-terminating proxy to one origin with
+//!   two TLS legs (client↔proxy, proxy↔origin), also the audited
+//!   reverse proxy of the paper's Git deployment (§6.4);
 //!
 //! Both are one connection engine with two personalities. A service
 //! is an `App` (request semantics and metrics: Apache routes, Squid

@@ -717,3 +717,98 @@ fn drain_deadline_closes_a_connection_whose_handler_outlives_it() {
     drop(release);
     drain.join().unwrap();
 }
+
+/// A handler that runs for three idle timeouts is answered: while it
+/// runs the peer owes the connection nothing, so no deadline is armed
+/// and nothing is evicted. Answered, the connection is idle, and the
+/// idle deadline armed at the response evicts it about one idle timeout
+/// later.
+#[test]
+fn a_handler_outliving_the_idle_timeout_is_answered_then_idles_out() {
+    const IDLE: Duration = Duration::from_millis(300);
+    for_each_driver(|event| {
+        let ca = ca();
+        let (key, cert) = ca.issue_identity("localhost", &[0x33; 32]).unwrap();
+        let router = FnRouter(|_: &Request| {
+            std::thread::sleep(3 * IDLE);
+            Response::new(200, b"slow".to_vec())
+        });
+        let server = ApacheServer::start(
+            ApacheConfig::new(TlsMode::Native { cert, key }, Arc::new(router))
+                .workers(2)
+                .event_loop(event)
+                .idle_timeout(IDLE),
+        )
+        .unwrap();
+        let evictions = "services_event_idle_evictions_total";
+        let mut conn = tls_connect(server.addr(), vec![ca.root_key()]);
+        let before = counter(evictions);
+        conn.write_all(b"GET /slow HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(read_status(&mut conn), Some(200), "event={event}");
+        let answered = Instant::now();
+        assert_eq!(
+            counter(evictions),
+            before,
+            "evicted while its handler ran (event={event})"
+        );
+
+        // The blocking driver notices the deadline on its 1 s read tick.
+        assert_eq!(read_status(&mut conn), None, "event={event}");
+        let closed = answered.elapsed();
+        assert!(
+            (IDLE / 2..IDLE + Duration::from_millis(1500)).contains(&closed),
+            "closed {closed:?} after the response, idle timeout {IDLE:?} (event={event})"
+        );
+        assert!(counter(evictions) > before, "event={event}");
+        server.stop();
+    });
+}
+
+/// Under the reactor, a response too large for the socket buffers that
+/// is still queued when the drain begins is delivered whole, and its
+/// connection closes as soon as the last byte has flushed, not at the
+/// drain deadline.
+#[test]
+fn drain_delivers_a_queued_response_whole_then_closes() {
+    // More than the loopback buffers hold while the client reads nothing.
+    const BODY: usize = 16 << 20;
+    const DRAIN: Duration = Duration::from_secs(20);
+    if !plat::reactor::supported() {
+        return;
+    }
+    let ca = ca();
+    let (key, cert) = ca.issue_identity("localhost", &[0x33; 32]).unwrap();
+    let server = ApacheServer::start(
+        ApacheConfig::new(TlsMode::Native { cert, key }, Arc::new(StaticContentRouter))
+            .workers(2)
+            .event_loop(true)
+            .drain_timeout(DRAIN),
+    )
+    .unwrap();
+    let mut conn = tls_connect(server.addr(), vec![ca.root_key()]);
+    let req = Request::new("GET", &format!("/content/{BODY}"), Vec::new());
+    conn.write_all(&req.to_bytes()).unwrap();
+    let started = Instant::now();
+    while server.requests_served() == 0 {
+        assert!(started.elapsed() < Duration::from_secs(10), "never served");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Let the completion reach the reactor and fill the socket.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let drained_at = Instant::now();
+    let drain = std::thread::spawn(move || server.drain());
+    std::thread::sleep(Duration::from_millis(200));
+    let mut plain = Vec::new();
+    while let Ok(d) = conn.read_some() {
+        plain.extend_from_slice(&d);
+    }
+    let closed = drained_at.elapsed();
+    let (rsp, used) = libseal_httpx::http::parse_response(&plain).expect("a whole response");
+    assert_eq!((rsp.status, rsp.body.len(), used), (200, BODY, plain.len()));
+    assert!(
+        closed < DRAIN / 4,
+        "closed {closed:?} after the drain began, deadline {DRAIN:?}"
+    );
+    drain.join().unwrap();
+}

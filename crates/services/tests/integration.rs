@@ -455,8 +455,8 @@ fn many_concurrent_clients() {
 
 #[test]
 fn reverse_proxy_deployment_for_git() {
-    // §6.4: Apache in reverse-proxy mode linked against LibSEAL logs
-    // all traffic and forwards to Git backend servers.
+    // §6.4: a reverse proxy linked against LibSEAL logs all traffic
+    // and forwards it to a Git backend server.
     let ca = ca();
     // The backend Git server (its own TLS identity, unaudited).
     let (bkey, bcert) = ca.issue_identity("git-backend", &[0x41; 32]).unwrap();
@@ -473,16 +473,15 @@ fn reverse_proxy_deployment_for_git() {
     )
     .unwrap();
 
-    // The audited front end.
+    // The audited front end: a proxy with the backend as its one
+    // origin.
     let (ls, roots) = libseal_for(&ca, Some(Arc::new(GitModule)));
-    let front = ApacheServer::start(
-        ApacheConfig::new(
+    let front = SquidProxy::start(
+        SquidConfig::new(
             TlsMode::LibSeal(ls.clone()),
-            Arc::new(libseal_services::apache::ReverseProxyRouter::new(
-                backend_server.addr(),
-                vec![ca.root_key()],
-                "git-backend",
-            )),
+            backend_server.addr(),
+            vec![ca.root_key()],
+            "git-backend",
         )
         .workers(2),
     )

@@ -14,9 +14,10 @@
 //!   nonces — so bulk data pays realistic AEAD costs;
 //! - a memory-BIO API ([`Ssl::provide_input`] / [`Ssl::take_output`])
 //!   mirroring OpenSSL's `SSL_set_bio` split, plus `ssl_read` /
-//!   `ssl_write` / `do_handshake` entry points, `ex_data` and an info
-//!   callback — the surface LibSEAL's shadowing and secure-callback
-//!   machinery (§4.1) needs to exist.
+//!   `ssl_write` / `do_handshake` entry points and an info callback —
+//!   the surface LibSEAL's shadowing and secure-callback machinery
+//!   (§4.1) needs to exist (application `ex_data` lives outside the
+//!   enclave, in LibSEAL's session shadow, §4.2).
 //!
 //! Every driver moves a session through one step, [`Ssl::pump`]: feed
 //! wire bytes, progress the handshake, drain plaintext, collect output.

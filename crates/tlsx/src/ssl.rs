@@ -13,7 +13,6 @@
 //! CertVerify signs the running transcript hash; Finished is an HMAC
 //! over it, binding the handshake to the certificate keys end-to-end.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -164,8 +163,6 @@ pub struct Ssl {
     fin_key_peer: [u8; 32],
     peer_cert: Option<Certificate>,
     client_cert_requested: bool,
-    /// Application-specific storage (OpenSSL `ex_data`).
-    pub ex_data: HashMap<u32, Vec<u8>>,
     info_callback: Option<Arc<dyn Fn(i32, i32) + Send + Sync>>,
     /// When the first `do_handshake` ran (handshake-duration metric).
     hs_start: Option<std::time::Instant>,
@@ -246,7 +243,6 @@ impl Ssl {
             fin_key_peer: [0u8; 32],
             peer_cert: None,
             client_cert_requested: false,
-            ex_data: HashMap::new(),
             info_callback: None,
             hs_start: None,
             hs_recorded: false,
@@ -1076,18 +1072,6 @@ mod tests {
         pump(&mut client, &mut server);
         assert!(client.is_established());
         assert!(hits.load(Ordering::SeqCst) >= 2); // start + done
-    }
-
-    #[test]
-    fn ex_data_storage() {
-        let ca = test_ca();
-        let (key, cert) = ca.issue_identity("server.test", &[4u8; 32]).unwrap();
-        let (mut client, _server) = handshake_pair(
-            SslConfig::client(vec![ca.root_key()]),
-            SslConfig::server(cert, key),
-        );
-        client.ex_data.insert(1, b"request-ptr".to_vec());
-        assert_eq!(client.ex_data.get(&1).unwrap(), b"request-ptr");
     }
 
     #[test]
