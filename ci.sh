@@ -58,7 +58,10 @@ cargo clippy -p libseal-lthread --features portable-lthreads --all-targets -- -D
 # memory pool: one job pool, std's channel),
 # the audited data path copies a message out of its buffer again (an
 # owning HTTP parser in crates/core beyond the check-result rebuild, a
-# drain-collect in enclave.rs), a paper printer builds its own fleet,
+# drain-collect in enclave.rs), the untrusted serving path re-serialises
+# or regrows a message (a `to_bytes()` in the drivers or the client, a
+# reactor read into anything but a Vec sized to what the socket holds),
+# a paper printer builds its own fleet,
 # the sharded plane changes its membership at runtime again (shard
 # join/retire, a hash ring, a routability flag), `SystemRng` is
 # back, a chain entry carries a key copy beside its payload again,

@@ -493,14 +493,15 @@ impl AuditPlane for ShardedPlane {
         self.on_shard(sid, |seal, local| seal.ssl_read(slot, local))
     }
 
-    fn ssl_write(&self, slot: usize, sid: u64, data: &[u8]) -> Result<()> {
-        self.on_shard(sid, |seal, local| seal.ssl_write(slot, local, data))?;
+    fn ssl_write(&self, slot: usize, sid: u64, parts: &[&[u8]]) -> Result<()> {
+        self.on_shard(sid, |seal, local| seal.ssl_write(slot, local, parts))?;
         self.note_response(slot);
         Ok(())
     }
 
-    fn ssl_write_take(&self, slot: usize, sid: u64, data: &[u8]) -> Result<Vec<u8>> {
-        let out = self.on_shard(sid, |seal, local| seal.ssl_write_take(slot, local, data))?;
+    fn ssl_write_take(&self, slot: usize, sid: u64, parts: &[&[u8]]) -> Result<Vec<u8>> {
+        let write = |seal: &LibSeal, local| seal.write_take_staged(slot, local, parts.concat());
+        let out = self.on_shard(sid, write)?;
         self.note_response(slot);
         Ok(out)
     }

@@ -80,21 +80,25 @@ pub trait AuditPlane: Send + Sync {
     /// Unknown session or TLS failure.
     fn ssl_read(&self, slot: usize, sid: u64) -> Result<ReadOutcome>;
 
-    /// Writes response plaintext. With auditing enabled the response
-    /// is buffered until complete, logged against its request, and the
-    /// `Libseal-Check-Result` header is injected when requested.
+    /// Writes response plaintext, given as a chain of slices (a
+    /// message's head and its body) that is written as their
+    /// concatenation would be: the staged copy an enclave takes in
+    /// gathers them, and a plane without one seals them where they lie.
+    /// With auditing enabled the response is buffered until complete,
+    /// logged against its request, and the `Libseal-Check-Result`
+    /// header is injected when requested.
     ///
     /// # Errors
     ///
     /// Unknown session, TLS failure, or audit-append failure.
-    fn ssl_write(&self, slot: usize, sid: u64, data: &[u8]) -> Result<()>;
+    fn ssl_write(&self, slot: usize, sid: u64, parts: &[&[u8]]) -> Result<()>;
 
     /// Fused write + output take (one enclave crossing).
     ///
     /// # Errors
     ///
     /// As [`AuditPlane::ssl_write`].
-    fn ssl_write_take(&self, slot: usize, sid: u64, data: &[u8]) -> Result<Vec<u8>>;
+    fn ssl_write_take(&self, slot: usize, sid: u64, parts: &[&[u8]]) -> Result<Vec<u8>>;
 
     /// Pumps a batch of sessions in one enclave crossing per shard.
     ///
@@ -178,15 +182,15 @@ impl AuditPlane for LibSeal {
         Ok(out)
     }
 
-    fn ssl_write(&self, slot: usize, sid: u64, data: &[u8]) -> Result<()> {
-        let data = data.to_vec();
+    fn ssl_write(&self, slot: usize, sid: u64, parts: &[&[u8]]) -> Result<()> {
+        let data = parts.concat();
         self.call(slot, Ecall::SslWrite, move |t, ctx| {
             enclave::write_session(t, ctx, sid, &data)
         })?
     }
 
-    fn ssl_write_take(&self, slot: usize, sid: u64, data: &[u8]) -> Result<Vec<u8>> {
-        LibSeal::ssl_write_take(self, slot, sid, data)
+    fn ssl_write_take(&self, slot: usize, sid: u64, parts: &[&[u8]]) -> Result<Vec<u8>> {
+        self.write_take_staged(slot, sid, parts.concat())
     }
 
     fn pump_batch(&self, slot: usize, items: Vec<SessionInput>) -> Result<Vec<SessionOutcome>> {

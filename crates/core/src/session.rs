@@ -272,7 +272,17 @@ impl LibSeal {
     ///
     /// TLS or audit failures.
     pub fn ssl_write_take(&self, slot: usize, sid: u64, data: &[u8]) -> Result<Vec<u8>> {
-        let data = data.to_vec();
+        self.write_take_staged(slot, sid, data.to_vec())
+    }
+
+    /// [`LibSeal::ssl_write_take`] of a response already staged outside:
+    /// `data` is the one copy the enclave takes in.
+    pub(crate) fn write_take_staged(
+        &self,
+        slot: usize,
+        sid: u64,
+        data: Vec<u8>,
+    ) -> Result<Vec<u8>> {
         self.call(slot, Ecall::SslWrite, move |t, ctx| {
             enclave::write_session(t, ctx, sid, &data)?;
             enclave::take_session_output(t, ctx, sid)

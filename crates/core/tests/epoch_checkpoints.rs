@@ -484,10 +484,10 @@ fn assert_stale(plane: &ShardedPlane, sid: u64, when: &str) {
         ("take_output", plane.take_output(0, sid).map(drop)),
         ("do_handshake", plane.do_handshake(0, sid).map(drop)),
         ("ssl_read", plane.ssl_read(0, sid).map(drop)),
-        ("ssl_write", plane.ssl_write(0, sid, b"x")),
+        ("ssl_write", plane.ssl_write(0, sid, &[b"x"])),
         (
             "ssl_write_take",
-            plane.ssl_write_take(0, sid, b"x").map(drop),
+            plane.ssl_write_take(0, sid, &[b"x"]).map(drop),
         ),
         ("close_session", plane.close_session(0, sid)),
     ];

@@ -91,12 +91,14 @@ impl Driver {
         parse_request(&seen).expect("the service side reads the whole request");
         let wire = match self.path {
             Path::PerCall => {
-                self.plane.ssl_write(0, self.sid, &rsp.to_bytes()).unwrap();
+                self.plane
+                    .ssl_write(0, self.sid, &[&rsp.head_bytes(), &rsp.body])
+                    .unwrap();
                 self.plane.take_output(0, self.sid).unwrap()
             }
             Path::Batched => self
                 .plane
-                .ssl_write_take(0, self.sid, &rsp.to_bytes())
+                .ssl_write_take(0, self.sid, &[&rsp.head_bytes(), &rsp.body])
                 .unwrap(),
         };
         self.client.provide_input(&wire);

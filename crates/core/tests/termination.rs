@@ -84,7 +84,7 @@ fn roundtrip(rig: &mut TestRig, req: &Request, rsp: &Response) -> Response {
         }
     }
     // ...and writes its response.
-    rig.ls.ssl_write(0, rig.sid, &rsp.to_bytes()).unwrap();
+    rig.ls.ssl_write(0, rig.sid, &[&rsp.to_bytes()]).unwrap();
     let wire = rig.ls.take_output(0, rig.sid).unwrap();
     rig.client.provide_input(&wire);
     let mut rsp_bytes = Vec::new();
@@ -668,7 +668,7 @@ fn malformed_response_is_forwarded_not_stalled() {
 
     // The "service" answers with garbage that can never parse as HTTP.
     rig.ls
-        .ssl_write(0, rig.sid, b"TOTALLY-NOT-HTTP\r\n\r\nraw payload")
+        .ssl_write(0, rig.sid, &[b"TOTALLY-NOT-HTTP\r\n\r\nraw payload"])
         .unwrap();
     let wire = rig.ls.take_output(0, rig.sid).unwrap();
     assert!(!wire.is_empty(), "malformed response must still be sent");

@@ -279,6 +279,7 @@ mod sys {
 
     #[cfg(target_arch = "x86_64")]
     mod nr {
+        pub const IOCTL: usize = 16;
         pub const EPOLL_CTL: usize = 233;
         pub const EPOLL_PWAIT: usize = 281;
         pub const EVENTFD2: usize = 290;
@@ -288,6 +289,7 @@ mod sys {
     #[cfg(target_arch = "aarch64")]
     mod nr {
         pub const EVENTFD2: usize = 19;
+        pub const IOCTL: usize = 29;
         pub const EPOLL_CREATE1: usize = 20;
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
@@ -387,6 +389,15 @@ mod sys {
         .map(|_| ())
     }
 
+    /// `ioctl(fd, FIONREAD)`: the bytes a socket holds unread.
+    pub fn unread(fd: i32) -> io::Result<usize> {
+        const FIONREAD: usize = 0x541B;
+        let mut n: i32 = 0;
+        let out = &mut n as *mut i32 as usize;
+        check(syscall5(nr::IOCTL, fd as usize, FIONREAD, out, 0, 0))?;
+        Ok(n.max(0) as usize)
+    }
+
     pub fn epoll_wait(
         ep: i32,
         buf: &mut [EpollEvent],
@@ -458,6 +469,10 @@ mod sys {
         unsupported()
     }
 
+    pub fn unread(_fd: i32) -> io::Result<usize> {
+        unsupported()
+    }
+
     pub fn epoll_wait(
         _ep: i32,
         _buf: &mut [EpollEvent],
@@ -465,6 +480,16 @@ mod sys {
     ) -> io::Result<usize> {
         unsupported()
     }
+}
+
+/// The bytes `fd` (a socket) holds unread: what a read would return now,
+/// so a caller can size its buffer once.
+///
+/// # Errors
+///
+/// As the `FIONREAD` ioctl; `Unsupported` where [`supported`] is false.
+pub fn unread(fd: &impl AsRawFd) -> io::Result<usize> {
+    sys::unread(fd.as_raw_fd())
 }
 
 /// True when this platform has a working reactor backend.
@@ -510,6 +535,21 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(events[0].token, 7);
         assert!(events[0].readable);
+    }
+
+    /// `unread` is what a read would return now: nothing, then what the
+    /// peer wrote, then nothing again once it is read.
+    #[test]
+    fn unread_counts_what_a_read_would_return() -> io::Result<()> {
+        let (mut a, mut b) = pair();
+        assert_eq!(unread(&b)?, 0);
+        a.write_all(&[7u8; 5000])?;
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while unread(&b)? < 5000 && Instant::now() < deadline {}
+        assert_eq!(unread(&b)?, 5000);
+        b.read_exact(&mut [0u8; 5000])?;
+        assert_eq!(unread(&b)?, 0);
+        Ok(())
     }
 
     #[test]

@@ -114,12 +114,14 @@ impl AuditPlane for NativeTls {
         self.with(sid, Ssl::ssl_read)
     }
 
-    fn ssl_write(&self, _slot: usize, sid: u64, data: &[u8]) -> libseal::Result<()> {
-        self.with(sid, |ssl| ssl.ssl_write(data).map(drop))
+    fn ssl_write(&self, _slot: usize, sid: u64, parts: &[&[u8]]) -> libseal::Result<()> {
+        self.with(sid, |ssl| ssl.ssl_write_parts(parts).map(drop))
     }
 
-    fn ssl_write_take(&self, _slot: usize, sid: u64, data: &[u8]) -> libseal::Result<Vec<u8>> {
-        self.with(sid, |ssl| ssl.ssl_write(data).map(|_| ssl.take_output()))
+    fn ssl_write_take(&self, _slot: usize, sid: u64, parts: &[&[u8]]) -> libseal::Result<Vec<u8>> {
+        self.with(sid, |ssl| {
+            ssl.ssl_write_parts(parts).map(|_| ssl.take_output())
+        })
     }
 
     fn pump_batch(

@@ -150,9 +150,25 @@ impl RecordKeys {
         plaintext: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        out.extend_from_slice(&header(ctype, plaintext.len() + TAG)?);
+        self.seal_parts_into(ctype, &[plaintext], out)
+    }
+
+    /// [`RecordKeys::seal_into`] for a plaintext given as a chain of
+    /// slices: each is copied once, to where it is encrypted.
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordKeys::seal_into`], for the chain's total length.
+    pub fn seal_parts_into(
+        &mut self,
+        ctype: ContentType,
+        parts: &[&[u8]],
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        let len = parts.iter().map(|p| p.len()).sum::<usize>();
+        out.extend_from_slice(&header(ctype, len + TAG)?);
         let start = out.len();
-        out.extend_from_slice(plaintext);
+        parts.iter().for_each(|p| out.extend_from_slice(p));
         let tag = self
             .aead
             .seal_in_place(&self.nonce(), &[ctype.to_byte()], &mut out[start..]);
