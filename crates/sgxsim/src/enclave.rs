@@ -8,6 +8,7 @@
 //! counters; the asynchronous path (`libseal-lthread`) instead charges a
 //! cheap slot handoff via [`Enclave::async_call`].
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -165,6 +166,7 @@ impl EnclaveServices {
                     .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
+                    DEPTH.with(|d| d.set(d.get() + 1));
                     return Ok(cur + 1);
                 }
                 continue;
@@ -179,7 +181,21 @@ impl EnclaveServices {
 
     fn exit(&self) {
         self.threads_inside.fetch_sub(1, Ordering::AcqRel);
+        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
     }
+}
+
+thread_local! {
+    /// The enclave entries the calling thread is inside: an ecall's body
+    /// or a held persistent entry is one.
+    static DEPTH: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Whether the calling thread is executing inside an enclave (an
+/// ecall's body or a held persistent entry), which a CPU in enclave mode
+/// knows: what a probe of the untrusted half leaves out.
+pub fn inside() -> bool {
+    DEPTH.try_with(|d| d.get() > 0).unwrap_or(false)
 }
 
 /// Builder for [`Enclave`].
@@ -420,6 +436,19 @@ mod tests {
         e.ecall("bump", |s, _| *s.lock() += 5).unwrap();
         let v = e.ecall("bump", |s, _| *s.lock()).unwrap();
         assert_eq!(v, 5);
+    }
+
+    #[test]
+    fn inside_holds_within_an_entry_only() -> Result<()> {
+        let e = test_enclave();
+        assert!(!inside());
+        assert!(e.ecall("bump", |_, _| inside())?);
+        assert!(!inside());
+        let entry = e.enter_persistent()?;
+        assert!(inside());
+        drop(entry);
+        assert!(!inside());
+        Ok(())
     }
 
     #[test]
