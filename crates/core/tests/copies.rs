@@ -2,8 +2,9 @@
 //! without a clock: a counting allocator measures the bytes one audited
 //! Git session allocates per 256 KiB message in steady state.
 //!
-//! - an upload through `pump_batch`: the plaintext handed out and the
-//!   enclave's one retained request copy, ≤ 2 × body;
+//! - an upload through `pump_batch`: the enclave's one retained request
+//!   copy, ≤ 1 × body — the plaintext handed out is the staged input
+//!   itself, its records opened where they arrived;
 //! - the empty response that pairs it: the SSM routes on the head, so
 //!   the 256 KiB body it does not audit is not copied again;
 //! - a download through `ssl_write_take`: the ecall's staged copy and
@@ -154,7 +155,7 @@ fn each_hop_copies_an_audited_message_at_most_once() {
         ratio(upload),
         ratio(download)
     );
-    assert!(upload <= 2 * BODY + SLACK, "upload: {:.2}x", ratio(upload));
+    assert!(upload <= BODY + SLACK, "upload: {:.2}x", ratio(upload));
     assert!(pair <= SLACK, "pairing the upload: {pair} B");
     assert!(
         download <= 2 * BODY + SLACK,

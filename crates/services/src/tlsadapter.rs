@@ -129,7 +129,7 @@ impl AuditPlane for NativeTls {
         _slot: usize,
         items: Vec<SessionInput>,
     ) -> libseal::Result<Vec<SessionOutcome>> {
-        let pump = |SessionInput { sid, input }| match self.with(sid, |ssl| Ok(ssl.pump(&input))) {
+        let pump = |SessionInput { sid, input }| match self.with(sid, |ssl| Ok(ssl.pump(input))) {
             Ok(pumped) => SessionOutcome::pumped(sid, pumped),
             Err(e) => SessionOutcome::failed(sid, e),
         };

@@ -26,32 +26,6 @@ use crate::cert::Certificate;
 use crate::record::{self, ContentType, RecordKeys, MAX_RECORD};
 use crate::{Result, TlsError, VerifyFailure};
 
-/// The payload bytes of the whole records in `a` followed by `b`, read
-/// from their headers: a trailing partial record, which the next step
-/// drains, is not counted.
-fn whole_payload(a: &[u8], b: &[u8]) -> usize {
-    let byte = |i: usize| a.get(i).or_else(|| b.get(i - a.len())).copied();
-    let (mut at, mut total, end) = (0, 0, a.len() + b.len());
-    while let (Some(hi), Some(lo)) = (byte(at + 1), byte(at + 2)) {
-        let len = usize::from(u16::from_be_bytes([hi, lo]));
-        at += record::HEADER + len;
-        if at > end {
-            break;
-        }
-        total += len;
-    }
-    total
-}
-
-/// Wire bytes of one full record.
-const WIRE: usize = record::HEADER + MAX_RECORD + record::TAG;
-/// The most input [`Ssl::pump`] copies in before draining it: four full
-/// records. A smaller feed buffers less and drains more often; on the
-/// bulk benchmark one record per feed read 0.94× the peak RSS of four
-/// at 0.86× the throughput, and no feed (the whole burst) 1.17× at
-/// 1.13× (DESIGN.md, "Data path: one copy per hop").
-const FEED: usize = 4 * WIRE;
-
 /// Endpoint role.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Role {
@@ -147,7 +121,8 @@ pub enum ReadOutcome {
 pub struct Pumped {
     /// Whether the handshake is complete after this pump.
     pub established: bool,
-    /// Application plaintext decrypted this pump.
+    /// Application plaintext decrypted this pump: the input's own
+    /// allocation when the input began at a record boundary.
     pub data: Vec<u8>,
     /// Ciphertext that must be written to the wire.
     pub output: Vec<u8>,
@@ -175,7 +150,9 @@ pub struct Ssl {
     config: Arc<SslConfig>,
     state: HandshakeState,
     /// Bytes from the peer. Records are opened where they lie; those
-    /// before `in_pos` have been read.
+    /// before `in_pos` have been read. Between pumps it holds no more
+    /// than a trailing partial record, unless reading stopped (a fatal
+    /// error, close_notify) with bytes behind it.
     in_buf: Vec<u8>,
     in_pos: usize,
     /// Ciphertext for the peer, not yet taken.
@@ -501,59 +478,75 @@ impl Ssl {
         }
     }
 
-    /// One step of a session, whoever drives it: feed `input` from the
-    /// wire, progress the handshake, drain the plaintext that became
-    /// readable and collect the ciphertext to send. In-enclave
-    /// sessions, native sessions and [`crate::stream::SslStream`] all
-    /// move through this body. Never fails as a call: a fatal error is
-    /// reported in [`Pumped::error`] beside whatever the step still
-    /// produced.
-    pub fn pump(&mut self, input: &[u8]) -> Pumped {
+    /// One step of a session, whoever drives it: take `input` from the
+    /// wire, progress the handshake, open the records that became
+    /// readable and collect the ciphertext to send. In-enclave sessions,
+    /// native sessions and [`crate::stream::SslStream`] all move through
+    /// this body. Never fails as a call: a fatal error is reported in
+    /// [`Pumped::error`] beside whatever the step still produced.
+    ///
+    /// Records are opened where they arrived. When nothing is held from
+    /// an earlier input, `input` becomes the session's buffer: each
+    /// record opens in place, its plaintext moves to the front, and the
+    /// allocation is returned as [`Pumped::data`]. A trailing partial
+    /// record is kept in a buffer of its own, and the next input
+    /// completes it: that record is the one copied, and only then is the
+    /// plaintext gathered into a fresh buffer.
+    pub fn pump(&mut self, input: Vec<u8>) -> Pumped {
         let mut p = Pumped::default();
-        if input.len() > FEED {
-            // Room for a part behind a partial record, made once: how a
-            // burst was cut never regrows the buffer.
-            self.in_buf.drain(..std::mem::take(&mut self.in_pos));
-            let room = (FEED + WIRE).saturating_sub(self.in_buf.len());
-            self.in_buf.reserve_exact(room);
-        }
-        let mut fed = 0;
-        while p.error.is_none() {
-            // Fed a few records at a time, each part's records drained
-            // before the next is copied in: the session's buffer never
-            // holds a whole burst.
-            let part = &input[fed..input.len().min(fed + FEED)];
-            self.provide_input(part);
-            fed += part.len();
-            // `read_record` drives an unfinished handshake before it
-            // reads.
-            loop {
-                match self.read_record() {
-                    Ok(Some(plain)) => {
-                        if p.data.is_empty() {
-                            // Sized once: the whole records buffered and
-                            // still to come bound the plaintext this step
-                            // drains.
-                            let rest = whole_payload(&self.in_buf[self.in_pos..], &input[fed..]);
-                            p.data.reserve_exact(plain.len() + rest);
-                        }
-                        p.data.extend_from_slice(&self.in_buf[plain]);
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        p.error = Some(e);
-                        break;
-                    }
-                }
+        let held = self.in_buf.len() - self.in_pos;
+        let mut at = 0;
+        if held > 0 {
+            // As much of the input as completes the held record is
+            // copied behind it, and the record opens there.
+            let mut header = self.in_buf[self.in_pos..].iter().chain(&input).skip(1);
+            let len = match (header.next(), header.next()) {
+                (Some(&hi), Some(&lo)) => usize::from(u16::from_be_bytes([hi, lo])),
+                _ => input.len(),
+            };
+            at = (record::HEADER + len).saturating_sub(held).min(input.len());
+            self.in_buf.extend_from_slice(&input[..at]);
+            let mut plain = 0;
+            p.error = self.open_buffered(&mut plain).err();
+            if plain > 0 {
+                p.data = Vec::with_capacity(plain + input.len() - at);
+                p.data.extend_from_slice(&self.in_buf[..plain]);
             }
-            if fed == input.len() {
-                break;
+            self.in_buf.drain(..std::mem::take(&mut self.in_pos));
+        }
+        if !self.in_buf.is_empty() {
+            // Reading stopped with bytes held: the rest waits behind them.
+            self.in_buf.extend_from_slice(&input[at..]);
+        } else if p.error.is_none() {
+            (self.in_buf, self.in_pos) = (input, at);
+            let mut plain = 0;
+            p.error = self.open_buffered(&mut plain).err();
+            let tail = self.in_buf[self.in_pos..].to_vec();
+            self.in_buf.truncate(plain);
+            let opened = std::mem::replace(&mut self.in_buf, tail);
+            self.in_pos = 0;
+            if p.data.is_empty() && plain > 0 {
+                p.data = opened;
+            } else {
+                p.data.extend_from_slice(&opened);
             }
         }
         p.closed = self.state == HandshakeState::Closed;
         p.established = self.is_established();
         p.output = self.take_output();
         p
+    }
+
+    /// Opens every readable record of `in_buf` from `in_pos` on, driving
+    /// an unfinished handshake first, and moves each plaintext to the
+    /// front of `in_buf`, over bytes already read; `front` counts the
+    /// plaintext bytes lying there, up to the first failure.
+    fn open_buffered(&mut self, front: &mut usize) -> Result<()> {
+        while let Some(plain) = self.read_record()? {
+            self.in_buf.copy_within(plain.clone(), *front);
+            *front += plain.len();
+        }
+        Ok(())
     }
 
     // --- handshake internals -------------------------------------------

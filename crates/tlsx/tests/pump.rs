@@ -145,7 +145,8 @@ impl<S: Read + Write> End<S> {
                 Err(e) => return Err(io_err(e)),
             }
         }
-        let p = self.ssl.pump(&input);
+        let read = input.len();
+        let p = self.ssl.pump(input);
         self.wire.push(p.output);
         self.plain.extend_from_slice(&p.data);
         self.closed |= p.closed;
@@ -154,7 +155,7 @@ impl<S: Read + Write> End<S> {
         }
         Ok(match self.wire.flush_to(&mut self.sock).map_err(io_err)? {
             FlushOutcome::WantWrite => Step::WantWrite,
-            FlushOutcome::Done if input.is_empty() => Step::WantRead,
+            FlushOutcome::Done if read == 0 => Step::WantRead,
             FlushOutcome::Done => Step::Progress,
         })
     }

@@ -18,10 +18,10 @@ fn established() -> (Ssl, Ssl) {
     let (key, cert) = ca.issue_identity("localhost", &[4u8; 32]).unwrap();
     let mut client = Ssl::new(SslConfig::client(vec![ca.root_key()]), [1; 64]);
     let mut server = Ssl::new(SslConfig::server(cert, key), [2; 64]);
-    let mut to_server = client.pump(&[]).output;
+    let mut to_server = client.pump(Vec::new()).output;
     while !to_server.is_empty() {
-        let to_client = server.pump(&to_server).output;
-        to_server = client.pump(&to_client).output;
+        let to_client = server.pump(to_server).output;
+        to_server = client.pump(to_client).output;
     }
     (client, server)
 }

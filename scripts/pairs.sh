@@ -28,12 +28,15 @@
 # fail_share), its label and a markdown table `| metric | parent runs |
 # change runs | medians P → C | parent quartiles | paired |`.
 #
-# The third form prints, per committed BENCH_PR<n>.json in PR order, the
-# last untraced set of <workload> with a paired ratio of <metric>: its
-# label, pairs, paired-ratio median and the product of the medians so
-# far, the chain from the first PR's parent to that PR. The first set of
-# a PR is not always its parent-vs-change set (sizing sets have other
-# sides): read the labels.
+# The third form prints, per committed BENCH_PR<n>.json in PR order, one
+# untraced set of <workload> with a paired ratio of <metric>: its label,
+# pairs, paired-ratio median and the product of the medians so far, the
+# chain from the first PR's parent to that PR. The set is the last one
+# whose change side built the PR's own code (`trees.change.crates` equals
+# `git rev-parse <commit>:crates` of the commit whose subject starts
+# "PR <n>:"), so a sizing set, whose sides are variants, is not taken.
+# When no set matches (no such commit, or no set built it), the PR's
+# last untraced set is taken and its row is marked "*": read its label.
 #
 # Needs git, cargo and jq. The benchmark burns CPU on purpose: run
 # nothing beside it.
@@ -77,18 +80,30 @@ render() {
 
 trajectory() {
     [ $# -eq 2 ] || { sed -n '7s/^# *//p' "$0" >&2; exit 2; }
-    printf '| PR | last untraced set | pairs | paired ratio | chained |\n|---|---|---|---|---|\n'
-    # shellcheck disable=SC2046 # one file name per word
-    jq -rn --arg w "$1" --arg m "$2" '
+    files=$(ls BENCH_PR*.json | sort -V)
+    # {"<n>": <crates tree of the "PR <n>:" commit>} for the PRs that have one.
+    trees=$(for f in $files; do
+        n=${f#BENCH_PR}
+        n=${n%.json}
+        commit=$(git log -n 1 --format=%H --grep="^PR $n:" HEAD)
+        [ -z "$commit" ] || printf '%s %s\n' "$n" "$(git rev-parse "$commit:crates")"
+    done | jq -Rn '[inputs | split(" ") | {(.[0]): .[1]}] | add // {}')
+    printf '| PR | set | pairs | paired ratio | chained |\n|---|---|---|---|---|\n'
+    # shellcheck disable=SC2086 # one file name per word
+    jq -rn --arg w "$1" --arg m "$2" --argjson trees "$trees" '
         def sig: (. * 1000 | round) / 1000 | tostring;
-        foreach (inputs | {pr: (input_filename | ltrimstr("BENCH_PR") | rtrimstr(".json")),
-                           set: ([.sets[] | select(.workload == $w and (.trace | not)
-                                  and .summary[$m].paired_ratio_median != null)] | last)}
+        foreach (inputs | (input_filename | ltrimstr("BENCH_PR") | rtrimstr(".json")) as $pr
+                 | [.sets[] | select(.workload == $w and (.trace | not)
+                    and .summary[$m].paired_ratio_median != null)] as $sets
+                 | ([$sets[] | select($trees[$pr] != null
+                     and .trees.change.crates == $trees[$pr])] | last) as $own
+                 | {pr: $pr, set: ($own // ($sets | last)), mark: (if $own then "" else " *" end)}
                  | select(.set != null)) as $row
             (1; . * $row.set.summary[$m].paired_ratio_median;
-             "| \($row.pr) | \($row.set.label | .[:70]) | \($row.set.n) "
+             "| \($row.pr)\($row.mark) | \($row.set.label | .[:70]) | \($row.set.n) "
              + "| \($row.set.summary[$m].paired_ratio_median | sig) | \(. | sig) |")
-    ' $(ls BENCH_PR*.json | sort -V)
+    ' $files
+    printf '\n\\* no set built the code of a "PR <n>:" commit: the last untraced set\n'
 }
 
 if [ "${1:-}" = "--trajectory" ]; then
