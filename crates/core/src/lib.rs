@@ -86,6 +86,10 @@ pub enum LibSealError {
     AuditingDisabled,
     /// The requested configuration is contradictory.
     Config(String),
+    /// A primitive cannot run: [`libseal_crypto::CryptoError::Unsupported`]
+    /// when the CPU lacks AES-NI or PCLMULQDQ, which every audited
+    /// record, sealed blob and journal frame is protected with.
+    Crypto(libseal_crypto::CryptoError),
 }
 
 impl std::fmt::Display for LibSealError {
@@ -99,6 +103,7 @@ impl std::fmt::Display for LibSealError {
             LibSealError::NoSuchSession(sid) => write!(f, "no such session: {sid}"),
             LibSealError::AuditingDisabled => write!(f, "auditing is not configured"),
             LibSealError::Config(m) => write!(f, "invalid configuration: {m}"),
+            LibSealError::Crypto(e) => write!(f, "crypto error: {e}"),
         }
     }
 }

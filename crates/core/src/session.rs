@@ -84,7 +84,8 @@ impl LibSeal {
     ///
     /// # Errors
     ///
-    /// Log initialisation failures.
+    /// [`crate::LibSealError::Crypto`] on a CPU without AES-NI and
+    /// PCLMULQDQ; log initialisation failures.
     pub fn new(config: LibSealConfig) -> Result<Arc<LibSeal>> {
         Self::build(config, None)
     }
@@ -100,6 +101,7 @@ impl LibSeal {
     }
 
     fn build(config: LibSealConfig, rt: Option<RuntimeConfig>) -> Result<Arc<LibSeal>> {
+        libseal_crypto::gcm::require_cpu().map_err(crate::LibSealError::Crypto)?;
         let ssm_name = config.ssm.as_ref().map_or("none", |s| s.name());
         let identity = format!("libseal-v1 ssm={ssm_name}");
         let mut builder = EnclaveBuilder::new(identity.as_bytes())

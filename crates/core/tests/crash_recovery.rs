@@ -255,18 +255,23 @@ fn a_log_without_a_header_is_a_format_error() {
     assert_eq!(std::fs::read(&path).unwrap(), old, "left as it was");
 }
 
-/// A journal of another application (sealdb's own tag) or of another
-/// frame format is refused by type, before anything replays.
+/// A journal of another application (sealdb's own tag), of another
+/// cipher (a log sealed with ChaCha20-Poly1305 before records moved to
+/// AES-256-GCM) or of another frame format is refused by type, before
+/// anything replays.
 #[test]
 fn a_journal_of_another_tag_or_version_is_a_format_error() {
     let _s = failpoint::scenario(); // serialize with fault-injected tests
     let path = TempPath::new("libseal-format-tag", "log");
-    {
-        let mut db = Database::open(&path, Box::new(SealingCodec::new(SEAL_KEY))).unwrap();
+    for tag in ["sealdb", "libseal chain (seq, payload, hash)"] {
+        let _ = std::fs::remove_file(&path);
+        let codec = Box::new(SealingCodec::new(SEAL_KEY));
+        let mut db = Database::open_tagged(&path, codec, tag).unwrap();
         db.execute("CREATE TABLE t(a INTEGER)").unwrap();
         db.sync_journal().unwrap();
+        drop(db);
+        assert!(format_error(&path).contains(&format!("{tag:?}")), "{tag}");
     }
-    assert!(format_error(&path).contains("\"sealdb\""));
     {
         let mut log = open_log(LogBacking::Disk(path.to_path_buf()), Box::new(NoGuard));
         assert!(log.is_err());

@@ -1,9 +1,17 @@
-//! The RFC 8439 textbook, as the library ran it before the lane-parallel
-//! kernels: ChaCha20 one 64-byte block at a time with a byte-wise XOR,
-//! Poly1305 on five 26-bit limbs one block per step, and the AEAD
-//! composed from the two. Kept as the oracle `aead_equiv.rs` holds the
-//! kernels to; `crates/tlsx/tests/record_path.rs` includes this file to
-//! hold the record layer's wire bytes to it.
+//! Textbook references the kernels are held to.
+//!
+//! - RFC 8439 as the library ran it before its lane-parallel kernels:
+//!   ChaCha20 one 64-byte block at a time with a byte-wise XOR, Poly1305
+//!   on five 26-bit limbs one block per step, and the AEAD composed from
+//!   the two (`aead_equiv.rs`).
+//! - AES-256-GCM with nothing of the CPU's: FIPS-197 AES-256 byte by
+//!   byte through the S-box table, and SP 800-38D's GHASH one bit at a
+//!   time (Algorithm 1). `gcm_equiv.rs` holds both kernels to it and
+//!   `crates/tlsx/tests/record_path.rs` includes this file to hold the
+//!   record layer's wire bytes to it.
+//!
+//! Each binary that includes the file uses one half of it.
+#![allow(dead_code)]
 
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     state[a] = state[a].wrapping_add(state[b]);
@@ -235,5 +243,147 @@ pub fn aead_seal(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8])
     mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
     mac_data.extend_from_slice(&(plaintext.len() as u64).to_le_bytes());
     out.extend_from_slice(&Poly1305::mac(&otk, &mac_data));
+    out
+}
+
+/// FIPS-197 Figure 7.
+const SBOX: [u8; 256] = [
+    0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
+    0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0,
+    0xb7, 0xfd, 0x93, 0x26, 0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
+    0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2, 0xeb, 0x27, 0xb2, 0x75,
+    0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0, 0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84,
+    0x53, 0xd1, 0x00, 0xed, 0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
+    0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f, 0x50, 0x3c, 0x9f, 0xa8,
+    0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5, 0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2,
+    0xcd, 0x0c, 0x13, 0xec, 0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
+    0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14, 0xde, 0x5e, 0x0b, 0xdb,
+    0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c, 0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79,
+    0xe7, 0xc8, 0x37, 0x6d, 0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
+    0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f, 0x4b, 0xbd, 0x8b, 0x8a,
+    0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e, 0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e,
+    0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
+    0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
+];
+
+/// Multiplication by x in GF(2⁸) (FIPS-197 §4.2.1).
+fn xtime(b: u8) -> u8 {
+    (b << 1) ^ if b & 0x80 != 0 { 0x1b } else { 0 }
+}
+
+/// The 60 words of the AES-256 key schedule (FIPS-197 §5.2, Nk = 8).
+fn aes256_schedule(key: &[u8; 32]) -> [[u8; 4]; 60] {
+    let mut w = [[0u8; 4]; 60];
+    for (i, word) in w.iter_mut().take(8).enumerate() {
+        word.copy_from_slice(&key[4 * i..4 * i + 4]);
+    }
+    let mut rcon = 1u8;
+    for i in 8..60 {
+        let mut t = w[i - 1];
+        if i % 8 == 0 {
+            t = [t[1], t[2], t[3], t[0]].map(|b| SBOX[b as usize]);
+            t[0] ^= rcon;
+            rcon = xtime(rcon);
+        } else if i % 8 == 4 {
+            t = t.map(|b| SBOX[b as usize]);
+        }
+        for j in 0..4 {
+            w[i][j] = w[i - 8][j] ^ t[j];
+        }
+    }
+    w
+}
+
+/// AES-256 of one block (FIPS-197 §5.1); the state is column-major,
+/// byte `r + 4c` in row `r` of column `c`.
+pub fn aes256_encrypt(key: &[u8; 32], block: &[u8; 16]) -> [u8; 16] {
+    let w = aes256_schedule(key);
+    let add_round_key = |s: &mut [u8; 16], round: usize| {
+        for c in 0..4 {
+            for r in 0..4 {
+                s[r + 4 * c] ^= w[4 * round + c][r];
+            }
+        }
+    };
+    let mut s = *block;
+    add_round_key(&mut s, 0);
+    for round in 1..=14 {
+        s = s.map(|b| SBOX[b as usize]);
+        let shifted = s;
+        for c in 0..4 {
+            for r in 0..4 {
+                s[r + 4 * c] = shifted[r + 4 * ((c + r) % 4)];
+            }
+        }
+        if round != 14 {
+            for c in 0..4 {
+                let a = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
+                for r in 0..4 {
+                    let (x, y) = (a[r], a[(r + 1) % 4]);
+                    s[4 * c + r] = xtime(x) ^ xtime(y) ^ y ^ a[(r + 2) % 4] ^ a[(r + 3) % 4];
+                }
+            }
+        }
+        add_round_key(&mut s, round);
+    }
+    s
+}
+
+/// X·Y in GCM's field, one bit of X at a time (SP 800-38D
+/// Algorithm 1); blocks are read big-endian, bit 0 leftmost.
+fn gf128_mul(x: u128, y: u128) -> u128 {
+    let r = 0xe1u128 << 120;
+    let (mut z, mut v) = (0u128, y);
+    for i in 0..128 {
+        if (x >> (127 - i)) & 1 == 1 {
+            z ^= v;
+        }
+        v = if v & 1 == 0 { v >> 1 } else { (v >> 1) ^ r };
+    }
+    z
+}
+
+/// GHASH of `aad` and `ciphertext`, each zero-padded to whole blocks,
+/// then both lengths in bits (SP 800-38D §6.4, §7.1 step 5).
+pub fn ghash(h: &[u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
+    let h = u128::from_be_bytes(*h);
+    let mut y = 0u128;
+    for part in [aad, ciphertext] {
+        for chunk in part.chunks(16) {
+            let mut block = [0u8; 16];
+            block[..chunk.len()].copy_from_slice(chunk);
+            y = gf128_mul(y ^ u128::from_be_bytes(block), h);
+        }
+    }
+    let lengths = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
+    gf128_mul(y ^ lengths, h).to_be_bytes()
+}
+
+/// The counter block `nonce || counter`, the counter big-endian.
+fn counter_block(nonce: &[u8; 12], counter: u32) -> [u8; 16] {
+    let mut block = [0u8; 16];
+    block[..12].copy_from_slice(nonce);
+    block[12..].copy_from_slice(&counter.to_be_bytes());
+    block
+}
+
+/// `ciphertext || tag` of AES-256-GCM with a 96-bit nonce (SP 800-38D
+/// §7.1): J₀ = nonce || 1, the message from counter 2.
+pub fn gcm_seal(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+    let mut out = plaintext.to_vec();
+    for (i, chunk) in out.chunks_mut(16).enumerate() {
+        let counter = 2u32.wrapping_add(i as u32);
+        let keystream = aes256_encrypt(key, &counter_block(nonce, counter));
+        for (b, k) in chunk.iter_mut().zip(keystream) {
+            *b ^= k;
+        }
+    }
+    let h = aes256_encrypt(key, &[0u8; 16]);
+    let mask = aes256_encrypt(key, &counter_block(nonce, 1));
+    let mut tag = ghash(&h, aad, &out);
+    for (t, m) in tag.iter_mut().zip(mask) {
+        *t ^= m;
+    }
+    out.extend_from_slice(&tag);
     out
 }

@@ -10,8 +10,10 @@
 //!   CA, transcript-bound signatures (CertificateVerify) and Finished
 //!   MACs — so there are real long-term private keys and session keys
 //!   to protect inside the enclave;
-//! - a ChaCha20-Poly1305 record layer with per-direction sequence
-//!   nonces — so bulk data pays realistic AEAD costs;
+//! - an AES-256-GCM record layer with per-direction sequence nonces,
+//!   on the CPU's AES and carry-less-multiply units as LibreSSL runs
+//!   it on the paper's testbed — so bulk data pays realistic AEAD
+//!   costs;
 //! - a memory-BIO API ([`Ssl::provide_input`] / [`Ssl::take_output`])
 //!   mirroring OpenSSL's `SSL_set_bio` split, plus `ssl_read` /
 //!   `ssl_write` / `do_handshake` entry points and an info callback —

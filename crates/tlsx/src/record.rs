@@ -2,14 +2,14 @@
 //!
 //! Records are `type (1) || len (2, big-endian) || payload`. Before
 //! keys are established payloads are plaintext handshake messages;
-//! afterwards they are ChaCha20-Poly1305 ciphertexts under a nonce
-//! derived from a per-direction sequence number. The AAD is the
-//! content-type byte alone: the length field is not authenticated as
-//! header bytes, but Poly1305's final length block covers the
-//! ciphertext's length, so a record whose length was changed fails its
-//! tag.
+//! afterwards they are AES-256-GCM ciphertexts under the nonce
+//! `iv ⊕ seq`, `seq` a per-direction sequence number that no record
+//! repeats under one key. The AAD is the content-type byte alone: the
+//! length field is not authenticated as header bytes, but GHASH's final
+//! length block covers the ciphertext's length, so a record whose
+//! length was changed fails its tag.
 
-use libseal_crypto::aead::ChaCha20Poly1305;
+use libseal_crypto::gcm::Aes256Gcm;
 
 use crate::{Result, TlsError};
 
@@ -104,16 +104,21 @@ pub fn parse(buf: &[u8]) -> Result<Option<(Record<'_>, usize)>> {
 
 /// One direction's record protection state.
 pub struct RecordKeys {
-    aead: ChaCha20Poly1305,
+    aead: Aes256Gcm,
     iv: [u8; 12],
     seq: u64,
 }
 
 impl RecordKeys {
     /// Creates protection state from a 32-byte key and 12-byte IV.
+    ///
+    /// # Panics
+    ///
+    /// On a CPU without AES-NI and PCLMULQDQ; a handshake refuses such
+    /// a CPU with [`TlsError::Protocol`] before it derives its keys.
     pub fn new(key: &[u8; 32], iv: &[u8; 12]) -> Self {
         RecordKeys {
-            aead: ChaCha20Poly1305::new(key),
+            aead: Aes256Gcm::new(key),
             iv: *iv,
             seq: 0,
         }

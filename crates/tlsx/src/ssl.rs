@@ -19,7 +19,7 @@ use std::sync::Arc;
 use libseal_crypto::ed25519::{SigningKey, VerifyingKey};
 use libseal_crypto::hmac::HmacSha256;
 use libseal_crypto::sha2::Sha256;
-use libseal_crypto::{ct, hkdf, x25519};
+use libseal_crypto::{ct, gcm, hkdf, x25519};
 
 use crate::attest::{self, AttestationError, AttestationPolicy, EXT_SGX_QUOTE};
 use crate::cert::Certificate;
@@ -587,6 +587,8 @@ impl Ssl {
     }
 
     fn derive_keys(&mut self, peer_share: &[u8; 32]) -> Result<()> {
+        // A CPU that cannot run the record cipher cannot speak STLS.
+        gcm::require_cpu().map_err(|e| TlsError::Protocol(format!("record cipher: {e}")))?;
         let shared = x25519::shared_secret(&self.kx_priv, peer_share);
         if ct::eq(&shared, &[0u8; 32]) {
             return Err(TlsError::Verification(VerifyFailure::WeakKeyShare));

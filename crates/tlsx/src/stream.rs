@@ -17,6 +17,7 @@
 use std::io::{self, ErrorKind, Read, Write};
 use std::sync::Arc;
 
+use crate::record;
 use crate::ssl::{Ssl, SslConfig};
 use crate::{Result, TlsError};
 
@@ -168,7 +169,10 @@ impl<S: Read + Write> SslStream<S> {
     /// Sends what is queued, blocks for wire bytes and pumps them.
     fn fill(&mut self) -> Result<()> {
         self.flush_pending()?;
-        let mut buf = vec![0u8; 16 * 1024];
+        // Room for one whole record as it travels: with 16 KiB, every
+        // full record the peer writes would straddle two reads, and its
+        // first part would be copied aside until the second came.
+        let mut buf = vec![0u8; record::HEADER + record::MAX_RECORD + record::TAG];
         loop {
             match self.stream.read(&mut buf) {
                 Ok(0) => return Err(TlsError::Closed),
