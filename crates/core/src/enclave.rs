@@ -40,7 +40,7 @@ use plat::sync::{Mutex, RwLock};
 
 use crate::check::{CheckOutcome, Checker};
 use crate::config::{GuardConfig, LibSealConfig};
-use crate::log::{AuditLog, RollbackGuard, RoteGuard};
+use crate::log::{journal_key, AuditLog, RollbackGuard, RoteGuard};
 use crate::queue::TicketQueue;
 use crate::ssm::ServiceModule;
 use crate::{LibSealError, Result};
@@ -311,10 +311,11 @@ fn open_audit(
         // identity so restarts verify old logs.
         Sha256::digest(&seal_key)
     });
+    let signer = SigningKey::from_seed(&signer_seed);
     let mut log = AuditLog::open(
         config.backing.clone(),
-        seal_key,
-        SigningKey::from_seed(&signer_seed),
+        journal_key(&seal_key, &signer.verifying_key()),
+        signer,
         guard,
         ssm.schema_sql(),
         ssm.tables(),

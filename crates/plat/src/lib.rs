@@ -8,6 +8,12 @@
 //! clean checkout builds with `CARGO_NET_OFFLINE=true` and an empty
 //! registry cache.
 //!
+//! The product runs on Linux on x86-64, the only architecture with
+//! SGX; its records need AES-NI. The shims also build on aarch64 (the
+//! [`entropy`] fallback, the portable `lthread` coroutine), where the
+//! workspace compiles and its scalar primitives run but no product
+//! path does.
+//!
 //! - [`sync`] — poison-transparent `Mutex`/`RwLock` (the `parking_lot`
 //!   surface the workspace used). Hand-offs between threads use
 //!   `std::sync::mpsc` directly: no shim repeats what `std` has.
