@@ -96,9 +96,6 @@ fn fault_matrix() -> Vec<ChaosConfig> {
 
 fn chaos_gate(id: &BenchIdentity) -> Result<(), String> {
     for event in [true, false] {
-        if event && !plat::reactor::supported() {
-            continue;
-        }
         let ls = instance(id);
         let server = ApacheServer::start(
             ApacheConfig::new(TlsMode::LibSeal(ls.clone()), Arc::new(StaticContentRouter))
@@ -137,10 +134,6 @@ fn chaos_gate(id: &BenchIdentity) -> Result<(), String> {
 }
 
 fn overload_gate(id: &BenchIdentity) -> Result<(), String> {
-    if !plat::reactor::supported() {
-        println!("overload: reactor unsupported, skipping");
-        return Ok(());
-    }
     let ls = instance(id);
     let server = ApacheServer::start(
         ApacheConfig::new(TlsMode::LibSeal(ls.clone()), Arc::new(StaticContentRouter))

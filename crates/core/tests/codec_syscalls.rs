@@ -2,7 +2,6 @@
 //! nonce tail from the OS once, at construction, not once per record
 //! (inside an enclave every such read would be an ocall). Alone in its
 //! binary because `/proc/self/io` counts the whole process's reads.
-#![cfg(target_os = "linux")]
 
 use libseal::log::SealingCodec;
 use libseal_sealdb::journal::JournalCodec;

@@ -3,7 +3,6 @@
 //! runtime, and nothing else — the ROTE counter nodes are simulated
 //! inline, not stood up as threads. Alone in its binary because
 //! `/proc/self/task` counts the whole process.
-#![cfg(target_os = "linux")]
 
 use std::sync::Arc;
 

@@ -356,11 +356,8 @@ impl Point {
                 }
                 acc
             }
-            #[cfg(target_arch = "x86_64")]
             // SAFETY: `supported` detected avx512f, avx512vl and avx512ifma on this CPU.
             Kernel::Ifma => unsafe { ifma::scalar_mul_base(table, k) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Ifma => unreachable!("only Scalar is supported off x86-64"),
         }
     }
 
@@ -462,11 +459,8 @@ impl Point {
                 }
                 r.to_point()
             }
-            #[cfg(target_arch = "x86_64")]
             // SAFETY: `supported` detected avx512f, avx512vl and avx512ifma on this CPU.
             Kernel::Ifma => unsafe { ifma::straus(&a_naf, point, &b_naf, table_b, top) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Ifma => unreachable!("only Scalar is supported off x86-64"),
         }
     }
 
@@ -526,7 +520,6 @@ impl Point {
 /// an addition is two vector multiplications, a doubling a vector
 /// squaring and a multiplication. The tables are the scalar kernel's,
 /// an entry packed into lanes as it is used.
-#[cfg(target_arch = "x86_64")]
 mod ifma {
     use super::{AffineCached, Cached, Point};
     use crate::fe25519::{constants, Fe};
@@ -814,7 +807,6 @@ impl VerifyingKey {
                 let r = Point::vartime_double_scalar_mul_base_with(kernel, &k, &a.neg(), &s_bytes);
                 ct::eq(&r.compress_with(kernel), &r_bytes)
             }
-            #[cfg(target_arch = "x86_64")]
             Kernel::Ifma => {
                 let r = Decoding::new(&r_bytes).map_err(bad)?;
                 assert!(kernel.supported(), "{kernel:?} not supported by this CPU");
@@ -827,8 +819,6 @@ impl VerifyingKey {
                 Point::vartime_double_scalar_mul_base_with(kernel, &k, &a.neg(), &s_bytes)
                     .equals(&r)
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Ifma => unreachable!("only Scalar is supported off x86-64"),
         };
         if ok {
             Ok(())
@@ -1024,10 +1014,7 @@ mod tests {
     /// lane kernel's vector products (four lanes each).
     fn products<T>(op: impl FnOnce() -> T) -> (u64, u64) {
         let count = || {
-            #[cfg(target_arch = "x86_64")]
             let vector = crate::fe25519x4::PRODUCTS.with(|n| n.get());
-            #[cfg(not(target_arch = "x86_64"))]
-            let vector = 0;
             (CARRIES.with(|n| n.get()), vector)
         };
         let before = count();

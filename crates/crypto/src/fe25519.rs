@@ -44,14 +44,11 @@ impl Kernel {
     pub fn supported(self) -> bool {
         match self {
             Kernel::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
             Kernel::Ifma => {
                 is_x86_feature_detected!("avx512f")
                     && is_x86_feature_detected!("avx512vl")
                     && is_x86_feature_detected!("avx512ifma")
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Ifma => false,
         }
     }
 
@@ -343,11 +340,8 @@ impl Fe {
         assert!(kernel.supported(), "{kernel:?} not supported by this CPU");
         match kernel {
             Kernel::Scalar => self.invert(),
-            #[cfg(target_arch = "x86_64")]
             // SAFETY: `supported` detected avx512f, avx512vl and avx512ifma on this CPU.
             Kernel::Ifma => unsafe { crate::fe25519x4::invert(self) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Ifma => unreachable!("only Scalar is supported off x86-64"),
         }
     }
 

@@ -5,9 +5,8 @@
 //! every GHASH product on its carry-less multiplier: there is no
 //! table-driven software AES, whose cache footprint would reveal the
 //! key to the host (DESIGN.md "Record crypto kernels"). A CPU without
-//! AES-NI and PCLMULQDQ cannot run this cipher, nor can one off x86-64
-//! (SGX's only architecture; there is no ARMv8 kernel); [`require_cpu`]
-//! says so as an error before anything is built on it.
+//! AES-NI and PCLMULQDQ cannot run this cipher; [`require_cpu`] says so
+//! as an error before anything is built on it.
 //!
 //! GHASH is computed as POLYVAL (RFC 8452, Appendix A): blocks are
 //! byte-reversed on load so a carry-less product needs no bit
@@ -16,6 +15,7 @@
 
 use crate::ct;
 use crate::{CryptoError, Result};
+use core::arch::x86_64::__m128i as Block;
 
 /// Which code runs the counter mode and GHASH of [`Aes256Gcm`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,7 +35,6 @@ impl Kernel {
     pub const ALL: [Kernel; 2] = [Kernel::Aesni, Kernel::Vaes512];
 
     /// Whether this CPU can execute the kernel.
-    #[cfg(target_arch = "x86_64")]
     pub fn supported(self) -> bool {
         is_x86_feature_detected!("aes")
             && is_x86_feature_detected!("pclmulqdq")
@@ -45,12 +44,6 @@ impl Kernel {
                     && is_x86_feature_detected!("avx512bw")
                     && is_x86_feature_detected!("vaes")
                     && is_x86_feature_detected!("vpclmulqdq"))
-    }
-
-    /// Whether this CPU can execute the kernel: off x86-64, never.
-    #[cfg(not(target_arch = "x86_64"))]
-    pub fn supported(self) -> bool {
-        false
     }
 
     /// The kernel [`Aes256Gcm`] runs every message through: the 512-bit
@@ -75,12 +68,6 @@ pub fn require_cpu() -> Result<()> {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-use core::arch::x86_64::__m128i as Block;
-/// Off x86-64 no kernel runs; the type only has to exist.
-#[cfg(not(target_arch = "x86_64"))]
-type Block = u128;
-
 /// An AES-256-GCM instance bound to a 256-bit key: its fifteen round
 /// keys and sixteen powers of the hash key, about half a kilobyte, held
 /// as the registers the kernels load.
@@ -101,14 +88,9 @@ impl Aes256Gcm {
     /// path checks [`require_cpu`] first and returns an error.
     pub fn new(key: &[u8; 32]) -> Self {
         assert!(Kernel::Aesni.supported(), "{}", CryptoError::Unsupported);
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: `supported` detected aes, pclmulqdq and sse4.1 on this CPU.
-            let (round_keys, powers) = unsafe { x86::expand(key) };
-            Aes256Gcm { round_keys, powers }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("no kernel off x86-64: {key:?}")
+        // SAFETY: `supported` detected aes, pclmulqdq and sse4.1 on this CPU.
+        let (round_keys, powers) = unsafe { x86::expand(key) };
+        Aes256Gcm { round_keys, powers }
     }
 
     /// Runs one message through `kernel` and returns the tag of `aad`
@@ -124,15 +106,12 @@ impl Aes256Gcm {
         expected: Option<&[u8; 16]>,
     ) -> [u8; 16] {
         assert!(kernel.supported(), "{kernel:?} not supported by this CPU");
-        #[cfg(target_arch = "x86_64")]
         match kernel {
             // SAFETY: `supported` detected aes, pclmulqdq and sse4.1 on this CPU.
             Kernel::Aesni => unsafe { x86::aead_narrow(self, nonce, aad, data, expected) },
             // SAFETY: `supported` detected avx512f, avx512bw, vaes and vpclmulqdq too.
             Kernel::Vaes512 => unsafe { x86::aead_wide(self, nonce, aad, data, expected) },
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("no kernel off x86-64: {nonce:?} {aad:?} {data:?} {expected:?}")
     }
 
     /// Encrypts `data` in place and returns the 16-byte tag.
@@ -220,7 +199,6 @@ impl Aes256Gcm {
 /// entries. Loads and stores go through byte arrays; a block enters
 /// GHASH byte-reversed, so bit `i` of a register is the coefficient of
 /// xⁱ and a 128×128 product is four `pclmulqdq`.
-#[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::Aes256Gcm;
     use crate::ct;

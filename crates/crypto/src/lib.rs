@@ -10,7 +10,7 @@
 //! - [`hmac`]: HMAC (RFC 2104) over both hashes,
 //! - [`hkdf`]: HKDF (RFC 5869),
 //! - [`gcm`]: AES-256-GCM (SP 800-38D) on the CPU's AES and
-//!   carry-less-multiply units (x86-64 only), the one AEAD the product
+//!   carry-less-multiply units, the one AEAD the product
 //!   runs: TLS records, sealed storage and the audit log's journal,
 //! - [`chacha20`] / [`poly1305`] / [`aead`]: the RFC 8439 AEAD, one
 //!   block at a time, kept for the DRBG's block function and its own
@@ -32,7 +32,6 @@ pub mod chacha20;
 pub mod ct;
 pub mod ed25519;
 pub mod fe25519;
-#[cfg(target_arch = "x86_64")]
 mod fe25519x4;
 pub mod gcm;
 pub mod hkdf;

@@ -123,10 +123,7 @@ impl Kernel {
     pub fn supported(self) -> bool {
         match self {
             Kernel::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
             Kernel::ShaNi => is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1"),
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::ShaNi => false,
         }
     }
 
@@ -255,13 +252,10 @@ fn compress_blocks(kernel: Kernel, state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     }
     match kernel {
         Kernel::Scalar => compress_scalar(state, blocks),
-        #[cfg(target_arch = "x86_64")]
         Kernel::ShaNi => {
             // SAFETY: `Sha256::with_kernel` detected sha and sse4.1 on this CPU.
             unsafe { x86::compress_blocks(state, blocks) }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::ShaNi => unreachable!("only Scalar is supported off x86-64"),
     }
 }
 
@@ -309,7 +303,6 @@ fn compress_scalar(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
 
 /// [`Kernel::ShaNi`]: safe `core::arch` code behind `#[target_feature]`;
 /// words go in by `_mm_setr_epi32` and out by `_mm_extract_epi32`.
-#[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::K256;
     use core::arch::x86_64::*;

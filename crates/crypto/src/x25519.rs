@@ -39,11 +39,8 @@ pub fn x25519_with(kernel: Kernel, k: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     let x1 = Fe::from_bytes(u);
     let (x2, z2) = match kernel {
         Kernel::Scalar => ladder(&k, &x1),
-        #[cfg(target_arch = "x86_64")]
         // SAFETY: `supported` detected avx512f, avx512vl and avx512ifma on this CPU.
         Kernel::Ifma => unsafe { ifma::ladder(&k, &x1) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Ifma => unreachable!("only Scalar is supported off x86-64"),
     };
     x2.mul(&z2.invert_with(kernel)).to_bytes()
 }
@@ -90,7 +87,6 @@ fn ladder(k: &[u8; 32], x1: &Fe) -> (Fe, Fe) {
 /// [`F4`]: each step's four multiplications, then its four squarings
 /// and products, go as one vector multiplication each, and `x1`'s
 /// product as a third. The swaps are masks, so `k` may be secret.
-#[cfg(target_arch = "x86_64")]
 mod ifma {
     use crate::fe25519::Fe;
     use crate::fe25519x4::{lanes, B, C, D, F4};

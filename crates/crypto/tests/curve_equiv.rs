@@ -527,24 +527,19 @@ fn a_host_with_ifma_runs_the_curves_on_it() {
     // mistyped feature name, a dispatcher that falls through) would
     // otherwise pass every equivalence test above at scalar speed.
     assert!(Kernel::Scalar.supported());
-    #[cfg(target_arch = "x86_64")]
-    {
-        let flags = is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("avx512vl")
-            && is_x86_feature_detected!("avx512ifma");
-        assert_eq!(Kernel::Ifma.supported(), flags);
-        // The kernel's own reading of /proc/cpuinfo, where there is one.
-        if let Ok(info) = std::fs::read_to_string("/proc/cpuinfo") {
-            let line = info.lines().find(|l| l.starts_with("flags"));
-            let has = |f: &str| line.is_some_and(|l| l.split_whitespace().any(|w| w == f));
-            assert_eq!(
-                flags,
-                has("avx512f") && has("avx512vl") && has("avx512ifma")
-            );
-        }
+    let flags = is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512vl")
+        && is_x86_feature_detected!("avx512ifma");
+    assert_eq!(Kernel::Ifma.supported(), flags);
+    // The kernel's own reading of /proc/cpuinfo, where there is one.
+    if let Ok(info) = std::fs::read_to_string("/proc/cpuinfo") {
+        let line = info.lines().find(|l| l.starts_with("flags"));
+        let has = |f: &str| line.is_some_and(|l| l.split_whitespace().any(|w| w == f));
+        assert_eq!(
+            flags,
+            has("avx512f") && has("avx512vl") && has("avx512ifma")
+        );
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    assert!(!Kernel::Ifma.supported());
     let expected = match Kernel::Ifma.supported() {
         true => Kernel::Ifma,
         false => Kernel::Scalar,

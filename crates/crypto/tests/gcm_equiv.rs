@@ -8,8 +8,7 @@
 //! and to vectors generated once with Python's `cryptography` package
 //! (OpenSSL's AES-GCM). A forged message must be refused with its buffer
 //! untouched. Inputs come from the seeded `plat::check` harness, so a
-//! failure replays. x86-64 only: no kernel exists elsewhere.
-#![cfg(target_arch = "x86_64")]
+//! failure replays.
 
 use libseal_crypto::gcm::{self, Aes256Gcm, Kernel};
 use libseal_crypto::sha2::Sha256;

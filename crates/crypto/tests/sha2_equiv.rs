@@ -65,12 +65,9 @@ fn a_host_with_sha_extensions_hashes_with_them() {
     // would otherwise pass every test below at scalar speed.
     assert!(Kernel::Scalar.supported());
     assert!(Kernel::detect().supported());
-    #[cfg(target_arch = "x86_64")]
-    {
-        let ni = is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1");
-        assert_eq!(Kernel::ShaNi.supported(), ni);
-        assert_eq!(Kernel::detect() == Kernel::ShaNi, ni);
-    }
+    let ni = is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1");
+    assert_eq!(Kernel::ShaNi.supported(), ni);
+    assert_eq!(Kernel::detect() == Kernel::ShaNi, ni);
 }
 
 #[test]

@@ -6,8 +6,6 @@
 //! contexts are born with a hand-crafted stack frame whose return
 //! address is a trampoline that calls into Rust.
 
-#![cfg(all(target_arch = "x86_64", not(feature = "portable-lthreads")))]
-
 use std::panic::AssertUnwindSafe;
 
 core::arch::global_asm!(

@@ -1,14 +1,10 @@
 //! Stackful user-level coroutines (the `lthread` tasks of §4.3).
 //!
-//! Two interchangeable backends provide the same API:
-//!
-//! - the default x86-64 backend switches stacks in user space with a
-//!   handful of assembly instructions (see [`crate::context`]) — this
-//!   is what makes async enclave calls cheap;
-//! - the `portable-lthreads` feature (or a non-x86-64 target) maps each
-//!   coroutine onto a parked OS thread. Functionally identical, but
-//!   resume/yield costs a scheduler round-trip, so benchmarks should
-//!   use the native backend.
+//! A coroutine switches stacks in user space with a handful of
+//! assembly instructions (see [`crate::context`]) — this is what makes
+//! async enclave calls cheap.
+
+use crate::context::{lthread_ctx_switch, prepare_stack, EntryCell};
 
 /// Outcome of resuming a coroutine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,243 +17,131 @@ pub enum Resume {
 
 /// Handle passed to coroutine bodies for cooperative yielding.
 pub struct Yielder {
-    #[cfg(all(target_arch = "x86_64", not(feature = "portable-lthreads")))]
-    inner: *mut native::CoroShared,
-    #[cfg(any(not(target_arch = "x86_64"), feature = "portable-lthreads"))]
-    inner: std::sync::Arc<portable::Shared>,
+    inner: *mut CoroShared,
 }
 
 impl Yielder {
     /// Suspends the coroutine, returning control to whoever resumed it.
     pub fn yield_now(&self) {
-        #[cfg(all(target_arch = "x86_64", not(feature = "portable-lthreads")))]
         // SAFETY: `inner` points into the Coroutine that is currently
         // running us; it cannot be dropped while we are suspended
         // because dropping a live coroutine aborts (see Drop).
-        unsafe {
-            native::yield_from(self.inner)
-        };
-        #[cfg(any(not(target_arch = "x86_64"), feature = "portable-lthreads"))]
-        portable::yield_from(&self.inner);
+        unsafe { yield_from(self.inner) };
     }
 }
 
-#[cfg(all(target_arch = "x86_64", not(feature = "portable-lthreads")))]
-pub use native::Coroutine;
+/// Shared mutable state between a coroutine and its resumer.
+struct CoroShared {
+    /// The coroutine's saved stack pointer while suspended.
+    task_rsp: u64,
+    /// The entry cell; `return_rsp` doubles as the resumer context.
+    cell: EntryCell,
+    finished: bool,
+}
 
-#[cfg(all(target_arch = "x86_64", not(feature = "portable-lthreads")))]
-mod native {
-    use super::{Resume, Yielder};
-    use crate::context::{lthread_ctx_switch, prepare_stack, EntryCell};
+/// A stackful coroutine with its own stack.
+pub struct Coroutine {
+    shared: Box<CoroShared>,
+    // Keep the stack alive and pinned for the coroutine's lifetime.
+    _stack: Box<[u8]>,
+    started: bool,
+}
 
-    /// Shared mutable state between a coroutine and its resumer.
-    pub(super) struct CoroShared {
-        /// The coroutine's saved stack pointer while suspended.
-        task_rsp: u64,
-        /// The entry cell; `return_rsp` doubles as the resumer context.
-        cell: EntryCell,
-        finished: bool,
-    }
+// SAFETY: A suspended coroutine is just memory (a stack plus saved
+// registers); it is safe to move the handle between threads as long
+// as only one thread resumes it at a time, which `&mut self`
+// enforces.
+unsafe impl Send for Coroutine {}
 
-    /// A stackful coroutine with its own stack.
-    pub struct Coroutine {
-        shared: Box<CoroShared>,
-        // Keep the stack alive and pinned for the coroutine's lifetime.
-        _stack: Box<[u8]>,
-        started: bool,
-    }
-
-    // SAFETY: A suspended coroutine is just memory (a stack plus saved
-    // registers); it is safe to move the handle between threads as long
-    // as only one thread resumes it at a time, which `&mut self`
-    // enforces.
-    unsafe impl Send for Coroutine {}
-
-    impl Coroutine {
-        /// Creates a coroutine running `body` on a fresh stack of
-        /// `stack_size` bytes (rounded up to 4 KiB, minimum 16 KiB).
-        pub fn new(stack_size: usize, body: impl FnOnce(&Yielder) + Send + 'static) -> Self {
-            let stack_size = stack_size.max(16 * 1024).next_multiple_of(4096);
-            let mut stack = vec![0u8; stack_size].into_boxed_slice();
-            let mut shared = Box::new(CoroShared {
-                task_rsp: 0,
-                cell: EntryCell {
-                    body: None,
-                    return_rsp: 0,
-                },
-                finished: false,
-            });
-            let shared_ptr: *mut CoroShared = &mut *shared;
-            // The body wrapper owns the Yielder construction and marks
-            // completion.
-            let wrapped = Box::new(move || {
-                let yielder = Yielder { inner: shared_ptr };
-                body(&yielder);
-                // SAFETY: the shared cell outlives the coroutine body.
-                unsafe { (*shared_ptr).finished = true };
-            });
-            shared.cell.body = Some(wrapped);
-            // SAFETY: `shared.cell` is heap-pinned by the Box and the
-            // stack lives as long as the Coroutine.
-            let task_rsp = unsafe { prepare_stack(&mut stack, &mut shared.cell) };
-            shared.task_rsp = task_rsp;
-            Coroutine {
-                shared,
-                _stack: stack,
-                started: false,
-            }
-        }
-
-        /// Resumes the coroutine until it yields or finishes.
-        ///
-        /// # Panics
-        ///
-        /// Panics if called after the coroutine finished.
-        pub fn resume(&mut self) -> Resume {
-            assert!(!self.shared.finished, "resume on finished coroutine");
-            self.started = true;
-            let shared: *mut CoroShared = &mut *self.shared;
-            // SAFETY: shared is valid; the switch saves our context in
-            // cell.return_rsp and activates the task's stack. The task
-            // switches back via `yield_from` or the trampoline exit,
-            // restoring us here.
-            unsafe {
-                let target = (*shared).task_rsp;
-                lthread_ctx_switch(&mut (*shared).cell.return_rsp, target);
-            }
-            if self.shared.finished {
-                Resume::Finished
-            } else {
-                Resume::Yielded
-            }
-        }
-
-        /// Whether the coroutine has run to completion.
-        pub fn is_finished(&self) -> bool {
-            self.shared.finished
+impl Coroutine {
+    /// Creates a coroutine running `body` on a fresh stack of
+    /// `stack_size` bytes (rounded up to 4 KiB, minimum 16 KiB).
+    pub fn new(stack_size: usize, body: impl FnOnce(&Yielder) + Send + 'static) -> Self {
+        let stack_size = stack_size.max(16 * 1024).next_multiple_of(4096);
+        let mut stack = vec![0u8; stack_size].into_boxed_slice();
+        let mut shared = Box::new(CoroShared {
+            task_rsp: 0,
+            cell: EntryCell {
+                body: None,
+                return_rsp: 0,
+            },
+            finished: false,
+        });
+        let shared_ptr: *mut CoroShared = &mut *shared;
+        // The body wrapper owns the Yielder construction and marks
+        // completion.
+        let wrapped = Box::new(move || {
+            let yielder = Yielder { inner: shared_ptr };
+            body(&yielder);
+            // SAFETY: the shared cell outlives the coroutine body.
+            unsafe { (*shared_ptr).finished = true };
+        });
+        shared.cell.body = Some(wrapped);
+        // SAFETY: `shared.cell` is heap-pinned by the Box and the
+        // stack lives as long as the Coroutine.
+        let task_rsp = unsafe { prepare_stack(&mut stack, &mut shared.cell) };
+        shared.task_rsp = task_rsp;
+        Coroutine {
+            shared,
+            _stack: stack,
+            started: false,
         }
     }
 
-    impl Drop for Coroutine {
-        fn drop(&mut self) {
-            if self.started && !self.shared.finished {
-                // Dropping a suspended coroutine would leak whatever its
-                // stack owns and dangle the Yielder; treat as fatal.
-                eprintln!("lthread: dropped a live coroutine; aborting");
-                std::process::abort();
-            }
-        }
-    }
-
-    /// Switches from the running coroutine back to its resumer.
+    /// Resumes the coroutine until it yields or finishes.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// Must be called from within the coroutine that `shared` belongs
-    /// to.
-    pub(super) unsafe fn yield_from(shared: *mut CoroShared) {
-        // SAFETY: Caller contract: we are executing on the coroutine's
-        // stack right now, so saving into task_rsp and jumping to the
-        // resumer's rsp is the inverse of `resume`.
+    /// Panics if called after the coroutine finished.
+    pub fn resume(&mut self) -> Resume {
+        assert!(!self.shared.finished, "resume on finished coroutine");
+        self.started = true;
+        let shared: *mut CoroShared = &mut *self.shared;
+        // SAFETY: shared is valid; the switch saves our context in
+        // cell.return_rsp and activates the task's stack. The task
+        // switches back via `yield_from` or the trampoline exit,
+        // restoring us here.
         unsafe {
-            let ret = (*shared).cell.return_rsp;
-            lthread_ctx_switch(&mut (*shared).task_rsp, ret);
+            let target = (*shared).task_rsp;
+            lthread_ctx_switch(&mut (*shared).cell.return_rsp, target);
+        }
+        if self.shared.finished {
+            Resume::Finished
+        } else {
+            Resume::Yielded
+        }
+    }
+
+    /// Whether the coroutine has run to completion.
+    pub fn is_finished(&self) -> bool {
+        self.shared.finished
+    }
+}
+
+impl Drop for Coroutine {
+    fn drop(&mut self) {
+        if self.started && !self.shared.finished {
+            // Dropping a suspended coroutine would leak whatever its
+            // stack owns and dangle the Yielder; treat as fatal.
+            eprintln!("lthread: dropped a live coroutine; aborting");
+            std::process::abort();
         }
     }
 }
 
-#[cfg(any(not(target_arch = "x86_64"), feature = "portable-lthreads"))]
-pub use portable::Coroutine;
-
-#[cfg(any(not(target_arch = "x86_64"), feature = "portable-lthreads"))]
-mod portable {
-    use super::{Resume, Yielder};
-    use std::sync::{Arc, Condvar, Mutex};
-
-    #[derive(PartialEq, Clone, Copy)]
-    enum Turn {
-        Resumer,
-        Task,
-    }
-
-    pub(super) struct Shared {
-        turn: Mutex<Turn>,
-        cv: Condvar,
-        finished: Mutex<bool>,
-    }
-
-    /// Thread-backed coroutine: functionally identical, slower.
-    pub struct Coroutine {
-        shared: Arc<Shared>,
-        handle: Option<std::thread::JoinHandle<()>>,
-    }
-
-    impl Coroutine {
-        /// Creates a coroutine running `body` on a dedicated thread.
-        pub fn new(_stack_size: usize, body: impl FnOnce(&Yielder) + Send + 'static) -> Self {
-            let shared = Arc::new(Shared {
-                turn: Mutex::new(Turn::Resumer),
-                cv: Condvar::new(),
-                finished: Mutex::new(false),
-            });
-            let s2 = Arc::clone(&shared);
-            let handle = std::thread::spawn(move || {
-                // Wait for the first resume.
-                {
-                    let mut turn = s2.turn.lock().unwrap();
-                    while *turn != Turn::Task {
-                        turn = s2.cv.wait(turn).unwrap();
-                    }
-                }
-                let yielder = Yielder {
-                    inner: Arc::clone(&s2),
-                };
-                body(&yielder);
-                *s2.finished.lock().unwrap() = true;
-                let mut turn = s2.turn.lock().unwrap();
-                *turn = Turn::Resumer;
-                s2.cv.notify_all();
-            });
-            Coroutine {
-                shared,
-                handle: Some(handle),
-            }
-        }
-
-        /// Resumes the coroutine until it yields or finishes.
-        pub fn resume(&mut self) -> Resume {
-            assert!(!self.is_finished(), "resume on finished coroutine");
-            {
-                let mut turn = self.shared.turn.lock().unwrap();
-                *turn = Turn::Task;
-                self.shared.cv.notify_all();
-                while *turn != Turn::Resumer {
-                    turn = self.shared.cv.wait(turn).unwrap();
-                }
-            }
-            if self.is_finished() {
-                if let Some(h) = self.handle.take() {
-                    let _ = h.join();
-                }
-                Resume::Finished
-            } else {
-                Resume::Yielded
-            }
-        }
-
-        /// Whether the coroutine has run to completion.
-        pub fn is_finished(&self) -> bool {
-            *self.shared.finished.lock().unwrap()
-        }
-    }
-
-    pub(super) fn yield_from(shared: &Arc<Shared>) {
-        let mut turn = shared.turn.lock().unwrap();
-        *turn = Turn::Resumer;
-        shared.cv.notify_all();
-        while *turn != Turn::Task {
-            turn = shared.cv.wait(turn).unwrap();
-        }
+/// Switches from the running coroutine back to its resumer.
+///
+/// # Safety
+///
+/// Must be called from within the coroutine that `shared` belongs
+/// to.
+unsafe fn yield_from(shared: *mut CoroShared) {
+    // SAFETY: Caller contract: we are executing on the coroutine's
+    // stack right now, so saving into task_rsp and jumping to the
+    // resumer's rsp is the inverse of `resume`.
+    unsafe {
+        let ret = (*shared).cell.return_rsp;
+        lthread_ctx_switch(&mut (*shared).task_rsp, ret);
     }
 }
 

@@ -9,8 +9,7 @@
 //! crate reproduces that machinery:
 //!
 //! - [`coro`]: stackful coroutines with an x86-64 assembly context
-//!   switch (a thread-backed portable fallback is selected by the
-//!   `portable-lthreads` feature or on other architectures);
+//!   switch;
 //! - [`slots`]: the per-application-thread request slots of Fig. 4;
 //! - [`runtime`]: the `S × T` worker/task topology of Fig. 3; an
 //!   application thread yields briefly on its slot, then parks until

@@ -6,8 +6,8 @@
 //! 64 bytes of key-share and hello randomness of each new connection.
 //! This module invokes the `getrandom(2)` syscall directly — one
 //! syscall, no file descriptor, no libc binding required — and falls
-//! back to reading `/dev/urandom` where the syscall is unavailable
-//! (another OS or architecture, or a kernel older than 3.17).
+//! back to reading `/dev/urandom` when the syscall fails (a kernel
+//! older than 3.17, or a seccomp filter that refuses it).
 
 use std::io::Read;
 
@@ -54,7 +54,6 @@ fn fill_from_syscall(buf: &mut [u8]) -> Result<(), ()> {
 }
 
 /// `getrandom(buf, len, 0)` (syscall 318): the bytes written or `-errno`.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn getrandom(buf: &mut [u8]) -> isize {
     let ret: isize;
     unsafe {
@@ -70,32 +69,6 @@ fn getrandom(buf: &mut [u8]) -> isize {
         );
     }
     ret
-}
-
-/// `getrandom(buf, len, 0)` (syscall 278): the bytes written or `-errno`.
-#[cfg(all(target_os = "linux", target_arch = "aarch64"))]
-fn getrandom(buf: &mut [u8]) -> isize {
-    let ret: isize;
-    unsafe {
-        std::arch::asm!(
-            "svc 0",
-            in("x8") 278usize,
-            inlateout("x0") buf.as_mut_ptr() as usize => ret,
-            in("x1") buf.len(),
-            in("x2") 0usize,
-            options(nostack),
-        );
-    }
-    ret
-}
-
-/// No syscall here: `ENOSYS`, so [`fill`] reads `/dev/urandom`.
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-fn getrandom(_buf: &mut [u8]) -> isize {
-    -38
 }
 
 #[cfg(test)]
@@ -119,10 +92,6 @@ mod tests {
         assert_ne!(a, [0u8; 64]);
     }
 
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
     #[test]
     fn syscall_path_works() {
         let mut a = [0u8; 64];

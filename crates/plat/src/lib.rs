@@ -8,17 +8,17 @@
 //! clean checkout builds with `CARGO_NET_OFFLINE=true` and an empty
 //! registry cache.
 //!
-//! The product runs on Linux on x86-64, the only architecture with
-//! SGX; its records need AES-NI. The shims also build on aarch64 (the
-//! [`entropy`] fallback, the portable `lthread` coroutine), where the
-//! workspace compiles and its scalar primitives run but no product
-//! path does.
+//! The one target is Linux on x86-64, the only architecture with SGX:
+//! records need AES-NI, the [`reactor`] and [`entropy`] issue x86-64
+//! syscalls, and `lthread` switches x86-64 stacks. Every crate of the
+//! workspace depends on this one, so the check below is the only
+//! platform gate (DESIGN.md "Platform").
 //!
 //! - [`sync`] — poison-transparent `Mutex`/`RwLock` (the `parking_lot`
 //!   surface the workspace used). Hand-offs between threads use
 //!   `std::sync::mpsc` directly: no shim repeats what `std` has.
-//! - [`entropy`] — OS randomness: `/dev/urandom`, falling back to the
-//!   `getrandom` syscall (the `rand::rngs::OsRng` surface).
+//! - [`entropy`] — OS randomness: the `getrandom` syscall, falling
+//!   back to `/dev/urandom` (the `rand::rngs::OsRng` surface).
 //! - [`tmp`] — RAII temp-path guard for disk-backed tests.
 //! - [`check`] — seeded, shrink-free property-testing harness (the
 //!   `proptest` surface, deterministic by construction).
@@ -31,6 +31,9 @@
 //! - [`chaos`] — deterministic fault-injecting stream wrapper (short
 //!   reads/writes, stalls, resets, truncation, delays) for
 //!   hostile-network testing.
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+compile_error!("LibSEAL builds for Linux on x86-64 only (DESIGN.md \"Platform\")");
 
 pub mod chaos;
 pub mod check;

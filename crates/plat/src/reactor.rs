@@ -7,12 +7,10 @@
 //! and, per the workspace's hermetic-build policy, it has to come from
 //! `std` plus direct syscalls rather than a crates.io event library.
 //!
-//! On Linux (x86_64/aarch64) this wraps `epoll` invoked via inline
-//! `asm!`, the same idiom [`crate::entropy`] uses for `getrandom`. An
-//! `eventfd`-backed [`Notifier`] doubles as the cross-thread waker so
-//! worker pools can interrupt a blocked [`Reactor::wait`]. On any
-//! other platform [`Reactor::new`] returns `ErrorKind::Unsupported`
-//! and callers are expected to fall back to their threaded path.
+//! This wraps Linux `epoll` invoked via inline `asm!`, the same idiom
+//! [`crate::entropy`] uses for `getrandom`. An `eventfd`-backed
+//! [`Notifier`] doubles as the cross-thread waker so worker pools can
+//! interrupt a blocked [`Reactor::wait`].
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -139,8 +137,12 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Creates a reactor, or `ErrorKind::Unsupported` on platforms
-    /// without epoll — callers should fall back to threaded serving.
+    /// Creates a reactor: an epoll instance with its waker registered.
+    ///
+    /// # Errors
+    ///
+    /// As `epoll_create1`, `eventfd2` or `epoll_ctl` (out of file
+    /// descriptors or kernel memory).
     pub fn new() -> io::Result<Reactor> {
         let raw = sys::epoll_create()?;
         // SAFETY: epoll_create() returned a freshly created fd we own.
@@ -236,10 +238,6 @@ impl Reactor {
     }
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 mod sys {
     use super::{Duration, Interest};
     use std::io;
@@ -259,9 +257,7 @@ mod sys {
     const EFD_CLOEXEC: usize = 0x80000;
     const EFD_NONBLOCK: usize = 0x800;
 
-    // The kernel packs epoll_event on x86_64 only; elsewhere the
-    // struct has natural alignment (4 bytes padding before data).
-    #[cfg(target_arch = "x86_64")]
+    // The kernel packs epoll_event on x86-64.
     #[repr(C, packed)]
     #[derive(Clone, Copy, Default)]
     pub struct EpollEvent {
@@ -269,15 +265,6 @@ mod sys {
         pub data: u64,
     }
 
-    #[cfg(not(target_arch = "x86_64"))]
-    #[repr(C)]
-    #[derive(Clone, Copy, Default)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    #[cfg(target_arch = "x86_64")]
     mod nr {
         pub const IOCTL: usize = 16;
         pub const EPOLL_CTL: usize = 233;
@@ -286,16 +273,6 @@ mod sys {
         pub const EPOLL_CREATE1: usize = 291;
     }
 
-    #[cfg(target_arch = "aarch64")]
-    mod nr {
-        pub const EVENTFD2: usize = 19;
-        pub const IOCTL: usize = 29;
-        pub const EPOLL_CREATE1: usize = 20;
-        pub const EPOLL_CTL: usize = 21;
-        pub const EPOLL_PWAIT: usize = 22;
-    }
-
-    #[cfg(target_arch = "x86_64")]
     fn syscall5(n: usize, a: usize, b: usize, c: usize, d: usize, e: usize) -> isize {
         let ret: isize;
         unsafe {
@@ -310,25 +287,6 @@ mod sys {
                 in("r9") 0usize,
                 lateout("rcx") _,
                 lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    fn syscall5(n: usize, a: usize, b: usize, c: usize, d: usize, e: usize) -> isize {
-        let ret: isize;
-        unsafe {
-            std::arch::asm!(
-                "svc 0",
-                in("x8") n,
-                inlateout("x0") a => ret,
-                in("x1") b,
-                in("x2") c,
-                in("x3") d,
-                in("x4") e,
-                in("x5") 0usize,
                 options(nostack),
             );
         }
@@ -408,8 +366,7 @@ mod sys {
             // Round up, so a park never ends before its deadline.
             Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as isize,
         };
-        // epoll_pwait(ep, events, max, timeout, sigmask=NULL); aarch64
-        // has no plain epoll_wait, so use pwait on both arches.
+        // epoll_pwait(ep, events, max, timeout, sigmask=NULL).
         check(syscall5(
             nr::EPOLL_PWAIT,
             ep as usize,
@@ -422,89 +379,17 @@ mod sys {
     }
 }
 
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-mod sys {
-    use super::{Duration, Interest};
-    use std::io;
-
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-
-    pub const EPOLL_CTL_ADD: usize = 1;
-    pub const EPOLL_CTL_DEL: usize = 2;
-    pub const EPOLL_CTL_MOD: usize = 3;
-
-    #[derive(Clone, Copy, Default)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    fn unsupported<T>() -> io::Result<T> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "reactor requires Linux epoll",
-        ))
-    }
-
-    pub fn mask(_interest: Interest) -> u32 {
-        0
-    }
-
-    pub fn epoll_create() -> io::Result<i32> {
-        unsupported()
-    }
-
-    pub fn eventfd() -> io::Result<i32> {
-        unsupported()
-    }
-
-    pub fn epoll_ctl(_ep: i32, _op: usize, _fd: i32, _events: u32, _token: u64) -> io::Result<()> {
-        unsupported()
-    }
-
-    pub fn unread(_fd: i32) -> io::Result<usize> {
-        unsupported()
-    }
-
-    pub fn epoll_wait(
-        _ep: i32,
-        _buf: &mut [EpollEvent],
-        _t: Option<Duration>,
-    ) -> io::Result<usize> {
-        unsupported()
-    }
-}
-
 /// The bytes `fd` (a socket) holds unread: what a read would return now,
 /// so a caller can size its buffer once.
 ///
 /// # Errors
 ///
-/// As the `FIONREAD` ioctl; `Unsupported` where [`supported`] is false.
+/// As the `FIONREAD` ioctl.
 pub fn unread(fd: &impl AsRawFd) -> io::Result<usize> {
     sys::unread(fd.as_raw_fd())
 }
 
-/// True when this platform has a working reactor backend.
-pub fn supported() -> bool {
-    cfg!(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))
-}
-
-#[cfg(all(
-    test,
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};

@@ -5,11 +5,6 @@
 //! activity on a small subset, checking that wait() reports exactly
 //! the active tokens while the idle mass costs nothing.
 
-#![cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-
 use plat::reactor::{Interest, Notifier, Reactor};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};

@@ -171,9 +171,8 @@ fn open_conn_gauge() -> libseal_telemetry::Gauge {
     libseal_telemetry::gauge("services_event_open_connections")
 }
 
-/// Starts the reactor for `listener`. Fails fast (before any thread
-/// spawns) where readiness polling is unsupported, so callers can fall
-/// back to the blocking driver.
+/// Starts the reactor for `listener`. Fails (before any thread spawns)
+/// if the epoll instance or its waker cannot be created.
 pub(crate) fn serve<A: App>(
     listener: TcpListener,
     cfg: ServeConfig,

@@ -30,8 +30,7 @@
 //! - the **blocking** driver (`event_loop(false)`): the paper's
 //!   thread-per-connection model — a fixed pool of workers, each
 //!   serving whole connections with one call per TLS operation and
-//!   owning one async-ecall slot. The paper-figure binaries pin it,
-//!   and it is the fallback where readiness polling is unsupported.
+//!   owning one async-ecall slot. The paper-figure binaries pin it.
 //!
 //! [`server::Config`] carries the serving knobs, each defined once
 //! for both services ([`apache::ApacheConfig`] adds the router,

@@ -80,8 +80,7 @@ impl<S> Config<S> {
     }
 
     /// Selects the event-driven driver (default) or, with `false`, the
-    /// paper's thread-per-connection one. The reactor falls back to
-    /// the blocking driver where readiness polling is unsupported.
+    /// paper's thread-per-connection one.
     #[must_use]
     pub fn event_loop(mut self, on: bool) -> Self {
         self.serve.event_loop = on;
@@ -183,7 +182,7 @@ impl<A: App> Server<A> {
         let shutdown = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
         let plane = Arc::clone(&cfg.plane);
-        let (driver, waker) = if cfg.event_loop && plat::reactor::supported() {
+        let (driver, waker) = if cfg.event_loop {
             let handle = crate::event::serve(
                 listener,
                 cfg,

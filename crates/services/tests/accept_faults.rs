@@ -117,9 +117,6 @@ fn squid_threaded_accept_errors_do_not_kill_listener() {
 /// period; connections queued in the backlog are served afterwards.
 #[test]
 fn apache_event_accept_errors_back_off_and_recover() {
-    if !plat::reactor::supported() {
-        return;
-    }
     let errors = libseal_telemetry::counter("services_apache_accept_errors_total");
     let before = errors.get();
 

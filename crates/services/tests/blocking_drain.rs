@@ -4,7 +4,6 @@
 //! accept thread and the pool carriers it owns) is joined. Alone in its
 //! binary because `/proc/self/task` and the pool's queue-depth gauge
 //! count the whole process.
-#![cfg(target_os = "linux")]
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

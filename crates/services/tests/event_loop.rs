@@ -75,9 +75,6 @@ fn native_keep_alive_roundtrips() {
 
 #[test]
 fn libseal_sessions_batch_through_one_reactor() {
-    if !plat::reactor::supported() {
-        return;
-    }
     let ca = ca();
     let (ls, roots) = libseal_tls(&ca, Some(Arc::new(GitModule)));
     let backend = Arc::new(GitBackend::new());
@@ -152,9 +149,6 @@ fn connection_close_is_honored() {
 
 #[test]
 fn idle_sessions_are_evicted() {
-    if !plat::reactor::supported() {
-        return;
-    }
     let evictions = libseal_telemetry::counter("services_event_idle_evictions_total");
     let before = evictions.get();
 
@@ -189,9 +183,6 @@ fn idle_sessions_are_evicted() {
 
 #[test]
 fn many_idle_sessions_survive_active_load() {
-    if !plat::reactor::supported() {
-        return;
-    }
     const IDLE: usize = 300;
     let ca = ca();
     let (tls, roots) = native_tls(&ca);

@@ -683,9 +683,6 @@ fn drain_under_load_keeps_chain_verifiable() {
 #[test]
 fn drain_deadline_closes_a_connection_whose_handler_outlives_it() {
     const DRAIN: Duration = Duration::from_millis(300);
-    if !plat::reactor::supported() {
-        return;
-    }
     let ca = ca();
     let (key, cert) = ca.issue_identity("localhost", &[0x33; 32]).unwrap();
     let gate = Arc::new(Gate::default());
@@ -773,9 +770,6 @@ fn drain_delivers_a_queued_response_whole_then_closes() {
     // More than the loopback buffers hold while the client reads nothing.
     const BODY: usize = 16 << 20;
     const DRAIN: Duration = Duration::from_secs(20);
-    if !plat::reactor::supported() {
-        return;
-    }
     let ca = ca();
     let (key, cert) = ca.issue_identity("localhost", &[0x33; 32]).unwrap();
     let server = ApacheServer::start(

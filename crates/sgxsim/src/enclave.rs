@@ -520,7 +520,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_arch = "x86_64")]
     fn seal_unseal_roundtrip() {
         let e = test_enclave();
         e.ecall("bump", |_, sv| {
@@ -539,7 +538,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_arch = "x86_64")]
     fn same_signer_can_unseal_across_enclaves() {
         let signer = SigningKey::from_seed(&[1u8; 32]);
         let secret = [9u8; 32];

@@ -51,8 +51,7 @@ pub fn unseal_with_key(key: &[u8; 32], aad: &[u8], sealed: &[u8]) -> Option<Vec<
     aead.open(&nonce, aad, &sealed[12..]).ok()
 }
 
-/// Sealing runs on the x86-64 AES-GCM kernels only.
-#[cfg(all(test, target_arch = "x86_64"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -4,14 +4,11 @@
 
 use libseal_sgxsim::cost::CostModel;
 use libseal_sgxsim::enclave::EnclaveBuilder;
-// Sealing runs on the x86-64 AES-GCM kernels only.
-#[cfg(target_arch = "x86_64")]
 use libseal_sgxsim::seal::{seal_with_key, unseal_with_key, SealingPolicy};
 
 plat::prop! {
     #![cases(32)]
 
-    #[cfg(target_arch = "x86_64")]
     fn sealing_roundtrip(g) {
         let key = g.byte_array::<32>();
         let nonce = g.byte_array::<12>();
@@ -21,7 +18,6 @@ plat::prop! {
         assert_eq!(unseal_with_key(&key, &aad, &sealed).unwrap(), data);
     }
 
-    #[cfg(target_arch = "x86_64")]
     fn sealed_blobs_resist_tampering(g) {
         let key = g.byte_array::<32>();
         let nonce = g.byte_array::<12>();
@@ -32,7 +28,6 @@ plat::prop! {
         assert!(unseal_with_key(&key, b"", &sealed).is_none());
     }
 
-    #[cfg(target_arch = "x86_64")]
     fn enclave_seal_policies_are_isolated(g) {
         let data = g.bytes(0..200);
         let e = EnclaveBuilder::new(b"prop-enclave")

@@ -20,9 +20,6 @@
 //!   same typed error and opens the same records as `provide_input` +
 //!   `ssl_read` fed one record at a time; the transfer above includes one
 //!   record carried across three inputs.
-//!
-//! x86-64 only, as the record cipher's kernels are.
-#![cfg(target_arch = "x86_64")]
 
 use libseal_tlsx::cert::{CertificateAuthority, Extension, MAX_EXTENSION_LEN};
 use libseal_tlsx::record::{self, ContentType, RecordKeys, HEADER, MAX_RECORD, TAG};
